@@ -33,16 +33,10 @@
 // world, "tcp" additionally shards the world by processor group behind
 // real localhost sockets (CRC32-framed wire messages). Both produce
 // results identical to the shared-memory default; the netsim link
-// model stays the timing authority.
-//
-// A multi-process lockstep campaign replicates the deterministic run
-// across machines and cross-checks a per-step digest over TCP:
-//
-//	samrsim -peers host0:7000,host1:7000 -shard 0 -listen :7000 ...
-//	samrsim -peers host0:7000,host1:7000 -shard 1 -listen :7000 ...
-//
-// Every process must be started with identical run flags; any
-// divergence in the per-step digests exits non-zero.
+// model stays the timing authority. -supervise is the multi-process
+// mode: one worker OS process per processor group under a supervising
+// parent that restarts crashed workers from their durable generations
+// and checks that every worker reports the same result.
 package main
 
 import (
@@ -106,11 +100,8 @@ func main() {
 		quorum    = flag.Int("quorum", 0, "per-group minimum of admitted processors before the group degrades to local-only balancing (0 = default 1)")
 		recReport = flag.Bool("recovery-report", false, "print the retry/backoff/suspicion and rejoin counters after the run")
 		transport = flag.String("transport", "", "rank-message transport with -data: loopback (in-process mpx world) | tcp (one shard per group over localhost sockets); empty = shared-memory data path")
-		listenFl  = flag.String("listen", "", "lockstep: listen address for this shard (default: the -peers entry for -shard)")
-		peersFl   = flag.String("peers", "", "lockstep: comma-separated shard addresses in shard order; replicates the run and cross-checks per-step digests")
-		shardFl   = flag.Int("shard", -1, "lockstep: this process's index into -peers")
 		superv    = flag.Bool("supervise", false, "run one worker OS process per processor group under this supervising parent (requires -data); crashed workers restart from their latest durable generation in -ckpt-dir")
-		wireTO    = flag.Duration("wire-timeout", 5*time.Second, "read/write deadline and heartbeat pacing on every wire connection (tcp/worker transports and lockstep; 0 disables)")
+		wireTO    = flag.Duration("wire-timeout", 5*time.Second, "read/write deadline and heartbeat pacing on every wire connection (tcp/worker transports; 0 disables)")
 		maxRst    = flag.Int("max-restarts", 3, "supervise: restarts allowed per worker before the run fails")
 		wrkShard  = flag.Int("worker-shard", -1, "internal: run as the supervised worker hosting this processor group")
 		wrkCtrl   = flag.String("worker-control", "", "internal: supervisor control-channel address")
@@ -259,9 +250,6 @@ func main() {
 		case !*withData:
 			fmt.Fprintln(os.Stderr, "supervise: -supervise requires -data (worker shards carry field data)")
 			os.Exit(2)
-		case *peersFl != "":
-			fmt.Fprintln(os.Stderr, "supervise: -supervise and lockstep -peers are mutually exclusive")
-			os.Exit(2)
 		case *datCheck:
 			fmt.Fprintln(os.Stderr, "supervise: -datacheck is data-dependent and forbidden on worker shards")
 			os.Exit(2)
@@ -276,32 +264,12 @@ func main() {
 		checker = invariant.NewForPolicy(*scheme)
 		opt.Invariants = checker.Check
 	}
-	var lock *lockstep
-	if *peersFl != "" {
-		var err error
-		lock, err = startLockstep(*peersFl, *shardFl, *listenFl, *wireTO)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "lockstep: shard %d connected to %d peer(s)\n", *shardFl, lock.n-1)
-		opt.AfterStep = func(step int, r *engine.Runner) {
-			if err := lock.check(step, r); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
 	if *stopAftr >= 0 {
 		// The durable generation for this boundary (if due) is written
 		// before AfterStep fires, so exiting here models a crash whose
 		// latest checkpoint is already safely on disk.
 		stop := *stopAftr
-		prev := opt.AfterStep
 		opt.AfterStep = func(step int, r *engine.Runner) {
-			if prev != nil {
-				prev(step, r)
-			}
 			if step >= stop {
 				fmt.Fprintf(os.Stderr, "interrupted after step %d (simulated crash)\n", step)
 				os.Exit(3)
@@ -330,11 +298,6 @@ func main() {
 		runner = engine.New(sys, driver, opt)
 	}
 	res := runner.Run()
-
-	if lock != nil {
-		fmt.Fprintf(os.Stderr, "lockstep: %d step(s) verified across %d shards\n", lock.steps, lock.n)
-		lock.close()
-	}
 
 	if checker != nil {
 		if err := checker.Err(); err != nil {

@@ -30,14 +30,19 @@ import (
 	"os"
 	"path/filepath"
 
+	"samrdlb/internal/machine"
+	"samrdlb/internal/metrics"
 	"samrdlb/internal/vclock"
 )
 
 const (
 	magic = "SAMRCKP1"
 	// MetaVersion is the current engine-state header version; Restore
-	// rejects generations written by an incompatible future format.
-	MetaVersion = 1
+	// skips generations written in any other format. Version 2 moved
+	// the run counters into the embedded metrics.Counters record; a
+	// version-1 header keeps them as loose fields under partly
+	// different names, which gob would drop without an error.
+	MetaVersion = 2
 	// frameOverhead is the per-frame length + CRC prefix.
 	frameOverhead = 8
 	// maxFrame caps a frame's declared length: anything beyond it is a
@@ -79,26 +84,12 @@ type Meta struct {
 	// DLB ties, so a resumed run must hand out the same IDs.
 	NextGridID int64
 
-	// Run counters, cumulative from the start of the campaign.
-	GlobalEvals     int
-	GlobalRedists   int
-	LocalMigrations int
-	MaxCells        int64
-	// LastGain, LastCost and LastGamma preserve the inputs of the most
-	// recent Gain > γ·Cost gate, so a resumed run's Result reports the
-	// same decision inputs the uninterrupted run would (the recorder
-	// interval alone cannot reproduce them after a resume).
-	LastGain, LastCost, LastGamma float64
-	LedgerEvents                  uint64
-	LedgerRebuilds                int
-	DiskCheckpoints               int
-	DiskCkptErrors                int
-	// DiskPruneErrors counts pruned-generation deletions that failed,
-	// cumulative — including the prune the generation's own write will
-	// trigger (predicted; the injected decision is deterministic).
-	// Absent (zero) on generations written before prune errors were
-	// tracked; gob decodes those compatibly.
-	DiskPruneErrors int
+	// Counters is the run-state record, cumulative from the start of
+	// the campaign and describing the world in which this generation
+	// landed on disk: DiskCheckpoints includes the generation's own
+	// write, DiskPruneErrors the prune that write triggers (predicted;
+	// the injected decision is deterministic).
+	metrics.Counters
 	// WriteAttempts is the durable-write sequence position (attempts,
 	// including failed ones) — it keys the deterministic disk-fault
 	// decisions, so a resumed run replays the same corruption.
@@ -109,35 +100,12 @@ type Meta struct {
 	FaultSeed      int64
 	LastFailCheck  float64
 	WasQuarantined bool
-	FailedProcs    []int
-	ProbeSeq       []ProbeSeq
-	ProbeRetries   int
-	ProbeFallbacks int
-	RetryTime      float64
-	QuarSteps      int
-	CatchupEvals   int
-	Recoveries     int
-	RecoveryTime   float64
-	CkptFallbacks  int
-	PristineResets int
-	CorruptGens    int
-
-	// Elastic-membership state (meaningful only when HasFaults; absent
-	// — nil/zero — on generations written before the membership
-	// tracker existed, which restore as "everyone alive"). MembState,
-	// MembCause and MembReadmit are per-processor; MembSuspicion and
-	// MembEvidence are per-group.
-	MembState     []int
-	MembCause     []int
-	MembReadmit   []int
-	MembSuspicion []int
-	MembEvidence  []bool
-	// Membership counters, cumulative from the start of the campaign.
-	MembSuspects    int
-	MembSuspectDead int
-	MembRejoins     int
-	MembCatchups    int
-	MembQuorumSteps int
+	// FailedSet lists the processors failed at the checkpoint,
+	// ascending.
+	FailedSet []int
+	ProbeSeq  []ProbeSeq
+	// Memb is the elastic-membership tracker's state.
+	Memb machine.MembershipState
 }
 
 // DiskFault injects deterministic corruption into checkpoint writes.
@@ -290,6 +258,13 @@ func decode(data []byte) (*Meta, []byte, error) {
 	}
 	var meta Meta
 	if err := gob.NewDecoder(bytes.NewReader(metaBytes)).Decode(&meta); err != nil {
+		// A header of another version need not even decode (version 1
+		// has a FailedProcs list where Counters now promotes a count):
+		// name the version when the header still yields one.
+		var v struct{ Version int }
+		if gob.NewDecoder(bytes.NewReader(metaBytes)).Decode(&v) == nil && v.Version != MetaVersion {
+			return nil, nil, fmt.Errorf("meta version %d, want %d", v.Version, MetaVersion)
+		}
 		return nil, nil, fmt.Errorf("decode meta: %w", err)
 	}
 	if meta.Version != MetaVersion {

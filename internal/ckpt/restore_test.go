@@ -1,8 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -33,14 +36,33 @@ func TestCorruptionMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
+		reason string // expected in the skip reason ("" = any)
 	}{
-		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }},
-		{"flipped-header-byte", func(d []byte) []byte { d[headerOff] ^= 0xff; return d }},
-		{"flipped-payload-byte", func(d []byte) []byte { d[len(d)-3] ^= 0x01; return d }},
-		{"zero-length", func(d []byte) []byte { return nil }},
-		{"bad-magic", func(d []byte) []byte { d[0] ^= 0xff; return d }},
-		{"trailing-garbage", func(d []byte) []byte { return append(d, 0xde, 0xad) }},
-		{"torn-in-frame-header", func(d []byte) []byte { return d[:len(magic)+3] }},
+		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }, ""},
+		{"flipped-header-byte", func(d []byte) []byte { d[headerOff] ^= 0xff; return d }, ""},
+		{"flipped-payload-byte", func(d []byte) []byte { d[len(d)-3] ^= 0x01; return d }, ""},
+		{"zero-length", func(d []byte) []byte { return nil }, ""},
+		{"bad-magic", func(d []byte) []byte { d[0] ^= 0xff; return d }, ""},
+		{"trailing-garbage", func(d []byte) []byte { return append(d, 0xde, 0xad) }, ""},
+		{"torn-in-frame-header", func(d []byte) []byte { return d[:len(magic)+3] }, ""},
+		// An intact version-1 generation keeps its counters at the top
+		// level of the header under partly different names and types. It
+		// must be skipped for its version, not restored with counters
+		// zeroed or misread.
+		{"meta-version-1", func([]byte) []byte {
+			var hdr, img bytes.Buffer
+			v1 := struct {
+				Version, Step, GlobalEvals, QuarSteps int
+				FailedProcs                           []int
+			}{1, 6, 9, 2, []int{3}}
+			if err := gob.NewEncoder(&hdr).Encode(v1); err != nil {
+				t.Fatal(err)
+			}
+			img.WriteString(magic)
+			frame(&img, hdr.Bytes())
+			frame(&img, []byte("newest generation"))
+			return img.Bytes()
+		}, "meta version 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,7 +79,10 @@ func TestCorruptionMatrix(t *testing.T) {
 				t.Errorf("restored step %d payload %q, want the intact gen", meta.Step, payload)
 			}
 			if len(report.Skipped) != 1 {
-				t.Errorf("skipped = %+v, want exactly the corrupt newest gen", report.Skipped)
+				t.Fatalf("skipped = %+v, want exactly the corrupt newest gen", report.Skipped)
+			}
+			if !strings.Contains(report.Skipped[0].Reason, tc.reason) {
+				t.Errorf("skip reason %q, want it to mention %q", report.Skipped[0].Reason, tc.reason)
 			}
 		})
 	}

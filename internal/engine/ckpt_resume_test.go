@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/workload"
@@ -116,6 +117,76 @@ func TestResumeSkipsCorruptNewestGeneration(t *testing.T) {
 	got := r.Run()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed-after-corruption result differs\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestEveryCounterSurvivesResume takes the run-state record through a
+// durable generation into a fresh runner without naming its fields:
+// every field of metrics.Counters is filled by reflection with a
+// distinct non-zero value, so a counter added later that some path
+// between snapshotMeta and restoreFromMeta forgets fails here — also
+// the counters the pinned resume scenarios happen to leave at zero.
+func TestEveryCounterSurvivesResume(t *testing.T) {
+	mk := func(dir string) *Runner {
+		sched, err := fault.NewSchedule(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
+			Steps: 4, MaxLevel: 1, CheckpointDir: dir, Faults: sched,
+		})
+	}
+	src := mk(t.TempDir())
+	v := reflect.ValueOf(&src.cnt).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(100 + i))
+		case reflect.Uint64:
+			f.SetUint(uint64(100 + i))
+		case reflect.Float64:
+			f.SetFloat(float64(100+i) + 0.5)
+		default:
+			t.Fatalf("Counters.%s has kind %s: teach this test to fill it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	// FailedProcs is derived from the failed set, which travels beside
+	// the counters.
+	src.failedSet[1] = true
+	want := src.counters()
+
+	store, err := ckpt.Open(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Write(src.snapshotMeta(0), []byte("hierarchy"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	meta, _, _, err := store.Restore(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := mk(t.TempDir())
+	if err := dst.restoreFromMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	got := dst.counters()
+
+	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < wv.NumField(); i++ {
+		name := wv.Type().Field(i).Name
+		w, g := wv.Field(i).Interface(), gv.Field(i).Interface()
+		if wv.Field(i).IsZero() {
+			t.Errorf("Counters.%s is zero in the source run: its round trip proves nothing", name)
+		}
+		if name == "DiskCheckpoints" {
+			// A generation describes the world in which its own write
+			// succeeded.
+			w = w.(int) + 1
+		}
+		if g != w {
+			t.Errorf("Counters.%s = %v after the resume, want %v", name, g, w)
+		}
 	}
 }
 

@@ -50,10 +50,6 @@ type Options struct {
 	ImbalanceEps float64
 	// MaxLevel is the deepest refinement level (default 2).
 	MaxLevel int
-	// NGhost is the ghost width (default 1).
-	NGhost int
-	// Regrid are the clustering parameters (zero value = defaults).
-	Regrid amr.RegridParams
 	// RegridInterval regrids every k level-0 steps (default 1).
 	RegridInterval int
 	// GridsPerProc controls the initial level-0 decomposition
@@ -123,11 +119,6 @@ type Options struct {
 	// It is the attachment point for the paper-invariant oracle in
 	// internal/invariant; callbacks must not mutate the runner.
 	Invariants func(*PhaseInfo)
-	// Resume, when non-nil, starts from a checkpointed hierarchy
-	// (amr.Load) instead of a fresh decomposition; ResumeTime sets the
-	// simulated time the checkpoint was taken at.
-	Resume     *amr.Hierarchy
-	ResumeTime float64
 	// Faults, when non-nil, injects the scripted fault schedule into
 	// the run: link outages and degradations attach to the fabric,
 	// probe losses trigger the retry/backoff/forecast path, processor
@@ -150,22 +141,12 @@ type Options struct {
 	// CheckpointKeep bounds the retained on-disk generations
 	// (default 3; only used with CheckpointDir).
 	CheckpointKeep int
-	// Retry bounds the probe retry/backoff loop of the global phase
-	// (zero value = netsim defaults).
-	Retry netsim.RetryPolicy
 	// GroupQuorum is the minimum admitted processors a group needs to
 	// take part in global balancing under elastic membership; below it
 	// the group degrades to local-only decisions via the quarantine
 	// path (0 = default 1, i.e. a group degrades only when every
 	// member is dead or rejoining). Only meaningful with Faults.
 	GroupQuorum int
-	// SuspectAfter and DeadAfter are the membership suspicion
-	// thresholds: after SuspectAfter consecutive probe failures
-	// against a group its processors are suspected, after DeadAfter
-	// they are presumed dead (0 = defaults 2 and 4). Only meaningful
-	// with Faults.
-	SuspectAfter int
-	DeadAfter    int
 	// LedgerCheck enables the load-ledger debug oracle: after every
 	// hierarchy mutation event the incremental aggregates are verified
 	// against a full recomputation (panic on divergence), and the
@@ -200,12 +181,6 @@ func (o *Options) setDefaults() {
 	if o.MaxLevel == 0 {
 		o.MaxLevel = 2
 	}
-	if o.NGhost <= 0 {
-		o.NGhost = 1
-	}
-	if o.Regrid.Cluster.MinEfficiency == 0 {
-		o.Regrid = amr.DefaultRegridParams()
-	}
 	if o.RegridInterval <= 0 {
 		o.RegridInterval = 1
 	}
@@ -233,6 +208,9 @@ const evalFlops = 5e4
 // one cell of recovery checkpoint state.
 const checkpointFlopsPerCell = 2.0
 
+// nGhost is the ghost width of every patch the engine allocates.
+const nGhost = 1
+
 // Runner executes one SAMR application on one system with one DLB
 // scheme.
 type Runner struct {
@@ -252,24 +230,27 @@ type Runner struct {
 	dt0          float64
 	t            float64
 
-	world    *mpx.World
-	shards   *shardSet // tcp transport: one shard world per group
+	// shards is the rank execution of a UseMPX run: one all-local world
+	// (loopback), one shard world per group behind localhost sockets
+	// (tcp), or this process's single shard (worker). nil runs the
+	// shared-memory data path.
+	shards   *shardSet
 	fluxRegs []*amr.FluxRegister
 
+	// cnt is the live run-state record. Four parts of it live on other
+	// objects and are folded in by counters(): the current ledger's
+	// events and rebuilds, the open store's prune failures and the
+	// membership tracker's counters are added to the bases kept here
+	// (what replaced ledgers and a resumed run's earlier process
+	// accumulated), and FailedProcs is len(failedSet).
+	cnt metrics.Counters
+
+	// Per-process wire counters: wall-clock-paced, never checkpointed.
 	transportFaults    int
 	transportFallbacks int
 
 	intervalStart float64
-	globalEvals   int
-	globalRedists int
-	localMigs     int
-	maxCells      int64
 	curStep       int // level-0 step the loop is executing (for hooks)
-
-	// Last gate inputs the balancer actually compared (Eq. 1), kept
-	// for the Result and persisted across Resume so a resumed run
-	// reports what the original compared, not a stale recompute.
-	lastGain, lastCost, lastGamma float64
 
 	// Fault-tolerance state (active only when opt.Faults is set).
 	ckpt          []byte       // last checkpoint (gob stream)
@@ -283,31 +264,11 @@ type Runner struct {
 	memb          *machine.Membership
 
 	// Durable checkpoint state (active only when opt.CheckpointDir is
-	// set, except for the fallback counters, which the in-memory
-	// recovery path also feeds).
-	store          *ckpt.Store
-	startStep      int  // first level-0 step of this process (> 0 on resume)
-	resumed        bool // this runner continues an interrupted run
-	ckptAttempts   int  // durable write attempts; keys disk-fault decisions
-	diskCkptWrites int
-	diskCkptErrors int
-	diskPruneBase  int // prune failures inherited from the resumed run
-	ckptFallbacks  int
-	corruptGens    int
-	pristineResets int
-
-	probeRetries   int
-	probeFallbacks int
-	retryTime      float64
-	quarSteps      int
-	catchupEvals   int
-	recoveries     int
-	recoveryTime   float64
-
-	// Ledger bookkeeping: events applied by ledgers that were since
-	// replaced (recovery), and full rebuilds performed.
-	ledgerEvents   uint64
-	ledgerRebuilds int
+	// set).
+	store        *ckpt.Store
+	startStep    int  // first level-0 step of this process (> 0 on resume)
+	resumed      bool // this runner continues an interrupted run
+	ckptAttempts int  // durable write attempts; keys disk-fault decisions
 
 	// Per-step scratch, reused across calls so the hot loop makes no
 	// allocations: advanceLevel's per-processor accumulators, the
@@ -340,6 +301,13 @@ func procScratch(buf *[]float64, n int) []float64 {
 // spatial order so each group owns a contiguous region (the paper's
 // group-boundary picture of Figure 6).
 func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
+	return newRunner(sys, driver, opt, nil, 0)
+}
+
+// newRunner is the constructor New and Resume share. A non-nil
+// restored is a checkpointed hierarchy (amr.Load) to continue from at
+// simulated time simT, instead of a fresh decomposition.
+func newRunner(sys *machine.System, driver workload.Driver, opt Options, restored *amr.Hierarchy, simT float64) *Runner {
 	opt.setDefaults()
 	r := &Runner{
 		sys:          sys,
@@ -350,41 +318,27 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 		flopsPerCell: workload.FlopsPerCell(driver),
 		refFactor:    driver.RefFactor(),
 		dt0:          driver.Dt0(),
+		t:            simT,
 	}
-	n0 := driver.DomainN()
-	if opt.Resume != nil {
-		h := opt.Resume
-		if h.Domain != geom.UnitCube(n0) || h.RefFactor != r.refFactor ||
-			h.WithData != opt.WithData {
-			panic("engine: checkpoint does not match the driver/options")
-		}
-		r.h = h
-		r.t = opt.ResumeTime
-	} else {
-		r.h = amr.New(geom.UnitCube(n0), r.refFactor, opt.MaxLevel, opt.NGhost, opt.WithData, driver.Fields()...)
-	}
-	// The hierarchy executes its cached data-motion plans over the
-	// host pool; the oracle flag flows down with it (covers both the
-	// fresh and the Resume hierarchy).
-	r.h.SetPool(opt.Pool)
-	r.h.SetDataCheck(opt.DataCheck)
-	r.h.SetPlanCheck(opt.PlanCheck)
-	// The ledger attaches before the initial decomposition so every
-	// grid creation flows through it as an event; on Resume the
-	// constructor's full build (parallel over the pool) picks up the
-	// checkpointed hierarchy instead.
-	r.ledger = load.NewLedger(sys, r.h, opt.Pool)
-	r.ledger.SetSelfCheck(opt.LedgerCheck)
-	r.h.SetListener(r.ledger)
 	r.rec = load.NewRecorder(sys.NumProcs(), opt.MaxLevel)
 	r.rec.BindGroups(sys)
 	r.ctx = &dlb.Context{
-		Sys: sys, H: r.h, Load: r.rec,
-		Ledger:       r.ledger,
+		Sys: sys, Load: r.rec,
 		Now:          r.clock.Now,
 		Gamma:        opt.Gamma,
 		ImbalanceEps: opt.ImbalanceEps,
 	}
+	h := restored
+	if h == nil {
+		h = r.newHierarchy()
+	} else if h.Domain != geom.UnitCube(driver.DomainN()) || h.RefFactor != r.refFactor ||
+		h.WithData != opt.WithData {
+		panic("engine: checkpoint does not match the driver/options")
+	}
+	// The ledger attaches before the initial decomposition so every
+	// grid creation flows through it as an event; for a restored
+	// hierarchy its full build picks up the checkpointed grids instead.
+	r.attachHierarchy(h)
 	if opt.UseForecast {
 		r.ctx.Forecast = netsim.NewForecastSet()
 	}
@@ -393,20 +347,21 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 			panic("engine: " + err.Error())
 		}
 		// Attach the schedule to every fabric link (outages, degradation
-		// and probe loss), expose quarantine and the retry policy to the
-		// balancer, and make sure a forecast history exists: it is the
-		// fallback the global phase uses when every probe attempt fails.
+		// and probe loss), expose quarantine to the balancer, and make
+		// sure a forecast history exists: it is the fallback the global
+		// phase uses when every probe attempt fails.
 		sys.Net.EachLink(func(a, b int, l *netsim.Link) {
 			l.Fault = opt.Faults.ForLink(a, b)
 		})
 		r.ctx.Quarantined = r.groupQuarantined
-		r.ctx.Retry = opt.Retry
 		if r.ctx.Forecast == nil {
 			r.ctx.Forecast = netsim.NewForecastSet()
 		}
 		r.failedSet = make(map[int]bool)
 		r.ckptStep = -1
-		r.memb = machine.NewMembership(sys, opt.SuspectAfter, opt.DeadAfter, opt.GroupQuorum)
+		// Default suspicion thresholds: suspect after 2 consecutive probe
+		// failures against a group, presume dead after 4.
+		r.memb = machine.NewMembership(sys, 0, 0, opt.GroupQuorum)
 		r.ctx.Admitted = r.memb.Admitted
 	}
 	if opt.CheckpointDir != "" {
@@ -464,7 +419,9 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 			// path — the virtual-time charging is identical, so the
 			// Result still matches the attached replicas.
 		default:
-			r.world = mpx.NewWorld(sys.NumProcs())
+			// Loopback: every simulated processor is a rank of one
+			// all-local world — a shard set with nothing behind a wire.
+			r.shards = &shardSet{worlds: []*mpx.World{mpx.NewWorld(sys.NumProcs())}}
 		}
 	}
 	if opt.Reflux {
@@ -476,10 +433,32 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 	if opt.GradientField != "" && !opt.WithData {
 		panic("engine: gradient flagging requires WithData")
 	}
-	if opt.Resume == nil {
+	if restored == nil {
 		r.initLevel0()
 	}
 	return r
+}
+
+// newHierarchy builds the empty hierarchy of the run's shape (a fresh
+// start, or a pristine restart after every checkpoint proved unusable).
+func (r *Runner) newHierarchy() *amr.Hierarchy {
+	return amr.New(geom.UnitCube(r.driver.DomainN()), r.refFactor, r.opt.MaxLevel,
+		nGhost, r.opt.WithData, r.driver.Fields()...)
+}
+
+// attachHierarchy makes h the hierarchy the run executes on. The host
+// pool and the debug oracles flow down into it, and a fresh ledger —
+// one full O(grids) build, parallel over the pool — listens to its
+// mutations from here on.
+func (r *Runner) attachHierarchy(h *amr.Hierarchy) {
+	h.SetPool(r.opt.Pool)
+	h.SetDataCheck(r.opt.DataCheck)
+	h.SetPlanCheck(r.opt.PlanCheck)
+	r.h = h
+	r.ledger = load.NewLedger(r.sys, h, r.opt.Pool)
+	r.ledger.SetSelfCheck(r.opt.LedgerCheck)
+	h.SetListener(r.ledger)
+	r.ctx.H, r.ctx.Ledger = h, r.ledger
 }
 
 // Time returns the current simulated physical time.
@@ -729,22 +708,44 @@ func (r *Runner) writeDurable(step int) {
 	// which this generation landed on disk — including the prune its
 	// own write triggers, whose outcome under injected faults is a pure
 	// function of (seq, now) and therefore predictable.
-	meta.DiskPruneErrors = r.diskPruneBase + r.store.PruneErrors() + r.store.PredictPruneErrors(seq, now)
+	meta.DiskPruneErrors += r.store.PredictPruneErrors(seq, now)
 	gen, err := r.store.Write(meta, r.ckptBuf.Bytes(), seq, now)
 	if err != nil {
-		r.diskCkptErrors++
+		r.cnt.DiskCheckpointErrors++
 		r.opt.Trace.Add(trace.Checkpoint, 0, now,
 			fmt.Sprintf("write failed step=%d: %v", step, err))
 		return
 	}
-	r.diskCkptWrites++
+	r.cnt.DiskCheckpoints++
 	r.opt.Trace.Add(trace.Checkpoint, 0, now,
 		fmt.Sprintf("gen=%d step=%d cells=%d bytes=%d", gen, step, cells, r.ckptBuf.Len()))
-	if pe := r.diskPruneBase + r.store.PruneErrors(); pe > 0 {
+	if pe := r.cnt.DiskPruneErrors + r.store.PruneErrors(); pe > 0 {
 		r.opt.Trace.Add(trace.Checkpoint, 0, now,
 			fmt.Sprintf("prune failures to date: %d (stranded generation files)", pe))
 	}
 	r.fireInvariant(PhaseCheckpoint, 0, nil, nil, false)
+}
+
+// counters returns the run's cumulative counters as of now: the live
+// record with the parts that other objects own folded in. It is the
+// one definition snapshotMeta, restoreFromMeta and result share, so a
+// counter cannot be reported but not checkpointed.
+func (r *Runner) counters() metrics.Counters {
+	c := r.cnt
+	c.LedgerEvents += r.ledger.EventCount()
+	c.LedgerRebuilds += r.ledger.Rebuilds()
+	c.FailedProcs = len(r.failedSet)
+	if r.store != nil {
+		c.DiskPruneErrors += r.store.PruneErrors()
+	}
+	if m := r.memb; m != nil {
+		c.SuspectTransitions += m.SuspectTransitions
+		c.SuspectedDead += m.SuspectedToDead
+		c.Rejoins += m.Rejoins
+		c.RejoinCatchups += m.RejoinCatchups
+		c.QuorumDegradedSteps += m.QuorumDegradedSteps
+	}
+	return c
 }
 
 // snapshotMeta captures everything beyond the hierarchy that Resume
@@ -754,62 +755,32 @@ func (r *Runner) writeDurable(step int) {
 // disk describes the world in which its own write succeeded).
 func (r *Runner) snapshotMeta(step int) *ckpt.Meta {
 	m := &ckpt.Meta{
-		Version:         ckpt.MetaVersion,
-		Step:            step,
-		SimTime:         r.t,
-		Clock:           r.clock.State(),
-		IntervalStart:   r.intervalStart,
-		IntervalTime:    r.rec.IntervalTime(),
-		Delta:           r.rec.Delta(),
-		ForceEval:       r.ctx.ForceEval,
-		NextGridID:      int64(r.h.NextID()),
-		GlobalEvals:     r.globalEvals,
-		GlobalRedists:   r.globalRedists,
-		LocalMigrations: r.localMigs,
-		MaxCells:        r.maxCells,
-		LastGain:        r.lastGain,
-		LastCost:        r.lastCost,
-		LastGamma:       r.lastGamma,
-		LedgerEvents:    r.ledgerEvents + r.ledger.EventCount(),
-		LedgerRebuilds:  r.ledgerRebuilds + r.ledger.Rebuilds(),
-		DiskCheckpoints: r.diskCkptWrites + 1,
-		DiskCkptErrors:  r.diskCkptErrors,
-		WriteAttempts:   r.ckptAttempts,
-		CkptFallbacks:   r.ckptFallbacks,
-		PristineResets:  r.pristineResets,
-		CorruptGens:     r.corruptGens,
+		Version:       ckpt.MetaVersion,
+		Step:          step,
+		SimTime:       r.t,
+		Clock:         r.clock.State(),
+		IntervalStart: r.intervalStart,
+		IntervalTime:  r.rec.IntervalTime(),
+		Delta:         r.rec.Delta(),
+		ForceEval:     r.ctx.ForceEval,
+		NextGridID:    int64(r.h.NextID()),
+		Counters:      r.counters(),
+		WriteAttempts: r.ckptAttempts,
 	}
+	m.DiskCheckpoints++
 	if f := r.opt.Faults; f != nil {
 		m.HasFaults = true
 		m.FaultSeed = f.Seed()
 		m.LastFailCheck = r.lastFailCheck
 		m.WasQuarantined = r.wasQuar
 		for p := range r.failedSet {
-			m.FailedProcs = append(m.FailedProcs, p)
+			m.FailedSet = append(m.FailedSet, p)
 		}
-		sort.Ints(m.FailedProcs)
+		sort.Ints(m.FailedSet)
 		for _, e := range f.ProbeSeqSnapshot() {
 			m.ProbeSeq = append(m.ProbeSeq, ckpt.ProbeSeq{A: e.A, B: e.B, N: e.N})
 		}
-		m.ProbeRetries = r.probeRetries
-		m.ProbeFallbacks = r.probeFallbacks
-		m.RetryTime = r.retryTime
-		m.QuarSteps = r.quarSteps
-		m.CatchupEvals = r.catchupEvals
-		m.Recoveries = r.recoveries
-		m.RecoveryTime = r.recoveryTime
-		if r.memb != nil {
-			m.MembState = r.memb.StateVec()
-			m.MembCause = r.memb.CauseVec()
-			m.MembReadmit = r.memb.ReadmitVec()
-			m.MembSuspicion = r.memb.SuspicionVec()
-			m.MembEvidence = r.memb.EvidenceVec()
-			m.MembSuspects = r.memb.SuspectTransitions
-			m.MembSuspectDead = r.memb.SuspectedToDead
-			m.MembRejoins = r.memb.Rejoins
-			m.MembCatchups = r.memb.RejoinCatchups
-			m.MembQuorumSteps = r.memb.QuorumDegradedSteps
-		}
+		m.Memb = r.memb.Snapshot()
 	}
 	return m
 }
@@ -829,28 +800,20 @@ func (r *Runner) recoverFromCheckpoint() int {
 	h, err := amr.Load(bytes.NewReader(r.ckpt))
 	pristine := false
 	if err != nil {
-		r.ckptFallbacks++
+		r.cnt.CheckpointFallbacks++
 		r.opt.Trace.Add(trace.Fault, 0, now,
 			fmt.Sprintf("in-memory checkpoint unusable (%v); falling back", err))
 		h, step, simT, ckClock, pristine = r.recoverFallback(now)
 	}
 	lost := now - ckClock
-	h.SetPool(r.opt.Pool)
-	h.SetDataCheck(r.opt.DataCheck)
-	h.SetPlanCheck(r.opt.PlanCheck)
-	r.h = h
-	r.ctx.H = h
 	r.t = simT
 	// The restored hierarchy needs a fresh ledger — the one unavoidable
-	// full recompute besides the initial build, parallelised over the
-	// pool — attached before repartition so the ownership reshuffle
-	// flows through it as events.
-	r.ledgerEvents += r.ledger.EventCount()
-	r.ledger = load.NewLedger(r.sys, h, r.opt.Pool)
-	r.ledger.SetSelfCheck(r.opt.LedgerCheck)
-	h.SetListener(r.ledger)
-	r.ctx.Ledger = r.ledger
-	r.ledgerRebuilds++
+	// full recompute besides the initial build — attached before
+	// repartition so the ownership reshuffle flows through it as
+	// events. The replaced ledger's events move to the base.
+	r.cnt.LedgerEvents += r.ledger.EventCount()
+	r.attachHierarchy(h)
+	r.cnt.LedgerRebuilds++
 	if pristine {
 		r.initLevel0()
 	}
@@ -879,8 +842,8 @@ func (r *Runner) recoverFromCheckpoint() int {
 	r.completePendingRejoins(step)
 	restore := float64(r.ledger.TotalCells()) * checkpointFlopsPerCell / r.sys.FlopsPerSecond
 	r.clock.AddUniform(vclock.Recovery, restore)
-	r.recoveries++
-	r.recoveryTime += lost + restore
+	r.cnt.Recoveries++
+	r.cnt.RecoveryTime += lost + restore
 	// The aborted interval's accumulators describe work that no longer
 	// exists; start the next measurement interval clean.
 	r.rec.ResetInterval()
@@ -914,7 +877,7 @@ func (r *Runner) recoverFallback(now float64) (h *amr.Hierarchy, step int, simT,
 			return e
 		})
 		if report != nil {
-			r.corruptGens += len(report.Skipped)
+			r.cnt.CorruptGenerations += len(report.Skipped)
 		}
 		if err == nil {
 			hier.SetNextID(amr.GridID(meta.NextGridID))
@@ -927,11 +890,9 @@ func (r *Runner) recoverFallback(now float64) (h *amr.Hierarchy, step int, simT,
 	}
 	// Pristine restart: rebuild the initial hierarchy from scratch and
 	// replay the whole run on the surviving processors.
-	r.pristineResets++
+	r.cnt.PristineRestarts++
 	r.opt.Trace.Add(trace.Fault, 0, now, "no usable checkpoint; pristine restart")
-	h = amr.New(geom.UnitCube(r.driver.DomainN()), r.refFactor, r.opt.MaxLevel,
-		r.opt.NGhost, r.opt.WithData, r.driver.Fields()...)
-	return h, -1, 0, 0, true
+	return r.newHierarchy(), -1, 0, 0, true
 }
 
 // repartition re-runs the initial level-0 partition over the surviving
@@ -1011,53 +972,19 @@ func (r *Runner) advanceLevel(level int) {
 	// Real data motion and numerics.
 	if r.opt.WithData {
 		dt, dx := r.dt(level), r.dx(level)
-		if r.shards != nil {
-			// Sharded wire execution: the ghost exchange and the kernel
-			// sweep run as separate phases, so a wire failure during the
-			// exchange can fall back to the in-memory fill (an idempotent
-			// full rewrite) without re-running any kernel.
-			if !r.shards.wireActive() || !r.runWirePhase("fill", level, func(rank *mpx.Rank) {
-				r.h.FillGhostsMPX(rank, level)
-			}) {
-				r.h.FillGhostsData(level)
-			}
-			if r.shards.worker {
-				// A worker replica steps every grid, not just its own:
-				// its copies of remote-owned grids stay as fresh as the
-				// last wire exchange allows, so after a detach the plain
-				// data path continues from a self-consistent state. The
-				// virtual compute charge below is ledger-driven and
-				// unaffected.
-				stepGrid := func(i int) {
-					for _, k := range r.kernels {
-						k.Step(grids[i].Patch, dt, dx)
-					}
-				}
-				if r.opt.Pool != nil {
-					r.opt.Pool.ForEach(len(grids), stepGrid)
-				} else {
-					for i := range grids {
-						stepGrid(i)
-					}
-				}
-			} else {
-				r.shards.mustRun(func(rank *mpx.Rank) {
-					for _, g := range grids {
-						if g.Owner != rank.ID() {
-							continue
-						}
-						for _, k := range r.kernels {
-							k.Step(g.Patch, dt, dx)
-						}
-					}
-				})
-			}
-		} else if r.world != nil {
-			// Rank-parallel execution: every simulated processor runs
-			// as an mpx rank, exchanging ghosts by message and
-			// advancing only its own grids.
-			r.world.Run(func(rank *mpx.Rank) {
-				r.h.FillGhostsMPX(rank, level)
+		// The ghost exchange and the kernel sweep run as separate phases,
+		// so a wire failure during the exchange can fall back to the
+		// in-memory fill (an idempotent full rewrite) without re-running
+		// any kernel.
+		if r.shards == nil || !r.runWirePhase("fill", level, func(rank *mpx.Rank) {
+			r.h.FillGhostsMPX(rank, level)
+		}) {
+			r.h.FillGhostsData(level)
+		}
+		if r.shards != nil && !r.shards.worker {
+			// Rank-parallel execution, as ENZO does over MPI: every
+			// simulated processor advances only its own grids.
+			r.shards.mustRun(func(rank *mpx.Rank) {
 				for _, g := range grids {
 					if g.Owner != rank.ID() {
 						continue
@@ -1068,53 +995,13 @@ func (r *Runner) advanceLevel(level int) {
 				}
 			})
 		} else {
-			r.h.FillGhostsData(level)
-			var fluxes []*solver.Fluxes
-			if r.fluxRegs != nil {
-				if cap(r.fluxesBuf) < len(grids) {
-					r.fluxesBuf = make([]*solver.Fluxes, len(grids))
-				}
-				fluxes = r.fluxesBuf[:len(grids)]
-				for i := range fluxes {
-					fluxes[i] = nil
-				}
-			}
-			stepGrid := func(i int) {
-				for _, k := range r.kernels {
-					if fluxes != nil {
-						if fk, ok := k.(solver.FluxedKernel); ok {
-							fluxes[i] = fk.StepFluxes(grids[i].Patch, dt, dx)
-							continue
-						}
-					}
-					k.Step(grids[i].Patch, dt, dx)
-				}
-			}
-			if r.opt.Pool != nil {
-				r.opt.Pool.ForEach(len(grids), stepGrid)
-			} else {
-				for i := range grids {
-					stepGrid(i)
-				}
-			}
-			// Feed the flux registers sequentially in grid order so
-			// accumulation is deterministic; the registers copy the
-			// values out, so the fluxes go straight back to the pool.
-			if fluxes != nil {
-				for i, g := range grids {
-					if fluxes[i] == nil {
-						continue
-					}
-					if level+1 <= r.h.MaxLevel && r.fluxRegs[level+1] != nil {
-						r.fluxRegs[level+1].AddCoarse(g, fluxes[i])
-					}
-					if r.fluxRegs[level] != nil {
-						r.fluxRegs[level].AddFine(g, fluxes[i])
-					}
-					fluxes[i].Release()
-					fluxes[i] = nil
-				}
-			}
+			// Shared memory steps every grid over the host pool. So does
+			// a worker replica, not just its own grids: its copies of
+			// remote-owned grids stay as fresh as the last wire exchange
+			// allows, so after a detach the plain data path continues
+			// from a self-consistent state. The virtual compute charge
+			// below is ledger-driven and unaffected.
+			r.stepGrids(grids, level, dt, dx)
 		}
 	}
 
@@ -1145,8 +1032,59 @@ func (r *Runner) advanceLevel(level int) {
 	r.clock.AddPhase(vclock.Compute, perProc)
 	r.rec.RecordIteration(level)
 
-	if c := r.ledger.TotalCells(); c > r.maxCells {
-		r.maxCells = c
+	if c := r.ledger.TotalCells(); c > r.cnt.MaxCells {
+		r.cnt.MaxCells = c
+	}
+}
+
+// stepGrids advances every grid of one level by dt over the host
+// pool, collecting face fluxes into the flux registers when refluxing.
+func (r *Runner) stepGrids(grids []*amr.Grid, level int, dt, dx float64) {
+	var fluxes []*solver.Fluxes
+	if r.fluxRegs != nil {
+		if cap(r.fluxesBuf) < len(grids) {
+			r.fluxesBuf = make([]*solver.Fluxes, len(grids))
+		}
+		fluxes = r.fluxesBuf[:len(grids)]
+		for i := range fluxes {
+			fluxes[i] = nil
+		}
+	}
+	stepGrid := func(i int) {
+		for _, k := range r.kernels {
+			if fluxes != nil {
+				if fk, ok := k.(solver.FluxedKernel); ok {
+					fluxes[i] = fk.StepFluxes(grids[i].Patch, dt, dx)
+					continue
+				}
+			}
+			k.Step(grids[i].Patch, dt, dx)
+		}
+	}
+	if r.opt.Pool != nil {
+		r.opt.Pool.ForEach(len(grids), stepGrid)
+	} else {
+		for i := range grids {
+			stepGrid(i)
+		}
+	}
+	// Feed the flux registers sequentially in grid order so
+	// accumulation is deterministic; the registers copy the values
+	// out, so the fluxes go straight back to the pool.
+	if fluxes != nil {
+		for i, g := range grids {
+			if fluxes[i] == nil {
+				continue
+			}
+			if level+1 <= r.h.MaxLevel && r.fluxRegs[level+1] != nil {
+				r.fluxRegs[level+1].AddCoarse(g, fluxes[i])
+			}
+			if r.fluxRegs[level] != nil {
+				r.fluxRegs[level].AddFine(g, fluxes[i])
+			}
+			fluxes[i].Release()
+			fluxes[i] = nil
+		}
 	}
 }
 
@@ -1172,17 +1110,9 @@ func (r *Runner) particleWork(work []float64) {
 func (r *Runner) restrict(level int) {
 	r.chargeMessages(r.h.RestrictPlanCached(level), vclock.LocalComm, vclock.RemoteComm)
 	if r.opt.WithData {
-		if r.shards != nil {
-			if !r.shards.wireActive() || !r.runWirePhase("restrict", level, func(rank *mpx.Rank) {
-				r.h.RestrictMPX(rank, level)
-			}) {
-				r.h.RestrictData(level)
-			}
-		} else if r.world != nil {
-			r.world.Run(func(rank *mpx.Rank) {
-				r.h.RestrictMPX(rank, level)
-			})
-		} else {
+		if r.shards == nil || !r.runWirePhase("restrict", level, func(rank *mpx.Rank) {
+			r.h.RestrictMPX(rank, level)
+		}) {
 			r.h.RestrictData(level)
 		}
 	}
@@ -1292,7 +1222,7 @@ func (r *Runner) chargeMigrations(migs []dlb.Migration, localPhase, remotePhase 
 func (r *Runner) localBalance(level int) {
 	migs := r.opt.Balancer.LocalBalance(r.ctx, level)
 	if len(migs) > 0 {
-		r.localMigs += len(migs)
+		r.cnt.LocalMigrations += len(migs)
 		r.chargeMigrations(migs, vclock.LocalComm, vclock.RemoteComm)
 		r.opt.Trace.Add(trace.LocalBalance, level, r.clock.Now(), fmt.Sprintf("migrations=%d", len(migs)))
 	}
@@ -1330,10 +1260,10 @@ func (r *Runner) globalBalance() {
 	r.ctx.ForceEval = false
 	overhead := d.ProbeTime
 	if d.Evaluated {
-		r.globalEvals++
+		r.cnt.GlobalEvals++
 		overhead += evalFlops / r.sys.FlopsPerSecond
 		if forced {
-			r.catchupEvals++
+			r.cnt.CatchupEvals++
 		}
 	}
 	if overhead > 0 {
@@ -1350,14 +1280,14 @@ func (r *Runner) globalBalance() {
 		if d.ProbeFailed {
 			failedAttempts = d.ProbeAttempts
 		}
-		r.probeRetries += failedAttempts
-		r.retryTime += d.RetryTime
+		r.cnt.ProbeRetries += failedAttempts
+		r.cnt.RetryTime += d.RetryTime
 		r.rec.AddDelta(d.RetryTime)
 		r.opt.Trace.Add(trace.ProbeRetry, 0, r.clock.Now(),
 			fmt.Sprintf("attempts=%d retry-time=%.4fs failed=%v", d.ProbeAttempts, d.RetryTime, d.ProbeFailed))
 	}
 	if d.UsedForecast {
-		r.probeFallbacks++
+		r.cnt.ProbeFallbacks++
 		r.opt.Trace.Add(trace.Fault, 0, r.clock.Now(), "probe failed; cost model fell back to forecast")
 	} else if d.ProbeFailed {
 		r.opt.Trace.Add(trace.Fault, 0, r.clock.Now(), "probe failed; no forecast history; redistribution skipped")
@@ -1373,7 +1303,7 @@ func (r *Runner) globalBalance() {
 			// The distributed scheme's global redistribution: remote
 			// transfers plus the computational overhead δ (measured
 			// and remembered for the next Eq. 1 evaluation).
-			r.globalRedists++
+			r.cnt.GlobalRedists++
 			r.chargeMigrations(d.Migrations, vclock.Redistribution, vclock.Redistribution)
 			var movedCells int64
 			for _, m := range d.Migrations {
@@ -1392,12 +1322,12 @@ func (r *Runner) globalBalance() {
 				fmt.Sprintf("migrations=%d bytes=%d", len(d.Migrations), d.MovedBytes))
 		} else {
 			// The parallel scheme's per-step rebalancing of level 0.
-			r.localMigs += len(d.Migrations)
+			r.cnt.LocalMigrations += len(d.Migrations)
 			r.chargeMigrations(d.Migrations, vclock.LocalComm, vclock.RemoteComm)
 		}
 	}
 	if d.GainCostValid {
-		r.lastGain, r.lastCost, r.lastGamma = d.Gain, d.Cost, d.Gamma
+		r.cnt.LastGain, r.cnt.LastCost, r.cnt.LastGamma = d.Gain, d.Cost, d.Gamma
 	}
 	// The oracle hook fires before the interval resets, so checkers
 	// still see the recorder state the decision read.
@@ -1419,7 +1349,7 @@ func (r *Runner) regrid(initial bool) {
 	place := func(childBox geom.Box, parent *amr.Grid) int {
 		return r.opt.Balancer.PlaceChild(r.ctx, childBox, parent)
 	}
-	r.h.RegridAll(0, flagger, r.opt.Regrid, place)
+	r.h.RegridAll(0, flagger, amr.DefaultRegridParams(), place)
 	if initial && r.opt.WithData {
 		// At t=0 the exact initial condition beats prolonged data.
 		for l := 1; l <= r.h.MaxLevel; l++ {
@@ -1449,7 +1379,7 @@ func (r *Runner) noteQuarantine() {
 		}
 	}
 	if len(quar) > 0 {
-		r.quarSteps++
+		r.cnt.QuarantinedSteps++
 		r.wasQuar = true
 		r.opt.Trace.Add(trace.Quarantine, 0, now, fmt.Sprintf("groups=%v", quar))
 	} else if r.wasQuar {
@@ -1462,51 +1392,19 @@ func (r *Runner) noteQuarantine() {
 // result assembles the run's metrics.
 func (r *Runner) result() *metrics.Result {
 	res := &metrics.Result{
-		Scheme:          r.opt.Balancer.Name(),
-		Dataset:         r.driver.Name(),
-		SystemName:      r.sys.String(),
-		Procs:           r.sys.NumProcs(),
-		PerfSum:         r.sys.TotalPerf(),
-		Steps:           r.opt.Steps,
-		Total:           r.clock.Now(),
-		Breakdown:       r.clock.Breakdown(),
-		Utilisation:     r.clock.Utilisation(),
-		GlobalEvals:     r.globalEvals,
-		GlobalRedists:   r.globalRedists,
-		LocalMigrations: r.localMigs,
-		MaxCells:        r.maxCells,
-		LedgerEvents:    r.ledgerEvents + r.ledger.EventCount(),
-		LedgerRebuilds:  r.ledgerRebuilds + r.ledger.Rebuilds(),
-		LastGain:        r.lastGain,
-		LastCost:        r.lastCost,
-		LastGamma:       r.lastGamma,
+		Scheme:      r.opt.Balancer.Name(),
+		Dataset:     r.driver.Name(),
+		SystemName:  r.sys.String(),
+		Procs:       r.sys.NumProcs(),
+		PerfSum:     r.sys.TotalPerf(),
+		Steps:       r.opt.Steps,
+		Total:       r.clock.Now(),
+		Breakdown:   r.clock.Breakdown(),
+		Utilisation: r.clock.Utilisation(),
+		Counters:    r.counters(),
 	}
 	if r.opt.Faults != nil {
 		res.FaultEvents = r.opt.Faults.NumEvents()
-		res.ProbeRetries = r.probeRetries
-		res.ProbeFallbacks = r.probeFallbacks
-		res.RetryTime = r.retryTime
-		res.QuarantinedSteps = r.quarSteps
-		res.CatchupEvals = r.catchupEvals
-		res.Recoveries = r.recoveries
-		res.RecoveryTime = r.recoveryTime
-		res.FailedProcs = len(r.failedSet)
-		if r.memb != nil {
-			res.SuspectTransitions = r.memb.SuspectTransitions
-			res.SuspectedDead = r.memb.SuspectedToDead
-			res.Rejoins = r.memb.Rejoins
-			res.RejoinCatchups = r.memb.RejoinCatchups
-			res.QuorumDegradedSteps = r.memb.QuorumDegradedSteps
-		}
-	}
-	res.DiskCheckpoints = r.diskCkptWrites
-	res.DiskCheckpointErrors = r.diskCkptErrors
-	res.CheckpointFallbacks = r.ckptFallbacks
-	res.CorruptGenerations = r.corruptGens
-	res.PristineRestarts = r.pristineResets
-	res.DiskPruneErrors = r.diskPruneBase
-	if r.store != nil {
-		res.DiskPruneErrors += r.store.PruneErrors()
 	}
 	if r.shards != nil {
 		res.TransportFaults = r.transportFaults

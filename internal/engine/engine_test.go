@@ -507,10 +507,9 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
+	resumed := newRunner(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 3, MaxLevel: 1,
-		Resume: restored, ResumeTime: first.Time(),
-	})
+	}, restored, first.Time())
 	if resumed.Time() != first.Time() {
 		t.Error("resume time not applied")
 	}
@@ -531,7 +530,7 @@ func TestResumeMismatchPanics(t *testing.T) {
 	h := amr.New(geom.UnitCube(8), 2, 1, 1, false, "q")
 	h.AddGrid(0, geom.UnitCube(8), 0, amr.NoGrid)
 	assertEnginePanics(t, "domain mismatch", func() {
-		New(machine.Origin2000("x", 1), workload.NewShockPool3D(16, 2), Options{Resume: h})
+		newRunner(machine.Origin2000("x", 1), workload.NewShockPool3D(16, 2), Options{}, h, 0)
 	})
 }
 

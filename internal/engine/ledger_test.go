@@ -81,16 +81,16 @@ func TestLedgerCountersReported(t *testing.T) {
 
 func TestSingleGroupRedistributionChargedWithDelta(t *testing.T) {
 	// One group, grossly imbalanced level 0 (everything on proc 0,
-	// injected via Resume): the degenerate global phase must book the
-	// moves as Redistribution — not LocalComm — and record δ for the
-	// next Eq. 1 evaluation.
+	// injected as a restored hierarchy): the degenerate global phase
+	// must book the moves as Redistribution — not LocalComm — and record
+	// δ for the next Eq. 1 evaluation.
 	h := amr.New(geom.UnitCube(16), 2, 1, 1, false, "q")
 	for x := 0; x < 16; x += 4 {
 		h.AddGrid(0, geom.BoxFromShape(geom.Index{x, 0, 0}, geom.Index{4, 16, 16}), 0, amr.NoGrid)
 	}
-	r := New(machine.Origin2000("ANL", 4), workload.NewShockPool3D(16, 2), Options{
-		Steps: 2, MaxLevel: 1, Resume: h, LedgerCheck: true,
-	})
+	r := newRunner(machine.Origin2000("ANL", 4), workload.NewShockPool3D(16, 2), Options{
+		Steps: 2, MaxLevel: 1, LedgerCheck: true,
+	}, h, 0)
 	res := r.Run()
 	if res.GlobalRedists < 1 {
 		t.Fatalf("imbalanced single group must redistribute, got %d (evals %d)",

@@ -33,9 +33,6 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 	if opt.CheckpointDir == "" {
 		return nil, nil, fmt.Errorf("engine.Resume: Options.CheckpointDir is required")
 	}
-	if opt.Resume != nil {
-		return nil, nil, fmt.Errorf("engine.Resume: Options.Resume must be nil (the store supplies the hierarchy)")
-	}
 	store, err := ckpt.Open(opt.CheckpointDir, opt.CheckpointKeep)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine.Resume: %w", err)
@@ -64,12 +61,10 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 	if err != nil {
 		return nil, report, fmt.Errorf("engine.Resume: %w", err)
 	}
-	opt.Resume = h
-	opt.ResumeTime = meta.SimTime
-	// New opens its own Store handle on the same directory (continuing
-	// the generation numbering the restore saw) and attaches the
-	// disk-fault injector if the run is fault-scripted.
-	r := New(sys, driver, opt)
+	// The constructor opens its own Store handle on the same directory
+	// (continuing the generation numbering the restore saw) and attaches
+	// the disk-fault injector if the run is fault-scripted.
+	r := newRunner(sys, driver, opt, h, meta.SimTime)
 	if err := r.restoreFromMeta(meta); err != nil {
 		return nil, report, fmt.Errorf("engine.Resume: %w", err)
 	}
@@ -116,64 +111,28 @@ func (r *Runner) restoreFromMeta(m *ckpt.Meta) error {
 	r.rec.SetDelta(m.Delta)
 	r.ctx.ForceEval = m.ForceEval
 	r.h.SetNextID(amr.GridID(m.NextGridID))
-	r.globalEvals = m.GlobalEvals
-	r.globalRedists = m.GlobalRedists
-	r.localMigs = m.LocalMigrations
-	r.maxCells = m.MaxCells
-	r.lastGain = m.LastGain
-	r.lastCost = m.LastCost
-	r.lastGamma = m.LastGamma
+	r.cnt = m.Counters
 	// The resume-time full ledger build replaces the original run's
-	// initial build in the campaign totals: reconcile so the reported
-	// events/rebuilds match the uninterrupted run's.
-	r.ledgerEvents = m.LedgerEvents - r.ledger.EventCount()
-	r.ledgerRebuilds = m.LedgerRebuilds - r.ledger.Rebuilds()
-	r.diskCkptWrites = m.DiskCheckpoints
-	r.diskCkptErrors = m.DiskCkptErrors
-	r.diskPruneBase = m.DiskPruneErrors
+	// initial build in the campaign totals: reconcile the bases so the
+	// reported events/rebuilds match the uninterrupted run's.
+	r.cnt.LedgerEvents -= r.ledger.EventCount()
+	r.cnt.LedgerRebuilds -= r.ledger.Rebuilds()
 	r.ckptAttempts = m.WriteAttempts
-	r.ckptFallbacks = m.CkptFallbacks
-	r.pristineResets = m.PristineResets
-	r.corruptGens = m.CorruptGens
 	if m.HasFaults {
 		r.lastFailCheck = m.LastFailCheck
 		r.wasQuar = m.WasQuarantined
-		for _, p := range m.FailedProcs {
+		for _, p := range m.FailedSet {
 			r.failedSet[p] = true
 			r.sys.SetHealth(p, 0)
 		}
-		if r.memb != nil {
-			if m.MembState != nil {
-				if err := r.memb.Restore(m.MembState, m.MembCause, m.MembReadmit,
-					m.MembSuspicion, m.MembEvidence); err != nil {
-					return err
-				}
-				r.memb.SuspectTransitions = m.MembSuspects
-				r.memb.SuspectedToDead = m.MembSuspectDead
-				r.memb.Rejoins = m.MembRejoins
-				r.memb.RejoinCatchups = m.MembCatchups
-				r.memb.QuorumDegradedSteps = m.MembQuorumSteps
-			} else {
-				// Pre-membership generation: the failed set is the only
-				// record — mark those procs crashed so a later scripted
-				// recovery still routes through the rejoin protocol.
-				for _, p := range m.FailedProcs {
-					r.memb.Crash(p)
-				}
-			}
+		if err := r.memb.Restore(m.Memb); err != nil {
+			return err
 		}
 		entries := make([]fault.ProbeSeqEntry, 0, len(m.ProbeSeq))
 		for _, e := range m.ProbeSeq {
 			entries = append(entries, fault.ProbeSeqEntry{A: e.A, B: e.B, N: e.N})
 		}
 		r.opt.Faults.RestoreProbeSeq(entries)
-		r.probeRetries = m.ProbeRetries
-		r.probeFallbacks = m.ProbeFallbacks
-		r.retryTime = m.RetryTime
-		r.quarSteps = m.QuarSteps
-		r.catchupEvals = m.CatchupEvals
-		r.recoveries = m.Recoveries
-		r.recoveryTime = m.RecoveryTime
 	}
 	// Particle populations live in the driver and advance once per
 	// level-0 step; replay them to the checkpointed step so positions

@@ -45,9 +45,12 @@ type WorkerWire struct {
 	Detached bool
 }
 
-// shardSet is the engine's view of a sharded wire execution: one
-// shard World plus one TCPEndpoint per processor group, fully
-// connected with the lower-dials-higher convention.
+// shardSet is the engine's view of a rank execution. Over tcp it is
+// one shard World plus one TCPEndpoint per processor group, fully
+// connected with the lower-dials-higher convention; a worker process
+// holds its own group's world and endpoint; loopback is the degenerate
+// case of one all-local world and no endpoints, so nothing it runs can
+// fail on a wire.
 type shardSet struct {
 	worlds []*mpx.World
 	eps    []*mpx.TCPEndpoint
@@ -222,7 +225,8 @@ func (s *shardSet) close() {
 	}
 }
 
-// runWirePhase executes one data-motion phase over the shard worlds.
+// runWirePhase executes one data-motion phase over the shard worlds,
+// returning false without trying when a worker has already detached.
 // On a transport-only failure it counts the faults, feeds them into
 // membership suspicion (the wire failing between two groups is the
 // same evidence stream a failed probe produces), resets the transports
@@ -231,6 +235,9 @@ func (s *shardSet) close() {
 // exactly the cells the wire path writes, so a partial wire phase
 // followed by the fallback is bit-identical to the fallback alone.
 func (r *Runner) runWirePhase(phase string, level int, body func(rank *mpx.Rank)) bool {
+	if !r.shards.wireActive() {
+		return false
+	}
 	f := r.shards.run(body)
 	if f == nil {
 		return true
@@ -264,23 +271,8 @@ func (r *Runner) runWirePhase(phase string, level int, body func(rank *mpx.Rank)
 	return false
 }
 
-// StepDigest returns a compact fingerprint of the run's state after a
-// level-0 step — the value replicated lockstep processes exchange to
-// detect divergence. Any difference in decisions, data motion or the
-// virtual clock perturbs at least one component.
-func (r *Runner) StepDigest(step int) []float64 {
-	return []float64{
-		float64(step),
-		r.clock.Now(),
-		float64(r.globalEvals),
-		float64(r.globalRedists),
-		float64(r.localMigs),
-		float64(r.ledger.TotalCells()),
-	}
-}
-
-// Close releases the runner's transport resources (no-op for loopback
-// runs). Run calls it on exit; it is safe to call again.
+// Close releases the runner's wire endpoints (a loopback run has
+// none). Run calls it on exit; it is safe to call again.
 func (r *Runner) Close() {
 	if r.shards != nil {
 		r.shards.close()

@@ -156,8 +156,11 @@ func (l BoxList) SplitEvenly(n int) BoxList {
 	for len(out) < n {
 		// Find the largest splittable box.
 		bi, bc := -1, int64(1)
-		for i, b := range out {
-			if c := b.NumCells(); c > bc {
+		// Indexed, not ranged by value: the 48-byte copy to the stack made
+		// this O(n²) scan's speed depend on the caller's frame alignment
+		// (engine.New at 4096 boxes: 0.2 s or 0.36 s by stack depth).
+		for i := range out {
+			if c := out[i].NumCells(); c > bc {
 				bi, bc = i, c
 			}
 		}

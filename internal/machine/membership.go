@@ -90,7 +90,7 @@ type Membership struct {
 	// local-only decisions via the quarantine path.
 	Quorum int
 
-	// Counters, exposed through engine.Result.
+	// Counters since construction, exposed through engine.Result.
 	SuspectTransitions  int // alive → suspected
 	SuspectedToDead     int // suspected → presumed dead
 	Rejoins             int // completed re-admissions
@@ -303,83 +303,47 @@ func (m *Membership) applyThresholds(g int) {
 	}
 }
 
-// Snapshot/restore support for durable checkpoints: plain int/bool
-// vectors so ckpt.Meta stays gob-friendly and versionless fields
-// decode as empty on old generations.
+// MembershipState is the tracker's checkpointable state: the
+// per-processor and per-group vectors of the state machine. The
+// cumulative counters are not part of it — the engine carries them in
+// its run counters.
+type MembershipState struct {
+	State   []ProcState  // per processor
+	Cause   []DeathCause // per processor
+	Readmit []int        // per processor
 
-// StateVec returns a copy of the per-proc states as ints.
-func (m *Membership) StateVec() []int {
-	out := make([]int, len(m.state))
-	for i, s := range m.state {
-		out[i] = int(s)
-	}
-	return out
+	Suspicion []int  // per group
+	Evidence  []bool // per group
 }
 
-// CauseVec returns a copy of the per-proc death causes as ints.
-func (m *Membership) CauseVec() []int {
-	out := make([]int, len(m.cause))
-	for i, c := range m.cause {
-		out[i] = int(c)
+// Snapshot returns a copy of the tracker's state for a checkpoint.
+func (m *Membership) Snapshot() MembershipState {
+	return MembershipState{
+		State:     append([]ProcState(nil), m.state...),
+		Cause:     append([]DeathCause(nil), m.cause...),
+		Readmit:   append([]int(nil), m.readmit...),
+		Suspicion: append([]int(nil), m.suspicion...),
+		Evidence:  append([]bool(nil), m.evidence...),
 	}
-	return out
 }
 
-// ReadmitVec returns a copy of the per-proc re-admission steps.
-func (m *Membership) ReadmitVec() []int {
-	out := make([]int, len(m.readmit))
-	copy(out, m.readmit)
-	return out
-}
-
-// SuspicionVec returns a copy of the per-group suspicion levels.
-func (m *Membership) SuspicionVec() []int {
-	out := make([]int, len(m.suspicion))
-	copy(out, m.suspicion)
-	return out
-}
-
-// EvidenceVec returns a copy of the per-group fresh-evidence flags.
-func (m *Membership) EvidenceVec() []bool {
-	out := make([]bool, len(m.evidence))
-	copy(out, m.evidence)
-	return out
-}
-
-// Restore overwrites the tracker's state from checkpoint vectors.
-// Vectors may be nil (old generations): the corresponding state is
-// left at its reset value. Length mismatches are a corrupt checkpoint.
-func (m *Membership) Restore(states, causes, readmits, suspicion []int, evidence []bool) error {
-	if err := restoreInts("states", states, len(m.state), func(i, v int) { m.state[i] = ProcState(v) }); err != nil {
-		return err
+// Restore overwrites the tracker's state from a checkpoint snapshot.
+// A snapshot taken on a different system shape is a corrupt
+// checkpoint.
+func (m *Membership) Restore(s MembershipState) error {
+	np, ng := len(m.state), len(m.suspicion)
+	if len(s.State) != np || len(s.Cause) != np || len(s.Readmit) != np {
+		return fmt.Errorf("membership: snapshot covers %d/%d/%d processors, system has %d",
+			len(s.State), len(s.Cause), len(s.Readmit), np)
 	}
-	if err := restoreInts("causes", causes, len(m.cause), func(i, v int) { m.cause[i] = DeathCause(v) }); err != nil {
-		return err
+	if len(s.Suspicion) != ng || len(s.Evidence) != ng {
+		return fmt.Errorf("membership: snapshot covers %d/%d groups, system has %d",
+			len(s.Suspicion), len(s.Evidence), ng)
 	}
-	if err := restoreInts("readmits", readmits, len(m.readmit), func(i, v int) { m.readmit[i] = v }); err != nil {
-		return err
-	}
-	if err := restoreInts("suspicion", suspicion, len(m.suspicion), func(i, v int) { m.suspicion[i] = v }); err != nil {
-		return err
-	}
-	if evidence != nil {
-		if len(evidence) != len(m.evidence) {
-			return fmt.Errorf("membership: evidence vector has %d groups, system has %d", len(evidence), len(m.evidence))
-		}
-		copy(m.evidence, evidence)
-	}
-	return nil
-}
-
-func restoreInts(name string, src []int, want int, set func(i, v int)) error {
-	if src == nil {
-		return nil
-	}
-	if len(src) != want {
-		return fmt.Errorf("membership: %s vector has %d entries, want %d", name, len(src), want)
-	}
-	for i, v := range src {
-		set(i, v)
-	}
+	copy(m.state, s.State)
+	copy(m.cause, s.Cause)
+	copy(m.readmit, s.Readmit)
+	copy(m.suspicion, s.Suspicion)
+	copy(m.evidence, s.Evidence)
 	return nil
 }

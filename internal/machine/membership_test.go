@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // memb builds a 2-group × 3-proc tracker with the default thresholds
 // (suspect after 2, presume dead after 4, quorum 1).
@@ -190,9 +193,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	m.CompleteRejoin(0, 3)
 	m.CompleteRejoin(0, 3) // no-op: already alive
 
+	snap := m.Snapshot()
 	m2 := NewMembership(s, 0, 0, 2)
-	if err := m2.Restore(m.StateVec(), m.CauseVec(), m.ReadmitVec(), m.SuspicionVec(), m.EvidenceVec()); err != nil {
+	if err := m2.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
+	}
+	if got := m2.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Fatalf("state not restored:\n got: %+v\nwant: %+v", got, snap)
 	}
 	for p := 0; p < s.NumProcs(); p++ {
 		if m2.State(p) != m.State(p) || m2.Cause(p) != m.Cause(p) || m2.ReadmitStep(p) != m.ReadmitStep(p) {
@@ -205,20 +212,29 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Nil vectors (old checkpoint generations) leave the reset state.
-	m3 := NewMembership(s, 0, 0, 2)
-	if err := m3.Restore(nil, nil, nil, nil, nil); err != nil {
-		t.Fatalf("Restore(nil...): %v", err)
-	}
-	if m3.State(0) != StateAlive {
-		t.Fatalf("nil restore disturbed state: %v", m3.State(0))
+	// The snapshot is a copy: later transitions must not leak into it.
+	m.Crash(1)
+	if snap.State[1] != StateAlive {
+		t.Fatal("snapshot aliases the tracker's live state")
 	}
 
-	// Length mismatches are corrupt checkpoints.
-	if err := m3.Restore([]int{1}, nil, nil, nil, nil); err == nil {
+	// Shape mismatches are corrupt checkpoints — including the zero
+	// value, which is what a header without membership state decodes to.
+	m3 := NewMembership(s, 0, 0, 2)
+	if err := m3.Restore(MembershipState{}); err == nil {
+		t.Fatal("empty snapshot accepted")
+	}
+	short := m2.Snapshot()
+	short.State = short.State[:1]
+	if err := m3.Restore(short); err == nil {
 		t.Fatal("short state vector accepted")
 	}
-	if err := m3.Restore(nil, nil, nil, nil, []bool{true}); err == nil {
+	short = m2.Snapshot()
+	short.Evidence = short.Evidence[:1]
+	if err := m3.Restore(short); err == nil {
 		t.Fatal("short evidence vector accepted")
+	}
+	if m3.State(0) != StateAlive {
+		t.Fatalf("rejected restore disturbed state: %v", m3.State(0))
 	}
 }

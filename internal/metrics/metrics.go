@@ -11,22 +11,13 @@ import (
 	"samrdlb/internal/vclock"
 )
 
-// Result is the outcome of one run.
-type Result struct {
-	// Scheme, Dataset and SystemName identify the run.
-	Scheme, Dataset, SystemName string
-	// Procs is the total processor count; PerfSum the summed relative
-	// performance (equal to Procs for homogeneous systems).
-	Procs   int
-	PerfSum float64
-	// Steps is the number of level-0 steps executed.
-	Steps int
-	// Total is the virtual execution time (seconds).
-	Total float64
-	// Breakdown is the per-phase critical-path time.
-	Breakdown [vclock.NumPhases]float64
-	// Utilisation is mean busy / elapsed.
-	Utilisation float64
+// Counters is the run-state record: every deterministic cumulative
+// counter a run reports. It is defined once and shared by the three
+// places that need it — the engine keeps its live value, ckpt.Meta
+// embeds it so every counter survives a resume, and Result embeds it
+// so every counter is reported — which is why adding a counter is a
+// single edit here plus its increment.
+type Counters struct {
 	// GlobalEvals counts gain/cost evaluations; GlobalRedists counts
 	// actual global redistributions; LocalMigrations counts grids
 	// moved by the local phase.
@@ -48,18 +39,16 @@ type Result struct {
 	// Fault-tolerance outcome (all zero unless fault injection was
 	// enabled for the run).
 	//
-	// FaultEvents is the number of scripted fault events. ProbeRetries
-	// counts failed probe attempts that were retried; ProbeFallbacks
-	// counts evaluations whose cost model ran on the NWS forecast
-	// because every probe attempt failed. RetryTime is the wall time
-	// lost to probe timeouts and backoff (also charged into δ).
-	// QuarantinedSteps counts level-0 boundaries at which at least one
-	// group was unreachable; CatchupEvals counts forced gain/cost
-	// evaluations right after a quarantine lifted. Recoveries counts
-	// checkpoint restores after processor failures; RecoveryTime is
-	// the wall time they consumed (restore plus replayed work);
-	// FailedProcs the processors lost for good.
-	FaultEvents      int
+	// ProbeRetries counts failed probe attempts that were retried;
+	// ProbeFallbacks counts evaluations whose cost model ran on the
+	// NWS forecast because every probe attempt failed. RetryTime is
+	// the wall time lost to probe timeouts and backoff (also charged
+	// into δ). QuarantinedSteps counts level-0 boundaries at which at
+	// least one group was unreachable; CatchupEvals counts forced
+	// gain/cost evaluations right after a quarantine lifted.
+	// Recoveries counts checkpoint restores after processor failures;
+	// RecoveryTime is the wall time they consumed (restore plus
+	// replayed work); FailedProcs the processors lost for good.
 	ProbeRetries     int
 	ProbeFallbacks   int
 	RetryTime        float64
@@ -103,6 +92,31 @@ type Result struct {
 	CorruptGenerations   int
 	PristineRestarts     int
 	DiskPruneErrors      int
+}
+
+// Result is the outcome of one run.
+type Result struct {
+	// Scheme, Dataset and SystemName identify the run.
+	Scheme, Dataset, SystemName string
+	// Procs is the total processor count; PerfSum the summed relative
+	// performance (equal to Procs for homogeneous systems).
+	Procs   int
+	PerfSum float64
+	// Steps is the number of level-0 steps executed.
+	Steps int
+	// Total is the virtual execution time (seconds).
+	Total float64
+	// Breakdown is the per-phase critical-path time.
+	Breakdown [vclock.NumPhases]float64
+	// Utilisation is mean busy / elapsed.
+	Utilisation float64
+	// FaultEvents is the number of scripted fault events (zero unless
+	// fault injection was enabled).
+	FaultEvents int
+
+	// Counters are the run's cumulative counters; their fields are
+	// promoted (res.GlobalEvals, res.Recoveries, …).
+	Counters
 
 	// Wire-transport outcome (all zero unless the run executed over a
 	// socket transport). TransportFaults counts rank sends that failed
@@ -112,7 +126,8 @@ type Result struct {
 	// actually written to the wire. TransportTimeouts counts wire
 	// reads/writes that exceeded the configured deadline (wall-clock
 	// dependent, so advisory only — never part of the identity
-	// fingerprint).
+	// fingerprint). They are per-process and wall-clock-paced, hence
+	// neither checkpointed nor part of Counters.
 	TransportFaults    int
 	TransportFallbacks int
 	TransportFrames    int64
