@@ -354,6 +354,45 @@ func BenchmarkRefluxedStep(b *testing.B) {
 	}
 }
 
+// BenchmarkFluxRegisterCycle measures the flux registers' whole life on
+// a three-level SedovBlast hierarchy, per fine level: build (from the
+// cached interface plan), feed every coarse grid once and every fine
+// grid r times, apply, release. The fluxes are zero, so the patches do
+// not drift; their allocation is part of the cycle.
+func BenchmarkFluxRegisterCycle(b *testing.B) {
+	r := engine.New(machine.WanPair(2, nil), workload.NewSedovBlast(32, 2),
+		engine.Options{Steps: 2, MaxLevel: 2, WithData: true})
+	r.Run()
+	h := r.Hierarchy()
+	if len(h.Grids(2)) == 0 {
+		b.Fatal("hierarchy too shallow")
+	}
+	feed := func(l int, add func(*amr.Grid, *solver.Fluxes)) {
+		for _, g := range h.Grids(l) {
+			fl := solver.NewFluxes(g.Box)
+			add(g, fl)
+			fl.Release()
+		}
+	}
+	faces := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		faces = 0
+		for fine := 1; fine <= h.MaxLevel; fine++ {
+			fr := amr.NewFluxRegister(h, fine)
+			faces += fr.NumFaces()
+			feed(fine-1, fr.AddCoarse)
+			for sub := 0; sub < h.RefFactor; sub++ {
+				feed(fine, fr.AddFine)
+			}
+			fr.Apply()
+			fr.Release()
+		}
+	}
+	b.ReportMetric(float64(faces), "faces")
+}
+
 // --- checkpoint serialisation: fresh buffer vs reused scratch ---
 //
 // The engine checkpoints the hierarchy every CheckpointInterval

@@ -40,15 +40,27 @@ type Message struct {
 	Kind     MsgKind
 }
 
+// planKind names the parts of a level's plan-cache entry, as a set.
+type planKind uint8
+
+const (
+	planMsg planKind = 1 << iota
+	planFill
+	planRestrict
+	planInterface
+)
+
 // planCache is a level's stable plan-cache entry — the cost-model
-// message lists and the concrete data-motion plans. Ownership changes
-// do not invalidate it: the plans are keyed by grid identity and
-// boxes; the engine (and the mpx execution) resolves owners when it
-// charges or routes the messages. Each part is built lazily on first
+// message lists, the concrete data-motion plans and the coarse–fine
+// interface plan. Ownership changes do not invalidate it: the plans
+// are keyed by grid identity and boxes; the engine (and the mpx
+// execution) resolves owners when it charges or routes the messages. Each part is built lazily on first
 // use and patched in place when structural mutations dirty the level
 // (see plandirty.go); the entry itself is never replaced.
 type planCache struct {
-	msgBuilt bool
+	// built is the set of kinds built so far; a dirty level refreshes
+	// all of them together.
+	built planKind
 	// ghost is the flattened ghost plan; ghostOff[i]:ghostOff[i+1] is
 	// the message segment of the i-th destination (level-list order),
 	// whose ID is ghostIDs[i] — the unit of reuse when patching.
@@ -57,11 +69,12 @@ type planCache struct {
 	ghostIDs []GridID
 	restrict []Message
 
-	fillBuilt bool
-	fill      []fillDest
+	fill []fillDest
 	// restrictData is the grouped-by-parent restriction plan.
-	restrictBuilt bool
-	restrictData  []restrictDest
+	restrictData []restrictDest
+	// iface is the interface plan between this level and the next
+	// coarser one (see reflux.go).
+	iface *interfacePlan
 
 	// Dirty state, maintained by the mutation hooks: dirtyAll forces a
 	// full rebuild; otherwise only destinations whose box touches a
@@ -74,7 +87,7 @@ type planCache struct {
 // builders — candidate lists and box decompositions — pooled so plan
 // rebuilds stop allocating per grid.
 type planScratch struct {
-	cand           []*Grid
+	cand, cand2    []*Grid
 	ghost, covered geom.BoxList
 	rem, tmp       geom.BoxList
 }
@@ -90,7 +103,7 @@ func putPlanScratch(s *planScratch) { planScratchPool.Put(s) }
 func (h *Hierarchy) GhostPlanCached(l int) []Message {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.refreshPlans(l, true, false, false).ghost
+	return h.refreshPlans(l, planMsg).ghost
 }
 
 // RestrictPlanCached returns RestrictPlan(l, false), memoised and
@@ -101,7 +114,7 @@ func (h *Hierarchy) GhostPlanCached(l int) []Message {
 func (h *Hierarchy) RestrictPlanCached(l int) []Message {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.refreshPlans(l, true, false, false).restrict
+	return h.refreshPlans(l, planMsg).restrict
 }
 
 // GhostPlan returns the transfers required to fill the ghost zones of
@@ -166,7 +179,7 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 	// (prolongation); attribute them to the parent grid.
 	var remaining int64
 	for _, gb := range scr.ghost {
-		remaining += subtractListCells(gb, covered, scr)
+		remaining += subtractList(gb, covered, scr).NumCells()
 	}
 	if remaining > 0 {
 		p := h.Grid(g.Parent)
@@ -185,10 +198,11 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 	return out
 }
 
-// subtractListCells returns the cell count of a \ union(bs), ping-
-// ponging between two pooled buffers instead of allocating the
-// intermediate decompositions like geom.SubtractList.
-func subtractListCells(a geom.Box, bs geom.BoxList, scr *planScratch) int64 {
+// subtractList returns a \ union(bs) as disjoint boxes, ping-ponging
+// between two pooled buffers instead of allocating the intermediate
+// decompositions like geom.SubtractList. The result aliases the
+// scratch and is valid until its next use.
+func subtractList(a geom.Box, bs geom.BoxList, scr *planScratch) geom.BoxList {
 	cur, alt := append(scr.rem[:0], a), scr.tmp
 	for _, b := range bs {
 		if len(cur) == 0 {
@@ -201,11 +215,7 @@ func subtractListCells(a geom.Box, bs geom.BoxList, scr *planScratch) int64 {
 		cur, alt = alt, cur
 	}
 	scr.rem, scr.tmp = cur, alt
-	var n int64
-	for _, r := range cur {
-		n += r.NumCells()
-	}
-	return n
+	return cur
 }
 
 // GhostPlanScan is the original O(grids²) all-pairs ghost planner,

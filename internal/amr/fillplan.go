@@ -57,14 +57,14 @@ type restrictDest struct {
 func (h *Hierarchy) fillPlan(l int) []fillDest {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.refreshPlans(l, false, true, false).fill
+	return h.refreshPlans(l, planFill).fill
 }
 
 // restrictDataPlan returns the cached restriction plan for level l.
 func (h *Hierarchy) restrictDataPlan(l int) []restrictDest {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.refreshPlans(l, false, false, true).restrictData
+	return h.refreshPlans(l, planRestrict).restrictData
 }
 
 // buildFillDest plans one destination grid's ghost-fill work list,

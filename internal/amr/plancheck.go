@@ -1,6 +1,9 @@
 package amr
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The -plancheck oracle, in the -ledgercheck/-datacheck idiom: every
 // time a cached plan is served, re-derive the same plan with the
@@ -16,15 +19,18 @@ import "fmt"
 // baseline, panicking with entry-level detail on divergence. Callers
 // hold planMu.
 func (h *Hierarchy) verifyPlans(l int, c *planCache) {
-	if c.msgBuilt {
+	if c.built&planMsg != 0 {
 		comparePlanMessages("GhostPlan", l, h.GhostPlanScan(l, false), c.ghost)
 		comparePlanMessages("RestrictPlan", l, h.RestrictPlan(l, false), c.restrict)
 	}
-	if c.fillBuilt {
+	if c.built&planFill != 0 {
 		compareFillPlans(l, h.buildFillPlanScan(l), c.fill)
 	}
-	if c.restrictBuilt {
+	if c.built&planRestrict != 0 {
 		compareRestrictPlans(l, h.buildRestrictDataPlan(l), c.restrictData)
+	}
+	if c.built&planInterface != 0 {
+		compareInterfacePlans(l, h.buildInterfacePlan(l, nil, nil), c.iface)
 	}
 }
 
@@ -114,5 +120,39 @@ func compareRestrictPlans(l int, want, got []restrictDest) {
 					l, w.parent.ID, j, g.fines[j].ID, w.fines[j].ID))
 			}
 		}
+	}
+}
+
+// compareInterfacePlans panics when the cached interface plan diverged
+// from a from-scratch build that scans whole levels instead of
+// querying the indexes: the level lists the work lists are addressed
+// by, the face table row by row, and both per-grid lists.
+func compareInterfacePlans(l int, want, got *interfacePlan) {
+	if !slices.Equal(want.fine, got.fine) || !slices.Equal(want.coarse, got.coarse) {
+		panic(fmt.Sprintf(
+			"amr: InterfacePlan plancheck diverged: level %d: cached plan was built for other level lists (%d fine, %d coarse grids; now %d, %d)",
+			l, len(got.fine), len(got.coarse), len(want.fine), len(want.coarse)))
+	}
+	if len(want.faces) != len(got.faces) {
+		panic(fmt.Sprintf(
+			"amr: InterfacePlan plancheck diverged: level %d: cached %d faces, scan %d",
+			l, len(got.faces), len(want.faces)))
+	}
+	for j := range want.faces {
+		if want.faces[j] != got.faces[j] {
+			panic(fmt.Sprintf(
+				"amr: InterfacePlan plancheck diverged: level %d face %d: cached %+v, scan %+v",
+				l, j, got.faces[j], want.faces[j]))
+		}
+	}
+	if !slices.Equal(want.fineStart, got.fineStart) {
+		panic(fmt.Sprintf(
+			"amr: InterfacePlan plancheck diverged: level %d: cached fine-grid lists %v, scan %v",
+			l, got.fineStart, want.fineStart))
+	}
+	if !slices.Equal(want.coarseStart, got.coarseStart) || !slices.Equal(want.coarseRefs, got.coarseRefs) {
+		panic(fmt.Sprintf(
+			"amr: InterfacePlan plancheck diverged: level %d: cached coarse-grid lists differ from the scan's (%d refs vs %d)",
+			l, len(got.coarseRefs), len(want.coarseRefs)))
 	}
 }

@@ -27,6 +27,11 @@ import (
 //   - Ownership changes dirty nothing: cached plans are built with
 //     dropLocal=false and carry no owner-derived state.
 //
+// The coarse–fine interface plan of fine level l (reflux.go) reads the
+// boxes, list order and grid identity of levels l and l−1 and no
+// owner, which is exactly the dependency set these rules cover, so it
+// is level l's fourth plan kind and needs no rule of its own.
+//
 // Serving a plan patches rather than rebuilds: destinations whose box
 // touches no dirty region keep their previous entries (the entry
 // content is a pure function of structure the dirty rules prove
@@ -154,26 +159,28 @@ func boxTouchesAny(b geom.Box, regions geom.BoxList) bool {
 // section, so a caller reading several plan kinds from the entry
 // always sees them coherent with each other and with the current
 // structure. Callers hold planMu.
-func (h *Hierarchy) refreshPlans(l int, needMsg, needFill, needRestrict bool) *planCache {
+func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 	c := h.planEntry(l)
-	dirty := c.dirtyAll || len(c.dirty) > 0
-	if dirty {
-		needMsg = needMsg || c.msgBuilt
-		needFill = needFill || c.fillBuilt
-		needRestrict = needRestrict || c.restrictBuilt
+	if c.dirtyAll || len(c.dirty) > 0 {
+		need |= c.built
+	} else {
+		need &^= c.built
 	}
-	if needMsg && (dirty || !c.msgBuilt) {
+	if need&planMsg != 0 {
 		h.patchMsgPlan(l, c)
-		c.msgBuilt = true
 	}
-	if needFill && (dirty || !c.fillBuilt) {
+	if need&planFill != 0 {
 		h.patchFillPlan(l, c)
-		c.fillBuilt = true
 	}
-	if needRestrict && (dirty || !c.restrictBuilt) {
+	if need&planRestrict != 0 {
 		c.restrictData = h.buildRestrictDataPlan(l)
-		c.restrictBuilt = true
 	}
+	if need&planInterface != 0 {
+		// Rebuilt outright, like the restrict plan: the face table is one
+		// flat array in level order and the indexed build is O(faces).
+		c.iface = h.buildInterfacePlan(l, h.indexFor(l), h.indexFor(l-1))
+	}
+	c.built |= need
 	c.dirtyAll = false
 	c.dirty = c.dirty[:0]
 	if h.planCheck {
@@ -189,7 +196,7 @@ func (h *Hierarchy) refreshPlans(l int, needMsg, needFill, needRestrict bool) *p
 // outright. Callers hold planMu.
 func (h *Hierarchy) patchMsgPlan(l int, c *planCache) {
 	grids := h.Grids(l)
-	full := !c.msgBuilt || c.dirtyAll
+	full := c.built&planMsg == 0 || c.dirtyAll
 	var oldIdx map[GridID]int32
 	oldGhost, oldOff := c.ghost, c.ghostOff
 	if !full {
@@ -227,7 +234,7 @@ func (h *Hierarchy) patchMsgPlan(l int, c *planCache) {
 // hold planMu.
 func (h *Hierarchy) patchFillPlan(l int, c *planCache) {
 	grids := h.Grids(l)
-	full := !c.fillBuilt || c.dirtyAll
+	full := c.built&planFill == 0 || c.dirtyAll
 	var oldIdx map[GridID]int
 	if !full {
 		oldIdx = make(map[GridID]int, len(c.fill))

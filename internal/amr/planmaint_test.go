@@ -191,6 +191,9 @@ func TestCachedPlansConcurrentReaders(t *testing.T) {
 					_, _ = g, r
 					_ = h.fillPlan(l)
 					_ = h.restrictDataPlan(l)
+					if l > 0 {
+						_ = h.interfacePlan(l)
+					}
 				}
 			}
 		}()

@@ -10,6 +10,7 @@ import (
 	"samrdlb/internal/ckpt"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
+	"samrdlb/internal/solver"
 	"samrdlb/internal/workload"
 )
 
@@ -32,7 +33,8 @@ func testResumeIdentity(t *testing.T, stops []int, mkDriver func() workload.Driv
 		}
 		return opt
 	}
-	want := New(machine.WanPair(4, nil), mkDriver(), mkOpt(t.TempDir(), resumeSteps)).Run()
+	whole := New(machine.WanPair(4, nil), mkDriver(), mkOpt(t.TempDir(), resumeSteps))
+	want := whole.Run()
 
 	for _, stop := range stops {
 		dir := t.TempDir()
@@ -48,6 +50,9 @@ func testResumeIdentity(t *testing.T, stops []int, mkDriver func() workload.Driv
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("stop=%d: resumed result differs\n got: %+v\nwant: %+v", stop, got, want)
 		}
+		if whole.opt.WithData {
+			assertSameFields(t, r.Hierarchy(), whole.Hierarchy())
+		}
 	}
 }
 
@@ -60,6 +65,19 @@ func TestResumeByteIdenticalWithData(t *testing.T) {
 	testResumeIdentity(t, []int{3, 6},
 		func() workload.Driver { return workload.NewShockPool3D(16, 2) },
 		func(o *Options) { o.WithData = true })
+}
+
+// TestResumeByteIdenticalWithReflux: a resumed runner starts with an
+// empty plan cache and builds its interface plans from the restored
+// structure. The regridding is driven by the solution's gradient, so
+// the Result itself depends on every refluxed coarse cell.
+func TestResumeByteIdenticalWithReflux(t *testing.T) {
+	testResumeIdentity(t, []int{3, 6},
+		func() workload.Driver { return workload.NewShockPool3D(16, 2) },
+		func(o *Options) {
+			o.WithData, o.Reflux, o.MaxLevel = true, true, 2
+			o.GradientField, o.GradientThreshold = solver.FieldQ, 0.3
+		})
 }
 
 func TestResumeByteIdenticalWithParticles(t *testing.T) {

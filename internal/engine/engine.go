@@ -271,15 +271,14 @@ type Runner struct {
 	ckptAttempts int  // durable write attempts; keys disk-fault decisions
 
 	// Per-step scratch, reused across calls so the hot loop makes no
-	// allocations: advanceLevel's per-processor accumulators, the
-	// message/migration charging buffers, and the flux collection
-	// slice. The engine loop is single-threaded (vclock.AddPhase
-	// copies values immediately), so plain reuse is safe.
+	// allocations: advanceLevel's per-processor accumulators and the
+	// message/migration charging buffers. The engine loop is
+	// single-threaded (vclock.AddPhase copies values immediately), so
+	// plain reuse is safe.
 	perProcBuf, workBuf   []float64
 	commLocal, commRemote []float64
 	pairBytes             map[commPair]int64
 	pairList              []commPair
-	fluxesBuf             []*solver.Fluxes
 }
 
 // commPair keys the per-(src,dst) aggregation of chargeMessages.
@@ -949,6 +948,7 @@ func (r *Runner) step(level int) {
 		r.restrict(level + 1)
 		if r.fluxRegs != nil && r.fluxRegs[level+1] != nil {
 			r.fluxRegs[level+1].Apply()
+			r.fluxRegs[level+1].Release()
 			r.fluxRegs[level+1] = nil
 		}
 	}
@@ -1038,27 +1038,35 @@ func (r *Runner) advanceLevel(level int) {
 }
 
 // stepGrids advances every grid of one level by dt over the host
-// pool, collecting face fluxes into the flux registers when refluxing.
+// pool. When refluxing, the task that steps a grid also feeds its face
+// fluxes to the flux registers and releases them: the interface plan
+// gives every face one fine contributor and one coarse writer, so
+// concurrent tasks write disjoint register slots and the result does
+// not depend on task order.
 func (r *Runner) stepGrids(grids []*amr.Grid, level int, dt, dx float64) {
-	var fluxes []*solver.Fluxes
+	var asCoarse, asFine *amr.FluxRegister
 	if r.fluxRegs != nil {
-		if cap(r.fluxesBuf) < len(grids) {
-			r.fluxesBuf = make([]*solver.Fluxes, len(grids))
-		}
-		fluxes = r.fluxesBuf[:len(grids)]
-		for i := range fluxes {
-			fluxes[i] = nil
+		asFine = r.fluxRegs[level]
+		if level < r.h.MaxLevel {
+			asCoarse = r.fluxRegs[level+1]
 		}
 	}
 	stepGrid := func(i int) {
+		g := grids[i]
 		for _, k := range r.kernels {
-			if fluxes != nil {
-				if fk, ok := k.(solver.FluxedKernel); ok {
-					fluxes[i] = fk.StepFluxes(grids[i].Patch, dt, dx)
-					continue
-				}
+			fk, ok := k.(solver.FluxedKernel)
+			if !ok || r.fluxRegs == nil {
+				k.Step(g.Patch, dt, dx)
+				continue
 			}
-			k.Step(grids[i].Patch, dt, dx)
+			fl := fk.StepFluxes(g.Patch, dt, dx)
+			if asCoarse != nil {
+				asCoarse.AddCoarse(g, fl)
+			}
+			if asFine != nil {
+				asFine.AddFine(g, fl)
+			}
+			fl.Release()
 		}
 	}
 	if r.opt.Pool != nil {
@@ -1066,24 +1074,6 @@ func (r *Runner) stepGrids(grids []*amr.Grid, level int, dt, dx float64) {
 	} else {
 		for i := range grids {
 			stepGrid(i)
-		}
-	}
-	// Feed the flux registers sequentially in grid order so
-	// accumulation is deterministic; the registers copy the values
-	// out, so the fluxes go straight back to the pool.
-	if fluxes != nil {
-		for i, g := range grids {
-			if fluxes[i] == nil {
-				continue
-			}
-			if level+1 <= r.h.MaxLevel && r.fluxRegs[level+1] != nil {
-				r.fluxRegs[level+1].AddCoarse(g, fluxes[i])
-			}
-			if r.fluxRegs[level] != nil {
-				r.fluxRegs[level].AddFine(g, fluxes[i])
-			}
-			fluxes[i].Release()
-			fluxes[i] = nil
 		}
 	}
 }

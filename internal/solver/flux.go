@@ -81,6 +81,11 @@ func (fl *Fluxes) Set(d int, i geom.Index, v float64) {
 // FaceBox returns the face index box for dimension d.
 func (fl *Fluxes) FaceBox(d int) geom.Box { return fl.faceBox[d] }
 
+// Faces returns dimension d's fluxes in FaceBox(d).Offset order, for
+// planned readers that precomputed their offsets from the box. The
+// slice aliases fl and dies with Release.
+func (fl *Fluxes) Faces(d int) []float64 { return fl.f[d] }
+
 // faceStride returns the linear stride along dimension d inside
 // faceBox[d]'s x-fastest storage.
 func (fl *Fluxes) faceStride(d int) int {
