@@ -319,10 +319,32 @@ func BenchmarkMPXGhostExchange(b *testing.B) {
 		h.AddGrid(0, bx, i%4, amr.NoGrid)
 	}
 	w := mpx.NewWorld(4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Run(func(r *mpx.Rank) {
 			h.FillGhostsMPX(r, 0)
+		})
+	}
+}
+
+// BenchmarkMPXRestrict measures one message-passing restriction over 4
+// ranks: 16 level-1 grids, each owned by a different rank than its
+// parent, so every fine grid's average crosses ranks.
+func BenchmarkMPXRestrict(b *testing.B) {
+	h := amr.New(geom.UnitCube(32), 2, 1, 1, true, "q")
+	boxes := geom.BoxList{h.Domain}.SplitEvenly(16)
+	boxes.SortByLo()
+	for i, bx := range boxes {
+		p := h.AddGrid(0, bx, i%4, amr.NoGrid)
+		h.AddGrid(1, bx.Grow(-1).Refine(2), (i+1)%4, p.ID)
+	}
+	w := mpx.NewWorld(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Run(func(r *mpx.Rank) {
+			h.RestrictMPX(r, 1)
 		})
 	}
 }

@@ -177,20 +177,24 @@ func (h *Hierarchy) buildRestrictDataPlan(l int) []restrictDest {
 // domain and then to the grid box equals clamping to the grid box
 // alone because every grid box is inside the domain.
 func (h *Hierarchy) runFillDest(d *fillDest) {
-	for _, op := range d.ops {
-		if op.prolong {
-			for _, f := range h.Fields {
-				grid.Prolong(d.g.Patch, op.src.Patch, f, h.RefFactor, op.region)
-			}
-		} else {
-			for _, f := range h.Fields {
-				grid.CopyRegion(d.g.Patch, op.src.Patch, f, op.region)
-			}
-		}
+	for i := range d.ops {
+		h.runFillOp(d.g, &d.ops[i])
 	}
 	for _, cb := range d.clamps {
 		for _, f := range h.Fields {
 			grid.ClampRegion(d.g.Patch, f, cb, d.g.Box)
+		}
+	}
+}
+
+// runFillOp executes one planned transfer into dst's patch from the
+// source grid's patch.
+func (h *Hierarchy) runFillOp(dst *Grid, op *fillOp) {
+	for _, f := range h.Fields {
+		if op.prolong {
+			grid.Prolong(dst.Patch, op.src.Patch, f, h.RefFactor, op.region)
+		} else {
+			grid.CopyRegion(dst.Patch, op.src.Patch, f, op.region)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/mpx"
 	"samrdlb/internal/solver"
+	"samrdlb/internal/trace"
 	"samrdlb/internal/workload"
 )
 
@@ -109,6 +110,74 @@ func TestWireFaultFallsBackAndStaysIdentical(t *testing.T) {
 	}
 	if s := tcpRes.TransportSummary(); !strings.Contains(s, "fallback") {
 		t.Errorf("TransportSummary = %q, want fault/fallback accounting", s)
+	}
+}
+
+// dropSparseOffers fails every seventh send attempt of each (src, dst)
+// pair. With one offer per pair per wire phase, that aborts several
+// non-adjacent phases — fills and restricts, on both levels — each
+// followed by phases that must run clean on the same pooled scratch.
+type dropSparseOffers struct{}
+
+func (dropSparseOffers) DropSend(src, dst int, n uint64) bool { return n%7 == 3 }
+
+// TestWireFaultsOnManyPhasesStayIdentical is the abort-hygiene pin: a
+// phase a wire fault kills midway leaves half-packed send buffers and
+// a half-consumed receive behind, and neither may reach the phase
+// after the fallback.
+func TestWireFaultsOnManyPhasesStayIdentical(t *testing.T) {
+	loopRes, loopRun := runTransport(TransportLoopback, nil)
+	tcpRes, tcpRun := runTransport(TransportTCP, dropSparseOffers{})
+
+	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
+
+	if tcpRes.TransportFallbacks < 2 {
+		t.Errorf("sparse drops aborted %d phases, want several", tcpRes.TransportFallbacks)
+	}
+	if tcpRes.TransportFrames == 0 {
+		t.Error("no phase between the faulted ones ran over the wire")
+	}
+}
+
+// TestTCPFramesBoundedByRankPairsAndPhases pins the coalescing: a
+// fault-free run puts at most one frame per ordered cross-group rank
+// pair on the wire per phase — sibling on every level step, prolong on
+// the fine ones, one restrict per step of a level that has a finer one
+// — however many overlap boxes the pair's grids share. (Heartbeats are
+// not counted as frames.)
+func TestTCPFramesBoundedByRankPairsAndPhases(t *testing.T) {
+	const maxLevel = 1
+	sys := machine.WanPair(2, nil)
+	tr := trace.New()
+	r := New(sys, workload.NewShockPool3D(16, 2), Options{
+		Steps: 3, MaxLevel: maxLevel, WithData: true, UseMPX: true,
+		Transport: TransportTCP, Trace: tr,
+	})
+	res := r.Run()
+	phases := 0
+	for _, level := range tr.StepLevels() {
+		phases++ // sibling
+		if level > 0 {
+			phases++ // prolong
+		}
+		if level < maxLevel {
+			phases++ // restrict of the finer level, when it has grids
+		}
+	}
+	pairs := 0
+	for a := 0; a < sys.NumProcs(); a++ {
+		for b := 0; b < sys.NumProcs(); b++ {
+			if sys.GroupOf(a) != sys.GroupOf(b) {
+				pairs++
+			}
+		}
+	}
+	if res.TransportFrames == 0 {
+		t.Fatal("tcp run moved no wire frames")
+	}
+	if limit := int64(pairs * phases); res.TransportFrames > limit {
+		t.Errorf("%d frames for %d wire phases over %d cross-group rank pairs, want ≤ %d",
+			res.TransportFrames, phases, pairs, limit)
 	}
 }
 

@@ -6,24 +6,33 @@ import (
 	"samrdlb/internal/geom"
 )
 
-// PackRegion serializes the named fields of p over region into a flat
-// slice (field-major, then offset order within the region). The
-// region must lie within the patch's grown box — both sides of a
-// message must agree on the exact cell set.
-func PackRegion(p *Patch, region geom.Box, fields []string) []float64 {
+// PackRegion appends the named fields of p over region to buf (field-
+// major, then offset order within the region) and returns the extended
+// slice, moving whole x-rows with copy semantics. The region must lie
+// within the patch's grown box — both sides of a message must agree on
+// the exact cell set.
+func PackRegion(buf []float64, p *Patch, region geom.Box, fields []string) []float64 {
 	g := p.Grown()
 	if !g.ContainsBox(region) {
 		panic(fmt.Sprintf("grid.PackRegion: region %v escapes patch %v", region, g))
 	}
-	n := int(region.NumCells())
-	out := make([]float64, 0, n*len(fields))
+	if region.Empty() {
+		return buf
+	}
+	rw := rowsOf(g, region)
 	for _, name := range fields {
 		f := p.Field(name)
-		region.ForEach(func(i geom.Index) {
-			out = append(out, f[g.Offset(i)])
-		})
+		zo := rw.base
+		for z := 0; z < rw.nz; z++ {
+			o := zo
+			for y := 0; y < rw.ny; y++ {
+				buf = append(buf, f[o:o+rw.n]...)
+				o += rw.sy
+			}
+			zo += rw.sz
+		}
 	}
-	return out
+	return buf
 }
 
 // UnpackRegion writes data produced by PackRegion with the same
@@ -38,12 +47,22 @@ func UnpackRegion(p *Patch, region geom.Box, fields []string, data []float64) {
 		panic(fmt.Sprintf("grid.UnpackRegion: got %d values for %d cells × %d fields",
 			len(data), n, len(fields)))
 	}
+	if n == 0 {
+		return
+	}
+	rw := rowsOf(g, region)
 	k := 0
 	for _, name := range fields {
 		f := p.Field(name)
-		region.ForEach(func(i geom.Index) {
-			f[g.Offset(i)] = data[k]
-			k++
-		})
+		zo := rw.base
+		for z := 0; z < rw.nz; z++ {
+			o := zo
+			for y := 0; y < rw.ny; y++ {
+				copy(f[o:o+rw.n], data[k:k+rw.n])
+				k += rw.n
+				o += rw.sy
+			}
+			zo += rw.sz
+		}
 	}
 }

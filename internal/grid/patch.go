@@ -170,6 +170,36 @@ func (p *Patch) Bytes() int64 {
 	return p.Grown().NumCells() * int64(len(p.names)) * 8
 }
 
+// rows describes how a region's x-rows lie in x-fastest storage over a
+// containing box: the first row starts at base, consecutive y rows are
+// sy apart, consecutive z planes sz apart, and the region spans n × ny
+// × nz cells. Every transfer operator derives it once per call, so no
+// row loop recomputes the storage shape.
+type rows struct {
+	base, sy, sz int
+	n, ny, nz    int
+}
+
+// strides returns the y and z strides of x-fastest storage over b.
+func strides(b geom.Box) (sy, sz int) {
+	sy = b.Hi[0] - b.Lo[0] + 1
+	return sy, sy * (b.Hi[1] - b.Lo[1] + 1)
+}
+
+// rowsOf lays region (non-empty, inside store) out over storage box
+// store.
+func rowsOf(store, region geom.Box) rows {
+	sy, sz := strides(store)
+	return rows{
+		base: (region.Lo[0] - store.Lo[0]) + sy*(region.Lo[1]-store.Lo[1]) + sz*(region.Lo[2]-store.Lo[2]),
+		sy:   sy,
+		sz:   sz,
+		n:    region.Hi[0] - region.Lo[0] + 1,
+		ny:   region.Hi[1] - region.Lo[1] + 1,
+		nz:   region.Hi[2] - region.Lo[2] + 1,
+	}
+}
+
 // CopyRegion copies the named field over region (in level index space)
 // from src to dst. The region is clipped to both patches' grown boxes,
 // so callers may pass the nominal overlap and let clipping handle
@@ -179,19 +209,41 @@ func CopyRegion(dst, src *Patch, name string, region geom.Box) {
 	if dst.Level != src.Level {
 		panic("grid.CopyRegion: level mismatch")
 	}
-	r := region.Intersect(dst.Grown()).Intersect(src.Grown())
+	CopyRegionFrom(dst, src.Field(name), src.Grown(), name, region)
+}
+
+// CopyRegionFrom is CopyRegion reading raw x-fastest storage sf over
+// sbox instead of a source patch — a received message is copied in
+// straight from its buffer. The region is clipped to dst's grown box
+// and to sbox.
+func CopyRegionFrom(dst *Patch, sf []float64, sbox geom.Box, name string, region geom.Box) {
+	checkStorage("grid.CopyRegionFrom", sf, sbox)
+	dg := dst.Grown()
+	r := region.Intersect(dg).Intersect(sbox)
 	if r.Empty() {
 		return
 	}
-	df, sf := dst.Field(name), src.Field(name)
-	dg, sg := dst.Grown(), src.Grown()
-	n := r.Hi[0] - r.Lo[0] + 1
-	for z := r.Lo[2]; z <= r.Hi[2]; z++ {
-		for y := r.Lo[1]; y <= r.Hi[1]; y++ {
-			do := dg.Offset(geom.Index{r.Lo[0], y, z})
-			so := sg.Offset(geom.Index{r.Lo[0], y, z})
-			copy(df[do:do+n], sf[so:so+n])
+	df := dst.Field(name)
+	d, s := rowsOf(dg, r), rowsOf(sbox, r)
+	dz, sz := d.base, s.base
+	for z := 0; z < d.nz; z++ {
+		do, so := dz, sz
+		for y := 0; y < d.ny; y++ {
+			copy(df[do:do+d.n], sf[so:so+d.n])
+			do += d.sy
+			so += s.sy
 		}
+		dz += d.sz
+		sz += s.sz
+	}
+}
+
+// checkStorage panics unless f is exactly the storage of box: a raw
+// slice that disagrees with its box is a mis-cut message, and reading
+// it would silently move the wrong cells.
+func checkStorage(op string, f []float64, box geom.Box) {
+	if int64(len(f)) != box.NumCells() {
+		panic(fmt.Sprintf("%s: %d values for storage box %v (%d cells)", op, len(f), box, box.NumCells()))
 	}
 }
 
@@ -209,31 +261,35 @@ func ClampRegion(p *Patch, name string, region, src geom.Box) {
 		return
 	}
 	f := p.Field(name)
+	rw := rowsOf(g, reg)
+	// Offset of cell (reg.Lo[0], y, z); x positions are relative to it.
+	rowAt := func(y, z int) int { return rw.base + rw.sy*(y-reg.Lo[1]) + rw.sz*(z-reg.Lo[2]) }
+	x0 := reg.Lo[0]
 	for z := reg.Lo[2]; z <= reg.Hi[2]; z++ {
 		sz := clampInt(z, src.Lo[2], src.Hi[2])
 		for y := reg.Lo[1]; y <= reg.Hi[1]; y++ {
-			sy := clampInt(y, src.Lo[1], src.Hi[1])
-			do := g.Offset(geom.Index{reg.Lo[0], y, z})
+			do := rowAt(y, z)
+			srow := rowAt(clampInt(y, src.Lo[1], src.Hi[1]), sz)
 			// Left of src: constant value of src's low-x column.
-			if x1 := min(reg.Hi[0], src.Lo[0]-1); x1 >= reg.Lo[0] {
-				v := f[g.Offset(geom.Index{src.Lo[0], sy, sz})]
-				for x := reg.Lo[0]; x <= x1; x++ {
+			if x1 := min(reg.Hi[0], src.Lo[0]-1); x1 >= x0 {
+				v := f[srow+src.Lo[0]-x0]
+				for x := x0; x <= x1; x++ {
 					f[do] = v
 					do++
 				}
 			}
 			// Inside src's x-range: copy the clamped row.
-			m0, m1 := max(reg.Lo[0], src.Lo[0]), min(reg.Hi[0], src.Hi[0])
+			m0, m1 := max(x0, src.Lo[0]), min(reg.Hi[0], src.Hi[0])
 			if m0 <= m1 {
-				so := g.Offset(geom.Index{m0, sy, sz})
+				so := srow + m0 - x0
 				n := m1 - m0 + 1
 				copy(f[do:do+n], f[so:so+n])
 				do += n
 			}
 			// Right of src: constant value of src's high-x column.
-			if x0 := max(reg.Lo[0], src.Hi[0]+1); x0 <= reg.Hi[0] {
-				v := f[g.Offset(geom.Index{src.Hi[0], sy, sz})]
-				for x := x0; x <= reg.Hi[0]; x++ {
+			if xr := max(x0, src.Hi[0]+1); xr <= reg.Hi[0] {
+				v := f[srow+src.Hi[0]-x0]
+				for x := xr; x <= reg.Hi[0]; x++ {
 					f[do] = v
 					do++
 				}
@@ -254,44 +310,63 @@ func clampInt(v, lo, hi int) int {
 
 // Restrict averages the fine patch's field over each coarse cell of
 // the overlap and stores it into the coarse patch. The refinement
-// factor r relates the two levels (fine.Level = coarse.Level+1). The
-// loops are explicit but accumulate in exactly the closure-based
-// original's order, so results are bit-identical to it.
+// factor r relates the two levels (fine.Level = coarse.Level+1).
 func Restrict(coarse, fine *Patch, name string, r int) {
 	if fine.Level != coarse.Level+1 {
 		panic("grid.Restrict: fine must be exactly one level finer")
 	}
-	overlap := coarse.Box.Intersect(fine.Box.Coarsen(r))
+	RestrictInto(coarse.Field(name), coarse.Grown(), coarse.Box, fine, name, r)
+}
+
+// RestrictInto is Restrict writing raw x-fastest storage cf over cbox
+// instead of a coarse patch — a restriction headed for another rank is
+// averaged straight into its message buffer. Only the coarse cells of
+// region that the fine patch's interior covers are written. The loops
+// are explicit but accumulate in exactly the closure-based original's
+// order, so results are bit-identical to it.
+func RestrictInto(cf []float64, cbox, region geom.Box, fine *Patch, name string, r int) {
+	checkStorage("grid.RestrictInto", cf, cbox)
+	fb := fine.Box
+	overlap := region.Intersect(cbox).Intersect(fb.Coarsen(r))
 	if overlap.Empty() {
 		return
 	}
-	cf, ff := coarse.Field(name), fine.Field(name)
-	cg, fg := coarse.Grown(), fine.Grown()
+	ff := fine.Field(name)
+	fg := fine.Grown()
+	fsy, fsz := strides(fg)
+	c := rowsOf(cbox, overlap)
 	inv := 1.0 / float64(r*r*r)
 	r3 := float64(r * r * r)
+	cz0 := c.base
 	for cz := overlap.Lo[2]; cz <= overlap.Hi[2]; cz++ {
+		fz0, fz1 := max(cz*r, fb.Lo[2]), min(cz*r+r-1, fb.Hi[2])
+		co := cz0
 		for cy := overlap.Lo[1]; cy <= overlap.Hi[1]; cy++ {
-			co := cg.Offset(geom.Index{overlap.Lo[0], cy, cz})
-			for cx := overlap.Lo[0]; cx <= overlap.Hi[0]; cx++ {
-				fb := geom.Box{
-					Lo: geom.Index{cx * r, cy * r, cz * r},
-					Hi: geom.Index{cx*r + r - 1, cy*r + r - 1, cz*r + r - 1},
-				}.Intersect(fine.Box)
-				n := fb.Hi[0] - fb.Lo[0] + 1
+			fy0, fy1 := max(cy*r, fb.Lo[1]), min(cy*r+r-1, fb.Hi[1])
+			// Offset of fine cell (fg.Lo[0], fy0, fz0): the block's rows
+			// start fx0-fg.Lo[0] past it.
+			fblock := fsy*(fy0-fg.Lo[1]) + fsz*(fz0-fg.Lo[2]) - fg.Lo[0]
+			planes := (fy1 - fy0 + 1) * (fz1 - fz0 + 1)
+			for i, cx := 0, overlap.Lo[0]; cx <= overlap.Hi[0]; i, cx = i+1, cx+1 {
+				fx0, fx1 := max(cx*r, fb.Lo[0]), min(cx*r+r-1, fb.Hi[0])
+				n := fx1 - fx0 + 1
 				var s float64
-				for fz := fb.Lo[2]; fz <= fb.Hi[2]; fz++ {
-					for fy := fb.Lo[1]; fy <= fb.Hi[1]; fy++ {
-						fo := fg.Offset(geom.Index{fb.Lo[0], fy, fz})
-						for i := 0; i < n; i++ {
-							s += ff[fo]
-							fo++
+				zo := fblock + fx0
+				for fz := fz0; fz <= fz1; fz++ {
+					fo := zo
+					for fy := fy0; fy <= fy1; fy++ {
+						for _, v := range ff[fo : fo+n] {
+							s += v
 						}
+						fo += fsy
 					}
+					zo += fsz
 				}
-				cf[co] = s * inv * r3 / float64(fb.NumCells())
-				co++
+				cf[co+i] = s * inv * r3 / float64(n*planes)
 			}
+			co += c.sy
 		}
+		cz0 += c.sz
 	}
 }
 
@@ -306,32 +381,46 @@ func Prolong(fine, coarse *Patch, name string, r int, region geom.Box) {
 	if fine.Level != coarse.Level+1 {
 		panic("grid.Prolong: fine must be exactly one level finer")
 	}
-	cg, fg := coarse.Grown(), fine.Grown()
-	// f.FloorDiv(r) ∈ cg  ⟺  f ∈ cg.Refine(r), so the clip below is
-	// exactly the original per-cell cg.Contains test.
-	reg := region.Intersect(fg).Intersect(cg.Refine(r))
+	ProlongFrom(fine, coarse.Field(name), coarse.Grown(), name, r, region)
+}
+
+// ProlongFrom is Prolong reading raw x-fastest coarse storage cf over
+// cbox instead of a coarse patch — a received coarse region is
+// injected straight from its message buffer.
+func ProlongFrom(fine *Patch, cf []float64, cbox geom.Box, name string, r int, region geom.Box) {
+	checkStorage("grid.ProlongFrom", cf, cbox)
+	fg := fine.Grown()
+	// f.FloorDiv(r) ∈ cbox  ⟺  f ∈ cbox.Refine(r), so the clip below is
+	// exactly the original per-cell cbox.Contains test.
+	reg := region.Intersect(fg).Intersect(cbox.Refine(r))
 	if reg.Empty() {
 		return
 	}
-	cf, ff := coarse.Field(name), fine.Field(name)
+	ff := fine.Field(name)
+	f := rowsOf(fg, reg)
+	csy, csz := strides(cbox)
+	cx := floorDiv(reg.Lo[0], r)
+	rem0 := reg.Lo[0] - cx*r // position within the coarse cell, in [0,r)
+	cx -= cbox.Lo[0]
+	fz0 := f.base
 	for fz := reg.Lo[2]; fz <= reg.Hi[2]; fz++ {
-		cz := floorDiv(fz, r)
+		cplane := cx + csz*(floorDiv(fz, r)-cbox.Lo[2])
+		fo := fz0
 		for fy := reg.Lo[1]; fy <= reg.Hi[1]; fy++ {
-			cy := floorDiv(fy, r)
-			fo := fg.Offset(geom.Index{reg.Lo[0], fy, fz})
-			cx := floorDiv(reg.Lo[0], r)
-			co := cg.Offset(geom.Index{cx, cy, cz})
-			rem := reg.Lo[0] - cx*r // position within the coarse cell, in [0,r)
-			for fx := reg.Lo[0]; fx <= reg.Hi[0]; fx++ {
-				ff[fo] = cf[co]
-				fo++
+			co := cplane + csy*(floorDiv(fy, r)-cbox.Lo[1])
+			rem := rem0
+			row := ff[fo : fo+f.n]
+			for i := range row {
+				row[i] = cf[co]
 				rem++
 				if rem == r {
 					rem = 0
 					co++
 				}
 			}
+			fo += f.sy
 		}
+		fz0 += f.sz
 	}
 }
 

@@ -35,7 +35,7 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 		p.FillFunc("a", func(geom.Index) float64 { return rng.Float64() })
 		p.FillFunc("b", func(geom.Index) float64 { return rng.Float64() })
 		region := randomRegionIn(rng, p.Grown())
-		data := PackRegion(p, region, []string{"a", "b"})
+		data := PackRegion(nil, p, region, []string{"a", "b"})
 		q := NewPatch(p.Box, 0, 1, "a", "b")
 		UnpackRegion(q, region, []string{"a", "b"}, data)
 		ok := true
@@ -64,7 +64,7 @@ func TestPackRegionEscapePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	PackRegion(p, geom.UnitCube(10), []string{"q"})
+	PackRegion(nil, p, geom.UnitCube(10), []string{"q"})
 }
 
 func TestUnpackSizeMismatchPanics(t *testing.T) {

@@ -67,12 +67,16 @@ type TCPEndpoint struct {
 }
 
 // wireConn is one peer connection with serialised writes. hb marks a
-// running heartbeat sender (guarded by the endpoint's mu).
+// running heartbeat sender (guarded by the endpoint's mu). wbuf is the
+// connection's data-frame buffer, encoded into and written out under
+// mu, so a send allocates nothing once it has grown to the largest
+// message.
 type wireConn struct {
 	peer int
 	hb   bool
 	mu   sync.Mutex
 	c    net.Conn
+	wbuf []byte
 }
 
 var errEndpointClosed = errors.New("mpx: endpoint closed")
@@ -344,26 +348,35 @@ func (e *TCPEndpoint) Send(src, dst, tag int, data []float64) error {
 	seq := e.sendSeq[key]
 	e.sendSeq[key] = seq + 1
 	e.mu.Unlock()
-	frame := encodeDataFrame(e.epoch.Load(), src, dst, tag, seq, data)
-	if werr := e.writeFrame(c, frame); werr != nil {
+	c.mu.Lock()
+	c.wbuf = appendDataFrame(c.wbuf[:0], e.epoch.Load(), src, dst, tag, seq, data)
+	n := len(c.wbuf)
+	werr := e.writeLocked(c, c.wbuf)
+	c.mu.Unlock()
+	if werr != nil {
 		return fmt.Errorf("mpx: write to shard %d: %w", peer, werr)
 	}
 	e.framesSent.Add(1)
-	e.bytesSent.Add(int64(len(frame)))
+	e.bytesSent.Add(int64(n))
 	return nil
 }
 
 // writeFrame writes one framed message under the connection's write
-// lock, applying the configured write deadline. Deadline expiries are
-// counted before the error is returned.
+// lock.
 func (e *TCPEndpoint) writeFrame(wc *wireConn, frame []byte) error {
-	wt := time.Duration(e.writeTO.Load())
 	wc.mu.Lock()
-	if wt > 0 {
+	defer wc.mu.Unlock()
+	return e.writeLocked(wc, frame)
+}
+
+// writeLocked writes one framed message, applying the configured
+// write deadline; the caller holds wc.mu. Deadline expiries are
+// counted before the error is returned.
+func (e *TCPEndpoint) writeLocked(wc *wireConn, frame []byte) error {
+	if wt := time.Duration(e.writeTO.Load()); wt > 0 {
 		wc.c.SetWriteDeadline(time.Now().Add(wt))
 	}
 	_, err := wc.c.Write(frame)
-	wc.mu.Unlock()
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -415,11 +428,15 @@ func (e *TCPEndpoint) Abort(cause string) {
 // continuity, drop frames from stale epochs, deliver the rest.
 func (e *TCPEndpoint) readLoop(wc *wireConn) {
 	defer e.wg.Done()
+	// One payload buffer for the connection's lifetime: decodeFrame
+	// copies everything it keeps, so each frame may overwrite the last.
+	var payload []byte
 	for {
 		if rt := time.Duration(e.readTO.Load()); rt > 0 {
 			wc.c.SetReadDeadline(time.Now().Add(rt))
 		}
-		payload, err := readWireFrame(wc.c)
+		var err error
+		payload, err = readWireFrame(wc.c, payload)
 		if err != nil {
 			if e.closed.Load() {
 				return // orderly teardown

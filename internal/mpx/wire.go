@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Wire format, reusing the CRC32 framing idiom of internal/ckpt: a
@@ -54,11 +55,13 @@ type wireMsg struct {
 	cause string
 }
 
-// encodeDataFrame assembles one framed data message.
-func encodeDataFrame(epoch uint32, src, dst, tag int, seq uint64, data []float64) []byte {
-	n := dataHdr + 8*len(data)
-	buf := make([]byte, wireHdr+n)
-	p := buf[wireHdr:]
+// appendDataFrame appends one framed data message to buf and returns
+// the extended slice, so a sender reuses one buffer across frames.
+func appendDataFrame(buf []byte, epoch uint32, src, dst, tag int, seq uint64, data []float64) []byte {
+	start, total := len(buf), wireHdr+dataHdr+8*len(data)
+	buf = slices.Grow(buf, total)[:start+total]
+	frame := buf[start:]
+	p := frame[wireHdr:]
 	p[0] = frameData
 	binary.BigEndian.PutUint32(p[1:5], epoch)
 	binary.BigEndian.PutUint32(p[5:9], uint32(int32(src)))
@@ -70,7 +73,7 @@ func encodeDataFrame(epoch uint32, src, dst, tag int, seq uint64, data []float64
 		binary.BigEndian.PutUint64(p[off:off+8], math.Float64bits(v))
 		off += 8
 	}
-	sealFrame(buf)
+	sealFrame(frame)
 	return buf
 }
 
@@ -141,8 +144,10 @@ func decodeFrame(payload []byte) (wireMsg, error) {
 }
 
 // readWireFrame reads one length-prefixed frame from r and verifies
-// its checksum, returning the raw payload.
-func readWireFrame(r io.Reader) ([]byte, error) {
+// its checksum, returning the raw payload. The payload is read into
+// buf's storage when it fits, so a caller that decodes each payload
+// before the next read passes the previous result back in.
+func readWireFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [wireHdr]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -152,7 +157,10 @@ func readWireFrame(r io.Reader) ([]byte, error) {
 	if n > maxWireFrame {
 		return nil, fmt.Errorf("mpx: absurd frame length %d", n)
 	}
-	payload := make([]byte, n)
+	if uint64(cap(buf)) < uint64(n) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}

@@ -21,8 +21,8 @@ func TestWireDataFrameRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			frame := encodeDataFrame(3, tc.src, tc.dst, tc.tag, tc.seq, tc.data)
-			payload, err := readWireFrame(bytes.NewReader(frame))
+			frame := appendDataFrame(nil, 3, tc.src, tc.dst, tc.tag, tc.seq, tc.data)
+			payload, err := readWireFrame(bytes.NewReader(frame), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestWireDataFrameRoundTrip(t *testing.T) {
 
 func TestWireAbortFrameRoundTrip(t *testing.T) {
 	frame := encodeAbortFrame(9, "rank 3 panicked: boom")
-	payload, err := readWireFrame(bytes.NewReader(frame))
+	payload, err := readWireFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestWireAbortFrameRoundTrip(t *testing.T) {
 // the CRC (or, for the two length bytes that survive it, the length
 // sanity check) must reject each mutation — no corrupt frame decodes.
 func TestWireFrameCorruptionDetected(t *testing.T) {
-	frame := encodeDataFrame(0, 1, 2, 3, 4, []float64{1, 2, 3})
+	frame := appendDataFrame(nil, 0, 1, 2, 3, 4, []float64{1, 2, 3})
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x40
-		payload, err := readWireFrame(bytes.NewReader(mut))
+		payload, err := readWireFrame(bytes.NewReader(mut), nil)
 		if err != nil {
 			continue // rejected by length or checksum: good
 		}
@@ -96,9 +96,9 @@ func TestWireFrameCorruptionDetected(t *testing.T) {
 }
 
 func TestWireTruncationDetected(t *testing.T) {
-	frame := encodeDataFrame(0, 1, 2, 3, 4, []float64{1, 2})
+	frame := appendDataFrame(nil, 0, 1, 2, 3, 4, []float64{1, 2})
 	for cut := 1; cut < len(frame); cut++ {
-		if _, err := readWireFrame(bytes.NewReader(frame[:cut])); err == nil {
+		if _, err := readWireFrame(bytes.NewReader(frame[:cut]), nil); err == nil {
 			t.Fatalf("truncation at %d bytes read a full frame", cut)
 		}
 	}
