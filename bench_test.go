@@ -77,8 +77,7 @@ func BenchmarkFig6Redistribution(b *testing.B) {
 			}
 			h.AddGrid(0, geom.BoxFromShape(geom.Index{x, 0, 0}, geom.Index{2, 16, 16}), owner, amr.NoGrid)
 		}
-		rec := newRecorder(sys, h)
-		ctx := &dlb.Context{Sys: sys, H: h, Load: rec}
+		ctx := newContext(sys, h)
 		b.StartTimer()
 		d := (dlb.DistributedDLB{}).GlobalBalance(ctx)
 		if !d.Invoked {
@@ -220,7 +219,7 @@ func BenchmarkLocalBalance(b *testing.B) {
 		for _, bx := range boxes {
 			h.AddGrid(0, bx, 0, amr.NoGrid) // everything on proc 0
 		}
-		ctx := &dlb.Context{Sys: sys, H: h, Load: newRecorder(sys, h)}
+		ctx := newContext(sys, h)
 		b.StartTimer()
 		migs := (dlb.ParallelDLB{}).LocalBalance(ctx, 0)
 		if len(migs) == 0 {
@@ -244,7 +243,7 @@ func BenchmarkFullStepWithData(b *testing.B) {
 // newRecorder seeds a load recorder with the hierarchy's current
 // level-0 distribution, as the engine does after a step.
 func newRecorder(sys *machine.System, h *amr.Hierarchy) *load.Recorder {
-	rec := load.NewRecorder(sys.NumProcs(), h.MaxLevel)
+	rec := load.NewRecorder(sys, h.MaxLevel)
 	w := make([]float64, sys.NumProcs())
 	for _, g := range h.Grids(0) {
 		w[g.Owner] += float64(g.NumCells())
@@ -254,6 +253,14 @@ func newRecorder(sys *machine.System, h *amr.Hierarchy) *load.Recorder {
 	}
 	rec.SetIntervalTime(100)
 	return rec
+}
+
+// newContext builds the balancer context the engine would: a seeded
+// recorder and a ledger installed as the hierarchy's listener.
+func newContext(sys *machine.System, h *amr.Hierarchy) *dlb.Context {
+	led := load.NewLedger(sys, h, nil)
+	h.SetListener(led)
+	return &dlb.Context{Sys: sys, H: h, Load: newRecorder(sys, h), Ledger: led}
 }
 
 // BenchmarkMultigridSolve measures a full V-cycle solve to 1e-8 on a
@@ -476,14 +483,13 @@ func BenchmarkForecastRecord(b *testing.B) {
 	}
 }
 
-// --- DLB decision-path benchmarks: incremental ledger vs recompute ---
+// --- DLB decision-path benchmarks ---
 //
-// Each pair measures one decision-path operation at ~4k level-0 grids
-// on a 128-processor WAN pair, once through the incrementally
-// maintained load ledger and once through the original walk-the-
-// hierarchy recompute (the -ledgercheck oracle path). The grid count
-// matches a large SAMR run where per-decision O(grids) bookkeeping
-// starts to rival the useful work.
+// Each measures one decision-path operation at ~4k level-0 grids on a
+// 128-processor WAN pair, reading the incrementally maintained load
+// ledger. The grid count matches a large SAMR run, where a
+// per-decision O(grids) walk would rival the useful work (the
+// pre-ledger walk measured 6.3x-214x slower; CHANGES.md PR 2).
 
 // bench4k builds a balanced 4096-grid level 0 over 128 processors.
 func bench4k() (*machine.System, *amr.Hierarchy) {
@@ -498,13 +504,12 @@ func bench4k() (*machine.System, *amr.Hierarchy) {
 
 // BenchmarkDecisionGainLedger measures the engine's per-decision Gain
 // path with the ledger: an O(procs) snapshot of per-processor level
-// work feeds the recorder's incrementally bound Eq. 2 aggregates.
+// work feeds the recorder's incremental Eq. 2 aggregates.
 func BenchmarkDecisionGainLedger(b *testing.B) {
 	sys, h := bench4k()
 	led := load.NewLedger(sys, h, nil)
 	h.SetListener(led)
-	rec := load.NewRecorder(sys.NumProcs(), h.MaxLevel)
-	rec.BindGroups(sys)
+	rec := load.NewRecorder(sys, h.MaxLevel)
 	rec.SetIntervalTime(100)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -518,37 +523,11 @@ func BenchmarkDecisionGainLedger(b *testing.B) {
 	}
 }
 
-// BenchmarkDecisionGainRecompute is the pre-ledger baseline: the
-// snapshot walks every grid and the unbound recorder recomputes the
-// group sums over all processors.
-func BenchmarkDecisionGainRecompute(b *testing.B) {
-	sys, h := bench4k()
-	rec := load.NewRecorder(sys.NumProcs(), h.MaxLevel)
-	rec.SetIntervalTime(100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The pre-ledger decision path allocated its snapshot buffer per
-		// decision (see the levelWork fallback); charge the same here.
-		w := make([]float64, sys.NumProcs())
-		for _, g := range h.Grids(0) {
-			w[g.Owner] += float64(g.NumCells())
-		}
-		for p, v := range w {
-			rec.RecordLevelWork(p, 0, v)
-		}
-		if g := rec.Gain(sys); g < 0 {
-			b.Fatal("negative gain")
-		}
-	}
-}
-
 // BenchmarkDecisionGroupWorksLedger measures the Eq. 2/3 group-work
-// table through the incrementally bound recorder.
+// table through the recorder's incremental aggregates.
 func BenchmarkDecisionGroupWorksLedger(b *testing.B) {
 	sys, h := bench4k()
 	rec := newRecorder(sys, h)
-	rec.BindGroups(sys)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -559,44 +538,12 @@ func BenchmarkDecisionGroupWorksLedger(b *testing.B) {
 	}
 }
 
-// BenchmarkDecisionGroupWorksRecompute evaluates the same table
-// through the recompute oracle (summing every processor per query).
-func BenchmarkDecisionGroupWorksRecompute(b *testing.B) {
-	sys, h := bench4k()
-	rec := newRecorder(sys, h)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for g := 0; g < sys.NumGroups(); g++ {
-			if rec.GroupWorkRecompute(sys, g) < 0 {
-				b.Fatal("negative work")
-			}
-		}
-	}
-}
-
 // BenchmarkDecisionBalanceOverLedger measures the local phase's setup
 // cost on an already balanced 4k-grid level with the ledger supplying
 // the load maps and owned-grid lists.
 func BenchmarkDecisionBalanceOverLedger(b *testing.B) {
 	sys, h := bench4k()
-	led := load.NewLedger(sys, h, nil)
-	h.SetListener(led)
-	ctx := &dlb.Context{Sys: sys, H: h, Load: newRecorder(sys, h), Ledger: led}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if migs := (dlb.ParallelDLB{}).LocalBalance(ctx, 0); len(migs) != 0 {
-			b.Fatal("balanced level must not migrate")
-		}
-	}
-}
-
-// BenchmarkDecisionBalanceOverRecompute is the same pass building its
-// load maps by walking all 4k grids.
-func BenchmarkDecisionBalanceOverRecompute(b *testing.B) {
-	sys, h := bench4k()
-	ctx := &dlb.Context{Sys: sys, H: h, Load: newRecorder(sys, h)}
+	ctx := newContext(sys, h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -611,25 +558,7 @@ func BenchmarkDecisionBalanceOverRecompute(b *testing.B) {
 // redistribution on a balanced system) with ledger-backed aggregates.
 func BenchmarkDecisionGlobalCheckLedger(b *testing.B) {
 	sys, h := bench4k()
-	led := load.NewLedger(sys, h, nil)
-	h.SetListener(led)
-	rec := newRecorder(sys, h)
-	rec.BindGroups(sys)
-	ctx := &dlb.Context{Sys: sys, H: h, Load: rec, Ledger: led}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := (dlb.DistributedDLB{}).GlobalBalance(ctx); d.Invoked {
-			b.Fatal("balanced system must not redistribute")
-		}
-	}
-}
-
-// BenchmarkDecisionGlobalCheckRecompute is the same decision with
-// every aggregate recomputed from the hierarchy.
-func BenchmarkDecisionGlobalCheckRecompute(b *testing.B) {
-	sys, h := bench4k()
-	ctx := &dlb.Context{Sys: sys, H: h, Load: newRecorder(sys, h)}
+	ctx := newContext(sys, h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -650,9 +579,7 @@ func BenchmarkDecisionGlobalCheckRecompute(b *testing.B) {
 // (64³ domain split 8×8×8) with a worker pool attached.
 func benchFillHierarchy(pool *solver.Pool) *amr.Hierarchy {
 	h := amr.New(geom.UnitCube(64), 2, 0, 1, true, "q")
-	if pool != nil {
-		h.SetPool(pool)
-	}
+	h.SetPool(pool)
 	boxes := geom.BoxList{h.Domain}.SplitEvenly(512)
 	boxes.SortByLo()
 	for i, bx := range boxes {
@@ -750,19 +677,6 @@ func BenchmarkKernelStepAdvection(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelStepAdvectionReference is the original per-cell
-// closure implementation allocating its out-buffer every step.
-func BenchmarkKernelStepAdvectionReference(b *testing.B) {
-	p := grid.NewPatch(geom.UnitCube(32), 0, 1, solver.FieldQ)
-	p.FillFunc(solver.FieldQ, func(i geom.Index) float64 { return float64(i[0]) })
-	k := solver.Advection3D{Vel: [3]float64{1, 0.5, 0.25}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.StepReference(p, 0.01, 1.0/32)
-	}
-}
-
 // BenchmarkKernelStepBurgers measures the rewritten Godunov step with
 // pooled flux planes and scratch.
 func BenchmarkKernelStepBurgers(b *testing.B) {
@@ -776,19 +690,6 @@ func BenchmarkKernelStepBurgers(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelStepBurgersReference allocates fresh flux planes and
-// out-buffer every step, as the original did.
-func BenchmarkKernelStepBurgersReference(b *testing.B) {
-	p := grid.NewPatch(geom.UnitCube(32), 0, 1, solver.FieldQ)
-	p.FillFunc(solver.FieldQ, func(i geom.Index) float64 { return float64(i[0]%5) * 0.2 })
-	k := solver.Burgers3D{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.StepReference(p, 0.01, 1.0/32)
-	}
-}
-
 // --- regrid: pool-parallel vs sequential child initialisation ---
 
 // benchRegrid runs one RegridAll of the shock driver on a fresh
@@ -798,9 +699,7 @@ func benchRegrid(b *testing.B, pool *solver.Pool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		h := amr.New(geom.UnitCube(32), 2, 2, 1, true, "q")
-		if pool != nil {
-			h.SetPool(pool)
-		}
+		h.SetPool(pool)
 		g := h.AddGrid(0, h.Domain, 0, amr.NoGrid)
 		g.Patch.FillFunc("q", func(c geom.Index) float64 { return float64(c[0] + c[1] + c[2]) })
 		b.StartTimer()

@@ -7,7 +7,7 @@
 //
 // -policy selects the balancer from the policy registry (distributed,
 // parallel, sfc, hilbert-sfc, diffusion, diffusion-sos, knapsack, or
-// an alias such as "paper"); -scheme is the legacy spelling.
+// an alias such as "paper").
 // -tournament instead runs the seeded policy ablation — every
 // registered policy on identical scenario envelopes — printing a
 // markdown comparison report, with -bench-out writing the
@@ -67,8 +67,7 @@ func main() {
 	var (
 		dataset   = flag.String("dataset", "ShockPool3D", "ShockPool3D | AMR64 | SedovBlast | blob | uniform")
 		system    = flag.String("system", "wan", "wan | lan | origin (single machine)")
-		scheme    = flag.String("scheme", "distributed", "balancer policy (legacy spelling of -policy)")
-		policy    = flag.String("policy", "", "balancer policy: distributed | parallel | sfc | hilbert-sfc | diffusion | diffusion-sos | knapsack (or an alias; overrides -scheme)")
+		policy    = flag.String("policy", "distributed", "balancer policy: distributed | parallel | sfc | hilbert-sfc | diffusion | diffusion-sos | knapsack (or an alias)")
 		tourney   = flag.Bool("tournament", false, "run the policy ablation tournament instead of a single run: every registered policy on the same seeded scenario envelopes, printing a markdown comparison report")
 		tourneyN  = flag.Int("tournament-scenarios", 20, "tournament: number of generated scenario envelopes per policy")
 		tourneySd = flag.Int64("tournament-seed", 40000, "tournament: first scenario-generator seed")
@@ -109,10 +108,6 @@ func main() {
 		wrkRes    = flag.Bool("worker-resume", false, "internal: resume the worker from its checkpoint store")
 	)
 	flag.Parse()
-
-	if *policy != "" {
-		*scheme = *policy
-	}
 
 	if *tourney {
 		os.Exit(runTournament(*tourneyN, *tourneySd, *benchOut))
@@ -166,7 +161,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	bal, err := dlb.NewPolicy(*scheme)
+	bal, err := dlb.NewPolicy(*policy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "policy: %v\n", err)
 		os.Exit(2)
@@ -261,7 +256,7 @@ func main() {
 		// Rule scoping follows the policy's registered traits:
 		// structural rules always on, paper-specific rules only where
 		// the policy promises them.
-		checker = invariant.NewForPolicy(*scheme)
+		checker = invariant.NewForPolicy(*policy)
 		opt.Invariants = checker.Check
 	}
 	if *stopAftr >= 0 {

@@ -199,16 +199,10 @@ func (h *Hierarchy) runFillOp(dst *Grid, op *fillOp) {
 	}
 }
 
-// execFillPlan runs every destination's work list, in parallel over
-// the pool when one is attached (destinations never alias).
+// execFillPlan runs every destination's work list over the pool
+// (destinations never alias).
 func (h *Hierarchy) execFillPlan(plan []fillDest) {
-	if h.pool != nil && h.pool.Workers() > 1 && len(plan) > 1 {
-		h.pool.ForEach(len(plan), func(i int) { h.runFillDest(&plan[i]) })
-		return
-	}
-	for i := range plan {
-		h.runFillDest(&plan[i])
-	}
+	h.pool.ForEach(len(plan), func(i int) { h.runFillDest(&plan[i]) })
 }
 
 // runRestrictDest restricts every fine grid of one parent group.
@@ -220,16 +214,10 @@ func (h *Hierarchy) runRestrictDest(d *restrictDest) {
 	}
 }
 
-// execRestrictPlan runs the restriction groups, in parallel over the
-// pool when one is attached (each parent belongs to one group).
+// execRestrictPlan runs the restriction groups over the pool (each
+// parent belongs to one group).
 func (h *Hierarchy) execRestrictPlan(plan []restrictDest) {
-	if h.pool != nil && h.pool.Workers() > 1 && len(plan) > 1 {
-		h.pool.ForEach(len(plan), func(i int) { h.runRestrictDest(&plan[i]) })
-		return
-	}
-	for i := range plan {
-		h.runRestrictDest(&plan[i])
-	}
+	h.pool.ForEach(len(plan), func(i int) { h.runRestrictDest(&plan[i]) })
 }
 
 // fillGhostsChecked is the -datacheck oracle: run the planned fill,

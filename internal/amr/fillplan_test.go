@@ -107,9 +107,7 @@ func TestDataCheckOracle(t *testing.T) {
 func TestRegridPoolMatchesSequential(t *testing.T) {
 	build := func(pool *solver.Pool) *Hierarchy {
 		h := New(geom.UnitCube(16), 2, 1, 1, true, "q")
-		if pool != nil {
-			h.SetPool(pool)
-		}
+		h.SetPool(pool)
 		g := h.AddGrid(0, geom.UnitCube(16), 0, NoGrid)
 		g.Patch.FillFunc("q", func(i geom.Index) float64 {
 			return float64(i[0]*37+i[1]*11+i[2]) * 0.25

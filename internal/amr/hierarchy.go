@@ -113,9 +113,9 @@ type Hierarchy struct {
 	// Execution reads the immutable plan after the lock is released.
 	planMu sync.Mutex
 
-	// pool, when set, executes the cached fill/restrict/regrid data
-	// motion in parallel (safe: the plans partition writes by
-	// destination patch).
+	// pool executes the cached fill/restrict/regrid data motion (safe
+	// in parallel: the plans partition writes by destination patch);
+	// nil runs it inline.
 	pool *solver.Pool
 	// dataCheck re-runs every planned fill/restrict against the
 	// scan-based baseline and panics on bitwise divergence (the
@@ -291,15 +291,14 @@ func (h *Hierarchy) RemoveGrid(id GridID) {
 		}
 	}
 	lv := h.levels[g.Level]
-	for i, x := range lv {
-		if x.ID == id {
-			lv = append(lv[:i], lv[i+1:]...)
-			h.levels[g.Level] = lv
-			for j := i; j < len(lv); j++ {
-				lv[j].pos = j
-			}
-			break
-		}
+	i := g.pos
+	if i >= len(lv) || lv[i] != g {
+		panic(fmt.Sprintf("amr.RemoveGrid: grid %d is not at its recorded position %d of level %d", id, i, g.Level))
+	}
+	lv = append(lv[:i], lv[i+1:]...)
+	h.levels[g.Level] = lv
+	for j := i; j < len(lv); j++ {
+		lv[j].pos = j
 	}
 	delete(h.byID, id)
 	h.noteRemoved(g)

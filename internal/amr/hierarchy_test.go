@@ -87,6 +87,41 @@ func TestRemoveGrid(t *testing.T) {
 	h.RemoveGrid(GridID(999)) // unknown ID is a no-op
 }
 
+func TestRemoveGridKeepsPositions(t *testing.T) {
+	// RemoveGrid locates the grid by its maintained position; every
+	// survivor's position must track the shrinking level list whether the
+	// removal hits the front, the middle or the back.
+	h := newH(t, 8, 0, false)
+	var ids []GridID
+	for x := 0; x < 8; x++ {
+		g := h.AddGrid(0, geom.BoxFromShape(geom.Index{x, 0, 0}, geom.Index{1, 8, 8}), 0, NoGrid)
+		ids = append(ids, g.ID)
+	}
+	check := func(when string, want []GridID) {
+		t.Helper()
+		lv := h.Grids(0)
+		if len(lv) != len(want) {
+			t.Fatalf("%s: %d grids left, want %d", when, len(lv), len(want))
+		}
+		for i, g := range lv {
+			if g.ID != want[i] || g.pos != i {
+				t.Errorf("%s: slot %d holds grid %d at pos %d, want grid %d at pos %d", when, i, g.ID, g.pos, want[i], i)
+			}
+		}
+	}
+	h.RemoveGrid(ids[0])
+	check("front", ids[1:])
+	h.RemoveGrid(ids[4])
+	check("middle", []GridID{ids[1], ids[2], ids[3], ids[5], ids[6], ids[7]})
+	h.RemoveGrid(ids[7])
+	check("back", []GridID{ids[1], ids[2], ids[3], ids[5], ids[6]})
+
+	// A grid whose recorded position went stale is a corrupted level
+	// list, not something to search for.
+	h.Grids(0)[1].pos = 3
+	assertPanics(t, "stale position", func() { h.RemoveGrid(ids[2]) })
+}
+
 func TestClearLevelsFrom(t *testing.T) {
 	h := newH(t, 8, 2, false)
 	g := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)

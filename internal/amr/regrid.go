@@ -98,18 +98,10 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 				}
 			}
 		}
-		if len(pending) > 0 {
-			oldL := old[l+1]
-			if h.pool != nil && h.pool.Workers() > 1 && len(pending) > 1 {
-				h.pool.ForEach(len(pending), func(i int) {
-					h.initChildData(pending[i], oldL)
-				})
-			} else {
-				for _, child := range pending {
-					h.initChildData(child, oldL)
-				}
-			}
-		}
+		oldL := old[l+1]
+		h.pool.ForEach(len(pending), func(i int) {
+			h.initChildData(pending[i], oldL)
+		})
 		if !madeAny {
 			break
 		}

@@ -175,7 +175,7 @@ func (li *levelIndex) build(grids []*Grid, pool *solver.Pool) {
 		return
 	}
 	nb := len(li.buckets)
-	if pool != nil && pool.Workers() > 1 && n >= indexParallelMin {
+	if pool.Workers() > 1 && n >= indexParallelMin {
 		counts := make([]atomic.Int32, nb)
 		pool.ForEach(n, func(i int) {
 			li.forBuckets(grids[i].Box, func(b int) { counts[b].Add(1) })

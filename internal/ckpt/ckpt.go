@@ -173,9 +173,6 @@ func Open(dir string, keep int) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Keep returns the retention count.
-func (s *Store) Keep() int { return s.keep }
-
 // SetFault attaches a disk-fault injector consulted on every write.
 func (s *Store) SetFault(f DiskFault) { s.fault = f }
 

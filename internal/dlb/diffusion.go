@@ -97,7 +97,7 @@ func (b *DiffusionDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	z := make(map[int]float64, len(healthy))
 	maxN, minN := math.Inf(-1), math.Inf(1)
 	for _, g := range healthy {
-		z[g] = groupSubtreeWork(ctx, g) / sys.GroupPerf(g)
+		z[g] = ctx.Ledger.GroupSubtreeWork(g) / sys.GroupPerf(g)
 		maxN = math.Max(maxN, z[g])
 		minN = math.Min(minN, z[g])
 	}
@@ -178,33 +178,13 @@ func (b *DiffusionDLB) GlobalBalance(ctx *Context) GlobalDecision {
 // half of it fits the remaining flow, and grids are never split (the
 // integer-load rounding of arXiv:1308.0148).
 func moveLevel0Rounded(ctx *Context, donor, recv int, target float64) []Migration {
-	centroid := receiverCentroid(ctx, recv)
-	var donorGrids []*amr.Grid
-	if ctx.Ledger != nil {
-		for _, p := range sortedCopy(ctx.Sys.ProcsInGroup(donor)) {
-			donorGrids = append(donorGrids, ctx.Ledger.Owned(0, p)...)
-		}
-	} else {
-		for _, g := range ctx.H.Grids(0) {
-			if ctx.Sys.GroupOf(g.Owner) == donor {
-				donorGrids = append(donorGrids, g)
-			}
-		}
-	}
-	sort.Slice(donorGrids, func(i, j int) bool {
-		di := dist2(boxCentroid(donorGrids[i].Box), centroid)
-		dj := dist2(boxCentroid(donorGrids[j].Box), centroid)
-		if di != dj {
-			return di < dj
-		}
-		return donorGrids[i].ID < donorGrids[j].ID
-	})
+	donorGrids := donorLevel0Nearest(ctx, donor, receiverCentroid(ctx, recv))
 	recvProcs := groupProcs(ctx, recv)
 	numFields := len(ctx.H.Fields)
 	var out []Migration
 	var moved float64
 	for _, g := range donorGrids {
-		w := subtreeWork(ctx, g)
+		w := ctx.Ledger.SubtreeWork(g.ID)
 		if moved+w/2 > target {
 			continue // less than half fits; try a smaller grid further out
 		}

@@ -128,14 +128,14 @@ func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	// Eq. 3's iteration weighting — a level-0 grid whose region holds
 	// deep refinement carries far more work than its own cells.
 	frac := (maxN - minN) / (2 * maxN)
-	donorWork := groupSubtreeWork(ctx, donor)
+	donorWork := ctx.Ledger.GroupSubtreeWork(donor)
 	moveWork := frac * donorWork
 	if moveWork < 1 {
 		return d
 	}
 	// The transferred bytes are the level-0 share of the moved work
 	// (only level-0 grids migrate; finer grids are rebuilt from them).
-	donorCells := groupLevel0Cells(ctx, donor)
+	donorCells := ctx.Ledger.GroupLevel0Cells(donor)
 	moveBytes := int64(frac*float64(donorCells)) * int64(len(ctx.H.Fields)) * 8
 	if moveBytes < 8 {
 		moveBytes = 8
@@ -240,83 +240,13 @@ func degradeToLocal(ctx *Context, d *GlobalDecision) {
 	d.Invoked = len(d.Migrations) > 0
 }
 
-// groupLevel0Cells returns the donor group's W^0: total level-0 cells
-// owned by its processors. O(1) from the ledger; a full level-0 walk
-// otherwise.
-func groupLevel0Cells(ctx *Context, group int) int64 {
-	if ctx.Ledger != nil {
-		return ctx.Ledger.GroupLevel0Cells(group)
-	}
-	var n int64
-	for _, g := range ctx.H.Grids(0) {
-		if ctx.Sys.GroupOf(g.Owner) == group {
-			n += g.NumCells()
-		}
-	}
-	return n
-}
-
-// subtreeWork returns the iteration-weighted workload of a grid and
-// all its descendants: a level-l cell advances r^l times per level-0
-// step (Eq. 3's N^i_iter weighting for fully subcycled levels). The
-// ledger answers in O(1); the fallback recursion is O(subtree ×
-// level-width) because Children scans the next level.
-func subtreeWork(ctx *Context, g *amr.Grid) float64 {
-	if ctx.Ledger != nil {
-		return ctx.Ledger.SubtreeWork(g.ID)
-	}
-	iters := 1.0
-	for l := 0; l < g.Level; l++ {
-		iters *= float64(ctx.H.RefFactor)
-	}
-	w := float64(g.NumCells()) * iters
-	for _, c := range ctx.H.Children(g) {
-		w += subtreeWork(ctx, c)
-	}
-	return w
-}
-
-// groupSubtreeWork sums subtreeWork over the group's level-0 grids.
-// O(1) from the ledger; a recursive hierarchy walk otherwise.
-func groupSubtreeWork(ctx *Context, group int) float64 {
-	if ctx.Ledger != nil {
-		return ctx.Ledger.GroupSubtreeWork(group)
-	}
-	var w float64
-	for _, g := range ctx.H.Grids(0) {
-		if ctx.Sys.GroupOf(g.Owner) == group {
-			w += subtreeWork(ctx, g)
-		}
-	}
-	return w
-}
-
 // moveLevel0 migrates level-0 grids carrying approximately moveWork
 // iteration-weighted work from the donor group to the receiver group,
 // nearest-to-receiver first, splitting one grid if a whole grid would
 // overshoot by more than a quarter of its work.
 func moveLevel0(ctx *Context, donor, recv int, moveWork float64) []Migration {
 	target := receiverCentroid(ctx, recv)
-	var donorGrids []*amr.Grid
-	if ctx.Ledger != nil {
-		for _, p := range sortedCopy(ctx.Sys.ProcsInGroup(donor)) {
-			donorGrids = append(donorGrids, ctx.Ledger.Owned(0, p)...)
-		}
-	} else {
-		for _, g := range ctx.H.Grids(0) {
-			if ctx.Sys.GroupOf(g.Owner) == donor {
-				donorGrids = append(donorGrids, g)
-			}
-		}
-	}
-	sort.Slice(donorGrids, func(i, j int) bool {
-		di := dist2(boxCentroid(donorGrids[i].Box), target)
-		dj := dist2(boxCentroid(donorGrids[j].Box), target)
-		if di != dj {
-			return di < dj
-		}
-		return donorGrids[i].ID < donorGrids[j].ID
-	})
+	donorGrids := donorLevel0Nearest(ctx, donor, target)
 
 	recvProcs := groupProcs(ctx, recv)
 	numFields := len(ctx.H.Fields)
@@ -326,7 +256,7 @@ func moveLevel0(ctx *Context, donor, recv int, moveWork float64) []Migration {
 		if remaining <= 0 {
 			break
 		}
-		work := subtreeWork(ctx, g)
+		work := ctx.Ledger.SubtreeWork(g.ID)
 		if work <= remaining*1.25 {
 			// Move the whole grid.
 			from := g.Owner
@@ -350,6 +280,24 @@ func moveLevel0(ctx *Context, donor, recv int, moveWork float64) []Migration {
 		break
 	}
 	return out
+}
+
+// donorLevel0Nearest returns the donor group's level-0 grids ordered
+// nearest-to-target first, ties broken by grid ID.
+func donorLevel0Nearest(ctx *Context, donor int, target [3]float64) []*amr.Grid {
+	var grids []*amr.Grid
+	for _, p := range sortedCopy(ctx.Sys.ProcsInGroup(donor)) {
+		grids = append(grids, ctx.Ledger.Owned(0, p)...)
+	}
+	sort.Slice(grids, func(i, j int) bool {
+		di := dist2(boxCentroid(grids[i].Box), target)
+		dj := dist2(boxCentroid(grids[j].Box), target)
+		if di != dj {
+			return di < dj
+		}
+		return grids[i].ID < grids[j].ID
+	})
+	return grids
 }
 
 // adoptSubtree moves g's descendants onto g's (new) owner. Only

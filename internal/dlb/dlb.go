@@ -35,11 +35,10 @@ type Context struct {
 	Sys  *machine.System
 	H    *amr.Hierarchy
 	Load *load.Recorder
-	// Ledger, when non-nil, supplies the incrementally maintained
-	// aggregates (per-processor level loads, subtree works, owned-grid
-	// lists) so the decision path reads O(1)/O(procs) state. When nil
-	// every helper falls back to recomputing by walking the hierarchy
-	// — the original behaviour, kept as the -ledgercheck oracle.
+	// Ledger is the installed listener of H (required): it supplies the
+	// incrementally maintained aggregates (per-processor level loads,
+	// subtree works, owned-grid lists) every decision reads in
+	// O(1)/O(procs). Ledger.Verify is their independent recomputation.
 	Ledger *load.Ledger
 	// Now returns the current virtual time, needed to probe links
 	// whose background traffic varies.
@@ -173,20 +172,6 @@ type Balancer interface {
 	GlobalBalance(ctx *Context) GlobalDecision
 }
 
-// levelWork returns each processor's cell count at the given level:
-// an O(procs) ledger read when one is attached, else a full walk of
-// the level's grids.
-func levelWork(ctx *Context, level int) []float64 {
-	if ctx.Ledger != nil {
-		return ctx.Ledger.LevelWork(level)
-	}
-	w := make([]float64, ctx.Sys.NumProcs())
-	for _, g := range ctx.H.Grids(level) {
-		w[g.Owner] += float64(g.NumCells())
-	}
-	return w
-}
-
 // balanceOver evenly redistributes level-l grids over the processors
 // in procs, proportionally to their performance weights. Grids move
 // from the most-overloaded processor to the most-underloaded until no
@@ -196,35 +181,16 @@ func balanceOver(ctx *Context, level int, procs []int) []Migration {
 	if len(grids) == 0 || len(procs) < 2 {
 		return nil
 	}
-	// Load maps: an O(procs) ledger read when one is attached, else a
-	// full walk of the level's grids (the recompute oracle path).
 	loadOf := make(map[int]float64, len(procs))
 	byOwner := make(map[int][]*amr.Grid)
 	var perfSum, total float64
 	for _, p := range procs {
 		perfSum += ctx.Sys.Perf(p)
-	}
-	if ctx.Ledger != nil {
-		for _, p := range procs {
-			loadOf[p] = ctx.Ledger.ProcCells(level, p)
-			total += loadOf[p]
-			// Copy: migrations mutate both these working lists and,
-			// through ownership events, the ledger's own lists.
-			byOwner[p] = append([]*amr.Grid(nil), ctx.Ledger.Owned(level, p)...)
-		}
-	} else {
-		inSet := make(map[int]bool, len(procs))
-		for _, p := range procs {
-			inSet[p] = true
-		}
-		for _, g := range grids {
-			if !inSet[g.Owner] {
-				continue
-			}
-			loadOf[g.Owner] += float64(g.NumCells())
-			total += float64(g.NumCells())
-			byOwner[g.Owner] = append(byOwner[g.Owner], g)
-		}
+		loadOf[p] = ctx.Ledger.ProcCells(level, p)
+		total += loadOf[p]
+		// Copy: migrations mutate both these working lists and,
+		// through ownership events, the ledger's own lists.
+		byOwner[p] = append([]*amr.Grid(nil), ctx.Ledger.Owned(level, p)...)
 	}
 	if total == 0 {
 		return nil
@@ -336,10 +302,9 @@ func migrate(ctx *Context, g *amr.Grid, to int, out *[]Migration, byOwner map[in
 // leastLoadedProc returns the processor of the set with the smallest
 // perf-normalised cell count at the given level.
 func leastLoadedProc(ctx *Context, procs []int, level int) int {
-	w := levelWork(ctx, level)
 	best, bestN := procs[0], math.Inf(1)
 	for _, p := range procs {
-		n := w[p] / ctx.Sys.Perf(p)
+		n := ctx.Ledger.ProcCells(level, p) / ctx.Sys.Perf(p)
 		if n < bestN {
 			best, bestN = p, n
 		}

@@ -23,16 +23,26 @@ func slabHierarchy(n int, widths, owners []int) *amr.Hierarchy {
 	return h
 }
 
-func ctxFor(sys *machine.System, h *amr.Hierarchy) *Context {
-	rec := load.NewRecorder(sys.NumProcs(), h.MaxLevel)
-	return &Context{Sys: sys, H: h, Load: rec}
+// ctxFor builds the context the engine would: a recorder plus a ledger
+// installed as the hierarchy's listener. When the test ends the ledger
+// must still equal a recomputation from the hierarchy, whatever the
+// test migrated, split or regridded.
+func ctxFor(t testing.TB, sys *machine.System, h *amr.Hierarchy) *Context {
+	t.Helper()
+	led := load.NewLedger(sys, h, nil)
+	h.SetListener(led)
+	t.Cleanup(func() {
+		if err := led.Verify(); err != nil {
+			t.Errorf("ledger diverged from the hierarchy: %v", err)
+		}
+	})
+	return &Context{Sys: sys, H: h, Load: load.NewRecorder(sys, h.MaxLevel), Ledger: led}
 }
 
 // recordCellLoads snapshots each processor's level-0 cells into the
 // recorder, as the engine does after a step.
 func recordCellLoads(ctx *Context) {
-	w := levelWork(ctx, 0)
-	for p, v := range w {
+	for p, v := range ctx.Ledger.LevelWork(0) {
 		ctx.Load.RecordLevelWork(p, 0, v)
 	}
 }
@@ -43,6 +53,57 @@ func procCells(ctx *Context, level int) map[int]float64 {
 		out[g.Owner] += float64(g.NumCells())
 	}
 	return out
+}
+
+// subtreeWorkWalk is the iteration-weighted workload of g and its
+// descendants by recursion over the hierarchy: a level-l cell advances
+// RefFactor^l times per level-0 step.
+func subtreeWorkWalk(ctx *Context, g *amr.Grid) float64 {
+	w := float64(g.NumCells()) * math.Pow(float64(ctx.H.RefFactor), float64(g.Level))
+	for _, c := range ctx.H.Children(g) {
+		w += subtreeWorkWalk(ctx, c)
+	}
+	return w
+}
+
+// assertLedgerMatchesWalk checks every aggregate the decision path
+// reads against a walk of the hierarchy.
+func assertLedgerMatchesWalk(t *testing.T, ctx *Context, when string) {
+	t.Helper()
+	for l := 0; l <= ctx.H.MaxLevel; l++ {
+		pc := procCells(ctx, l)
+		for p := 0; p < ctx.Sys.NumProcs(); p++ {
+			if got := ctx.Ledger.ProcCells(l, p); got != pc[p] {
+				t.Errorf("%s: level %d proc %d: ledger %v cells, walk %v", when, l, p, got, pc[p])
+			}
+			var owned float64
+			for _, g := range ctx.Ledger.Owned(l, p) {
+				if g.Owner != p || g.Level != l {
+					t.Errorf("%s: owned[%d][%d] lists grid %d (level %d, owner %d)", when, l, p, g.ID, g.Level, g.Owner)
+				}
+				owned += float64(g.NumCells())
+			}
+			if owned != pc[p] {
+				t.Errorf("%s: level %d proc %d: owned list holds %v cells, walk %v", when, l, p, owned, pc[p])
+			}
+		}
+	}
+	groupWork := make([]float64, ctx.Sys.NumGroups())
+	for _, g := range ctx.H.Grids(0) {
+		w := subtreeWorkWalk(ctx, g)
+		if got := ctx.Ledger.SubtreeWork(g.ID); got != w {
+			t.Errorf("%s: subtree work of grid %d: ledger %v, walk %v", when, g.ID, got, w)
+		}
+		groupWork[ctx.Sys.GroupOf(g.Owner)] += w
+	}
+	for grp, want := range groupWork {
+		if got := ctx.Ledger.GroupSubtreeWork(grp); got != want {
+			t.Errorf("%s: group %d subtree work: ledger %v, walk %v", when, grp, got, want)
+		}
+		if got, want := float64(ctx.Ledger.GroupLevel0Cells(grp)), groupCells(ctx, 0, grp); got != want {
+			t.Errorf("%s: group %d level-0 cells: ledger %v, walk %v", when, grp, got, want)
+		}
+	}
 }
 
 func groupCells(ctx *Context, level, group int) float64 {
@@ -59,7 +120,7 @@ func TestParallelLocalBalanceEvensAllProcs(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	// 8 equal slabs, all initially on proc 0.
 	h := slabHierarchy(8, []int{1, 1, 1, 1, 1, 1, 1, 1}, []int{0, 0, 0, 0, 0, 0, 0, 0})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	migs := ParallelDLB{}.LocalBalance(ctx, 0)
 	if len(migs) == 0 {
 		t.Fatal("expected migrations")
@@ -86,7 +147,7 @@ func TestDistributedLocalBalanceStaysInGroup(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	// Group 0 overloaded on proc 0; group 1 balanced-ish on proc 2.
 	h := slabHierarchy(8, []int{1, 1, 1, 1, 2, 2}, []int{0, 0, 0, 0, 2, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	migs := DistributedDLB{}.LocalBalance(ctx, 0)
 	for _, m := range migs {
 		if !sys.SameGroup(m.From, m.To) {
@@ -108,7 +169,7 @@ func TestBalanceRespectsPerfWeights(t *testing.T) {
 	// A 2:1 performance system: the fast proc should get ~2x the work.
 	sys := machine.Heterogeneous(1, 1, 0.5, nil)
 	h := slabHierarchy(6, []int{1, 1, 1, 1, 1, 1}, []int{0, 0, 0, 0, 0, 0})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	balanceOver(ctx, 0, []int{0, 1})
 	pc := procCells(ctx, 0)
 	// Total 216 cells; targets 144 (perf 1) and 72 (perf 0.5). Grid
@@ -121,7 +182,7 @@ func TestBalanceRespectsPerfWeights(t *testing.T) {
 func TestPlaceChildDistributedKeepsParentGroup(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{4, 4}, []int{1, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	parent := ctx.H.Grids(0)[1] // owned by proc 2 (group 1)
 	owner := DistributedDLB{}.PlaceChild(ctx, geom.UnitCube(2), parent)
 	if sys.GroupOf(owner) != 1 {
@@ -137,7 +198,7 @@ func TestPlaceChildParallelPicksGloballyLeastLoaded(t *testing.T) {
 	h.AddGrid(1, geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{4, 4, 4}), 0, p.ID)
 	h.AddGrid(1, geom.BoxFromShape(geom.Index{4, 0, 0}, geom.Index{4, 4, 4}), 1, p.ID)
 	h.AddGrid(1, geom.BoxFromShape(geom.Index{8, 0, 0}, geom.Index{4, 4, 4}), 2, p.ID)
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	owner := ParallelDLB{}.PlaceChild(ctx, geom.UnitCube(2), p)
 	if owner != 3 {
 		t.Errorf("parallel placement = %d, want idle proc 3", owner)
@@ -147,7 +208,7 @@ func TestPlaceChildParallelPicksGloballyLeastLoaded(t *testing.T) {
 func TestGlobalBalanceNoImbalanceNoAction(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{4, 4}, []int{0, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	d := DistributedDLB{}.GlobalBalance(ctx)
@@ -161,7 +222,7 @@ func TestGlobalBalanceMovesPaperAmount(t *testing.T) {
 	// Donor group 0: slabs of 2 planes each, x in [0,6) = 384 cells on
 	// procs 0/1; receiver group 1: x in [6,8) = 128 cells on proc 2.
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 1, 0, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	d := DistributedDLB{}.GlobalBalance(ctx)
@@ -195,7 +256,7 @@ func TestGlobalBalanceMovesPaperAmount(t *testing.T) {
 func TestGlobalBalanceMovesNearestGrids(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 1, 0, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	d := DistributedDLB{}.GlobalBalance(ctx)
@@ -214,7 +275,7 @@ func TestGlobalBalanceSplitsGrids(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	// Donor owns one big 6-plane slab (384 cells); receiver has 128.
 	h := slabHierarchy(8, []int{6, 2}, []int{0, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	nBefore := h.TotalCells(0)
@@ -244,7 +305,7 @@ func TestGlobalBalanceSplitsGrids(t *testing.T) {
 func TestGlobalBalanceGammaGate(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 1, 0, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	ctx.Gamma = 1e12
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
@@ -264,7 +325,7 @@ func TestGlobalBalanceAdaptsToTraffic(t *testing.T) {
 	build := func(traffic netsim.TrafficModel) GlobalDecision {
 		sys := machine.WanPair(2, traffic)
 		h := slabHierarchy(32, []int{8, 8, 8, 8}, []int{0, 1, 0, 2})
-		ctx := ctxFor(sys, h)
+		ctx := ctxFor(t, sys, h)
 		recordCellLoads(ctx)
 		ctx.Load.SetIntervalTime(0.2)
 		return DistributedDLB{}.GlobalBalance(ctx)
@@ -288,7 +349,7 @@ func TestGlobalBalanceAdaptsToTraffic(t *testing.T) {
 func TestGlobalBalanceDeltaRaisesCost(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 1, 0, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	ctx.Load.SetDelta(1e9) // enormous recorded repartition overhead
@@ -304,7 +365,7 @@ func TestGlobalBalanceDeltaRaisesCost(t *testing.T) {
 func TestGlobalBalanceSingleGroupDegenerates(t *testing.T) {
 	sys := machine.Origin2000("ANL", 4)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	d := DistributedDLB{}.GlobalBalance(ctx)
 	if !d.Invoked {
@@ -321,7 +382,7 @@ func TestGlobalBalanceSingleGroupDegenerates(t *testing.T) {
 func TestParallelGlobalBalanceReportsMigrations(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	d := ParallelDLB{}.GlobalBalance(ctx)
 	if !d.Invoked || len(d.Migrations) == 0 || d.MovedBytes == 0 {
 		t.Errorf("parallel global balance should move grids: %+v", d)
@@ -343,7 +404,7 @@ func TestImbalanceHelper(t *testing.T) {
 func TestBalanceOverNoGridsOrOneProc(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := amr.New(geom.UnitCube(8), 2, 1, 1, false, "q")
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	if migs := balanceOver(ctx, 0, []int{0, 1}); migs != nil {
 		t.Error("no grids should yield no migrations")
 	}
@@ -371,7 +432,7 @@ func TestForecastSmoothsSpikyProbes(t *testing.T) {
 	mkCtx := func() *Context {
 		sys := machine.WanPair(2, spike)
 		h := slabHierarchy(32, []int{8, 8, 8, 8}, []int{0, 1, 0, 2})
-		ctx := ctxFor(sys, h)
+		ctx := ctxFor(t, sys, h)
 		recordCellLoads(ctx)
 		// T chosen so gain sits between γ·cost(quiet) and γ·cost(spike).
 		ctx.Load.SetIntervalTime(0.2)
@@ -415,7 +476,7 @@ func TestGlobalBalanceThreeGroups(t *testing.T) {
 	h.AddGrid(0, geom.BoxFromShape(geom.Index{4, 0, 0}, geom.Index{4, 12, 12}), 0, amr.NoGrid)
 	h.AddGrid(0, geom.BoxFromShape(geom.Index{8, 0, 0}, geom.Index{3, 12, 12}), 1, amr.NoGrid)
 	h.AddGrid(0, geom.BoxFromShape(geom.Index{11, 0, 0}, geom.Index{1, 12, 12}), 2, amr.NoGrid)
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	d := DistributedDLB{}.GlobalBalance(ctx)

@@ -75,7 +75,7 @@ func TestSplitTowardsEdgeCases(t *testing.T) {
 	// least 2 planes). A 1x1x1 grid is unsplittable in every dimension.
 	h := amr.New(geom.UnitCube(4), 2, 1, 1, false, "q")
 	tiny := h.AddGrid(0, geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{1, 1, 1}), 0, amr.NoGrid)
-	if p := splitTowards(ctxFor(sys, h), tiny, 0.5, [3]float64{0, 0, 0}); p != nil {
+	if p := splitTowards(ctxFor(t, sys, h), tiny, 0.5, [3]float64{0, 0, 0}); p != nil {
 		t.Errorf("splitting a 1-cell grid returned %+v, want nil", p)
 	}
 
@@ -84,7 +84,7 @@ func TestSplitTowardsEdgeCases(t *testing.T) {
 		h := slabHierarchy(8, []int{8}, []int{0})
 		g := h.Grids(0)[0]
 		before := g.NumCells()
-		piece := splitTowards(ctxFor(sys, h), g, frac, [3]float64{0, 0.5, 0.5})
+		piece := splitTowards(ctxFor(t, sys, h), g, frac, [3]float64{0, 0.5, 0.5})
 		if piece == nil {
 			t.Fatalf("frac=%g: split returned nil", frac)
 		}
@@ -104,7 +104,7 @@ func TestSplitTowardsEdgeCases(t *testing.T) {
 	}{{0, 0}, {8, 4}} {
 		h := slabHierarchy(8, []int{8}, []int{0})
 		g := h.Grids(0)[0]
-		piece := splitTowards(ctxFor(sys, h), g, 0.5, [3]float64{c.targetX, 4, 4})
+		piece := splitTowards(ctxFor(t, sys, h), g, 0.5, [3]float64{c.targetX, 4, 4})
 		if piece == nil || piece.Box.Lo[0] != c.wantLoX {
 			t.Errorf("target x=%g: piece at x=%d, want %d", c.targetX, piece.Box.Lo[0], c.wantLoX)
 		}
@@ -116,28 +116,28 @@ func TestBalanceOverEdgeCases(t *testing.T) {
 
 	// Degenerate proc sets: empty and singleton sets cannot balance.
 	h := slabHierarchy(8, []int{4, 4}, []int{0, 0})
-	if migs := balanceOver(ctxFor(sys, h), 0, nil); len(migs) != 0 {
+	if migs := balanceOver(ctxFor(t, sys, h), 0, nil); len(migs) != 0 {
 		t.Errorf("empty proc set produced migrations: %v", migs)
 	}
-	if migs := balanceOver(ctxFor(sys, h), 0, []int{0}); len(migs) != 0 {
+	if migs := balanceOver(ctxFor(t, sys, h), 0, []int{0}); len(migs) != 0 {
 		t.Errorf("singleton proc set produced migrations: %v", migs)
 	}
 
 	// A level with no grids is vacuously balanced.
-	if migs := balanceOver(ctxFor(sys, h), 1, []int{0, 1}); len(migs) != 0 {
+	if migs := balanceOver(ctxFor(t, sys, h), 1, []int{0, 1}); len(migs) != 0 {
 		t.Errorf("empty level produced migrations: %v", migs)
 	}
 
 	// One unsplittable grid between two processors: moving it to the
 	// idle processor just mirrors the imbalance, so nothing may move.
 	h1 := slabHierarchy(8, []int{8}, []int{0})
-	if migs := balanceOver(ctxFor(sys, h1), 0, []int{0, 1}); len(migs) != 0 {
+	if migs := balanceOver(ctxFor(t, sys, h1), 0, []int{0, 1}); len(migs) != 0 {
 		t.Errorf("single-grid set moved anyway: %v", migs)
 	}
 
 	// Zero-load processor in the set: work flows to it until even.
 	h2 := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
-	ctx2 := ctxFor(sys, h2)
+	ctx2 := ctxFor(t, sys, h2)
 	if migs := balanceOver(ctx2, 0, []int{0, 1}); len(migs) != 2 {
 		t.Errorf("expected 2 slabs to move to the idle processor, got %v", migs)
 	}
@@ -149,7 +149,7 @@ func TestBalanceOverEdgeCases(t *testing.T) {
 	// Grids owned outside the proc set are invisible: never counted,
 	// never moved.
 	h3 := slabHierarchy(8, []int{4, 2, 2}, []int{2, 0, 0})
-	ctx3 := ctxFor(sys, h3)
+	ctx3 := ctxFor(t, sys, h3)
 	migs := balanceOver(ctx3, 0, []int{0, 1})
 	for _, m := range migs {
 		if m.From == 2 || m.To == 2 {
@@ -193,7 +193,7 @@ func TestGlobalBalanceSkipsDeadGroups(t *testing.T) {
 	// Donor group 0 holds 384 cells, alive group 2 holds 128, dead
 	// group 1 holds nothing — exactly the minimum-work group.
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	d := DistributedDLB{}.GlobalBalance(ctx)
@@ -224,7 +224,7 @@ func TestGlobalBalanceDegradesWhenReceiverGroupDead(t *testing.T) {
 	sys.SetHealth(2, 0)
 	sys.SetHealth(3, 0)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	d := DistributedDLB{}.GlobalBalance(ctx)

@@ -24,7 +24,7 @@ func TestGlobalBalanceSkipsQuarantinedGroup(t *testing.T) {
 	// Slabs: g0 (procs 0,1) heavy, g1 (procs 2,3) heaviest but cut
 	// off, g2 (procs 4,5) light.
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 2, 0, 4})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	ctx.Quarantined = quarantineOf(1)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
@@ -56,7 +56,7 @@ func TestGlobalBalanceDegradesToLocalOnly(t *testing.T) {
 	// Group 0: everything on proc 0 (proc 1 idle); group 1: everything
 	// on proc 2 (proc 3 idle).
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 2, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	ctx.Quarantined = quarantineOf(1)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
@@ -92,7 +92,7 @@ func TestGlobalBalanceZeroWorkNoPanic(t *testing.T) {
 	// neither divide by zero nor invoke redistribution.
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, nil, nil) // empty hierarchy, zero work
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	ctx.ForceEval = true // bypass the imbalance trigger to reach the guard
@@ -111,7 +111,7 @@ func TestGlobalBalanceAllWorkQuarantinedNoPanic(t *testing.T) {
 	// selecting the quarantined group.
 	sys := machine.MultiSite([]int{2, 2, 2}, nil)
 	h := slabHierarchy(8, []int{8}, []int{2}) // all work in group 1
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	ctx.Quarantined = quarantineOf(1)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
@@ -130,7 +130,7 @@ func TestGlobalBalanceOneHealthyGroupDegrades(t *testing.T) {
 	// for a global phase.
 	sys := machine.MultiSite([]int{2, 2, 2}, nil)
 	h := slabHierarchy(8, []int{4, 4}, []int{0, 0})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	ctx.Quarantined = quarantineOf(1, 2)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)

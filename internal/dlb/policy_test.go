@@ -94,7 +94,7 @@ func TestPolicyDiffusionBalancesGroupsWithWholeGrids(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	// Four level-0 slabs, all owned by group 0 (procs 0 and 1).
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	before := len(h.Grids(0))
 
 	b, _ := NewPolicy("diffusion")
@@ -133,7 +133,7 @@ func TestPolicyDiffusionBelowTriggerDoesNothing(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	// Already balanced across the groups.
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 1, 2, 3})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	b, _ := NewPolicy("diffusion")
 	d := b.GlobalBalance(ctx)
 	if d.Evaluated || d.Invoked || len(d.Migrations) != 0 {
@@ -144,7 +144,7 @@ func TestPolicyDiffusionBelowTriggerDoesNothing(t *testing.T) {
 func TestPolicyDiffusionSOSKeepsFlowMemory(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	b := &DiffusionDLB{Order: 2}
 	if b.Name() != "diffusion-sos-dlb" {
 		t.Fatalf("name = %q", b.Name())
@@ -158,7 +158,7 @@ func TestPolicyDiffusionSOSKeepsFlowMemory(t *testing.T) {
 	}
 	// First-order leaves no memory behind.
 	f := &DiffusionDLB{}
-	f.GlobalBalance(ctxFor(sys, slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})))
+	f.GlobalBalance(ctxFor(t, sys, slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})))
 	if f.prevFlow != nil {
 		t.Fatal("first-order scheme must stay stateless")
 	}
@@ -167,7 +167,7 @@ func TestPolicyDiffusionSOSKeepsFlowMemory(t *testing.T) {
 func TestPolicyDiffusionDegradesWhenIsolated(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	ctx.Quarantined = func(group int, t float64) bool { return group == 1 }
 	b, _ := NewPolicy("diffusion")
 	d := b.GlobalBalance(ctx)
@@ -186,7 +186,7 @@ func TestPolicyKnapsackPacksWithinGroups(t *testing.T) {
 	// Uneven slabs, everything on proc 0 of group 0 and proc 2 of
 	// group 1.
 	h := slabHierarchy(8, []int{3, 1, 2, 2}, []int{0, 0, 2, 2})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	k := KnapsackDLB{MoveFrac: 1}
 	migs := k.LocalBalance(ctx, 0)
 	if len(migs) == 0 {
@@ -211,7 +211,7 @@ func TestPolicyKnapsackPacksWithinGroups(t *testing.T) {
 func TestPolicyKnapsackMovementCapBinds(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	// A cap far below one grid's bytes freezes the layout even though
 	// it is maximally imbalanced.
 	k := KnapsackDLB{MoveFrac: 0.0001}
@@ -234,7 +234,7 @@ func TestPolicyHilbertSFCContiguousRuns(t *testing.T) {
 			}
 		}
 	}
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	s := SFCDLB{Curve: CurveHilbert}
 	migs := s.LocalBalance(ctx, 0)
 	if len(migs) == 0 {

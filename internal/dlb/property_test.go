@@ -48,7 +48,7 @@ func TestLocalBalancePreservesGridsProperty(t *testing.T) {
 		default:
 			bal = SFCDLB{}
 		}
-		ctx := ctxFor(sys, h)
+		ctx := ctxFor(t, sys, h)
 		migs := bal.LocalBalance(ctx, 0)
 		after := cellsByID(h)
 		if len(after) != len(before) {
@@ -80,10 +80,10 @@ func TestLocalBalanceNeverWorsensImbalanceProperty(t *testing.T) {
 	sys := machine.Origin2000("ANL", 5)
 	for trial := 0; trial < 40; trial++ {
 		h := randomHierarchy(rng, sys, 12)
-		ctx := ctxFor(sys, h)
-		before := Imbalance(levelWork(ctx, 0))
+		ctx := ctxFor(t, sys, h)
+		before := Imbalance(ctx.Ledger.LevelWork(0))
 		ParallelDLB{}.LocalBalance(ctx, 0)
-		after := Imbalance(levelWork(ctx, 0))
+		after := Imbalance(ctx.Ledger.LevelWork(0))
 		if after > before+1e-12 {
 			t.Fatalf("trial %d: imbalance worsened %v -> %v", trial, before, after)
 		}
@@ -95,7 +95,7 @@ func TestGlobalBalancePreservesCellsProperty(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	for trial := 0; trial < 30; trial++ {
 		h := randomHierarchy(rng, sys, 12)
-		ctx := ctxFor(sys, h)
+		ctx := ctxFor(t, sys, h)
 		recordCellLoads(ctx)
 		ctx.Load.SetIntervalTime(10 + rng.Float64()*200)
 		total := h.TotalCells(0)

@@ -93,11 +93,9 @@ func sfcPartition(ctx *Context, level int, procs []int, keyOf func(geom.Box) uin
 		inSet[p] = true
 	}
 	var grids []*amr.Grid
-	var total float64
 	for _, g := range ctx.H.Grids(level) {
 		if inSet[g.Owner] {
 			grids = append(grids, g)
-			total += float64(g.NumCells())
 		}
 	}
 	if len(grids) == 0 {
@@ -111,9 +109,10 @@ func sfcPartition(ctx *Context, level int, procs []int, keyOf func(geom.Box) uin
 		}
 		return grids[i].ID < grids[j].ID
 	})
-	var perfSum float64
+	var perfSum, total float64
 	for _, p := range procs {
 		perfSum += ctx.Sys.Perf(p)
+		total += ctx.Ledger.ProcCells(level, p)
 	}
 	var out []Migration
 	var assigned, cumPerf float64

@@ -78,7 +78,7 @@ func TestSFCLocalBalanceContiguousRuns(t *testing.T) {
 			}
 		}
 	}
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	migs := SFCDLB{}.LocalBalance(ctx, 0)
 	if len(migs) == 0 {
 		t.Fatal("expected migrations")
@@ -116,7 +116,7 @@ func TestSFCRespectsPerfWeights(t *testing.T) {
 	// phase itself never crosses groups, so drive the partitioner).
 	sys := machine.Heterogeneous(1, 1, 0.5, nil)
 	h := slabHierarchy(6, []int{1, 1, 1, 1, 1, 1}, []int{0, 0, 0, 0, 0, 0})
-	ctx := ctxFor(sys, h)
+	ctx := ctxFor(t, sys, h)
 	sfcPartition(ctx, 0, []int{0, 1}, SFCDLB{}.keyOf)
 	pc := procCells(ctx, 0)
 	if pc[0] != 144 || pc[1] != 72 {
@@ -128,7 +128,7 @@ func TestSFCGlobalPhaseMatchesDistributed(t *testing.T) {
 	mk := func() *Context {
 		sys := machine.WanPair(2, nil)
 		h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 1, 0, 2})
-		ctx := ctxFor(sys, h)
+		ctx := ctxFor(t, sys, h)
 		recordCellLoads(ctx)
 		ctx.Load.SetIntervalTime(100)
 		return ctx
@@ -161,7 +161,7 @@ func TestSFCLocalBalanceSkipsFailedProcs(t *testing.T) {
 		sys := machine.WanPair(3, nil) // group 0 = procs 0,1,2
 		sys.SetHealth(1, 0)
 		h := slabHierarchy(6, []int{1, 1, 1, 1, 1, 1}, []int{0, 0, 0, 0, 0, 0})
-		ctx := ctxFor(sys, h)
+		ctx := ctxFor(t, sys, h)
 		migs := SFCDLB{Curve: curve}.LocalBalance(ctx, 0)
 		if len(migs) == 0 {
 			t.Fatalf("curve %v: expected migrations onto the surviving procs", curve)

@@ -102,7 +102,7 @@ type Options struct {
 	// each durable generation write (chaos harnesses use it to kill a
 	// worker mid-checkpoint). seq is the monotone write-attempt index.
 	BeforeCheckpointWrite func(step, seq int)
-	// Pool runs patch kernels in parallel (nil = sequential).
+	// Pool runs patch kernels and data motion in parallel (nil = inline).
 	Pool *solver.Pool
 	// Trace, when non-nil, records structured events.
 	Trace *trace.Recorder
@@ -277,12 +277,18 @@ type Runner struct {
 	// plain reuse is safe.
 	perProcBuf, workBuf   []float64
 	commLocal, commRemote []float64
-	pairBytes             map[commPair]int64
-	pairList              []commPair
+	pairIndex             map[commPair]int
+	xfers                 []transfer
 }
 
 // commPair keys the per-(src,dst) aggregation of chargeMessages.
 type commPair struct{ src, dst int }
+
+// transfer is one (src proc, dst proc, bytes) movement to be charged.
+type transfer struct {
+	commPair
+	bytes int64
+}
 
 // procScratch returns a zeroed length-n slice backed by the given
 // reusable buffer (grown once, then recycled every call).
@@ -319,8 +325,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		dt0:          driver.Dt0(),
 		t:            simT,
 	}
-	r.rec = load.NewRecorder(sys.NumProcs(), opt.MaxLevel)
-	r.rec.BindGroups(sys)
+	r.rec = load.NewRecorder(sys, opt.MaxLevel)
 	r.ctx = &dlb.Context{
 		Sys: sys, Load: r.rec,
 		Now:          r.clock.Now,
@@ -981,28 +986,14 @@ func (r *Runner) advanceLevel(level int) {
 		}) {
 			r.h.FillGhostsData(level)
 		}
-		if r.shards != nil && !r.shards.worker {
-			// Rank-parallel execution, as ENZO does over MPI: every
-			// simulated processor advances only its own grids.
-			r.shards.mustRun(func(rank *mpx.Rank) {
-				for _, g := range grids {
-					if g.Owner != rank.ID() {
-						continue
-					}
-					for _, k := range r.kernels {
-						k.Step(g.Patch, dt, dx)
-					}
-				}
-			})
-		} else {
-			// Shared memory steps every grid over the host pool. So does
-			// a worker replica, not just its own grids: its copies of
-			// remote-owned grids stay as fresh as the last wire exchange
-			// allows, so after a detach the plain data path continues
-			// from a self-consistent state. The virtual compute charge
-			// below is ledger-driven and unaffected.
-			r.stepGrids(grids, level, dt, dx)
-		}
+		// Every transport steps every grid over the host pool: ranks exist
+		// for the exchange phases, kernels are per-grid independent. A
+		// worker replica therefore steps its copies of remote-owned grids
+		// too, keeping them as fresh as the last wire exchange allows, so
+		// after a detach the plain data path continues from a
+		// self-consistent state. The virtual compute charge below is
+		// ledger-driven and unaffected.
+		r.stepGrids(grids, level, dt, dx)
 	}
 
 	// Virtual compute time and workload snapshot: the per-processor
@@ -1069,13 +1060,7 @@ func (r *Runner) stepGrids(grids []*amr.Grid, level int, dt, dx float64) {
 			fl.Release()
 		}
 	}
-	if r.opt.Pool != nil {
-		r.opt.Pool.ForEach(len(grids), stepGrid)
-	} else {
-		for i := range grids {
-			stepGrid(i)
-		}
-	}
+	r.opt.Pool.ForEach(len(grids), stepGrid)
 }
 
 // particleWork advances the particle population (once per level-0
@@ -1116,13 +1101,12 @@ func (r *Runner) chargeMessages(msgs []amr.Message, localPhase, remotePhase vclo
 	if len(msgs) == 0 {
 		return
 	}
-	if r.pairBytes == nil {
-		r.pairBytes = make(map[commPair]int64)
+	if r.pairIndex == nil {
+		r.pairIndex = make(map[commPair]int)
 	} else {
-		clear(r.pairBytes)
+		clear(r.pairIndex)
 	}
-	bytesBy := r.pairBytes
-	pairs := r.pairList[:0]
+	pairs := r.xfers[:0]
 	for _, m := range msgs {
 		src := r.h.Grid(m.Src).Owner
 		dst := r.h.Grid(m.Dst).Owner
@@ -1130,12 +1114,14 @@ func (r *Runner) chargeMessages(msgs []amr.Message, localPhase, remotePhase vclo
 			continue
 		}
 		key := commPair{src, dst}
-		if _, seen := bytesBy[key]; !seen {
-			pairs = append(pairs, key)
+		i, seen := r.pairIndex[key]
+		if !seen {
+			i = len(pairs)
+			r.pairIndex[key] = i
+			pairs = append(pairs, transfer{commPair: key})
 		}
-		bytesBy[key] += m.Bytes
+		pairs[i].bytes += m.Bytes
 	}
-	r.pairList = pairs
 	// Deterministic accumulation order: the per-processor float sums
 	// (and hence every downstream DLB decision) depend on it.
 	sort.Slice(pairs, func(i, j int) bool {
@@ -1144,59 +1130,43 @@ func (r *Runner) chargeMessages(msgs []amr.Message, localPhase, remotePhase vclo
 		}
 		return pairs[i].dst < pairs[j].dst
 	})
-	local := procScratch(&r.commLocal, r.sys.NumProcs())
-	remote := procScratch(&r.commRemote, r.sys.NumProcs())
-	now := r.clock.Now()
-	anyLocal, anyRemote := false, false
-	for _, pr := range pairs {
-		link, err := r.sys.LinkBetween(pr.src, pr.dst)
-		if err != nil {
-			// No fabric link between the pair: nothing to charge.
-			continue
-		}
-		tt := link.TransferTime(now, float64(bytesBy[pr]))
-		if r.sys.SameGroup(pr.src, pr.dst) {
-			local[pr.src] += tt
-			local[pr.dst] += tt
-			anyLocal = true
-		} else {
-			remote[pr.src] += tt
-			remote[pr.dst] += tt
-			anyRemote = true
-		}
-	}
-	if anyLocal {
-		r.clock.AddPhase(localPhase, local)
-	}
-	if anyRemote {
-		r.clock.AddPhase(remotePhase, remote)
-	}
+	r.xfers = pairs
+	r.chargeTransfers(pairs, localPhase, remotePhase)
 }
 
 // chargeMigrations charges grid-migration transfers into the given
 // phases (local and remote by group relation).
 func (r *Runner) chargeMigrations(migs []dlb.Migration, localPhase, remotePhase vclock.Phase) {
-	if len(migs) == 0 {
-		return
+	xs := r.xfers[:0]
+	for _, m := range migs {
+		xs = append(xs, transfer{commPair{m.From, m.To}, m.Bytes})
 	}
+	r.xfers = xs
+	r.chargeTransfers(xs, localPhase, remotePhase)
+}
+
+// chargeTransfers charges each transfer's link time to both of its
+// endpoints, in list order: into localPhase when they share a group,
+// into remotePhase otherwise.
+func (r *Runner) chargeTransfers(xs []transfer, localPhase, remotePhase vclock.Phase) {
 	local := procScratch(&r.commLocal, r.sys.NumProcs())
 	remote := procScratch(&r.commRemote, r.sys.NumProcs())
 	now := r.clock.Now()
 	anyLocal, anyRemote := false, false
-	for _, m := range migs {
-		link, err := r.sys.LinkBetween(m.From, m.To)
+	for _, x := range xs {
+		link, err := r.sys.LinkBetween(x.src, x.dst)
 		if err != nil {
 			// No fabric link between the pair: nothing to charge.
 			continue
 		}
-		tt := link.TransferTime(now, float64(m.Bytes))
-		if r.sys.SameGroup(m.From, m.To) {
-			local[m.From] += tt
-			local[m.To] += tt
+		tt := link.TransferTime(now, float64(x.bytes))
+		if r.sys.SameGroup(x.src, x.dst) {
+			local[x.src] += tt
+			local[x.dst] += tt
 			anyLocal = true
 		} else {
-			remote[m.From] += tt
-			remote[m.To] += tt
+			remote[x.src] += tt
+			remote[x.dst] += tt
 			anyRemote = true
 		}
 	}

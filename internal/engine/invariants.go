@@ -83,10 +83,6 @@ func (r *Runner) Context() *dlb.Context { return r.ctx }
 // without fault injection).
 func (r *Runner) Membership() *machine.Membership { return r.memb }
 
-// RunnerOptions returns a copy of the effective options (defaults
-// applied).
-func (r *Runner) RunnerOptions() Options { return r.opt }
-
 // fireInvariant invokes the Options.Invariants hook, if any.
 func (r *Runner) fireInvariant(ph Phase, level int, d *dlb.GlobalDecision, migs []dlb.Migration, forced bool) {
 	if r.opt.Invariants == nil {

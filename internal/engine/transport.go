@@ -179,15 +179,6 @@ func (s *shardSet) run(body func(r *mpx.Rank)) *wireFailure {
 	return f
 }
 
-// mustRun is run for phases that make no sends (per-rank kernels): a
-// transport failure there means an abort leaked across a phase
-// boundary, which the epoch protocol is supposed to prevent.
-func (s *shardSet) mustRun(body func(r *mpx.Rank)) {
-	if f := s.run(body); f != nil {
-		panic("engine: transport failure in a compute-only phase: " + f.cause)
-	}
-}
-
 // reset prepares every endpoint and world for the phase after an
 // aborted one. Endpoints go first: their epoch bump makes straggling
 // frames droppable before the worlds' mailboxes are wiped, so nothing

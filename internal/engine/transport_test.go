@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,13 +15,13 @@ import (
 )
 
 // runTransport executes the reference scenario (two WAN groups, two
-// procs each) under the given transport options and returns the result
-// plus the runner for field inspection.
-func runTransport(transport string, wf mpx.WireFault) (*metrics.Result, *Runner) {
+// procs each) under the given transport options and host pool and
+// returns the result plus the runner for field inspection.
+func runTransport(transport string, wf mpx.WireFault, pool *solver.Pool) (*metrics.Result, *Runner) {
 	sys := machine.WanPair(2, nil)
 	r := New(sys, workload.NewShockPool3D(16, 2), Options{
 		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: true,
-		Transport: transport, WireFault: wf,
+		Transport: transport, WireFault: wf, Pool: pool,
 	})
 	return r.Run(), r
 }
@@ -61,8 +62,8 @@ func requireIdenticalRuns(t *testing.T, a, b *metrics.Result, ra, rb *Runner) {
 // bit-identical field data, with the tcp run demonstrably moving
 // frames across actual sockets.
 func TestTCPTransportMatchesLoopback(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil)
-	tcpRes, tcpRun := runTransport(TransportTCP, nil)
+	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
+	tcpRes, tcpRun := runTransport(TransportTCP, nil, nil)
 
 	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
 
@@ -82,6 +83,14 @@ func TestTCPTransportMatchesLoopback(t *testing.T) {
 	if s := loopRes.TransportSummary(); s != "" {
 		t.Errorf("loopback TransportSummary = %q, want empty", s)
 	}
+
+	// The kernel sweep runs over the host pool on every transport: a
+	// four-worker pool and none (inline) must agree to the last bit.
+	pooledRes, pooledRun := runTransport(TransportTCP, nil, solver.NewPool(4))
+	requireIdenticalRuns(t, tcpRes, pooledRes, tcpRun, pooledRun)
+	if !reflect.DeepEqual(tcpRes, pooledRes) {
+		t.Errorf("tcp Results differ between Pool=nil and a 4-worker pool:\n%+v\n%+v", tcpRes, pooledRes)
+	}
 }
 
 // dropFirstOffers fails the first send attempt of every (src, dst)
@@ -97,8 +106,8 @@ func (dropFirstOffers) DropSend(src, dst int, n uint64) bool { return n == 0 }
 // fallback data path keeps the run bit-identical to loopback — a
 // flaky wire may cost availability, never correctness.
 func TestWireFaultFallsBackAndStaysIdentical(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil)
-	tcpRes, tcpRun := runTransport(TransportTCP, dropFirstOffers{})
+	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
+	tcpRes, tcpRun := runTransport(TransportTCP, dropFirstOffers{}, nil)
 
 	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
 
@@ -126,8 +135,8 @@ func (dropSparseOffers) DropSend(src, dst int, n uint64) bool { return n%7 == 3 
 // a half-consumed receive behind, and neither may reach the phase
 // after the fallback.
 func TestWireFaultsOnManyPhasesStayIdentical(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil)
-	tcpRes, tcpRun := runTransport(TransportTCP, dropSparseOffers{})
+	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
+	tcpRes, tcpRun := runTransport(TransportTCP, dropSparseOffers{}, nil)
 
 	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
 

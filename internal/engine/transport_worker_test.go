@@ -81,7 +81,7 @@ func requireWorkerResultMatches(t *testing.T, who string, ref, got *metrics.Resu
 // replica must report the very Result the single-process loopback run
 // reports, with frames demonstrably crossing the wire.
 func TestWorkerTransportMatchesLoopback(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil)
+	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
 
 	eps := connectedWorkerEndpoints(t, 2, 5*time.Second)
 	runners := make([]*Runner, 2)
@@ -148,7 +148,7 @@ func TestWorkerTransportMatchesLoopback(t *testing.T) {
 // path, and still finish with exactly the fault-free Result — a dead
 // peer costs availability of the wire, never correctness.
 func TestWorkerDetachOnPeerExitStaysIdentical(t *testing.T) {
-	loopRes, _ := runTransport(TransportLoopback, nil)
+	loopRes, _ := runTransport(TransportLoopback, nil, nil)
 
 	eps := connectedWorkerEndpoints(t, 2, 2*time.Second)
 	survivor := newWorkerRunner(0, 3, eps[0])
@@ -202,7 +202,7 @@ func TestWorkerTransportValidation(t *testing.T) {
 // a detached worker (no endpoint at all) must run the plain in-memory
 // path end-to-end and still produce the reference Result.
 func TestDetachedWorkerRunsPlainPath(t *testing.T) {
-	loopRes, _ := runTransport(TransportLoopback, nil)
+	loopRes, _ := runTransport(TransportLoopback, nil, nil)
 	r := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: true,
 		Transport: TransportWorker,

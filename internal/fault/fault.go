@@ -501,54 +501,6 @@ func (s *Schedule) FailuresIn(t0, t1 float64) []int {
 	return out
 }
 
-// RecoveriesIn returns the processors with a scripted recovery point
-// in the window (t0, t1]: an explicit ProcRecovery start or the End of
-// a windowed ProcFailure. Ordered by recovery time then processor,
-// duplicates removed.
-func (s *Schedule) RecoveriesIn(t0, t1 float64) []int {
-	if s == nil {
-		return nil
-	}
-	type rec struct {
-		at   float64
-		proc int
-	}
-	var recs []rec
-	seen := map[int]bool{}
-	for _, e := range s.events {
-		var at float64
-		switch e.Kind {
-		case ProcRecovery:
-			at = e.Start
-		case ProcFailure:
-			if e.End <= e.Start {
-				continue
-			}
-			at = e.End
-		default:
-			continue
-		}
-		if at > t0 && at <= t1 && !seen[e.Proc] {
-			seen[e.Proc] = true
-			recs = append(recs, rec{at, e.Proc})
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].at != recs[j].at {
-			return recs[i].at < recs[j].at
-		}
-		return recs[i].proc < recs[j].proc
-	})
-	out := make([]int, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, r.proc)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // LinkFault binds the schedule to one fabric link (the group pair the
 // link joins). It satisfies netsim's FaultModel interface without an
 // import in either direction.

@@ -58,11 +58,6 @@ func (a Index) AllLE(b Index) bool {
 	return a[0] <= b[0] && a[1] <= b[1] && a[2] <= b[2]
 }
 
-// AllGE reports whether a[d] >= b[d] for every dimension d.
-func (a Index) AllGE(b Index) bool {
-	return a[0] >= b[0] && a[1] >= b[1] && a[2] >= b[2]
-}
-
 // Product returns a[0]*a[1]*a[2] as an int64, guarding against
 // overflow for large extents.
 func (a Index) Product() int64 {

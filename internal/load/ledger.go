@@ -2,7 +2,6 @@ package load
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -71,8 +70,8 @@ type Ledger struct {
 
 // NewLedger builds a ledger for the hierarchy's current contents and
 // returns it. The caller must install it with h.SetListener to keep
-// it current; pool (optional) parallelises this full build and any
-// later Rebuild across host cores.
+// it current; pool parallelises this full build and any later Rebuild
+// across host cores (nil builds inline).
 func NewLedger(sys *machine.System, h *amr.Hierarchy, pool *solver.Pool) *Ledger {
 	l := &Ledger{sys: sys, h: h, pool: pool}
 	l.Rebuild()
@@ -150,10 +149,7 @@ func (l *Ledger) Rebuild() {
 // parallelProcCells fills dst[proc] with the summed cells of each
 // processor's grids, fanning the grid list out over the pool.
 func (l *Ledger) parallelProcCells(grids []*amr.Grid, dst []float64) {
-	workers := 1
-	if l.pool != nil {
-		workers = l.pool.Workers()
-	}
+	workers := l.pool.Workers()
 	if workers <= 1 || len(grids) < 2*workers {
 		for _, g := range grids {
 			dst[g.Owner] += float64(g.NumCells())
@@ -444,14 +440,4 @@ func idSet(grids []*amr.Grid) []amr.GridID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// MaxProcCells returns the largest per-processor cell count at a
-// level — a cheap sanity probe used by tests.
-func (l *Ledger) MaxProcCells(level int) float64 {
-	m := math.Inf(-1)
-	for _, v := range l.procCells[level] {
-		m = math.Max(m, v)
-	}
-	return m
 }

@@ -24,7 +24,6 @@ import (
 // Recorder accumulates the performance data the DLB needs between two
 // iterations at level 0.
 type Recorder struct {
-	nproc    int
 	maxLevel int
 	// w[proc][level] is the workload (weighted cells advanced per
 	// level iteration) processor proc held at that level during the
@@ -40,8 +39,7 @@ type Recorder struct {
 	// global redistribution.
 	delta float64
 
-	// Incremental Eq. 2 aggregates, maintained when BindGroups has
-	// attached a processor→group map: gw[group][level] mirrors
+	// Incremental Eq. 2 aggregates: gw[group][level] mirrors
 	// Σ_{proc∈group} w[proc][level] and is updated in O(1) per
 	// RecordLevelWork call, so GroupWork/GroupWorks/Gain/
 	// ImbalanceRatio read O(groups·levels) state instead of summing
@@ -50,54 +48,38 @@ type Recorder struct {
 	gw      [][]float64
 }
 
-// NewRecorder returns a recorder for nproc processors and levels
-// 0..maxLevel.
-func NewRecorder(nproc, maxLevel int) *Recorder {
-	if nproc <= 0 || maxLevel < 0 {
+// NewRecorder returns a recorder for the system's processors and
+// groups and levels 0..maxLevel.
+func NewRecorder(sys *machine.System, maxLevel int) *Recorder {
+	if maxLevel < 0 {
 		panic("load.NewRecorder: bad shape")
 	}
-	r := &Recorder{nproc: nproc, maxLevel: maxLevel}
-	r.ResetInterval()
+	r := &Recorder{
+		maxLevel: maxLevel,
+		nIter:    make([]int, maxLevel+1),
+		w:        make([][]float64, sys.NumProcs()),
+		groupOf:  make([]int, sys.NumProcs()),
+		gw:       make([][]float64, sys.NumGroups()),
+	}
+	for p := range r.w {
+		r.w[p] = make([]float64, maxLevel+1)
+		r.groupOf[p] = sys.GroupOf(p)
+	}
+	for g := range r.gw {
+		r.gw[g] = make([]float64, maxLevel+1)
+	}
 	return r
 }
 
 // ResetInterval clears the per-interval accumulators (called after
 // each level-0 step, once the global-balance decision has been made).
 func (r *Recorder) ResetInterval() {
-	r.w = make([][]float64, r.nproc)
-	for i := range r.w {
-		r.w[i] = make([]float64, r.maxLevel+1)
+	for p := range r.w {
+		clear(r.w[p])
 	}
-	r.nIter = make([]int, r.maxLevel+1)
+	clear(r.nIter)
 	for g := range r.gw {
-		for l := range r.gw[g] {
-			r.gw[g][l] = 0
-		}
-	}
-}
-
-// BindGroups attaches the system's processor→group map so the Eq. 2
-// group aggregates are maintained incrementally as level work is
-// recorded. Unbound recorders fall back to recomputing group sums
-// over all processors on every query (the original behaviour, kept
-// as the verification oracle).
-func (r *Recorder) BindGroups(sys *machine.System) {
-	if sys.NumProcs() != r.nproc {
-		panic("load.BindGroups: system size does not match recorder")
-	}
-	r.groupOf = make([]int, r.nproc)
-	for p := 0; p < r.nproc; p++ {
-		r.groupOf[p] = sys.GroupOf(p)
-	}
-	r.gw = make([][]float64, sys.NumGroups())
-	for g := range r.gw {
-		r.gw[g] = make([]float64, r.maxLevel+1)
-	}
-	// Fold in whatever the current interval already recorded.
-	for p := 0; p < r.nproc; p++ {
-		for l := 0; l <= r.maxLevel; l++ {
-			r.gw[r.groupOf[p]][l] += r.w[p][l]
-		}
+		clear(r.gw[g])
 	}
 }
 
@@ -110,9 +92,7 @@ func (r *Recorder) RecordLevelWork(proc, level int, work float64) {
 	if work < 0 {
 		panic("load.RecordLevelWork: negative work")
 	}
-	if r.gw != nil {
-		r.gw[r.groupOf[proc]][level] += work - r.w[proc][level]
-	}
+	r.gw[r.groupOf[proc]][level] += work - r.w[proc][level]
 	r.w[proc][level] = work
 }
 
@@ -175,18 +155,14 @@ func (r *Recorder) ProcWork(proc int) float64 {
 	return sum
 }
 
-// LevelGroupWork returns W^i_group(t) (Eq. 2) for the given group:
-// the incrementally maintained aggregate when groups are bound, else
-// a recomputation over the group's processors.
+// LevelGroupWork returns W^i_group(t) (Eq. 2) for the given group,
+// from the incrementally maintained aggregate.
 func (r *Recorder) LevelGroupWork(sys *machine.System, group, level int) float64 {
-	if r.gw != nil {
-		return r.gw[group][level]
-	}
-	return r.levelGroupWorkRecompute(sys, group, level)
+	return r.gw[group][level]
 }
 
-// levelGroupWorkRecompute is the original O(procs) Eq. 2 sum, kept as
-// the oracle VerifyGroups asserts the incremental aggregates against.
+// levelGroupWorkRecompute is the O(procs) Eq. 2 sum, the oracle
+// VerifyGroups asserts the incremental aggregates against.
 func (r *Recorder) levelGroupWorkRecompute(sys *machine.System, group, level int) float64 {
 	var sum float64
 	for _, p := range sys.ProcsInGroup(group) {
@@ -206,24 +182,11 @@ func (r *Recorder) GroupWork(sys *machine.System, group int) float64 {
 	return sum
 }
 
-// GroupWorkRecompute is GroupWork evaluated through the recompute
-// oracle regardless of binding (tests and benchmarks).
-func (r *Recorder) GroupWorkRecompute(sys *machine.System, group int) float64 {
-	var sum float64
-	for l := 0; l <= r.maxLevel; l++ {
-		sum += r.levelGroupWorkRecompute(sys, group, l) * float64(max(r.nIter[l], 1))
-	}
-	return sum
-}
-
 // VerifyGroups compares the incremental Eq. 2 aggregates against the
 // recompute oracle. Incremental maintenance replays additions in a
 // different association order than a direct sum, so equality is
 // checked to a tight relative tolerance rather than bit-exactly.
 func (r *Recorder) VerifyGroups(sys *machine.System) error {
-	if r.gw == nil {
-		return nil
-	}
 	for g := 0; g < sys.NumGroups(); g++ {
 		for l := 0; l <= r.maxLevel; l++ {
 			inc := r.gw[g][l]

@@ -10,7 +10,7 @@ import (
 func rec2x2(t *testing.T) (*Recorder, *machine.System) {
 	t.Helper()
 	sys := machine.WanPair(2, nil) // procs 0,1 in group 0; 2,3 in group 1
-	return NewRecorder(sys.NumProcs(), 2), sys
+	return NewRecorder(sys, 2), sys
 }
 
 func TestEq2LevelGroupWork(t *testing.T) {
@@ -116,7 +116,7 @@ func TestImbalanceRatioNormalisesByPerf(t *testing.T) {
 	// Group 1 has half-speed processors: equal absolute work means
 	// group 1 is actually overloaded 2x.
 	sys := machine.Heterogeneous(2, 2, 0.5, nil)
-	r := NewRecorder(4, 0)
+	r := NewRecorder(sys, 0)
 	r.RecordLevelWork(0, 0, 10)
 	r.RecordLevelWork(2, 0, 10)
 	if got := r.ImbalanceRatio(sys); math.Abs(got-2) > 1e-12 {
@@ -143,8 +143,18 @@ func TestResetInterval(t *testing.T) {
 	r.SetDelta(3)
 	r.SetIntervalTime(9)
 	r.ResetInterval()
-	if r.GroupWork(sys, 0) != 0 || r.Iterations(1) != 0 {
+	if r.GroupWork(sys, 0) != 0 || r.ProcWork(0) != 0 || r.Iterations(1) != 0 {
 		t.Error("ResetInterval did not clear accumulators")
+	}
+	// The cleared per-processor table and group aggregates stay in step
+	// through the next interval.
+	r.RecordLevelWork(0, 0, 4)
+	r.RecordLevelWork(3, 1, 6)
+	if err := r.VerifyGroups(sys); err != nil {
+		t.Errorf("group aggregates diverged after reset: %v", err)
+	}
+	if r.GroupWork(sys, 0) != 4 || r.GroupWork(sys, 1) != 6 {
+		t.Errorf("post-reset group works = %v, want [4 6]", r.GroupWorks(sys))
 	}
 	// δ and T survive: they are history, not interval state.
 	if r.Delta() != 3 || r.IntervalTime() != 9 {
@@ -163,7 +173,7 @@ func TestCostEq1(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	assertPanics(t, "bad recorder", func() { NewRecorder(0, 1) })
+	assertPanics(t, "bad recorder", func() { NewRecorder(machine.WanPair(2, nil), -1) })
 	r, _ := rec2x2(t)
 	assertPanics(t, "negative work", func() { r.RecordLevelWork(0, 0, -1) })
 	assertPanics(t, "bad level", func() { r.RecordIteration(9) })

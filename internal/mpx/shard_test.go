@@ -60,14 +60,14 @@ func exchangeBody(t *testing.T, results [][]float64) func(r *Rank) {
 			sum += got[0]
 		}
 		r.Barrier()
-		results[r.ID()] = []float64{sum, r.AllReduceSum(float64(r.ID()))}
+		results[r.ID()] = []float64{sum, allReduceSum(r, float64(r.ID()))}
 	}
 }
 
 // TestShardWorldsMatchSingleWorld: the same exchange over (a) one
-// all-local world and (b) two shard worlds joined by a LocalFabric
-// must produce identical per-rank results — including a collective
-// that crosses the shard boundary through rank 0.
+// all-local world and (b) two shard worlds joined by a localFabric
+// must produce identical per-rank results — including a gather and
+// fan-out that cross the shard boundary through rank 0.
 func TestShardWorldsMatchSingleWorld(t *testing.T) {
 	const n = 6
 	shardOf := func(rank int) int { return rank * 2 / n } // 0,0,0,1,1,1
@@ -75,7 +75,7 @@ func TestShardWorldsMatchSingleWorld(t *testing.T) {
 	single := make([][]float64, n)
 	NewWorld(n).Run(exchangeBody(t, single))
 
-	fab := NewLocalFabric(shardOf)
+	fab := newLocalFabric(shardOf)
 	worlds := make([]*World, 2)
 	for s := 0; s < 2; s++ {
 		worlds[s] = NewShardWorld(n, shardOf, s, fab.Endpoint(s))
@@ -98,15 +98,18 @@ func TestShardWorldsMatchSingleWorld(t *testing.T) {
 	}
 }
 
-// TestShardWorldLocalRanks checks the shard partition bookkeeping.
+// TestShardWorldLocalRanks checks the shard partition bookkeeping: a
+// shard world runs exactly the ranks its shard hosts.
 func TestShardWorldLocalRanks(t *testing.T) {
 	shardOf := func(r int) int { return r % 2 }
-	fab := NewLocalFabric(shardOf)
+	fab := newLocalFabric(shardOf)
 	w := NewShardWorld(5, shardOf, 1, fab.Endpoint(1))
-	want := []int{1, 3}
-	got := w.LocalRanks()
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("LocalRanks = %v, want %v", got, want)
+	ran := make([]bool, w.Size())
+	w.Run(func(r *Rank) { ran[r.ID()] = true })
+	for rank, got := range ran {
+		if want := shardOf(rank) == 1; got != want {
+			t.Errorf("rank %d ran = %v, want %v", rank, got, want)
+		}
 	}
 }
 
@@ -117,7 +120,7 @@ func TestShardWorldLocalRanks(t *testing.T) {
 func TestFabricFaultAbortsAllShards(t *testing.T) {
 	const n = 4
 	shardOf := func(r int) int { return r / 2 }
-	fab := NewLocalFabric(shardOf)
+	fab := newLocalFabric(shardOf)
 	worlds := make([]*World, 2)
 	for s := 0; s < 2; s++ {
 		worlds[s] = NewShardWorld(n, shardOf, s, fab.Endpoint(s))
@@ -206,7 +209,7 @@ func newTCPPair(t *testing.T) ([]*World, []*TCPEndpoint) {
 	return worlds, eps
 }
 
-// TestTCPShardExchange runs a real-socket exchange with collectives
+// TestTCPShardExchange runs a real-socket exchange with a reduction
 // and checks the wire accounting moved actual frames.
 func TestTCPShardExchange(t *testing.T) {
 	worlds, eps := newTCPPair(t)
@@ -215,7 +218,7 @@ func TestTCPShardExchange(t *testing.T) {
 		t.Fatalf("tcp exchange failed: %v", err)
 	}
 	for rank, res := range results {
-		// sum of 100*src+rank over the three peers; AllReduceSum(0..3)=6.
+		// sum of 100*src+rank over the three peers; allReduceSum(0..3)=6.
 		want := 0.0
 		for src := 0; src < 4; src++ {
 			if src != rank {

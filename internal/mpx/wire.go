@@ -24,8 +24,7 @@ import (
 //	           deadline, so an idle-but-alive shard is distinguishable
 //	           from a dead or stopped one
 //
-// Tags travel as int32 two's complement so the collectives' reserved
-// negative tags survive the wire.
+// Tags travel as int32 two's complement.
 const (
 	wireMagic = "SAMRWIR1"
 	// wireHdr is the per-frame length + CRC prefix.

@@ -16,7 +16,7 @@ func TestWireDataFrameRoundTrip(t *testing.T) {
 	}{
 		{"basic", 0, 3, 7, 42, []float64{1.5, -2.25, math.Pi}},
 		{"empty-payload", 1, 2, 0, 0, nil},
-		{"negative-collective-tag", 5, 0, tagGather, 9, []float64{0.5}},
+		{"negative-collective-tag", 5, 0, -3, 9, []float64{0.5}},
 		{"special-values", 2, 1, 1 << 20, 1, []float64{math.Inf(1), math.Copysign(0, -1), math.MaxFloat64}},
 	}
 	for _, tc := range cases {

@@ -36,7 +36,8 @@ func (a Advection3D) MaxSpeed() float64 {
 
 // Step implements Kernel. Requires NGhost >= 1. The sweep is written
 // as explicit row loops over borrowed scratch (no per-step allocation,
-// no per-cell closure); it is bit-identical to StepReference.
+// no per-cell closure); pinned bit for bit against the closure-based
+// reference in kernels_ref_test.go.
 func (a Advection3D) Step(p *grid.Patch, dt, dx float64) {
 	checkFieldList(p, a.Name(), qFields)
 	if p.NGhost < 1 {
@@ -72,36 +73,6 @@ func (a Advection3D) Step(p *grid.Patch, dt, dx float64) {
 	putScratch(sp)
 }
 
-// StepReference is the original closure-based Step, kept verbatim as
-// the bit-exactness baseline for tests and benchmarks.
-func (a Advection3D) StepReference(p *grid.Patch, dt, dx float64) {
-	checkFieldList(p, a.Name(), qFields)
-	if p.NGhost < 1 {
-		panic("solver.Advection3D: needs at least one ghost cell")
-	}
-	q := p.Field(FieldQ)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
-	out := make([]float64, len(q))
-	copy(out, q)
-	lam := dt / dx
-	p.Box.ForEach(func(i geom.Index) {
-		off := g.Offset(i)
-		du := 0.0
-		for d := 0; d < 3; d++ {
-			v := a.Vel[d]
-			if v >= 0 {
-				du -= v * lam * (q[off] - q[off-stride[d]])
-			} else {
-				du -= v * lam * (q[off+stride[d]] - q[off])
-			}
-		}
-		out[off] = q[off] + du
-	})
-	copy(q, out)
-}
-
 // LaxFriedrichs3D advances the advection equation with the (more
 // diffusive, unconditionally symmetric) Lax–Friedrichs scheme. It
 // exists both as an alternative hyperbolic kernel and as a reference
@@ -125,7 +96,7 @@ func (l LaxFriedrichs3D) MaxSpeed() float64 {
 }
 
 // Step implements Kernel. Requires NGhost >= 1. Explicit row loops
-// over borrowed scratch, bit-identical to StepReference.
+// over borrowed scratch, pinned bit for bit in kernels_ref_test.go.
 func (l LaxFriedrichs3D) Step(p *grid.Patch, dt, dx float64) {
 	checkFieldList(p, l.Name(), qFields)
 	if p.NGhost < 1 {
@@ -157,34 +128,6 @@ func (l LaxFriedrichs3D) Step(p *grid.Patch, dt, dx float64) {
 	}
 	copyInterior(q, out, g, b)
 	putScratch(sp)
-}
-
-// StepReference is the original closure-based Step, kept verbatim as
-// the bit-exactness baseline for tests and benchmarks.
-func (l LaxFriedrichs3D) StepReference(p *grid.Patch, dt, dx float64) {
-	checkFieldList(p, l.Name(), qFields)
-	if p.NGhost < 1 {
-		panic("solver.LaxFriedrichs3D: needs at least one ghost cell")
-	}
-	q := p.Field(FieldQ)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
-	out := make([]float64, len(q))
-	copy(out, q)
-	lam := dt / dx
-	p.Box.ForEach(func(i geom.Index) {
-		off := g.Offset(i)
-		avg := 0.0
-		flux := 0.0
-		for d := 0; d < 3; d++ {
-			qm, qp := q[off-stride[d]], q[off+stride[d]]
-			avg += qm + qp
-			flux += l.Vel[d] * lam * (qp - qm)
-		}
-		out[off] = avg/6.0 - 0.5*flux
-	})
-	copy(q, out)
 }
 
 // PeriodicFill fills the patch's ghost cells from its own interior

@@ -54,7 +54,7 @@ func (k Burgers3D) Step(p *grid.Patch, dt, dx float64) {
 }
 
 // StepFluxes implements FluxedKernel. Explicit row loops over pooled
-// fluxes and borrowed scratch, bit-identical to StepReference.
+// fluxes and borrowed scratch, pinned bit for bit in kernels_ref_test.go.
 func (k Burgers3D) StepFluxes(p *grid.Patch, dt, dx float64) *Fluxes {
 	checkFieldList(p, k.Name(), qFields)
 	if p.NGhost < 1 {
@@ -81,41 +81,5 @@ func (k Burgers3D) StepFluxes(p *grid.Patch, dt, dx float64) *Fluxes {
 		}
 	}
 	applyFluxes(p, q, fl)
-	return fl
-}
-
-// StepReference is the original closure-based step, kept verbatim as
-// the bit-exactness baseline for tests and benchmarks. It returns the
-// (heap-allocated, never pooled) fluxes it applied.
-func (k Burgers3D) StepReference(p *grid.Patch, dt, dx float64) *Fluxes {
-	checkFieldList(p, k.Name(), qFields)
-	if p.NGhost < 1 {
-		panic("solver.Burgers3D: needs at least one ghost cell")
-	}
-	q := p.Field(FieldQ)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
-	lam := dt / dx
-	fl := newFluxesAlloc(p.Box)
-	for d := 0; d < 3; d++ {
-		fl.FaceBox(d).ForEach(func(i geom.Index) {
-			off := g.Offset(i)
-			fl.Set(d, i, lam*godunovFlux(q[off-stride[d]], q[off]))
-		})
-	}
-	out := make([]float64, len(q))
-	copy(out, q)
-	p.Box.ForEach(func(i geom.Index) {
-		off := g.Offset(i)
-		var du float64
-		for d := 0; d < 3; d++ {
-			hi := i
-			hi[d]++
-			du -= fl.At(d, hi) - fl.At(d, i)
-		}
-		out[off] = q[off] + du
-	})
-	copy(q, out)
 	return fl
 }

@@ -51,17 +51,6 @@ func NewFluxes(box geom.Box) *Fluxes {
 	return fl
 }
 
-// newFluxesAlloc always heap-allocates (reference paths, so the
-// pooled fast path can be compared against untouched baselines).
-func newFluxesAlloc(box geom.Box) *Fluxes {
-	fl := &Fluxes{Box: box}
-	for d := 0; d < 3; d++ {
-		fl.faceBox[d] = box.GrowDim(d, 0, 1)
-		fl.f[d] = make([]float64, fl.faceBox[d].NumCells())
-	}
-	return fl
-}
-
 // Release returns the fluxes to the reuse pool. The caller must not
 // touch fl afterwards; values read out of it (e.g. by the flux
 // registers, which copy) stay valid.
@@ -187,49 +176,4 @@ func copyInterior(dst, src []float64, g, b geom.Box) {
 			copy(dst[off:off+n], src[off:off+n])
 		}
 	}
-}
-
-// StepFluxesReference is the original closure-based implementation of
-// StepFluxes, kept verbatim as the bit-exactness baseline for tests
-// and benchmarks. It never touches the reuse pools.
-func (a Advection3D) StepFluxesReference(p *grid.Patch, dt, dx float64) *Fluxes {
-	checkFieldList(p, a.Name(), qFields)
-	if p.NGhost < 1 {
-		panic("solver.Advection3D: needs at least one ghost cell")
-	}
-	q := p.Field(FieldQ)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
-	lam := dt / dx
-	fl := newFluxesAlloc(p.Box)
-	for d := 0; d < 3; d++ {
-		v := a.Vel[d]
-		fl.faceBox[d].ForEach(func(i geom.Index) {
-			off := g.Offset(i)
-			var qup float64
-			if v >= 0 {
-				qup = q[off-stride[d]] // face's lower cell
-			} else {
-				qup = q[off]
-			}
-			fl.Set(d, i, v*lam*qup)
-		})
-	}
-	// Apply: q_i -= F(i+e_d) - F(i).
-	out := make([]float64, len(q))
-	copy(out, q)
-	p.Box.ForEach(func(i geom.Index) {
-		off := g.Offset(i)
-		var du float64
-		for d := 0; d < 3; d++ {
-			var hi geom.Index
-			hi = i
-			hi[d]++
-			du -= fl.At(d, hi) - fl.At(d, i)
-		}
-		out[off] = q[off] + du
-	})
-	copy(q, out)
-	return fl
 }

@@ -41,7 +41,7 @@ func TestAdvectionStepMatchesReference(t *testing.T) {
 	b := a.Clone()
 	for i := 0; i < 3; i++ {
 		k.Step(a, 0.05, 0.1)
-		k.StepReference(b, 0.05, 0.1)
+		k.stepReference(b, 0.05, 0.1)
 	}
 	assertFieldsEqual(t, b, a, "Advection3D.Step")
 }
@@ -52,7 +52,7 @@ func TestLaxFriedrichsStepMatchesReference(t *testing.T) {
 	b := a.Clone()
 	for i := 0; i < 3; i++ {
 		k.Step(a, 0.05, 0.1)
-		k.StepReference(b, 0.05, 0.1)
+		k.stepReference(b, 0.05, 0.1)
 	}
 	assertFieldsEqual(t, b, a, "LaxFriedrichs3D.Step")
 }
@@ -63,7 +63,7 @@ func TestBurgersStepMatchesReference(t *testing.T) {
 	b := a.Clone()
 	for i := 0; i < 3; i++ {
 		k.StepFluxes(a, 0.02, 0.1).Release()
-		k.StepReference(b, 0.02, 0.1)
+		k.stepReference(b, 0.02, 0.1)
 	}
 	assertFieldsEqual(t, b, a, "Burgers3D.StepFluxes")
 }
@@ -73,7 +73,7 @@ func TestAdvectionStepFluxesMatchesReference(t *testing.T) {
 	a := randKernelPatch(t, FieldQ)
 	b := a.Clone()
 	fa := k.StepFluxes(a, 0.04, 0.1)
-	fb := k.StepFluxesReference(b, 0.04, 0.1)
+	fb := k.stepFluxesReference(b, 0.04, 0.1)
 	assertFieldsEqual(t, b, a, "Advection3D.StepFluxes state")
 	for d := 0; d < 3; d++ {
 		fa.FaceBox(d).ForEach(func(i geom.Index) {
@@ -90,7 +90,7 @@ func TestBurgersStepFluxesMatchesReferenceFluxes(t *testing.T) {
 	a := randKernelPatch(t, FieldQ)
 	b := a.Clone()
 	fa := k.StepFluxes(a, 0.02, 0.1)
-	fb := k.StepReference(b, 0.02, 0.1)
+	fb := k.stepReference(b, 0.02, 0.1)
 	assertFieldsEqual(t, b, a, "Burgers3D.StepFluxes state")
 	for d := 0; d < 3; d++ {
 		fa.FaceBox(d).ForEach(func(i geom.Index) {
@@ -168,4 +168,153 @@ func TestGaussSeidelMatchesReference(t *testing.T) {
 		refGaussSeidel(gs, b, 0.1)
 		assertFieldsEqual(t, b, a, "GaussSeidel.Step")
 	}
+}
+
+// stepReference is the original closure-based Step, kept verbatim as
+// the bit-exactness baseline.
+func (a Advection3D) stepReference(p *grid.Patch, dt, dx float64) {
+	checkFieldList(p, a.Name(), qFields)
+	if p.NGhost < 1 {
+		panic("solver.Advection3D: needs at least one ghost cell")
+	}
+	q := p.Field(FieldQ)
+	g := p.Grown()
+	s := g.Shape()
+	stride := [3]int{1, s[0], s[0] * s[1]}
+	out := make([]float64, len(q))
+	copy(out, q)
+	lam := dt / dx
+	p.Box.ForEach(func(i geom.Index) {
+		off := g.Offset(i)
+		du := 0.0
+		for d := 0; d < 3; d++ {
+			v := a.Vel[d]
+			if v >= 0 {
+				du -= v * lam * (q[off] - q[off-stride[d]])
+			} else {
+				du -= v * lam * (q[off+stride[d]] - q[off])
+			}
+		}
+		out[off] = q[off] + du
+	})
+	copy(q, out)
+}
+
+// stepReference is the original closure-based Step, kept verbatim as
+// the bit-exactness baseline.
+func (l LaxFriedrichs3D) stepReference(p *grid.Patch, dt, dx float64) {
+	checkFieldList(p, l.Name(), qFields)
+	if p.NGhost < 1 {
+		panic("solver.LaxFriedrichs3D: needs at least one ghost cell")
+	}
+	q := p.Field(FieldQ)
+	g := p.Grown()
+	s := g.Shape()
+	stride := [3]int{1, s[0], s[0] * s[1]}
+	out := make([]float64, len(q))
+	copy(out, q)
+	lam := dt / dx
+	p.Box.ForEach(func(i geom.Index) {
+		off := g.Offset(i)
+		avg := 0.0
+		flux := 0.0
+		for d := 0; d < 3; d++ {
+			qm, qp := q[off-stride[d]], q[off+stride[d]]
+			avg += qm + qp
+			flux += l.Vel[d] * lam * (qp - qm)
+		}
+		out[off] = avg/6.0 - 0.5*flux
+	})
+	copy(q, out)
+}
+
+// stepReference is the original closure-based step, kept verbatim as
+// the bit-exactness baseline. It returns the
+// (heap-allocated, never pooled) fluxes it applied.
+func (k Burgers3D) stepReference(p *grid.Patch, dt, dx float64) *Fluxes {
+	checkFieldList(p, k.Name(), qFields)
+	if p.NGhost < 1 {
+		panic("solver.Burgers3D: needs at least one ghost cell")
+	}
+	q := p.Field(FieldQ)
+	g := p.Grown()
+	s := g.Shape()
+	stride := [3]int{1, s[0], s[0] * s[1]}
+	lam := dt / dx
+	fl := newFluxesAlloc(p.Box)
+	for d := 0; d < 3; d++ {
+		fl.FaceBox(d).ForEach(func(i geom.Index) {
+			off := g.Offset(i)
+			fl.Set(d, i, lam*godunovFlux(q[off-stride[d]], q[off]))
+		})
+	}
+	out := make([]float64, len(q))
+	copy(out, q)
+	p.Box.ForEach(func(i geom.Index) {
+		off := g.Offset(i)
+		var du float64
+		for d := 0; d < 3; d++ {
+			hi := i
+			hi[d]++
+			du -= fl.At(d, hi) - fl.At(d, i)
+		}
+		out[off] = q[off] + du
+	})
+	copy(q, out)
+	return fl
+}
+
+// newFluxesAlloc always heap-allocates (reference paths, so the
+// pooled fast path can be compared against untouched baselines).
+func newFluxesAlloc(box geom.Box) *Fluxes {
+	fl := &Fluxes{Box: box}
+	for d := 0; d < 3; d++ {
+		fl.faceBox[d] = box.GrowDim(d, 0, 1)
+		fl.f[d] = make([]float64, fl.faceBox[d].NumCells())
+	}
+	return fl
+}
+
+// stepFluxesReference is the original closure-based implementation of
+// StepFluxes, kept verbatim as the bit-exactness baseline. It never touches the reuse pools.
+func (a Advection3D) stepFluxesReference(p *grid.Patch, dt, dx float64) *Fluxes {
+	checkFieldList(p, a.Name(), qFields)
+	if p.NGhost < 1 {
+		panic("solver.Advection3D: needs at least one ghost cell")
+	}
+	q := p.Field(FieldQ)
+	g := p.Grown()
+	s := g.Shape()
+	stride := [3]int{1, s[0], s[0] * s[1]}
+	lam := dt / dx
+	fl := newFluxesAlloc(p.Box)
+	for d := 0; d < 3; d++ {
+		v := a.Vel[d]
+		fl.faceBox[d].ForEach(func(i geom.Index) {
+			off := g.Offset(i)
+			var qup float64
+			if v >= 0 {
+				qup = q[off-stride[d]] // face's lower cell
+			} else {
+				qup = q[off]
+			}
+			fl.Set(d, i, v*lam*qup)
+		})
+	}
+	// Apply: q_i -= F(i+e_d) - F(i).
+	out := make([]float64, len(q))
+	copy(out, q)
+	p.Box.ForEach(func(i geom.Index) {
+		off := g.Offset(i)
+		var du float64
+		for d := 0; d < 3; d++ {
+			var hi geom.Index
+			hi = i
+			hi[d]++
+			du -= fl.At(d, hi) - fl.At(d, i)
+		}
+		out[off] = q[off] + du
+	})
+	copy(q, out)
+	return fl
 }

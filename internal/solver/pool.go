@@ -10,6 +10,9 @@ import (
 // distributed execution model charges virtual time per simulated
 // processor, but the arithmetic itself is genuinely parallel Go: each
 // simulated processor's grids are advanced by worker goroutines.
+//
+// A nil *Pool is valid and runs everything inline on the calling
+// goroutine, so callers never need to branch on whether one is set.
 type Pool struct {
 	workers int
 }
@@ -23,8 +26,13 @@ func NewPool(n int) *Pool {
 	return &Pool{workers: n}
 }
 
-// Workers returns the pool's concurrency.
-func (p *Pool) Workers() int { return p.workers }
+// Workers returns the pool's concurrency; 1 for a nil pool.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // ForEach invokes fn(i) for i in [0,n) across the pool's workers and
 // waits for completion. fn must be safe to call concurrently for
@@ -33,7 +41,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := p.workers
+	workers := p.Workers()
 	if workers > n {
 		workers = n
 	}

@@ -259,6 +259,26 @@ func TestPoolSingleWorkerAndEmpty(t *testing.T) {
 	}
 }
 
+func TestNilPoolRunsInline(t *testing.T) {
+	var p *Pool
+	if got := p.Workers(); got != 1 {
+		t.Errorf("nil pool Workers() = %d, want 1", got)
+	}
+	// Unsynchronised appends: the race detector fails this test if the
+	// loop ever leaves the calling goroutine.
+	var order []int
+	p.ForEach(6, func(i int) { order = append(order, i) })
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("visit order %v, want 0..5 ascending", order)
+		}
+	}
+	if len(order) != 6 {
+		t.Errorf("visited %d indices, want 6", len(order))
+	}
+	p.ForEach(0, func(int) { t.Error("must not be called") })
+}
+
 func TestKernelMetadata(t *testing.T) {
 	ks := []Kernel{Advection3D{}, LaxFriedrichs3D{}, GaussSeidel{}}
 	for _, k := range ks {
