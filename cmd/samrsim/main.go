@@ -130,20 +130,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var driver workload.Driver
-	switch *dataset {
-	case "ShockPool3D":
-		driver = workload.NewShockPool3D(*domainN, 2)
-	case "AMR64":
-		driver = workload.NewAMR64(*domainN, 2, *seed)
-	case "SedovBlast":
-		driver = workload.NewSedovBlast(*domainN, 2)
-	case "blob":
-		driver = workload.NewStaticBlob(*domainN, 2)
-	case "uniform":
-		driver = &workload.Uniform{N0: *domainN, Ref: 2}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
+	driver, err := workload.ByName(*dataset, *domainN, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -195,8 +184,16 @@ func main() {
 		}
 	}
 
-	tr := trace.New()
-	hist := metrics.NewHistory()
+	// A trace and a history are attached only when they will be printed:
+	// both are nil-safe, and the default run then grows neither.
+	var tr *trace.Recorder
+	if *traceOut {
+		tr = trace.New()
+	}
+	var hist *metrics.History
+	if *series {
+		hist = metrics.NewHistory()
+	}
 	opt := engine.Options{
 		Steps:              *steps,
 		Balancer:           bal,

@@ -113,7 +113,7 @@ func runSupervisor(sys *machine.System, sched *fault.Schedule,
 	replay := fmt.Sprintf("%s %s", exe, strings.Join(os.Args[1:], " "))
 	fmt.Fprintf(os.Stderr, "supervise: %d worker(s), %d scripted kill(s); replay: %s\n",
 		sys.NumGroups(), len(kills), replay)
-	mem := machine.NewMembership(sys, 2, 4, 1)
+	mem := machine.NewMembership(sys, 1)
 	baseArgs := os.Args[1:]
 	rep, err := supervise.Run(supervise.Config{
 		NumShards:   sys.NumGroups(),

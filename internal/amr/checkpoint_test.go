@@ -67,7 +67,7 @@ func TestCheckpointIDsSurviveFurtherGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Adding a new grid after restore must not collide with restored IDs.
-	g := h2.AddGrid(0, geom.UnitCube(16).Shift(geom.Index{0, 0, 0}), 0, NoGrid)
+	g := h2.AddGrid(0, geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{16, 16, 16}), 0, NoGrid)
 	_ = g
 	seen := map[GridID]bool{}
 	for l := 0; l <= h2.MaxLevel; l++ {

@@ -357,36 +357,6 @@ func TestFlagWhereGradient(t *testing.T) {
 	})
 }
 
-func TestRegridCoalesceReducesGridCount(t *testing.T) {
-	build := func(coalesce bool) int {
-		h := newH(t, 16, 1, false)
-		h.AddGrid(0, geom.UnitCube(16), 0, NoGrid)
-		// An L-shaped flag region: clustering splits it into several
-		// boxes, some of which share faces and can merge.
-		flag := func(level int, f *cluster.FlagField) {
-			f.SetWhere(func(i geom.Index) bool {
-				return (i[0] < 8 && i[1] < 4 && i[2] < 4) || (i[0] < 4 && i[1] < 8 && i[2] < 4)
-			})
-		}
-		p := DefaultRegridParams()
-		p.Buffer = 0
-		p.Coalesce = coalesce
-		h.RegridAll(0, flag, p, nil)
-		if err := h.CheckProperNesting(); err != nil {
-			t.Fatalf("coalesce=%v broke nesting: %v", coalesce, err)
-		}
-		if coalesce {
-			return len(h.Grids(1))
-		}
-		return len(h.Grids(1))
-	}
-	plain := build(false)
-	merged := build(true)
-	if merged > plain {
-		t.Errorf("coalescing increased grid count: %d -> %d", plain, merged)
-	}
-}
-
 func TestSplitGridSplitsStraddlingChildren(t *testing.T) {
 	h := newH(t, 8, 2, true)
 	g := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)

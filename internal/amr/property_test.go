@@ -49,7 +49,6 @@ func TestRegridAlwaysProperlyNestedProperty(t *testing.T) {
 			}
 		}
 		p := DefaultRegridParams()
-		p.Coalesce = rng.Intn(2) == 0
 		h.RegridAll(0, flag, p, nil)
 		if err := h.CheckProperNesting(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

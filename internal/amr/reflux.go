@@ -269,9 +269,6 @@ func (fr *FluxRegister) Release() {
 	fluxRegPool.Put(fr)
 }
 
-// NumFaces returns the number of interface faces tracked.
-func (fr *FluxRegister) NumFaces() int { return len(fr.plan.faces) }
-
 // plannedPos returns g's place in the level list a plan was built for,
 // after checking that g and its fluxes are what the plan's offsets
 // were computed from.

@@ -24,8 +24,8 @@ func TestFluxRegisterFaceIdentification(t *testing.T) {
 	h, _, _ := refluxFixture(t)
 	fr := NewFluxRegister(h, 1)
 	// The covered coarse region is a 4³ cube: 6 sides × 16 faces.
-	if fr.NumFaces() != 96 {
-		t.Errorf("NumFaces = %d, want 96", fr.NumFaces())
+	if len(fr.plan.faces) != 96 {
+		t.Errorf("NumFaces = %d, want 96", len(fr.plan.faces))
 	}
 	for key, e := range fr.faceMap() {
 		// Corrected cells are never covered by the fine level.
@@ -51,8 +51,8 @@ func TestFluxRegisterSkipsDomainBoundary(t *testing.T) {
 	fr := NewFluxRegister(h, 1)
 	// Covered 4³ cube at the corner: 3 interior sides have faces, the
 	// 3 domain-boundary sides do not: 3 × 16 = 48.
-	if fr.NumFaces() != 48 {
-		t.Errorf("NumFaces = %d, want 48", fr.NumFaces())
+	if len(fr.plan.faces) != 48 {
+		t.Errorf("NumFaces = %d, want 48", len(fr.plan.faces))
 	}
 }
 
@@ -285,9 +285,9 @@ func TestFluxRegisterMatchesReference(t *testing.T) {
 			}
 
 			got := planned.faceMap()
-			if len(got) != planned.NumFaces() {
+			if len(got) != len(planned.plan.faces) {
 				t.Fatalf("trial %d level %d: face table repeats a face (%d rows, %d distinct)",
-					trial, fine, planned.NumFaces(), len(got))
+					trial, fine, len(planned.plan.faces), len(got))
 			}
 			if len(got) != len(ref.faces) {
 				t.Fatalf("trial %d level %d: planned %d faces, reference %d", trial, fine, len(got), len(ref.faces))
@@ -356,9 +356,9 @@ func TestFluxRegisterApplyOrderIndependent(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, true, solver.FieldQ)
 	cg := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
 	for _, arm := range []geom.Box{ // coarse index space
-		geom.NewBox(geom.Index{2, 2, 2}, geom.Index{5, 3, 5}),
-		geom.NewBox(geom.Index{2, 4, 2}, geom.Index{3, 5, 5}),
-		geom.NewBox(geom.Index{4, 4, 2}, geom.Index{5, 5, 3}),
+		geom.Box{Lo: geom.Index{2, 2, 2}, Hi: geom.Index{5, 3, 5}},
+		geom.Box{Lo: geom.Index{2, 4, 2}, Hi: geom.Index{3, 5, 5}},
+		geom.Box{Lo: geom.Index{4, 4, 2}, Hi: geom.Index{5, 5, 3}},
 	} {
 		h.AddGrid(1, arm.Refine(2), 0, cg.ID)
 	}
@@ -428,7 +428,7 @@ func TestInterfacePlanCached(t *testing.T) {
 	for _, b := range (geom.BoxList{geom.UnitCube(16)}).SplitEvenly(4) {
 		h.AddGrid(0, b, 0, NoGrid)
 	}
-	fine := geom.NewBox(geom.Index{2, 2, 2}, geom.Index{5, 5, 5})
+	fine := geom.Box{Lo: geom.Index{2, 2, 2}, Hi: geom.Index{5, 5, 5}}
 	fg := h.AddGrid(1, fine.Refine(2), 0, h.Grids(0)[0].ID)
 
 	plan := func() *interfacePlan {
@@ -461,7 +461,7 @@ func TestInterfacePlanCached(t *testing.T) {
 		t.Error("the rebuilt plan was not cached")
 	}
 	parent := h.Grid(h.Grids(1)[0].Parent)
-	h.AddGrid(1, geom.NewBox(geom.Index{4, 12, 12}, geom.Index{7, 15, 15}), 0, parent.ID)
+	h.AddGrid(1, geom.Box{Lo: geom.Index{4, 12, 12}, Hi: geom.Index{7, 15, 15}}, 0, parent.ID)
 	if third := plan(); third == second || len(third.faces) <= len(second.faces) {
 		t.Error("a new fine grid did not rebuild the interface plan")
 	}
@@ -473,7 +473,7 @@ func TestInterfacePlanCached(t *testing.T) {
 func TestInterfacePlanRejectsUnalignedFineBox(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, false, solver.FieldQ)
 	cg := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
-	h.AddGrid(1, geom.NewBox(geom.Index{3, 4, 4}, geom.Index{8, 9, 9}), 0, cg.ID)
+	h.AddGrid(1, geom.Box{Lo: geom.Index{3, 4, 4}, Hi: geom.Index{8, 9, 9}}, 0, cg.ID)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("an unaligned fine box was planned")

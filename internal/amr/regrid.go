@@ -14,10 +14,6 @@ type RegridParams struct {
 	// before clustering, so features stay inside their fine grids for
 	// a few steps between regrids.
 	Buffer int
-	// Coalesce merges adjacent child pieces of the same parent into
-	// single grids, trading fewer (larger) grids against balancing
-	// granularity.
-	Coalesce bool
 }
 
 // DefaultRegridParams returns typical SAMR regrid settings.
@@ -79,10 +75,6 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 				if piece := b.Intersect(parent.Box); !piece.Empty() {
 					pieces = append(pieces, piece)
 				}
-			}
-			if p.Coalesce {
-				pieces = pieces.Coalesce()
-				pieces.SortByLo()
 			}
 			for _, piece := range pieces {
 				childBox := piece.Refine(h.RefFactor)

@@ -3,10 +3,8 @@ package amr
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"samrdlb/internal/geom"
-	"samrdlb/internal/solver"
 )
 
 // Spatial neighbor index. The plan builders used to answer "which
@@ -18,12 +16,11 @@ import (
 // (~cbrt(n) buckets per dimension), so a query returns O(k) candidates
 // independent of the level's population.
 //
-// The index is built lazily on first plan query — in parallel over the
-// attached solver.Pool when the level is large — and maintained
+// The index is built lazily on first plan query and maintained
 // incrementally from the hierarchy's mutation hooks (noteAdded /
-// noteRemoved). Bucket-internal order is unspecified (the parallel
-// build races grids into their slots), so query sorts candidates by
-// their level-list position before returning: plan builders iterate
+// noteRemoved). Bucket-internal order is unspecified (remove
+// swap-deletes), so query sorts candidates by their level-list
+// position before returning: plan builders iterate
 // candidates in exactly the order the O(n²) scans iterate the level,
 // which is what keeps indexed plans byte-identical to the scan
 // baselines.
@@ -34,9 +31,6 @@ const (
 	// for; the slop term keeps tiny levels from rebuilding constantly.
 	indexRebuildFactor = 4
 	indexRebuildSlop   = 8
-	// indexParallelMin is the level size below which the index build
-	// stays serial (goroutine fan-out costs more than the loop).
-	indexParallelMin = 2048
 	// maxIndexBuckets caps the bucket-array footprint per level.
 	maxIndexBuckets = 1 << 21
 )
@@ -163,42 +157,34 @@ func dedupeSorted(gs []*Grid) []*Grid {
 	return gs[:w]
 }
 
-// build populates the bucket grid from scratch. Large levels build in
-// parallel over the pool: an atomic per-bucket count pass, a prefix
-// sum, then an atomic-cursor fill into one shared arena (sub-sliced
+// build populates the bucket grid from scratch: a per-bucket count
+// pass, a prefix sum, then a fill into one shared arena (sub-sliced
 // with hard caps so later appends copy out instead of clobbering a
-// neighbor's slots).
-func (li *levelIndex) build(grids []*Grid, pool *solver.Pool) {
-	n := len(grids)
-	li.count = n
-	if n == 0 {
+// neighbor's slots) — a handful of allocations whatever the level size.
+func (li *levelIndex) build(grids []*Grid) {
+	li.count = len(grids)
+	if len(grids) == 0 {
 		return
 	}
 	nb := len(li.buckets)
-	if pool.Workers() > 1 && n >= indexParallelMin {
-		counts := make([]atomic.Int32, nb)
-		pool.ForEach(n, func(i int) {
-			li.forBuckets(grids[i].Box, func(b int) { counts[b].Add(1) })
-		})
-		offs := make([]int32, nb+1)
-		for b := 0; b < nb; b++ {
-			offs[b+1] = offs[b] + counts[b].Load()
-			counts[b].Store(0)
-		}
-		arena := make([]*Grid, offs[nb])
-		pool.ForEach(n, func(i int) {
-			li.forBuckets(grids[i].Box, func(b int) {
-				arena[offs[b]+counts[b].Add(1)-1] = grids[i]
-			})
-		})
-		for b := 0; b < nb; b++ {
-			lo, hi := offs[b], offs[b+1]
-			li.buckets[b] = arena[lo:hi:hi]
-		}
-		return
-	}
+	offs := make([]int32, nb+1)
 	for _, g := range grids {
-		li.forBuckets(g.Box, func(b int) { li.buckets[b] = append(li.buckets[b], g) })
+		li.forBuckets(g.Box, func(b int) { offs[b+1]++ })
+	}
+	for b := 0; b < nb; b++ {
+		offs[b+1] += offs[b]
+	}
+	arena := make([]*Grid, offs[nb])
+	next := slices.Clone(offs[:nb])
+	for _, g := range grids {
+		li.forBuckets(g.Box, func(b int) {
+			arena[next[b]] = g
+			next[b]++
+		})
+	}
+	for b := 0; b < nb; b++ {
+		lo, hi := offs[b], offs[b+1]
+		li.buckets[b] = arena[lo:hi:hi]
 	}
 }
 
@@ -214,7 +200,7 @@ func (h *Hierarchy) indexFor(l int) *levelIndex {
 	if li == nil || n > li.sizedFor*indexRebuildFactor+indexRebuildSlop ||
 		n*indexRebuildFactor+indexRebuildSlop < li.sizedFor {
 		li = newLevelIndex(h.DomainAt(l), n)
-		li.build(h.levels[l], h.pool)
+		li.build(h.levels[l])
 		h.index[l] = li
 	}
 	return li

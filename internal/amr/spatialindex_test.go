@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"samrdlb/internal/geom"
-	"samrdlb/internal/solver"
 )
 
 // randomBoxIn returns a random non-empty box inside dom.
@@ -19,7 +18,7 @@ func randomBoxIn(rng *rand.Rand, dom geom.Box) geom.Box {
 		}
 		lo[d], hi[d] = a, b
 	}
-	return geom.NewBox(lo, hi)
+	return geom.Box{Lo: lo, Hi: hi}
 }
 
 // checkQuery asserts the index query for b returns a pos-sorted,
@@ -139,32 +138,37 @@ func TestLevelIndexRebuildTracksPopulation(t *testing.T) {
 	checkQuery(t, h, 0, dom)
 }
 
-func TestLevelIndexParallelBuildMatchesSerial(t *testing.T) {
+// TestLevelIndexBuildMatchesInsert holds the arena build to the
+// incremental path: a level built in one pass answers every query as
+// the same level registered grid by grid.
+func TestLevelIndexBuildMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	dom := geom.UnitCube(96)
 	h := New(dom, 2, 0, 1, false, "q")
-	boxes := (geom.BoxList{dom}).SplitEvenly(indexParallelMin + 500)
+	boxes := (geom.BoxList{dom}).SplitEvenly(2548)
 	for _, b := range boxes {
 		h.AddGrid(0, b, 0, NoGrid)
 	}
 	grids := h.Grids(0)
-	serial := newLevelIndex(dom, len(grids))
-	serial.build(grids, nil)
-	par := newLevelIndex(dom, len(grids))
-	par.build(grids, solver.NewPool(4))
-	if par.count != serial.count {
-		t.Fatalf("parallel count %d, serial %d", par.count, serial.count)
+	inserted := newLevelIndex(dom, len(grids))
+	for _, g := range grids {
+		inserted.insert(g)
+	}
+	built := newLevelIndex(dom, len(grids))
+	built.build(grids)
+	if built.count != inserted.count {
+		t.Fatalf("built count %d, inserted %d", built.count, inserted.count)
 	}
 	for i := 0; i < 300; i++ {
 		q := randomBoxIn(rng, dom)
-		a := serial.query(q, nil)
-		b := par.query(q, nil)
+		a := inserted.query(q, nil)
+		b := built.query(q, nil)
 		if len(a) != len(b) {
-			t.Fatalf("query(%v): serial %d candidates, parallel %d", q, len(a), len(b))
+			t.Fatalf("query(%v): inserted %d candidates, built %d", q, len(a), len(b))
 		}
 		for j := range a {
 			if a[j] != b[j] {
-				t.Fatalf("query(%v) candidate %d: serial grid %d, parallel grid %d",
+				t.Fatalf("query(%v) candidate %d: inserted grid %d, built grid %d",
 					q, j, a[j].ID, b[j].ID)
 			}
 		}

@@ -170,9 +170,6 @@ func Open(dir string, keep int) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetFault attaches a disk-fault injector consulted on every write.
 func (s *Store) SetFault(f DiskFault) { s.fault = f }
 

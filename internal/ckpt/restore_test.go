@@ -16,7 +16,7 @@ func corrupt(t *testing.T, s *Store, mutate func([]byte) []byte) {
 	if len(gens) == 0 {
 		t.Fatal("no generations to corrupt")
 	}
-	path := filepath.Join(s.Dir(), gens[len(gens)-1].File)
+	path := filepath.Join(s.dir, gens[len(gens)-1].File)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

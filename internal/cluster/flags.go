@@ -48,18 +48,6 @@ func (f *FlagField) Set(i geom.Index) {
 	}
 }
 
-// Clear unflags the cell i (no-op outside the box).
-func (f *FlagField) Clear(i geom.Index) {
-	if !f.Box.Contains(i) {
-		return
-	}
-	off := f.Box.Offset(i)
-	if f.flags[off] {
-		f.flags[off] = false
-		f.count--
-	}
-}
-
 // Get reports whether cell i is flagged (false outside the box).
 func (f *FlagField) Get(i geom.Index) bool {
 	if !f.Box.Contains(i) {

@@ -22,8 +22,8 @@ import (
 //     back into work units, and α = 1/|healthy groups| the diffusion
 //     parameter keeping the Jacobi sweep stable.
 //   - Second-order scheme (SOS, Order = 2): the flow carries memory,
-//     f_t = (β−1)·f_{t−1} + β·f_FOS, which converges in roughly the
-//     square root of the FOS step count. The flow memory is run state;
+//     f_t = (β−1)·f_{t−1} + β·f_FOS with β = sosBeta, which converges
+//     in roughly the square root of the FOS step count. The flow memory is run state;
 //     like the NWS forecast history, it restarts empty after a
 //     checkpoint resume (a crash loses it by construction).
 //   - Integer rounding: loads are indivisible grids. A flow moves
@@ -40,14 +40,15 @@ type DiffusionDLB struct {
 	// Order selects the scheme: 1 or 0 = first-order, 2 = second-order
 	// with flow memory.
 	Order int
-	// Beta is the SOS over-relaxation parameter in (1, 2); 0 = default
-	// 1.25. Ignored by the first-order scheme.
-	Beta float64
 
 	// prevFlow is the SOS flow memory, keyed by the (lo, hi) group
 	// pair and signed positive lo→hi.
 	prevFlow map[[2]int]float64
 }
+
+// sosBeta is the SOS over-relaxation parameter β, from the (1, 2) range
+// of arXiv:1308.0148.
+const sosBeta = 1.25
 
 // Name implements Balancer.
 func (b *DiffusionDLB) Name() string {
@@ -75,15 +76,7 @@ func (b *DiffusionDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	var d GlobalDecision
 	sys := ctx.Sys
 	if sys.NumGroups() < 2 {
-		// Degenerate one-group system: same accounting as the paper's
-		// scheme — the level-0 pass is still the global phase.
-		d.Migrations = balanceOver(ctx, 0, allProcs(ctx))
-		for _, m := range d.Migrations {
-			d.MovedBytes += m.Bytes
-		}
-		d.Invoked = len(d.Migrations) > 0
-		d.Evaluated = d.Invoked
-		return d
+		return oneGroupGlobal(ctx)
 	}
 	healthy := healthyGroups(ctx, &d)
 	if len(healthy) < 2 {
@@ -119,10 +112,6 @@ func (b *DiffusionDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	// from the same z snapshot (edges do not see each other's moves
 	// until the next step).
 	alpha := 1 / float64(len(healthy))
-	beta := b.Beta
-	if !(beta > 1) || beta >= 2 {
-		beta = 1.25
-	}
 	flow := make(map[[2]int]float64)
 	for ii, i := range healthy {
 		for _, j := range healthy[ii+1:] {
@@ -134,7 +123,7 @@ func (b *DiffusionDLB) GlobalBalance(ctx *Context) GlobalDecision {
 			f := alpha * (z[i] - z[j]) * h
 			key := [2]int{i, j}
 			if b.Order >= 2 {
-				f = (beta-1)*b.prevFlow[key] + beta*f
+				f = (sosBeta-1)*b.prevFlow[key] + sosBeta*f
 			}
 			flow[key] = f
 		}
@@ -165,9 +154,7 @@ func (b *DiffusionDLB) GlobalBalance(ctx *Context) GlobalDecision {
 		}
 		d.Migrations = append(d.Migrations, moveLevel0Rounded(ctx, donor, recv, f)...)
 	}
-	for _, m := range d.Migrations {
-		d.MovedBytes += m.Bytes
-	}
+	d.MovedBytes = migratedBytes(d.Migrations)
 	d.Invoked = len(d.Migrations) > 0
 	return d
 }

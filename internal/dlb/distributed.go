@@ -63,21 +63,7 @@ func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	var d GlobalDecision
 	sys := ctx.Sys
 	if sys.NumGroups() < 2 {
-		// Degenerate distributed system: there is no inter-group link
-		// to probe, but the level-0 redistribution is still the
-		// scheme's global phase, not local traffic. Marking it
-		// evaluated makes the engine charge the moves to the
-		// Redistribution phase and record δ, so the cost side of
-		// Eq. 1 keeps its history on one-group systems (previously the
-		// moves were mis-charged as LocalComm and δ silently stayed
-		// zero). Gain/Cost remain zero: no estimate was needed.
-		d.Migrations = balanceOver(ctx, 0, allProcs(ctx))
-		for _, m := range d.Migrations {
-			d.MovedBytes += m.Bytes
-		}
-		d.Invoked = len(d.Migrations) > 0
-		d.Evaluated = d.Invoked
-		return d
+		return oneGroupGlobal(ctx)
 	}
 
 	healthy := healthyGroups(ctx, &d)
@@ -153,7 +139,7 @@ func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
 		d.ProbeFailed = true
 		return d
 	}
-	alphaHat, betaHat, probeT, retryT, attempts, perr := link.ProbeWithRetry(ctx.now(), ctx.Retry)
+	alphaHat, betaHat, probeT, retryT, attempts, perr := link.ProbeWithRetry(ctx.Now())
 	d.ProbedA, d.ProbedB = donor, recv
 	d.ProbeTime = probeT
 	d.RetryTime = retryT
@@ -197,10 +183,32 @@ func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	// receiving group's region, splitting the last grid to match.
 	d.Invoked = true
 	d.Migrations = moveLevel0(ctx, donor, recv, moveWork)
-	for _, m := range d.Migrations {
-		d.MovedBytes += m.Bytes
-	}
+	d.MovedBytes = migratedBytes(d.Migrations)
 	return d
+}
+
+// oneGroupGlobal is the global phase of a degenerate one-group system:
+// there is no inter-group link to probe, but the level-0 redistribution
+// is still the scheme's global phase, not local traffic. Marking it
+// evaluated makes the engine charge the moves to the Redistribution
+// phase and record δ, so the cost side of Eq. 1 keeps its history on
+// one-group systems. Gain/Cost remain zero: no estimate was needed.
+func oneGroupGlobal(ctx *Context) GlobalDecision {
+	var d GlobalDecision
+	d.Migrations = balanceOver(ctx, 0, allProcs(ctx))
+	d.MovedBytes = migratedBytes(d.Migrations)
+	d.Invoked = len(d.Migrations) > 0
+	d.Evaluated = d.Invoked
+	return d
+}
+
+// migratedBytes is the total volume of the migrations.
+func migratedBytes(migs []Migration) int64 {
+	var n int64
+	for _, m := range migs {
+		n += m.Bytes
+	}
+	return n
 }
 
 // healthyGroups partitions the groups into reachable and excluded,
@@ -213,7 +221,7 @@ func healthyGroups(ctx *Context, d *GlobalDecision) []int {
 	sys := ctx.Sys
 	var healthy []int
 	for g := 0; g < sys.NumGroups(); g++ {
-		if ctx.Quarantined != nil && ctx.Quarantined(g, ctx.now()) {
+		if ctx.Quarantined != nil && ctx.Quarantined(g, ctx.Now()) {
 			d.Quarantined = append(d.Quarantined, g)
 			continue
 		}
@@ -234,9 +242,7 @@ func degradeToLocal(ctx *Context, d *GlobalDecision) {
 	for g := 0; g < ctx.Sys.NumGroups(); g++ {
 		d.Migrations = append(d.Migrations, balanceOver(ctx, 0, groupProcs(ctx, g))...)
 	}
-	for _, m := range d.Migrations {
-		d.MovedBytes += m.Bytes
-	}
+	d.MovedBytes = migratedBytes(d.Migrations)
 	d.Invoked = len(d.Migrations) > 0
 }
 

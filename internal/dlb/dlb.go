@@ -40,8 +40,8 @@ type Context struct {
 	// subtree works, owned-grid lists) every decision reads in
 	// O(1)/O(procs). Ledger.Verify is their independent recomputation.
 	Ledger *load.Ledger
-	// Now returns the current virtual time, needed to probe links
-	// whose background traffic varies.
+	// Now returns the current virtual time (required), needed to probe
+	// links whose background traffic varies.
 	Now func() float64
 	// Gamma is the γ threshold of Section 4.4 (default 2.0): global
 	// redistribution runs only when Gain > γ·Cost.
@@ -66,9 +66,6 @@ type Context struct {
 	// are excluded from placement and balancing targets until the
 	// engine re-admits them. Nil admits every alive processor.
 	Admitted func(p int) bool
-	// Retry bounds the probe retry/backoff loop (zero value = netsim
-	// defaults).
-	Retry netsim.RetryPolicy
 	// ForceEval makes the next global evaluation run even below the
 	// imbalance trigger — the catch-up redistribution considered when
 	// a quarantine window closes. The engine sets and clears it.
@@ -93,13 +90,6 @@ func (c *Context) imbalanceEps() float64 {
 		return DefaultImbalanceEps
 	}
 	return c.ImbalanceEps
-}
-
-func (c *Context) now() float64 {
-	if c.Now == nil {
-		return 0
-	}
-	return c.Now()
 }
 
 // Migration records one grid changing owner.
@@ -310,23 +300,6 @@ func leastLoadedProc(ctx *Context, procs []int, level int) int {
 		}
 	}
 	return best
-}
-
-// Imbalance returns (max-min)/max over the given loads (0 when all
-// zero): a scale-free measure used in tests and reports.
-func Imbalance(works []float64) float64 {
-	if len(works) == 0 {
-		return 0
-	}
-	maxW, minW := works[0], works[0]
-	for _, w := range works[1:] {
-		maxW = math.Max(maxW, w)
-		minW = math.Min(minW, w)
-	}
-	if maxW <= 0 {
-		return 0
-	}
-	return (maxW - minW) / maxW
 }
 
 // sortedCopy returns procs sorted ascending (stable iteration order

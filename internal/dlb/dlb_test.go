@@ -36,15 +36,26 @@ func ctxFor(t testing.TB, sys *machine.System, h *amr.Hierarchy) *Context {
 			t.Errorf("ledger diverged from the hierarchy: %v", err)
 		}
 	})
-	return &Context{Sys: sys, H: h, Load: load.NewRecorder(sys, h.MaxLevel), Ledger: led}
+	return &Context{Sys: sys, H: h, Load: load.NewRecorder(sys, h.MaxLevel), Ledger: led,
+		Now: func() float64 { return 0 }}
 }
 
 // recordCellLoads snapshots each processor's level-0 cells into the
 // recorder, as the engine does after a step.
 func recordCellLoads(ctx *Context) {
-	for p, v := range ctx.Ledger.LevelWork(0) {
+	for p, v := range levelWork(ctx, 0) {
 		ctx.Load.RecordLevelWork(p, 0, v)
 	}
+}
+
+// levelWork is every processor's cell count at the level, off the
+// ledger.
+func levelWork(ctx *Context, level int) []float64 {
+	out := make([]float64, ctx.Sys.NumProcs())
+	for p := range out {
+		out[p] = ctx.Ledger.ProcCells(level, p)
+	}
+	return out
 }
 
 func procCells(ctx *Context, level int) map[int]float64 {
@@ -420,15 +431,22 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// spikeTraffic is a quiet link with one busy window [from, to).
+type spikeTraffic struct{ from, to, load float64 }
+
+func (s spikeTraffic) Load(t float64) float64 {
+	if t >= s.from && t < s.to {
+		return s.load
+	}
+	return 0
+}
+
 func TestForecastSmoothsSpikyProbes(t *testing.T) {
 	// The network is quiet except for a spike exactly when the probe
 	// fires. The raw probe vetoes the redistribution; a forecaster
 	// trained on the quiet history recognises the spike as an outlier
 	// and lets the redistribution proceed.
-	spike := netsim.TraceTraffic{
-		Times: []float64{0, 99, 101},
-		Loads: []float64{0.0, 0.93, 0.0},
-	}
+	spike := spikeTraffic{from: 99, to: 101, load: 0.93}
 	mkCtx := func() *Context {
 		sys := machine.WanPair(2, spike)
 		h := slabHierarchy(32, []int{8, 8, 8, 8}, []int{0, 1, 0, 2})

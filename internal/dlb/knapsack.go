@@ -12,17 +12,17 @@ import (
 // balanced level are repacked from scratch — sorted by cell count
 // descending and assigned one by one to the processor with the least
 // projected perf-normalised load — under a movement-cost cap. The cap
-// bounds the bytes a single pass may migrate to a fraction of the
+// bounds the bytes a single pass may migrate to knapsackMoveFrac of the
 // set's total grid bytes; once it binds, further grids stay with
 // their current owner, trading balance quality against data motion
 // (the knapsack-vs-SFC trade-off the study measures). Placement and
 // the global phase are the paper's, so the comparison isolates the
 // local packing policy.
-type KnapsackDLB struct {
-	// MoveFrac caps a pass's migrated bytes to this fraction of the
-	// set's total grid bytes (0 = default 0.5).
-	MoveFrac float64
-}
+type KnapsackDLB struct{}
+
+// knapsackMoveFrac is the movement cap: the share of a set's total grid
+// bytes one pass may migrate.
+const knapsackMoveFrac = 0.5
 
 // Name implements Balancer.
 func (KnapsackDLB) Name() string { return "knapsack-dlb" }
@@ -50,7 +50,7 @@ func (k KnapsackDLB) LocalBalance(ctx *Context, level int) []Migration {
 }
 
 // pack runs one capped LPT pass over the procs' grids at the level.
-func (k KnapsackDLB) pack(ctx *Context, level int, procs []int) []Migration {
+func (KnapsackDLB) pack(ctx *Context, level int, procs []int) []Migration {
 	if len(procs) < 2 {
 		return nil
 	}
@@ -79,11 +79,7 @@ func (k KnapsackDLB) pack(ctx *Context, level int, procs []int) []Migration {
 		}
 		return grids[i].ID < grids[j].ID
 	})
-	frac := k.MoveFrac
-	if !(frac > 0) || frac > 1 {
-		frac = 0.5
-	}
-	budget := int64(frac * float64(totalBytes))
+	budget := int64(knapsackMoveFrac * float64(totalBytes))
 	load := make(map[int]float64, len(procs))
 	var movedBytes int64
 	var out []Migration

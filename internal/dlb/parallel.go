@@ -35,15 +35,11 @@ func (ParallelDLB) LocalBalance(ctx *Context, level int) []Migration {
 // processors, oblivious to group boundaries and network state.
 func (ParallelDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	migs := balanceOver(ctx, 0, allProcs(ctx))
-	var bytes int64
-	for _, m := range migs {
-		bytes += m.Bytes
-	}
 	return GlobalDecision{
 		Evaluated:  false,
 		Invoked:    len(migs) > 0,
 		Migrations: migs,
-		MovedBytes: bytes,
+		MovedBytes: migratedBytes(migs),
 	}
 }
 

@@ -187,8 +187,7 @@ func TestPolicyKnapsackPacksWithinGroups(t *testing.T) {
 	// group 1.
 	h := slabHierarchy(8, []int{3, 1, 2, 2}, []int{0, 0, 2, 2})
 	ctx := ctxFor(t, sys, h)
-	k := KnapsackDLB{MoveFrac: 1}
-	migs := k.LocalBalance(ctx, 0)
+	migs := KnapsackDLB{}.LocalBalance(ctx, 0)
 	if len(migs) == 0 {
 		t.Fatal("expected migrations")
 	}
@@ -208,19 +207,33 @@ func TestPolicyKnapsackPacksWithinGroups(t *testing.T) {
 	}
 }
 
+// TestPolicyKnapsackMovementCapBinds pins the movement cap, a constant:
+// one pass migrates at most half the set's grid bytes.
 func TestPolicyKnapsackMovementCapBinds(t *testing.T) {
-	sys := machine.WanPair(2, nil)
-	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
+	sys := machine.WanPair(3, nil)
+	// Group 0's three equal slabs all sit on proc 0. An uncapped LPT
+	// pass would ship one to each idle processor — two thirds of the
+	// set's bytes. The second move would cross the half, so it is
+	// refused and that grid stays where it is.
+	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 3})
 	ctx := ctxFor(t, sys, h)
-	// A cap far below one grid's bytes freezes the layout even though
-	// it is maximally imbalanced.
-	k := KnapsackDLB{MoveFrac: 0.0001}
-	if migs := k.LocalBalance(ctx, 0); len(migs) != 0 {
-		t.Fatalf("cap should forbid every move, got %d migrations", len(migs))
+	var setBytes int64
+	for _, g := range h.Grids(0)[:3] {
+		setBytes += g.Bytes(len(h.Fields))
 	}
-	// With the cap lifted the same layout balances.
-	if migs := (KnapsackDLB{MoveFrac: 1}).LocalBalance(ctx, 0); len(migs) == 0 {
-		t.Fatal("uncapped pack moved nothing")
+	migs := KnapsackDLB{}.LocalBalance(ctx, 0)
+	if len(migs) != 1 {
+		t.Fatalf("cap should allow exactly one move, got %d: %+v", len(migs), migs)
+	}
+	if moved := migratedBytes(migs); 2*moved > setBytes {
+		t.Errorf("moved %d of %d bytes: more than half", moved, setBytes)
+	}
+	if pc := procCells(ctx, 0); pc[0] != 256 || pc[1] != 128 || pc[2] != 0 {
+		t.Errorf("layout after the capped pass: %v", pc)
+	}
+	// The next pass has a fresh budget and finishes the job.
+	if migs := (KnapsackDLB{}).LocalBalance(ctx, 0); len(migs) != 1 {
+		t.Fatalf("second pass should move the remaining grid, got %+v", migs)
 	}
 }
 

@@ -81,9 +81,9 @@ func TestLocalBalanceNeverWorsensImbalanceProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		h := randomHierarchy(rng, sys, 12)
 		ctx := ctxFor(t, sys, h)
-		before := Imbalance(ctx.Ledger.LevelWork(0))
+		before := Imbalance(levelWork(ctx, 0))
 		ParallelDLB{}.LocalBalance(ctx, 0)
-		after := Imbalance(ctx.Ledger.LevelWork(0))
+		after := Imbalance(levelWork(ctx, 0))
 		if after > before+1e-12 {
 			t.Fatalf("trial %d: imbalance worsened %v -> %v", trial, before, after)
 		}

@@ -109,34 +109,51 @@ func sfcPartition(ctx *Context, level int, procs []int, keyOf func(geom.Box) uin
 		}
 		return grids[i].ID < grids[j].ID
 	})
-	var perfSum, total float64
-	for _, p := range procs {
-		perfSum += ctx.Sys.Perf(p)
-		total += ctx.Ledger.ProcCells(level, p)
+	weights := make([]float64, len(grids))
+	for i, g := range grids {
+		weights[i] = float64(g.NumCells())
+	}
+	shares := make([]float64, len(procs))
+	for k, p := range procs {
+		shares[k] = ctx.Sys.Perf(p)
 	}
 	var out []Migration
-	var assigned, cumPerf float64
-	pi := 0
 	numFields := len(ctx.H.Fields)
-	for _, g := range grids {
-		// Advance to the next processor once this one holds its
-		// perf-proportional share of the curve.
-		for pi < len(procs)-1 {
-			cumPerf = 0
-			for k := 0; k <= pi; k++ {
-				cumPerf += ctx.Sys.Perf(procs[k])
-			}
-			if assigned < total*cumPerf/perfSum {
-				break
-			}
-			pi++
-		}
-		target := procs[pi]
+	for i, k := range DealByShare(weights, shares) {
+		g, target := grids[i], procs[k]
 		if g.Owner != target {
 			out = append(out, Migration{Grid: g.ID, From: g.Owner, To: target, Bytes: g.Bytes(numFields)})
 			ctx.H.SetOwner(g, target)
 		}
-		assigned += float64(g.NumCells())
 	}
 	return out
+}
+
+// DealByShare deals an ordered list of weighted items out as contiguous
+// runs, one per receiver, sized proportionally to the receivers'
+// shares: it moves on to the next receiver once the weight dealt so far
+// reaches the cumulative share of the receivers up to the current one,
+// and the last receiver takes what remains. It returns, per item, the
+// index of its receiver. The initial level-0 decomposition, the
+// post-failure repartition and the curve partition are all this deal.
+func DealByShare(weights, shares []float64) []int {
+	var total, shareSum float64
+	for _, w := range weights {
+		total += w
+	}
+	for _, s := range shares {
+		shareSum += s
+	}
+	owner := make([]int, len(weights))
+	k, cum := 0, shares[0]
+	var assigned float64
+	for i, w := range weights {
+		for k < len(shares)-1 && assigned >= total*cum/shareSum {
+			k++
+			cum += shares[k]
+		}
+		owner[i] = k
+		assigned += w
+	}
+	return owner
 }

@@ -1,6 +1,8 @@
 package dlb
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"samrdlb/internal/amr"
@@ -32,7 +34,10 @@ func TestMortonSegmentsAreCompact(t *testing.T) {
 				bb.Lo = bb.Lo.Min(i)
 				bb.Hi = bb.Hi.Max(i)
 			}
-			total += bb.SurfaceCells()
+			// Boundary-shell cell count: the ghost-exchange volume proxy.
+			sh := bb.Shape()
+			inner := geom.Index{max(sh[0]-2, 0), max(sh[1]-2, 0), max(sh[2]-2, 0)}
+			total += sh.Product() - inner.Product()
 		}
 		return total
 	}
@@ -46,7 +51,7 @@ func TestMortonKeyMonotoneInOctants(t *testing.T) {
 	// All cells of the low octant precede all cells of the high
 	// octant (the defining recursive property of the Z-curve).
 	lo := geom.UnitCube(2)
-	hi := lo.Shift(geom.Index{2, 2, 2})
+	hi := geom.BoxFromShape(geom.Index{2, 2, 2}, lo.Shape())
 	var maxLo, minHi uint64 = 0, ^uint64(0)
 	lo.ForEach(func(i geom.Index) {
 		if k := i.MortonKey(); k > maxLo {
@@ -180,6 +185,134 @@ func TestSFCLocalBalanceSkipsFailedProcs(t *testing.T) {
 		pc := procCells(ctx, 0)
 		if pc[0] != pc[2] {
 			t.Errorf("curve %v: uneven split over survivors: %v vs %v", curve, pc[0], pc[2])
+		}
+	}
+}
+
+// The three loops DealByShare replaced, kept as its references: the
+// engine's initial decomposition (cumulative share re-summed from zero
+// at every test), its post-failure repartition (running cumulative
+// share) and the curve partition (re-summed inside the advance loop,
+// break-on-less-than form).
+func dealInitLevel0(weights, shares []float64) []int {
+	var total, shareSum float64
+	for _, w := range weights {
+		total += w
+	}
+	for _, s := range shares {
+		shareSum += s
+	}
+	cumShare := func(p int) float64 {
+		var s float64
+		for i := 0; i <= p; i++ {
+			s += shares[i]
+		}
+		return s
+	}
+	owner := make([]int, len(weights))
+	proc := 0
+	var assigned float64
+	for i, w := range weights {
+		for proc < len(shares)-1 && assigned >= total*cumShare(proc)/shareSum {
+			proc++
+		}
+		owner[i] = proc
+		assigned += w
+	}
+	return owner
+}
+
+func dealRepartition(weights, shares []float64) []int {
+	var total, shareSum float64
+	for _, s := range shares {
+		shareSum += s
+	}
+	for _, w := range weights {
+		total += w
+	}
+	owner := make([]int, len(weights))
+	idx := 0
+	assigned, cum := 0.0, shares[0]
+	for i, w := range weights {
+		for idx < len(shares)-1 && assigned >= total*cum/shareSum {
+			idx++
+			cum += shares[idx]
+		}
+		owner[i] = idx
+		assigned += w
+	}
+	return owner
+}
+
+func dealSFC(weights, shares []float64) []int {
+	var total, shareSum float64
+	for _, s := range shares {
+		shareSum += s
+	}
+	for _, w := range weights {
+		total += w
+	}
+	owner := make([]int, len(weights))
+	var assigned, cum float64
+	pi := 0
+	for i, w := range weights {
+		for pi < len(shares)-1 {
+			cum = 0
+			for k := 0; k <= pi; k++ {
+				cum += shares[k]
+			}
+			if assigned < total*cum/shareSum {
+				break
+			}
+			pi++
+		}
+		owner[i] = pi
+		assigned += w
+	}
+	return owner
+}
+
+func TestDealByShareMatchesTheLoopsItReplaced(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	cells := func(n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = float64(8 * (1 + rng.Intn(64)))
+		}
+		return w
+	}
+	// A dead processor never reaches the deal: the callers pass the
+	// alive list, so its share is simply absent.
+	alive := func(shares []float64, dead int) []float64 {
+		return append(append([]float64(nil), shares[:dead]...), shares[dead+1:]...)
+	}
+	hetero := []float64{1, 0.5, 0.75, 1, 0.3, 1.7, 0.1}
+	cases := []struct {
+		name            string
+		weights, shares []float64
+	}{
+		{"homogeneous", cells(40), []float64{1, 1, 1, 1, 1, 1, 1, 1}},
+		{"homogeneous, equal items", []float64{64, 64, 64, 64, 64, 64, 64, 64}, []float64{1, 1, 1, 1}},
+		{"heterogeneous", cells(57), hetero},
+		{"heterogeneous, slowed", cells(33), []float64{1 * 0.5, 1, 0.75 * 0.25, 1}},
+		{"one dead processor", cells(40), alive(hetero, 2)},
+		{"one survivor", cells(9), []float64{0.5}},
+		{"fewer items than receivers", cells(3), hetero},
+		{"no items", nil, hetero},
+	}
+	for _, c := range cases {
+		got := DealByShare(c.weights, c.shares)
+		for name, ref := range map[string]func(w, s []float64) []int{
+			"initLevel0": dealInitLevel0, "repartition": dealRepartition, "sfcPartition": dealSFC,
+		} {
+			if want := ref(c.weights, c.shares); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: DealByShare = %v, the old %s loop gave %v", c.name, got, name, want)
+			}
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
+				t.Errorf("%s: runs not contiguous: %v", c.name, got)
+			}
 		}
 	}
 }

@@ -365,7 +365,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		r.ckptStep = -1
 		// Default suspicion thresholds: suspect after 2 consecutive probe
 		// failures against a group, presume dead after 4.
-		r.memb = machine.NewMembership(sys, 0, 0, opt.GroupQuorum)
+		r.memb = machine.NewMembership(sys, opt.GroupQuorum)
 		r.ctx.Admitted = r.memb.Admitted
 	}
 	if opt.CheckpointDir != "" {
@@ -482,32 +482,21 @@ func (r *Runner) Ledger() *load.Ledger { return r.ledger }
 func (r *Runner) initLevel0() {
 	boxes := geom.BoxList{r.h.Domain}.SplitEvenly(r.sys.NumProcs() * r.opt.GridsPerProc)
 	boxes.SortByLo()
-	total := float64(r.h.Domain.NumCells())
-	perfSum := r.sys.TotalPerf()
-	proc := 0
-	var assigned float64
-	for _, b := range boxes {
-		// Advance to the next processor once this one holds its share.
-		for proc < r.sys.NumProcs()-1 &&
-			assigned >= total*cumPerf(r.sys, proc)/perfSum {
-			proc++
-		}
-		g := r.h.AddGrid(0, b, proc, amr.NoGrid)
-		assigned += float64(b.NumCells())
+	weights := make([]float64, len(boxes))
+	for i, b := range boxes {
+		weights[i] = float64(b.NumCells())
+	}
+	shares := make([]float64, r.sys.NumProcs())
+	for p := range shares {
+		shares[p] = r.sys.Perf(p)
+	}
+	for i, proc := range dlb.DealByShare(weights, shares) {
+		g := r.h.AddGrid(0, boxes[i], proc, amr.NoGrid)
 		if r.opt.WithData {
 			r.driver.InitialCondition(g.Patch, r.dx(0))
 		}
 	}
 	r.h.SortLevel(0)
-}
-
-// cumPerf returns the summed performance of processors 0..p inclusive.
-func cumPerf(sys *machine.System, p int) float64 {
-	var s float64
-	for i := 0; i <= p; i++ {
-		s += sys.Perf(i)
-	}
-	return s
 }
 
 func (r *Runner) dx(level int) float64 {
@@ -910,22 +899,16 @@ func (r *Runner) repartition() {
 	}
 	r.h.SortLevel(0)
 	grids := r.h.Grids(0)
-	var perfSum, total float64
-	for _, p := range alive {
-		perfSum += r.sys.EffectivePerf(p)
+	weights := make([]float64, len(grids))
+	for i, g := range grids {
+		weights[i] = float64(g.NumCells())
 	}
-	for _, g := range grids {
-		total += float64(g.NumCells())
+	shares := make([]float64, len(alive))
+	for k, p := range alive {
+		shares[k] = r.sys.EffectivePerf(p)
 	}
-	idx := 0
-	assigned, cum := 0.0, r.sys.EffectivePerf(alive[0])
-	for _, g := range grids {
-		for idx < len(alive)-1 && assigned >= total*cum/perfSum {
-			idx++
-			cum += r.sys.EffectivePerf(alive[idx])
-		}
-		r.h.SetOwner(g, alive[idx])
-		assigned += float64(g.NumCells())
+	for i, k := range dlb.DealByShare(weights, shares) {
+		r.h.SetOwner(grids[i], alive[k])
 	}
 	for l := 1; l <= r.h.MaxLevel; l++ {
 		for _, g := range r.h.Grids(l) {

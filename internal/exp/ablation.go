@@ -8,6 +8,7 @@ import (
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/netsim"
+	"samrdlb/internal/workload"
 )
 
 // Ablations beyond the paper's figures: the sensitivity studies its
@@ -30,7 +31,7 @@ func EpsSweep(epss []float64, o Options) []EpsRow {
 	var rows []EpsRow
 	for _, e := range epss {
 		sys := systemFor("ShockPool3D", 4, o.Seed)
-		r := engine.New(sys, driverFor("ShockPool3D", o), engine.Options{
+		r := engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
 			Steps:        o.Steps,
 			Balancer:     dlb.DistributedDLB{},
 			ImbalanceEps: e,
@@ -56,7 +57,7 @@ func GranularitySweep(gpps []int, o Options) []GranularityRow {
 	var rows []GranularityRow
 	for _, g := range gpps {
 		sys := systemFor("ShockPool3D", 4, o.Seed)
-		r := engine.New(sys, driverFor("ShockPool3D", o), engine.Options{
+		r := engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
 			Steps:        o.Steps,
 			Balancer:     dlb.DistributedDLB{},
 			GridsPerProc: g,
@@ -81,7 +82,7 @@ func RegridIntervalSweep(intervals []int, o Options) []RegridRow {
 	var rows []RegridRow
 	for _, iv := range intervals {
 		sys := systemFor("ShockPool3D", 4, o.Seed)
-		r := engine.New(sys, driverFor("ShockPool3D", o), engine.Options{
+		r := engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
 			Steps:          o.Steps,
 			Balancer:       dlb.DistributedDLB{},
 			RegridInterval: iv,
@@ -121,7 +122,7 @@ func ForecastAblation(o Options) []ForecastRow {
 	for _, c := range conditions {
 		run := func(useForecast bool) *metrics.Result {
 			sys := machine.WanPair(4, c.traffic())
-			return engine.New(sys, driverFor("ShockPool3D", o), engine.Options{
+			return engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
 				Steps:       o.Steps,
 				Balancer:    dlb.DistributedDLB{},
 				UseForecast: useForecast,
@@ -154,7 +155,7 @@ func SchemeSweep(o Options) []SchemeRow {
 	o.setDefaults()
 	var rows []SchemeRow
 	for _, scheme := range []string{"parallel", "distributed", "sfc"} {
-		r := Run("ShockPool3D", scheme, systemFor("ShockPool3D", 4, o.Seed), o)
+		r := mustRun("ShockPool3D", scheme, systemFor("ShockPool3D", 4, o.Seed), o)
 		rows = append(rows, SchemeRow{Scheme: r.Scheme, Total: r.Total, Remote: r.RemoteComm()})
 	}
 	return rows
@@ -183,7 +184,7 @@ func MultiSiteSweep(o Options) []MultiSiteRow {
 		}
 		run := func(scheme string) float64 {
 			sys := machine.MultiSite(ns, traffic)
-			return Run("ShockPool3D", scheme, sys, o).Total
+			return mustRun("ShockPool3D", scheme, sys, o).Total
 		}
 		par := run("parallel")
 		dist := run("distributed")

@@ -75,21 +75,6 @@ func lanTraffic(seed int64) netsim.TrafficModel {
 	return &netsim.BurstyTraffic{QuietLoad: 0.05, BusyLoad: 0.4, MeanQuiet: 20, MeanBusy: 10, Seed: seed + 1}
 }
 
-// driverFor builds a fresh driver (drivers carry mutable state such
-// as AMR64's particles, so every run gets its own).
-func driverFor(dataset string, o Options) workload.Driver {
-	switch dataset {
-	case "ShockPool3D":
-		return workload.NewShockPool3D(o.ShockN, 2)
-	case "AMR64":
-		return workload.NewAMR64(o.AMRN, 2, o.Seed)
-	case "SedovBlast":
-		return workload.NewSedovBlast(o.ShockN, 2)
-	default:
-		panic("exp: unknown dataset " + dataset)
-	}
-}
-
 // systemFor builds the machine for a dataset/config: AMR64 runs on
 // the LAN-connected ANL pair, ShockPool3D on the ANL–NCSA WAN pair,
 // as in Section 5.
@@ -100,34 +85,46 @@ func systemFor(dataset string, n int, seed int64) *machine.System {
 	return machine.WanPair(n, wanTraffic(seed))
 }
 
-// balancerFor maps a scheme name to its implementation via the policy
-// registry (any canonical name or alias).
-func balancerFor(scheme string) dlb.Balancer {
-	b, err := dlb.NewPolicy(scheme)
-	if err != nil {
-		panic("exp: unknown scheme " + scheme)
-	}
-	return b
-}
-
 // Run executes one (dataset, scheme, system) combination and returns
-// its result.
-func Run(dataset, scheme string, sys *machine.System, o Options) *metrics.Result {
+// its result; an unknown dataset or scheme name is an error. AMR64 runs
+// on its own domain size (Options.AMRN), every other dataset on ShockN.
+func Run(dataset, scheme string, sys *machine.System, o Options) (*metrics.Result, error) {
 	o.setDefaults()
-	r := engine.New(sys, driverFor(dataset, o), engine.Options{
+	n := o.ShockN
+	if dataset == "AMR64" {
+		n = o.AMRN
+	}
+	driver, err := workload.ByName(dataset, n, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	bal, err := dlb.NewPolicy(scheme)
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(sys, driver, engine.Options{
 		Steps:    o.Steps,
-		Balancer: balancerFor(scheme),
+		Balancer: bal,
 		MaxLevel: o.MaxLevel,
 		WithData: o.WithData,
-	})
-	return r.Run()
+	}).Run(), nil
+}
+
+// mustRun is Run for the figure and ablation drivers, whose dataset and
+// scheme names are fixed in the source: a wrong one is a bug.
+func mustRun(dataset, scheme string, sys *machine.System, o Options) *metrics.Result {
+	res, err := Run(dataset, scheme, sys, o)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // Sequential runs the dataset on a single dedicated processor — the
 // E(1) of the paper's efficiency definition.
 func Sequential(dataset string, o Options) *metrics.Result {
 	o.setDefaults()
-	return Run(dataset, "distributed", machine.Origin2000("seq", 1), o)
+	return mustRun(dataset, "distributed", machine.Origin2000("seq", 1), o)
 }
 
 // ConfigName renders a configuration the way the paper does.

@@ -127,19 +127,23 @@ func TestSequentialHasNoComm(t *testing.T) {
 	}
 }
 
+// TestUnknownNamesPanic: Run reports an unknown dataset or scheme as an
+// error; only the figure drivers, whose names are fixed in the source,
+// still treat one as a bug.
 func TestUnknownNamesPanic(t *testing.T) {
-	assertPanics(t, "dataset", func() { driverFor("nope", fastOpts()) })
-	assertPanics(t, "scheme", func() { balancerFor("nope") })
-}
-
-func assertPanics(t *testing.T, name string, fn func()) {
-	t.Helper()
+	sys := systemFor("ShockPool3D", 1, 1)
+	if _, err := Run("nope", "distributed", sys, fastOpts()); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("unknown dataset: err = %v", err)
+	}
+	if _, err := Run("ShockPool3D", "nope", sys, fastOpts()); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("unknown scheme: err = %v", err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
+			t.Error("mustRun: expected a panic for an unknown dataset")
 		}
 	}()
-	fn()
+	mustRun("nope", "distributed", sys, fastOpts())
 }
 
 func TestConfigName(t *testing.T) {

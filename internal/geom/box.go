@@ -9,9 +9,6 @@ type Box struct {
 	Lo, Hi Index
 }
 
-// NewBox returns the box with the given inclusive corners.
-func NewBox(lo, hi Index) Box { return Box{Lo: lo, Hi: hi} }
-
 // BoxFromShape returns the box anchored at lo with the given extent in
 // each dimension (shape[d] cells along dimension d).
 func BoxFromShape(lo Index, shape Index) Box {
@@ -106,11 +103,6 @@ func (b Box) GrowDim(d, lo, hi int) Box {
 	return b
 }
 
-// Shift translates the box by v.
-func (b Box) Shift(v Index) Box {
-	return Box{Lo: b.Lo.Add(v), Hi: b.Hi.Add(v)}
-}
-
 // SplitAt cuts the box along dimension d so that the first part holds
 // indices < at and the second part holds indices >= at. Callers must
 // ensure Lo[d] < at <= Hi[d] for both halves to be non-empty.
@@ -128,9 +120,6 @@ func (b Box) Halve() (Box, Box) {
 	return b.SplitAt(d, at)
 }
 
-// LongestDim returns the dimension of largest extent.
-func (b Box) LongestDim() int { return b.Shape().MaxDim() }
-
 // Offset returns the linear offset of cell i within the box using
 // x-fastest (Fortran-like) ordering, matching the field storage layout
 // in package grid. The cell must be inside the box.
@@ -147,19 +136,6 @@ func (b Box) IndexAt(off int) Index {
 	y := off % s[1]
 	z := off / s[1]
 	return Index{b.Lo[0] + x, b.Lo[1] + y, b.Lo[2] + z}
-}
-
-// SurfaceCells returns the number of cells on the boundary shell of
-// the box — the cells that have at least one face on the box surface.
-// This is the ghost-exchange volume proxy used by the communication
-// model.
-func (b Box) SurfaceCells() int64 {
-	if b.Empty() {
-		return 0
-	}
-	s := b.Shape()
-	inner := Index{max(s[0]-2, 0), max(s[1]-2, 0), max(s[2]-2, 0)}
-	return s.Product() - inner.Product()
 }
 
 // ForEach calls fn for every cell in the box in Offset order.

@@ -26,18 +26,6 @@ func (l BoxList) Bounding() Box {
 	return out
 }
 
-// IntersectBox returns the non-empty intersections of each list
-// element with b.
-func (l BoxList) IntersectBox(b Box) BoxList {
-	var out BoxList
-	for _, x := range l {
-		if iv := x.Intersect(b); !iv.Empty() {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
 // Contains reports whether the cell i lies in any box of the list.
 func (l BoxList) Contains(i Index) bool {
 	for _, b := range l {
@@ -156,11 +144,19 @@ func (l BoxList) SplitEvenly(n int) BoxList {
 	for len(out) < n {
 		// Find the largest splittable box.
 		bi, bc := -1, int64(1)
-		// Indexed, not ranged by value: the 48-byte copy to the stack made
-		// this O(n²) scan's speed depend on the caller's frame alignment
-		// (engine.New at 4096 boxes: 0.2 s or 0.36 s by stack depth).
+		// The cell count is spelt out through a pointer, not NumCells():
+		// a Box is two [3]int arrays, which Go passes on the stack, and
+		// that 48-byte copy per call made this O(n²) scan's speed depend
+		// on the caller's frame alignment (engine.New at 4096 boxes:
+		// 0.2 s or 0.4 s by stack depth). An empty box has a non-positive
+		// extent and so never beats bc.
 		for i := range out {
-			if c := out[i].NumCells(); c > bc {
+			b := &out[i]
+			if b.Hi[0] < b.Lo[0] || b.Hi[1] < b.Lo[1] || b.Hi[2] < b.Lo[2] {
+				continue
+			}
+			c := int64(b.Hi[0]-b.Lo[0]+1) * int64(b.Hi[1]-b.Lo[1]+1) * int64(b.Hi[2]-b.Lo[2]+1)
+			if c > bc {
 				bi, bc = i, c
 			}
 		}
@@ -188,39 +184,4 @@ func (l BoxList) SortByLo() {
 		}
 		return a[0] < b[0]
 	})
-}
-
-// Coalesce greedily merges pairs of boxes whose union is exactly
-// their bounding box (same cross-section, adjacent along one axis),
-// repeating until no merge applies. For disjoint inputs the result
-// covers exactly the same cells with (usually far) fewer boxes —
-// fewer grids means fewer messages and less per-grid overhead.
-func (l BoxList) Coalesce() BoxList {
-	out := append(BoxList{}, l...)
-	for {
-		merged := false
-	outer:
-		for i := 0; i < len(out); i++ {
-			for j := i + 1; j < len(out); j++ {
-				if u, ok := mergeBoxes(out[i], out[j]); ok {
-					out[i] = u
-					out = append(out[:j], out[j+1:]...)
-					merged = true
-					break outer
-				}
-			}
-		}
-		if !merged {
-			return out
-		}
-	}
-}
-
-// mergeBoxes returns the union if a and b tile it exactly.
-func mergeBoxes(a, b Box) (Box, bool) {
-	u := a.Union(b)
-	if u.NumCells() == a.NumCells()+b.NumCells() && !a.Intersects(b) {
-		return u, true
-	}
-	return Box{}, false
 }

@@ -39,7 +39,7 @@ func TestSubtractSelf(t *testing.T) {
 
 func TestSubtractDisjointOperands(t *testing.T) {
 	a := UnitCube(4)
-	b := a.Shift(Index{10, 0, 0})
+	b := BoxFromShape(Index{10, 0, 0}, a.Shape())
 	parts := Subtract(a, b)
 	if len(parts) != 1 || parts[0] != a {
 		t.Errorf("a \\ disjoint should be {a}, got %v", parts)
@@ -48,7 +48,7 @@ func TestSubtractDisjointOperands(t *testing.T) {
 
 func TestSubtractCenterHole(t *testing.T) {
 	a := UnitCube(6)
-	hole := NewBox(Index{2, 2, 2}, Index{3, 3, 3})
+	hole := Box{Lo: Index{2, 2, 2}, Hi: Index{3, 3, 3}}
 	parts := Subtract(a, hole)
 	if parts.NumCells() != a.NumCells()-hole.NumCells() {
 		t.Errorf("cell count wrong: %d", parts.NumCells())
@@ -61,13 +61,13 @@ func TestSubtractCenterHole(t *testing.T) {
 func TestSubtractList(t *testing.T) {
 	a := UnitCube(8)
 	covers := BoxList{
-		NewBox(Index{0, 0, 0}, Index{7, 7, 3}),
-		NewBox(Index{0, 0, 4}, Index{7, 7, 7}),
+		Box{Lo: Index{0, 0, 0}, Hi: Index{7, 7, 3}},
+		Box{Lo: Index{0, 0, 4}, Hi: Index{7, 7, 7}},
 	}
 	if rest := SubtractList(a, covers); len(rest) != 0 {
 		t.Errorf("fully covered box should leave nothing, got %v", rest)
 	}
-	partial := BoxList{NewBox(Index{0, 0, 0}, Index{7, 7, 3})}
+	partial := BoxList{Box{Lo: Index{0, 0, 0}, Hi: Index{7, 7, 3}}}
 	rest := SubtractList(a, partial)
 	if rest.NumCells() != 8*8*4 {
 		t.Errorf("remaining cells = %d, want %d", rest.NumCells(), 8*8*4)
@@ -76,8 +76,8 @@ func TestSubtractList(t *testing.T) {
 
 func TestContainsBoxList(t *testing.T) {
 	l := BoxList{
-		NewBox(Index{0, 0, 0}, Index{3, 7, 7}),
-		NewBox(Index{4, 0, 0}, Index{7, 7, 7}),
+		Box{Lo: Index{0, 0, 0}, Hi: Index{3, 7, 7}},
+		Box{Lo: Index{4, 0, 0}, Hi: Index{7, 7, 7}},
 	}
 	if !l.ContainsBox(UnitCube(8)) {
 		t.Error("two slabs must cover the cube")
@@ -91,7 +91,7 @@ func TestContainsBoxList(t *testing.T) {
 }
 
 func TestBoundingAndNumCells(t *testing.T) {
-	l := BoxList{UnitCube(2), UnitCube(2).Shift(Index{4, 4, 4})}
+	l := BoxList{UnitCube(2), BoxFromShape(Index{4, 4, 4}, Index{2, 2, 2})}
 	bb := l.Bounding()
 	if bb.Lo != (Index{0, 0, 0}) || bb.Hi != (Index{5, 5, 5}) {
 		t.Errorf("Bounding = %v", bb)
@@ -101,17 +101,6 @@ func TestBoundingAndNumCells(t *testing.T) {
 	}
 	if (BoxList{}).Bounding().NumCells() != 0 {
 		t.Error("empty list bounding must be empty")
-	}
-}
-
-func TestIntersectBoxList(t *testing.T) {
-	l := BoxList{UnitCube(4), UnitCube(4).Shift(Index{10, 0, 0})}
-	got := l.IntersectBox(NewBox(Index{2, 0, 0}, Index{11, 3, 3}))
-	if len(got) != 2 {
-		t.Fatalf("expected 2 intersections, got %v", got)
-	}
-	if got.NumCells() != 2*4*4+2*4*4 {
-		t.Errorf("intersection cells = %d", got.NumCells())
 	}
 }
 
@@ -152,7 +141,7 @@ func TestSplitEvenlySingleCells(t *testing.T) {
 }
 
 func TestRefineCoarsenList(t *testing.T) {
-	l := BoxList{UnitCube(2), UnitCube(2).Shift(Index{4, 0, 0})}
+	l := BoxList{UnitCube(2), BoxFromShape(Index{4, 0, 0}, Index{2, 2, 2})}
 	r := l.Refine(2)
 	if r.NumCells() != l.NumCells()*8 {
 		t.Error("list refine cell count wrong")
@@ -164,76 +153,16 @@ func TestRefineCoarsenList(t *testing.T) {
 
 func TestSortByLo(t *testing.T) {
 	l := BoxList{
-		UnitCube(1).Shift(Index{0, 0, 5}),
-		UnitCube(1).Shift(Index{3, 0, 0}),
-		UnitCube(1).Shift(Index{1, 0, 0}),
-		UnitCube(1).Shift(Index{0, 2, 0}),
+		BoxFromShape(Index{0, 0, 5}, Index{1, 1, 1}),
+		BoxFromShape(Index{3, 0, 0}, Index{1, 1, 1}),
+		BoxFromShape(Index{1, 0, 0}, Index{1, 1, 1}),
+		BoxFromShape(Index{0, 2, 0}, Index{1, 1, 1}),
 	}
 	l.SortByLo()
 	want := []Index{{1, 0, 0}, {3, 0, 0}, {0, 2, 0}, {0, 0, 5}}
 	for i, b := range l {
 		if b.Lo != want[i] {
 			t.Fatalf("SortByLo order wrong at %d: %v", i, b.Lo)
-		}
-	}
-}
-
-func TestCoalesceMergesAdjacent(t *testing.T) {
-	l := BoxList{
-		NewBox(Index{0, 0, 0}, Index{3, 7, 7}),
-		NewBox(Index{4, 0, 0}, Index{7, 7, 7}),
-	}
-	out := l.Coalesce()
-	if len(out) != 1 || out[0] != UnitCube(8) {
-		t.Errorf("Coalesce = %v", out)
-	}
-}
-
-func TestCoalesceChain(t *testing.T) {
-	// Four quarters of a slab merge down to one box (two merge steps).
-	var l BoxList
-	for x := 0; x < 8; x += 2 {
-		l = append(l, BoxFromShape(Index{x, 0, 0}, Index{2, 4, 4}))
-	}
-	out := l.Coalesce()
-	if len(out) != 1 {
-		t.Errorf("chain should coalesce to one box, got %v", out)
-	}
-	if out.NumCells() != l.NumCells() {
-		t.Error("coalesce changed cell count")
-	}
-}
-
-func TestCoalesceLeavesNonMergeable(t *testing.T) {
-	l := BoxList{
-		UnitCube(2),
-		UnitCube(2).Shift(Index{5, 0, 0}),      // gap
-		NewBox(Index{0, 2, 0}, Index{3, 3, 1}), // different cross-section
-	}
-	out := l.Coalesce()
-	if len(out) != 3 {
-		t.Errorf("nothing should merge, got %v", out)
-	}
-	if !out.Disjoint() || out.NumCells() != l.NumCells() {
-		t.Error("coalesce corrupted the list")
-	}
-}
-
-func TestCoalesceProperty(t *testing.T) {
-	// For random disjoint tilings: cells preserved, disjointness
-	// preserved, count never grows.
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 50; trial++ {
-		tiles := BoxList{UnitCube(8)}.SplitEvenly(2 + rng.Intn(20))
-		out := tiles.Coalesce()
-		if out.NumCells() != tiles.NumCells() {
-			t.Fatalf("trial %d: cells changed", trial)
-		}
-		if !out.Disjoint() {
-			t.Fatalf("trial %d: overlap introduced", trial)
-		}
-		if len(out) > len(tiles) {
-			t.Fatalf("trial %d: coalesce grew the list", trial)
 		}
 	}
 }

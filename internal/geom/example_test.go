@@ -7,7 +7,7 @@ import (
 )
 
 func ExampleBox_Refine() {
-	coarse := geom.NewBox(geom.Index{2, 2, 2}, geom.Index{3, 3, 3})
+	coarse := geom.Box{Lo: geom.Index{2, 2, 2}, Hi: geom.Index{3, 3, 3}}
 	fine := coarse.Refine(2)
 	fmt.Println(fine, fine.NumCells(), "cells")
 	fmt.Println(fine.Coarsen(2) == coarse)
@@ -18,7 +18,7 @@ func ExampleBox_Refine() {
 
 func ExampleSubtract() {
 	domain := geom.UnitCube(4)
-	hole := geom.NewBox(geom.Index{1, 1, 1}, geom.Index{2, 2, 2})
+	hole := geom.Box{Lo: geom.Index{1, 1, 1}, Hi: geom.Index{2, 2, 2}}
 	parts := geom.Subtract(domain, hole)
 	fmt.Println(len(parts), "boxes,", parts.NumCells(), "cells")
 	// Output:
@@ -30,16 +30,6 @@ func ExampleBoxList_SplitEvenly() {
 	fmt.Println(len(tiles), "tiles of", tiles[0].NumCells(), "cells each")
 	// Output:
 	// 4 tiles of 128 cells each
-}
-
-func ExampleBoxList_Coalesce() {
-	halves := geom.BoxList{
-		geom.NewBox(geom.Index{0, 0, 0}, geom.Index{3, 7, 7}),
-		geom.NewBox(geom.Index{4, 0, 0}, geom.Index{7, 7, 7}),
-	}
-	fmt.Println(halves.Coalesce())
-	// Output:
-	// [[(0,0,0)..(7,7,7)]]
 }
 
 func ExampleIndex_MortonKey() {

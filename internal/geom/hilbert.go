@@ -20,12 +20,6 @@ func (a Index) HilbertKey() uint64 {
 	return hilbertKey(hilbertOrder, a)
 }
 
-// HilbertPoint inverts HilbertKey: it returns the index whose
-// HilbertKey is h (for h within the order-21 curve).
-func HilbertPoint(h uint64) Index {
-	return hilbertPoint(hilbertOrder, h)
-}
-
 // hilbertKey computes the order-b curve position of a point with
 // 0 <= component < 2^b.
 func hilbertKey(b uint, a Index) uint64 {
@@ -45,22 +39,6 @@ func hilbertKey(b uint, a Index) uint64 {
 		}
 	}
 	return h
-}
-
-// hilbertPoint inverts hilbertKey for the order-b curve.
-func hilbertPoint(b uint, h uint64) Index {
-	var x [Dims]uint32
-	for k := uint(0); k < b; k++ {
-		for i := uint(0); i < Dims; i++ {
-			x[i] |= uint32(h>>(Dims*k+Dims-1-i)&1) << k
-		}
-	}
-	transposeToAxes(&x, b)
-	var a Index
-	for d := 0; d < Dims; d++ {
-		a[d] = int(x[d])
-	}
-	return a
 }
 
 // axesToTranspose converts coordinates into the transposed Hilbert
@@ -92,30 +70,5 @@ func axesToTranspose(x *[Dims]uint32, b uint) {
 	}
 	for i := 0; i < Dims; i++ {
 		x[i] ^= t
-	}
-}
-
-// transposeToAxes converts a transposed Hilbert index back into
-// coordinates in place (Skilling's TransposetoAxes).
-func transposeToAxes(x *[Dims]uint32, b uint) {
-	n := uint32(2) << (b - 1)
-	// Gray decode by H ^ (H/2).
-	t := x[Dims-1] >> 1
-	for i := Dims - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != n; q <<= 1 {
-		p := q - 1
-		for i := Dims - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				tt := (x[0] ^ x[i]) & p
-				x[0] ^= tt
-				x[i] ^= tt
-			}
-		}
 	}
 }

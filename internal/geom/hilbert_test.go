@@ -6,6 +6,49 @@ import (
 	"testing"
 )
 
+// hilbertPoint inverts hilbertKey for the order-b curve: the inverse map
+// the bijection and adjacency tests walk the curve with. The balancer
+// only ever sorts by key, so it lives here.
+func hilbertPoint(b uint, h uint64) Index {
+	var x [Dims]uint32
+	for k := uint(0); k < b; k++ {
+		for i := uint(0); i < Dims; i++ {
+			x[i] |= uint32(h>>(Dims*k+Dims-1-i)&1) << k
+		}
+	}
+	transposeToAxes(&x, b)
+	var a Index
+	for d := 0; d < Dims; d++ {
+		a[d] = int(x[d])
+	}
+	return a
+}
+
+// transposeToAxes converts a transposed Hilbert index back into
+// coordinates in place (Skilling's TransposetoAxes).
+func transposeToAxes(x *[Dims]uint32, b uint) {
+	n := uint32(2) << (b - 1)
+	// Gray decode by H ^ (H/2).
+	t := x[Dims-1] >> 1
+	for i := Dims - 1; i > 0; i-- {
+		x[i] ^= x[i-1]
+	}
+	x[0] ^= t
+	// Undo excess work.
+	for q := uint32(2); q != n; q <<= 1 {
+		p := q - 1
+		for i := Dims - 1; i >= 0; i-- {
+			if x[i]&q != 0 {
+				x[0] ^= p
+			} else {
+				tt := (x[0] ^ x[i]) & p
+				x[0] ^= tt
+				x[i] ^= tt
+			}
+		}
+	}
+}
+
 // TestHilbertBijectiveOnLattice verifies that the order-b curve is a
 // bijection between the 2^b lattice cube and [0, 2^(3b)): every point
 // gets a distinct key, every key in range is hit, and hilbertPoint
@@ -59,20 +102,20 @@ func TestHilbertAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		h := rng.Uint64() % ((1 << 63) - 1)
-		if d := manhattan(HilbertPoint(h), HilbertPoint(h+1)); d != 1 {
+		if d := manhattan(hilbertPoint(hilbertOrder, h), hilbertPoint(hilbertOrder, h+1)); d != 1 {
 			t.Fatalf("order 21: |P(%d) - P(%d)| = %d, want 1", h, h+1, d)
 		}
 	}
 }
 
-// TestHilbertRoundTripOrder21 pins the production key: HilbertPoint
+// TestHilbertRoundTripOrder21 pins the production key: hilbertPoint
 // inverts HilbertKey on random in-range points, and negative
 // components clamp to zero exactly as MortonKey's do.
 func TestHilbertRoundTripOrder21(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		p := Index{rng.Intn(1 << 21), rng.Intn(1 << 21), rng.Intn(1 << 21)}
-		if back := HilbertPoint(p.HilbertKey()); back != p {
+		if back := hilbertPoint(hilbertOrder, p.HilbertKey()); back != p {
 			t.Fatalf("round trip: %v -> %d -> %v", p, p.HilbertKey(), back)
 		}
 	}

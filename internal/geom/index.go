@@ -38,11 +38,6 @@ func (a Index) Scale(s int) Index {
 	return Index{a[0] * s, a[1] * s, a[2] * s}
 }
 
-// Mul returns the component-wise product a*b.
-func (a Index) Mul(b Index) Index {
-	return Index{a[0] * b[0], a[1] * b[1], a[2] * b[2]}
-}
-
 // Min returns the component-wise minimum of a and b.
 func (a Index) Min(b Index) Index {
 	return Index{min(a[0], b[0]), min(a[1], b[1]), min(a[2], b[2])}

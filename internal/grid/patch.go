@@ -71,9 +71,6 @@ func (p *Patch) FieldNames() []string {
 	return out
 }
 
-// NumFields returns the number of fields stored on the patch.
-func (p *Patch) NumFields() int { return len(p.names) }
-
 // Field returns the raw storage for a named field (over the grown
 // box). It panics on unknown names: field sets are fixed at
 // construction and a miss is a programming error.
@@ -141,18 +138,6 @@ func (p *Patch) MaxAbs(name string) float64 {
 		}
 	})
 	return m
-}
-
-// L2Norm returns the root-mean-square of the field over the interior.
-func (p *Patch) L2Norm(name string) float64 {
-	f := p.Field(name)
-	g := p.Grown()
-	var s float64
-	p.Box.ForEach(func(i geom.Index) {
-		v := f[g.Offset(i)]
-		s += v * v
-	})
-	return math.Sqrt(s / float64(p.Box.NumCells()))
 }
 
 // Clone returns a deep copy of the patch.
@@ -432,70 +417,4 @@ func floorDiv(a, r int) int {
 		q--
 	}
 	return q
-}
-
-// ProlongLinear fills the fine patch's field over region (fine index
-// space) by trilinear interpolation of the coarse patch — the
-// higher-order prolongation multigrid needs for textbook convergence
-// rates. Coarse values are read cell-centred; fine cells whose
-// interpolation stencil leaves the coarse patch's grown box fall back
-// to piecewise-constant injection.
-func ProlongLinear(fine, coarse *Patch, name string, r int, region geom.Box) {
-	if fine.Level != coarse.Level+1 {
-		panic("grid.ProlongLinear: fine must be exactly one level finer")
-	}
-	reg := region.Intersect(fine.Grown())
-	if reg.Empty() {
-		return
-	}
-	cf, ff := coarse.Field(name), fine.Field(name)
-	cg, fg := coarse.Grown(), fine.Grown()
-	rf := float64(r)
-	reg.ForEach(func(f geom.Index) {
-		// Fine cell centre in coarse cell-centred coordinates.
-		var base geom.Index
-		var w [3]float64
-		ok := true
-		for d := 0; d < 3; d++ {
-			x := (float64(f[d])+0.5)/rf - 0.5
-			lo := int(x)
-			if x < 0 {
-				lo = -1
-			}
-			if float64(lo) > x {
-				lo--
-			}
-			base[d] = lo
-			w[d] = x - float64(lo)
-		}
-		hi := base.Add(geom.Index{1, 1, 1})
-		if !cg.Contains(base) || !cg.Contains(hi) {
-			c := f.FloorDiv(r)
-			if cg.Contains(c) {
-				ff[fg.Offset(f)] = cf[cg.Offset(c)]
-			}
-			ok = false
-		}
-		if !ok {
-			return
-		}
-		var v float64
-		for dz := 0; dz < 2; dz++ {
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					c := base.Add(geom.Index{dx, dy, dz})
-					weight := lerpW(w[0], dx) * lerpW(w[1], dy) * lerpW(w[2], dz)
-					v += weight * cf[cg.Offset(c)]
-				}
-			}
-		}
-		ff[fg.Offset(f)] = v
-	})
-}
-
-func lerpW(w float64, side int) float64 {
-	if side == 1 {
-		return w
-	}
-	return 1 - w
 }

@@ -138,7 +138,7 @@ func TestCopyRegionIdempotentProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		src := NewPatch(geom.UnitCube(5), 0, 1, "q")
 		src.FillFunc("q", func(geom.Index) float64 { return rng.Float64() })
-		dst1 := NewPatch(geom.UnitCube(5).Shift(geom.Index{3, 0, 0}), 0, 1, "q")
+		dst1 := NewPatch(geom.BoxFromShape(geom.Index{3, 0, 0}, geom.Index{5, 5, 5}), 0, 1, "q")
 		dst2 := dst1.Clone()
 		region := randomRegionIn(rng, geom.UnitCube(8))
 		CopyRegion(dst1, src, "q", region)
@@ -161,89 +161,4 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func TestProlongLinearReproducesLinearFields(t *testing.T) {
-	// Trilinear interpolation is exact for affine data: prolong a
-	// linear coarse field and compare fine interior cells away from
-	// the boundary (where the full stencil exists) against the exact
-	// values.
-	coarse := NewPatch(geom.UnitCube(6), 0, 1, "q")
-	lin := func(x, y, z float64) float64 { return 2*x - 3*y + 0.5*z + 1 }
-	coarse.FillFunc("q", func(i geom.Index) float64 {
-		return lin(float64(i[0])+0.5, float64(i[1])+0.5, float64(i[2])+0.5)
-	})
-	fine := NewPatch(geom.UnitCube(12), 1, 0, "q")
-	ProlongLinear(fine, coarse, "q", 2, fine.Box)
-	inner := fine.Box.Grow(-2)
-	inner.ForEach(func(f geom.Index) {
-		// Fine cell centre in coarse coordinates.
-		want := lin((float64(f[0])+0.5)/2, (float64(f[1])+0.5)/2, (float64(f[2])+0.5)/2)
-		if got := fine.At("q", f); absf(got-want) > 1e-12 {
-			t.Fatalf("trilinear not exact on linear data at %v: %v vs %v", f, got, want)
-		}
-	})
-}
-
-func TestProlongLinearBoundaryFallback(t *testing.T) {
-	// A coarse patch with no ghosts: fine cells near the edge lack a
-	// full stencil and fall back to injection — values must still be
-	// within the coarse data's range, never extrapolated wildly.
-	coarse := NewPatch(geom.UnitCube(4), 0, 0, "q")
-	coarse.FillFunc("q", func(i geom.Index) float64 { return float64(i[0]) })
-	fine := NewPatch(geom.UnitCube(8), 1, 0, "q")
-	ProlongLinear(fine, coarse, "q", 2, fine.Box)
-	fine.Box.ForEach(func(f geom.Index) {
-		v := fine.At("q", f)
-		if v < 0 || v > 3 {
-			t.Fatalf("boundary fallback out of range at %v: %v", f, v)
-		}
-	})
-	// Corner cell gets pure injection of its parent.
-	if got := fine.At("q", geom.Index{0, 0, 0}); got != 0 {
-		t.Errorf("corner injection = %v", got)
-	}
-}
-
-func TestProlongLinearBetterThanConstantOnSmoothData(t *testing.T) {
-	coarse := NewPatch(geom.UnitCube(8), 0, 1, "q")
-	smooth := func(x float64) float64 { return x * x }
-	coarse.FillFunc("q", func(i geom.Index) float64 {
-		return smooth((float64(i[0]) + 0.5) / 8)
-	})
-	mkFine := func() *Patch { return NewPatch(geom.UnitCube(16), 1, 0, "q") }
-	fc, fl := mkFine(), mkFine()
-	Prolong(fc, coarse, "q", 2, fc.Box)
-	ProlongLinear(fl, coarse, "q", 2, fl.Box)
-	errOf := func(p *Patch) float64 {
-		var e float64
-		p.Box.Grow(-2).ForEach(func(f geom.Index) {
-			e += absf(p.At("q", f) - smooth((float64(f[0])+0.5)/16))
-		})
-		return e
-	}
-	if errOf(fl) >= errOf(fc) {
-		t.Errorf("trilinear (%v) should beat injection (%v) on smooth data", errOf(fl), errOf(fc))
-	}
-}
-
-func TestProlongLinearValidation(t *testing.T) {
-	coarse := NewPatch(geom.UnitCube(4), 0, 0, "q")
-	fine := NewPatch(geom.UnitCube(8), 2, 0, "q") // wrong level gap
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for level mismatch")
-		}
-	}()
-	ProlongLinear(fine, coarse, "q", 2, fine.Box)
-}
-
-func TestProlongLinearEmptyRegionNoop(t *testing.T) {
-	coarse := NewPatch(geom.UnitCube(4), 0, 0, "q")
-	coarse.FillConstant("q", 5)
-	fine := NewPatch(geom.UnitCube(8), 1, 0, "q")
-	ProlongLinear(fine, coarse, "q", 2, geom.UnitCube(8).Shift(geom.Index{100, 0, 0}))
-	if fine.Sum("q") != 0 {
-		t.Error("disjoint region must be a no-op")
-	}
 }

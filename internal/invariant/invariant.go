@@ -66,27 +66,22 @@ type Checker struct {
 	// local phases. SFC contiguity and knapsack's movement cap trade
 	// this bound away by design.
 	BalanceTolerance bool
-	// MaxViolations bounds the accumulated list (0 = 64): a broken
-	// invariant tends to fire every phase thereafter.
-	MaxViolations int
-	// RejoinGraceSteps is the number of level-0 steps after a
-	// processor's re-admission during which the balance-tolerance
-	// check is suspended for its sets (0 = default 2): the catch-up
-	// redistribution and the following local phases need a boundary or
-	// two to absorb the returned capacity.
-	RejoinGraceSteps int
 
 	violations []Violation
 	truncated  bool
 }
 
-// New returns a checker; colocation selects the distributed scheme's
-// placement invariants. It preserves the historical two-scheme
-// scoping: the distributed scheme gets the full rule set, the parallel
-// baseline keeps only the structural rules plus balance tolerance.
-func New(colocation bool) *Checker {
-	return &Checker{Colocation: colocation, GainGate: colocation, BalanceTolerance: true}
-}
+const (
+	// maxViolations bounds the accumulated list: a broken invariant
+	// tends to fire every phase thereafter.
+	maxViolations = 64
+	// rejoinGraceSteps is the number of level-0 steps after a
+	// processor's re-admission during which the balance-tolerance check
+	// is suspended for its sets: the catch-up redistribution and the
+	// following local phases need a boundary or two to absorb the
+	// returned capacity.
+	rejoinGraceSteps = 2
+)
 
 // NewForPolicy returns a checker scoped by the registered policy's
 // traits, so every policy runs under the oracle with exactly the rules
@@ -95,7 +90,7 @@ func New(colocation bool) *Checker {
 func NewForPolicy(policy string) *Checker {
 	tr, ok := dlb.PolicyTraits(policy)
 	if !ok {
-		return New(true)
+		tr = dlb.Traits{Colocation: true, GainGate: true, BalanceTolerance: true}
 	}
 	return &Checker{
 		Colocation:       tr.Colocation,
@@ -125,11 +120,7 @@ func (c *Checker) Err() error {
 }
 
 func (c *Checker) report(pi *engine.PhaseInfo, rule, format string, args ...interface{}) {
-	limit := c.MaxViolations
-	if limit <= 0 {
-		limit = 64
-	}
-	if len(c.violations) >= limit {
+	if len(c.violations) >= maxViolations {
 		c.truncated = true
 		return
 	}
@@ -306,7 +297,7 @@ func admittedSet(pi *engine.PhaseInfo, procs []int) []int {
 }
 
 // inRejoinGrace reports whether any processor of the set completed a
-// rejoin within the last RejoinGraceSteps level-0 steps: the catch-up
+// rejoin within the last rejoinGraceSteps level-0 steps: the catch-up
 // machinery is still absorbing the returned capacity, so the balance
 // tolerance is granted a short grace window (it must hold again once
 // the window closes).
@@ -315,12 +306,8 @@ func (c *Checker) inRejoinGrace(pi *engine.PhaseInfo, procs []int) bool {
 	if memb == nil {
 		return false
 	}
-	grace := c.RejoinGraceSteps
-	if grace <= 0 {
-		grace = 2
-	}
 	for _, p := range procs {
-		if rs := memb.ReadmitStep(p); rs >= 0 && pi.Step-rs < grace {
+		if rs := memb.ReadmitStep(p); rs >= 0 && pi.Step-rs < rejoinGraceSteps {
 			return true
 		}
 	}

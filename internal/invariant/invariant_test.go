@@ -25,7 +25,7 @@ func cleanRun(t *testing.T, c *invariant.Checker) *engine.Runner {
 }
 
 func TestCheckerCleanRunHasNoViolations(t *testing.T) {
-	c := invariant.New(true)
+	c := invariant.NewForPolicy("distributed")
 	cleanRun(t, c)
 	if err := c.Err(); err != nil {
 		t.Fatalf("clean run violated invariants: %v", err)
@@ -35,7 +35,7 @@ func TestCheckerCleanRunHasNoViolations(t *testing.T) {
 // TestCheckerCatchesMisplacedChild hand-breaks co-location after a
 // clean run and feeds the state back through the checker.
 func TestCheckerCatchesMisplacedChild(t *testing.T) {
-	c := invariant.New(true)
+	c := invariant.NewForPolicy("distributed")
 	r := cleanRun(t, c)
 
 	h, sys := r.Hierarchy(), r.System()
@@ -77,7 +77,7 @@ func TestCheckerCatchesMisplacedChild(t *testing.T) {
 // the checker: an Invoked flag contradicting the recorded Gain/γ·Cost
 // comparison, and a NaN cost, must each be flagged.
 func TestCheckerGateAndCostRules(t *testing.T) {
-	c := invariant.New(true)
+	c := invariant.NewForPolicy("distributed")
 	r := cleanRun(t, c)
 	before := len(c.Violations())
 
@@ -113,8 +113,7 @@ func TestCheckerGateAndCostRules(t *testing.T) {
 // TestCheckerTruncatesViolationFlood: a broken invariant fires every
 // phase; the report must cap and say so.
 func TestCheckerTruncatesViolationFlood(t *testing.T) {
-	c := invariant.New(true)
-	c.MaxViolations = 2
+	c := invariant.NewForPolicy("distributed")
 	r := cleanRun(t, c)
 
 	h, sys := r.Hierarchy(), r.System()
@@ -129,11 +128,11 @@ func TestCheckerTruncatesViolationFlood(t *testing.T) {
 			break
 		}
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 70; i++ {
 		c.Check(&engine.PhaseInfo{Phase: engine.PhaseRegrid, Step: i, Runner: r})
 	}
-	if got := len(c.Violations()); got != 2 {
-		t.Fatalf("violations = %d, want cap of 2", got)
+	if got := len(c.Violations()); got != 64 {
+		t.Fatalf("violations = %d, want the cap of 64", got)
 	}
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "dropped") {
 		t.Fatalf("capped report must mention dropped violations: %v", err)
@@ -166,7 +165,7 @@ func TestCheckerCleanAcrossRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := invariant.New(true)
+	c := invariant.NewForPolicy("distributed")
 	r := engine.New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), engine.Options{
 		Steps: 8, MaxLevel: 1, Faults: sched, Invariants: c.Check,
 	})
@@ -198,12 +197,6 @@ func TestCheckerScopesByPolicyTraits(t *testing.T) {
 	if c := invariant.NewForPolicy("no-such-policy"); !c.Colocation || !c.GainGate || !c.BalanceTolerance {
 		t.Errorf("unknown policy must fall back to the strict rule set, got %+v", c)
 	}
-	if c := invariant.New(true); !c.Colocation || !c.GainGate || !c.BalanceTolerance {
-		t.Errorf("New(true) lost its historical scoping: %+v", c)
-	}
-	if c := invariant.New(false); c.Colocation || c.GainGate || !c.BalanceTolerance {
-		t.Errorf("New(false) lost its historical scoping: %+v", c)
-	}
 }
 
 // TestCheckerGateRuleScopedOffForUngatedPolicies is the regression for
@@ -213,7 +206,7 @@ func TestCheckerScopesByPolicyTraits(t *testing.T) {
 // under its checker — while the same decision under the distributed
 // scheme's checker remains a violation.
 func TestCheckerGateRuleScopedOffForUngatedPolicies(t *testing.T) {
-	r := cleanRun(t, invariant.New(true))
+	r := cleanRun(t, invariant.NewForPolicy("distributed"))
 	ungatedDecision := func() *engine.PhaseInfo {
 		return &engine.PhaseInfo{
 			Phase: engine.PhaseGlobalBalance, Step: 5, Runner: r,
@@ -286,7 +279,7 @@ func TestCheckerCatchesDirtyRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := invariant.New(true)
+	c := invariant.NewForPolicy("distributed")
 	r := engine.New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), engine.Options{
 		Steps: 2, MaxLevel: 1, Faults: empty, Invariants: c.Check,
 	})

@@ -26,8 +26,6 @@ import (
 //   - procCells[level][proc]: cells owned per processor per level
 //     (the w^i_proc table in cell units; the engine scales it by the
 //     kernel flop weight when feeding the Recorder).
-//   - groupCells[level][group]: the Eq. 2 aggregate W^i_group in cell
-//     units.
 //   - levelCells[level] and the all-level total.
 //   - sub[id]: the iteration-weighted subtree workload of every grid
 //     (cells × RefFactor^level summed over the grid and its attached
@@ -50,7 +48,6 @@ type Ledger struct {
 	pool *solver.Pool
 
 	procCells  [][]float64 // [level][proc]
-	groupCells [][]float64 // [level][group]
 	levelCells []int64     // [level]
 	total      int64
 
@@ -104,7 +101,6 @@ func (l *Ledger) Rebuild() {
 	nlevel := l.h.MaxLevel + 1
 
 	l.procCells = make([][]float64, nlevel)
-	l.groupCells = make([][]float64, nlevel)
 	l.levelCells = make([]int64, nlevel)
 	l.owned = make([]map[int][]*amr.Grid, nlevel)
 	l.total = 0
@@ -116,13 +112,9 @@ func (l *Ledger) Rebuild() {
 
 	for lev := 0; lev < nlevel; lev++ {
 		l.procCells[lev] = make([]float64, nproc)
-		l.groupCells[lev] = make([]float64, ngroup)
 		l.owned[lev] = make(map[int][]*amr.Grid)
 		grids := l.h.Grids(lev)
 		l.parallelProcCells(grids, l.procCells[lev])
-		for p := 0; p < nproc; p++ {
-			l.groupCells[lev][l.sys.GroupOf(p)] += l.procCells[lev][p]
-		}
 		for _, g := range grids {
 			c := g.NumCells()
 			l.levelCells[lev] += c
@@ -205,7 +197,6 @@ func (l *Ledger) GridAdded(h *amr.Hierarchy, g *amr.Grid) {
 	cells := float64(g.NumCells())
 	grp := l.sys.GroupOf(g.Owner)
 	l.procCells[g.Level][g.Owner] += cells
-	l.groupCells[g.Level][grp] += cells
 	l.levelCells[g.Level] += g.NumCells()
 	l.total += g.NumCells()
 	l.owned[g.Level][g.Owner] = append(l.owned[g.Level][g.Owner], g)
@@ -229,7 +220,6 @@ func (l *Ledger) GridRemoved(h *amr.Hierarchy, g *amr.Grid) {
 	cells := float64(g.NumCells())
 	grp := l.sys.GroupOf(g.Owner)
 	l.procCells[g.Level][g.Owner] -= cells
-	l.groupCells[g.Level][grp] -= cells
 	l.levelCells[g.Level] -= g.NumCells()
 	l.total -= g.NumCells()
 	l.disown(g)
@@ -251,8 +241,6 @@ func (l *Ledger) OwnerChanged(h *amr.Hierarchy, g *amr.Grid, oldOwner int) {
 	oldGrp, newGrp := l.sys.GroupOf(oldOwner), l.sys.GroupOf(g.Owner)
 	l.procCells[g.Level][oldOwner] -= cells
 	l.procCells[g.Level][g.Owner] += cells
-	l.groupCells[g.Level][oldGrp] -= cells
-	l.groupCells[g.Level][newGrp] += cells
 	lst := l.owned[g.Level][oldOwner]
 	for i, x := range lst {
 		if x.ID == g.ID {
@@ -334,18 +322,6 @@ func (l *Ledger) event() {
 // ProcCells returns the cells processor proc owns at the level.
 func (l *Ledger) ProcCells(level, proc int) float64 { return l.procCells[level][proc] }
 
-// LevelWork returns every processor's cell count at the level (a
-// fresh slice, O(procs) — the ledger-backed replacement for walking
-// the level's grids).
-func (l *Ledger) LevelWork(level int) []float64 {
-	out := make([]float64, len(l.procCells[level]))
-	copy(out, l.procCells[level])
-	return out
-}
-
-// GroupLevelCells returns W^i_group (Eq. 2) in cell units.
-func (l *Ledger) GroupLevelCells(level, group int) float64 { return l.groupCells[level][group] }
-
 // LevelCells returns the cell count of one level.
 func (l *Ledger) LevelCells(level int) int64 { return l.levelCells[level] }
 
@@ -382,12 +358,6 @@ func (l *Ledger) Verify() error {
 			if l.procCells[lev][p] != want.procCells[lev][p] {
 				return fmt.Errorf("procCells[%d][%d]: ledger %v, recompute %v",
 					lev, p, l.procCells[lev][p], want.procCells[lev][p])
-			}
-		}
-		for g := range want.groupCells[lev] {
-			if l.groupCells[lev][g] != want.groupCells[lev][g] {
-				return fmt.Errorf("groupCells[%d][%d]: ledger %v, recompute %v",
-					lev, g, l.groupCells[lev][g], want.groupCells[lev][g])
 			}
 		}
 		if l.levelCells[lev] != want.levelCells[lev] {

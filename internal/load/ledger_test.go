@@ -48,9 +48,6 @@ func TestLedgerTracksBuildExactly(t *testing.T) {
 	if got := l.ProcCells(0, 0); got != 256 {
 		t.Errorf("ProcCells(0,0) = %v", got)
 	}
-	if got := l.GroupLevelCells(1, 1); got != 64 {
-		t.Errorf("GroupLevelCells(1,1) = %v", got)
-	}
 	// Group 0 subtree: 256 + 64*2 + 64*4 = 640; group 1: 256 + 64*2.
 	if got := l.GroupSubtreeWork(0); got != 640 {
 		t.Errorf("GroupSubtreeWork(0) = %v", got)
@@ -155,7 +152,7 @@ func TestLedgerParallelRebuildMatchesSequential(t *testing.T) {
 	seq := NewLedger(sys, h, nil)
 	par := NewLedger(sys, h, solver.NewPool(0))
 	for lev := 0; lev <= h.MaxLevel; lev++ {
-		sw, pw := seq.LevelWork(lev), par.LevelWork(lev)
+		sw, pw := seq.procCells[lev], par.procCells[lev]
 		for p := range sw {
 			if sw[p] != pw[p] {
 				t.Fatalf("level %d proc %d: sequential %v, parallel %v", lev, p, sw[p], pw[p])

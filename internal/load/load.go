@@ -105,9 +105,6 @@ func (r *Recorder) RecordIteration(level int) {
 	r.nIter[level]++
 }
 
-// Iterations returns N^i_iter for the current interval.
-func (r *Recorder) Iterations(level int) int { return r.nIter[level] }
-
 // SetIntervalTime records T(t), the execution time of the last
 // level-0 interval.
 func (r *Recorder) SetIntervalTime(t float64) {
@@ -143,17 +140,6 @@ func (r *Recorder) AddDelta(d float64) {
 
 // Delta returns the recorded δ.
 func (r *Recorder) Delta() float64 { return r.delta }
-
-// ProcWork returns the total workload of a processor over all levels,
-// weighted by the interval's iteration counts (the per-processor
-// analogue of Eq. 3).
-func (r *Recorder) ProcWork(proc int) float64 {
-	var sum float64
-	for l := 0; l <= r.maxLevel; l++ {
-		sum += r.w[proc][l] * float64(max(r.nIter[l], 1))
-	}
-	return sum
-}
 
 // LevelGroupWork returns W^i_group(t) (Eq. 2) for the given group,
 // from the incrementally maintained aggregate.

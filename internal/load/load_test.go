@@ -42,8 +42,8 @@ func TestEq3GroupWorkWeightsByIterations(t *testing.T) {
 	if got := r.GroupWork(sys, 0); got != want {
 		t.Errorf("W_group0 = %v, want %v", got, want)
 	}
-	if r.Iterations(1) != 2 {
-		t.Errorf("Iterations(1) = %d", r.Iterations(1))
+	if r.nIter[1] != 2 {
+		t.Errorf("nIter[1] = %d", r.nIter[1])
 	}
 }
 
@@ -143,7 +143,7 @@ func TestResetInterval(t *testing.T) {
 	r.SetDelta(3)
 	r.SetIntervalTime(9)
 	r.ResetInterval()
-	if r.GroupWork(sys, 0) != 0 || r.ProcWork(0) != 0 || r.Iterations(1) != 0 {
+	if r.GroupWork(sys, 0) != 0 || r.ProcWork(0) != 0 || r.nIter[1] != 0 {
 		t.Error("ResetInterval did not clear accumulators")
 	}
 	// The cleared per-processor table and group aggregates stay in step

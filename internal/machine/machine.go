@@ -208,12 +208,6 @@ func (s *System) LinkBetween(a, b int) (*netsim.Link, error) {
 	return s.Net.Between(s.Procs[a].Group, s.Procs[b].Group)
 }
 
-// ComputeTime returns the virtual time processor p needs to spend
-// `flops` floating point operations.
-func (s *System) ComputeTime(p int, flops float64) float64 {
-	return flops / (s.Procs[p].Perf * s.FlopsPerSecond)
-}
-
 func (s *System) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "system{%d groups, %d procs:", s.NumGroups(), s.NumProcs())

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -56,15 +55,6 @@ func TestSameGroupAndLinks(t *testing.T) {
 	}
 	if local.Alpha >= remote.Alpha {
 		t.Error("intra-group link must have lower latency than WAN")
-	}
-}
-
-func TestComputeTimeScalesWithPerf(t *testing.T) {
-	s := Heterogeneous(1, 1, 0.5, nil)
-	fast := s.ComputeTime(0, 1e6)
-	slow := s.ComputeTime(1, 1e6)
-	if math.Abs(slow-2*fast) > 1e-15 {
-		t.Errorf("half-speed processor should take twice as long: %v vs %v", fast, slow)
 	}
 }
 

@@ -81,10 +81,6 @@ type Membership struct {
 	suspicion []int  // per group: consecutive-evidence suspicion level
 	evidence  []bool // per group: fresh probe evidence since the last tick
 
-	// SuspectAfter and DeadAfter are the suspicion thresholds: a group
-	// whose suspicion reaches SuspectAfter has its alive procs marked
-	// suspected; at DeadAfter the suspected procs are presumed dead.
-	SuspectAfter, DeadAfter int
 	// Quorum is the minimum admitted processors a group needs to take
 	// part in global balancing; below it the group degrades to
 	// local-only decisions via the quarantine path.
@@ -98,29 +94,28 @@ type Membership struct {
 	QuorumDegradedSteps int // boundaries at which some group was below quorum
 }
 
-// NewMembership builds a tracker with every processor alive.
-// Threshold or quorum values ≤ 0 fall back to defaults (suspect after
-// 2, presume dead after 4, quorum 1).
-func NewMembership(sys *System, suspectAfter, deadAfter, quorum int) *Membership {
-	if suspectAfter <= 0 {
-		suspectAfter = 2
-	}
-	if deadAfter <= suspectAfter {
-		deadAfter = suspectAfter + 2
-	}
+// The suspicion thresholds: a group whose suspicion reaches
+// suspectAfter has its alive procs marked suspected; at deadAfter the
+// suspected procs are presumed dead.
+const (
+	suspectAfter = 2
+	deadAfter    = 4
+)
+
+// NewMembership builds a tracker with every processor alive. A quorum
+// ≤ 0 means 1.
+func NewMembership(sys *System, quorum int) *Membership {
 	if quorum <= 0 {
 		quorum = 1
 	}
 	m := &Membership{
-		sys:          sys,
-		state:        make([]ProcState, sys.NumProcs()),
-		cause:        make([]DeathCause, sys.NumProcs()),
-		readmit:      make([]int, sys.NumProcs()),
-		suspicion:    make([]int, sys.NumGroups()),
-		evidence:     make([]bool, sys.NumGroups()),
-		SuspectAfter: suspectAfter,
-		DeadAfter:    deadAfter,
-		Quorum:       quorum,
+		sys:       sys,
+		state:     make([]ProcState, sys.NumProcs()),
+		cause:     make([]DeathCause, sys.NumProcs()),
+		readmit:   make([]int, sys.NumProcs()),
+		suspicion: make([]int, sys.NumGroups()),
+		evidence:  make([]bool, sys.NumGroups()),
+		Quorum:    quorum,
 	}
 	for p := range m.readmit {
 		m.readmit[p] = -1
@@ -231,8 +226,8 @@ func (m *Membership) NoteProbeFailure(g int) {
 		return
 	}
 	m.suspicion[g]++
-	if m.suspicion[g] > m.DeadAfter {
-		m.suspicion[g] = m.DeadAfter
+	if m.suspicion[g] > deadAfter {
+		m.suspicion[g] = deadAfter
 	}
 	m.evidence[g] = true
 	m.applyThresholds(g)
@@ -272,19 +267,19 @@ func (m *Membership) BoundaryTick() {
 // processors from its current suspicion level. Crash deaths and
 // in-flight rejoins are evidence the thresholds must not override:
 // only the alive ↔ suspected ↔ presumed-dead ladder is touched, and a
-// presumed-dead proc whose suspicion drops below DeadAfter starts
+// presumed-dead proc whose suspicion drops below deadAfter starts
 // rejoining (it needs the engine's re-admission, not a silent flip).
 func (m *Membership) applyThresholds(g int) {
 	s := m.suspicion[g]
 	for _, p := range m.sys.ProcsInGroup(g) {
 		switch {
-		case s >= m.DeadAfter:
+		case s >= deadAfter:
 			if m.state[p] == StateSuspected {
 				m.state[p] = StateDead
 				m.cause[p] = CausePresumed
 				m.SuspectedToDead++
 			}
-		case s >= m.SuspectAfter:
+		case s >= suspectAfter:
 			if m.state[p] == StateAlive {
 				m.state[p] = StateSuspected
 				m.SuspectTransitions++

@@ -10,20 +10,18 @@ import (
 func memb(t *testing.T, quorum int) (*System, *Membership) {
 	t.Helper()
 	s := WanPair(3, nil)
-	return s, NewMembership(s, 0, 0, quorum)
+	return s, NewMembership(s, quorum)
 }
 
 func TestMembershipDefaults(t *testing.T) {
 	_, m := memb(t, 0)
-	if m.SuspectAfter != 2 || m.DeadAfter != 4 || m.Quorum != 1 {
-		t.Fatalf("defaults wrong: suspect %d dead %d quorum %d", m.SuspectAfter, m.DeadAfter, m.Quorum)
+	// The suspicion thresholds are constants: the engine and the
+	// supervisor, their only callers, always used the same pair.
+	if suspectAfter != 2 || deadAfter != 4 || m.Quorum != 1 {
+		t.Fatalf("defaults wrong: suspect %d dead %d quorum %d", suspectAfter, deadAfter, m.Quorum)
 	}
-	// DeadAfter must stay above SuspectAfter even when misconfigured.
 	s := WanPair(2, nil)
-	m2 := NewMembership(s, 3, 2, 1)
-	if m2.DeadAfter <= m2.SuspectAfter {
-		t.Fatalf("DeadAfter %d not forced above SuspectAfter %d", m2.DeadAfter, m2.SuspectAfter)
-	}
+	m2 := NewMembership(s, 1)
 	for p := 0; p < s.NumProcs(); p++ {
 		if m2.State(p) != StateAlive || !m2.Admitted(p) {
 			t.Fatalf("proc %d not alive/admitted at start", p)
@@ -68,8 +66,8 @@ func TestSuspicionLadder(t *testing.T) {
 
 	// Suspicion is capped, so recovery is bounded.
 	m.NoteProbeFailure(g)
-	if m.Suspicion(g) != m.DeadAfter {
-		t.Fatalf("suspicion %d not capped at %d", m.Suspicion(g), m.DeadAfter)
+	if m.Suspicion(g) != deadAfter {
+		t.Fatalf("suspicion %d not capped at %d", m.Suspicion(g), deadAfter)
 	}
 
 	// A successful probe starts the rejoin, not a silent flip to alive.
@@ -194,7 +192,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	m.CompleteRejoin(0, 3) // no-op: already alive
 
 	snap := m.Snapshot()
-	m2 := NewMembership(s, 0, 0, 2)
+	m2 := NewMembership(s, 2)
 	if err := m2.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -220,7 +218,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Shape mismatches are corrupt checkpoints — including the zero
 	// value, which is what a header without membership state decodes to.
-	m3 := NewMembership(s, 0, 0, 2)
+	m3 := NewMembership(s, 2)
 	if err := m3.Restore(MembershipState{}); err == nil {
 		t.Fatal("empty snapshot accepted")
 	}

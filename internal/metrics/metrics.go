@@ -284,9 +284,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))

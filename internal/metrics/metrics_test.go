@@ -67,8 +67,8 @@ func TestTableRendering(t *testing.T) {
 	tb := NewTable("My Title", "config", "time")
 	tb.AddRow("4+4", 1.23456)
 	tb.AddRow("8+8", 42)
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 	s := tb.String()
 	if !strings.Contains(s, "My Title") || !strings.Contains(s, "1.235") || !strings.Contains(s, "42") {
@@ -90,8 +90,8 @@ func TestHistoryRecordsAndRenders(t *testing.T) {
 	if len(h.Get("a")) != 5 || h.Get("a")[3] != 3 {
 		t.Error("series values wrong")
 	}
-	if names := h.Names(); len(names) != 2 || names[0] != "a" {
-		t.Errorf("Names = %v", names)
+	if len(h.order) != 2 || h.order[0] != "a" {
+		t.Errorf("order = %v", h.order)
 	}
 	s := h.String()
 	if !strings.Contains(s, "a") || !strings.Contains(s, "[0 .. 4]") {
@@ -105,7 +105,7 @@ func TestHistoryRecordsAndRenders(t *testing.T) {
 func TestHistoryNilSafe(t *testing.T) {
 	var h *History
 	h.Record("x", 1)
-	if h.Get("x") != nil || h.Names() != nil || h.String() != "" {
+	if h.Get("x") != nil || h.String() != "" {
 		t.Error("nil history must be inert")
 	}
 }

@@ -38,14 +38,6 @@ func (h *History) Get(name string) []float64 {
 	return h.series[name]
 }
 
-// Names returns the series names in first-recorded order.
-func (h *History) Names() []string {
-	if h == nil {
-		return nil
-	}
-	return append([]string(nil), h.order...)
-}
-
 // Mean returns the arithmetic mean of vals (0 for an empty slice).
 func Mean(vals []float64) float64 {
 	if len(vals) == 0 {

@@ -109,6 +109,13 @@ func TestNegativeUserTagsRejected(t *testing.T) {
 	})
 }
 
+// queueState reports the queue length and backing capacity.
+func (m *mailbox) queueState() (length, capacity int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pending), cap(m.pending)
+}
+
 // TestMailboxCompactsAndReleases pins the retention fix: taking a
 // message out of the middle of the queue must not leave its payload
 // reachable through a stale tail slot, and a drained queue that grew

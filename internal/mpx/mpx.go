@@ -393,13 +393,6 @@ func (m *mailbox) reset() {
 	m.mu.Unlock()
 }
 
-// queueState reports the queue length and backing capacity (tests).
-func (m *mailbox) queueState() (length, capacity int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending), cap(m.pending)
-}
-
 // barrier is a reusable counting barrier over the world's local ranks.
 type barrier struct {
 	mu    sync.Mutex

@@ -83,16 +83,15 @@ func TestTryProbeDropsMessages(t *testing.T) {
 func TestProbeWithRetryRecoversAndTimes(t *testing.T) {
 	l := MrenWAN(nil)
 	l.Fault = &scriptedFault{nDrop: 2} // first attempt loses msg1, second loses msg1, third succeeds
-	pol := RetryPolicy{MaxAttempts: 3, Timeout: 0.5, Backoff: 0.2, MaxBackoff: 1}
-	a, b, elapsed, retryTime, attempts, err := l.ProbeWithRetry(0, pol)
+	a, b, elapsed, retryTime, attempts, err := l.ProbeWithRetry(0)
 	if err != nil {
 		t.Fatalf("retry must eventually succeed: %v", err)
 	}
 	if attempts != 3 {
 		t.Errorf("attempts = %d, want 3", attempts)
 	}
-	// Two failures cost 2 timeouts + backoffs 0.2 and 0.4.
-	wantRetry := 2*0.5 + 0.2 + 0.4
+	// Two failures cost 2 timeouts of 0.25 s + backoffs 0.1 and 0.2 s.
+	wantRetry := 2*0.25 + 0.1 + 0.2
 	if math.Abs(retryTime-wantRetry) > 1e-12 {
 		t.Errorf("retryTime = %v, want %v", retryTime, wantRetry)
 	}
@@ -109,29 +108,25 @@ func TestProbeWithRetryRecoversAndTimes(t *testing.T) {
 func TestProbeWithRetryExhausts(t *testing.T) {
 	l := MrenWAN(nil)
 	l.Fault = &scriptedFault{downLo: 0, downHi: 1e9}
-	pol := RetryPolicy{MaxAttempts: 4, Timeout: 0.25, Backoff: 0.1, MaxBackoff: 0.15}
-	_, _, elapsed, retryTime, attempts, err := l.ProbeWithRetry(0, pol)
+	_, _, elapsed, retryTime, attempts, err := l.ProbeWithRetry(0)
 	if err == nil {
 		t.Fatal("retry over a dead link must fail")
 	}
-	if attempts != 4 {
-		t.Errorf("attempts = %d, want 4", attempts)
+	if attempts != 3 {
+		t.Errorf("attempts = %d, want 3", attempts)
 	}
-	// 4 timeouts + backoffs 0.1, 0.15 (capped), 0.15 (capped).
-	want := 4*0.25 + 0.1 + 0.15 + 0.15
+	// 3 timeouts + the two backoffs between them; none after the last.
+	want := 3*0.25 + 0.1 + 0.2
 	if math.Abs(elapsed-want) > 1e-12 || math.Abs(retryTime-want) > 1e-12 {
 		t.Errorf("elapsed %v retry %v, want both %v", elapsed, retryTime, want)
 	}
 }
 
+// TestRetryPolicyDefaults pins the retry schedule, which is constant:
+// nothing outside this package's tests ever set another one.
 func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	if p.MaxAttempts != 3 || p.Timeout != 0.25 || p.Backoff != 0.1 || p.MaxBackoff != 2 {
-		t.Errorf("defaults wrong: %+v", p)
-	}
-	// Explicit values survive.
-	q := RetryPolicy{MaxAttempts: 7, Timeout: 1, Backoff: 2, MaxBackoff: 3}.withDefaults()
-	if q.MaxAttempts != 7 || q.Timeout != 1 || q.Backoff != 2 || q.MaxBackoff != 3 {
-		t.Errorf("explicit policy clobbered: %+v", q)
+	if probeAttempts != 3 || probeTimeout != 0.25 || probeBackoff != 0.1 || probeMaxBackoff != 2 {
+		t.Errorf("retry schedule = %d attempts, %v s timeout, %v s backoff, %v s cap; want 3, 0.25, 0.1, 2",
+			probeAttempts, probeTimeout, probeBackoff, probeMaxBackoff)
 	}
 }

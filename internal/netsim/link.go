@@ -102,8 +102,8 @@ func (l *Link) Probe(now float64) (alphaHat, betaHat, probeTime float64) {
 // TryProbe attempts one two-message probe under the link's fault
 // model. It fails when the link is down at either send time or when
 // the fault layer drops a probe message; probeTime is then zero (the
-// caller's retry policy decides how much wall time the failed attempt
-// cost — a timeout is policy, not physics).
+// retry schedule decides how much wall time the failed attempt cost —
+// a timeout is policy, not physics).
 func (l *Link) TryProbe(now float64) (alphaHat, betaHat, probeTime float64, err error) {
 	const l1, l2 = 1 << 10, 1 << 16
 	if !l.Available(now) {
@@ -125,67 +125,45 @@ func (l *Link) TryProbe(now float64) (alphaHat, betaHat, probeTime float64, err 
 	return alphaHat, betaHat, t1 + t2, nil
 }
 
-// RetryPolicy bounds the probe retry loop: a failed attempt costs
-// Timeout seconds, and successive attempts back off exponentially
-// from Backoff up to MaxBackoff. The zero value selects the defaults.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of probe attempts (default 3).
-	MaxAttempts int
-	// Timeout is the wall time charged per failed attempt (default
-	// 0.25 s — the sender waits this long before declaring loss).
-	Timeout float64
-	// Backoff is the pause before the second attempt; it doubles for
-	// every further attempt (default 0.1 s).
-	Backoff float64
-	// MaxBackoff caps the pause (default 2 s).
-	MaxBackoff float64
-}
+// The probe retry schedule: a failed attempt costs probeTimeout seconds
+// (the sender waits that long before declaring loss), and the pause
+// before the next attempt doubles from probeBackoff up to
+// probeMaxBackoff.
+const (
+	probeAttempts   = 3
+	probeTimeout    = 0.25
+	probeBackoff    = 0.1
+	probeMaxBackoff = 2.0
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = 0.25
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 0.1
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2
-	}
-	return p
-}
-
-// ProbeWithRetry runs TryProbe under the policy: bounded attempts
-// with exponential backoff, every failed attempt charged its timeout.
-// elapsed is the total wall time consumed (timeouts + backoffs +, on
-// success, the successful probe); retryTime is the part wasted on
+// ProbeWithRetry runs TryProbe under the retry schedule: bounded
+// attempts with exponential backoff, every failed attempt charged its
+// timeout. elapsed is the total wall time consumed (timeouts + backoffs
+// +, on success, the successful probe); retryTime is the part wasted on
 // failures — the share the DLB charges to Eq. 1's δ overhead term.
 // The schedule is deterministic: with a seeded fault model the same
 // call sequence yields the same attempts, timing and outcome.
-func (l *Link) ProbeWithRetry(now float64, pol RetryPolicy) (alphaHat, betaHat, elapsed, retryTime float64, attempts int, err error) {
-	pol = pol.withDefaults()
-	backoff := pol.Backoff
-	for attempts = 1; attempts <= pol.MaxAttempts; attempts++ {
+func (l *Link) ProbeWithRetry(now float64) (alphaHat, betaHat, elapsed, retryTime float64, attempts int, err error) {
+	backoff := probeBackoff
+	for attempts = 1; attempts <= probeAttempts; attempts++ {
 		a, b, pt, perr := l.TryProbe(now + elapsed)
 		if perr == nil {
 			return a, b, elapsed + pt, retryTime, attempts, nil
 		}
 		err = perr
-		elapsed += pol.Timeout
-		retryTime += pol.Timeout
-		if attempts < pol.MaxAttempts {
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
+		elapsed += probeTimeout
+		retryTime += probeTimeout
+		if attempts < probeAttempts {
+			if backoff > probeMaxBackoff {
+				backoff = probeMaxBackoff
 			}
 			elapsed += backoff
 			retryTime += backoff
 			backoff *= 2
 		}
 	}
-	return 0, 0, elapsed, retryTime, pol.MaxAttempts,
-		fmt.Errorf("netsim: probe of %s failed after %d attempts: %w", l.Name, pol.MaxAttempts, err)
+	return 0, 0, elapsed, retryTime, probeAttempts,
+		fmt.Errorf("netsim: probe of %s failed after %d attempts: %w", l.Name, probeAttempts, err)
 }
 
 // Fabric is the interconnect of a distributed system: one intra-group

@@ -96,30 +96,6 @@ func TestRandomWalkTrafficBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestTraceTraffic(t *testing.T) {
-	tr := TraceTraffic{Times: []float64{0, 10, 20}, Loads: []float64{0.1, 0.5, 0.2}}
-	cases := []struct{ t, want float64 }{
-		{-1, 0.1}, {0, 0.1}, {5, 0.1}, {10, 0.5}, {15, 0.5}, {25, 0.2},
-	}
-	for _, c := range cases {
-		if got := tr.Load(c.t); got != c.want {
-			t.Errorf("trace load(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-	if (TraceTraffic{}).Load(5) != 0 {
-		t.Error("empty trace should be 0")
-	}
-}
-
-func TestTraceTrafficMismatchedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	TraceTraffic{Times: []float64{0, 1}, Loads: []float64{0.1}}.Load(0.5)
-}
-
 func TestLinkTransferTime(t *testing.T) {
 	l := NewLink("test", 0.01, 1e6, nil) // 10ms, 1 MB/s
 	got := l.TransferTime(0, 1e6)
@@ -191,11 +167,20 @@ func TestProbeRecoversAlphaBeta(t *testing.T) {
 	}
 }
 
+// stepTraffic is a quiet link that turns busy at time at.
+type stepTraffic struct{ at, after float64 }
+
+func (s stepTraffic) Load(t float64) float64 {
+	if t < s.at {
+		return 0
+	}
+	return s.after
+}
+
 func TestProbeTracksDynamicTraffic(t *testing.T) {
 	// With time-varying traffic the estimate at a busy moment must
 	// exceed the estimate at a quiet moment.
-	tr := TraceTraffic{Times: []float64{0, 100}, Loads: []float64{0.0, 0.8}}
-	l := NewLink("wan", 0.02, 1e7, tr)
+	l := NewLink("wan", 0.02, 1e7, stepTraffic{at: 100, after: 0.8})
 	_, quietBeta, _ := l.Probe(0)
 	_, busyBeta, _ := l.Probe(200)
 	if busyBeta <= quietBeta {
@@ -295,25 +280,5 @@ func TestStandardLinks(t *testing.T) {
 	oi := OriginInterconnect()
 	if oi.Alpha >= lan.Alpha {
 		t.Error("machine interconnect must beat LAN")
-	}
-}
-
-func TestCompositeTrafficSumsAndClamps(t *testing.T) {
-	c := CompositeTraffic{Parts: []TrafficModel{
-		ConstantTraffic{Level: 0.3},
-		ConstantTraffic{Level: 0.2},
-	}}
-	if got := c.Load(0); math.Abs(got-0.5) > 1e-15 {
-		t.Errorf("composite = %v", got)
-	}
-	over := CompositeTraffic{Parts: []TrafficModel{
-		ConstantTraffic{Level: 0.8},
-		ConstantTraffic{Level: 0.8},
-	}}
-	if got := over.Load(0); got > maxLoadClamp {
-		t.Errorf("composite must clamp: %v", got)
-	}
-	if (CompositeTraffic{}).Load(5) != 0 {
-		t.Error("empty composite must be 0")
 	}
 }

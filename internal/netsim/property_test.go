@@ -100,7 +100,6 @@ func TestTrafficModelsBoundedProperty(t *testing.T) {
 		SinusoidTraffic{Mean: 0.8, Amp: 0.9, Period: 10},
 		&BurstyTraffic{QuietLoad: -1, BusyLoad: 3, Seed: 9},
 		&RandomWalkTraffic{Start: 0.9, Step: 0.5, Seed: 10},
-		TraceTraffic{Times: []float64{0}, Loads: []float64{7}},
 	}
 	f := func(ts float64) bool {
 		now := math.Abs(math.Mod(ts, 300))

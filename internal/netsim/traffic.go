@@ -13,7 +13,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -169,42 +168,4 @@ func (w *RandomWalkTraffic) ensure(n int) {
 		v := prev + 0.1*(w.Start-prev) + step*(2*w.rng.Float64()-1)
 		w.samples = append(w.samples, clampLoad(v))
 	}
-}
-
-// TraceTraffic replays a recorded load trace: piecewise-constant
-// between the given sample times. Times must be ascending.
-type TraceTraffic struct {
-	Times []float64
-	Loads []float64
-}
-
-// Load implements TrafficModel.
-func (tr TraceTraffic) Load(t float64) float64 {
-	if len(tr.Times) == 0 {
-		return 0
-	}
-	if len(tr.Times) != len(tr.Loads) {
-		panic(fmt.Sprintf("netsim.TraceTraffic: %d times but %d loads", len(tr.Times), len(tr.Loads)))
-	}
-	i := sort.Search(len(tr.Times), func(i int) bool { return tr.Times[i] > t })
-	if i == 0 {
-		return clampLoad(tr.Loads[0])
-	}
-	return clampLoad(tr.Loads[i-1])
-}
-
-// CompositeTraffic sums several background sources sharing one link
-// (e.g. a diurnal baseline plus bursty cross-traffic), clamped to the
-// usable range.
-type CompositeTraffic struct {
-	Parts []TrafficModel
-}
-
-// Load implements TrafficModel.
-func (c CompositeTraffic) Load(t float64) float64 {
-	var sum float64
-	for _, p := range c.Parts {
-		sum += p.Load(t)
-	}
-	return clampLoad(sum)
 }

@@ -51,7 +51,7 @@ type Scenario struct {
 	// the dlb policy registry: distributed, parallel, sfc, hilbert-sfc,
 	// diffusion, diffusion-sos, knapsack). Normalize canonicalises it.
 	Scheme string
-	Groups   []GroupDef
+	Groups []GroupDef
 	// Wan selects the MREN OC-3 WAN between groups (Gigabit LAN
 	// otherwise); Traffic, when non-zero, seeds bursty background
 	// traffic on the inter-group links.
@@ -116,18 +116,11 @@ func (s *Scenario) System() *machine.System {
 // (particles, seeded schedules), so every leg of a run needs a fresh
 // one.
 func (s *Scenario) Driver() workload.Driver {
-	switch s.Dataset {
-	case "AMR64":
-		return workload.NewAMR64(s.DomainN, 2, s.Seed)
-	case "SedovBlast":
-		return workload.NewSedovBlast(s.DomainN, 2)
-	case "blob":
-		return workload.NewStaticBlob(s.DomainN, 2)
-	case "uniform":
-		return &workload.Uniform{N0: s.DomainN, Ref: 2}
-	default:
-		return workload.NewShockPool3D(s.DomainN, 2)
+	d, err := workload.ByName(s.Dataset, s.DomainN, s.Seed)
+	if err != nil {
+		panic(err) // Normalize admits only known datasets
 	}
+	return d
 }
 
 // balancer builds the scheme from the policy registry, wrapping it
@@ -365,9 +358,10 @@ func boolStr(b bool) string {
 	return "0"
 }
 
-// Parse decodes a replay string produced by Encode. Unknown keys are
-// an error so typos surface instead of silently replaying a different
-// scenario.
+// Parse decodes a replay string produced by Encode. Unknown keys, and
+// dataset or policy names nothing is registered under, are an error so
+// typos surface instead of silently replaying a different scenario
+// (Normalize would rewrite them to the defaults).
 func Parse(in string) (Scenario, error) {
 	s := Scenario{ResumeCut: -1}
 	for _, tok := range strings.Fields(in) {
@@ -381,12 +375,14 @@ func Parse(in string) (Scenario, error) {
 			s.Seed, err = strconv.ParseInt(v, 10, 64)
 		case "dataset":
 			s.Dataset = v
+			_, err = workload.ByName(v, domainSizes[0], 0) // built only to vet the name
 		case "n":
 			s.DomainN, err = strconv.Atoi(v)
 		case "maxlevel":
 			s.MaxLevel, err = strconv.Atoi(v)
 		case "scheme", "policy":
 			s.Scheme = v
+			_, err = dlb.NewPolicy(v) // likewise
 		case "groups":
 			s.Groups, err = parseGroups(v)
 		case "wan":

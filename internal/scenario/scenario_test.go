@@ -155,6 +155,12 @@ func TestParseRejectsUnknownKey(t *testing.T) {
 	if _, err := Parse("notatoken"); err == nil {
 		t.Fatal("Parse accepted a key with no value")
 	}
+	// A misspelt value would be normalised into the default scenario.
+	for _, in := range []string{"seed=1 scheme=knapsak", "seed=1 dataset=ShockPool"} {
+		if _, err := Parse(in); err == nil {
+			t.Fatalf("Parse(%q) accepted an unknown name", in)
+		}
+	}
 }
 
 // TestScenarioDeterminism asserts the executor's core property: the

@@ -72,87 +72,3 @@ func (a Advection3D) Step(p *grid.Patch, dt, dx float64) {
 	copyInterior(q, out, g, b)
 	putScratch(sp)
 }
-
-// LaxFriedrichs3D advances the advection equation with the (more
-// diffusive, unconditionally symmetric) Lax–Friedrichs scheme. It
-// exists both as an alternative hyperbolic kernel and as a reference
-// for the upwind scheme in tests.
-type LaxFriedrichs3D struct {
-	Vel [3]float64
-}
-
-// Name implements Kernel.
-func (l LaxFriedrichs3D) Name() string { return "lax-friedrichs3d" }
-
-// Fields implements Kernel.
-func (l LaxFriedrichs3D) Fields() []string { return qFields }
-
-// FlopsPerCell implements Kernel.
-func (l LaxFriedrichs3D) FlopsPerCell() float64 { return 24 }
-
-// MaxSpeed returns the maximum signal speed, for CFL computation.
-func (l LaxFriedrichs3D) MaxSpeed() float64 {
-	return math.Abs(l.Vel[0]) + math.Abs(l.Vel[1]) + math.Abs(l.Vel[2])
-}
-
-// Step implements Kernel. Requires NGhost >= 1. Explicit row loops
-// over borrowed scratch, pinned bit for bit in kernels_ref_test.go.
-func (l LaxFriedrichs3D) Step(p *grid.Patch, dt, dx float64) {
-	checkFieldList(p, l.Name(), qFields)
-	if p.NGhost < 1 {
-		panic("solver.LaxFriedrichs3D: needs at least one ghost cell")
-	}
-	q := p.Field(FieldQ)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
-	lam := dt / dx
-	b := p.Box
-	sp := getScratch(len(q))
-	out := *sp
-	for z := b.Lo[2]; z <= b.Hi[2]; z++ {
-		for y := b.Lo[1]; y <= b.Hi[1]; y++ {
-			off := g.Offset(geom.Index{b.Lo[0], y, z})
-			for x := b.Lo[0]; x <= b.Hi[0]; x++ {
-				avg := 0.0
-				flux := 0.0
-				for d := 0; d < 3; d++ {
-					qm, qp := q[off-stride[d]], q[off+stride[d]]
-					avg += qm + qp
-					flux += l.Vel[d] * lam * (qp - qm)
-				}
-				out[off] = avg/6.0 - 0.5*flux
-				off++
-			}
-		}
-	}
-	copyInterior(q, out, g, b)
-	putScratch(sp)
-}
-
-// PeriodicFill fills the patch's ghost cells from its own interior
-// assuming the patch covers the whole periodic domain. It is a test
-// and single-grid convenience; multi-grid ghost exchange is handled by
-// the AMR machinery.
-func PeriodicFill(p *grid.Patch, name string) {
-	f := p.Field(name)
-	g := p.Grown()
-	sh := p.Box.Shape()
-	g.ForEach(func(i geom.Index) {
-		if p.Box.Contains(i) {
-			return
-		}
-		var src geom.Index
-		for d := 0; d < 3; d++ {
-			v := i[d]
-			for v < p.Box.Lo[d] {
-				v += sh[d]
-			}
-			for v > p.Box.Hi[d] {
-				v -= sh[d]
-			}
-			src[d] = v
-		}
-		f[g.Offset(i)] = f[g.Offset(src)]
-	})
-}

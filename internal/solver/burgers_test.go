@@ -8,69 +8,6 @@ import (
 	"samrdlb/internal/grid"
 )
 
-func poissonProblem(n int) (*grid.Patch, float64) {
-	p := grid.NewPatch(geom.UnitCube(n), 0, 1, FieldPhi, FieldRho)
-	dx := 1.0 / float64(n)
-	p.FillFunc(FieldRho, func(i geom.Index) float64 {
-		x := (float64(i[0]) + 0.5) * dx
-		y := (float64(i[1]) + 0.5) * dx
-		z := (float64(i[2]) + 0.5) * dx
-		return math.Sin(math.Pi*x) * math.Sin(math.Pi*y) * math.Sin(math.Pi*z)
-	})
-	return p, dx
-}
-
-func TestMultigridConverges(t *testing.T) {
-	p, dx := poissonProblem(32)
-	mg := Multigrid{}
-	r0 := Residual(p, dx)
-	cycles, r := mg.Solve(p, dx, r0*1e-8, 40)
-	if r > r0*1e-8 {
-		t.Fatalf("multigrid failed to converge: residual %v after %d cycles (start %v)", r, cycles, r0)
-	}
-	// A plain cell-centred V(2,2) cycle with clipped boundary
-	// interpolation contracts by ~0.5/cycle; 8 orders of magnitude in
-	// ≤30 cycles is the honest expectation (plain GS needs thousands
-	// of sweeps at this size).
-	if cycles > 30 {
-		t.Errorf("multigrid took %d cycles for 1e-8; expected <= 30", cycles)
-	}
-}
-
-func TestMultigridBeatsGaussSeidel(t *testing.T) {
-	// Equal-ish work comparison: one multigrid Step vs many GS sweeps.
-	pMG, dx := poissonProblem(16)
-	pGS, _ := poissonProblem(16)
-	Multigrid{Cycles: 3}.Step(pMG, 0, dx)
-	GaussSeidel{Sweeps: 30}.Step(pGS, 0, dx)
-	if Residual(pMG, dx) >= Residual(pGS, dx) {
-		t.Errorf("multigrid (%v) should beat plain GS (%v) at comparable work",
-			Residual(pMG, dx), Residual(pGS, dx))
-	}
-}
-
-func TestMultigridOddSizeFallsBack(t *testing.T) {
-	// A 6³ patch coarsens once to 3³ (odd): the cycle must terminate
-	// via the coarsest-level fallback, not recurse forever.
-	p := grid.NewPatch(geom.UnitCube(6), 0, 1, FieldPhi, FieldRho)
-	p.FillConstant(FieldRho, 1)
-	r0 := Residual(p, 1.0/6)
-	Multigrid{}.Step(p, 0, 1.0/6)
-	if !(Residual(p, 1.0/6) < r0) {
-		t.Error("multigrid made no progress on odd-size patch")
-	}
-}
-
-func TestMultigridMetadata(t *testing.T) {
-	mg := Multigrid{}
-	if mg.Name() == "" || mg.FlopsPerCell() <= 0 || len(mg.Fields()) != 2 {
-		t.Error("metadata wrong")
-	}
-	if mg.pre() != 2 || mg.post() != 2 || mg.cycles() != 2 || mg.coarsest() != 4 {
-		t.Error("defaults wrong")
-	}
-}
-
 func TestBurgersShockFormation(t *testing.T) {
 	// A smooth sine steepens: the maximum gradient must grow.
 	n := 32
@@ -83,7 +20,7 @@ func TestBurgersShockFormation(t *testing.T) {
 	dt := MaxStableDt(k.MaxSpeed(0.9), dx, 0.4)
 	grad0 := maxGradX(p)
 	for s := 0; s < 90; s++ {
-		PeriodicFill(p, FieldQ)
+		periodicFill(p, FieldQ)
 		k.Step(p, dt, dx)
 	}
 	if g := maxGradX(p); g <= grad0*1.5 {
@@ -118,7 +55,7 @@ func TestBurgersConservesMassPeriodic(t *testing.T) {
 	dt := MaxStableDt(k.MaxSpeed(0.5), dx, 0.4)
 	before := p.Sum(FieldQ)
 	for s := 0; s < 20; s++ {
-		PeriodicFill(p, FieldQ)
+		periodicFill(p, FieldQ)
 		k.Step(p, dt, dx)
 	}
 	if after := p.Sum(FieldQ); math.Abs(after-before) > 1e-9*math.Abs(before) {
@@ -140,7 +77,7 @@ func TestBurgersEntropyNoNewExtrema(t *testing.T) {
 	dx := 1.0 / float64(n)
 	dt := MaxStableDt(k.MaxSpeed(1), dx, 0.4)
 	for s := 0; s < 20; s++ {
-		PeriodicFill(p, FieldQ)
+		periodicFill(p, FieldQ)
 		k.Step(p, dt, dx)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		p.Box.ForEach(func(i geom.Index) {
@@ -175,7 +112,7 @@ func TestBurgersStepFluxesMatchesStep(t *testing.T) {
 		p.FillFunc(FieldQ, func(i geom.Index) float64 {
 			return math.Sin(float64(i[0]+2*i[1])) * 0.7
 		})
-		PeriodicFill(p, FieldQ)
+		periodicFill(p, FieldQ)
 		return p
 	}
 	a, b := mk(), mk()

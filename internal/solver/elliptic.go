@@ -13,7 +13,7 @@ const (
 	FieldRho = "rho"
 )
 
-// GaussSeidel is a red-black Gauss–Seidel/SOR relaxation kernel for
+// GaussSeidel is a red-black Gauss–Seidel relaxation kernel for
 // the Poisson equation ∇²φ = ρ. The AMR64 dataset couples an elliptic
 // solve (self-gravity) to the fluid step; within the distributed
 // execution model the kernel contributes its per-cell cost times the
@@ -21,9 +21,6 @@ const (
 type GaussSeidel struct {
 	// Sweeps is the number of red-black sweeps per Step (default 4).
 	Sweeps int
-	// Omega is the SOR over-relaxation factor (default 1.0 = plain
-	// Gauss–Seidel).
-	Omega float64
 }
 
 // Name implements Kernel.
@@ -43,13 +40,6 @@ func (gs GaussSeidel) sweeps() int {
 	return gs.Sweeps
 }
 
-func (gs GaussSeidel) omega() float64 {
-	if gs.Omega <= 0 {
-		return 1.0
-	}
-	return gs.Omega
-}
-
 // Step implements Kernel: it relaxes φ toward the solution of
 // ∇²φ = ρ with Dirichlet data taken from the current ghost cells.
 // dt is ignored (the elliptic problem is quasi-static within a step).
@@ -67,7 +57,6 @@ func (gs GaussSeidel) Step(p *grid.Patch, _ float64, dx float64) {
 	s := g.Shape()
 	stride := [3]int{1, s[0], s[0] * s[1]}
 	h2 := dx * dx
-	w := gs.omega()
 	b := p.Box
 	for sweep := 0; sweep < gs.sweeps(); sweep++ {
 		for color := 0; color < 2; color++ {
@@ -86,37 +75,13 @@ func (gs GaussSeidel) Step(p *grid.Patch, _ float64, dx float64) {
 							phi[off-stride[1]] + phi[off+stride[1]] +
 							phi[off-stride[2]] + phi[off+stride[2]]
 						target := (nb - h2*rho[off]) / 6.0
-						phi[off] += w * (target - phi[off])
+						// Not `= target`: the increment form rounds
+						// differently and is the pinned one.
+						phi[off] += target - phi[off]
 						off += 2
 					}
 				}
 			}
 		}
 	}
-}
-
-// Residual returns the max-norm of ∇²φ − ρ over the patch interior,
-// for convergence testing.
-func Residual(p *grid.Patch, dx float64) float64 {
-	phi := p.Field(FieldPhi)
-	rho := p.Field(FieldRho)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
-	h2 := dx * dx
-	var worst float64
-	p.Box.ForEach(func(i geom.Index) {
-		off := g.Offset(i)
-		lap := (phi[off-stride[0]] + phi[off+stride[0]] +
-			phi[off-stride[1]] + phi[off+stride[1]] +
-			phi[off-stride[2]] + phi[off+stride[2]] - 6*phi[off]) / h2
-		r := lap - rho[off]
-		if r < 0 {
-			r = -r
-		}
-		if r > worst {
-			worst = r
-		}
-	})
-	return worst
 }

@@ -72,18 +72,6 @@ func (ps *ParticleSet) accel(pos [3]float64) [3]float64 {
 	return a
 }
 
-// KineticEnergy returns the total kinetic energy of the set, used by
-// tests to check the integrator is sane (bounded orbits under a
-// central force).
-func (ps *ParticleSet) KineticEnergy() float64 {
-	var e float64
-	for _, p := range ps.Particles {
-		v2 := p.Vel[0]*p.Vel[0] + p.Vel[1]*p.Vel[1] + p.Vel[2]*p.Vel[2]
-		e += 0.5 * p.Mass * v2
-	}
-	return e
-}
-
 // CountInRegion returns how many particles lie in the axis-aligned
 // region [lo,hi) of domain coordinates.
 func (ps *ParticleSet) CountInRegion(lo, hi [3]float64) int {

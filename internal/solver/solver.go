@@ -1,7 +1,7 @@
 // Package solver provides the numerical kernels that advance SAMR
-// patches: a first-order upwind advection scheme and a Lax–Friedrichs
+// patches: a first-order upwind advection scheme and a Godunov Burgers
 // scheme for hyperbolic problems (the ShockPool3D dataset solves "a
-// purely hyperbolic equation"), a Gauss–Seidel/SOR relaxation for
+// purely hyperbolic equation"), a Gauss–Seidel relaxation for
 // elliptic (Poisson) problems and a leapfrog particle integrator (the
 // AMR64 dataset uses "hyperbolic (fluid) and elliptic (Poisson's)
 // equations as well as a set of ordinary differential equations for
@@ -53,13 +53,9 @@ var (
 	poissonFields = []string{FieldPhi, FieldRho}
 )
 
-func checkFields(p *grid.Patch, k Kernel) {
-	checkFieldList(p, k.Name(), k.Fields())
-}
-
-// checkFieldList is checkFields without boxing the kernel into an
-// interface — per-step kernel code calls it with a shared field list
-// so the validation costs zero allocations.
+// checkFieldList panics when p lacks a field the kernel needs. Per-step
+// kernel code calls it with a shared field list and a plain name, not a
+// Kernel interface value, so the validation costs zero allocations.
 func checkFieldList(p *grid.Patch, kernelName string, fields []string) {
 	for _, f := range fields {
 		if !p.HasField(f) {

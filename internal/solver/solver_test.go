@@ -13,6 +13,69 @@ func newQPatch(n, ng int) *grid.Patch {
 	return grid.NewPatch(geom.UnitCube(n), 0, ng, FieldQ)
 }
 
+// periodicFill fills the patch's ghost cells from its own interior
+// assuming the patch covers the whole periodic domain: the single-grid
+// fixture of the kernel tests (multi-grid ghost exchange is package
+// amr's).
+func periodicFill(p *grid.Patch, name string) {
+	f := p.Field(name)
+	g := p.Grown()
+	sh := p.Box.Shape()
+	g.ForEach(func(i geom.Index) {
+		if p.Box.Contains(i) {
+			return
+		}
+		var src geom.Index
+		for d := 0; d < 3; d++ {
+			v := i[d]
+			for v < p.Box.Lo[d] {
+				v += sh[d]
+			}
+			for v > p.Box.Hi[d] {
+				v -= sh[d]
+			}
+			src[d] = v
+		}
+		f[g.Offset(i)] = f[g.Offset(src)]
+	})
+}
+
+// residual returns the max-norm of ∇²φ − ρ over the patch interior.
+func residual(p *grid.Patch, dx float64) float64 {
+	phi := p.Field(FieldPhi)
+	rho := p.Field(FieldRho)
+	g := p.Grown()
+	s := g.Shape()
+	stride := [3]int{1, s[0], s[0] * s[1]}
+	h2 := dx * dx
+	var worst float64
+	p.Box.ForEach(func(i geom.Index) {
+		off := g.Offset(i)
+		lap := (phi[off-stride[0]] + phi[off+stride[0]] +
+			phi[off-stride[1]] + phi[off+stride[1]] +
+			phi[off-stride[2]] + phi[off+stride[2]] - 6*phi[off]) / h2
+		r := lap - rho[off]
+		if r < 0 {
+			r = -r
+		}
+		if r > worst {
+			worst = r
+		}
+	})
+	return worst
+}
+
+// kineticEnergy is the total kinetic energy of the set: a sanity
+// measure of the integrator (bounded orbits under a central force).
+func kineticEnergy(ps *ParticleSet) float64 {
+	var e float64
+	for _, p := range ps.Particles {
+		v2 := p.Vel[0]*p.Vel[0] + p.Vel[1]*p.Vel[1] + p.Vel[2]*p.Vel[2]
+		e += 0.5 * p.Mass * v2
+	}
+	return e
+}
+
 func TestAdvectionConservesMassPeriodic(t *testing.T) {
 	p := newQPatch(12, 1)
 	p.FillFunc(FieldQ, func(i geom.Index) float64 {
@@ -23,7 +86,7 @@ func TestAdvectionConservesMassPeriodic(t *testing.T) {
 	dt := MaxStableDt(k.MaxSpeed(), dx, 0.5)
 	before := p.Sum(FieldQ)
 	for s := 0; s < 20; s++ {
-		PeriodicFill(p, FieldQ)
+		periodicFill(p, FieldQ)
 		k.Step(p, dt, dx)
 	}
 	after := p.Sum(FieldQ)
@@ -46,7 +109,7 @@ func TestAdvectionTranslatesProfile(t *testing.T) {
 	k := Advection3D{Vel: [3]float64{1, 0, 0}}
 	dx := 1.0
 	dt := 1.0 // CFL exactly 1
-	PeriodicFill(p, FieldQ)
+	periodicFill(p, FieldQ)
 	k.Step(p, dt, dx)
 	if got := p.At(FieldQ, geom.Index{3, 3, 3}); got != 1 {
 		t.Errorf("profile did not shift: q(3)= %v", got)
@@ -66,7 +129,7 @@ func TestAdvectionNegativeVelocityUpwinding(t *testing.T) {
 		return 0
 	})
 	k := Advection3D{Vel: [3]float64{0, -1, 0}}
-	PeriodicFill(p, FieldQ)
+	periodicFill(p, FieldQ)
 	k.Step(p, 1.0, 1.0)
 	if got := p.At(FieldQ, geom.Index{3, 4, 3}); got != 1 {
 		t.Errorf("profile should move to y=4, got q= %v", got)
@@ -86,41 +149,12 @@ func TestAdvectionStability(t *testing.T) {
 	dx := 0.1
 	dt := MaxStableDt(k.MaxSpeed(), dx, 0.9)
 	for s := 0; s < 50; s++ {
-		PeriodicFill(p, FieldQ)
+		periodicFill(p, FieldQ)
 		k.Step(p, dt, dx)
 		if m := p.MaxAbs(FieldQ); m > 1.0+1e-12 {
 			t.Fatalf("monotone scheme overshot at step %d: max %v", s, m)
 		}
 	}
-}
-
-func TestLaxFriedrichsConservesMass(t *testing.T) {
-	p := newQPatch(10, 1)
-	p.FillFunc(FieldQ, func(i geom.Index) float64 { return float64(i[0]%3) + 1 })
-	k := LaxFriedrichs3D{Vel: [3]float64{0.7, -0.3, 0.1}}
-	dx := 0.1
-	dt := MaxStableDt(k.MaxSpeed(), dx, 0.4)
-	before := p.Sum(FieldQ)
-	for s := 0; s < 10; s++ {
-		PeriodicFill(p, FieldQ)
-		k.Step(p, dt, dx)
-	}
-	if after := p.Sum(FieldQ); math.Abs(after-before) > 1e-9*math.Abs(before) {
-		t.Errorf("LF mass not conserved: %v -> %v", before, after)
-	}
-}
-
-func TestLaxFriedrichsConstantPreserved(t *testing.T) {
-	p := newQPatch(6, 1)
-	p.FillConstant(FieldQ, 3.5)
-	k := LaxFriedrichs3D{Vel: [3]float64{1, 1, 1}}
-	PeriodicFill(p, FieldQ)
-	k.Step(p, 0.01, 0.1)
-	p.Box.ForEach(func(i geom.Index) {
-		if math.Abs(p.At(FieldQ, i)-3.5) > 1e-13 {
-			t.Fatalf("constant state not preserved at %v: %v", i, p.At(FieldQ, i))
-		}
-	})
 }
 
 func TestMaxStableDt(t *testing.T) {
@@ -141,12 +175,12 @@ func TestGaussSeidelReducesResidual(t *testing.T) {
 		return 0
 	})
 	dx := 1.0 / 8
-	r0 := Residual(p, dx)
+	r0 := residual(p, dx)
 	gs := GaussSeidel{Sweeps: 10}
 	gs.Step(p, 0, dx)
-	r1 := Residual(p, dx)
+	r1 := residual(p, dx)
 	gs.Step(p, 0, dx)
-	r2 := Residual(p, dx)
+	r2 := residual(p, dx)
 	if !(r1 < r0 && r2 < r1) {
 		t.Errorf("residual not decreasing: %v %v %v", r0, r1, r2)
 	}
@@ -161,7 +195,7 @@ func TestGaussSeidelConvergesToSolution(t *testing.T) {
 		}
 		return 0 // boundary condition in ghosts
 	})
-	gs := GaussSeidel{Sweeps: 200, Omega: 1.5}
+	gs := GaussSeidel{Sweeps: 200}
 	gs.Step(p, 0, 1.0/6)
 	if m := p.MaxAbs(FieldPhi); m > 1e-6 {
 		t.Errorf("phi did not relax to zero: max %v", m)
@@ -170,8 +204,8 @@ func TestGaussSeidelConvergesToSolution(t *testing.T) {
 
 func TestGaussSeidelDefaults(t *testing.T) {
 	gs := GaussSeidel{}
-	if gs.sweeps() != 4 || gs.omega() != 1.0 {
-		t.Errorf("defaults wrong: %d %v", gs.sweeps(), gs.omega())
+	if gs.sweeps() != 4 {
+		t.Errorf("defaults wrong: %d", gs.sweeps())
 	}
 	if gs.FlopsPerCell() != 40 {
 		t.Errorf("FlopsPerCell = %v", gs.FlopsPerCell())
@@ -204,7 +238,7 @@ func TestParticleLeapfrogBoundedOrbit(t *testing.T) {
 			}
 		}
 	}
-	if e := ps.KineticEnergy(); math.IsNaN(e) || math.IsInf(e, 0) || e > 100 {
+	if e := kineticEnergy(ps); math.IsNaN(e) || math.IsInf(e, 0) || e > 100 {
 		t.Errorf("kinetic energy blew up: %v", e)
 	}
 }
@@ -280,7 +314,7 @@ func TestNilPoolRunsInline(t *testing.T) {
 }
 
 func TestKernelMetadata(t *testing.T) {
-	ks := []Kernel{Advection3D{}, LaxFriedrichs3D{}, GaussSeidel{}}
+	ks := []Kernel{Advection3D{}, Burgers3D{}, GaussSeidel{}}
 	for _, k := range ks {
 		if k.Name() == "" || k.FlopsPerCell() <= 0 || len(k.Fields()) == 0 {
 			t.Errorf("kernel %T metadata incomplete", k)
@@ -303,7 +337,7 @@ func TestAdvectionFirstOrderConvergence(t *testing.T) {
 		steps := 2 * n // CFL 0.5, half a revolution
 		dt := 0.5 * dx
 		for s := 0; s < steps; s++ {
-			PeriodicFill(p, FieldQ)
+			periodicFill(p, FieldQ)
 			k.Step(p, dt, dx)
 		}
 		// After time = steps*dt = 1.0*...: travelled distance = steps*dt*v = n*dx = 1 -> full revolution.
@@ -318,46 +352,5 @@ func TestAdvectionFirstOrderConvergence(t *testing.T) {
 	ratio := e1 / e2
 	if ratio < 1.5 || ratio > 3.0 {
 		t.Errorf("first-order convergence ratio = %v (errors %v, %v), want ~2", ratio, e1, e2)
-	}
-}
-
-func TestMultigridSolutionMatchesAnalytic(t *testing.T) {
-	// ∇²φ = ρ with ρ chosen so φ = Π sin(πx_d) is the exact solution
-	// (up to discretisation error): the solve must approach it at
-	// second order in dx.
-	solveErr := func(n int) float64 {
-		p := grid.NewPatch(geom.UnitCube(n), 0, 1, FieldPhi, FieldRho)
-		dx := 1.0 / float64(n)
-		exact := func(i geom.Index) float64 {
-			v := 1.0
-			for d := 0; d < 3; d++ {
-				v *= math.Sin(math.Pi * (float64(i[d]) + 0.5) * dx)
-			}
-			return v
-		}
-		p.FillFunc(FieldRho, func(i geom.Index) float64 {
-			return -3 * math.Pi * math.Pi * exact(i)
-		})
-		// Dirichlet ghosts: the exact solution evaluated outside.
-		g := p.Grown()
-		g.ForEach(func(i geom.Index) {
-			if !p.Box.Contains(i) {
-				p.Set(FieldPhi, i, exact(i))
-			}
-		})
-		Multigrid{}.Solve(p, dx, 1e-10, 60)
-		var worst float64
-		p.Box.ForEach(func(i geom.Index) {
-			e := math.Abs(p.At(FieldPhi, i) - exact(i))
-			if e > worst {
-				worst = e
-			}
-		})
-		return worst
-	}
-	e1, e2 := solveErr(8), solveErr(16)
-	ratio := e1 / e2
-	if ratio < 3 || ratio > 6 {
-		t.Errorf("second-order convergence ratio = %v (errors %v, %v), want ~4", ratio, e1, e2)
 	}
 }

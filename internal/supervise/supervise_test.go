@@ -160,7 +160,7 @@ func runSupervised(t *testing.T, plan chaosPlan) (Report, *machine.Membership) {
 	t.Helper()
 	base := t.TempDir()
 	sys := machine.WanPair(2, nil)
-	mem := machine.NewMembership(sys, 2, 4, 1)
+	mem := machine.NewMembership(sys, 1)
 	rep, err := Run(Config{
 		NumShards:   sys.NumGroups(),
 		WireTimeout: plan.wireTimeout,

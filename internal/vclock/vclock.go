@@ -152,8 +152,3 @@ func (c *Clock) SetState(s State) error {
 	copy(c.busy, s.Busy)
 	return nil
 }
-
-// CommTotal returns local plus remote communication time.
-func (c *Clock) CommTotal() float64 {
-	return c.byPhase[LocalComm] + c.byPhase[RemoteComm]
-}

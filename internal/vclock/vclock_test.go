@@ -61,11 +61,8 @@ func TestPhasesAccumulateIndependently(t *testing.T) {
 	if c.Now() != 6.875 {
 		t.Errorf("Now = %v", c.Now())
 	}
-	if c.CommTotal() != 5 {
-		t.Errorf("CommTotal = %v", c.CommTotal())
-	}
 	b := c.Breakdown()
-	if b[Compute] != 1 || b[Regrid] != 0.125 {
+	if b[Compute] != 1 || b[LocalComm]+b[RemoteComm] != 5 || b[Regrid] != 0.125 {
 		t.Error("Breakdown wrong")
 	}
 }

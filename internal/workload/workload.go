@@ -18,6 +18,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -48,6 +49,27 @@ type Driver interface {
 	RefFactor() int
 	// Particles returns the particle population, or nil.
 	Particles() *solver.ParticleSet
+}
+
+// ByName builds a fresh driver for a dataset name on an n³ level-0
+// domain with refinement factor 2 (drivers carry mutable state such as
+// AMR64's particles, so every run gets its own); seed fixes the seeded
+// datasets' randomness. It is the one name table: the CLI, the
+// experiment harness and the scenario harness all resolve through it.
+func ByName(name string, n int, seed int64) (Driver, error) {
+	switch name {
+	case "ShockPool3D":
+		return NewShockPool3D(n, 2), nil
+	case "AMR64":
+		return NewAMR64(n, 2, seed), nil
+	case "SedovBlast":
+		return NewSedovBlast(n, 2), nil
+	case "blob":
+		return NewStaticBlob(n, 2), nil
+	case "uniform":
+		return &Uniform{N0: n, Ref: 2}, nil
+	}
+	return nil, fmt.Errorf("workload: unknown dataset %q (ShockPool3D | AMR64 | SedovBlast | blob | uniform)", name)
 }
 
 // FlopsPerCell sums the per-cell cost of the driver's kernels — the

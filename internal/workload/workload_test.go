@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"samrdlb/internal/cluster"
@@ -315,5 +316,31 @@ func TestSedovMetadataAndIC(t *testing.T) {
 	}
 	if s.Dt0() <= 0 || math.IsInf(s.Dt0(), 0) {
 		t.Errorf("Dt0 = %v", s.Dt0())
+	}
+}
+
+// TestByName: every dataset name resolves to the driver its constructor
+// builds, sized and seeded as asked; anything else is an error.
+func TestByName(t *testing.T) {
+	want := map[string]Driver{
+		"ShockPool3D": NewShockPool3D(16, 2),
+		"AMR64":       NewAMR64(16, 2, 9),
+		"SedovBlast":  NewSedovBlast(16, 2),
+		"blob":        NewStaticBlob(16, 2),
+		"uniform":     &Uniform{N0: 16, Ref: 2},
+	}
+	for name, w := range want {
+		d, err := ByName(name, 16, 9)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if !reflect.DeepEqual(d, w) {
+			t.Errorf("ByName(%q) = %+v, want %+v", name, d, w)
+		}
+	}
+	for _, name := range []string{"", "shockpool3d", "static-blob", "AMR65"} {
+		if d, err := ByName(name, 16, 9); err == nil {
+			t.Errorf("ByName(%q) = %T, want an error", name, d)
+		}
 	}
 }
