@@ -19,8 +19,6 @@ import (
 var auditAllow = map[string]string{
 	"Unwrap": "errors.Is/As walk the chain through it; nothing names it",
 
-	"dlb.CurveMorton": "zero value of CurveKind: selected by leaving SFCDLB.Curve unset, never by name",
-
 	"geom.BoxFromShape": "the box constructor of ~70 fixtures in nine packages' tests, which cannot see a geom _test.go file",
 
 	"internal/scenario/shrink.go": "test infrastructure: the scenario shrinker runs only when a soak fails",

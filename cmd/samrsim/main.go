@@ -5,9 +5,9 @@
 //
 //	samrsim -dataset ShockPool3D -system wan -policy distributed -n 4 -steps 10
 //
-// -policy selects the balancer from the policy registry (distributed,
-// parallel, sfc, hilbert-sfc, diffusion, diffusion-sos, knapsack, or
-// an alias such as "paper").
+// -policy selects the balancer from the policy table in internal/dlb
+// and -dataset the workload from the name table in internal/workload;
+// samrsim -help lists both.
 // -tournament instead runs the seeded policy ablation — every
 // registered policy on identical scenario envelopes — printing a
 // markdown comparison report, with -bench-out writing the
@@ -45,6 +45,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"samrdlb/internal/ckpt"
@@ -65,9 +66,9 @@ import (
 
 func main() {
 	var (
-		dataset   = flag.String("dataset", "ShockPool3D", "ShockPool3D | AMR64 | SedovBlast | blob | uniform")
+		dataset   = flag.String("dataset", "ShockPool3D", strings.Join(workload.Names(), " | "))
 		system    = flag.String("system", "wan", "wan | lan | origin (single machine)")
-		policy    = flag.String("policy", "distributed", "balancer policy: distributed | parallel | sfc | hilbert-sfc | diffusion | diffusion-sos | knapsack (or an alias)")
+		policy    = flag.String("policy", "distributed", "balancer policy: "+strings.Join(dlb.PolicyNames(), " | ")+" (or an alias)")
 		tourney   = flag.Bool("tournament", false, "run the policy ablation tournament instead of a single run: every registered policy on the same seeded scenario envelopes, printing a markdown comparison report")
 		tourneyN  = flag.Int("tournament-scenarios", 20, "tournament: number of generated scenario envelopes per policy")
 		tourneySd = flag.Int64("tournament-seed", 40000, "tournament: first scenario-generator seed")

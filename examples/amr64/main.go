@@ -20,7 +20,11 @@ import (
 func main() {
 	traffic := &netsim.BurstyTraffic{QuietLoad: 0.05, BusyLoad: 0.4, MeanQuiet: 20, MeanBusy: 10, Seed: 11}
 
-	run := func(b dlb.Balancer) (*metrics.Result, *engine.Runner) {
+	run := func(policy string) (*metrics.Result, *engine.Runner) {
+		b, err := dlb.NewPolicy(policy)
+		if err != nil {
+			panic(err)
+		}
 		sys := machine.LanPair(4, traffic)
 		driver := workload.NewAMR64(32, 2, 11)
 		r := engine.New(sys, driver, engine.Options{
@@ -33,8 +37,8 @@ func main() {
 		return r.Run(), r
 	}
 
-	par, _ := run(dlb.ParallelDLB{})
-	dist, runner := run(dlb.DistributedDLB{})
+	par, _ := run("parallel")
+	dist, runner := run("distributed")
 
 	tbl := metrics.NewTable("AMR64 on 4+4 LAN (real field data)", "metric", "parallel", "distributed")
 	tbl.AddRow("total (s)", par.Total, dist.Total)

@@ -21,7 +21,11 @@ import (
 func main() {
 	traffic := &netsim.BurstyTraffic{QuietLoad: 0.1, BusyLoad: 0.5, MeanQuiet: 25, MeanBusy: 10, Seed: 3}
 
-	run := func(b dlb.Balancer) (*metrics.Result, map[int]int64) {
+	run := func(policy string) (*metrics.Result, map[int]int64) {
+		b, err := dlb.NewPolicy(policy)
+		if err != nil {
+			panic(err)
+		}
 		sys := machine.Heterogeneous(4, 4, 0.5, traffic) // group 1 at half speed
 		r := engine.New(sys, workload.NewShockPool3D(32, 2), engine.Options{
 			Steps: 10, Balancer: b, MaxLevel: 2,
@@ -34,8 +38,8 @@ func main() {
 		return res, cells
 	}
 
-	par, parCells := run(dlb.ParallelDLB{})
-	dist, distCells := run(dlb.DistributedDLB{})
+	par, parCells := run("parallel")
+	dist, distCells := run("distributed")
 
 	fmt.Println("system: 4 fast procs (perf 1.0) + 4 slow procs (perf 0.5) over a shared WAN")
 	fmt.Printf("ideal level-0 split: %.0f%% fast / %.0f%% slow (proportional to n·p)\n\n",

@@ -22,7 +22,11 @@ func main() {
 		MeanQuiet: 30, MeanBusy: 15, Seed: 42,
 	}
 
-	run := func(b dlb.Balancer) *metrics.Result {
+	run := func(policy string) *metrics.Result {
+		b, err := dlb.NewPolicy(policy)
+		if err != nil {
+			panic(err)
+		}
 		sys := machine.WanPair(4, traffic) // 4 procs at ANL + 4 at NCSA
 		driver := workload.NewShockPool3D(32, 2)
 		return engine.New(sys, driver, engine.Options{
@@ -32,8 +36,8 @@ func main() {
 		}).Run()
 	}
 
-	par := run(dlb.ParallelDLB{})
-	dist := run(dlb.DistributedDLB{})
+	par := run("parallel")
+	dist := run("distributed")
 
 	fmt.Println("parallel DLB:   ", par)
 	fmt.Println("distributed DLB:", dist)

@@ -32,14 +32,18 @@ func main() {
 		"network", "parallel(s)", "distributed(s)", "improv%", "redists", "evals")
 
 	for _, c := range conditions {
-		run := func(b dlb.Balancer) *metrics.Result {
+		run := func(policy string) *metrics.Result {
+			b, err := dlb.NewPolicy(policy)
+			if err != nil {
+				panic(err)
+			}
 			sys := machine.WanPair(4, c.traffic)
 			return engine.New(sys, workload.NewShockPool3D(32, 2), engine.Options{
 				Steps: 12, Balancer: b, MaxLevel: 2,
 			}).Run()
 		}
-		par := run(dlb.ParallelDLB{})
-		dist := run(dlb.DistributedDLB{})
+		par := run("parallel")
+		dist := run("distributed")
 		tbl.AddRow(c.name, par.Total, dist.Total,
 			metrics.Improvement(par.Total, dist.Total),
 			dist.GlobalRedists, dist.GlobalEvals)

@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/vclock"
@@ -41,22 +42,16 @@ const (
 	// skips generations written in any other format. Version 2 moved
 	// the run counters into the embedded metrics.Counters record; a
 	// version-1 header keeps them as loose fields under partly
-	// different names, which gob would drop without an error.
-	MetaVersion = 2
+	// different names, which gob would drop without an error. Version 3
+	// dropped the failed-processor list (Memb records who is dead of a
+	// crash), which a version-2 reader would restore as "nobody failed".
+	MetaVersion = 3
 	// frameOverhead is the per-frame length + CRC prefix.
 	frameOverhead = 8
 	// maxFrame caps a frame's declared length: anything beyond it is a
 	// corrupt length field, not a plausible checkpoint.
 	maxFrame = 1 << 31
 )
-
-// ProbeSeq records one link pair's position in the deterministic
-// probe-loss drop sequence, so a resumed run observes the same fates
-// the uninterrupted run would have.
-type ProbeSeq struct {
-	A, B int
-	N    uint64
-}
 
 // Meta is the engine-state header stored alongside the hierarchy in
 // every generation: everything beyond the grid hierarchy that the
@@ -100,11 +95,13 @@ type Meta struct {
 	FaultSeed      int64
 	LastFailCheck  float64
 	WasQuarantined bool
-	// FailedSet lists the processors failed at the checkpoint,
-	// ascending.
-	FailedSet []int
-	ProbeSeq  []ProbeSeq
-	// Memb is the elastic-membership tracker's state.
+	// ProbeSeq is each link pair's position in the deterministic
+	// probe-loss drop sequence, so a resumed run observes the same
+	// fates the uninterrupted run would have.
+	ProbeSeq []fault.ProbeSeqEntry
+	// Memb is the elastic-membership tracker's state; it is also the
+	// record of which processors are failed at the checkpoint (dead of
+	// a crash).
 	Memb machine.MembershipState
 }
 

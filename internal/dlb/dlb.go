@@ -1,27 +1,30 @@
-// Package dlb implements the paper's two dynamic load balancers:
+// Package dlb implements the paper's dynamic load balancing as three
+// decisions the SAMR integration loop asks for at the points of its
+// Figures 4 and 5:
 //
-//   - ParallelDLB — the baseline scheme from Lan et al. (ICPP 2001),
-//     designed for homogeneous parallel machines: after each time step
-//     at every level, the level's grids are evenly redistributed over
-//     *all* processors, ignoring group structure and network
-//     heterogeneity.
+//   - placement: which processor a newly created child grid goes to;
+//   - the local phase: how one level's grids are evened out after each
+//     of that level's time steps;
+//   - the global phase: what happens between processor groups after
+//     each level-0 time step.
 //
-//   - DistributedDLB — the paper's contribution: balancing is split
-//     into a local phase (within each group, after every finer-level
-//     step) and a global phase (between groups, evaluated only after
-//     each level-0 step and invoked only when the heuristic gain
-//     exceeds γ times the measured redistribution cost). Children are
-//     always placed in their parent's group, eliminating remote
-//     parent–child communication.
+// A policy is one choice for each (policy.go holds the table). The
+// paper's scheme for distributed systems places children in their
+// parent's group, evens each group out on its own, and moves level-0
+// grids between groups only when the heuristic gain exceeds γ times
+// the measured redistribution cost (Eqs. 1–4). Its baseline, the
+// parallel scheme of Lan et al. (ICPP 2001), makes all three choices
+// over the whole machine, ignoring group structure and network
+// heterogeneity. The remaining rows swap one component for an
+// alternative from the related work.
 //
-// Both balancers operate on the amr.Hierarchy's ownership fields and
-// report the migrations they perform; the engine charges virtual time
+// Every component operates on the amr.Hierarchy's ownership fields and
+// reports the migrations it performs; the engine charges virtual time
 // for the implied data motion.
 package dlb
 
 import (
 	"math"
-	"sort"
 
 	"samrdlb/internal/amr"
 	"samrdlb/internal/geom"
@@ -162,133 +165,6 @@ type Balancer interface {
 	GlobalBalance(ctx *Context) GlobalDecision
 }
 
-// balanceOver evenly redistributes level-l grids over the processors
-// in procs, proportionally to their performance weights. Grids move
-// from the most-overloaded processor to the most-underloaded until no
-// move improves the imbalance. Returns the migrations.
-func balanceOver(ctx *Context, level int, procs []int) []Migration {
-	grids := ctx.H.Grids(level)
-	if len(grids) == 0 || len(procs) < 2 {
-		return nil
-	}
-	loadOf := make(map[int]float64, len(procs))
-	byOwner := make(map[int][]*amr.Grid)
-	var perfSum, total float64
-	for _, p := range procs {
-		perfSum += ctx.Sys.Perf(p)
-		loadOf[p] = ctx.Ledger.ProcCells(level, p)
-		total += loadOf[p]
-		// Copy: migrations mutate both these working lists and,
-		// through ownership events, the ledger's own lists.
-		byOwner[p] = append([]*amr.Grid(nil), ctx.Ledger.Owned(level, p)...)
-	}
-	if total == 0 {
-		return nil
-	}
-	var out []Migration
-	for iter := 0; iter < 16*len(grids); iter++ {
-		src, dst := extremeProcs(ctx, procs, loadOf)
-		if src == dst {
-			break
-		}
-		// Target loads proportional to perf; how much src should shed.
-		srcTarget := total * ctx.Sys.Perf(src) / perfSum
-		dstTarget := total * ctx.Sys.Perf(dst) / perfSum
-		surplus := loadOf[src] - srcTarget
-		deficit := dstTarget - loadOf[dst]
-		budget := math.Min(surplus, deficit)
-		if budget <= 0 {
-			break
-		}
-		// Move the largest grid not exceeding the budget, or the
-		// smallest grid if every grid exceeds it but moving it still
-		// reduces the max-min spread.
-		g := pickGrid(byOwner[src], budget)
-		if g == nil {
-			break
-		}
-		cells := float64(g.NumCells())
-		if cells > budget {
-			// Moving would overshoot; only do it if it still improves.
-			// The spread test must use the same perf-normalised loads
-			// donor/receiver selection uses: on heterogeneous
-			// processors a raw-cell comparison stops the loop early or
-			// accepts moves that worsen the normalised imbalance
-			// (e.g. shipping a large grid to a slow processor).
-			srcPerf, dstPerf := ctx.Sys.Perf(src), ctx.Sys.Perf(dst)
-			newSpread := math.Abs((loadOf[dst]+cells)/dstPerf - (loadOf[src]-cells)/srcPerf)
-			oldSpread := loadOf[src]/srcPerf - loadOf[dst]/dstPerf
-			if newSpread >= oldSpread {
-				break
-			}
-		}
-		migrate(ctx, g, dst, &out, byOwner, loadOf)
-	}
-	return out
-}
-
-// extremeProcs returns the most overloaded and most underloaded
-// processors (by perf-normalised load) of the set.
-func extremeProcs(ctx *Context, procs []int, loadOf map[int]float64) (src, dst int) {
-	src, dst = procs[0], procs[0]
-	maxN, minN := math.Inf(-1), math.Inf(1)
-	for _, p := range procs {
-		n := loadOf[p] / ctx.Sys.Perf(p)
-		if n > maxN {
-			maxN, src = n, p
-		}
-		if n < minN {
-			minN, dst = n, p
-		}
-	}
-	return src, dst
-}
-
-// pickGrid returns the largest grid with at most `budget` cells, or
-// the overall smallest grid when none fits. Ties break on the lowest
-// grid ID — never on slice position, which shifts as migrations
-// append to and delete from the per-owner lists — so migration
-// sequences are insensitive to grid traversal order.
-func pickGrid(grids []*amr.Grid, budget float64) *amr.Grid {
-	var best, smallest *amr.Grid
-	for _, g := range grids {
-		c := float64(g.NumCells())
-		if smallest == nil || c < float64(smallest.NumCells()) ||
-			(c == float64(smallest.NumCells()) && g.ID < smallest.ID) {
-			smallest = g
-		}
-		if c <= budget && (best == nil || c > float64(best.NumCells()) ||
-			(c == float64(best.NumCells()) && g.ID < best.ID)) {
-			best = g
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return smallest
-}
-
-func migrate(ctx *Context, g *amr.Grid, to int, out *[]Migration, byOwner map[int][]*amr.Grid, loadOf map[int]float64) {
-	from := g.Owner
-	cells := float64(g.NumCells())
-	// Remove from source list.
-	lst := byOwner[from]
-	for i, x := range lst {
-		if x.ID == g.ID {
-			byOwner[from] = append(lst[:i], lst[i+1:]...)
-			break
-		}
-	}
-	ctx.H.SetOwner(g, to)
-	byOwner[to] = append(byOwner[to], g)
-	loadOf[from] -= cells
-	loadOf[to] += cells
-	*out = append(*out, Migration{
-		Grid: g.ID, From: from, To: to,
-		Bytes: g.Bytes(len(ctx.H.Fields)),
-	})
-}
-
 // leastLoadedProc returns the processor of the set with the smallest
 // perf-normalised cell count at the given level.
 func leastLoadedProc(ctx *Context, procs []int, level int) int {
@@ -302,10 +178,82 @@ func leastLoadedProc(ctx *Context, procs []int, level int) int {
 	return best
 }
 
-// sortedCopy returns procs sorted ascending (stable iteration order
-// for deterministic balancing).
-func sortedCopy(procs []int) []int {
-	out := append([]int(nil), procs...)
-	sort.Ints(out)
+// allProcs returns every admitted non-failed processor. Fallback
+// chain: admitted ∩ alive → alive → all (only when every single
+// processor has failed is there no better choice left, and the run is
+// over anyway).
+func allProcs(ctx *Context) []int {
+	alive := ctx.Sys.AliveProcs()
+	if adm := admittedOf(ctx, alive); len(adm) > 0 {
+		return adm
+	}
+	if len(alive) > 0 {
+		return alive
+	}
+	procs := make([]int, ctx.Sys.NumProcs())
+	for i := range procs {
+		procs[i] = i
+	}
+	return procs
+}
+
+// groupProcs returns group g's admitted non-failed processors
+// ascending, with the same fallback chain as allProcs scoped to the
+// group.
+func groupProcs(ctx *Context, g int) []int {
+	alive := ctx.Sys.AliveInGroup(g)
+	if adm := admittedOf(ctx, alive); len(adm) > 0 {
+		return adm
+	}
+	if len(alive) > 0 {
+		return alive
+	}
+	return ctx.Sys.ProcsInGroup(g) // ascending by construction
+}
+
+// admittedOf filters procs through the membership admission predicate
+// (identity when none is attached).
+func admittedOf(ctx *Context, procs []int) []int {
+	if ctx.Admitted == nil {
+		return procs
+	}
+	out := make([]int, 0, len(procs))
+	for _, p := range procs {
+		if ctx.Admitted(p) {
+			out = append(out, p)
+		}
+	}
 	return out
+}
+
+// eachGroup runs pack over every group's own processors in group
+// order and concatenates the migrations: the shape of every per-group
+// local phase and of the global phase's local-only fallback.
+func eachGroup(ctx *Context, level int, pack func(ctx *Context, level int, procs []int) []Migration) []Migration {
+	var out []Migration
+	for g := 0; g < ctx.Sys.NumGroups(); g++ {
+		out = append(out, pack(ctx, level, groupProcs(ctx, g))...)
+	}
+	return out
+}
+
+// ownedBy collects the level's grids the processors own, off the
+// ledger's per-owner lists. The result is the caller's to reorder, and
+// every caller sorts it by a total order, so the collection order
+// never reaches a decision.
+func ownedBy(ctx *Context, level int, procs []int) []*amr.Grid {
+	var grids []*amr.Grid
+	for _, p := range procs {
+		grids = append(grids, ctx.Ledger.Owned(level, p)...)
+	}
+	return grids
+}
+
+// migratedBytes is the total volume of the migrations.
+func migratedBytes(migs []Migration) int64 {
+	var n int64
+	for _, m := range migs {
+		n += m.Bytes
+	}
+	return n
 }

@@ -29,7 +29,7 @@ func slabHierarchy(n int, widths, owners []int) *amr.Hierarchy {
 // test migrated, split or regridded.
 func ctxFor(t testing.TB, sys *machine.System, h *amr.Hierarchy) *Context {
 	t.Helper()
-	led := load.NewLedger(sys, h, nil)
+	led := load.NewLedger(sys, h)
 	h.SetListener(led)
 	t.Cleanup(func() {
 		if err := led.Verify(); err != nil {
@@ -132,7 +132,7 @@ func TestParallelLocalBalanceEvensAllProcs(t *testing.T) {
 	// 8 equal slabs, all initially on proc 0.
 	h := slabHierarchy(8, []int{1, 1, 1, 1, 1, 1, 1, 1}, []int{0, 0, 0, 0, 0, 0, 0, 0})
 	ctx := ctxFor(t, sys, h)
-	migs := ParallelDLB{}.LocalBalance(ctx, 0)
+	migs := mustPolicy("parallel").LocalBalance(ctx, 0)
 	if len(migs) == 0 {
 		t.Fatal("expected migrations")
 	}
@@ -159,7 +159,7 @@ func TestDistributedLocalBalanceStaysInGroup(t *testing.T) {
 	// Group 0 overloaded on proc 0; group 1 balanced-ish on proc 2.
 	h := slabHierarchy(8, []int{1, 1, 1, 1, 2, 2}, []int{0, 0, 0, 0, 2, 2})
 	ctx := ctxFor(t, sys, h)
-	migs := DistributedDLB{}.LocalBalance(ctx, 0)
+	migs := mustPolicy("distributed").LocalBalance(ctx, 0)
 	for _, m := range migs {
 		if !sys.SameGroup(m.From, m.To) {
 			t.Fatalf("distributed local balance crossed groups: %+v", m)
@@ -195,7 +195,7 @@ func TestPlaceChildDistributedKeepsParentGroup(t *testing.T) {
 	h := slabHierarchy(8, []int{4, 4}, []int{1, 2})
 	ctx := ctxFor(t, sys, h)
 	parent := ctx.H.Grids(0)[1] // owned by proc 2 (group 1)
-	owner := DistributedDLB{}.PlaceChild(ctx, geom.UnitCube(2), parent)
+	owner := mustPolicy("distributed").PlaceChild(ctx, geom.UnitCube(2), parent)
 	if sys.GroupOf(owner) != 1 {
 		t.Errorf("child placed in group %d, want parent's group 1", sys.GroupOf(owner))
 	}
@@ -210,7 +210,7 @@ func TestPlaceChildParallelPicksGloballyLeastLoaded(t *testing.T) {
 	h.AddGrid(1, geom.BoxFromShape(geom.Index{4, 0, 0}, geom.Index{4, 4, 4}), 1, p.ID)
 	h.AddGrid(1, geom.BoxFromShape(geom.Index{8, 0, 0}, geom.Index{4, 4, 4}), 2, p.ID)
 	ctx := ctxFor(t, sys, h)
-	owner := ParallelDLB{}.PlaceChild(ctx, geom.UnitCube(2), p)
+	owner := mustPolicy("parallel").PlaceChild(ctx, geom.UnitCube(2), p)
 	if owner != 3 {
 		t.Errorf("parallel placement = %d, want idle proc 3", owner)
 	}
@@ -222,7 +222,7 @@ func TestGlobalBalanceNoImbalanceNoAction(t *testing.T) {
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if d.Evaluated || d.Invoked {
 		t.Errorf("balanced system triggered global phase: %+v", d)
 	}
@@ -236,7 +236,7 @@ func TestGlobalBalanceMovesPaperAmount(t *testing.T) {
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Evaluated || !d.Invoked {
 		t.Fatalf("expected redistribution: %+v", d)
 	}
@@ -270,7 +270,7 @@ func TestGlobalBalanceMovesNearestGrids(t *testing.T) {
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if len(d.Migrations) != 1 {
 		t.Fatalf("expected a single slab to move, got %v", d.Migrations)
 	}
@@ -290,7 +290,7 @@ func TestGlobalBalanceSplitsGrids(t *testing.T) {
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	nBefore := h.TotalCells(0)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Invoked {
 		t.Fatalf("expected redistribution: %+v", d)
 	}
@@ -320,7 +320,7 @@ func TestGlobalBalanceGammaGate(t *testing.T) {
 	ctx.Gamma = 1e12
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Evaluated {
 		t.Error("imbalance should trigger evaluation")
 	}
@@ -339,7 +339,7 @@ func TestGlobalBalanceAdaptsToTraffic(t *testing.T) {
 		ctx := ctxFor(t, sys, h)
 		recordCellLoads(ctx)
 		ctx.Load.SetIntervalTime(0.2)
-		return DistributedDLB{}.GlobalBalance(ctx)
+		return mustPolicy("distributed").GlobalBalance(ctx)
 	}
 	quiet := build(netsim.ConstantTraffic{Level: 0})
 	busy := build(netsim.ConstantTraffic{Level: 0.9})
@@ -364,7 +364,7 @@ func TestGlobalBalanceDeltaRaisesCost(t *testing.T) {
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	ctx.Load.SetDelta(1e9) // enormous recorded repartition overhead
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if d.Invoked {
 		t.Error("huge delta must veto redistribution")
 	}
@@ -378,7 +378,7 @@ func TestGlobalBalanceSingleGroupDegenerates(t *testing.T) {
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Invoked {
 		t.Error("single group should fall back to plain balancing")
 	}
@@ -394,7 +394,7 @@ func TestParallelGlobalBalanceReportsMigrations(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
 	ctx := ctxFor(t, sys, h)
-	d := ParallelDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("parallel").GlobalBalance(ctx)
 	if !d.Invoked || len(d.Migrations) == 0 || d.MovedBytes == 0 {
 		t.Errorf("parallel global balance should move grids: %+v", d)
 	}
@@ -426,7 +426,7 @@ func TestBalanceOverNoGridsOrOneProc(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if (ParallelDLB{}).Name() != "parallel-dlb" || (DistributedDLB{}).Name() != "distributed-dlb" {
+	if (mustPolicy("parallel")).Name() != "parallel-dlb" || (mustPolicy("distributed")).Name() != "distributed-dlb" {
 		t.Error("scheme names wrong")
 	}
 }
@@ -459,7 +459,7 @@ func TestForecastSmoothsSpikyProbes(t *testing.T) {
 	}
 
 	raw := mkCtx()
-	dRaw := DistributedDLB{}.GlobalBalance(raw)
+	dRaw := mustPolicy("distributed").GlobalBalance(raw)
 	if !dRaw.Evaluated || dRaw.Invoked {
 		t.Fatalf("raw probe during spike should veto: %+v", dRaw)
 	}
@@ -475,7 +475,7 @@ func TestForecastSmoothsSpikyProbes(t *testing.T) {
 		a, b, _ := link.Probe(ts)
 		fc.Forecast.For(link).Record(a, b)
 	}
-	dFc := DistributedDLB{}.GlobalBalance(fc)
+	dFc := mustPolicy("distributed").GlobalBalance(fc)
 	if !dFc.Invoked {
 		t.Errorf("forecast should override the spike: gain %v cost %v", dFc.Gain, dFc.Cost)
 	}
@@ -497,7 +497,7 @@ func TestGlobalBalanceThreeGroups(t *testing.T) {
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Invoked {
 		t.Fatalf("expected redistribution: %+v", d)
 	}

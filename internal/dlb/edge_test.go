@@ -196,7 +196,7 @@ func TestGlobalBalanceSkipsDeadGroups(t *testing.T) {
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Invoked {
 		t.Fatalf("imbalance between the two alive groups must redistribute: %+v", d)
 	}
@@ -227,7 +227,7 @@ func TestGlobalBalanceDegradesWhenReceiverGroupDead(t *testing.T) {
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Degraded {
 		t.Errorf("one alive group must degrade to local-only balancing: %+v", d)
 	}

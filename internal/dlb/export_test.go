@@ -18,3 +18,13 @@ func Imbalance(works []float64) float64 {
 	}
 	return (maxW - minW) / maxW
 }
+
+// mustPolicy builds the named policy as its concrete type, so tests can
+// also observe its flow memory; a wrong name is a bug in the test.
+func mustPolicy(name string) *policy {
+	b, err := NewPolicy(name)
+	if err != nil {
+		panic(err)
+	}
+	return b.(*policy)
+}

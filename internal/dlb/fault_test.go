@@ -28,7 +28,7 @@ func TestGlobalBalanceSkipsQuarantinedGroup(t *testing.T) {
 	ctx.Quarantined = quarantineOf(1)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if len(d.Quarantined) != 1 || d.Quarantined[0] != 1 {
 		t.Fatalf("quarantined groups = %v, want [1]", d.Quarantined)
 	}
@@ -60,7 +60,7 @@ func TestGlobalBalanceDegradesToLocalOnly(t *testing.T) {
 	ctx.Quarantined = quarantineOf(1)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Degraded {
 		t.Fatalf("expected degraded local-only mode: %+v", d)
 	}
@@ -96,7 +96,7 @@ func TestGlobalBalanceZeroWorkNoPanic(t *testing.T) {
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	ctx.ForceEval = true // bypass the imbalance trigger to reach the guard
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if d.Invoked {
 		t.Errorf("zero-work system must not redistribute: %+v", d)
 	}
@@ -116,7 +116,7 @@ func TestGlobalBalanceAllWorkQuarantinedNoPanic(t *testing.T) {
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
 	ctx.ForceEval = true
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if d.Invoked {
 		t.Errorf("no reachable work; must not redistribute: %+v", d)
 	}
@@ -134,7 +134,7 @@ func TestGlobalBalanceOneHealthyGroupDegrades(t *testing.T) {
 	ctx.Quarantined = quarantineOf(1, 2)
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Degraded {
 		t.Fatalf("one healthy group must degrade to local-only: %+v", d)
 	}

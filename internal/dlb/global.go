@@ -9,96 +9,87 @@ import (
 	"samrdlb/internal/load"
 )
 
-// DistributedDLB is the paper's scheme for distributed systems. Its
-// behaviour, following Section 4:
-//
-//   - Local phase: after each time step at a finer level, each group
-//     evenly redistributes that level's grids among its own
-//     processors only. Children stay in their parent's group, so
-//     parent–child communication never crosses the WAN.
-//
-//   - Global phase: after each time step at level 0, the groups'
-//     iteration-weighted workloads (Eqs. 2–3) are compared. If the
-//     normalised imbalance exceeds the trigger, the scheme probes the
-//     inter-group link with two messages (recovering α and β),
-//     estimates the redistribution cost (Eq. 1) and the computational
-//     gain (Eq. 4), and redistributes level-0 grids from the
-//     overloaded to the underloaded group only when Gain > γ·Cost.
-//     The amount moved is the paper's boundary shift:
-//     (W_A − W_B) / (2·W_A) of A's level-0 cells, taken from the
-//     grids nearest the receiving group's region, splitting a grid
-//     when a whole one would overshoot.
-type DistributedDLB struct{}
+// The three global phases. Each has the signature globalPhase.run
+// wants; only the second-order diffusion reads the policy value (its
+// flow memory lives there).
 
-// Name implements Balancer.
-func (DistributedDLB) Name() string { return "distributed-dlb" }
-
-// PlaceChild implements Balancer: children go to the least-loaded
-// surviving processor of the parent's group, keeping parent–child
-// communication local.
-func (DistributedDLB) PlaceChild(ctx *Context, childBox geom.Box, parent *amr.Grid) int {
-	group := ctx.Sys.GroupOf(parent.Owner)
-	return leastLoadedProc(ctx, groupProcs(ctx, group), parent.Level+1)
+// spread is what a multi-group global phase knows once it has decided
+// that an imbalance exists: the reachable groups, each one's
+// perf-normalised measure z, and the two extremes.
+type spread struct {
+	groups      []int     // reachable groups, ascending
+	z           []float64 // indexed by group; set for reachable groups only
+	donor, recv int       // the groups with the largest and smallest z
+	maxN, minN  float64   // z[donor], z[recv]
 }
 
-// LocalBalance implements Balancer: per-group even redistribution
-// over the group's surviving processors. "An overloaded processor can
-// migrate its workload to an underloaded processor of the same group
-// only."
-func (DistributedDLB) LocalBalance(ctx *Context, level int) []Migration {
-	var out []Migration
-	for g := 0; g < ctx.Sys.NumGroups(); g++ {
-		out = append(out, balanceOver(ctx, level, groupProcs(ctx, g))...)
-	}
-	return out
-}
-
-// GlobalBalance implements Balancer (the flowchart of Fig. 4, left
-// column), extended with the fault-driven degraded modes: quarantined
-// groups are skipped as donor and receiver, probes retry with
-// exponential backoff and fall back to the NWS forecast, and when
-// fewer than two groups are reachable the step degrades to local-only
-// balancing until the outage lifts.
-func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
-	var d GlobalDecision
+// openGlobal is the part of Fig. 4's left column every group-aware
+// global phase starts with, extended with the fault-driven degraded
+// modes: a one-group system just evens out level 0; quarantined and
+// fully failed groups are skipped as donor and receiver, and with fewer
+// than two reachable groups the step degrades to local-only balancing
+// until the outage lifts; otherwise "imbalance exist?" is judged over
+// the reachable groups' measure/perf — a catch-up evaluation right
+// after a quarantine forces the check. ok is false when d is already
+// the step's whole decision.
+func openGlobal(ctx *Context, measure func(group int) float64) (d GlobalDecision, s spread, ok bool) {
 	sys := ctx.Sys
 	if sys.NumGroups() < 2 {
-		return oneGroupGlobal(ctx)
+		return oneGroupGlobal(ctx), s, false
 	}
-
-	healthy := healthyGroups(ctx, &d)
-	if len(healthy) < 2 {
+	s.groups = healthyGroups(ctx, &d)
+	if len(s.groups) < 2 {
 		degradeToLocal(ctx, &d)
-		return d
+		return d, s, false
 	}
-
-	// "imbalance exist?" — judged over the reachable groups only; a
-	// catch-up evaluation right after a quarantine forces the check.
-	works := ctx.Load.GroupWorks(sys)
-	donor, recv := -1, -1
-	maxN, minN := math.Inf(-1), math.Inf(1)
-	for _, g := range healthy {
-		n := works[g] / sys.GroupPerf(g)
-		if n > maxN {
-			maxN, donor = n, g
+	s.z = make([]float64, sys.NumGroups())
+	s.donor, s.recv = -1, -1
+	s.maxN, s.minN = math.Inf(-1), math.Inf(1)
+	for _, g := range s.groups {
+		n := measure(g) / sys.GroupPerf(g)
+		s.z[g] = n
+		if n > s.maxN {
+			s.maxN, s.donor = n, g
 		}
-		if n < minN {
-			minN, recv = n, g
+		if n < s.minN {
+			s.minN, s.recv = n, g
 		}
 	}
 	if !ctx.ForceEval {
 		ratio := math.Inf(1) // minN == 0 with work elsewhere: unbounded imbalance
 		switch {
-		case maxN <= 0:
+		case s.maxN <= 0:
 			ratio = 1 // nothing reachable holds work: perfectly (vacuously) balanced
-		case minN > 0:
-			ratio = maxN / minN
+		case s.minN > 0:
+			ratio = s.maxN / s.minN
 		}
 		if ratio <= 1+ctx.imbalanceEps() {
-			return d
+			return d, s, false
 		}
 	}
 	d.Evaluated = true
+	return d, s, true
+}
+
+// gatedPairwiseGlobal is the paper's global phase (Section 4.3–4.4):
+// the groups' iteration-weighted workloads (Eqs. 2–3) are compared; if
+// the normalised imbalance exceeds the trigger, the scheme probes the
+// link between the most and the least loaded group with two messages
+// (recovering α and β), estimates the redistribution cost (Eq. 1) and
+// the computational gain (Eq. 4), and redistributes level-0 grids from
+// the overloaded to the underloaded group only when Gain > γ·Cost.
+// The amount moved is the paper's boundary shift:
+// (W_A − W_B) / (2·W_A) of A's level-0 cells, taken from the grids
+// nearest the receiving group's region, splitting a grid when a whole
+// one would overshoot. Probes retry with exponential backoff and fall
+// back to the NWS forecast.
+func gatedPairwiseGlobal(_ *policy, ctx *Context) GlobalDecision {
+	d, s, ok := openGlobal(ctx, ctx.Load.GroupWork)
+	if !ok {
+		return d
+	}
+	sys := ctx.Sys
+	donor, recv, maxN, minN := s.donor, s.recv, s.maxN, s.minN
 
 	// Degenerate loads: no reachable work, or one group holding
 	// everything with nowhere distinct to send it.
@@ -170,7 +161,7 @@ func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
 		}
 	}
 
-	d.Gain = ctx.Load.Gain(sys)
+	d.Gain = ctx.Load.Gain()
 	d.Delta = ctx.Load.Delta()
 	d.Cost = load.Cost(alphaHat, betaHat, float64(moveBytes), d.Delta)
 	d.Gamma = ctx.gamma()
@@ -187,6 +178,19 @@ func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
 	return d
 }
 
+// evenLevel0Global is the parallel scheme's stand-in for a global
+// phase: it has none, and simply evens level 0 out over all processors
+// after every level-0 step, oblivious to group boundaries and network
+// state. Finer grids are left where they are.
+func evenLevel0Global(_ *policy, ctx *Context) GlobalDecision {
+	migs := balanceOver(ctx, 0, allProcs(ctx))
+	return GlobalDecision{
+		Invoked:    len(migs) > 0,
+		Migrations: migs,
+		MovedBytes: migratedBytes(migs),
+	}
+}
+
 // oneGroupGlobal is the global phase of a degenerate one-group system:
 // there is no inter-group link to probe, but the level-0 redistribution
 // is still the scheme's global phase, not local traffic. Marking it
@@ -194,21 +198,9 @@ func (DistributedDLB) GlobalBalance(ctx *Context) GlobalDecision {
 // phase and record δ, so the cost side of Eq. 1 keeps its history on
 // one-group systems. Gain/Cost remain zero: no estimate was needed.
 func oneGroupGlobal(ctx *Context) GlobalDecision {
-	var d GlobalDecision
-	d.Migrations = balanceOver(ctx, 0, allProcs(ctx))
-	d.MovedBytes = migratedBytes(d.Migrations)
-	d.Invoked = len(d.Migrations) > 0
+	d := evenLevel0Global(nil, ctx)
 	d.Evaluated = d.Invoked
 	return d
-}
-
-// migratedBytes is the total volume of the migrations.
-func migratedBytes(migs []Migration) int64 {
-	var n int64
-	for _, m := range migs {
-		n += m.Bytes
-	}
-	return n
 }
 
 // healthyGroups partitions the groups into reachable and excluded,
@@ -239,11 +231,93 @@ func healthyGroups(ctx *Context, d *GlobalDecision) []int {
 // processors and waits for the outage window to close.
 func degradeToLocal(ctx *Context, d *GlobalDecision) {
 	d.Degraded = true
-	for g := 0; g < ctx.Sys.NumGroups(); g++ {
-		d.Migrations = append(d.Migrations, balanceOver(ctx, 0, groupProcs(ctx, g))...)
+	d.Migrations = eachGroup(ctx, 0, balanceOver)
+	d.MovedBytes = migratedBytes(d.Migrations)
+	d.Invoked = len(d.Migrations) > 0
+}
+
+// sosBeta is the second-order scheme's over-relaxation parameter β,
+// from the (1, 2) range of arXiv:1308.0148.
+const sosBeta = 1.25
+
+// diffuse balances the groups' indivisible grid loads with
+// nearest-neighbour diffusion over the netsim fabric graph, after
+// Demirel & Sbalzarini (arXiv:1308.0148): each global step computes a
+// work flow along every usable inter-group link and rounds it onto
+// whole level-0 grids, instead of picking a single donor/receiver
+// pair behind the paper's gain/cost gate.
+//
+//   - First-order scheme (order 1): the flow on edge (i,j) is
+//     α·(z_i − z_j)·h_ij, where z_g = W_g / P_g is the group's
+//     perf-normalised workload, h_ij = 2·P_i·P_j/(P_i+P_j) the
+//     harmonic-mean performance weight converting the z-difference
+//     back into work units, and α = 1/|healthy groups| the diffusion
+//     parameter keeping the Jacobi sweep stable.
+//   - Second-order scheme (order 2): the flow carries memory,
+//     f_t = (β−1)·f_{t−1} + β·f_FOS with β = sosBeta, which converges
+//     in roughly the square root of the FOS step count. The flow
+//     memory is run state on the policy value; like the NWS forecast
+//     history, it restarts empty after a checkpoint resume (a crash
+//     loses it by construction).
+//   - Integer rounding: loads are indivisible grids. A flow moves
+//     whole level-0 grids, nearest to the receiver's centroid first;
+//     a grid is shipped only while at least half of it fits the
+//     remaining flow (moved + w/2 ≤ f), and grids are never split.
+//
+// Decisions report Evaluated without GainCostValid: there is no
+// Gain/Cost record, and the invariant oracle's gate rule is scoped off
+// via Traits.
+func diffuse(p *policy, ctx *Context, order int) GlobalDecision {
+	// z_g = W_g / P_g over the reachable groups, using the
+	// iteration-weighted subtree works (the same units the rounding
+	// step compares grid loads in).
+	d, s, ok := openGlobal(ctx, ctx.Ledger.GroupSubtreeWork)
+	if !ok {
+		return d
+	}
+	sys, healthy, z := ctx.Sys, s.groups, s.z
+
+	// One Jacobi sweep: flows on every usable fabric edge, computed
+	// from the same z snapshot (edges do not see each other's moves
+	// until the next step).
+	alpha := 1 / float64(len(healthy))
+	flow := make(map[[2]int]float64)
+	var edges [][2]int // in (i, j) order: healthy is ascending
+	for ii, i := range healthy {
+		for _, j := range healthy[ii+1:] {
+			if _, err := sys.Net.Between(i, j); err != nil {
+				continue // no route: diffusion only flows along live links
+			}
+			pi, pj := sys.GroupPerf(i), sys.GroupPerf(j)
+			h := 2 * pi * pj / (pi + pj)
+			f := alpha * (z[i] - z[j]) * h
+			key := [2]int{i, j}
+			if order == 2 {
+				f = (sosBeta-1)*p.flow[key] + sosBeta*f
+			}
+			flow[key] = f
+			edges = append(edges, key)
+		}
+	}
+	if order == 2 {
+		p.flow = flow
+	}
+
+	// Execute the flows in edge order, rounding each onto whole
+	// level-0 grids.
+	for _, k := range edges {
+		donor, recv, f := k[0], k[1], flow[k]
+		if f < 0 {
+			donor, recv, f = recv, donor, -f
+		}
+		if f < 1 {
+			continue
+		}
+		d.Migrations = append(d.Migrations, moveLevel0Rounded(ctx, donor, recv, f)...)
 	}
 	d.MovedBytes = migratedBytes(d.Migrations)
 	d.Invoked = len(d.Migrations) > 0
+	return d
 }
 
 // moveLevel0 migrates level-0 grids carrying approximately moveWork
@@ -255,7 +329,6 @@ func moveLevel0(ctx *Context, donor, recv int, moveWork float64) []Migration {
 	donorGrids := donorLevel0Nearest(ctx, donor, target)
 
 	recvProcs := groupProcs(ctx, recv)
-	numFields := len(ctx.H.Fields)
 	var out []Migration
 	remaining := moveWork
 	for _, g := range donorGrids {
@@ -264,11 +337,7 @@ func moveLevel0(ctx *Context, donor, recv int, moveWork float64) []Migration {
 		}
 		work := ctx.Ledger.SubtreeWork(g.ID)
 		if work <= remaining*1.25 {
-			// Move the whole grid.
-			from := g.Owner
-			ctx.H.SetOwner(g, leastLoadedProc(ctx, recvProcs, 0))
-			adoptSubtree(ctx, g)
-			out = append(out, Migration{Grid: g.ID, From: from, To: g.Owner, Bytes: g.Bytes(numFields)})
+			out = append(out, shipRoot(ctx, g, recvProcs))
 			remaining -= work
 			continue
 		}
@@ -279,22 +348,25 @@ func moveLevel0(ctx *Context, donor, recv int, moveWork float64) []Migration {
 		if piece == nil {
 			break
 		}
-		from := piece.Owner
-		ctx.H.SetOwner(piece, leastLoadedProc(ctx, recvProcs, 0))
-		adoptSubtree(ctx, piece)
-		out = append(out, Migration{Grid: piece.ID, From: from, To: piece.Owner, Bytes: piece.Bytes(numFields)})
+		out = append(out, shipRoot(ctx, piece, recvProcs))
 		break
 	}
 	return out
 }
 
+// shipRoot moves level-0 grid g, and with it its whole subtree, to the
+// least loaded of the receiving processors.
+func shipRoot(ctx *Context, g *amr.Grid, recvProcs []int) Migration {
+	from := g.Owner
+	ctx.H.SetOwner(g, leastLoadedProc(ctx, recvProcs, 0))
+	adoptSubtree(ctx, g)
+	return Migration{Grid: g.ID, From: from, To: g.Owner, Bytes: g.Bytes(len(ctx.H.Fields))}
+}
+
 // donorLevel0Nearest returns the donor group's level-0 grids ordered
 // nearest-to-target first, ties broken by grid ID.
 func donorLevel0Nearest(ctx *Context, donor int, target [3]float64) []*amr.Grid {
-	var grids []*amr.Grid
-	for _, p := range sortedCopy(ctx.Sys.ProcsInGroup(donor)) {
-		grids = append(grids, ctx.Ledger.Owned(0, p)...)
-	}
+	grids := ownedBy(ctx, 0, ctx.Sys.ProcsInGroup(donor))
 	sort.Slice(grids, func(i, j int) bool {
 		di := dist2(boxCentroid(grids[i].Box), target)
 		dj := dist2(boxCentroid(grids[j].Box), target)
@@ -339,16 +411,12 @@ func splitTowards(ctx *Context, g *amr.Grid, frac float64, target [3]float64) *a
 	if planes >= shape[d] {
 		planes = shape[d] - 1
 	}
-	c := boxCentroid(g.Box)
-	var lo, hi *amr.Grid
-	if target[d] <= c[d] {
+	if target[d] <= boxCentroid(g.Box)[d] {
 		// Receiver is on the low side: moved piece = low planes.
-		lo, hi = ctx.H.SplitGrid(g, d, g.Box.Lo[d]+planes)
-		_ = hi
+		lo, _ := ctx.H.SplitGrid(g, d, g.Box.Lo[d]+planes)
 		return lo
 	}
-	lo, hi = ctx.H.SplitGrid(g, d, g.Box.Hi[d]+1-planes)
-	_ = lo
+	_, hi := ctx.H.SplitGrid(g, d, g.Box.Hi[d]+1-planes)
 	return hi
 }
 
@@ -393,4 +461,28 @@ func dist2(a, b [3]float64) float64 {
 		s += v * v
 	}
 	return s
+}
+
+// moveLevel0Rounded migrates whole level-0 grids carrying about
+// `target` iteration-weighted work from donor to receiver: nearest to
+// the receiver's centroid first, a grid ships only while at least
+// half of it fits the remaining flow, and grids are never split (the
+// integer-load rounding of arXiv:1308.0148).
+func moveLevel0Rounded(ctx *Context, donor, recv int, target float64) []Migration {
+	donorGrids := donorLevel0Nearest(ctx, donor, receiverCentroid(ctx, recv))
+	recvProcs := groupProcs(ctx, recv)
+	var out []Migration
+	var moved float64
+	for _, g := range donorGrids {
+		w := ctx.Ledger.SubtreeWork(g.ID)
+		if moved+w/2 > target {
+			continue // less than half fits; try a smaller grid further out
+		}
+		out = append(out, shipRoot(ctx, g, recvProcs))
+		moved += w
+		if moved >= target {
+			break
+		}
+	}
+	return out
 }

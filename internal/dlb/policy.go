@@ -3,6 +3,9 @@ package dlb
 import (
 	"fmt"
 	"sort"
+
+	"samrdlb/internal/amr"
+	"samrdlb/internal/geom"
 )
 
 // Traits declares which of the oracle-checked structural promises a
@@ -23,53 +26,179 @@ import (
 //     perf-normalised loads lie within one grid quantum of the
 //     proportional target. SFC contiguity and knapsack's movement cap
 //     both trade this away by design.
+//
+// No policy states its traits: each component below declares the
+// promise it keeps, and a policy's traits are what its three
+// components keep between them.
 type Traits struct {
 	Colocation       bool
 	GainGate         bool
 	BalanceTolerance bool
 }
 
-type policyEntry struct {
-	canonical string
-	traits    Traits
-	factory   func() Balancer
+// placement is the first decision point: a new child grid goes to the
+// least loaded processor, at its level, of its parent's group — so
+// parent–child communication never crosses the WAN (Section 4.2) — or
+// of the whole machine.
+type placement bool
+
+const (
+	inParentGroup      placement = true
+	leastLoadedOverall placement = false
+)
+
+// localPhase is the second decision point: how one level's grids are
+// evened out over a processor set after each of the level's steps.
+type localPhase struct {
+	pack func(ctx *Context, level int, procs []int) []Migration
+	// perGroup: pack runs once per group over the group's own
+	// processors — "an overloaded processor can migrate its workload
+	// to an underloaded processor of the same group only" — instead of
+	// once over the whole machine.
+	perGroup bool
+	// tolerant: every set pack leaves behind is within one grid
+	// quantum of the performance-proportional target.
+	tolerant bool
 }
 
-var policyRegistry = map[string]policyEntry{}
+// globalPhase is the third decision point: what happens between groups
+// after a level-0 step.
+type globalPhase struct {
+	run func(p *policy, ctx *Context) GlobalDecision
+	// gated: work crosses groups on a healthy multi-group system only
+	// when Eq. 1's Gain > γ·Cost held, and the decision records what
+	// was compared.
+	gated bool
+	// rooted: only level-0 grids cross groups, and their subtrees
+	// follow them.
+	rooted bool
+}
 
-// RegisterPolicy adds a balancer factory to the registry under a
-// canonical name plus optional aliases. Policies are factories, not
-// values: some (diffusion's second-order flow memory) carry per-run
-// state, so every run must get a fresh instance. Re-registering a
-// name panics — the registry is wired at init time.
-func RegisterPolicy(name string, traits Traits, factory func() Balancer, aliases ...string) {
-	for _, n := range append([]string{name}, aliases...) {
-		if _, dup := policyRegistry[n]; dup {
-			panic("dlb: duplicate policy name " + n)
-		}
-		policyRegistry[n] = policyEntry{canonical: name, traits: traits, factory: factory}
+var (
+	greedyPerGroup = localPhase{pack: balanceOver, perGroup: true, tolerant: true}
+	greedyOverall  = localPhase{pack: balanceOver, tolerant: true}
+	cappedLPT      = localPhase{pack: lptPack, perGroup: true}
+
+	gatedPairwise = globalPhase{run: gatedPairwiseGlobal, gated: true, rooted: true}
+	evenLevel0    = globalPhase{run: evenLevel0Global}
+)
+
+// curveRuns is the local phase that deals each group's grids out as
+// contiguous runs along the space-filling curve key orders them by.
+func curveRuns(key func(geom.Index) uint64) localPhase {
+	return localPhase{perGroup: true, pack: func(ctx *Context, level int, procs []int) []Migration {
+		return sfcPartition(ctx, level, procs, key)
+	}}
+}
+
+// diffusion is the global phase that lets work flow along every live
+// inter-group link at once; order 1 is the first-order scheme, order 2
+// the second-order one with flow memory.
+func diffusion(order int) globalPhase {
+	return globalPhase{rooted: true, run: func(p *policy, ctx *Context) GlobalDecision {
+		return diffuse(p, ctx, order)
+	}}
+}
+
+// policy is the one Balancer: a named choice at each of the three
+// decision points.
+type policy struct {
+	name   string
+	place  placement
+	local  localPhase
+	global globalPhase
+
+	// flow is the second-order diffusion's memory, keyed by the
+	// (lo, hi) group pair and signed positive lo→hi: the only state a
+	// policy carries from one step to the next. NewPolicy hands every
+	// run its own copy of the row, so it always starts empty.
+	flow map[[2]int]float64
+}
+
+// policies is the whole zoo: deleting a policy is deleting its row.
+// The first two rows are the paper's (its scheme for distributed
+// systems and the ICPP 2001 baseline it is measured against); each of
+// the others differs from the paper's scheme in exactly one column, so
+// a comparison against it isolates that component.
+var policies = []policy{
+	{name: "distributed", place: inParentGroup, local: greedyPerGroup, global: gatedPairwise},
+	{name: "parallel", place: leastLoadedOverall, local: greedyOverall, global: evenLevel0},
+	{name: "sfc", place: inParentGroup, local: curveRuns(geom.Index.MortonKey), global: gatedPairwise},
+	{name: "hilbert-sfc", place: inParentGroup, local: curveRuns(geom.Index.HilbertKey), global: gatedPairwise},
+	{name: "knapsack", place: inParentGroup, local: cappedLPT, global: gatedPairwise},
+	{name: "diffusion", place: inParentGroup, local: greedyPerGroup, global: diffusion(1)},
+	{name: "diffusion-sos", place: inParentGroup, local: greedyPerGroup, global: diffusion(2)},
+}
+
+// aliases are the other names a row answers to: "paper" is the
+// ablation vocabulary's name for the paper's scheme.
+var aliases = map[string]string{"paper": "distributed"}
+
+// Name implements Balancer.
+func (p *policy) Name() string { return p.name + "-dlb" }
+
+// PlaceChild implements Balancer.
+func (p *policy) PlaceChild(ctx *Context, childBox geom.Box, parent *amr.Grid) int {
+	if p.place == inParentGroup {
+		return leastLoadedProc(ctx, groupProcs(ctx, ctx.Sys.GroupOf(parent.Owner)), parent.Level+1)
 	}
+	return leastLoadedProc(ctx, allProcs(ctx), parent.Level+1)
+}
+
+// LocalBalance implements Balancer.
+func (p *policy) LocalBalance(ctx *Context, level int) []Migration {
+	if p.local.perGroup {
+		return eachGroup(ctx, level, p.local.pack)
+	}
+	return p.local.pack(ctx, level, allProcs(ctx))
+}
+
+// GlobalBalance implements Balancer.
+func (p *policy) GlobalBalance(ctx *Context) GlobalDecision {
+	return p.global.run(p, ctx)
+}
+
+// traits derives what the policy promises from what its components
+// keep: co-location needs all three to respect group boundaries, the
+// gate is the global phase's alone, the tolerance the local phase's.
+func (p *policy) traits() Traits {
+	return Traits{
+		Colocation:       p.place == inParentGroup && p.local.perGroup && p.global.rooted,
+		GainGate:         p.global.gated,
+		BalanceTolerance: p.local.tolerant,
+	}
+}
+
+// row resolves a canonical name or alias to its table row.
+func row(name string) *policy {
+	if canon, ok := aliases[name]; ok {
+		name = canon
+	}
+	for i := range policies {
+		if policies[i].name == name {
+			return &policies[i]
+		}
+	}
+	return nil
 }
 
 // NewPolicy builds a fresh balancer for the named policy (canonical
-// name or alias).
+// name or alias). Policies are built per run, not shared: the
+// second-order diffusion carries flow memory.
 func NewPolicy(name string) (Balancer, error) {
-	e, ok := policyRegistry[name]
-	if !ok {
+	r := row(name)
+	if r == nil {
 		return nil, fmt.Errorf("dlb: unknown policy %q (have %v)", name, PolicyNames())
 	}
-	return e.factory(), nil
+	p := *r
+	return &p, nil
 }
 
-// PolicyNames returns the canonical registered policy names, sorted.
+// PolicyNames returns the canonical policy names, sorted.
 func PolicyNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range policyRegistry {
-		if !seen[e.canonical] {
-			seen[e.canonical] = true
-			out = append(out, e.canonical)
-		}
+	out := make([]string, len(policies))
+	for i := range policies {
+		out[i] = policies[i].name
 	}
 	sort.Strings(out)
 	return out
@@ -78,43 +207,19 @@ func PolicyNames() []string {
 // PolicyTraits returns the named policy's invariant traits; ok is
 // false for unknown names.
 func PolicyTraits(name string) (Traits, bool) {
-	e, ok := policyRegistry[name]
-	return e.traits, ok
+	r := row(name)
+	if r == nil {
+		return Traits{}, false
+	}
+	return r.traits(), true
 }
 
 // CanonicalPolicy resolves a name or alias to the canonical policy
 // name; ok is false for unknown names.
 func CanonicalPolicy(name string) (string, bool) {
-	e, ok := policyRegistry[name]
-	return e.canonical, ok
-}
-
-func init() {
-	// The paper's scheme: the full local/global split with the Eq. 1
-	// gate. "paper" aliases it for the ablation vocabulary.
-	RegisterPolicy("distributed", Traits{Colocation: true, GainGate: true, BalanceTolerance: true},
-		func() Balancer { return DistributedDLB{} }, "paper")
-	// The ICPP 2001 baseline: group-oblivious even redistribution. It
-	// deliberately scatters children, so no co-location; it never runs
-	// a gate.
-	RegisterPolicy("parallel", Traits{BalanceTolerance: true},
-		func() Balancer { return ParallelDLB{} })
-	// SFC local phases inherit the paper's placement and global gate
-	// but trade the one-quantum tolerance for curve contiguity.
-	RegisterPolicy("sfc", Traits{Colocation: true, GainGate: true},
-		func() Balancer { return SFCDLB{} })
-	RegisterPolicy("hilbert-sfc", Traits{Colocation: true, GainGate: true},
-		func() Balancer { return SFCDLB{Curve: CurveHilbert} })
-	// Diffusion balances groups with ungated nearest-neighbour flows:
-	// no Gain/Cost record ever exists (that absence is exactly what the
-	// trait scoping covers). First-order is stateless; second-order
-	// carries flow memory across steps.
-	RegisterPolicy("diffusion", Traits{Colocation: true, BalanceTolerance: true},
-		func() Balancer { return &DiffusionDLB{} })
-	RegisterPolicy("diffusion-sos", Traits{Colocation: true, BalanceTolerance: true},
-		func() Balancer { return &DiffusionDLB{Order: 2} })
-	// Knapsack/LPT packs each group from scratch under a movement-cost
-	// cap; when the cap binds, the one-quantum tolerance is forfeit.
-	RegisterPolicy("knapsack", Traits{Colocation: true, GainGate: true},
-		func() Balancer { return KnapsackDLB{} })
+	r := row(name)
+	if r == nil {
+		return "", false
+	}
+	return r.name, true
 }

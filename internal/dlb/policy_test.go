@@ -1,6 +1,7 @@
 package dlb
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -52,25 +53,43 @@ func TestPolicyRegistryNamesAndAliases(t *testing.T) {
 	}
 }
 
+// TestPolicyTraitsScopeRules pins what the table's seven rows and the
+// "paper" alias derive to: the report name, and the traits the
+// hand-written registry used to state per policy. The traits are no
+// longer written anywhere else, so a component that changes a promise,
+// or a row that swaps a component, shows up here.
 func TestPolicyTraitsScopeRules(t *testing.T) {
 	cases := []struct {
-		name string
-		want Traits
+		name, report string
+		want         Traits
 	}{
-		{"distributed", Traits{Colocation: true, GainGate: true, BalanceTolerance: true}},
-		{"paper", Traits{Colocation: true, GainGate: true, BalanceTolerance: true}},
-		{"parallel", Traits{BalanceTolerance: true}},
-		{"sfc", Traits{Colocation: true, GainGate: true}},
-		{"hilbert-sfc", Traits{Colocation: true, GainGate: true}},
-		{"diffusion", Traits{Colocation: true, BalanceTolerance: true}},
-		{"diffusion-sos", Traits{Colocation: true, BalanceTolerance: true}},
-		{"knapsack", Traits{Colocation: true, GainGate: true}},
+		{"distributed", "distributed-dlb", Traits{Colocation: true, GainGate: true, BalanceTolerance: true}},
+		{"paper", "distributed-dlb", Traits{Colocation: true, GainGate: true, BalanceTolerance: true}},
+		{"parallel", "parallel-dlb", Traits{BalanceTolerance: true}},
+		{"sfc", "sfc-dlb", Traits{Colocation: true, GainGate: true}},
+		{"hilbert-sfc", "hilbert-sfc-dlb", Traits{Colocation: true, GainGate: true}},
+		{"knapsack", "knapsack-dlb", Traits{Colocation: true, GainGate: true}},
+		{"diffusion", "diffusion-dlb", Traits{Colocation: true, BalanceTolerance: true}},
+		{"diffusion-sos", "diffusion-sos-dlb", Traits{Colocation: true, BalanceTolerance: true}},
+	}
+	if len(policies) != len(cases)-1 {
+		t.Fatalf("the table has %d rows, the pin %d", len(policies), len(cases)-1)
 	}
 	for _, c := range cases {
 		got, ok := PolicyTraits(c.name)
 		if !ok || got != c.want {
 			t.Errorf("PolicyTraits(%q) = %+v, %v; want %+v", c.name, got, ok, c.want)
 		}
+		p := mustPolicy(c.name)
+		if p.Name() != c.report || p.traits() != c.want {
+			t.Errorf("NewPolicy(%q) = %q %+v; want %q %+v", c.name, p.Name(), p.traits(), c.report, c.want)
+		}
+	}
+	// The scenario fuzz byte and the benchmark's per-policy layer names
+	// index this list: same names, same order.
+	want := []string{"diffusion", "diffusion-sos", "distributed", "hilbert-sfc", "knapsack", "parallel", "sfc"}
+	if got := PolicyNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("PolicyNames() = %v, want %v", got, want)
 	}
 }
 
@@ -80,12 +99,12 @@ func TestPolicyTraitsScopeRules(t *testing.T) {
 func TestPolicyFactoriesAreFresh(t *testing.T) {
 	a, _ := NewPolicy("diffusion-sos")
 	b, _ := NewPolicy("diffusion-sos")
-	da, db := a.(*DiffusionDLB), b.(*DiffusionDLB)
-	if da == db {
+	da, db := a.(*policy), b.(*policy)
+	if da == db || da == row("diffusion-sos") {
 		t.Fatal("NewPolicy returned a shared instance for a stateful policy")
 	}
-	da.prevFlow = map[[2]int]float64{{0, 1}: 7}
-	if db.prevFlow != nil {
+	da.flow = map[[2]int]float64{{0, 1}: 7}
+	if db.flow != nil || row("diffusion-sos").flow != nil {
 		t.Fatal("flow memory leaked between instances")
 	}
 }
@@ -145,7 +164,7 @@ func TestPolicyDiffusionSOSKeepsFlowMemory(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})
 	ctx := ctxFor(t, sys, h)
-	b := &DiffusionDLB{Order: 2}
+	b := mustPolicy("diffusion-sos")
 	if b.Name() != "diffusion-sos-dlb" {
 		t.Fatalf("name = %q", b.Name())
 	}
@@ -153,13 +172,13 @@ func TestPolicyDiffusionSOSKeepsFlowMemory(t *testing.T) {
 	if !d.Invoked {
 		t.Fatalf("expected an SOS sweep to move work: %+v", d)
 	}
-	if len(b.prevFlow) == 0 {
+	if len(b.flow) == 0 {
 		t.Fatal("second-order scheme recorded no flow memory")
 	}
 	// First-order leaves no memory behind.
-	f := &DiffusionDLB{}
+	f := mustPolicy("diffusion")
 	f.GlobalBalance(ctxFor(t, sys, slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 1, 1})))
-	if f.prevFlow != nil {
+	if f.flow != nil {
 		t.Fatal("first-order scheme must stay stateless")
 	}
 }
@@ -187,7 +206,7 @@ func TestPolicyKnapsackPacksWithinGroups(t *testing.T) {
 	// group 1.
 	h := slabHierarchy(8, []int{3, 1, 2, 2}, []int{0, 0, 2, 2})
 	ctx := ctxFor(t, sys, h)
-	migs := KnapsackDLB{}.LocalBalance(ctx, 0)
+	migs := mustPolicy("knapsack").LocalBalance(ctx, 0)
 	if len(migs) == 0 {
 		t.Fatal("expected migrations")
 	}
@@ -221,7 +240,7 @@ func TestPolicyKnapsackMovementCapBinds(t *testing.T) {
 	for _, g := range h.Grids(0)[:3] {
 		setBytes += g.Bytes(len(h.Fields))
 	}
-	migs := KnapsackDLB{}.LocalBalance(ctx, 0)
+	migs := mustPolicy("knapsack").LocalBalance(ctx, 0)
 	if len(migs) != 1 {
 		t.Fatalf("cap should allow exactly one move, got %d: %+v", len(migs), migs)
 	}
@@ -232,7 +251,7 @@ func TestPolicyKnapsackMovementCapBinds(t *testing.T) {
 		t.Errorf("layout after the capped pass: %v", pc)
 	}
 	// The next pass has a fresh budget and finishes the job.
-	if migs := (KnapsackDLB{}).LocalBalance(ctx, 0); len(migs) != 1 {
+	if migs := (mustPolicy("knapsack")).LocalBalance(ctx, 0); len(migs) != 1 {
 		t.Fatalf("second pass should move the remaining grid, got %+v", migs)
 	}
 }
@@ -248,7 +267,7 @@ func TestPolicyHilbertSFCContiguousRuns(t *testing.T) {
 		}
 	}
 	ctx := ctxFor(t, sys, h)
-	s := SFCDLB{Curve: CurveHilbert}
+	s := mustPolicy("hilbert-sfc")
 	migs := s.LocalBalance(ctx, 0)
 	if len(migs) == 0 {
 		t.Fatal("expected migrations")
@@ -264,7 +283,9 @@ func TestPolicyHilbertSFCContiguousRuns(t *testing.T) {
 	}
 	// Each processor owns one contiguous run of the Hilbert order.
 	grids := append([]*amr.Grid(nil), h.Grids(0)...)
-	sort.Slice(grids, func(i, j int) bool { return s.keyOf(grids[i].Box) < s.keyOf(grids[j].Box) })
+	sort.Slice(grids, func(i, j int) bool {
+		return curveKey(geom.Index.HilbertKey, grids[i].Box) < curveKey(geom.Index.HilbertKey, grids[j].Box)
+	})
 	switches := 0
 	for i := 1; i < len(grids); i++ {
 		if grids[i].Owner != grids[i-1].Owner {

@@ -42,11 +42,11 @@ func TestLocalBalancePreservesGridsProperty(t *testing.T) {
 		var bal Balancer
 		switch trial % 3 {
 		case 0:
-			bal = ParallelDLB{}
+			bal = mustPolicy("parallel")
 		case 1:
-			bal = DistributedDLB{}
+			bal = mustPolicy("distributed")
 		default:
-			bal = SFCDLB{}
+			bal = mustPolicy("sfc")
 		}
 		ctx := ctxFor(t, sys, h)
 		migs := bal.LocalBalance(ctx, 0)
@@ -82,7 +82,7 @@ func TestLocalBalanceNeverWorsensImbalanceProperty(t *testing.T) {
 		h := randomHierarchy(rng, sys, 12)
 		ctx := ctxFor(t, sys, h)
 		before := Imbalance(levelWork(ctx, 0))
-		ParallelDLB{}.LocalBalance(ctx, 0)
+		mustPolicy("parallel").LocalBalance(ctx, 0)
 		after := Imbalance(levelWork(ctx, 0))
 		if after > before+1e-12 {
 			t.Fatalf("trial %d: imbalance worsened %v -> %v", trial, before, after)
@@ -99,7 +99,7 @@ func TestGlobalBalancePreservesCellsProperty(t *testing.T) {
 		recordCellLoads(ctx)
 		ctx.Load.SetIntervalTime(10 + rng.Float64()*200)
 		total := h.TotalCells(0)
-		d := DistributedDLB{}.GlobalBalance(ctx)
+		d := mustPolicy("distributed").GlobalBalance(ctx)
 		if h.TotalCells(0) != total {
 			t.Fatalf("trial %d: global balance changed total cells", trial)
 		}
@@ -108,7 +108,7 @@ func TestGlobalBalancePreservesCellsProperty(t *testing.T) {
 		}
 		// Redistribution, when it happens, must reduce the group gap.
 		if d.Invoked {
-			if ctx.Load.ImbalanceRatio(sys) < 1 {
+			if ctx.Load.ImbalanceRatio() < 1 {
 				t.Fatalf("trial %d: ratio below 1?", trial)
 			}
 		}

@@ -115,7 +115,7 @@ func TestLocalBalanceLedgerMatchesRecompute(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	ctx := ctxFor(t, sys, slabHierarchy(8, []int{1, 1, 1, 1, 2, 2}, []int{0, 0, 0, 0, 2, 2}))
 	assertLedgerMatchesWalk(t, ctx, "before local balance")
-	if migs := (DistributedDLB{}).LocalBalance(ctx, 0); len(migs) == 0 {
+	if migs := (mustPolicy("distributed")).LocalBalance(ctx, 0); len(migs) == 0 {
 		t.Fatal("expected migrations")
 	}
 	assertLedgerMatchesWalk(t, ctx, "after local balance")
@@ -134,7 +134,7 @@ func TestGlobalBalanceLedgerMatchesRecompute(t *testing.T) {
 	assertLedgerMatchesWalk(t, ctx, "before global balance")
 	recordCellLoads(ctx)
 	ctx.Load.SetIntervalTime(100)
-	if d := (DistributedDLB{}).GlobalBalance(ctx); !d.Invoked {
+	if d := (mustPolicy("distributed")).GlobalBalance(ctx); !d.Invoked {
 		t.Fatalf("expected a redistribution: %+v", d)
 	}
 	assertLedgerMatchesWalk(t, ctx, "after global balance")
@@ -149,7 +149,7 @@ func TestGlobalBalanceSingleGroupChargedAsRedistribution(t *testing.T) {
 	h := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 0, 0, 0})
 	ctx := ctxFor(t, sys, h)
 	recordCellLoads(ctx)
-	d := DistributedDLB{}.GlobalBalance(ctx)
+	d := mustPolicy("distributed").GlobalBalance(ctx)
 	if !d.Invoked {
 		t.Fatal("imbalanced single group must redistribute")
 	}
@@ -163,7 +163,7 @@ func TestGlobalBalanceSingleGroupChargedAsRedistribution(t *testing.T) {
 	h2 := slabHierarchy(8, []int{2, 2, 2, 2}, []int{0, 1, 2, 3})
 	ctx2 := ctxFor(t, sys, h2)
 	recordCellLoads(ctx2)
-	d2 := DistributedDLB{}.GlobalBalance(ctx2)
+	d2 := mustPolicy("distributed").GlobalBalance(ctx2)
 	if d2.Evaluated || d2.Invoked {
 		t.Errorf("balanced single group acted: %+v", d2)
 	}

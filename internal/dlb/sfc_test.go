@@ -84,7 +84,7 @@ func TestSFCLocalBalanceContiguousRuns(t *testing.T) {
 		}
 	}
 	ctx := ctxFor(t, sys, h)
-	migs := SFCDLB{}.LocalBalance(ctx, 0)
+	migs := mustPolicy("sfc").LocalBalance(ctx, 0)
 	if len(migs) == 0 {
 		t.Fatal("expected migrations")
 	}
@@ -101,7 +101,7 @@ func TestSFCLocalBalanceContiguousRuns(t *testing.T) {
 	// Each processor owns a contiguous run of the Morton order.
 	grids := append([]*amr.Grid(nil), h.Grids(0)...)
 	for i := 1; i < len(grids); i++ {
-		for j := i; j > 0 && mortonOf(grids[j].Box) < mortonOf(grids[j-1].Box); j-- {
+		for j := i; j > 0 && curveKey(geom.Index.MortonKey, grids[j].Box) < curveKey(geom.Index.MortonKey, grids[j-1].Box); j-- {
 			grids[j], grids[j-1] = grids[j-1], grids[j]
 		}
 	}
@@ -122,7 +122,7 @@ func TestSFCRespectsPerfWeights(t *testing.T) {
 	sys := machine.Heterogeneous(1, 1, 0.5, nil)
 	h := slabHierarchy(6, []int{1, 1, 1, 1, 1, 1}, []int{0, 0, 0, 0, 0, 0})
 	ctx := ctxFor(t, sys, h)
-	sfcPartition(ctx, 0, []int{0, 1}, SFCDLB{}.keyOf)
+	sfcPartition(ctx, 0, []int{0, 1}, geom.Index.MortonKey)
 	pc := procCells(ctx, 0)
 	if pc[0] != 144 || pc[1] != 72 {
 		t.Errorf("perf-weighted SFC split = %v / %v, want 144 / 72", pc[0], pc[1])
@@ -138,12 +138,12 @@ func TestSFCGlobalPhaseMatchesDistributed(t *testing.T) {
 		ctx.Load.SetIntervalTime(100)
 		return ctx
 	}
-	a := DistributedDLB{}.GlobalBalance(mk())
-	b := SFCDLB{}.GlobalBalance(mk())
+	a := mustPolicy("distributed").GlobalBalance(mk())
+	b := mustPolicy("sfc").GlobalBalance(mk())
 	if a.Invoked != b.Invoked || a.MovedBytes != b.MovedBytes {
 		t.Errorf("SFC global phase diverges from distributed: %+v vs %+v", a, b)
 	}
-	if (SFCDLB{}).Name() != "sfc-dlb" {
+	if (mustPolicy("sfc")).Name() != "sfc-dlb" {
 		t.Error("name wrong")
 	}
 }
@@ -162,12 +162,12 @@ func TestSFCLocalBalanceSkipsFailedProcs(t *testing.T) {
 	// local phase re-assigned grids onto the dead processor and the
 	// checkpoint captured them there (owners-alive fired on resume).
 	// The runs must be dealt over the alive processors only.
-	for _, curve := range []CurveKind{CurveMorton, CurveHilbert} {
+	for _, curve := range []string{"sfc", "hilbert-sfc"} {
 		sys := machine.WanPair(3, nil) // group 0 = procs 0,1,2
 		sys.SetHealth(1, 0)
 		h := slabHierarchy(6, []int{1, 1, 1, 1, 1, 1}, []int{0, 0, 0, 0, 0, 0})
 		ctx := ctxFor(t, sys, h)
-		migs := SFCDLB{Curve: curve}.LocalBalance(ctx, 0)
+		migs := mustPolicy(curve).LocalBalance(ctx, 0)
 		if len(migs) == 0 {
 			t.Fatalf("curve %v: expected migrations onto the surviving procs", curve)
 		}

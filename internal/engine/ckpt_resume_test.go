@@ -98,6 +98,45 @@ func TestResumeByteIdenticalWithSlowdownFaults(t *testing.T) {
 		})
 }
 
+// TestResumeByteIdenticalAcrossCrash: processor 5 crashes before the
+// first cut and is revived after it, before the later ones. A
+// generation records who has failed only in the membership tracker's
+// state, so the resumed run must take both its health vector and its
+// failed-processor count from there.
+func TestResumeByteIdenticalAcrossCrash(t *testing.T) {
+	bt := boundaryClocks(t, resumeSteps)
+	withCrash := func(o *Options) {
+		sched, err := fault.NewSchedule(7,
+			fault.Event{Kind: fault.ProcFailure, Proc: 5, Start: (bt[0] + bt[1]) / 2},
+			fault.Event{Kind: fault.ProcRecovery, Proc: 5, Start: (bt[5] + bt[6]) / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Faults = sched
+	}
+	mkDriver := func() workload.Driver { return workload.NewShockPool3D(16, 2) }
+	testResumeIdentity(t, []int{4, 6, 7}, mkDriver, withCrash)
+
+	// The first cut really is inside the outage: the runner resumed
+	// from it holds processor 5 failed and dead.
+	opt := Options{Steps: 4, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: t.TempDir()}
+	withCrash(&opt)
+	New(machine.WanPair(4, nil), mkDriver(), opt).Run()
+	opt.Steps = resumeSteps
+	withCrash(&opt)
+	r, _, err := Resume(machine.WanPair(4, nil), mkDriver(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.failed(5) || r.sys.Alive(5) || r.counters().FailedProcs != 1 {
+		t.Errorf("resumed inside the outage: failed=%v alive=%v FailedProcs=%d, want true/false/1",
+			r.failed(5), r.sys.Alive(5), r.counters().FailedProcs)
+	}
+	if res := r.Run(); res.FailedProcs != 0 || res.Rejoins != 1 {
+		t.Errorf("after the revival: FailedProcs=%d Rejoins=%d, want 0/1", res.FailedProcs, res.Rejoins)
+	}
+}
+
 // TestResumeSkipsCorruptNewestGeneration corrupts the newest on-disk
 // generation after the interruption: Resume must fall back to the
 // previous generation, report the skip, and still converge to the
@@ -168,9 +207,9 @@ func TestEveryCounterSurvivesResume(t *testing.T) {
 			t.Fatalf("Counters.%s has kind %s: teach this test to fill it", v.Type().Field(i).Name, f.Kind())
 		}
 	}
-	// FailedProcs is derived from the failed set, which travels beside
-	// the counters.
-	src.failedSet[1] = true
+	// FailedProcs is derived from the membership tracker, which travels
+	// beside the counters.
+	src.memb.Crash(1)
 	want := src.counters()
 
 	store, err := ckpt.Open(t.TempDir(), 3)
@@ -189,6 +228,10 @@ func TestEveryCounterSurvivesResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := dst.counters()
+	if dst.sys.Alive(1) || !dst.sys.Alive(0) {
+		t.Errorf("resume must re-derive health from the tracker: proc 1 alive=%v, proc 0 alive=%v",
+			dst.sys.Alive(1), dst.sys.Alive(0))
+	}
 
 	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
 	for i := 0; i < wv.NumField(); i++ {

@@ -173,7 +173,7 @@ func (o *Options) setDefaults() {
 		o.Steps = 8
 	}
 	if o.Balancer == nil {
-		o.Balancer = dlb.DistributedDLB{}
+		o.Balancer, _ = dlb.NewPolicy("distributed") // the paper's scheme; the name is in the table
 	}
 	if o.MaxLevel < 0 {
 		panic("engine: negative MaxLevel")
@@ -242,7 +242,7 @@ type Runner struct {
 	// events and rebuilds, the open store's prune failures and the
 	// membership tracker's counters are added to the bases kept here
 	// (what replaced ledgers and a resumed run's earlier process
-	// accumulated), and FailedProcs is len(failedSet).
+	// accumulated), and FailedProcs is the tracker's crash-dead count.
 	cnt metrics.Counters
 
 	// Per-process wire counters: wall-clock-paced, never checkpointed.
@@ -259,9 +259,11 @@ type Runner struct {
 	ckptT         float64      // simulated time at the checkpoint
 	ckptClock     float64      // virtual wall time at the checkpoint
 	lastFailCheck float64      // end of the last failure-scan window
-	failedSet     map[int]bool
-	wasQuar       bool // a group was quarantined at the last boundary
-	memb          *machine.Membership
+	wasQuar       bool         // a group was quarantined at the last boundary
+	// memb is the one record of processor liveness: a processor has
+	// failed (its grids lost, awaiting recovery or a rejoin) exactly
+	// while the tracker holds it dead of a crash.
+	memb *machine.Membership
 
 	// Durable checkpoint state (active only when opt.CheckpointDir is
 	// set).
@@ -361,7 +363,6 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		if r.ctx.Forecast == nil {
 			r.ctx.Forecast = netsim.NewForecastSet()
 		}
-		r.failedSet = make(map[int]bool)
 		r.ckptStep = -1
 		// Default suspicion thresholds: suspect after 2 consecutive probe
 		// failures against a group, presume dead after 4.
@@ -452,14 +453,13 @@ func (r *Runner) newHierarchy() *amr.Hierarchy {
 
 // attachHierarchy makes h the hierarchy the run executes on. The host
 // pool and the debug oracles flow down into it, and a fresh ledger —
-// one full O(grids) build, parallel over the pool — listens to its
-// mutations from here on.
+// one full O(grids) build — listens to its mutations from here on.
 func (r *Runner) attachHierarchy(h *amr.Hierarchy) {
 	h.SetPool(r.opt.Pool)
 	h.SetDataCheck(r.opt.DataCheck)
 	h.SetPlanCheck(r.opt.PlanCheck)
 	r.h = h
-	r.ledger = load.NewLedger(r.sys, h, r.opt.Pool)
+	r.ledger = load.NewLedger(r.sys, h)
 	r.ledger.SetSelfCheck(r.opt.LedgerCheck)
 	h.SetListener(r.ledger)
 	r.ctx.H, r.ctx.Ledger = h, r.ledger
@@ -602,8 +602,7 @@ func (r *Runner) applySlowdowns() {
 		if f > 1 {
 			f = 1
 		}
-		if f > 0 && r.failedSet[p] {
-			delete(r.failedSet, p)
+		if f > 0 && r.failed(p) {
 			r.memb.BeginRejoin(p)
 			r.opt.Trace.Add(trace.Membership, 0, now,
 				fmt.Sprintf("processor %d healthy again; rejoin pending", p))
@@ -627,6 +626,12 @@ func (r *Runner) applySlowdowns() {
 	}
 }
 
+// failed reports whether processor p has crashed and not yet shown
+// signs of life again. Only meaningful under fault injection.
+func (r *Runner) failed(p int) bool {
+	return r.memb.State(p) == machine.StateDead && r.memb.Cause(p) == machine.CauseCrash
+}
+
 // detectFailures scans the fault schedule for processor failures since
 // the last scan and marks them dead. Returns true when a new failure
 // struck (the caller must then recover from the last checkpoint).
@@ -636,10 +641,9 @@ func (r *Runner) detectFailures() bool {
 	r.lastFailCheck = now
 	hit := false
 	for _, p := range procs {
-		if r.failedSet[p] {
+		if r.failed(p) {
 			continue
 		}
-		r.failedSet[p] = true
 		r.sys.SetHealth(p, 0)
 		r.memb.Crash(p)
 		hit = true
@@ -727,11 +731,16 @@ func (r *Runner) counters() metrics.Counters {
 	c := r.cnt
 	c.LedgerEvents += r.ledger.EventCount()
 	c.LedgerRebuilds += r.ledger.Rebuilds()
-	c.FailedProcs = len(r.failedSet)
 	if r.store != nil {
 		c.DiskPruneErrors += r.store.PruneErrors()
 	}
 	if m := r.memb; m != nil {
+		c.FailedProcs = 0 // a count of now, not a cumulative counter
+		for p := 0; p < r.sys.NumProcs(); p++ {
+			if r.failed(p) {
+				c.FailedProcs++
+			}
+		}
 		c.SuspectTransitions += m.SuspectTransitions
 		c.SuspectedDead += m.SuspectedToDead
 		c.Rejoins += m.Rejoins
@@ -766,13 +775,7 @@ func (r *Runner) snapshotMeta(step int) *ckpt.Meta {
 		m.FaultSeed = f.Seed()
 		m.LastFailCheck = r.lastFailCheck
 		m.WasQuarantined = r.wasQuar
-		for p := range r.failedSet {
-			m.FailedSet = append(m.FailedSet, p)
-		}
-		sort.Ints(m.FailedSet)
-		for _, e := range f.ProbeSeqSnapshot() {
-			m.ProbeSeq = append(m.ProbeSeq, ckpt.ProbeSeq{A: e.A, B: e.B, N: e.N})
-		}
+		m.ProbeSeq = f.ProbeSeqSnapshot()
 		m.Memb = r.memb.Snapshot()
 	}
 	return m
@@ -814,14 +817,13 @@ func (r *Runner) recoverFromCheckpoint() int {
 	// are healthy again, and the repartition below must spread work
 	// over them too.
 	for p := 0; p < r.sys.NumProcs(); p++ {
-		if !r.failedSet[p] {
+		if !r.failed(p) {
 			continue
 		}
 		if f := r.opt.Faults.ProcFactor(p, now); f > 0 {
 			if f > 1 {
 				f = 1
 			}
-			delete(r.failedSet, p)
 			r.sys.SetHealth(p, f)
 			r.memb.BeginRejoin(p)
 			r.opt.Trace.Add(trace.Membership, 0, now,
@@ -1183,7 +1185,7 @@ func (r *Runner) globalBalance() {
 	if r.opt.History != nil {
 		r.opt.History.Record("step-time", r.clock.Now()-r.intervalStart)
 		r.opt.History.Record("cells", float64(r.ledger.TotalCells()))
-		r.opt.History.Record("imbalance-ratio", r.rec.ImbalanceRatio(r.sys))
+		r.opt.History.Record("imbalance-ratio", r.rec.ImbalanceRatio())
 		r.opt.History.Record("remote-comm", r.clock.PhaseTotal(vclock.RemoteComm))
 	}
 	if r.opt.Faults != nil {
@@ -1194,7 +1196,7 @@ func (r *Runner) globalBalance() {
 		// Oracle for the incremental Eq. 2 aggregates: the recorder's
 		// group sums must match a recompute over all processors right
 		// before the decision reads them.
-		if err := r.rec.VerifyGroups(r.sys); err != nil {
+		if err := r.rec.VerifyGroups(); err != nil {
 			panic("engine: recorder group aggregates diverged: " + err.Error())
 		}
 	}

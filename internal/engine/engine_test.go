@@ -17,6 +17,16 @@ import (
 	"samrdlb/internal/workload"
 )
 
+// mustPolicy builds the named balancer; a wrong name is a bug in the
+// test.
+func mustPolicy(name string) dlb.Balancer {
+	b, err := dlb.NewPolicy(name)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestUniformRunCompletes(t *testing.T) {
 	sys := machine.Origin2000("ANL", 2)
 	r := New(sys, &workload.Uniform{N0: 8, Ref: 2}, Options{Steps: 3, MaxLevel: 1})
@@ -71,7 +81,7 @@ func TestFig2ExecutionOrder(t *testing.T) {
 	sys := machine.Origin2000("ANL", 2)
 	tr := trace.New()
 	r := New(sys, workload.NewStaticBlob(16, 2), Options{
-		Steps: 1, MaxLevel: 3, Trace: tr, Balancer: dlb.ParallelDLB{},
+		Steps: 1, MaxLevel: 3, Trace: tr, Balancer: mustPolicy("parallel"),
 	})
 	r.Run()
 	want := []int{0, 1, 2, 3, 3, 2, 3, 3, 1, 2, 3, 3, 2, 3, 3}
@@ -129,8 +139,8 @@ func TestDistributedBeatsParallelOnWAN(t *testing.T) {
 		})
 		return r.Run().Total
 	}
-	par := run(dlb.ParallelDLB{})
-	dist := run(dlb.DistributedDLB{})
+	par := run(mustPolicy("parallel"))
+	dist := run(mustPolicy("distributed"))
 	if dist >= par {
 		t.Errorf("distributed DLB (%v) should beat parallel DLB (%v) on a WAN system", dist, par)
 	}
@@ -145,8 +155,8 @@ func TestDistributedCutsRemoteComm(t *testing.T) {
 		r.Run()
 		return r.Clock()
 	}
-	par := run(dlb.ParallelDLB{})
-	dist := run(dlb.DistributedDLB{})
+	par := run(mustPolicy("parallel"))
+	dist := run(mustPolicy("distributed"))
 	if dist.PhaseTotal(vclock.RemoteComm) >= par.PhaseTotal(vclock.RemoteComm) {
 		t.Errorf("distributed remote comm %v should be below parallel %v",
 			dist.PhaseTotal(vclock.RemoteComm), par.PhaseTotal(vclock.RemoteComm))

@@ -34,7 +34,7 @@ func TestLedgerOracleQuickstartConfig(t *testing.T) {
 	if err := r.Ledger().Verify(); err != nil {
 		t.Errorf("final ledger state diverged: %v", err)
 	}
-	if err := r.rec.VerifyGroups(sys); err != nil {
+	if err := r.rec.VerifyGroups(); err != nil {
 		t.Errorf("final recorder group aggregates diverged: %v", err)
 	}
 }

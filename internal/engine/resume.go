@@ -6,7 +6,6 @@ import (
 
 	"samrdlb/internal/amr"
 	"samrdlb/internal/ckpt"
-	"samrdlb/internal/fault"
 	"samrdlb/internal/geom"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/workload"
@@ -121,18 +120,15 @@ func (r *Runner) restoreFromMeta(m *ckpt.Meta) error {
 	if m.HasFaults {
 		r.lastFailCheck = m.LastFailCheck
 		r.wasQuar = m.WasQuarantined
-		for _, p := range m.FailedSet {
-			r.failedSet[p] = true
-			r.sys.SetHealth(p, 0)
-		}
 		if err := r.memb.Restore(m.Memb); err != nil {
 			return err
 		}
-		entries := make([]fault.ProbeSeqEntry, 0, len(m.ProbeSeq))
-		for _, e := range m.ProbeSeq {
-			entries = append(entries, fault.ProbeSeqEntry{A: e.A, B: e.B, N: e.N})
+		for p := 0; p < r.sys.NumProcs(); p++ {
+			if r.failed(p) {
+				r.sys.SetHealth(p, 0)
+			}
 		}
-		r.opt.Faults.RestoreProbeSeq(entries)
+		r.opt.Faults.RestoreProbeSeq(m.ProbeSeq)
 	}
 	// Particle populations live in the driver and advance once per
 	// level-0 step; replay them to the checkpointed step so positions

@@ -3,12 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"samrdlb/internal/dlb"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/netsim"
-	"samrdlb/internal/workload"
 )
 
 // Ablations beyond the paper's figures: the sensitivity studies its
@@ -30,14 +28,7 @@ func EpsSweep(epss []float64, o Options) []EpsRow {
 	o.setDefaults()
 	var rows []EpsRow
 	for _, e := range epss {
-		sys := systemFor("ShockPool3D", 4, o.Seed)
-		r := engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
-			Steps:        o.Steps,
-			Balancer:     dlb.DistributedDLB{},
-			ImbalanceEps: e,
-			MaxLevel:     o.MaxLevel,
-			WithData:     o.WithData,
-		}).Run()
+		r := sweepPoint(o, func(eo *engine.Options) { eo.ImbalanceEps = e })
 		rows = append(rows, EpsRow{Eps: e, Total: r.Total, GlobalEvals: r.GlobalEvals, GlobalRedists: r.GlobalRedists})
 	}
 	return rows
@@ -56,14 +47,7 @@ func GranularitySweep(gpps []int, o Options) []GranularityRow {
 	o.setDefaults()
 	var rows []GranularityRow
 	for _, g := range gpps {
-		sys := systemFor("ShockPool3D", 4, o.Seed)
-		r := engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
-			Steps:        o.Steps,
-			Balancer:     dlb.DistributedDLB{},
-			GridsPerProc: g,
-			MaxLevel:     o.MaxLevel,
-			WithData:     o.WithData,
-		}).Run()
+		r := sweepPoint(o, func(eo *engine.Options) { eo.GridsPerProc = g })
 		rows = append(rows, GranularityRow{GridsPerProc: g, Total: r.Total, Utilisation: r.Utilisation})
 	}
 	return rows
@@ -81,14 +65,7 @@ func RegridIntervalSweep(intervals []int, o Options) []RegridRow {
 	o.setDefaults()
 	var rows []RegridRow
 	for _, iv := range intervals {
-		sys := systemFor("ShockPool3D", 4, o.Seed)
-		r := engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
-			Steps:          o.Steps,
-			Balancer:       dlb.DistributedDLB{},
-			RegridInterval: iv,
-			MaxLevel:       o.MaxLevel,
-			WithData:       o.WithData,
-		}).Run()
+		r := sweepPoint(o, func(eo *engine.Options) { eo.RegridInterval = iv })
 		rows = append(rows, RegridRow{Interval: iv, Total: r.Total, MaxCells: r.MaxCells})
 	}
 	return rows
@@ -121,14 +98,8 @@ func ForecastAblation(o Options) []ForecastRow {
 	var rows []ForecastRow
 	for _, c := range conditions {
 		run := func(useForecast bool) *metrics.Result {
-			sys := machine.WanPair(4, c.traffic())
-			return engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
-				Steps:       o.Steps,
-				Balancer:    dlb.DistributedDLB{},
-				UseForecast: useForecast,
-				MaxLevel:    o.MaxLevel,
-				WithData:    o.WithData,
-			}).Run()
+			return mustRun("ShockPool3D", "distributed", machine.WanPair(4, c.traffic()), o,
+				func(eo *engine.Options) { eo.UseForecast = useForecast })
 		}
 		raw := run(false)
 		fc := run(true)
@@ -155,7 +126,7 @@ func SchemeSweep(o Options) []SchemeRow {
 	o.setDefaults()
 	var rows []SchemeRow
 	for _, scheme := range []string{"parallel", "distributed", "sfc"} {
-		r := mustRun("ShockPool3D", scheme, systemFor("ShockPool3D", 4, o.Seed), o)
+		r := mustRun("ShockPool3D", scheme, systemFor("ShockPool3D", 4, o.Seed), o, nil)
 		rows = append(rows, SchemeRow{Scheme: r.Scheme, Total: r.Total, Remote: r.RemoteComm()})
 	}
 	return rows
@@ -184,7 +155,7 @@ func MultiSiteSweep(o Options) []MultiSiteRow {
 		}
 		run := func(scheme string) float64 {
 			sys := machine.MultiSite(ns, traffic)
-			return mustRun("ShockPool3D", scheme, sys, o).Total
+			return mustRun("ShockPool3D", scheme, sys, o, nil).Total
 		}
 		par := run("parallel")
 		dist := run("distributed")

@@ -89,6 +89,12 @@ func systemFor(dataset string, n int, seed int64) *machine.System {
 // its result; an unknown dataset or scheme name is an error. AMR64 runs
 // on its own domain size (Options.AMRN), every other dataset on ShockN.
 func Run(dataset, scheme string, sys *machine.System, o Options) (*metrics.Result, error) {
+	return run(dataset, scheme, sys, o, nil)
+}
+
+// run is Run with a hook: vary, when non-nil, adjusts the engine
+// options before the run is built — how a sweep turns its one knob.
+func run(dataset, scheme string, sys *machine.System, o Options, vary func(*engine.Options)) (*metrics.Result, error) {
 	o.setDefaults()
 	n := o.ShockN
 	if dataset == "AMR64" {
@@ -102,29 +108,39 @@ func Run(dataset, scheme string, sys *machine.System, o Options) (*metrics.Resul
 	if err != nil {
 		return nil, err
 	}
-	return engine.New(sys, driver, engine.Options{
+	eo := engine.Options{
 		Steps:    o.Steps,
 		Balancer: bal,
 		MaxLevel: o.MaxLevel,
 		WithData: o.WithData,
-	}).Run(), nil
+	}
+	if vary != nil {
+		vary(&eo)
+	}
+	return engine.New(sys, driver, eo).Run(), nil
 }
 
-// mustRun is Run for the figure and ablation drivers, whose dataset and
+// mustRun is run for the figure and ablation drivers, whose dataset and
 // scheme names are fixed in the source: a wrong one is a bug.
-func mustRun(dataset, scheme string, sys *machine.System, o Options) *metrics.Result {
-	res, err := Run(dataset, scheme, sys, o)
+func mustRun(dataset, scheme string, sys *machine.System, o Options, vary func(*engine.Options)) *metrics.Result {
+	res, err := run(dataset, scheme, sys, o, vary)
 	if err != nil {
 		panic(err)
 	}
 	return res
 }
 
+// sweepPoint is one point of a parameter sweep: the paper's scheme on
+// ShockPool3D and the 4+4 WAN system, with one engine option varied.
+func sweepPoint(o Options, vary func(*engine.Options)) *metrics.Result {
+	return mustRun("ShockPool3D", "distributed", systemFor("ShockPool3D", 4, o.Seed), o, vary)
+}
+
 // Sequential runs the dataset on a single dedicated processor — the
 // E(1) of the paper's efficiency definition.
 func Sequential(dataset string, o Options) *metrics.Result {
 	o.setDefaults()
-	return mustRun(dataset, "distributed", machine.Origin2000("seq", 1), o)
+	return mustRun(dataset, "distributed", machine.Origin2000("seq", 1), o, nil)
 }
 
 // ConfigName renders a configuration the way the paper does.

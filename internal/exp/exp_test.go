@@ -143,7 +143,7 @@ func TestUnknownNamesPanic(t *testing.T) {
 			t.Error("mustRun: expected a panic for an unknown dataset")
 		}
 	}()
-	mustRun("nope", "distributed", sys, fastOpts())
+	mustRun("nope", "distributed", sys, fastOpts(), nil)
 }
 
 func TestConfigName(t *testing.T) {

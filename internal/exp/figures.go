@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"samrdlb/internal/dlb"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
-	"samrdlb/internal/workload"
 )
 
 // Band records a range the paper reports, for paper-vs-measured
@@ -43,8 +41,8 @@ func Fig3(o Options) []Fig3Row {
 	o.setDefaults()
 	var rows []Fig3Row
 	for _, n := range o.Configs {
-		par := mustRun("ShockPool3D", "parallel", machine.Origin2000("ANL", 2*n), o)
-		dist := mustRun("ShockPool3D", "parallel", systemFor("ShockPool3D", n, o.Seed), o)
+		par := mustRun("ShockPool3D", "parallel", machine.Origin2000("ANL", 2*n), o, nil)
+		dist := mustRun("ShockPool3D", "parallel", systemFor("ShockPool3D", n, o.Seed), o, nil)
 		rows = append(rows, Fig3Row{
 			Config:      ConfigName(n),
 			ParCompute:  par.Compute(),
@@ -74,8 +72,8 @@ func Fig7(dataset string, o Options) []Fig7Row {
 	o.setDefaults()
 	var rows []Fig7Row
 	for _, n := range o.Configs {
-		par := mustRun(dataset, "parallel", systemFor(dataset, n, o.Seed), o)
-		dist := mustRun(dataset, "distributed", systemFor(dataset, n, o.Seed), o)
+		par := mustRun(dataset, "parallel", systemFor(dataset, n, o.Seed), o, nil)
+		dist := mustRun(dataset, "distributed", systemFor(dataset, n, o.Seed), o, nil)
 		rows = append(rows, Fig7Row{
 			Config:            ConfigName(n),
 			Parallel:          par.Total,
@@ -144,14 +142,7 @@ func GammaSweep(gammas []float64, o Options) []GammaRow {
 	o.setDefaults()
 	var rows []GammaRow
 	for _, g := range gammas {
-		sys := systemFor("ShockPool3D", 4, o.Seed)
-		r := engine.New(sys, workload.NewShockPool3D(o.ShockN, 2), engine.Options{
-			Steps:    o.Steps,
-			Balancer: dlb.DistributedDLB{},
-			Gamma:    g,
-			MaxLevel: o.MaxLevel,
-			WithData: o.WithData,
-		}).Run()
+		r := sweepPoint(o, func(eo *engine.Options) { eo.Gamma = g })
 		rows = append(rows, GammaRow{
 			Gamma:         g,
 			Total:         r.Total,

@@ -63,10 +63,6 @@ func TestForDiskDeterministicAndWindowed(t *testing.T) {
 	if _, u3 := d.FlipBit(8, 5.5); u3 == u {
 		t.Error("distinct writes should (almost surely) flip distinct bits")
 	}
-	var nilFault *DiskFault
-	if nilFault.WriteError(0, 1) {
-		t.Error("nil DiskFault must be a no-op")
-	}
 }
 
 func TestDefaultTornFraction(t *testing.T) {

@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -77,35 +78,28 @@ const (
 	WorkerKill
 )
 
+// kinds is the script vocabulary: each kind's name, and the keys a
+// script line of that kind takes besides the time keys start=/at=/end=.
+var kinds = [...]struct{ name, keys string }{
+	LinkOutage:      {"link-outage", "between"},
+	LinkDegrade:     {"link-degrade", "between factor"},
+	ProbeLoss:       {"probe-loss", "between prob"},
+	ProcSlowdown:    {"proc-slow", "proc factor"},
+	ProcFailure:     {"proc-fail", "proc"},
+	GroupDisconnect: {"group-disconnect", "group"},
+	DiskTornWrite:   {"disk-torn-write", "factor"},
+	DiskBitFlip:     {"disk-bit-flip", ""},
+	DiskWriteError:  {"disk-write-error", "prob"},
+	ProcRecovery:    {"proc-recover", "proc"},
+	GroupReconnect:  {"group-reconnect", "group"},
+	WorkerKill:      {"worker-kill", "group"},
+}
+
 func (k Kind) String() string {
-	switch k {
-	case LinkOutage:
-		return "link-outage"
-	case LinkDegrade:
-		return "link-degrade"
-	case ProbeLoss:
-		return "probe-loss"
-	case ProcSlowdown:
-		return "proc-slow"
-	case ProcFailure:
-		return "proc-fail"
-	case GroupDisconnect:
-		return "group-disconnect"
-	case DiskTornWrite:
-		return "disk-torn-write"
-	case DiskBitFlip:
-		return "disk-bit-flip"
-	case DiskWriteError:
-		return "disk-write-error"
-	case ProcRecovery:
-		return "proc-recover"
-	case GroupReconnect:
-		return "group-reconnect"
-	case WorkerKill:
-		return "worker-kill"
-	default:
+	if k < 0 || int(k) >= len(kinds) {
 		return "unknown"
 	}
+	return kinds[k].name
 }
 
 // Event is one scripted fault. Times are virtual (vclock) seconds;
@@ -174,6 +168,11 @@ func (e Event) String() string {
 
 // validate rejects malformed events with a descriptive error.
 func (e Event) validate() error {
+	// NaN compares false with everything, so it would pass every range
+	// check below and yield a window no time is ever inside.
+	if math.IsNaN(e.Start) || math.IsNaN(e.End) || math.IsNaN(e.Factor) || math.IsNaN(e.Prob) {
+		return fmt.Errorf("%s: NaN in start/end/factor/prob", e.Kind)
+	}
 	if e.Start < 0 {
 		return fmt.Errorf("%s: negative start %g", e.Kind, e.Start)
 	}
@@ -289,9 +288,6 @@ func (s *Schedule) Seed() int64 { return s.seed }
 // the target system's size. NewSchedule cannot do this (it sees no
 // system), so callers bind the check at wiring time.
 func (s *Schedule) Validate(numProcs, numGroups int) error {
-	if s == nil {
-		return nil
-	}
 	for i, e := range s.events {
 		switch e.Kind {
 		case LinkOutage, LinkDegrade, ProbeLoss:
@@ -322,9 +318,6 @@ type KillPoint struct {
 // order — the chaos supervisor's kill list. The engine's own fault
 // queries never see WorkerKill events.
 func (s *Schedule) WorkerKills() []KillPoint {
-	if s == nil {
-		return nil
-	}
 	var out []KillPoint
 	for _, e := range s.events {
 		if e.Kind == WorkerKill {
@@ -336,17 +329,11 @@ func (s *Schedule) WorkerKills() []KillPoint {
 
 // Events returns a copy of the validated events in start order.
 func (s *Schedule) Events() []Event {
-	if s == nil {
-		return nil
-	}
 	return append([]Event(nil), s.events...)
 }
 
-// NumEvents returns the event count (0 on nil).
+// NumEvents returns the event count.
 func (s *Schedule) NumEvents() int {
-	if s == nil {
-		return 0
-	}
 	return len(s.events)
 }
 
@@ -354,9 +341,6 @@ func (s *Schedule) NumEvents() int {
 // unusable at time t: a LinkOutage window covers the pair, or either
 // endpoint is group-disconnected.
 func (s *Schedule) LinkDown(a, b int, t float64) bool {
-	if s == nil {
-		return false
-	}
 	for _, e := range s.events {
 		if e.Kind == LinkOutage && e.in(t) && e.matchesPair(a, b) {
 			return true
@@ -372,9 +356,6 @@ func (s *Schedule) LinkDown(a, b int, t float64) bool {
 // LinkDegrade window covering the pair at time t (1 when none).
 func (s *Schedule) DegradeFactor(a, b int, t float64) float64 {
 	f := 1.0
-	if s == nil {
-		return f
-	}
 	for _, e := range s.events {
 		if e.Kind == LinkDegrade && e.in(t) && e.matchesPair(a, b) {
 			f *= e.Factor
@@ -388,9 +369,6 @@ func (s *Schedule) DegradeFactor(a, b int, t float64) float64 {
 // drop sequence, so the k-th probe message of a run always sees the
 // same fate under the same seed and script.
 func (s *Schedule) DropProbe(a, b int, t float64) bool {
-	if s == nil {
-		return false
-	}
 	prob := 0.0
 	for _, e := range s.events {
 		if e.Kind == ProbeLoss && e.in(t) && e.matchesPair(a, b) && e.Prob > prob {
@@ -416,9 +394,6 @@ func (s *Schedule) DropProbe(a, b int, t float64) bool {
 // 0.01 so modelled compute time stays finite. A dead processor
 // (see ProcDead) returns 0.
 func (s *Schedule) ProcFactor(p int, t float64) float64 {
-	if s == nil {
-		return 1
-	}
 	if s.ProcDead(p, t) {
 		return 0
 	}
@@ -439,9 +414,6 @@ func (s *Schedule) ProcFactor(p int, t float64) float64 {
 // (until End for a windowed failure, forever otherwise) and a
 // ProcRecovery revives it. On a start-time tie the recovery wins.
 func (s *Schedule) ProcDead(p int, t float64) bool {
-	if s == nil {
-		return false
-	}
 	dead := false
 	for _, e := range s.events {
 		if e.Start > t || e.Proc != p {
@@ -464,9 +436,6 @@ func (s *Schedule) ProcDead(p int, t float64) bool {
 // GroupDisconnect window covers t and no later (or same-start —
 // reconnect wins ties) GroupReconnect has fired by t.
 func (s *Schedule) GroupDown(g int, t float64) bool {
-	if s == nil {
-		return false
-	}
 	down := false
 	for _, e := range s.events {
 		if e.Start > t || e.Group != g {
@@ -487,9 +456,6 @@ func (s *Schedule) GroupDown(g int, t float64) bool {
 // FailuresIn returns the processors whose ProcFailure fires in the
 // window (t0, t1], in event order (duplicates removed).
 func (s *Schedule) FailuresIn(t0, t1 float64) []int {
-	if s == nil {
-		return nil
-	}
 	var out []int
 	seen := map[int]bool{}
 	for _, e := range s.events {
@@ -548,9 +514,6 @@ func (s *Schedule) ForDisk() *DiskFault { return &DiskFault{s: s} }
 // with that probability, drawn deterministically from the write
 // index so a resumed run replays the same fates.
 func (d *DiskFault) WriteError(n int, t float64) bool {
-	if d == nil || d.s == nil {
-		return false
-	}
 	prob := 0.0
 	for _, e := range d.s.events {
 		if e.Kind != DiskWriteError || !e.in(t) {
@@ -576,9 +539,6 @@ func (d *DiskFault) WriteError(n int, t float64) bool {
 // per-write probability. n keys nothing today but mirrors the other
 // disk-fault decisions' shape.
 func (d *DiskFault) RemoveError(n int, t float64) bool {
-	if d == nil || d.s == nil {
-		return false
-	}
 	for _, e := range d.s.events {
 		if e.Kind == DiskWriteError && e.in(t) {
 			return true
@@ -590,9 +550,6 @@ func (d *DiskFault) RemoveError(n int, t float64) bool {
 // TornWrite reports whether the n-th checkpoint write at time t lands
 // torn, and the fraction of bytes that survive.
 func (d *DiskFault) TornWrite(n int, t float64) (bool, float64) {
-	if d == nil || d.s == nil {
-		return false, 0
-	}
 	for _, e := range d.s.events {
 		if e.Kind == DiskTornWrite && e.in(t) {
 			frac := e.Factor
@@ -608,9 +565,6 @@ func (d *DiskFault) TornWrite(n int, t float64) (bool, float64) {
 // FlipBit reports whether one bit of the n-th checkpoint write at
 // time t is flipped, and a unit value selecting which bit.
 func (d *DiskFault) FlipBit(n int, t float64) (bool, float64) {
-	if d == nil || d.s == nil {
-		return false, 0
-	}
 	for _, e := range d.s.events {
 		if e.Kind == DiskBitFlip && e.in(t) {
 			return true, hashUnit(uint64(d.s.seed), diskKey, uint64(n))
@@ -631,9 +585,6 @@ type ProbeSeqEntry struct {
 // identically scripted schedule makes a resumed run observe the same
 // probe fates the uninterrupted run would have.
 func (s *Schedule) ProbeSeqSnapshot() []ProbeSeqEntry {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ProbeSeqEntry, 0, len(s.probeSeq))
@@ -652,9 +603,6 @@ func (s *Schedule) ProbeSeqSnapshot() []ProbeSeqEntry {
 // RestoreProbeSeq resets the probe-drop sequence positions from a
 // snapshot (any previous positions are discarded).
 func (s *Schedule) RestoreProbeSeq(entries []ProbeSeqEntry) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.probeSeq = make(map[[2]int]uint64, len(entries))

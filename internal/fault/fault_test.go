@@ -131,19 +131,6 @@ func TestFailuresIn(t *testing.T) {
 	}
 }
 
-func TestNilScheduleIsHealthy(t *testing.T) {
-	var s *Schedule
-	if s.LinkDown(0, 1, 5) || s.GroupDown(0, 5) || s.DropProbe(0, 1, 5) {
-		t.Error("nil schedule must inject nothing")
-	}
-	if s.DegradeFactor(0, 1, 5) != 1 || s.ProcFactor(0, 5) != 1 {
-		t.Error("nil schedule must not degrade")
-	}
-	if s.FailuresIn(0, 100) != nil || s.NumEvents() != 0 {
-		t.Error("nil schedule has no events")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	bad := []Event{
 		{Kind: LinkOutage, A: 0, B: 1, Start: 5, End: 5},               // empty window
@@ -248,9 +235,5 @@ func TestValidateAgainstSystemSize(t *testing.T) {
 	}
 	if err := ok.Validate(8, 2); err != nil {
 		t.Errorf("in-range events must validate, got %v", err)
-	}
-	var nilSched *Schedule
-	if err := nilSched.Validate(8, 2); err != nil {
-		t.Errorf("nil schedule must validate, got %v", err)
 	}
 }

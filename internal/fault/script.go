@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,35 +72,16 @@ func FormatScript(events []Event) string {
 
 func parseLine(line string) (Event, error) {
 	fields := strings.Fields(line)
-	var e Event
-	switch fields[0] {
-	case "link-outage":
-		e.Kind = LinkOutage
-	case "link-degrade":
-		e.Kind = LinkDegrade
-	case "probe-loss":
-		e.Kind = ProbeLoss
-	case "proc-slow":
-		e.Kind = ProcSlowdown
-	case "proc-fail":
-		e.Kind = ProcFailure
-	case "group-disconnect":
-		e.Kind = GroupDisconnect
-	case "disk-torn-write":
-		e.Kind = DiskTornWrite
-	case "disk-bit-flip":
-		e.Kind = DiskBitFlip
-	case "disk-write-error":
-		e.Kind = DiskWriteError
-	case "proc-recover":
-		e.Kind = ProcRecovery
-	case "group-reconnect":
-		e.Kind = GroupReconnect
-	case "worker-kill":
-		e.Kind = WorkerKill
-	default:
+	e := Event{Kind: -1}
+	for k := range kinds {
+		if kinds[k].name == fields[0] {
+			e.Kind = Kind(k)
+		}
+	}
+	if e.Kind < 0 {
 		return e, fmt.Errorf("unknown event kind %q", fields[0])
 	}
+	takes := strings.Fields(kinds[e.Kind].keys)
 	e.A, e.B, e.Group, e.Proc = -1, -1, -1, -1
 	if e.Kind == LinkDegrade || e.Kind == ProcSlowdown {
 		e.Factor = -1
@@ -108,6 +90,11 @@ func parseLine(line string) (Event, error) {
 		k, v, ok := strings.Cut(tok, "=")
 		if !ok {
 			return e, fmt.Errorf("token %q is not key=value", tok)
+		}
+		// A key the kind ignores is a typo (factor= on a link-outage
+		// meant link-degrade), not something to drop silently.
+		if k != "start" && k != "at" && k != "end" && !slices.Contains(takes, k) {
+			return e, fmt.Errorf("%s takes no key %q", e.Kind, k)
 		}
 		var err error
 		switch k {
@@ -131,8 +118,6 @@ func parseLine(line string) (Event, error) {
 			e.Factor, err = strconv.ParseFloat(v, 64)
 		case "prob":
 			e.Prob, err = strconv.ParseFloat(v, 64)
-		default:
-			return e, fmt.Errorf("unknown key %q", k)
 		}
 		if err != nil {
 			return e, fmt.Errorf("bad value in %q: %v", tok, err)

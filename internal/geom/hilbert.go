@@ -7,7 +7,7 @@ package geom
 // positions are always face neighbours, so contiguous curve runs have
 // tighter bounding boxes — the locality property SFC partitioners
 // want. The two keys are interchangeable as sort keys, which is how
-// SFCDLB exposes the curve choice.
+// the sfc and hilbert-sfc policies differ (dlb.curveRuns).
 
 // hilbertOrder is the curve order: bits per component. 3×21 = 63 key
 // bits fit a uint64, matching MortonKey's domain.

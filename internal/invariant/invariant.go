@@ -196,7 +196,7 @@ func (c *Checker) checkLedger(pi *engine.PhaseInfo) {
 // right where the decision read them (the hook fires before the
 // interval resets).
 func (c *Checker) checkRecorderGroups(pi *engine.PhaseInfo) {
-	if err := pi.Runner.Recorder().VerifyGroups(pi.Runner.System()); err != nil {
+	if err := pi.Runner.Recorder().VerifyGroups(); err != nil {
 		c.report(pi, "recorder-groups", "%v", err)
 	}
 }

@@ -3,11 +3,9 @@ package load
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"samrdlb/internal/amr"
 	"samrdlb/internal/machine"
-	"samrdlb/internal/solver"
 )
 
 // Ledger is the incrementally maintained load table the DLB decision
@@ -43,9 +41,8 @@ import (
 // 2^53, so incremental adds and subtracts are exact and Verify can
 // demand bit equality with a full recomputation.
 type Ledger struct {
-	sys  *machine.System
-	h    *amr.Hierarchy
-	pool *solver.Pool
+	sys *machine.System
+	h   *amr.Hierarchy
 
 	procCells  [][]float64 // [level][proc]
 	levelCells []int64     // [level]
@@ -67,10 +64,9 @@ type Ledger struct {
 
 // NewLedger builds a ledger for the hierarchy's current contents and
 // returns it. The caller must install it with h.SetListener to keep
-// it current; pool parallelises this full build and any later Rebuild
-// across host cores (nil builds inline).
-func NewLedger(sys *machine.System, h *amr.Hierarchy, pool *solver.Pool) *Ledger {
-	l := &Ledger{sys: sys, h: h, pool: pool}
+// it current.
+func NewLedger(sys *machine.System, h *amr.Hierarchy) *Ledger {
+	l := &Ledger{sys: sys, h: h}
 	l.Rebuild()
 	l.rebuilds = 0 // the initial build is not a "re"-build
 	return l
@@ -91,10 +87,10 @@ func (l *Ledger) EventCount() uint64 { return l.events }
 // excluded): one per checkpoint recovery in a faulty run.
 func (l *Ledger) Rebuilds() int { return l.rebuilds }
 
-// Rebuild recomputes every aggregate from the hierarchy, in parallel
-// over the pool when one was provided. The engine calls it only for
-// the unavoidable full recomputes: attaching to a freshly restored
-// checkpoint hierarchy.
+// Rebuild recomputes every aggregate from the hierarchy in one walk.
+// The engine needs it only when it attaches to a hierarchy that
+// already holds grids — one restored from a checkpoint; a fresh run
+// attaches to an empty hierarchy and everything after is events.
 func (l *Ledger) Rebuild() {
 	nproc := l.sys.NumProcs()
 	ngroup := l.sys.NumGroups()
@@ -113,10 +109,9 @@ func (l *Ledger) Rebuild() {
 	for lev := 0; lev < nlevel; lev++ {
 		l.procCells[lev] = make([]float64, nproc)
 		l.owned[lev] = make(map[int][]*amr.Grid)
-		grids := l.h.Grids(lev)
-		l.parallelProcCells(grids, l.procCells[lev])
-		for _, g := range grids {
+		for _, g := range l.h.Grids(lev) {
 			c := g.NumCells()
+			l.procCells[lev][g.Owner] += float64(c)
 			l.levelCells[lev] += c
 			l.total += c
 			l.owned[lev][g.Owner] = append(l.owned[lev][g.Owner], g)
@@ -135,48 +130,6 @@ func (l *Ledger) Rebuild() {
 	for _, g := range l.h.Grids(0) {
 		l.groupSubtree[l.sys.GroupOf(g.Owner)] += l.sub[g.ID]
 		l.groupL0Cells[l.sys.GroupOf(g.Owner)] += g.NumCells()
-	}
-}
-
-// parallelProcCells fills dst[proc] with the summed cells of each
-// processor's grids, fanning the grid list out over the pool.
-func (l *Ledger) parallelProcCells(grids []*amr.Grid, dst []float64) {
-	workers := l.pool.Workers()
-	if workers <= 1 || len(grids) < 2*workers {
-		for _, g := range grids {
-			dst[g.Owner] += float64(g.NumCells())
-		}
-		return
-	}
-	partial := make([][]float64, workers)
-	chunk := (len(grids) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(grids) {
-			hi = len(grids)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := make([]float64, len(dst))
-			for _, g := range grids[lo:hi] {
-				acc[g.Owner] += float64(g.NumCells())
-			}
-			partial[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// Merge in worker order: integer-valued sums, so order only
-	// matters for determinism of the code path, not the result.
-	for _, acc := range partial {
-		for p, v := range acc {
-			dst[p] += v
-		}
 	}
 }
 
@@ -222,7 +175,7 @@ func (l *Ledger) GridRemoved(h *amr.Hierarchy, g *amr.Grid) {
 	l.procCells[g.Level][g.Owner] -= cells
 	l.levelCells[g.Level] -= g.NumCells()
 	l.total -= g.NumCells()
-	l.disown(g)
+	l.disown(g, g.Owner)
 
 	w := l.sub[g.ID]
 	if g.Level == 0 {
@@ -241,13 +194,7 @@ func (l *Ledger) OwnerChanged(h *amr.Hierarchy, g *amr.Grid, oldOwner int) {
 	oldGrp, newGrp := l.sys.GroupOf(oldOwner), l.sys.GroupOf(g.Owner)
 	l.procCells[g.Level][oldOwner] -= cells
 	l.procCells[g.Level][g.Owner] += cells
-	lst := l.owned[g.Level][oldOwner]
-	for i, x := range lst {
-		if x.ID == g.ID {
-			l.owned[g.Level][oldOwner] = append(lst[:i], lst[i+1:]...)
-			break
-		}
-	}
+	l.disown(g, oldOwner)
 	l.owned[g.Level][g.Owner] = append(l.owned[g.Level][g.Owner], g)
 	if g.Level == 0 && oldGrp != newGrp {
 		// The whole subtree's workload follows the level-0 owner's
@@ -296,13 +243,13 @@ func (l *Ledger) addToChain(id amr.GridID, w float64) {
 	}
 }
 
-// disown removes g from its owner's per-level grid list (order
-// preserving, so scans stay deterministic).
-func (l *Ledger) disown(g *amr.Grid) {
-	lst := l.owned[g.Level][g.Owner]
+// disown removes g from owner's per-level grid list (order preserving,
+// so scans stay deterministic).
+func (l *Ledger) disown(g *amr.Grid, owner int) {
+	lst := l.owned[g.Level][owner]
 	for i, x := range lst {
 		if x.ID == g.ID {
-			l.owned[g.Level][g.Owner] = append(lst[:i], lst[i+1:]...)
+			l.owned[g.Level][owner] = append(lst[:i], lst[i+1:]...)
 			return
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"samrdlb/internal/amr"
 	"samrdlb/internal/geom"
 	"samrdlb/internal/machine"
-	"samrdlb/internal/solver"
 )
 
 // ledgerFixture builds a 3-level hierarchy on a WanPair(2) system (4
@@ -17,7 +16,7 @@ func ledgerFixture(t *testing.T) (*machine.System, *amr.Hierarchy, *Ledger) {
 	t.Helper()
 	sys := machine.WanPair(2, nil)
 	h := amr.New(geom.UnitCube(8), 2, 2, 1, false, "q")
-	l := NewLedger(sys, h, nil)
+	l := NewLedger(sys, h)
 	h.SetListener(l)
 	a := h.AddGrid(0, geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{4, 8, 8}), 0, amr.NoGrid)
 	b := h.AddGrid(0, geom.BoxFromShape(geom.Index{4, 0, 0}, geom.Index{4, 8, 8}), 2, amr.NoGrid)
@@ -137,38 +136,6 @@ func TestLedgerTracksSplitWithStraddlingChildren(t *testing.T) {
 	}
 	if err := h.CheckProperNesting(); err != nil {
 		t.Fatalf("split broke nesting: %v", err)
-	}
-}
-
-func TestLedgerParallelRebuildMatchesSequential(t *testing.T) {
-	sys := machine.WanPair(4, nil)
-	h := amr.New(geom.UnitCube(32), 2, 1, 1, false, "q")
-	// Enough level-0 grids to exceed the parallel-split threshold.
-	for x := 0; x < 32; x += 2 {
-		for y := 0; y < 32; y += 8 {
-			h.AddGrid(0, geom.BoxFromShape(geom.Index{x, y, 0}, geom.Index{2, 8, 32}), (x/2+y/8)%8, amr.NoGrid)
-		}
-	}
-	seq := NewLedger(sys, h, nil)
-	par := NewLedger(sys, h, solver.NewPool(0))
-	for lev := 0; lev <= h.MaxLevel; lev++ {
-		sw, pw := seq.procCells[lev], par.procCells[lev]
-		for p := range sw {
-			if sw[p] != pw[p] {
-				t.Fatalf("level %d proc %d: sequential %v, parallel %v", lev, p, sw[p], pw[p])
-			}
-		}
-	}
-	if seq.TotalCells() != par.TotalCells() {
-		t.Error("totals differ between sequential and parallel rebuild")
-	}
-	for g := 0; g < sys.NumGroups(); g++ {
-		if seq.GroupSubtreeWork(g) != par.GroupSubtreeWork(g) {
-			t.Errorf("group %d subtree work differs", g)
-		}
-	}
-	if err := par.Verify(); err != nil {
-		t.Errorf("parallel-built ledger fails its own oracle: %v", err)
 	}
 }
 

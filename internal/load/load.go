@@ -24,6 +24,7 @@ import (
 // Recorder accumulates the performance data the DLB needs between two
 // iterations at level 0.
 type Recorder struct {
+	sys      *machine.System
 	maxLevel int
 	// w[proc][level] is the workload (weighted cells advanced per
 	// level iteration) processor proc held at that level during the
@@ -44,8 +45,7 @@ type Recorder struct {
 	// RecordLevelWork call, so GroupWork/GroupWorks/Gain/
 	// ImbalanceRatio read O(groups·levels) state instead of summing
 	// over every processor on each decision.
-	groupOf []int
-	gw      [][]float64
+	gw [][]float64
 }
 
 // NewRecorder returns a recorder for the system's processors and
@@ -55,15 +55,14 @@ func NewRecorder(sys *machine.System, maxLevel int) *Recorder {
 		panic("load.NewRecorder: bad shape")
 	}
 	r := &Recorder{
+		sys:      sys,
 		maxLevel: maxLevel,
 		nIter:    make([]int, maxLevel+1),
 		w:        make([][]float64, sys.NumProcs()),
-		groupOf:  make([]int, sys.NumProcs()),
 		gw:       make([][]float64, sys.NumGroups()),
 	}
 	for p := range r.w {
 		r.w[p] = make([]float64, maxLevel+1)
-		r.groupOf[p] = sys.GroupOf(p)
 	}
 	for g := range r.gw {
 		r.gw[g] = make([]float64, maxLevel+1)
@@ -92,7 +91,7 @@ func (r *Recorder) RecordLevelWork(proc, level int, work float64) {
 	if work < 0 {
 		panic("load.RecordLevelWork: negative work")
 	}
-	r.gw[r.groupOf[proc]][level] += work - r.w[proc][level]
+	r.gw[r.sys.GroupOf(proc)][level] += work - r.w[proc][level]
 	r.w[proc][level] = work
 }
 
@@ -143,15 +142,15 @@ func (r *Recorder) Delta() float64 { return r.delta }
 
 // LevelGroupWork returns W^i_group(t) (Eq. 2) for the given group,
 // from the incrementally maintained aggregate.
-func (r *Recorder) LevelGroupWork(sys *machine.System, group, level int) float64 {
+func (r *Recorder) LevelGroupWork(group, level int) float64 {
 	return r.gw[group][level]
 }
 
 // levelGroupWorkRecompute is the O(procs) Eq. 2 sum, the oracle
 // VerifyGroups asserts the incremental aggregates against.
-func (r *Recorder) levelGroupWorkRecompute(sys *machine.System, group, level int) float64 {
+func (r *Recorder) levelGroupWorkRecompute(group, level int) float64 {
 	var sum float64
-	for _, p := range sys.ProcsInGroup(group) {
+	for _, p := range r.sys.ProcsInGroup(group) {
 		sum += r.w[p][level]
 	}
 	return sum
@@ -160,10 +159,10 @@ func (r *Recorder) levelGroupWorkRecompute(sys *machine.System, group, level int
 // GroupWork returns W_group(t) (Eq. 3): the group's per-level loads
 // weighted by the number of iterations each level runs within one
 // level-0 step.
-func (r *Recorder) GroupWork(sys *machine.System, group int) float64 {
+func (r *Recorder) GroupWork(group int) float64 {
 	var sum float64
 	for l := 0; l <= r.maxLevel; l++ {
-		sum += r.LevelGroupWork(sys, group, l) * float64(max(r.nIter[l], 1))
+		sum += r.LevelGroupWork(group, l) * float64(max(r.nIter[l], 1))
 	}
 	return sum
 }
@@ -172,11 +171,11 @@ func (r *Recorder) GroupWork(sys *machine.System, group int) float64 {
 // recompute oracle. Incremental maintenance replays additions in a
 // different association order than a direct sum, so equality is
 // checked to a tight relative tolerance rather than bit-exactly.
-func (r *Recorder) VerifyGroups(sys *machine.System) error {
-	for g := 0; g < sys.NumGroups(); g++ {
+func (r *Recorder) VerifyGroups() error {
+	for g := range r.gw {
 		for l := 0; l <= r.maxLevel; l++ {
 			inc := r.gw[g][l]
-			ora := r.levelGroupWorkRecompute(sys, g, l)
+			ora := r.levelGroupWorkRecompute(g, l)
 			diff := inc - ora
 			if diff < 0 {
 				diff = -diff
@@ -194,10 +193,10 @@ func (r *Recorder) VerifyGroups(sys *machine.System) error {
 }
 
 // GroupWorks returns W_group for every group.
-func (r *Recorder) GroupWorks(sys *machine.System) []float64 {
-	out := make([]float64, sys.NumGroups())
+func (r *Recorder) GroupWorks() []float64 {
+	out := make([]float64, len(r.gw))
 	for g := range out {
-		out[g] = r.GroupWork(sys, g)
+		out[g] = r.GroupWork(g)
 	}
 	return out
 }
@@ -205,8 +204,8 @@ func (r *Recorder) GroupWorks(sys *machine.System) []float64 {
 // Gain evaluates Eq. 4: the estimated reduction in execution time from
 // removing the current inter-group imbalance. The estimate is
 // deliberately conservative (the paper divides by NumGroups·max).
-func (r *Recorder) Gain(sys *machine.System) float64 {
-	works := r.GroupWorks(sys)
+func (r *Recorder) Gain() float64 {
+	works := r.GroupWorks()
 	maxW, minW := works[0], works[0]
 	for _, w := range works[1:] {
 		if w > maxW {
@@ -219,19 +218,19 @@ func (r *Recorder) Gain(sys *machine.System) float64 {
 	if maxW <= 0 {
 		return 0
 	}
-	return r.lastT * (maxW - minW) / (float64(sys.NumGroups()) * maxW)
+	return r.lastT * (maxW - minW) / (float64(len(works)) * maxW)
 }
 
 // ImbalanceRatio returns max/min of the groups' performance-normalised
 // loads (W_group divided by the group's aggregate performance weight).
 // A ratio of 1 is perfect balance. Groups with zero load make the
 // ratio +Inf unless every group is empty, which returns 1.
-func (r *Recorder) ImbalanceRatio(sys *machine.System) float64 {
-	works := r.GroupWorks(sys)
+func (r *Recorder) ImbalanceRatio() float64 {
+	works := r.GroupWorks()
 	first := true
 	var maxN, minN float64
 	for g, w := range works {
-		n := w / sys.GroupPerf(g)
+		n := w / r.sys.GroupPerf(g)
 		if first {
 			maxN, minN = n, n
 			first = false

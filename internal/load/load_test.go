@@ -14,20 +14,20 @@ func rec2x2(t *testing.T) (*Recorder, *machine.System) {
 }
 
 func TestEq2LevelGroupWork(t *testing.T) {
-	r, sys := rec2x2(t)
+	r, _ := rec2x2(t)
 	r.RecordLevelWork(0, 0, 10)
 	r.RecordLevelWork(1, 0, 20)
 	r.RecordLevelWork(2, 0, 5)
-	if got := r.LevelGroupWork(sys, 0, 0); got != 30 {
+	if got := r.LevelGroupWork(0, 0); got != 30 {
 		t.Errorf("W^0_group0 = %v, want 30", got)
 	}
-	if got := r.LevelGroupWork(sys, 1, 0); got != 5 {
+	if got := r.LevelGroupWork(1, 0); got != 5 {
 		t.Errorf("W^0_group1 = %v, want 5", got)
 	}
 }
 
 func TestEq3GroupWorkWeightsByIterations(t *testing.T) {
-	r, sys := rec2x2(t)
+	r, _ := rec2x2(t)
 	// Level 0 runs once, level 1 twice, level 2 four times (r=2).
 	r.RecordIteration(0)
 	r.RecordIteration(1)
@@ -39,7 +39,7 @@ func TestEq3GroupWorkWeightsByIterations(t *testing.T) {
 	r.RecordLevelWork(0, 1, 10)  // group 0, level 1
 	r.RecordLevelWork(0, 2, 1)   // group 0, level 2
 	want := 100.0*1 + 10*2 + 1*4
-	if got := r.GroupWork(sys, 0); got != want {
+	if got := r.GroupWork(0); got != want {
 		t.Errorf("W_group0 = %v, want %v", got, want)
 	}
 	if r.nIter[1] != 2 {
@@ -48,33 +48,33 @@ func TestEq3GroupWorkWeightsByIterations(t *testing.T) {
 }
 
 func TestEq4Gain(t *testing.T) {
-	r, sys := rec2x2(t)
+	r, _ := rec2x2(t)
 	r.SetIntervalTime(50)
 	r.RecordLevelWork(0, 0, 60) // group 0: 100
 	r.RecordLevelWork(1, 0, 40)
 	r.RecordLevelWork(2, 0, 30) // group 1: 50
 	r.RecordLevelWork(3, 0, 20)
 	// Gain = 50 * (100-50) / (2*100) = 12.5.
-	if got := r.Gain(sys); math.Abs(got-12.5) > 1e-12 {
+	if got := r.Gain(); math.Abs(got-12.5) > 1e-12 {
 		t.Errorf("Gain = %v, want 12.5", got)
 	}
 }
 
 func TestGainBalancedIsZero(t *testing.T) {
-	r, sys := rec2x2(t)
+	r, _ := rec2x2(t)
 	r.SetIntervalTime(100)
 	for p := 0; p < 4; p++ {
 		r.RecordLevelWork(p, 0, 25)
 	}
-	if got := r.Gain(sys); got != 0 {
+	if got := r.Gain(); got != 0 {
 		t.Errorf("balanced gain = %v", got)
 	}
 }
 
 func TestGainZeroWork(t *testing.T) {
-	r, sys := rec2x2(t)
+	r, _ := rec2x2(t)
 	r.SetIntervalTime(100)
-	if got := r.Gain(sys); got != 0 {
+	if got := r.Gain(); got != 0 {
 		t.Errorf("zero-work gain = %v", got)
 	}
 }
@@ -87,27 +87,27 @@ func TestGainIsConservative(t *testing.T) {
 	r.RecordLevelWork(0, 0, 90)
 	r.RecordLevelWork(2, 0, 10)
 	upper := 80.0 * (90.0 - 10.0) / 90.0
-	if g := r.Gain(sys); g > upper/float64(sys.NumGroups())+1e-12 {
+	if g := r.Gain(); g > upper/float64(sys.NumGroups())+1e-12 {
 		t.Errorf("gain %v exceeds conservative bound %v", g, upper/2)
 	}
 }
 
 func TestImbalanceRatio(t *testing.T) {
-	r, sys := rec2x2(t)
+	r, _ := rec2x2(t)
 	r.RecordLevelWork(0, 0, 30)
 	r.RecordLevelWork(2, 0, 10)
-	if got := r.ImbalanceRatio(sys); math.Abs(got-3) > 1e-12 {
+	if got := r.ImbalanceRatio(); math.Abs(got-3) > 1e-12 {
 		t.Errorf("ratio = %v, want 3", got)
 	}
 	// All-zero loads: balanced by convention.
 	r2, _ := rec2x2(t)
-	if got := r2.ImbalanceRatio(sys); got != 1 {
+	if got := r2.ImbalanceRatio(); got != 1 {
 		t.Errorf("zero-load ratio = %v", got)
 	}
 	// One empty group: effectively infinite.
 	r3, _ := rec2x2(t)
 	r3.RecordLevelWork(0, 0, 5)
-	if got := r3.ImbalanceRatio(sys); got < 1e6 {
+	if got := r3.ImbalanceRatio(); got < 1e6 {
 		t.Errorf("empty-group ratio = %v, want huge", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestImbalanceRatioNormalisesByPerf(t *testing.T) {
 	r := NewRecorder(sys, 0)
 	r.RecordLevelWork(0, 0, 10)
 	r.RecordLevelWork(2, 0, 10)
-	if got := r.ImbalanceRatio(sys); math.Abs(got-2) > 1e-12 {
+	if got := r.ImbalanceRatio(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("normalised ratio = %v, want 2", got)
 	}
 }
@@ -137,24 +137,24 @@ func TestProcWork(t *testing.T) {
 }
 
 func TestResetInterval(t *testing.T) {
-	r, sys := rec2x2(t)
+	r, _ := rec2x2(t)
 	r.RecordLevelWork(0, 0, 10)
 	r.RecordIteration(1)
 	r.SetDelta(3)
 	r.SetIntervalTime(9)
 	r.ResetInterval()
-	if r.GroupWork(sys, 0) != 0 || r.ProcWork(0) != 0 || r.nIter[1] != 0 {
+	if r.GroupWork(0) != 0 || r.ProcWork(0) != 0 || r.nIter[1] != 0 {
 		t.Error("ResetInterval did not clear accumulators")
 	}
 	// The cleared per-processor table and group aggregates stay in step
 	// through the next interval.
 	r.RecordLevelWork(0, 0, 4)
 	r.RecordLevelWork(3, 1, 6)
-	if err := r.VerifyGroups(sys); err != nil {
+	if err := r.VerifyGroups(); err != nil {
 		t.Errorf("group aggregates diverged after reset: %v", err)
 	}
-	if r.GroupWork(sys, 0) != 4 || r.GroupWork(sys, 1) != 6 {
-		t.Errorf("post-reset group works = %v, want [4 6]", r.GroupWorks(sys))
+	if r.GroupWork(0) != 4 || r.GroupWork(1) != 6 {
+		t.Errorf("post-reset group works = %v, want [4 6]", r.GroupWorks())
 	}
 	// δ and T survive: they are history, not interval state.
 	if r.Delta() != 3 || r.IntervalTime() != 9 {

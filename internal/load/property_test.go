@@ -31,7 +31,7 @@ func TestGainNonNegativeProperty(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	f := func(seed int64) bool {
 		r := randomLoads(rand.New(rand.NewSource(seed)), sys)
-		return r.Gain(sys) >= 0
+		return r.Gain() >= 0
 	}
 	if err := quick.Check(f, qc(21)); err != nil {
 		t.Error(err)
@@ -44,7 +44,7 @@ func TestGainBoundedByIntervalProperty(t *testing.T) {
 	sys := machine.WanPair(3, nil)
 	f := func(seed int64) bool {
 		r := randomLoads(rand.New(rand.NewSource(seed)), sys)
-		return r.Gain(sys) <= r.IntervalTime()/float64(sys.NumGroups())+1e-12
+		return r.Gain() <= r.IntervalTime()/float64(sys.NumGroups())+1e-12
 	}
 	if err := quick.Check(f, qc(22)); err != nil {
 		t.Error(err)
@@ -67,7 +67,7 @@ func TestGainScaleInvariantProperty(t *testing.T) {
 			r1.RecordLevelWork(p, 0, w)
 			r2.RecordLevelWork(p, 0, w*scale)
 		}
-		return math.Abs(r1.Gain(sys)-r2.Gain(sys)) < 1e-9
+		return math.Abs(r1.Gain()-r2.Gain()) < 1e-9
 	}
 	if err := quick.Check(f, qc(23)); err != nil {
 		t.Error(err)
@@ -83,9 +83,9 @@ func TestGainProportionalToTProperty(t *testing.T) {
 			r.RecordLevelWork(p, 0, rng.Float64()*100)
 		}
 		r.SetIntervalTime(10)
-		g1 := r.Gain(sys)
+		g1 := r.Gain()
 		r.SetIntervalTime(30)
-		g3 := r.Gain(sys)
+		g3 := r.Gain()
 		return math.Abs(g3-3*g1) < 1e-9*(1+g1)
 	}
 	if err := quick.Check(f, qc(24)); err != nil {
@@ -113,7 +113,7 @@ func TestImbalanceRatioAtLeastOneProperty(t *testing.T) {
 	sys := machine.WanPair(2, nil)
 	f := func(seed int64) bool {
 		r := randomLoads(rand.New(rand.NewSource(seed)), sys)
-		return r.ImbalanceRatio(sys) >= 1
+		return r.ImbalanceRatio() >= 1
 	}
 	if err := quick.Check(f, qc(26)); err != nil {
 		t.Error(err)
@@ -136,7 +136,7 @@ func TestGroupWorksSumToProcWorksProperty(t *testing.T) {
 		}
 		var byGroup, byProc float64
 		for g := 0; g < sys.NumGroups(); g++ {
-			byGroup += r.GroupWork(sys, g)
+			byGroup += r.GroupWork(g)
 		}
 		for p := 0; p < sys.NumProcs(); p++ {
 			byProc += r.ProcWork(p)

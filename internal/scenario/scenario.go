@@ -14,6 +14,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,13 +44,12 @@ type Scenario struct {
 	// Seed feeds the seeded parts of the run (AMR64's refinement
 	// schedule); the scenario's own shape comes from Generate's seed.
 	Seed    int64
-	Dataset string // ShockPool3D | AMR64 | SedovBlast | blob | uniform
+	Dataset string // a workload.Names() entry
 	DomainN int
 	// MaxLevel is the deepest refinement level (1 or 2).
 	MaxLevel int
-	// Scheme names the balancer policy (any canonical name or alias of
-	// the dlb policy registry: distributed, parallel, sfc, hilbert-sfc,
-	// diffusion, diffusion-sos, knapsack). Normalize canonicalises it.
+	// Scheme names the balancer policy (a dlb.PolicyNames() entry or an
+	// alias of one). Normalize canonicalises it.
 	Scheme string
 	Groups []GroupDef
 	// Wan selects the MREN OC-3 WAN between groups (Gigabit LAN
@@ -130,7 +130,7 @@ func (s *Scenario) Driver() workload.Driver {
 func (s *Scenario) balancer() dlb.Balancer {
 	b, err := dlb.NewPolicy(s.Scheme)
 	if err != nil {
-		b = dlb.DistributedDLB{}
+		panic(err) // Normalize admits only known policies
 	}
 	if s.InjectBug == "colocation" {
 		return misplacingBalancer{b}
@@ -504,12 +504,7 @@ var domainSizes = []int{8, 12, 16}
 // generator and the shrinker funnel candidates through it, so every
 // scenario that reaches Execute is well-formed by construction.
 func (s *Scenario) Normalize() {
-	if s.Dataset == "" {
-		s.Dataset = "ShockPool3D"
-	}
-	switch s.Dataset {
-	case "ShockPool3D", "AMR64", "SedovBlast", "blob", "uniform":
-	default:
+	if !slices.Contains(workload.Names(), s.Dataset) {
 		s.Dataset = "ShockPool3D"
 	}
 	if canon, ok := dlb.CanonicalPolicy(s.Scheme); ok {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -208,6 +209,22 @@ func TestNormalizeEnvelope(t *testing.T) {
 	s3.Normalize()
 	if s3.UseForecast {
 		t.Fatal("UseForecast survived a resume cut")
+	}
+}
+
+// TestUnknownSchemeNeverRunsAnotherPolicy: a scheme name that slipped
+// past Normalize fails the run, as an unknown dataset does — it used to
+// replay the distributed scheme silently.
+func TestUnknownSchemeNeverRunsAnotherPolicy(t *testing.T) {
+	s := Generate(1)
+	s.Scheme = "knapsak"
+	out := s.Execute()
+	if out.Result != nil || !strings.Contains(out.Panic, "knapsak") {
+		t.Fatalf("unknown scheme must fail the run naming it; got result %v, panic %q", out.Result, out.Panic)
+	}
+	s.Normalize()
+	if s.Scheme != "distributed" {
+		t.Fatalf("Normalize left scheme %q", s.Scheme)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"samrdlb/internal/cluster"
 	"samrdlb/internal/geom"
@@ -51,25 +52,39 @@ type Driver interface {
 	Particles() *solver.ParticleSet
 }
 
-// ByName builds a fresh driver for a dataset name on an n³ level-0
-// domain with refinement factor 2 (drivers carry mutable state such as
-// AMR64's particles, so every run gets its own); seed fixes the seeded
-// datasets' randomness. It is the one name table: the CLI, the
-// experiment harness and the scenario harness all resolve through it.
-func ByName(name string, n int, seed int64) (Driver, error) {
-	switch name {
-	case "ShockPool3D":
-		return NewShockPool3D(n, 2), nil
-	case "AMR64":
-		return NewAMR64(n, 2, seed), nil
-	case "SedovBlast":
-		return NewSedovBlast(n, 2), nil
-	case "blob":
-		return NewStaticBlob(n, 2), nil
-	case "uniform":
-		return &Uniform{N0: n, Ref: 2}, nil
+// datasets is the one name table: the CLI, the experiment harness and
+// the scenario harness all resolve dataset names through it. Every
+// entry builds on an n³ level-0 domain with refinement factor 2; seed
+// fixes the seeded datasets' randomness.
+var datasets = []struct {
+	name string
+	new  func(n int, seed int64) Driver
+}{
+	{"ShockPool3D", func(n int, _ int64) Driver { return NewShockPool3D(n, 2) }},
+	{"AMR64", func(n int, seed int64) Driver { return NewAMR64(n, 2, seed) }},
+	{"SedovBlast", func(n int, _ int64) Driver { return NewSedovBlast(n, 2) }},
+	{"blob", func(n int, _ int64) Driver { return NewStaticBlob(n, 2) }},
+	{"uniform", func(n int, _ int64) Driver { return &Uniform{N0: n, Ref: 2} }},
+}
+
+// Names returns the dataset names ByName resolves, in table order.
+func Names() []string {
+	out := make([]string, len(datasets))
+	for i, d := range datasets {
+		out[i] = d.name
 	}
-	return nil, fmt.Errorf("workload: unknown dataset %q (ShockPool3D | AMR64 | SedovBlast | blob | uniform)", name)
+	return out
+}
+
+// ByName builds a fresh driver for a dataset name (drivers carry
+// mutable state such as AMR64's particles, so every run gets its own).
+func ByName(name string, n int, seed int64) (Driver, error) {
+	for _, d := range datasets {
+		if d.name == name {
+			return d.new(n, seed), nil
+		}
+	}
+	return nil, fmt.Errorf("workload: unknown dataset %q (%s)", name, strings.Join(Names(), " | "))
 }
 
 // FlopsPerCell sums the per-cell cost of the driver's kernels — the
