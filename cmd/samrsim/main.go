@@ -116,6 +116,10 @@ func main() {
 	if *scenSpec != "" {
 		os.Exit(runScenario(*scenSpec, *plnCheck))
 	}
+	if err := checkConfig(*n, *maxLevel, *domainN, *ckptDir); err != nil {
+		fmt.Fprintln(os.Stderr, "samrsim:", err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -364,6 +368,26 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// checkConfig rejects the flag values the constructors would panic on
+// and creates the checkpoint directory the way the store will, so a
+// mistyped run is one line and exit 2 instead of a goroutine dump.
+func checkConfig(n, maxLevel, domainN int, ckptDir string) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n %d: a group needs at least one processor", n)
+	case maxLevel < 0:
+		return fmt.Errorf("-maxlevel %d: the deepest level cannot be negative", maxLevel)
+	case domainN < 1:
+		return fmt.Errorf("-domain %d: the level-0 domain needs at least one cell per side", domainN)
+	}
+	if ckptDir != "" {
+		if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+			return fmt.Errorf("-ckpt-dir: %w", err)
+		}
+	}
+	return nil
 }
 
 // runTournament runs the policy ablation tournament: every registered

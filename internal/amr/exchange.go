@@ -50,37 +50,67 @@ const (
 	planInterface
 )
 
-// planCache is a level's stable plan-cache entry — the cost-model
-// message lists, the concrete data-motion plans and the coarse–fine
-// interface plan. Ownership changes do not invalidate it: the plans
-// are keyed by grid identity and boxes; the engine (and the mpx
-// execution) resolves owners when it charges or routes the messages. Each part is built lazily on first
-// use and patched in place when structural mutations dirty the level
-// (see plandirty.go); the entry itself is never replaced.
+// planCache is a level's plan-cache entry — the cost-model message
+// lists, the concrete data-motion plans and the coarse–fine interface
+// plan — valid for the structure generations it is stamped with (see
+// Hierarchy.gen). The plans are keyed by grid identity and boxes; the
+// engine (and the mpx execution) resolves owners when it charges or
+// routes the messages. Each kind is built lazily on first use, and a
+// slice handed out is never written again.
 type planCache struct {
-	// built is the set of kinds built so far; a dirty level refreshes
-	// all of them together.
+	// gen and coarseGen are the generations of levels l and l−1 the
+	// entry was built at.
+	gen, coarseGen uint64
+	// built is the set of kinds built so far.
 	built planKind
-	// ghost is the flattened ghost plan; ghostOff[i]:ghostOff[i+1] is
-	// the message segment of the i-th destination (level-list order),
-	// whose ID is ghostIDs[i] — the unit of reuse when patching.
-	ghost    []Message
-	ghostOff []int32
-	ghostIDs []GridID
-	restrict []Message
 
-	fill []fillDest
+	ghost, restrict []Message
+	fill            []fillDest
 	// restrictData is the grouped-by-parent restriction plan.
 	restrictData []restrictDest
 	// iface is the interface plan between this level and the next
 	// coarser one (see reflux.go).
 	iface *interfacePlan
+}
 
-	// Dirty state, maintained by the mutation hooks: dirtyAll forces a
-	// full rebuild; otherwise only destinations whose box touches a
-	// dirty region are re-planned.
-	dirtyAll bool
-	dirty    geom.BoxList
+// refreshPlans brings level l's cache entry up to date and returns it.
+// A stale entry is reset and the kinds it held are rebuilt along with
+// the requested ones — all under this one critical section, so a
+// caller reading several plan kinds from the entry always sees them
+// coherent with each other and with the current structure. Callers
+// hold planMu.
+func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
+	c := &h.plans[l]
+	gen, coarseGen := h.gen[l], uint64(0)
+	if l > 0 {
+		coarseGen = h.gen[l-1]
+	}
+	ghostCap := 0
+	if c.gen != gen || c.coarseGen != coarseGen {
+		// The stale plan's length sizes its replacement: growing the
+		// message list by append costs ~5x its final size in garbage.
+		need, ghostCap = need|c.built, len(c.ghost)
+		*c = planCache{gen: gen, coarseGen: coarseGen}
+	}
+	need &^= c.built
+	if need&planMsg != 0 {
+		c.ghost = h.buildGhostPlan(l, false, ghostCap)
+		c.restrict = h.RestrictPlan(l, false)
+	}
+	if need&planFill != 0 {
+		c.fill = h.buildFillPlan(l)
+	}
+	if need&planRestrict != 0 {
+		c.restrictData = h.buildRestrictDataPlan(l)
+	}
+	if need&planInterface != 0 {
+		c.iface = h.buildInterfacePlan(l, h.indexFor(l), h.indexFor(l-1))
+	}
+	c.built |= need
+	if h.planCheck {
+		h.verifyPlans(l, c)
+	}
+	return c
 }
 
 // planScratch holds the per-destination working storage of the plan
@@ -97,9 +127,9 @@ var planScratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 func getPlanScratch() *planScratch  { return planScratchPool.Get().(*planScratch) }
 func putPlanScratch(s *planScratch) { planScratchPool.Put(s) }
 
-// GhostPlanCached returns GhostPlan(l, false), memoised and patched
-// incrementally as the grid structure changes. Callers must not
-// mutate the returned slice.
+// GhostPlanCached returns GhostPlan(l, false), memoised until the
+// structure of level l or l−1 changes. Callers must not mutate the
+// returned slice.
 func (h *Hierarchy) GhostPlanCached(l int) []Message {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
@@ -107,7 +137,7 @@ func (h *Hierarchy) GhostPlanCached(l int) []Message {
 }
 
 // RestrictPlanCached returns RestrictPlan(l, false), memoised and
-// patched alongside the ghost plan under the same critical section, so
+// rebuilt alongside the ghost plan under the same critical section, so
 // a structural mutation between a GhostPlanCached and a
 // RestrictPlanCached call can never surface a stale or missing
 // restrict plan.
@@ -130,11 +160,17 @@ func (h *Hierarchy) RestrictPlanCached(l int) []Message {
 func (h *Hierarchy) GhostPlan(l int, dropLocal bool) []Message {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
+	return h.buildGhostPlan(l, dropLocal, 0)
+}
+
+// buildGhostPlan is GhostPlan for callers that hold planMu, with the
+// expected message count as a capacity hint.
+func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool, sizeHint int) []Message {
 	li := h.indexFor(l)
 	dom := h.DomainAt(l)
 	bytesPerCell := int64(len(h.Fields)) * 8
 	scr := getPlanScratch()
-	var out []Message
+	out := make([]Message, 0, sizeHint)
 	for _, g := range h.Grids(l) {
 		out = h.appendGhostDest(out, g, l, li, dom, bytesPerCell, dropLocal, scr)
 	}

@@ -11,10 +11,10 @@ import (
 // rediscover, for every grid on every step, which sibling overlaps to
 // copy, which coarse regions to prolong, and which boundary cells to
 // clamp — an O(grids²) scan per level step. The hierarchy's structure
-// only changes at regrid/migration boundaries (tracked by the gen
-// counter the message plans already key on), so the concrete
-// operation list is precomputed once per generation and executed
-// directly on the patches.
+// only changes at regrid/migration boundaries (tracked by the
+// per-level generation the message plans already key on), so the
+// concrete operation list is precomputed once per generation and
+// executed directly on the patches.
 //
 // The plan is partitioned by destination grid: every operation writes
 // only its destination's patch (sibling copies and prolongations
@@ -51,9 +51,9 @@ type restrictDest struct {
 	fines  []*Grid
 }
 
-// fillPlan returns the cached ghost-fill plan for level l, built or
-// patched if the hierarchy's structure changed. Safe for concurrent
-// callers (mpx ranks build lazily through the same mutex).
+// fillPlan returns the cached ghost-fill plan for level l, rebuilt if
+// the hierarchy's structure changed. Safe for concurrent callers (mpx
+// ranks build lazily through the same mutex).
 func (h *Hierarchy) fillPlan(l int) []fillDest {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
@@ -65,6 +65,25 @@ func (h *Hierarchy) restrictDataPlan(l int) []restrictDest {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
 	return h.refreshPlans(l, planRestrict).restrictData
+}
+
+// buildFillPlan plans level l's ghost fill, one work list per grid in
+// level-list order. Callers hold planMu.
+func (h *Hierarchy) buildFillPlan(l int) []fillDest {
+	grids := h.Grids(l)
+	li := h.indexFor(l)
+	var cli *levelIndex
+	if l > 0 {
+		cli = h.indexFor(l - 1)
+	}
+	dom := h.DomainAt(l)
+	scr := getPlanScratch()
+	plan := make([]fillDest, 0, len(grids))
+	for _, g := range grids {
+		plan = append(plan, h.buildFillDest(g, l, li, cli, dom, scr))
+	}
+	putPlanScratch(scr)
+	return plan
 }
 
 // buildFillDest plans one destination grid's ghost-fill work list,

@@ -99,18 +99,19 @@ type Hierarchy struct {
 	byID   map[GridID]*Grid
 	nextID GridID
 
-	// plans holds the per-level cache entries, kept current by dirty
-	// tracking: structural mutations mark the affected levels/regions
-	// (see plandirty.go) and serving patches the entries in place.
-	// Grid ownership changes do not affect box overlap structure and
-	// mark nothing.
-	plans map[int]*planCache
-	// index holds the per-level spatial indexes the plan builders
-	// query, built lazily and maintained by the mutation hooks.
+	// gen[l] is level l's structure generation: AddGrid, RemoveGrid,
+	// setParent, SortLevel and ClearLevelsFrom bump it, and nothing else
+	// does (cached plans carry no owner, so SetOwner invalidates
+	// nothing). Level l's plans read the structure of levels l and l−1
+	// only, so plans[l] is valid while gen[l] and gen[l−1] hold the values
+	// it is stamped with, index[l] while gen[l] does; a stale one is
+	// rebuilt whole on its next use.
+	gen   []uint64
+	plans []planCache
 	index []*levelIndex
-	// planMu guards the plan cache, the spatial indexes and the dirty
-	// state: mpx ranks build plans lazily from concurrent goroutines.
-	// Execution reads the immutable plan after the lock is released.
+	// planMu guards gen, plans and index: mpx ranks build plans lazily
+	// from concurrent goroutines. Execution reads the immutable plan
+	// after the lock is released.
 	planMu sync.Mutex
 
 	// pool executes the cached fill/restrict/regrid data motion (safe
@@ -170,7 +171,7 @@ func (h *Hierarchy) setParent(g *Grid, parent GridID) {
 	}
 	old := g.Parent
 	g.Parent = parent
-	h.noteParentChanged(g)
+	h.bumpGen(g.Level)
 	if h.listener != nil {
 		h.listener.ParentChanged(h, g, old)
 	}
@@ -196,9 +197,18 @@ func New(domain geom.Box, refFactor, maxLevel, nghost int, withData bool, fields
 		WithData:  withData,
 		levels:    make([][]*Grid, maxLevel+1),
 		byID:      make(map[GridID]*Grid),
-		plans:     make(map[int]*planCache),
+		gen:       make([]uint64, maxLevel+1),
+		plans:     make([]planCache, maxLevel+1),
+		index:     make([]*levelIndex, maxLevel+1),
 	}
 	return h
+}
+
+// bumpGen records a structural mutation of level l.
+func (h *Hierarchy) bumpGen(l int) {
+	h.planMu.Lock()
+	h.gen[l]++
+	h.planMu.Unlock()
 }
 
 // DomainAt returns the problem domain in level-l index space.
@@ -272,7 +282,7 @@ func (h *Hierarchy) AddGrid(level int, box geom.Box, owner int, parent GridID) *
 	g.pos = len(h.levels[level])
 	h.levels[level] = append(h.levels[level], g)
 	h.byID[g.ID] = g
-	h.noteAdded(g)
+	h.bumpGen(level)
 	if h.listener != nil {
 		h.listener.GridAdded(h, g)
 	}
@@ -301,7 +311,7 @@ func (h *Hierarchy) RemoveGrid(id GridID) {
 		lv[j].pos = j
 	}
 	delete(h.byID, id)
-	h.noteRemoved(g)
+	h.bumpGen(g.Level)
 	if h.listener != nil {
 		h.listener.GridRemoved(h, g)
 	}
@@ -310,14 +320,12 @@ func (h *Hierarchy) RemoveGrid(id GridID) {
 // ClearLevelsFrom removes every grid at level l and deeper (used by
 // regridding, which rebuilds fine levels from scratch).
 func (h *Hierarchy) ClearLevelsFrom(l int) {
-	// One wholesale invalidation up front instead of per-grid dirty
-	// marking: every plan and index at l..MaxLevel goes away anyway.
-	h.noteCleared(l)
 	// Deepest level first, so every grid's removal event fires while
 	// its parent chain is still intact (the Listener contract). Each
 	// grid leaves the level list and ID map before its event fires, so
 	// a listener always observes a self-consistent hierarchy.
 	for lv := h.MaxLevel; lv >= l; lv-- {
+		h.bumpGen(lv)
 		for len(h.levels[lv]) > 0 {
 			n := len(h.levels[lv])
 			g := h.levels[lv][n-1]
@@ -455,9 +463,8 @@ func (h *Hierarchy) SplitGrid(g *Grid, d, at int) (*Grid, *Grid) {
 
 // SortLevel orders the grids of level l by box position, giving runs
 // a deterministic grid order regardless of creation history. The
-// level list is every plan's iteration order, so the level's plans
-// (and the next-finer level's, whose prolong sources iterate this
-// list) are invalidated wholesale.
+// level list is every plan's iteration order, so a reorder is a
+// structural mutation like any other.
 func (h *Hierarchy) SortLevel(l int) {
 	gs := h.levels[l]
 	sort.Slice(gs, func(i, j int) bool {
@@ -476,7 +483,7 @@ func (h *Hierarchy) SortLevel(l int) {
 	for i, g := range gs {
 		g.pos = i
 	}
-	h.noteSorted(l)
+	h.bumpGen(l)
 }
 
 // FlagFieldFor returns a flag field spanning level l's grids (their

@@ -9,11 +9,11 @@ import (
 // time a cached plan is served, re-derive the same plan with the
 // retained O(n²) scan planners from the current structure and demand
 // bitwise equality. This catches both indexed-query bugs (a bucket
-// query missing a neighbor the scan would have found) and incremental-
-// maintenance bugs (a mutation whose dirty marking failed to re-plan
-// an affected destination — the stale entry survives patching and
-// diverges from the fresh scan). Structure-only and deterministic, so
-// unlike -datacheck it is safe on multi-process worker shards.
+// query missing a neighbor the scan would have found) and a structural
+// mutation that forgot to bump its level's generation (the stale entry
+// is served again and diverges from the fresh scan). Structure-only
+// and deterministic, so unlike -datacheck it is safe on multi-process
+// worker shards.
 
 // verifyPlans checks every built plan kind of level l against its scan
 // baseline, panicking with entry-level detail on divergence. Callers

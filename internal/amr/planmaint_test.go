@@ -2,6 +2,7 @@ package amr
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,6 +37,9 @@ func servePlans(h *Hierarchy) {
 		h.RestrictPlanCached(l)
 		h.fillPlan(l)
 		h.restrictDataPlan(l)
+		if l > 0 {
+			h.interfacePlan(l)
+		}
 	}
 }
 
@@ -66,7 +70,7 @@ func childless(h *Hierarchy) []*Grid {
 
 // mutate applies one random structural or ownership mutation.
 func mutate(h *Hierarchy, rng *rand.Rand) {
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
 	case 0: // add a level-0 grid
 		h.AddGrid(0, randomBoxIn(rng, h.Domain), rng.Intn(4), NoGrid)
 	case 1: // add a child under a random parent
@@ -84,8 +88,14 @@ func mutate(h *Hierarchy, rng *rand.Rand) {
 		if gs := h.Grids(l); len(gs) > 0 {
 			g := gs[rng.Intn(len(gs))]
 			d := rng.Intn(geom.Dims)
-			if g.Box.Shape()[d] >= 2 {
-				h.SplitGrid(g, d, g.Box.Lo[d]+1+rng.Intn(g.Box.Shape()[d]-1))
+			// Fine boxes stay aligned to the refinement factor (the
+			// interface plan refuses anything else).
+			step := 1
+			if l > 0 {
+				step = h.RefFactor
+			}
+			if n := g.Box.Shape()[d] / step; n >= 2 {
+				h.SplitGrid(g, d, g.Box.Lo[d]+step*(1+rng.Intn(n-1)))
 			}
 		}
 	case 4: // ownership churn (must not invalidate anything)
@@ -95,7 +105,15 @@ func mutate(h *Hierarchy, rng *rand.Rand) {
 		}
 	case 5: // deterministic reorder
 		h.SortLevel(rng.Intn(h.MaxLevel + 1))
-	case 6: // regrid-style wholesale clear and rebuild
+	case 6: // re-link a fine grid under another coarse grid (the plans
+		// read the link itself — prolong attribution, restrict
+		// grouping — so the new parent need not contain the child)
+		l := 1 + rng.Intn(h.MaxLevel)
+		if gs := h.Grids(l); len(gs) > 0 {
+			ps := h.Grids(l - 1)
+			h.setParent(gs[rng.Intn(len(gs))], ps[rng.Intn(len(ps))].ID)
+		}
+	case 7: // regrid-style wholesale clear and rebuild
 		if gs := h.Grids(h.MaxLevel - 1); len(gs) > 0 {
 			h.ClearLevelsFrom(h.MaxLevel)
 			for _, p := range gs {
@@ -109,22 +127,22 @@ func mutate(h *Hierarchy, rng *rand.Rand) {
 }
 
 // TestPlanPatchingMatchesScan is the amr-level equivalence property:
-// over randomized hierarchies and mutation histories, incrementally
-// patched cached plans and indexed scratch plans must stay bitwise
-// equal to the O(n²) scan baselines — the -plancheck oracle panics on
-// the first divergence, and the scratch builders are compared
-// directly for both dropLocal variants.
+// over randomized hierarchies and mutation histories, every cached
+// plan of every kind served after the mutations and the indexed
+// scratch plans must be bitwise equal to the O(n²) scan baselines —
+// the -plancheck oracle panics on the first divergence, and the
+// scratch builders are compared directly for both dropLocal variants.
 func TestPlanPatchingMatchesScan(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		h := randomHierarchy(rng)
 		h.SetPlanCheck(true)
-		servePlans(h) // from-scratch builds verified
+		servePlans(h) // first builds verified
 		for round := 0; round < 4; round++ {
 			for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 				mutate(h, rng)
 			}
-			servePlans(h) // patched rebuilds verified
+			servePlans(h) // rebuilds (or cached survivors) verified
 			for l := 0; l <= h.MaxLevel; l++ {
 				for _, dl := range []bool{false, true} {
 					if got, want := h.GhostPlan(l, dl), h.GhostPlanScan(l, dl); !msgsEqual(got, want) {
@@ -133,6 +151,94 @@ func TestPlanPatchingMatchesScan(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPlanInvalidationRule pins the rule itself: level l's plans are
+// served from the same backing arrays until the structure of level l
+// or l−1 changes. Ownership churn and mutations at l+1 or l−2 keep
+// them; each of the five structural mutations at l or l−1 replaces
+// them.
+func TestPlanInvalidationRule(t *testing.T) {
+	dom := geom.UnitCube(8)
+	h := New(dom, 2, 3, 1, false, "q")
+	h.SetPlanCheck(true)
+	// One chain of nested grids plus a spare sibling per level, so every
+	// plan is non-empty and every level has a childless grid to remove.
+	parent := NoGrid
+	for l := 0; l <= h.MaxLevel; l++ {
+		lo, hi := h.DomainAt(l).SplitAt(0, h.DomainAt(l).Shape()[0]/2)
+		g := h.AddGrid(l, lo, 0, parent)
+		h.AddGrid(l, hi, 1, parent)
+		parent = g.ID
+	}
+	const l = 2
+	type served struct {
+		ghost, restrict *Message
+		fill            *fillDest
+		iface           *interfacePlan
+	}
+	serve := func() served {
+		return served{&h.GhostPlanCached(l)[0], &h.RestrictPlanCached(l)[0], &h.fillPlan(l)[0], h.interfacePlan(l)}
+	}
+	spare := func(lv int) *Grid { return h.Grids(lv)[len(h.Grids(lv))-1] }
+	addRemove := func(lv int) {
+		g := spare(lv)
+		h.RemoveGrid(g.ID)
+		h.AddGrid(lv, g.Box, g.Owner, g.Parent)
+	}
+	relink := func(lv int) {
+		g := spare(lv)
+		old := g.Parent
+		h.setParent(g, NoGrid)
+		h.setParent(g, old)
+	}
+
+	type step struct {
+		name string
+		do   func()
+	}
+	for _, m := range []step{
+		{"SetOwner at l", func() { h.SetOwner(h.Grids(l)[0], 3) }},
+		{"SetOwner at l-1", func() { h.SetOwner(h.Grids(l - 1)[0], 3) }},
+		{"add/remove at l+1", func() { addRemove(l + 1) }},
+		{"re-link at l+1", func() { relink(l + 1) }},
+		{"SortLevel(l+1)", func() { h.SortLevel(l + 1) }},
+		{"add/remove at l-2", func() { addRemove(l - 2) }},
+		{"SortLevel(l-2)", func() { h.SortLevel(l - 2) }},
+		{"serving other levels", func() { h.GhostPlanCached(l - 1); h.fillPlan(l + 1) }},
+		{"an uncached GhostPlan", func() { h.GhostPlan(l, true) }},
+		{"a no-op parent re-link", func() { h.setParent(spare(l), spare(l).Parent) }},
+		{"ClearLevelsFrom(l+1)", func() { h.ClearLevelsFrom(l + 1) }},
+	} {
+		before := serve()
+		m.do()
+		if after := serve(); after != before {
+			t.Errorf("%s rebuilt level %d's plans", m.name, l)
+		}
+	}
+	for _, m := range []step{
+		{"add/remove at l", func() { addRemove(l) }},
+		{"add/remove at l-1", func() { addRemove(l - 1) }},
+		{"re-link at l", func() { relink(l) }},
+		{"re-link at l-1", func() { relink(l - 1) }},
+		{"SortLevel(l)", func() { h.SortLevel(l) }},
+		{"SortLevel(l-1)", func() { h.SortLevel(l - 1) }},
+		{"ClearLevelsFrom(l) and re-adding its grids", func() {
+			gs := slices.Clone(h.Grids(l))
+			h.ClearLevelsFrom(l)
+			for _, g := range gs {
+				h.AddGrid(l, g.Box, g.Owner, g.Parent)
+			}
+		}},
+	} {
+		before := serve()
+		m.do()
+		after := serve()
+		if after.ghost == before.ghost || after.restrict == before.restrict ||
+			after.fill == before.fill || after.iface == before.iface {
+			t.Errorf("%s left a plan of level %d cached", m.name, l)
 		}
 	}
 }

@@ -483,8 +483,9 @@ func TestInterfacePlanRejectsUnalignedFineBox(t *testing.T) {
 }
 
 // TestPlanCheckDetectsStaleInterfacePlan pins that the oracle covers
-// the fourth plan kind: a structural change that bypasses the dirty
-// marking leaves a stale interface plan, and the next serve must panic.
+// the fourth plan kind: a structural change that bypasses the
+// generation bump leaves a stale interface plan, and the next serve
+// must panic.
 func TestPlanCheckDetectsStaleInterfacePlan(t *testing.T) {
 	h, _, _ := refluxFixture(t)
 	NewFluxRegister(h, 1).Release()

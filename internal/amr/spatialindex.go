@@ -16,35 +16,23 @@ import (
 // (~cbrt(n) buckets per dimension), so a query returns O(k) candidates
 // independent of the level's population.
 //
-// The index is built lazily on first plan query and maintained
-// incrementally from the hierarchy's mutation hooks (noteAdded /
-// noteRemoved). Bucket-internal order is unspecified (remove
-// swap-deletes), so query sorts candidates by their level-list
-// position before returning: plan builders iterate
-// candidates in exactly the order the O(n²) scans iterate the level,
-// which is what keeps indexed plans byte-identical to the scan
-// baselines.
+// The index is built on first plan query from the level list as it
+// stands, sized for that population, and is valid for the level's
+// structure generation. query sorts candidates by their level-list
+// position before returning: plan builders iterate candidates in
+// exactly the order the O(n²) scans iterate the level, which is what
+// keeps indexed plans byte-identical to the scan baselines.
 
-const (
-	// indexRebuildFactor triggers a full (re)build when the level's
-	// population drifts this far from the size the buckets were chosen
-	// for; the slop term keeps tiny levels from rebuilding constantly.
-	indexRebuildFactor = 4
-	indexRebuildSlop   = 8
-	// maxIndexBuckets caps the bucket-array footprint per level.
-	maxIndexBuckets = 1 << 21
-)
+// maxIndexBuckets caps the bucket-array footprint per level.
+const maxIndexBuckets = 1 << 21
 
 // levelIndex is one level's uniform bucket grid.
 type levelIndex struct {
+	gen     uint64     // the level's structure generation it was built at
 	org     geom.Index // low corner of the bucketed region (level domain Lo)
 	cell    geom.Index // bucket extent in level cells, per dimension
 	dims    geom.Index // bucket count per dimension
 	buckets [][]*Grid
-	// count is the live population; sizedFor is the population the
-	// bucket resolution was chosen for at the last full build.
-	count    int
-	sizedFor int
 }
 
 // newLevelIndex sizes the bucket grid for a level expected to hold n
@@ -67,7 +55,6 @@ func newLevelIndex(dom geom.Box, n int) *levelIndex {
 		}
 	}
 	li.buckets = make([][]*Grid, li.dims[0]*li.dims[1]*li.dims[2])
-	li.sizedFor = n
 	return li
 }
 
@@ -97,28 +84,6 @@ func (li *levelIndex) forBuckets(b geom.Box, fn func(int)) {
 			}
 		}
 	}
-}
-
-// insert registers a grid in every bucket its box touches.
-func (li *levelIndex) insert(g *Grid) {
-	li.forBuckets(g.Box, func(b int) { li.buckets[b] = append(li.buckets[b], g) })
-	li.count++
-}
-
-// remove unregisters a grid (swap-delete; bucket order is
-// unspecified).
-func (li *levelIndex) remove(g *Grid) {
-	li.forBuckets(g.Box, func(b int) {
-		bk := li.buckets[b]
-		for i, x := range bk {
-			if x == g {
-				bk[i] = bk[len(bk)-1]
-				li.buckets[b] = bk[:len(bk)-1]
-				return
-			}
-		}
-	})
-	li.count--
 }
 
 // query appends every indexed grid whose buckets touch b to out and
@@ -157,12 +122,10 @@ func dedupeSorted(gs []*Grid) []*Grid {
 	return gs[:w]
 }
 
-// build populates the bucket grid from scratch: a per-bucket count
-// pass, a prefix sum, then a fill into one shared arena (sub-sliced
-// with hard caps so later appends copy out instead of clobbering a
-// neighbor's slots) — a handful of allocations whatever the level size.
+// build populates the bucket grid: a per-bucket count pass, a prefix
+// sum, then a fill into one shared arena — a handful of allocations
+// whatever the level size.
 func (li *levelIndex) build(grids []*Grid) {
-	li.count = len(grids)
 	if len(grids) == 0 {
 		return
 	}
@@ -184,22 +147,18 @@ func (li *levelIndex) build(grids []*Grid) {
 	}
 	for b := 0; b < nb; b++ {
 		lo, hi := offs[b], offs[b+1]
-		li.buckets[b] = arena[lo:hi:hi]
+		li.buckets[b] = arena[lo:hi]
 	}
 }
 
-// indexFor returns level l's spatial index, building it on first use
-// and rebuilding when the population has outgrown (or far undershot)
-// the bucket resolution. Callers must hold planMu.
+// indexFor returns level l's spatial index, rebuilding it when the
+// level's structure changed since it was built. Callers must hold
+// planMu.
 func (h *Hierarchy) indexFor(l int) *levelIndex {
-	if h.index == nil {
-		h.index = make([]*levelIndex, h.MaxLevel+1)
-	}
 	li := h.index[l]
-	n := len(h.levels[l])
-	if li == nil || n > li.sizedFor*indexRebuildFactor+indexRebuildSlop ||
-		n*indexRebuildFactor+indexRebuildSlop < li.sizedFor {
-		li = newLevelIndex(h.DomainAt(l), n)
+	if li == nil || li.gen != h.gen[l] {
+		li = newLevelIndex(h.DomainAt(l), len(h.levels[l]))
+		li.gen = h.gen[l]
 		li.build(h.levels[l])
 		h.index[l] = li
 	}

@@ -160,7 +160,7 @@ type Options struct {
 	// doubles the data-path cost — for tests and -datacheck runs only.
 	DataCheck bool
 	// PlanCheck enables the exchange-plan debug oracle: every served
-	// (indexed, incrementally patched) plan is re-derived through the
+	// (indexed, cached) plan is re-derived through the
 	// retained O(n²) scan planners and compared bitwise (panic on
 	// divergence). Structure-only and deterministic, so unlike
 	// DataCheck it is safe on multi-process worker shards — for tests

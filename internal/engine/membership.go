@@ -15,10 +15,9 @@ import (
 // exactly like quarantine catch-up) — and below-quorum groups are
 // counted and traced. Everything here is a pure function of the
 // deterministic probe/fault history, keeping replay byte-identical.
+// Like completePendingRejoins it is reached only under fault injection,
+// which is exactly when the tracker exists.
 func (r *Runner) noteMembership() {
-	if r.memb == nil {
-		return
-	}
 	now := r.clock.Now()
 	preDead := r.memb.SuspectedToDead
 	r.memb.BoundaryTick()
@@ -95,9 +94,6 @@ func (r *Runner) ownsCells(p int) bool {
 // where the recovery repartition over the alive processors already
 // placed work on them (the repartition is the re-admission).
 func (r *Runner) completePendingRejoins(step int) {
-	if r.memb == nil {
-		return
-	}
 	now := r.clock.Now()
 	for _, p := range r.memb.PendingRejoins() {
 		r.memb.CompleteRejoin(p, step)

@@ -1,6 +1,8 @@
 package mpx
 
 import (
+	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -190,5 +192,74 @@ func TestDialRetryGivesUp(t *testing.T) {
 	}
 	if e := time.Since(start); e > 5*time.Second {
 		t.Fatalf("DialRetry overshot its budget: %v", e)
+	}
+}
+
+// TestSilentDialerBlocksNobody: a connection that completes the TCP
+// handshake and then says nothing used to park the accept loop in its
+// first read for good, so no later peer could ever register. It now
+// holds one goroutine until the handshake deadline, is dropped, and a
+// peer that dials meanwhile is admitted at once.
+func TestSilentDialerBlocksNobody(t *testing.T) {
+	const d = 300 * time.Millisecond
+	shardOf := func(rank int) int { return rank % 2 }
+	a, err := ListenTCP(0, "127.0.0.1:0", shardOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ListenTCP(1, "127.0.0.1:0", shardOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	a.SetWireTimeout(d)
+	b.SetWireTimeout(d)
+	a.Bind(&recordSink{})
+	b.Bind(&recordSink{})
+
+	silent, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	if err := b.Dial(0, a.Addr()); err != nil {
+		t.Fatalf("second peer's handshake failed behind a silent dialer: %v", err)
+	}
+	if waited := time.Since(start); waited >= d {
+		t.Fatalf("second peer waited %v, the silent dialer's whole deadline", waited)
+	}
+	// The silent connection is hung up on once its deadline passes.
+	silent.SetReadDeadline(time.Now().Add(20 * d))
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent dialer was not dropped at the handshake deadline: read returned %v", err)
+	}
+}
+
+// TestDialHandshakeHasDeadline is the dial side of the same hole: a
+// listener that accepts and never answers fails the dial at the
+// deadline instead of hanging it.
+func TestDialHandshakeHasDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := ListenTCP(0, "127.0.0.1:0", func(rank int) int { return rank % 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.SetWireTimeout(100 * time.Millisecond)
+	done := make(chan error, 1)
+	go func() { done <- a.Dial(1, ln.Addr().String()) }()
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("dial of a mute listener returned %v, want a timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("dial of a mute listener is still waiting for its handshake")
 	}
 }

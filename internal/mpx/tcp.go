@@ -20,7 +20,8 @@ type WireFault interface {
 
 // connWait bounds how long a send waits for the peer connection to
 // finish its handshake (covers the accept-side registration racing
-// the first post-dial send).
+// the first post-dial send), and a handshake itself when no wire
+// timeout is configured.
 const connWait = 10 * time.Second
 
 // TCPEndpoint carries one shard's traffic over real sockets: it
@@ -187,6 +188,7 @@ func (e *TCPEndpoint) Dial(peer int, addr string) error {
 	if err != nil {
 		return fmt.Errorf("mpx: dial shard %d: %w", peer, err)
 	}
+	c.SetDeadline(time.Now().Add(e.handshakeTimeout()))
 	if err := writeHandshake(c, e.shard); err != nil {
 		c.Close()
 		return fmt.Errorf("mpx: handshake with shard %d: %w", peer, err)
@@ -200,8 +202,18 @@ func (e *TCPEndpoint) Dial(peer int, addr string) error {
 		c.Close()
 		return fmt.Errorf("mpx: dialed shard %d but peer identifies as %d", peer, got)
 	}
+	c.SetDeadline(time.Time{})
 	e.register(peer, c)
 	return nil
+}
+
+// handshakeTimeout bounds one connection's handshake: the configured
+// wire timeout, or connWait when there is none.
+func (e *TCPEndpoint) handshakeTimeout() time.Duration {
+	if rt := time.Duration(e.readTO.Load()); rt > 0 {
+		return rt
+	}
+	return connWait
 }
 
 // DialRetry dials a peer with exponential backoff until the budget
@@ -235,8 +247,8 @@ func (e *TCPEndpoint) DialRetry(peer int, addr string, budget time.Duration) err
 	}
 }
 
-// acceptLoop admits peer connections: read their handshake, answer
-// with ours, register.
+// acceptLoop admits peer connections, each on its own goroutine so a
+// dialer that connects and stays silent holds up no later peer.
 func (e *TCPEndpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
@@ -244,17 +256,26 @@ func (e *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		peer, err := readHandshake(c)
-		if err != nil {
-			c.Close()
-			continue
-		}
-		if err := writeHandshake(c, e.shard); err != nil {
-			c.Close()
-			continue
-		}
-		e.register(peer, c)
+		e.wg.Add(1)
+		go e.admit(c)
 	}
+}
+
+// admit completes one accepted connection's handshake — read the
+// peer's, answer with ours, register — within the handshake deadline.
+func (e *TCPEndpoint) admit(c net.Conn) {
+	defer e.wg.Done()
+	c.SetDeadline(time.Now().Add(e.handshakeTimeout()))
+	peer, err := readHandshake(c)
+	if err == nil {
+		err = writeHandshake(c, e.shard)
+	}
+	if err != nil {
+		c.Close()
+		return
+	}
+	c.SetDeadline(time.Time{})
+	e.register(peer, c)
 }
 
 // register records the peer connection, wakes waiting senders, and

@@ -32,6 +32,9 @@ const (
 	// maxWireFrame caps a frame's declared length; larger is a corrupt
 	// length field, not a plausible message.
 	maxWireFrame = 1 << 31
+	// wireReadChunk is how far readWireFrame grows its buffer ahead of
+	// the bytes that have arrived.
+	wireReadChunk = 64 << 10
 
 	frameData      = 1
 	frameAbort     = 2
@@ -145,23 +148,31 @@ func decodeFrame(payload []byte) (wireMsg, error) {
 // readWireFrame reads one length-prefixed frame from r and verifies
 // its checksum, returning the raw payload. The payload is read into
 // buf's storage when it fits, so a caller that decodes each payload
-// before the next read passes the previous result back in.
+// before the next read passes the previous result back in. Past buf's
+// capacity the storage grows a chunk at a time as the bytes arrive: the
+// declared length is the peer's claim, and a false one costs what the
+// peer really sent plus one chunk, not the 2 GiB it may name.
 func readWireFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [wireHdr]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
+	n := int(binary.BigEndian.Uint32(hdr[0:4]))
 	sum := binary.BigEndian.Uint32(hdr[4:8])
 	if n > maxWireFrame {
 		return nil, fmt.Errorf("mpx: absurd frame length %d", n)
 	}
-	if uint64(cap(buf)) < uint64(n) {
-		buf = make([]byte, n)
-	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	payload := buf[:0]
+	for len(payload) < n {
+		step := n - len(payload)
+		if step > cap(payload)-len(payload) {
+			step = min(step, wireReadChunk)
+			payload = slices.Grow(payload, step)
+		}
+		if _, err := io.ReadFull(r, payload[len(payload):len(payload)+step]); err != nil {
+			return nil, err
+		}
+		payload = payload[:len(payload)+step]
 	}
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("mpx: frame checksum mismatch: stored %08x, computed %08x", sum, got)
