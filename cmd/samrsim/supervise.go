@@ -1,80 +1,114 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"samrdlb/internal/engine"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/mpx"
+	"samrdlb/internal/scenario"
 	"samrdlb/internal/supervise"
-	"samrdlb/internal/workload"
 )
 
-// workerCkptDir derives the per-worker durable store: each worker owns
-// its own generation store under the shared -ckpt-dir, so a restarted
-// worker resumes from the generations its own previous incarnation
-// wrote.
-func workerCkptDir(base string, shard int) string {
-	if base == "" {
-		return ""
-	}
-	return filepath.Join(base, fmt.Sprintf("worker-%d", shard))
+// forwardFlags says what -supervise does with each flag that is not a
+// run flag (those reach the workers inside the spec): true forwards it
+// to every worker, false keeps it in the parent. A flag that is not
+// listed means something in a single process only, and setting it next
+// to -supervise is refused — no flag is silently dropped.
+var forwardFlags = map[string]bool{
+	"ckpt-dir": true, "ckpt-keep": true, "wire-timeout": true,
+	"supervise": false, "scenario": false, "max-restarts": false, "recovery-report": false,
+	"cpuprofile": false, "memprofile": false,
 }
 
-// runWorkerMode is the hidden worker-process entry point (-worker-shard):
+// workerArgs builds the argv every worker is started with — the
+// canonical spec plus the forwarded flags — so all workers replicate
+// the identical deterministic control plane.
+func workerArgs(fs *flag.FlagSet, spec *scenario.Scenario) ([]string, error) {
+	switch {
+	case !spec.WithData:
+		return nil, fmt.Errorf("-supervise requires -data (worker shards carry field data)")
+	case spec.Check&scenario.CheckData != 0:
+		return nil, fmt.Errorf("-supervise: check=data is data-dependent and forbidden on worker shards")
+	case spec.ResumeCut >= 0:
+		return nil, fmt.Errorf("-supervise: cut=%d interrupts an in-process run; workers resume after a kill instead", spec.ResumeCut)
+	}
+	args := []string{"-scenario", spec.Encode()}
+	var refused error
+	fs.Visit(func(f *flag.Flag) {
+		forward, listed := forwardFlags[f.Name]
+		switch {
+		case scenario.IsRunFlag(f.Name):
+		case !listed:
+			refused = fmt.Errorf("-%s means nothing across worker processes: not available with -supervise", f.Name)
+		case forward:
+			args = append(args, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	return args, refused
+}
+
+// runWorker is the hidden worker-process entry point (-worker-shard):
 // host one processor group's shard of the engine behind a wire endpoint,
-// under the supervisor listening at -worker-control. All run flags must
-// equal the supervisor's (they do: the supervisor re-execs its own argv),
-// so every worker replicates the identical deterministic control plane.
-func runWorkerMode(sys *machine.System, driver workload.Driver, opt engine.Options,
-	shard int, control string, detached, resume bool, wireTimeout time.Duration) int {
-	if shard < 0 || shard >= sys.NumGroups() {
-		fmt.Fprintf(os.Stderr, "worker: shard %d out of range for %d groups\n", shard, sys.NumGroups())
+// under the supervisor listening at -worker-control.
+func runWorker(f *flags, spec *scenario.Scenario) int {
+	sys := spec.System()
+	shard := f.workerShard
+	if shard >= sys.NumGroups() {
+		fmt.Fprintf(f.stderr, "worker: shard %d out of range for %d groups\n", shard, sys.NumGroups())
 		return 2
 	}
 	err := supervise.RunWorker(supervise.WorkerConfig{
 		Shard:       shard,
 		NumShards:   sys.NumGroups(),
-		ControlAddr: control,
+		ControlAddr: f.workerControl,
 		ShardOf:     sys.GroupOf,
-		WireTimeout: wireTimeout,
-		Detached:    detached,
+		WireTimeout: f.wireTimeout,
+		Detached:    f.workerDetached,
 		Build: func(ep *mpx.TCPEndpoint) (func(func(int)) (string, string, error), error) {
-			opt.UseMPX = true
-			opt.Transport = engine.TransportWorker
-			opt.Worker = &engine.WorkerWire{Shard: shard, Endpoint: ep, Detached: detached || ep == nil}
-			opt.WireTimeout = wireTimeout
-			opt.CheckpointDir = workerCkptDir(opt.CheckpointDir, shard)
 			var report func(int)
-			opt.AfterStep = func(step int, _ *engine.Runner) {
-				if report != nil {
-					report(step)
+			attach, checker := f.attach(spec, func(o *engine.Options) {
+				o.UseMPX = true
+				o.Transport = engine.TransportWorker
+				o.Worker = &engine.WorkerWire{Shard: shard, Endpoint: ep, Detached: f.workerDetached || ep == nil}
+				if f.ckptDir != "" {
+					// Each worker owns its own store under the shared -ckpt-dir, so
+					// a restarted worker resumes from the generations its own
+					// previous incarnation wrote.
+					o.CheckpointDir = filepath.Join(f.ckptDir, fmt.Sprintf("worker-%d", shard))
 				}
+				o.AfterStep = func(step int, _ *engine.Runner) {
+					if report != nil {
+						report(step)
+					}
+				}
+			})
+			r, _, _, err := spec.Start(f.workerResume, attach)
+			if err != nil && f.workerResume {
+				// The previous incarnation died before its first durable
+				// write (or the store is damaged): determinism makes a
+				// fresh replay byte-identical.
+				fmt.Fprintf(f.stderr, "worker %d: no usable checkpoint (%v); replaying fresh\n", shard, err)
+				r, _, _, err = spec.Start(false, attach)
 			}
-			var r *engine.Runner
-			if resume && opt.CheckpointDir != "" {
-				var err error
-				r, _, err = engine.Resume(sys, driver, opt)
-				if err != nil {
-					// The previous incarnation died before its first durable
-					// write (or the store is damaged): determinism makes a
-					// fresh replay byte-identical.
-					fmt.Fprintf(os.Stderr, "worker %d: no usable checkpoint (%v); replaying fresh\n", shard, err)
-					r = engine.New(sys, driver, opt)
-				}
-			} else {
-				r = engine.New(sys, driver, opt)
+			if err != nil {
+				return nil, err
 			}
 			return func(reportStep func(int)) (string, string, error) {
 				report = reportStep
 				res := r.Run()
+				if checker != nil {
+					if err := checker.Err(); err != nil {
+						return "", "", fmt.Errorf("invariants: %w", err)
+					}
+				}
 				var out strings.Builder
 				fmt.Fprintf(&out, "%s\n", res)
 				if s := res.CheckpointSummary(); s != "" {
@@ -88,47 +122,44 @@ func runWorkerMode(sys *machine.System, driver workload.Driver, opt engine.Optio
 		},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
+		fmt.Fprintf(f.stderr, "%v\n", err)
 		return 1
 	}
 	return 0
 }
 
 // runSupervisor executes a supervised multi-process run: re-exec this
-// binary once per processor group with the identical run flags plus the
-// hidden worker flags, fire any scripted worker-kill events from the
-// fault schedule, restart crashed workers from their checkpoints, and
-// report the agreed result.
-func runSupervisor(sys *machine.System, sched *fault.Schedule,
-	wireTimeout time.Duration, maxRestarts int) int {
+// binary once per processor group with workerArgs plus the hidden
+// worker flags, fire any scripted worker-kill events from the fault
+// schedule, restart crashed workers from their checkpoints, and report
+// the agreed result.
+func runSupervisor(f *flags, spec *scenario.Scenario, args []string) int {
 	exe, err := os.Executable()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "supervise: %v\n", err)
+		fmt.Fprintf(f.stderr, "supervise: %v\n", err)
 		return 2
 	}
+	sys := spec.System()
 	var kills []fault.KillPoint
-	if sched != nil {
-		kills = sched.WorkerKills()
+	if opt, _ := spec.EngineOptions(nil); opt.Faults != nil { // Validate has built it once already
+		kills = opt.Faults.WorkerKills()
 	}
-	replay := fmt.Sprintf("%s %s", exe, strings.Join(os.Args[1:], " "))
-	fmt.Fprintf(os.Stderr, "supervise: %d worker(s), %d scripted kill(s); replay: %s\n",
+	replay := fmt.Sprintf("%s -supervise -scenario '%s' %s", exe, spec.Encode(), strings.Join(args[2:], " "))
+	fmt.Fprintf(f.stderr, "supervise: %d worker(s), %d scripted kill(s); replay: %s\n",
 		sys.NumGroups(), len(kills), replay)
 	mem := machine.NewMembership(sys, 1)
-	baseArgs := os.Args[1:]
 	rep, err := supervise.Run(supervise.Config{
 		NumShards:   sys.NumGroups(),
-		WireTimeout: wireTimeout,
-		MaxRestarts: maxRestarts,
+		WireTimeout: f.wireTimeout,
+		MaxRestarts: f.maxRestarts,
 		Kills:       kills,
 		Membership:  mem,
 		ProcsOf:     sys.ProcsInGroup,
 		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "supervise: "+format+"\n", args...)
+			fmt.Fprintf(f.stderr, "supervise: "+format+"\n", args...)
 		},
 		Spawn: func(shard int, controlAddr string, detached, resume bool) *exec.Cmd {
-			// The worker branch is evaluated before -supervise, so the
-			// inherited -supervise flag in baseArgs is inert.
-			args := append(append([]string{}, baseArgs...),
+			args := append(append([]string{}, args...),
 				"-worker-shard", strconv.Itoa(shard), "-worker-control", controlAddr)
 			if detached {
 				args = append(args, "-worker-detached")
@@ -137,20 +168,20 @@ func runSupervisor(sys *machine.System, sched *fault.Schedule,
 				args = append(args, "-worker-resume")
 			}
 			cmd := exec.Command(exe, args...)
-			cmd.Stderr = os.Stderr
-			cmd.Stdout = os.Stderr // workers report via the control channel
+			cmd.Stderr = f.stderr
+			cmd.Stdout = f.stderr // workers report via the control channel
 			return cmd
 		},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "supervise: %v\nsupervise: repro: %s\n", err, replay)
+		fmt.Fprintf(f.stderr, "supervise: %v\nsupervise: repro: %s\n", err, replay)
 		return 1
 	}
-	fmt.Printf("supervised run: %d worker(s) completed\n\n%s", rep.Completed, rep.Output)
-	fmt.Printf("\nRecovery report:\n")
-	fmt.Printf("worker restarts: %d (crashes %d, scripted kills %d, heartbeat misses %d, permanent failures %d)\n",
+	fmt.Fprintf(f.stdout, "supervised run: %d worker(s) completed\n\n%s", rep.Completed, rep.Output)
+	fmt.Fprintf(f.stdout, "\nRecovery report:\n")
+	fmt.Fprintf(f.stdout, "worker restarts: %d (crashes %d, scripted kills %d, heartbeat misses %d, permanent failures %d)\n",
 		rep.Restarts, rep.Crashes, rep.ScriptedKills, rep.HeartbeatMisses, rep.PermanentFailures)
-	fmt.Printf("membership: %d suspected, %d presumed dead, %d rejoins, %d catch-ups\n",
+	fmt.Fprintf(f.stdout, "membership: %d suspected, %d presumed dead, %d rejoins, %d catch-ups\n",
 		mem.SuspectTransitions, mem.SuspectedToDead, mem.Rejoins, mem.RejoinCatchups)
 	return 0
 }

@@ -45,7 +45,9 @@ const (
 	// different names, which gob would drop without an error. Version 3
 	// dropped the failed-processor list (Memb records who is dead of a
 	// crash), which a version-2 reader would restore as "nobody failed".
-	MetaVersion = 3
+	// Version 4 added Spec, which a version-3 writer leaves empty — and
+	// an empty identity is one the engine does not compare.
+	MetaVersion = 4
 	// frameOverhead is the per-frame length + CRC prefix.
 	frameOverhead = 8
 	// maxFrame caps a frame's declared length: anything beyond it is a
@@ -58,6 +60,9 @@ const (
 // engine needs to continue a run byte-identically.
 type Meta struct {
 	Version int
+	// Spec is the identity of the run that wrote the generation
+	// (engine.Options.Spec): the engine resumes it only into that run.
+	Spec string
 	// Step is the last completed level-0 step the generation covers.
 	Step int
 	// SimTime is the simulated physical time after that step.

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"samrdlb/internal/ckpt"
@@ -368,5 +369,43 @@ func TestResumeErrors(t *testing.T) {
 	if _, _, err := Resume(machine.WanPair(4, nil), driver(),
 		Options{Steps: 8, MaxLevel: 1, CheckpointDir: dir, WithData: true}); err == nil {
 		t.Error("WithData mismatch must be rejected")
+	}
+}
+
+// TestResumeRefusesAnotherRunsIdentity: a generation stamped with one
+// run's identity is skipped by a run with another, the reason naming
+// the first key that differs; a side that states no identity (library
+// callers, generations of identity-less runs) is not compared.
+func TestResumeRefusesAnotherRunsIdentity(t *testing.T) {
+	driver := func() workload.Driver { return workload.NewShockPool3D(16, 2) }
+	opt := func(dir, spec string) Options {
+		return Options{Steps: 4, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: dir, Spec: spec}
+	}
+	stamped, bare := t.TempDir(), t.TempDir()
+	New(machine.WanPair(4, nil), driver(), opt(stamped, "seed=42 policy=distributed gamma=0")).Run()
+	New(machine.WanPair(4, nil), driver(), opt(bare, "")).Run()
+
+	for spec, key := range map[string]string{
+		"seed=42 policy=knapsack gamma=0":          "checkpoint has policy=distributed, this run policy=knapsack",
+		"seed=42 policy=distributed gamma=8":       "checkpoint has gamma=0, this run gamma=8",
+		"seed=42 policy=distributed":               "checkpoint has gamma=0, this run no further key",
+		"seed=42 policy=distributed gamma=0 eps=1": "checkpoint has no further key, this run eps=1",
+	} {
+		_, report, err := Resume(machine.WanPair(4, nil), driver(), opt(stamped, spec))
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("resume as %q: %v, want a refusal saying %q", spec, err, key)
+		}
+		if report == nil || len(report.Skipped) != 2 {
+			t.Errorf("resume as %q: both generations should be skipped: %+v", spec, report)
+		}
+	}
+	for _, c := range []struct{ dir, spec string }{
+		{stamped, "seed=42 policy=distributed gamma=0"},
+		{stamped, ""},
+		{bare, "seed=1 policy=knapsack gamma=8"},
+	} {
+		if _, _, err := Resume(machine.WanPair(4, nil), driver(), opt(c.dir, c.spec)); err != nil {
+			t.Errorf("resume as %q: %v", c.spec, err)
+		}
 	}
 }

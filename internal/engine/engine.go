@@ -82,11 +82,12 @@ type Options struct {
 	// the netsim link model remains the sole timing authority. The two
 	// modes produce identical Results for fault-free runs.
 	Transport string
-	// WireFault, when non-nil, injects deterministic send failures
+	// wireFault, when non-nil, injects deterministic send failures
 	// into the tcp transport (a pure function of (src, dst, attempt)).
 	// A faulted exchange phase falls back to the in-memory data path
 	// and the failure feeds membership suspicion like a failed probe.
-	WireFault mpx.WireFault
+	// Only the package's own tests set it.
+	wireFault mpx.WireFault
 	// WireTimeout bounds every wire read and write on the tcp/worker
 	// transports and enables heartbeat frames, so a dead or stopped
 	// peer surfaces as a transport fault within the timeout instead of
@@ -141,6 +142,11 @@ type Options struct {
 	// CheckpointKeep bounds the retained on-disk generations
 	// (default 3; only used with CheckpointDir).
 	CheckpointKeep int
+	// Spec, when non-empty, is the run's identity as space-separated
+	// key=value tokens (scenario.Scenario.Identity). Every durable
+	// generation carries it and Resume skips one whose identity differs;
+	// an empty Spec on either side is not compared.
+	Spec string
 	// GroupQuorum is the minimum admitted processors a group needs to
 	// take part in global balancing under elastic membership; below it
 	// the group degrades to local-only decisions via the quarantine
@@ -410,7 +416,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		}
 		switch {
 		case opt.Transport == TransportTCP:
-			ss, err := newTCPShards(sys, opt.WireFault, opt.WireTimeout)
+			ss, err := newTCPShards(sys, opt.wireFault, opt.WireTimeout)
 			if err != nil {
 				panic("engine: " + err.Error())
 			}
@@ -758,6 +764,7 @@ func (r *Runner) counters() metrics.Counters {
 func (r *Runner) snapshotMeta(step int) *ckpt.Meta {
 	m := &ckpt.Meta{
 		Version:       ckpt.MetaVersion,
+		Spec:          r.opt.Spec,
 		Step:          step,
 		SimTime:       r.t,
 		Clock:         r.clock.State(),

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 
 	"samrdlb/internal/amr"
 	"samrdlb/internal/ckpt"
@@ -18,9 +20,9 @@ import (
 // validation — torn, bit-flipped, or semantically rejected by amr.Load
 // — are skipped newest-first; the report says what was skipped and
 // which generation won. sys and driver must be fresh instances
-// configured exactly like the original run's (the store carries no
-// system or workload description, only a few compatibility fields that
-// are checked here).
+// configured exactly like the original run's: a generation carries the
+// identity of the run that wrote it (Options.Spec), and one written by
+// a different run is skipped like a damaged one.
 //
 // Known resume limitations, accepted by design: the NWS forecast
 // history restarts empty (runs whose decisions consult the forecast
@@ -79,6 +81,16 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 // falls through to older generations (a mismatch rejects them all and
 // surfaces as a joined error).
 func validateMeta(m *ckpt.Meta, sys *machine.System, opt *Options) error {
+	have, want := append(strings.Fields(m.Spec), "no further key"), append(strings.Fields(opt.Spec), "no further key")
+	if len(have) > 1 && len(want) > 1 && !slices.Equal(have, want) {
+		// Both identities list their keys in one order, so the first
+		// tokens that differ name the key.
+		i := 0
+		for have[i] == want[i] {
+			i++
+		}
+		return fmt.Errorf("written by a different run: checkpoint has %s, this run %s", have[i], want[i])
+	}
 	if len(m.Clock.Busy) != sys.NumProcs() {
 		return fmt.Errorf("checkpoint covers %d processors, system has %d", len(m.Clock.Busy), sys.NumProcs())
 	}

@@ -21,7 +21,7 @@ func runTransport(transport string, wf mpx.WireFault, pool *solver.Pool) (*metri
 	sys := machine.WanPair(2, nil)
 	r := New(sys, workload.NewShockPool3D(16, 2), Options{
 		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: true,
-		Transport: transport, WireFault: wf, Pool: pool,
+		Transport: transport, wireFault: wf, Pool: pool,
 	})
 	return r.Run(), r
 }

@@ -117,33 +117,33 @@ func randomEvent(rng *rand.Rand, est float64, ngroups, nprocs int) fault.Event {
 			b = rng.Intn(ngroups)
 		}
 	}
+	// The index fields a kind does not use stay -1, as in a parsed
+	// script, so a generated scenario survives Encode → Parse exactly.
+	e := fault.Event{Start: start, End: end, A: -1, B: -1, Group: -1, Proc: -1}
 	switch rng.Intn(8) {
 	case 0:
-		return fault.Event{Kind: fault.LinkOutage, Start: start, End: end, A: a, B: b}
+		e.Kind, e.A, e.B = fault.LinkOutage, a, b
 	case 1:
-		return fault.Event{Kind: fault.LinkDegrade, Start: start, End: end, A: a, B: b,
-			Factor: 1.5 + 6.5*rng.Float64()}
+		e.Kind, e.A, e.B, e.Factor = fault.LinkDegrade, a, b, 1.5+6.5*rng.Float64()
 	case 2:
-		return fault.Event{Kind: fault.ProbeLoss, Start: start, End: end, A: a, B: b,
-			Prob: 0.3 + 0.7*rng.Float64()}
+		e.Kind, e.A, e.B, e.Prob = fault.ProbeLoss, a, b, 0.3+0.7*rng.Float64()
 	case 3:
-		return fault.Event{Kind: fault.ProcSlowdown, Start: start, End: end,
-			Proc: rng.Intn(nprocs), Factor: 0.3 + 0.6*rng.Float64()}
+		e.Kind, e.Proc = fault.ProcSlowdown, rng.Intn(nprocs)
+		e.Factor = 0.3 + 0.6*rng.Float64()
 	case 4:
-		return fault.Event{Kind: fault.GroupDisconnect, Start: start, End: end,
-			Group: rng.Intn(ngroups)}
+		e.Kind, e.Group = fault.GroupDisconnect, rng.Intn(ngroups)
 	case 5:
 		// Explicit revival: a no-op unless a failure struck the same
 		// processor earlier, which the generator leaves to chance.
-		return fault.Event{Kind: fault.ProcRecovery, Start: start, Proc: rng.Intn(nprocs)}
+		e.Kind, e.End, e.Proc = fault.ProcRecovery, 0, rng.Intn(nprocs)
 	case 6:
-		return fault.Event{Kind: fault.GroupReconnect, Start: start, Group: rng.Intn(ngroups)}
+		e.Kind, e.End, e.Group = fault.GroupReconnect, 0, rng.Intn(ngroups)
 	default:
 		// Windowed failure: a bounded outage — the processor is down in
 		// [start, end) and rejoins at end.
-		return fault.Event{Kind: fault.ProcFailure, Start: start, End: end,
-			Proc: rng.Intn(nprocs)}
+		e.Kind, e.Proc = fault.ProcFailure, rng.Intn(nprocs)
 	}
+	return e
 }
 
 // GenerateRejoin derives a rejoin-heavy scenario deterministically:

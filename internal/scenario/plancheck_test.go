@@ -40,7 +40,7 @@ func planMsgsEqual(a, b []amr.Message) bool {
 // reproducer, dropped into $SAMR_REPRO_DIR when set.
 func runPlanScenario(t *testing.T, sc Scenario) {
 	t.Helper()
-	sc.PlanCheck = true
+	sc.Check |= CheckPlan
 	// Single leg: resume determinism has its own soak, and the oracle
 	// re-arms on recovery anyway.
 	sc.ResumeCut = -1
@@ -79,8 +79,8 @@ func runPlanScenario(t *testing.T, sc Scenario) {
 		return
 	}
 	shrunk := Shrink(sc, func(c Scenario) bool {
-		c.PlanCheck = true
-		return c.Execute().Failed()
+		c.Check |= CheckPlan
+		return c.ExecuteWithHistory(nil).Failed()
 	}, 0)
 	reason := panicked
 	if reason == "" {

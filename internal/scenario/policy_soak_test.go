@@ -29,7 +29,7 @@ func TestDifferentialPolicySweep(t *testing.T) {
 				sc := Generate(seed)
 				sc.Scheme = policy
 				sc.Normalize()
-				if out := sc.Execute(); out.Failed() {
+				if out := sc.ExecuteWithHistory(nil); out.Failed() {
 					failNow(t, sc, out)
 				}
 			})
@@ -54,7 +54,7 @@ func TestDifferentialPolicySoak(t *testing.T) {
 				sc := soakGenerate(t, seed)
 				sc.Scheme = policy
 				sc.Normalize()
-				if out := sc.Execute(); out.Failed() {
+				if out := sc.ExecuteWithHistory(nil); out.Failed() {
 					failNow(t, sc, out)
 				}
 			})

@@ -1,10 +1,13 @@
-// Package scenario is the property-based test harness for the SAMR
-// DLB engine: a deterministic generator of randomized run
-// configurations (systems, workloads, DLB parameters, fault
-// schedules, checkpoint/resume cut points), an executor that runs
-// them under the paper-invariant oracle (internal/invariant), and a
-// greedy shrinker that minimises a failing scenario and prints a
-// replayable `samrsim -invariants -scenario '...'` command line.
+// Package scenario holds the one description of a run that crosses a
+// process or a restart — what samrsim's run flags fill in, what
+// `samrsim -scenario` parses, what a supervised worker is started with
+// and what a checkpoint is stamped with — and the property-based test
+// harness built on it: a deterministic generator of randomized run
+// configurations (systems, workloads, DLB parameters, fault schedules,
+// checkpoint/resume cut points), an executor that runs them under the
+// paper-invariant oracle (internal/invariant), and a greedy shrinker
+// that minimises a failing scenario and prints a replayable
+// `samrsim -check=invariants -scenario '...'` command line.
 //
 // Everything is a pure function of the scenario value: the same
 // Scenario always produces the same Result and the same violations,
@@ -16,10 +19,10 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"samrdlb/internal/amr"
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/dlb"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/fault"
@@ -39,54 +42,69 @@ type GroupDef struct {
 }
 
 // Scenario is one complete run configuration. The zero value is not
-// runnable; use Generate, Parse or build one and call Normalize.
+// runnable: start from Default, Generate or Parse. The field tags are
+// the spec table (see key in spec.go).
 type Scenario struct {
 	// Seed feeds the seeded parts of the run (AMR64's refinement
-	// schedule); the scenario's own shape comes from Generate's seed.
-	Seed    int64
-	Dataset string // a workload.Names() entry
-	DomainN int
-	// MaxLevel is the deepest refinement level (1 or 2).
-	MaxLevel int
-	// Scheme names the balancer policy (a dlb.PolicyNames() entry or an
-	// alias of one). Normalize canonicalises it.
-	Scheme string
-	Groups []GroupDef
+	// schedule, a testbed's background traffic); a generated scenario's
+	// own shape comes from Generate's seed.
+	Seed     int64  `key:"seed" flag:"seed" usage:"workload and traffic seed"`
+	Dataset  string `key:"dataset" flag:"dataset" usage:"{datasets}"`
+	DomainN  int    `key:"n" flag:"domain" usage:"level-0 domain cells per side"`
+	MaxLevel int    `key:"maxlevel" flag:"maxlevel" usage:"deepest refinement level"`
+	Scheme   string `key:"policy" flag:"policy" usage:"balancer policy: {policies} (or an alias)"`
+	// The machine is either one of the paper's testbeds — Testbed
+	// "wan", "lan" (two machines of TestbedN processors, bursty traffic
+	// seeded by Seed) or "origin" (one) — or, with Testbed empty, the
+	// Groups below.
+	Testbed  string     `key:"system" flag:"system" usage:"wan | lan | origin (single machine)"`
+	TestbedN int        `key:"procs" flag:"n" usage:"processors per group (origin: total)"`
+	Groups   []GroupDef `key:"groups"`
 	// Wan selects the MREN OC-3 WAN between groups (Gigabit LAN
 	// otherwise); Traffic, when non-zero, seeds bursty background
 	// traffic on the inter-group links.
-	Wan            bool
-	Traffic        int64
-	Steps          int
-	Gamma          float64 // 0 = paper default 2.0
-	Eps            float64 // 0 = default 0.05
-	RegridInterval int
-	GridsPerProc   int
-	WithData       bool
-	UseForecast    bool
+	Wan            bool    `key:"wan"`
+	Traffic        int64   `key:"traffic"`
+	Steps          int     `key:"steps" flag:"steps" usage:"level-0 time steps" perrun:"1"`
+	Gamma          float64 `key:"gamma" flag:"gamma" usage:"gain/cost threshold (0 = default 2.0)"`
+	Eps            float64 `key:"eps"` // 0 = default 0.05
+	RegridInterval int     `key:"regrid"`
+	GridsPerProc   int     `key:"gpp"`
+	WithData       bool    `key:"data" flag:"data" usage:"carry and advance real field data"`
+	UseForecast    bool    `key:"forecast"`
 	// CkptInterval is the level-0 steps between checkpoints; ResumeCut
 	// (-1 = none) interrupts the run after that many steps and resumes
 	// from the durable store, exercising the restore path mid-scenario.
-	CkptInterval int
-	ResumeCut    int
-	// Quorum is the per-group minimum of admitted processors for
-	// global balancing under elastic membership (0 = engine default 1).
-	Quorum    int
-	FaultSeed int64
-	Faults    []fault.Event
+	CkptInterval int           `key:"ckpt" flag:"ckpt-interval" usage:"level-0 steps between recovery checkpoints (0 = default 4)"`
+	ResumeCut    int           `key:"cut" perrun:"1"`
+	Quorum       int           `key:"quorum" flag:"quorum" usage:"per-group minimum of admitted processors before the group degrades to local-only balancing (0 = default 1)"`
+	FaultSeed    int64         `key:"faultseed" flag:"faultseed" usage:"fault schedule seed (0 = use -seed)"`
+	Faults       []fault.Event `key:"faults" flag:"faults" usage:"fault script file (see internal/fault): enables fault injection"`
 	// InjectBug deliberately breaks an invariant for harness
 	// self-tests: "colocation" misplaces children outside their
 	// parent's group. Never produced by Generate; preserved by Shrink.
-	InjectBug string
-	// PlanCheck arms the engine's exchange-plan oracle for the run:
-	// every served plan is compared bitwise against the O(n²) scan
-	// baselines. Never produced by Generate (the plan-equivalence soak
-	// and -plancheck replays force it); preserved by Shrink.
-	PlanCheck bool
+	InjectBug string `key:"bug"`
+	Transport string `key:"transport" flag:"transport" perrun:"1" usage:"rank-message transport with -data: loopback (in-process mpx world) | tcp (one shard per group over localhost sockets); empty = shared-memory data path"`
+	// Check arms debug oracles for the run. Never produced by Generate
+	// (the plan-equivalence soak and -check replays set it); preserved
+	// by Shrink.
+	Check Check `key:"check" flag:"check" perrun:"1" usage:"debug oracles to arm, comma-separated: ledger | data | plan | invariants (slow; a divergence panics, an invariant violation exits non-zero)"`
+}
+
+func bursty(seed int64) netsim.TrafficModel {
+	return &netsim.BurstyTraffic{QuietLoad: 0.1, BusyLoad: 0.6, MeanQuiet: 30, MeanBusy: 15, Seed: seed}
 }
 
 // System builds the machine the scenario runs on.
 func (s *Scenario) System() *machine.System {
+	switch s.Testbed {
+	case "wan":
+		return machine.WanPair(s.TestbedN, bursty(s.Seed))
+	case "lan":
+		return machine.LanPair(s.TestbedN, bursty(s.Seed))
+	case "origin":
+		return machine.Origin2000("ANL", s.TestbedN)
+	}
 	fab := netsim.NewFabric(len(s.Groups))
 	specs := make([]machine.GroupSpec, len(s.Groups))
 	for i, g := range s.Groups {
@@ -97,10 +115,7 @@ func (s *Scenario) System() *machine.System {
 		for b := a + 1; b < len(s.Groups); b++ {
 			var tm netsim.TrafficModel
 			if s.Traffic != 0 {
-				tm = &netsim.BurstyTraffic{
-					QuietLoad: 0.1, BusyLoad: 0.6, MeanQuiet: 30, MeanBusy: 15,
-					Seed: s.Traffic + int64(31*a+b),
-				}
+				tm = bursty(s.Traffic + int64(31*a+b))
 			}
 			if s.Wan {
 				fab.SetInter(a, b, netsim.MrenWAN(tm))
@@ -118,7 +133,7 @@ func (s *Scenario) System() *machine.System {
 func (s *Scenario) Driver() workload.Driver {
 	d, err := workload.ByName(s.Dataset, s.DomainN, s.Seed)
 	if err != nil {
-		panic(err) // Normalize admits only known datasets
+		panic(err) // Validate and Normalize admit only known datasets
 	}
 	return d
 }
@@ -130,7 +145,7 @@ func (s *Scenario) Driver() workload.Driver {
 func (s *Scenario) balancer() dlb.Balancer {
 	b, err := dlb.NewPolicy(s.Scheme)
 	if err != nil {
-		panic(err) // Normalize admits only known policies
+		panic(err) // Validate and Normalize admit only known policies
 	}
 	if s.InjectBug == "colocation" {
 		return misplacingBalancer{b}
@@ -157,12 +172,24 @@ func (m misplacingBalancer) PlaceChild(ctx *dlb.Context, childBox geom.Box, pare
 }
 
 // EngineOptions builds the engine options for this scenario, with the
-// given invariants hook attached (nil for none). CheckpointDir is
-// left empty; Execute (or the caller) supplies it when the scenario
-// resumes. A fresh fault.Schedule is built per call, so separate legs
-// of a run never share probe-sequence state.
+// given invariants hook attached (nil for none) and the scenario's
+// identity stamped in. What belongs to the process rather than to the
+// run — the store directory, the pool, a trace — is left for the
+// caller to attach. A fresh fault.Schedule is built per call, so
+// separate legs of a run never share probe-sequence state.
 func (s *Scenario) EngineOptions(check func(*engine.PhaseInfo)) (engine.Options, error) {
-	opt := engine.Options{
+	var sched *fault.Schedule
+	var err error
+	if len(s.Faults) > 0 {
+		seed := s.FaultSeed
+		if seed == 0 {
+			seed = s.Seed
+		}
+		if sched, err = fault.NewSchedule(seed, s.Faults...); err != nil {
+			err = fmt.Errorf("scenario faults: %w", err)
+		}
+	}
+	return engine.Options{
 		Steps:              s.Steps,
 		Balancer:           s.balancer(),
 		Gamma:              s.Gamma,
@@ -172,19 +199,72 @@ func (s *Scenario) EngineOptions(check func(*engine.PhaseInfo)) (engine.Options,
 		GridsPerProc:       s.GridsPerProc,
 		WithData:           s.WithData,
 		UseForecast:        s.UseForecast,
+		UseMPX:             s.Transport != "",
+		Transport:          s.Transport,
+		Faults:             sched,
 		CheckpointInterval: s.CkptInterval,
 		GroupQuorum:        s.Quorum,
-		PlanCheck:          s.PlanCheck,
+		LedgerCheck:        s.Check&CheckLedger != 0,
+		DataCheck:          s.Check&CheckData != 0,
+		PlanCheck:          s.Check&CheckPlan != 0,
 		Invariants:         check,
-	}
-	if len(s.Faults) > 0 {
-		sched, err := fault.NewSchedule(s.FaultSeed, s.Faults...)
-		if err != nil {
-			return opt, fmt.Errorf("scenario faults: %w", err)
+		Spec:               s.Identity(),
+	}, err
+}
+
+// Start turns a validated scenario into a runner ready to Run, on a
+// fresh system and driver. attach, when non-nil, adjusts each leg's
+// options with what belongs to this process (pool, trace, invariant
+// checker, store directory, a worker's wire). With resume the runner
+// continues from the newest usable generation in the attached
+// CheckpointDir, and report says which. A scenario with a cut runs its
+// first leg here and returns the resumed second — the interrupted
+// process is gone, so that leg gets fresh system health, particles and
+// fault schedule, as after a real restart — in a temporary store when
+// attach names none; cleanup removes it once the runner has run.
+func (s *Scenario) Start(resume bool, attach func(*engine.Options)) (r *engine.Runner, report *ckpt.RestoreReport, cleanup func(), err error) {
+	tmp := ""
+	cleanup = func() { os.RemoveAll(tmp) } // nothing to remove while tmp is empty
+	defer func() {
+		if r == nil { // an error, or a panic in the first leg
+			cleanup()
 		}
-		opt.Faults = sched
+	}()
+	options := func() (engine.Options, error) {
+		opt, err := s.EngineOptions(nil)
+		if attach != nil {
+			attach(&opt)
+		}
+		if opt.CheckpointDir == "" {
+			opt.CheckpointDir = tmp
+		}
+		return opt, err
 	}
-	return opt, nil
+	opt, err := options()
+	if err != nil {
+		return
+	}
+	if cut := s.ResumeCut; !resume {
+		if cut >= 0 {
+			if opt.CheckpointDir == "" {
+				if tmp, err = os.MkdirTemp("", "samr-scn-"); err != nil {
+					return
+				}
+				opt.CheckpointDir = tmp
+			}
+			opt.Steps = cut
+		}
+		first := engine.New(s.System(), s.Driver(), opt)
+		if cut < 0 {
+			return first, nil, cleanup, nil
+		}
+		first.Run()
+		if opt, err = options(); err != nil {
+			return
+		}
+	}
+	r, report, err = engine.Resume(s.System(), s.Driver(), opt)
+	return
 }
 
 // Outcome is what executing a scenario produced.
@@ -222,76 +302,34 @@ func (o Outcome) Summary() string {
 	}
 }
 
-// Execute runs the scenario under the invariant oracle. With a resume
-// cut, the run executes to the cut against a durable store in a
-// temporary directory, then a fresh system and driver resume from the
-// newest generation and finish the run — the restored state passes
-// through the same oracle.
-func (s Scenario) Execute() (out Outcome) {
-	return s.execute(nil)
-}
-
-// ExecuteWithHistory runs the scenario like Execute while collecting
-// the engine's per-step time series (step-time, cells,
-// imbalance-ratio, remote-comm) into hist — what the policy tournament
-// scores from. With a resume cut, both legs append to the same
-// history.
-func (s Scenario) ExecuteWithHistory(hist *metrics.History) Outcome {
-	return s.execute(hist)
-}
-
-func (s Scenario) execute(hist *metrics.History) (out Outcome) {
+// ExecuteWithHistory runs the scenario to completion under the
+// invariant oracle — rule scoping follows the policy's registered
+// traits — collecting the engine's per-step time series into hist when
+// it is non-nil (what the policy tournament scores from). Both legs of
+// a cut pass through the same oracle and append to the same history.
+func (s Scenario) ExecuteWithHistory(hist *metrics.History) (out Outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			out.Panic = fmt.Sprint(p)
 		}
 	}()
-	// Rule scoping follows the policy's registered traits: structural
-	// rules always on, paper-specific rules only where the policy
-	// promises them.
 	chk := invariant.NewForPolicy(s.Scheme)
-	opt, err := s.EngineOptions(chk.Check)
-	opt.History = hist
+	r, _, cleanup, err := s.Start(false, func(o *engine.Options) {
+		o.Invariants = chk.Check
+		o.History = hist
+	})
+	defer cleanup()
 	if err != nil {
 		out.Err = err.Error()
-		return out
-	}
-	if s.ResumeCut >= 0 {
-		dir, derr := os.MkdirTemp("", "samr-scn-")
-		if derr != nil {
-			out.Err = derr.Error()
-			return out
-		}
-		defer os.RemoveAll(dir)
-		opt.CheckpointDir = dir
-		first := opt
-		first.Steps = s.ResumeCut
-		engine.New(s.System(), s.Driver(), first).Run()
-		// The interrupted process is gone: the resume leg gets fresh
-		// system health, particles and fault schedule, exactly as a
-		// real restart would.
-		ropt, rerr := s.EngineOptions(chk.Check)
-		if rerr != nil {
-			out.Err = rerr.Error()
-			return out
-		}
-		ropt.History = hist
-		ropt.CheckpointDir = dir
-		r, _, rerr2 := engine.Resume(s.System(), s.Driver(), ropt)
-		if rerr2 != nil {
-			out.Err = rerr2.Error()
-			out.Violations = chk.Violations()
-			return out
-		}
-		out.Result = r.Run()
 	} else {
-		out.Result = engine.New(s.System(), s.Driver(), opt).Run()
+		out.Result = r.Run()
 	}
 	out.Violations = chk.Violations()
 	return out
 }
 
-// NumProcs returns the scenario's total processor count.
+// NumProcs returns the total processor count of a scenario described
+// by groups.
 func (s *Scenario) NumProcs() int {
 	n := 0
 	for _, g := range s.Groups {
@@ -300,210 +338,25 @@ func (s *Scenario) NumProcs() int {
 	return n
 }
 
-// --- replay encoding ------------------------------------------------
-
-// Encode renders the scenario as the compact replay string consumed
-// by Parse and `samrsim -scenario`. Floats use %g, which round-trips
-// float64 exactly.
-func (s *Scenario) Encode() string {
-	var parts []string
-	add := func(k, v string) { parts = append(parts, k+"="+v) }
-	add("seed", strconv.FormatInt(s.Seed, 10))
-	add("dataset", s.Dataset)
-	add("n", strconv.Itoa(s.DomainN))
-	add("maxlevel", strconv.Itoa(s.MaxLevel))
-	add("scheme", s.Scheme)
-	gs := make([]string, len(s.Groups))
-	for i, g := range s.Groups {
-		gs[i] = fmt.Sprintf("%dx%g", g.Procs, g.Perf)
-	}
-	add("groups", strings.Join(gs, ","))
-	add("wan", boolStr(s.Wan))
-	add("traffic", strconv.FormatInt(s.Traffic, 10))
-	add("steps", strconv.Itoa(s.Steps))
-	add("gamma", fmtG(s.Gamma))
-	add("eps", fmtG(s.Eps))
-	add("regrid", strconv.Itoa(s.RegridInterval))
-	add("gpp", strconv.Itoa(s.GridsPerProc))
-	add("data", boolStr(s.WithData))
-	add("forecast", boolStr(s.UseForecast))
-	add("ckpt", strconv.Itoa(s.CkptInterval))
-	add("cut", strconv.Itoa(s.ResumeCut))
-	add("quorum", strconv.Itoa(s.Quorum))
-	add("faultseed", strconv.FormatInt(s.FaultSeed, 10))
-	if len(s.Faults) > 0 {
-		es := make([]string, len(s.Faults))
-		for i, e := range s.Faults {
-			es[i] = fmt.Sprintf("%d:%s:%s:%d:%d:%d:%d:%s:%s",
-				int(e.Kind), fmtG(e.Start), fmtG(e.End), e.A, e.B, e.Group, e.Proc,
-				fmtG(e.Factor), fmtG(e.Prob))
-		}
-		add("faults", strings.Join(es, "+"))
-	}
-	if s.InjectBug != "" {
-		add("bug", s.InjectBug)
-	}
-	if s.PlanCheck {
-		add("plancheck", "1")
-	}
-	return strings.Join(parts, " ")
-}
-
-func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func boolStr(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
-}
-
-// Parse decodes a replay string produced by Encode. Unknown keys, and
-// dataset or policy names nothing is registered under, are an error so
-// typos surface instead of silently replaying a different scenario
-// (Normalize would rewrite them to the defaults).
-func Parse(in string) (Scenario, error) {
-	s := Scenario{ResumeCut: -1}
-	for _, tok := range strings.Fields(in) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok {
-			return s, fmt.Errorf("scenario.Parse: malformed token %q", tok)
-		}
-		var err error
-		switch k {
-		case "seed":
-			s.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "dataset":
-			s.Dataset = v
-			_, err = workload.ByName(v, domainSizes[0], 0) // built only to vet the name
-		case "n":
-			s.DomainN, err = strconv.Atoi(v)
-		case "maxlevel":
-			s.MaxLevel, err = strconv.Atoi(v)
-		case "scheme", "policy":
-			s.Scheme = v
-			_, err = dlb.NewPolicy(v) // likewise
-		case "groups":
-			s.Groups, err = parseGroups(v)
-		case "wan":
-			s.Wan = v == "1"
-		case "traffic":
-			s.Traffic, err = strconv.ParseInt(v, 10, 64)
-		case "steps":
-			s.Steps, err = strconv.Atoi(v)
-		case "gamma":
-			s.Gamma, err = strconv.ParseFloat(v, 64)
-		case "eps":
-			s.Eps, err = strconv.ParseFloat(v, 64)
-		case "regrid":
-			s.RegridInterval, err = strconv.Atoi(v)
-		case "gpp":
-			s.GridsPerProc, err = strconv.Atoi(v)
-		case "data":
-			s.WithData = v == "1"
-		case "forecast":
-			s.UseForecast = v == "1"
-		case "ckpt":
-			s.CkptInterval, err = strconv.Atoi(v)
-		case "cut":
-			s.ResumeCut, err = strconv.Atoi(v)
-		case "quorum":
-			s.Quorum, err = strconv.Atoi(v)
-		case "faultseed":
-			s.FaultSeed, err = strconv.ParseInt(v, 10, 64)
-		case "faults":
-			s.Faults, err = parseFaults(v)
-		case "bug":
-			s.InjectBug = v
-		case "plancheck":
-			s.PlanCheck = v == "1"
-		default:
-			return s, fmt.Errorf("scenario.Parse: unknown key %q", k)
-		}
-		if err != nil {
-			return s, fmt.Errorf("scenario.Parse: %s=%q: %w", k, v, err)
-		}
-	}
-	return s, nil
-}
-
-func parseGroups(v string) ([]GroupDef, error) {
-	var out []GroupDef
-	for _, part := range strings.Split(v, ",") {
-		p, perf, ok := strings.Cut(part, "x")
-		if !ok {
-			return nil, fmt.Errorf("group %q not NxPERF", part)
-		}
-		procs, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		pf, err := strconv.ParseFloat(perf, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, GroupDef{Procs: procs, Perf: pf})
-	}
-	return out, nil
-}
-
-func parseFaults(v string) ([]fault.Event, error) {
-	var out []fault.Event
-	for _, part := range strings.Split(v, "+") {
-		f := strings.Split(part, ":")
-		if len(f) != 9 {
-			return nil, fmt.Errorf("fault %q wants 9 fields, has %d", part, len(f))
-		}
-		var e fault.Event
-		kind, err := strconv.Atoi(f[0])
-		if err != nil {
-			return nil, err
-		}
-		e.Kind = fault.Kind(kind)
-		if e.Start, err = strconv.ParseFloat(f[1], 64); err != nil {
-			return nil, err
-		}
-		if e.End, err = strconv.ParseFloat(f[2], 64); err != nil {
-			return nil, err
-		}
-		if e.A, err = strconv.Atoi(f[3]); err != nil {
-			return nil, err
-		}
-		if e.B, err = strconv.Atoi(f[4]); err != nil {
-			return nil, err
-		}
-		if e.Group, err = strconv.Atoi(f[5]); err != nil {
-			return nil, err
-		}
-		if e.Proc, err = strconv.Atoi(f[6]); err != nil {
-			return nil, err
-		}
-		if e.Factor, err = strconv.ParseFloat(f[7], 64); err != nil {
-			return nil, err
-		}
-		if e.Prob, err = strconv.ParseFloat(f[8], 64); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // ReplayCommand renders the samrsim command line that reproduces the
 // scenario — what a failing soak or fuzz run prints.
 func ReplayCommand(s Scenario) string {
-	return fmt.Sprintf("samrsim -invariants -scenario '%s'", s.Encode())
+	return fmt.Sprintf("samrsim -check=invariants -scenario '%s'", s.Encode())
 }
 
 // --- normalisation --------------------------------------------------
 
 var domainSizes = []int{8, 12, 16}
 
-// Normalize clamps every field into the runnable envelope and drops
-// fault events the system cannot host. It is idempotent, and both the
+// Normalize clamps every field into the harness's envelope — small
+// group-described machines, tiny domains, few steps — and drops fault
+// events the system cannot host. It is idempotent, and both the
 // generator and the shrinker funnel candidates through it, so every
-// scenario that reaches Execute is well-formed by construction.
+// scenario they hand to the executor is well-formed by construction.
+// It is not for specs a human typed: those go through Validate, which
+// rejects instead of rewriting.
 func (s *Scenario) Normalize() {
+	s.Testbed = ""
 	if !slices.Contains(workload.Names(), s.Dataset) {
 		s.Dataset = "ShockPool3D"
 	}
@@ -544,6 +397,9 @@ func (s *Scenario) Normalize() {
 	s.GridsPerProc = clamp(s.GridsPerProc, 1, 4)
 	if s.WithData && s.DomainN > 12 {
 		s.WithData = false
+	}
+	if !s.WithData {
+		s.Transport = ""
 	}
 	s.CkptInterval = clamp(s.CkptInterval, 1, 4)
 	s.Quorum = clamp(s.Quorum, 0, 4)

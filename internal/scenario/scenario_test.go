@@ -39,8 +39,8 @@ func soakGenerate(t *testing.T, seed int64) Scenario {
 // when set (CI uploads that directory as an artifact).
 func failNow(t *testing.T, sc Scenario, out Outcome) {
 	t.Helper()
-	shrunk := Shrink(sc, func(c Scenario) bool { return c.Execute().Failed() }, 0)
-	sout := shrunk.Execute()
+	shrunk := Shrink(sc, func(c Scenario) bool { return c.ExecuteWithHistory(nil).Failed() }, 0)
+	sout := shrunk.ExecuteWithHistory(nil)
 	msg := fmt.Sprintf("scenario failed: %s\noriginal: %s\nshrunk (%d procs, %d steps): %s\nreplay: %s",
 		out.Summary(), sc.Encode(), shrunk.NumProcs(), shrunk.Steps, sout.Summary(), ReplayCommand(shrunk))
 	if dir := os.Getenv("SAMR_REPRO_DIR"); dir != "" {
@@ -60,7 +60,7 @@ func TestInvariantSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := Generate(seed)
-			if out := sc.Execute(); out.Failed() {
+			if out := sc.ExecuteWithHistory(nil); out.Failed() {
 				failNow(t, sc, out)
 			}
 		})
@@ -79,7 +79,7 @@ func TestInvariantSoak(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := soakGenerate(t, seed)
-			if out := sc.Execute(); out.Failed() {
+			if out := sc.ExecuteWithHistory(nil); out.Failed() {
 				failNow(t, sc, out)
 			}
 		})
@@ -122,7 +122,7 @@ func TestRejoinProfileSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := GenerateRejoin(seed)
-			if out := sc.Execute(); out.Failed() {
+			if out := sc.ExecuteWithHistory(nil); out.Failed() {
 				failNow(t, sc, out)
 			}
 		})
@@ -157,7 +157,7 @@ func TestParseRejectsUnknownKey(t *testing.T) {
 		t.Fatal("Parse accepted a key with no value")
 	}
 	// A misspelt value would be normalised into the default scenario.
-	for _, in := range []string{"seed=1 scheme=knapsak", "seed=1 dataset=ShockPool"} {
+	for _, in := range []string{"seed=1 policy=knapsak", "seed=1 system=wlan", "seed=1 check=plans", "seed=1 transport=udp", "seed=1 dataset=ShockPool"} {
 		if _, err := Parse(in); err == nil {
 			t.Fatalf("Parse(%q) accepted an unknown name", in)
 		}
@@ -174,7 +174,7 @@ func TestScenarioDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := Generate(seed)
-			a, b := sc.Execute(), sc.Execute()
+			a, b := sc.ExecuteWithHistory(nil), sc.ExecuteWithHistory(nil)
 			if a.Failed() || b.Failed() {
 				t.Fatalf("scenario failed: %s / %s", a.Summary(), b.Summary())
 			}
@@ -218,7 +218,7 @@ func TestNormalizeEnvelope(t *testing.T) {
 func TestUnknownSchemeNeverRunsAnotherPolicy(t *testing.T) {
 	s := Generate(1)
 	s.Scheme = "knapsak"
-	out := s.Execute()
+	out := s.ExecuteWithHistory(nil)
 	if out.Result != nil || !strings.Contains(out.Panic, "knapsak") {
 		t.Fatalf("unknown scheme must fail the run naming it; got result %v, panic %q", out.Result, out.Panic)
 	}
@@ -245,7 +245,7 @@ func TestShrinkerMinimizesColocationBug(t *testing.T) {
 	sc.Normalize()
 
 	hasColocation := func(c Scenario) bool {
-		out := c.Execute()
+		out := c.ExecuteWithHistory(nil)
 		for _, v := range out.Violations {
 			if v.Rule == "co-location" {
 				return true

@@ -28,9 +28,16 @@ package supervise
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"sync"
 )
+
+// maxControlLine caps one control message. A result — the largest — is
+// a few hundred bytes; a peer that sends this much without a newline is
+// not speaking the protocol, and must not grow the supervisor's heap.
+const maxControlLine = 64 << 10
 
 // Control message types.
 const (
@@ -74,7 +81,7 @@ type controlConn struct {
 }
 
 func newControlConn(c net.Conn) *controlConn {
-	return &controlConn{c: c, r: bufio.NewReader(c), drained: make(chan struct{})}
+	return &controlConn{c: c, r: bufio.NewReaderSize(c, maxControlLine), drained: make(chan struct{})}
 }
 
 func (cc *controlConn) send(m Msg) error {
@@ -90,7 +97,11 @@ func (cc *controlConn) send(m Msg) error {
 }
 
 func (cc *controlConn) recv() (Msg, error) {
-	line, err := cc.r.ReadBytes('\n')
+	// The line is read in place: the reader's buffer is the cap.
+	line, err := cc.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return Msg{}, fmt.Errorf("supervise: control line longer than %d bytes", maxControlLine)
+	}
 	if err != nil {
 		return Msg{}, err
 	}

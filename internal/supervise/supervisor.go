@@ -248,6 +248,10 @@ func (s *supervisor) handleConn(cc *controlConn) {
 		return
 	}
 	g := m.Shard
+	if g < 0 || g >= s.cfg.NumShards {
+		s.logf("rejected a hello for shard %d of %d", g, s.cfg.NumShards)
+		return
+	}
 	s.mu.Lock()
 	s.conns[g] = cc
 	restarted := s.helloed[g]
