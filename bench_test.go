@@ -3,6 +3,7 @@ package samrdlb
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"samrdlb/internal/amr"
@@ -168,11 +169,48 @@ func BenchmarkBergerRigoutsos(b *testing.B) {
 	s := workload.NewShockPool3D(64, 2)
 	s.Flag(0, 0.5, f)
 	p := cluster.DefaultParams()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		boxes := cluster.Cluster(f, p)
 		if len(boxes) == 0 {
 			b.Fatal("no boxes")
+		}
+	}
+}
+
+// BenchmarkDilate measures the regrid buffer — FlagField.Dilate(1),
+// in place — on a 64³ field with 5 % of its cells flagged.
+func BenchmarkDilate(b *testing.B) {
+	f := cluster.NewFlagField(geom.UnitCube(64))
+	rng := rand.New(rand.NewSource(1))
+	seed := make([]bool, 64*64*64)
+	for i := range seed {
+		seed[i] = rng.Intn(20) == 0
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f.SetRows(f.Box, func(row []bool, _, y, z int) { copy(row, seed[64*(y+64*z):]) })
+		b.StartTimer()
+		f.Dilate(1)
+		if f.Count() == 0 {
+			b.Fatal("no flags")
+		}
+	}
+}
+
+// BenchmarkFlagAMR64 measures the AMR64 driver flagging level 1 of a
+// 64³ domain (a 128³ field, eight cluster centres).
+func BenchmarkFlagAMR64(b *testing.B) {
+	a := workload.NewAMR64(64, 2, 1)
+	f := cluster.NewFlagField(geom.UnitCube(128))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Flag(1, 0.5, f)
+		if f.Count() == 0 {
+			b.Fatal("no flags")
 		}
 	}
 }
@@ -652,6 +690,33 @@ func benchRegrid(b *testing.B, pool *solver.Pool) {
 			b.Fatal("regrid created nothing")
 		}
 	}
+}
+
+// BenchmarkRegridAll measures the whole regrid pipeline — flag, dilate,
+// cluster, create children, initialise their data — plan-only on AMR64
+// at 64³ and with field data on ShockPool3D at 32³.
+func BenchmarkRegridAll(b *testing.B) {
+	b.Run("plan-only/AMR64-64", func(b *testing.B) {
+		a := workload.NewAMR64(64, 2, 1)
+		h := amr.New(geom.UnitCube(64), 2, 2, 1, false, "q")
+		for i, bx := range (geom.BoxList{h.Domain}).SplitEvenly(64) {
+			h.AddGrid(0, bx, i%8, amr.NoGrid)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := h.RegridAll(0, func(level int, f *cluster.FlagField) {
+				a.Flag(level, 0.5, f)
+			}, amr.DefaultRegridParams(), nil)
+			if n == 0 {
+				b.Fatal("regrid created nothing")
+			}
+		}
+	})
+	b.Run("data/ShockPool3D-32", func(b *testing.B) {
+		b.ReportAllocs()
+		benchRegrid(b, nil)
+	})
 }
 
 // BenchmarkRegridParallel initialises new children over all cores.

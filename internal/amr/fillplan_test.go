@@ -113,7 +113,7 @@ func TestRegridPoolMatchesSequential(t *testing.T) {
 			return float64(i[0]*37+i[1]*11+i[2]) * 0.25
 		})
 		flag := func(level int, f *cluster.FlagField) {
-			f.SetWhere(func(i geom.Index) bool { return (i[0]+i[1]+i[2])%5 == 0 })
+			setWhere(f, func(i geom.Index) bool { return (i[0]+i[1]+i[2])%5 == 0 })
 		}
 		h.RegridAll(0, flag, RegridParams{Cluster: cluster.DefaultParams()}, nil)
 		return h

@@ -326,6 +326,7 @@ func (h *Hierarchy) ClearLevelsFrom(l int) {
 	// a listener always observes a self-consistent hierarchy.
 	for lv := h.MaxLevel; lv >= l; lv-- {
 		h.bumpGen(lv)
+		h.releasePlans(lv)
 		for len(h.levels[lv]) > 0 {
 			n := len(h.levels[lv])
 			g := h.levels[lv][n-1]

@@ -222,7 +222,7 @@ func TestRegridAllCreatesNestedChildren(t *testing.T) {
 	// Flag a blob near the centre at every level.
 	flag := func(level int, f *cluster.FlagField) {
 		target := geom.BoxFromShape(geom.Index{6, 6, 6}, geom.Index{4, 4, 4}).Refine(pow(2, level))
-		f.SetWhere(func(i geom.Index) bool { return target.Contains(i) })
+		setWhere(f, target.Contains)
 	}
 	n := h.RegridAll(0, flag, DefaultRegridParams(), nil)
 	if n == 0 {
@@ -246,7 +246,7 @@ func TestRegridAllPreservesData(t *testing.T) {
 	g := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
 	g.Patch.FillConstant("q", 3)
 	flag := func(level int, f *cluster.FlagField) {
-		f.SetWhere(func(i geom.Index) bool { return i[0] < 4 })
+		setWhere(f, func(i geom.Index) bool { return i[0] < 4 })
 	}
 	h.RegridAll(0, flag, RegridParams{Cluster: cluster.DefaultParams()}, nil)
 	for _, c := range h.Grids(1) {
@@ -261,7 +261,7 @@ func TestRegridAllCopiesOldFineData(t *testing.T) {
 	g := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
 	g.Patch.FillConstant("q", 1)
 	flag := func(level int, f *cluster.FlagField) {
-		f.SetWhere(func(i geom.Index) bool { return i[0] < 4 })
+		setWhere(f, func(i geom.Index) bool { return i[0] < 4 })
 	}
 	h.RegridAll(0, flag, RegridParams{Cluster: cluster.DefaultParams()}, nil)
 	// Write a distinctive fine-level value, then regrid again with the
@@ -282,7 +282,7 @@ func TestRegridPlacerControlsOwnership(t *testing.T) {
 	h := newH(t, 8, 1, false)
 	h.AddGrid(0, geom.UnitCube(8), 7, NoGrid)
 	flag := func(level int, f *cluster.FlagField) {
-		f.SetWhere(func(i geom.Index) bool { return i[0] < 2 })
+		setWhere(f, func(i geom.Index) bool { return i[0] < 2 })
 	}
 	h.RegridAll(0, flag, DefaultRegridParams(), func(b geom.Box, p *Grid) int { return 9 })
 	for _, c := range h.Grids(1) {
@@ -302,20 +302,41 @@ func TestRegridNoFlagsClearsFineLevels(t *testing.T) {
 	}
 }
 
+// setWhere flags every cell of f for which pred holds.
+func setWhere(f *cluster.FlagField, pred func(geom.Index) bool) {
+	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+		for k := range row {
+			if pred(geom.Index{x0 + k, y, z}) {
+				row[k] = true
+			}
+		}
+	})
+}
+
+// flagged reports whether cell i of f is flagged.
+func flagged(f *cluster.FlagField, i geom.Index) bool {
+	return f.CountIn(geom.Box{Lo: i, Hi: i}) == 1
+}
+
 func TestBufferFlagsExpands(t *testing.T) {
 	f := cluster.NewFlagField(geom.UnitCube(8))
-	f.Set(geom.Index{4, 4, 4})
-	out := bufferFlags(f, 1)
-	if out.Count() != 27 {
-		t.Errorf("buffered count = %d, want 27", out.Count())
+	one := func(at geom.Index) func(geom.Index) bool {
+		return func(i geom.Index) bool { return i == at }
 	}
-	if bufferFlags(f, 0) != f {
-		t.Error("zero buffer should return the input unchanged")
+	setWhere(f, one(geom.Index{4, 4, 4}))
+	f.Dilate(0)
+	if f.Count() != 1 {
+		t.Errorf("zero buffer changed the count to %d", f.Count())
+	}
+	f.Dilate(1)
+	if f.Count() != 27 || !flagged(f, geom.Index{3, 5, 4}) || flagged(f, geom.Index{2, 4, 4}) {
+		t.Errorf("buffered count = %d, want the 27 cells around (4,4,4)", f.Count())
 	}
 	// Clipping at the domain edge.
 	f2 := cluster.NewFlagField(geom.UnitCube(8))
-	f2.Set(geom.Index{0, 0, 0})
-	if got := bufferFlags(f2, 1).Count(); got != 8 {
+	setWhere(f2, one(geom.Index{0, 0, 0}))
+	f2.Dilate(1)
+	if got := f2.Count(); got != 8 {
 		t.Errorf("corner buffer = %d, want 8", got)
 	}
 }
@@ -343,10 +364,10 @@ func TestFlagWhereGradient(t *testing.T) {
 	if f.Count() != 2*8*8 {
 		t.Errorf("flag count = %d, want 128 (two planes either side of the jump)", f.Count())
 	}
-	if !f.Get(geom.Index{3, 0, 0}) || !f.Get(geom.Index{4, 0, 0}) {
+	if !flagged(f, geom.Index{3, 0, 0}) || !flagged(f, geom.Index{4, 0, 0}) {
 		t.Error("cells adjacent to the jump must be flagged")
 	}
-	if f.Get(geom.Index{0, 0, 0}) || f.Get(geom.Index{7, 7, 7}) {
+	if flagged(f, geom.Index{0, 0, 0}) || flagged(f, geom.Index{7, 7, 7}) {
 		t.Error("smooth cells must not be flagged")
 	}
 	// Plan-only hierarchies cannot gradient-flag.
@@ -355,6 +376,56 @@ func TestFlagWhereGradient(t *testing.T) {
 	assertPanics(t, "plan-only gradient", func() {
 		h2.FlagWhereGradient(0, "q", 0.5, h2.FlagFieldFor(0))
 	})
+}
+
+// TestFlagWhereGradientMatchesPerCell compares the row-wise gradient
+// flagging with the per-cell walk it replaced, on several grids whose
+// boxes do not start at the field's corner and a field that is rough
+// enough for every branch of the comparison to decide some cell.
+func TestFlagWhereGradientMatchesPerCell(t *testing.T) {
+	h := newH(t, 12, 1, true)
+	for i, b := range (geom.BoxList{h.Domain}).SplitEvenly(5) {
+		g := h.AddGrid(0, b, i, NoGrid)
+		g.Patch.FillFunc("q", func(c geom.Index) float64 {
+			return float64((c[0]*c[0]*7+c[1]*13+c[2]*c[1]*5)%11) * 0.1
+		})
+	}
+	for _, threshold := range []float64{0.05, 0.35, 0.65, 0.95} {
+		got, want := h.FlagFieldFor(0), h.FlagFieldFor(0)
+		h.FlagWhereGradient(0, "q", threshold, got)
+		for _, g := range h.Grids(0) {
+			q := g.Patch.Field("q")
+			gb := g.Patch.Grown()
+			s := gb.Shape()
+			stride := [3]int{1, s[0], s[0] * s[1]}
+			setWhere(want, func(i geom.Index) bool {
+				if !g.Box.Contains(i) {
+					return false
+				}
+				off := gb.Offset(i)
+				for d := 0; d < 3; d++ {
+					if dv := q[off+stride[d]] - q[off]; dv > threshold || -dv > threshold {
+						return true
+					}
+					if dv := q[off] - q[off-stride[d]]; dv > threshold || -dv > threshold {
+						return true
+					}
+				}
+				return false
+			})
+		}
+		if got.Count() != want.Count() {
+			t.Fatalf("threshold %g: %d cells flagged, per-cell walk flags %d", threshold, got.Count(), want.Count())
+		}
+		h.Domain.ForEach(func(i geom.Index) {
+			if flagged(got, i) != flagged(want, i) {
+				t.Fatalf("threshold %g: cell %v flagged=%v, per-cell walk says %v", threshold, i, flagged(got, i), flagged(want, i))
+			}
+		})
+		if threshold > 0.3 && threshold < 0.7 && (want.Count() == 0 || want.Count() == int(h.Domain.NumCells())) {
+			t.Errorf("threshold %g flags %d cells; the comparison decides nothing", threshold, want.Count())
+		}
+	}
 }
 
 func TestSplitGridSplitsStraddlingChildren(t *testing.T) {

@@ -43,9 +43,7 @@ func TestRegridAlwaysProperlyNestedProperty(t *testing.T) {
 					Lo: c.Sub(geom.Index{r, r, r}),
 					Hi: c.Add(geom.Index{r, r, r}),
 				}.Intersect(f.Box)
-				if !box.Empty() {
-					box.ForEach(f.Set)
-				}
+				setWhere(f, box.Contains)
 			}
 		}
 		p := DefaultRegridParams()
@@ -59,7 +57,7 @@ func TestRegridAlwaysProperlyNestedProperty(t *testing.T) {
 		flag(0, f)
 		lvl1 := h.Boxes(1).Coarsen(2)
 		h.Domain.ForEach(func(i geom.Index) {
-			if f.Get(i) && !lvl1.Contains(i) {
+			if flagged(f, i) && !lvl1.Contains(i) {
 				t.Fatalf("trial %d: flagged cell %v not refined", trial, i)
 			}
 		})

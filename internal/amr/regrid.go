@@ -22,8 +22,8 @@ func DefaultRegridParams() RegridParams {
 }
 
 // Flagger marks the level-l cells needing refinement. The flag field
-// spans the bounding box of level l's grids; implementations flag via
-// f.Set / f.SetWhere and may consult the hierarchy's patch data.
+// spans the bounding box of level l's grids; implementations flag by
+// rows via f.SetRows and may consult the hierarchy's patch data.
 type Flagger func(level int, f *cluster.FlagField)
 
 // Placer chooses the owning processor for a newly created child grid.
@@ -60,8 +60,8 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 		if f.Count() == 0 {
 			break
 		}
-		buffered := bufferFlags(f, p.Buffer)
-		boxes := cluster.Cluster(buffered, p.Cluster)
+		f.Dilate(p.Buffer)
+		boxes := cluster.Cluster(f, p.Cluster)
 		madeAny := false
 		// Children are created sequentially (AddGrid mutates the
 		// hierarchy) but their data is initialised afterwards in one
@@ -135,26 +135,6 @@ func (h *Hierarchy) initChildData(child *Grid, oldSameLevel []*Grid) {
 	}
 }
 
-// bufferFlags returns a flag field where every flag of f is expanded
-// by the given Chebyshev radius (clipped to f's box).
-func bufferFlags(f *cluster.FlagField, radius int) *cluster.FlagField {
-	if radius <= 0 {
-		return f
-	}
-	out := cluster.NewFlagField(f.Box)
-	f.Box.ForEach(func(i geom.Index) {
-		if !f.Get(i) {
-			return
-		}
-		nb := geom.Box{
-			Lo: i.Sub(geom.Index{radius, radius, radius}),
-			Hi: i.Add(geom.Index{radius, radius, radius}),
-		}.Intersect(f.Box)
-		nb.ForEach(out.Set)
-	})
-	return out
-}
-
 // FlagWhereGradient flags every level-l cell whose solution gradient
 // (max absolute one-sided difference of the named field over the
 // three dimensions) exceeds the threshold — data-driven refinement,
@@ -170,26 +150,33 @@ func (h *Hierarchy) FlagWhereGradient(level int, field string, threshold float64
 		gb := g.Patch.Grown()
 		s := gb.Shape()
 		stride := [3]int{1, s[0], s[0] * s[1]}
-		g.Box.ForEach(func(i geom.Index) {
-			off := gb.Offset(i)
-			for d := 0; d < 3; d++ {
-				dv := q[off+stride[d]] - q[off]
-				if dv < 0 {
-					dv = -dv
-				}
-				if dv > threshold {
-					f.Set(i)
-					return
-				}
-				dv = q[off] - q[off-stride[d]]
-				if dv < 0 {
-					dv = -dv
-				}
-				if dv > threshold {
-					f.Set(i)
-					return
-				}
+		f.SetRows(g.Box, func(row []bool, x0, y, z int) {
+			base := (x0 - gb.Lo[0]) + stride[1]*(y-gb.Lo[1]) + stride[2]*(z-gb.Lo[2])
+			for k := range row {
+				row[k] = row[k] || steeperThan(q, base+k, stride, threshold)
 			}
 		})
 	}
+}
+
+// steeperThan reports whether some one-sided difference of q at
+// offset off, along any of the three strides, exceeds the threshold.
+func steeperThan(q []float64, off int, stride [3]int, threshold float64) bool {
+	for d := 0; d < 3; d++ {
+		dv := q[off+stride[d]] - q[off]
+		if dv < 0 {
+			dv = -dv
+		}
+		if dv > threshold {
+			return true
+		}
+		dv = q[off] - q[off-stride[d]]
+		if dv < 0 {
+			dv = -dv
+		}
+		if dv > threshold {
+			return true
+		}
+	}
+	return false
 }

@@ -165,6 +165,21 @@ func (h *Hierarchy) indexFor(l int) *levelIndex {
 	return li
 }
 
+// Locate returns the position in Grids(l) of the grid whose box holds
+// the level-l cell, or -1 when no grid does.
+func (h *Hierarchy) Locate(l int, cell geom.Index) int {
+	h.planMu.Lock()
+	defer h.planMu.Unlock()
+	li := h.indexFor(l)
+	at, _ := li.bucketRange(geom.Box{Lo: cell, Hi: cell})
+	for _, g := range li.buckets[(at[2]*li.dims[1]+at[1])*li.dims[0]+at[0]] {
+		if g.Box.Contains(cell) {
+			return g.pos
+		}
+	}
+	return -1
+}
+
 func floorDivInt(a, b int) int {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {

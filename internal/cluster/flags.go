@@ -10,7 +10,9 @@
 // at holes (zero-signature planes), then at the strongest inflection
 // point of the discrete Laplacian of the signature, and otherwise
 // bisect; recurse until every box is efficient enough or at minimum
-// size.
+// size. Every node of the recursion reads its box once: the three
+// signatures come from one pass over its x-rows, and the bounding
+// box, the flag count and both cut searches are derived from them.
 package cluster
 
 import (
@@ -20,7 +22,8 @@ import (
 )
 
 // FlagField is a boolean field over a box marking cells that need
-// refinement.
+// refinement. It is written and read by x-rows (SetRows, Dilate, the
+// clustering scan); there is no per-cell accessor.
 type FlagField struct {
 	Box   geom.Box
 	flags []bool
@@ -35,25 +38,22 @@ func NewFlagField(box geom.Box) *FlagField {
 	return &FlagField{Box: box, flags: make([]bool, box.NumCells())}
 }
 
-// Set flags the cell i. Cells outside the field's box are ignored,
-// which lets callers flag from predicates without clipping.
-func (f *FlagField) Set(i geom.Index) {
-	if !f.Box.Contains(i) {
+// SetRows calls fn once per x-row of b, clipped to the field's box, in
+// offset order. row holds the flags of cells (x0..x0+len(row)-1, y, z)
+// and fn flags a cell by writing true to its entry; clipping lets
+// callers flag from boxes that overhang the field. The flag count is
+// retaken over the visited rows.
+func (f *FlagField) SetRows(b geom.Box, fn func(row []bool, x0, y, z int)) {
+	b = b.Intersect(f.Box)
+	if b.Empty() {
 		return
 	}
-	off := f.Box.Offset(i)
-	if !f.flags[off] {
-		f.flags[off] = true
-		f.count++
-	}
-}
-
-// Get reports whether cell i is flagged (false outside the box).
-func (f *FlagField) Get(i geom.Index) bool {
-	if !f.Box.Contains(i) {
-		return false
-	}
-	return f.flags[f.Box.Offset(i)]
+	f.scanRows(b, func(off, width, y, z int) {
+		row := f.flags[off : off+width : off+width]
+		before := countRow(row)
+		fn(row, b.Lo[0], y, z)
+		f.count += countRow(row) - before
+	})
 }
 
 // Count returns the number of flagged cells.
@@ -67,18 +67,24 @@ func (f *FlagField) CountIn(b geom.Box) int {
 	}
 	n := 0
 	f.scanRows(b, func(off, width int, _, _ int) {
-		for x := 0; x < width; x++ {
-			if f.flags[off+x] {
-				n++
-			}
-		}
+		n += countRow(f.flags[off : off+width])
 	})
+	return n
+}
+
+func countRow(row []bool) int {
+	n := 0
+	for _, set := range row {
+		if set {
+			n++
+		}
+	}
 	return n
 }
 
 // scanRows calls fn once per x-row of box b (which must lie within
 // f.Box), passing the starting offset into f.flags, the row width,
-// and the row's y and z coordinates. It avoids per-cell Offset
+// and the row's y and z coordinates. It avoids per-cell offset
 // arithmetic in the hot clustering loops.
 func (f *FlagField) scanRows(b geom.Box, fn func(off, width, y, z int)) {
 	s := f.Box.Shape()
@@ -91,79 +97,54 @@ func (f *FlagField) scanRows(b geom.Box, fn func(off, width, y, z int)) {
 	}
 }
 
-// SetWhere flags every cell of the field's box for which pred returns
-// true and returns the number of newly flagged cells.
-func (f *FlagField) SetWhere(pred func(geom.Index) bool) int {
-	added := 0
-	f.scanRows(f.Box, func(off, width, y, z int) {
-		for x := 0; x < width; x++ {
-			if pred(geom.Index{f.Box.Lo[0] + x, y, z}) && !f.flags[off+x] {
-				f.flags[off+x] = true
-				f.count++
-				added++
+// Dilate expands every flag by the Chebyshev radius r, clipped to the
+// field's box, in place: a cube is the product of three intervals, so
+// one 1-D dilation along x, then y, then z over the same array gives
+// the (2r+1)³ neighbourhood of every original flag.
+func (f *FlagField) Dilate(r int) {
+	if r <= 0 || f.count == 0 {
+		return
+	}
+	s := f.Box.Shape()
+	stride := [geom.Dims]int{1, s[0], s[0] * s[1]}
+	for d := 0; d < geom.Dims; d++ {
+		// One line along d starts at every cell of the face d = Lo[d];
+		// a < b are the other two dimensions, a innermost so that
+		// neighbouring lines share cache lines.
+		a, b := (d+1)%geom.Dims, (d+2)%geom.Dims
+		if a > b {
+			a, b = b, a
+		}
+		for j := 0; j < s[b]; j++ {
+			for i := 0; i < s[a]; i++ {
+				dilateLine(f.flags[i*stride[a]+j*stride[b]:], s[d], stride[d], r)
 			}
 		}
-	})
-	return added
+	}
+	f.count = countRow(f.flags)
 }
 
-// BoundingBox returns the smallest box containing every flagged cell
-// inside b (empty box when there are none).
-func (f *FlagField) BoundingBox(b geom.Box) geom.Box {
-	b = b.Intersect(f.Box)
-	if b.Empty() {
-		return geom.Box{Lo: geom.Index{0, 0, 0}, Hi: geom.Index{-1, -1, -1}}
-	}
-	lo := geom.Index{1 << 30, 1 << 30, 1 << 30}
-	hi := geom.Index{-(1 << 30), -(1 << 30), -(1 << 30)}
-	found := false
-	f.scanRows(b, func(off, width, y, z int) {
-		for x := 0; x < width; x++ {
-			if !f.flags[off+x] {
-				continue
+// dilateLine dilates the n cells line[0], line[stride], … by r in
+// place. The cursor reads each cell exactly once, before anything is
+// written at or ahead of it, so every value read is an original one:
+// an original flag sets the up to r cells behind it that are not set
+// yet (behind the cursor, never read again) and arms reach = r; a
+// clear cell is set, and reach counted down, while the last original
+// flag lies within r behind it.
+func dilateLine(line []bool, n, stride, r int) {
+	reach := 0 // cells from the cursor on that the last original flag still covers
+	done := 0  // the cells [k-r, done) behind the cursor k are already set
+	for k, at := 0, 0; k < n; k, at = k+1, at+stride {
+		switch {
+		case line[at]:
+			for j := max(k-r, done); j < k; j++ {
+				line[j*stride] = true
 			}
-			i := geom.Index{b.Lo[0] + x, y, z}
-			lo = lo.Min(i)
-			hi = hi.Max(i)
-			found = true
+			reach, done = r, k+1
+		case reach > 0:
+			line[at] = true
+			reach--
+			done = k + 1
 		}
-	})
-	if !found {
-		return geom.Box{Lo: geom.Index{0, 0, 0}, Hi: geom.Index{-1, -1, -1}}
 	}
-	return geom.Box{Lo: lo, Hi: hi}
-}
-
-// signature returns, for dimension d within box b, the number of
-// flagged cells in each plane perpendicular to d. The returned slice
-// has b.Shape()[d] entries, entry k counting plane b.Lo[d]+k.
-func (f *FlagField) signature(b geom.Box, d int) []int {
-	sig := make([]int, b.Shape()[d])
-	f.scanRows(b, func(off, width, y, z int) {
-		switch d {
-		case 0:
-			for x := 0; x < width; x++ {
-				if f.flags[off+x] {
-					sig[x]++
-				}
-			}
-		case 1:
-			n := 0
-			for x := 0; x < width; x++ {
-				if f.flags[off+x] {
-					n++
-				}
-			}
-			sig[y-b.Lo[1]] += n
-		default:
-			n := 0
-			for x := 0; x < width; x++ {
-				if f.flags[off+x] {
-					n++
-				}
-			}
-			sig[z-b.Lo[2]] += n
-		}
-	})
-	return sig
 }

@@ -43,18 +43,57 @@ func Cluster(f *FlagField, p Params) geom.BoxList {
 		return nil
 	}
 	var out geom.BoxList
-	seed := f.BoundingBox(f.Box)
-	clusterRecurse(f, seed, p, p.MaxDepth, &out)
+	clusterRecurse(f, f.Box, p, p.MaxDepth, &out)
 	out.SortByLo()
 	return out
 }
 
+// signatures returns, for each dimension d, the number of flagged
+// cells of box b in each plane perpendicular to d: sig[d] has
+// b.Shape()[d] entries, entry k counting plane b.Lo[d]+k. One pass
+// over the x-rows of b fills all three, which share one allocation.
+func (f *FlagField) signatures(b geom.Box) (sig [geom.Dims][]int) {
+	s := b.Shape()
+	buf := make([]int, s[0]+s[1]+s[2])
+	sig[0], sig[1], sig[2] = buf[:s[0]], buf[s[0]:s[0]+s[1]], buf[s[0]+s[1]:]
+	f.scanRows(b, func(off, width, y, z int) {
+		n := 0
+		for x, set := range f.flags[off : off+width] {
+			if set {
+				sig[0][x]++
+				n++
+			}
+		}
+		sig[1][y-b.Lo[1]] += n
+		sig[2][z-b.Lo[2]] += n
+	})
+	return sig
+}
+
 func clusterRecurse(f *FlagField, b geom.Box, p Params, depth int, out *geom.BoxList) {
-	b = f.BoundingBox(b) // shrink-wrap to the flags inside
-	if b.Empty() {
-		return
+	sig := f.signatures(b)
+	// Shrink-wrap to the flags inside: the planes of b that hold a
+	// flag run from the first to the last non-zero signature entry,
+	// and trimming empty planes along one dimension leaves the other
+	// two signatures as they are.
+	for d := range sig {
+		lo, hi := 0, len(sig[d])
+		for lo < hi && sig[d][lo] == 0 {
+			lo++
+		}
+		if lo == hi {
+			return // no flags in b
+		}
+		for sig[d][hi-1] == 0 {
+			hi--
+		}
+		b.Lo[d], b.Hi[d] = b.Lo[d]+lo, b.Lo[d]+hi-1
+		sig[d] = sig[d][lo:hi]
 	}
-	nflag := f.CountIn(b)
+	nflag := 0
+	for _, n := range sig[0] {
+		nflag += n
+	}
 	eff := float64(nflag) / float64(b.NumCells())
 	shape := b.Shape()
 	tooBig := p.MaxSize > 0 && (shape[0] > p.MaxSize || shape[1] > p.MaxSize || shape[2] > p.MaxSize)
@@ -65,7 +104,7 @@ func clusterRecurse(f *FlagField, b geom.Box, p Params, depth int, out *geom.Box
 		return
 	}
 
-	d, at, ok := findCut(f, b, p)
+	d, at, ok := findCut(sig, b, p)
 	if !ok {
 		// No admissible cut: accept as-is.
 		*out = append(*out, b)
@@ -76,23 +115,23 @@ func clusterRecurse(f *FlagField, b geom.Box, p Params, depth int, out *geom.Box
 	clusterRecurse(f, hi, p, depth-1, out)
 }
 
-// findCut picks the Berger–Rigoutsos cut for box b: a hole (plane with
-// zero flags) if one exists, else the strongest inflection point of
-// the signature Laplacian, else the midpoint of the longest dimension.
-// Cut positions that would produce a slab thinner than MinSize are
-// rejected. It returns the dimension, the cut plane (first index of
-// the upper half), and whether a cut was found.
-func findCut(f *FlagField, b geom.Box, p Params) (dim, at int, ok bool) {
+// findCut picks the Berger–Rigoutsos cut for box b with signatures
+// sigs: a hole (plane with zero flags) if one exists, else the
+// strongest inflection point of the signature Laplacian, else the
+// midpoint of the longest dimension. Cut positions that would produce
+// a slab thinner than MinSize are rejected. It returns the dimension,
+// the cut plane (first index of the upper half), and whether a cut
+// was found.
+func findCut(sigs [geom.Dims][]int, b geom.Box, p Params) (dim, at int, ok bool) {
 	shape := b.Shape()
 
 	// Pass 1: holes, preferring the hole closest to the box centre of
 	// the longest admissible dimension.
 	bestDim, bestAt, bestDist := -1, 0, 1<<30
-	for d := 0; d < geom.Dims; d++ {
+	for d, sig := range sigs {
 		if shape[d] < 2*p.MinSize {
 			continue
 		}
-		sig := f.signature(b, d)
 		mid := len(sig) / 2
 		for k := p.MinSize; k <= len(sig)-p.MinSize; k++ {
 			if sig[k-1] == 0 || sig[k] == 0 {
@@ -112,19 +151,14 @@ func findCut(f *FlagField, b geom.Box, p Params) (dim, at int, ok bool) {
 	// difference (inflection point).
 	bestDim, bestAt = -1, 0
 	bestStrength := 0
-	for d := 0; d < geom.Dims; d++ {
+	for d, sig := range sigs {
 		if shape[d] < 2*p.MinSize {
 			continue
 		}
-		sig := f.signature(b, d)
-		// Second difference Δ_k = sig[k+1] - 2 sig[k] + sig[k-1].
-		lap := make([]int, len(sig))
-		for k := 1; k < len(sig)-1; k++ {
-			lap[k] = sig[k+1] - 2*sig[k] + sig[k-1]
-		}
 		for k := p.MinSize; k < len(sig)-p.MinSize; k++ {
-			if (lap[k] >= 0) != (lap[k+1] >= 0) { // sign change between k and k+1
-				strength := abs(lap[k] - lap[k+1])
+			lo, hi := secondDiff(sig, k), secondDiff(sig, k+1)
+			if (lo >= 0) != (hi >= 0) { // sign change between k and k+1
+				strength := abs(lo - hi)
 				if strength > bestStrength {
 					bestDim, bestAt, bestStrength = d, b.Lo[d]+k+1, strength
 				}
@@ -147,6 +181,15 @@ func findCut(f *FlagField, b geom.Box, p Params) (dim, at int, ok bool) {
 		}
 	}
 	return 0, 0, false
+}
+
+// secondDiff is Δ_k = sig[k+1] - 2 sig[k] + sig[k-1], taken as zero at
+// both ends of the signature.
+func secondDiff(sig []int, k int) int {
+	if k < 1 || k > len(sig)-2 {
+		return 0
+	}
+	return sig[k+1] - 2*sig[k] + sig[k-1]
 }
 
 func abs(x int) int {

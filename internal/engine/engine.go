@@ -279,14 +279,15 @@ type Runner struct {
 	ckptAttempts int  // durable write attempts; keys disk-fault decisions
 
 	// Per-step scratch, reused across calls so the hot loop makes no
-	// allocations: advanceLevel's per-processor accumulators and the
-	// message/migration charging buffers. The engine loop is
-	// single-threaded (vclock.AddPhase copies values immediately), so
-	// plain reuse is safe.
+	// allocations: advanceLevel's per-processor accumulators, the
+	// message/migration charging buffers and particlesPerGrid's
+	// counts. The engine loop is single-threaded (vclock.AddPhase
+	// copies values immediately), so plain reuse is safe.
 	perProcBuf, workBuf   []float64
 	commLocal, commRemote []float64
 	pairIndex             map[commPair]int
 	xfers                 []transfer
+	inGrid                []int
 }
 
 // commPair keys the per-(src,dst) aggregation of chargeMessages.
@@ -1064,13 +1065,42 @@ func (r *Runner) particleWork(work []float64) {
 		return
 	}
 	ps.Step(r.dt0)
-	dx0 := r.dx(0)
-	for _, g := range r.h.Grids(0) {
-		lo := [3]float64{float64(g.Box.Lo[0]) * dx0, float64(g.Box.Lo[1]) * dx0, float64(g.Box.Lo[2]) * dx0}
-		hi := [3]float64{float64(g.Box.Hi[0]+1) * dx0, float64(g.Box.Hi[1]+1) * dx0, float64(g.Box.Hi[2]+1) * dx0}
-		n := ps.CountInRegion(lo, hi)
-		work[g.Owner] += float64(n) * solver.FlopsPerParticle
+	grids := r.h.Grids(0)
+	for at, n := range r.particlesPerGrid(ps) {
+		work[grids[at].Owner] += float64(n) * solver.FlopsPerParticle
 	}
+}
+
+// particlesPerGrid counts the particles inside each level-0 grid, in
+// Grids(0) order, in one pass over the particles: each is located by
+// its level-0 cell. The slice is reused by the next call.
+func (r *Runner) particlesPerGrid(ps *solver.ParticleSet) []int {
+	dx0 := r.dx(0)
+	r.inGrid = append(r.inGrid[:0], make([]int, len(r.h.Grids(0)))...)
+	for i := range ps.Particles {
+		pos := &ps.Particles[i].Pos
+		cell := geom.Index{cellOf(pos[0], dx0), cellOf(pos[1], dx0), cellOf(pos[2], dx0)}
+		if at := r.h.Locate(0, cell); at >= 0 {
+			r.inGrid[at]++
+		}
+	}
+	return r.inGrid
+}
+
+// cellOf returns the cell k of a mesh of spacing dx that holds the
+// coordinate, float64(k)*dx ≤ pos < float64(k+1)*dx. Those are the
+// comparisons ParticleSet.CountInRegion makes against a grid's faces,
+// so a particle on a face, or on a mesh whose spacing is not a power
+// of two, lands in the grid CountInRegion counts it in; the quotient
+// is off by at most one.
+func cellOf(pos, dx float64) int {
+	k := int(pos / dx)
+	if float64(k)*dx > pos {
+		k--
+	} else if float64(k+1)*dx <= pos {
+		k++
+	}
+	return k
 }
 
 // restrict projects level l onto l-1, charging the transfer plan.

@@ -590,3 +590,49 @@ func TestHistoryRecordedPerStep(t *testing.T) {
 		}
 	}
 }
+
+// TestParticlesPerGridMatchesCountInRegion: the one-pass count equals
+// ParticleSet.CountInRegion over each level-0 grid's physical region —
+// on meshes whose spacing is and is not a power of two, as the
+// particles drift, and for a particle lying exactly on a grid face.
+func TestParticlesPerGridMatchesCountInRegion(t *testing.T) {
+	for _, n0 := range []int{24, 32, 48, 64} {
+		d := workload.NewAMR64(n0, 2, int64(n0))
+		r := New(machine.LanPair(4, nil), d, Options{Steps: 1, MaxLevel: 1, GridsPerProc: 8})
+		ps := d.Particles()
+		dx0 := r.dx(0)
+		grids := r.Hierarchy().Grids(0)
+		// Put particles on faces: on the low corner of a grid in the
+		// interior, on the domain's low faces, just inside its high
+		// face, and on an interior face along one axis only.
+		inner := grids[len(grids)/2]
+		face := func(k int) float64 { return float64(k) * dx0 }
+		ps.Particles[0].Pos = [3]float64{face(inner.Box.Lo[0]), face(inner.Box.Lo[1]), face(inner.Box.Lo[2])}
+		ps.Particles[1].Pos = [3]float64{0, 0, 0}
+		ps.Particles[2].Pos = [3]float64{math.Nextafter(1, 0), math.Nextafter(1, 0), math.Nextafter(1, 0)}
+		ps.Particles[3].Pos = [3]float64{face(inner.Box.Hi[0] + 1), 0.3, 0.7}
+		steps := 0
+		for _, upTo := range []int{0, 1, 50} {
+			for ; steps < upTo; steps++ {
+				ps.Step(r.dt0)
+			}
+			got := r.particlesPerGrid(ps)
+			total := 0
+			for at, g := range grids {
+				var lo, hi [3]float64
+				for k := 0; k < 3; k++ {
+					lo[k], hi[k] = float64(g.Box.Lo[k])*dx0, float64(g.Box.Hi[k]+1)*dx0
+				}
+				if want := ps.CountInRegion(lo, hi); got[at] != want {
+					t.Fatalf("N0=%d after %d steps: grid %v holds %d particles, CountInRegion says %d", n0, steps, g.Box, got[at], want)
+				}
+				total += got[at]
+			}
+			// Level 0 tiles the domain; only a particle the integrator
+			// has since thrown out of [0,1)³ is in no grid.
+			if steps == 0 && total != len(ps.Particles) {
+				t.Errorf("N0=%d: %d of %d particles are in a grid", n0, total, len(ps.Particles))
+			}
+		}
+	}
+}

@@ -77,10 +77,15 @@ func (s *SedovBlast) Flag(level int, t float64, f *cluster.FlagField) {
 	r := s.Radius(t)
 	w := s.Width / math.Pow(2, float64(level))
 	dx := 1.0 / (float64(s.N0) * math.Pow(float64(s.Ref), float64(level)))
-	f.SetWhere(func(i geom.Index) bool {
-		x := [3]float64{(float64(i[0]) + 0.5) * dx, (float64(i[1]) + 0.5) * dx, (float64(i[2]) + 0.5) * dx}
-		d := math.Sqrt(dist2c(x, s.Center)) - r
-		return math.Abs(d) < w
+	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+		vy, vz := center(y, dx)-s.Center[1], center(z, dx)-s.Center[2]
+		vy2, vz2 := float64(vy*vy), float64(vz*vz)
+		for k := range row {
+			vx := center(x0+k, dx) - s.Center[0]
+			if d := math.Sqrt(float64(vx*vx)+vy2+vz2) - r; math.Abs(d) < w {
+				row[k] = true
+			}
+		}
 	})
 }
 
@@ -99,12 +104,13 @@ func (s *SedovBlast) RefFactor() int { return s.Ref }
 // Particles implements Driver.
 func (s *SedovBlast) Particles() *solver.ParticleSet { return nil }
 
-// dist2c is the plain (non-periodic) squared distance.
+// dist2c is the plain (non-periodic) squared distance, summed like
+// wrapDist2: x term first, each product rounded before it is added.
 func dist2c(a, b [3]float64) float64 {
 	var s float64
 	for d := 0; d < 3; d++ {
 		v := a[d] - b[d]
-		s += v * v
+		s += float64(v * v)
 	}
 	return s
 }

@@ -102,12 +102,12 @@ func FlopsPerCell(d Driver) float64 {
 // cells per side refined by factor ref.
 func cellCenter(i geom.Index, level, n0, ref int) [3]float64 {
 	dx := 1.0 / (float64(n0) * math.Pow(float64(ref), float64(level)))
-	return [3]float64{
-		(float64(i[0]) + 0.5) * dx,
-		(float64(i[1]) + 0.5) * dx,
-		(float64(i[2]) + 0.5) * dx,
-	}
+	return [3]float64{center(i[0], dx), center(i[1], dx), center(i[2], dx)}
 }
+
+// center is the physical coordinate of the centre of cell i along one
+// axis at mesh spacing dx.
+func center(i int, dx float64) float64 { return (float64(i) + 0.5) * dx }
 
 // ShockPool3D drives refinement along a slightly tilted plane that
 // sweeps through the domain.
@@ -190,11 +190,13 @@ func (s *ShockPool3D) Flag(level int, t float64, f *cluster.FlagField) {
 	dx := 1.0 / (float64(s.N0) * math.Pow(float64(s.Ref), float64(level)))
 	n := s.unitNormal()
 	pos := s.planePos(t)
-	f.SetWhere(func(i geom.Index) bool {
-		d := (float64(i[0])+0.5)*dx*n[0] +
-			(float64(i[1])+0.5)*dx*n[1] +
-			(float64(i[2])+0.5)*dx*n[2] - pos
-		return math.Abs(d) < w
+	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+		ty, tz := float64(center(y, dx)*n[1]), float64(center(z, dx)*n[2])
+		for k := range row {
+			if d := float64(center(x0+k, dx)*n[0]) + ty + tz - pos; math.Abs(d) < w {
+				row[k] = true
+			}
+		}
 	})
 }
 
@@ -320,14 +322,33 @@ func (a *AMR64) Flag(level int, t float64, f *cluster.FlagField) {
 	r := a.radius(level, t)
 	r2 := r * r
 	dx := 1.0 / (float64(a.N0) * math.Pow(float64(a.Ref), float64(level)))
-	f.SetWhere(func(i geom.Index) bool {
-		x := [3]float64{(float64(i[0]) + 0.5) * dx, (float64(i[1]) + 0.5) * dx, (float64(i[2]) + 0.5) * dx}
+	// A row keeps the centres it can reach at all: wrapDist2 adds the x
+	// term first, so its sum is never below vy²+vz² (rounding is
+	// monotone and vx² ≥ 0) and a centre with vy²+vz² ≥ r² flags nothing
+	// on the row.
+	type reachable struct{ x, vy2, vz2 float64 }
+	near := make([]reachable, 0, len(a.centers))
+	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+		yc, zc := center(y, dx), center(z, dx)
+		near = near[:0]
 		for _, c := range a.centers {
-			if wrapDist2(x, c) < r2 {
-				return true
+			vy, vz := wrap1(yc, c[1]), wrap1(zc, c[2])
+			if vy2, vz2 := float64(vy*vy), float64(vz*vz); vy2+vz2 < r2 {
+				near = append(near, reachable{c[0], vy2, vz2})
 			}
 		}
-		return false
+		if len(near) == 0 {
+			return
+		}
+		for k := range row {
+			xc := center(x0+k, dx)
+			for _, c := range near {
+				if vx := wrap1(xc, c.x); float64(vx*vx)+c.vy2+c.vz2 < r2 {
+					row[k] = true
+					break
+				}
+			}
+		}
 	})
 }
 
@@ -347,17 +368,26 @@ func (a *AMR64) RefFactor() int { return a.Ref }
 // Particles implements Driver.
 func (a *AMR64) Particles() *solver.ParticleSet { return a.particles }
 
-// wrapDist2 is the squared distance on the unit periodic torus.
+// wrapDist2 is the squared distance on the unit periodic torus. The
+// drivers' Flag methods take the same sum a row at a time — x term
+// first, then y, then z, each product rounded before it is added — so
+// a hoisted row compares the bits this function would.
 func wrapDist2(a, b [3]float64) float64 {
 	var s float64
 	for d := 0; d < 3; d++ {
-		v := math.Abs(a[d] - b[d])
-		if v > 0.5 {
-			v = 1 - v
-		}
-		s += v * v
+		v := wrap1(a[d], b[d])
+		s += float64(v * v)
 	}
 	return s
+}
+
+// wrap1 is the distance between two coordinates on the unit circle.
+func wrap1(a, b float64) float64 {
+	v := math.Abs(a - b)
+	if v > 0.5 {
+		v = 1 - v
+	}
+	return v
 }
 
 // Uniform is a no-refinement driver (unigrid), used by tests and as
@@ -438,9 +468,14 @@ func (b *StaticBlob) Flag(level int, t float64, f *cluster.FlagField) {
 	r := b.Radius / math.Pow(2, float64(level))
 	r2 := r * r
 	dx := 1.0 / (float64(b.N0) * math.Pow(float64(b.Ref), float64(level)))
-	f.SetWhere(func(i geom.Index) bool {
-		x := [3]float64{(float64(i[0]) + 0.5) * dx, (float64(i[1]) + 0.5) * dx, (float64(i[2]) + 0.5) * dx}
-		return wrapDist2(x, b.Center) < r2
+	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+		vy, vz := wrap1(center(y, dx), b.Center[1]), wrap1(center(z, dx), b.Center[2])
+		vy2, vz2 := float64(vy*vy), float64(vz*vz)
+		for k := range row {
+			if vx := wrap1(center(x0+k, dx), b.Center[0]); float64(vx*vx)+vy2+vz2 < r2 {
+				row[k] = true
+			}
+		}
 	})
 }
 

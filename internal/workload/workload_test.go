@@ -30,7 +30,7 @@ func TestShockPoolPlaneMoves(t *testing.T) {
 	// The flagged sets must differ (the plane moved).
 	same := true
 	dom.ForEach(func(i geom.Index) {
-		if f0.Get(i) != f1.Get(i) {
+		if flagged(f0, i) != flagged(f1, i) {
 			same = false
 		}
 	})
@@ -47,7 +47,7 @@ func cx(f *cluster.FlagField) float64 {
 	var sum float64
 	n := 0
 	f.Box.ForEach(func(i geom.Index) {
-		if f.Get(i) {
+		if flagged(f, i) {
 			sum += float64(i[0])
 			n++
 		}
@@ -66,7 +66,7 @@ func TestShockPoolTiltedPlane(t *testing.T) {
 	s.Flag(0, 0.5, f)
 	minX, maxX := 1000, -1000
 	f.Box.ForEach(func(i geom.Index) {
-		if f.Get(i) {
+		if flagged(f, i) {
 			if i[0] < minX {
 				minX = i[0]
 			}
@@ -132,7 +132,7 @@ func TestAMR64ClustersScattered(t *testing.T) {
 	}
 	// Flags must be spread: bounding box of flags should cover most of
 	// the domain (clusters are random across the whole volume).
-	bb := f.BoundingBox(f.Box)
+	bb := flagBounds(f)
 	if bb.NumCells() < 32*32*32/4 {
 		t.Errorf("clusters not scattered: bounding %v", bb)
 	}
@@ -233,10 +233,10 @@ func TestStaticBlobCenteredAndStable(t *testing.T) {
 	}
 	f := cluster.NewFlagField(geom.UnitCube(16))
 	b.Flag(0, 0, f)
-	if !f.Get(geom.Index{8, 8, 8}) {
+	if !flagged(f, geom.Index{8, 8, 8}) {
 		t.Error("domain centre must be flagged")
 	}
-	if f.Get(geom.Index{0, 0, 0}) {
+	if flagged(f, geom.Index{0, 0, 0}) {
 		t.Error("corner must not be flagged")
 	}
 	p := grid.NewPatch(geom.UnitCube(16), 0, 1, b.Fields()...)
@@ -291,7 +291,7 @@ func TestSedovSymmetricAboutCenter(t *testing.T) {
 	mismatches := 0
 	geom.UnitCube(16).ForEach(func(i geom.Index) {
 		m := geom.Index{15 - i[0], i[1], i[2]}
-		if f.Get(i) != f.Get(m) {
+		if flagged(f, i) != flagged(f, m) {
 			mismatches++
 		}
 	})
