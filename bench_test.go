@@ -692,23 +692,33 @@ func benchRegrid(b *testing.B, pool *solver.Pool) {
 	}
 }
 
+// amr64BenchHierarchy tiles a plan-only 64³ domain into 64 level-0
+// grids on 8 processors, two fine levels allowed; regrid rebuilds the
+// fine levels from the AMR64 driver's flags at t = 0.5 and returns the
+// number of grids created.
+func amr64BenchHierarchy() (h *amr.Hierarchy, regrid func() int) {
+	a := workload.NewAMR64(64, 2, 1)
+	h = amr.New(geom.UnitCube(64), 2, 2, 1, false, "q")
+	for i, bx := range (geom.BoxList{h.Domain}).SplitEvenly(64) {
+		h.AddGrid(0, bx, i%8, amr.NoGrid)
+	}
+	return h, func() int {
+		return h.RegridAll(0, func(level int, f *cluster.FlagField) {
+			a.Flag(level, 0.5, f)
+		}, amr.DefaultRegridParams(), nil)
+	}
+}
+
 // BenchmarkRegridAll measures the whole regrid pipeline — flag, dilate,
 // cluster, create children, initialise their data — plan-only on AMR64
 // at 64³ and with field data on ShockPool3D at 32³.
 func BenchmarkRegridAll(b *testing.B) {
 	b.Run("plan-only/AMR64-64", func(b *testing.B) {
-		a := workload.NewAMR64(64, 2, 1)
-		h := amr.New(geom.UnitCube(64), 2, 2, 1, false, "q")
-		for i, bx := range (geom.BoxList{h.Domain}).SplitEvenly(64) {
-			h.AddGrid(0, bx, i%8, amr.NoGrid)
-		}
+		_, regrid := amr64BenchHierarchy()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n := h.RegridAll(0, func(level int, f *cluster.FlagField) {
-				a.Flag(level, 0.5, f)
-			}, amr.DefaultRegridParams(), nil)
-			if n == 0 {
+			if regrid() == 0 {
 				b.Fatal("regrid created nothing")
 			}
 		}
@@ -741,21 +751,29 @@ func planBenchHierarchy(n int) *amr.Hierarchy {
 var benchGhostPlanSizes = []int{4096, 16384}
 
 // BenchmarkGhostPlanIndexed measures from-scratch ghost-plan
-// construction through the spatial index at 4096 and 16384 grids.
+// construction through the spatial index at 4096 and 16384 level-0
+// grids, and on level 2 of a regridded AMR64 hierarchy at 64³ — level 0
+// has no coarse level, so only a fine level reaches the prolongation
+// remainder.
 func BenchmarkGhostPlanIndexed(b *testing.B) {
-	for _, n := range benchGhostPlanSizes {
-		b.Run(fmt.Sprintf("grids%d", n), func(b *testing.B) {
-			h := planBenchHierarchy(n)
-			h.GhostPlan(0, false) // warm the index and the scratch pool
+	run := func(name string, h *amr.Hierarchy, l int) {
+		b.Run(name, func(b *testing.B) {
+			h.GhostPlan(l, false) // warm the index and the scratch pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if plan := h.GhostPlan(0, false); len(plan) == 0 {
+				if plan := h.GhostPlan(l, false); len(plan) == 0 {
 					b.Fatal("no messages")
 				}
 			}
 		})
 	}
+	for _, n := range benchGhostPlanSizes {
+		run(fmt.Sprintf("grids%d", n), planBenchHierarchy(n), 0)
+	}
+	h, regrid := amr64BenchHierarchy()
+	regrid()
+	run("AMR64-64-level2", h, 2)
 }
 
 // BenchmarkGhostPlanScan is the retained O(n²) baseline of the pair.

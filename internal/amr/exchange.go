@@ -198,44 +198,48 @@ func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool, sizeHint int) []Messag
 
 // appendGhostDest plans one destination grid's ghost messages,
 // mirroring one iteration of the GhostPlanScan outer loop: the index
-// supplies the candidate sources in level-list order, so surviving
+// supplies the overlapping siblings in level-list order, so surviving
 // messages appear exactly as the scan emits them.
+//
+// The prolongation remainder is a count, not a box list. The slabs of
+// the ghost shell are disjoint by construction and the grids of a level
+// are disjoint (CheckProperNesting), so the sibling overlaps are
+// pairwise disjoint pieces of the shell and what no sibling covers is
+// the shell's cells minus theirs. GhostPlanScan subtracts the boxes and
+// assumes neither, which is what lets -check=plan catch a level that
+// overlaps.
 func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelIndex, dom geom.Box, bytesPerCell int64, dropLocal bool, scr *planScratch) []Message {
 	grown := g.Box.Grow(h.NGhost).Intersect(dom)
 	scr.ghost = geom.SubtractAppend(scr.ghost[:0], grown, g.Box)
-	covered := scr.covered[:0]
+	remaining := grown.NumCells() - g.Box.NumCells()
 	scr.cand = li.query(grown, scr.cand[:0])
 	for _, s := range scr.cand {
-		if s.ID == g.ID || !s.Box.Intersects(grown) {
+		if s.ID == g.ID {
 			continue
 		}
+		// A sibling on the destination's processor sends nothing but
+		// still covers its share of the shell.
+		drop := dropLocal && s.Owner == g.Owner
 		for _, gb := range scr.ghost {
 			ov := gb.Intersect(s.Box)
 			if ov.Empty() {
 				continue
 			}
-			covered = append(covered, ov)
-			if dropLocal && s.Owner == g.Owner {
+			cells := ov.NumCells()
+			remaining -= cells
+			if drop {
 				continue
 			}
 			out = append(out, Message{
 				Src: s.ID, Dst: g.ID,
-				Bytes: ov.NumCells() * bytesPerCell,
+				Bytes: cells * bytesPerCell,
 				Kind:  SiblingGhost,
 			})
 		}
 	}
-	scr.covered = covered
-	if l == 0 {
-		return out
-	}
-	// Ghost cells not covered by siblings come from the coarse level
+	// Ghost cells no sibling holds come from the coarse level
 	// (prolongation); attribute them to the parent grid.
-	var remaining int64
-	for _, gb := range scr.ghost {
-		remaining += subtractList(gb, covered, scr).NumCells()
-	}
-	if remaining > 0 {
+	if l > 0 && remaining > 0 {
 		p := h.Grid(g.Parent)
 		if p != nil && (!dropLocal || p.Owner != g.Owner) {
 			// Coarse data for r^3 fine ghost cells is one coarse
@@ -273,8 +277,9 @@ func subtractList(a geom.Box, bs geom.BoxList, scr *planScratch) geom.BoxList {
 }
 
 // GhostPlanScan is the original O(grids²) all-pairs ghost planner,
-// kept as the -plancheck baseline and for benchmarks. It produces
-// exactly the same messages as GhostPlan.
+// kept as the -plancheck baseline and for benchmarks. On a level whose
+// grids are disjoint it produces exactly the same messages as GhostPlan;
+// it subtracts the overlaps as boxes, so it is right on any level.
 func (h *Hierarchy) GhostPlanScan(l int, dropLocal bool) []Message {
 	var out []Message
 	bytesPerCell := int64(len(h.Fields)) * 8

@@ -90,8 +90,8 @@ func (h *Hierarchy) buildFillPlan(l int) []fillDest {
 // mirroring one iteration of buildFillPlanScan: prolongation regions
 // from every overlapping coarse grid (coarse grid major, ghost box
 // minor), sibling overlap copies, then the outside-domain clamp
-// boxes. Candidates come from the level indexes in level-list order —
-// the coarse query box grown.Coarsen(r) touches exactly the coarse
+// boxes. Sources come from the level indexes in level-list order —
+// the coarse query box grown.Coarsen(r) overlaps exactly the coarse
 // grids whose refined box meets grown — so the op order matches the
 // scan's.
 func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.Box, scr *planScratch) fillDest {
@@ -113,14 +113,9 @@ func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.
 	}
 	scr.cand = li.query(grown, scr.cand[:0])
 	for _, s := range scr.cand {
-		if s.ID == g.ID {
-			continue
+		if s.ID != g.ID {
+			d.ops = append(d.ops, fillOp{src: s, region: grown.Intersect(s.Box)})
 		}
-		ov := grown.Intersect(s.Box)
-		if ov.Empty() {
-			continue
-		}
-		d.ops = append(d.ops, fillOp{src: s, region: ov})
 	}
 	d.clamps = geom.Subtract(grown, dom)
 	return d

@@ -9,6 +9,21 @@ import (
 	"samrdlb/internal/geom"
 )
 
+// addUncovered adds a level-l grid on the first piece of the box that
+// no grid of the level covers, if there is one — the grids of a level
+// stay disjoint, as CheckProperNesting demands and the ghost planner's
+// counted remainder assumes. A fine grid's box is given in level-(l−1)
+// cells, so the piece stays aligned to the refinement factor.
+func addUncovered(h *Hierarchy, l int, box geom.Box, owner int, parent GridID) {
+	r := 1
+	if l > 0 {
+		r = h.RefFactor
+	}
+	if rest := geom.SubtractList(box, h.Boxes(l).Coarsen(r)); len(rest) > 0 {
+		h.AddGrid(l, rest[0].Refine(r), owner, parent)
+	}
+}
+
 // randomHierarchy builds a 2–3 level hierarchy with a random level-0
 // tiling and random refined children, for plan-equivalence trials.
 func randomHierarchy(rng *rand.Rand) *Hierarchy {
@@ -20,8 +35,7 @@ func randomHierarchy(rng *rand.Rand) *Hierarchy {
 	for l := 0; l < h.MaxLevel; l++ {
 		for _, p := range h.Grids(l) {
 			if rng.Intn(10) < 6 {
-				sub := randomBoxIn(rng, p.Box)
-				h.AddGrid(l+1, sub.Refine(h.RefFactor), rng.Intn(4), p.ID)
+				addUncovered(h, l+1, randomBoxIn(rng, p.Box), rng.Intn(4), p.ID)
 			}
 		}
 	}
@@ -71,13 +85,13 @@ func childless(h *Hierarchy) []*Grid {
 // mutate applies one random structural or ownership mutation.
 func mutate(h *Hierarchy, rng *rand.Rand) {
 	switch rng.Intn(8) {
-	case 0: // add a level-0 grid
-		h.AddGrid(0, randomBoxIn(rng, h.Domain), rng.Intn(4), NoGrid)
+	case 0: // add a level-0 grid (where an earlier removal left a hole)
+		addUncovered(h, 0, randomBoxIn(rng, h.Domain), rng.Intn(4), NoGrid)
 	case 1: // add a child under a random parent
 		l := rng.Intn(h.MaxLevel)
 		if gs := h.Grids(l); len(gs) > 0 {
 			p := gs[rng.Intn(len(gs))]
-			h.AddGrid(l+1, randomBoxIn(rng, p.Box).Refine(h.RefFactor), rng.Intn(4), p.ID)
+			addUncovered(h, l+1, randomBoxIn(rng, p.Box), rng.Intn(4), p.ID)
 		}
 	case 2: // remove a childless grid
 		if cs := childless(h); len(cs) > 0 {
@@ -118,8 +132,7 @@ func mutate(h *Hierarchy, rng *rand.Rand) {
 			h.ClearLevelsFrom(h.MaxLevel)
 			for _, p := range gs {
 				if rng.Intn(2) == 0 {
-					h.AddGrid(h.MaxLevel, randomBoxIn(rng, p.Box).Refine(h.RefFactor),
-						rng.Intn(4), p.ID)
+					addUncovered(h, h.MaxLevel, randomBoxIn(rng, p.Box), rng.Intn(4), p.ID)
 				}
 			}
 		}

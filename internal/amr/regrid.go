@@ -1,6 +1,8 @@
 package amr
 
 import (
+	"slices"
+
 	"samrdlb/internal/cluster"
 	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
@@ -41,9 +43,9 @@ type Placer func(childBox geom.Box, parent *Grid) int
 // created.
 func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Placer) int {
 	// Capture old fine grids for data copy before destroying them.
-	old := make(map[int][]*Grid)
+	old := make([][]*Grid, h.MaxLevel+1)
 	for l := base + 1; l <= h.MaxLevel; l++ {
-		old[l] = append([]*Grid(nil), h.Grids(l)...)
+		old[l] = slices.Clone(h.Grids(l))
 	}
 	h.ClearLevelsFrom(base + 1)
 
@@ -70,13 +72,11 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 		// which a sibling init writes.
 		var pending []*Grid
 		for _, parent := range h.Grids(l) {
-			var pieces geom.BoxList
 			for _, b := range boxes {
-				if piece := b.Intersect(parent.Box); !piece.Empty() {
-					pieces = append(pieces, piece)
+				piece := b.Intersect(parent.Box)
+				if piece.Empty() {
+					continue
 				}
-			}
-			for _, piece := range pieces {
 				childBox := piece.Refine(h.RefFactor)
 				owner := parent.Owner
 				if place != nil {

@@ -12,16 +12,18 @@ import (
 // O(n²) per plan build. Each level instead keeps a uniform bucket grid
 // over its index space: a grid is registered in every bucket its box
 // touches, so a query gathers the buckets the query box touches and
-// unions their occupants. Bucket extents track the typical grid size
-// (~cbrt(n) buckets per dimension), so a query returns O(k) candidates
-// independent of the level's population.
+// keeps the occupants that overlap it. Bucket extents track the typical
+// grid size (~cbrt(n) buckets per dimension), so a query looks at O(k)
+// grids independent of the level's population.
 //
 // The index is built on first plan query from the level list as it
 // stands, sized for that population, and is valid for the level's
-// structure generation. query sorts candidates by their level-list
-// position before returning: plan builders iterate candidates in
-// exactly the order the O(n²) scans iterate the level, which is what
-// keeps indexed plans byte-identical to the scan baselines.
+// structure generation. A query's answer is exact, ordered and unique:
+// exactly the grids whose box overlaps the query box, sorted by their
+// level-list position, each once. Plan builders therefore visit their
+// sources in exactly the order the O(n²) scans visit the level, which
+// is what keeps indexed plans byte-identical to the scan baselines, and
+// need no overlap test of their own.
 
 // maxIndexBuckets caps the bucket-array footprint per level.
 const maxIndexBuckets = 1 << 21
@@ -60,8 +62,8 @@ func newLevelIndex(dom geom.Box, n int) *levelIndex {
 
 // bucketRange returns the clamped bucket-coordinate range the box
 // touches. Boxes extending past the bucketed region (grown query
-// boxes) clamp to the border buckets, which only widens the candidate
-// set.
+// boxes) clamp to the border buckets, which only widens the set of
+// buckets a query filters.
 func (li *levelIndex) bucketRange(b geom.Box) (lo, hi geom.Index) {
 	bl := b.Lo.Sub(li.org)
 	bh := b.Hi.Sub(li.org)
@@ -86,17 +88,22 @@ func (li *levelIndex) forBuckets(b geom.Box, fn func(int)) {
 	}
 }
 
-// query appends every indexed grid whose buckets touch b to out and
-// returns it, sorted by level-list position and deduplicated — the
-// candidate superset for an overlap scan, in exactly the order the
-// full-level scan would visit the survivors.
+// query appends to out exactly the indexed grids whose box overlaps b,
+// each once, in level-list order — what a scan of the whole level that
+// keeps the overlapping grids visits, so a plan builder needs no test
+// of its own. Buckets are filtered while gathering; only the survivors
+// are sorted by position and deduplicated.
 func (li *levelIndex) query(b geom.Box, out []*Grid) []*Grid {
 	lo, hi := li.bucketRange(b)
 	for z := lo[2]; z <= hi[2]; z++ {
 		for y := lo[1]; y <= hi[1]; y++ {
 			base := (z*li.dims[1] + y) * li.dims[0]
 			for x := lo[0]; x <= hi[0]; x++ {
-				out = append(out, li.buckets[base+x]...)
+				for _, g := range li.buckets[base+x] {
+					if g.Box.Intersects(b) {
+						out = append(out, g)
+					}
+				}
 			}
 		}
 	}
@@ -107,9 +114,8 @@ func (li *levelIndex) query(b geom.Box, out []*Grid) []*Grid {
 	return out
 }
 
-// dedupeSorted compacts adjacent duplicates in a position-sorted
-// candidate list (a grid straddling several buckets appears once per
-// bucket).
+// dedupeSorted compacts adjacent duplicates in a position-sorted list
+// (a grid straddling several buckets appears once per bucket).
 func dedupeSorted(gs []*Grid) []*Grid {
 	w := 0
 	for i, g := range gs {

@@ -2,6 +2,7 @@ package amr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"samrdlb/internal/geom"
@@ -21,36 +22,28 @@ func randomBoxIn(rng *rand.Rand, dom geom.Box) geom.Box {
 	return geom.Box{Lo: lo, Hi: hi}
 }
 
-// checkQuery asserts the index query for b returns a pos-sorted,
-// duplicate-free candidate list that contains every level grid
-// intersecting b and nothing outside the level.
+// checkQuery asserts the index query for b returns exactly what a
+// brute-force filter of the level list does: the grids overlapping b,
+// in level-list order, each once.
 func checkQuery(t *testing.T, h *Hierarchy, l int, b geom.Box) {
 	t.Helper()
 	h.planMu.Lock()
-	li := h.indexFor(l)
-	got := li.query(b, nil)
+	got := h.indexFor(l).query(b, nil)
 	h.planMu.Unlock()
-	inLevel := make(map[*Grid]bool, len(h.Grids(l)))
+	var want []*Grid
 	for _, g := range h.Grids(l) {
-		inLevel[g] = true
-	}
-	seen := make(map[*Grid]bool, len(got))
-	for i, g := range got {
-		if !inLevel[g] {
-			t.Fatalf("query(%v) returned grid %d not on level %d", b, g.ID, l)
-		}
-		if seen[g] {
-			t.Fatalf("query(%v) returned grid %d twice", b, g.ID)
-		}
-		seen[g] = true
-		if i > 0 && got[i-1].pos >= g.pos {
-			t.Fatalf("query(%v) candidates out of level-list order at %d", b, i)
+		if g.Box.Intersects(b) {
+			want = append(want, g)
 		}
 	}
-	for _, g := range h.Grids(l) {
-		if g.Box.Intersects(b) && !seen[g] {
-			t.Fatalf("query(%v) missed intersecting grid %d box %v", b, g.ID, g.Box)
+	if !slices.Equal(got, want) {
+		ids := func(gs []*Grid) (out []GridID) {
+			for _, g := range gs {
+				out = append(out, g.ID)
+			}
+			return out
 		}
+		t.Fatalf("level %d query(%v) = grids %v, the level list filtered = %v", l, b, ids(got), ids(want))
 	}
 }
 
@@ -63,8 +56,51 @@ func TestLevelIndexQueryMatchesBruteForce(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		// Include boxes that poke past the domain, as grown ghost
-		// queries do: clamping to border buckets must stay a superset.
+		// queries do: they clamp to the border buckets.
 		q := randomBoxIn(rng, dom).Grow(rng.Intn(3))
 		checkQuery(t, h, 0, q)
+	}
+}
+
+// TestQueryIsExactOrderedAndUnique pins the query contract the plan
+// builders rely on — exactly the overlapping grids, in level-list
+// order, once — on the sparse fine levels of random hierarchies, for
+// query boxes that straddle bucket borders, lie partly or wholly
+// outside the bucketed region, or are empty.
+func TestQueryIsExactOrderedAndUnique(t *testing.T) {
+	for trial := 0; trial < 30; trial++ {
+		rng := rand.New(rand.NewSource(int64(300 + trial)))
+		h := randomHierarchy(rng)
+		for i := 0; i < 8; i++ {
+			mutate(h, rng) // removals and re-adds put the lists out of spatial order
+		}
+		for l := 0; l <= h.MaxLevel; l++ {
+			dom := h.DomainAt(l)
+			h.planMu.Lock()
+			cell := h.indexFor(l).cell
+			h.planMu.Unlock()
+			n := dom.Shape()[0]
+			queries := []geom.Box{
+				dom, dom.Grow(5),
+				{Lo: geom.Index{-9, -9, -9}, Hi: geom.Index{-2, -2, -2}},    // outside, low
+				{Lo: geom.Index{n + 1, 0, 0}, Hi: geom.Index{n + 7, n, n}},  // outside, high
+				{Lo: geom.Index{-4, -4, -4}, Hi: geom.Index{0, 0, 0}},       // one corner cell inside
+				{Lo: geom.Index{5, 5, 5}, Hi: geom.Index{4, 9, 9}},          // empty
+				{Lo: geom.Index{0, 0, 0}, Hi: geom.Index{n - 1, n - 1, -1}}, // empty
+				// One cell either side of the first bucket border, per axis.
+				{Lo: geom.Index{cell[0] - 1, 0, 0}, Hi: geom.Index{cell[0], n - 1, n - 1}},
+				{Lo: geom.Index{0, cell[1] - 1, 0}, Hi: geom.Index{n - 1, cell[1], n - 1}},
+				{Lo: geom.Index{0, 0, cell[2] - 1}, Hi: geom.Index{n - 1, n - 1, cell[2]}},
+			}
+			for _, g := range h.Grids(l) {
+				queries = append(queries, g.Box, g.Box.Grow(h.NGhost), g.Box.Grow(3).Intersect(dom))
+			}
+			for i := 0; i < 40; i++ {
+				queries = append(queries, randomBoxIn(rng, dom).Grow(rng.Intn(3)))
+			}
+			for _, q := range queries {
+				checkQuery(t, h, l, q)
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"samrdlb/internal/amr"
@@ -285,7 +285,7 @@ type Runner struct {
 	// copies values immediately), so plain reuse is safe.
 	perProcBuf, workBuf   []float64
 	commLocal, commRemote []float64
-	pairIndex             map[commPair]int
+	pairSlot              []int32
 	xfers                 []transfer
 	inGrid                []int
 }
@@ -1123,34 +1123,48 @@ func (r *Runner) chargeMessages(msgs []amr.Message, localPhase, remotePhase vclo
 	if len(msgs) == 0 {
 		return
 	}
-	if r.pairIndex == nil {
-		r.pairIndex = make(map[commPair]int)
-	} else {
-		clear(r.pairIndex)
+	// pairSlot[src·n+dst] is one more than the pair's position in pairs,
+	// zero while unseen; the entries used are zeroed again below.
+	n := r.sys.NumProcs()
+	if len(r.pairSlot) < n*n {
+		r.pairSlot = make([]int32, n*n)
 	}
 	pairs := r.xfers[:0]
-	for _, m := range msgs {
-		src := r.h.Grid(m.Src).Owner
-		dst := r.h.Grid(m.Dst).Owner
-		if src == dst {
-			continue
+	// A sibling seen through several ghost slabs, and the children of
+	// one parent, are consecutive in a plan: owners and the pair's slot
+	// are resolved once per run of equal Dst and of equal (Src, Dst).
+	// slot < 0 marks a run whose two grids share a processor.
+	dst, slot := 0, -1
+	for i, m := range msgs {
+		newDst := i == 0 || m.Dst != msgs[i-1].Dst
+		if newDst {
+			dst = r.h.Grid(m.Dst).Owner
 		}
-		key := commPair{src, dst}
-		i, seen := r.pairIndex[key]
-		if !seen {
-			i = len(pairs)
-			r.pairIndex[key] = i
-			pairs = append(pairs, transfer{commPair: key})
+		if newDst || m.Src != msgs[i-1].Src {
+			slot = -1
+			if src := r.h.Grid(m.Src).Owner; src != dst {
+				at := &r.pairSlot[src*n+dst]
+				if *at == 0 {
+					pairs = append(pairs, transfer{commPair: commPair{src, dst}})
+					*at = int32(len(pairs))
+				}
+				slot = int(*at) - 1
+			}
 		}
-		pairs[i].bytes += m.Bytes
+		if slot >= 0 {
+			pairs[slot].bytes += m.Bytes
+		}
 	}
-	// Deterministic accumulation order: the per-processor float sums
-	// (and hence every downstream DLB decision) depend on it.
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].src != pairs[j].src {
-			return pairs[i].src < pairs[j].src
+	for _, p := range pairs {
+		r.pairSlot[p.src*n+p.dst] = 0
+	}
+	// Deterministic accumulation order (the keys are unique): the
+	// per-processor float sums, and every DLB decision after, depend on it.
+	slices.SortFunc(pairs, func(a, b transfer) int {
+		if a.src != b.src {
+			return a.src - b.src
 		}
-		return pairs[i].dst < pairs[j].dst
+		return a.dst - b.dst
 	})
 	r.xfers = pairs
 	r.chargeTransfers(pairs, localPhase, remotePhase)

@@ -136,38 +136,72 @@ func SubtractList(a Box, bs BoxList) BoxList {
 
 // SplitEvenly greedily splits the boxes in the list until it contains
 // at least n boxes, always halving the currently largest box along its
-// longest dimension. Boxes of a single cell are never split further.
-// It is used by the baseline parallel DLB to break up oversized level-0
-// grids so they can be spread over all processors.
+// longest dimension — the first of the largest, in list order. Boxes of
+// a single cell are never split further. It is used by the baseline
+// parallel DLB to break up oversized level-0 grids so they can be spread
+// over all processors.
 func (l BoxList) SplitEvenly(n int) BoxList {
 	out := append(BoxList{}, l...)
-	for len(out) < n {
-		// Find the largest splittable box.
-		bi, bc := -1, int64(1)
-		// The cell count is spelt out through a pointer, not NumCells():
-		// a Box is two [3]int arrays, which Go passes on the stack, and
-		// that 48-byte copy per call made this O(n²) scan's speed depend
-		// on the caller's frame alignment (engine.New at 4096 boxes:
-		// 0.2 s or 0.4 s by stack depth). An empty box has a non-positive
-		// extent and so never beats bc.
-		for i := range out {
-			b := &out[i]
-			if b.Hi[0] < b.Lo[0] || b.Hi[1] < b.Lo[1] || b.Hi[2] < b.Lo[2] {
-				continue
-			}
-			c := int64(b.Hi[0]-b.Lo[0]+1) * int64(b.Hi[1]-b.Lo[1]+1) * int64(b.Hi[2]-b.Lo[2]+1)
-			if c > bc {
-				bi, bc = i, c
-			}
+	// The splittable boxes (two cells or more) wait in a max-heap, so
+	// each pick is what a scan for the first largest box would find.
+	hp := make(splitHeap, 0, max(n, len(out)))
+	for i, b := range out {
+		if c := b.NumCells(); c > 1 {
+			hp = append(hp, splitKey{c, i})
 		}
-		if bi < 0 {
-			break // everything is single-cell
-		}
+	}
+	for i := len(hp)/2 - 1; i >= 0; i-- {
+		hp.down(i)
+	}
+	for len(out) < n && len(hp) > 0 {
+		bi := hp[0].idx
 		lo, hi := out[bi].Halve()
 		out[bi] = lo
 		out = append(out, hi)
+		// The low half keeps the list index and the root; the high half
+		// is the list's new last entry.
+		if hp[0].cells = lo.NumCells(); hp[0].cells <= 1 {
+			hp[0] = hp[len(hp)-1]
+			hp = hp[:len(hp)-1]
+		}
+		hp.down(0)
+		if c := hi.NumCells(); c > 1 {
+			hp = append(hp, splitKey{c, len(out) - 1})
+			hp.up(len(hp) - 1)
+		}
 	}
 	return out
+}
+
+// splitKey is a box of SplitEvenly's list: its cell count and index.
+type splitKey struct {
+	cells int64
+	idx   int
+}
+
+// splitHeap is a binary max-heap: more cells first, then lower index.
+type splitHeap []splitKey
+
+func (h splitHeap) before(i, j int) bool {
+	return h[i].cells > h[j].cells || h[i].cells == h[j].cells && h[i].idx < h[j].idx
+}
+
+func (h splitHeap) up(i int) {
+	for p := (i - 1) / 2; i > 0 && h.before(i, p); i, p = p, (p-1)/2 {
+		h[i], h[p] = h[p], h[i]
+	}
+}
+
+func (h splitHeap) down(i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h.before(c+1, c) {
+			c++
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // SortByLo orders the list lexicographically by the low corner

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -137,6 +138,62 @@ func TestSplitEvenlySingleCells(t *testing.T) {
 	out := l.SplitEvenly(5)
 	if len(out) != 1 {
 		t.Errorf("single cell cannot be split, got %d boxes", len(out))
+	}
+}
+
+// splitEvenlyScan is SplitEvenly as it was before the heap: an O(n)
+// scan for the first largest splittable box per split. It is the
+// reference the heap must reproduce box for box.
+func splitEvenlyScan(l BoxList, n int) BoxList {
+	out := append(BoxList{}, l...)
+	for len(out) < n {
+		bi, bc := -1, int64(1)
+		for i, b := range out {
+			if c := b.NumCells(); c > bc {
+				bi, bc = i, c
+			}
+		}
+		if bi < 0 {
+			break // everything is single-cell
+		}
+		lo, hi := out[bi].Halve()
+		out[bi] = lo
+		out = append(out, hi)
+	}
+	return out
+}
+
+// TestSplitEvenlyMatchesScan pins the split order: every list the heap
+// produces equals the scan's, position by position, from 1 to 4096
+// pieces — on cubes (every split a tie among equal boxes), odd shapes,
+// lists mixing large, single-cell and empty boxes, and requests larger
+// than the cell count.
+func TestSplitEvenlyMatchesScan(t *testing.T) {
+	empty := Box{Lo: Index{3, 3, 3}, Hi: Index{2, 5, 5}}
+	lists := map[string]BoxList{
+		"cube64":   {UnitCube(64)},
+		"cube24":   {UnitCube(24)},
+		"odd":      {BoxFromShape(Index{-3, 2, 7}, Index{17, 5, 29})},
+		"tiny":     {UnitCube(3)}, // 27 cells: runs out of splittable boxes
+		"no boxes": {},
+		"mixed": {
+			UnitCube(1), empty, BoxFromShape(Index{10, 0, 0}, Index{4, 4, 4}),
+			BoxFromShape(Index{20, 0, 0}, Index{4, 4, 4}), empty, BoxFromShape(Index{0, 9, 0}, Index{1, 1, 1}),
+			BoxFromShape(Index{30, 0, 0}, Index{9, 7, 5}), BoxFromShape(Index{40, 0, 0}, Index{2, 1, 1}),
+		},
+	}
+	var sizes []int
+	for n := 0; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 127, 128, 129, 500, 1000, 2047, 2048, 4095, 4096)
+	for name, l := range lists {
+		for _, n := range sizes {
+			got, want := l.SplitEvenly(n), splitEvenlyScan(l, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: SplitEvenly(%d) diverged from the scan (%d vs %d boxes)", name, n, len(got), len(want))
+			}
+		}
 	}
 }
 
