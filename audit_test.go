@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -210,6 +212,59 @@ func TestAuditReachedOrRemoved(t *testing.T) {
 	}
 	if len(auditAllow) > 15 {
 		t.Errorf("allow-list has %d entries, cap is 15", len(auditAllow))
+	}
+}
+
+// auditDeleted lists what a PR removed for good: a pattern that must
+// not come back in the non-test files its globs (space-separated) match,
+// and what replaced it. Pure greps only — a check that needs a function body or a count
+// is a step of .github/workflows/ci.yml.
+var auditDeleted = []struct{ pattern, glob, reason string }{
+	{`dirtyAll|maxDirtyRegions|ghostOff|markDirty|patchMsgPlan|patchFillPlan|indexRebuildFactor`, "internal/amr/*.go",
+		"plans are rebuilt, not patched: a structure generation invalidates a level's plans and index whole"},
+	{`Box\.ForEach|\.Offset\(|\.Get\(`, "internal/amr/regrid.go internal/cluster/*.go",
+		"regrid works on rows: FlagField.SetRows, Dilate and the one-scan signatures, no walk by geom.Index"},
+	{`SetWhere\(`, "internal/workload/*.go",
+		"a driver's Flag writes rows through FlagField.SetRows, not a per-cell predicate"},
+	{`\bgw\b|VerifyGroups`, "internal/load/*.go",
+		"Eq. 2 is a sum on read (Recorder.LevelGroupWork): no per-group mirror, so no oracle for one"},
+	{`groupSubtree|groupL0Cells`, "internal/load/*.go",
+		"the ledger keeps per-processor and per-grid tables; GroupSubtreeWork and GroupLevel0Cells sum them on read"},
+	{`parentUnion`, "internal/amr/*.go",
+		"CheckProperNesting proves each grid nested in a parent one level up, which implies the parent-union pass"},
+	{`MarkdownReport`, "internal/exp/*.go",
+		"one renderer: every report builds its metrics.Table once and takes a Format"},
+	{`worker-detached|worker-resume`, "cmd/samrsim/*.go",
+		"a restarted worker is detached and resumed, always both: one -worker-restart"},
+}
+
+// TestAuditStaysDeleted is rule 3: what was deleted on purpose stays
+// deleted, checked by tier-1 and not only by CI.
+func TestAuditStaysDeleted(t *testing.T) {
+	for _, d := range auditDeleted {
+		re := regexp.MustCompile(d.pattern)
+		var files []string
+		for _, glob := range strings.Fields(d.glob) {
+			m, err := filepath.Glob(glob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, slices.DeleteFunc(m, func(f string) bool { return !notTest(f) })...)
+		}
+		if len(files) == 0 {
+			t.Errorf("%s matches no non-test file: the rule for %q checks nothing", d.glob, d.pattern)
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if re.MatchString(line) {
+					t.Errorf("%s:%d: %s\n  is back: %s", f, i+1, strings.TrimSpace(line), d.reason)
+				}
+			}
+		}
 	}
 }
 

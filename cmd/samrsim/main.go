@@ -63,12 +63,12 @@ import (
 // flags holds what is not part of the run's description: what to do
 // with the run, and what belongs to this process.
 type flags struct {
-	tournament, trace, series, resume, recoveryReport, supervise, workerDetached, workerResume bool
-	tournamentScenarios, ckptKeep, stopAfter, maxRestarts, workerShard                         int
-	tournamentSeed                                                                             int64
-	benchOut, scenario, save, ckptDir, cpuProfile, memProfile, workerControl                   string
-	wireTimeout                                                                                time.Duration
-	stdout, stderr                                                                             io.Writer
+	tournament, trace, series, resume, recoveryReport, supervise, workerRestart bool
+	tournamentScenarios, ckptKeep, stopAfter, maxRestarts, workerShard          int
+	tournamentSeed                                                              int64
+	benchOut, scenario, save, ckptDir, cpuProfile, memProfile, workerControl    string
+	wireTimeout                                                                 time.Duration
+	stdout, stderr                                                              io.Writer
 }
 
 // register declares every flag: the run flags from the scenario key
@@ -94,8 +94,7 @@ func (f *flags) register(fs *flag.FlagSet) *scenario.Scenario {
 	fs.IntVar(&f.maxRestarts, "max-restarts", 3, "supervise: restarts allowed per worker before the run fails")
 	fs.IntVar(&f.workerShard, "worker-shard", -1, "internal: run as the supervised worker hosting this processor group")
 	fs.StringVar(&f.workerControl, "worker-control", "", "internal: supervisor control-channel address")
-	fs.BoolVar(&f.workerDetached, "worker-detached", false, "internal: run the worker without a wire (post-crash restart)")
-	fs.BoolVar(&f.workerResume, "worker-resume", false, "internal: resume the worker from its checkpoint store")
+	fs.BoolVar(&f.workerRestart, "worker-restart", false, "internal: post-crash restart — run the worker without a wire, resumed from its checkpoint store")
 	return scenario.RegisterFlags(fs)
 }
 

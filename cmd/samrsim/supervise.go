@@ -71,13 +71,13 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 		ControlAddr: f.workerControl,
 		ShardOf:     sys.GroupOf,
 		WireTimeout: f.wireTimeout,
-		Detached:    f.workerDetached,
+		Detached:    f.workerRestart,
 		Build: func(ep *mpx.TCPEndpoint) (func(func(int)) (string, string, error), error) {
 			var report func(int)
 			attach, checker := f.attach(spec, func(o *engine.Options) {
 				o.UseMPX = true
 				o.Transport = engine.TransportWorker
-				o.Worker = &engine.WorkerWire{Shard: shard, Endpoint: ep, Detached: f.workerDetached || ep == nil}
+				o.Worker = &engine.WorkerWire{Shard: shard, Endpoint: ep}
 				if f.ckptDir != "" {
 					// Each worker owns its own store under the shared -ckpt-dir, so
 					// a restarted worker resumes from the generations its own
@@ -90,8 +90,8 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 					}
 				}
 			})
-			r, _, _, err := spec.Start(f.workerResume, attach)
-			if err != nil && f.workerResume {
+			r, _, _, err := spec.Start(f.workerRestart, attach)
+			if err != nil && f.workerRestart {
 				// The previous incarnation died before its first durable
 				// write (or the store is damaged): determinism makes a
 				// fresh replay byte-identical.
@@ -158,14 +158,11 @@ func runSupervisor(f *flags, spec *scenario.Scenario, args []string) int {
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(f.stderr, "supervise: "+format+"\n", args...)
 		},
-		Spawn: func(shard int, controlAddr string, detached, resume bool) *exec.Cmd {
+		Spawn: func(shard int, controlAddr string, restart bool) *exec.Cmd {
 			args := append(append([]string{}, args...),
 				"-worker-shard", strconv.Itoa(shard), "-worker-control", controlAddr)
-			if detached {
-				args = append(args, "-worker-detached")
-			}
-			if resume {
-				args = append(args, "-worker-resume")
+			if restart {
+				args = append(args, "-worker-restart")
 			}
 			cmd := exec.Command(exe, args...)
 			cmd.Stderr = f.stderr

@@ -16,6 +16,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -154,11 +155,10 @@ type Options struct {
 	// member is dead or rejoining). Only meaningful with Faults.
 	GroupQuorum int
 	// LedgerCheck enables the load-ledger debug oracle: after every
-	// hierarchy mutation event the incremental aggregates are verified
-	// against a full recomputation (panic on divergence), and the
-	// recorder's group aggregates are checked at each global-balance
-	// decision. Turns O(changes) bookkeeping into O(grids) per event —
-	// for tests and -ledgercheck runs only.
+	// hierarchy mutation event the ledger's incremental tables are
+	// verified against a full recomputation (panic on divergence) —
+	// nothing else. Turns O(changes) bookkeeping into O(grids) per
+	// event — for tests and -check=ledger runs only.
 	LedgerCheck bool
 	// DataCheck enables the data-motion debug oracle: every planned
 	// ghost fill and restriction is re-run through the scan-based
@@ -174,7 +174,7 @@ type Options struct {
 	PlanCheck bool
 }
 
-func (o *Options) setDefaults() {
+func (o *Options) setDefaults() error {
 	if o.Steps <= 0 {
 		o.Steps = 8
 	}
@@ -182,7 +182,7 @@ func (o *Options) setDefaults() {
 		o.Balancer, _ = dlb.NewPolicy("distributed") // the paper's scheme; the name is in the table
 	}
 	if o.MaxLevel < 0 {
-		panic("engine: negative MaxLevel")
+		return errors.New("engine: negative MaxLevel")
 	}
 	if o.MaxLevel == 0 {
 		o.MaxLevel = 2
@@ -199,6 +199,7 @@ func (o *Options) setDefaults() {
 	if o.CheckpointKeep <= 0 {
 		o.CheckpointKeep = 3
 	}
+	return nil
 }
 
 // regridFlopsPerCell is the modelled computational cost of
@@ -314,15 +315,23 @@ func procScratch(buf *[]float64, n int) []float64 {
 // decomposition of GridsPerProc boxes per processor, assigned in
 // spatial order so each group owns a contiguous region (the paper's
 // group-boundary picture of Figure 6).
+// Options the constructor rejects (newRunner's errors) are a panic
+// with the error's "engine: …" text here, an error from Resume.
 func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
-	return newRunner(sys, driver, opt, nil, 0)
+	r, err := newRunner(sys, driver, opt, nil, 0)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
 }
 
 // newRunner is the constructor New and Resume share. A non-nil
 // restored is a checkpointed hierarchy (amr.Load) to continue from at
 // simulated time simT, instead of a fresh decomposition.
-func newRunner(sys *machine.System, driver workload.Driver, opt Options, restored *amr.Hierarchy, simT float64) *Runner {
-	opt.setDefaults()
+func newRunner(sys *machine.System, driver workload.Driver, opt Options, restored *amr.Hierarchy, simT float64) (*Runner, error) {
+	if err := opt.setDefaults(); err != nil {
+		return nil, err
+	}
 	r := &Runner{
 		sys:          sys,
 		driver:       driver,
@@ -346,7 +355,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		h = r.newHierarchy()
 	} else if h.Domain != geom.UnitCube(driver.DomainN()) || h.RefFactor != r.refFactor ||
 		h.WithData != opt.WithData {
-		panic("engine: checkpoint does not match the driver/options")
+		return nil, errors.New("engine: checkpoint does not match the driver/options")
 	}
 	// The ledger attaches before the initial decomposition so every
 	// grid creation flows through it as an event; for a restored
@@ -357,7 +366,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	}
 	if opt.Faults != nil {
 		if err := opt.Faults.Validate(sys.NumProcs(), sys.NumGroups()); err != nil {
-			panic("engine: " + err.Error())
+			return nil, fmt.Errorf("engine: %w", err)
 		}
 		// Attach the schedule to every fabric link (outages, degradation
 		// and probe loss), expose quarantine to the balancer, and make
@@ -379,7 +388,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	if opt.CheckpointDir != "" {
 		st, err := ckpt.Open(opt.CheckpointDir, opt.CheckpointKeep)
 		if err != nil {
-			panic("engine: " + err.Error())
+			return nil, fmt.Errorf("engine: %w", err)
 		}
 		if opt.Faults != nil {
 			st.SetFault(opt.Faults.ForDisk())
@@ -390,40 +399,40 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	case "", TransportLoopback:
 	case TransportTCP:
 		if !opt.UseMPX {
-			panic("engine: Transport=tcp requires UseMPX")
+			return nil, errors.New("engine: Transport=tcp requires UseMPX")
 		}
 	case TransportWorker:
 		if !opt.UseMPX {
-			panic("engine: Transport=worker requires UseMPX")
+			return nil, errors.New("engine: Transport=worker requires UseMPX")
 		}
 		if opt.Worker == nil {
-			panic("engine: Transport=worker requires Options.Worker")
+			return nil, errors.New("engine: Transport=worker requires Options.Worker")
 		}
 		if opt.GradientField != "" || opt.DataCheck {
 			// Worker replicas may hold stale copies of remote-owned
 			// grids; any control decision or oracle that reads field
 			// values would diverge across processes.
-			panic("engine: Transport=worker forbids data-dependent control (GradientField/DataCheck)")
+			return nil, errors.New("engine: Transport=worker forbids data-dependent control (GradientField/DataCheck)")
 		}
 	default:
-		panic("engine: unknown Transport " + opt.Transport)
+		return nil, errors.New("engine: unknown Transport " + opt.Transport)
 	}
 	if opt.UseMPX {
 		if !opt.WithData {
-			panic("engine: UseMPX requires WithData")
+			return nil, errors.New("engine: UseMPX requires WithData")
 		}
 		if opt.Reflux {
-			panic("engine: Reflux and UseMPX are not supported together")
+			return nil, errors.New("engine: Reflux and UseMPX are not supported together")
 		}
 		switch {
 		case opt.Transport == TransportTCP:
 			ss, err := newTCPShards(sys, opt.wireFault, opt.WireTimeout)
 			if err != nil {
-				panic("engine: " + err.Error())
+				return nil, fmt.Errorf("engine: %w", err)
 			}
 			r.shards = ss
 		case opt.Transport == TransportWorker:
-			if opt.Worker.Endpoint != nil && !opt.Worker.Detached {
+			if opt.Worker.Endpoint != nil {
 				r.shards = newWorkerShard(sys, opt.Worker.Shard, opt.Worker.Endpoint)
 			}
 			// Detached workers (a restart after a crash, or a worker
@@ -438,17 +447,17 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	}
 	if opt.Reflux {
 		if !opt.WithData {
-			panic("engine: Reflux requires WithData")
+			return nil, errors.New("engine: Reflux requires WithData")
 		}
 		r.fluxRegs = make([]*amr.FluxRegister, opt.MaxLevel+1)
 	}
 	if opt.GradientField != "" && !opt.WithData {
-		panic("engine: gradient flagging requires WithData")
+		return nil, errors.New("engine: gradient flagging requires WithData")
 	}
 	if restored == nil {
 		r.initLevel0()
 	}
-	return r
+	return r, nil
 }
 
 // newHierarchy builds the empty hierarchy of the run's shape (a fresh
@@ -1242,14 +1251,6 @@ func (r *Runner) globalBalance() {
 	if r.opt.Faults != nil {
 		r.noteMembership()
 		r.noteQuarantine()
-	}
-	if r.opt.LedgerCheck {
-		// Oracle for the incremental Eq. 2 aggregates: the recorder's
-		// group sums must match a recompute over all processors right
-		// before the decision reads them.
-		if err := r.rec.VerifyGroups(); err != nil {
-			panic("engine: recorder group aggregates diverged: " + err.Error())
-		}
 	}
 	forced := r.ctx.ForceEval
 	d := r.opt.Balancer.GlobalBalance(r.ctx)

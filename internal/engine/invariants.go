@@ -2,7 +2,6 @@ package engine
 
 import (
 	"samrdlb/internal/dlb"
-	"samrdlb/internal/load"
 	"samrdlb/internal/machine"
 )
 
@@ -72,9 +71,6 @@ type PhaseInfo struct {
 
 // System exposes the machine the run executes on.
 func (r *Runner) System() *machine.System { return r.sys }
-
-// Recorder exposes the load recorder (for invariant checkers).
-func (r *Runner) Recorder() *load.Recorder { return r.rec }
 
 // Context exposes the DLB context (for invariant checkers).
 func (r *Runner) Context() *dlb.Context { return r.ctx }

@@ -14,9 +14,7 @@ import (
 func TestLedgerOracleQuickstartConfig(t *testing.T) {
 	// The examples/quickstart scenario with the ledger oracle armed:
 	// after every hierarchy mutation event the incremental aggregates
-	// are verified against a full recomputation (panic on divergence),
-	// and the recorder's Eq. 2 group sums are checked at every
-	// global-balance decision.
+	// are verified against a full recomputation (panic on divergence).
 	if testing.Short() {
 		t.Skip("oracle mode is O(grids) per event")
 	}
@@ -33,9 +31,6 @@ func TestLedgerOracleQuickstartConfig(t *testing.T) {
 	}
 	if err := r.Ledger().Verify(); err != nil {
 		t.Errorf("final ledger state diverged: %v", err)
-	}
-	if err := r.rec.VerifyGroups(); err != nil {
-		t.Errorf("final recorder group aggregates diverged: %v", err)
 	}
 }
 
@@ -88,9 +83,12 @@ func TestSingleGroupRedistributionChargedWithDelta(t *testing.T) {
 	for x := 0; x < 16; x += 4 {
 		h.AddGrid(0, geom.BoxFromShape(geom.Index{x, 0, 0}, geom.Index{4, 16, 16}), 0, amr.NoGrid)
 	}
-	r := newRunner(machine.Origin2000("ANL", 4), workload.NewShockPool3D(16, 2), Options{
+	r, err := newRunner(machine.Origin2000("ANL", 4), workload.NewShockPool3D(16, 2), Options{
 		Steps: 2, MaxLevel: 1, LedgerCheck: true,
 	}, h, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := r.Run()
 	if res.GlobalRedists < 1 {
 		t.Fatalf("imbalanced single group must redistribute, got %d (evals %d)",

@@ -1,0 +1,109 @@
+package engine
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"samrdlb/internal/fault"
+	"samrdlb/internal/machine"
+	"samrdlb/internal/workload"
+)
+
+// procFail is a one-event schedule (seed 7) failing the given
+// processor late enough that a two-step run never reaches it.
+func procFail(t *testing.T, proc int) *fault.Schedule {
+	t.Helper()
+	s, err := fault.NewSchedule(7, fault.Event{Kind: fault.ProcFailure, Proc: proc, Start: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestMisconfigurationPanicsInNewErrorsInResume has one row per message
+// the shared constructor rejects options with: New panics with the text,
+// Resume — handed a store a well-configured run of the same shape wrote
+// — returns it wrapped. Two messages have no row: "checkpoint does not
+// match the driver/options", which neither entry point can reach
+// (TestResumeMismatchPanics calls the constructor), and a failing
+// newTCPShards (the loopback listener cannot be made to fail on demand).
+func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
+	rows := []struct {
+		want string
+		// store is the configuration of the run that wrote the store
+		// Resume is pointed at; bad makes it the rejected one.
+		store Options
+		bad   func(*Options)
+	}{
+		{"engine: negative MaxLevel", Options{},
+			func(o *Options) { o.MaxLevel = -1 }},
+		{"engine: fault event 0 (proc-fail): proc 99 out of range for 2 processors", Options{Faults: procFail(t, 1)},
+			func(o *Options) { o.Faults = procFail(t, 99) }},
+		{"engine: Transport=tcp requires UseMPX", Options{},
+			func(o *Options) { o.Transport = TransportTCP }},
+		{"engine: Transport=worker requires UseMPX", Options{},
+			func(o *Options) { o.Transport = TransportWorker }},
+		{"engine: Transport=worker requires Options.Worker", Options{},
+			func(o *Options) { o.UseMPX, o.Transport = true, TransportWorker }},
+		{"engine: Transport=worker forbids data-dependent control (GradientField/DataCheck)", Options{},
+			func(o *Options) {
+				o.UseMPX, o.Transport, o.Worker, o.DataCheck = true, TransportWorker, &WorkerWire{}, true
+			}},
+		{"engine: unknown Transport carrier-pigeon", Options{},
+			func(o *Options) { o.Transport = "carrier-pigeon" }},
+		{"engine: UseMPX requires WithData", Options{},
+			func(o *Options) { o.UseMPX = true }},
+		{"engine: Reflux and UseMPX are not supported together", Options{WithData: true},
+			func(o *Options) { o.UseMPX, o.Reflux = true, true }},
+		{"engine: Reflux requires WithData", Options{},
+			func(o *Options) { o.Reflux = true }},
+		{"engine: gradient flagging requires WithData", Options{},
+			func(o *Options) { o.GradientField = "q" }},
+	}
+	sys := func() *machine.System { return machine.WanPair(1, nil) }
+	driver := func() workload.Driver { return workload.NewShockPool3D(8, 2) }
+	for _, row := range rows {
+		opt := row.store
+		opt.Steps, opt.MaxLevel, opt.CheckpointInterval, opt.CheckpointDir = 2, 1, 1, t.TempDir()
+		New(sys(), driver(), opt).Run()
+		if opt.Faults != nil {
+			opt.Faults = procFail(t, 1) // a schedule is one run's
+		}
+		row.bad(&opt)
+
+		func() {
+			defer func() {
+				if p := recover(); p != row.want {
+					t.Errorf("New panicked with %v, want %q", p, row.want)
+				}
+			}()
+			New(sys(), driver(), opt)
+		}()
+		r, _, err := Resume(sys(), driver(), opt)
+		if r != nil || err == nil || err.Error() != "engine.Resume: "+row.want {
+			t.Errorf("Resume = (%v, %v), want the error %q wrapped", r, err, row.want)
+		}
+	}
+
+	// A store that cannot be opened: New's panic carries ckpt.Open's
+	// error; Resume opens the store itself before it builds a runner and
+	// reports the same cause under its own prefix.
+	file := filepath.Join(t.TempDir(), "not-a-directory")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Steps: 1, CheckpointDir: filepath.Join(file, "store")}
+	func() {
+		defer func() {
+			if p, _ := recover().(string); !strings.HasPrefix(p, "engine: ckpt.Open: ") {
+				t.Errorf("New on an unopenable store panicked with %q", p)
+			}
+		}()
+		New(sys(), driver(), opt)
+	}()
+	if _, _, err := Resume(sys(), driver(), opt); err == nil || !strings.HasPrefix(err.Error(), "engine.Resume: ckpt.Open: ") {
+		t.Errorf("Resume on an unopenable store: %v", err)
+	}
+}

@@ -30,7 +30,9 @@ import (
 // to the resume point rather than the original run's in-memory
 // checkpoint.
 func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, *ckpt.RestoreReport, error) {
-	opt.setDefaults()
+	if err := opt.setDefaults(); err != nil {
+		return nil, nil, fmt.Errorf("engine.Resume: %w", err)
+	}
 	if opt.CheckpointDir == "" {
 		return nil, nil, fmt.Errorf("engine.Resume: Options.CheckpointDir is required")
 	}
@@ -65,7 +67,10 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 	// The constructor opens its own Store handle on the same directory
 	// (continuing the generation numbering the restore saw) and attaches
 	// the disk-fault injector if the run is fault-scripted.
-	r := newRunner(sys, driver, opt, h, meta.SimTime)
+	r, err := newRunner(sys, driver, opt, h, meta.SimTime)
+	if err != nil {
+		return nil, report, fmt.Errorf("engine.Resume: %w", err)
+	}
 	if err := r.restoreFromMeta(meta); err != nil {
 		return nil, report, fmt.Errorf("engine.Resume: %w", err)
 	}

@@ -38,11 +38,10 @@ type WorkerWire struct {
 	// Shard is the processor-group id this process hosts.
 	Shard int
 	// Endpoint is the worker's already-connected wire endpoint; New
-	// binds the shard world to it. nil runs the worker detached.
+	// binds the shard world to it. nil runs the worker detached,
+	// without a wire — the restart path after a crash, when the
+	// surviving peers have already detached.
 	Endpoint *mpx.TCPEndpoint
-	// Detached starts the worker without a wire — the restart path
-	// after a crash, when the surviving peers have already detached.
-	Detached bool
 }
 
 // shardSet is the engine's view of a rank execution. Over tcp it is

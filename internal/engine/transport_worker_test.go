@@ -194,7 +194,7 @@ func TestWorkerTransportValidation(t *testing.T) {
 	})
 	mustPanic("worker with DataCheck", Options{
 		Steps: 1, WithData: true, UseMPX: true, DataCheck: true,
-		Transport: TransportWorker, Worker: &WorkerWire{Shard: 0, Detached: true},
+		Transport: TransportWorker, Worker: &WorkerWire{Shard: 0},
 	})
 }
 
@@ -206,7 +206,7 @@ func TestDetachedWorkerRunsPlainPath(t *testing.T) {
 	r := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: true,
 		Transport: TransportWorker,
-		Worker:    &WorkerWire{Shard: 1, Detached: true},
+		Worker:    &WorkerWire{Shard: 1},
 	})
 	res := r.Run()
 	requireWorkerResultMatches(t, "detached worker", loopRes, res)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"samrdlb/internal/engine"
 	"samrdlb/internal/machine"
@@ -170,9 +171,9 @@ func MultiSiteSweep(o Options) []MultiSiteRow {
 }
 
 // AblationReport renders all ablations.
-func AblationReport(o Options) string {
+func AblationReport(o Options, f Format) string {
 	o.setDefaults()
-	out := ""
+	var parts []string
 
 	t := metrics.NewTable(
 		"Ablation — imbalance trigger ε (ShockPool3D, 4+4 WAN)",
@@ -180,7 +181,7 @@ func AblationReport(o Options) string {
 	for _, r := range EpsSweep([]float64{0.01, 0.05, 0.2, 0.5}, o) {
 		t.AddRow(fmt.Sprintf("%.2f", r.Eps), r.Total, r.GlobalEvals, r.GlobalRedists)
 	}
-	out += t.String() + "\n"
+	parts = append(parts, f.section(t, ""))
 
 	t = metrics.NewTable(
 		"Ablation — decomposition granularity (level-0 boxes per processor)",
@@ -188,7 +189,7 @@ func AblationReport(o Options) string {
 	for _, r := range GranularitySweep([]int{1, 2, 4, 8}, o) {
 		t.AddRow(r.GridsPerProc, r.Total, r.Utilisation)
 	}
-	out += t.String() + "\n"
+	parts = append(parts, f.section(t, ""))
 
 	t = metrics.NewTable(
 		"Ablation — regrid interval (level-0 steps between regrids)",
@@ -196,7 +197,7 @@ func AblationReport(o Options) string {
 	for _, r := range RegridIntervalSweep([]int{1, 2, 4}, o) {
 		t.AddRow(r.Interval, r.Total, r.MaxCells)
 	}
-	out += t.String() + "\n"
+	parts = append(parts, f.section(t, ""))
 
 	t = metrics.NewTable(
 		"Extension — NWS-style forecasting of probe measurements (paper's future work)",
@@ -204,7 +205,7 @@ func AblationReport(o Options) string {
 	for _, r := range ForecastAblation(o) {
 		t.AddRow(r.Traffic, r.RawTotal, r.FcTotal, r.RawRedists, r.FcRedists)
 	}
-	out += t.String() + "\n"
+	parts = append(parts, f.section(t, ""))
 
 	t = metrics.NewTable(
 		"Ablation — local-phase policy (ShockPool3D, 4+4 WAN)",
@@ -212,7 +213,7 @@ func AblationReport(o Options) string {
 	for _, r := range SchemeSweep(o) {
 		t.AddRow(r.Scheme, r.Total, r.Remote)
 	}
-	out += t.String() + "\n"
+	parts = append(parts, f.section(t, ""))
 
 	t = metrics.NewTable(
 		"Extension — multi-site systems (paper's future work)",
@@ -220,6 +221,6 @@ func AblationReport(o Options) string {
 	for _, r := range MultiSiteSweep(o) {
 		t.AddRow(r.Sites, r.Parallel, r.Distributed, r.ImprovementPct)
 	}
-	out += t.String()
-	return out
+	parts = append(parts, f.section(t, ""))
+	return strings.Join(parts, "\n")
 }

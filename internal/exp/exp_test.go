@@ -155,10 +155,10 @@ func TestConfigName(t *testing.T) {
 func TestReportsRender(t *testing.T) {
 	o := Options{Steps: 4, Configs: []int{2}, Seed: 1}
 	for name, txt := range map[string]string{
-		"fig3":  Fig3Report(o),
-		"fig7":  Fig7Report("ShockPool3D", o),
-		"fig8":  Fig8Report("ShockPool3D", o),
-		"gamma": GammaReport(o),
+		"fig3":  Fig3Report(o, Text),
+		"fig7":  Fig7Report("ShockPool3D", o, Text),
+		"fig8":  Fig8Report("ShockPool3D", o, Text),
+		"gamma": GammaReport(o, Text),
 	} {
 		if !strings.Contains(txt, "2+2") && name != "gamma" {
 			t.Errorf("%s report missing config row:\n%s", name, txt)
@@ -232,7 +232,7 @@ func TestMultiSiteDistributedWins(t *testing.T) {
 }
 
 func TestAblationReportRenders(t *testing.T) {
-	txt := AblationReport(Options{Steps: 3, Configs: []int{2}, Seed: 1})
+	txt := AblationReport(Options{Steps: 3, Configs: []int{2}, Seed: 1}, Text)
 	for _, want := range []string{"imbalance trigger", "granularity", "regrid interval", "NWS", "multi-site"} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("ablation report missing %q", want)
@@ -257,11 +257,40 @@ func TestSchemeSweep(t *testing.T) {
 	}
 }
 
+// TestMarkdownReport renders the evaluation both ways: the markdown
+// carries every table the text does — Figure 3's totals and the
+// ablations included — and the two differ in nothing but the rendering
+// of each table.
 func TestMarkdownReport(t *testing.T) {
-	md := MarkdownReport(Options{Steps: 3, Configs: []int{2}, Seed: 1})
-	for _, want := range []string{"# Reproduction report", "## Figure 3", "## Figure 7", "## Figure 8", "| 2+2 |", "γ sensitivity"} {
+	o := Options{Steps: 3, Configs: []int{2}, Seed: 1}
+	md, txt := Report(o, Markdown), Report(o, Text)
+	for _, want := range []string{
+		"# SAMR distributed DLB reproduction", "### Figure 3", "### Figure 7", "### Figure 8", "| 2+2 |",
+		"| config | par-compute | par-comm | par-total | dist-compute | dist-comm | dist-total |",
+		"γ sensitivity", "### Ablation — regrid interval", "### Extension — multi-site systems",
+		"|\n\nmeasured: avg improvement",
+	} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q", want)
 		}
+	}
+	// Same tables in the same order: a "### " heading in the one is a
+	// title line above a column header in the other.
+	var titles []string
+	for _, line := range strings.Split(md, "\n") {
+		if title, ok := strings.CutPrefix(line, "### "); ok {
+			titles = append(titles, title)
+		}
+	}
+	if len(titles) != 12 {
+		t.Errorf("markdown has %d tables, want 12: %q", len(titles), titles)
+	}
+	rest := txt
+	for _, title := range titles {
+		i := strings.Index(rest, title+"\n")
+		if i < 0 {
+			t.Fatalf("text report lacks table %q (or has it out of order)", title)
+		}
+		rest = rest[i:]
 	}
 }

@@ -7,47 +7,64 @@ import (
 	"samrdlb/internal/metrics"
 )
 
-// Report renders the full evaluation — every figure with
-// paper-vs-measured comparison — as text. cmd/figures prints it and
-// EXPERIMENTS.md records a run of it.
-func Report(o Options) string {
+// Format is how a report renders its tables. Every report builds each
+// metrics.Table once; the format only picks the table's rendering.
+type Format int
+
+const (
+	// Text is aligned columns for a terminal.
+	Text Format = iota
+	// Markdown is GitHub tables under "###" headings: the tables of
+	// EXPERIMENTS.md are a run of `figures -format md`.
+	Markdown
+)
+
+// section renders one table followed by the line that reads it against
+// the paper ("" for none). A markdown table runs until a blank line, so
+// there the note needs one in front.
+func (f Format) section(t *metrics.Table, note string) string {
+	if f != Markdown {
+		return t.String() + note
+	}
+	if note != "" {
+		note = "\n" + note
+	}
+	return t.Markdown() + note
+}
+
+// Report renders the full evaluation — every figure and ablation with
+// its paper-vs-measured comparison. cmd/figures prints it.
+func Report(o Options, f Format) string {
 	o.setDefaults()
-	var b strings.Builder
-
-	b.WriteString("SAMR distributed DLB reproduction — evaluation report\n")
-	fmt.Fprintf(&b, "steps=%d configs=%v seed=%d maxlevel=%d shockN=%d amrN=%d\n\n",
+	head := "SAMR distributed DLB reproduction — evaluation report\n"
+	if f == Markdown {
+		head = "# " + head + "\n"
+	}
+	head += fmt.Sprintf("steps=%d configs=%v seed=%d maxlevel=%d shockN=%d amrN=%d\n\n",
 		o.Steps, o.Configs, o.Seed, o.MaxLevel, o.ShockN, o.AMRN)
-
-	b.WriteString(Fig3Report(o))
-	b.WriteString("\n")
-	for _, ds := range []string{"AMR64", "ShockPool3D"} {
-		b.WriteString(Fig7Report(ds, o))
-		b.WriteString("\n")
-	}
-	for _, ds := range []string{"AMR64", "ShockPool3D"} {
-		b.WriteString(Fig8Report(ds, o))
-		b.WriteString("\n")
-	}
-	b.WriteString(GammaReport(o))
-	b.WriteString("\n")
-	b.WriteString(AblationReport(o))
-	return b.String()
+	return head + strings.Join([]string{
+		Fig3Report(o, f),
+		Fig7Report("AMR64", o, f), Fig7Report("ShockPool3D", o, f),
+		Fig8Report("AMR64", o, f), Fig8Report("ShockPool3D", o, f),
+		GammaReport(o, f),
+		AblationReport(o, f),
+	}, "\n")
 }
 
 // Fig3Report renders Figure 3.
-func Fig3Report(o Options) string {
+func Fig3Report(o Options, f Format) string {
 	t := metrics.NewTable(
 		"Figure 3 — parallel vs distributed execution (ShockPool3D, parallel DLB on both systems; seconds)",
 		"config", "par-compute", "par-comm", "par-total", "dist-compute", "dist-comm", "dist-total")
 	for _, r := range Fig3(o) {
 		t.AddRow(r.Config, r.ParCompute, r.ParComm, r.ParTotal, r.DistCompute, r.DistComm, r.DistTotal)
 	}
-	return t.String() +
-		"paper: computation similar on both systems; distributed communication much larger (shared WAN).\n"
+	return f.section(t,
+		"paper: computation similar on both systems; distributed communication much larger (shared WAN).\n")
 }
 
 // Fig7Report renders Figure 7 for one dataset.
-func Fig7Report(dataset string, o Options) string {
+func Fig7Report(dataset string, o Options, f Format) string {
 	rows := Fig7(dataset, o)
 	band := Fig7Bands[dataset]
 	sysName := "WAN (ANL+NCSA, MREN OC-3)"
@@ -60,13 +77,13 @@ func Fig7Report(dataset string, o Options) string {
 	for _, r := range rows {
 		t.AddRow(r.Config, r.Parallel, r.Distributed, r.ImprovementPct)
 	}
-	return t.String() + fmt.Sprintf(
+	return f.section(t, fmt.Sprintf(
 		"measured: avg improvement %.1f%% | paper: %.1f%%–%.1f%%, avg %.1f%%\n",
-		AvgImprovement(rows), band.MinPct, band.MaxPct, band.AvgPct)
+		AvgImprovement(rows), band.MinPct, band.MaxPct, band.AvgPct))
 }
 
 // Fig8Report renders Figure 8 for one dataset.
-func Fig8Report(dataset string, o Options) string {
+func Fig8Report(dataset string, o Options, f Format) string {
 	rows := Fig8(dataset, o)
 	band := Fig8Bands[dataset]
 	t := metrics.NewTable(
@@ -78,19 +95,19 @@ func Fig8Report(dataset string, o Options) string {
 		avg += r.ImprovementPct
 	}
 	avg /= float64(len(rows))
-	return t.String() + fmt.Sprintf(
+	return f.section(t, fmt.Sprintf(
 		"measured: avg efficiency improvement %.1f%% | paper: %.1f%%–%.1f%%\n",
-		avg, band.MinPct, band.MaxPct)
+		avg, band.MinPct, band.MaxPct))
 }
 
 // GammaReport renders the γ-sensitivity ablation.
-func GammaReport(o Options) string {
+func GammaReport(o Options, f Format) string {
 	t := metrics.NewTable(
 		"Ablation — γ sensitivity (ShockPool3D, 4+4 WAN; paper defers this to future work)",
 		"gamma", "total-time", "global-redists", "global-evals")
 	for _, r := range GammaSweep([]float64{0.5, 1, 2, 4, 8}, o) {
 		t.AddRow(fmt.Sprintf("%.1f", r.Gamma), r.Total, r.GlobalRedists, r.GlobalEvals)
 	}
-	return t.String() +
-		"expectation: higher γ vetoes more redistributions; γ≈2 (the paper's default) balances overhead vs imbalance.\n"
+	return f.section(t,
+		"expectation: higher γ vetoes more redistributions; γ≈2 (the paper's default) balances overhead vs imbalance.\n")
 }

@@ -144,7 +144,6 @@ func (c *Checker) Check(pi *engine.PhaseInfo) {
 			c.checkBalanceTolerance(pi)
 		}
 	case engine.PhaseGlobalBalance:
-		c.checkRecorderGroups(pi)
 		c.checkGlobalDecision(pi)
 	case engine.PhaseRestore:
 		c.checkOwnersAlive(pi)
@@ -189,15 +188,6 @@ func (c *Checker) checkStructure(pi *engine.PhaseInfo) {
 func (c *Checker) checkLedger(pi *engine.PhaseInfo) {
 	if err := pi.Runner.Ledger().Verify(); err != nil {
 		c.report(pi, "ledger-exact", "%v", err)
-	}
-}
-
-// checkRecorderGroups verifies the recorder's Eq. 2 group aggregates
-// right where the decision read them (the hook fires before the
-// interval resets).
-func (c *Checker) checkRecorderGroups(pi *engine.PhaseInfo) {
-	if err := pi.Runner.Recorder().VerifyGroups(); err != nil {
-		c.report(pi, "recorder-groups", "%v", err)
 	}
 }
 

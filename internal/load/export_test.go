@@ -11,3 +11,7 @@ func (r *Recorder) ProcWork(proc int) float64 {
 	}
 	return sum
 }
+
+// LevelWork returns w^i_proc(t) as last recorded: what the engine-level
+// mirror test replays into its reference.
+func (r *Recorder) LevelWork(proc, level int) float64 { return r.w[proc][level] }

@@ -12,12 +12,13 @@ import (
 // path reads. The paper's argument (Eqs. 1–4) needs the balancer's
 // bookkeeping overhead δ to stay small relative to the gain, yet a
 // naive implementation recomputes every aggregate — per-processor
-// level loads, the Eq. 2/3 group works, subtree workloads, total cell
-// counts — by walking the whole hierarchy on every evaluation, an
-// O(grids) cost per decision. The ledger instead subscribes to the
-// hierarchy's mutation events (amr.Listener) and keeps every
-// aggregate current in O(depth) per grid event, so each decision-path
-// read is O(1) or O(procs) regardless of hierarchy size.
+// level loads, subtree workloads, total cell counts — by walking the
+// whole hierarchy on every evaluation, an O(grids) cost per decision.
+// The ledger instead subscribes to the hierarchy's mutation events
+// (amr.Listener) and keeps the per-processor and per-grid tables
+// current in O(depth) per grid event. Everything per group is a sum
+// over those tables taken when the global phase asks, once per
+// level-0 step at most (GroupLevel0Cells, GroupSubtreeWork).
 //
 // Maintained state:
 //
@@ -29,17 +30,13 @@ import (
 //     (cells × RefFactor^level summed over the grid and its attached
 //     descendants — Eq. 3's N^i_iter weighting for fully subcycled
 //     levels).
-//   - groupSubtree[group]: Σ sub over the group's level-0 grids,
-//     attributed by the level-0 owner's group (the donor workload of
-//     the global phase's boundary shift).
-//   - groupL0Cells[group]: level-0 cells per group (the W^0 used to
-//     size the transferred bytes).
 //   - owned[level][proc]: the grids themselves, for the local phase's
 //     donor scans.
 //
 // All cell quantities are integers represented in float64, far below
-// 2^53, so incremental adds and subtracts are exact and Verify can
-// demand bit equality with a full recomputation.
+// 2^53, so incremental adds and subtracts are exact in any order:
+// Verify can demand bit equality with a full recomputation, and a
+// group sum does not depend on the order its terms are visited in.
 type Ledger struct {
 	sys *machine.System
 	h   *amr.Hierarchy
@@ -48,9 +45,7 @@ type Ledger struct {
 	levelCells []int64     // [level]
 	total      int64
 
-	sub          map[amr.GridID]float64
-	groupSubtree []float64 // [group]
-	groupL0Cells []int64   // [group]
+	sub map[amr.GridID]float64
 
 	owned []map[int][]*amr.Grid // [level][proc]
 
@@ -58,7 +53,7 @@ type Ledger struct {
 	rebuilds int
 
 	// selfCheck makes every event run the full recompute oracle and
-	// panic on divergence — the -ledgercheck debug mode.
+	// panic on divergence — the -check=ledger debug mode.
 	selfCheck bool
 }
 
@@ -75,7 +70,7 @@ func NewLedger(sys *machine.System, h *amr.Hierarchy) *Ledger {
 // SetSelfCheck toggles oracle mode: after every mutation event the
 // whole ledger is verified against a from-scratch recomputation and
 // any divergence panics with the failing aggregate. Meant for tests
-// and the -ledgercheck flag; it turns O(changes) bookkeeping back
+// and -check=ledger; it turns O(changes) bookkeeping back
 // into O(grids) per event.
 func (l *Ledger) SetSelfCheck(on bool) { l.selfCheck = on }
 
@@ -93,7 +88,6 @@ func (l *Ledger) Rebuilds() int { return l.rebuilds }
 // attaches to an empty hierarchy and everything after is events.
 func (l *Ledger) Rebuild() {
 	nproc := l.sys.NumProcs()
-	ngroup := l.sys.NumGroups()
 	nlevel := l.h.MaxLevel + 1
 
 	l.procCells = make([][]float64, nlevel)
@@ -101,8 +95,6 @@ func (l *Ledger) Rebuild() {
 	l.owned = make([]map[int][]*amr.Grid, nlevel)
 	l.total = 0
 	l.sub = make(map[amr.GridID]float64)
-	l.groupSubtree = make([]float64, ngroup)
-	l.groupL0Cells = make([]int64, ngroup)
 	l.events = 0
 	l.rebuilds++
 
@@ -127,10 +119,6 @@ func (l *Ledger) Rebuild() {
 			}
 		}
 	}
-	for _, g := range l.h.Grids(0) {
-		l.groupSubtree[l.sys.GroupOf(g.Owner)] += l.sub[g.ID]
-		l.groupL0Cells[l.sys.GroupOf(g.Owner)] += g.NumCells()
-	}
 }
 
 // iterWeight returns RefFactor^level: how many times a level's cells
@@ -148,7 +136,6 @@ func (l *Ledger) iterWeight(level int) float64 {
 // GridAdded implements amr.Listener.
 func (l *Ledger) GridAdded(h *amr.Hierarchy, g *amr.Grid) {
 	cells := float64(g.NumCells())
-	grp := l.sys.GroupOf(g.Owner)
 	l.procCells[g.Level][g.Owner] += cells
 	l.levelCells[g.Level] += g.NumCells()
 	l.total += g.NumCells()
@@ -156,12 +143,7 @@ func (l *Ledger) GridAdded(h *amr.Hierarchy, g *amr.Grid) {
 
 	own := cells * l.iterWeight(g.Level)
 	l.sub[g.ID] = own
-	if g.Level == 0 {
-		l.groupSubtree[grp] += own
-		l.groupL0Cells[grp] += g.NumCells()
-	} else {
-		l.addToChain(g.Parent, own)
-	}
+	l.addToChain(g.Parent, own)
 	l.event()
 }
 
@@ -171,19 +153,12 @@ func (l *Ledger) GridAdded(h *amr.Hierarchy, g *amr.Grid) {
 // ancestors are still present for the chain walk.
 func (l *Ledger) GridRemoved(h *amr.Hierarchy, g *amr.Grid) {
 	cells := float64(g.NumCells())
-	grp := l.sys.GroupOf(g.Owner)
 	l.procCells[g.Level][g.Owner] -= cells
 	l.levelCells[g.Level] -= g.NumCells()
 	l.total -= g.NumCells()
 	l.disown(g, g.Owner)
 
-	w := l.sub[g.ID]
-	if g.Level == 0 {
-		l.groupSubtree[grp] -= w
-		l.groupL0Cells[grp] -= g.NumCells()
-	} else {
-		l.addToChain(g.Parent, -w)
-	}
+	l.addToChain(g.Parent, -l.sub[g.ID])
 	delete(l.sub, g.ID)
 	l.event()
 }
@@ -191,22 +166,10 @@ func (l *Ledger) GridRemoved(h *amr.Hierarchy, g *amr.Grid) {
 // OwnerChanged implements amr.Listener.
 func (l *Ledger) OwnerChanged(h *amr.Hierarchy, g *amr.Grid, oldOwner int) {
 	cells := float64(g.NumCells())
-	oldGrp, newGrp := l.sys.GroupOf(oldOwner), l.sys.GroupOf(g.Owner)
 	l.procCells[g.Level][oldOwner] -= cells
 	l.procCells[g.Level][g.Owner] += cells
 	l.disown(g, oldOwner)
 	l.owned[g.Level][g.Owner] = append(l.owned[g.Level][g.Owner], g)
-	if g.Level == 0 && oldGrp != newGrp {
-		// The whole subtree's workload follows the level-0 owner's
-		// group (children live in their root's group under the
-		// distributed scheme; the aggregate is defined by the root).
-		l.groupSubtree[oldGrp] -= l.sub[g.ID]
-		l.groupSubtree[newGrp] += l.sub[g.ID]
-	}
-	if g.Level == 0 {
-		l.groupL0Cells[oldGrp] -= g.NumCells()
-		l.groupL0Cells[newGrp] += g.NumCells()
-	}
 	l.event()
 }
 
@@ -224,10 +187,10 @@ func (l *Ledger) ParentChanged(h *amr.Hierarchy, g *amr.Grid, oldParent amr.Grid
 	l.event()
 }
 
-// addToChain adds w to every ancestor's subtree sum starting at id,
-// and to the owning group's aggregate when the chain reaches a
-// level-0 root. A chain ending at a detached grid (mid-split) gets no
-// group attribution; the re-attach event restores it.
+// addToChain adds w to the subtree sum of the grid id and of every
+// ancestor above it; the chain ends at a level-0 root, or earlier at
+// a grid detached mid-split (whose re-attach event carries its whole
+// subtree sum up the new chain).
 func (l *Ledger) addToChain(id amr.GridID, w float64) {
 	for id != amr.NoGrid {
 		p := l.h.Grid(id)
@@ -235,10 +198,6 @@ func (l *Ledger) addToChain(id amr.GridID, w float64) {
 			return
 		}
 		l.sub[p.ID] += w
-		if p.Level == 0 {
-			l.groupSubtree[l.sys.GroupOf(p.Owner)] += w
-			return
-		}
 		id = p.Parent
 	}
 }
@@ -279,12 +238,29 @@ func (l *Ledger) TotalCells() int64 { return l.total }
 // its descendants (0 for unknown IDs).
 func (l *Ledger) SubtreeWork(id amr.GridID) float64 { return l.sub[id] }
 
-// GroupSubtreeWork returns the summed subtree workload of the group's
-// level-0 grids — the donor workload of the global phase.
-func (l *Ledger) GroupSubtreeWork(group int) float64 { return l.groupSubtree[group] }
+// GroupSubtreeWork returns the summed subtree workload of the level-0
+// grids the group's processors own — the donor workload of the global
+// phase. The whole subtree counts for its root's group, wherever the
+// children live.
+func (l *Ledger) GroupSubtreeWork(group int) float64 {
+	var sum float64
+	for _, p := range l.sys.ProcsInGroup(group) {
+		for _, g := range l.owned[0][p] {
+			sum += l.sub[g.ID]
+		}
+	}
+	return sum
+}
 
-// GroupLevel0Cells returns the group's level-0 cell count.
-func (l *Ledger) GroupLevel0Cells(group int) int64 { return l.groupL0Cells[group] }
+// GroupLevel0Cells returns the group's level-0 cell count (the W^0
+// that sizes the bytes a boundary shift transfers).
+func (l *Ledger) GroupLevel0Cells(group int) int64 {
+	var sum float64
+	for _, p := range l.sys.ProcsInGroup(group) {
+		sum += l.procCells[0][p]
+	}
+	return int64(sum)
+}
 
 // Owned returns the grids processor proc holds at the level. The
 // slice is the ledger's own state: callers must not mutate it and
@@ -321,16 +297,6 @@ func (l *Ledger) Verify() error {
 	for id, w := range want.sub {
 		if lw, ok := l.sub[id]; !ok || lw != w {
 			return fmt.Errorf("subtree[%d]: ledger %v, recompute %v", id, l.sub[id], w)
-		}
-	}
-	for g := range want.groupSubtree {
-		if l.groupSubtree[g] != want.groupSubtree[g] {
-			return fmt.Errorf("groupSubtree[%d]: ledger %v, recompute %v",
-				g, l.groupSubtree[g], want.groupSubtree[g])
-		}
-		if l.groupL0Cells[g] != want.groupL0Cells[g] {
-			return fmt.Errorf("groupL0Cells[%d]: ledger %d, recompute %d",
-				g, l.groupL0Cells[g], want.groupL0Cells[g])
 		}
 	}
 	for lev := range want.owned {

@@ -39,13 +39,6 @@ type Recorder struct {
 	// delta is δ: the recorded computational overhead of the previous
 	// global redistribution.
 	delta float64
-
-	// Incremental Eq. 2 aggregates: gw[group][level] mirrors
-	// Σ_{proc∈group} w[proc][level] and is updated in O(1) per
-	// RecordLevelWork call, so GroupWork/GroupWorks/Gain/
-	// ImbalanceRatio read O(groups·levels) state instead of summing
-	// over every processor on each decision.
-	gw [][]float64
 }
 
 // NewRecorder returns a recorder for the system's processors and
@@ -59,13 +52,9 @@ func NewRecorder(sys *machine.System, maxLevel int) *Recorder {
 		maxLevel: maxLevel,
 		nIter:    make([]int, maxLevel+1),
 		w:        make([][]float64, sys.NumProcs()),
-		gw:       make([][]float64, sys.NumGroups()),
 	}
 	for p := range r.w {
 		r.w[p] = make([]float64, maxLevel+1)
-	}
-	for g := range r.gw {
-		r.gw[g] = make([]float64, maxLevel+1)
 	}
 	return r
 }
@@ -77,9 +66,6 @@ func (r *Recorder) ResetInterval() {
 		clear(r.w[p])
 	}
 	clear(r.nIter)
-	for g := range r.gw {
-		clear(r.gw[g])
-	}
 }
 
 // RecordLevelWork stores the instantaneous per-level workload for a
@@ -91,7 +77,6 @@ func (r *Recorder) RecordLevelWork(proc, level int, work float64) {
 	if work < 0 {
 		panic("load.RecordLevelWork: negative work")
 	}
-	r.gw[r.sys.GroupOf(proc)][level] += work - r.w[proc][level]
 	r.w[proc][level] = work
 }
 
@@ -140,15 +125,11 @@ func (r *Recorder) AddDelta(d float64) {
 // Delta returns the recorded δ.
 func (r *Recorder) Delta() float64 { return r.delta }
 
-// LevelGroupWork returns W^i_group(t) (Eq. 2) for the given group,
-// from the incrementally maintained aggregate.
+// LevelGroupWork returns W^i_group(t) (Eq. 2): the sum of w^i_proc
+// over the group's processors, taken when asked. The paper evaluates
+// Eqs. 2–4 once per level-0 step, while w is written on every level
+// iteration, so no per-group copy is kept.
 func (r *Recorder) LevelGroupWork(group, level int) float64 {
-	return r.gw[group][level]
-}
-
-// levelGroupWorkRecompute is the O(procs) Eq. 2 sum, the oracle
-// VerifyGroups asserts the incremental aggregates against.
-func (r *Recorder) levelGroupWorkRecompute(group, level int) float64 {
 	var sum float64
 	for _, p := range r.sys.ProcsInGroup(group) {
 		sum += r.w[p][level]
@@ -167,34 +148,9 @@ func (r *Recorder) GroupWork(group int) float64 {
 	return sum
 }
 
-// VerifyGroups compares the incremental Eq. 2 aggregates against the
-// recompute oracle. Incremental maintenance replays additions in a
-// different association order than a direct sum, so equality is
-// checked to a tight relative tolerance rather than bit-exactly.
-func (r *Recorder) VerifyGroups() error {
-	for g := range r.gw {
-		for l := 0; l <= r.maxLevel; l++ {
-			inc := r.gw[g][l]
-			ora := r.levelGroupWorkRecompute(g, l)
-			diff := inc - ora
-			if diff < 0 {
-				diff = -diff
-			}
-			scale := ora
-			if scale < 1 {
-				scale = 1
-			}
-			if diff > 1e-9*scale {
-				return fmt.Errorf("group %d level %d: incremental %v, recompute %v", g, l, inc, ora)
-			}
-		}
-	}
-	return nil
-}
-
 // GroupWorks returns W_group for every group.
 func (r *Recorder) GroupWorks() []float64 {
-	out := make([]float64, len(r.gw))
+	out := make([]float64, r.sys.NumGroups())
 	for g := range out {
 		out[g] = r.GroupWork(g)
 	}

@@ -284,6 +284,20 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
+// Markdown renders the same cells as a GitHub-flavoured table under a
+// "### Title" heading.
+func (t *Table) Markdown() string {
+	var b strings.Builder
+	if t.Title != "" {
+		fmt.Fprintf(&b, "### %s\n\n", t.Title)
+	}
+	fmt.Fprintf(&b, "| %s |\n|%s\n", strings.Join(t.Columns, " | "), strings.Repeat("---|", len(t.Columns)))
+	for _, r := range t.rows {
+		fmt.Fprintf(&b, "| %s |\n", strings.Join(r, " | "))
+	}
+	return b.String()
+}
+
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))

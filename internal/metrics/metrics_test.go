@@ -79,6 +79,11 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(first, "config") || !strings.Contains(first, "time") {
 		t.Errorf("header row wrong: %q", first)
 	}
+	// The markdown rendering carries the same cells.
+	want := "### My Title\n\n| config | time |\n|---|---|\n| 4+4 | 1.235 |\n| 8+8 | 42 |\n"
+	if md := tb.Markdown(); md != want {
+		t.Errorf("markdown render:\n%s\nwant:\n%s", md, want)
+	}
 }
 
 func TestHistoryRecordsAndRenders(t *testing.T) {

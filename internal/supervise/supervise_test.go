@@ -26,8 +26,7 @@ const (
 	envShard     = "SAMR_SUPERVISE_WORKER"
 	envControl   = "SAMR_SUPERVISE_CONTROL"
 	envCkpt      = "SAMR_SUPERVISE_CKPT"
-	envDetached  = "SAMR_SUPERVISE_DETACHED"
-	envResume    = "SAMR_SUPERVISE_RESUME"
+	envRestart   = "SAMR_SUPERVISE_RESTART"
 	envWT        = "SAMR_SUPERVISE_WT"
 	envKillCkpt  = "SAMR_SUPERVISE_KILL_AT_CKPT_SEQ"
 	envStopStep  = "SAMR_SUPERVISE_STOP_AT_STEP"
@@ -43,11 +42,11 @@ func TestMain(m *testing.M) {
 
 // testRunOptions is the chaos scenario every worker (and the in-process
 // baseline) runs: 6 steps with a durable checkpoint generation every 2.
-func testRunOptions(shard int, ep *mpx.TCPEndpoint, detached bool, ckdir string) engine.Options {
+func testRunOptions(shard int, ep *mpx.TCPEndpoint, ckdir string) engine.Options {
 	return engine.Options{
 		Steps: 6, MaxLevel: 1, WithData: true, UseMPX: true,
 		Transport:          engine.TransportWorker,
-		Worker:             &engine.WorkerWire{Shard: shard, Endpoint: ep, Detached: detached || ep == nil},
+		Worker:             &engine.WorkerWire{Shard: shard, Endpoint: ep},
 		CheckpointDir:      ckdir,
 		CheckpointInterval: 2,
 		CheckpointKeep:     3,
@@ -60,8 +59,7 @@ func testDriver() workload.Driver { return workload.NewShockPool3D(16, 2) }
 func workerMain() int {
 	shard, _ := strconv.Atoi(os.Getenv(envShard))
 	wt, _ := time.ParseDuration(os.Getenv(envWT))
-	detached := os.Getenv(envDetached) == "1"
-	resume := os.Getenv(envResume) == "1"
+	restart := os.Getenv(envRestart) == "1"
 	ckdir := filepath.Join(os.Getenv(envCkpt), fmt.Sprintf("worker-%d", shard))
 	killSeq, stopStep, delayMS := -1, -1, 0
 	if v := os.Getenv(envKillCkpt); v != "" {
@@ -81,11 +79,11 @@ func workerMain() int {
 		ControlAddr: os.Getenv(envControl),
 		ShardOf:     sys.GroupOf,
 		WireTimeout: wt,
-		Detached:    detached,
+		Detached:    restart,
 		Build: func(ep *mpx.TCPEndpoint) (func(func(int)) (string, string, error), error) {
 			var report func(int)
 			stopped := false
-			opt := testRunOptions(shard, ep, detached, ckdir)
+			opt := testRunOptions(shard, ep, ckdir)
 			opt.AfterStep = func(step int, _ *engine.Runner) {
 				if report != nil {
 					report(step)
@@ -110,7 +108,7 @@ func workerMain() int {
 			}
 			var r *engine.Runner
 			var err error
-			if resume {
+			if restart {
 				r, _, err = engine.Resume(sys, testDriver(), opt)
 				if err != nil {
 					// No usable generation: the worker died before its first
@@ -140,7 +138,7 @@ func workerMain() int {
 // Result fingerprint every supervised run must reproduce.
 func baselineFingerprint(t *testing.T) string {
 	t.Helper()
-	opt := testRunOptions(0, nil, true, filepath.Join(t.TempDir(), "worker-0"))
+	opt := testRunOptions(0, nil, filepath.Join(t.TempDir(), "worker-0"))
 	r := engine.New(machine.WanPair(2, nil), testDriver(), opt)
 	return r.Run().String()
 }
@@ -171,7 +169,7 @@ func runSupervised(t *testing.T, plan chaosPlan) (Report, *machine.Membership) {
 		Log: func(format string, args ...any) {
 			t.Logf("supervisor: "+format, args...)
 		},
-		Spawn: func(shard int, controlAddr string, detached, resume bool) *exec.Cmd {
+		Spawn: func(shard int, controlAddr string, restart bool) *exec.Cmd {
 			// -test.run=^$ guards against ever re-running the suite if the
 			// env marker were lost: the copy would run zero tests.
 			cmd := exec.Command(os.Args[0], "-test.run=^$")
@@ -181,18 +179,15 @@ func runSupervised(t *testing.T, plan chaosPlan) (Report, *machine.Membership) {
 				envCkpt+"="+base,
 				envWT+"="+plan.wireTimeout.String(),
 			)
-			if detached {
-				env = append(env, envDetached+"=1")
-			}
-			if resume {
-				env = append(env, envResume+"=1")
+			if restart {
+				env = append(env, envRestart+"=1")
 			}
 			if plan.stepDelayMS > 0 {
 				env = append(env, envStepDelay+"="+strconv.Itoa(plan.stepDelayMS))
 			}
 			// Chaos triggers fire only on a worker's first incarnation —
 			// a restart must recover, not re-injure itself.
-			if !resume {
+			if !restart {
 				if seq, ok := plan.killCkptSeq[shard]; ok {
 					env = append(env, envKillCkpt+"="+strconv.Itoa(seq))
 				}

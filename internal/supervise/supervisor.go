@@ -27,10 +27,10 @@ type Config struct {
 	// Group once it reports completing step Step.
 	Kills []fault.KillPoint
 	// Spawn builds the (unstarted) command for one worker process.
-	// detached and resume are set for post-crash restarts: the worker
-	// must come up without a wire and resume from its latest usable
-	// checkpoint generation.
-	Spawn func(shard int, controlAddr string, detached, resume bool) *exec.Cmd
+	// restart is set for post-crash restarts: the worker must come up
+	// without a wire and resume from its latest usable checkpoint
+	// generation.
+	Spawn func(shard int, controlAddr string, restart bool) *exec.Cmd
 	// Membership, when non-nil, receives crash/rejoin evidence: worker
 	// death marks its group's processors crashed, a restart begins
 	// their rejoin, and the restarted worker's hello completes it —
@@ -119,7 +119,7 @@ func Run(cfg Config) (Report, error) {
 	}
 	go s.acceptLoop()
 	for g := 0; g < cfg.NumShards; g++ {
-		if err := s.spawn(g, false, false); err != nil {
+		if err := s.spawn(g, false); err != nil {
 			return s.report, err
 		}
 	}
@@ -136,8 +136,8 @@ func (s *supervisor) logf(format string, args ...any) {
 }
 
 // spawn starts (or restarts) shard g's worker and its exit watcher.
-func (s *supervisor) spawn(g int, detached, resume bool) error {
-	cmd := s.cfg.Spawn(g, s.ln.Addr().String(), detached, resume)
+func (s *supervisor) spawn(g int, restart bool) error {
+	cmd := s.cfg.Spawn(g, s.ln.Addr().String(), restart)
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("supervise: spawn worker %d: %w", g, err)
 	}
@@ -209,7 +209,7 @@ func (s *supervisor) watchExit(g int, cmd *exec.Cmd) {
 		pause = 2 * time.Second
 	}
 	time.Sleep(pause)
-	if err := s.spawn(g, true, true); err != nil {
+	if err := s.spawn(g, true); err != nil {
 		s.mu.Lock()
 		s.failed[g] = true
 		s.report.PermanentFailures++
