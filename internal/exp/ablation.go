@@ -28,9 +28,8 @@ type EpsRow struct {
 func EpsSweep(epss []float64, o Options) []EpsRow {
 	o.setDefaults()
 	var rows []EpsRow
-	for _, e := range epss {
-		r := sweepPoint(o, func(eo *engine.Options) { eo.ImbalanceEps = e })
-		rows = append(rows, EpsRow{Eps: e, Total: r.Total, GlobalEvals: r.GlobalEvals, GlobalRedists: r.GlobalRedists})
+	for i, r := range sweep(epss, o, func(eo *engine.Options, e float64) { eo.ImbalanceEps = e }) {
+		rows = append(rows, EpsRow{Eps: epss[i], Total: r.Total, GlobalEvals: r.GlobalEvals, GlobalRedists: r.GlobalRedists})
 	}
 	return rows
 }
@@ -47,9 +46,8 @@ type GranularityRow struct {
 func GranularitySweep(gpps []int, o Options) []GranularityRow {
 	o.setDefaults()
 	var rows []GranularityRow
-	for _, g := range gpps {
-		r := sweepPoint(o, func(eo *engine.Options) { eo.GridsPerProc = g })
-		rows = append(rows, GranularityRow{GridsPerProc: g, Total: r.Total, Utilisation: r.Utilisation})
+	for i, r := range sweep(gpps, o, func(eo *engine.Options, g int) { eo.GridsPerProc = g }) {
+		rows = append(rows, GranularityRow{GridsPerProc: gpps[i], Total: r.Total, Utilisation: r.Utilisation})
 	}
 	return rows
 }
@@ -65,9 +63,8 @@ type RegridRow struct {
 func RegridIntervalSweep(intervals []int, o Options) []RegridRow {
 	o.setDefaults()
 	var rows []RegridRow
-	for _, iv := range intervals {
-		r := sweepPoint(o, func(eo *engine.Options) { eo.RegridInterval = iv })
-		rows = append(rows, RegridRow{Interval: iv, Total: r.Total, MaxCells: r.MaxCells})
+	for i, r := range sweep(intervals, o, func(eo *engine.Options, iv int) { eo.RegridInterval = iv }) {
+		rows = append(rows, RegridRow{Interval: intervals[i], Total: r.Total, MaxCells: r.MaxCells})
 	}
 	return rows
 }
@@ -96,14 +93,17 @@ func ForecastAblation(o Options) []ForecastRow {
 			return &netsim.BurstyTraffic{QuietLoad: 0.05, BusyLoad: 0.9, MeanQuiet: 10, MeanBusy: 6, Seed: o.Seed}
 		}},
 	}
-	var rows []ForecastRow
+	var jobs []job
 	for _, c := range conditions {
-		run := func(useForecast bool) *metrics.Result {
-			return mustRun("ShockPool3D", "distributed", machine.WanPair(4, c.traffic()), o,
-				func(eo *engine.Options) { eo.UseForecast = useForecast })
-		}
-		raw := run(false)
-		fc := run(true)
+		sys := func() *machine.System { return machine.WanPair(4, c.traffic()) }
+		jobs = append(jobs,
+			job{"ShockPool3D", "distributed", sys, nil, 4},
+			job{"ShockPool3D", "distributed", sys, func(eo *engine.Options) { eo.UseForecast = true }, 4})
+	}
+	res := runJobs(jobs, o)
+	var rows []ForecastRow
+	for i, c := range conditions {
+		raw, fc := res[2*i], res[2*i+1]
 		rows = append(rows, ForecastRow{
 			Traffic:  c.name,
 			RawTotal: raw.Total, FcTotal: fc.Total,
@@ -125,9 +125,12 @@ type SchemeRow struct {
 // space-filling-curve variant of the local phase.
 func SchemeSweep(o Options) []SchemeRow {
 	o.setDefaults()
-	var rows []SchemeRow
+	var jobs []job
 	for _, scheme := range []string{"parallel", "distributed", "sfc"} {
-		r := mustRun("ShockPool3D", scheme, systemFor("ShockPool3D", 4, o.Seed), o, nil)
+		jobs = append(jobs, job{"ShockPool3D", scheme, func() *machine.System { return systemFor("ShockPool3D", 4, o.Seed) }, nil, 4})
+	}
+	var rows []SchemeRow
+	for _, r := range runJobs(jobs, o) {
 		rows = append(rows, SchemeRow{Scheme: r.Scheme, Total: r.Total, Remote: r.RemoteComm()})
 	}
 	return rows
@@ -145,21 +148,22 @@ type MultiSiteRow struct {
 func MultiSiteSweep(o Options) []MultiSiteRow {
 	o.setDefaults()
 	layouts := [][]int{{4, 4}, {3, 3, 3}, {2, 2, 2, 2}}
-	var rows []MultiSiteRow
+	traffic := func(a, b int) netsim.TrafficModel {
+		return &netsim.BurstyTraffic{
+			QuietLoad: 0.1, BusyLoad: 0.6,
+			MeanQuiet: 30, MeanBusy: 15,
+			Seed: o.Seed + int64(16*a+b),
+		}
+	}
+	var jobs []job
 	for _, ns := range layouts {
-		traffic := func(a, b int) netsim.TrafficModel {
-			return &netsim.BurstyTraffic{
-				QuietLoad: 0.1, BusyLoad: 0.6,
-				MeanQuiet: 30, MeanBusy: 15,
-				Seed: o.Seed + int64(16*a+b),
-			}
-		}
-		run := func(scheme string) float64 {
-			sys := machine.MultiSite(ns, traffic)
-			return mustRun("ShockPool3D", scheme, sys, o, nil).Total
-		}
-		par := run("parallel")
-		dist := run("distributed")
+		sys := func() *machine.System { return machine.MultiSite(ns, traffic) }
+		jobs = append(jobs, job{"ShockPool3D", "parallel", sys, nil, 4}, job{"ShockPool3D", "distributed", sys, nil, 4})
+	}
+	res := runJobs(jobs, o)
+	var rows []MultiSiteRow
+	for i, ns := range layouts {
+		par, dist := res[2*i].Total, res[2*i+1].Total
 		rows = append(rows, MultiSiteRow{
 			Sites:          fmt.Sprint(ns),
 			Parallel:       par,

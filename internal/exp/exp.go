@@ -13,12 +13,14 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 
 	"samrdlb/internal/dlb"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/netsim"
+	"samrdlb/internal/solver"
 	"samrdlb/internal/workload"
 )
 
@@ -130,17 +132,52 @@ func mustRun(dataset, scheme string, sys *machine.System, o Options, vary func(*
 	return res
 }
 
-// sweepPoint is one point of a parameter sweep: the paper's scheme on
-// ShockPool3D and the 4+4 WAN system, with one engine option varied.
-func sweepPoint(o Options, vary func(*engine.Options)) *metrics.Result {
-	return mustRun("ShockPool3D", "distributed", systemFor("ShockPool3D", 4, o.Seed), o, vary)
+// job is one independent engine run of a sweep. Each builds its own
+// system (and run builds its own workload and balancer), so jobs share
+// nothing and may run in any order.
+type job struct {
+	dataset, scheme string
+	system          func() *machine.System
+	vary            func(*engine.Options)
+	// size orders the claims: larger jobs start first (the LPT rule),
+	// so the longest run does not start last and leave a core idle.
+	size int
 }
 
-// Sequential runs the dataset on a single dedicated processor — the
+// runJobs runs a sweep's jobs on the solver pool and returns their
+// results indexed like jobs. Which job runs where and when is up to
+// the pool; the caller folds the slice in its own order, so every row
+// and sum it builds is the serial one at any GOMAXPROCS.
+func runJobs(jobs []job, o Options) []*metrics.Result {
+	claim := make([]int, len(jobs))
+	for i := range claim {
+		claim[i] = i
+	}
+	sort.SliceStable(claim, func(a, b int) bool { return jobs[claim[a]].size > jobs[claim[b]].size })
+	res := make([]*metrics.Result, len(jobs))
+	solver.NewPool(0).ForEach(len(claim), func(k int) {
+		j := jobs[claim[k]]
+		res[claim[k]] = mustRun(j.dataset, j.scheme, j.system(), o, j.vary)
+	})
+	return res
+}
+
+// sweep runs a parameter sweep: per value, the paper's scheme on
+// ShockPool3D and the 4+4 WAN system with set applying the value to
+// the engine options. Results are indexed like vals.
+func sweep[T any](vals []T, o Options, set func(*engine.Options, T)) []*metrics.Result {
+	jobs := make([]job, len(vals))
+	for i, v := range vals {
+		jobs[i] = job{"ShockPool3D", "distributed", func() *machine.System { return systemFor("ShockPool3D", 4, o.Seed) },
+			func(eo *engine.Options) { set(eo, v) }, 4}
+	}
+	return runJobs(jobs, o)
+}
+
+// sequentialJob runs the dataset on a single dedicated processor — the
 // E(1) of the paper's efficiency definition.
-func Sequential(dataset string, o Options) *metrics.Result {
-	o.setDefaults()
-	return mustRun(dataset, "distributed", machine.Origin2000("seq", 1), o, nil)
+func sequentialJob(dataset string) job {
+	return job{dataset, "distributed", func() *machine.System { return machine.Origin2000("seq", 1) }, nil, 1}
 }
 
 // ConfigName renders a configuration the way the paper does.

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -109,19 +111,79 @@ func TestGammaSweepMonotoneRedistributions(t *testing.T) {
 	}
 }
 
+// TestRunsAreReproducible: the same sweep twice on the pool gives equal
+// rows, every Result they point at included.
 func TestRunsAreReproducible(t *testing.T) {
 	o := fastOpts()
 	a := Fig7("ShockPool3D", o)
 	b := Fig7("ShockPool3D", o)
-	for i := range a {
-		if a[i].Parallel != b[i].Parallel || a[i].Distributed != b[i].Distributed {
-			t.Fatalf("sweep not reproducible at %s", a[i].Config)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("sweep not reproducible:\n%+v\n%+v", a, b)
+	}
+}
+
+// sweepRows is what every sweep returns at one core count.
+type sweepRows struct {
+	Fig3               []Fig3Row
+	Fig7AMR, Fig7Shock []Fig7Row
+	Fig8               []Fig8Row
+	Gamma              []GammaRow
+	Eps                []EpsRow
+	Granularity        []GranularityRow
+	Regrid             []RegridRow
+	Forecast           []ForecastRow
+	Scheme             []SchemeRow
+	MultiSite          []MultiSiteRow
+	Tournament         string
+}
+
+// sweepsAt runs the sweeps at GOMAXPROCS procs: all of them, or under
+// -short Figure 7 on ShockPool3D and a smaller tournament.
+func sweepsAt(t *testing.T, procs int) sweepRows {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	o := fastOpts()
+	s := sweepRows{Fig7Shock: Fig7("ShockPool3D", o)}
+	scenarios := 2
+	if !testing.Short() {
+		scenarios = 5
+		s.Fig3 = Fig3(o)
+		s.Fig7AMR = Fig7("AMR64", o)
+		s.Fig8 = Fig8("ShockPool3D", o)
+		s.Gamma = GammaSweep([]float64{0.5, 2, 8}, o)
+		s.Eps = EpsSweep([]float64{0.01, 0.5}, o)
+		s.Granularity = GranularitySweep([]int{1, 8}, o)
+		s.Regrid = RegridIntervalSweep([]int{1, 4}, o)
+		s.Forecast = ForecastAblation(o)
+		s.Scheme = SchemeSweep(o)
+		s.MultiSite = MultiSiteSweep(o)
+	}
+	tour, err := RunTournament(TournamentOptions{Scenarios: scenarios})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := tour.BenchJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tournament = string(js)
+	return s
+}
+
+// TestSweepsIdenticalAcrossGOMAXPROCS pins the sweeps' serial-order
+// contract: runs execute on the solver pool in any order, but every row
+// (and every Result behind it) and the tournament's artifact are the
+// same at 1, 2 and 4 cores.
+func TestSweepsIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	want := sweepsAt(t, 1)
+	for _, procs := range []int{2, 4} {
+		if got := sweepsAt(t, procs); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: sweeps differ from GOMAXPROCS=1:\n%+v\n---\n%+v", procs, got, want)
 		}
 	}
 }
 
 func TestSequentialHasNoComm(t *testing.T) {
-	r := Sequential("ShockPool3D", fastOpts())
+	r := runJobs([]job{sequentialJob("ShockPool3D")}, fastOpts())[0]
 	if r.Comm() != 0 {
 		t.Errorf("sequential comm = %v", r.Comm())
 	}

@@ -39,10 +39,16 @@ type Fig3Row struct {
 // systems).
 func Fig3(o Options) []Fig3Row {
 	o.setDefaults()
-	var rows []Fig3Row
+	var jobs []job
 	for _, n := range o.Configs {
-		par := mustRun("ShockPool3D", "parallel", machine.Origin2000("ANL", 2*n), o, nil)
-		dist := mustRun("ShockPool3D", "parallel", systemFor("ShockPool3D", n, o.Seed), o, nil)
+		jobs = append(jobs,
+			job{"ShockPool3D", "parallel", func() *machine.System { return machine.Origin2000("ANL", 2*n) }, nil, n},
+			job{"ShockPool3D", "parallel", func() *machine.System { return systemFor("ShockPool3D", n, o.Seed) }, nil, n})
+	}
+	res := runJobs(jobs, o)
+	var rows []Fig3Row
+	for i, n := range o.Configs {
+		par, dist := res[2*i], res[2*i+1]
 		rows = append(rows, Fig3Row{
 			Config:      ConfigName(n),
 			ParCompute:  par.Compute(),
@@ -70,10 +76,25 @@ type Fig7Row struct {
 // ShockPool3D on the WAN system).
 func Fig7(dataset string, o Options) []Fig7Row {
 	o.setDefaults()
-	var rows []Fig7Row
+	return fig7Rows(o.Configs, runJobs(fig7Jobs(dataset, o), o))
+}
+
+// fig7Jobs is Figure 7's job list: per configuration, the parallel run
+// then the distributed one.
+func fig7Jobs(dataset string, o Options) []job {
+	var jobs []job
 	for _, n := range o.Configs {
-		par := mustRun(dataset, "parallel", systemFor(dataset, n, o.Seed), o, nil)
-		dist := mustRun(dataset, "distributed", systemFor(dataset, n, o.Seed), o, nil)
+		sys := func() *machine.System { return systemFor(dataset, n, o.Seed) }
+		jobs = append(jobs, job{dataset, "parallel", sys, nil, n}, job{dataset, "distributed", sys, nil, n})
+	}
+	return jobs
+}
+
+// fig7Rows folds fig7Jobs' results into rows, in configuration order.
+func fig7Rows(configs []int, res []*metrics.Result) []Fig7Row {
+	var rows []Fig7Row
+	for i, n := range configs {
+		par, dist := res[2*i], res[2*i+1]
 		rows = append(rows, Fig7Row{
 			Config:            ConfigName(n),
 			Parallel:          par.Total,
@@ -107,13 +128,26 @@ type Fig8Row struct {
 	ImprovementPct     float64
 }
 
-// Fig8 reproduces Figure 8 for one dataset, reusing Fig7's runs plus
+// Fig8 reproduces Figure 8 for one dataset, from Figure 7's runs plus
 // a sequential run for E(1).
 func Fig8(dataset string, o Options) []Fig8Row {
+	_, rows := fig7And8(dataset, o)
+	return rows
+}
+
+// fig7And8 runs one dataset's Figure 7 sweep with the sequential E(1)
+// run on the same job list, and returns both figures' rows.
+func fig7And8(dataset string, o Options) ([]Fig7Row, []Fig8Row) {
 	o.setDefaults()
-	e1 := Sequential(dataset, o).Total
+	res := runJobs(append(fig7Jobs(dataset, o), sequentialJob(dataset)), o)
+	rows := fig7Rows(o.Configs, res)
+	return rows, fig8Rows(res[len(res)-1].Total, rows)
+}
+
+// fig8Rows derives Figure 8 from Figure 7's rows and E(1).
+func fig8Rows(e1 float64, fig7 []Fig7Row) []Fig8Row {
 	var rows []Fig8Row
-	for _, row := range Fig7(dataset, o) {
+	for _, row := range fig7 {
 		p := row.ParallelResult.PerfSum
 		ep := metrics.Efficiency(e1, row.Parallel, p)
 		ed := metrics.Efficiency(e1, row.Distributed, p)
@@ -141,10 +175,9 @@ type GammaRow struct {
 func GammaSweep(gammas []float64, o Options) []GammaRow {
 	o.setDefaults()
 	var rows []GammaRow
-	for _, g := range gammas {
-		r := sweepPoint(o, func(eo *engine.Options) { eo.Gamma = g })
+	for i, r := range sweep(gammas, o, func(eo *engine.Options, g float64) { eo.Gamma = g }) {
 		rows = append(rows, GammaRow{
-			Gamma:         g,
+			Gamma:         gammas[i],
 			Total:         r.Total,
 			GlobalRedists: r.GlobalRedists,
 			GlobalEvals:   r.GlobalEvals,

@@ -42,10 +42,12 @@ func Report(o Options, f Format) string {
 	}
 	head += fmt.Sprintf("steps=%d configs=%v seed=%d maxlevel=%d shockN=%d amrN=%d\n\n",
 		o.Steps, o.Configs, o.Seed, o.MaxLevel, o.ShockN, o.AMRN)
+	amr7, amr8 := fig7And8("AMR64", o)
+	shock7, shock8 := fig7And8("ShockPool3D", o)
 	return head + strings.Join([]string{
 		Fig3Report(o, f),
-		Fig7Report("AMR64", o, f), Fig7Report("ShockPool3D", o, f),
-		Fig8Report("AMR64", o, f), Fig8Report("ShockPool3D", o, f),
+		fig7Section("AMR64", amr7, f), fig7Section("ShockPool3D", shock7, f),
+		fig8Section("AMR64", amr8, f), fig8Section("ShockPool3D", shock8, f),
 		GammaReport(o, f),
 		AblationReport(o, f),
 	}, "\n")
@@ -65,7 +67,10 @@ func Fig3Report(o Options, f Format) string {
 
 // Fig7Report renders Figure 7 for one dataset.
 func Fig7Report(dataset string, o Options, f Format) string {
-	rows := Fig7(dataset, o)
+	return fig7Section(dataset, Fig7(dataset, o), f)
+}
+
+func fig7Section(dataset string, rows []Fig7Row, f Format) string {
 	band := Fig7Bands[dataset]
 	sysName := "WAN (ANL+NCSA, MREN OC-3)"
 	if dataset == "AMR64" {
@@ -84,7 +89,10 @@ func Fig7Report(dataset string, o Options, f Format) string {
 
 // Fig8Report renders Figure 8 for one dataset.
 func Fig8Report(dataset string, o Options, f Format) string {
-	rows := Fig8(dataset, o)
+	return fig8Section(dataset, Fig8(dataset, o), f)
+}
+
+func fig8Section(dataset string, rows []Fig8Row, f Format) string {
 	band := Fig8Bands[dataset]
 	t := metrics.NewTable(
 		fmt.Sprintf("Figure 8 — efficiency E(1)/(E·P), %s", dataset),

@@ -10,6 +10,7 @@ import (
 	"samrdlb/internal/dlb"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/scenario"
+	"samrdlb/internal/solver"
 	"samrdlb/internal/vclock"
 )
 
@@ -72,8 +73,10 @@ type PolicyScore struct {
 	// MeanDeltaCost is the mean per-envelope δ-charged balancing cost:
 	// critical-path redistribution plus DLB-overhead time (seconds).
 	MeanDeltaCost float64 `json:"mean_delta_cost_s"`
-	// WallSeconds is the real time the policy's runs took (advisory;
-	// not part of the JSON artifact).
+	// WallSeconds is the sum of the real time each of the policy's
+	// envelope runs took: busy time, not elapsed time, since policies'
+	// runs interleave on the solver pool (advisory; not part of the JSON
+	// artifact).
 	WallSeconds float64 `json:"-"`
 }
 
@@ -92,28 +95,42 @@ func RunTournament(o TournamentOptions) (*Tournament, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	t := &Tournament{Scenarios: o.Scenarios, Seed0: o.Seed0}
-	for _, policy := range o.Policies {
+	// One slot per (policy, envelope), policy-major. The runs share
+	// nothing, so they go on the solver pool; the scores below fold the
+	// slots in (policy, seed) order, so every sum is the serial one.
+	type slot struct {
+		out       scenario.Outcome
+		imbalance float64
+		wall      float64
+	}
+	slots := make([]slot, len(o.Policies)*o.Scenarios)
+	solver.NewPool(0).ForEach(len(slots), func(k int) {
 		start := time.Now()
+		// Regenerate per policy: the envelope is a pure function of the
+		// seed, so every policy faces identical conditions.
+		s := scenario.Generate(o.Seed0 + int64(k%o.Scenarios))
+		s.Scheme = o.Policies[k/o.Scenarios]
+		s.Normalize()
+		hist := metrics.NewHistory()
+		slots[k].out = s.ExecuteWithHistory(hist)
+		slots[k].imbalance = metrics.Mean(hist.Get("imbalance-ratio"))
+		slots[k].wall = time.Since(start).Seconds()
+	})
+	t := &Tournament{Scenarios: o.Scenarios, Seed0: o.Seed0}
+	for p, policy := range o.Policies {
 		sc := PolicyScore{Policy: policy}
 		var totalSum, imbSum, costSum float64
 		scored := 0
-		for i := 0; i < o.Scenarios; i++ {
-			// Regenerate per policy: the envelope is a pure function of
-			// the seed, so every policy faces identical conditions.
-			s := scenario.Generate(o.Seed0 + int64(i))
-			s.Scheme = policy
-			s.Normalize()
-			hist := metrics.NewHistory()
-			out := s.ExecuteWithHistory(hist)
+		for _, sl := range slots[p*o.Scenarios : (p+1)*o.Scenarios] {
 			sc.Runs++
-			if out.Failed() {
+			sc.WallSeconds += sl.wall
+			if sl.out.Failed() {
 				sc.Failures++
 				continue
 			}
-			r := out.Result
+			r := sl.out.Result
 			totalSum += r.Total
-			imbSum += metrics.Mean(hist.Get("imbalance-ratio"))
+			imbSum += sl.imbalance
 			costSum += r.Breakdown[vclock.Redistribution] + r.Breakdown[vclock.DLBOverhead]
 			sc.LocalMigrations += r.LocalMigrations
 			sc.GlobalRedists += r.GlobalRedists
@@ -124,7 +141,6 @@ func RunTournament(o TournamentOptions) (*Tournament, error) {
 			sc.MeanImbalance = imbSum / float64(scored)
 			sc.MeanDeltaCost = costSum / float64(scored)
 		}
-		sc.WallSeconds = time.Since(start).Seconds()
 		t.Scores = append(t.Scores, sc)
 	}
 	sort.SliceStable(t.Scores, func(i, j int) bool {

@@ -37,6 +37,13 @@ func (p *Pool) Workers() int {
 // ForEach invokes fn(i) for i in [0,n) across the pool's workers and
 // waits for completion. fn must be safe to call concurrently for
 // distinct i.
+//
+// A panic in fn reaches the caller, as it would on the inline path:
+// once one fn panics no further index is claimed, and after the
+// workers stop ForEach re-panics with the value of the lowest index
+// that panicked. Indices are claimed in increasing order and a claimed
+// index always runs, so that index is the one the inline loop would
+// have panicked on, whatever the scheduling.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -52,15 +59,34 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		return
 	}
 	// Work-stealing by atomic counter: no per-call channel fill, no
-	// per-index send/receive — this runs on every level step.
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	wg.Add(workers)
+	// per-index send/receive — this runs on every level step. One
+	// struct holds everything the workers share, so the call makes one
+	// heap allocation for it rather than one per variable.
+	var run struct {
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		mu     sync.Mutex
+		failed int // lowest index whose fn panicked; n while none has
+		value  any
+	}
+	run.failed = n
+	run.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
+			defer run.wg.Done()
+			i := 0
+			defer func() {
+				if v := recover(); v != nil {
+					run.next.Store(int64(n))
+					run.mu.Lock()
+					if i < run.failed {
+						run.failed, run.value = i, v
+					}
+					run.mu.Unlock()
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(run.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -68,5 +94,8 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 			}
 		}()
 	}
-	wg.Wait()
+	run.wg.Wait()
+	if run.failed < n {
+		panic(run.value)
+	}
 }

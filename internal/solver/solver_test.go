@@ -2,8 +2,10 @@ package solver
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
@@ -311,6 +313,48 @@ func TestNilPoolRunsInline(t *testing.T) {
 		t.Errorf("visited %d indices, want 6", len(order))
 	}
 	p.ForEach(0, func(int) { t.Error("must not be called") })
+}
+
+// TestPoolPanicReachesCaller: a panic on a worker is re-raised on the
+// calling goroutine, and when jobs 3 and 7 of 10 both panic the caller
+// sees job 3's value at every core count, whichever of the two panics
+// first on a multi-worker pool.
+func TestPoolPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, threeFirst := range []bool{false, true} {
+			// started7 lets job 3 wait for job 7 to be running; on the
+			// inline path job 7 never starts first, hence the timeout.
+			started7 := make(chan struct{})
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				NewPool(0).ForEach(10, func(i int) {
+					switch {
+					case i == 3 && threeFirst:
+						select {
+						case <-started7:
+						case <-time.After(100 * time.Millisecond):
+						}
+						panic(i)
+					case i == 7 && threeFirst:
+						close(started7)
+						time.Sleep(20 * time.Millisecond)
+						panic(i)
+					case i == 3:
+						time.Sleep(20 * time.Millisecond)
+						panic(i)
+					case i == 7:
+						panic(i)
+					}
+				})
+				return nil
+			}()
+			if got != 3 {
+				t.Errorf("GOMAXPROCS=%d, job 3 panics first %v: caller recovered %v, want 3", procs, threeFirst, got)
+			}
+		}
+	}
 }
 
 func TestKernelMetadata(t *testing.T) {
