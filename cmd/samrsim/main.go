@@ -69,6 +69,7 @@ type flags struct {
 	benchOut, scenario, save, ckptDir, cpuProfile, memProfile, workerControl    string
 	wireTimeout                                                                 time.Duration
 	stdout, stderr                                                              io.Writer
+	result                                                                      *metrics.Result // of a single run that printed its report
 }
 
 // register declares every flag: the run flags from the scenario key
@@ -100,12 +101,15 @@ func (f *flags) register(fs *flag.FlagSet) *scenario.Scenario {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+func run(args []string, stdout, stderr io.Writer) int {
+	return (&flags{stdout: stdout, stderr: stderr}).run(args)
+}
+
 // run is main with its exit code returned, so that the deferred profile
 // flush runs on every path.
-func run(args []string, stdout, stderr io.Writer) int {
+func (f *flags) run(args []string) int {
 	fs := flag.NewFlagSet("samrsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	f := flags{stdout: stdout, stderr: stderr}
+	fs.SetOutput(f.stderr)
 	spec := f.register(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -265,6 +269,7 @@ func runOne(f *flags, spec *scenario.Scenario) int {
 		fmt.Fprintln(f.stderr, "invariants: every checked phase held")
 	}
 
+	f.result = res
 	out := f.stdout
 	fmt.Fprintf(out, "%s\n\n", res)
 	tbl := metrics.NewTable("Breakdown (seconds)", "phase", "time", "share%")

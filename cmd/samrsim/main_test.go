@@ -8,9 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"samrdlb/internal/dlb"
-	"samrdlb/internal/scenario"
 )
 
 // samrsim runs the command in-process.
@@ -88,43 +85,11 @@ func TestCheckConfigRejectsMisconfiguration(t *testing.T) {
 	}
 }
 
-// TestFlagsAndSpecAreOneDescription: whatever the run flags say, the
-// spec they build, encoded and fed back through -scenario, is the same
-// run — byte-identical stdout — so there is one description and two
-// spellings of it.
+// TestFlagsAndSpecAreOneDescription: that the run flags and the spec
+// they encode are the same run is TestGoldenMatrix's spec form. Next to
+// -scenario a run flag is refused by name, never a silent override;
+// -check is the exception and adds to the spec's oracles.
 func TestFlagsAndSpecAreOneDescription(t *testing.T) {
-	script := filepath.Join(t.TempDir(), "faults.txt")
-	if err := os.WriteFile(script, []byte("proc-fail proc=1 at=0.2 end=0.6\nproc-fail proc=5 at=0.3\nproc-recover proc=5 at=0.7\nlink-degrade between=0,1 start=0.1 end=0.5 factor=3\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sets := [][]string{
-		small,
-		with(small, "-data"),
-		with(small, "-dataset", "AMR64", "-system", "lan", "-n", "8"),
-		with(small, "-system", "origin", "-n", "6", "-seed", "7", "-gamma", "1.5"),
-		with(small, "-data", "-transport=tcp", "-check=plan,ledger"),
-		with(small, "-faults", script, "-faultseed", "9", "-ckpt-interval", "2", "-quorum", "2", "-check", "invariants"),
-	}
-	for _, p := range dlb.PolicyNames() {
-		sets = append(sets, with(small, "-policy", p))
-	}
-	for _, args := range sets {
-		fs := flag.NewFlagSet("", flag.ContinueOnError)
-		spec := scenario.RegisterFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		code, want, stderr := samrsim(args...)
-		if code != 0 {
-			t.Fatalf("samrsim %v: exit %d: %s", args, code, stderr)
-		}
-		code, got, stderr := samrsim("-scenario", spec.Encode())
-		if code != 0 || got != want {
-			t.Errorf("samrsim %v and -scenario %q differ (exit %d):\n%s\n--- flags\n%s--- spec\n%s", args, spec.Encode(), code, stderr, want, got)
-		}
-	}
-	// Next to -scenario a run flag is refused by name, never a silent
-	// override; -check is the exception and adds to the spec's oracles.
 	if code, _, stderr := samrsim("-scenario", "steps=2", "-data"); code != 2 || !strings.Contains(stderr, "-data") {
 		t.Errorf("-scenario with -data: exit %d, stderr %q", code, stderr)
 	}

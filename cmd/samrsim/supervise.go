@@ -117,7 +117,7 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 				if s := res.TransportSummary(); s != "" {
 					fmt.Fprintln(&out, s)
 				}
-				return res.String(), out.String(), nil
+				return res.Identity(), out.String(), nil
 			}, nil
 		},
 	})

@@ -44,7 +44,7 @@ func main() {
 	gens, _ := filepath.Glob(filepath.Join(dir, "gen-*.ckpt"))
 	fmt.Printf("interrupted after 4 steps; %d generations on disk\n", len(gens))
 
-	// Resume and finish: the result string must match byte for byte.
+	// Resume and finish: the result must match to the last bit.
 	r, report, err := engine.Resume(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2),
 		opts(dir, 8))
 	if err != nil {
@@ -53,7 +53,7 @@ func main() {
 	}
 	resumed := r.Run()
 	fmt.Printf("resumed from generation %d (step %d): %s\n", report.Gen, report.Step, resumed)
-	if resumed.String() != full.String() {
+	if resumed.Identity() != full.Identity() {
 		fmt.Println("MISMATCH: resumed run diverged from the uninterrupted run")
 		os.Exit(1)
 	}
@@ -90,7 +90,7 @@ func main() {
 	}
 	res2 := r2.Run()
 	fmt.Printf("resumed past the corruption from generation %d (step %d)\n", report2.Gen, report2.Step)
-	if res2.String() != full.String() {
+	if res2.Identity() != full.Identity() {
 		fmt.Println("MISMATCH after corruption fallback")
 		os.Exit(1)
 	}

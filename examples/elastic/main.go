@@ -71,20 +71,20 @@ func main() {
 	fmt.Println("fault script (bounded outages — End is the rejoin time):")
 	fmt.Print(fault.FormatScript(events))
 
-	run := func() (*engine.Runner, string, *trace.Recorder) {
+	run := func() (r *engine.Runner, id, out string, tr *trace.Recorder) {
 		sched, err := fault.NewSchedule(7, events...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		tr := trace.New()
-		r := newRunner(sched, tr, nil)
+		tr = trace.New()
+		r = newRunner(sched, tr, nil)
 		res := r.Run()
-		return r, res.String() + "\n" + res.FaultSummary() + res.RecoveryReport(), tr
+		return r, res.Identity(), res.String() + "\n" + res.FaultSummary() + res.RecoveryReport(), tr
 	}
 
-	r, out1, tr := run()
-	_, out2, _ := run()
+	r, id1, out1, tr := run()
+	_, id2, _, _ := run()
 
 	fmt.Printf("\n%s", out1)
 	fmt.Printf("\nmembership trace:\n")
@@ -112,7 +112,7 @@ func main() {
 		fmt.Printf("\nproc %d re-admitted at step %d, owns %.0f cells at the final step ✓", p, m.ReadmitStep(p), owned)
 	}
 
-	if out1 != out2 {
+	if id1 != id2 {
 		fmt.Fprintln(os.Stderr, "\nERROR: two identical elastic runs diverged")
 		os.Exit(1)
 	}

@@ -56,19 +56,19 @@ func main() {
 	fmt.Println("fault script:")
 	fmt.Print(fault.FormatScript(events))
 
-	run := func() (string, *trace.Recorder) {
+	run := func() (id, out string, tr *trace.Recorder) {
 		sched, err := fault.NewSchedule(7, events...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		tr := trace.New()
+		tr = trace.New()
 		res := newRunner(sched, tr, nil).Run()
-		return res.String() + "\n" + res.FaultSummary(), tr
+		return res.Identity(), res.String() + "\n" + res.FaultSummary(), tr
 	}
 
-	out1, tr := run()
-	out2, _ := run()
+	id1, out1, tr := run()
+	id2, _, _ := run()
 
 	fmt.Printf("\n%s", out1)
 	fmt.Printf("\nquarantine/recovery trace:\n")
@@ -79,7 +79,7 @@ func main() {
 		}
 	}
 
-	if out1 != out2 {
+	if id1 != id2 {
 		fmt.Fprintln(os.Stderr, "ERROR: two identical fault runs diverged")
 		os.Exit(1)
 	}

@@ -281,8 +281,8 @@ func TestUseMPXMatchesSharedMemoryRun(t *testing.T) {
 	}
 	seqRes, seqRun := run(false)
 	mpxRes, mpxRun := run(true)
-	if seqRes.Total != mpxRes.Total {
-		t.Errorf("virtual time differs under MPX: %v vs %v", seqRes.Total, mpxRes.Total)
+	if seqRes.Identity() != mpxRes.Identity() {
+		t.Errorf("Result differs under MPX:\n%s\n%s", seqRes.Identity(), mpxRes.Identity())
 	}
 	// Field data must match bit-for-bit at every level.
 	for l := 0; l <= 1; l++ {

@@ -125,22 +125,15 @@ func TestFaultScenarioGracefulDegradationAndRecovery(t *testing.T) {
 
 func TestFaultScenarioDeterministicReplay(t *testing.T) {
 	bt := boundaryClocks(t, 8)
-	run := func() (string, string, []trace.Event, interface{}) {
+	run := func() ([]trace.Event, interface{}) {
 		tr := trace.New()
 		r := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
 			Steps: 8, MaxLevel: 1, Faults: wanScenario(t, bt), Trace: tr,
 		})
-		res := r.Run()
-		return res.String(), res.FaultSummary(), tr.Events, *res
+		return tr.Events, *r.Run()
 	}
-	s1, f1, e1, r1 := run()
-	s2, f2, e2, r2 := run()
-	if s1 != s2 {
-		t.Errorf("metrics line differs between identical runs:\n%s\n%s", s1, s2)
-	}
-	if f1 != f2 {
-		t.Errorf("fault summary differs between identical runs:\n%s\n%s", f1, f2)
-	}
+	e1, r1 := run()
+	e2, r2 := run()
 	if !reflect.DeepEqual(r1, r2) {
 		t.Errorf("full results differ between identical runs:\n%+v\n%+v", r1, r2)
 	}

@@ -26,19 +26,13 @@ func runTransport(transport string, wf mpx.WireFault, pool *solver.Pool) (*metri
 	return r.Run(), r
 }
 
-// requireIdenticalRuns asserts the cross-transport oracle: virtual
-// time, the migration/redistribution counters, and every field value
-// must agree bit-for-bit between the two runs.
+// requireIdenticalRuns asserts the cross-transport oracle: the Result
+// identity and every field value must agree bit-for-bit between the two
+// runs.
 func requireIdenticalRuns(t *testing.T, a, b *metrics.Result, ra, rb *Runner) {
 	t.Helper()
-	if a.Total != b.Total {
-		t.Errorf("virtual time differs across transports: %v vs %v", a.Total, b.Total)
-	}
-	if a.GlobalEvals != b.GlobalEvals || a.GlobalRedists != b.GlobalRedists ||
-		a.LocalMigrations != b.LocalMigrations {
-		t.Errorf("load-balancer counters differ: %d/%d/%d vs %d/%d/%d",
-			a.GlobalEvals, a.GlobalRedists, a.LocalMigrations,
-			b.GlobalEvals, b.GlobalRedists, b.LocalMigrations)
+	if a.Identity() != b.Identity() {
+		t.Errorf("Result differs across transports:\n%s\n%s", a.Identity(), b.Identity())
 	}
 	for l := 0; l <= 1; l++ {
 		ga, gb := ra.Hierarchy().Grids(l), rb.Hierarchy().Grids(l)

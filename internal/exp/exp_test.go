@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"samrdlb/internal/golden"
 )
 
 // fastOpts keeps test sweeps quick while preserving the dynamics.
@@ -319,13 +321,16 @@ func TestSchemeSweep(t *testing.T) {
 	}
 }
 
-// TestMarkdownReport renders the evaluation both ways: the markdown
-// carries every table the text does — Figure 3's totals and the
-// ablations included — and the two differ in nothing but the rendering
-// of each table.
+// TestMarkdownReport renders the evaluation both ways, each pinned byte
+// for byte: the output of `figures -steps 3` and of `figures -steps 3
+// -format md`. The markdown carries every table the text does — Figure 3's totals
+// and the ablations included — and the two differ in nothing but the
+// rendering of each table.
 func TestMarkdownReport(t *testing.T) {
-	o := Options{Steps: 3, Configs: []int{2}, Seed: 1}
+	o := Options{Steps: 3, Seed: 42}
 	md, txt := Report(o, Markdown), Report(o, Text)
+	golden.Check(t, "testdata/report.txt", txt)
+	golden.Check(t, "testdata/report.md", md)
 	for _, want := range []string{
 		"# SAMR distributed DLB reproduction", "### Figure 3", "### Figure 7", "### Figure 8", "| 2+2 |",
 		"| config | par-compute | par-comm | par-total | dist-compute | dist-comm | dist-total |",

@@ -125,14 +125,24 @@ type Result struct {
 	// path. TransportFrames and TransportBytes count frames and bytes
 	// actually written to the wire. TransportTimeouts counts wire
 	// reads/writes that exceeded the configured deadline (wall-clock
-	// dependent, so advisory only — never part of the identity
-	// fingerprint). They are per-process and wall-clock-paced, hence
-	// neither checkpointed nor part of Counters.
+	// dependent, so advisory only). They are per-process and
+	// wall-clock-paced, hence neither checkpointed, nor part of Counters,
+	// nor part of Identity.
 	TransportFaults    int
 	TransportFallbacks int
 	TransportFrames    int64
 	TransportBytes     int64
 	TransportTimeouts  int64
+}
+
+// Identity renders every field of the Result, floats in shortest
+// round-trip form, with the transport counters zeroed. Two runs are the
+// same run exactly when their identities are equal.
+func (r *Result) Identity() string {
+	c := *r
+	c.TransportFaults, c.TransportFallbacks = 0, 0
+	c.TransportFrames, c.TransportBytes, c.TransportTimeouts = 0, 0, 0
+	return fmt.Sprintf("%+v", c)
 }
 
 // Faulty reports whether the run observed any fault-layer activity.

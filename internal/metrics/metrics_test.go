@@ -41,6 +41,23 @@ func TestResultAccessors(t *testing.T) {
 	}
 }
 
+// TestIdentitySeesOneULPAndNoWire: a one-ulp move of any float changes
+// the identity, which the 3-decimal String() cannot see, while the
+// wall-paced transport counters never do.
+func TestIdentitySeesOneULPAndNoWire(t *testing.T) {
+	a, b := sample(), sample()
+	b.Breakdown[vclock.Regrid] = math.Nextafter(b.Breakdown[vclock.Regrid], 1)
+	if a.String() != b.String() || a.Identity() == b.Identity() {
+		t.Errorf("one ulp: String equal %v, Identity equal %v; want true, false",
+			a.String() == b.String(), a.Identity() == b.Identity())
+	}
+	b = sample()
+	b.TransportFaults, b.TransportFallbacks, b.TransportFrames, b.TransportBytes, b.TransportTimeouts = 1, 2, 3, 4, 5
+	if a.Identity() != b.Identity() {
+		t.Errorf("transport counters reached the identity:\n%s\n%s", a.Identity(), b.Identity())
+	}
+}
+
 func TestImprovement(t *testing.T) {
 	if got := Improvement(100, 75); math.Abs(got-25) > 1e-12 {
 		t.Errorf("Improvement = %v", got)

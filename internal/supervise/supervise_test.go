@@ -122,7 +122,7 @@ func workerMain() int {
 			return func(reportStep func(int)) (string, string, error) {
 				report = reportStep
 				res := r.Run()
-				return res.String(), res.String(), nil
+				return res.Identity(), res.String(), nil
 			}, nil
 		},
 	})
@@ -140,7 +140,7 @@ func baselineFingerprint(t *testing.T) string {
 	t.Helper()
 	opt := testRunOptions(0, nil, filepath.Join(t.TempDir(), "worker-0"))
 	r := engine.New(machine.WanPair(2, nil), testDriver(), opt)
-	return r.Run().String()
+	return r.Run().Identity()
 }
 
 // chaosPlan configures one supervised chaos run.

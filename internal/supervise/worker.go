@@ -33,7 +33,7 @@ type WorkerConfig struct {
 	// frame can never arrive ahead of the bind. The returned run
 	// closure must call reportStep after every completed level-0 step
 	// (it drives the supervisor's kill schedule and membership
-	// bookkeeping) and returns the Result fingerprint (Result.String())
+	// bookkeeping) and returns the Result fingerprint (Result.Identity())
 	// plus the full printed output.
 	Build func(ep *mpx.TCPEndpoint) (func(reportStep func(step int)) (fingerprint, output string, err error), error)
 }
