@@ -236,6 +236,8 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"one renderer: every report builds its metrics.Table once and takes a Format"},
 	{`worker-detached|worker-resume`, "cmd/samrsim/*.go",
 		"a restarted worker is detached and resumed, always both: one -worker-restart"},
+	{`range h\.Grids\((l|child\.Level - 1)\)|range oldSameLevel|_, b := range boxes`, "internal/amr/regrid.go",
+		"regrid finds parents and sources through the level index"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

@@ -128,6 +128,11 @@ type Hierarchy struct {
 	planCheck bool
 
 	listener Listener
+
+	// regridArena holds RegridAll's query answers (each cluster box's
+	// parents, then each new child's sources). It is cleared after every
+	// use, so it keeps no grid alive, and kept for its capacity.
+	regridArena []*Grid
 }
 
 // SetPool attaches a worker pool for parallel execution of the data

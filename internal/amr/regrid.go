@@ -41,17 +41,25 @@ type Placer func(childBox geom.Box, parent *Grid) int
 // overwritten with any old same-level data that overlaps, so the
 // solution survives regridding. It returns the number of grids
 // created.
+//
+// Every overlap is found through a level index (spatialindex.go), and
+// every answer comes in level-list order, so children are made, placed
+// and initialised in the order of a scan of parents × boxes.
 func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Placer) int {
-	// Capture old fine grids for data copy before destroying them.
-	old := make([][]*Grid, h.MaxLevel+1)
-	for l := base + 1; l <= h.MaxLevel; l++ {
-		old[l] = slices.Clone(h.Grids(l))
+	// Capture the index of each old fine level before destroying it: it
+	// keeps the old grids, at their old positions, for the data copy.
+	old := make([]*levelIndex, h.MaxLevel+1)
+	if h.WithData {
+		for l := base + 1; l <= h.MaxLevel; l++ {
+			old[l] = h.currentIndex(l)
+		}
 	}
 	h.ClearLevelsFrom(base + 1)
 
 	created := 0
 	for l := base; l < h.MaxLevel; l++ {
-		if len(h.Grids(l)) == 0 {
+		parents := h.Grids(l)
+		if len(parents) == 0 {
 			break
 		}
 		f := h.FlagFieldFor(l)
@@ -64,37 +72,29 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 		}
 		f.Dilate(p.Buffer)
 		boxes := cluster.Cluster(f, p.Cluster)
-		madeAny := false
+		li := h.currentIndex(l)
+		offs, boxOf := h.parentBoxPairs(li, parents, boxes)
 		// Children are created sequentially (AddGrid mutates the
 		// hierarchy) but their data is initialised afterwards in one
-		// parallel batch: each init writes only its own child's patch
-		// and reads only coarse and old same-level patches, none of
-		// which a sibling init writes.
+		// parallel batch.
 		var pending []*Grid
-		for _, parent := range h.Grids(l) {
-			for _, b := range boxes {
-				piece := b.Intersect(parent.Box)
-				if piece.Empty() {
-					continue
-				}
-				childBox := piece.Refine(h.RefFactor)
+		for i, parent := range parents {
+			for _, b := range boxOf[offs[i]:offs[i+1]] {
+				childBox := boxes[b].Intersect(parent.Box).Refine(h.RefFactor)
 				owner := parent.Owner
 				if place != nil {
 					owner = place(childBox, parent)
 				}
 				child := h.AddGrid(l+1, childBox, owner, parent.ID)
-				created++
-				madeAny = true
 				if h.WithData {
 					pending = append(pending, child)
 				}
 			}
 		}
-		oldL := old[l+1]
-		h.pool.ForEach(len(pending), func(i int) {
-			h.initChildData(pending[i], oldL)
-		})
-		if !madeAny {
+		created += len(boxOf)
+		h.initChildren(pending, li, old[l+1])
+		old[l+1] = nil // the old level's grids are garbage from here
+		if len(boxOf) == 0 {
 			break
 		}
 		h.SortLevel(l + 1)
@@ -102,33 +102,84 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 	return created
 }
 
-// initChildData fills a new child grid by prolongation from every
-// overlapping coarse grid, then copies old same-level data where it
-// exists (the old solution is more accurate than prolonged data).
-// Safe to run concurrently for distinct children: it writes only the
-// child's own patch.
-func (h *Hierarchy) initChildData(child *Grid, oldSameLevel []*Grid) {
+// parentBoxPairs asks level index li which parents each cluster box
+// overlaps and groups the pairs by parent: boxOf[offs[i]:offs[i+1]]
+// are the indices of the boxes overlapping parents[i], ascending —
+// parent-major, box-minor, the order of a scan of parents × boxes. The
+// grouping is levelIndex.build's count, prefix sum, fill.
+func (h *Hierarchy) parentBoxPairs(li *levelIndex, parents []*Grid, boxes geom.BoxList) (offs, boxOf []int32) {
+	hits := h.regridArena[:0] // each box's parents, box after box
+	ends := make([]int32, len(boxes))
+	offs = make([]int32, len(parents)+1)
+	for b, box := range boxes {
+		start := len(hits)
+		hits = li.query(box, hits)
+		for _, g := range hits[start:] {
+			offs[g.pos+1]++
+		}
+		ends[b] = int32(len(hits))
+	}
+	for i := range parents {
+		offs[i+1] += offs[i]
+	}
+	boxOf = make([]int32, len(hits))
+	next := slices.Clone(offs[:len(parents)])
+	start := int32(0)
+	for b, end := range ends {
+		for _, g := range hits[start:end] {
+			boxOf[next[g.pos]] = int32(b)
+			next[g.pos]++
+		}
+		start = end
+	}
+	clear(hits)
+	h.regridArena = hits
+	return offs, boxOf
+}
+
+// initChildren initialises the new children's data in one parallel
+// batch. Their sources are gathered first, serially, into one arena
+// (h.regridArena): for each child, the grids of the coarse level (index
+// li) and of the old same level (index oli, built over the level before
+// it was cleared) that overlap its grown box, in level-list order. A
+// pool task then only reads the arena, and writes only its own child's
+// patch, which no other task reads.
+func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
+	if len(children) == 0 {
+		return
+	}
+	srcs := h.regridArena[:0]
+	// Child i's coarse sources are srcs[cuts[2i]:cuts[2i+1]], its old
+	// ones srcs[cuts[2i+1]:cuts[2i+2]].
+	cuts := make([]int32, 2*len(children)+1)
+	for i, c := range children {
+		grown := c.Patch.Grown()
+		srcs = li.query(grown.Coarsen(h.RefFactor), srcs)
+		cuts[2*i+1] = int32(len(srcs))
+		srcs = oli.query(grown, srcs)
+		cuts[2*i+2] = int32(len(srcs))
+	}
+	h.pool.ForEach(len(children), func(i int) {
+		h.initChildData(children[i], srcs[cuts[2*i]:cuts[2*i+1]], srcs[cuts[2*i+1]:cuts[2*i+2]])
+	})
+	clear(srcs)
+	h.regridArena = srcs
+}
+
+// initChildData fills a new child grid by prolongation from the coarse
+// grids that overlap its grown box, then copies the old same-level
+// data that overlaps it (the old solution is more accurate than
+// prolonged data).
+func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
 	grown := child.Patch.Grown()
-	for _, coarse := range h.Grids(child.Level - 1) {
-		if coarse.Patch == nil {
-			continue
-		}
-		region := grown.Intersect(coarse.Box.Refine(h.RefFactor))
-		if region.Empty() {
-			continue
-		}
+	for _, c := range coarse {
+		region := grown.Intersect(c.Box.Refine(h.RefFactor))
 		for _, f := range h.Fields {
-			grid.Prolong(child.Patch, coarse.Patch, f, h.RefFactor, region)
+			grid.Prolong(child.Patch, c.Patch, f, h.RefFactor, region)
 		}
 	}
-	for _, og := range oldSameLevel {
-		if og.Patch == nil {
-			continue
-		}
+	for _, og := range old {
 		region := grown.Intersect(og.Box)
-		if region.Empty() {
-			continue
-		}
 		for _, f := range h.Fields {
 			grid.CopyRegion(child.Patch, og.Patch, f, region)
 		}

@@ -7,23 +7,24 @@ import (
 	"samrdlb/internal/geom"
 )
 
-// Spatial neighbor index. The plan builders used to answer "which
-// grids overlap this grown box?" by scanning every grid of the level —
-// O(n²) per plan build. Each level instead keeps a uniform bucket grid
-// over its index space: a grid is registered in every bucket its box
-// touches, so a query gathers the buckets the query box touches and
-// keeps the occupants that overlap it. Bucket extents track the typical
-// grid size (~cbrt(n) buckets per dimension), so a query looks at O(k)
-// grids independent of the level's population.
+// Spatial neighbor index. The plan builders and the regrid used to
+// answer "which grids overlap this box?" by scanning every grid of the
+// level — O(n²) per plan build or regrid. Each level instead keeps a
+// uniform bucket grid over its index space: a grid is registered in
+// every bucket its box touches, so a query gathers the buckets the
+// query box touches and keeps the occupants that overlap it. Bucket
+// extents track the typical grid size (~cbrt(n) buckets per
+// dimension), so a query looks at O(k) grids independent of the
+// level's population.
 //
-// The index is built on first plan query from the level list as it
-// stands, sized for that population, and is valid for the level's
-// structure generation. A query's answer is exact, ordered and unique:
-// exactly the grids whose box overlaps the query box, sorted by their
-// level-list position, each once. Plan builders therefore visit their
+// The index is built on first query from the level list as it stands,
+// sized for that population, and is valid for the level's structure
+// generation. A query's answer is exact, ordered and unique: exactly
+// the grids whose box overlaps the query box, sorted by their
+// level-list position, each once. Callers therefore visit their
 // sources in exactly the order the O(n²) scans visit the level, which
-// is what keeps indexed plans byte-identical to the scan baselines, and
-// need no overlap test of their own.
+// is what keeps indexed plans and regrids byte-identical to the scan
+// baselines, and need no overlap test of their own.
 
 // maxIndexBuckets caps the bucket-array footprint per level.
 const maxIndexBuckets = 1 << 21
@@ -92,8 +93,10 @@ func (li *levelIndex) forBuckets(b geom.Box, fn func(int)) {
 // each once, in level-list order — what a scan of the whole level that
 // keeps the overlapping grids visits, so a plan builder needs no test
 // of its own. Buckets are filtered while gathering; only the survivors
-// are sorted by position and deduplicated.
+// are sorted by position and deduplicated, and what out held before
+// stays as it was, so successive queries can share one arena.
 func (li *levelIndex) query(b geom.Box, out []*Grid) []*Grid {
+	n := len(out)
 	lo, hi := li.bucketRange(b)
 	for z := lo[2]; z <= hi[2]; z++ {
 		for y := lo[1]; y <= hi[1]; y++ {
@@ -107,9 +110,10 @@ func (li *levelIndex) query(b geom.Box, out []*Grid) []*Grid {
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b *Grid) int { return a.pos - b.pos })
+	found := out[n:]
+	slices.SortFunc(found, func(a, b *Grid) int { return a.pos - b.pos })
 	if lo != hi {
-		out = dedupeSorted(out)
+		out = out[:n+len(dedupeSorted(found))]
 	}
 	return out
 }
@@ -171,12 +175,19 @@ func (h *Hierarchy) indexFor(l int) *levelIndex {
 	return li
 }
 
+// currentIndex is indexFor for callers that do not hold planMu. An
+// index is never written once built, so the caller may query it after
+// the lock is released, for as long as level l's structure stands.
+func (h *Hierarchy) currentIndex(l int) *levelIndex {
+	h.planMu.Lock()
+	defer h.planMu.Unlock()
+	return h.indexFor(l)
+}
+
 // Locate returns the position in Grids(l) of the grid whose box holds
 // the level-l cell, or -1 when no grid does.
 func (h *Hierarchy) Locate(l int, cell geom.Index) int {
-	h.planMu.Lock()
-	defer h.planMu.Unlock()
-	li := h.indexFor(l)
+	li := h.currentIndex(l)
 	at, _ := li.bucketRange(geom.Box{Lo: cell, Hi: cell})
 	for _, g := range li.buckets[(at[2]*li.dims[1]+at[1])*li.dims[0]+at[0]] {
 		if g.Box.Contains(cell) {
