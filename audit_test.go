@@ -238,6 +238,8 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"a restarted worker is detached and resumed, always both: one -worker-restart"},
 	{`range h\.Grids\((l|child\.Level - 1)\)|range oldSameLevel|_, b := range boxes`, "internal/amr/regrid.go",
 		"regrid finds parents and sources through the level index"},
+	{`chargeMessages|pairSlot`, "internal/engine/*.go",
+		"a level is charged from the hierarchy's cached processor-pair table"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

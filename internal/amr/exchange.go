@@ -1,6 +1,7 @@
 package amr
 
 import (
+	"slices"
 	"sync"
 
 	"samrdlb/internal/geom"
@@ -40,6 +41,14 @@ type Message struct {
 	Kind     MsgKind
 }
 
+// Transfer is one movement the cost model charges between two
+// processors: a plan's messages from Src to Dst coalesced, or one grid
+// migration.
+type Transfer struct {
+	Src, Dst int
+	Bytes    int64
+}
+
 // planKind names the parts of a level's plan-cache entry, as a set.
 type planKind uint8
 
@@ -48,24 +57,36 @@ const (
 	planFill
 	planRestrict
 	planInterface
+	planGhostXfer
+	planRestrictXfer
+
+	// planXfer is the kinds that read owners as well as structure.
+	planXfer = planGhostXfer | planRestrictXfer
 )
 
 // planCache is a level's plan-cache entry — the cost-model message
-// lists, the concrete data-motion plans and the coarse–fine interface
-// plan — valid for the structure generations it is stamped with (see
-// Hierarchy.gen). The plans are keyed by grid identity and boxes; the
-// engine (and the mpx execution) resolves owners when it charges or
-// routes the messages. Each kind is built lazily on first use, and a
-// slice handed out is never written again.
+// lists and their processor-pair tables, the concrete data-motion plans
+// and the coarse–fine interface plan — valid for the structure
+// generations it is stamped with (see Hierarchy.gen). The plans are
+// keyed by grid identity and boxes; the mpx execution resolves owners
+// when it routes the messages. Only the pair tables read owners, and
+// they carry the ownership generations they were built at as well. Each
+// kind is built lazily on first use, and a slice handed out is never
+// written again.
 type planCache struct {
 	// gen and coarseGen are the generations of levels l and l−1 the
-	// entry was built at.
+	// entry was built at, own and coarseOwn their ownership generations
+	// when the pair tables were.
 	gen, coarseGen uint64
+	own, coarseOwn uint64
 	// built is the set of kinds built so far.
 	built planKind
 
 	ghost, restrict []Message
-	fill            []fillDest
+	// ghostXfer and restrictXfer are ghost and restrict coalesced per
+	// processor pair (see aggregate).
+	ghostXfer, restrictXfer []Transfer
+	fill                    []fillDest
 	// restrictData is the grouped-by-parent restriction plan.
 	restrictData []restrictDest
 	// iface is the interface plan between this level and the next
@@ -92,28 +113,48 @@ func (h *Hierarchy) releasePlans(l int) {
 }
 
 // refreshPlans brings level l's cache entry up to date and returns it.
-// A stale entry is reset and the kinds it held are rebuilt along with
+// A stale entry is reset and the plans it held are rebuilt along with
 // the requested ones — all under this one critical section, so a
 // caller reading several plan kinds from the entry always sees them
-// coherent with each other and with the current structure. Callers
-// hold planMu.
+// coherent with each other and with the current structure. The pair
+// tables are built only on request, and an entry whose structure is
+// current but whose owners moved loses them alone. Callers hold planMu.
 func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 	c := &h.plans[l]
 	gen, coarseGen := h.gen[l], uint64(0)
+	own, coarseOwn := h.own[l], uint64(0)
 	if l > 0 {
-		coarseGen = h.gen[l-1]
+		coarseGen, coarseOwn = h.gen[l-1], h.own[l-1]
 	}
 	ghostCap := 0
 	if c.gen != gen || c.coarseGen != coarseGen {
 		// The stale plan's length sizes its replacement: growing the
 		// message list by append costs ~5x its final size in garbage.
-		need, ghostCap = need|c.built, max(len(c.ghost), c.ghostLen)
+		need, ghostCap = need|c.built&^planXfer, max(len(c.ghost), c.ghostLen)
 		*c = planCache{gen: gen, coarseGen: coarseGen}
+	} else if c.own != own || c.coarseOwn != coarseOwn {
+		c.built &^= planXfer
+		c.ghostXfer, c.restrictXfer = nil, nil
+	}
+	if need&planXfer != 0 {
+		need |= planMsg
 	}
 	need &^= c.built
 	if need&planMsg != 0 {
 		c.ghost = h.buildGhostPlan(l, false, ghostCap)
 		c.restrict = h.RestrictPlan(l, false)
+	}
+	// The two tables are built apart: a local balance usually moves an
+	// owner between a level's ghost charge and its restrict charge.
+	if need&planXfer != 0 {
+		n := h.ownerSpan(l)
+		if need&planGhostXfer != 0 {
+			c.ghostXfer = h.aggregate(c.ghost, n)
+		}
+		if need&planRestrictXfer != 0 {
+			c.restrictXfer = h.aggregate(c.restrict, n)
+		}
+		c.own, c.coarseOwn = own, coarseOwn
 	}
 	if need&planFill != 0 {
 		c.fill = h.buildFillPlan(l)
@@ -154,15 +195,94 @@ func (h *Hierarchy) GhostPlanCached(l int) []Message {
 	return h.refreshPlans(l, planMsg).ghost
 }
 
-// RestrictPlanCached returns RestrictPlan(l, false), memoised and
-// rebuilt alongside the ghost plan under the same critical section, so
-// a structural mutation between a GhostPlanCached and a
-// RestrictPlanCached call can never surface a stale or missing
-// restrict plan.
-func (h *Hierarchy) RestrictPlanCached(l int) []Message {
+// GhostTransfers returns GhostPlanCached(l) coalesced per processor
+// pair, memoised until the structure or the owners of level l or l−1
+// change. Callers must not mutate the returned slice.
+func (h *Hierarchy) GhostTransfers(l int) []Transfer {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.refreshPlans(l, planMsg).restrict
+	return h.refreshPlans(l, planGhostXfer).ghostXfer
+}
+
+// RestrictTransfers returns RestrictPlan(l, false) coalesced per
+// processor pair, memoised like GhostTransfers. The restrict plan is
+// built alongside the ghost plan under the same critical section, so a
+// structural mutation between the two calls can never surface a stale
+// or missing restrict table.
+func (h *Hierarchy) RestrictTransfers(l int) []Transfer {
+	h.planMu.Lock()
+	defer h.planMu.Unlock()
+	return h.refreshPlans(l, planRestrictXfer).restrictXfer
+}
+
+// ownerSpan is one more than the largest owner of a grid on level l or
+// l−1, the levels a level-l message plan names grids of.
+func (h *Hierarchy) ownerSpan(l int) int {
+	n := 0
+	for _, lv := range h.levels[max(l-1, 0) : l+1] {
+		for _, g := range lv {
+			n = max(n, g.Owner+1)
+		}
+	}
+	return n
+}
+
+// aggregate coalesces a message plan per (src proc, dst proc) pair —
+// one latency per pair, bytes summed, matching message coalescing in
+// real SAMR codes — into a new table in (src, dst) order. Messages
+// between grids of one processor move nothing. Every owner the plan
+// names is below n. Callers hold planMu.
+func (h *Hierarchy) aggregate(msgs []Message, n int) []Transfer {
+	if len(msgs) == 0 {
+		return nil
+	}
+	// pairSlot[src·n+dst] is one more than the pair's position in pairs,
+	// zero while unseen; the entries used are zeroed again below.
+	if len(h.pairSlot) < n*n {
+		h.pairSlot = make([]int32, n*n)
+	}
+	pairs := h.pairBuf[:0]
+	// A sibling seen through several ghost slabs, and the children of
+	// one parent, are consecutive in a plan: owners and the pair's slot
+	// are resolved once per run of equal Dst and of equal (Src, Dst).
+	// slot < 0 marks a run whose two grids share a processor.
+	dst, slot := 0, -1
+	for i, m := range msgs {
+		newDst := i == 0 || m.Dst != msgs[i-1].Dst
+		if newDst {
+			dst = h.Grid(m.Dst).Owner
+		}
+		if newDst || m.Src != msgs[i-1].Src {
+			slot = -1
+			if src := h.Grid(m.Src).Owner; src != dst {
+				at := &h.pairSlot[src*n+dst]
+				if *at == 0 {
+					pairs = append(pairs, Transfer{Src: src, Dst: dst})
+					*at = int32(len(pairs))
+				}
+				slot = int(*at) - 1
+			}
+		}
+		if slot >= 0 {
+			pairs[slot].Bytes += m.Bytes
+		}
+	}
+	for _, p := range pairs {
+		h.pairSlot[p.Src*n+p.Dst] = 0
+	}
+	h.pairBuf = pairs
+	// Deterministic accumulation order (the keys are unique): the
+	// per-processor float sums, and every DLB decision after, depend on it.
+	slices.SortFunc(pairs, byPair)
+	return slices.Clone(pairs)
+}
+
+// byPair orders transfers by (Src, Dst).
+func byPair(a, b Transfer) int {
+	if a.Src != b.Src {
+		return a.Src - b.Src
+	}
+	return a.Dst - b.Dst
 }
 
 // GhostPlan returns the transfers required to fill the ghost zones of

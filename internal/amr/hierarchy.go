@@ -101,18 +101,24 @@ type Hierarchy struct {
 
 	// gen[l] is level l's structure generation: AddGrid, RemoveGrid,
 	// setParent, SortLevel and ClearLevelsFrom bump it, and nothing else
-	// does (cached plans carry no owner, so SetOwner invalidates
-	// nothing). Level l's plans read the structure of levels l and l−1
-	// only, so plans[l] is valid while gen[l] and gen[l−1] hold the values
-	// it is stamped with, index[l] while gen[l] does; a stale one is
-	// rebuilt whole on its next use.
-	gen   []uint64
-	plans []planCache
-	index []*levelIndex
-	// planMu guards gen, plans and index: mpx ranks build plans lazily
-	// from concurrent goroutines. Execution reads the immutable plan
-	// after the lock is released.
+	// does. own[l] is its ownership generation, bumped by SetOwner only.
+	// Level l's plans read the structure of levels l and l−1 only, so
+	// plans[l] is valid while gen[l] and gen[l−1] hold the values it is
+	// stamped with, index[l] while gen[l] does; a stale one is rebuilt
+	// whole on its next use. The processor-pair tables of plans[l] also
+	// read the owners of levels l and l−1, and are dropped alone when
+	// own[l] or own[l−1] moves.
+	gen, own []uint64
+	plans    []planCache
+	index    []*levelIndex
+	// planMu guards gen, own, plans, index and the pair-table scratch:
+	// mpx ranks build plans lazily from concurrent goroutines. Execution
+	// reads the immutable plan after the lock is released.
 	planMu sync.Mutex
+	// pairSlot and pairBuf are the aggregation scratch of the
+	// processor-pair tables (see aggregate), kept for their capacity.
+	pairSlot []int32
+	pairBuf  []Transfer
 
 	// pool executes the cached fill/restrict/regrid data motion (safe
 	// in parallel: the plans partition writes by destination patch);
@@ -156,13 +162,17 @@ func (h *Hierarchy) SetListener(l Listener) { h.listener = l }
 
 // SetOwner reassigns a grid to a processor, notifying the listener.
 // All ownership changes (migration, redistribution, repartitioning)
-// must go through here so incremental load bookkeeping stays exact.
+// must go through here so incremental load bookkeeping and the cached
+// processor-pair tables stay exact.
 func (h *Hierarchy) SetOwner(g *Grid, owner int) {
 	if g.Owner == owner {
 		return
 	}
 	old := g.Owner
 	g.Owner = owner
+	h.planMu.Lock()
+	h.own[g.Level]++
+	h.planMu.Unlock()
 	if h.listener != nil {
 		h.listener.OwnerChanged(h, g, old)
 	}
@@ -203,6 +213,7 @@ func New(domain geom.Box, refFactor, maxLevel, nghost int, withData bool, fields
 		levels:    make([][]*Grid, maxLevel+1),
 		byID:      make(map[GridID]*Grid),
 		gen:       make([]uint64, maxLevel+1),
+		own:       make([]uint64, maxLevel+1),
 		plans:     make([]planCache, maxLevel+1),
 		index:     make([]*levelIndex, maxLevel+1),
 	}

@@ -11,17 +11,26 @@ import (
 // bitwise equality. This catches both indexed-query bugs (a bucket
 // query missing a neighbor the scan would have found) and a structural
 // mutation that forgot to bump its level's generation (the stale entry
-// is served again and diverges from the fresh scan). Structure-only
-// and deterministic, so unlike -datacheck it is safe on multi-process
-// worker shards.
+// is served again and diverges from the fresh scan). A processor-pair
+// table is re-derived from the scan plan and the current owners by
+// naivePairs, which catches an owner change the table missed.
+// Structure-only and deterministic, so unlike -datacheck it is safe on
+// multi-process worker shards.
 
 // verifyPlans checks every built plan kind of level l against its scan
 // baseline, panicking with entry-level detail on divergence. Callers
 // hold planMu.
 func (h *Hierarchy) verifyPlans(l int, c *planCache) {
 	if c.built&planMsg != 0 {
-		comparePlanMessages("GhostPlan", l, h.GhostPlanScan(l, false), c.ghost)
-		comparePlanMessages("RestrictPlan", l, h.RestrictPlan(l, false), c.restrict)
+		ghost, restrict := h.GhostPlanScan(l, false), h.RestrictPlan(l, false)
+		comparePlanMessages("GhostPlan", l, ghost, c.ghost)
+		comparePlanMessages("RestrictPlan", l, restrict, c.restrict)
+		if c.built&planGhostXfer != 0 {
+			compareTransferTables("GhostTransfers", l, naivePairs(h, ghost), c.ghostXfer)
+		}
+		if c.built&planRestrictXfer != 0 {
+			compareTransferTables("RestrictTransfers", l, naivePairs(h, restrict), c.restrictXfer)
+		}
 	}
 	if c.built&planFill != 0 {
 		compareFillPlans(l, h.buildFillPlanScan(l), c.fill)
@@ -46,6 +55,43 @@ func comparePlanMessages(op string, l int, want, got []Message) {
 		if want[i] != got[i] {
 			panic(fmt.Sprintf(
 				"amr: %s plancheck diverged: level %d message %d: cached %+v, scan %+v",
+				op, l, i, got[i], want[i]))
+		}
+	}
+}
+
+// naivePairs is the per-message form of aggregate: two grid lookups and
+// one map update per message, then the (src, dst) sort.
+func naivePairs(h *Hierarchy, msgs []Message) []Transfer {
+	type pair struct{ src, dst int }
+	sum := make(map[pair]int64)
+	for _, m := range msgs {
+		src, dst := h.Grid(m.Src).Owner, h.Grid(m.Dst).Owner
+		if src != dst {
+			sum[pair{src, dst}] += m.Bytes
+		}
+	}
+	var out []Transfer
+	for p, b := range sum {
+		out = append(out, Transfer{p.src, p.dst, b})
+	}
+	slices.SortFunc(out, byPair)
+	return out
+}
+
+// compareTransferTables panics when a cached processor-pair table
+// diverged from the naive aggregation of the scan plan under the
+// current owners.
+func compareTransferTables(op string, l int, want, got []Transfer) {
+	if len(want) != len(got) {
+		panic(fmt.Sprintf(
+			"amr: %s plancheck diverged: level %d: cached %d pairs, naive %d",
+			op, l, len(got), len(want)))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			panic(fmt.Sprintf(
+				"amr: %s plancheck diverged: level %d pair %d: cached %+v, naive %+v",
 				op, l, i, got[i], want[i]))
 		}
 	}

@@ -42,6 +42,14 @@ func randomHierarchy(rng *rand.Rand) *Hierarchy {
 	return h
 }
 
+// RestrictPlanCached returns RestrictPlan(l, false) from the cache
+// entry RestrictTransfers aggregates.
+func (h *Hierarchy) RestrictPlanCached(l int) []Message {
+	h.planMu.Lock()
+	defer h.planMu.Unlock()
+	return h.refreshPlans(l, planMsg).restrict
+}
+
 // servePlans pulls every cached plan kind at every level, so the
 // -plancheck oracle (when armed) verifies each against its scan
 // baseline.
@@ -49,6 +57,8 @@ func servePlans(h *Hierarchy) {
 	for l := 0; l <= h.MaxLevel; l++ {
 		h.GhostPlanCached(l)
 		h.RestrictPlanCached(l)
+		h.GhostTransfers(l)
+		h.RestrictTransfers(l)
 		h.fillPlan(l)
 		h.restrictDataPlan(l)
 		if l > 0 {
@@ -112,7 +122,7 @@ func mutate(h *Hierarchy, rng *rand.Rand) {
 				h.SplitGrid(g, d, g.Box.Lo[d]+step*(1+rng.Intn(n-1)))
 			}
 		}
-	case 4: // ownership churn (must not invalidate anything)
+	case 4: // ownership churn (invalidates the pair tables only)
 		l := rng.Intn(h.MaxLevel + 1)
 		if gs := h.Grids(l); len(gs) > 0 {
 			h.SetOwner(gs[rng.Intn(len(gs))], rng.Intn(4))
@@ -308,6 +318,7 @@ func TestCachedPlansConcurrentReaders(t *testing.T) {
 					g := h.GhostPlanCached(l)
 					r := h.RestrictPlanCached(l)
 					_, _ = g, r
+					_, _ = h.GhostTransfers(l), h.RestrictTransfers(l)
 					_ = h.fillPlan(l)
 					_ = h.restrictDataPlan(l)
 					if l > 0 {

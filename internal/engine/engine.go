@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"samrdlb/internal/amr"
@@ -281,23 +280,13 @@ type Runner struct {
 
 	// Per-step scratch, reused across calls so the hot loop makes no
 	// allocations: advanceLevel's per-processor accumulators, the
-	// message/migration charging buffers and particlesPerGrid's
-	// counts. The engine loop is single-threaded (vclock.AddPhase
-	// copies values immediately), so plain reuse is safe.
+	// charging buffers and particlesPerGrid's counts. The engine loop is
+	// single-threaded (vclock.AddPhase copies values immediately), so
+	// plain reuse is safe.
 	perProcBuf, workBuf   []float64
 	commLocal, commRemote []float64
-	pairSlot              []int32
-	xfers                 []transfer
+	xfers                 []amr.Transfer
 	inGrid                []int
-}
-
-// commPair keys the per-(src,dst) aggregation of chargeMessages.
-type commPair struct{ src, dst int }
-
-// transfer is one (src proc, dst proc, bytes) movement to be charged.
-type transfer struct {
-	commPair
-	bytes int64
 }
 
 // procScratch returns a zeroed length-n slice backed by the given
@@ -974,7 +963,7 @@ func (r *Runner) advanceLevel(level int) {
 	}
 
 	// Communication: ghost plan, aggregated per processor pair.
-	r.chargeMessages(r.h.GhostPlanCached(level), vclock.LocalComm, vclock.RemoteComm)
+	r.chargeTransfers(r.h.GhostTransfers(level), vclock.LocalComm, vclock.RemoteComm)
 
 	// Real data motion and numerics.
 	if r.opt.WithData {
@@ -1114,7 +1103,7 @@ func cellOf(pos, dx float64) int {
 
 // restrict projects level l onto l-1, charging the transfer plan.
 func (r *Runner) restrict(level int) {
-	r.chargeMessages(r.h.RestrictPlanCached(level), vclock.LocalComm, vclock.RemoteComm)
+	r.chargeTransfers(r.h.RestrictTransfers(level), vclock.LocalComm, vclock.RemoteComm)
 	if r.opt.WithData {
 		if r.shards == nil || !r.runWirePhase("restrict", level, func(rank *mpx.Rank) {
 			r.h.RestrictMPX(rank, level)
@@ -1124,67 +1113,12 @@ func (r *Runner) restrict(level int) {
 	}
 }
 
-// chargeMessages aggregates the plan per (src proc, dst proc) pair —
-// one latency per pair, bytes summed, matching message coalescing in
-// real SAMR codes — and charges each processor the time of the
-// transfers it participates in.
-func (r *Runner) chargeMessages(msgs []amr.Message, localPhase, remotePhase vclock.Phase) {
-	if len(msgs) == 0 {
-		return
-	}
-	// pairSlot[src·n+dst] is one more than the pair's position in pairs,
-	// zero while unseen; the entries used are zeroed again below.
-	n := r.sys.NumProcs()
-	if len(r.pairSlot) < n*n {
-		r.pairSlot = make([]int32, n*n)
-	}
-	pairs := r.xfers[:0]
-	// A sibling seen through several ghost slabs, and the children of
-	// one parent, are consecutive in a plan: owners and the pair's slot
-	// are resolved once per run of equal Dst and of equal (Src, Dst).
-	// slot < 0 marks a run whose two grids share a processor.
-	dst, slot := 0, -1
-	for i, m := range msgs {
-		newDst := i == 0 || m.Dst != msgs[i-1].Dst
-		if newDst {
-			dst = r.h.Grid(m.Dst).Owner
-		}
-		if newDst || m.Src != msgs[i-1].Src {
-			slot = -1
-			if src := r.h.Grid(m.Src).Owner; src != dst {
-				at := &r.pairSlot[src*n+dst]
-				if *at == 0 {
-					pairs = append(pairs, transfer{commPair: commPair{src, dst}})
-					*at = int32(len(pairs))
-				}
-				slot = int(*at) - 1
-			}
-		}
-		if slot >= 0 {
-			pairs[slot].bytes += m.Bytes
-		}
-	}
-	for _, p := range pairs {
-		r.pairSlot[p.src*n+p.dst] = 0
-	}
-	// Deterministic accumulation order (the keys are unique): the
-	// per-processor float sums, and every DLB decision after, depend on it.
-	slices.SortFunc(pairs, func(a, b transfer) int {
-		if a.src != b.src {
-			return a.src - b.src
-		}
-		return a.dst - b.dst
-	})
-	r.xfers = pairs
-	r.chargeTransfers(pairs, localPhase, remotePhase)
-}
-
 // chargeMigrations charges grid-migration transfers into the given
 // phases (local and remote by group relation).
 func (r *Runner) chargeMigrations(migs []dlb.Migration, localPhase, remotePhase vclock.Phase) {
 	xs := r.xfers[:0]
 	for _, m := range migs {
-		xs = append(xs, transfer{commPair{m.From, m.To}, m.Bytes})
+		xs = append(xs, amr.Transfer{Src: m.From, Dst: m.To, Bytes: m.Bytes})
 	}
 	r.xfers = xs
 	r.chargeTransfers(xs, localPhase, remotePhase)
@@ -1192,26 +1126,27 @@ func (r *Runner) chargeMigrations(migs []dlb.Migration, localPhase, remotePhase 
 
 // chargeTransfers charges each transfer's link time to both of its
 // endpoints, in list order: into localPhase when they share a group,
-// into remotePhase otherwise.
-func (r *Runner) chargeTransfers(xs []transfer, localPhase, remotePhase vclock.Phase) {
+// into remotePhase otherwise. The link time is taken at the current
+// virtual time, since traffic varies with it.
+func (r *Runner) chargeTransfers(xs []amr.Transfer, localPhase, remotePhase vclock.Phase) {
 	local := procScratch(&r.commLocal, r.sys.NumProcs())
 	remote := procScratch(&r.commRemote, r.sys.NumProcs())
 	now := r.clock.Now()
 	anyLocal, anyRemote := false, false
 	for _, x := range xs {
-		link, err := r.sys.LinkBetween(x.src, x.dst)
+		link, err := r.sys.LinkBetween(x.Src, x.Dst)
 		if err != nil {
 			// No fabric link between the pair: nothing to charge.
 			continue
 		}
-		tt := link.TransferTime(now, float64(x.bytes))
-		if r.sys.SameGroup(x.src, x.dst) {
-			local[x.src] += tt
-			local[x.dst] += tt
+		tt := link.TransferTime(now, float64(x.Bytes))
+		if r.sys.SameGroup(x.Src, x.Dst) {
+			local[x.Src] += tt
+			local[x.Dst] += tt
 			anyLocal = true
 		} else {
-			remote[x.src] += tt
-			remote[x.dst] += tt
+			remote[x.Src] += tt
+			remote[x.Dst] += tt
 			anyRemote = true
 		}
 	}

@@ -125,6 +125,9 @@ func (s *shardSet) detach(cause string) {
 	}
 }
 
+// commPair is an ordered (src, dst) pair of ranks or groups.
+type commPair struct{ src, dst int }
+
 // wireFailure summarises a phase that failed purely on the transport:
 // the computation never misbehaved, the wire did.
 type wireFailure struct {
