@@ -1,15 +1,18 @@
 package samrdlb
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -240,6 +243,8 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"regrid finds parents and sources through the level index"},
 	{`chargeMessages|pairSlot`, "internal/engine/*.go",
 		"a level is charged from the hierarchy's cached processor-pair table"},
+	{`WriteJSON`, "internal/trace/*.go",
+		"nothing read the JSON trace export; a typed event stream is its planned replacement"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays
@@ -358,4 +363,330 @@ func isZeroTest(cond ast.Expr) bool {
 	}
 	lit, ok := b.Y.(*ast.BasicLit)
 	return ok && lit.Value == "0"
+}
+
+// docFiles are the documents whose backticked names must be code of
+// this tree. bench/README.md is read, never edited, while bench/ is
+// frozen.
+var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "bench/README.md"}
+
+// docAllow lists backticked names that are not code of this tree, each
+// with its reason. Every entry must exempt something.
+var docAllow = map[string]string{
+	"Scenario.Execute":     "bench/README.md is frozen until the benchmark is re-seeded; the method is ExecuteWithHistory",
+	"scenario.exec_p99_ms": "bench/README.md names the metric scenario.exec_tail_ms replaced",
+	"total_s":              "bench/README.md's short form of the metric vclock.total_s",
+
+	"ProcessState.SysUsage": "standard library (os)",
+	"Maxrss":                "standard library (syscall.Rusage)",
+	"MemStats.TotalAlloc":   "standard library (runtime)",
+	"MemStats.Mallocs":      "standard library (runtime)",
+}
+
+var (
+	goNameShape = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*(\(\))?$`)
+	flagShape   = regexp.MustCompile(`^-[A-Za-z][A-Za-z0-9-]*(=\S*)?$`)
+	flagFunc    = regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Text)?(Var|Func)?$`)
+	tagValue    = regexp.MustCompile(`:"([^",]*)`)
+	pathShape   = regexp.MustCompile(`^[A-Za-z0-9_.][A-Za-z0-9_.-]*(/[A-Za-z0-9_.-]+)+/?$`)
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+)
+
+// docIndex is what a backticked name may resolve to.
+type docIndex struct {
+	pkgDecls map[string]map[string]bool // package name → every name declared in it, members included
+	members  map[string]map[string]bool // type name, bare and "pkg.Type" → its fields and methods
+	embeds   map[string][]string        // type name, bare and "pkg.Type" → the types it embeds
+	names    map[string]bool            // every declared name
+	strs     map[string]bool            // every string literal
+	flags    map[string][]string        // flag name → the usage strings that register it
+	files    map[string]bool            // every path in the tree, and every file's base name
+	ignored  []string                   // .gitignore prefixes: paths a build or run leaves behind
+}
+
+func buildDocIndex(t *testing.T) *docIndex {
+	ix := &docIndex{pkgDecls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{},
+		names: map[string]bool{}, strs: map[string]bool{}, flags: map[string][]string{}, files: map[string]bool{}}
+	add := func(m map[string]map[string]bool, key, name string) {
+		if m[key] == nil {
+			m[key] = map[string]bool{}
+		}
+		m[key][name] = true
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path != "." && strings.HasPrefix(d.Name(), ".") {
+			if d != nil && d.IsDir() {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		ix.files[filepath.ToSlash(path)], ix.files[d.Name()] = true, true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ignore, err := os.ReadFile(".gitignore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(ignore), "\n") {
+		if line = strings.TrimPrefix(strings.TrimSpace(line), "/"); line != "" && !strings.HasPrefix(line, "#") {
+			ix.ignored = append(ix.ignored, line)
+		}
+	}
+
+	fset := token.NewFileSet()
+	for _, f := range parseTree(t, fset, func(string) bool { return true }, ".") {
+		pkg := f.Name.Name
+		declare := func(name string) { add(ix.pkgDecls, pkg, name); ix.names[name] = true }
+		member := func(typ, name string) {
+			add(ix.members, typ, name)
+			add(ix.members, pkg+"."+typ, name)
+			declare(name)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if fn.Recv != nil {
+					member(recvName(fn.Recv.List[0].Type), fn.Name.Name)
+				} else {
+					declare(fn.Name.Name)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				declare(n.Name.Name)
+				fields := &ast.FieldList{}
+				switch typ := n.Type.(type) {
+				case *ast.StructType:
+					fields = typ.Fields
+				case *ast.InterfaceType:
+					fields = typ.Methods
+				}
+				for _, fld := range fields.List {
+					for _, name := range fld.Names {
+						member(n.Name.Name, name.Name)
+					}
+					if len(fld.Names) == 0 { // embedded: its name is the type's, its members are promoted
+						e := fld.Type
+						if star, ok := e.(*ast.StarExpr); ok {
+							e = star.X
+						}
+						name, typ := recvName(e), pkg+"."+recvName(e)
+						if sel, ok := e.(*ast.SelectorExpr); ok {
+							name, typ = sel.Sel.Name, sel.X.(*ast.Ident).Name+"."+sel.Sel.Name
+						}
+						member(n.Name.Name, name)
+						ix.embeds[n.Name.Name] = append(ix.embeds[n.Name.Name], typ)
+						ix.embeds[pkg+"."+n.Name.Name] = append(ix.embeds[pkg+"."+n.Name.Name], typ)
+					}
+					if fld.Tag != nil {
+						tag, _ := strconv.Unquote(fld.Tag.Value)
+						if name, ok := reflect.StructTag(tag).Lookup("flag"); ok {
+							ix.flags[name] = append(ix.flags[name], reflect.StructTag(tag).Get("usage"))
+						}
+						for _, m := range tagValue.FindAllStringSubmatch(tag, -1) {
+							ix.strs[m[1]] = true // json and spec key names
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					declare(name.Name)
+				}
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(n.Value); err == nil && n.Kind == token.STRING {
+					ix.strs[s] = true
+				}
+			case *ast.CallExpr:
+				ix.addFlag(n)
+			}
+			return true
+		})
+	}
+	return ix
+}
+
+// addFlag records a flag.X / FlagSet.X registration: the name is the
+// first string argument, the usage the last.
+func (ix *docIndex) addFlag(call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !flagFunc.MatchString(sel.Sel.Name) {
+		return
+	}
+	var lits []string
+	for _, arg := range call.Args {
+		if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, _ := strconv.Unquote(lit.Value)
+			lits = append(lits, s)
+		}
+	}
+	if len(lits) >= 2 {
+		ix.flags[lits[0]] = append(ix.flags[lits[0]], lits[len(lits)-1])
+	}
+}
+
+// goName resolves a Go-shaped name: `Name`, `pkg.Name[.Member]` with
+// Name declared in package pkg, or `Type.Member`.
+func (ix *docIndex) goName(tok string) bool {
+	parts := strings.Split(strings.TrimSuffix(tok, "()"), ".")
+	owner, rest := parts[0], parts[1:]
+	if decls, isPkg := ix.pkgDecls[owner]; isPkg && len(rest) > 0 {
+		if !decls[rest[0]] {
+			return false
+		}
+		owner, rest = owner+"."+rest[0], rest[1:]
+	} else if !ix.names[owner] {
+		return false
+	}
+	for i, name := range rest {
+		if ix.members[owner] == nil { // a field or variable: its type is not indexed, so what follows need only be declared
+			return !slices.ContainsFunc(rest[i:], func(n string) bool { return !ix.names[n] })
+		}
+		if !ix.has(owner, name) {
+			return false
+		}
+		owner = name
+	}
+	return true
+}
+
+// has reports whether type typ, or a type it embeds, has the member.
+func (ix *docIndex) has(typ, member string) bool {
+	return ix.members[typ][member] || slices.ContainsFunc(ix.embeds[typ], func(e string) bool { return ix.has(e, member) })
+}
+
+// path resolves a path relative to the repository root or to the
+// document's directory, or one under a git-ignored output directory.
+func (ix *docIndex) path(doc, p string) bool {
+	p = strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(p, "./"), "samrdlb/"), "/")
+	if ix.files[p] || ix.files[filepath.ToSlash(filepath.Join(filepath.Dir(doc), p))] {
+		return true
+	}
+	for f := range ix.files {
+		if strings.HasSuffix(f, "/"+p) {
+			return true
+		}
+	}
+	if dir, name, ok := strings.Cut(p[strings.LastIndex(p, "/")+1:], "."); ok && ix.files[p[:strings.LastIndex(p, "/")+1]+dir] {
+		return ix.goName(dir + "." + name) // an import path and a name in it: internal/load.Ledger
+	}
+	return slices.ContainsFunc(ix.ignored, func(dir string) bool { return strings.HasPrefix(p+"/", dir) })
+}
+
+// flag checks `-name`, `-name=value` or `-name value`: the name must be
+// registered, and a value of a flag whose usage lists its choices
+// ("a | b | c") must be one of them.
+func (ix *docIndex) flag(word, value string) string {
+	name, v, hasV := strings.Cut(word[1:], "=")
+	usages, ok := ix.flags[name]
+	if !ok && name != "h" {
+		return "no flag registers -" + name
+	}
+	if hasV {
+		value = v
+	}
+	for _, usage := range usages {
+		if !strings.Contains(usage, " | ") || value == "" {
+			return ""
+		}
+		choices := strings.Fields(strings.ReplaceAll(usage, "|", " "))
+		for _, v := range strings.FieldsFunc(strings.Trim(value, "[]"), func(r rune) bool { return r == '|' || r == ',' }) {
+			if !slices.Contains(choices, v) {
+				return fmt.Sprintf("-%s takes %s, not %q", name, usage, v)
+			}
+		}
+	}
+	return ""
+}
+
+// check returns why a backticked span names nothing real ("" if it does).
+func (ix *docIndex) check(doc, span string, usedAllow map[string]bool) string {
+	if _, ok := docAllow[span]; ok {
+		usedAllow[span] = true
+		return ""
+	}
+	words := strings.Fields(span)
+	if len(words) == 1 {
+		switch w := words[0]; {
+		case flagShape.MatchString(w):
+			return ix.flag(w, "")
+		case goNameShape.MatchString(w) && strings.ContainsAny(w, "ABCDEFGHIJKLMNOPQRSTUVWXYZ._()"):
+			if ix.files[w] || ix.strs[w] || ix.goName(w) {
+				return ""
+			}
+			return "names nothing declared in the tree"
+		case pathShape.MatchString(w) && !strings.Contains(w, "..."):
+			if !ix.path(doc, w) {
+				return "no such path"
+			}
+		}
+		return ""
+	}
+	// A command line: `samrsim ...`, `figures ...`, `go run ./cmd/x ...`.
+	if words[0] == "go" && len(words) > 2 && words[1] == "run" && !strings.HasPrefix(words[2], "-") {
+		if !ix.path(doc, words[2]) {
+			return "no such path " + words[2]
+		}
+		words = words[2:]
+	}
+	cmd := strings.TrimPrefix(strings.TrimPrefix(words[0], "./"), "cmd/")
+	if !ix.files["cmd/"+cmd] {
+		return ""
+	}
+	for i, w := range words[1:] {
+		if !flagShape.MatchString(w) {
+			continue
+		}
+		value := ""
+		if i+2 < len(words) && !strings.HasPrefix(words[i+2], "-") {
+			value = words[i+2]
+		}
+		if why := ix.flag(w, value); why != "" {
+			return why
+		}
+	}
+	return ""
+}
+
+// TestDocsNameRealCode: every backticked name in the documents that is
+// shaped like Go code, a path, a flag or a command line of this
+// repository resolves — to a declaration (tests and bench/ included),
+// an existing path, a string literal such as a bench metric name, or a
+// registered flag and one of its listed values. A renamed or deleted
+// identifier fails here, not in a reader's head.
+func TestDocsNameRealCode(t *testing.T) {
+	ix := buildDocIndex(t)
+	usedAllow := map[string]bool{}
+	checked := 0
+	for _, doc := range docFiles {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, m := range codeSpan.FindAllStringSubmatch(strings.ReplaceAll(line, `\|`, "|"), -1) {
+				checked++
+				if why := ix.check(doc, strings.TrimSpace(m[1]), usedAllow); why != "" {
+					t.Errorf("%s:%d: `%s`: %s", doc, i+1, m[1], why)
+				}
+			}
+		}
+	}
+	t.Logf("audit: %d backticked spans in %d documents, %d allow-listed names", checked, len(docFiles), len(docAllow))
+	for k := range docAllow {
+		if !usedAllow[k] {
+			t.Errorf("doc allow-list entry %q exempts nothing: remove it", k)
+		}
+	}
 }

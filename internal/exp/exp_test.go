@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -359,5 +360,36 @@ func TestMarkdownReport(t *testing.T) {
 			t.Fatalf("text report lacks table %q (or has it out of order)", title)
 		}
 		rest = rest[i:]
+	}
+}
+
+// TestStructureAndProbeReports pins `figures -fig structure` and
+// `figures -fig probe` at their default options, and checks that
+// Figure 6 lists the gain/cost decisions and the redistributions they
+// invoked in one time order.
+func TestStructureAndProbeReports(t *testing.T) {
+	o := Options{Steps: 10, Seed: 42}
+	structure := StructureReport(o, Text)
+	golden.Check(t, "testdata/structure.txt", structure)
+	golden.Check(t, "testdata/probe.txt", ProbeReport(o, Text))
+
+	_, fig6, _ := strings.Cut(structure, "Figure 6")
+	last, redists := -1.0, 0
+	for _, line := range strings.Split(fig6, "\n") {
+		var vt float64
+		var kind string
+		if n, _ := fmt.Sscanf(line, "%f %s", &vt, &kind); n != 2 {
+			continue
+		}
+		if vt < last {
+			t.Errorf("Figure 6 goes back in time at %q", line)
+		}
+		last = vt
+		if kind == "redistribution" {
+			redists++
+		}
+	}
+	if redists == 0 {
+		t.Errorf("Figure 6 shows no redistribution:\n%s", fig6)
 	}
 }

@@ -2,13 +2,12 @@
 // integration order of level steps (the paper's Figures 2 and 5), the
 // balancing points, regrids, and global redistributions (Figure 6).
 // Traces are used by tests to assert the control flow matches the
-// paper's flowchart and by the hierarchy tool to render the figures.
+// paper's flowchart and by exp.StructureReport to render the figures.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"slices"
 	"strings"
 )
 
@@ -129,14 +128,14 @@ func (r *Recorder) Count(k Kind) int {
 	return n
 }
 
-// OfKind returns the events of the given kind, in order.
-func (r *Recorder) OfKind(k Kind) []Event {
+// OfKind returns the events of the given kinds, in recorded order.
+func (r *Recorder) OfKind(kinds ...Kind) []Event {
 	if r == nil {
 		return nil
 	}
 	var out []Event
 	for _, e := range r.Events {
-		if e.Kind == k {
+		if slices.Contains(kinds, e.Kind) {
 			out = append(out, e)
 		}
 	}
@@ -162,34 +161,13 @@ func (r *Recorder) OrderDiagram(maxLevel int) string {
 	steps := r.StepLevels()
 	var b strings.Builder
 	for l := 0; l <= maxLevel; l++ {
-		fmt.Fprintf(&b, "level %d: ", l)
+		fmt.Fprintf(&b, "level %d:", l)
 		for i, s := range steps {
 			if s == l {
-				fmt.Fprintf(&b, "%d ", i+1)
+				fmt.Fprintf(&b, " %d", i+1)
 			}
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// WriteJSON emits the trace as a JSON array of events, for external
-// analysis and plotting tools.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	type jsonEvent struct {
-		Kind  string  `json:"kind"`
-		Level int     `json:"level"`
-		VTime float64 `json:"vtime"`
-		Note  string  `json:"note,omitempty"`
-	}
-	var events []jsonEvent
-	if r != nil {
-		events = make([]jsonEvent, len(r.Events))
-		for i, e := range r.Events {
-			events[i] = jsonEvent{Kind: e.Kind.String(), Level: e.Level, VTime: e.VTime, Note: e.Note}
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(events)
 }
