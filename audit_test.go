@@ -226,9 +226,11 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 	{`dirtyAll|maxDirtyRegions|ghostOff|markDirty|patchMsgPlan|patchFillPlan|indexRebuildFactor`, "internal/amr/*.go",
 		"plans are rebuilt, not patched: a structure generation invalidates a level's plans and index whole"},
 	{`Box\.ForEach|\.Offset\(|\.Get\(`, "internal/amr/regrid.go internal/cluster/*.go",
-		"regrid works on rows: FlagField.SetRows, Dilate and the one-scan signatures, no walk by geom.Index"},
+		"regrid works on rows of words: FlagField.SetRows, Dilate and the one-scan signatures, no walk by geom.Index"},
 	{`SetWhere\(`, "internal/workload/*.go",
-		"a driver's Flag writes rows through FlagField.SetRows, not a per-cell predicate"},
+		"a driver's Flag sets cells with Row.Set inside FlagField.SetRows, not through a per-cell predicate"},
+	{`dilateLine|countRow|\[\]bool`, "internal/cluster/*.go",
+		"a flag is a bit of a uint64 row word: Dilate shift-ORs words and every count is a popcount or byte-lane sum"},
 	{`\bgw\b|VerifyGroups`, "internal/load/*.go",
 		"Eq. 2 is a sum on read (Recorder.LevelGroupWork): no per-group mirror, so no oracle for one"},
 	{`groupSubtree|groupL0Cells`, "internal/load/*.go",

@@ -304,10 +304,10 @@ func TestRegridNoFlagsClearsFineLevels(t *testing.T) {
 
 // setWhere flags every cell of f for which pred holds.
 func setWhere(f *cluster.FlagField, pred func(geom.Index) bool) {
-	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
-		for k := range row {
+	f.SetRows(f.Box, func(row cluster.Row, x0, y, z int) {
+		for k := range row.Len() {
 			if pred(geom.Index{x0 + k, y, z}) {
-				row[k] = true
+				row.Set(k)
 			}
 		}
 	})
@@ -381,7 +381,8 @@ func TestFlagWhereGradient(t *testing.T) {
 // TestFlagWhereGradientMatchesPerCell compares the row-wise gradient
 // flagging with the per-cell walk it replaced, on several grids whose
 // boxes do not start at the field's corner and a field that is rough
-// enough for every branch of the comparison to decide some cell.
+// enough for every branch of the comparison to decide some cell. Both
+// fields hold flags already, which the gradient must only add to.
 func TestFlagWhereGradientMatchesPerCell(t *testing.T) {
 	h := newH(t, 12, 1, true)
 	for i, b := range (geom.BoxList{h.Domain}).SplitEvenly(5) {
@@ -392,6 +393,9 @@ func TestFlagWhereGradientMatchesPerCell(t *testing.T) {
 	}
 	for _, threshold := range []float64{0.05, 0.35, 0.65, 0.95} {
 		got, want := h.FlagFieldFor(0), h.FlagFieldFor(0)
+		earlier := func(i geom.Index) bool { return (i[0]+2*i[1]+3*i[2])%7 == 0 }
+		setWhere(got, earlier)
+		setWhere(want, earlier)
 		h.FlagWhereGradient(0, "q", threshold, got)
 		for _, g := range h.Grids(0) {
 			q := g.Patch.Field("q")

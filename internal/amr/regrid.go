@@ -25,7 +25,7 @@ func DefaultRegridParams() RegridParams {
 
 // Flagger marks the level-l cells needing refinement. The flag field
 // spans the bounding box of level l's grids; implementations flag by
-// rows via f.SetRows and may consult the hierarchy's patch data.
+// rows via f.SetRows and Row.Set and may consult the hierarchy's patch data.
 type Flagger func(level int, f *cluster.FlagField)
 
 // Placer chooses the owning processor for a newly created child grid.
@@ -201,10 +201,12 @@ func (h *Hierarchy) FlagWhereGradient(level int, field string, threshold float64
 		gb := g.Patch.Grown()
 		s := gb.Shape()
 		stride := [3]int{1, s[0], s[0] * s[1]}
-		f.SetRows(g.Box, func(row []bool, x0, y, z int) {
+		f.SetRows(g.Box, func(row cluster.Row, x0, y, z int) {
 			base := (x0 - gb.Lo[0]) + stride[1]*(y-gb.Lo[1]) + stride[2]*(z-gb.Lo[2])
-			for k := range row {
-				row[k] = row[k] || steeperThan(q, base+k, stride, threshold)
+			for k := range row.Len() {
+				if steeperThan(q, base+k, stride, threshold) {
+					row.Set(k)
+				}
 			}
 		})
 	}

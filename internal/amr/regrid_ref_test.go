@@ -163,9 +163,9 @@ func rowFlagger(rng *rand.Rand, h *Hierarchy) Flagger {
 	}
 	return func(level int, f *cluster.FlagField) {
 		for _, b := range blobs[level] {
-			f.SetRows(b, func(row []bool, _, _, _ int) {
-				for i := range row {
-					row[i] = true
+			f.SetRows(b, func(row cluster.Row, _, _, _ int) {
+				for i := range row.Len() {
+					row.Set(i)
 				}
 			})
 		}

@@ -9,17 +9,19 @@ import (
 )
 
 // The per-cell flag-field API and the eight-scans-per-node clustering
-// that the row-wise pipeline replaced, kept as the reference the
+// that the word-wise pipeline replaced, kept as the reference the
 // differential tests and FuzzClusterMatchesReference compare against.
+// Every one of them reads and writes a cell at a time through Set and
+// Get, never a word.
 
 // Set flags the cell i. Cells outside the field's box are ignored.
 func (f *FlagField) Set(i geom.Index) {
 	if !f.Box.Contains(i) {
 		return
 	}
-	off := f.Box.Offset(i)
-	if !f.flags[off] {
-		f.flags[off] = true
+	w, bit := f.bit(i)
+	if *w&bit == 0 {
+		*w |= bit
 		f.count++
 	}
 }
@@ -29,7 +31,22 @@ func (f *FlagField) Get(i geom.Index) bool {
 	if !f.Box.Contains(i) {
 		return false
 	}
-	return f.flags[f.Box.Offset(i)]
+	w, bit := f.bit(i)
+	return *w&bit != 0
+}
+
+// bit returns the word holding cell i, which must lie in the box, and
+// the cell's bit in it.
+func (f *FlagField) bit(i geom.Index) (*uint64, uint64) {
+	k := i[0] - f.Box.Lo[0]
+	at, _ := f.rowAt(i[1], i[2])
+	return &f.words[at+k/64], 1 << (k % 64)
+}
+
+// Get reports whether cell k of the row is flagged.
+func (r Row) Get(k int) bool {
+	k += r.off
+	return r.w[k>>6]>>(k&63)&1 == 1
 }
 
 // SetWhere flags every cell of the field's box for which pred returns
@@ -55,15 +72,9 @@ func (f *FlagField) BoundingBox(b geom.Box) geom.Box {
 	lo := geom.Index{1 << 30, 1 << 30, 1 << 30}
 	hi := geom.Index{-(1 << 30), -(1 << 30), -(1 << 30)}
 	found := false
-	f.scanRows(b, func(off, width, y, z int) {
-		for x := 0; x < width; x++ {
-			if !f.flags[off+x] {
-				continue
-			}
-			i := geom.Index{b.Lo[0] + x, y, z}
-			lo = lo.Min(i)
-			hi = hi.Max(i)
-			found = true
+	b.ForEach(func(i geom.Index) {
+		if f.Get(i) {
+			lo, hi, found = lo.Min(i), hi.Max(i), true
 		}
 	})
 	if !found {
@@ -207,6 +218,20 @@ func sameFlags(t testing.TB, what string, got, want *FlagField) {
 	if got.Count() != want.Count() {
 		t.Fatalf("%s: count %d, want %d", what, got.Count(), want.Count())
 	}
+	tailClear(t, what, got)
+}
+
+// tailClear fails if a bit past the width of some row of f is set.
+func tailClear(t testing.TB, what string, f *FlagField) {
+	t.Helper()
+	width := f.Box.Hi[0] - f.Box.Lo[0] + 1
+	for at := 0; at < len(f.words); at += f.nw {
+		for k := width; k < 64*f.nw; k++ {
+			if f.words[at+k/64]>>(k%64)&1 == 1 {
+				t.Fatalf("%s: bit %d of the %d-cell row at word %d is set", what, k, width, at)
+			}
+		}
+	}
 }
 
 func sameBoxes(t testing.TB, what string, got, want geom.BoxList) {
@@ -225,7 +250,7 @@ func sameBoxes(t testing.TB, what string, got, want geom.BoxList) {
 // from the same flags.
 func (f *FlagField) clone() *FlagField {
 	c := NewFlagField(f.Box)
-	copy(c.flags, f.flags)
+	copy(c.words, f.words)
 	c.count = f.count
 	return c
 }
@@ -288,9 +313,10 @@ func degenerateFields() map[string]*FlagField {
 }
 
 // randomField is a seeded field over a box of random shape (extent 1
-// now and then) and position, flagged by a mix of scattered cells and
-// solid blocks so that clustering meets holes, inflections and
-// bisections.
+// now and then, an x-extent of up to 150, so rows of up to three words,
+// a third of the time) and position, flagged by a mix of scattered
+// cells and solid blocks so that clustering meets holes, inflections
+// and bisections.
 func randomField(rng *rand.Rand) *FlagField {
 	var lo, shape geom.Index
 	for d := 0; d < geom.Dims; d++ {
@@ -299,6 +325,10 @@ func randomField(rng *rand.Rand) *FlagField {
 		if rng.Intn(8) == 0 {
 			shape[d] = 1
 		}
+	}
+	if rng.Intn(3) == 0 {
+		lo[0] = rng.Intn(201) - 100
+		shape[0] = 1 + rng.Intn(150)
 	}
 	f := NewFlagField(geom.BoxFromShape(lo, shape))
 	density := []float64{0.02, 0.1, 0.4, 0.9}[rng.Intn(4)]
@@ -378,12 +408,12 @@ func TestSetRows(t *testing.T) {
 	// Rows arrive in offset order, clipped to the field, each with
 	// the index of its first cell.
 	var seen []geom.Index
-	f.SetRows(geom.BoxFromShape(geom.Index{3, 0, 0}, geom.Index{10, 10, 6}), func(row []bool, x0, y, z int) {
-		if len(row) != 3 {
-			t.Fatalf("row at (%d,%d,%d) has %d cells, want 3", x0, y, z, len(row))
+	f.SetRows(geom.BoxFromShape(geom.Index{3, 0, 0}, geom.Index{10, 10, 6}), func(row Row, x0, y, z int) {
+		if row.Len() != 3 {
+			t.Fatalf("row at (%d,%d,%d) has %d cells, want 3", x0, y, z, row.Len())
 		}
 		seen = append(seen, geom.Index{x0, y, z})
-		row[0] = true
+		row.Set(0)
 	})
 	if want := []geom.Index{{3, 0, 5}, {3, 1, 5}}; fmt.Sprint(seen) != fmt.Sprint(want) {
 		t.Errorf("rows %v, want %v", seen, want)
@@ -391,26 +421,89 @@ func TestSetRows(t *testing.T) {
 	if f.Count() != 2 || !f.Get(geom.Index{3, 0, 5}) || !f.Get(geom.Index{3, 1, 5}) || f.Get(geom.Index{4, 0, 5}) {
 		t.Errorf("after flagging two row heads: count %d", f.Count())
 	}
-	// Re-setting a flag adds nothing; clearing one is counted too.
-	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+	// Re-setting a flag adds nothing; a row shows what is set.
+	f.SetRows(f.Box, func(row Row, x0, y, z int) {
 		if y == 0 && z == 5 {
-			row[1] = true // (3,0,5) again
-		}
-		if y == 1 && z == 5 {
-			row[1] = false // (3,1,5)
+			if !row.Get(1) || row.Get(0) {
+				t.Errorf("row (%d,%d,%d) does not show the flag at x=3", x0, y, z)
+			}
+			row.Set(1) // (3,0,5) again
 		}
 	})
-	if f.Count() != 1 || f.CountIn(f.Box) != 1 {
-		t.Errorf("count %d (scan %d), want 1", f.Count(), f.CountIn(f.Box))
+	if f.Count() != 2 || f.CountIn(f.Box) != 2 {
+		t.Errorf("count %d (scan %d), want 2", f.Count(), f.CountIn(f.Box))
 	}
 	// A box that misses the field visits nothing.
-	f.SetRows(geom.BoxFromShape(geom.Index{50, 0, 0}, geom.Index{2, 2, 2}), func([]bool, int, int, int) {
+	f.SetRows(geom.BoxFromShape(geom.Index{50, 0, 0}, geom.Index{2, 2, 2}), func(Row, int, int, int) {
 		t.Error("row visited outside the field")
 	})
+	// A cell past the row panics rather than set a bit outside it.
+	defer func() {
+		if recover() == nil {
+			t.Error("Row.Set past the row's end did not panic")
+		}
+	}()
+	f.SetRows(f.Box, func(row Row, _, _, _ int) { row.Set(row.Len()) })
 }
 
-// fieldFromBytes decodes a fuzz input: three shape bytes (extents
-// 1–12), three Lo bytes, a radius byte, then one flag bit per cell.
+// TestSetRowsAcrossWords flags, through clipped SetRows calls whose
+// rows start and end inside words, every cell of a field whose rows
+// span three words, and checks each cell against Get.
+func TestSetRowsAcrossWords(t *testing.T) {
+	f := NewFlagField(geom.BoxFromShape(geom.Index{-37, 0, 0}, geom.Index{150, 2, 2}))
+	pred := func(x, y, z int) bool { return (x*7+y*3+z)%5 < 2 }
+	for _, x := range [][2]int{{-40, 20}, {27, 28}, {91, 140}, {29, 90}, {21, 26}} {
+		b := geom.Box{Lo: geom.Index{x[0], 0, 0}, Hi: geom.Index{x[1], 1, 1}}
+		f.SetRows(b, func(row Row, x0, y, z int) {
+			for k := range row.Len() {
+				if pred(x0+k, y, z) {
+					row.Set(k)
+				}
+			}
+		})
+	}
+	want := NewFlagField(f.Box)
+	want.SetWhere(func(i geom.Index) bool { return pred(i[0], i[1], i[2]) })
+	sameFlags(t, "SetRows", f, want)
+	for _, b := range []geom.Box{f.Box, geom.BoxFromShape(geom.Index{26, 1, 0}, geom.Index{66, 1, 2})} {
+		n := 0
+		b.ForEach(func(i geom.Index) {
+			if want.Get(i) {
+				n++
+			}
+		})
+		if got := f.CountIn(b); got != n {
+			t.Errorf("CountIn(%v) = %d, want %d", b, got, n)
+		}
+	}
+}
+
+// TestSignaturesMatchPerCell compares the one-pass signatures with the
+// per-cell ones on boxes of a field with 300 rows of 70 cells, so the
+// byte-lane counters overflow unless they are flushed, and rows span
+// two words.
+func TestSignaturesMatchPerCell(t *testing.T) {
+	f := NewFlagField(geom.BoxFromShape(geom.Index{-5, 0, 0}, geom.Index{70, 20, 15}))
+	f.SetWhere(func(i geom.Index) bool { return i[0] < 3 || (i[0]*i[0]+i[1]+2*i[2])%5 != 0 })
+	for _, b := range []geom.Box{
+		f.Box,
+		geom.BoxFromShape(geom.Index{-5, 2, 1}, geom.Index{3, 18, 14}),
+		geom.BoxFromShape(geom.Index{50, 0, 0}, geom.Index{15, 20, 15}),
+		geom.BoxFromShape(geom.Index{58, 3, 3}, geom.Index{2, 1, 9}),
+	} {
+		sig := f.signatures(b)
+		for d := range sig {
+			if want := f.signature(b, d); fmt.Sprint(sig[d]) != fmt.Sprint(want) {
+				t.Errorf("box %v dimension %d: signature %v, want %v", b, d, sig[d], want)
+			}
+		}
+	}
+}
+
+// fieldFromBytes decodes a fuzz input: three shape bytes (x-extent
+// 1–130, the others 1–12), three Lo bytes, a radius byte, then one flag
+// bit per cell. An x-extent past 64 caps the radius at 2, which bounds
+// the per-cell oracle's cost.
 func fieldFromBytes(data []byte) (*FlagField, int) {
 	if len(data) < 7 {
 		return nil, 0
@@ -420,9 +513,13 @@ func fieldFromBytes(data []byte) (*FlagField, int) {
 		shape[d] = 1 + int(data[d])%12
 		lo[d] = int(int8(data[3+d]))
 	}
+	shape[0] = 1 + int(data[0])%130
 	r := int(data[6]) % 6
 	if data[6] >= 250 {
 		r = 40
+	}
+	if shape[0] > 64 {
+		r = min(r, 2)
 	}
 	bits := data[7:]
 	f := NewFlagField(geom.BoxFromShape(lo, shape))
@@ -443,12 +540,14 @@ func bytesFromField(f *FlagField, r int) []byte {
 	if r > 5 {
 		data[6] = 250
 	}
-	bits := make([]byte, (len(f.flags)+7)/8)
-	for n, set := range f.flags {
-		if set {
+	bits := make([]byte, (f.Box.NumCells()+7)/8)
+	n := 0
+	f.Box.ForEach(func(i geom.Index) {
+		if f.Get(i) {
 			bits[n/8] |= 1 << (n % 8)
 		}
-	}
+		n++
+	})
 	return append(data, bits...)
 }
 

@@ -1,6 +1,10 @@
 package cluster
 
-import "samrdlb/internal/geom"
+import (
+	"math/bits"
+
+	"samrdlb/internal/geom"
+)
 
 // Params controls the clustering.
 type Params struct {
@@ -51,23 +55,100 @@ func Cluster(f *FlagField, p Params) geom.BoxList {
 // signatures returns, for each dimension d, the number of flagged
 // cells of box b in each plane perpendicular to d: sig[d] has
 // b.Shape()[d] entries, entry k counting plane b.Lo[d]+k. One pass
-// over the x-rows of b fills all three, which share one allocation.
+// over the x-rows of b fills all three. They live in the field's
+// scratch, so they are overwritten by the next call.
+//
+// A row's popcount over b gives its y and z entries. The x signature
+// is counted in byte lanes: spread turns each byte of a row word into
+// eight one-byte counters in one uint64, and f.lanes adds them up, one
+// uint64 per byte of the words b's rows span (so lane k of counter e
+// counts bit 8e+k from the first such word), with the bits outside b
+// masked off. A lane holds at most 255, so the counters are flushed
+// into sig[0] every 255 rows with flags.
 func (f *FlagField) signatures(b geom.Box) (sig [geom.Dims][]int) {
 	s := b.Shape()
-	buf := make([]int, s[0]+s[1]+s[2])
+	if f.sig == nil {
+		fs := f.Box.Shape()
+		f.sig = make([]int, fs[0]+fs[1]+fs[2])
+		f.lanes = make([]uint64, 8*f.nw)
+	}
+	buf := f.sig[:s[0]+s[1]+s[2]]
+	clear(buf)
 	sig[0], sig[1], sig[2] = buf[:s[0]], buf[s[0]:s[0]+s[1]], buf[s[0]+s[1]:]
-	f.scanRows(b, func(off, width, y, z int) {
-		n := 0
-		for x, set := range f.flags[off : off+width] {
-			if set {
-				sig[0][x]++
-				n++
+
+	lo, hi := b.Lo[0]-f.Box.Lo[0], b.Hi[0]-f.Box.Lo[0]
+	first, last := lo>>6, hi>>6
+	mlo, mhi := ^uint64(0)<<(lo&63), ^uint64(0)>>(63-hi&63) // b's bits of the first and last word
+	lanes := f.lanes[:8*(last-first+1)]
+	rows := 0
+	at0, zstride := f.rowAt(b.Lo[1], b.Lo[2])
+	for z := 0; z < s[2]; z, at0 = z+1, at0+zstride {
+		for y, at := 0, at0; y < s[1]; y, at = y+1, at+f.nw {
+			w := f.words[at+first : at+last+1 : at+last+1]
+			n := 0
+			for i, v := range w {
+				if i == 0 {
+					v &= mlo
+				}
+				if i == len(w)-1 {
+					v &= mhi
+				}
+				if v == 0 {
+					continue
+				}
+				n += bits.OnesCount64(v)
+				l := lanes[8*i : 8*i+8 : 8*i+8]
+				l[0] += spread[v&0xff]
+				l[1] += spread[v>>8&0xff]
+				l[2] += spread[v>>16&0xff]
+				l[3] += spread[v>>24&0xff]
+				l[4] += spread[v>>32&0xff]
+				l[5] += spread[v>>40&0xff]
+				l[6] += spread[v>>48&0xff]
+				l[7] += spread[v>>56]
+			}
+			if n == 0 {
+				continue
+			}
+			sig[1][y] += n
+			sig[2][z] += n
+			if rows++; rows == 255 {
+				flushLanes(sig[0], lanes, lo&63)
+				rows = 0
 			}
 		}
-		sig[1][y-b.Lo[1]] += n
-		sig[2][z-b.Lo[2]] += n
-	})
+	}
+	if rows > 0 {
+		flushLanes(sig[0], lanes, lo&63)
+	}
 	return sig
+}
+
+// spread[v] has byte k equal to bit k of v.
+var spread = func() (t [256]uint64) {
+	for v := range t {
+		for k := range 8 {
+			t[v] |= uint64(v>>k&1) << (8 * k)
+		}
+	}
+	return t
+}()
+
+// flushLanes adds the byte-lane counters to sig, whose entry 0 is bit
+// off of the first counted word, and clears them. Lanes outside sig
+// are masked off, so zero.
+func flushLanes(sig []int, lanes []uint64, off int) {
+	for e, c := range lanes {
+		if c == 0 {
+			continue
+		}
+		lanes[e] = 0
+		for k := range 8 {
+			if x := 8*e + k - off; x >= 0 && x < len(sig) {
+				sig[x] += int(c >> (8 * k) & 0xff)
+			}
+		}
+	}
 }
 
 func clusterRecurse(f *FlagField, b geom.Box, p Params, depth int, out *geom.BoxList) {

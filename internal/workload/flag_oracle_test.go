@@ -14,10 +14,10 @@ import (
 // setWhere flags every cell of f for which pred holds: the per-cell
 // form the drivers' Flag methods had before they went row-wise.
 func setWhere(f *cluster.FlagField, pred func(geom.Index) bool) {
-	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
-		for k := range row {
+	f.SetRows(f.Box, func(row cluster.Row, x0, y, z int) {
+		for k := range row.Len() {
 			if pred(geom.Index{x0 + k, y, z}) {
-				row[k] = true
+				row.Set(k)
 			}
 		}
 	})
@@ -42,7 +42,7 @@ func flagBounds(f *cluster.FlagField) geom.Box {
 // flagsOf copies f's flags out in offset order.
 func flagsOf(f *cluster.FlagField) []bool {
 	var out []bool
-	f.SetRows(f.Box, func(row []bool, _, _, _ int) { out = append(out, row...) })
+	f.Box.ForEach(func(i geom.Index) { out = append(out, flagged(f, i)) })
 	return out
 }
 
@@ -112,16 +112,32 @@ func focus(d Driver, t float64, rng *rand.Rand) [3]float64 {
 	panic("focus: unknown driver")
 }
 
+// sameFlagging flags box at level and time tm with the driver's Flag
+// and with its per-cell predicate, fails unless they set the same
+// cells, and returns how many they set.
+func sameFlagging(t *testing.T, d Driver, n0, level int, tm float64, box geom.Box) int {
+	t.Helper()
+	got, want := cluster.NewFlagField(box), cluster.NewFlagField(box)
+	d.Flag(level, tm, got)
+	refFlag(d, level, tm, want)
+	if got.Count() != want.Count() || !slices.Equal(flagsOf(got), flagsOf(want)) {
+		t.Fatalf("%s N0=%d level %d t=%g box %v: row-wise Flag set %d cells, predicate %d, or different ones",
+			d.Name(), n0, level, tm, box, got.Count(), want.Count())
+	}
+	return want.Count()
+}
+
 // TestFlagMatchesPredicate compares every driver's row-wise Flag with
 // its per-cell predicate, cell for cell, on sub-boxes of the level's
-// index space that are not anchored at the origin.
+// index space that are not anchored at the origin, and on boxes 100
+// cells wide from x = -37, whose rows cross a word boundary at x = 27.
 func TestFlagMatchesPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	times := []float64{0, 0.05, 0.3, 0.77, 1.6, 3.1}
 	for _, n0 := range []int{16, 24, 32, 48} {
 		drivers := []Driver{NewShockPool3D(n0, 2), NewAMR64(n0, 2, int64(n0)), NewSedovBlast(n0, 2), NewStaticBlob(n0, 2)}
 		for _, d := range drivers {
-			total := 0
+			total, wide := 0, 0
 			for level := 0; level <= 2; level++ {
 				cells := float64(n0 * (1 << level))
 				for _, tm := range times {
@@ -136,19 +152,15 @@ func TestFlagMatchesPredicate(t *testing.T) {
 						if box.Lo == (geom.Index{}) {
 							box.Lo[0], box.Hi[0] = 1, box.Hi[0]+1
 						}
-						got, want := cluster.NewFlagField(box), cluster.NewFlagField(box)
-						d.Flag(level, tm, got)
-						refFlag(d, level, tm, want)
-						if got.Count() != want.Count() || !slices.Equal(flagsOf(got), flagsOf(want)) {
-							t.Fatalf("%s N0=%d level %d t=%g box %v: row-wise Flag set %d cells, predicate %d, or different ones",
-								d.Name(), n0, level, tm, box, got.Count(), want.Count())
-						}
-						total += want.Count()
+						total += sameFlagging(t, d, n0, level, tm, box)
 					}
+					at := focus(d, tm, rng)
+					lo := geom.Index{-37, int(at[1]*cells) - 3, int(at[2]*cells) - 3}
+					wide += sameFlagging(t, d, n0, level, tm, geom.BoxFromShape(lo, geom.Index{100, 7, 7}))
 				}
 			}
-			if total == 0 {
-				t.Errorf("%s N0=%d: no sub-box held a flag; the comparison checked nothing", d.Name(), n0)
+			if total == 0 || wide == 0 {
+				t.Errorf("%s N0=%d: sub-boxes held %d flags, wide boxes %d; a comparison checked nothing", d.Name(), n0, total, wide)
 			}
 		}
 	}

@@ -77,13 +77,13 @@ func (s *SedovBlast) Flag(level int, t float64, f *cluster.FlagField) {
 	r := s.Radius(t)
 	w := s.Width / math.Pow(2, float64(level))
 	dx := 1.0 / (float64(s.N0) * math.Pow(float64(s.Ref), float64(level)))
-	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+	f.SetRows(f.Box, func(row cluster.Row, x0, y, z int) {
 		vy, vz := center(y, dx)-s.Center[1], center(z, dx)-s.Center[2]
 		vy2, vz2 := float64(vy*vy), float64(vz*vz)
-		for k := range row {
+		for k := range row.Len() {
 			vx := center(x0+k, dx) - s.Center[0]
 			if d := math.Sqrt(float64(vx*vx)+vy2+vz2) - r; math.Abs(d) < w {
-				row[k] = true
+				row.Set(k)
 			}
 		}
 	})

@@ -190,11 +190,11 @@ func (s *ShockPool3D) Flag(level int, t float64, f *cluster.FlagField) {
 	dx := 1.0 / (float64(s.N0) * math.Pow(float64(s.Ref), float64(level)))
 	n := s.unitNormal()
 	pos := s.planePos(t)
-	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+	f.SetRows(f.Box, func(row cluster.Row, x0, y, z int) {
 		ty, tz := float64(center(y, dx)*n[1]), float64(center(z, dx)*n[2])
-		for k := range row {
+		for k := range row.Len() {
 			if d := float64(center(x0+k, dx)*n[0]) + ty + tz - pos; math.Abs(d) < w {
-				row[k] = true
+				row.Set(k)
 			}
 		}
 	})
@@ -328,7 +328,7 @@ func (a *AMR64) Flag(level int, t float64, f *cluster.FlagField) {
 	// on the row.
 	type reachable struct{ x, vy2, vz2 float64 }
 	near := make([]reachable, 0, len(a.centers))
-	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+	f.SetRows(f.Box, func(row cluster.Row, x0, y, z int) {
 		yc, zc := center(y, dx), center(z, dx)
 		near = near[:0]
 		for _, c := range a.centers {
@@ -340,11 +340,11 @@ func (a *AMR64) Flag(level int, t float64, f *cluster.FlagField) {
 		if len(near) == 0 {
 			return
 		}
-		for k := range row {
+		for k := range row.Len() {
 			xc := center(x0+k, dx)
 			for _, c := range near {
 				if vx := wrap1(xc, c.x); float64(vx*vx)+c.vy2+c.vz2 < r2 {
-					row[k] = true
+					row.Set(k)
 					break
 				}
 			}
@@ -468,12 +468,12 @@ func (b *StaticBlob) Flag(level int, t float64, f *cluster.FlagField) {
 	r := b.Radius / math.Pow(2, float64(level))
 	r2 := r * r
 	dx := 1.0 / (float64(b.N0) * math.Pow(float64(b.Ref), float64(level)))
-	f.SetRows(f.Box, func(row []bool, x0, y, z int) {
+	f.SetRows(f.Box, func(row cluster.Row, x0, y, z int) {
 		vy, vz := wrap1(center(y, dx), b.Center[1]), wrap1(center(z, dx), b.Center[2])
 		vy2, vz2 := float64(vy*vy), float64(vz*vz)
-		for k := range row {
+		for k := range row.Len() {
 			if vx := wrap1(center(x0+k, dx), b.Center[0]); float64(vx*vx)+vy2+vz2 < r2 {
-				row[k] = true
+				row.Set(k)
 			}
 		}
 	})
