@@ -247,6 +247,9 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"a level is charged from the hierarchy's cached processor-pair table"},
 	{`WriteJSON`, "internal/trace/*.go",
 		"nothing read the JSON trace export; a typed event stream is its planned replacement"},
+	{`\) [rR]eset\(|\b(ep|w|box|bar|shards)\.[rR]eset\(|(?i:epoch)|(s|shards)\.worker\b|\bworker +bool`,
+		"internal/mpx/*.go internal/engine/*.go",
+		"a wire fault detaches; nothing rearms a world or an endpoint"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

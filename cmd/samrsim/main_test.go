@@ -85,6 +85,17 @@ func TestCheckConfigRejectsMisconfiguration(t *testing.T) {
 	}
 }
 
+// TestWireSetupFailureIsOneLine: a tcp wire that cannot be set up (no
+// handshake finishes within 1ns) is a run error — one "samrsim:" line
+// and exit 1 — not a constructor panic and its goroutine dump.
+func TestWireSetupFailureIsOneLine(t *testing.T) {
+	code, stdout, stderr := samrsim(with(small, "-data", "-transport=tcp", "-wire-timeout", "1ns")...)
+	if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 ||
+		!strings.HasPrefix(stderr, "samrsim: engine: mpx: handshake with shard 1: ") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 and one samrsim: line", code, stdout, stderr)
+	}
+}
+
 // TestFlagsAndSpecAreOneDescription: that the run flags and the spec
 // they encode are the same run is TestGoldenMatrix's spec form. Next to
 // -scenario a run flag is refused by name, never a silent override;

@@ -84,9 +84,10 @@ type Options struct {
 	Transport string
 	// wireFault, when non-nil, injects deterministic send failures
 	// into the tcp transport (a pure function of (src, dst, attempt)).
-	// A faulted exchange phase falls back to the in-memory data path
-	// and the failure feeds membership suspicion like a failed probe.
-	// Only the package's own tests set it.
+	// The first faulted exchange phase detaches the run from the wire:
+	// it and every later phase run the in-memory data path. Wire
+	// failures never reach membership suspicion. Only the package's
+	// own tests set it.
 	wireFault mpx.WireFault
 	// WireTimeout bounds every wire read and write on the tcp/worker
 	// transports and enables heartbeat frames, so a dead or stopped
@@ -300,21 +301,26 @@ func procScratch(buf *[]float64, n int) []float64 {
 	return s
 }
 
-// New prepares a runner. The hierarchy is initialised with a level-0
+// Build prepares a runner. The hierarchy is initialised with a level-0
 // decomposition of GridsPerProc boxes per processor, assigned in
 // spatial order so each group owns a contiguous region (the paper's
-// group-boundary picture of Figure 6).
-// Options the constructor rejects (newRunner's errors) are a panic
-// with the error's "engine: …" text here, an error from Resume.
+// group-boundary picture of Figure 6). Options the constructor rejects
+// and a wire that cannot be set up are an "engine: …" error.
+func Build(sys *machine.System, driver workload.Driver, opt Options) (*Runner, error) {
+	return newRunner(sys, driver, opt, nil, 0)
+}
+
+// New is Build for callers whose options are known good: an error is
+// a panic with its text.
 func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
-	r, err := newRunner(sys, driver, opt, nil, 0)
+	r, err := Build(sys, driver, opt)
 	if err != nil {
 		panic(err.Error())
 	}
 	return r
 }
 
-// newRunner is the constructor New and Resume share. A non-nil
+// newRunner is the constructor Build and Resume share. A non-nil
 // restored is a checkpointed hierarchy (amr.Load) to continue from at
 // simulated time simT, instead of a fresh decomposition.
 func newRunner(sys *machine.System, driver workload.Driver, opt Options, restored *amr.Hierarchy, simT float64) (*Runner, error) {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
@@ -25,10 +26,10 @@ func procFail(t *testing.T, proc int) *fault.Schedule {
 // TestMisconfigurationPanicsInNewErrorsInResume has one row per message
 // the shared constructor rejects options with: New panics with the text,
 // Resume — handed a store a well-configured run of the same shape wrote
-// — returns it wrapped. Two messages have no row: "checkpoint does not
-// match the driver/options", which neither entry point can reach
-// (TestResumeMismatchPanics calls the constructor), and a failing
-// newTCPShards (the loopback listener cannot be made to fail on demand).
+// — returns it wrapped. A want ending in ": " is the prefix of an error
+// that wraps an operating-system cause. One message has no row:
+// "checkpoint does not match the driver/options", which neither entry
+// point can reach (TestResumeMismatchPanics calls the constructor).
 func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 	rows := []struct {
 		want string
@@ -61,10 +62,19 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 			func(o *Options) { o.Reflux = true }},
 		{"engine: gradient flagging requires WithData", Options{},
 			func(o *Options) { o.GradientField = "q" }},
+		// A failing newTCPShards: no handshake finishes within 1ns.
+		{"engine: mpx: handshake with shard 1: ", Options{WithData: true, UseMPX: true, Transport: TransportTCP},
+			func(o *Options) { o.WireTimeout = time.Nanosecond }},
 	}
 	sys := func() *machine.System { return machine.WanPair(1, nil) }
 	driver := func() workload.Driver { return workload.NewShockPool3D(8, 2) }
 	for _, row := range rows {
+		match := func(got string) bool {
+			if strings.HasSuffix(row.want, ": ") {
+				return strings.HasPrefix(got, row.want)
+			}
+			return got == row.want
+		}
 		opt := row.store
 		opt.Steps, opt.MaxLevel, opt.CheckpointInterval, opt.CheckpointDir = 2, 1, 1, t.TempDir()
 		New(sys(), driver(), opt).Run()
@@ -75,14 +85,15 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 
 		func() {
 			defer func() {
-				if p := recover(); p != row.want {
-					t.Errorf("New panicked with %v, want %q", p, row.want)
+				if p, _ := recover().(string); !match(p) {
+					t.Errorf("New panicked with %q, want %q", p, row.want)
 				}
 			}()
 			New(sys(), driver(), opt)
 		}()
 		r, _, err := Resume(sys(), driver(), opt)
-		if r != nil || err == nil || err.Error() != "engine.Resume: "+row.want {
+		if r != nil || err == nil || !strings.HasPrefix(err.Error(), "engine.Resume: ") ||
+			!match(strings.TrimPrefix(err.Error(), "engine.Resume: ")) {
 			t.Errorf("Resume = (%v, %v), want the error %q wrapped", r, err, row.want)
 		}
 	}

@@ -72,6 +72,7 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 		return nil, report, fmt.Errorf("engine.Resume: %w", err)
 	}
 	if err := r.restoreFromMeta(meta); err != nil {
+		r.Close()
 		return nil, report, fmt.Errorf("engine.Resume: %w", err)
 	}
 	// The restored state is a phase boundary like any other: let the

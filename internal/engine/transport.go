@@ -21,7 +21,8 @@ const (
 	// behind a real localhost socket: inter-group messages travel as
 	// CRC32-framed bytes, exercising marshalling, ordering and the
 	// abort protocol. The netsim link model remains the sole timing
-	// authority — the wire carries payloads, never costs.
+	// authority — the wire carries payloads, never costs — and the
+	// first wire failure detaches the run, as it does a worker.
 	TransportTCP = "tcp"
 	// TransportWorker is one shard of a supervised multi-process run:
 	// this OS process hosts a single group's ranks behind an endpoint
@@ -49,14 +50,11 @@ type WorkerWire struct {
 // connected with the lower-dials-higher convention; a worker process
 // holds its own group's world and endpoint; loopback is the degenerate
 // case of one all-local world and no endpoints, so nothing it runs can
-// fail on a wire.
+// fail on a wire. Every wire failure policy is the same: the first one
+// detaches the set for good.
 type shardSet struct {
-	worlds []*mpx.World
-	eps    []*mpx.TCPEndpoint
-	// worker marks a single worker-process shard: wire failures detach
-	// permanently instead of resetting, and they never feed the
-	// deterministic control plane.
-	worker   bool
+	worlds   []*mpx.World
+	eps      []*mpx.TCPEndpoint
 	detached atomic.Bool
 }
 
@@ -104,17 +102,26 @@ func newWorkerShard(sys *machine.System, shard int, ep *mpx.TCPEndpoint) *shardS
 	return &shardSet{
 		worlds: []*mpx.World{w},
 		eps:    []*mpx.TCPEndpoint{ep},
-		worker: true,
 	}
 }
 
-// wireActive reports whether phases should still attempt the wire.
-func (s *shardSet) wireActive() bool { return !s.worker || !s.detached.Load() }
+// wireErr returns the first failure an endpoint recorded on its own
+// goroutines (a read timeout, a lost peer, a failed heartbeat) while
+// no phase was running to notice it, or nil.
+func (s *shardSet) wireErr() error {
+	for _, ep := range s.eps {
+		if err := ep.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-// detach permanently abandons the wire after a worker-mode failure:
-// broadcast the abort (best-effort — peers blocked mid-phase wake
-// immediately) and close the endpoint (peers that miss the frame get
-// the EOF instead). Both signals converge on the peers detaching too.
+// detach permanently abandons the wire: broadcast the abort
+// (best-effort — peers blocked mid-phase wake immediately) and close
+// the endpoints (peers that miss the frame get the EOF instead). Over
+// tcp every endpoint is this run's; a worker's peers converge on
+// detaching too.
 func (s *shardSet) detach(cause string) {
 	if s.detached.Swap(true) {
 		return
@@ -125,15 +132,11 @@ func (s *shardSet) detach(cause string) {
 	}
 }
 
-// commPair is an ordered (src, dst) pair of ranks or groups.
-type commPair struct{ src, dst int }
-
 // wireFailure summarises a phase that failed purely on the transport:
 // the computation never misbehaved, the wire did.
 type wireFailure struct {
 	cause  string
-	faults int        // TransportError panics across all shards
-	pairs  []commPair // (src rank, dst rank) of each failed send
+	faults int // TransportError panics across all shards
 }
 
 // run executes body across every shard world concurrently and joins
@@ -173,25 +176,11 @@ func (s *shardSet) run(body func(r *mpx.Rank)) *wireFailure {
 		f.cause = fmt.Sprintf("%v", p.Value)
 	}
 	for i := range merged.Panics {
-		if te, ok := merged.Panics[i].Value.(*mpx.TransportError); ok {
+		if _, ok := merged.Panics[i].Value.(*mpx.TransportError); ok {
 			f.faults++
-			f.pairs = append(f.pairs, commPair{te.Src, te.Dst})
 		}
 	}
 	return f
-}
-
-// reset prepares every endpoint and world for the phase after an
-// aborted one. Endpoints go first: their epoch bump makes straggling
-// frames droppable before the worlds' mailboxes are wiped, so nothing
-// from the dead phase can land afterwards.
-func (s *shardSet) reset() {
-	for _, ep := range s.eps {
-		ep.Reset()
-	}
-	for _, w := range s.worlds {
-		w.Reset()
-	}
 }
 
 // stats sums frames and bytes actually written to the wire.
@@ -219,48 +208,31 @@ func (s *shardSet) close() {
 }
 
 // runWirePhase executes one data-motion phase over the shard worlds,
-// returning false without trying when a worker has already detached.
-// On a transport-only failure it counts the faults, feeds them into
-// membership suspicion (the wire failing between two groups is the
-// same evidence stream a failed probe produces), resets the transports
-// and worlds, and returns false so the caller re-runs the phase over
-// the in-memory data path — which is an idempotent full rewrite of
-// exactly the cells the wire path writes, so a partial wire phase
-// followed by the fallback is bit-identical to the fallback alone.
+// returning false without trying once the set has detached. The first
+// wire failure — a transport-only phase failure, or one an endpoint
+// recorded between phases — is counted, traced and detaches the set,
+// and false sends the caller to the in-memory data path for this and
+// every later phase. That path is an idempotent full rewrite of exactly
+// the cells the wire path writes, so a partial wire phase followed by
+// the fallback is bit-identical to the fallback alone, and the virtual-
+// time charging is the same on both. When a failure lands is wall-
+// clock, so it never reaches the deterministic control plane: the
+// netsim links stay the only timing and evidence authority.
 func (r *Runner) runWirePhase(phase string, level int, body func(rank *mpx.Rank)) bool {
-	if !r.shards.wireActive() {
+	if r.shards.detached.Load() {
 		return false
 	}
-	f := r.shards.run(body)
-	if f == nil {
+	var f *wireFailure
+	if err := r.shards.wireErr(); err != nil {
+		f = &wireFailure{cause: err.Error()}
+	} else if f = r.shards.run(body); f == nil {
 		return true
 	}
 	r.transportFaults += f.faults
 	r.transportFallbacks++
-	now := r.clock.Now()
-	r.opt.Trace.Add(trace.Fault, level, now,
-		fmt.Sprintf("wire %s failed (%s); falling back to in-memory exchange", phase, f.cause))
-	if r.shards.worker {
-		// A worker's wire failure means a peer process crashed or hung.
-		// When the failure lands is wall-clock, so it must not perturb
-		// the deterministic control plane — crash evidence feeds the
-		// supervisor's membership tracker, not this replica's balancer.
-		// Detach permanently; every remaining phase runs the in-memory
-		// path with identical virtual-time charging.
-		r.shards.detach(f.cause)
-		return false
-	}
-	seen := make(map[commPair]bool)
-	for _, pr := range f.pairs {
-		ga, gb := r.sys.GroupOf(pr.src), r.sys.GroupOf(pr.dst)
-		gp := commPair{ga, gb}
-		if seen[gp] {
-			continue
-		}
-		seen[gp] = true
-		r.noteProbeEvidence(ga, gb, true)
-	}
-	r.shards.reset()
+	r.opt.Trace.Add(trace.Fault, level, r.clock.Now(),
+		fmt.Sprintf("wire %s failed (%s); detached onto the in-memory exchange", phase, f.cause))
+	r.shards.detach(f.cause)
 	return false
 }
 

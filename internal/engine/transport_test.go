@@ -2,8 +2,10 @@ package engine
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
@@ -14,16 +16,28 @@ import (
 	"samrdlb/internal/workload"
 )
 
-// runTransport executes the reference scenario (two WAN groups, two
-// procs each) under the given transport options and host pool and
-// returns the result plus the runner for field inspection.
-func runTransport(transport string, wf mpx.WireFault, pool *solver.Pool) (*metrics.Result, *Runner) {
-	sys := machine.WanPair(2, nil)
-	r := New(sys, workload.NewShockPool3D(16, 2), Options{
+// transportOptions is the reference scenario's options (run on two
+// WAN groups of two procs each) under the given transport.
+func transportOptions(transport string, wf mpx.WireFault) Options {
+	return Options{
 		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: true,
-		Transport: transport, wireFault: wf, Pool: pool,
-	})
+		Transport: transport, wireFault: wf,
+	}
+}
+
+// runReference executes the reference scenario under opt and returns
+// the result plus the runner for field inspection.
+func runReference(opt Options) (*metrics.Result, *Runner) {
+	r := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), opt)
 	return r.Run(), r
+}
+
+// runTransport executes the reference scenario under the given
+// transport, wire fault and host pool.
+func runTransport(transport string, wf mpx.WireFault, pool *solver.Pool) (*metrics.Result, *Runner) {
+	opt := transportOptions(transport, wf)
+	opt.Pool = pool
+	return runReference(opt)
 }
 
 // requireIdenticalRuns asserts the cross-transport oracle: the Result
@@ -88,17 +102,17 @@ func TestTCPTransportMatchesLoopback(t *testing.T) {
 }
 
 // dropFirstOffers fails the first send attempt of every (src, dst)
-// pair. Offer indices are per-pair and never reset, so exactly the
-// first wire phase fails; every retry after the phase fallback and
-// endpoint reset succeeds.
+// pair, so the first wire phase fails and every pair's first frame is
+// dropped.
 type dropFirstOffers struct{}
 
 func (dropFirstOffers) DropSend(src, dst int, n uint64) bool { return n == 0 }
 
 // TestWireFaultFallsBackAndStaysIdentical injects wire drops: the
-// faulted phases must fold into fault/fallback counters while the
-// fallback data path keeps the run bit-identical to loopback — a
-// flaky wire may cost availability, never correctness.
+// faulted phase folds into the fault/fallback counters, the run detaches
+// and never writes a frame again, and the in-memory data path keeps the
+// run bit-identical to loopback — a flaky wire may cost availability,
+// never correctness.
 func TestWireFaultFallsBackAndStaysIdentical(t *testing.T) {
 	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
 	tcpRes, tcpRun := runTransport(TransportTCP, dropFirstOffers{}, nil)
@@ -108,8 +122,16 @@ func TestWireFaultFallsBackAndStaysIdentical(t *testing.T) {
 	if tcpRes.TransportFaults == 0 {
 		t.Error("injected drops produced no recorded transport faults")
 	}
-	if tcpRes.TransportFallbacks == 0 {
-		t.Error("faulted phases did not fall back")
+	if tcpRes.TransportFallbacks != 1 {
+		t.Errorf("%d phase fallbacks, want 1: the first wire failure detaches", tcpRes.TransportFallbacks)
+	}
+	// The failed phase was the first, and every frame it offered was
+	// dropped: any frame on the wire was written after it.
+	if tcpRes.TransportFrames != 0 {
+		t.Errorf("%d frames written after the failed first phase, want 0", tcpRes.TransportFrames)
+	}
+	if !tcpRun.shards.detached.Load() {
+		t.Error("a failed wire phase left the run attached")
 	}
 	if s := tcpRes.TransportSummary(); !strings.Contains(s, "fallback") {
 		t.Errorf("TransportSummary = %q, want fault/fallback accounting", s)
@@ -117,29 +139,95 @@ func TestWireFaultFallsBackAndStaysIdentical(t *testing.T) {
 }
 
 // dropSparseOffers fails every seventh send attempt of each (src, dst)
-// pair. With one offer per pair per wire phase, that aborts several
-// non-adjacent phases — fills and restricts, on both levels — each
-// followed by phases that must run clean on the same pooled scratch.
+// pair. With one offer per pair per wire phase, the first drop kills a
+// phase midway after clean wire phases ran; the run detaches there, so
+// the later drops are never offered.
 type dropSparseOffers struct{}
 
 func (dropSparseOffers) DropSend(src, dst int, n uint64) bool { return n%7 == 3 }
 
 // TestWireFaultsOnManyPhasesStayIdentical is the abort-hygiene pin: a
 // phase a wire fault kills midway leaves half-packed send buffers and
-// a half-consumed receive behind, and neither may reach the phase
-// after the fallback.
+// a half-consumed receive behind, and neither may reach the in-memory
+// phases that follow it.
 func TestWireFaultsOnManyPhasesStayIdentical(t *testing.T) {
 	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
 	tcpRes, tcpRun := runTransport(TransportTCP, dropSparseOffers{}, nil)
 
 	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
 
-	if tcpRes.TransportFallbacks < 2 {
-		t.Errorf("sparse drops aborted %d phases, want several", tcpRes.TransportFallbacks)
+	if tcpRes.TransportFallbacks != 1 {
+		t.Errorf("%d phase fallbacks, want 1: the first wire failure detaches", tcpRes.TransportFallbacks)
 	}
 	if tcpRes.TransportFrames == 0 {
-		t.Error("no phase between the faulted ones ran over the wire")
+		t.Error("no phase before the faulted one ran over the wire")
 	}
+}
+
+// probeLoss is a fault schedule (seed 7) losing nine probes in ten
+// between the two groups for the whole run: it arms the membership
+// tracker, and over six steps one more failure fed to it changes the
+// Result.
+func probeLoss(t *testing.T) *fault.Schedule {
+	t.Helper()
+	s, err := fault.NewSchedule(7,
+		fault.Event{Kind: fault.ProbeLoss, A: 0, B: 1, Start: 0, End: 1e9, Prob: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestWireFaultNeverReachesSuspicion pins the one wire-failure policy on
+// a run with a membership tracker: when a wire phase fails is wall-
+// clock, so the failure must not feed suspicion or anything else the
+// balancer reads. A tcp run with wire drops reports the very Result and
+// fields of the shared-memory run under the same probe-loss schedule.
+func TestWireFaultNeverReachesSuspicion(t *testing.T) {
+	loopOpt := transportOptions(TransportLoopback, nil)
+	loopOpt.Steps, loopOpt.Faults = 6, probeLoss(t)
+	loopRes, loopRun := runReference(loopOpt)
+	if loopRes.SuspectTransitions == 0 {
+		t.Fatal("the probe-loss schedule raised no suspicion; the run exercises no tracker")
+	}
+	for _, wf := range []mpx.WireFault{dropFirstOffers{}, dropSparseOffers{}} {
+		tcpOpt := transportOptions(TransportTCP, wf)
+		tcpOpt.Steps, tcpOpt.Faults = 6, probeLoss(t) // a schedule is one run's
+		tcpRes, tcpRun := runReference(tcpOpt)
+		requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
+		if tcpRes.TransportFallbacks != 1 {
+			t.Errorf("%T: %d phase fallbacks, want 1", wf, tcpRes.TransportFallbacks)
+		}
+	}
+}
+
+// TestTCPTransportLeaksNoGoroutines runs a clean tcp run, one whose
+// injected fault detaches it, and one whose handshake cannot finish:
+// each must leave the goroutine count where it found it — endpoints
+// closed, readers, heartbeats and admitters joined.
+func TestTCPTransportLeaksNoGoroutines(t *testing.T) {
+	settled := func(what string, base int) {
+		t.Helper()
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %d goroutines, %d before it", what, runtime.NumGoroutine(), base)
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	base := runtime.NumGoroutine()
+	runTransport(TransportTCP, nil, nil)
+	settled("clean tcp run", base)
+	runTransport(TransportTCP, dropSparseOffers{}, nil)
+	settled("detached tcp run", base)
+	opt := transportOptions(TransportTCP, nil)
+	opt.WireTimeout = time.Nanosecond
+	if _, err := Build(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), opt); err == nil {
+		t.Fatal("a 1ns wire timeout let the handshake finish")
+	}
+	settled("failed tcp setup", base)
 }
 
 // TestTCPFramesBoundedByRankPairsAndPhases pins the coalescing: a

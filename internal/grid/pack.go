@@ -36,7 +36,8 @@ func PackRegion(buf []float64, p *Patch, region geom.Box, fields []string) []flo
 }
 
 // UnpackRegion writes data produced by PackRegion with the same
-// region and field list into p.
+// region and field list into p: each field's slice of data is the
+// storage of region itself.
 func UnpackRegion(p *Patch, region geom.Box, fields []string, data []float64) {
 	g := p.Grown()
 	if !g.ContainsBox(region) {
@@ -47,22 +48,7 @@ func UnpackRegion(p *Patch, region geom.Box, fields []string, data []float64) {
 		panic(fmt.Sprintf("grid.UnpackRegion: got %d values for %d cells × %d fields",
 			len(data), n, len(fields)))
 	}
-	if n == 0 {
-		return
-	}
-	rw := rowsOf(g, region)
-	k := 0
-	for _, name := range fields {
-		f := p.Field(name)
-		zo := rw.base
-		for z := 0; z < rw.nz; z++ {
-			o := zo
-			for y := 0; y < rw.ny; y++ {
-				copy(f[o:o+rw.n], data[k:k+rw.n])
-				k += rw.n
-				o += rw.sy
-			}
-			zo += rw.sz
-		}
+	for k, name := range fields {
+		CopyRegionFrom(p, data[k*n:(k+1)*n], region, name, region)
 	}
 }

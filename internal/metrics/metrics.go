@@ -122,7 +122,8 @@ type Result struct {
 	// socket transport). TransportFaults counts rank sends that failed
 	// on the wire (injected or real); TransportFallbacks counts
 	// exchange phases that consequently re-ran over the in-memory data
-	// path. TransportFrames and TransportBytes count frames and bytes
+	// path — at most one, since the first detaches the run from the
+	// wire. TransportFrames and TransportBytes count frames and bytes
 	// actually written to the wire. TransportTimeouts counts wire
 	// reads/writes that exceeded the configured deadline (wall-clock
 	// dependent, so advisory only). They are per-process and

@@ -87,6 +87,23 @@ func TestWireTimeoutPoisonsSilentPeer(t *testing.T) {
 	}
 }
 
+// TestPoisonAbortsPeer: an endpoint that poisons itself passes the
+// abort on. The peer's ranks may wait on sends this shard's aborted
+// ranks will never make, and nothing else would wake them: the peer
+// still hears from this endpoint, so its own reader never times out.
+func TestPoisonAbortsPeer(t *testing.T) {
+	const d = 150 * time.Millisecond
+	a, _, _, sb := pairEndpoints(t, d, 0)
+	waitFor(t, 10*d, func() bool { return a.Err() != nil }, "silent peer never timed out")
+	waitFor(t, 10*d, func() bool { return sb.count() > 0 }, "the poisoned endpoint did not abort its peer")
+	sb.mu.Lock()
+	cause := sb.aborts[0]
+	sb.mu.Unlock()
+	if !strings.Contains(cause, "wire timeout") {
+		t.Fatalf("peer aborted with %q, want the poisoning wire timeout", cause)
+	}
+}
+
 // TestHeartbeatsPreventFalseTimeout pins the liveness protocol: two
 // idle endpoints that both heartbeat must sit well past the timeout
 // without either side poisoning.

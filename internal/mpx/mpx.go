@@ -171,7 +171,8 @@ func (e *RunPanicError) TransportOnly() bool {
 // shard can fail the current phase (and propagate its abort over the
 // wire) before this shard's Run has even started, and that race must
 // surface as the same transport-only failure the caller's fallback
-// path already handles — Reset clears it.
+// path already handles. Nothing clears the abort: the caller leaves
+// the wire for good after its first failure.
 func (w *World) Run(body func(r *Rank)) {
 	if w.aborted.Load() {
 		var agg RunPanicError
@@ -244,21 +245,6 @@ func (w *World) Deliver(src, dst, tag int, data []float64) {
 		panic(fmt.Sprintf("mpx.Deliver: bad endpoints %d -> %d", src, dst))
 	}
 	w.boxes[dst][src].put(message{tag: tag, data: data})
-}
-
-// Reset clears an aborted world for reuse: drains every mailbox
-// (messages from the aborted phase must not leak tags into the next
-// one), rearms the barrier, and clears the abort flag. The caller
-// must Reset the transport's sequence/epoch state alongside.
-func (w *World) Reset() {
-	for dst := range w.boxes {
-		for _, box := range w.boxes[dst] {
-			box.reset()
-		}
-	}
-	w.bar.reset()
-	w.cause.Store("")
-	w.aborted.Store(false)
 }
 
 // abortCause returns the recorded cause ("" when not aborted).
@@ -387,12 +373,6 @@ func (m *mailbox) wake() {
 	m.mu.Unlock()
 }
 
-func (m *mailbox) reset() {
-	m.mu.Lock()
-	m.pending = nil
-	m.mu.Unlock()
-}
-
 // barrier is a reusable counting barrier over the world's local ranks.
 type barrier struct {
 	mu    sync.Mutex
@@ -430,14 +410,6 @@ func (b *barrier) await() {
 
 func (b *barrier) wake() {
 	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.count = 0
-	b.gen++
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }

@@ -159,17 +159,10 @@ func TestFabricFaultAbortsAllShards(t *testing.T) {
 	if te.Src != 0 || te.Dst != 3 || !errors.Is(te, wireDown) {
 		t.Errorf("transport error %+v does not identify the failed send", te)
 	}
-	// Both worlds are aborted; Reset rearms them for the fallback rerun.
 	for s, w := range worlds {
 		if !w.aborted.Load() {
 			t.Errorf("shard %d not aborted", s)
 		}
-		w.Reset()
-	}
-	fab.SetFault(nil)
-	results := make([][]float64, n)
-	if err := runShards(worlds, exchangeBody(t, results)); err != nil {
-		t.Fatalf("post-Reset run failed: %v", err)
 	}
 }
 
@@ -235,11 +228,10 @@ func TestTCPShardExchange(t *testing.T) {
 	}
 }
 
-// TestTCPFaultThenReset injects one wire drop: the phase fails
-// transport-only, a Reset of endpoints then worlds rearms everything,
-// and the rerun completes with deterministic fault accounting (the
-// offer index not resetting means the same attempt cannot fail twice).
-func TestTCPFaultThenReset(t *testing.T) {
+// TestTCPFaultIsTransportOnly injects one wire drop over real sockets:
+// the phase fails transport-only, its primary failure names the dropped
+// send, and every world is aborted — the caller's cue to leave the wire.
+func TestTCPFaultIsTransportOnly(t *testing.T) {
 	worlds, eps := newTCPPair(t)
 	for _, ep := range eps {
 		ep.SetFault(dropOnce{src: 1, dst: 2, offer: 0})
@@ -269,15 +261,10 @@ func TestTCPFaultThenReset(t *testing.T) {
 	if !ok || te.Src != 1 || te.Dst != 2 {
 		t.Fatalf("primary %+v, want the 1 -> 2 drop", err.Primary())
 	}
-	for _, ep := range eps {
-		ep.Reset()
-	}
-	for _, w := range worlds {
-		w.Reset()
-	}
-	// offer 0 for (1, 2) is consumed; the rerun's sends succeed.
-	if err := runShards(worlds, body); err != nil {
-		t.Fatalf("post-Reset rerun failed: %v", err)
+	for s, w := range worlds {
+		if !w.aborted.Load() {
+			t.Errorf("shard %d not aborted", s)
+		}
 	}
 }
 

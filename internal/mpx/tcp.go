@@ -29,9 +29,9 @@ const connWait = 10 * time.Second
 // id dials the higher), and exchanges CRC32-framed messages tagged by
 // (src, dst, tag, seq). The receive path verifies every checksum and
 // per-(src, dst) sequence continuity, delivers into the bound sink
-// (the shard's World), and propagates aborts. An epoch counter,
-// bumped by Reset, lets the caller discard frames that straggle in
-// from an aborted phase.
+// (the shard's World), and propagates aborts. An endpoint is not
+// rearmed after a failure: its first recorded error poisons it for
+// good, and the caller detaches from the wire.
 type TCPEndpoint struct {
 	shard   int
 	shardOf func(rank int) int
@@ -45,10 +45,6 @@ type TCPEndpoint struct {
 	offerSeq map[[2]int]uint64
 	fault    WireFault
 
-	recvMu  sync.Mutex
-	recvSeq map[[2]int]uint64
-
-	epoch  atomic.Uint32
 	closed atomic.Bool
 	done   chan struct{} // closed once, on Close; stops heartbeat senders
 	wg     sync.WaitGroup
@@ -63,7 +59,6 @@ type TCPEndpoint struct {
 	readTO, writeTO, hbIval atomic.Int64
 
 	framesSent, bytesSent atomic.Int64
-	framesRecv, bytesRecv atomic.Int64
 	timeouts              atomic.Int64
 }
 
@@ -100,7 +95,6 @@ func ListenTCP(shard int, addr string, shardOf func(rank int) int) (*TCPEndpoint
 		connCh:   make(chan struct{}),
 		sendSeq:  make(map[[2]int]uint64),
 		offerSeq: make(map[[2]int]uint64),
-		recvSeq:  make(map[[2]int]uint64),
 		done:     make(chan struct{}),
 	}
 	e.wg.Add(1)
@@ -370,7 +364,7 @@ func (e *TCPEndpoint) Send(src, dst, tag int, data []float64) error {
 	e.sendSeq[key] = seq + 1
 	e.mu.Unlock()
 	c.mu.Lock()
-	c.wbuf = appendDataFrame(c.wbuf[:0], e.epoch.Load(), src, dst, tag, seq, data)
+	c.wbuf = appendDataFrame(c.wbuf[:0], src, dst, tag, seq, data)
 	n := len(c.wbuf)
 	werr := e.writeLocked(c, c.wbuf)
 	c.mu.Unlock()
@@ -421,7 +415,7 @@ func (e *TCPEndpoint) heartbeatLoop(wc *wireConn, interval time.Duration) {
 			return
 		case <-t.C:
 		}
-		if err := e.writeFrame(wc, encodeHeartbeatFrame(e.epoch.Load())); err != nil {
+		if err := e.writeFrame(wc, encodeHeartbeatFrame()); err != nil {
 			if e.closed.Load() {
 				return
 			}
@@ -433,7 +427,7 @@ func (e *TCPEndpoint) heartbeatLoop(wc *wireConn, interval time.Duration) {
 
 // Abort broadcasts an abort notification to every peer, best-effort.
 func (e *TCPEndpoint) Abort(cause string) {
-	frame := encodeAbortFrame(e.epoch.Load(), cause)
+	frame := encodeAbortFrame(cause)
 	e.mu.Lock()
 	conns := make([]*wireConn, 0, len(e.conns))
 	for _, c := range e.conns {
@@ -446,12 +440,15 @@ func (e *TCPEndpoint) Abort(cause string) {
 }
 
 // readLoop drains one peer connection: verify framing and sequence
-// continuity, drop frames from stale epochs, deliver the rest.
+// continuity, deliver the frames.
 func (e *TCPEndpoint) readLoop(wc *wireConn) {
 	defer e.wg.Done()
 	// One payload buffer for the connection's lifetime: decodeFrame
 	// copies everything it keeps, so each frame may overwrite the last.
 	var payload []byte
+	// Every (src, dst) pair on this connection has its source on the
+	// peer shard, so the connection's reader owns their sequence.
+	recvSeq := make(map[[2]int]uint64)
 	for {
 		if rt := time.Duration(e.readTO.Load()); rt > 0 {
 			wc.c.SetReadDeadline(time.Now().Add(rt))
@@ -495,43 +492,32 @@ func (e *TCPEndpoint) readLoop(wc *wireConn) {
 			e.poison(fmt.Errorf("mpx: frame arrived on shard %d before Bind", e.shard))
 			return
 		}
-		// The epoch check and the delivery happen under recvMu, which
-		// Reset also takes to bump the epoch: a frame is therefore either
-		// fully delivered before a Reset (and cleared by the paired
-		// World.Reset) or observed stale and dropped — never delivered
-		// into the freshly reset world.
-		e.recvMu.Lock()
-		if msg.epoch != e.epoch.Load() {
-			e.recvMu.Unlock()
-			continue // straggler from an aborted phase
-		}
 		switch msg.kind {
 		case frameAbort:
 			sink.AbortFromWire(msg.cause)
-			e.recvMu.Unlock()
 		case frameData:
 			key := [2]int{msg.src, msg.dst}
-			expect := e.recvSeq[key]
+			expect := recvSeq[key]
 			if msg.seq != expect {
-				e.recvMu.Unlock()
 				e.poison(fmt.Errorf("mpx: sequence break %d -> %d: got %d, want %d",
 					msg.src, msg.dst, msg.seq, expect))
 				return
 			}
-			e.recvSeq[key] = expect + 1
-			e.framesRecv.Add(1)
-			e.bytesRecv.Add(int64(wireHdr + len(payload)))
+			recvSeq[key] = expect + 1
 			sink.Deliver(msg.src, msg.dst, msg.tag, msg.data)
-			e.recvMu.Unlock()
 		}
 	}
 }
 
-// poison records the first receive-path failure and aborts the bound
-// world so blocked ranks fail fast instead of hanging.
+// poison records the first receive-path failure, aborts the bound
+// world so blocked ranks fail fast instead of hanging, and passes the
+// abort on to the peers: their ranks may be waiting on sends this
+// shard's ranks will now never make, and a world aborted from the wire
+// does not propagate the abort itself.
 func (e *TCPEndpoint) poison(err error) {
 	e.errMu.Lock()
-	if e.firstErr == nil {
+	first := e.firstErr == nil
+	if first {
 		e.firstErr = err
 	}
 	e.errMu.Unlock()
@@ -540,6 +526,9 @@ func (e *TCPEndpoint) poison(err error) {
 	e.mu.Unlock()
 	if sink != nil {
 		sink.AbortFromWire(err.Error())
+	}
+	if first {
+		e.Abort(err.Error())
 	}
 }
 
@@ -550,27 +539,7 @@ func (e *TCPEndpoint) Err() error {
 	return e.firstErr
 }
 
-// Reset prepares the endpoint for the phase after an abort: the epoch
-// bump makes straggling frames from the aborted phase droppable, and
-// the wire sequence maps restart with it. The offer index is NOT
-// reset — fault-injection fates stay a function of the global attempt
-// count. Every connected endpoint must be Reset together, while no
-// phase is running.
-func (e *TCPEndpoint) Reset() {
-	e.mu.Lock()
-	e.sendSeq = make(map[[2]int]uint64)
-	e.mu.Unlock()
-	e.recvMu.Lock()
-	e.epoch.Add(1)
-	e.recvSeq = make(map[[2]int]uint64)
-	e.recvMu.Unlock()
-	e.errMu.Lock()
-	e.firstErr = nil
-	e.errMu.Unlock()
-}
-
-// Stats returns frames and bytes sent over the wire (receive counts
-// mirror the peers' sends).
+// Stats returns frames and bytes sent over the wire.
 func (e *TCPEndpoint) Stats() (frames, bytes int64) {
 	return e.framesSent.Load(), e.bytesSent.Load()
 }

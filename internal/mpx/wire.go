@@ -14,9 +14,9 @@ import (
 // length-prefixed checksummed frames, each tagged by (src, dst, tag,
 // seq) so the receiver can verify per-pair FIFO continuity.
 //
-//	handshake: "SAMRWIR1" | uint32 BE shard id        (12 bytes)
+//	handshake: "SAMRWIR2" | uint32 BE shard id        (12 bytes)
 //	frame:     uint32 BE payload len | uint32 BE CRC32-IEEE | payload
-//	payload:   kind byte (1 data, 2 abort, 3 heartbeat) | uint32 BE epoch | body
+//	payload:   kind byte (1 data, 2 abort, 3 heartbeat) | body
 //	data body: int32 BE src | int32 BE dst | int32 BE tag |
 //	           uint64 BE seq | count × uint64 BE float64 bits
 //	abort body: UTF-8 cause
@@ -24,9 +24,11 @@ import (
 //	           deadline, so an idle-but-alive shard is distinguishable
 //	           from a dead or stopped one
 //
-// Tags travel as int32 two's complement.
+// Tags travel as int32 two's complement. A frame carries no phase
+// stamp: the first wire failure detaches the run from the wire for
+// good, so no frame from a failed phase can meet a later one.
 const (
-	wireMagic = "SAMRWIR1"
+	wireMagic = "SAMRWIR2"
 	// wireHdr is the per-frame length + CRC prefix.
 	wireHdr = 8
 	// maxWireFrame caps a frame's declared length; larger is a corrupt
@@ -40,15 +42,14 @@ const (
 	frameAbort     = 2
 	frameHeartbeat = 3
 
-	// dataHdr is the data body's fixed prefix: kind + epoch + src +
-	// dst + tag + seq.
-	dataHdr = 1 + 4 + 4 + 4 + 4 + 8
+	// dataHdr is the data body's fixed prefix: kind + src + dst + tag +
+	// seq.
+	dataHdr = 1 + 4 + 4 + 4 + 8
 )
 
 // wireMsg is one decoded frame.
 type wireMsg struct {
-	kind  byte
-	epoch uint32
+	kind byte
 	// data frames
 	src, dst, tag int
 	seq           uint64
@@ -59,17 +60,16 @@ type wireMsg struct {
 
 // appendDataFrame appends one framed data message to buf and returns
 // the extended slice, so a sender reuses one buffer across frames.
-func appendDataFrame(buf []byte, epoch uint32, src, dst, tag int, seq uint64, data []float64) []byte {
+func appendDataFrame(buf []byte, src, dst, tag int, seq uint64, data []float64) []byte {
 	start, total := len(buf), wireHdr+dataHdr+8*len(data)
 	buf = slices.Grow(buf, total)[:start+total]
 	frame := buf[start:]
 	p := frame[wireHdr:]
 	p[0] = frameData
-	binary.BigEndian.PutUint32(p[1:5], epoch)
-	binary.BigEndian.PutUint32(p[5:9], uint32(int32(src)))
-	binary.BigEndian.PutUint32(p[9:13], uint32(int32(dst)))
-	binary.BigEndian.PutUint32(p[13:17], uint32(int32(tag)))
-	binary.BigEndian.PutUint64(p[17:25], seq)
+	binary.BigEndian.PutUint32(p[1:5], uint32(int32(src)))
+	binary.BigEndian.PutUint32(p[5:9], uint32(int32(dst)))
+	binary.BigEndian.PutUint32(p[9:13], uint32(int32(tag)))
+	binary.BigEndian.PutUint64(p[13:21], seq)
 	off := dataHdr
 	for _, v := range data {
 		binary.BigEndian.PutUint64(p[off:off+8], math.Float64bits(v))
@@ -80,23 +80,19 @@ func appendDataFrame(buf []byte, epoch uint32, src, dst, tag int, seq uint64, da
 }
 
 // encodeAbortFrame assembles one framed abort notification.
-func encodeAbortFrame(epoch uint32, cause string) []byte {
-	n := 1 + 4 + len(cause)
-	buf := make([]byte, wireHdr+n)
+func encodeAbortFrame(cause string) []byte {
+	buf := make([]byte, wireHdr+1+len(cause))
 	p := buf[wireHdr:]
 	p[0] = frameAbort
-	binary.BigEndian.PutUint32(p[1:5], epoch)
-	copy(p[5:], cause)
+	copy(p[1:], cause)
 	sealFrame(buf)
 	return buf
 }
 
 // encodeHeartbeatFrame assembles one framed liveness beacon.
-func encodeHeartbeatFrame(epoch uint32) []byte {
-	buf := make([]byte, wireHdr+5)
-	p := buf[wireHdr:]
-	p[0] = frameHeartbeat
-	binary.BigEndian.PutUint32(p[1:5], epoch)
+func encodeHeartbeatFrame() []byte {
+	buf := make([]byte, wireHdr+1)
+	buf[wireHdr] = frameHeartbeat
 	sealFrame(buf)
 	return buf
 }
@@ -111,10 +107,10 @@ func sealFrame(buf []byte) {
 // decodeFrame parses and validates one payload (the bytes after the
 // length + CRC prefix, already checksum-verified by readWireFrame).
 func decodeFrame(payload []byte) (wireMsg, error) {
-	if len(payload) < 5 {
-		return wireMsg{}, fmt.Errorf("mpx: frame payload too short (%d bytes)", len(payload))
+	if len(payload) < 1 {
+		return wireMsg{}, fmt.Errorf("mpx: empty frame payload")
 	}
-	m := wireMsg{kind: payload[0], epoch: binary.BigEndian.Uint32(payload[1:5])}
+	m := wireMsg{kind: payload[0]}
 	switch m.kind {
 	case frameData:
 		if len(payload) < dataHdr {
@@ -123,10 +119,10 @@ func decodeFrame(payload []byte) (wireMsg, error) {
 		if (len(payload)-dataHdr)%8 != 0 {
 			return wireMsg{}, fmt.Errorf("mpx: data frame body not a float64 multiple (%d bytes)", len(payload)-dataHdr)
 		}
-		m.src = int(int32(binary.BigEndian.Uint32(payload[5:9])))
-		m.dst = int(int32(binary.BigEndian.Uint32(payload[9:13])))
-		m.tag = int(int32(binary.BigEndian.Uint32(payload[13:17])))
-		m.seq = binary.BigEndian.Uint64(payload[17:25])
+		m.src = int(int32(binary.BigEndian.Uint32(payload[1:5])))
+		m.dst = int(int32(binary.BigEndian.Uint32(payload[5:9])))
+		m.tag = int(int32(binary.BigEndian.Uint32(payload[9:13])))
+		m.seq = binary.BigEndian.Uint64(payload[13:21])
 		count := (len(payload) - dataHdr) / 8
 		m.data = make([]float64, count)
 		off := dataHdr
@@ -135,10 +131,9 @@ func decodeFrame(payload []byte) (wireMsg, error) {
 			off += 8
 		}
 	case frameAbort:
-		m.cause = string(payload[5:])
+		m.cause = string(payload[1:])
 	case frameHeartbeat:
-		// Liveness only: the kind and epoch already parsed above are all
-		// there is.
+		// Liveness only: the kind already parsed above is all there is.
 	default:
 		return wireMsg{}, fmt.Errorf("mpx: unknown frame kind %d", m.kind)
 	}

@@ -45,7 +45,7 @@ func TestReadWireFrameGrowsPastBuffer(t *testing.T) {
 	for i := range data {
 		data[i] = float64(i)
 	}
-	frame := appendDataFrame(nil, 1, 2, 3, 4, 5, data)
+	frame := appendDataFrame(nil, 2, 3, 4, 5, data)
 	for _, buf := range [][]byte{nil, make([]byte, 100), make([]byte, wireReadChunk+1), make([]byte, len(frame))} {
 		payload, err := readWireFrame(bytes.NewReader(frame), buf)
 		if err != nil {
@@ -67,10 +67,10 @@ func TestReadWireFrameGrowsPastBuffer(t *testing.T) {
 // declares. The second read, into the first one's buffer, covers the
 // reuse path the receive loop runs.
 func FuzzReadWireFrame(f *testing.F) {
-	f.Add(appendDataFrame(nil, 3, 0, 1, 7, 42, []float64{1.5, math.Inf(-1)}))
-	f.Add(encodeAbortFrame(2, "rank 3 panicked"))
-	f.Add(encodeHeartbeatFrame(9))
-	f.Add(append(encodeHeartbeatFrame(1), appendDataFrame(nil, 1, 1, 0, 0, 0, nil)...))
+	f.Add(appendDataFrame(nil, 0, 1, 7, 42, []float64{1.5, math.Inf(-1)}))
+	f.Add(encodeAbortFrame("rank 3 panicked"))
+	f.Add(encodeHeartbeatFrame())
+	f.Add(append(encodeHeartbeatFrame(), appendDataFrame(nil, 1, 0, 0, 0, nil)...))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x80, 0, 0, 1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, stream []byte) {
@@ -99,11 +99,11 @@ func FuzzReadWireFrame(f *testing.F) {
 // float64 bit patterns and as the abort cause), and arbitrary payloads
 // to an error at worst.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add([]byte("rank 3 panicked: boom"), uint32(9), int32(5), int32(0), int32(-3), uint64(7))
-	f.Add([]byte{}, uint32(0), int32(0), int32(0), int32(0), uint64(0))
-	f.Add([]byte{frameData, 0, 0, 0, 1, 0xff}, uint32(1), int32(-1), int32(1<<30), int32(math.MinInt32), uint64(math.MaxUint64))
-	f.Add(bytes.Repeat([]byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1}, 3), uint32(2), int32(1), int32(2), int32(3), uint64(4)) // NaN payloads
-	f.Fuzz(func(t *testing.T, raw []byte, epoch uint32, src, dst, tag int32, seq uint64) {
+	f.Add([]byte("rank 3 panicked: boom"), int32(5), int32(0), int32(-3), uint64(7))
+	f.Add([]byte{}, int32(0), int32(0), int32(0), uint64(0))
+	f.Add([]byte{frameData, 0, 0, 0, 1, 0xff}, int32(-1), int32(1<<30), int32(math.MinInt32), uint64(math.MaxUint64))
+	f.Add(bytes.Repeat([]byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1}, 3), int32(1), int32(2), int32(3), uint64(4)) // NaN payloads
+	f.Fuzz(func(t *testing.T, raw []byte, src, dst, tag int32, seq uint64) {
 		decodeFrame(raw) // may reject, may not panic
 
 		data := make([]float64, len(raw)/8)
@@ -122,8 +122,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			return m
 		}
-		m := open(appendDataFrame(nil, epoch, int(src), int(dst), int(tag), seq, data))
-		if m.kind != frameData || m.epoch != epoch || m.src != int(src) || m.dst != int(dst) ||
+		m := open(appendDataFrame(nil, int(src), int(dst), int(tag), seq, data))
+		if m.kind != frameData || m.src != int(src) || m.dst != int(dst) ||
 			m.tag != int(tag) || m.seq != seq || len(m.data) != len(data) {
 			t.Fatalf("data frame decoded to %+v", m)
 		}
@@ -132,10 +132,10 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("value %d: %x, want %x", i, math.Float64bits(m.data[i]), math.Float64bits(data[i]))
 			}
 		}
-		if m := open(encodeAbortFrame(epoch, string(raw))); m.kind != frameAbort || m.epoch != epoch || m.cause != string(raw) {
+		if m := open(encodeAbortFrame(string(raw))); m.kind != frameAbort || m.cause != string(raw) {
 			t.Fatalf("abort frame decoded to %+v", m)
 		}
-		if m := open(encodeHeartbeatFrame(epoch)); m.kind != frameHeartbeat || m.epoch != epoch {
+		if m := open(encodeHeartbeatFrame()); m.kind != frameHeartbeat {
 			t.Fatalf("heartbeat frame decoded to %+v", m)
 		}
 	})

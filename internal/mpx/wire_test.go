@@ -21,7 +21,7 @@ func TestWireDataFrameRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			frame := appendDataFrame(nil, 3, tc.src, tc.dst, tc.tag, tc.seq, tc.data)
+			frame := appendDataFrame(nil, tc.src, tc.dst, tc.tag, tc.seq, tc.data)
 			payload, err := readWireFrame(bytes.NewReader(frame), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -30,7 +30,7 @@ func TestWireDataFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.kind != frameData || m.epoch != 3 || m.src != tc.src || m.dst != tc.dst ||
+			if m.kind != frameData || m.src != tc.src || m.dst != tc.dst ||
 				m.tag != tc.tag || m.seq != tc.seq {
 				t.Fatalf("decoded header %+v", m)
 			}
@@ -57,7 +57,7 @@ func TestWireDataFrameRoundTrip(t *testing.T) {
 }
 
 func TestWireAbortFrameRoundTrip(t *testing.T) {
-	frame := encodeAbortFrame(9, "rank 3 panicked: boom")
+	frame := encodeAbortFrame("rank 3 panicked: boom")
 	payload, err := readWireFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestWireAbortFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kind != frameAbort || m.epoch != 9 || m.cause != "rank 3 panicked: boom" {
+	if m.kind != frameAbort || m.cause != "rank 3 panicked: boom" {
 		t.Fatalf("decoded %+v", m)
 	}
 }
@@ -75,7 +75,7 @@ func TestWireAbortFrameRoundTrip(t *testing.T) {
 // the CRC (or, for the two length bytes that survive it, the length
 // sanity check) must reject each mutation — no corrupt frame decodes.
 func TestWireFrameCorruptionDetected(t *testing.T) {
-	frame := appendDataFrame(nil, 0, 1, 2, 3, 4, []float64{1, 2, 3})
+	frame := appendDataFrame(nil, 1, 2, 3, 4, []float64{1, 2, 3})
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x40
@@ -96,7 +96,7 @@ func TestWireFrameCorruptionDetected(t *testing.T) {
 }
 
 func TestWireTruncationDetected(t *testing.T) {
-	frame := appendDataFrame(nil, 0, 1, 2, 3, 4, []float64{1, 2})
+	frame := appendDataFrame(nil, 1, 2, 3, 4, []float64{1, 2})
 	for cut := 1; cut < len(frame); cut++ {
 		if _, err := readWireFrame(bytes.NewReader(frame[:cut]), nil); err == nil {
 			t.Fatalf("truncation at %d bytes read a full frame", cut)

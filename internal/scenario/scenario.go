@@ -254,9 +254,9 @@ func (s *Scenario) Start(resume bool, attach func(*engine.Options)) (r *engine.R
 			}
 			opt.Steps = cut
 		}
-		first := engine.New(s.System(), s.Driver(), opt)
-		if cut < 0 {
-			return first, nil, cleanup, nil
+		var first *engine.Runner
+		if first, err = engine.Build(s.System(), s.Driver(), opt); err != nil || cut < 0 {
+			return first, nil, cleanup, err
 		}
 		first.Run()
 		if opt, err = options(); err != nil {
