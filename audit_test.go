@@ -250,6 +250,12 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 	{`\) [rR]eset\(|\b(ep|w|box|bar|shards)\.[rR]eset\(|(?i:epoch)|(s|shards)\.worker\b|\bworker +bool`,
 		"internal/mpx/*.go internal/engine/*.go",
 		"a wire fault detaches; nothing rearms a world or an endpoint"},
+	{`Offset\(geom\.Index\{`, "internal/solver/*.go",
+		"kernels walk rows by stride from grid.RowsOf: no index arithmetic per row"},
+	{`getScratch`, "internal/solver/flux.go internal/solver/burgers.go",
+		"the fluxed update reads only fluxes and the cell itself, so it is applied in place"},
+	{`ForEach\(func`, "internal/grid/patch.go",
+		"FillFunc, Sum and MaxAbs are row loops in storage order, with no per-cell closure"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

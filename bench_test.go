@@ -649,32 +649,43 @@ func BenchmarkRestrictScan(b *testing.B) {
 	}
 }
 
-// --- kernel step: pooled scratch vs per-step allocation ---
+// --- kernel step: row loops at the sizes the hierarchies hold ---
 
-// BenchmarkKernelStepAdvection measures the rewritten upwind step
-// (explicit row loops, sync.Pool scratch) on a 32³ patch.
-func BenchmarkKernelStepAdvection(b *testing.B) {
-	p := grid.NewPatch(geom.UnitCube(32), 0, 1, solver.FieldQ)
-	p.FillFunc(solver.FieldQ, func(i geom.Index) float64 { return float64(i[0]) })
-	k := solver.Advection3D{Vel: [3]float64{1, 0.5, 0.25}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(p, 0.01, 1.0/32)
+// kernelBenchShapes are the patch interiors the kernel benchmarks time:
+// the small grids the hierarchies actually hold, whose 4- to 8-cell
+// rows expose per-row overhead, next to a 32³ patch whose long rows
+// hide it.
+var kernelBenchShapes = []geom.Index{{4, 6, 8}, {8, 8, 8}, {32, 32, 32}}
+
+// benchKernelStep times one Step per iteration on a patch of every
+// kernelBenchShapes interior with one ghost cell, filled by init.
+func benchKernelStep(b *testing.B, k solver.Kernel, init func(geom.Index) float64) {
+	for _, s := range kernelBenchShapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			box := geom.Box{Hi: s.Add(geom.Index{-1, -1, -1})}
+			p := grid.NewPatch(box, 0, 1, solver.FieldQ)
+			p.FillFunc(solver.FieldQ, init)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step(p, 0.01, 1.0/32)
+			}
+		})
 	}
 }
 
-// BenchmarkKernelStepBurgers measures the rewritten Godunov step with
-// pooled flux planes and scratch.
+// BenchmarkKernelStepAdvection measures the upwind step (row loops,
+// pooled scratch).
+func BenchmarkKernelStepAdvection(b *testing.B) {
+	benchKernelStep(b, solver.Advection3D{Vel: [3]float64{1, 0.5, 0.25}},
+		func(i geom.Index) float64 { return float64(i[0]) })
+}
+
+// BenchmarkKernelStepBurgers measures the Godunov step with pooled
+// flux planes, updated in place.
 func BenchmarkKernelStepBurgers(b *testing.B) {
-	p := grid.NewPatch(geom.UnitCube(32), 0, 1, solver.FieldQ)
-	p.FillFunc(solver.FieldQ, func(i geom.Index) float64 { return float64(i[0]%5) * 0.2 })
-	k := solver.Burgers3D{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(p, 0.01, 1.0/32)
-	}
+	benchKernelStep(b, solver.Burgers3D{},
+		func(i geom.Index) float64 { return float64(i[0]%5) * 0.2 })
 }
 
 // --- regrid: pool-parallel vs sequential child initialisation ---

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -201,33 +202,68 @@ func TestWireFaultNeverReachesSuspicion(t *testing.T) {
 	}
 }
 
-// TestTCPTransportLeaksNoGoroutines runs a clean tcp run, one whose
-// injected fault detaches it, and one whose handshake cannot finish:
-// each must leave the goroutine count where it found it — endpoints
-// closed, readers, heartbeats and admitters joined.
-func TestTCPTransportLeaksNoGoroutines(t *testing.T) {
-	settled := func(what string, base int) {
-		t.Helper()
-		deadline := time.Now().Add(time.Second)
-		for runtime.NumGoroutine() > base {
-			if time.Now().After(deadline) {
-				t.Errorf("%s: %d goroutines, %d before it", what, runtime.NumGoroutine(), base)
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	base := runtime.NumGoroutine()
+// eachTCPLifecycle runs a clean tcp run, one whose injected fault
+// detaches it, and one whose handshake cannot finish, calling settled
+// after each.
+func eachTCPLifecycle(t *testing.T, settled func(what string)) {
+	t.Helper()
 	runTransport(TransportTCP, nil, nil)
-	settled("clean tcp run", base)
+	settled("clean tcp run")
 	runTransport(TransportTCP, dropSparseOffers{}, nil)
-	settled("detached tcp run", base)
+	settled("detached tcp run")
 	opt := transportOptions(TransportTCP, nil)
 	opt.WireTimeout = time.Nanosecond
 	if _, err := Build(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), opt); err == nil {
 		t.Fatal("a 1ns wire timeout let the handshake finish")
 	}
-	settled("failed tcp setup", base)
+	settled("failed tcp setup")
+}
+
+// settleTo waits up to 1 s for count() to fall back to base.
+func settleTo(t *testing.T, what, unit string, base int, count func() int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for count() > base {
+		if time.Now().After(deadline) {
+			t.Errorf("%s: %d %s, %d before it", what, count(), unit, base)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTCPTransportLeaksNoGoroutines: each tcp lifecycle must leave the
+// goroutine count where it found it — endpoints closed, readers,
+// heartbeats and admitters joined.
+func TestTCPTransportLeaksNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eachTCPLifecycle(t, func(what string) {
+		settleTo(t, what, "goroutines", base, runtime.NumGoroutine)
+	})
+}
+
+// TestTCPTransportLeaksNoFDs: each tcp lifecycle must leave the open
+// file descriptor count where it found it — every listener and
+// connection closed, the failed handshake's included.
+func TestTCPTransportLeaksNoFDs(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	// An unreachable conn an earlier test leaked is closed by its
+	// finalizer whenever a GC runs; run one now so that cannot happen
+	// mid-test and hide this test's own leak.
+	runtime.GC()
+	base := openFDs()
+	eachTCPLifecycle(t, func(what string) {
+		settleTo(t, what, "open fds", base, openFDs)
+	})
 }
 
 // TestTCPFramesBoundedByRankPairsAndPhases pins the coalescing: a

@@ -19,17 +19,17 @@ func PackRegion(buf []float64, p *Patch, region geom.Box, fields []string) []flo
 	if region.Empty() {
 		return buf
 	}
-	rw := rowsOf(g, region)
+	rw := RowsOf(g, region)
 	for _, name := range fields {
 		f := p.Field(name)
-		zo := rw.base
-		for z := 0; z < rw.nz; z++ {
+		zo := rw.Base
+		for z := 0; z < rw.NZ; z++ {
 			o := zo
-			for y := 0; y < rw.ny; y++ {
-				buf = append(buf, f[o:o+rw.n]...)
-				o += rw.sy
+			for y := 0; y < rw.NY; y++ {
+				buf = append(buf, f[o:o+rw.N]...)
+				o += rw.SY
 			}
-			zo += rw.sz
+			zo += rw.SZ
 		}
 	}
 	return buf

@@ -106,35 +106,59 @@ func (p *Patch) FillConstant(name string, v float64) {
 	}
 }
 
-// FillFunc evaluates fn at every cell of the grown box and stores the
-// result in the named field.
+// FillFunc evaluates fn at every cell of the grown box, in
+// geom.Box.ForEach order, and stores the result in the named field.
+// That order is the storage order, so the offset is a running count.
 func (p *Patch) FillFunc(name string, fn func(geom.Index) float64) {
 	f := p.Field(name)
 	g := p.Grown()
-	g.ForEach(func(i geom.Index) {
-		f[g.Offset(i)] = fn(i)
-	})
+	o := 0
+	for z := g.Lo[2]; z <= g.Hi[2]; z++ {
+		for y := g.Lo[1]; y <= g.Hi[1]; y++ {
+			for x := g.Lo[0]; x <= g.Hi[0]; x++ {
+				f[o] = fn(geom.Index{x, y, z})
+				o++
+			}
+		}
+	}
 }
 
-// Sum returns the sum of the field over the interior box only.
-func (p *Patch) Sum(name string) float64 {
+// interiorRows calls fn with each interior row of the named field, in
+// geom.Box.ForEach order.
+func (p *Patch) interiorRows(name string, fn func(row []float64)) {
 	f := p.Field(name)
-	g := p.Grown()
+	rw := RowsOf(p.Grown(), p.Box)
+	zo := rw.Base
+	for z := 0; z < rw.NZ; z++ {
+		o := zo
+		for y := 0; y < rw.NY; y++ {
+			fn(f[o : o+rw.N])
+			o += rw.SY
+		}
+		zo += rw.SZ
+	}
+}
+
+// Sum returns the sum of the field over the interior box only, added
+// in geom.Box.ForEach order.
+func (p *Patch) Sum(name string) float64 {
 	var s float64
-	p.Box.ForEach(func(i geom.Index) {
-		s += f[g.Offset(i)]
+	p.interiorRows(name, func(row []float64) {
+		for _, v := range row {
+			s += v
+		}
 	})
 	return s
 }
 
 // MaxAbs returns the maximum absolute value over the interior.
 func (p *Patch) MaxAbs(name string) float64 {
-	f := p.Field(name)
-	g := p.Grown()
 	var m float64
-	p.Box.ForEach(func(i geom.Index) {
-		if v := math.Abs(f[g.Offset(i)]); v > m {
-			m = v
+	p.interiorRows(name, func(row []float64) {
+		for _, v := range row {
+			if v := math.Abs(v); v > m {
+				m = v
+			}
 		}
 	})
 	return m
@@ -155,14 +179,15 @@ func (p *Patch) Bytes() int64 {
 	return p.Grown().NumCells() * int64(len(p.names)) * 8
 }
 
-// rows describes how a region's x-rows lie in x-fastest storage over a
-// containing box: the first row starts at base, consecutive y rows are
-// sy apart, consecutive z planes sz apart, and the region spans n × ny
-// × nz cells. Every transfer operator derives it once per call, so no
-// row loop recomputes the storage shape.
-type rows struct {
-	base, sy, sz int
-	n, ny, nz    int
+// Rows describes how a region's x-rows lie in x-fastest storage over a
+// containing box: the first row starts at Base, consecutive y rows are
+// SY apart, consecutive z planes SZ apart, and the region spans N × NY
+// × NZ cells. Every row loop — the transfer operators here and the
+// solver kernels — derives it once per call and advances by the
+// strides, so no row loop recomputes the storage shape.
+type Rows struct {
+	Base, SY, SZ int
+	N, NY, NZ    int
 }
 
 // strides returns the y and z strides of x-fastest storage over b.
@@ -171,17 +196,17 @@ func strides(b geom.Box) (sy, sz int) {
 	return sy, sy * (b.Hi[1] - b.Lo[1] + 1)
 }
 
-// rowsOf lays region (non-empty, inside store) out over storage box
+// RowsOf lays region (non-empty, inside store) out over storage box
 // store.
-func rowsOf(store, region geom.Box) rows {
+func RowsOf(store, region geom.Box) Rows {
 	sy, sz := strides(store)
-	return rows{
-		base: (region.Lo[0] - store.Lo[0]) + sy*(region.Lo[1]-store.Lo[1]) + sz*(region.Lo[2]-store.Lo[2]),
-		sy:   sy,
-		sz:   sz,
-		n:    region.Hi[0] - region.Lo[0] + 1,
-		ny:   region.Hi[1] - region.Lo[1] + 1,
-		nz:   region.Hi[2] - region.Lo[2] + 1,
+	return Rows{
+		Base: (region.Lo[0] - store.Lo[0]) + sy*(region.Lo[1]-store.Lo[1]) + sz*(region.Lo[2]-store.Lo[2]),
+		SY:   sy,
+		SZ:   sz,
+		N:    region.Hi[0] - region.Lo[0] + 1,
+		NY:   region.Hi[1] - region.Lo[1] + 1,
+		NZ:   region.Hi[2] - region.Lo[2] + 1,
 	}
 }
 
@@ -209,17 +234,17 @@ func CopyRegionFrom(dst *Patch, sf []float64, sbox geom.Box, name string, region
 		return
 	}
 	df := dst.Field(name)
-	d, s := rowsOf(dg, r), rowsOf(sbox, r)
-	dz, sz := d.base, s.base
-	for z := 0; z < d.nz; z++ {
+	d, s := RowsOf(dg, r), RowsOf(sbox, r)
+	dz, sz := d.Base, s.Base
+	for z := 0; z < d.NZ; z++ {
 		do, so := dz, sz
-		for y := 0; y < d.ny; y++ {
-			copy(df[do:do+d.n], sf[so:so+d.n])
-			do += d.sy
-			so += s.sy
+		for y := 0; y < d.NY; y++ {
+			copy(df[do:do+d.N], sf[so:so+d.N])
+			do += d.SY
+			so += s.SY
 		}
-		dz += d.sz
-		sz += s.sz
+		dz += d.SZ
+		sz += s.SZ
 	}
 }
 
@@ -246,9 +271,9 @@ func ClampRegion(p *Patch, name string, region, src geom.Box) {
 		return
 	}
 	f := p.Field(name)
-	rw := rowsOf(g, reg)
+	rw := RowsOf(g, reg)
 	// Offset of cell (reg.Lo[0], y, z); x positions are relative to it.
-	rowAt := func(y, z int) int { return rw.base + rw.sy*(y-reg.Lo[1]) + rw.sz*(z-reg.Lo[2]) }
+	rowAt := func(y, z int) int { return rw.Base + rw.SY*(y-reg.Lo[1]) + rw.SZ*(z-reg.Lo[2]) }
 	x0 := reg.Lo[0]
 	for z := reg.Lo[2]; z <= reg.Hi[2]; z++ {
 		sz := clampInt(z, src.Lo[2], src.Hi[2])
@@ -319,10 +344,10 @@ func RestrictInto(cf []float64, cbox, region geom.Box, fine *Patch, name string,
 	ff := fine.Field(name)
 	fg := fine.Grown()
 	fsy, fsz := strides(fg)
-	c := rowsOf(cbox, overlap)
+	c := RowsOf(cbox, overlap)
 	inv := 1.0 / float64(r*r*r)
 	r3 := float64(r * r * r)
-	cz0 := c.base
+	cz0 := c.Base
 	for cz := overlap.Lo[2]; cz <= overlap.Hi[2]; cz++ {
 		fz0, fz1 := max(cz*r, fb.Lo[2]), min(cz*r+r-1, fb.Hi[2])
 		co := cz0
@@ -349,9 +374,9 @@ func RestrictInto(cf []float64, cbox, region geom.Box, fine *Patch, name string,
 				}
 				cf[co+i] = s * inv * r3 / float64(n*planes)
 			}
-			co += c.sy
+			co += c.SY
 		}
-		cz0 += c.sz
+		cz0 += c.SZ
 	}
 }
 
@@ -382,19 +407,19 @@ func ProlongFrom(fine *Patch, cf []float64, cbox geom.Box, name string, r int, r
 		return
 	}
 	ff := fine.Field(name)
-	f := rowsOf(fg, reg)
+	f := RowsOf(fg, reg)
 	csy, csz := strides(cbox)
 	cx := floorDiv(reg.Lo[0], r)
 	rem0 := reg.Lo[0] - cx*r // position within the coarse cell, in [0,r)
 	cx -= cbox.Lo[0]
-	fz0 := f.base
+	fz0 := f.Base
 	for fz := reg.Lo[2]; fz <= reg.Hi[2]; fz++ {
 		cplane := cx + csz*(floorDiv(fz, r)-cbox.Lo[2])
 		fo := fz0
 		for fy := reg.Lo[1]; fy <= reg.Hi[1]; fy++ {
 			co := cplane + csy*(floorDiv(fy, r)-cbox.Lo[1])
 			rem := rem0
-			row := ff[fo : fo+f.n]
+			row := ff[fo : fo+f.N]
 			for i := range row {
 				row[i] = cf[co]
 				rem++
@@ -403,9 +428,9 @@ func ProlongFrom(fine *Patch, cf []float64, cbox geom.Box, name string, r int, r
 					co++
 				}
 			}
-			fo += f.sy
+			fo += f.SY
 		}
-		fz0 += f.sz
+		fz0 += f.SZ
 	}
 }
 

@@ -3,7 +3,6 @@ package solver
 import (
 	"math"
 
-	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
 )
 
@@ -35,40 +34,50 @@ func (a Advection3D) MaxSpeed() float64 {
 }
 
 // Step implements Kernel. Requires NGhost >= 1. The sweep is written
-// as explicit row loops over borrowed scratch (no per-step allocation,
-// no per-cell closure); pinned bit for bit against the closure-based
-// reference in kernels_ref_test.go.
+// as explicit row loops that walk the interior by stride (no per-step
+// allocation, no per-cell closure, no per-row index arithmetic) into
+// borrowed scratch, since each update reads its neighbours' pre-step
+// values; pinned bit for bit against the closure-based reference in
+// kernels_ref_test.go.
 func (a Advection3D) Step(p *grid.Patch, dt, dx float64) {
 	checkFieldList(p, a.Name(), qFields)
 	if p.NGhost < 1 {
 		panic("solver.Advection3D: needs at least one ghost cell")
 	}
 	q := p.Field(FieldQ)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
+	rw := grid.RowsOf(p.Grown(), p.Box)
+	stride := [3]int{1, rw.SY, rw.SZ}
 	lam := dt / dx
-	b := p.Box
 	sp := getScratch(len(q))
 	out := *sp
-	for z := b.Lo[2]; z <= b.Hi[2]; z++ {
-		for y := b.Lo[1]; y <= b.Hi[1]; y++ {
-			off := g.Offset(geom.Index{b.Lo[0], y, z})
-			for x := b.Lo[0]; x <= b.Hi[0]; x++ {
+	zo := rw.Base
+	for z := 0; z < rw.NZ; z++ {
+		off := zo
+		for y := 0; y < rw.NY; y++ {
+			for o := off; o < off+rw.N; o++ {
 				du := 0.0
 				for d := 0; d < 3; d++ {
 					v := a.Vel[d]
 					if v >= 0 {
-						du -= v * lam * (q[off] - q[off-stride[d]])
+						du -= v * lam * (q[o] - q[o-stride[d]])
 					} else {
-						du -= v * lam * (q[off+stride[d]] - q[off])
+						du -= v * lam * (q[o+stride[d]] - q[o])
 					}
 				}
-				out[off] = q[off] + du
-				off++
+				out[o] = q[o] + du
 			}
+			off += rw.SY
 		}
+		zo += rw.SZ
 	}
-	copyInterior(q, out, g, b)
+	zo = rw.Base
+	for z := 0; z < rw.NZ; z++ {
+		off := zo
+		for y := 0; y < rw.NY; y++ {
+			copy(q[off:off+rw.N], out[off:off+rw.N])
+			off += rw.SY
+		}
+		zo += rw.SZ
+	}
 	putScratch(sp)
 }

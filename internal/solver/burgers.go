@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"samrdlb/internal/geom"
-	"samrdlb/internal/grid"
-)
+import "samrdlb/internal/grid"
 
 // Burgers3D advances the inviscid Burgers equation
 // q_t + Σ_d ∂_d (q²/2) = 0 with the Godunov (exact Riemann) flux,
@@ -54,7 +51,7 @@ func (k Burgers3D) Step(p *grid.Patch, dt, dx float64) {
 }
 
 // StepFluxes implements FluxedKernel. Explicit row loops over pooled
-// fluxes and borrowed scratch, pinned bit for bit in kernels_ref_test.go.
+// fluxes, walked by stride, pinned bit for bit in kernels_ref_test.go.
 func (k Burgers3D) StepFluxes(p *grid.Patch, dt, dx float64) *Fluxes {
 	checkFieldList(p, k.Name(), qFields)
 	if p.NGhost < 1 {
@@ -62,22 +59,24 @@ func (k Burgers3D) StepFluxes(p *grid.Patch, dt, dx float64) *Fluxes {
 	}
 	q := p.Field(FieldQ)
 	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
 	lam := dt / dx
 	fl := NewFluxes(p.Box)
 	for d := 0; d < 3; d++ {
-		fb := fl.faceBox[d]
+		rw := grid.RowsOf(g, fl.faceBox[d])
+		lower := [3]int{1, rw.SY, rw.SZ}[d]
+		f := fl.f[d]
 		fo := 0
-		for z := fb.Lo[2]; z <= fb.Hi[2]; z++ {
-			for y := fb.Lo[1]; y <= fb.Hi[1]; y++ {
-				off := g.Offset(geom.Index{fb.Lo[0], y, z})
-				for x := fb.Lo[0]; x <= fb.Hi[0]; x++ {
-					fl.f[d][fo] = lam * godunovFlux(q[off-stride[d]], q[off])
+		zo := rw.Base
+		for z := 0; z < rw.NZ; z++ {
+			off := zo
+			for y := 0; y < rw.NY; y++ {
+				for o := off; o < off+rw.N; o++ {
+					f[fo] = lam * godunovFlux(q[o-lower], q[o])
 					fo++
-					off++
 				}
+				off += rw.SY
 			}
+			zo += rw.SZ
 		}
 	}
 	applyFluxes(p, q, fl)

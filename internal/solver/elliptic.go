@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"samrdlb/internal/geom"
-	"samrdlb/internal/grid"
-)
+import "samrdlb/internal/grid"
 
 // Field names used by the elliptic kernel.
 const (
@@ -53,24 +50,22 @@ func (gs GaussSeidel) Step(p *grid.Patch, _ float64, dx float64) {
 	}
 	phi := p.Field(FieldPhi)
 	rho := p.Field(FieldRho)
-	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
+	rw := grid.RowsOf(p.Grown(), p.Box)
+	stride := [3]int{1, rw.SY, rw.SZ}
 	h2 := dx * dx
 	b := p.Box
 	for sweep := 0; sweep < gs.sweeps(); sweep++ {
 		for color := 0; color < 2; color++ {
+			zo := rw.Base
 			for z := b.Lo[2]; z <= b.Hi[2]; z++ {
+				row := zo
 				for y := b.Lo[1]; y <= b.Hi[1]; y++ {
-					x0 := b.Lo[0]
-					if (x0+y+z)&1 != color {
-						x0++
+					// Parity start: the row's first cell of this colour.
+					x0 := 0
+					if (b.Lo[0]+y+z)&1 != color {
+						x0 = 1
 					}
-					if x0 > b.Hi[0] {
-						continue
-					}
-					off := g.Offset(geom.Index{x0, y, z})
-					for x := x0; x <= b.Hi[0]; x += 2 {
+					for off := row + x0; off < row+rw.N; off += 2 {
 						nb := phi[off-stride[0]] + phi[off+stride[0]] +
 							phi[off-stride[1]] + phi[off+stride[1]] +
 							phi[off-stride[2]] + phi[off+stride[2]]
@@ -78,9 +73,10 @@ func (gs GaussSeidel) Step(p *grid.Patch, _ float64, dx float64) {
 						// Not `= target`: the increment form rounds
 						// differently and is the pinned one.
 						phi[off] += target - phi[off]
-						off += 2
 					}
+					row += rw.SY
 				}
+				zo += rw.SZ
 			}
 		}
 	}

@@ -75,20 +75,6 @@ func (fl *Fluxes) FaceBox(d int) geom.Box { return fl.faceBox[d] }
 // slice aliases fl and dies with Release.
 func (fl *Fluxes) Faces(d int) []float64 { return fl.f[d] }
 
-// faceStride returns the linear stride along dimension d inside
-// faceBox[d]'s x-fastest storage.
-func (fl *Fluxes) faceStride(d int) int {
-	s := fl.faceBox[d].Shape()
-	switch d {
-	case 0:
-		return 1
-	case 1:
-		return s[0]
-	default:
-		return s[0] * s[1]
-	}
-}
-
 // FluxedKernel is a kernel that can expose its face fluxes.
 type FluxedKernel interface {
 	Kernel
@@ -106,74 +92,70 @@ func (a Advection3D) StepFluxes(p *grid.Patch, dt, dx float64) *Fluxes {
 	}
 	q := p.Field(FieldQ)
 	g := p.Grown()
-	s := g.Shape()
-	stride := [3]int{1, s[0], s[0] * s[1]}
 	lam := dt / dx
 	fl := NewFluxes(p.Box)
 	for d := 0; d < 3; d++ {
 		v := a.Vel[d]
-		fb := fl.faceBox[d]
+		rw := grid.RowsOf(g, fl.faceBox[d])
+		lower := [3]int{1, rw.SY, rw.SZ}[d]
+		f := fl.f[d]
 		fo := 0
-		for z := fb.Lo[2]; z <= fb.Hi[2]; z++ {
-			for y := fb.Lo[1]; y <= fb.Hi[1]; y++ {
-				off := g.Offset(geom.Index{fb.Lo[0], y, z})
-				for x := fb.Lo[0]; x <= fb.Hi[0]; x++ {
+		zo := rw.Base
+		for z := 0; z < rw.NZ; z++ {
+			off := zo
+			for y := 0; y < rw.NY; y++ {
+				for o := off; o < off+rw.N; o++ {
 					var qup float64
 					if v >= 0 {
-						qup = q[off-stride[d]] // face's lower cell
+						qup = q[o-lower] // face's lower cell
 					} else {
-						qup = q[off]
+						qup = q[o]
 					}
-					fl.f[d][fo] = v * lam * qup
+					f[fo] = v * lam * qup
 					fo++
-					off++
 				}
+				off += rw.SY
 			}
+			zo += rw.SZ
 		}
 	}
 	applyFluxes(p, q, fl)
 	return fl
 }
 
-// applyFluxes performs q_i -= F(i+e_d) - F(i) over the interior,
-// double-buffered through the scratch arena so the update reads the
-// pre-step state throughout.
+// applyFluxes performs q_i -= F(i+e_d) - F(i) over the interior, in
+// place: cell i's update reads only q_i and fluxes computed before it
+// starts, so no cell reads another's post-step value.
 func applyFluxes(p *grid.Patch, q []float64, fl *Fluxes) {
-	g := p.Grown()
-	b := p.Box
-	sp := getScratch(len(q))
-	out := *sp
-	fStride := [3]int{fl.faceStride(0), fl.faceStride(1), fl.faceStride(2)}
-	for z := b.Lo[2]; z <= b.Hi[2]; z++ {
-		for y := b.Lo[1]; y <= b.Hi[1]; y++ {
-			off := g.Offset(geom.Index{b.Lo[0], y, z})
-			var fOff [3]int
-			for d := 0; d < 3; d++ {
-				fOff[d] = fl.faceBox[d].Offset(geom.Index{b.Lo[0], y, z})
-			}
-			for x := b.Lo[0]; x <= b.Hi[0]; x++ {
+	rw := grid.RowsOf(p.Grown(), p.Box)
+	var fr [3]grid.Rows
+	for d := range fr {
+		fr[d] = grid.RowsOf(fl.faceBox[d], p.Box)
+	}
+	// The stride along d inside faceBox[d]: cell i's upper face.
+	fStride := [3]int{1, fr[1].SY, fr[2].SZ}
+	zo := rw.Base
+	fz := [3]int{fr[0].Base, fr[1].Base, fr[2].Base}
+	for z := 0; z < rw.NZ; z++ {
+		off, fy := zo, fz
+		for y := 0; y < rw.NY; y++ {
+			fOff := fy
+			for o := off; o < off+rw.N; o++ {
 				var du float64
 				for d := 0; d < 3; d++ {
 					du -= fl.f[d][fOff[d]+fStride[d]] - fl.f[d][fOff[d]]
 					fOff[d]++
 				}
-				out[off] = q[off] + du
-				off++
+				q[o] = q[o] + du
+			}
+			off += rw.SY
+			for d := range fy {
+				fy[d] += fr[d].SY
 			}
 		}
-	}
-	copyInterior(q, out, g, b)
-	putScratch(sp)
-}
-
-// copyInterior copies the interior rows of src into dst, both stored
-// over the grown box g.
-func copyInterior(dst, src []float64, g, b geom.Box) {
-	n := b.Hi[0] - b.Lo[0] + 1
-	for z := b.Lo[2]; z <= b.Hi[2]; z++ {
-		for y := b.Lo[1]; y <= b.Hi[1]; y++ {
-			off := g.Offset(geom.Index{b.Lo[0], y, z})
-			copy(dst[off:off+n], src[off:off+n])
+		zo += rw.SZ
+		for d := range fz {
+			fz[d] += fr[d].SZ
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,13 +11,19 @@ import (
 )
 
 // The hot kernels were rewritten from per-cell closures to explicit
-// row loops over pooled scratch. These tests pin every rewritten path
+// row loops walked by stride. These tests pin every rewritten path
 // against its retained reference implementation, bit for bit.
 
 func randKernelPatch(t *testing.T, fields ...string) *grid.Patch {
 	t.Helper()
-	p := grid.NewPatch(geom.UnitCube(12), 0, 2, fields...)
-	rng := rand.New(rand.NewSource(41))
+	return randPatchOver(geom.UnitCube(12), 2, 41, fields...)
+}
+
+// randPatchOver is a patch over box with ng ghosts whose fields hold
+// seeded values in [-1, 1), ghosts included.
+func randPatchOver(box geom.Box, ng int, seed int64, fields ...string) *grid.Patch {
+	p := grid.NewPatch(box, 0, ng, fields...)
+	rng := rand.New(rand.NewSource(seed))
 	for _, f := range fields {
 		p.FillFunc(f, func(geom.Index) float64 { return rng.Float64()*2 - 1 })
 	}
@@ -44,6 +52,129 @@ func TestAdvectionStepMatchesReference(t *testing.T) {
 		k.stepReference(b, 0.05, 0.1)
 	}
 	assertFieldsEqual(t, b, a, "Advection3D.Step")
+}
+
+// oddShape is a kernel box and its ghost width.
+type oddShape struct {
+	box geom.Box
+	ng  int
+}
+
+// oddShapes are kernel boxes a cube cannot stand in for: non-cubic,
+// at negative and odd Lo of both parities, with x-extents 1, 2 and 5
+// (a swapped x/y extent in a stride shows) and 1, 2 and 3 ghosts.
+func oddShapes() []oddShape {
+	var out []oddShape
+	i := 0
+	for _, nx := range []int{1, 2, 5} {
+		for ng := 1; ng <= 3; ng++ {
+			lo := geom.Index{i - 4, 3 - i, i - 7}
+			ext := geom.Index{nx, 3 + i%4, 6 - i%3}
+			out = append(out, oddShape{geom.Box{Lo: lo, Hi: lo.Add(ext).Add(geom.Index{-1, -1, -1})}, ng})
+			i++
+		}
+	}
+	return out
+}
+
+// assertFluxesEqual compares every face flux of got against want.
+func assertFluxesEqual(t *testing.T, want, got *Fluxes, context string) {
+	t.Helper()
+	for d := 0; d < 3; d++ {
+		got.FaceBox(d).ForEach(func(i geom.Index) {
+			if got.At(d, i) != want.At(d, i) {
+				t.Fatalf("%s: flux dim %d at %v: got %v, reference %v", context, d, i, got.At(d, i), want.At(d, i))
+			}
+		})
+	}
+}
+
+// assertGhostsUntouched fails if any ghost cell of after differs from
+// before: a step writes the interior only.
+func assertGhostsUntouched(t *testing.T, before, after *grid.Patch, context string) {
+	t.Helper()
+	for _, f := range before.FieldNames() {
+		after.Grown().ForEach(func(i geom.Index) {
+			if !after.Box.Contains(i) && after.At(f, i) != before.At(f, i) {
+				t.Fatalf("%s: ghost %v of %q changed: %v -> %v", context, i, f, before.At(f, i), after.At(f, i))
+			}
+		})
+	}
+}
+
+// TestKernelsMatchReferenceOnOddShapes pins every kernel path, bit for
+// bit, against its reference on each of oddShapes, and checks that no
+// step writes a ghost cell.
+func TestKernelsMatchReferenceOnOddShapes(t *testing.T) {
+	adv := Advection3D{Vel: [3]float64{0.7, -0.4, 0.3}}
+	advNeg := Advection3D{Vel: [3]float64{-0.6, 0.5, -0.2}}
+	for n, sh := range oddShapes() {
+		box, ng := sh.box, sh.ng
+		t.Run(fmt.Sprintf("%v/ng%d", box, ng), func(t *testing.T) {
+			for _, k := range []Advection3D{adv, advNeg} {
+				a := randPatchOver(box, ng, int64(n), FieldQ)
+				b, orig := a.Clone(), a.Clone()
+				k.Step(a, 0.05, 0.1)
+				k.stepReference(b, 0.05, 0.1)
+				assertFieldsEqual(t, b, a, "Advection3D.Step")
+				assertGhostsUntouched(t, orig, a, "Advection3D.Step")
+
+				a, b = orig.Clone(), orig.Clone()
+				fa := k.StepFluxes(a, 0.05, 0.1)
+				fb := k.stepFluxesReference(b, 0.05, 0.1)
+				assertFieldsEqual(t, b, a, "Advection3D.StepFluxes")
+				assertFluxesEqual(t, fb, fa, "Advection3D.StepFluxes")
+				assertGhostsUntouched(t, orig, a, "Advection3D.StepFluxes")
+				fa.Release()
+			}
+
+			a := randPatchOver(box, ng, int64(n), FieldQ)
+			b, orig := a.Clone(), a.Clone()
+			fa := Burgers3D{}.StepFluxes(a, 0.02, 0.1)
+			fb := Burgers3D{}.stepReference(b, 0.02, 0.1)
+			assertFieldsEqual(t, b, a, "Burgers3D.StepFluxes")
+			assertFluxesEqual(t, fb, fa, "Burgers3D.StepFluxes")
+			assertGhostsUntouched(t, orig, a, "Burgers3D.StepFluxes")
+			fa.Release()
+
+			gs := GaussSeidel{Sweeps: 2}
+			a = randPatchOver(box, ng, int64(n), FieldPhi, FieldRho)
+			b, orig = a.Clone(), a.Clone()
+			gs.Step(a, 0, 0.1)
+			refGaussSeidel(gs, b, 0.1)
+			assertFieldsEqual(t, b, a, "GaussSeidel.Step")
+			assertGhostsUntouched(t, orig, a, "GaussSeidel.Step")
+		})
+	}
+}
+
+// TestPatchRowLoopsMatchPerCell pins FillFunc (its call order included),
+// Sum and MaxAbs against per-cell ForEach references on oddShapes.
+func TestPatchRowLoopsMatchPerCell(t *testing.T) {
+	for n, sh := range oddShapes() {
+		box := sh.box
+		p := grid.NewPatch(box, 0, sh.ng, FieldQ)
+		rng := rand.New(rand.NewSource(int64(n)))
+		p.FillFunc(FieldQ, func(geom.Index) float64 { return rng.Float64()*2 - 1 })
+
+		want := grid.NewPatch(box, 0, sh.ng, FieldQ)
+		rng = rand.New(rand.NewSource(int64(n)))
+		want.Grown().ForEach(func(i geom.Index) { want.Set(FieldQ, i, rng.Float64()*2-1) })
+		assertFieldsEqual(t, want, p, fmt.Sprintf("FillFunc over %v", box))
+
+		var sum, maxAbs float64
+		p.Box.ForEach(func(i geom.Index) {
+			v := p.At(FieldQ, i)
+			sum += v
+			maxAbs = math.Max(maxAbs, math.Abs(v))
+		})
+		if got := p.Sum(FieldQ); got != sum {
+			t.Errorf("Sum over %v: %v, per-cell %v", box, got, sum)
+		}
+		if got := p.MaxAbs(FieldQ); got != maxAbs {
+			t.Errorf("MaxAbs over %v: %v, per-cell %v", box, got, maxAbs)
+		}
+	}
 }
 
 func TestBurgersStepMatchesReference(t *testing.T) {

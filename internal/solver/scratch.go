@@ -2,12 +2,15 @@ package solver
 
 import "sync"
 
-// Kernel scratch arena: the hyperbolic kernels need one full-patch
-// work array per Step, and Step runs for every grid on every level
-// substep. Allocating it with make() put ~one large garbage slice per
-// grid-step on the heap; the arena recycles them across steps and
-// across goroutines (the pool advances many grids concurrently, so
-// the arena must be concurrency-safe — sync.Pool is).
+// Kernel scratch arena: the upwind advection step reads its
+// neighbours' pre-step values, so it writes one full-patch work array
+// per Step, and Step runs for every grid on every level substep.
+// Allocating it with make() put ~one large garbage slice per grid-step
+// on the heap; the arena recycles them across steps and across
+// goroutines (the pool advances many grids concurrently, so the arena
+// must be concurrency-safe — sync.Pool is). The fluxed kernels need
+// none: their update reads only fluxes and the cell itself, so it is
+// applied in place.
 //
 // Ownership rule: a scratch slice is owned by exactly one kernel
 // invocation between getScratch and putScratch; it is never retained
