@@ -256,6 +256,10 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"the fluxed update reads only fluxes and the cell itself, so it is applied in place"},
 	{`ForEach\(func`, "internal/grid/patch.go",
 		"FillFunc, Sum and MaxAbs are row loops in storage order, with no per-cell closure"},
+	{`ghostLen|sizeHint|ghostCap`, "internal/amr/*.go",
+		"a ghost plan is copied exact-size from its chunks' blocks, so no stale length sizes it"},
+	{`h\.Locate\(`, "internal/engine/*.go",
+		"the particle census takes the level-0 Locator once, not planMu per particle"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

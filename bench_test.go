@@ -772,7 +772,8 @@ var benchGhostPlanSizes = []int{4096, 16384}
 // construction through the spatial index at 4096 and 16384 level-0
 // grids, and on level 2 of a regridded AMR64 hierarchy at 64³ — level 0
 // has no coarse level, so only a fine level reaches the prolongation
-// remainder.
+// remainder. At 4096 grids, manygrids' level 0, it also plans on pools
+// of one and two workers.
 func BenchmarkGhostPlanIndexed(b *testing.B) {
 	run := func(name string, h *amr.Hierarchy, l int) {
 		b.Run(name, func(b *testing.B) {
@@ -789,9 +790,30 @@ func BenchmarkGhostPlanIndexed(b *testing.B) {
 	for _, n := range benchGhostPlanSizes {
 		run(fmt.Sprintf("grids%d", n), planBenchHierarchy(n), 0)
 	}
+	for _, w := range []int{1, 2} {
+		h := planBenchHierarchy(4096)
+		h.SetPool(solver.NewPool(w))
+		run(fmt.Sprintf("grids4096/pool%d", w), h, 0)
+	}
 	h, regrid := amr64BenchHierarchy()
 	regrid()
 	run("AMR64-64-level2", h, 2)
+}
+
+// BenchmarkParticleStep measures one leapfrog push of AMR64's 2048
+// particles on pools of one and two workers.
+func BenchmarkParticleStep(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("pool%d", w), func(b *testing.B) {
+			ps := workload.NewAMR64(64, 2, 42).Particles()
+			pool := solver.NewPool(w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ps.Step(0.01, pool)
+			}
+		})
+	}
 }
 
 // BenchmarkGhostPlanScan is the retained O(n²) baseline of the pair.

@@ -92,23 +92,20 @@ type planCache struct {
 	// iface is the interface plan between this level and the next
 	// coarser one (see reflux.go).
 	iface *interfacePlan
-
-	// ghostLen is len(ghost) of an entry whose plans were released.
-	ghostLen int
 }
 
 // releasePlans drops the plans and the index of level l, which the
 // caller has just made stale, keeping what the next refresh reads from
-// a stale entry: the kinds it had built and the ghost list's length.
-// They would be rebuilt on their next use either way; dropped here, a
-// collection that runs during the regrid in between does not mark
-// them, and what it marks sets how far the heap grows before the next
-// one: a data run's peak RSS falls by a fifth.
+// a stale entry: the kinds it had built. They would be rebuilt on their
+// next use either way; dropped here, a collection that runs during the
+// regrid in between does not mark them, and what it marks sets how far
+// the heap grows before the next one: a data run's peak RSS falls by a
+// fifth.
 func (h *Hierarchy) releasePlans(l int) {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
 	c := &h.plans[l]
-	*c = planCache{gen: c.gen, coarseGen: c.coarseGen, built: c.built, ghostLen: max(len(c.ghost), c.ghostLen)}
+	*c = planCache{gen: c.gen, coarseGen: c.coarseGen, built: c.built}
 	h.index[l] = nil
 }
 
@@ -126,11 +123,8 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 	if l > 0 {
 		coarseGen, coarseOwn = h.gen[l-1], h.own[l-1]
 	}
-	ghostCap := 0
 	if c.gen != gen || c.coarseGen != coarseGen {
-		// The stale plan's length sizes its replacement: growing the
-		// message list by append costs ~5x its final size in garbage.
-		need, ghostCap = need|c.built&^planXfer, max(len(c.ghost), c.ghostLen)
+		need |= c.built &^ planXfer
 		*c = planCache{gen: gen, coarseGen: coarseGen}
 	} else if c.own != own || c.coarseOwn != coarseOwn {
 		c.built &^= planXfer
@@ -141,7 +135,7 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 	}
 	need &^= c.built
 	if need&planMsg != 0 {
-		c.ghost = h.buildGhostPlan(l, false, ghostCap)
+		c.ghost = h.buildGhostPlan(l, false)
 		c.restrict = h.RestrictPlan(l, false)
 	}
 	// The two tables are built apart: a local balance usually moves an
@@ -173,13 +167,31 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 }
 
 // planScratch holds the per-destination working storage of the plan
-// builders — candidate lists and box decompositions — pooled so plan
-// rebuilds stop allocating per grid.
+// builders — candidate lists, box decompositions and a chunk's message
+// blocks — pooled so plan rebuilds stop allocating per grid.
 type planScratch struct {
 	cand, cand2    []*Grid
 	ghost, covered geom.BoxList
 	rem, tmp       geom.BoxList
+	// blocks hold a ghost-plan chunk's messages in order; block is
+	// the one kept for the next chunk.
+	blocks [][]Message
+	block  []Message
 }
+
+// planChunk is the fewest destination grids a plan builder gives one
+// pool task: a chunk is a few hundred microseconds of planning, far
+// above what a task costs to start.
+const planChunk = 64
+
+// A ghost-plan chunk collects its messages in blocks of up to
+// maxMsgBlock messages (128 KiB), each twice the last, and closes a
+// block when fewer than destMsgs slots are left, about what one
+// destination sends. A pooled planScratch keeps its last block.
+const (
+	maxMsgBlock = 1 << 12
+	destMsgs    = 64
+)
 
 var planScratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 
@@ -298,21 +310,53 @@ func byPair(a, b Transfer) int {
 func (h *Hierarchy) GhostPlan(l int, dropLocal bool) []Message {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.buildGhostPlan(l, dropLocal, 0)
+	return h.buildGhostPlan(l, dropLocal)
 }
 
-// buildGhostPlan is GhostPlan for callers that hold planMu, with the
-// expected message count as a capacity hint.
-func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool, sizeHint int) []Message {
+// buildGhostPlan is GhostPlan for callers that hold planMu. The level's
+// grids are cut into contiguous chunks planned over the pool, each into
+// its own blocks, and the blocks are copied in chunk order into one
+// exact-size plan: the serial plan, whatever the pool's width.
+//
+// A block is never regrown. Growing one list by append would cost ~5x
+// its final length in garbage, and a level's first plan has no length
+// to size it by.
+func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool) []Message {
 	li := h.indexFor(l)
 	dom := h.DomainAt(l)
 	bytesPerCell := int64(len(h.Fields)) * 8
-	scr := getPlanScratch()
-	out := make([]Message, 0, sizeHint)
-	for _, g := range h.Grids(l) {
-		out = h.appendGhostDest(out, g, l, li, dom, bytesPerCell, dropLocal, scr)
+	grids := h.Grids(l)
+	parts := make([]*planScratch, h.pool.Chunks(len(grids), planChunk))
+	h.pool.ForChunks(len(grids), planChunk, func(c, lo, hi int) {
+		scr := getPlanScratch()
+		cur := scr.block[:0]
+		for _, g := range grids[lo:hi] {
+			if cap(cur)-len(cur) < destMsgs {
+				scr.blocks = append(scr.blocks, cur)
+				cur = make([]Message, 0, min(max(2*cap(cur), destMsgs), maxMsgBlock))
+			}
+			cur = h.appendGhostDest(cur, g, l, li, dom, bytesPerCell, dropLocal, scr)
+		}
+		scr.blocks = append(scr.blocks, cur)
+		parts[c] = scr
+	})
+	n := 0
+	for _, scr := range parts {
+		for _, b := range scr.blocks {
+			n += len(b)
+		}
 	}
-	putPlanScratch(scr)
+	out := make([]Message, 0, n)
+	for _, scr := range parts {
+		for _, b := range scr.blocks {
+			out = append(out, b...)
+		}
+		// Keep the last block, the longest, and drop the rest.
+		scr.block = scr.blocks[len(scr.blocks)-1][:0]
+		clear(scr.blocks)
+		scr.blocks = scr.blocks[:0]
+		putPlanScratch(scr)
+	}
 	return out
 }
 

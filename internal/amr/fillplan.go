@@ -68,7 +68,9 @@ func (h *Hierarchy) restrictDataPlan(l int) []restrictDest {
 }
 
 // buildFillPlan plans level l's ghost fill, one work list per grid in
-// level-list order. Callers hold planMu.
+// level-list order. The grids are cut into contiguous chunks planned
+// over the pool, each writing only its own grids' entries. Callers
+// hold planMu.
 func (h *Hierarchy) buildFillPlan(l int) []fillDest {
 	grids := h.Grids(l)
 	li := h.indexFor(l)
@@ -77,12 +79,14 @@ func (h *Hierarchy) buildFillPlan(l int) []fillDest {
 		cli = h.indexFor(l - 1)
 	}
 	dom := h.DomainAt(l)
-	scr := getPlanScratch()
-	plan := make([]fillDest, 0, len(grids))
-	for _, g := range grids {
-		plan = append(plan, h.buildFillDest(g, l, li, cli, dom, scr))
-	}
-	putPlanScratch(scr)
+	plan := make([]fillDest, len(grids))
+	h.pool.ForChunks(len(grids), planChunk, func(_, lo, hi int) {
+		scr := getPlanScratch()
+		for i := lo; i < hi; i++ {
+			plan[i] = h.buildFillDest(grids[i], l, li, cli, dom, scr)
+		}
+		putPlanScratch(scr)
+	})
 	return plan
 }
 

@@ -184,10 +184,18 @@ func (h *Hierarchy) currentIndex(l int) *levelIndex {
 	return h.indexFor(l)
 }
 
+// Locator answers which grid of one level holds a cell. It reads the
+// level's index, which is never written once built, so it takes no
+// lock and holds for as long as the level's structure stands.
+type Locator struct{ li *levelIndex }
+
+// Locator returns level l's Locator, taking planMu once to fetch it.
+func (h *Hierarchy) Locator(l int) Locator { return Locator{h.currentIndex(l)} }
+
 // Locate returns the position in Grids(l) of the grid whose box holds
 // the level-l cell, or -1 when no grid does.
-func (h *Hierarchy) Locate(l int, cell geom.Index) int {
-	li := h.currentIndex(l)
+func (lc Locator) Locate(cell geom.Index) int {
+	li := lc.li
 	at, _ := li.bucketRange(geom.Box{Lo: cell, Hi: cell})
 	for _, g := range li.buckets[(at[2]*li.dims[1]+at[1])*li.dims[0]+at[0]] {
 		if g.Box.Contains(cell) {

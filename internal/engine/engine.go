@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"samrdlb/internal/amr"
@@ -1068,7 +1069,7 @@ func (r *Runner) particleWork(work []float64) {
 	if ps == nil {
 		return
 	}
-	ps.Step(r.dt0)
+	ps.Step(r.dt0, r.opt.Pool)
 	grids := r.h.Grids(0)
 	for at, n := range r.particlesPerGrid(ps) {
 		work[grids[at].Owner] += float64(n) * solver.FlopsPerParticle
@@ -1080,11 +1081,14 @@ func (r *Runner) particleWork(work []float64) {
 // its level-0 cell. The slice is reused by the next call.
 func (r *Runner) particlesPerGrid(ps *solver.ParticleSet) []int {
 	dx0 := r.dx(0)
-	r.inGrid = append(r.inGrid[:0], make([]int, len(r.h.Grids(0)))...)
+	n := len(r.h.Grids(0))
+	r.inGrid = slices.Grow(r.inGrid[:0], n)[:n]
+	clear(r.inGrid)
+	loc := r.h.Locator(0)
 	for i := range ps.Particles {
 		pos := &ps.Particles[i].Pos
 		cell := geom.Index{cellOf(pos[0], dx0), cellOf(pos[1], dx0), cellOf(pos[2], dx0)}
-		if at := r.h.Locate(0, cell); at >= 0 {
+		if at := loc.Locate(cell); at >= 0 {
 			r.inGrid[at]++
 		}
 	}

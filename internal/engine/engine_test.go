@@ -621,7 +621,7 @@ func TestParticlesPerGridMatchesCountInRegion(t *testing.T) {
 		steps := 0
 		for _, upTo := range []int{0, 1, 50} {
 			for ; steps < upTo; steps++ {
-				ps.Step(r.dt0)
+				ps.Step(r.dt0, nil)
 			}
 			got := r.particlesPerGrid(ps)
 			total := 0

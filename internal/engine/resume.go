@@ -153,7 +153,7 @@ func (r *Runner) restoreFromMeta(m *ckpt.Meta) error {
 	// (pure integration, no randomness) match the original run's.
 	if ps := r.driver.Particles(); ps != nil {
 		for i := 0; i <= m.Step; i++ {
-			ps.Step(r.dt0)
+			ps.Step(r.dt0, r.opt.Pool)
 		}
 	}
 	return nil

@@ -32,9 +32,19 @@ type ParticleSet struct {
 // step, used by the compute model.
 const FlopsPerParticle = 40.0
 
-// Step advances all particles by dt with kick-drift-kick leapfrog.
-func (ps *ParticleSet) Step(dt float64) {
-	for i := range ps.Particles {
+// particleChunk is the fewest particles Step gives one pool task.
+const particleChunk = 256
+
+// Step advances all particles by dt with kick-drift-kick leapfrog,
+// in contiguous ranges over the pool. A particle reads only itself and
+// the centres, so the result is the serial one at any pool width.
+func (ps *ParticleSet) Step(dt float64, pool *Pool) {
+	pool.ForChunks(len(ps.Particles), particleChunk, func(_, lo, hi int) { ps.stepRange(dt, lo, hi) })
+}
+
+// stepRange advances particles [lo,hi) by dt.
+func (ps *ParticleSet) stepRange(dt float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		p := &ps.Particles[i]
 		a := ps.accel(p.Pos)
 		for d := 0; d < 3; d++ {

@@ -99,3 +99,20 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		panic(run.value)
 	}
 }
+
+// Chunks returns how many contiguous chunks ForChunks cuts n items
+// into: one per worker, but none shorter than minLen items, so a nil
+// pool, a one-worker pool or a short list is one chunk.
+func (p *Pool) Chunks(n, minLen int) int {
+	return max(1, min(p.Workers(), n/minLen))
+}
+
+// ForChunks cuts [0,n) into Chunks(n, minLen) contiguous ranges, the
+// c-th before the (c+1)-th, and runs fn(c, lo, hi) for each over the
+// pool; a single chunk runs inline. A caller that writes chunk c's
+// output to its own slot and folds the slots back in c order gets the
+// serial result whatever the pool's width.
+func (p *Pool) ForChunks(n, minLen int, fn func(c, lo, hi int)) {
+	k := p.Chunks(n, minLen)
+	p.ForEach(k, func(c int) { fn(c, c*n/k, (c+1)*n/k) })
+}

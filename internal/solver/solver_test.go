@@ -232,7 +232,7 @@ func TestParticleLeapfrogBoundedOrbit(t *testing.T) {
 		Domain:    1,
 	}
 	for s := 0; s < 2000; s++ {
-		ps.Step(0.01)
+		ps.Step(0.01, nil)
 		p := ps.Particles[0].Pos
 		for d := 0; d < 3; d++ {
 			if p[d] < 0 || p[d] >= 1 {
@@ -251,11 +251,42 @@ func TestParticleFreeStreaming(t *testing.T) {
 		Domain:    1,
 	}
 	for s := 0; s < 95; s++ {
-		ps.Step(0.1)
+		ps.Step(0.1, nil)
 	}
 	// No force: x = 0.1 + 95*0.1*0.1 = 1.05 -> wraps to 0.05.
 	if got := ps.Particles[0].Pos[0]; math.Abs(got-0.05) > 1e-12 {
 		t.Errorf("free streaming pos = %v", got)
+	}
+}
+
+// TestParticleStepPoolWidth: pushing particles in chunks over a pool
+// of two or four workers gives the bits the serial push gives.
+func TestParticleStepPoolWidth(t *testing.T) {
+	fresh := func() *ParticleSet {
+		ps := &ParticleSet{Centers: [][3]float64{{0.3, 0.4, 0.5}, {0.7, 0.2, 0.6}}, G: 0.005, Domain: 1}
+		for i := 0; i < 1000; i++ {
+			f := float64(i) / 1000
+			ps.Particles = append(ps.Particles, Particle{Pos: [3]float64{f, math.Mod(3*f, 1), math.Mod(7*f, 1)}, Vel: [3]float64{0.01, -0.02, f / 50}, Mass: 1})
+		}
+		return ps
+	}
+	want := fresh()
+	for s := 0; s < 20; s++ {
+		want.Step(0.05, nil)
+	}
+	for _, w := range []int{2, 4} {
+		if k := NewPool(w).Chunks(len(want.Particles), particleChunk); k != min(w, 3) {
+			t.Fatalf("%d workers cut %d particles into %d chunks", w, len(want.Particles), k)
+		}
+		got := fresh()
+		for s := 0; s < 20; s++ {
+			got.Step(0.05, NewPool(w))
+		}
+		for i := range want.Particles {
+			if got.Particles[i] != want.Particles[i] {
+				t.Fatalf("%d workers: particle %d is %+v, serial push %+v", w, i, got.Particles[i], want.Particles[i])
+			}
+		}
 	}
 }
 
@@ -292,6 +323,39 @@ func TestPoolSingleWorkerAndEmpty(t *testing.T) {
 	p.ForEach(0, func(int) { t.Error("must not be called") })
 	if NewPool(0).Workers() < 1 {
 		t.Error("default pool must have at least one worker")
+	}
+}
+
+// TestPoolForChunks: the chunks are one per worker but none shorter
+// than the minimum, and they cover [0,n) in order, chunk c before c+1.
+func TestPoolForChunks(t *testing.T) {
+	for _, tc := range []struct {
+		pool            *Pool
+		n, minLen, want int
+	}{
+		{nil, 1000, 10, 1},
+		{NewPool(1), 1000, 10, 1},
+		{NewPool(4), 1000, 10, 4},
+		{NewPool(4), 30, 10, 3},
+		{NewPool(4), 9, 10, 1},
+		{NewPool(4), 0, 10, 1},
+	} {
+		k := tc.pool.Chunks(tc.n, tc.minLen)
+		if k != tc.want {
+			t.Errorf("%d workers, n=%d, min %d: %d chunks, want %d", tc.pool.Workers(), tc.n, tc.minLen, k, tc.want)
+		}
+		ranges := make([][2]int, k)
+		tc.pool.ForChunks(tc.n, tc.minLen, func(c, lo, hi int) { ranges[c] = [2]int{lo, hi} })
+		next := 0
+		for c, r := range ranges {
+			if r[0] != next || r[1] < r[0] || (k > 1 && r[1]-r[0] < tc.minLen) {
+				t.Fatalf("%d workers, n=%d: chunk %d is [%d,%d) after %d", tc.pool.Workers(), tc.n, c, r[0], r[1], next)
+			}
+			next = r[1]
+		}
+		if next != tc.n {
+			t.Errorf("%d workers, n=%d: chunks end at %d", tc.pool.Workers(), tc.n, next)
+		}
 	}
 }
 
