@@ -260,6 +260,8 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"a ghost plan is copied exact-size from its chunks' blocks, so no stale length sizes it"},
 	{`h\.Locate\(`, "internal/engine/*.go",
 		"the particle census takes the level-0 Locator once, not planMu per particle"},
+	{`(?i:manifest)|MkdirTemp`, "internal/ckpt/*.go internal/scenario/*.go",
+		"a store is what its directory holds, scanned on open; an in-process cut keeps its generations in memory"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

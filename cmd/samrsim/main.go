@@ -50,6 +50,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/exp"
 	"samrdlb/internal/invariant"
@@ -213,7 +214,10 @@ func (f *flags) attach(spec *scenario.Scenario, more func(*engine.Options)) (fun
 	}
 	return func(o *engine.Options) {
 		o.Pool = pool
-		o.CheckpointDir, o.CheckpointKeep, o.WireTimeout = f.ckptDir, f.ckptKeep, f.wireTimeout
+		o.CheckpointKeep, o.WireTimeout = f.ckptKeep, f.wireTimeout
+		if f.ckptDir != "" {
+			o.Checkpoints = ckpt.OSDir(f.ckptDir)
+		}
 		if checker != nil {
 			o.Invariants = checker.Check
 		}
@@ -243,8 +247,7 @@ func runOne(f *flags, spec *scenario.Scenario) int {
 			o.Steps = f.stopAfter + 1
 		}
 	})
-	runner, report, cleanup, err := spec.Start(f.resume, attach)
-	defer cleanup()
+	runner, report, err := spec.Start(f.resume, attach)
 	if err != nil {
 		fmt.Fprintf(f.stderr, "samrsim: %v\n", err)
 		return 1

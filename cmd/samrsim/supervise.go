@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
@@ -82,7 +83,7 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 					// Each worker owns its own store under the shared -ckpt-dir, so
 					// a restarted worker resumes from the generations its own
 					// previous incarnation wrote.
-					o.CheckpointDir = filepath.Join(f.ckptDir, fmt.Sprintf("worker-%d", shard))
+					o.Checkpoints = ckpt.OSDir(filepath.Join(f.ckptDir, fmt.Sprintf("worker-%d", shard)))
 				}
 				o.AfterStep = func(step int, _ *engine.Runner) {
 					if report != nil {
@@ -90,13 +91,13 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 					}
 				}
 			})
-			r, _, _, err := spec.Start(f.workerRestart, attach)
+			r, _, err := spec.Start(f.workerRestart, attach)
 			if err != nil && f.workerRestart {
 				// The previous incarnation died before its first durable
 				// write (or the store is damaged): determinism makes a
 				// fresh replay byte-identical.
 				fmt.Fprintf(f.stderr, "worker %d: no usable checkpoint (%v); replaying fresh\n", shard, err)
-				r, _, _, err = spec.Start(false, attach)
+				r, _, err = spec.Start(false, attach)
 			}
 			if err != nil {
 				return nil, err

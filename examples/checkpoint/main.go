@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/workload"
@@ -20,7 +21,7 @@ import (
 func opts(dir string, steps int) engine.Options {
 	return engine.Options{
 		Steps: steps, MaxLevel: 2, WithData: true,
-		CheckpointInterval: 2, CheckpointDir: dir,
+		CheckpointInterval: 2, Checkpoints: ckpt.OSDir(dir),
 	}
 }
 

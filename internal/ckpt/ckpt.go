@@ -2,14 +2,16 @@
 // store for long SAMR campaigns. The engine writes a new generation
 // every CheckpointInterval level-0 steps; each generation is a
 // CRC32-framed record stream holding an engine-state header plus the
-// amr.Save gob payload, written via temp file + fsync + atomic rename
-// so a crash mid-write never destroys an older generation. A small
-// manifest tracks the retained generations (newest last); Restore
-// verifies every frame checksum and falls back generation by
-// generation when the newest checkpoint is torn or bit-flipped,
-// reporting what was skipped.
+// amr.Save gob payload. A Store keeps its generations in a Dir: an
+// OSDir writes each one via temp file + fsync + atomic rename, so a
+// crash mid-write never destroys an older generation, and a memory
+// Dir (NewMemDir) serves a resume cut whose "interrupted process" is
+// the same process. Open scans the directory and keeps the newest
+// generations; Restore verifies every frame checksum and falls back
+// generation by generation when the newest checkpoint is torn or
+// bit-flipped, reporting what was skipped.
 //
-// On-disk layout of one generation (gen-%06d.ckpt):
+// Layout of one generation (gen-%06d.ckpt):
 //
 //	magic "SAMRCKP1"                              (8 bytes)
 //	frame 0: uint32 BE length | uint32 BE CRC32-IEEE | gob(Meta)
@@ -27,8 +29,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
@@ -115,8 +118,8 @@ type Meta struct {
 // without an import in either direction. n is the write's sequence
 // index (attempts since campaign start), t the virtual time.
 type DiskFault interface {
-	// WriteError reports whether the write fails outright (the file
-	// and manifest are left untouched).
+	// WriteError reports whether the write fails outright (the
+	// directory is left untouched).
 	WriteError(n int, t float64) bool
 	// TornWrite reports whether the write lands torn, and the fraction
 	// of bytes in [0,1) that survive.
@@ -125,62 +128,62 @@ type DiskFault interface {
 	// and a unit value in [0,1) selecting which bit.
 	FlipBit(n int, t float64) (bool, float64)
 	// RemoveError reports whether deleting a pruned generation file
-	// fails (the file stays on disk; the store stops tracking it).
+	// fails (the file stays behind; the store stops tracking it).
 	RemoveError(n int, t float64) bool
 }
 
 // Store manages a directory of checkpoint generations.
 type Store struct {
-	dir       string
+	dir       Dir
 	keep      int
 	fault     DiskFault
-	gens      []GenEntry // in-memory manifest view, oldest first
+	gens      []GenEntry // the retained generations, oldest first
 	pruneErrs int        // pruned-file deletions that failed since Open
 }
 
-// GenEntry is one manifest row.
+// GenEntry is one retained generation.
 type GenEntry struct {
-	Gen     int     `json:"gen"`
-	File    string  `json:"file"`
-	Step    int     `json:"step"`
-	SimTime float64 `json:"simTime"`
-	Size    int64   `json:"size"`
+	Gen  int
+	File string
 }
 
-// Open creates (or reopens) a store rooted at dir, retaining keep
-// generations (keep < 1 is treated as 1). An existing manifest is
-// loaded; a missing or corrupt one falls back to scanning the
-// directory, so a store survives losing its manifest.
+// Open creates (or reopens) a store in the OS directory dir, retaining
+// keep generations (keep < 1 is treated as 1).
 func Open(dir string, keep int) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("ckpt.Open: empty directory")
 	}
+	return OpenDir(OSDir(dir), keep)
+}
+
+// OpenDir opens a store in d. It scans d for generation files and
+// keeps the newest keep of them, which is the set the store retained
+// after its last write: a file a failed prune stranded stays out of
+// Restore's chain, as it did before the restart.
+func OpenDir(d Dir, keep int) (*Store, error) {
 	if keep < 1 {
 		keep = 1
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	names, err := d.List()
+	if err != nil {
 		return nil, fmt.Errorf("ckpt.Open: %w", err)
 	}
-	s := &Store{dir: dir, keep: keep}
-	gens, err := s.loadManifest()
-	if err != nil {
-		// Manifest missing or corrupt: rebuild the view from the
-		// generation files themselves.
-		gens = s.scanDir()
+	var gens []GenEntry
+	for _, name := range names {
+		num, isGen := strings.CutPrefix(name, "gen-")
+		num, isCkpt := strings.CutSuffix(num, ".ckpt")
+		if n, err := strconv.Atoi(num); isGen && isCkpt && err == nil && n > 0 {
+			gens = append(gens, GenEntry{Gen: n, File: name})
+		}
 	}
-	s.gens = gens
-	return s, nil
+	sort.Slice(gens, func(i, j int) bool { return gens[i].Gen < gens[j].Gen })
+	return &Store{dir: d, keep: keep, gens: gens[max(0, len(gens)-keep):]}, nil
 }
 
 // SetFault attaches a disk-fault injector consulted on every write.
 func (s *Store) SetFault(f DiskFault) { s.fault = f }
 
-// Generations returns the tracked generations, oldest first.
-func (s *Store) Generations() []GenEntry {
-	return append([]GenEntry(nil), s.gens...)
-}
-
-// latestGen returns the highest tracked generation number (0 if none).
+// latestGen returns the highest retained generation number (0 if none).
 func (s *Store) latestGen() int {
 	if len(s.gens) == 0 {
 		return 0
@@ -298,69 +301,19 @@ func (s *Store) Write(meta *Meta, hierarchy []byte, seq int, now float64) (int, 
 
 	gen := s.latestGen() + 1
 	name := genFile(gen)
-	if err := s.atomicWrite(name, img); err != nil {
+	if err := s.dir.WriteFile(name, img); err != nil {
 		return 0, fmt.Errorf("ckpt.Write: %w", err)
 	}
-	s.gens = append(s.gens, GenEntry{
-		Gen: gen, File: name, Step: meta.Step, SimTime: meta.SimTime, Size: int64(len(img)),
-	})
+	s.gens = append(s.gens, GenEntry{Gen: gen, File: name})
 	s.prune(seq, now)
-	if err := s.writeManifest(); err != nil {
-		return 0, fmt.Errorf("ckpt.Write: %w", err)
-	}
 	return gen, nil
-}
-
-// atomicWrite writes data to name via temp file + fsync + rename, then
-// fsyncs the directory so the rename itself is durable.
-func (s *Store) atomicWrite(name string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".tmp-"+name+"-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, name)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(s.dir)
-}
-
-// syncDir fsyncs a directory; filesystems that refuse directory syncs
-// are tolerated (the rename is still atomic).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		// Some filesystems (and sandboxes) reject fsync on directories;
-		// treat any sync error as non-fatal best effort.
-		return nil
-	}
-	return nil
 }
 
 // prune drops generations beyond the retention count, deleting their
 // files. A deletion that fails — injected via the disk fault's
 // RemoveError, or a real filesystem error — is counted rather than
-// dropped on the floor: the generation leaves the manifest either
-// way, but PruneErrors surfaces the stranded files so disk-fault
+// dropped on the floor: the store stops tracking the generation
+// either way, but PruneErrors surfaces the stranded files so disk-fault
 // scenarios (and operators watching a filling disk) can see them.
 // seq and now key the deterministic fault decision, like Write's.
 func (s *Store) prune(seq int, now float64) {
@@ -371,7 +324,7 @@ func (s *Store) prune(seq int, now float64) {
 			s.pruneErrs++
 			continue
 		}
-		if err := os.Remove(filepath.Join(s.dir, old.File)); err != nil {
+		if err := s.dir.Remove(old.File); err != nil {
 			s.pruneErrs++
 		}
 	}

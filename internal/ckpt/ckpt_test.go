@@ -2,12 +2,59 @@ package ckpt
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"samrdlb/internal/vclock"
 )
+
+// backends are the two Dir implementations every test that does not
+// look at the disk itself runs on.
+var backends = []struct {
+	name string
+	dir  func(t *testing.T) Dir
+}{
+	{"os", func(t *testing.T) Dir { return OSDir(t.TempDir()) }},
+	{"memory", func(*testing.T) Dir { return NewMemDir() }},
+}
+
+// eachBackend runs fn once per backend, as a subtest named after it.
+func eachBackend(t *testing.T, fn func(t *testing.T, d Dir)) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) { fn(t, b.dir(t)) })
+	}
+}
+
+// Generations returns the retained generations, oldest first.
+func (s *Store) Generations() []GenEntry {
+	return append([]GenEntry(nil), s.gens...)
+}
+
+// open opens a store in d, failing the test on error.
+func open(t *testing.T, d Dir, keep int) *Store {
+	t.Helper()
+	s, err := OpenDir(d, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// genFiles lists the generation files d holds.
+func genFiles(t *testing.T, d Dir) []string {
+	t.Helper()
+	names, err := d.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gens []string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".ckpt") {
+			gens = append(gens, n)
+		}
+	}
+	return gens
+}
 
 // testMeta builds a minimal but distinctive meta.
 func testMeta(step int) *Meta {
@@ -27,11 +74,10 @@ func mustWrite(t *testing.T, s *Store, step int, payload []byte) int {
 	return gen
 }
 
-func TestWriteRestoreRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestWriteRestoreRoundTrip(t *testing.T) { eachBackend(t, testWriteRestoreRoundTrip) }
+
+func testWriteRestoreRoundTrip(t *testing.T, d Dir) {
+	s := open(t, d, 3)
 	payload := []byte("hierarchy bytes for step 4")
 	gen := mustWrite(t, s, 4, payload)
 	if gen != 1 {
@@ -53,11 +99,11 @@ func TestWriteRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRetentionPrunesOldGenerations(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eachBackend(t, testRetentionPrunesOldGenerations)
+}
+
+func testRetentionPrunesOldGenerations(t *testing.T, d Dir) {
+	s := open(t, d, 2)
 	for step := 0; step < 5; step++ {
 		mustWrite(t, s, step, []byte{byte(step)})
 	}
@@ -65,9 +111,8 @@ func TestRetentionPrunesOldGenerations(t *testing.T) {
 	if len(gens) != 2 || gens[0].Gen != 4 || gens[1].Gen != 5 {
 		t.Fatalf("retained generations = %+v, want gens 4 and 5", gens)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "gen-*.ckpt"))
-	if len(files) != 2 {
-		t.Errorf("on-disk generation files = %v, want 2", files)
+	if files := genFiles(t, d); len(files) != 2 {
+		t.Errorf("generation files = %v, want 2", files)
 	}
 	// The newest still restores.
 	meta, _, _, err := s.Restore(nil)
@@ -80,15 +125,15 @@ func TestRetentionPrunesOldGenerations(t *testing.T) {
 }
 
 func TestReopenContinuesGenerationNumbering(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, 3)
+	eachBackend(t, testReopenContinuesGenerationNumbering)
+}
+
+func testReopenContinuesGenerationNumbering(t *testing.T, d Dir) {
+	s := open(t, d, 3)
 	mustWrite(t, s, 0, []byte("a"))
 	mustWrite(t, s, 1, []byte("b"))
 
-	s2, err := Open(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := open(t, d, 3)
 	gen := mustWrite(t, s2, 2, []byte("c"))
 	if gen != 3 {
 		t.Errorf("generation after reopen = %d, want 3", gen)
@@ -102,56 +147,19 @@ func TestReopenContinuesGenerationNumbering(t *testing.T) {
 	}
 }
 
-func TestRestoreSurvivesMissingManifest(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, 3)
-	mustWrite(t, s, 0, []byte("a"))
-	mustWrite(t, s, 1, []byte("b"))
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, payload, _, err := s2.Restore(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Step != 1 || string(payload) != "b" {
-		t.Errorf("restored step %d payload %q after manifest loss", meta.Step, payload)
-	}
-}
+func TestEmptyStoreRestoreFails(t *testing.T) { eachBackend(t, testEmptyStoreRestoreFails) }
 
-func TestRestoreSurvivesCorruptManifest(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, 3)
-	mustWrite(t, s, 7, []byte("x"))
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, _, _, err := s2.Restore(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Step != 7 {
-		t.Errorf("restored step %d, want 7", meta.Step)
-	}
-}
-
-func TestEmptyStoreRestoreFails(t *testing.T) {
-	s, _ := Open(t.TempDir(), 3)
+func testEmptyStoreRestoreFails(t *testing.T, d Dir) {
+	s := open(t, d, 3)
 	if _, _, _, err := s.Restore(nil); err == nil {
 		t.Fatal("restore of an empty store must fail")
 	}
 }
 
-func TestAcceptRejectionFallsBack(t *testing.T) {
-	s, _ := Open(t.TempDir(), 3)
+func TestAcceptRejectionFallsBack(t *testing.T) { eachBackend(t, testAcceptRejectionFallsBack) }
+
+func testAcceptRejectionFallsBack(t *testing.T, d Dir) {
+	s := open(t, d, 3)
 	mustWrite(t, s, 0, []byte("good"))
 	mustWrite(t, s, 1, []byte("semantically bad"))
 	meta, payload, report, err := s.Restore(func(m *Meta, p []byte) error {

@@ -2,8 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -34,7 +32,7 @@ func (r *RestoreReport) String() string {
 	return b.String()
 }
 
-// Restore walks the tracked generations newest-first. For each it
+// Restore walks the retained generations newest-first. For each it
 // verifies the magic and both frame checksums, decodes the meta
 // header, and hands (meta, hierarchy payload) to accept; the first
 // candidate accept approves wins. accept is where the caller runs its
@@ -69,7 +67,7 @@ func (s *Store) Restore(accept func(meta *Meta, hierarchy []byte) error) (*Meta,
 
 // tryGeneration validates one generation end to end.
 func (s *Store) tryGeneration(entry GenEntry, accept func(*Meta, []byte) error) (*Meta, []byte, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, entry.File))
+	data, err := s.dir.ReadFile(entry.File)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,14 +9,15 @@ import (
 	"testing"
 )
 
-// corrupt mutates the newest generation file on disk.
+// corrupt mutates the newest generation file of an OS-backed store on
+// disk.
 func corrupt(t *testing.T, s *Store, mutate func([]byte) []byte) {
 	t.Helper()
 	gens := s.Generations()
 	if len(gens) == 0 {
 		t.Fatal("no generations to corrupt")
 	}
-	path := filepath.Join(s.dir, gens[len(gens)-1].File)
+	path := filepath.Join(string(s.dir.(OSDir)), gens[len(gens)-1].File)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -49,20 +50,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		// level of the header under partly different names and types. It
 		// must be skipped for its version, not restored with counters
 		// zeroed or misread.
-		{"meta-version-1", func([]byte) []byte {
-			var hdr, img bytes.Buffer
-			v1 := struct {
-				Version, Step, GlobalEvals, QuarSteps int
-				FailedProcs                           []int
-			}{1, 6, 9, 2, []int{3}}
-			if err := gob.NewEncoder(&hdr).Encode(v1); err != nil {
-				t.Fatal(err)
-			}
-			img.WriteString(magic)
-			frame(&img, hdr.Bytes())
-			frame(&img, []byte("newest generation"))
-			return img.Bytes()
-		}, "meta version 1"},
+		{"meta-version-1", func([]byte) []byte { return v1Image(t, []byte("newest generation")) }, "meta version 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +74,23 @@ func TestCorruptionMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// v1Image is an intact generation whose header is in MetaVersion 1's
+// format.
+func v1Image(t testing.TB, payload []byte) []byte {
+	var hdr, img bytes.Buffer
+	v1 := struct {
+		Version, Step, GlobalEvals, QuarSteps int
+		FailedProcs                           []int
+	}{1, 6, 9, 2, []int{3}}
+	if err := gob.NewEncoder(&hdr).Encode(v1); err != nil {
+		t.Fatal(err)
+	}
+	img.WriteString(magic)
+	frame(&img, hdr.Bytes())
+	frame(&img, payload)
+	return img.Bytes()
 }
 
 // TestAllGenerationsCorruptErrors verifies the terminal case: every
@@ -122,56 +127,62 @@ func (f scriptedFault) RemoveError(n int, t float64) bool {
 }
 
 func TestInjectedDiskFaults(t *testing.T) {
-	t.Run("write-error", func(t *testing.T) {
-		s, _ := Open(t.TempDir(), 3)
-		s.SetFault(scriptedFault{errOn: 1, tearOn: -1, flipOn: -1})
-		mustWrite(t, s, 0, []byte("ok"))
-		if _, err := s.Write(testMeta(1), []byte("doomed"), 1, 1); err == nil {
-			t.Fatal("injected write error must surface")
-		}
-		if n := len(s.Generations()); n != 1 {
-			t.Errorf("failed write left %d generations, want 1", n)
-		}
-		meta, _, _, err := s.Restore(nil)
-		if err != nil || meta.Step != 0 {
-			t.Errorf("restore after failed write: meta=%+v err=%v", meta, err)
-		}
-	})
-	t.Run("torn-then-fallback", func(t *testing.T) {
-		s, _ := Open(t.TempDir(), 3)
-		s.SetFault(scriptedFault{errOn: -1, tearOn: 1, flipOn: -1})
-		mustWrite(t, s, 0, []byte("intact"))
-		if _, err := s.Write(testMeta(1), []byte("torn payload"), 1, 1); err != nil {
-			t.Fatalf("a torn write succeeds from the writer's view: %v", err)
-		}
-		meta, payload, report, err := s.Restore(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Step != 0 || string(payload) != "intact" {
-			t.Errorf("restored step %d payload %q", meta.Step, payload)
-		}
-		if len(report.Skipped) != 1 || report.Skipped[0].Gen != 2 {
-			t.Errorf("report = %+v", report)
-		}
-	})
-	t.Run("bit-flip-then-fallback", func(t *testing.T) {
-		s, _ := Open(t.TempDir(), 3)
-		s.SetFault(scriptedFault{errOn: -1, tearOn: -1, flipOn: 1})
-		mustWrite(t, s, 0, []byte("intact"))
-		payload := []byte("payload that will take a bit flip somewhere")
-		if _, err := s.Write(testMeta(1), payload, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-		meta, got, report, err := s.Restore(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Step != 0 || string(got) != "intact" {
-			t.Errorf("restored step %d payload %q", meta.Step, got)
-		}
-		if len(report.Skipped) != 1 {
-			t.Errorf("report = %+v", report)
-		}
-	})
+	t.Run("write-error", func(t *testing.T) { eachBackend(t, testWriteError) })
+	t.Run("torn-then-fallback", func(t *testing.T) { eachBackend(t, testTornThenFallback) })
+	t.Run("bit-flip-then-fallback", func(t *testing.T) { eachBackend(t, testBitFlipThenFallback) })
+}
+
+func testWriteError(t *testing.T, d Dir) {
+	s := open(t, d, 3)
+	s.SetFault(scriptedFault{errOn: 1, tearOn: -1, flipOn: -1})
+	mustWrite(t, s, 0, []byte("ok"))
+	if _, err := s.Write(testMeta(1), []byte("doomed"), 1, 1); err == nil {
+		t.Fatal("injected write error must surface")
+	}
+	if n := len(s.Generations()); n != 1 {
+		t.Errorf("failed write left %d generations, want 1", n)
+	}
+	meta, _, _, err := s.Restore(nil)
+	if err != nil || meta.Step != 0 {
+		t.Errorf("restore after failed write: meta=%+v err=%v", meta, err)
+	}
+}
+
+func testTornThenFallback(t *testing.T, d Dir) {
+	s := open(t, d, 3)
+	s.SetFault(scriptedFault{errOn: -1, tearOn: 1, flipOn: -1})
+	mustWrite(t, s, 0, []byte("intact"))
+	if _, err := s.Write(testMeta(1), []byte("torn payload"), 1, 1); err != nil {
+		t.Fatalf("a torn write succeeds from the writer's view: %v", err)
+	}
+	meta, payload, report, err := s.Restore(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Step != 0 || string(payload) != "intact" {
+		t.Errorf("restored step %d payload %q", meta.Step, payload)
+	}
+	if len(report.Skipped) != 1 || report.Skipped[0].Gen != 2 {
+		t.Errorf("report = %+v", report)
+	}
+}
+
+func testBitFlipThenFallback(t *testing.T, d Dir) {
+	s := open(t, d, 3)
+	s.SetFault(scriptedFault{errOn: -1, tearOn: -1, flipOn: 1})
+	mustWrite(t, s, 0, []byte("intact"))
+	payload := []byte("payload that will take a bit flip somewhere")
+	if _, err := s.Write(testMeta(1), payload, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	meta, got, report, err := s.Restore(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Step != 0 || string(got) != "intact" {
+		t.Errorf("restored step %d payload %q", meta.Step, got)
+	}
+	if len(report.Skipped) != 1 {
+		t.Errorf("report = %+v", report)
+	}
 }

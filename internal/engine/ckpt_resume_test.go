@@ -19,26 +19,32 @@ import (
 // tests; interval 2 puts durable generations after steps 1, 3, 5, 7.
 const resumeSteps = 8
 
+// memDir and osDir give a test a store to resume from: in memory where
+// only the resume is under test, on disk where the disk is too.
+func memDir(*testing.T) ckpt.Dir  { return ckpt.NewMemDir() }
+func osDir(t *testing.T) ckpt.Dir { return ckpt.OSDir(t.TempDir()) }
+
 // testResumeIdentity is the tentpole acceptance check: a run
 // interrupted after `stop` steps and resumed from its durable store
 // must produce a Result byte-identical to the uninterrupted run's.
-// mkDriver builds a fresh driver per run (drivers carry mutable state,
-// e.g. particle sets); tweak customises each run's options the same
-// way (constructing fresh fault schedules etc.).
-func testResumeIdentity(t *testing.T, stops []int, mkDriver func() workload.Driver, tweak func(*Options)) {
+// newDir makes each run's store; mkDriver builds a fresh driver per
+// run (drivers carry mutable state, e.g. particle sets); tweak
+// customises each run's options the same way (constructing fresh fault
+// schedules etc.).
+func testResumeIdentity(t *testing.T, newDir func(*testing.T) ckpt.Dir, stops []int, mkDriver func() workload.Driver, tweak func(*Options)) {
 	t.Helper()
-	mkOpt := func(dir string, steps int) Options {
-		opt := Options{Steps: steps, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: dir}
+	mkOpt := func(dir ckpt.Dir, steps int) Options {
+		opt := Options{Steps: steps, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: dir}
 		if tweak != nil {
 			tweak(&opt)
 		}
 		return opt
 	}
-	whole := New(machine.WanPair(4, nil), mkDriver(), mkOpt(t.TempDir(), resumeSteps))
+	whole := New(machine.WanPair(4, nil), mkDriver(), mkOpt(newDir(t), resumeSteps))
 	want := whole.Run()
 
 	for _, stop := range stops {
-		dir := t.TempDir()
+		dir := newDir(t)
 		New(machine.WanPair(4, nil), mkDriver(), mkOpt(dir, stop)).Run()
 		r, report, err := Resume(machine.WanPair(4, nil), mkDriver(), mkOpt(dir, resumeSteps))
 		if err != nil {
@@ -58,12 +64,12 @@ func testResumeIdentity(t *testing.T, stops []int, mkDriver func() workload.Driv
 }
 
 func TestResumeByteIdenticalResult(t *testing.T) {
-	testResumeIdentity(t, []int{2, 3, 4, 5, 6, 7},
+	testResumeIdentity(t, memDir, []int{2, 3, 4, 5, 6, 7},
 		func() workload.Driver { return workload.NewShockPool3D(16, 2) }, nil)
 }
 
 func TestResumeByteIdenticalWithData(t *testing.T) {
-	testResumeIdentity(t, []int{3, 6},
+	testResumeIdentity(t, memDir, []int{3, 6},
 		func() workload.Driver { return workload.NewShockPool3D(16, 2) },
 		func(o *Options) { o.WithData = true })
 }
@@ -73,7 +79,7 @@ func TestResumeByteIdenticalWithData(t *testing.T) {
 // structure. The regridding is driven by the solution's gradient, so
 // the Result itself depends on every refluxed coarse cell.
 func TestResumeByteIdenticalWithReflux(t *testing.T) {
-	testResumeIdentity(t, []int{3, 6},
+	testResumeIdentity(t, memDir, []int{3, 6},
 		func() workload.Driver { return workload.NewShockPool3D(16, 2) },
 		func(o *Options) {
 			o.WithData, o.Reflux, o.MaxLevel = true, true, 2
@@ -82,12 +88,12 @@ func TestResumeByteIdenticalWithReflux(t *testing.T) {
 }
 
 func TestResumeByteIdenticalWithParticles(t *testing.T) {
-	testResumeIdentity(t, []int{4},
+	testResumeIdentity(t, memDir, []int{4},
 		func() workload.Driver { return workload.NewAMR64(16, 2, 11) }, nil)
 }
 
 func TestResumeByteIdenticalWithSlowdownFaults(t *testing.T) {
-	testResumeIdentity(t, []int{2, 5},
+	testResumeIdentity(t, memDir, []int{2, 5},
 		func() workload.Driver { return workload.NewShockPool3D(16, 2) },
 		func(o *Options) {
 			sched, err := fault.NewSchedule(7,
@@ -116,11 +122,11 @@ func TestResumeByteIdenticalAcrossCrash(t *testing.T) {
 		o.Faults = sched
 	}
 	mkDriver := func() workload.Driver { return workload.NewShockPool3D(16, 2) }
-	testResumeIdentity(t, []int{4, 6, 7}, mkDriver, withCrash)
+	testResumeIdentity(t, osDir, []int{4, 6, 7}, mkDriver, withCrash)
 
 	// The first cut really is inside the outage: the runner resumed
 	// from it holds processor 5 failed and dead.
-	opt := Options{Steps: 4, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: t.TempDir()}
+	opt := Options{Steps: 4, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: osDir(t)}
 	withCrash(&opt)
 	New(machine.WanPair(4, nil), mkDriver(), opt).Run()
 	opt.Steps = resumeSteps
@@ -143,13 +149,13 @@ func TestResumeByteIdenticalAcrossCrash(t *testing.T) {
 // previous generation, report the skip, and still converge to the
 // byte-identical Result (the extra replayed steps are deterministic).
 func TestResumeSkipsCorruptNewestGeneration(t *testing.T) {
-	mkOpt := func(dir string, steps int) Options {
-		return Options{Steps: steps, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: dir}
+	mkOpt := func(dir ckpt.Dir, steps int) Options {
+		return Options{Steps: steps, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: dir}
 	}
-	want := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), mkOpt(t.TempDir(), resumeSteps)).Run()
+	want := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), mkOpt(ckpt.NewMemDir(), resumeSteps)).Run()
 
 	dir := t.TempDir()
-	New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), mkOpt(dir, 6)).Run()
+	New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), mkOpt(ckpt.OSDir(dir), 6)).Run()
 	names, err := filepath.Glob(filepath.Join(dir, "gen-*.ckpt"))
 	if err != nil || len(names) < 2 {
 		t.Fatalf("generations on disk: %v (err %v)", names, err)
@@ -165,7 +171,7 @@ func TestResumeSkipsCorruptNewestGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, report, err := Resume(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), mkOpt(dir, resumeSteps))
+	r, report, err := Resume(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), mkOpt(ckpt.OSDir(dir), resumeSteps))
 	if err != nil {
 		t.Fatalf("resume must fall back past the corrupt generation: %v", err)
 	}
@@ -185,16 +191,16 @@ func TestResumeSkipsCorruptNewestGeneration(t *testing.T) {
 // between snapshotMeta and restoreFromMeta forgets fails here — also
 // the counters the pinned resume scenarios happen to leave at zero.
 func TestEveryCounterSurvivesResume(t *testing.T) {
-	mk := func(dir string) *Runner {
+	mk := func() *Runner {
 		sched, err := fault.NewSchedule(7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
-			Steps: 4, MaxLevel: 1, CheckpointDir: dir, Faults: sched,
+			Steps: 4, MaxLevel: 1, Checkpoints: ckpt.NewMemDir(), Faults: sched,
 		})
 	}
-	src := mk(t.TempDir())
+	src := mk()
 	v := reflect.ValueOf(&src.cnt).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		switch f := v.Field(i); f.Kind() {
@@ -213,7 +219,7 @@ func TestEveryCounterSurvivesResume(t *testing.T) {
 	src.memb.Crash(1)
 	want := src.counters()
 
-	store, err := ckpt.Open(t.TempDir(), 3)
+	store, err := ckpt.OpenDir(ckpt.NewMemDir(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +230,7 @@ func TestEveryCounterSurvivesResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := mk(t.TempDir())
+	dst := mk()
 	if err := dst.restoreFromMeta(meta); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +272,7 @@ func TestRecoveryFallsBackToDurableGeneration(t *testing.T) {
 	}
 	var bt []float64
 	New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 8, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: t.TempDir(),
+		Steps: 8, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: ckpt.NewMemDir(),
 		Faults:    probe,
 		AfterStep: func(step int, rr *Runner) { bt = append(bt, rr.Clock().Now()) },
 	}).Run()
@@ -282,7 +288,7 @@ func TestRecoveryFallsBackToDurableGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 8, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: t.TempDir(),
+		Steps: 8, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: ckpt.NewMemDir(),
 		Faults: sched,
 		AfterStep: func(step int, rr *Runner) {
 			if step == 4 {
@@ -343,19 +349,19 @@ func TestRecoveryPristineRestartWithoutStore(t *testing.T) {
 func TestResumeErrors(t *testing.T) {
 	driver := func() workload.Driver { return workload.NewShockPool3D(16, 2) }
 	if _, _, err := Resume(machine.WanPair(4, nil), driver(), Options{Steps: 8, MaxLevel: 1}); err == nil {
-		t.Error("Resume without CheckpointDir must error")
+		t.Error("Resume without Checkpoints must error")
 	}
 	if _, _, err := Resume(machine.WanPair(4, nil), driver(),
-		Options{Steps: 8, MaxLevel: 1, CheckpointDir: t.TempDir()}); err == nil {
+		Options{Steps: 8, MaxLevel: 1, Checkpoints: ckpt.NewMemDir()}); err == nil {
 		t.Error("Resume from an empty store must error")
 	}
 
-	dir := t.TempDir()
+	dir := ckpt.NewMemDir()
 	New(machine.WanPair(4, nil), driver(), Options{
-		Steps: 4, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: dir,
+		Steps: 4, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: dir,
 	}).Run()
 	if _, _, err := Resume(machine.WanPair(2, nil), driver(),
-		Options{Steps: 8, MaxLevel: 1, CheckpointDir: dir}); err == nil {
+		Options{Steps: 8, MaxLevel: 1, Checkpoints: dir}); err == nil {
 		t.Error("processor-count mismatch must be rejected")
 	}
 	sched, err := fault.NewSchedule(9)
@@ -363,11 +369,11 @@ func TestResumeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := Resume(machine.WanPair(4, nil), driver(),
-		Options{Steps: 8, MaxLevel: 1, CheckpointDir: dir, Faults: sched}); err == nil {
+		Options{Steps: 8, MaxLevel: 1, Checkpoints: dir, Faults: sched}); err == nil {
 		t.Error("fault-configuration mismatch must be rejected")
 	}
 	if _, _, err := Resume(machine.WanPair(4, nil), driver(),
-		Options{Steps: 8, MaxLevel: 1, CheckpointDir: dir, WithData: true}); err == nil {
+		Options{Steps: 8, MaxLevel: 1, Checkpoints: dir, WithData: true}); err == nil {
 		t.Error("WithData mismatch must be rejected")
 	}
 }
@@ -378,10 +384,10 @@ func TestResumeErrors(t *testing.T) {
 // callers, generations of identity-less runs) is not compared.
 func TestResumeRefusesAnotherRunsIdentity(t *testing.T) {
 	driver := func() workload.Driver { return workload.NewShockPool3D(16, 2) }
-	opt := func(dir, spec string) Options {
-		return Options{Steps: 4, MaxLevel: 1, CheckpointInterval: 2, CheckpointDir: dir, Spec: spec}
+	opt := func(dir ckpt.Dir, spec string) Options {
+		return Options{Steps: 4, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: dir, Spec: spec}
 	}
-	stamped, bare := t.TempDir(), t.TempDir()
+	stamped, bare := ckpt.NewMemDir(), ckpt.NewMemDir()
 	New(machine.WanPair(4, nil), driver(), opt(stamped, "seed=42 policy=distributed gamma=0")).Run()
 	New(machine.WanPair(4, nil), driver(), opt(bare, "")).Run()
 
@@ -399,7 +405,10 @@ func TestResumeRefusesAnotherRunsIdentity(t *testing.T) {
 			t.Errorf("resume as %q: both generations should be skipped: %+v", spec, report)
 		}
 	}
-	for _, c := range []struct{ dir, spec string }{
+	for _, c := range []struct {
+		dir  ckpt.Dir
+		spec string
+	}{
 		{stamped, "seed=42 policy=distributed gamma=0"},
 		{stamped, ""},
 		{bare, "seed=1 policy=knapsack gamma=8"},

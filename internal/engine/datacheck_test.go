@@ -68,7 +68,7 @@ func TestDataCheckResumeFromCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle mode re-runs the scan fill every exchange")
 	}
-	testResumeIdentity(t, []int{3}, func() workload.Driver {
+	testResumeIdentity(t, memDir, []int{3}, func() workload.Driver {
 		return workload.NewShockPool3D(16, 2)
 	}, func(o *Options) {
 		o.WithData = true

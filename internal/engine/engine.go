@@ -132,17 +132,19 @@ type Options struct {
 	Faults *fault.Schedule
 	// CheckpointInterval is the number of level-0 steps between
 	// periodic recovery checkpoints (default 4; used when Faults is
-	// set and for the durable store when CheckpointDir is set).
+	// set and for the durable store when Checkpoints is set).
 	CheckpointInterval int
-	// CheckpointDir, when non-empty, enables the durable generational
-	// checkpoint store (internal/ckpt): every CheckpointInterval
-	// level-0 steps the engine writes its full state — hierarchy,
-	// virtual clock, counters, fault bookkeeping — to a new CRC32-
-	// framed on-disk generation, making an interrupted run resumable
-	// via Resume. In-memory behaviour is unchanged when unset.
-	CheckpointDir string
-	// CheckpointKeep bounds the retained on-disk generations
-	// (default 3; only used with CheckpointDir).
+	// Checkpoints, when non-nil, enables the durable generational
+	// checkpoint store (internal/ckpt) in that directory: every
+	// CheckpointInterval level-0 steps the engine writes its full
+	// state — hierarchy, virtual clock, counters, fault bookkeeping —
+	// to a new CRC32-framed generation, making an interrupted run
+	// resumable via Resume. A run that must survive its process uses a
+	// ckpt.OSDir; an in-process resume cut uses ckpt.NewMemDir.
+	// In-memory behaviour is unchanged when unset.
+	Checkpoints ckpt.Dir
+	// CheckpointKeep bounds the retained generations (default 3; only
+	// used with Checkpoints).
 	CheckpointKeep int
 	// Spec, when non-empty, is the run's identity as space-separated
 	// key=value tokens (scenario.Scenario.Identity). Every durable
@@ -273,7 +275,7 @@ type Runner struct {
 	// while the tracker holds it dead of a crash.
 	memb *machine.Membership
 
-	// Durable checkpoint state (active only when opt.CheckpointDir is
+	// Durable checkpoint state (active only when opt.Checkpoints is
 	// set).
 	store        *ckpt.Store
 	startStep    int  // first level-0 step of this process (> 0 on resume)
@@ -381,8 +383,8 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		r.memb = machine.NewMembership(sys, opt.GroupQuorum)
 		r.ctx.Admitted = r.memb.Admitted
 	}
-	if opt.CheckpointDir != "" {
-		st, err := ckpt.Open(opt.CheckpointDir, opt.CheckpointKeep)
+	if opt.Checkpoints != nil {
+		st, err := ckpt.OpenDir(opt.Checkpoints, opt.CheckpointKeep)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}

@@ -1,11 +1,11 @@
 package engine
 
 import (
-	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
@@ -281,11 +281,7 @@ func TestResumeWhileProcDownReadmitsOnSchedule(t *testing.T) {
 		}
 		return sched
 	}
-	dir, err := os.MkdirTemp("", "samr-memb-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
+	dir := ckpt.NewMemDir()
 
 	// The uninterrupted run, for comparison.
 	full := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
@@ -299,7 +295,7 @@ func TestResumeWhileProcDownReadmitsOnSchedule(t *testing.T) {
 	// durable checkpoints. The processor is down at the cut.
 	firstLeg := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 4, MaxLevel: 1, Faults: mkSched(),
-		CheckpointDir: dir, CheckpointInterval: 1,
+		Checkpoints: dir, CheckpointInterval: 1,
 	})
 	firstLeg.Run()
 	if st := firstLeg.Membership().State(2); st != machine.StateDead {
@@ -309,7 +305,7 @@ func TestResumeWhileProcDownReadmitsOnSchedule(t *testing.T) {
 	// Resume with a fresh system and schedule, run to completion.
 	r, _, err := Resume(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 8, MaxLevel: 1, Faults: mkSched(),
-		CheckpointDir: dir, CheckpointInterval: 1,
+		Checkpoints: dir, CheckpointInterval: 1,
 	})
 	if err != nil {
 		t.Fatalf("Resume: %v", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/workload"
@@ -76,7 +77,7 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 			return got == row.want
 		}
 		opt := row.store
-		opt.Steps, opt.MaxLevel, opt.CheckpointInterval, opt.CheckpointDir = 2, 1, 1, t.TempDir()
+		opt.Steps, opt.MaxLevel, opt.CheckpointInterval, opt.Checkpoints = 2, 1, 1, ckpt.NewMemDir()
 		New(sys(), driver(), opt).Run()
 		if opt.Faults != nil {
 			opt.Faults = procFail(t, 1) // a schedule is one run's
@@ -105,7 +106,7 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Steps: 1, CheckpointDir: filepath.Join(file, "store")}
+	opt := Options{Steps: 1, Checkpoints: ckpt.OSDir(filepath.Join(file, "store"))}
 	func() {
 		defer func() {
 			if p, _ := recover().(string); !strings.HasPrefix(p, "engine: ckpt.Open: ") {

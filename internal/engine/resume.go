@@ -13,8 +13,8 @@ import (
 	"samrdlb/internal/workload"
 )
 
-// Resume reconstructs a Runner from the durable checkpoint store at
-// opt.CheckpointDir and continues the interrupted run: the returned
+// Resume reconstructs a Runner from the durable checkpoint store in
+// opt.Checkpoints and continues the interrupted run: the returned
 // runner's Run() executes the remaining level-0 steps and yields a
 // Result identical to the uninterrupted run's. Generations that fail
 // validation — torn, bit-flipped, or semantically rejected by amr.Load
@@ -33,10 +33,10 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 	if err := opt.setDefaults(); err != nil {
 		return nil, nil, fmt.Errorf("engine.Resume: %w", err)
 	}
-	if opt.CheckpointDir == "" {
-		return nil, nil, fmt.Errorf("engine.Resume: Options.CheckpointDir is required")
+	if opt.Checkpoints == nil {
+		return nil, nil, fmt.Errorf("engine.Resume: Options.Checkpoints is required")
 	}
-	store, err := ckpt.Open(opt.CheckpointDir, opt.CheckpointKeep)
+	store, err := ckpt.OpenDir(opt.Checkpoints, opt.CheckpointKeep)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine.Resume: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/scenario"
 )
@@ -40,18 +41,18 @@ func TestResumeByteIdenticalGeneratedConfigs(t *testing.T) {
 			// The uninterrupted leg also writes durable generations:
 			// the writes charge the virtual clock, so both legs must
 			// pay them for the Results to be comparable.
-			opt.CheckpointDir = t.TempDir()
+			opt.Checkpoints = ckpt.NewMemDir()
 			want := engine.New(sc.System(), sc.Driver(), opt).Run()
 
 			for stop := sc.CkptInterval; stop < sc.Steps; stop++ {
-				dir := t.TempDir()
+				dir := ckpt.NewMemDir()
 				first, _ := sc.EngineOptions(nil)
-				first.CheckpointDir = dir
+				first.Checkpoints = dir
 				first.Steps = stop
 				engine.New(sc.System(), sc.Driver(), first).Run()
 
 				rest, _ := sc.EngineOptions(nil)
-				rest.CheckpointDir = dir
+				rest.Checkpoints = dir
 				r, report, err := engine.Resume(sc.System(), sc.Driver(), rest)
 				if err != nil {
 					t.Fatalf("stop=%d: %v (scenario %s)", stop, err, sc.Encode())

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
@@ -343,7 +344,7 @@ func TestPruneErrorsSurfaceInResult(t *testing.T) {
 	}
 	r := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 6, MaxLevel: 1,
-		CheckpointDir: t.TempDir(), CheckpointInterval: 1, CheckpointKeep: 2,
+		Checkpoints: ckpt.NewMemDir(), CheckpointInterval: 1, CheckpointKeep: 2,
 		Faults: sched,
 	})
 	res := r.Run()

@@ -262,13 +262,11 @@ func TestGroupReadsMatchMirrorsInTheEngine(t *testing.T) {
 					m.resetInterval()
 				}
 			}
-			r, _, cleanup, err := s.Start(false, func(o *engine.Options) { o.Invariants = hook })
+			r, _, err := s.Start(false, func(o *engine.Options) { o.Invariants = hook })
 			if err != nil {
-				cleanup()
 				t.Fatalf("%s: %v", s.Encode(), err)
 			}
 			r.Run()
-			cleanup()
 		}
 	}
 	t.Logf("compared at %d hooks, %d of them global-balance decisions", hooks, globals)

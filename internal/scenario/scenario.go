@@ -16,7 +16,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -215,28 +214,22 @@ func (s *Scenario) EngineOptions(check func(*engine.PhaseInfo)) (engine.Options,
 // Start turns a validated scenario into a runner ready to Run, on a
 // fresh system and driver. attach, when non-nil, adjusts each leg's
 // options with what belongs to this process (pool, trace, invariant
-// checker, store directory, a worker's wire). With resume the runner
-// continues from the newest usable generation in the attached
-// CheckpointDir, and report says which. A scenario with a cut runs its
+// checker, checkpoint directory, a worker's wire). With resume the
+// runner continues from the newest usable generation in the attached
+// Checkpoints, and report says which. A scenario with a cut runs its
 // first leg here and returns the resumed second — the interrupted
 // process is gone, so that leg gets fresh system health, particles and
-// fault schedule, as after a real restart — in a temporary store when
-// attach names none; cleanup removes it once the runner has run.
-func (s *Scenario) Start(resume bool, attach func(*engine.Options)) (r *engine.Runner, report *ckpt.RestoreReport, cleanup func(), err error) {
-	tmp := ""
-	cleanup = func() { os.RemoveAll(tmp) } // nothing to remove while tmp is empty
-	defer func() {
-		if r == nil { // an error, or a panic in the first leg
-			cleanup()
-		}
-	}()
+// fault schedule and reopens the store, as after a real restart. When
+// attach names no store, the two legs share one in memory.
+func (s *Scenario) Start(resume bool, attach func(*engine.Options)) (r *engine.Runner, report *ckpt.RestoreReport, err error) {
+	var mem ckpt.Dir
 	options := func() (engine.Options, error) {
 		opt, err := s.EngineOptions(nil)
 		if attach != nil {
 			attach(&opt)
 		}
-		if opt.CheckpointDir == "" {
-			opt.CheckpointDir = tmp
+		if opt.Checkpoints == nil {
+			opt.Checkpoints = mem
 		}
 		return opt, err
 	}
@@ -246,17 +239,15 @@ func (s *Scenario) Start(resume bool, attach func(*engine.Options)) (r *engine.R
 	}
 	if cut := s.ResumeCut; !resume {
 		if cut >= 0 {
-			if opt.CheckpointDir == "" {
-				if tmp, err = os.MkdirTemp("", "samr-scn-"); err != nil {
-					return
-				}
-				opt.CheckpointDir = tmp
+			if opt.Checkpoints == nil {
+				mem = ckpt.NewMemDir()
+				opt.Checkpoints = mem
 			}
 			opt.Steps = cut
 		}
 		var first *engine.Runner
 		if first, err = engine.Build(s.System(), s.Driver(), opt); err != nil || cut < 0 {
-			return first, nil, cleanup, err
+			return first, nil, err
 		}
 		first.Run()
 		if opt, err = options(); err != nil {
@@ -314,11 +305,10 @@ func (s Scenario) ExecuteWithHistory(hist *metrics.History) (out Outcome) {
 		}
 	}()
 	chk := invariant.NewForPolicy(s.Scheme)
-	r, _, cleanup, err := s.Start(false, func(o *engine.Options) {
+	r, _, err := s.Start(false, func(o *engine.Options) {
 		o.Invariants = chk.Check
 		o.History = hist
 	})
-	defer cleanup()
 	if err != nil {
 		out.Err = err.Error()
 	} else {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"samrdlb/internal/ckpt"
 	"samrdlb/internal/engine"
 	"samrdlb/internal/fault"
 	"samrdlb/internal/machine"
@@ -47,7 +48,7 @@ func testRunOptions(shard int, ep *mpx.TCPEndpoint, ckdir string) engine.Options
 		Steps: 6, MaxLevel: 1, WithData: true, UseMPX: true,
 		Transport:          engine.TransportWorker,
 		Worker:             &engine.WorkerWire{Shard: shard, Endpoint: ep},
-		CheckpointDir:      ckdir,
+		Checkpoints:        ckpt.OSDir(ckdir),
 		CheckpointInterval: 2,
 		CheckpointKeep:     3,
 	}
