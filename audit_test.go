@@ -262,6 +262,12 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"the particle census takes the level-0 Locator once, not planMu per particle"},
 	{`(?i:manifest)|MkdirTemp`, "internal/ckpt/*.go internal/scenario/*.go",
 		"a store is what its directory holds, scanned on open; an in-process cut keeps its generations in memory"},
+	{`TransportLoopback|"loopback"`, "internal/engine/*.go internal/scenario/*.go",
+		"two data paths, not three: shared memory is the in-process reference, tcp and worker the wire"},
+	{`func NewWorld\(`, "internal/mpx/*.go",
+		"NewShardWorld is the one constructor; a test without sockets builds a one-shard world"},
+	{`WorkerWire|BeforeCheckpointWrite`, "internal/engine/*.go",
+		"Options.Worker is the endpoint itself; a chaos test kills a worker through its ckpt.Dir"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

@@ -307,6 +307,19 @@ func newContext(sys *machine.System, h *amr.Hierarchy) *dlb.Context {
 		Now: func() float64 { return 0 }}
 }
 
+// noWire is the transport of a world whose ranks all live in one shard:
+// no message ever crosses it.
+type noWire struct{}
+
+func (noWire) Send(src, dst, tag int, data []float64) error { panic("noWire carries nothing") }
+func (noWire) Abort(string)                                 {}
+func (noWire) Close() error                                 { return nil }
+
+// localWorld is an n-rank world hosted whole in this process.
+func localWorld(n int) *mpx.World {
+	return mpx.NewShardWorld(n, func(int) int { return 0 }, 0, noWire{})
+}
+
 // BenchmarkMPXGhostExchange measures one full message-passing ghost
 // exchange over 4 ranks against the shared-memory equivalent.
 func BenchmarkMPXGhostExchange(b *testing.B) {
@@ -316,7 +329,7 @@ func BenchmarkMPXGhostExchange(b *testing.B) {
 	for i, bx := range boxes {
 		h.AddGrid(0, bx, i%4, amr.NoGrid)
 	}
-	w := mpx.NewWorld(4)
+	w := localWorld(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -337,7 +350,7 @@ func BenchmarkMPXRestrict(b *testing.B) {
 		p := h.AddGrid(0, bx, i%4, amr.NoGrid)
 		h.AddGrid(1, bx.Grow(-1).Refine(2), (i+1)%4, p.ID)
 	}
-	w := mpx.NewWorld(4)
+	w := localWorld(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -29,7 +29,6 @@ var goldenClasses = []struct {
 		{"-data", "-check=plan"},
 		{"-data", "-check=data"},
 		{"-check=ledger,invariants"},
-		{"-data", "-transport=loopback"},
 		{"-data", "-transport=tcp", "-check=plan,ledger"},
 	}},
 	{"amr64", [][]string{

@@ -24,15 +24,14 @@
 // that wrote it: -resume refuses another dataset, system, policy, seed
 // or threshold, while -steps, -transport and -check may change.
 //
-// With -data, -transport selects how rank messages travel: "loopback"
-// runs every simulated processor as an mpx rank in one in-process
-// world, "tcp" shards the world by processor group behind real
-// localhost sockets; both produce results identical to the
-// shared-memory default. -supervise is the multi-process mode: one
-// worker OS process per processor group, each started with the
-// canonical spec, under a parent that restarts crashed workers from
-// their durable generations and checks that every worker reports the
-// same result (forwardFlags says what the other flags do there).
+// With -data, -transport=tcp runs every simulated processor as an mpx
+// rank and shards the ranks by processor group behind real localhost
+// sockets; it produces results identical to the shared-memory default.
+// -supervise is the multi-process mode: one worker OS process per
+// processor group, each started with the canonical spec, under a
+// parent that restarts crashed workers from their durable generations
+// and checks that every worker reports the same result (forwardFlags
+// says what the other flags do there).
 //
 // -tournament instead runs the seeded policy ablation — every
 // registered policy on identical scenario envelopes:

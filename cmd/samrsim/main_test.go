@@ -61,6 +61,10 @@ func TestCheckConfigRejectsMisconfiguration(t *testing.T) {
 		{[]string{"-domain", "-8"}, "-domain"},
 		{[]string{"-ckpt-dir", filepath.Join(file, "ck")}, "-ckpt-dir"}, // a directory under a regular file
 		{[]string{"-transport", "tcp"}, "-transport"},
+		// A removed transport is refused with the accepted values named,
+		// never run as some other data path.
+		{[]string{"-data", "-transport=loopback"}, `-transport "loopback": not tcp, nor empty`},
+		{[]string{"-scenario", "data=1 transport=loopback"}, `-transport "loopback": not tcp, nor empty`},
 		{[]string{"-scenario", "procs=0"}, "-n"},
 		{[]string{"-scenario", "n=0"}, "-domain"},
 		{[]string{"-scenario", "system=lan groups=2x1,2x1"}, "-system"},
@@ -132,12 +136,16 @@ func TestResumeRefusesAnotherRunsStore(t *testing.T) {
 		}
 	}
 	// The refusals above must not have cost the store its generations.
-	for _, same := range [][]string{nil, {"-transport", "loopback"}, {"-steps", "8"}} {
+	for _, same := range [][]string{nil, {"-transport", "tcp"}, {"-steps", "8"}} {
 		full, part := t.TempDir(), t.TempDir()
 		copyDir(t, dir, part)
 		args := with(base, same...)
 		_, want, _ := samrsim(with(args, "-ckpt-dir", full)...)
 		code, got, stderr := samrsim(with(args, "-ckpt-dir", part, "-resume")...)
+		// The wire line counts this process's frames, which a resumed
+		// run sends fewer of; like Result.Identity(), the comparison
+		// leaves it out.
+		want, got = wireLine.ReplaceAllString(want, ""), wireLine.ReplaceAllString(got, "")
 		if code != 0 || got != want {
 			t.Errorf("-resume %v: exit %d, differs from the uninterrupted run:\n%s\n--- full\n%s--- resumed\n%s", same, code, stderr, want, got)
 		}

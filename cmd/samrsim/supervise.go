@@ -78,7 +78,7 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 			attach, checker := f.attach(spec, func(o *engine.Options) {
 				o.UseMPX = true
 				o.Transport = engine.TransportWorker
-				o.Worker = &engine.WorkerWire{Shard: shard, Endpoint: ep}
+				o.Worker = ep
 				if f.ckptDir != "" {
 					// Each worker owns its own store under the shared -ckpt-dir, so
 					// a restarted worker resumes from the generations its own

@@ -10,6 +10,19 @@ import (
 	"samrdlb/internal/mpx"
 )
 
+// noWire is the transport of a world whose ranks all live in one shard:
+// no message ever crosses it.
+type noWire struct{}
+
+func (noWire) Send(src, dst, tag int, data []float64) error { panic("amr: noWire carries nothing") }
+func (noWire) Abort(string)                                 {}
+func (noWire) Close() error                                 { return nil }
+
+// localWorld is an n-rank world hosted whole in this process.
+func localWorld(n int) *mpx.World {
+	return mpx.NewShardWorld(n, func(int) int { return 0 }, 0, noWire{})
+}
+
 // buildDataHierarchy makes a two-level hierarchy with random data,
 // grids spread over the given number of owners.
 func buildDataHierarchy(t *testing.T, owners int) *Hierarchy {
@@ -135,7 +148,7 @@ func TestFillGhostsMPXMatchesSequential(t *testing.T) {
 		for l := 0; l <= 1; l++ {
 			seq.FillGhostsData(l)
 		}
-		w := mpx.NewWorld(owners)
+		w := localWorld(owners)
 		w.Run(func(r *mpx.Rank) {
 			for l := 0; l <= 1; l++ {
 				par.FillGhostsMPX(r, l)
@@ -149,7 +162,7 @@ func TestFillGhostsMPXMatchesSequential(t *testing.T) {
 		for l := 0; l <= 2; l++ {
 			seq.FillGhostsData(l)
 		}
-		mpx.NewWorld(c.world).Run(func(r *mpx.Rank) {
+		localWorld(c.world).Run(func(r *mpx.Rank) {
 			for l := 0; l <= 2; l++ {
 				par.FillGhostsMPX(r, l)
 			}
@@ -163,7 +176,7 @@ func TestRestrictMPXMatchesSequential(t *testing.T) {
 		seq := buildDataHierarchy(t, owners)
 		par := cloneHierarchy(seq)
 		seq.RestrictData(1)
-		w := mpx.NewWorld(owners)
+		w := localWorld(owners)
 		w.Run(func(r *mpx.Rank) {
 			par.RestrictMPX(r, 1)
 		})
@@ -174,7 +187,7 @@ func TestRestrictMPXMatchesSequential(t *testing.T) {
 		par := cloneHierarchy(seq)
 		seq.RestrictData(2)
 		seq.RestrictData(1)
-		mpx.NewWorld(c.world).Run(func(r *mpx.Rank) {
+		localWorld(c.world).Run(func(r *mpx.Rank) {
 			par.RestrictMPX(r, 2)
 			par.RestrictMPX(r, 1)
 		})
@@ -183,7 +196,7 @@ func TestRestrictMPXMatchesSequential(t *testing.T) {
 }
 
 // TestMPXExchangeSteadyStateAllocs pins the coalesced exchange's
-// allocation profile on a warmed loopback world: a fill costs the
+// allocation profile on a warmed in-process world: a fill costs the
 // world's per-rank goroutine start plus a few allocations per
 // communicating rank pair (the mailbox's copy of the one message),
 // however many plan operations the pair's message carries.
@@ -206,7 +219,7 @@ func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		}
-		w := mpx.NewWorld(ranks)
+		w := localWorld(ranks)
 		fill := func() { w.Run(func(r *mpx.Rank) { h.FillGhostsMPX(r, 0) }) }
 		fill() // warm the plan cache, the scratch pool and the mailboxes
 		allocs := testing.AllocsPerRun(20, fill)
@@ -256,14 +269,14 @@ func TestMPXPlanDisagreementPanics(t *testing.T) {
 			t.Errorf("want the overrun on rank 1 and the leftover on rank 0 reported, got %v", agg)
 		}
 	}()
-	mpx.NewWorld(2).Run(func(r *mpx.Rank) { views[r.ID()].FillGhostsMPX(r, 0) })
+	localWorld(2).Run(func(r *mpx.Rank) { views[r.ID()].FillGhostsMPX(r, 0) })
 }
 
 func TestMPXDeterministicAcrossRuns(t *testing.T) {
 	a := buildDataHierarchy(t, 4)
 	b := cloneHierarchy(a)
 	run := func(h *Hierarchy) {
-		w := mpx.NewWorld(4)
+		w := localWorld(4)
 		w.Run(func(r *mpx.Rank) {
 			h.FillGhostsMPX(r, 0)
 			h.FillGhostsMPX(r, 1)
@@ -278,7 +291,7 @@ func TestMPXDeterministicAcrossRuns(t *testing.T) {
 func TestMPXPlanOnlyIsNoop(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, false, "q")
 	h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
-	w := mpx.NewWorld(2)
+	w := localWorld(2)
 	w.Run(func(r *mpx.Rank) {
 		h.FillGhostsMPX(r, 0) // must not panic on nil patches
 		h.RestrictMPX(r, 1)

@@ -71,17 +71,17 @@ type Options struct {
 	// geometric schedule (requires WithData).
 	GradientField     string
 	GradientThreshold float64
-	// UseMPX routes the real data motion through the mpx
-	// message-passing runtime with one rank per simulated processor
-	// (requires WithData): kernels and exchanges then execute
-	// rank-parallel, as ENZO does over MPI.
+	// UseMPX routes the ghost and restriction exchanges through mpx
+	// ranks, one per simulated processor, as ENZO does over MPI
+	// (requires WithData); kernels run on the host pool either way. It
+	// is set exactly when Transport is.
 	UseMPX bool
-	// Transport selects how rank messages travel when UseMPX is set.
-	// "" or "loopback" keeps the single in-process world; "tcp" runs
+	// Transport selects the data path: "" is shared memory; "tcp" runs
 	// each processor group as its own shard world behind a real
-	// localhost socket transport (CRC32-framed wire messages), while
-	// the netsim link model remains the sole timing authority. The two
-	// modes produce identical Results for fault-free runs.
+	// localhost socket (CRC32-framed wire messages), and "worker" is
+	// one group's shard of a multi-process run. The netsim link model
+	// remains the sole timing authority, so every path produces the
+	// same Result.
 	Transport string
 	// wireFault, when non-nil, injects deterministic send failures
 	// into the tcp transport (a pure function of (src, dst, attempt)).
@@ -95,16 +95,14 @@ type Options struct {
 	// peer surfaces as a transport fault within the timeout instead of
 	// blocking a phase forever (0 disables deadlines).
 	WireTimeout time.Duration
-	// Worker configures a worker-process shard (Transport=worker):
-	// this process hosts exactly one group's ranks behind an endpoint
-	// already connected to its peer workers, while replicating the
+	// Worker is a worker-process shard's endpoint (Transport=worker),
+	// already connected to its peer workers: this process hosts the
+	// ranks of group Worker.Shard() behind it, while replicating the
 	// deterministic control plane so every worker computes the same
-	// Result.
-	Worker *WorkerWire
-	// BeforeCheckpointWrite, when non-nil, runs immediately before
-	// each durable generation write (chaos harnesses use it to kill a
-	// worker mid-checkpoint). seq is the monotone write-attempt index.
-	BeforeCheckpointWrite func(step, seq int)
+	// Result. nil runs the worker detached, without a wire — the
+	// restart path after a crash, when the surviving peers have
+	// already detached.
+	Worker *mpx.TCPEndpoint
 	// Pool runs patch kernels and data motion in parallel (nil = inline).
 	Pool *solver.Pool
 	// Trace, when non-nil, records structured events.
@@ -240,10 +238,9 @@ type Runner struct {
 	dt0          float64
 	t            float64
 
-	// shards is the rank execution of a UseMPX run: one all-local world
-	// (loopback), one shard world per group behind localhost sockets
-	// (tcp), or this process's single shard (worker). nil runs the
-	// shared-memory data path.
+	// shards is the rank execution of a UseMPX run: one shard world per
+	// group behind localhost sockets (tcp), or this process's single
+	// shard (worker). nil runs the shared-memory data path.
 	shards   *shardSet
 	fluxRegs []*amr.FluxRegister
 
@@ -394,18 +391,8 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		r.store = st
 	}
 	switch opt.Transport {
-	case "", TransportLoopback:
-	case TransportTCP:
-		if !opt.UseMPX {
-			return nil, errors.New("engine: Transport=tcp requires UseMPX")
-		}
+	case "", TransportTCP:
 	case TransportWorker:
-		if !opt.UseMPX {
-			return nil, errors.New("engine: Transport=worker requires UseMPX")
-		}
-		if opt.Worker == nil {
-			return nil, errors.New("engine: Transport=worker requires Options.Worker")
-		}
 		if opt.GradientField != "" || opt.DataCheck {
 			// Worker replicas may hold stale copies of remote-owned
 			// grids; any control decision or oracle that reads field
@@ -414,6 +401,9 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		}
 	default:
 		return nil, errors.New("engine: unknown Transport " + opt.Transport)
+	}
+	if opt.UseMPX != (opt.Transport != "") {
+		return nil, fmt.Errorf("engine: UseMPX=%t with Transport=%q: UseMPX is set exactly for tcp and worker", opt.UseMPX, opt.Transport)
 	}
 	if opt.UseMPX {
 		if !opt.WithData {
@@ -429,19 +419,13 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 				return nil, fmt.Errorf("engine: %w", err)
 			}
 			r.shards = ss
-		case opt.Transport == TransportWorker:
-			if opt.Worker.Endpoint != nil {
-				r.shards = newWorkerShard(sys, opt.Worker.Shard, opt.Worker.Endpoint)
-			}
-			// Detached workers (a restart after a crash, or a worker
-			// whose peers are all gone) run the plain in-memory data
-			// path — the virtual-time charging is identical, so the
-			// Result still matches the attached replicas.
-		default:
-			// Loopback: every simulated processor is a rank of one
-			// all-local world — a shard set with nothing behind a wire.
-			r.shards = &shardSet{worlds: []*mpx.World{mpx.NewWorld(sys.NumProcs())}}
+		case opt.Worker != nil:
+			r.shards = newWorkerShard(sys, opt.Worker)
 		}
+		// A detached worker (a restart after a crash, or a worker whose
+		// peers are all gone) runs the plain in-memory data path: the
+		// virtual-time charging is identical, so the Result still
+		// matches the attached replicas.
 	}
 	if opt.Reflux {
 		if !opt.WithData {
@@ -711,9 +695,6 @@ func (r *Runner) writeDurable(step int) {
 	seq := r.ckptAttempts
 	r.ckptAttempts++
 	now := r.clock.Now()
-	if r.opt.BeforeCheckpointWrite != nil {
-		r.opt.BeforeCheckpointWrite(step, seq)
-	}
 	meta := r.snapshotMeta(step)
 	// The prune count, like DiskCheckpoints, describes the world in
 	// which this generation landed on disk — including the prune its

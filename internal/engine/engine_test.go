@@ -272,33 +272,11 @@ func TestSequentialBaseline(t *testing.T) {
 }
 
 func TestUseMPXMatchesSharedMemoryRun(t *testing.T) {
-	run := func(useMPX bool) (*metrics.Result, *Runner) {
-		sys := machine.WanPair(2, nil)
-		r := New(sys, workload.NewShockPool3D(16, 2), Options{
-			Steps: 3, MaxLevel: 1, WithData: true, UseMPX: useMPX,
-		})
-		return r.Run(), r
-	}
-	seqRes, seqRun := run(false)
-	mpxRes, mpxRun := run(true)
-	if seqRes.Identity() != mpxRes.Identity() {
-		t.Errorf("Result differs under MPX:\n%s\n%s", seqRes.Identity(), mpxRes.Identity())
-	}
-	// Field data must match bit-for-bit at every level.
-	for l := 0; l <= 1; l++ {
-		a, b := seqRun.Hierarchy().Grids(l), mpxRun.Hierarchy().Grids(l)
-		if len(a) != len(b) {
-			t.Fatalf("grid counts differ at level %d", l)
-		}
-		for i := range a {
-			fa, fb := a[i].Patch.Field(solver.FieldQ), b[i].Patch.Field(solver.FieldQ)
-			for k := range fa {
-				if fa[k] != fb[k] {
-					t.Fatalf("level %d grid %d differs at %d: %v vs %v", l, i, k, fa[k], fb[k])
-				}
-			}
-		}
-	}
+	// The Result and every field bit agree between the mpx ranks over
+	// tcp and the shared-memory data path.
+	shmRes, shmRun := runTransport("", nil, nil)
+	mpxRes, mpxRun := runTransport(TransportTCP, nil, nil)
+	requireIdenticalRuns(t, shmRes, mpxRes, shmRun, mpxRun)
 }
 
 func TestUseMPXRequiresWithData(t *testing.T) {
@@ -307,7 +285,7 @@ func TestUseMPXRequiresWithData(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	New(machine.WanPair(1, nil), workload.NewShockPool3D(16, 2), Options{UseMPX: true})
+	New(machine.WanPair(1, nil), workload.NewShockPool3D(16, 2), Options{UseMPX: true, Transport: TransportTCP})
 }
 
 func TestRefluxImprovesConservation(t *testing.T) {
@@ -348,7 +326,7 @@ func TestRefluxOptionValidation(t *testing.T) {
 	})
 	assertEnginePanics(t, "reflux with mpx", func() {
 		New(machine.Origin2000("x", 1), workload.NewStaticBlob(8, 2),
-			Options{Reflux: true, WithData: true, UseMPX: true})
+			Options{Reflux: true, WithData: true, UseMPX: true, Transport: TransportTCP})
 	})
 }
 
@@ -552,17 +530,17 @@ func TestResumeMismatchPanics(t *testing.T) {
 }
 
 func TestUseMPXMatchesOnMultiFieldWorkload(t *testing.T) {
-	// AMR64 carries three fields and two kernels; the rank-parallel
-	// exchange must still be bit-identical.
-	run := func(useMPX bool) *Runner {
+	// AMR64 carries three fields and two kernels; the exchange over
+	// tcp ranks must still be bit-identical to shared memory.
+	run := func(transport string) *Runner {
 		sys := machine.WanPair(2, nil)
 		r := New(sys, workload.NewAMR64(16, 2, 9), Options{
-			Steps: 2, MaxLevel: 1, WithData: true, UseMPX: useMPX,
+			Steps: 2, MaxLevel: 1, WithData: true, UseMPX: transport != "", Transport: transport,
 		})
 		r.Run()
 		return r
 	}
-	a, b := run(false), run(true)
+	a, b := run(""), run(TransportTCP)
 	for l := 0; l <= 1; l++ {
 		ga, gb := a.Hierarchy().Grids(l), b.Hierarchy().Grids(l)
 		if len(ga) != len(gb) {

@@ -43,22 +43,16 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 			func(o *Options) { o.MaxLevel = -1 }},
 		{"engine: fault event 0 (proc-fail): proc 99 out of range for 2 processors", Options{Faults: procFail(t, 1)},
 			func(o *Options) { o.Faults = procFail(t, 99) }},
-		{"engine: Transport=tcp requires UseMPX", Options{},
-			func(o *Options) { o.Transport = TransportTCP }},
-		{"engine: Transport=worker requires UseMPX", Options{},
-			func(o *Options) { o.Transport = TransportWorker }},
-		{"engine: Transport=worker requires Options.Worker", Options{},
-			func(o *Options) { o.UseMPX, o.Transport = true, TransportWorker }},
+		{`engine: UseMPX=true with Transport="": UseMPX is set exactly for tcp and worker`, Options{},
+			func(o *Options) { o.UseMPX = true }},
 		{"engine: Transport=worker forbids data-dependent control (GradientField/DataCheck)", Options{},
-			func(o *Options) {
-				o.UseMPX, o.Transport, o.Worker, o.DataCheck = true, TransportWorker, &WorkerWire{}, true
-			}},
+			func(o *Options) { o.UseMPX, o.Transport, o.DataCheck = true, TransportWorker, true }},
 		{"engine: unknown Transport carrier-pigeon", Options{},
 			func(o *Options) { o.Transport = "carrier-pigeon" }},
 		{"engine: UseMPX requires WithData", Options{},
-			func(o *Options) { o.UseMPX = true }},
+			func(o *Options) { o.UseMPX, o.Transport = true, TransportTCP }},
 		{"engine: Reflux and UseMPX are not supported together", Options{WithData: true},
-			func(o *Options) { o.UseMPX, o.Reflux = true, true }},
+			func(o *Options) { o.UseMPX, o.Transport, o.Reflux = true, TransportTCP, true }},
 		{"engine: Reflux requires WithData", Options{},
 			func(o *Options) { o.Reflux = true }},
 		{"engine: gradient flagging requires WithData", Options{},

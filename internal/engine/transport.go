@@ -11,12 +11,9 @@ import (
 	"samrdlb/internal/trace"
 )
 
-// Transport mode names accepted by Options.Transport.
+// Transport mode names Options.Transport accepts besides "", the
+// shared-memory data path.
 const (
-	// TransportLoopback (and "") is the in-process mpx world: every
-	// simulated processor is a goroutine rank in one shared-memory
-	// communicator. It is the scenario/oracle reference configuration.
-	TransportLoopback = "loopback"
 	// TransportTCP runs each processor group as its own shard world
 	// behind a real localhost socket: inter-group messages travel as
 	// CRC32-framed bytes, exercising marshalling, ordering and the
@@ -34,24 +31,11 @@ const (
 	TransportWorker = "worker"
 )
 
-// WorkerWire configures one worker process's shard (Transport=worker).
-type WorkerWire struct {
-	// Shard is the processor-group id this process hosts.
-	Shard int
-	// Endpoint is the worker's already-connected wire endpoint; New
-	// binds the shard world to it. nil runs the worker detached,
-	// without a wire — the restart path after a crash, when the
-	// surviving peers have already detached.
-	Endpoint *mpx.TCPEndpoint
-}
-
 // shardSet is the engine's view of a rank execution. Over tcp it is
 // one shard World plus one TCPEndpoint per processor group, fully
 // connected with the lower-dials-higher convention; a worker process
-// holds its own group's world and endpoint; loopback is the degenerate
-// case of one all-local world and no endpoints, so nothing it runs can
-// fail on a wire. Every wire failure policy is the same: the first one
-// detaches the set for good.
+// holds its own group's world and endpoint. Every wire failure policy
+// is the same: the first one detaches the set for good.
 type shardSet struct {
 	worlds   []*mpx.World
 	eps      []*mpx.TCPEndpoint
@@ -93,11 +77,11 @@ func newTCPShards(sys *machine.System, wf mpx.WireFault, wireTimeout time.Durati
 }
 
 // newWorkerShard wraps one worker process's already-connected endpoint
-// in a single-world shard set: the local group's ranks live here, the
-// peer groups' ranks live in other OS processes behind the wire.
-func newWorkerShard(sys *machine.System, shard int, ep *mpx.TCPEndpoint) *shardSet {
+// in a single-world shard set: the endpoint's group's ranks live here,
+// the peer groups' ranks live in other OS processes behind the wire.
+func newWorkerShard(sys *machine.System, ep *mpx.TCPEndpoint) *shardSet {
 	shardOf := func(rank int) int { return sys.GroupOf(rank) }
-	w := mpx.NewShardWorld(sys.NumProcs(), shardOf, shard, ep)
+	w := mpx.NewShardWorld(sys.NumProcs(), shardOf, ep.Shard(), ep)
 	ep.Bind(w)
 	return &shardSet{
 		worlds: []*mpx.World{w},
@@ -236,8 +220,8 @@ func (r *Runner) runWirePhase(phase string, level int, body func(rank *mpx.Rank)
 	return false
 }
 
-// Close releases the runner's wire endpoints (a loopback run has
-// none). Run calls it on exit; it is safe to call again.
+// Close releases the runner's wire endpoints, if it has any. Run calls
+// it on exit; it is safe to call again.
 func (r *Runner) Close() {
 	if r.shards != nil {
 		r.shards.close()

@@ -19,10 +19,11 @@ import (
 )
 
 // transportOptions is the reference scenario's options (run on two
-// WAN groups of two procs each) under the given transport.
+// WAN groups of two procs each) under the given transport ("" is the
+// shared-memory data path).
 func transportOptions(transport string, wf mpx.WireFault) Options {
 	return Options{
-		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: true,
+		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: transport != "",
 		Transport: transport, wireFault: wf,
 	}
 }
@@ -42,13 +43,13 @@ func runTransport(transport string, wf mpx.WireFault, pool *solver.Pool) (*metri
 	return runReference(opt)
 }
 
-// requireIdenticalRuns asserts the cross-transport oracle: the Result
+// requireIdenticalRuns asserts the cross-data-path oracle: the Result
 // identity and every field value must agree bit-for-bit between the two
 // runs.
 func requireIdenticalRuns(t *testing.T, a, b *metrics.Result, ra, rb *Runner) {
 	t.Helper()
 	if a.Identity() != b.Identity() {
-		t.Errorf("Result differs across transports:\n%s\n%s", a.Identity(), b.Identity())
+		t.Errorf("Result differs across data paths:\n%s\n%s", a.Identity(), b.Identity())
 	}
 	for l := 0; l <= 1; l++ {
 		ga, gb := ra.Hierarchy().Grids(l), rb.Hierarchy().Grids(l)
@@ -66,16 +67,16 @@ func requireIdenticalRuns(t *testing.T, a, b *metrics.Result, ra, rb *Runner) {
 	}
 }
 
-// TestTCPTransportMatchesLoopback is the tentpole's safety net: the
-// same seeded scenario over the in-process loopback world and over
-// real per-group TCP shards must produce identical Results and
-// bit-identical field data, with the tcp run demonstrably moving
-// frames across actual sockets.
-func TestTCPTransportMatchesLoopback(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
+// TestTCPTransportMatchesSharedMemory is the wire's safety net: the
+// same seeded scenario on the shared-memory data path and over real
+// per-group TCP shards must produce identical Results and bit-identical
+// field data, with the tcp run demonstrably moving frames across
+// actual sockets.
+func TestTCPTransportMatchesSharedMemory(t *testing.T) {
+	shmRes, shmRun := runTransport("", nil, nil)
 	tcpRes, tcpRun := runTransport(TransportTCP, nil, nil)
 
-	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
+	requireIdenticalRuns(t, shmRes, tcpRes, shmRun, tcpRun)
 
 	if tcpRes.TransportFrames == 0 || tcpRes.TransportBytes == 0 {
 		t.Error("tcp run moved no wire frames; the exchange stayed in memory")
@@ -84,14 +85,14 @@ func TestTCPTransportMatchesLoopback(t *testing.T) {
 		t.Errorf("clean tcp run reports %d faults, %d fallbacks",
 			tcpRes.TransportFaults, tcpRes.TransportFallbacks)
 	}
-	if loopRes.TransportFrames != 0 {
-		t.Errorf("loopback run reports %d wire frames", loopRes.TransportFrames)
+	if shmRes.TransportFrames != 0 {
+		t.Errorf("shared-memory run reports %d wire frames", shmRes.TransportFrames)
 	}
 	if s := tcpRes.TransportSummary(); !strings.Contains(s, "wire transport") {
 		t.Errorf("TransportSummary = %q", s)
 	}
-	if s := loopRes.TransportSummary(); s != "" {
-		t.Errorf("loopback TransportSummary = %q, want empty", s)
+	if s := shmRes.TransportSummary(); s != "" {
+		t.Errorf("shared-memory TransportSummary = %q, want empty", s)
 	}
 
 	// The kernel sweep runs over the host pool on every transport: a
@@ -113,13 +114,13 @@ func (dropFirstOffers) DropSend(src, dst int, n uint64) bool { return n == 0 }
 // TestWireFaultFallsBackAndStaysIdentical injects wire drops: the
 // faulted phase folds into the fault/fallback counters, the run detaches
 // and never writes a frame again, and the in-memory data path keeps the
-// run bit-identical to loopback — a flaky wire may cost availability,
-// never correctness.
+// run bit-identical to the shared-memory one — a flaky wire may cost
+// availability, never correctness.
 func TestWireFaultFallsBackAndStaysIdentical(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
+	shmRes, shmRun := runTransport("", nil, nil)
 	tcpRes, tcpRun := runTransport(TransportTCP, dropFirstOffers{}, nil)
 
-	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
+	requireIdenticalRuns(t, shmRes, tcpRes, shmRun, tcpRun)
 
 	if tcpRes.TransportFaults == 0 {
 		t.Error("injected drops produced no recorded transport faults")
@@ -153,10 +154,10 @@ func (dropSparseOffers) DropSend(src, dst int, n uint64) bool { return n%7 == 3 
 // a half-consumed receive behind, and neither may reach the in-memory
 // phases that follow it.
 func TestWireFaultsOnManyPhasesStayIdentical(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
+	shmRes, shmRun := runTransport("", nil, nil)
 	tcpRes, tcpRun := runTransport(TransportTCP, dropSparseOffers{}, nil)
 
-	requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
+	requireIdenticalRuns(t, shmRes, tcpRes, shmRun, tcpRun)
 
 	if tcpRes.TransportFallbacks != 1 {
 		t.Errorf("%d phase fallbacks, want 1: the first wire failure detaches", tcpRes.TransportFallbacks)
@@ -186,17 +187,17 @@ func probeLoss(t *testing.T) *fault.Schedule {
 // balancer reads. A tcp run with wire drops reports the very Result and
 // fields of the shared-memory run under the same probe-loss schedule.
 func TestWireFaultNeverReachesSuspicion(t *testing.T) {
-	loopOpt := transportOptions(TransportLoopback, nil)
-	loopOpt.Steps, loopOpt.Faults = 6, probeLoss(t)
-	loopRes, loopRun := runReference(loopOpt)
-	if loopRes.SuspectTransitions == 0 {
+	shmOpt := transportOptions("", nil)
+	shmOpt.Steps, shmOpt.Faults = 6, probeLoss(t)
+	shmRes, shmRun := runReference(shmOpt)
+	if shmRes.SuspectTransitions == 0 {
 		t.Fatal("the probe-loss schedule raised no suspicion; the run exercises no tracker")
 	}
 	for _, wf := range []mpx.WireFault{dropFirstOffers{}, dropSparseOffers{}} {
 		tcpOpt := transportOptions(TransportTCP, wf)
 		tcpOpt.Steps, tcpOpt.Faults = 6, probeLoss(t) // a schedule is one run's
 		tcpRes, tcpRun := runReference(tcpOpt)
-		requireIdenticalRuns(t, loopRes, tcpRes, loopRun, tcpRun)
+		requireIdenticalRuns(t, shmRes, tcpRes, shmRun, tcpRun)
 		if tcpRes.TransportFallbacks != 1 {
 			t.Errorf("%T: %d phase fallbacks, want 1", wf, tcpRes.TransportFallbacks)
 		}

@@ -43,18 +43,18 @@ func connectedWorkerEndpoints(t *testing.T, ngroups int, wireTimeout time.Durati
 }
 
 // newWorkerRunner builds one worker-process replica of the reference
-// scenario. Each replica gets its own System and driver — in a real
-// supervised run they live in separate OS processes.
-func newWorkerRunner(shard, steps int, ep *mpx.TCPEndpoint) *Runner {
+// scenario, hosting ep's group (nil runs it detached). Each replica
+// gets its own System and driver — in a real supervised run they live
+// in separate OS processes.
+func newWorkerRunner(steps int, ep *mpx.TCPEndpoint) *Runner {
 	return New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: steps, MaxLevel: 1, WithData: true, UseMPX: true,
-		Transport: TransportWorker,
-		Worker:    &WorkerWire{Shard: shard, Endpoint: ep},
+		Transport: TransportWorker, Worker: ep,
 	})
 }
 
 // requireWorkerResultMatches asserts the worker-replica oracle: the
-// Result identity must match the loopback reference. Field data is
+// Result identity must match the shared-memory run's. Field data is
 // deliberately not part of the contract — a worker's copies of
 // remote-owned grids go stale by design, and once any phase falls back
 // the in-memory rewrite reads those stale copies. Only the Result is
@@ -66,18 +66,18 @@ func requireWorkerResultMatches(t *testing.T, who string, ref, got *metrics.Resu
 	}
 }
 
-// TestWorkerTransportMatchesLoopback is the multi-process tentpole's
+// TestWorkerTransportMatchesSharedMemory is the multi-process mode's
 // in-process safety net: one engine replica per group, each hosting
 // only its shard behind a real socket, run concurrently — and every
-// replica must report the very Result the single-process loopback run
-// reports, with frames demonstrably crossing the wire.
-func TestWorkerTransportMatchesLoopback(t *testing.T) {
-	loopRes, loopRun := runTransport(TransportLoopback, nil, nil)
+// replica must report the very Result the shared-memory run reports,
+// with frames demonstrably crossing the wire.
+func TestWorkerTransportMatchesSharedMemory(t *testing.T) {
+	shmRes, shmRun := runTransport("", nil, nil)
 
 	eps := connectedWorkerEndpoints(t, 2, 5*time.Second)
 	runners := make([]*Runner, 2)
 	for g := range runners {
-		runners[g] = newWorkerRunner(g, 3, eps[g])
+		runners[g] = newWorkerRunner(3, eps[g])
 	}
 	results := make([]*metrics.Result, 2)
 	var wg sync.WaitGroup
@@ -91,7 +91,7 @@ func TestWorkerTransportMatchesLoopback(t *testing.T) {
 	wg.Wait()
 
 	for g, res := range results {
-		requireWorkerResultMatches(t, "worker "+string(rune('0'+g)), loopRes, res)
+		requireWorkerResultMatches(t, "worker "+string(rune('0'+g)), shmRes, res)
 		if res.TransportFrames == 0 || res.TransportBytes == 0 {
 			t.Errorf("worker %d moved no wire frames; the exchange stayed in memory", g)
 		}
@@ -102,7 +102,7 @@ func TestWorkerTransportMatchesLoopback(t *testing.T) {
 
 	// Owned-grid exactness: while every phase runs over the wire, ghost
 	// data always comes from the owning worker, so owned interiors never
-	// drift — bit-for-bit equal to the loopback run. The guarantee ends
+	// drift — bit-for-bit equal to the shared-memory run. The guarantee ends
 	// at the first fallback (the in-memory rewrite reads stale copies of
 	// remote-owned grids), so skip a worker that detached during the
 	// end-of-run teardown race.
@@ -112,7 +112,7 @@ func TestWorkerTransportMatchesLoopback(t *testing.T) {
 			continue
 		}
 		for l := 0; l <= 1; l++ {
-			ga, gw := loopRun.Hierarchy().Grids(l), rr.Hierarchy().Grids(l)
+			ga, gw := shmRun.Hierarchy().Grids(l), rr.Hierarchy().Grids(l)
 			if len(ga) != len(gw) {
 				t.Fatalf("worker %d: grid counts differ at level %d: %d vs %d", g, l, len(gw), len(ga))
 			}
@@ -139,11 +139,11 @@ func TestWorkerTransportMatchesLoopback(t *testing.T) {
 // path, and still finish with exactly the fault-free Result — a dead
 // peer costs availability of the wire, never correctness.
 func TestWorkerDetachOnPeerExitStaysIdentical(t *testing.T) {
-	loopRes, _ := runTransport(TransportLoopback, nil, nil)
+	shmRes, _ := runTransport("", nil, nil)
 
 	eps := connectedWorkerEndpoints(t, 2, 2*time.Second)
-	survivor := newWorkerRunner(0, 3, eps[0])
-	quitter := newWorkerRunner(1, 1, eps[1])
+	survivor := newWorkerRunner(3, eps[0])
+	quitter := newWorkerRunner(1, eps[1])
 
 	var res0 *metrics.Result
 	var wg sync.WaitGroup
@@ -158,7 +158,7 @@ func TestWorkerDetachOnPeerExitStaysIdentical(t *testing.T) {
 	}()
 	wg.Wait()
 
-	requireWorkerResultMatches(t, "survivor", loopRes, res0)
+	requireWorkerResultMatches(t, "survivor", shmRes, res0)
 	if res0.TransportFallbacks == 0 {
 		t.Error("survivor never fell back; peer loss went unnoticed")
 	}
@@ -180,12 +180,9 @@ func TestWorkerTransportValidation(t *testing.T) {
 		New(machine.WanPair(1, nil), workload.NewShockPool3D(16, 2), opt)
 	}
 	mustPanic("worker without UseMPX", Options{Steps: 1, Transport: TransportWorker})
-	mustPanic("worker without Worker", Options{
-		Steps: 1, WithData: true, UseMPX: true, Transport: TransportWorker,
-	})
 	mustPanic("worker with DataCheck", Options{
 		Steps: 1, WithData: true, UseMPX: true, DataCheck: true,
-		Transport: TransportWorker, Worker: &WorkerWire{Shard: 0},
+		Transport: TransportWorker,
 	})
 }
 
@@ -193,14 +190,9 @@ func TestWorkerTransportValidation(t *testing.T) {
 // a detached worker (no endpoint at all) must run the plain in-memory
 // path end-to-end and still produce the reference Result.
 func TestDetachedWorkerRunsPlainPath(t *testing.T) {
-	loopRes, _ := runTransport(TransportLoopback, nil, nil)
-	r := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 3, MaxLevel: 1, WithData: true, UseMPX: true,
-		Transport: TransportWorker,
-		Worker:    &WorkerWire{Shard: 1},
-	})
-	res := r.Run()
-	requireWorkerResultMatches(t, "detached worker", loopRes, res)
+	shmRes, _ := runTransport("", nil, nil)
+	res := newWorkerRunner(3, nil).Run()
+	requireWorkerResultMatches(t, "detached worker", shmRes, res)
 	if res.TransportFrames != 0 {
 		t.Errorf("detached worker reports %d wire frames", res.TransportFrames)
 	}

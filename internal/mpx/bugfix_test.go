@@ -12,7 +12,7 @@ import (
 // losing the typed values and all but one failure.)
 func TestRunAggregatesAllPanicValues(t *testing.T) {
 	type rankFault struct{ code int }
-	w := NewWorld(4)
+	w := oneShard(4)
 	defer func() {
 		p := recover()
 		rpe, ok := p.(*RunPanicError)
@@ -47,7 +47,7 @@ func TestRunAggregatesAllPanicValues(t *testing.T) {
 // in Recv; the blocked ranks surface as secondary AbortErrors and
 // Primary() identifies the real culprit.
 func TestRunPrimaryCauseUnderAbort(t *testing.T) {
-	w := NewWorld(3)
+	w := oneShard(3)
 	defer func() {
 		rpe, ok := recover().(*RunPanicError)
 		if !ok {
@@ -80,7 +80,7 @@ func TestRunPrimaryCauseUnderAbort(t *testing.T) {
 // TestNegativeUserTagsRejected pins the tag validation: Send and Recv
 // reject negative tags loudly.
 func TestNegativeUserTagsRejected(t *testing.T) {
-	w := NewWorld(2)
+	w := oneShard(2)
 	r := &Rank{world: w, id: 0}
 	for _, op := range []struct {
 		name string
@@ -121,7 +121,7 @@ func (m *mailbox) queueState() (length, capacity int) {
 // reachable through a stale tail slot, and a drained queue that grew
 // beyond smallQueueCap must release its backing array.
 func TestMailboxCompactsAndReleases(t *testing.T) {
-	w := NewWorld(2)
+	w := oneShard(2)
 	box := w.boxes[1][0]
 	const burst = 64
 	for i := 0; i < burst; i++ {
@@ -154,7 +154,7 @@ func TestMailboxRetentionHeapBound(t *testing.T) {
 		words   = 1 << 15 // 256 KiB per payload
 		payload = msgs * words * 8
 	)
-	w := NewWorld(2)
+	w := oneShard(2)
 	for round := 0; round < rounds; round++ {
 		w.Run(func(r *Rank) {
 			if r.ID() == 0 {

@@ -83,3 +83,10 @@ func (e *fabricEndpoint) Abort(cause string) {
 }
 
 func (e *fabricEndpoint) Close() error { return nil }
+
+// oneShard builds an n-rank world whose ranks all live in shard 0, so
+// its fabric never carries a message: the in-process world the
+// point-to-point tests run on.
+func oneShard(n int) *World {
+	return NewShardWorld(n, func(int) int { return 0 }, 0, newLocalFabric(func(int) int { return 0 }).Endpoint(0))
+}

@@ -1,22 +1,18 @@
-// Package mpx is a minimal in-process message-passing runtime in the
-// style of MPI, the substrate ENZO uses for inter-processor
-// communication. A World holds n ranks; each rank runs on its own
-// goroutine with point-to-point tagged sends and receives and
-// barriers.
+// Package mpx is a minimal message-passing runtime in the style of
+// MPI, the substrate ENZO uses for inter-processor communication. A
+// World is one shard of a communicator over n ranks: it hosts the
+// ranks its shard owns, each on its own goroutine with point-to-point
+// tagged sends and receives and barriers, and reaches the others
+// through a Transport (TCPEndpoint carries it over real sockets).
 //
 // Sends are buffered and never block (mailboxes grow as needed), so
 // bulk-synchronous exchange patterns — every rank posting all its
 // sends, then draining its receives — cannot deadlock. Receives match
-// (source, tag) pairs and tolerate out-of-order arrival.
-//
-// A world can also host only a subset ("shard") of its ranks, with
-// the rest living behind a Transport (see NewShardWorld): sends to a
-// remote rank are carried by the transport, receives from remote
-// ranks are satisfied by frames the transport delivers into the local
-// mailboxes, and barriers synchronise only the local ranks. Because
-// mailboxes match (source, tag) FIFO and the transports preserve
-// per-connection order, point-to-point semantics are identical to the
-// all-local world.
+// (source, tag) pairs and tolerate out-of-order arrival: a remote
+// message is delivered into the same mailbox a local one is put into,
+// and the transport preserves per-connection order, so where a rank
+// lives never changes what it receives. Barriers synchronise the local
+// ranks only.
 package mpx
 
 import (
@@ -27,15 +23,14 @@ import (
 	"sync/atomic"
 )
 
-// World is a communicator over n ranks.
+// World is one shard of a communicator over n ranks.
 type World struct {
 	n     int
 	boxes [][]*mailbox // boxes[dst][src]
 	bar   *barrier
 
-	// Sharding seam. For the classic all-local world shardOf is nil
-	// and local covers every rank; a shard world hosts only the ranks
-	// with shardOf[rank] == self and routes the rest through tr.
+	// A world hosts only the ranks with shardOf[rank] == self and
+	// routes sends to the rest through tr.
 	local   []int
 	shardOf []int
 	self    int
@@ -43,20 +38,6 @@ type World struct {
 
 	aborted atomic.Bool
 	cause   atomic.Value // string; first abort cause wins
-}
-
-// NewWorld creates a communicator with n ranks, all hosted locally.
-func NewWorld(n int) *World {
-	if n <= 0 {
-		panic("mpx.NewWorld: need at least one rank")
-	}
-	w := newWorldCommon(n)
-	w.local = make([]int, n)
-	for i := range w.local {
-		w.local[i] = i
-	}
-	w.bar = newBarrier(w, n)
-	return w
 }
 
 // NewShardWorld creates a communicator over n ranks of which only the
@@ -72,10 +53,14 @@ func NewShardWorld(n int, shardOf func(rank int) int, self int, tr Transport) *W
 	if shardOf == nil || tr == nil {
 		panic("mpx.NewShardWorld: shardOf and transport are required")
 	}
-	w := newWorldCommon(n)
-	w.shardOf = make([]int, n)
-	w.self = self
-	w.tr = tr
+	w := &World{n: n, shardOf: make([]int, n), self: self, tr: tr}
+	w.boxes = make([][]*mailbox, n)
+	for dst := 0; dst < n; dst++ {
+		w.boxes[dst] = make([]*mailbox, n)
+		for src := 0; src < n; src++ {
+			w.boxes[dst][src] = newMailbox(w)
+		}
+	}
 	for r := 0; r < n; r++ {
 		w.shardOf[r] = shardOf(r)
 		if w.shardOf[r] == self {
@@ -86,18 +71,6 @@ func NewShardWorld(n int, shardOf func(rank int) int, self int, tr Transport) *W
 		panic(fmt.Sprintf("mpx.NewShardWorld: shard %d hosts no ranks", self))
 	}
 	w.bar = newBarrier(w, len(w.local))
-	return w
-}
-
-func newWorldCommon(n int) *World {
-	w := &World{n: n}
-	w.boxes = make([][]*mailbox, n)
-	for dst := 0; dst < n; dst++ {
-		w.boxes[dst] = make([]*mailbox, n)
-		for src := 0; src < n; src++ {
-			w.boxes[dst][src] = newMailbox(w)
-		}
-	}
 	return w
 }
 
@@ -163,16 +136,16 @@ func (e *RunPanicError) TransportOnly() bool {
 // Run executes body once per locally hosted rank, each on its own
 // goroutine, and waits for all of them. If any rank panics the world
 // aborts: blocked ranks are woken with an AbortError, the transport
-// (if any) propagates the abort to peer shards, and Run re-raises a
+// propagates the abort to peer shards, and Run re-raises a
 // *RunPanicError aggregating every rank's original panic value.
 //
 // A world that is already aborted when Run is called fails immediately
-// with a secondary AbortError per local rank: on a shard world a peer
-// shard can fail the current phase (and propagate its abort over the
-// wire) before this shard's Run has even started, and that race must
-// surface as the same transport-only failure the caller's fallback
-// path already handles. Nothing clears the abort: the caller leaves
-// the wire for good after its first failure.
+// with a secondary AbortError per local rank: a peer shard can fail
+// the current phase (and propagate its abort over the wire) before
+// this shard's Run has even started, and that race must surface as
+// the same transport-only failure the caller's fallback path already
+// handles. Nothing clears the abort: the caller leaves the wire for
+// good after its first failure.
 func (w *World) Run(body func(r *Rank)) {
 	if w.aborted.Load() {
 		var agg RunPanicError
@@ -228,7 +201,7 @@ func (w *World) abort(cause string, fromWire bool) {
 		}
 	}
 	w.bar.wake()
-	if !fromWire && w.tr != nil {
+	if !fromWire {
 		w.tr.Abort(cause)
 	}
 }
@@ -278,7 +251,7 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	if to < 0 || to >= w.n {
 		panic(fmt.Sprintf("mpx.Send: bad destination %d", to))
 	}
-	if w.shardOf != nil && w.shardOf[to] != w.self {
+	if w.shardOf[to] != w.self {
 		if err := w.tr.Send(r.id, to, tag, data); err != nil {
 			panic(&TransportError{Src: r.id, Dst: to, Tag: tag, Err: err})
 		}
@@ -358,7 +331,7 @@ func (m *mailbox) take(tag int) []float64 {
 			}
 			return data
 		}
-		if m.w != nil && m.w.aborted.Load() {
+		if m.w.aborted.Load() {
 			panic(&AbortError{Cause: m.w.abortCause()})
 		}
 		m.cond.Wait()
@@ -401,7 +374,7 @@ func (b *barrier) await() {
 		return
 	}
 	for gen == b.gen {
-		if b.w != nil && b.w.aborted.Load() {
+		if b.w.aborted.Load() {
 			panic(&AbortError{Cause: b.w.abortCause()})
 		}
 		b.cond.Wait()

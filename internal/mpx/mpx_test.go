@@ -7,7 +7,7 @@ import (
 )
 
 func TestPingPong(t *testing.T) {
-	w := NewWorld(2)
+	w := oneShard(2)
 	w.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
@@ -28,7 +28,7 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestSendCopiesData(t *testing.T) {
-	w := NewWorld(2)
+	w := oneShard(2)
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			buf := []float64{1}
@@ -43,7 +43,7 @@ func TestSendCopiesData(t *testing.T) {
 }
 
 func TestOutOfOrderTags(t *testing.T) {
-	w := NewWorld(2)
+	w := oneShard(2)
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 1, []float64{10})
@@ -66,7 +66,7 @@ func TestOutOfOrderTags(t *testing.T) {
 }
 
 func TestSameTagFIFO(t *testing.T) {
-	w := NewWorld(2)
+	w := oneShard(2)
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			for i := 0; i < 10; i++ {
@@ -83,7 +83,7 @@ func TestSameTagFIFO(t *testing.T) {
 }
 
 func TestSelfSend(t *testing.T) {
-	w := NewWorld(1)
+	w := oneShard(1)
 	w.Run(func(r *Rank) {
 		r.Send(0, 5, []float64{42})
 		if got := r.Recv(0, 5); got[0] != 42 {
@@ -94,7 +94,7 @@ func TestSelfSend(t *testing.T) {
 
 func TestBarrierSeparatesPhases(t *testing.T) {
 	const n = 8
-	w := NewWorld(n)
+	w := oneShard(n)
 	var phase1 int32
 	w.Run(func(r *Rank) {
 		atomic.AddInt32(&phase1, 1)
@@ -108,7 +108,7 @@ func TestBarrierSeparatesPhases(t *testing.T) {
 
 func TestBarrierReusable(t *testing.T) {
 	const n, rounds = 4, 50
-	w := NewWorld(n)
+	w := oneShard(n)
 	var counter int32
 	w.Run(func(r *Rank) {
 		for round := 0; round < rounds; round++ {
@@ -156,7 +156,7 @@ func allReduceSum(r *Rank, x float64) float64 {
 
 func TestAllReduceSum(t *testing.T) {
 	const n = 6
-	w := NewWorld(n)
+	w := oneShard(n)
 	w.Run(func(r *Rank) {
 		got := allReduceSum(r, float64(r.ID()+1))
 		if got != n*(n+1)/2 {
@@ -167,7 +167,7 @@ func TestAllReduceSum(t *testing.T) {
 
 func TestAllGather(t *testing.T) {
 	const n = 5
-	w := NewWorld(n)
+	w := oneShard(n)
 	w.Run(func(r *Rank) {
 		vals := allGather(r, float64(r.ID()*10))
 		if len(vals) != n {
@@ -184,7 +184,7 @@ func TestAllGather(t *testing.T) {
 func TestCollectivesRepeatedly(t *testing.T) {
 	// Back-to-back gathers under one tag must not cross-talk.
 	const n = 4
-	w := NewWorld(n)
+	w := oneShard(n)
 	w.Run(func(r *Rank) {
 		for i := 0; i < 20; i++ {
 			s := allReduceSum(r, float64(i))
@@ -199,7 +199,7 @@ func TestAllToAllNoDeadlock(t *testing.T) {
 	// Every rank sends a large message to every other rank before
 	// receiving anything: buffered sends must prevent deadlock.
 	const n = 8
-	w := NewWorld(n)
+	w := oneShard(n)
 	payload := make([]float64, 4096)
 	w.Run(func(r *Rank) {
 		for dst := 0; dst < n; dst++ {
@@ -223,7 +223,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 			t.Error("expected panic to propagate")
 		}
 	}()
-	NewWorld(3).Run(func(r *Rank) {
+	oneShard(3).Run(func(r *Rank) {
 		if r.ID() == 1 {
 			panic("boom")
 		}
@@ -236,11 +236,11 @@ func TestValidation(t *testing.T) {
 			t.Error("expected panic for bad world size")
 		}
 	}()
-	NewWorld(0)
+	oneShard(0)
 }
 
 func TestBadEndpointsPanic(t *testing.T) {
-	w := NewWorld(2)
+	w := oneShard(2)
 	w.Run(func(r *Rank) {
 		if r.ID() != 0 {
 			return
@@ -266,7 +266,7 @@ func TestBadEndpointsPanic(t *testing.T) {
 
 func TestReduceMatchesSequential(t *testing.T) {
 	const n = 7
-	w := NewWorld(n)
+	w := oneShard(n)
 	w.Run(func(r *Rank) {
 		x := math.Sqrt(float64(r.ID() + 1))
 		got := allReduceSum(r, x)

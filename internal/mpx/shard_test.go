@@ -64,8 +64,8 @@ func exchangeBody(t *testing.T, results [][]float64) func(r *Rank) {
 	}
 }
 
-// TestShardWorldsMatchSingleWorld: the same exchange over (a) one
-// all-local world and (b) two shard worlds joined by a localFabric
+// TestShardWorldsMatchSingleWorld: the same exchange over (a) a
+// one-shard world and (b) two shard worlds joined by a localFabric
 // must produce identical per-rank results — including a gather and
 // fan-out that cross the shard boundary through rank 0.
 func TestShardWorldsMatchSingleWorld(t *testing.T) {
@@ -73,7 +73,7 @@ func TestShardWorldsMatchSingleWorld(t *testing.T) {
 	shardOf := func(rank int) int { return rank * 2 / n } // 0,0,0,1,1,1
 
 	single := make([][]float64, n)
-	NewWorld(n).Run(exchangeBody(t, single))
+	oneShard(n).Run(exchangeBody(t, single))
 
 	fab := newLocalFabric(shardOf)
 	worlds := make([]*World, 2)

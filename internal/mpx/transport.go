@@ -5,8 +5,8 @@ import "fmt"
 // Transport carries messages between shard worlds. Send must copy or
 // serialise data before returning (the caller reuses the slice) and
 // must preserve per-(src, dst) order — mailbox matching is FIFO per
-// (source, tag), so an order-preserving transport keeps shard-world
-// semantics identical to the all-local world. Abort propagates a
+// (source, tag), so an order-preserving transport delivers exactly
+// what a local send would. Abort propagates a
 // failure to peer shards so their blocked ranks wake instead of
 // deadlocking; it is best-effort (an unreachable peer is already
 // failing). Close releases the transport's resources.

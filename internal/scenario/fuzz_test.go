@@ -16,7 +16,7 @@ import (
 // it open-ended.
 func FuzzScenario(f *testing.F) {
 	// Typed specs: every table key, the testbed and the groups form.
-	f.Add([]byte("seed=7 dataset=AMR64 n=8 maxlevel=1 policy=paper system=lan procs=3 steps=2 gamma=1.5 eps=0.1 regrid=2 gpp=2 data=1 forecast=1 ckpt=1 quorum=1 faultseed=3 faults=proc-fail:proc=1:at=0.1:end=0.4/worker-kill:group=1:at=1 transport=loopback check=ledger,plan"))
+	f.Add([]byte("seed=7 dataset=AMR64 n=8 maxlevel=1 policy=paper system=lan procs=3 steps=2 gamma=1.5 eps=0.1 regrid=2 gpp=2 data=1 forecast=1 ckpt=1 quorum=1 faultseed=3 faults=proc-fail:proc=1:at=0.1:end=0.4/worker-kill:group=1:at=1 transport=tcp check=ledger,plan"))
 	f.Add([]byte("groups=2x1,1x0.5 wan=1 traffic=9 n=8 steps=3 cut=1 ckpt=1 bug=colocation check=invariants"))
 	f.Add([]byte("system=origin procs=1 n=1 maxlevel=0 steps=1 dataset=uniform"))
 	f.Add([]byte{})

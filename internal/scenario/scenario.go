@@ -83,7 +83,7 @@ type Scenario struct {
 	// self-tests: "colocation" misplaces children outside their
 	// parent's group. Never produced by Generate; preserved by Shrink.
 	InjectBug string `key:"bug"`
-	Transport string `key:"transport" flag:"transport" perrun:"1" usage:"rank-message transport with -data: loopback (in-process mpx world) | tcp (one shard per group over localhost sockets); empty = shared-memory data path"`
+	Transport string `key:"transport" flag:"transport" perrun:"1" usage:"rank-message transport with -data: tcp (one shard per group over localhost sockets); empty = shared-memory data path"`
 	// Check arms debug oracles for the run. Never produced by Generate
 	// (the plan-equivalence soak and -check replays set it); preserved
 	// by Shrink.

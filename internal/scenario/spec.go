@@ -244,8 +244,8 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("-policy %q: not one of %s, nor an alias", s.Scheme, strings.Join(dlb.PolicyNames(), " | "))
 	case !slices.Contains([]string{"", "wan", "lan", "origin"}, s.Testbed):
 		return fmt.Errorf("-system %q: not one of wan | lan | origin", s.Testbed)
-	case !slices.Contains([]string{"", engine.TransportLoopback, engine.TransportTCP}, s.Transport):
-		return fmt.Errorf("-transport %q: not one of loopback | tcp", s.Transport)
+	case s.Transport != "" && s.Transport != engine.TransportTCP:
+		return fmt.Errorf("-transport %q: not tcp, nor empty for the shared-memory data path", s.Transport)
 	case s.InjectBug != "" && s.InjectBug != "colocation":
 		return fmt.Errorf("bug=%q: the only seeded defect is colocation", s.InjectBug)
 	case s.DomainN < 1:

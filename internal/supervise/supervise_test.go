@@ -42,16 +42,37 @@ func TestMain(m *testing.M) {
 }
 
 // testRunOptions is the chaos scenario every worker (and the in-process
-// baseline) runs: 6 steps with a durable checkpoint generation every 2.
-func testRunOptions(shard int, ep *mpx.TCPEndpoint, ckdir string) engine.Options {
+// baseline) runs: 6 steps with a durable checkpoint generation every 2,
+// written to dir.
+func testRunOptions(ep *mpx.TCPEndpoint, dir ckpt.Dir) engine.Options {
 	return engine.Options{
 		Steps: 6, MaxLevel: 1, WithData: true, UseMPX: true,
 		Transport:          engine.TransportWorker,
-		Worker:             &engine.WorkerWire{Shard: shard, Endpoint: ep},
-		Checkpoints:        ckpt.OSDir(ckdir),
+		Worker:             ep,
+		Checkpoints:        dir,
 		CheckpointInterval: 2,
 		CheckpointKeep:     3,
 	}
+}
+
+// killAtWrite is a checkpoint directory whose process SIGKILLs itself
+// on the killSeq-th WriteFile (counting from 0), before a byte of that
+// generation is written. The chaos plans inject no disk faults, so
+// Store.Write calls WriteFile exactly once per durable write attempt;
+// and a kill trigger reaches only a worker's first incarnation, so the
+// calls this process counts are the engine's write-attempt sequence.
+type killAtWrite struct {
+	ckpt.Dir
+	killSeq, calls int
+}
+
+func (d *killAtWrite) WriteFile(name string, data []byte) error {
+	d.calls++
+	if d.calls > d.killSeq {
+		syscall.Kill(os.Getpid(), syscall.SIGKILL)
+		select {} // not reached: SIGKILL is immediate
+	}
+	return d.Dir.WriteFile(name, data)
 }
 
 func testDriver() workload.Driver { return workload.NewShockPool3D(16, 2) }
@@ -61,10 +82,11 @@ func workerMain() int {
 	shard, _ := strconv.Atoi(os.Getenv(envShard))
 	wt, _ := time.ParseDuration(os.Getenv(envWT))
 	restart := os.Getenv(envRestart) == "1"
-	ckdir := filepath.Join(os.Getenv(envCkpt), fmt.Sprintf("worker-%d", shard))
-	killSeq, stopStep, delayMS := -1, -1, 0
+	var dir ckpt.Dir = ckpt.OSDir(filepath.Join(os.Getenv(envCkpt), fmt.Sprintf("worker-%d", shard)))
+	stopStep, delayMS := -1, 0
 	if v := os.Getenv(envKillCkpt); v != "" {
-		killSeq, _ = strconv.Atoi(v)
+		killSeq, _ := strconv.Atoi(v)
+		dir = &killAtWrite{Dir: dir, killSeq: killSeq}
 	}
 	if v := os.Getenv(envStopStep); v != "" {
 		stopStep, _ = strconv.Atoi(v)
@@ -84,7 +106,7 @@ func workerMain() int {
 		Build: func(ep *mpx.TCPEndpoint) (func(func(int)) (string, string, error), error) {
 			var report func(int)
 			stopped := false
-			opt := testRunOptions(shard, ep, ckdir)
+			opt := testRunOptions(ep, dir)
 			opt.AfterStep = func(step int, _ *engine.Runner) {
 				if report != nil {
 					report(step)
@@ -97,14 +119,6 @@ func workerMain() int {
 				if stopStep >= 0 && step >= stopStep && !stopped {
 					stopped = true
 					syscall.Kill(os.Getpid(), syscall.SIGSTOP)
-				}
-			}
-			if killSeq >= 0 {
-				opt.BeforeCheckpointWrite = func(step, seq int) {
-					if seq >= killSeq {
-						syscall.Kill(os.Getpid(), syscall.SIGKILL)
-						select {} // not reached: SIGKILL is immediate
-					}
 				}
 			}
 			var r *engine.Runner
@@ -139,7 +153,7 @@ func workerMain() int {
 // Result fingerprint every supervised run must reproduce.
 func baselineFingerprint(t *testing.T) string {
 	t.Helper()
-	opt := testRunOptions(0, nil, filepath.Join(t.TempDir(), "worker-0"))
+	opt := testRunOptions(nil, ckpt.OSDir(filepath.Join(t.TempDir(), "worker-0")))
 	r := engine.New(machine.WanPair(2, nil), testDriver(), opt)
 	return r.Run().Identity()
 }
@@ -255,10 +269,10 @@ func TestSupervisedScriptedKillsRestartFromCheckpoint(t *testing.T) {
 }
 
 // TestSupervisedMidCheckpointKillResumes kills worker 1 from inside
-// the engine's durable-write path (immediately before its second
-// generation write), pinning that a death mid-checkpoint leaves the
-// store on its previous intact generation and the restart resumes
-// from it byte-identically.
+// its store's directory write (durable write attempt 2, before a byte
+// of it lands), pinning that a death mid-checkpoint leaves the store
+// on its previous intact generation and the restart resumes from it
+// byte-identically.
 func TestSupervisedMidCheckpointKillResumes(t *testing.T) {
 	want := baselineFingerprint(t)
 	rep, _ := runSupervised(t, chaosPlan{
