@@ -612,6 +612,44 @@ func BenchmarkGhostFillScan(b *testing.B) {
 	}
 }
 
+// BenchmarkFineLevelGhostFill measures the planned ghost fill of a fine
+// level: 64 level-1 grids tile the refined middle of a 64³ domain under
+// a level-0 cover of 64 grids, so a fine grid's ghost shell comes from
+// siblings where the tiles meet and is prolonged from level 0 only on
+// the tiled block's outer faces.
+func BenchmarkFineLevelGhostFill(b *testing.B) {
+	h := amr.New(geom.UnitCube(64), 2, 1, 1, true, "q", "rho")
+	h.SetPool(solver.NewPool(0))
+	coarse := geom.BoxList{h.Domain}.SplitEvenly(64)
+	coarse.SortByLo()
+	for i, bx := range coarse {
+		g := h.AddGrid(0, bx, i%8, amr.NoGrid)
+		g.Patch.FillFunc("q", func(c geom.Index) float64 { return float64(c[0] + 64*c[1]) })
+	}
+	middle := geom.BoxFromShape(geom.Index{16, 16, 16}, geom.Index{32, 32, 32})
+	for _, p := range h.Grids(0) {
+		piece := p.Box.Intersect(middle)
+		if piece.Empty() {
+			continue
+		}
+		tiles := geom.BoxList{piece.Refine(2)}.SplitEvenly(8)
+		tiles.SortByLo()
+		for i, bx := range tiles {
+			g := h.AddGrid(1, bx, (p.Owner+i)%8, p.ID)
+			g.Patch.FillFunc("q", func(c geom.Index) float64 { return float64(c[2] - c[1]) })
+		}
+	}
+	if n := len(h.Grids(1)); n != 64 {
+		b.Fatalf("level 1 holds %d grids, want 64", n)
+	}
+	h.FillGhostsData(1) // build the plan outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.FillGhostsData(1)
+	}
+}
+
 // benchRestrictHierarchy builds a two-level hierarchy: 64 coarse
 // grids, 512 fine grids tiling the whole refined domain.
 func benchRestrictHierarchy() *amr.Hierarchy {

@@ -173,6 +173,10 @@ type planScratch struct {
 	cand, cand2    []*Grid
 	ghost, covered geom.BoxList
 	rem, tmp       geom.BoxList
+	// left is a fill destination's ghost cells no sibling covers, ops
+	// its work list.
+	left geom.BoxList
+	ops  []fillOp
 	// blocks hold a ghost-plan chunk's messages in order; block is
 	// the one kept for the next chunk.
 	blocks [][]Message
@@ -422,13 +426,17 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 
 // subtractList returns a \ union(bs) as disjoint boxes, ping-ponging
 // between two pooled buffers instead of allocating the intermediate
-// decompositions like geom.SubtractList. The result aliases the
-// scratch and is valid until its next use.
+// decompositions like geom.SubtractList. A box that misses a misses
+// every piece of it and is skipped, which leaves the pieces as they
+// were. The result aliases the scratch and is valid until its next use.
 func subtractList(a geom.Box, bs geom.BoxList, scr *planScratch) geom.BoxList {
 	cur, alt := append(scr.rem[:0], a), scr.tmp
 	for _, b := range bs {
 		if len(cur) == 0 {
 			break
+		}
+		if !b.Intersects(a) {
+			continue
 		}
 		alt = alt[:0]
 		for _, r := range cur {
@@ -542,7 +550,9 @@ func (h *Hierarchy) FillGhostsData(l int) {
 }
 
 // FillGhostsScan is the original O(grids²) scan-based ghost fill,
-// kept as the datacheck baseline and for benchmarks. It produces
+// kept as the datacheck baseline and for benchmarks. It prolongs every
+// coarse-covered ghost cell and then overwrites the sibling overlaps,
+// independent of the plan's cell-once subtraction, and produces
 // exactly the same data as FillGhostsData.
 func (h *Hierarchy) FillGhostsScan(l int) {
 	if !h.WithData {

@@ -2,6 +2,7 @@ package amr
 
 import (
 	"fmt"
+	"slices"
 
 	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
@@ -24,19 +25,78 @@ import (
 // per-destination work lists concurrently with bit-identical results.
 
 // fillOp is one planned transfer into a destination grid's patch.
+// It is 64 bytes: a level's plan holds one per overlap, and it is
+// rebuilt at every regrid and migration.
 type fillOp struct {
-	src    *Grid
-	region geom.Box // destination-level index space
+	src *Grid
+	// lo and shape are the region, in destination-level index space.
+	lo, shape [3]int32
+	// to places the region's rows in the destination's storage, from
+	// what the op reads in the source's: the region itself for a copy,
+	// its coarse footprint for a prolongation. Both are computed from
+	// boxes when the plan is built, so running the op resolves nothing;
+	// the plan holds no patch storage, because the patches it names may
+	// be swapped (fillGhostsChecked) or absent (another shard's grids).
+	to, from rowsAt
 	// prolong: src is one level coarser and the region is injected
 	// piecewise-constant; otherwise src is a sibling and the region is
 	// copied.
 	prolong bool
 }
 
-// fillDest is the complete ghost-fill work list for one grid, in the
-// exact order the scan-based fill applied it: prolongations (coarse
-// grid major, ghost-box minor), then sibling copies, then the
-// physical-boundary clamp regions.
+// rowsAt is the start and strides of a grid.Rows, whose extents are
+// the op's shape.
+type rowsAt struct{ base, sy, sz int32 }
+
+// newFillOp plans the transfer of region into dst from src: a copy
+// from a sibling, or a prolongation from a coarse grid whose refined
+// box holds the region.
+func (h *Hierarchy) newFillOp(dst, src *Grid, region geom.Box, prolong bool) fillOp {
+	read := region
+	if prolong {
+		read = region.Coarsen(h.RefFactor)
+	}
+	to := grid.RowsOf(dst.Box.Grow(h.NGhost), region)
+	from := grid.RowsOf(src.Box.Grow(h.NGhost), read)
+	return fillOp{
+		src:     src,
+		lo:      [3]int32{narrow(region.Lo[0]), narrow(region.Lo[1]), narrow(region.Lo[2])},
+		shape:   [3]int32{narrow(to.N), narrow(to.NY), narrow(to.NZ)},
+		to:      rowsAt{narrow(to.Base), narrow(to.SY), narrow(to.SZ)},
+		from:    rowsAt{narrow(from.Base), narrow(from.SY), narrow(from.SZ)},
+		prolong: prolong,
+	}
+}
+
+// narrow returns v as an int32, panicking if it does not fit: a patch
+// of 2³¹ cells would be 16 GiB per field.
+func narrow(v int) int32 {
+	if int(int32(v)) != v {
+		panic(fmt.Sprintf("amr: fill plan offset %d overflows int32", v))
+	}
+	return int32(v)
+}
+
+// region returns the box the op writes.
+func (op *fillOp) region() geom.Box {
+	lo := geom.Index{int(op.lo[0]), int(op.lo[1]), int(op.lo[2])}
+	return geom.Box{Lo: lo, Hi: lo.Add(geom.Index{int(op.shape[0]) - 1, int(op.shape[1]) - 1, int(op.shape[2]) - 1})}
+}
+
+// rows lays the op's shape out at a.
+func (op *fillOp) rows(a rowsAt) grid.Rows {
+	return grid.Rows{
+		Base: int(a.base), SY: int(a.sy), SZ: int(a.sz),
+		N: int(op.shape[0]), NY: int(op.shape[1]), NZ: int(op.shape[2]),
+	}
+}
+
+// fillDest is the complete ghost-fill work list for one grid. It
+// writes each cell once: prolongations (coarse grid major, then the
+// ghost cells no sibling covers, slab by slab) fill only what the
+// sibling copies that follow leave, and the clamp regions only what
+// lies outside the physical domain. The ops are pairwise disjoint, so
+// their order changes no bit.
 type fillDest struct {
 	g      *Grid
 	ops    []fillOp
@@ -91,45 +151,64 @@ func (h *Hierarchy) buildFillPlan(l int) []fillDest {
 }
 
 // buildFillDest plans one destination grid's ghost-fill work list,
-// mirroring one iteration of buildFillPlanScan: prolongation regions
-// from every overlapping coarse grid (coarse grid major, ghost box
-// minor), sibling overlap copies, then the outside-domain clamp
-// boxes. Sources come from the level indexes in level-list order —
-// the coarse query box grown.Coarsen(r) overlaps exactly the coarse
-// grids whose refined box meets grown — so the op order matches the
-// scan's.
+// mirroring one iteration of buildFillPlanScan. The siblings come from
+// the level index in level-list order; their overlaps are subtracted
+// from each ghost slab, and what is left is prolonged from every
+// coarse grid whose refined box meets it. The coarse query box
+// grown.Coarsen(r) overlaps exactly the coarse grids whose refined box
+// meets grown, in level-list order, so the op order matches the
+// scan's. The ops and clamp boxes grow in pooled scratch and are then
+// allocated once, at their exact length.
 func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.Box, scr *planScratch) fillDest {
 	grown := g.Box.Grow(h.NGhost)
-	d := fillDest{g: g}
+	ops := scr.ops[:0]
+	scr.cand2 = li.query(grown, scr.cand2[:0])
 	if l > 0 {
+		scr.covered = scr.covered[:0]
+		for _, s := range scr.cand2 {
+			if s.ID != g.ID {
+				scr.covered = append(scr.covered, grown.Intersect(s.Box))
+			}
+		}
 		scr.ghost = geom.SubtractAppend(scr.ghost[:0], grown, g.Box)
-		scr.cand = cli.query(grown.Coarsen(h.RefFactor), scr.cand[:0])
-		for _, c := range scr.cand {
-			refined := c.Box.Refine(h.RefFactor)
-			for _, gb := range scr.ghost {
-				region := gb.Intersect(refined)
-				if region.Empty() {
-					continue
+		scr.left = scr.left[:0]
+		for _, gb := range scr.ghost {
+			scr.left = append(scr.left, subtractList(gb, scr.covered, scr)...)
+		}
+		if len(scr.left) > 0 {
+			scr.cand = cli.query(grown.Coarsen(h.RefFactor), scr.cand[:0])
+			for _, c := range scr.cand {
+				refined := c.Box.Refine(h.RefFactor)
+				for _, b := range scr.left {
+					if region := b.Intersect(refined); !region.Empty() {
+						ops = append(ops, h.newFillOp(g, c, region, true))
+					}
 				}
-				d.ops = append(d.ops, fillOp{src: c, region: region, prolong: true})
 			}
 		}
 	}
-	scr.cand = li.query(grown, scr.cand[:0])
-	for _, s := range scr.cand {
+	for _, s := range scr.cand2 {
 		if s.ID != g.ID {
-			d.ops = append(d.ops, fillOp{src: s, region: grown.Intersect(s.Box)})
+			ops = append(ops, h.newFillOp(g, s, grown.Intersect(s.Box), false))
 		}
 	}
-	d.clamps = geom.Subtract(grown, dom)
+	d := fillDest{g: g}
+	if len(ops) > 0 {
+		d.ops = slices.Clone(ops)
+	}
+	scr.ops = ops
+	if scr.ghost = geom.SubtractAppend(scr.ghost[:0], grown, dom); len(scr.ghost) > 0 {
+		d.clamps = slices.Clone(scr.ghost)
+	}
 	return d
 }
 
 // buildFillPlanScan is the original O(grids²) fill planner, kept as
-// the -plancheck baseline: per destination grid, prolongation regions
-// from every overlapping coarse grid, sibling overlap copies, then
-// the outside-domain clamp boxes — the exact traversal of the
-// scan-based fill, so executing the plan reproduces it bit for bit.
+// the -plancheck baseline: per destination grid, the overlap of every
+// sibling, the ghost cells they leave (geom.SubtractList, which
+// assumes nothing of the overlaps) prolonged from every coarse grid
+// that covers them, the sibling copies, then the outside-domain clamp
+// boxes.
 func (h *Hierarchy) buildFillPlanScan(l int) []fillDest {
 	dom := h.DomainAt(l)
 	grids := h.Grids(l)
@@ -137,19 +216,8 @@ func (h *Hierarchy) buildFillPlanScan(l int) []fillDest {
 	for _, g := range grids {
 		grown := g.Box.Grow(h.NGhost)
 		d := fillDest{g: g}
-		if l > 0 {
-			ghost := geom.Subtract(grown, g.Box)
-			for _, c := range h.Grids(l - 1) {
-				refined := c.Box.Refine(h.RefFactor)
-				for _, gb := range ghost {
-					region := gb.Intersect(refined)
-					if region.Empty() {
-						continue
-					}
-					d.ops = append(d.ops, fillOp{src: c, region: region, prolong: true})
-				}
-			}
-		}
+		var copies []fillOp
+		var covered geom.BoxList
 		for _, s := range grids {
 			if s.ID == g.ID {
 				continue
@@ -158,8 +226,24 @@ func (h *Hierarchy) buildFillPlanScan(l int) []fillDest {
 			if ov.Empty() {
 				continue
 			}
-			d.ops = append(d.ops, fillOp{src: s, region: ov})
+			covered = append(covered, ov)
+			copies = append(copies, h.newFillOp(g, s, ov, false))
 		}
+		if l > 0 {
+			var left geom.BoxList
+			for _, gb := range geom.Subtract(grown, g.Box) {
+				left = append(left, geom.SubtractList(gb, covered)...)
+			}
+			for _, c := range h.Grids(l - 1) {
+				refined := c.Box.Refine(h.RefFactor)
+				for _, b := range left {
+					if region := b.Intersect(refined); !region.Empty() {
+						d.ops = append(d.ops, h.newFillOp(g, c, region, true))
+					}
+				}
+			}
+		}
+		d.ops = append(d.ops, copies...)
 		d.clamps = geom.Subtract(grown, dom)
 		plan = append(plan, d)
 	}
@@ -195,25 +279,33 @@ func (h *Hierarchy) buildRestrictDataPlan(l int) []restrictDest {
 // domain and then to the grid box equals clamping to the grid box
 // alone because every grid box is inside the domain.
 func (h *Hierarchy) runFillDest(d *fillDest) {
+	dst := d.g.Patch
 	for i := range d.ops {
-		h.runFillOp(d.g, &d.ops[i])
+		h.runFillOp(dst, &d.ops[i])
 	}
 	for _, cb := range d.clamps {
 		for _, f := range h.Fields {
-			grid.ClampRegion(d.g.Patch, f, cb, d.g.Box)
+			grid.ClampRegion(dst, f, cb, d.g.Box)
 		}
 	}
 }
 
-// runFillOp executes one planned transfer into dst's patch from the
-// source grid's patch.
-func (h *Hierarchy) runFillOp(dst *Grid, op *fillOp) {
-	for _, f := range h.Fields {
-		if op.prolong {
-			grid.Prolong(dst.Patch, op.src.Patch, f, h.RefFactor, op.region)
-		} else {
-			grid.CopyRegion(dst.Patch, op.src.Patch, f, op.region)
+// runFillOp executes one planned transfer into dst from the source
+// grid's patch, field by field over the op's layouts. Every patch of
+// the hierarchy carries the same fields, so the k-th field of one is
+// the k-th of the other.
+func (h *Hierarchy) runFillOp(dst *grid.Patch, op *fillOp) {
+	src := op.src.Patch
+	to, from := op.rows(op.to), op.rows(op.from)
+	if op.prolong {
+		lo := op.region().Lo
+		for k := range h.Fields {
+			grid.ProlongRows(dst.FieldAt(k), to, src.FieldAt(k), from, h.RefFactor, lo)
 		}
+		return
+	}
+	for k := range h.Fields {
+		grid.CopyRows(dst.FieldAt(k), to, src.FieldAt(k), from)
 	}
 }
 

@@ -120,7 +120,8 @@ func (h *Hierarchy) FillGhostsMPX(r *mpx.Rank, level int) {
 	if level > 0 {
 		h.fillPhaseMPX(r, x, plan, phaseProlong)
 	}
-	// Phase B: sibling overlap copies, over the prolonged values.
+	// Phase B: sibling overlap copies, into the ghost cells the
+	// prolongations left (a plan writes each cell once).
 	h.fillPhaseMPX(r, x, plan, phaseSibling)
 
 	// Phase C: physical-boundary clamp, purely local to each owner,
@@ -156,9 +157,9 @@ func (h *Hierarchy) fillPhaseMPX(r *mpx.Rank, x *exchange, plan []fillDest, phas
 	// cells under its region, a sibling copy the region itself.
 	source := func(op *fillOp) geom.Box {
 		if prolong {
-			return op.region.Coarsen(h.RefFactor)
+			return op.region().Coarsen(h.RefFactor)
 		}
-		return op.region
+		return op.region()
 	}
 	for i := range plan {
 		d := &plan[i]
@@ -182,17 +183,17 @@ func (h *Hierarchy) fillPhaseMPX(r *mpx.Rank, x *exchange, plan []fillDest, phas
 			switch {
 			case op.prolong != prolong:
 			case op.src.Owner == me:
-				h.runFillOp(d.g, op)
+				h.runFillOp(d.g.Patch, op)
 			case prolong:
 				coarse := source(op)
 				nc := int(coarse.NumCells())
 				data := x.next(r, phase, op.src.Owner, nc*nf)
 				for k, f := range h.Fields {
-					grid.ProlongFrom(d.g.Patch, data[k*nc:(k+1)*nc], coarse, f, h.RefFactor, op.region)
+					grid.ProlongFrom(d.g.Patch, data[k*nc:(k+1)*nc], coarse, f, h.RefFactor, op.region())
 				}
 			default:
-				n := int(op.region.NumCells()) * nf
-				grid.UnpackRegion(d.g.Patch, op.region, h.Fields, x.next(r, phase, op.src.Owner, n))
+				n := int(op.region().NumCells()) * nf
+				grid.UnpackRegion(d.g.Patch, op.region(), h.Fields, x.next(r, phase, op.src.Owner, n))
 			}
 		}
 	}

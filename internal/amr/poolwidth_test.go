@@ -28,7 +28,7 @@ func fillPlanIDs(plan []fillDest) []fillDestID {
 	for i, d := range plan {
 		out[i] = fillDestID{g: d.g.ID, clamps: d.clamps}
 		for _, op := range d.ops {
-			out[i].ops = append(out[i].ops, fillOpID{op.src.ID, op.region, op.prolong})
+			out[i].ops = append(out[i].ops, fillOpID{op.src.ID, op.region(), op.prolong})
 		}
 	}
 	return out

@@ -36,11 +36,10 @@ type Placer func(childBox geom.Box, parent *Grid) int
 // RegridAll rebuilds every level deeper than base: flags are gathered
 // on each level in turn, clustered into boxes, intersected with the
 // existing level's grids (enforcing proper nesting), refined, and
-// instantiated as new child grids. Field data on new grids is
-// initialised by prolongation from the coarse level and then
-// overwritten with any old same-level data that overlaps, so the
-// solution survives regridding. It returns the number of grids
-// created.
+// instantiated as new child grids. Field data on new grids is copied
+// from any old same-level data that overlaps, so the solution survives
+// regridding, and prolonged from the coarse level everywhere else; no
+// cell is written twice. It returns the number of grids created.
 //
 // Every overlap is found through a level index (spatialindex.go), and
 // every answer comes in level-list order, so children are made, placed
@@ -166,18 +165,31 @@ func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 	h.regridArena = srcs
 }
 
-// initChildData fills a new child grid by prolongation from the coarse
-// grids that overlap its grown box, then copies the old same-level
-// data that overlaps it (the old solution is more accurate than
-// prolonged data).
+// initChildData fills a new child grid, writing each cell once: the
+// old same-level grids that overlap its grown box copy their data (the
+// old solution is more accurate than prolonged data), and the coarse
+// grids that overlap it prolong into what the old grids leave.
 func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
 	grown := child.Patch.Grown()
+	scr := getPlanScratch()
+	scr.covered = scr.covered[:0]
+	for _, og := range old {
+		scr.covered = append(scr.covered, og.Box)
+	}
+	left := subtractList(grown, scr.covered, scr)
 	for _, c := range coarse {
-		region := grown.Intersect(c.Box.Refine(h.RefFactor))
-		for _, f := range h.Fields {
-			grid.Prolong(child.Patch, c.Patch, f, h.RefFactor, region)
+		refined := c.Box.Refine(h.RefFactor)
+		for _, b := range left {
+			region := b.Intersect(refined)
+			if region.Empty() {
+				continue
+			}
+			for _, f := range h.Fields {
+				grid.Prolong(child.Patch, c.Patch, f, h.RefFactor, region)
+			}
 		}
 	}
+	putPlanScratch(scr)
 	for _, og := range old {
 		region := grown.Intersect(og.Box)
 		for _, f := range h.Fields {

@@ -12,7 +12,7 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"samrdlb/internal/geom"
 )
@@ -29,8 +29,10 @@ type Patch struct {
 	// NGhost is the ghost-zone width on each side.
 	NGhost int
 
-	names  []string
-	fields map[string][]float64
+	// names are the field names, sorted; data[k] is the storage of
+	// names[k].
+	names []string
+	data  [][]float64
 }
 
 // NewPatch allocates a patch with the given interior box, level, ghost
@@ -42,22 +44,19 @@ func NewPatch(box geom.Box, level, nghost int, fieldNames ...string) *Patch {
 	if nghost < 0 {
 		panic("grid.NewPatch: negative ghost width")
 	}
-	p := &Patch{
-		Box:    box,
-		Level:  level,
-		NGhost: nghost,
-		fields: make(map[string][]float64, len(fieldNames)),
+	names := slices.Clone(fieldNames)
+	slices.Sort(names)
+	for k := 1; k < len(names); k++ {
+		if names[k] == names[k-1] {
+			panic("grid.NewPatch: duplicate field " + names[k])
+		}
 	}
 	n := int(box.Grow(nghost).NumCells())
-	for _, name := range fieldNames {
-		if _, dup := p.fields[name]; dup {
-			panic("grid.NewPatch: duplicate field " + name)
-		}
-		p.fields[name] = make([]float64, n)
-		p.names = append(p.names, name)
+	data := make([][]float64, len(names))
+	for k := range data {
+		data[k] = make([]float64, n)
 	}
-	sort.Strings(p.names)
-	return p
+	return &Patch{Box: box, Level: level, NGhost: nghost, names: names, data: data}
 }
 
 // Grown returns the interior box expanded by the ghost width — the
@@ -75,17 +74,21 @@ func (p *Patch) FieldNames() []string {
 // box). It panics on unknown names: field sets are fixed at
 // construction and a miss is a programming error.
 func (p *Patch) Field(name string) []float64 {
-	f, ok := p.fields[name]
-	if !ok {
+	k := slices.Index(p.names, name)
+	if k < 0 {
 		panic("grid: unknown field " + name)
 	}
-	return f
+	return p.data[k]
 }
+
+// FieldAt returns the storage of the k-th field in FieldNames order.
+// Patches built with the same field names agree on k, so a caller
+// walking two patches field by field needs no name lookups.
+func (p *Patch) FieldAt(k int) []float64 { return p.data[k] }
 
 // HasField reports whether the patch carries the named field.
 func (p *Patch) HasField(name string) bool {
-	_, ok := p.fields[name]
-	return ok
+	return slices.Contains(p.names, name)
 }
 
 // At returns field value at cell i (which must lie in the grown box).
@@ -167,8 +170,8 @@ func (p *Patch) MaxAbs(name string) float64 {
 // Clone returns a deep copy of the patch.
 func (p *Patch) Clone() *Patch {
 	q := NewPatch(p.Box, p.Level, p.NGhost, p.names...)
-	for _, name := range p.names {
-		copy(q.fields[name], p.fields[name])
+	for k, f := range p.data {
+		copy(q.data[k], f)
 	}
 	return q
 }
@@ -233,8 +236,13 @@ func CopyRegionFrom(dst *Patch, sf []float64, sbox geom.Box, name string, region
 	if r.Empty() {
 		return
 	}
-	df := dst.Field(name)
-	d, s := RowsOf(dg, r), RowsOf(sbox, r)
+	CopyRows(dst.Field(name), RowsOf(dg, r), sf, RowsOf(sbox, r))
+}
+
+// CopyRows copies one region between two layouts resolved in advance:
+// d lays it out over df, s over sf (the shapes agree). A planned ghost
+// fill computes both from boxes once and calls this per field.
+func CopyRows(df []float64, d Rows, sf []float64, s Rows) {
 	dz, sz := d.Base, s.Base
 	for z := 0; z < d.NZ; z++ {
 		do, so := dz, sz
@@ -406,31 +414,44 @@ func ProlongFrom(fine *Patch, cf []float64, cbox geom.Box, name string, r int, r
 	if reg.Empty() {
 		return
 	}
-	ff := fine.Field(name)
-	f := RowsOf(fg, reg)
-	csy, csz := strides(cbox)
-	cx := floorDiv(reg.Lo[0], r)
-	rem0 := reg.Lo[0] - cx*r // position within the coarse cell, in [0,r)
-	cx -= cbox.Lo[0]
-	fz0 := f.Base
-	for fz := reg.Lo[2]; fz <= reg.Hi[2]; fz++ {
-		cplane := cx + csz*(floorDiv(fz, r)-cbox.Lo[2])
-		fo := fz0
-		for fy := reg.Lo[1]; fy <= reg.Hi[1]; fy++ {
-			co := cplane + csy*(floorDiv(fy, r)-cbox.Lo[1])
-			rem := rem0
+	ProlongRows(fine.Field(name), RowsOf(fg, reg), cf, RowsOf(cbox, reg.Coarsen(r)), r, reg.Lo)
+}
+
+// ProlongRows is the injection kernel over layouts resolved in
+// advance: f lays the fine region out over ff, c's start and strides
+// place its coarse footprint (the region coarsened by r) in cf (c's
+// extents are not read), and lo is the region's low corner, whose
+// place inside its coarse cell says where the first run of each axis
+// ends.
+func ProlongRows(ff []float64, f Rows, cf []float64, c Rows, r int, lo geom.Index) {
+	var ph [3]int // position of lo inside its coarse cell, in [0,r)
+	for d := range ph {
+		ph[d] = lo[d] - floorDiv(lo[d], r)*r
+	}
+	fz, cz, pz := f.Base, c.Base, ph[2]
+	for z := 0; z < f.NZ; z++ {
+		fo, co, py := fz, cz, ph[1]
+		for y := 0; y < f.NY; y++ {
+			ci, px := co, ph[0]
 			row := ff[fo : fo+f.N]
 			for i := range row {
-				row[i] = cf[co]
-				rem++
-				if rem == r {
-					rem = 0
-					co++
+				row[i] = cf[ci]
+				if px++; px == r {
+					px = 0
+					ci++
 				}
 			}
 			fo += f.SY
+			if py++; py == r {
+				py = 0
+				co += c.SY
+			}
 		}
-		fz0 += f.SZ
+		fz += f.SZ
+		if pz++; pz == r {
+			pz = 0
+			cz += c.SZ
+		}
 	}
 }
 

@@ -26,6 +26,22 @@ func TestNewPatchLayout(t *testing.T) {
 	}
 }
 
+// TestFieldAtFollowsFieldNames: FieldAt(k) is the storage of the k-th
+// name of FieldNames, whatever order the fields were declared in, and
+// a clone agrees with its original on k.
+func TestFieldAtFollowsFieldNames(t *testing.T) {
+	p := NewPatch(geom.UnitCube(2), 0, 1, "rho", "q", "e")
+	q := p.Clone()
+	for k, name := range p.FieldNames() {
+		if &p.FieldAt(k)[0] != &p.Field(name)[0] {
+			t.Errorf("FieldAt(%d) is not field %q", k, name)
+		}
+		if &q.FieldAt(k)[0] != &q.Field(name)[0] {
+			t.Errorf("clone: FieldAt(%d) is not field %q", k, name)
+		}
+	}
+}
+
 func TestNewPatchPanics(t *testing.T) {
 	assertPanics(t, "empty box", func() {
 		NewPatch(geom.Box{Lo: geom.Index{1, 0, 0}, Hi: geom.Index{0, 0, 0}}, 0, 0, "q")
