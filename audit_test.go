@@ -268,6 +268,8 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"NewShardWorld is the one constructor; a test without sockets builds a one-shard world"},
 	{`WorkerWire|BeforeCheckpointWrite`, "internal/engine/*.go",
 		"Options.Worker is the endpoint itself; a chaos test kills a worker through its ckpt.Dir"},
+	{`Disjoint\(`, "internal/geom/*.go internal/amr/*.go",
+		"a level's overlap test is CheckProperNesting on the level index: no pairwise box scan in production"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays

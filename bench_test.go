@@ -910,3 +910,188 @@ func BenchmarkReplanAfterMutation(b *testing.B) {
 		}
 	}
 }
+
+// --- grid-count scaling sweep (EXPERIMENTS.md, "Scaling in grid count") ---
+//
+// manygrids' run at 8 steps, its level-0 population swept ×4 twice.
+// Every structural layer is timed on the hierarchy that run ends with,
+// so the growth exponent log₄(t16k / t4k) of each row says whether the
+// layer costs the same per grid as the grid count grows.
+
+var sweepGrids = []int{1024, 4096, 16384}
+
+// sweepRunner is AMR64 at 64³ on a 2 × 32 LAN pair, 8 steps, a regrid
+// every 4, with n level-0 grids.
+func sweepRunner(n int) *engine.Runner {
+	sys := machine.LanPair(32, nil)
+	return engine.New(sys, workload.NewAMR64(64, 2, 1), engine.Options{
+		Steps: 8, RegridInterval: 4, GridsPerProc: n / sys.NumProcs()})
+}
+
+// sweepSaved holds, per grid count, the checkpoint of the hierarchy the
+// sweep's run ends with; the run is made once per count.
+var sweepSaved = map[int][]byte{}
+
+// sweepHierarchy loads a fresh copy of the hierarchy the sweep's run at
+// n level-0 grids ends with, and returns it with its checkpoint.
+func sweepHierarchy(b *testing.B, n int) (*amr.Hierarchy, []byte) {
+	blob, ok := sweepSaved[n]
+	if !ok {
+		r := sweepRunner(n)
+		r.Run()
+		var buf bytes.Buffer
+		if err := r.Hierarchy().Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		blob = buf.Bytes()
+		sweepSaved[n] = blob
+	}
+	h, err := amr.Load(bytes.NewReader(blob))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := len(h.Grids(0)); got != n {
+		b.Fatalf("the run ended with %d level-0 grids, want %d", got, n)
+	}
+	return h, blob
+}
+
+// BenchmarkRunGrids measures the sweep's whole run, setup included.
+func BenchmarkRunGrids(b *testing.B) {
+	for _, n := range sweepGrids {
+		b.Run(fmt.Sprintf("grids%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sweepRunner(n).Run()
+			}
+		})
+	}
+}
+
+// BenchmarkLoad measures amr.Load of the sweep's final hierarchy beside
+// the Save that wrote it: a restore should cost a small multiple of
+// the write at every grid count.
+func BenchmarkLoad(b *testing.B) {
+	for _, n := range sweepGrids {
+		h, blob := sweepHierarchy(b, n)
+		b.Run(fmt.Sprintf("grids%d/save", n), func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := h.Save(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("grids%d/load", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := amr.Load(bytes.NewReader(blob)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGridScaling times the other structural layers of the sweep
+// on its final hierarchy: the nesting check (index current), the ledger
+// recompute, a level-0 ghost plan from scratch, a regrid of the fine
+// levels, a global redistribution moving a quarter of level 0 across
+// the pair, and the per-grid structural calls that still scan a whole
+// level — Children of one level-0 grid and SplitGrid of one.
+func BenchmarkGridScaling(b *testing.B) {
+	sys := machine.LanPair(32, nil)
+	flagger := workload.NewAMR64(64, 2, 1)
+	for _, n := range sweepGrids {
+		name := func(layer string) string { return fmt.Sprintf("%s/grids%d", layer, n) }
+		h, _ := sweepHierarchy(b, n)
+		b.Run(name("nesting"), func(b *testing.B) {
+			h.CheckProperNesting()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := h.CheckProperNesting(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name("ledger-verify"), func(b *testing.B) {
+			led := load.NewLedger(sys, h)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := led.Verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name("ghost-plan"), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.GhostPlan(0, false)
+			}
+		})
+		b.Run(name("children"), func(b *testing.B) {
+			l0 := h.Grids(0)
+			for i := 0; i < b.N; i++ {
+				h.Children(l0[i%n])
+			}
+		})
+		b.Run(name("regrid"), func(b *testing.B) {
+			h, _ := sweepHierarchy(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.RegridAll(0, func(level int, f *cluster.FlagField) {
+					flagger.Flag(level, 0.5, f)
+				}, amr.DefaultRegridParams(), nil)
+			}
+		})
+		b.Run(name("split"), func(b *testing.B) {
+			h, _ := sweepHierarchy(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := h.Grids(0)[i%n]
+				d := g.Box.Shape().MaxDim()
+				if g.Box.Shape()[d] < 2 {
+					continue
+				}
+				h.SplitGrid(g, d, g.Box.Lo[d]+g.Box.Shape()[d]/2)
+			}
+		})
+		b.Run(name("global-balance"), func(b *testing.B) {
+			moved := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h, _ := sweepHierarchy(b, n)
+				// Group 0 takes the first three quarters of level 0,
+				// subtrees and all; group 1 keeps the rest.
+				per := sys.NumProcs() / 2
+				for k, g := range h.Grids(0) {
+					p := per + k%per
+					if k < 3*n/4 {
+						p = k % per
+					}
+					setSubtreeOwner(h, g, p)
+				}
+				ctx := newContext(sys, h)
+				b.StartTimer()
+				d := distributedDLB.GlobalBalance(ctx)
+				if !d.Invoked {
+					b.Fatal("an imbalanced pair must redistribute")
+				}
+				moved += len(d.Migrations)
+			}
+			b.ReportMetric(float64(moved)/float64(b.N), "migrations/op")
+		})
+	}
+}
+
+// setSubtreeOwner gives g and everything under it to processor p.
+func setSubtreeOwner(h *amr.Hierarchy, g *amr.Grid, p int) {
+	h.SetOwner(g, p)
+	for _, c := range h.Children(g) {
+		setSubtreeOwner(h, c, p)
+	}
+}

@@ -134,9 +134,11 @@ func (hdr *checkpointHeader) validate() error {
 
 // validateGrid rejects a serialized grid that would violate the
 // hierarchy's invariants (AddGrid panics on them; a corrupt stream
-// must fail with an error instead).
-func (h *Hierarchy) validateGrid(cg *checkpointGrid, hdr *checkpointHeader, seen map[GridID]bool) error {
-	if cg.ID < 0 || seen[cg.ID] {
+// must fail with an error instead). A duplicate ID is one h already
+// holds: Load keeps the ID counter above every restored ID, so the IDs
+// AddGrid hands out on the way never collide with one.
+func (h *Hierarchy) validateGrid(cg *checkpointGrid, hdr *checkpointHeader) error {
+	if cg.ID < 0 || h.byID[cg.ID] != nil {
 		return fmt.Errorf("invalid or duplicate grid ID %d", cg.ID)
 	}
 	if cg.Level < 0 || cg.Level > hdr.MaxLevel {
@@ -197,16 +199,15 @@ func Load(r io.Reader) (*Hierarchy, error) {
 		return nil, fmt.Errorf("amr.Load: corrupt header: %w", err)
 	}
 	h := New(hdr.Domain, hdr.RefFactor, hdr.MaxLevel, hdr.NGhost, hdr.WithData, hdr.Fields...)
-	seen := make(map[GridID]bool, hdr.NumGrids)
+	h.byID = make(map[GridID]*Grid, hdr.NumGrids)
 	for i := 0; i < hdr.NumGrids; i++ {
 		var cg checkpointGrid
 		if err := dec.Decode(&cg); err != nil {
 			return nil, fmt.Errorf("amr.Load: grid %d: %w", i, err)
 		}
-		if err := h.validateGrid(&cg, &hdr, seen); err != nil {
+		if err := h.validateGrid(&cg, &hdr); err != nil {
 			return nil, fmt.Errorf("amr.Load: corrupt grid %d: %w", i, err)
 		}
-		seen[cg.ID] = true
 		// Grids were saved level by level, so parents precede children
 		// and AddGrid's parent check holds. Restore exact IDs.
 		g := h.AddGrid(cg.Level, cg.Box, cg.Owner, cg.Parent)

@@ -94,19 +94,22 @@ type planCache struct {
 	iface *interfacePlan
 }
 
-// releasePlans drops the plans and the index of level l, which the
-// caller has just made stale, keeping what the next refresh reads from
-// a stale entry: the kinds it had built. They would be rebuilt on their
-// next use either way; dropped here, a collection that runs during the
-// regrid in between does not mark them, and what it marks sets how far
-// the heap grows before the next one: a data run's peak RSS falls by a
-// fifth.
+// releasePlans drops the plans, the index and the child table that read
+// level l, which the caller has just made stale, keeping what the next
+// refresh reads from a stale entry: the kinds it had built. They would
+// be rebuilt on their next use either way; dropped here, a collection
+// that runs during the regrid in between does not mark them, and what
+// it marks sets how far the heap grows before the next one: a data
+// run's peak RSS falls by a fifth.
 func (h *Hierarchy) releasePlans(l int) {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
 	c := &h.plans[l]
 	*c = planCache{gen: c.gen, coarseGen: c.coarseGen, built: c.built}
 	h.index[l] = nil
+	if l > 0 {
+		h.kids[l-1] = nil
+	}
 }
 
 // refreshPlans brings level l's cache entry up to date and returns it.

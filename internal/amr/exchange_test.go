@@ -207,7 +207,7 @@ func TestGhostPlanCountsMatchScan(t *testing.T) {
 		h.NGhost = 1 + trial%3 // plan-only: no patch was sized by it
 		for round := 0; round < 3; round++ {
 			for l := 0; l <= h.MaxLevel; l++ {
-				if !h.Boxes(l).Disjoint() {
+				if !disjoint(h.Boxes(l)) {
 					t.Fatalf("trial %d: generator: level %d overlaps", trial, l)
 				}
 			}

@@ -12,7 +12,9 @@
 package amr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -104,16 +106,18 @@ type Hierarchy struct {
 	// does. own[l] is its ownership generation, bumped by SetOwner only.
 	// Level l's plans read the structure of levels l and l−1 only, so
 	// plans[l] is valid while gen[l] and gen[l−1] hold the values it is
-	// stamped with, index[l] while gen[l] does; a stale one is rebuilt
-	// whole on its next use. The processor-pair tables of plans[l] also
-	// read the owners of levels l and l−1, and are dropped alone when
-	// own[l] or own[l−1] moves.
+	// stamped with, index[l] while gen[l] does, and kids[l], level l's
+	// child table, while gen[l+1] does; a stale one is rebuilt whole on
+	// its next use. The processor-pair tables of plans[l] also read the
+	// owners of levels l and l−1, and are dropped alone when own[l] or
+	// own[l−1] moves.
 	gen, own []uint64
 	plans    []planCache
 	index    []*levelIndex
-	// planMu guards gen, own, plans, index and the pair-table scratch:
-	// mpx ranks build plans lazily from concurrent goroutines. Execution
-	// reads the immutable plan after the lock is released.
+	kids     []*childTable
+	// planMu guards gen, own, plans, index, kids and the pair-table
+	// scratch: mpx ranks build plans lazily from concurrent goroutines.
+	// Execution reads the immutable plan after the lock is released.
 	planMu sync.Mutex
 	// pairSlot and pairBuf are the aggregation scratch of the
 	// processor-pair tables (see aggregate), kept for their capacity.
@@ -216,6 +220,7 @@ func New(domain geom.Box, refFactor, maxLevel, nghost int, withData bool, fields
 		own:       make([]uint64, maxLevel+1),
 		plans:     make([]planCache, maxLevel+1),
 		index:     make([]*levelIndex, maxLevel+1),
+		kids:      make([]*childTable, maxLevel),
 	}
 	return h
 }
@@ -375,26 +380,71 @@ func (h *Hierarchy) Boxes(l int) geom.BoxList {
 	return out
 }
 
-// Children returns the grids at g.Level+1 whose parent is g.
+// Children returns the grids at g.Level+1 whose parent is g, in
+// level-list order. It binary-searches level g.Level's child table, so
+// moving a subtree costs its size, not a scan of the next level per
+// grid. The slice is shared: callers must not write it.
 func (h *Hierarchy) Children(g *Grid) []*Grid {
-	var out []*Grid
-	for _, c := range h.Grids(g.Level + 1) {
-		if c.Parent == g.ID {
-			out = append(out, c)
-		}
+	if g.Level >= h.MaxLevel {
+		return nil
 	}
-	return out
+	h.planMu.Lock()
+	kids := h.childTableFor(g.Level).kids
+	h.planMu.Unlock()
+	lo, _ := slices.BinarySearchFunc(kids, g.ID, func(c *Grid, id GridID) int { return cmp.Compare(c.Parent, id) })
+	hi := lo
+	for hi < len(kids) && kids[hi].Parent == g.ID {
+		hi++
+	}
+	return kids[lo:hi:hi]
+}
+
+// childTable is level l+1's grid list sorted by parent ID, then by
+// level-list position. It reads nothing of level l, so it stays valid
+// while level l+1's structure does (a parent link moving bumps that
+// level's generation), and it is never written once built.
+type childTable struct {
+	fineGen uint64
+	kids    []*Grid
+}
+
+// childTableFor returns level l's child table, rebuilding it when level
+// l+1's structure changed since it was built. Callers must hold planMu.
+func (h *Hierarchy) childTableFor(l int) *childTable {
+	if ct := h.kids[l]; ct != nil && ct.fineGen == h.gen[l+1] {
+		return ct
+	}
+	ct := &childTable{fineGen: h.gen[l+1], kids: slices.Clone(h.levels[l+1])}
+	slices.SortFunc(ct.kids, func(a, b *Grid) int {
+		if a.Parent != b.Parent {
+			return cmp.Compare(a.Parent, b.Parent)
+		}
+		return a.pos - b.pos
+	})
+	h.kids[l] = ct
+	return ct
 }
 
 // CheckProperNesting verifies the SAMR structural invariants: level-l
 // grids are disjoint and inside the domain, and every level-(l+1) grid
 // references a parent on level l that contains it — which also puts it
 // inside the refined union of level l, so that is not checked again.
+//
+// Overlap is answered by the level's spatial index, each grid's
+// buckets scanned once: O(n) per level, no allocation once the index is
+// current. The answer is exact while every Grid.Box was written by
+// AddGrid, which production guarantees (the index then belongs to the
+// current structure generation). A box written in place after the
+// index was built is still caught whenever it overlaps a grid whose box
+// did not move, because the scan covers the buckets under the box as it
+// is now; only two boxes moved in place onto each other can escape.
 func (h *Hierarchy) CheckProperNesting() error {
 	for l := 0; l <= h.MaxLevel; l++ {
-		boxes := h.Boxes(l)
-		if !boxes.Disjoint() {
-			return fmt.Errorf("level %d grids overlap", l)
+		li := h.currentIndex(l)
+		for _, g := range h.levels[l] {
+			if li.overlapsOther(g) {
+				return fmt.Errorf("level %d grids overlap", l)
+			}
 		}
 		dom := h.DomainAt(l)
 		for _, g := range h.Grids(l) {
@@ -430,19 +480,14 @@ func (h *Hierarchy) SplitGrid(g *Grid, d, at int) (*Grid, *Grid) {
 		panic(fmt.Sprintf("amr.SplitGrid: cut %d outside box %v dim %d", at, g.Box, d))
 	}
 	// A child whose box crosses the corresponding fine plane cannot be
-	// nested in either half: split it first.
+	// nested in either half: split it first. Its halves do not cross the
+	// plane, so one pass over the children as they stand splits every
+	// child that does, in level order (Children's slice is not written
+	// when the splits replace the child table).
 	fineAt := at * h.RefFactor
-	for {
-		split := false
-		for _, c := range h.Children(g) {
-			if c.Box.Lo[d] < fineAt && c.Box.Hi[d] >= fineAt {
-				h.SplitGrid(c, d, fineAt)
-				split = true
-				break // the children list changed; rescan
-			}
-		}
-		if !split {
-			break
+	for _, c := range h.Children(g) {
+		if c.Box.Lo[d] < fineAt && c.Box.Hi[d] >= fineAt {
+			h.SplitGrid(c, d, fineAt)
 		}
 	}
 	loBox, hiBox := g.Box.SplitAt(d, at)

@@ -3,22 +3,38 @@ package amr
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"samrdlb/internal/geom"
 )
+
+// disjoint reports whether no two boxes in the list overlap, by
+// comparing every pair.
+func disjoint(l geom.BoxList) bool {
+	for i := range l {
+		for j := i + 1; j < len(l); j++ {
+			if l[i].Intersects(l[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // refCheckProperNesting is CheckProperNesting as it stood while it
 // still ended each level with a parent-union pass: every fine grid
 // box-subtracted against the whole refined coarser level. The loop
 // above that pass has by then proved parent.Box ⊇ g.Box.Coarsen(r) for
 // a parent on level l−1, and Refine(Coarsen(b)) ⊇ b, so the pass can
-// never be the one that fails. Kept verbatim as the reference the
-// shortened check is compared against.
+// never be the one that fails. Its overlap test compares every pair of
+// a level's boxes and reads no level index, so it is independent of the
+// bucket scan that replaced it. Kept as the reference the check is
+// compared against.
 func refCheckProperNesting(h *Hierarchy) error {
 	for l := 0; l <= h.MaxLevel; l++ {
 		boxes := h.Boxes(l)
-		if !boxes.Disjoint() {
+		if !disjoint(boxes) {
 			return fmt.Errorf("level %d grids overlap", l)
 		}
 		dom := h.DomainAt(l)
@@ -139,30 +155,42 @@ var nestingCorruptions = []struct {
 	}},
 }
 
+// sameAsReference fails the test unless CheckProperNesting and the
+// reference agree on h — same nil, same error text — and returns the
+// check's answer.
+func sameAsReference(t *testing.T, what string, h *Hierarchy) error {
+	t.Helper()
+	got, want := h.CheckProperNesting(), refCheckProperNesting(h)
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		t.Fatalf("%s: CheckProperNesting = %v, reference = %v", what, got, want)
+	}
+	return got
+}
+
 // TestCheckProperNestingMatchesReference compares the check with the
-// reference above — same nil, same error text — on seeded hierarchies
-// from the plan-maintenance generator: each one valid as built, then
-// rebuilt from the same seed and broken by each corruption in turn.
+// reference above on seeded hierarchies from the plan-maintenance
+// generator: each one valid as built, then rebuilt from the same seed,
+// checked once so its level indexes are live, and broken by each
+// corruption in turn — most of them write a box in place, behind the
+// index's back. Then on single levels built to sit on the index's
+// edge cases (see levelFixtures), each both as built and with one box
+// moved in place after a check.
 func TestCheckProperNestingMatchesReference(t *testing.T) {
 	const seeds = 520
-	same := func(t *testing.T, what string, seed int64, h *Hierarchy) error {
-		t.Helper()
-		got, want := h.CheckProperNesting(), refCheckProperNesting(h)
-		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-			t.Fatalf("seed %d, %s: CheckProperNesting = %v, reference = %v", seed, what, got, want)
-		}
-		return got
-	}
 	bit := make([]int, len(nestingCorruptions))
 	for seed := int64(0); seed < seeds; seed++ {
-		if err := same(t, "valid", seed, randomHierarchy(rand.New(rand.NewSource(seed)))); err != nil {
-			t.Fatalf("seed %d: generator built an invalid hierarchy: %v", seed, err)
+		what := fmt.Sprintf("seed %d", seed)
+		if err := sameAsReference(t, what+", valid", randomHierarchy(rand.New(rand.NewSource(seed)))); err != nil {
+			t.Fatalf("%s: generator built an invalid hierarchy: %v", what, err)
 		}
 		for i, c := range nestingCorruptions {
 			rng := rand.New(rand.NewSource(seed))
 			h := randomHierarchy(rng)
+			if err := h.CheckProperNesting(); err != nil {
+				t.Fatalf("%s: generator built an invalid hierarchy: %v", what, err)
+			}
 			c.corrupt(h, rng)
-			if same(t, c.name, seed, h) != nil {
+			if sameAsReference(t, what+", "+c.name, h) != nil {
 				bit[i]++
 			}
 		}
@@ -172,5 +200,164 @@ func TestCheckProperNestingMatchesReference(t *testing.T) {
 		if bit[i] < seeds/4 {
 			t.Errorf("%s: rejected on only %d of %d seeds — the corruption does not corrupt", c.name, bit[i], seeds)
 		}
+	}
+
+	for _, f := range levelFixtures {
+		rejected := 0
+		for seed := int64(0); seed < 200; seed++ {
+			what := fmt.Sprintf("%s, seed %d", f.name, seed)
+			rng := rand.New(rand.NewSource(seed))
+			dom := geom.BoxFromShape(geom.Index{}, geom.Index{8 + rng.Intn(40), 8 + rng.Intn(40), 8 + rng.Intn(40)})
+			boxes, moved := f.level(rng, dom)
+			h := New(dom, 2, 0, 1, false, "q")
+			for _, b := range boxes {
+				h.AddGrid(0, b, 0, NoGrid)
+			}
+			err := sameAsReference(t, what+", as built", h)
+			if f.valid && err != nil {
+				t.Fatalf("%s: a valid level rejected: %v", what, err)
+			}
+			if moved != nil {
+				if err != nil {
+					t.Fatalf("%s: the level is invalid before the move: %v", what, err)
+				}
+				moved(h)
+				err = sameAsReference(t, what+", moved in place", h)
+			}
+			if err != nil {
+				rejected++
+			}
+		}
+		t.Logf("level fixture %s: rejected on %d of 200 seeds", f.name, rejected)
+		if !f.valid && rejected < 50 {
+			t.Errorf("level fixture %s: rejected on only %d of 200 seeds", f.name, rejected)
+		}
+	}
+}
+
+// tiling splits dom into about n face-touching boxes.
+func tiling(rng *rand.Rand, dom geom.Box, n int) geom.BoxList {
+	return geom.BoxList{dom}.SplitEvenly(1 + rng.Intn(n))
+}
+
+// levelFixtures build one level-0 box list over a random domain. valid
+// says every seed must pass. moved, when not nil, writes one box in
+// place; it runs after a check of the level as built, which must pass,
+// so the moved box is checked against a live index.
+var levelFixtures = []struct {
+	name  string
+	valid bool
+	level func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy))
+}{
+	{"face-touching tiling", true, func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy)) {
+		return tiling(rng, dom, 300), nil
+	}},
+	{"one large grid among small ones", true, func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy)) {
+		big := bigBoxIn(rng, dom)
+		boxes := geom.BoxList{big}
+		for _, rest := range geom.SubtractList(dom, boxes) {
+			boxes = append(boxes, tiling(rng, rest, 20)...)
+		}
+		rng.Shuffle(len(boxes), func(i, j int) { boxes[i], boxes[j] = boxes[j], boxes[i] })
+		return boxes, nil
+	}},
+	{"single-cell overlap at a corner", false, func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy)) {
+		boxes := sparseBoxes(rng, dom)
+		g := boxes[rng.Intn(len(boxes))]
+		corner := geom.Box{Lo: g.Hi, Hi: g.Hi.Add(geom.Index{rng.Intn(3), rng.Intn(3), rng.Intn(3)})}
+		return append(boxes, corner.Intersect(dom)), nil
+	}},
+	{"single-cell overlap into a large grid", false, func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy)) {
+		big := bigBoxIn(rng, dom)
+		cell := big.Lo
+		if rng.Intn(2) == 0 {
+			cell = big.Hi
+		}
+		return geom.BoxList{big, {Lo: cell, Hi: cell}}, nil
+	}},
+	{"one box grown in place by a layer", false, func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy)) {
+		return tiling(rng, dom, 300), func(h *Hierarchy) {
+			g := h.Grids(0)[rng.Intn(len(h.Grids(0)))]
+			d := rng.Intn(geom.Dims)
+			if g.Box.Lo[d] > dom.Lo[d] && (g.Box.Hi[d] == dom.Hi[d] || rng.Intn(2) == 0) {
+				g.Box.Lo[d]--
+			} else if g.Box.Hi[d] < dom.Hi[d] {
+				g.Box.Hi[d]++
+			}
+		}
+	}},
+	{"one box slid in place onto the large grid", false, func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy)) {
+		big := bigBoxIn(rng, dom)
+		boxes := geom.BoxList{big}
+		for _, rest := range geom.SubtractList(dom, boxes) {
+			boxes = append(boxes, tiling(rng, rest, 20)...)
+		}
+		return boxes, func(h *Hierarchy) {
+			g := h.Grids(0)[1+rng.Intn(len(h.Grids(0))-1)]
+			shift := geom.Index{}
+			for d := 0; d < geom.Dims; d++ {
+				switch {
+				case g.Box.Lo[d] > big.Hi[d]:
+					shift[d] = big.Hi[d] - g.Box.Lo[d]
+				case g.Box.Hi[d] < big.Lo[d]:
+					shift[d] = big.Lo[d] - g.Box.Hi[d]
+				}
+			}
+			g.Box = geom.Box{Lo: g.Box.Lo.Add(shift), Hi: g.Box.Hi.Add(shift)}
+		}
+	}},
+	{"one box pushed past the domain edge", false, func(rng *rand.Rand, dom geom.Box) (geom.BoxList, func(*Hierarchy)) {
+		return tiling(rng, dom, 300), func(h *Hierarchy) {
+			g := h.Grids(0)[rng.Intn(len(h.Grids(0)))]
+			d := rng.Intn(geom.Dims)
+			if rng.Intn(2) == 0 {
+				g.Box.Hi[d] = dom.Hi[d] + 1 + rng.Intn(3)
+			} else {
+				g.Box.Lo[d] = dom.Lo[d] - 1 - rng.Intn(3)
+			}
+		}
+	}},
+}
+
+// bigBoxIn returns a box spanning at least half of dom on every axis,
+// so it straddles many index buckets.
+func bigBoxIn(rng *rand.Rand, dom geom.Box) geom.Box {
+	var b geom.Box
+	for d := 0; d < geom.Dims; d++ {
+		e := dom.Shape()[d]
+		n := min((e+1)/2+rng.Intn(e/2+1), e-1) // never all of dom: small ones remain
+		b.Lo[d] = dom.Lo[d] + rng.Intn(e-n+1)
+		b.Hi[d] = b.Lo[d] + n - 1
+	}
+	return b
+}
+
+// sparseBoxes places up to 40 random disjoint boxes in dom, leaving gaps.
+func sparseBoxes(rng *rand.Rand, dom geom.Box) geom.BoxList {
+	var boxes geom.BoxList
+	for len(boxes) == 0 {
+		for i := 0; i < 40; i++ {
+			if b := randomBoxIn(rng, dom); !slices.ContainsFunc(boxes, b.Intersects) {
+				boxes = append(boxes, b)
+			}
+		}
+	}
+	return boxes
+}
+
+// TestCheckProperNestingAllocatesNothing pins that, once every level's
+// index is current, the check reads the levels and their indexes and
+// allocates nothing — no Boxes copy, no per-call index.
+func TestCheckProperNestingAllocatesNothing(t *testing.T) {
+	h := randomHierarchy(rand.New(rand.NewSource(7)))
+	if err := h.CheckProperNesting(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := h.CheckProperNesting(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CheckProperNesting allocates %.0f times per call, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 package amr
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -155,6 +156,55 @@ func mutate(h *Hierarchy, rng *rand.Rand) {
 // scratch plans must be bitwise equal to the O(n²) scan baselines —
 // the -plancheck oracle panics on the first divergence, and the
 // scratch builders are compared directly for both dropLocal variants.
+// TestChildrenMatchesScan compares Children, read from the child
+// tables, with a scan of the next level for the parent link, on every
+// grid of random hierarchies after each of a run of mutations —
+// re-links to a parent that does not contain the child included — and
+// checks that a caller appending to the answer cannot write the table.
+func TestChildrenMatchesScan(t *testing.T) {
+	same := func(what string, h *Hierarchy) {
+		for l := 0; l <= h.MaxLevel; l++ {
+			for _, g := range h.Grids(l) {
+				var want []*Grid
+				for _, c := range h.Grids(l + 1) {
+					if c.Parent == g.ID {
+						want = append(want, c)
+					}
+				}
+				got := h.Children(g)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: Children(%d) = %v, scan %v", what, g.ID, got, want)
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("%s: Children(%d) has spare capacity %d", what, g.ID, cap(got)-len(got))
+				}
+			}
+		}
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := randomHierarchy(rng)
+		for round := 0; round < 12; round++ {
+			same(fmt.Sprintf("seed %d round %d", seed, round), h)
+			mutate(h, rng)
+		}
+		// Hundreds of children spread over three parents, level order
+		// then reshuffled by SortLevel: ties on the parent are many.
+		h = New(geom.UnitCube(8), 2, 1, 1, false, "q")
+		ps := []*Grid{h.AddGrid(0, geom.UnitCube(4), 0, NoGrid),
+			h.AddGrid(0, geom.BoxFromShape(geom.Index{4, 0, 0}, geom.Index{4, 8, 8}), 0, NoGrid),
+			h.AddGrid(0, geom.BoxFromShape(geom.Index{0, 4, 0}, geom.Index{4, 4, 8}), 0, NoGrid)}
+		boxes := geom.BoxList{h.DomainAt(1)}.SplitEvenly(200 + rng.Intn(200))
+		rng.Shuffle(len(boxes), func(i, j int) { boxes[i], boxes[j] = boxes[j], boxes[i] })
+		for _, b := range boxes {
+			h.AddGrid(1, b, 0, ps[rng.Intn(len(ps))].ID)
+		}
+		same(fmt.Sprintf("seed %d, three parents", seed), h)
+		h.SortLevel(1)
+		same(fmt.Sprintf("seed %d, three parents sorted", seed), h)
+	}
+}
+
 func TestPlanPatchingMatchesScan(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))

@@ -118,6 +118,26 @@ func (li *levelIndex) query(b geom.Box, out []*Grid) []*Grid {
 	return out
 }
 
+// overlapsOther reports whether any indexed grid other than g overlaps
+// g's box. It scans the buckets under g.Box as it stands now, not where
+// g was indexed, and returns on the first hit without allocating.
+func (li *levelIndex) overlapsOther(g *Grid) bool {
+	lo, hi := li.bucketRange(g.Box)
+	for z := lo[2]; z <= hi[2]; z++ {
+		for y := lo[1]; y <= hi[1]; y++ {
+			base := (z*li.dims[1] + y) * li.dims[0]
+			for x := lo[0]; x <= hi[0]; x++ {
+				for _, o := range li.buckets[base+x] {
+					if o != g && o.Box.Intersects(g.Box) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
 // dedupeSorted compacts adjacent duplicates in a position-sorted list
 // (a grid straddling several buckets appears once per bucket).
 func dedupeSorted(gs []*Grid) []*Grid {

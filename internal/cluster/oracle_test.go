@@ -97,6 +97,19 @@ func (f *FlagField) signature(b geom.Box, d int) []int {
 
 // refDilate is the per-cell buffering: a fresh field with the
 // (2r+1)³ neighbourhood of every flag of f set, clipped to f's box.
+// disjoint reports whether no two boxes in the list overlap, by
+// comparing every pair.
+func disjoint(l geom.BoxList) bool {
+	for i := range l {
+		for j := i + 1; j < len(l); j++ {
+			if l[i].Intersects(l[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func refDilate(f *FlagField, radius int) *FlagField {
 	out := NewFlagField(f.Box)
 	f.Box.ForEach(func(i geom.Index) {
@@ -366,7 +379,7 @@ func checkAgainstReference(t testing.TB, what string, f *FlagField, r int) {
 			p := Params{MinEfficiency: eff, MaxSize: maxSize}
 			got := Cluster(f, p)
 			sameBoxes(t, fmt.Sprintf("%s: Cluster(r=%d eff=%g max=%d)", what, r, eff, maxSize), got, refCluster(f, p))
-			if !got.Disjoint() {
+			if !disjoint(got) {
 				t.Fatalf("%s: boxes overlap: %v", what, got)
 			}
 			covered := 0

@@ -119,7 +119,7 @@ func TestClusterLShape(t *testing.T) {
 	p := DefaultParams()
 	boxes := Cluster(f, p)
 	coverAll(t, f, boxes)
-	if !boxes.Disjoint() {
+	if !disjoint(boxes) {
 		t.Error("boxes must be disjoint")
 	}
 	if e := Efficiency(f, boxes); e < p.MinEfficiency {
@@ -159,7 +159,7 @@ func TestClusterEfficiencyProperty(t *testing.T) {
 		}
 		boxes := Cluster(f, p)
 		coverAll(t, f, boxes)
-		if !boxes.Disjoint() {
+		if !disjoint(boxes) {
 			t.Fatalf("trial %d: boxes overlap: %v", trial, boxes)
 		}
 		for _, b := range boxes {

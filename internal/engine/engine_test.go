@@ -53,8 +53,8 @@ func TestInitLevel0CoversDomainBalanced(t *testing.T) {
 	if !h.Boxes(0).ContainsBox(h.Domain) {
 		t.Error("level 0 must tile the domain")
 	}
-	if !h.Boxes(0).Disjoint() {
-		t.Error("level-0 boxes must be disjoint")
+	if err := h.CheckProperNesting(); err != nil {
+		t.Errorf("level 0 must be properly nested: %v", err)
 	}
 	// Every processor owns roughly its share.
 	cells := make(map[int]int64)

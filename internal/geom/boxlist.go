@@ -54,18 +54,6 @@ func (l BoxList) ContainsBox(b Box) bool {
 	return len(rest) == 0
 }
 
-// Disjoint reports whether no two boxes in the list overlap.
-func (l BoxList) Disjoint() bool {
-	for i := 0; i < len(l); i++ {
-		for j := i + 1; j < len(l); j++ {
-			if l[i].Intersects(l[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Refine refines every box in the list.
 func (l BoxList) Refine(r int) BoxList {
 	out := make(BoxList, len(l))

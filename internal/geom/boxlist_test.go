@@ -6,12 +6,25 @@ import (
 	"testing"
 )
 
+// disjoint reports whether no two boxes in the list overlap, by
+// comparing every pair.
+func disjoint(l BoxList) bool {
+	for i := range l {
+		for j := i + 1; j < len(l); j++ {
+			if l[i].Intersects(l[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestSubtractDisjointTiles(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for i := 0; i < 500; i++ {
 		a, b := randNonEmptyBox(r), randNonEmptyBox(r)
 		parts := Subtract(a, b)
-		if !parts.Disjoint() {
+		if !disjoint(parts) {
 			t.Fatalf("Subtract produced overlapping parts: %v \\ %v = %v", a, b, parts)
 		}
 		// parts + a∩b must tile a exactly.
@@ -114,7 +127,7 @@ func TestSplitEvenly(t *testing.T) {
 	if out.NumCells() != 512 {
 		t.Errorf("SplitEvenly changed total cells: %d", out.NumCells())
 	}
-	if !out.Disjoint() {
+	if !disjoint(out) {
 		t.Error("SplitEvenly parts must be disjoint")
 	}
 	// Largest/smallest ratio should be modest for a power-of-two cube.
