@@ -270,6 +270,12 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"Options.Worker is the endpoint itself; a chaos test kills a worker through its ckpt.Dir"},
 	{`Disjoint\(`, "internal/geom/*.go internal/amr/*.go",
 		"a level's overlap test is CheckProperNesting on the level index: no pairwise box scan in production"},
+	{`tournament|bench-out|recovery-report|RecoveryReport`, "cmd/samrsim/*.go",
+		"samrsim runs one run: the tournament is figures -fig tournament, and FaultSummary prints the recovery counters"},
+	{`RecoveryReport`, "internal/metrics/*.go",
+		"every line it printed is a FaultSummary line"},
+	{`\) Markdown\(\)|Policies`, "internal/exp/tournament.go",
+		"the tournament is one metrics.Table through Format.section, and it runs every registered policy"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays
@@ -302,7 +308,7 @@ func TestAuditStaysDeleted(t *testing.T) {
 	}
 }
 
-var knobDoc = regexp.MustCompile(`0 = default|\(default `)
+var knobDoc = regexp.MustCompile(`0 = default|\(default[ :]`)
 
 // TestAuditTwoValuesOrConstant is rule 2: a struct field under internal/
 // documented as having a default is an option, and an option stays only

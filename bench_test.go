@@ -875,7 +875,7 @@ func BenchmarkGhostPlanScan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if plan := h.GhostPlanScan(0, false); len(plan) == 0 {
+				if plan := h.GhostPlanScan(0); len(plan) == 0 {
 					b.Fatal("no messages")
 				}
 			}

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
+	"samrdlb/internal/dlb"
 	"samrdlb/internal/golden"
 )
 
@@ -62,6 +64,23 @@ func TestFigUsageListsEveryFigure(t *testing.T) {
 	for _, fig := range got {
 		if figs[fig] == nil {
 			t.Errorf("-fig usage lists %q, which figs does not answer", fig)
+		}
+	}
+}
+
+// TestTournamentFigure: -fig tournament ranks every registered policy,
+// one row each, in either format.
+func TestTournamentFigure(t *testing.T) {
+	for _, format := range []string{"text", "md"} {
+		code, out, stderr := figures("-fig", "tournament", "-format", format)
+		if code != 0 || stderr != "" {
+			t.Fatalf("-fig tournament -format %s: exit %d: %s", format, code, stderr)
+		}
+		for _, name := range dlb.PolicyNames() {
+			row := regexp.MustCompile(`(?m)^\|? ?[1-9][0-9]* +\|? ?` + regexp.QuoteMeta(name) + ` `)
+			if n := len(row.FindAllString(out, -1)); n != 1 {
+				t.Errorf("-format %s: %d ranked rows for %s, want 1:\n%s", format, n, name, out)
+			}
 		}
 	}
 }

@@ -32,11 +32,6 @@
 // parent that restarts crashed workers from their durable generations
 // and checks that every worker reports the same result (forwardFlags
 // says what the other flags do there).
-//
-// -tournament instead runs the seeded policy ablation — every
-// registered policy on identical scenario envelopes:
-//
-//	samrsim -tournament -tournament-scenarios 20 -bench-out BENCH_policy.json
 package main
 
 import (
@@ -51,7 +46,6 @@ import (
 
 	"samrdlb/internal/ckpt"
 	"samrdlb/internal/engine"
-	"samrdlb/internal/exp"
 	"samrdlb/internal/invariant"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/scenario"
@@ -63,22 +57,17 @@ import (
 // flags holds what is not part of the run's description: what to do
 // with the run, and what belongs to this process.
 type flags struct {
-	tournament, trace, series, resume, recoveryReport, supervise, workerRestart bool
-	tournamentScenarios, ckptKeep, stopAfter, maxRestarts, workerShard          int
-	tournamentSeed                                                              int64
-	benchOut, scenario, save, ckptDir, cpuProfile, memProfile, workerControl    string
-	wireTimeout                                                                 time.Duration
-	stdout, stderr                                                              io.Writer
-	result                                                                      *metrics.Result // of a single run that printed its report
+	trace, series, resume, supervise, workerRestart                bool
+	ckptKeep, stopAfter, maxRestarts, workerShard                  int
+	scenario, save, ckptDir, cpuProfile, memProfile, workerControl string
+	wireTimeout                                                    time.Duration
+	stdout, stderr                                                 io.Writer
+	result                                                         *metrics.Result // of a single run that printed its report
 }
 
 // register declares every flag: the run flags from the scenario key
 // table, filling in the returned spec, and the rest into f.
 func (f *flags) register(fs *flag.FlagSet) *scenario.Scenario {
-	fs.BoolVar(&f.tournament, "tournament", false, "run the policy ablation tournament instead of a single run: every registered policy on the same seeded scenario envelopes, printing a markdown comparison report")
-	fs.IntVar(&f.tournamentScenarios, "tournament-scenarios", 20, "tournament: number of generated scenario envelopes per policy")
-	fs.Int64Var(&f.tournamentSeed, "tournament-seed", 40000, "tournament: first scenario-generator seed")
-	fs.StringVar(&f.benchOut, "bench-out", "", "tournament: write the deterministic per-policy metrics JSON (BENCH_policy.json) to this file")
 	fs.StringVar(&f.scenario, "scenario", "", "take the run's description from this 'key=value ...' spec (the format a failing soak or fuzz run prints) instead of from the run flags; -check adds to its check=")
 	fs.BoolVar(&f.trace, "trace", false, "print the event trace")
 	fs.BoolVar(&f.series, "series", false, "print per-step time series")
@@ -89,7 +78,6 @@ func (f *flags) register(fs *flag.FlagSet) *scenario.Scenario {
 	fs.IntVar(&f.stopAfter, "stop-after", -1, "exit with status 3 after this level-0 step completes (simulated crash, for resume testing)")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile to this file after the run")
-	fs.BoolVar(&f.recoveryReport, "recovery-report", false, "print the retry/backoff/suspicion and rejoin counters after the run")
 	fs.BoolVar(&f.supervise, "supervise", false, "run one worker OS process per processor group under this supervising parent (requires -data); crashed workers restart from their latest durable generation in -ckpt-dir")
 	fs.DurationVar(&f.wireTimeout, "wire-timeout", 5*time.Second, "read/write deadline and heartbeat pacing on every wire connection (tcp/worker transports; 0 disables)")
 	fs.IntVar(&f.maxRestarts, "max-restarts", 3, "supervise: restarts allowed per worker before the run fails")
@@ -152,9 +140,6 @@ func (f *flags) usage(format string, a ...any) int {
 // dispatch settles where the run's description comes from, validates
 // it, and hands it to the mode the flags select.
 func (f *flags) dispatch(fs *flag.FlagSet, spec *scenario.Scenario) int {
-	if f.tournament {
-		return runTournament(f)
-	}
 	if f.scenario != "" {
 		clash := ""
 		fs.Visit(func(fl *flag.Flag) {
@@ -293,13 +278,6 @@ func runOne(f *flags, spec *scenario.Scenario) int {
 	if res.Faulty() {
 		fmt.Fprintf(out, "\nFault injection summary:\n%s", res.FaultSummary())
 	}
-	if f.recoveryReport {
-		if s := res.RecoveryReport(); s != "" {
-			fmt.Fprintf(out, "\nRecovery report:\n%s", s)
-		} else {
-			fmt.Fprintln(out, "\nRecovery report: no retries, suspicion or rejoins")
-		}
-	}
 	if f.save != "" {
 		sf, err := os.Create(f.save)
 		if err == nil {
@@ -318,38 +296,6 @@ func runOne(f *flags, spec *scenario.Scenario) int {
 	if f.trace {
 		fmt.Fprintln(out, "\nEvent trace:")
 		fmt.Fprint(out, tr.String())
-	}
-	return 0
-}
-
-// runTournament runs the policy ablation tournament: every registered
-// balancer policy on the same seeded scenario envelopes, printing the
-// markdown comparison report and optionally writing the deterministic
-// per-policy metrics JSON. Returns the process exit code: 0 when every run held its scoped invariants, 1
-// when any policy recorded failures, 2 on setup errors.
-func runTournament(f *flags) int {
-	tour, err := exp.RunTournament(exp.TournamentOptions{Scenarios: f.tournamentScenarios, Seed0: f.tournamentSeed})
-	if err != nil {
-		fmt.Fprintf(f.stderr, "tournament: %v\n", err)
-		return 2
-	}
-	fmt.Fprint(f.stdout, tour.Markdown())
-	if f.benchOut != "" {
-		data, err := tour.BenchJSON()
-		if err == nil {
-			err = os.WriteFile(f.benchOut, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(f.stderr, "tournament: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(f.stderr, "tournament: wrote %s\n", f.benchOut)
-	}
-	for _, s := range tour.Scores {
-		if s.Failures > 0 {
-			fmt.Fprintf(f.stderr, "tournament: policy %s recorded %d failing envelope(s)\n", s.Policy, s.Failures)
-			return 1
-		}
 	}
 	return 0
 }

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"samrdlb/internal/exp"
+	"samrdlb/internal/metrics"
 )
 
 // samrsim runs the command in-process.
@@ -190,7 +194,7 @@ func TestSuperviseDropsNoFlag(t *testing.T) {
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
 	spec := new(flags).register(fs)
 	if err := fs.Parse([]string{"-policy", "knapsack", "-data", "-n", "2", "-check=plan,invariants", "-ckpt-dir", "D",
-		"-wire-timeout", "5s", "-supervise", "-cpuprofile", "c", "-memprofile", "m", "-recovery-report", "-max-restarts", "1"}); err != nil {
+		"-wire-timeout", "5s", "-supervise", "-cpuprofile", "c", "-memprofile", "m", "-max-restarts", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	args, err := workerArgs(fs, spec)
@@ -218,6 +222,26 @@ func TestProfilesAreWrittenOnEveryPath(t *testing.T) {
 	for _, f := range []string{cpu, mem} {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("%s: empty or missing (%v)", f, err)
+		}
+	}
+}
+
+// TestLanIsFigure7sTestbed: -system lan is the LAN pair Figure 7 runs
+// AMR64 on, background traffic included, so both schemes reproduce
+// the figure's runs exactly.
+func TestLanIsFigure7sTestbed(t *testing.T) {
+	rows := exp.Fig7("AMR64", exp.Options{Steps: 2, Configs: []int{1}, Seed: 42})
+	for scheme, want := range map[string]*metrics.Result{
+		"parallel":    rows[0].ParallelResult,
+		"distributed": rows[0].DistributedResult,
+	} {
+		f := &flags{stdout: io.Discard, stderr: io.Discard}
+		args := []string{"-dataset", "AMR64", "-system", "lan", "-n", "1", "-steps", "2", "-seed", "42", "-policy", scheme}
+		if code := f.run(args); code != 0 || f.result == nil {
+			t.Fatalf("samrsim %q: exit %d", args, code)
+		}
+		if got := f.result.Identity(); got != want.Identity() {
+			t.Errorf("%s: samrsim -system lan departs from Figure 7's LAN run:\n got %s\nwant %s", scheme, got, want.Identity())
 		}
 	}
 }

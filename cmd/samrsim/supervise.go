@@ -25,7 +25,7 @@ import (
 // to -supervise is refused — no flag is silently dropped.
 var forwardFlags = map[string]bool{
 	"ckpt-dir": true, "ckpt-keep": true, "wire-timeout": true,
-	"supervise": false, "scenario": false, "max-restarts": false, "recovery-report": false,
+	"supervise": false, "scenario": false, "max-restarts": false,
 	"cpuprofile": false, "memprofile": false,
 }
 

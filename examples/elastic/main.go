@@ -80,7 +80,7 @@ func main() {
 		tr = trace.New()
 		r = newRunner(sched, tr, nil)
 		res := r.Run()
-		return r, res.Identity(), res.String() + "\n" + res.FaultSummary() + res.RecoveryReport(), tr
+		return r, res.Identity(), res.String() + "\n" + res.FaultSummary(), tr
 	}
 
 	r, id1, out1, tr := run()

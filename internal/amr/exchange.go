@@ -138,8 +138,8 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 	}
 	need &^= c.built
 	if need&planMsg != 0 {
-		c.ghost = h.buildGhostPlan(l, false)
-		c.restrict = h.RestrictPlan(l, false)
+		c.ghost = h.buildGhostPlan(l)
+		c.restrict = h.RestrictPlan(l)
 	}
 	// The two tables are built apart: a local balance usually moves an
 	// owner between a level's ghost charge and its restrict charge.
@@ -223,7 +223,7 @@ func (h *Hierarchy) GhostTransfers(l int) []Transfer {
 	return h.refreshPlans(l, planGhostXfer).ghostXfer
 }
 
-// RestrictTransfers returns RestrictPlan(l, false) coalesced per
+// RestrictTransfers returns RestrictPlan(l) coalesced per
 // processor pair, memoised like GhostTransfers. The restrict plan is
 // built alongside the ghost plan under the same critical section, so a
 // structural mutation between the two calls can never surface a stale
@@ -307,9 +307,8 @@ func byPair(a, b Transfer) int {
 // GhostPlan returns the transfers required to fill the ghost zones of
 // every level-l grid before a step: sibling overlaps at the same
 // level, plus prolongation from the coarse level for ghost cells no
-// sibling covers. Zero-byte and intra-grid entries are omitted; so
-// are transfers where source and destination grids share a processor
-// only if dropLocal is true.
+// sibling covers. Zero-byte and intra-grid entries are omitted; with
+// dropLocal, so are the messages dropSameOwner removes.
 //
 // Sources are found through the level's spatial index — O(n·k) instead
 // of the O(n²) all-pairs scan — in level-list order, so the result is
@@ -317,7 +316,19 @@ func byPair(a, b Transfer) int {
 func (h *Hierarchy) GhostPlan(l int, dropLocal bool) []Message {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.buildGhostPlan(l, dropLocal)
+	plan := h.buildGhostPlan(l)
+	if dropLocal {
+		plan = h.dropSameOwner(plan)
+	}
+	return plan
+}
+
+// dropSameOwner removes, in place, the messages whose source and
+// destination grids share a processor. Filtering a built plan leaves
+// its prolongation counts as they were: a sibling on the destination's
+// processor sends nothing but still covers its share of the shell.
+func (h *Hierarchy) dropSameOwner(plan []Message) []Message {
+	return slices.DeleteFunc(plan, func(m Message) bool { return h.Grid(m.Src).Owner == h.Grid(m.Dst).Owner })
 }
 
 // buildGhostPlan is GhostPlan for callers that hold planMu. The level's
@@ -328,7 +339,7 @@ func (h *Hierarchy) GhostPlan(l int, dropLocal bool) []Message {
 // A block is never regrown. Growing one list by append would cost ~5x
 // its final length in garbage, and a level's first plan has no length
 // to size it by.
-func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool) []Message {
+func (h *Hierarchy) buildGhostPlan(l int) []Message {
 	li := h.indexFor(l)
 	dom := h.DomainAt(l)
 	bytesPerCell := int64(len(h.Fields)) * 8
@@ -342,7 +353,7 @@ func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool) []Message {
 				scr.blocks = append(scr.blocks, cur)
 				cur = make([]Message, 0, min(max(2*cap(cur), destMsgs), maxMsgBlock))
 			}
-			cur = h.appendGhostDest(cur, g, l, li, dom, bytesPerCell, dropLocal, scr)
+			cur = h.appendGhostDest(cur, g, l, li, dom, bytesPerCell, scr)
 		}
 		scr.blocks = append(scr.blocks, cur)
 		parts[c] = scr
@@ -369,7 +380,7 @@ func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool) []Message {
 
 // appendGhostDest plans one destination grid's ghost messages,
 // mirroring one iteration of the GhostPlanScan outer loop: the index
-// supplies the overlapping siblings in level-list order, so surviving
+// supplies the overlapping siblings in level-list order, so the
 // messages appear exactly as the scan emits them.
 //
 // The prolongation remainder is a count, not a box list. The slabs of
@@ -379,7 +390,7 @@ func (h *Hierarchy) buildGhostPlan(l int, dropLocal bool) []Message {
 // the shell's cells minus theirs. GhostPlanScan subtracts the boxes and
 // assumes neither, which is what lets -check=plan catch a level that
 // overlaps.
-func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelIndex, dom geom.Box, bytesPerCell int64, dropLocal bool, scr *planScratch) []Message {
+func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelIndex, dom geom.Box, bytesPerCell int64, scr *planScratch) []Message {
 	grown := g.Box.Grow(h.NGhost).Intersect(dom)
 	scr.ghost = geom.SubtractAppend(scr.ghost[:0], grown, g.Box)
 	remaining := grown.NumCells() - g.Box.NumCells()
@@ -388,9 +399,6 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 		if s.ID == g.ID {
 			continue
 		}
-		// A sibling on the destination's processor sends nothing but
-		// still covers its share of the shell.
-		drop := dropLocal && s.Owner == g.Owner
 		for _, gb := range scr.ghost {
 			ov := gb.Intersect(s.Box)
 			if ov.Empty() {
@@ -398,9 +406,6 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 			}
 			cells := ov.NumCells()
 			remaining -= cells
-			if drop {
-				continue
-			}
 			out = append(out, Message{
 				Src: s.ID, Dst: g.ID,
 				Bytes: cells * bytesPerCell,
@@ -412,7 +417,7 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 	// (prolongation); attribute them to the parent grid.
 	if l > 0 && remaining > 0 {
 		p := h.Grid(g.Parent)
-		if p != nil && (!dropLocal || p.Owner != g.Owner) {
+		if p != nil {
 			// Coarse data for r^3 fine ghost cells is one coarse
 			// cell; the transfer moves the coarse footprint.
 			r3 := int64(h.RefFactor * h.RefFactor * h.RefFactor)
@@ -455,7 +460,7 @@ func subtractList(a geom.Box, bs geom.BoxList, scr *planScratch) geom.BoxList {
 // kept as the -plancheck baseline and for benchmarks. On a level whose
 // grids are disjoint it produces exactly the same messages as GhostPlan;
 // it subtracts the overlaps as boxes, so it is right on any level.
-func (h *Hierarchy) GhostPlanScan(l int, dropLocal bool) []Message {
+func (h *Hierarchy) GhostPlanScan(l int) []Message {
 	var out []Message
 	bytesPerCell := int64(len(h.Fields)) * 8
 	dom := h.DomainAt(l)
@@ -474,9 +479,6 @@ func (h *Hierarchy) GhostPlanScan(l int, dropLocal bool) []Message {
 					continue
 				}
 				covered = append(covered, ov)
-				if dropLocal && s.Owner == g.Owner {
-					continue
-				}
 				out = append(out, Message{
 					Src: s.ID, Dst: g.ID,
 					Bytes: ov.NumCells() * bytesPerCell,
@@ -493,7 +495,7 @@ func (h *Hierarchy) GhostPlanScan(l int, dropLocal bool) []Message {
 		}
 		if remaining > 0 {
 			p := h.Grid(g.Parent)
-			if p != nil && (!dropLocal || p.Owner != g.Owner) {
+			if p != nil {
 				r3 := int64(h.RefFactor * h.RefFactor * h.RefFactor)
 				coarseCells := (remaining + r3 - 1) / r3
 				out = append(out, Message{
@@ -509,7 +511,7 @@ func (h *Hierarchy) GhostPlanScan(l int, dropLocal bool) []Message {
 
 // RestrictPlan returns the transfers that project every level-l grid
 // onto its parent after the level reaches its parent's physical time.
-func (h *Hierarchy) RestrictPlan(l int, dropLocal bool) []Message {
+func (h *Hierarchy) RestrictPlan(l int) []Message {
 	if l <= 0 {
 		return nil
 	}
@@ -519,9 +521,6 @@ func (h *Hierarchy) RestrictPlan(l int, dropLocal bool) []Message {
 	for _, g := range h.Grids(l) {
 		p := h.Grid(g.Parent)
 		if p == nil {
-			continue
-		}
-		if dropLocal && p.Owner == g.Owner {
 			continue
 		}
 		out = append(out, Message{

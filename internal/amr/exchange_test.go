@@ -126,7 +126,10 @@ func assertGhostPlansMatchScan(t *testing.T, name string, h *Hierarchy) {
 	t.Helper()
 	for l := 0; l <= h.MaxLevel; l++ {
 		for _, drop := range []bool{false, true} {
-			got, want := h.GhostPlan(l, drop), h.GhostPlanScan(l, drop)
+			got, want := h.GhostPlan(l, drop), h.GhostPlanScan(l)
+			if drop {
+				want = h.dropSameOwner(want)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("%s: level %d dropLocal=%v: %d messages, scan %d\n got %v\nwant %v",
 					name, l, drop, len(got), len(want), got, want)
@@ -235,7 +238,7 @@ func TestPlanCheckCatchesOverlappingLevel(t *testing.T) {
 	// The scan sees the 16 doubly covered cells once: 152 − 16 = 136
 	// shell cells left for the parent, 17 coarse cells of two fields.
 	dst := h.Grids(1)[0].ID
-	for _, m := range h.GhostPlanScan(1, false) {
+	for _, m := range h.GhostPlanScan(1) {
 		if m.Dst == dst && m.Kind == ParentProlong && m.Bytes != 17*16 {
 			t.Fatalf("scan prolongation = %d bytes, want %d", m.Bytes, 17*16)
 		}
@@ -248,7 +251,7 @@ func TestRestrictPlan(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, false, "q")
 	p := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
 	c := h.AddGrid(1, geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{8, 8, 8}), 1, p.ID)
-	plan := h.RestrictPlan(1, false)
+	plan := h.RestrictPlan(1)
 	if len(plan) != 1 {
 		t.Fatalf("plan = %v", plan)
 	}
@@ -260,11 +263,11 @@ func TestRestrictPlan(t *testing.T) {
 	if m.Bytes != 64*8 {
 		t.Errorf("bytes = %d", m.Bytes)
 	}
-	if h.RestrictPlan(0, false) != nil {
+	if h.RestrictPlan(0) != nil {
 		t.Error("level 0 has no restrict plan")
 	}
 	c.Owner = 0
-	if plan := h.RestrictPlan(1, true); len(plan) != 0 {
+	if plan := h.dropSameOwner(h.RestrictPlan(1)); len(plan) != 0 {
 		t.Error("local restrict must be dropped")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // hold planMu.
 func (h *Hierarchy) verifyPlans(l int, c *planCache) {
 	if c.built&planMsg != 0 {
-		ghost, restrict := h.GhostPlanScan(l, false), h.RestrictPlan(l, false)
+		ghost, restrict := h.GhostPlanScan(l), h.RestrictPlan(l)
 		comparePlanMessages("GhostPlan", l, ghost, c.ghost)
 		comparePlanMessages("RestrictPlan", l, restrict, c.restrict)
 		if c.built&planGhostXfer != 0 {

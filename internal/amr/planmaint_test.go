@@ -43,7 +43,7 @@ func randomHierarchy(rng *rand.Rand) *Hierarchy {
 	return h
 }
 
-// RestrictPlanCached returns RestrictPlan(l, false) from the cache
+// RestrictPlanCached returns RestrictPlan(l) from the cache
 // entry RestrictTransfers aggregates.
 func (h *Hierarchy) RestrictPlanCached(l int) []Message {
 	h.planMu.Lock()
@@ -218,7 +218,11 @@ func TestPlanPatchingMatchesScan(t *testing.T) {
 			servePlans(h) // rebuilds (or cached survivors) verified
 			for l := 0; l <= h.MaxLevel; l++ {
 				for _, dl := range []bool{false, true} {
-					if got, want := h.GhostPlan(l, dl), h.GhostPlanScan(l, dl); !msgsEqual(got, want) {
+					want := h.GhostPlanScan(l)
+					if dl {
+						want = h.dropSameOwner(want)
+					}
+					if got := h.GhostPlan(l, dl); !msgsEqual(got, want) {
 						t.Fatalf("trial %d round %d: GhostPlan(%d, %v) diverged from scan:\n got %v\nwant %v",
 							trial, round, l, dl, got, want)
 					}
@@ -341,7 +345,7 @@ func TestRestrictPlanCachedMutationBetweenPhases(t *testing.T) {
 	h.planMu.Lock()
 	got := h.plans[1].restrict
 	h.planMu.Unlock()
-	want := h.RestrictPlan(1, false)
+	want := h.RestrictPlan(1)
 	if got == nil {
 		t.Fatal("cache entry lost its restrict plan across the mutation window")
 	}

@@ -28,10 +28,10 @@ func TestTransfersFollowOwnership(t *testing.T) {
 	check := func(step string, h *Hierarchy) (ghost, restrict []Transfer) {
 		t.Helper()
 		ghost, restrict = h.GhostTransfers(l), h.RestrictTransfers(l)
-		if want := naivePairs(h, h.GhostPlanScan(l, false)); !slices.Equal(ghost, want) {
+		if want := naivePairs(h, h.GhostPlanScan(l)); !slices.Equal(ghost, want) {
 			t.Errorf("%s: ghost table\n got %v\nwant %v", step, ghost, want)
 		}
-		if want := naivePairs(h, h.RestrictPlan(l, false)); !slices.Equal(restrict, want) {
+		if want := naivePairs(h, h.RestrictPlan(l)); !slices.Equal(restrict, want) {
 			t.Errorf("%s: restrict table\n got %v\nwant %v", step, restrict, want)
 		}
 		return ghost, restrict

@@ -99,8 +99,8 @@ func TestElasticRejoinAcceptance(t *testing.T) {
 	if !sawRejoin || !sawReadmit {
 		t.Errorf("trace must carry the rejoin lifecycle (pending=%v re-admitted=%v)", sawRejoin, sawReadmit)
 	}
-	if res.RecoveryReport() == "" {
-		t.Error("a run with rejoins must produce a recovery report")
+	if !strings.Contains(res.FaultSummary(), "membership:") {
+		t.Error("a run with rejoins must report its membership counters")
 	}
 
 	// Byte-identical replay.
@@ -215,8 +215,8 @@ func TestSuspicionFromProbeRetries(t *testing.T) {
 	if res.SuspectTransitions == 0 {
 		t.Fatalf("sustained probe loss must suspect at least one group's procs: %+v", res)
 	}
-	if res.RecoveryReport() == "" {
-		t.Error("suspicion activity must produce a recovery report")
+	if !strings.Contains(res.FaultSummary(), "membership:") {
+		t.Error("suspicion activity must report the membership counters")
 	}
 	res2 := run()
 	if !reflect.DeepEqual(res, res2) {

@@ -127,7 +127,7 @@ func SchemeSweep(o Options) []SchemeRow {
 	o.setDefaults()
 	var jobs []job
 	for _, scheme := range []string{"parallel", "distributed", "sfc"} {
-		jobs = append(jobs, job{"ShockPool3D", scheme, func() *machine.System { return systemFor("ShockPool3D", 4, o.Seed) }, nil, 4})
+		jobs = append(jobs, job{"ShockPool3D", scheme, func() *machine.System { return testbed("ShockPool3D", 4, o.Seed) }, nil, 4})
 	}
 	var rows []SchemeRow
 	for _, r := range runJobs(jobs, o) {

@@ -19,7 +19,7 @@ import (
 	"samrdlb/internal/engine"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
-	"samrdlb/internal/netsim"
+	"samrdlb/internal/scenario"
 	"samrdlb/internal/solver"
 	"samrdlb/internal/workload"
 )
@@ -64,27 +64,15 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// wanTraffic returns the shared-MREN background model for a run. Both
-// schemes of a comparison use the same seed, reproducing the paper's
-// protocol of running them back-to-back "so that the two executions
-// would have the similar network environments".
-func wanTraffic(seed int64) netsim.TrafficModel {
-	return &netsim.BurstyTraffic{QuietLoad: 0.1, BusyLoad: 0.6, MeanQuiet: 30, MeanBusy: 15, Seed: seed}
-}
-
-// lanTraffic returns the shared Gigabit-Ethernet background model.
-func lanTraffic(seed int64) netsim.TrafficModel {
-	return &netsim.BurstyTraffic{QuietLoad: 0.05, BusyLoad: 0.4, MeanQuiet: 20, MeanBusy: 10, Seed: seed + 1}
-}
-
-// systemFor builds the machine for a dataset/config: AMR64 runs on
-// the LAN-connected ANL pair, ShockPool3D on the ANL–NCSA WAN pair,
-// as in Section 5.
-func systemFor(dataset string, n int, seed int64) *machine.System {
+// testbed is the machine Section 5 runs a dataset on, n processors per
+// group, built as samrsim -system builds it: AMR64 on the LAN-connected
+// ANL pair, every other dataset on the ANL–NCSA WAN pair.
+func testbed(dataset string, n int, seed int64) *machine.System {
+	s := scenario.Scenario{Testbed: "wan", TestbedN: n, Seed: seed}
 	if dataset == "AMR64" {
-		return machine.LanPair(n, lanTraffic(seed))
+		s.Testbed = "lan"
 	}
-	return machine.WanPair(n, wanTraffic(seed))
+	return s.System()
 }
 
 // Run executes one (dataset, scheme, system) combination and returns
@@ -168,7 +156,7 @@ func runJobs(jobs []job, o Options) []*metrics.Result {
 func sweep[T any](vals []T, o Options, set func(*engine.Options, T)) []*metrics.Result {
 	jobs := make([]job, len(vals))
 	for i, v := range vals {
-		jobs[i] = job{"ShockPool3D", "distributed", func() *machine.System { return systemFor("ShockPool3D", 4, o.Seed) },
+		jobs[i] = job{"ShockPool3D", "distributed", func() *machine.System { return testbed("ShockPool3D", 4, o.Seed) },
 			func(eo *engine.Options) { set(eo, v) }, 4}
 	}
 	return runJobs(jobs, o)

@@ -196,7 +196,7 @@ func TestSequentialHasNoComm(t *testing.T) {
 // error; only the figure drivers, whose names are fixed in the source,
 // still treat one as a bug.
 func TestUnknownNamesPanic(t *testing.T) {
-	sys := systemFor("ShockPool3D", 1, 1)
+	sys := testbed("ShockPool3D", 1, 1)
 	if _, err := Run("nope", "distributed", sys, fastOpts()); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown dataset: err = %v", err)
 	}

@@ -43,7 +43,7 @@ func Fig3(o Options) []Fig3Row {
 	for _, n := range o.Configs {
 		jobs = append(jobs,
 			job{"ShockPool3D", "parallel", func() *machine.System { return machine.Origin2000("ANL", 2*n) }, nil, n},
-			job{"ShockPool3D", "parallel", func() *machine.System { return systemFor("ShockPool3D", n, o.Seed) }, nil, n})
+			job{"ShockPool3D", "parallel", func() *machine.System { return testbed("ShockPool3D", n, o.Seed) }, nil, n})
 	}
 	res := runJobs(jobs, o)
 	var rows []Fig3Row
@@ -84,7 +84,7 @@ func Fig7(dataset string, o Options) []Fig7Row {
 func fig7Jobs(dataset string, o Options) []job {
 	var jobs []job
 	for _, n := range o.Configs {
-		sys := func() *machine.System { return systemFor(dataset, n, o.Seed) }
+		sys := func() *machine.System { return testbed(dataset, n, o.Seed) }
 		jobs = append(jobs, job{dataset, "parallel", sys, nil, n}, job{dataset, "distributed", sys, nil, n})
 	}
 	return jobs

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"samrdlb/internal/dlb"
@@ -24,29 +23,15 @@ type TournamentOptions struct {
 	// Seed0 is the first generator seed; envelopes use Seed0,
 	// Seed0+1, ... (default 40000, clear of the soak ranges).
 	Seed0 int64
-	// Policies lists the competitors (default: every registered
-	// policy). Names may be registry aliases.
-	Policies []string
 }
 
-func (o *TournamentOptions) setDefaults() error {
+func (o *TournamentOptions) setDefaults() {
 	if o.Scenarios <= 0 {
 		o.Scenarios = 20
 	}
 	if o.Seed0 == 0 {
 		o.Seed0 = 40000
 	}
-	if len(o.Policies) == 0 {
-		o.Policies = dlb.PolicyNames()
-	}
-	for i, p := range o.Policies {
-		canon, ok := dlb.CanonicalPolicy(p)
-		if !ok {
-			return fmt.Errorf("tournament: unknown policy %q", p)
-		}
-		o.Policies[i] = canon
-	}
-	return nil
 }
 
 // PolicyScore aggregates one policy's results over the whole envelope
@@ -87,14 +72,14 @@ type Tournament struct {
 	Scores    []PolicyScore `json:"scores"`
 }
 
-// RunTournament executes the ablation: Scenarios envelopes × Policies,
-// every run under the policy-scoped invariant oracle, scoring virtual
-// time, imbalance, migration volume and δ-charged cost. Scores are
-// sorted by MeanTotal ascending (winner first, name-tiebroken).
+// RunTournament executes the ablation: Scenarios envelopes × every
+// registered policy, every run under the policy-scoped invariant
+// oracle, scoring virtual time, imbalance, migration volume and
+// δ-charged cost. Scores are sorted by MeanTotal ascending (winner
+// first, name-tiebroken). The error is always nil.
 func RunTournament(o TournamentOptions) (*Tournament, error) {
-	if err := o.setDefaults(); err != nil {
-		return nil, err
-	}
+	o.setDefaults()
+	policies := dlb.PolicyNames()
 	// One slot per (policy, envelope), policy-major. The runs share
 	// nothing, so they go on the solver pool; the scores below fold the
 	// slots in (policy, seed) order, so every sum is the serial one.
@@ -103,13 +88,13 @@ func RunTournament(o TournamentOptions) (*Tournament, error) {
 		imbalance float64
 		wall      float64
 	}
-	slots := make([]slot, len(o.Policies)*o.Scenarios)
+	slots := make([]slot, len(policies)*o.Scenarios)
 	solver.NewPool(0).ForEach(len(slots), func(k int) {
 		start := time.Now()
 		// Regenerate per policy: the envelope is a pure function of the
 		// seed, so every policy faces identical conditions.
 		s := scenario.Generate(o.Seed0 + int64(k%o.Scenarios))
-		s.Scheme = o.Policies[k/o.Scenarios]
+		s.Scheme = policies[k/o.Scenarios]
 		s.Normalize()
 		hist := metrics.NewHistory()
 		slots[k].out = s.ExecuteWithHistory(hist)
@@ -117,7 +102,7 @@ func RunTournament(o TournamentOptions) (*Tournament, error) {
 		slots[k].wall = time.Since(start).Seconds()
 	})
 	t := &Tournament{Scenarios: o.Scenarios, Seed0: o.Seed0}
-	for p, policy := range o.Policies {
+	for p, policy := range policies {
 		sc := PolicyScore{Policy: policy}
 		var totalSum, imbSum, costSum float64
 		scored := 0
@@ -153,21 +138,21 @@ func RunTournament(o TournamentOptions) (*Tournament, error) {
 	return t, nil
 }
 
-// Markdown renders the comparison report: one ranked table plus the
-// envelope provenance, ready for a PR comment or EXPERIMENTS.md.
-func (t *Tournament) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "## Policy tournament\n\n")
-	fmt.Fprintf(&b, "%d seeded scenario envelopes (seeds %d..%d), every policy on identical systems, workloads and fault schedules, under the policy-scoped invariant oracle. Ranked by mean virtual execution time.\n\n",
-		t.Scenarios, t.Seed0, t.Seed0+int64(t.Scenarios)-1)
-	b.WriteString("| rank | policy | mean total (s) | mean imbalance | local migs | global redists | δ-cost (s) | failures | wall (s) |\n")
-	b.WriteString("|-----:|--------|---------------:|---------------:|-----------:|---------------:|-----------:|---------:|---------:|\n")
+// TournamentReport renders the pinned tournament — 20 envelopes from
+// seed 40000, the set BENCH_policy.json records — as one ranked table.
+// The envelopes carry their own steps and seeds, so o is not read.
+func TournamentReport(_ Options, f Format) string {
+	t, _ := RunTournament(TournamentOptions{})
+	tbl := metrics.NewTable(
+		fmt.Sprintf("Policy tournament — %d seeded scenario envelopes (seeds %d..%d), ranked by mean virtual execution time",
+			t.Scenarios, t.Seed0, t.Seed0+int64(t.Scenarios)-1),
+		"rank", "policy", "mean-total", "mean-imbalance", "local-migs", "global-redists", "delta-cost", "failures", "wall")
 	for i, s := range t.Scores {
-		fmt.Fprintf(&b, "| %d | %s | %.3f | %.4f | %d | %d | %.3f | %d | %.2f |\n",
-			i+1, s.Policy, s.MeanTotal, s.MeanImbalance,
+		tbl.AddRow(i+1, s.Policy, s.MeanTotal, fmt.Sprintf("%.4f", s.MeanImbalance),
 			s.LocalMigrations, s.GlobalRedists, s.MeanDeltaCost, s.Failures, s.WallSeconds)
 	}
-	return b.String()
+	return f.section(tbl,
+		"every policy on identical systems, workloads, fault schedules and resume cuts, under the policy-scoped invariant oracle; times in seconds, wall is real busy time.\n")
 }
 
 // BenchJSON renders the deterministic benchmark artifact

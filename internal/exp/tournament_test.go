@@ -3,112 +3,65 @@ package exp
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
+	"runtime"
 	"testing"
 
 	"samrdlb/internal/dlb"
+	"samrdlb/internal/golden"
 )
 
-// TestTournamentRunsAllPoliciesDeterministically is the acceptance
-// check for the ablation harness: a small tournament covers every
-// registered policy with zero failures, and its deterministic artifact
-// (BenchJSON, wall time excluded) is byte-identical across reruns.
-func TestTournamentRunsAllPoliciesDeterministically(t *testing.T) {
-	opt := TournamentOptions{Scenarios: 3, Seed0: 40000}
-	a, err := RunTournament(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Scores) != len(dlb.PolicyNames()) {
-		t.Fatalf("scores for %d policies, want %d", len(a.Scores), len(dlb.PolicyNames()))
-	}
-	seen := map[string]bool{}
-	for _, s := range a.Scores {
-		seen[s.Policy] = true
-		if s.Runs != opt.Scenarios {
-			t.Errorf("%s: %d runs, want %d", s.Policy, s.Runs, opt.Scenarios)
+// TestTournamentIsBenchPolicy pins the policy ablation: the default
+// envelope set (20 from seed 40000) covers every registered policy with
+// zero failures, its artifact parses back into the same Tournament, and
+// it is the committed BENCH_policy.json byte for byte, at the default
+// GOMAXPROCS and at one. `go test ./internal/exp -run
+// TestTournamentIsBenchPolicy -update` rewrites the file.
+func TestTournamentIsBenchPolicy(t *testing.T) {
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		prev := runtime.GOMAXPROCS(procs)
+		tour, err := RunTournament(TournamentOptions{})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.Failures != 0 {
-			t.Errorf("%s: %d failures (invariant violations or panics)", s.Policy, s.Failures)
+		if len(tour.Scores) != len(dlb.PolicyNames()) {
+			t.Fatalf("GOMAXPROCS %d: scores for %d policies, want %d", procs, len(tour.Scores), len(dlb.PolicyNames()))
 		}
-		if s.MeanTotal <= 0 || s.MeanImbalance < 1 {
-			t.Errorf("%s: implausible score %+v", s.Policy, s)
+		seen := map[string]bool{}
+		for i, s := range tour.Scores {
+			seen[s.Policy] = true
+			if s.Runs != tour.Scenarios || s.Failures != 0 {
+				t.Errorf("GOMAXPROCS %d: %s: %d runs, %d failures; want %d and none", procs, s.Policy, s.Runs, s.Failures, tour.Scenarios)
+			}
+			if s.MeanTotal <= 0 || s.MeanImbalance < 1 {
+				t.Errorf("GOMAXPROCS %d: %s: implausible score %+v", procs, s.Policy, s)
+			}
+			if i > 0 && s.MeanTotal < tour.Scores[i-1].MeanTotal {
+				t.Errorf("GOMAXPROCS %d: scores not ranked: %s before %s", procs, tour.Scores[i-1].Policy, s.Policy)
+			}
 		}
-	}
-	for _, name := range dlb.PolicyNames() {
-		if !seen[name] {
-			t.Errorf("policy %s missing from the tournament", name)
+		for _, name := range dlb.PolicyNames() {
+			if !seen[name] {
+				t.Errorf("GOMAXPROCS %d: policy %s missing from the tournament", procs, name)
+			}
 		}
-	}
 
-	b, err := RunTournament(TournamentOptions{Scenarios: 3, Seed0: 40000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, err := a.BenchJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := b.BenchJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(aj) != string(bj) {
-		t.Fatalf("BenchJSON not deterministic:\n%s\n---\n%s", aj, bj)
-	}
-	// The artifact parses back into an equal Tournament (WallSeconds is
-	// excluded, so the round-trip is exact).
-	var rt Tournament
-	if err := json.Unmarshal(aj, &rt); err != nil {
-		t.Fatalf("BenchJSON does not parse: %v", err)
-	}
-	for i := range a.Scores {
-		a.Scores[i].WallSeconds = 0
-	}
-	if !reflect.DeepEqual(rt, *a) {
-		t.Fatalf("JSON round trip mismatch:\n%+v\n%+v", rt, *a)
-	}
-}
-
-// TestTournamentMarkdownReport checks the report renders a ranked
-// markdown table with one row per policy.
-func TestTournamentMarkdownReport(t *testing.T) {
-	tour, err := RunTournament(TournamentOptions{Scenarios: 2, Seed0: 41000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	md := tour.Markdown()
-	if !strings.HasPrefix(md, "## Policy tournament") {
-		t.Fatalf("report missing header:\n%s", md)
-	}
-	if !strings.Contains(md, "| rank | policy |") {
-		t.Fatalf("report missing table header:\n%s", md)
-	}
-	for _, name := range dlb.PolicyNames() {
-		if !strings.Contains(md, "| "+name+" |") {
-			t.Errorf("report missing row for %s:\n%s", name, md)
+		out, err := tour.BenchJSON()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Ranked ascending by mean total.
-	for i := 1; i < len(tour.Scores); i++ {
-		if tour.Scores[i].MeanTotal < tour.Scores[i-1].MeanTotal {
-			t.Fatalf("scores not ranked: %+v before %+v", tour.Scores[i-1], tour.Scores[i])
+		// WallSeconds is left out of the artifact, so the round trip is
+		// exact once it is zeroed.
+		var rt Tournament
+		if err := json.Unmarshal(out, &rt); err != nil {
+			t.Fatalf("GOMAXPROCS %d: BenchJSON does not parse: %v", procs, err)
 		}
-	}
-}
-
-// TestTournamentRejectsUnknownPolicy: a typo must error, not silently
-// benchmark the wrong scheme.
-func TestTournamentRejectsUnknownPolicy(t *testing.T) {
-	if _, err := RunTournament(TournamentOptions{Policies: []string{"no-such"}}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	// Aliases canonicalise.
-	tour, err := RunTournament(TournamentOptions{Scenarios: 1, Policies: []string{"paper"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tour.Scores) != 1 || tour.Scores[0].Policy != "distributed" {
-		t.Fatalf("alias not canonicalised: %+v", tour.Scores)
+		for i := range tour.Scores {
+			tour.Scores[i].WallSeconds = 0
+		}
+		if !reflect.DeepEqual(rt, *tour) {
+			t.Errorf("GOMAXPROCS %d: JSON round trip mismatch:\n%+v\n%+v", procs, rt, *tour)
+		}
+		golden.Check(t, "../../BENCH_policy.json", string(out))
 	}
 }

@@ -176,24 +176,6 @@ func (r *Result) FaultSummary() string {
 	return b.String()
 }
 
-// RecoveryReport renders the retry/backoff/suspicion and rejoin
-// counters, one per line — the elastic-membership view of the run
-// (empty string when nothing membership-related ever happened).
-func (r *Result) RecoveryReport() string {
-	if r.ProbeRetries == 0 && r.SuspectTransitions == 0 && r.Rejoins == 0 &&
-		r.SuspectedDead == 0 && r.QuorumDegradedSteps == 0 && r.Recoveries == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "probe retries:             %d (%.3fs charged to delta)\n", r.ProbeRetries, r.RetryTime)
-	fmt.Fprintf(&b, "suspect transitions:       %d\n", r.SuspectTransitions)
-	fmt.Fprintf(&b, "suspected -> presumed dead:%d\n", r.SuspectedDead)
-	fmt.Fprintf(&b, "rejoins completed:         %d (catch-up evals %d)\n", r.Rejoins, r.RejoinCatchups)
-	fmt.Fprintf(&b, "below-quorum steps:        %d\n", r.QuorumDegradedSteps)
-	fmt.Fprintf(&b, "checkpoint recoveries:     %d (%.3fs lost+replayed)\n", r.Recoveries, r.RecoveryTime)
-	return b.String()
-}
-
 // CheckpointSummary renders the durable-checkpoint counters (empty
 // string when no store was configured and nothing fell back). Prune
 // failures are appended only when they happened, so fault-free runs

@@ -34,9 +34,9 @@ func planMsgsEqual(a, b []amr.Message) bool {
 // every cached plan it serves is verified bitwise against the O(n²)
 // scan planners, across every regrid, migration, fault and recovery
 // the scenario throws at it — plus a per-phase hook that compares the
-// indexed scratch GhostPlan against GhostPlanScan for all levels and
-// both dropLocal variants (the cached path only exercises
-// dropLocal=false). Failures shrink to a minimal replayable
+// indexed scratch GhostPlan against GhostPlanScan for all levels
+// (dropLocal filters the built plan, which the amr tests pin). Failures
+// shrink to a minimal replayable
 // reproducer, dropped into $SAMR_REPRO_DIR when set.
 func runPlanScenario(t *testing.T, sc Scenario) {
 	t.Helper()
@@ -51,14 +51,12 @@ func runPlanScenario(t *testing.T, sc Scenario) {
 		}
 		h := pi.Runner.Hierarchy()
 		for l := 0; l <= h.MaxLevel; l++ {
-			for _, dl := range []bool{false, true} {
-				got, want := h.GhostPlan(l, dl), h.GhostPlanScan(l, dl)
-				if !planMsgsEqual(got, want) {
-					hookFail = fmt.Sprintf(
-						"step %d level %d dropLocal=%v: indexed GhostPlan diverged from scan (%d vs %d messages)",
-						pi.Step, l, dl, len(got), len(want))
-					return
-				}
+			got, want := h.GhostPlan(l, false), h.GhostPlanScan(l)
+			if !planMsgsEqual(got, want) {
+				hookFail = fmt.Sprintf(
+					"step %d level %d: indexed GhostPlan diverged from scan (%d vs %d messages)",
+					pi.Step, l, len(got), len(want))
+				return
 			}
 		}
 	}

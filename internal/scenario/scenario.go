@@ -53,9 +53,9 @@ type Scenario struct {
 	MaxLevel int    `key:"maxlevel" flag:"maxlevel" usage:"deepest refinement level"`
 	Scheme   string `key:"policy" flag:"policy" usage:"balancer policy: {policies} (or an alias)"`
 	// The machine is either one of the paper's testbeds — Testbed
-	// "wan", "lan" (two machines of TestbedN processors, bursty traffic
-	// seeded by Seed) or "origin" (one) — or, with Testbed empty, the
-	// Groups below.
+	// "wan", "lan" (two machines of TestbedN processors, their network's
+	// background traffic seeded by Seed) or "origin" (one) — or, with
+	// Testbed empty, the Groups below.
 	Testbed  string     `key:"system" flag:"system" usage:"wan | lan | origin (single machine)"`
 	TestbedN int        `key:"procs" flag:"n" usage:"processors per group (origin: total)"`
 	Groups   []GroupDef `key:"groups"`
@@ -90,8 +90,18 @@ type Scenario struct {
 	Check Check `key:"check" flag:"check" perrun:"1" usage:"debug oracles to arm, comma-separated: ledger | data | plan | invariants (slow; a divergence panics, an invariant violation exits non-zero)"`
 }
 
+// bursty is the shared MREN WAN's background traffic, also the model of
+// every inter-group link a groups= machine seeds. Both schemes of a
+// comparison use the same seed, reproducing the paper's protocol of
+// running them back-to-back "so that the two executions would have the
+// similar network environments".
 func bursty(seed int64) netsim.TrafficModel {
 	return &netsim.BurstyTraffic{QuietLoad: 0.1, BusyLoad: 0.6, MeanQuiet: 30, MeanBusy: 15, Seed: seed}
+}
+
+// lanTraffic is the shared Gigabit Ethernet's background traffic.
+func lanTraffic(seed int64) netsim.TrafficModel {
+	return &netsim.BurstyTraffic{QuietLoad: 0.05, BusyLoad: 0.4, MeanQuiet: 20, MeanBusy: 10, Seed: seed + 1}
 }
 
 // System builds the machine the scenario runs on.
@@ -100,7 +110,7 @@ func (s *Scenario) System() *machine.System {
 	case "wan":
 		return machine.WanPair(s.TestbedN, bursty(s.Seed))
 	case "lan":
-		return machine.LanPair(s.TestbedN, bursty(s.Seed))
+		return machine.LanPair(s.TestbedN, lanTraffic(s.Seed))
 	case "origin":
 		return machine.Origin2000("ANL", s.TestbedN)
 	}
