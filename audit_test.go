@@ -3,8 +3,10 @@ package samrdlb
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -32,12 +34,16 @@ var auditAllow = map[string]string{
 }
 
 // parseTree parses every .go file under each root for which keep
-// returns true.
+// returns true. Like the go command it skips directories whose names
+// begin with a dot: .bench_build/ holds exported trees of other commits.
 func parseTree(t *testing.T, fset *token.FileSet, keep func(path string) bool, roots ...string) []*ast.File {
 	t.Helper()
 	var files []*ast.File
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || !keep(path) {
 				return err
 			}
@@ -276,6 +282,8 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"every line it printed is a FaultSummary line"},
 	{`\) Markdown\(\)|Policies`, "internal/exp/tournament.go",
 		"the tournament is one metrics.Table through Format.section, and it runs every registered policy"},
+	{`engine\.(New|Options\{)|workload\.|dlb\.NewPolicy|\btestbed\(|ShockN|AMRN|mustRun`, "internal/exp/*.go",
+		"a sweep run is a scenario.Scenario; exp picks only the machine the two ablations need"},
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays
@@ -308,21 +316,100 @@ func TestAuditStaysDeleted(t *testing.T) {
 	}
 }
 
-var knobDoc = regexp.MustCompile(`0 = default|\(default[ :]`)
+var knobDoc = regexp.MustCompile(`0 = default|\(default[ :]|\(defaults \d`)
+
+// typedTree is the module type-checked from source: every directory of
+// non-test Go files under cmd/, examples/, internal/ and bench/ is a
+// package whose import path is "samrdlb/" + the directory (bench/'s
+// nested module is samrdlb/bench), and the standard library comes from
+// the toolchain's export data.
+type typedTree struct {
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info // shared by every package: objects are unique across the tree
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File // import path → its parsed files
+}
+
+func typeCheckTree(t *testing.T) *typedTree {
+	t.Helper()
+	tt := &typedTree{
+		fset: token.NewFileSet(),
+		std:  importer.Default(),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
+	for _, f := range parseTree(t, tt.fset, notTest, "cmd", "examples", "internal", "bench") {
+		path := "samrdlb/" + filepath.ToSlash(filepath.Dir(tt.fset.Position(f.Pos()).Filename))
+		tt.files[path] = append(tt.files[path], f)
+	}
+	for path := range tt.files {
+		if _, err := tt.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tt
+}
+
+// Import implements types.Importer: the tree's own packages from
+// source, memoised, everything else from the standard library.
+func (tt *typedTree) Import(path string) (*types.Package, error) {
+	if p, ok := tt.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := tt.files[path]
+	if !ok {
+		return tt.std.Import(path)
+	}
+	conf := types.Config{Importer: tt}
+	p, err := conf.Check(path, tt.fset, files, tt.info)
+	tt.pkgs[path] = p
+	return p, err
+}
+
+// field returns the struct field an expression writes: the key of a
+// composite literal or a selector x.F, nil for anything else.
+func (tt *typedTree) field(e ast.Expr) *types.Var {
+	var obj types.Object
+	switch e := e.(type) {
+	case *ast.Ident:
+		obj = tt.info.Uses[e]
+	case *ast.SelectorExpr:
+		if sel := tt.info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+			obj = sel.Obj()
+		}
+	}
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		return v.Origin()
+	}
+	return nil
+}
 
 // TestAuditTwoValuesOrConstant is rule 2: a struct field under internal/
 // documented as having a default is an option, and an option stays only
-// while some non-test file sets it. A field every caller leaves at zero
-// has one value in use and should be a constant.
+// while some non-test file outside a fill-in of its default sets it. A
+// field every caller leaves at zero has one value in use and should be a
+// constant. Writes are matched by the field itself (go/types), so a
+// literal that sets another struct's field of the same name does not
+// count.
 func TestAuditTwoValuesOrConstant(t *testing.T) {
-	fset := token.NewFileSet()
-	internal := parseTree(t, fset, notTest, "internal")
-	all := append(parseTree(t, fset, notTest, "cmd", "examples", "bench"), internal...)
+	tt := typeCheckTree(t)
 
-	// set[field]: the field is given a value somewhere other than under
-	// an `if x.F <= 0 { x.F = default }` fill-in, which is the default
-	// itself and not a second value.
-	set := map[string]bool{}
+	// set[field]: the field is given a value — a composite-literal key,
+	// an assignment to x.F, or &x.F handed to a flag registration —
+	// somewhere other than under an `if x.F <= 0 { x.F = default }`
+	// fill-in, which is the default itself and not a second value.
+	set := map[*types.Var]bool{}
+	write := func(e ast.Expr) {
+		if v := tt.field(e); v != nil {
+			set[v] = true
+		}
+	}
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -334,20 +421,30 @@ func TestAuditTwoValuesOrConstant(t *testing.T) {
 				return false
 			}
 		case *ast.KeyValueExpr:
-			if id, ok := n.Key.(*ast.Ident); ok {
-				set[id.Name] = true
-			}
+			write(n.Key)
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if sel, ok := lhs.(*ast.SelectorExpr); ok {
-					set[sel.Sel.Name] = true
+				write(lhs)
+			}
+		case *ast.CallExpr:
+			if fn, ok := staticCallee(tt.info, n).(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "flag" {
+				for _, arg := range n.Args {
+					if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+						write(u.X)
+					}
 				}
 			}
 		}
 		return true
 	}
-	for _, f := range all {
-		ast.Inspect(f, visit)
+	var internal []*ast.File
+	for path, files := range tt.files {
+		for _, f := range files {
+			ast.Inspect(f, visit)
+		}
+		if strings.HasPrefix(path, "samrdlb/internal/") {
+			internal = append(internal, files...)
+		}
 	}
 
 	knobs := 0
@@ -364,19 +461,35 @@ func TestAuditTwoValuesOrConstant(t *testing.T) {
 				}
 				for _, name := range fld.Names {
 					knobs++
-					if !set[name.Name] {
-						unset = append(unset, filepath.ToSlash(fset.Position(name.Pos()).String())+": "+name.Name)
+					if v, _ := tt.info.Defs[name].(*types.Var); !set[v] {
+						unset = append(unset, filepath.ToSlash(tt.fset.Position(name.Pos()).String())+": "+name.Name)
 					}
 				}
 			}
 			return true
 		})
 	}
+	sort.Strings(unset)
 	t.Logf("audit: %d documented-default knobs under internal/, each set by a non-test caller", knobs-len(unset))
 	if len(unset) > 0 {
 		t.Errorf("%d option fields document a default but no non-test file sets them — make each a constant:\n  %s",
 			len(unset), strings.Join(unset, "\n  "))
 	}
+}
+
+// staticCallee is the function or method a call names statically, or
+// nil (a call through a func value, a conversion, a builtin).
+func staticCallee(info *types.Info, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return info.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel := info.Selections[fun]; sel != nil {
+			return sel.Obj()
+		}
+		return info.Uses[fun.Sel] // a qualified identifier: pkg.F
+	}
+	return nil
 }
 
 // isZeroTest reports whether cond is `x.F == 0`, `x.F <= 0` or an

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"samrdlb/internal/ckpt"
 	"samrdlb/internal/fault"
+	"samrdlb/internal/geom"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/solver"
 	"samrdlb/internal/workload"
@@ -375,6 +377,28 @@ func TestResumeErrors(t *testing.T) {
 	if _, _, err := Resume(machine.WanPair(4, nil), driver(),
 		Options{Steps: 8, MaxLevel: 1, Checkpoints: dir, WithData: true}); err == nil {
 		t.Error("WithData mismatch must be rejected")
+	}
+}
+
+// TestResumeRefusesAnotherDomain: Resume checks a restored hierarchy's
+// shape against the driver and options per generation, so a store a
+// 16³ run wrote is refused whole by an 8³ driver, each generation
+// skipped with a reason naming the checkpoint's domain.
+func TestResumeRefusesAnotherDomain(t *testing.T) {
+	opt := Options{Steps: 4, MaxLevel: 1, CheckpointInterval: 2, Checkpoints: ckpt.NewMemDir()}
+	New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), opt).Run()
+	_, report, err := Resume(machine.WanPair(2, nil), workload.NewShockPool3D(8, 2), opt)
+	want := fmt.Sprintf("checkpoint domain %v", geom.UnitCube(16))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume with an 8³ driver: %v, want a refusal saying %q", err, want)
+	}
+	if report == nil || len(report.Skipped) != 2 {
+		t.Fatalf("both generations should be skipped: %+v", report)
+	}
+	for _, sk := range report.Skipped {
+		if !strings.Contains(sk.Reason, want) {
+			t.Errorf("generation %d skipped for %q, want %q", sk.Gen, sk.Reason, want)
+		}
 	}
 }
 

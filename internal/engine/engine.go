@@ -322,7 +322,9 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 
 // newRunner is the constructor Build and Resume share. A non-nil
 // restored is a checkpointed hierarchy (amr.Load) to continue from at
-// simulated time simT, instead of a fresh decomposition.
+// simulated time simT, instead of a fresh decomposition; Resume has
+// already checked its domain, refinement factor and data against the
+// driver and options.
 func newRunner(sys *machine.System, driver workload.Driver, opt Options, restored *amr.Hierarchy, simT float64) (*Runner, error) {
 	if err := opt.setDefaults(); err != nil {
 		return nil, err
@@ -348,9 +350,6 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	h := restored
 	if h == nil {
 		h = r.newHierarchy()
-	} else if h.Domain != geom.UnitCube(driver.DomainN()) || h.RefFactor != r.refFactor ||
-		h.WithData != opt.WithData {
-		return nil, errors.New("engine: checkpoint does not match the driver/options")
 	}
 	// The ledger attaches before the initial decomposition so every
 	// grid creation flows through it as an event; for a restored

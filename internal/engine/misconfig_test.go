@@ -28,9 +28,10 @@ func procFail(t *testing.T, proc int) *fault.Schedule {
 // the shared constructor rejects options with: New panics with the text,
 // Resume — handed a store a well-configured run of the same shape wrote
 // — returns it wrapped. A want ending in ": " is the prefix of an error
-// that wraps an operating-system cause. One message has no row:
-// "checkpoint does not match the driver/options", which neither entry
-// point can reach (TestResumeMismatchPanics calls the constructor).
+// that wraps an operating-system cause. A checkpoint whose shape does
+// not match the driver is not a misconfiguration of the options:
+// Resume skips each such generation with its own reason
+// (TestResumeRefusesAnotherDomain).
 func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 	rows := []struct {
 		want string

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"samrdlb/internal/engine"
 	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/netsim"
+	"samrdlb/internal/scenario"
 )
 
 // Ablations beyond the paper's figures: the sensitivity studies its
@@ -28,7 +28,7 @@ type EpsRow struct {
 func EpsSweep(epss []float64, o Options) []EpsRow {
 	o.setDefaults()
 	var rows []EpsRow
-	for i, r := range sweep(epss, o, func(eo *engine.Options, e float64) { eo.ImbalanceEps = e }) {
+	for i, r := range sweep(epss, o, func(s *scenario.Scenario, e float64) { s.Eps = e }) {
 		rows = append(rows, EpsRow{Eps: epss[i], Total: r.Total, GlobalEvals: r.GlobalEvals, GlobalRedists: r.GlobalRedists})
 	}
 	return rows
@@ -46,7 +46,7 @@ type GranularityRow struct {
 func GranularitySweep(gpps []int, o Options) []GranularityRow {
 	o.setDefaults()
 	var rows []GranularityRow
-	for i, r := range sweep(gpps, o, func(eo *engine.Options, g int) { eo.GridsPerProc = g }) {
+	for i, r := range sweep(gpps, o, func(s *scenario.Scenario, g int) { s.GridsPerProc = g }) {
 		rows = append(rows, GranularityRow{GridsPerProc: gpps[i], Total: r.Total, Utilisation: r.Utilisation})
 	}
 	return rows
@@ -63,7 +63,7 @@ type RegridRow struct {
 func RegridIntervalSweep(intervals []int, o Options) []RegridRow {
 	o.setDefaults()
 	var rows []RegridRow
-	for i, r := range sweep(intervals, o, func(eo *engine.Options, iv int) { eo.RegridInterval = iv }) {
+	for i, r := range sweep(intervals, o, func(s *scenario.Scenario, iv int) { s.RegridInterval = iv }) {
 		rows = append(rows, RegridRow{Interval: intervals[i], Total: r.Total, MaxCells: r.MaxCells})
 	}
 	return rows
@@ -96,11 +96,12 @@ func ForecastAblation(o Options) []ForecastRow {
 	var jobs []job
 	for _, c := range conditions {
 		sys := func() *machine.System { return machine.WanPair(4, c.traffic()) }
-		jobs = append(jobs,
-			job{"ShockPool3D", "distributed", sys, nil, 4},
-			job{"ShockPool3D", "distributed", sys, func(eo *engine.Options) { eo.UseForecast = true }, 4})
+		raw := o.spec("ShockPool3D", "distributed", 4)
+		fc := raw
+		fc.UseForecast = true
+		jobs = append(jobs, job{raw, sys, 4}, job{fc, sys, 4})
 	}
-	res := runJobs(jobs, o)
+	res := runJobs(jobs)
 	var rows []ForecastRow
 	for i, c := range conditions {
 		raw, fc := res[2*i], res[2*i+1]
@@ -127,10 +128,10 @@ func SchemeSweep(o Options) []SchemeRow {
 	o.setDefaults()
 	var jobs []job
 	for _, scheme := range []string{"parallel", "distributed", "sfc"} {
-		jobs = append(jobs, job{"ShockPool3D", scheme, func() *machine.System { return testbed("ShockPool3D", 4, o.Seed) }, nil, 4})
+		jobs = append(jobs, job{s: o.spec("ShockPool3D", scheme, 4), size: 4})
 	}
 	var rows []SchemeRow
-	for _, r := range runJobs(jobs, o) {
+	for _, r := range runJobs(jobs) {
 		rows = append(rows, SchemeRow{Scheme: r.Scheme, Total: r.Total, Remote: r.RemoteComm()})
 	}
 	return rows
@@ -158,9 +159,9 @@ func MultiSiteSweep(o Options) []MultiSiteRow {
 	var jobs []job
 	for _, ns := range layouts {
 		sys := func() *machine.System { return machine.MultiSite(ns, traffic) }
-		jobs = append(jobs, job{"ShockPool3D", "parallel", sys, nil, 4}, job{"ShockPool3D", "distributed", sys, nil, 4})
+		jobs = append(jobs, job{o.spec("ShockPool3D", "parallel", 4), sys, 4}, job{o.spec("ShockPool3D", "distributed", 4), sys, 4})
 	}
-	res := runJobs(jobs, o)
+	res := runJobs(jobs)
 	var rows []MultiSiteRow
 	for i, ns := range layouts {
 		par, dist := res[2*i].Total, res[2*i+1].Total

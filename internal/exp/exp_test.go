@@ -186,29 +186,10 @@ func TestSweepsIdenticalAcrossGOMAXPROCS(t *testing.T) {
 }
 
 func TestSequentialHasNoComm(t *testing.T) {
-	r := runJobs([]job{sequentialJob("ShockPool3D")}, fastOpts())[0]
+	r := runJobs([]job{sequentialJob("ShockPool3D", fastOpts())})[0]
 	if r.Comm() != 0 {
 		t.Errorf("sequential comm = %v", r.Comm())
 	}
-}
-
-// TestUnknownNamesPanic: Run reports an unknown dataset or scheme as an
-// error; only the figure drivers, whose names are fixed in the source,
-// still treat one as a bug.
-func TestUnknownNamesPanic(t *testing.T) {
-	sys := testbed("ShockPool3D", 1, 1)
-	if _, err := Run("nope", "distributed", sys, fastOpts()); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Errorf("unknown dataset: err = %v", err)
-	}
-	if _, err := Run("ShockPool3D", "nope", sys, fastOpts()); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Errorf("unknown scheme: err = %v", err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mustRun: expected a panic for an unknown dataset")
-		}
-	}()
-	mustRun("nope", "distributed", sys, fastOpts(), nil)
 }
 
 func TestConfigName(t *testing.T) {

@@ -1,9 +1,8 @@
 package exp
 
 import (
-	"samrdlb/internal/engine"
-	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
+	"samrdlb/internal/scenario"
 )
 
 // Band records a range the paper reports, for paper-vs-measured
@@ -41,11 +40,11 @@ func Fig3(o Options) []Fig3Row {
 	o.setDefaults()
 	var jobs []job
 	for _, n := range o.Configs {
-		jobs = append(jobs,
-			job{"ShockPool3D", "parallel", func() *machine.System { return machine.Origin2000("ANL", 2*n) }, nil, n},
-			job{"ShockPool3D", "parallel", func() *machine.System { return testbed("ShockPool3D", n, o.Seed) }, nil, n})
+		par := o.spec("ShockPool3D", "parallel", 2*n)
+		par.Testbed = "origin"
+		jobs = append(jobs, job{s: par, size: n}, job{s: o.spec("ShockPool3D", "parallel", n), size: n})
 	}
-	res := runJobs(jobs, o)
+	res := runJobs(jobs)
 	var rows []Fig3Row
 	for i, n := range o.Configs {
 		par, dist := res[2*i], res[2*i+1]
@@ -76,7 +75,7 @@ type Fig7Row struct {
 // ShockPool3D on the WAN system).
 func Fig7(dataset string, o Options) []Fig7Row {
 	o.setDefaults()
-	return fig7Rows(o.Configs, runJobs(fig7Jobs(dataset, o), o))
+	return fig7Rows(o.Configs, runJobs(fig7Jobs(dataset, o)))
 }
 
 // fig7Jobs is Figure 7's job list: per configuration, the parallel run
@@ -84,8 +83,7 @@ func Fig7(dataset string, o Options) []Fig7Row {
 func fig7Jobs(dataset string, o Options) []job {
 	var jobs []job
 	for _, n := range o.Configs {
-		sys := func() *machine.System { return testbed(dataset, n, o.Seed) }
-		jobs = append(jobs, job{dataset, "parallel", sys, nil, n}, job{dataset, "distributed", sys, nil, n})
+		jobs = append(jobs, job{s: o.spec(dataset, "parallel", n), size: n}, job{s: o.spec(dataset, "distributed", n), size: n})
 	}
 	return jobs
 }
@@ -139,7 +137,7 @@ func Fig8(dataset string, o Options) []Fig8Row {
 // run on the same job list, and returns both figures' rows.
 func fig7And8(dataset string, o Options) ([]Fig7Row, []Fig8Row) {
 	o.setDefaults()
-	res := runJobs(append(fig7Jobs(dataset, o), sequentialJob(dataset)), o)
+	res := runJobs(append(fig7Jobs(dataset, o), sequentialJob(dataset, o)))
 	rows := fig7Rows(o.Configs, res)
 	return rows, fig8Rows(res[len(res)-1].Total, rows)
 }
@@ -175,7 +173,7 @@ type GammaRow struct {
 func GammaSweep(gammas []float64, o Options) []GammaRow {
 	o.setDefaults()
 	var rows []GammaRow
-	for i, r := range sweep(gammas, o, func(eo *engine.Options, g float64) { eo.Gamma = g }) {
+	for i, r := range sweep(gammas, o, func(s *scenario.Scenario, g float64) { s.Gamma = g }) {
 		rows = append(rows, GammaRow{
 			Gamma:         gammas[i],
 			Total:         r.Total,

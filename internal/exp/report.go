@@ -41,7 +41,7 @@ func Report(o Options, f Format) string {
 		head = "# " + head + "\n"
 	}
 	head += fmt.Sprintf("steps=%d configs=%v seed=%d maxlevel=%d shockN=%d amrN=%d\n\n",
-		o.Steps, o.Configs, o.Seed, o.MaxLevel, o.ShockN, o.AMRN)
+		o.Steps, o.Configs, o.Seed, maxLevel, domainN, domainN)
 	amr7, amr8 := fig7And8("AMR64", o)
 	shock7, shock8 := fig7And8("ShockPool3D", o)
 	return head + strings.Join([]string{

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"samrdlb/internal/engine"
-	"samrdlb/internal/machine"
 	"samrdlb/internal/metrics"
 	"samrdlb/internal/netsim"
+	"samrdlb/internal/scenario"
 	"samrdlb/internal/trace"
-	"samrdlb/internal/workload"
 )
 
 // block renders a preformatted figure under its title: a fenced block
@@ -29,7 +27,11 @@ func StructureReport(o Options, f Format) string {
 	o.setDefaults()
 	var parts []string
 
-	r := engine.New(machine.Origin2000("ANL", 4), workload.NewStaticBlob(16, 2), engine.Options{Steps: 1, MaxLevel: 3})
+	// A blob refined three levels deep for one step, on four processors
+	// of one machine, then on a 2+2 WAN pair without background traffic.
+	blob := scenario.Scenario{Dataset: "blob", DomainN: 16, MaxLevel: 3, Scheme: "distributed",
+		Testbed: "origin", TestbedN: 4, Steps: 1, ResumeCut: -1}
+	r := job{s: blob}.runner(nil)
 	r.Run()
 	h := r.Hierarchy()
 	t := metrics.NewTable("Figure 1 — SAMR grid hierarchy (levels 0..3, blob refinement)",
@@ -48,8 +50,9 @@ func StructureReport(o Options, f Format) string {
 	}
 	parts = append(parts, f.section(t, strings.Join(append(levels, nesting), "\n")+"\n"))
 
+	blob.Testbed, blob.Groups, blob.Wan = "", []scenario.GroupDef{{Procs: 2, Perf: 1}, {Procs: 2, Perf: 1}}, true
 	tr := trace.New()
-	engine.New(machine.WanPair(2, nil), workload.NewStaticBlob(16, 2), engine.Options{Steps: 1, MaxLevel: 3, Trace: tr}).Run()
+	job{s: blob}.runner(tr).Run()
 	parts = append(parts, f.block("Figure 2 — integrated execution order (refinement factor 2, one level-0 step)", tr.OrderDiagram(3)))
 	t = metrics.NewTable("Figure 5 — balancing points (local after finer-level steps, global after level-0)",
 		"#", "t", "event", "level", "note")
@@ -58,10 +61,10 @@ func StructureReport(o Options, f Format) string {
 	}
 	parts = append(parts, f.section(t, ""))
 
+	shock := blob
+	shock.Dataset, shock.DomainN, shock.MaxLevel, shock.Steps = "ShockPool3D", domainN, maxLevel, o.Steps
 	tr = trace.New()
-	res := engine.New(machine.WanPair(2, nil), workload.NewShockPool3D(o.ShockN, 2), engine.Options{
-		Steps: o.Steps, MaxLevel: o.MaxLevel, Trace: tr,
-	}).Run()
+	res := job{s: shock}.runner(tr).Run()
 	t = metrics.NewTable(fmt.Sprintf("Figure 6 — global gain/cost decisions and redistributions (ShockPool3D on 2+2 WAN, %d steps)", o.Steps),
 		"t", "event", "note")
 	for _, e := range tr.OfKind(trace.GlobalCheck, trace.Redistribution) {

@@ -327,11 +327,6 @@ func (s *Schedule) WorkerKills() []KillPoint {
 	return out
 }
 
-// Events returns a copy of the validated events in start order.
-func (s *Schedule) Events() []Event {
-	return append([]Event(nil), s.events...)
-}
-
 // NumEvents returns the event count.
 func (s *Schedule) NumEvents() int {
 	return len(s.events)

@@ -59,9 +59,6 @@ func New(nproc int) *Clock {
 	return &Clock{nproc: nproc, busy: make([]float64, nproc)}
 }
 
-// NumProcs returns the processor count the clock was built for.
-func (c *Clock) NumProcs() int { return c.nproc }
-
 // Now returns the current virtual time (seconds).
 func (c *Clock) Now() float64 { return c.now }
 
