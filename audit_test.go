@@ -7,8 +7,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -16,17 +19,24 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // auditAllow lists the internal/ declarations that stay although no
-// binary, example or benchmark names them, each with its reason. Keys
-// are "pkg.Name", a bare method name (methods the standard library calls
-// through an interface), or a file path exempting the whole file.
+// binary, example or benchmark reaches them, each with its reason. Keys
+// are a declaration as rule 1 prints it ("geom.BoxFromShape",
+// "geom.BoxList.ContainsBox"), a bare method name (methods the standard
+// library calls through an interface it does not export), or a file or
+// directory exempting everything in it.
 var auditAllow = map[string]string{
 	"Unwrap": "errors.Is/As walk the chain through it; nothing names it",
 
-	"geom.BoxFromShape": "the box constructor of ~70 fixtures in nine packages' tests, which cannot see a geom _test.go file",
+	"geom.BoxFromShape":            "the box constructor of ~70 fixtures in nine packages' tests, which cannot see a geom _test.go file",
+	"geom.BoxList.Contains":        "the cell-coverage oracle of engine, amr and cluster tests",
+	"geom.BoxList.ContainsBox":     "the box-coverage oracle of engine and amr tests (the nesting reference among them)",
+	"cluster.(*FlagField).CountIn": "the flag reader of workload's and amr's flagging tests: production reads flags only inside cluster",
+	"internal/golden":              "test infrastructure: the golden-file helper of samrsim's, figures', exp's and every example's tests",
 
 	"internal/scenario/shrink.go": "test infrastructure: the scenario shrinker runs only when a soak fails",
 	"scenario.FromBytes":          "test infrastructure: the decoder FuzzScenario feeds",
@@ -36,8 +46,7 @@ var auditAllow = map[string]string{
 // parseTree parses every .go file under each root for which keep
 // returns true. Like the go command it skips directories whose names
 // begin with a dot: .bench_build/ holds exported trees of other commits.
-func parseTree(t *testing.T, fset *token.FileSet, keep func(path string) bool, roots ...string) []*ast.File {
-	t.Helper()
+func parseTree(fset *token.FileSet, keep func(path string) bool, roots ...string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -55,86 +64,188 @@ func parseTree(t *testing.T, fset *token.FileSet, keep func(path string) bool, r
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	return files
+	return files, nil
 }
 
 func notTest(path string) bool { return !strings.HasSuffix(path, "_test.go") }
 
-// idents adds every identifier name under n to set.
-func idents(n ast.Node, set map[string]bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			set[id.Name] = true
-		}
-		return true
-	})
+// typedTree is Go source type-checked as one tree: each import path's
+// files are a package, the tree's own imports resolve to its packages,
+// and the standard library comes from the toolchain's export data.
+type typedTree struct {
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info // shared by every package: objects are unique across the tree
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File // import path → its parsed files
 }
 
-// auditDecl is one top-level declaration of internal/: its name, where
-// it is, and every identifier its body mentions.
-type auditDecl struct {
-	pkg, name, file string
-	recv            string // receiver type name, methods only
-	lines           int
-	uses            map[string]bool
-}
-
-// reached reports whether a live declaration names d; a method also
-// needs its receiver type to be live.
-func (d auditDecl) reached(live map[string]bool) bool {
-	if d.name == "init" || d.name == "_" {
-		return true // runs, or is evaluated, when the package loads
+// newTypedTree type-checks files, keyed by import path.
+func newTypedTree(fset *token.FileSet, files map[string][]*ast.File) (*typedTree, error) {
+	std, err := stdImporter(fset, files)
+	if err != nil {
+		return nil, err
 	}
-	return live[d.name] && (d.recv == "" || live[d.recv])
-}
-
-// allowKey returns the allow-list key exempting d, or "".
-func (d auditDecl) allowKey() string {
-	for _, k := range []string{d.pkg + "." + d.name, d.file} {
-		if _, ok := auditAllow[k]; ok {
-			return k
+	tt := &typedTree{
+		fset: fset,
+		std:  std,
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		pkgs:  map[string]*types.Package{},
+		files: files,
+	}
+	for path := range files {
+		if _, err := tt.Import(path); err != nil {
+			return nil, err
 		}
 	}
-	if _, ok := auditAllow[d.name]; ok && d.recv != "" {
-		return d.name
-	}
-	return ""
+	return tt, nil
 }
 
-func internalDecls(fset *token.FileSet, files []*ast.File) []auditDecl {
-	var out []auditDecl
-	add := func(f *ast.File, name, recv string, n ast.Node) {
-		d := auditDecl{
-			pkg:   f.Name.Name,
-			name:  name,
-			recv:  recv,
-			file:  filepath.ToSlash(fset.Position(n.Pos()).Filename),
-			lines: fset.Position(n.End()).Line - fset.Position(n.Pos()).Line + 1,
-			uses:  map[string]bool{},
-		}
-		idents(n, d.uses)
-		out = append(out, d)
-	}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				recv := ""
-				if decl.Recv != nil {
-					recv = recvName(decl.Recv.List[0].Type)
+// stdImporter imports the standard-library packages files name from the
+// export data of one `go list -export` run, where importer.Default runs
+// the go command once per package.
+func stdImporter(fset *token.FileSet, files map[string][]*ast.File) (types.Importer, error) {
+	var paths []string
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); files[path] == nil && !slices.Contains(paths, path) {
+					paths = append(paths, path)
 				}
-				add(f, decl.Name.Name, recv, decl)
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(f, spec.Name.Name, "", spec)
-					case *ast.ValueSpec:
-						for _, name := range spec.Names {
-							add(f, name.Name, "", spec)
+			}
+		}
+	}
+	export := map[string]string{}
+	if len(paths) > 0 {
+		out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"}, paths...)...).Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export: %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, "=")
+			export[path] = file
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(export[path]) }), nil
+}
+
+// Import implements types.Importer: the tree's own packages from
+// source, memoised, everything else from the standard library.
+func (tt *typedTree) Import(path string) (*types.Package, error) {
+	if p, ok := tt.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := tt.files[path]
+	if !ok {
+		return tt.std.Import(path)
+	}
+	conf := types.Config{Importer: tt}
+	p, err := conf.Check(path, tt.fset, files, tt.info)
+	tt.pkgs[path] = p
+	return p, err
+}
+
+var module struct {
+	once sync.Once
+	tree *typedTree
+	err  error
+}
+
+// loadTree returns the module type-checked from source, once for every
+// audit test of the binary: each directory of non-test Go files under
+// cmd/, examples/, internal/ and bench/ is a package whose import path
+// is "samrdlb/" + the directory (bench/'s nested module is
+// samrdlb/bench). bench/'s package includes its tests, which rule 1
+// counts as roots while bench/ is frozen.
+func loadTree(t *testing.T) *typedTree {
+	t.Helper()
+	module.once.Do(func() {
+		fset := token.NewFileSet()
+		keep := func(path string) bool {
+			return notTest(path) || strings.HasPrefix(path, "bench"+string(filepath.Separator))
+		}
+		parsed, err := parseTree(fset, keep, "cmd", "examples", "internal", "bench")
+		if err != nil {
+			module.err = err
+			return
+		}
+		files := map[string][]*ast.File{}
+		for _, f := range parsed {
+			path := "samrdlb/" + filepath.ToSlash(filepath.Dir(fset.Position(f.Pos()).Filename))
+			files[path] = append(files[path], f)
+		}
+		module.tree, module.err = newTypedTree(fset, files)
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.tree
+}
+
+// auditDecl is one top-level declaration: the objects it declares, the
+// tree's objects its code uses, and where it is.
+type auditDecl struct {
+	name       string // as rule 1 prints it: pkg.Name, pkg.T.M or pkg.(*T).M
+	recv       *types.TypeName
+	defs, uses []types.Object
+	internal   bool
+	root       bool // live whatever uses it: outside internal/, an init or a blank
+	file       string
+	lines      int
+}
+
+// decls lists the top-level declarations of the tree.
+func (tt *typedTree) decls() []*auditDecl {
+	var out []*auditDecl
+	for path, files := range tt.files {
+		internal := strings.HasPrefix(path, "samrdlb/internal/")
+		for _, f := range files {
+			add := func(n ast.Node, root bool, names ...*ast.Ident) *auditDecl {
+				d := &auditDecl{internal: internal, root: !internal || root, name: f.Name.Name + "." + names[0].Name,
+					file:  filepath.ToSlash(tt.fset.Position(n.Pos()).Filename),
+					lines: tt.fset.Position(n.End()).Line - tt.fset.Position(n.Pos()).Line + 1}
+				for _, id := range names {
+					if obj := tt.info.Defs[id]; obj != nil {
+						d.defs = append(d.defs, obj)
+					}
+				}
+				ast.Inspect(n, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if obj := origin(tt.info.Uses[id]); obj != nil && obj.Pkg() != nil && tt.files[obj.Pkg().Path()] != nil {
+							d.uses = append(d.uses, obj)
+						}
+					}
+					return true
+				})
+				out = append(out, d)
+				return d
+			}
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					d := add(decl, decl.Recv == nil && decl.Name.Name == "init", decl.Name)
+					if decl.Recv != nil {
+						d.recv = receiver(tt.info.Defs[decl.Name])
+						if _, ptr := decl.Recv.List[0].Type.(*ast.StarExpr); ptr {
+							d.name = f.Name.Name + ".(*" + d.recv.Name() + ")." + decl.Name.Name
+						} else {
+							d.name = f.Name.Name + "." + d.recv.Name() + "." + decl.Name.Name
+						}
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec, false, spec.Name)
+						case *ast.ValueSpec:
+							add(spec, !slices.ContainsFunc(spec.Names, func(id *ast.Ident) bool { return id.Name != "_" }), spec.Names...)
 						}
 					}
 				}
@@ -144,78 +255,161 @@ func internalDecls(fset *token.FileSet, files []*ast.File) []auditDecl {
 	return out
 }
 
-// recvName is the type name of a method receiver: T, *T or T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+// origin maps a use of an instantiated generic function, method or
+// field back to the object its declaration defines.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
+	return obj
 }
 
-// TestAuditReachedOrRemoved is rule 1: a declaration in a non-test file
-// under internal/ stays only if cmd/, examples/ or bench/ can reach it.
-// The walk is over identifier names (a name mentioned by a live
-// declaration makes every declaration of that name live), so it
-// over-approximates liveness and never reports a used declaration.
-func TestAuditReachedOrRemoved(t *testing.T) {
-	fset := token.NewFileSet()
-	live := map[string]bool{}
-	for _, f := range parseTree(t, fset, notTest, "cmd", "examples") {
-		idents(f, live)
+// receiver is the named type a method is declared on.
+func receiver(obj types.Object) *types.TypeName {
+	t := obj.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	// bench/ is frozen, its tests included: whatever they name stays.
-	for _, f := range parseTree(t, fset, func(string) bool { return true }, "bench") {
-		idents(f, live)
-	}
-	decls := internalDecls(fset, parseTree(t, fset, notTest, "internal"))
-	for grew := true; grew; {
-		grew = false
-		for _, d := range decls {
-			if !d.reached(live) {
-				continue
+	return t.(*types.Named).Obj()
+}
+
+// interfaceMethods is every method name of an interface the tree
+// declares or names: a live type's method of such a name may be called
+// through the interface, where no identifier names the method itself.
+func (tt *typedTree) interfaceMethods() map[string]bool {
+	names := map[string]bool{}
+	add := func(obj types.Object) {
+		switch obj := obj.(type) {
+		case *types.TypeName:
+			if it, ok := obj.Type().Underlying().(*types.Interface); ok {
+				for i := range it.NumMethods() {
+					names[it.Method(i).Name()] = true
+				}
 			}
-			for name := range d.uses {
-				if !live[name] {
-					live[name], grew = true, true
+		case *types.Func: // a method of an interface literal
+			if recv := obj.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				names[obj.Name()] = true
+			}
+		}
+	}
+	for _, obj := range tt.info.Defs {
+		add(obj)
+	}
+	for _, obj := range tt.info.Uses {
+		add(obj)
+	}
+	return names
+}
+
+// unreached is rule 1 over a type-checked tree: the declarations under
+// internal/ that no chain of uses reaches from cmd/, examples/ or
+// bench/. Uses are object identities, so a live declaration keeps what
+// it names, not everything else of the same name; a method of a live
+// type also stays when an interface has a method of its name. What
+// allow exempts (the key it returns) stays with all it uses; exempted
+// holds each key that exempted a declaration no root reaches.
+func unreached(tt *typedTree, allow func(*auditDecl) string) (dead []*auditDecl, exempted map[string]bool, reached int) {
+	decls := tt.decls()
+	declOf := map[types.Object]*auditDecl{}
+	methods := map[*types.TypeName][]*auditDecl{}
+	for _, d := range decls {
+		for _, obj := range d.defs {
+			declOf[obj] = d
+		}
+		if d.recv != nil {
+			methods[d.recv] = append(methods[d.recv], d)
+		}
+	}
+	viaInterface := tt.interfaceMethods()
+
+	live := map[*auditDecl]bool{}
+	var queue []*auditDecl
+	mark := func(d *auditDecl) {
+		if d != nil && !live[d] {
+			live[d] = true
+			queue = append(queue, d)
+		}
+	}
+	propagate := func() {
+		for len(queue) > 0 {
+			d := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			for _, obj := range d.uses {
+				mark(declOf[obj])
+			}
+			for _, obj := range d.defs {
+				if tn, ok := obj.(*types.TypeName); ok {
+					for _, m := range methods[tn] {
+						if viaInterface[m.defs[0].Name()] {
+							mark(m)
+						}
+					}
 				}
 			}
 		}
 	}
-
-	var dead []string
-	reached, deadLines := 0, 0
-	usedAllow := map[string]bool{}
 	for _, d := range decls {
-		switch k := d.allowKey(); {
-		case d.reached(live):
-			reached++
-		case k != "":
-			usedAllow[k] = true
-		default:
-			name := d.pkg + "." + d.name
-			if d.recv != "" {
-				name = d.pkg + "." + d.recv + "." + d.name
-			}
-			dead = append(dead, d.file+": "+name)
-			deadLines += d.lines
+		if d.root {
+			mark(d)
 		}
 	}
+	propagate()
+	exempted = map[string]bool{}
+	for _, d := range decls {
+		if k := allow(d); k != "" && !live[d] {
+			exempted[k] = true
+			mark(d)
+		}
+	}
+	propagate()
+	for _, d := range decls {
+		switch {
+		case !d.internal:
+		case live[d]:
+			reached++
+		default:
+			dead = append(dead, d)
+		}
+	}
+	return dead, exempted, reached
+}
+
+// allowKey returns the auditAllow key exempting d, or "".
+func allowKey(d *auditDecl) string {
+	keys := []string{d.name, d.file, path.Dir(d.file)}
+	if d.recv != nil {
+		keys = append(keys, d.defs[0].Name())
+	}
+	for _, k := range keys {
+		if _, ok := auditAllow[k]; ok {
+			return k
+		}
+	}
+	return ""
+}
+
+// TestAuditReachedOrRemoved is rule 1: a declaration in a non-test file
+// under internal/ stays only if cmd/, examples/ or bench/ (its tests
+// included, while bench/ is frozen) reaches it through a chain of uses.
+func TestAuditReachedOrRemoved(t *testing.T) {
+	dead, exempted, reached := unreached(loadTree(t), allowKey)
+	var names []string
+	deadLines := 0
+	for _, d := range dead {
+		names = append(names, d.file+": "+d.name)
+		deadLines += d.lines
+	}
 	t.Logf("audit: %d reachable declarations under internal/, %d allow-listed entries", reached, len(auditAllow))
-	if len(dead) > 0 {
-		sort.Strings(dead)
+	if len(names) > 0 {
+		sort.Strings(names)
 		t.Errorf("%d declarations (%d lines) that no binary, example or benchmark reaches — delete them, or move test fixtures to a _test.go file:\n  %s",
-			len(dead), deadLines, strings.Join(dead, "\n  "))
+			len(names), deadLines, strings.Join(names, "\n  "))
 	}
 	for k := range auditAllow {
-		if !usedAllow[k] {
+		if !exempted[k] {
 			t.Errorf("allow-list entry %q exempts nothing: remove it", k)
 		}
 	}
@@ -224,11 +418,14 @@ func TestAuditReachedOrRemoved(t *testing.T) {
 	}
 }
 
-// auditDeleted lists what a PR removed for good: a pattern that must
-// not come back in the non-test files its globs (space-separated) match,
-// and what replaced it. Pure greps only — a check that needs a function body or a count
-// is a step of .github/workflows/ci.yml.
-var auditDeleted = []struct{ pattern, glob, reason string }{
+// deletedRule is a pattern that must not appear in the non-test files
+// glob (space-separated globs) matches, and why.
+type deletedRule struct{ pattern, glob, reason string }
+
+// auditDeleted lists what a change removed for good, and shapes
+// production code must not take. Pure greps, comments included: a rule
+// about one function's code, or about a count, is a row of auditCode.
+var auditDeleted = []deletedRule{
 	{`dirtyAll|maxDirtyRegions|ghostOff|markDirty|patchMsgPlan|patchFillPlan|indexRebuildFactor`, "internal/amr/*.go",
 		"plans are rebuilt, not patched: a structure generation invalidates a level's plans and index whole"},
 	{`Box\.ForEach|\.Offset\(|\.Get\(`, "internal/amr/regrid.go internal/cluster/*.go",
@@ -284,93 +481,203 @@ var auditDeleted = []struct{ pattern, glob, reason string }{
 		"the tournament is one metrics.Table through Format.section, and it runs every registered policy"},
 	{`engine\.(New|Options\{)|workload\.|dlb\.NewPolicy|\btestbed\(|ShockN|AMRN|mustRun`, "internal/exp/*.go",
 		"a sweep run is a scenario.Scenario; exp picks only the machine the two ablations need"},
+	{`Ledger (!=|==) nil|[pP]ool (!=|==) nil`, "internal/*/*.go",
+		"no nil-selected fallback: the ledger and the pool are always there, and callers test for a fault schedule"},
+	{`\b(s|d|lf)(\.s)? == nil`, "internal/fault/fault.go internal/fault/script.go",
+		"every caller tests for a schedule before it calls a Schedule, LinkFault or DiskFault method, so none guards its own receiver"},
+	{`engine\.Options\{|engine\.(New|Build)\(|engine\.Resume\(`, "cmd/samrsim/*.go",
+		"one front door: scenario.Scenario.Start builds every engine a command runs"},
+	{`os\.Args`, "cmd/samrsim/supervise.go",
+		"the supervisor builds worker argv from the spec (workerArgs), not from its own"},
+	{`Normalize\(`, "cmd/*/*.go",
+		"a command clamps nothing a human typed: Validate rejects it instead"},
+}
+
+// codeRule pins how often pattern matches code, comments excluded: the
+// body of function fn in the files glob matches, or, with fn empty,
+// those whole files. A glob matches non-test files, or the one _test.go
+// file it names. n = 0 forbids the pattern; a function or file that no
+// longer exists fails the rule, which would otherwise check nothing.
+type codeRule struct {
+	glob, fn, pattern string
+	n                 int
+	reason            string
+}
+
+// auditCode lists what a function's code must (not) say, and what must
+// appear a fixed number of times.
+var auditCode = []codeRule{
+	{"internal/engine/membership.go", "", `r\.memb == nil`, 1,
+		"the membership tracker exists exactly under fault injection: one guard, for the one caller reached without it"},
+	{"internal/engine/membership.go", "noteProbeEvidence", `r\.memb == nil`, 1,
+		"noteProbeEvidence is the one method fault-free runs reach, so it holds the guard"},
+	{"internal/amr/exchange.go", "appendGhostDest", `subtractList|SubtractList|covered`, 0,
+		"a ghost plan counts, never subtracts: the remainder is |grown| - |g.Box| - the sum of the overlaps"},
+	{"internal/amr/exchange.go", "GhostPlanScan", `geom\.SubtractList`, 1,
+		"the -check=plan baseline subtracts boxes and shares no disjointness shortcut with the plan it checks"},
+	{"internal/amr/fillplan.go", "buildFillPlanScan", `geom\.SubtractList`, 1,
+		"a fill plan prolongs only what no sibling covers; the -check=plan baseline subtracts the sibling overlaps itself"},
+	{"internal/amr/exchange.go", "FillGhostsScan", `subtractList|SubtractList|covered`, 0,
+		"the -check=data baseline prolongs everything, then overwrites, independent of the planner it checks"},
+	{"internal/amr/hierarchy.go", "CheckProperNesting", `overlapsOther`, 1,
+		"the nesting check asks the level index: overlap is a bucket scan per grid"},
+	{"internal/amr/hierarchy.go", "CheckProperNesting", `Boxes\(`, 0,
+		"the nesting check copies no level with Boxes"},
+	{"internal/amr/nesting_ref_test.go", "refCheckProperNesting", `disjoint\(boxes\)`, 1,
+		"the nesting oracle keeps its pairwise overlap loop"},
+	{"internal/amr/nesting_ref_test.go", "refCheckProperNesting", `indexFor|currentIndex|overlapsOther`, 0,
+		"the nesting oracle stays independent of the level index it checks"},
+	{"internal/scenario/*.go", "", `engine\.Build\(`, 1,
+		"one front door: Scenario.Start is the one place that builds an engine"},
+	{"internal/scenario/*.go", "", `engine\.Resume\(`, 1,
+		"one front door: Scenario.Start is the one place that resumes an engine"},
+}
+
+// readGlobs reads the files the globs match, keyed by slash path.
+func readGlobs(globs ...string) (map[string][]byte, error) {
+	src := map[string][]byte{}
+	for _, glob := range globs {
+		names, err := filepath.Glob(glob)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range names {
+			if src[filepath.ToSlash(name)], err = os.ReadFile(name); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return src, nil
+}
+
+// matching returns the paths of src that glob matches, sorted: its
+// non-test files, or the one _test.go file it names.
+func matching(src map[string][]byte, glob string) []string {
+	var out []string
+	for name := range src {
+		if ok, _ := path.Match(glob, name); ok && (notTest(name) || name == glob) {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// stillDeleted checks rules against src and returns one finding per
+// line that brings a pattern back, and per rule that matches no file.
+func stillDeleted(rules []deletedRule, src map[string][]byte) []string {
+	var out []string
+	for _, r := range rules {
+		re := regexp.MustCompile(r.pattern)
+		var files []string
+		for _, glob := range strings.Fields(r.glob) {
+			files = append(files, matching(src, glob)...)
+		}
+		if len(files) == 0 {
+			out = append(out, fmt.Sprintf("%s matches no non-test file: the rule for %q checks nothing", r.glob, r.pattern))
+		}
+		for _, f := range files {
+			for i, line := range strings.Split(string(src[f]), "\n") {
+				if re.MatchString(line) {
+					out = append(out, fmt.Sprintf("%s:%d: %s\n  is back: %s", f, i+1, strings.TrimSpace(line), r.reason))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkCode checks rules against src and returns one finding per rule
+// that fails.
+func checkCode(rules []codeRule, src map[string][]byte) []string {
+	fset := token.NewFileSet()
+	parsed := map[string]*ast.File{}
+	var out []string
+	for _, r := range rules {
+		where := r.glob
+		if r.fn != "" {
+			where = r.fn + " in " + r.glob
+		}
+		var code []string
+		for _, name := range matching(src, r.glob) {
+			f := parsed[name]
+			if f == nil {
+				var err error
+				if f, err = parser.ParseFile(fset, name, src[name], parser.ParseComments); err != nil {
+					out = append(out, err.Error())
+					continue
+				}
+				parsed[name] = f
+			}
+			if r.fn == "" {
+				code = append(code, uncommented(fset, f, src[name], f))
+				continue
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == r.fn {
+					code = append(code, uncommented(fset, f, src[name], fn))
+				}
+			}
+		}
+		got := len(regexp.MustCompile(r.pattern).FindAllStringIndex(strings.Join(code, "\n"), -1))
+		switch {
+		case len(code) == 0:
+			out = append(out, fmt.Sprintf("%s: no such code, so the rule for %q checks nothing", where, r.pattern))
+		case got != r.n:
+			out = append(out, fmt.Sprintf("%s: %q matches %d times, want %d: %s", where, r.pattern, got, r.n, r.reason))
+		}
+	}
+	return out
+}
+
+// uncommented is the source of n, a node of f, with its comments blanked.
+func uncommented(fset *token.FileSet, f *ast.File, src []byte, n ast.Node) string {
+	tf := fset.File(n.Pos())
+	base := tf.Offset(n.Pos())
+	code := slices.Clone(src[base:tf.Offset(n.End())])
+	for _, c := range f.Comments {
+		if c.Pos() >= n.Pos() && c.End() <= n.End() {
+			for i := tf.Offset(c.Pos()); i < tf.Offset(c.End()); i++ {
+				code[i-base] = ' '
+			}
+		}
+	}
+	return string(code)
 }
 
 // TestAuditStaysDeleted is rule 3: what was deleted on purpose stays
 // deleted, checked by tier-1 and not only by CI.
 func TestAuditStaysDeleted(t *testing.T) {
-	for _, d := range auditDeleted {
-		re := regexp.MustCompile(d.pattern)
-		var files []string
-		for _, glob := range strings.Fields(d.glob) {
-			m, err := filepath.Glob(glob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, slices.DeleteFunc(m, func(f string) bool { return !notTest(f) })...)
-		}
-		if len(files) == 0 {
-			t.Errorf("%s matches no non-test file: the rule for %q checks nothing", d.glob, d.pattern)
-		}
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, line := range strings.Split(string(src), "\n") {
-				if re.MatchString(line) {
-					t.Errorf("%s:%d: %s\n  is back: %s", f, i+1, strings.TrimSpace(line), d.reason)
-				}
-			}
-		}
+	var globs []string
+	for _, r := range auditDeleted {
+		globs = append(globs, strings.Fields(r.glob)...)
 	}
+	src, err := readGlobs(globs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, finding := range stillDeleted(auditDeleted, src) {
+		t.Error(finding)
+	}
+}
+
+// TestAuditCode is rule 4: the function bodies and counts of auditCode.
+func TestAuditCode(t *testing.T) {
+	var globs []string
+	for _, r := range auditCode {
+		globs = append(globs, r.glob)
+	}
+	src, err := readGlobs(globs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, finding := range checkCode(auditCode, src) {
+		t.Error(finding)
+	}
+	t.Logf("audit: %d pattern rules, %d code rules", len(auditDeleted), len(auditCode))
 }
 
 var knobDoc = regexp.MustCompile(`0 = default|\(default[ :]|\(defaults \d`)
-
-// typedTree is the module type-checked from source: every directory of
-// non-test Go files under cmd/, examples/, internal/ and bench/ is a
-// package whose import path is "samrdlb/" + the directory (bench/'s
-// nested module is samrdlb/bench), and the standard library comes from
-// the toolchain's export data.
-type typedTree struct {
-	fset  *token.FileSet
-	std   types.Importer
-	info  *types.Info // shared by every package: objects are unique across the tree
-	pkgs  map[string]*types.Package
-	files map[string][]*ast.File // import path → its parsed files
-}
-
-func typeCheckTree(t *testing.T) *typedTree {
-	t.Helper()
-	tt := &typedTree{
-		fset: token.NewFileSet(),
-		std:  importer.Default(),
-		info: &types.Info{
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-		pkgs:  map[string]*types.Package{},
-		files: map[string][]*ast.File{},
-	}
-	for _, f := range parseTree(t, tt.fset, notTest, "cmd", "examples", "internal", "bench") {
-		path := "samrdlb/" + filepath.ToSlash(filepath.Dir(tt.fset.Position(f.Pos()).Filename))
-		tt.files[path] = append(tt.files[path], f)
-	}
-	for path := range tt.files {
-		if _, err := tt.Import(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tt
-}
-
-// Import implements types.Importer: the tree's own packages from
-// source, memoised, everything else from the standard library.
-func (tt *typedTree) Import(path string) (*types.Package, error) {
-	if p, ok := tt.pkgs[path]; ok {
-		return p, nil
-	}
-	files, ok := tt.files[path]
-	if !ok {
-		return tt.std.Import(path)
-	}
-	conf := types.Config{Importer: tt}
-	p, err := conf.Check(path, tt.fset, files, tt.info)
-	tt.pkgs[path] = p
-	return p, err
-}
 
 // field returns the struct field an expression writes: the key of a
 // composite literal or a selector x.F, nil for anything else.
@@ -398,7 +705,7 @@ func (tt *typedTree) field(e ast.Expr) *types.Var {
 // literal that sets another struct's field of the same name does not
 // count.
 func TestAuditTwoValuesOrConstant(t *testing.T) {
-	tt := typeCheckTree(t)
+	tt := loadTree(t)
 
 	// set[field]: the field is given a value — a composite-literal key,
 	// an assignment to x.F, or &x.F handed to a flag registration —
@@ -440,7 +747,9 @@ func TestAuditTwoValuesOrConstant(t *testing.T) {
 	var internal []*ast.File
 	for path, files := range tt.files {
 		for _, f := range files {
-			ast.Inspect(f, visit)
+			if notTest(tt.fset.Position(f.Pos()).Filename) {
+				ast.Inspect(f, visit)
+			}
 		}
 		if strings.HasPrefix(path, "samrdlb/internal/") {
 			internal = append(internal, files...)
@@ -581,7 +890,11 @@ func buildDocIndex(t *testing.T) *docIndex {
 	}
 
 	fset := token.NewFileSet()
-	for _, f := range parseTree(t, fset, func(string) bool { return true }, ".") {
+	files, err := parseTree(fset, func(string) bool { return true }, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
 		pkg := f.Name.Name
 		declare := func(name string) { add(ix.pkgDecls, pkg, name); ix.names[name] = true }
 		member := func(typ, name string) {
@@ -651,6 +964,22 @@ func buildDocIndex(t *testing.T) *docIndex {
 		})
 	}
 	return ix
+}
+
+// recvName is the type name of a method receiver: T, *T or T[P].
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // addFlag records a flag.X / FlagSet.X registration: the name is the
@@ -832,5 +1161,105 @@ func TestDocsNameRealCode(t *testing.T) {
 		if !usedAllow[k] {
 			t.Errorf("doc allow-list entry %q exempts nothing: remove it", k)
 		}
+	}
+}
+
+// TestAuditRulesOnFixtures runs the rules on sources small enough to
+// read: each case is a way a rule could go blind.
+func TestAuditRulesOnFixtures(t *testing.T) {
+	t.Run("a dead method sharing a live method's name is reported", func(t *testing.T) {
+		sources := map[string]string{
+			"samrdlb/internal/p": `package p
+
+type Live struct{}
+
+func (Live) Get() int { return 1 }
+
+// Dead is named by the command, but nothing calls its Get.
+type Dead struct{}
+
+func (Dead) Get() int { return 2 }
+
+// Stringer keeps Dead.String: an interface can call it.
+type Stringer interface{ String() string }
+
+func (Dead) String() string { return "dead" }
+
+func Kept() int { return kept() }
+
+func kept() int { return 3 }
+`,
+			"samrdlb/cmd/c": `package main
+
+import "samrdlb/internal/p"
+
+var _ p.Stringer
+
+func main() { var d p.Dead; _ = d; println(p.Live{}.Get()) }
+`,
+		}
+		fset := token.NewFileSet()
+		files := map[string][]*ast.File{}
+		for path, src := range sources {
+			f, err := parser.ParseFile(fset, path+"/f.go", src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[path] = []*ast.File{f}
+		}
+		tt, err := newTypedTree(fset, files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allow := func(d *auditDecl) string {
+			if d.name == "p.Kept" {
+				return d.name
+			}
+			return ""
+		}
+		dead, exempted, _ := unreached(tt, allow)
+		var names []string
+		for _, d := range dead {
+			names = append(names, d.name)
+		}
+		if !slices.Equal(names, []string{"p.Dead.Get"}) || !exempted["p.Kept"] {
+			t.Errorf("dead = %v, exempted = %v; want [p.Dead.Get], p.Kept exempted (and kept, which it calls, live)", names, exempted)
+		}
+	})
+
+	src := map[string][]byte{
+		"x/a.go": []byte(`package x
+
+func plan() {
+	// a comment may say covered
+	remaining := 0
+	_ = remaining
+}
+
+func scan() { guard(); guard() }
+
+func guard() {}
+`),
+		"x/a_test.go": []byte("package x\n\nfunc oracle() { guard() }\n"),
+	}
+	cases := []struct {
+		name string
+		rule codeRule
+		want string // a substring of the one finding; "" for none
+	}{
+		{"a body that keeps its shape passes", codeRule{"x/*.go", "plan", `covered`, 0, ""}, ""},
+		{"a forbidden pattern in a body fails", codeRule{"x/*.go", "plan", `remaining`, 0, "why"}, `matches 2 times, want 0: why`},
+		{"a body row whose function is gone fails", codeRule{"x/*.go", "planScan", `covered`, 0, ""}, "planScan in x/*.go: no such code"},
+		{"a count row off by one fails", codeRule{"x/*.go", "", `guard\(\)`, 2, "once per scan"}, `matches 3 times, want 2: once per scan`},
+		{"a glob leaves test files out", codeRule{"x/*.go", "oracle", `guard`, 1, ""}, "no such code"},
+		{"a test file is read when named", codeRule{"x/a_test.go", "oracle", `guard`, 1, ""}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := checkCode([]codeRule{c.rule}, src)
+			if c.want == "" && len(got) > 0 || c.want != "" && (len(got) != 1 || !strings.Contains(got[0], c.want)) {
+				t.Errorf("findings %q, want one containing %q", got, c.want)
+			}
+		})
 	}
 }

@@ -68,7 +68,6 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 	}
 	err := supervise.RunWorker(supervise.WorkerConfig{
 		Shard:       shard,
-		NumShards:   sys.NumGroups(),
 		ControlAddr: f.workerControl,
 		ShardOf:     sys.GroupOf,
 		WireTimeout: f.wireTimeout,

@@ -313,6 +313,15 @@ func setWhere(f *cluster.FlagField, pred func(geom.Index) bool) {
 	})
 }
 
+// coarsened is every box of l coarsened by r.
+func coarsened(l geom.BoxList, r int) geom.BoxList {
+	out := make(geom.BoxList, len(l))
+	for i, b := range l {
+		out[i] = b.Coarsen(r)
+	}
+	return out
+}
+
 // flagged reports whether cell i of f is flagged.
 func flagged(f *cluster.FlagField, i geom.Index) bool {
 	return f.CountIn(geom.Box{Lo: i, Hi: i}) == 1

@@ -57,7 +57,10 @@ func refCheckProperNesting(h *Hierarchy) error {
 			}
 		}
 		if l > 0 {
-			parentUnion := h.Boxes(l - 1).Refine(h.RefFactor)
+			var parentUnion geom.BoxList
+			for _, b := range h.Boxes(l - 1) {
+				parentUnion = append(parentUnion, b.Refine(h.RefFactor))
+			}
 			for _, g := range h.Grids(l) {
 				if !parentUnion.ContainsBox(g.Box) {
 					return fmt.Errorf("grid %d at level %d escapes parent union", g.ID, l)

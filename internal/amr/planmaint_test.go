@@ -20,7 +20,7 @@ func addUncovered(h *Hierarchy, l int, box geom.Box, owner int, parent GridID) {
 	if l > 0 {
 		r = h.RefFactor
 	}
-	if rest := geom.SubtractList(box, h.Boxes(l).Coarsen(r)); len(rest) > 0 {
+	if rest := geom.SubtractList(box, coarsened(h.Boxes(l), r)); len(rest) > 0 {
 		h.AddGrid(l, rest[0].Refine(r), owner, parent)
 	}
 }

@@ -55,7 +55,7 @@ func TestRegridAlwaysProperlyNestedProperty(t *testing.T) {
 		// covered by level 1 (refined).
 		f := h.FlagFieldFor(0)
 		flag(0, f)
-		lvl1 := h.Boxes(1).Coarsen(2)
+		lvl1 := coarsened(h.Boxes(1), 2)
 		h.Domain.ForEach(func(i geom.Index) {
 			if flagged(f, i) && !lvl1.Contains(i) {
 				t.Fatalf("trial %d: flagged cell %v not refined", trial, i)

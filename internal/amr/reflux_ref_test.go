@@ -46,7 +46,7 @@ type refFluxRegister struct {
 // one side (both cells inside the domain).
 func newRefFluxRegister(h *Hierarchy, fineLevel int) *refFluxRegister {
 	fr := &refFluxRegister{h: h, fineLevel: fineLevel, faces: make(map[faceKey]*faceEntry)}
-	covered := h.Boxes(fineLevel).Coarsen(h.RefFactor)
+	covered := coarsened(h.Boxes(fineLevel), h.RefFactor)
 	dom := h.DomainAt(fineLevel - 1)
 	for _, cb := range covered {
 		for d := 0; d < geom.Dims; d++ {
@@ -104,7 +104,7 @@ func (fr *refFluxRegister) addCoarse(g *Grid, fl *solver.Fluxes) {
 		if !g.Box.Contains(key.I) && !g.Box.Contains(lo) {
 			continue
 		}
-		e.Coarse = fl.At(key.D, key.I)
+		e.Coarse = fl.Faces(key.D)[fl.FaceBox(key.D).Offset(key.I)]
 		e.seenCoarse = true
 	}
 }
@@ -145,7 +145,7 @@ func (fr *refFluxRegister) addFine(g *Grid, fl *solver.Fluxes) {
 					// planes count; interior fine faces belong to
 					// fine–fine neighbours, not the interface.
 					if fineFace[d] == g.Box.Lo[d] || fineFace[d] == g.Box.Hi[d]+1 {
-						e.FineSum += inv * fl.At(d, fineFace)
+						e.FineSum += inv * fl.Faces(d)[fl.FaceBox(d).Offset(fineFace)]
 					}
 				}
 			}

@@ -279,16 +279,3 @@ func abs(x int) int {
 	}
 	return x
 }
-
-// Efficiency returns the overall fill efficiency of the boxes against
-// the flag field: flagged cells / total box cells.
-func Efficiency(f *FlagField, boxes geom.BoxList) float64 {
-	if boxes.NumCells() == 0 {
-		return 0
-	}
-	flagged := 0
-	for _, b := range boxes {
-		flagged += f.CountIn(b)
-	}
-	return float64(flagged) / float64(boxes.NumCells())
-}

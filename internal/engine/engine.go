@@ -600,9 +600,7 @@ func (r *Runner) applySlowdowns() {
 			f = 1
 		}
 		if f > 0 && r.failed(p) {
-			r.memb.BeginRejoin(p)
-			r.opt.Trace.Add(trace.Membership, 0, now,
-				fmt.Sprintf("processor %d healthy again; rejoin pending", p))
+			r.beginRejoin(p, now)
 			if r.ownsCells(p) {
 				revivedOwning = true
 			}
@@ -621,6 +619,14 @@ func (r *Runner) applySlowdowns() {
 		r.opt.Trace.Add(trace.Membership, 0, now,
 			"capacity returned after total failure; repartitioned and re-admitted")
 	}
+}
+
+// beginRejoin moves the crashed processor p, healthy again at now, to
+// the rejoining state: it owns no new work until it is re-admitted.
+func (r *Runner) beginRejoin(p int, now float64) {
+	r.memb.BeginRejoin(p)
+	r.opt.Trace.Add(trace.Membership, 0, now,
+		fmt.Sprintf("processor %d healthy again; rejoin pending", p))
 }
 
 // failed reports whether processor p has crashed and not yet shown
@@ -664,13 +670,21 @@ func (r *Runner) rememberCheckpoint(step int) {
 	r.ckptT = r.t
 }
 
+// chargeCheckpoint charges writing or restoring a checkpoint of cells
+// cells to the Recovery phase, and returns the charge.
+func (r *Runner) chargeCheckpoint(cells int64) float64 {
+	cost := float64(cells) * checkpointFlopsPerCell / r.sys.FlopsPerSecond
+	r.clock.AddUniform(vclock.Recovery, cost)
+	return cost
+}
+
 // takeCheckpoint serialises the hierarchy for recovery, charging the
 // write cost to the Recovery phase. step is the last completed level-0
 // step the checkpoint covers (-1 for the pristine pre-run state).
 func (r *Runner) takeCheckpoint(step int) {
 	r.rememberCheckpoint(step)
 	cells := r.ledger.TotalCells()
-	r.clock.AddUniform(vclock.Recovery, float64(cells)*checkpointFlopsPerCell/r.sys.FlopsPerSecond)
+	r.chargeCheckpoint(cells)
 	r.ckptClock = r.clock.Now()
 	r.opt.Trace.Add(trace.Recovery, 0, r.ckptClock,
 		fmt.Sprintf("checkpoint step=%d cells=%d", step, cells))
@@ -690,7 +704,7 @@ func (r *Runner) writeDurable(step int) {
 		panic(fmt.Sprintf("engine: durable checkpoint failed: %v", err))
 	}
 	cells := r.ledger.TotalCells()
-	r.clock.AddUniform(vclock.Recovery, float64(cells)*checkpointFlopsPerCell/r.sys.FlopsPerSecond)
+	r.chargeCheckpoint(cells)
 	seq := r.ckptAttempts
 	r.ckptAttempts++
 	now := r.clock.Now()
@@ -820,9 +834,7 @@ func (r *Runner) recoverFromCheckpoint() int {
 				f = 1
 			}
 			r.sys.SetHealth(p, f)
-			r.memb.BeginRejoin(p)
-			r.opt.Trace.Add(trace.Membership, 0, now,
-				fmt.Sprintf("processor %d healthy again; rejoin pending", p))
+			r.beginRejoin(p, now)
 		}
 	}
 	r.repartition()
@@ -830,8 +842,7 @@ func (r *Runner) recoverFromCheckpoint() int {
 	// rejoining ones included: it is their re-admission, so no separate
 	// catch-up evaluation is needed.
 	r.completePendingRejoins(step)
-	restore := float64(r.ledger.TotalCells()) * checkpointFlopsPerCell / r.sys.FlopsPerSecond
-	r.clock.AddUniform(vclock.Recovery, restore)
+	restore := r.chargeCheckpoint(r.ledger.TotalCells())
 	r.cnt.Recoveries++
 	r.cnt.RecoveryTime += lost + restore
 	// The aborted interval's accumulators describe work that no longer

@@ -108,7 +108,7 @@ func TestFig4FlowControl(t *testing.T) {
 		ImbalanceEps: 1e-9,
 	})
 	r.Run()
-	if n := tr.Count(trace.GlobalCheck); n > 4 {
+	if n := len(tr.OfKind(trace.GlobalCheck)); n > 4 {
 		t.Errorf("global checks %d exceed level-0 steps 4", n)
 	}
 	for _, e := range tr.OfKind(trace.LocalBalance) {
@@ -223,7 +223,7 @@ func TestGlobalRedistributionHappensUnderImbalance(t *testing.T) {
 	if res.GlobalRedists > res.GlobalEvals {
 		t.Error("redistributions cannot exceed evaluations")
 	}
-	if tr.Count(trace.Redistribution) != res.GlobalRedists {
+	if len(tr.OfKind(trace.Redistribution)) != res.GlobalRedists {
 		t.Error("trace and result disagree on redistributions")
 	}
 }
@@ -356,7 +356,10 @@ func TestGradientFlaggingTracksShock(t *testing.T) {
 	}
 	// The real invariant: every steep level-0 cell (the front) must be
 	// covered by the fine level.
-	fineCover := h.Boxes(1).Coarsen(2)
+	var fineCover geom.BoxList
+	for _, b := range h.Boxes(1) {
+		fineCover = append(fineCover, b.Coarsen(2))
+	}
 	for _, g := range h.Grids(0) {
 		q := g.Patch
 		g.Box.ForEach(func(i geom.Index) {

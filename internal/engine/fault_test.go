@@ -106,10 +106,10 @@ func TestFaultScenarioGracefulDegradationAndRecovery(t *testing.T) {
 			t.Errorf("global phase ran during the outage: %+v", e)
 		}
 	}
-	if tr.Count(trace.Recovery) < 2 { // >=1 checkpoint + 1 restore
-		t.Errorf("trace should carry checkpoint/restore events, got %d", tr.Count(trace.Recovery))
+	if len(tr.OfKind(trace.Recovery)) < 2 { // >=1 checkpoint + 1 restore
+		t.Errorf("trace should carry checkpoint/restore events, got %d", len(tr.OfKind(trace.Recovery)))
 	}
-	if tr.Count(trace.Fault) == 0 {
+	if len(tr.OfKind(trace.Fault)) == 0 {
 		t.Error("processor failure must appear as a fault trace event")
 	}
 

@@ -54,24 +54,6 @@ func (l BoxList) ContainsBox(b Box) bool {
 	return len(rest) == 0
 }
 
-// Refine refines every box in the list.
-func (l BoxList) Refine(r int) BoxList {
-	out := make(BoxList, len(l))
-	for i, b := range l {
-		out[i] = b.Refine(r)
-	}
-	return out
-}
-
-// Coarsen coarsens every box in the list.
-func (l BoxList) Coarsen(r int) BoxList {
-	out := make(BoxList, len(l))
-	for i, b := range l {
-		out[i] = b.Coarsen(r)
-	}
-	return out
-}
-
 // Subtract returns a \ b as a list of disjoint boxes. The standard
 // axis-sweep decomposition yields at most 6 boxes in 3-D.
 func Subtract(a, b Box) BoxList {

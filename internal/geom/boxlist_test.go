@@ -210,17 +210,6 @@ func TestSplitEvenlyMatchesScan(t *testing.T) {
 	}
 }
 
-func TestRefineCoarsenList(t *testing.T) {
-	l := BoxList{UnitCube(2), BoxFromShape(Index{4, 0, 0}, Index{2, 2, 2})}
-	r := l.Refine(2)
-	if r.NumCells() != l.NumCells()*8 {
-		t.Error("list refine cell count wrong")
-	}
-	if c := r.Coarsen(2); c.NumCells() != l.NumCells() {
-		t.Error("list coarsen did not invert refine")
-	}
-}
-
 func TestSortByLo(t *testing.T) {
 	l := BoxList{
 		BoxFromShape(Index{0, 0, 5}, Index{1, 1, 1}),

@@ -176,12 +176,6 @@ func (p *Patch) Clone() *Patch {
 	return q
 }
 
-// Bytes returns the in-memory size of the patch's field data, the
-// quantity that matters for migration cost modelling.
-func (p *Patch) Bytes() int64 {
-	return p.Grown().NumCells() * int64(len(p.names)) * 8
-}
-
 // Rows describes how a region's x-rows lie in x-fastest storage over a
 // containing box: the first row starts at Base, consecutive y rows are
 // SY apart, consecutive z planes SZ apart, and the region spans N × NY

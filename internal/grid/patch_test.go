@@ -115,13 +115,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestBytes(t *testing.T) {
-	p := NewPatch(geom.UnitCube(4), 0, 0, "a", "b")
-	if got := p.Bytes(); got != 64*2*8 {
-		t.Errorf("Bytes = %d", got)
-	}
-}
-
 func TestCopyRegion(t *testing.T) {
 	// Two adjacent patches; copy src interior into dst ghost layer.
 	dst := NewPatch(geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{4, 4, 4}), 0, 1, "q")

@@ -74,9 +74,6 @@ func NewShardWorld(n int, shardOf func(rank int) int, self int, tr Transport) *W
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.n }
-
 // RankPanic records one rank's panic with the original value and the
 // goroutine stack it unwound.
 type RankPanic struct {

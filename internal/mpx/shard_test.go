@@ -104,7 +104,7 @@ func TestShardWorldLocalRanks(t *testing.T) {
 	shardOf := func(r int) int { return r % 2 }
 	fab := newLocalFabric(shardOf)
 	w := NewShardWorld(5, shardOf, 1, fab.Endpoint(1))
-	ran := make([]bool, w.Size())
+	ran := make([]bool, w.n)
 	w.Run(func(r *Rank) { ran[r.ID()] = true })
 	for rank, got := range ran {
 		if want := shardOf(rank) == 1; got != want {

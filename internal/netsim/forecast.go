@@ -147,9 +147,6 @@ func (s *Series) Record(v float64) {
 	}
 }
 
-// Len returns the number of recorded measurements retained.
-func (s *Series) Len() int { return len(s.hist) }
-
 // Forecast returns the current best predictor's forecast; ok is false
 // until at least one measurement exists.
 func (s *Series) Forecast() (v float64, ok bool) {

@@ -33,7 +33,7 @@ func TestForecastNonnegativeProperty(t *testing.T) {
 			s.Record(v)
 			got, ok := s.Forecast()
 			if !ok {
-				t.Fatalf("trial %d: no forecast after %d samples", trial, s.Len())
+				t.Fatalf("trial %d: no forecast after %d samples", trial, len(s.hist))
 			}
 			if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
 				t.Fatalf("trial %d: forecast %v from non-negative history (predictor %s)",

@@ -11,7 +11,7 @@ func TestSeriesEmpty(t *testing.T) {
 	if _, ok := s.Forecast(); ok {
 		t.Error("empty series must not forecast")
 	}
-	if s.Best() != "" || s.Len() != 0 {
+	if s.Best() != "" || len(s.hist) != 0 {
 		t.Error("empty series state wrong")
 	}
 }
@@ -67,8 +67,8 @@ func TestSeriesHistoryBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Record(float64(i))
 	}
-	if s.Len() != 10 {
-		t.Errorf("history len = %d, want 10", s.Len())
+	if len(s.hist) != 10 {
+		t.Errorf("history len = %d, want 10", len(s.hist))
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"samrdlb/internal/amr"
 	"samrdlb/internal/ckpt"
@@ -282,25 +281,6 @@ type Outcome struct {
 // or failed to execute.
 func (o Outcome) Failed() bool {
 	return len(o.Violations) > 0 || o.Panic != "" || o.Err != ""
-}
-
-// Summary renders a short human-readable account of a failure.
-func (o Outcome) Summary() string {
-	switch {
-	case o.Panic != "":
-		return "panic: " + o.Panic
-	case o.Err != "":
-		return "error: " + o.Err
-	case len(o.Violations) > 0:
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d violation(s):", len(o.Violations))
-		for _, v := range o.Violations {
-			b.WriteString("\n  " + v.String())
-		}
-		return b.String()
-	default:
-		return "ok"
-	}
 }
 
 // ExecuteWithHistory runs the scenario to completion under the

@@ -21,6 +21,25 @@ var soakScenarios = flag.Int("scenarios", 0, "number of generated scenarios for 
 // processor rejoin and group reconnect churn). CI runs both.
 var soakProfile = flag.String("profile", "", "soak generator profile: default or rejoin")
 
+// Summary renders a short human-readable account of a failure.
+func (o Outcome) Summary() string {
+	switch {
+	case o.Panic != "":
+		return "panic: " + o.Panic
+	case o.Err != "":
+		return "error: " + o.Err
+	case len(o.Violations) > 0:
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d violation(s):", len(o.Violations))
+		for _, v := range o.Violations {
+			b.WriteString("\n  " + v.String())
+		}
+		return b.String()
+	default:
+		return "ok"
+	}
+}
+
 // soakGenerate maps the -profile flag onto a generator.
 func soakGenerate(t *testing.T, seed int64) Scenario {
 	switch *soakProfile {

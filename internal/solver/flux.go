@@ -56,17 +56,6 @@ func NewFluxes(box geom.Box) *Fluxes {
 // registers, which copy) stay valid.
 func (fl *Fluxes) Release() { fluxPool.Put(fl) }
 
-// At returns the flux through face (d, i) — the lower face of cell i
-// in dimension d. The face must exist for this box.
-func (fl *Fluxes) At(d int, i geom.Index) float64 {
-	return fl.f[d][fl.faceBox[d].Offset(i)]
-}
-
-// Set stores a face flux.
-func (fl *Fluxes) Set(d int, i geom.Index, v float64) {
-	fl.f[d][fl.faceBox[d].Offset(i)] = v
-}
-
 // FaceBox returns the face index box for dimension d.
 func (fl *Fluxes) FaceBox(d int) geom.Box { return fl.faceBox[d] }
 

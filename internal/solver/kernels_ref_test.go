@@ -14,6 +14,17 @@ import (
 // row loops walked by stride. These tests pin every rewritten path
 // against its retained reference implementation, bit for bit.
 
+// At returns the flux through face (d, i) — the lower face of cell i
+// in dimension d. The face must exist for this box.
+func (fl *Fluxes) At(d int, i geom.Index) float64 {
+	return fl.f[d][fl.faceBox[d].Offset(i)]
+}
+
+// Set stores a face flux.
+func (fl *Fluxes) Set(d int, i geom.Index, v float64) {
+	fl.f[d][fl.faceBox[d].Offset(i)] = v
+}
+
 func randKernelPatch(t *testing.T, fields ...string) *grid.Patch {
 	t.Helper()
 	return randPatchOver(geom.UnitCube(12), 2, 41, fields...)

@@ -98,7 +98,6 @@ func workerMain() int {
 	sys := machine.WanPair(2, nil)
 	err := RunWorker(WorkerConfig{
 		Shard:       shard,
-		NumShards:   sys.NumGroups(),
 		ControlAddr: os.Getenv(envControl),
 		ShardOf:     sys.GroupOf,
 		WireTimeout: wt,

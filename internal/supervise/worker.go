@@ -14,8 +14,6 @@ import (
 type WorkerConfig struct {
 	// Shard is the processor group this worker hosts.
 	Shard int
-	// NumShards is the total worker count.
-	NumShards int
 	// ControlAddr is the supervisor's rendezvous socket.
 	ControlAddr string
 	// ShardOf maps a rank to its hosting shard.

@@ -114,20 +114,6 @@ func (r *Recorder) StepLevels() []int {
 	return out
 }
 
-// Count returns how many events of the given kind were recorded.
-func (r *Recorder) Count(k Kind) int {
-	if r == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range r.Events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // OfKind returns the events of the given kinds, in recorded order.
 func (r *Recorder) OfKind(kinds ...Kind) []Event {
 	if r == nil {

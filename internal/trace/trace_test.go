@@ -14,7 +14,7 @@ func TestRecorderBasics(t *testing.T) {
 	if got := r.StepLevels(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("StepLevels = %v", got)
 	}
-	if r.Count(Step) != 2 || r.Count(GlobalCheck) != 1 || r.Count(Redistribution) != 0 {
+	if len(r.OfKind(Step)) != 2 || len(r.OfKind(GlobalCheck)) != 1 || len(r.OfKind(Redistribution)) != 0 {
 		t.Error("Count wrong")
 	}
 	if evs := r.OfKind(LocalBalance); len(evs) != 1 || evs[0].Note != "migrations=2" {
@@ -28,7 +28,7 @@ func TestRecorderBasics(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Add(Step, 0, 0, "") // must not panic
-	if r.StepLevels() != nil || r.Count(Step) != 0 || r.OfKind(Step) != nil || r.String() != "" {
+	if r.StepLevels() != nil || r.OfKind(Step) != nil || r.String() != "" {
 		t.Error("nil recorder must behave as empty")
 	}
 }

@@ -104,9 +104,6 @@ func (c *Clock) AddUniform(p Phase, dt float64) {
 // PhaseTotal returns the accumulated critical-path time of a phase.
 func (c *Clock) PhaseTotal(p Phase) float64 { return c.byPhase[p] }
 
-// Busy returns processor i's accumulated busy time.
-func (c *Clock) Busy(i int) float64 { return c.busy[i] }
-
 // Utilisation returns mean busy time divided by elapsed time — 1.0
 // means perfectly balanced, lower means processors idled at barriers.
 func (c *Clock) Utilisation() float64 {

@@ -17,7 +17,7 @@ func TestAddPhaseTakesMax(t *testing.T) {
 	if c.PhaseTotal(Compute) != 3 {
 		t.Errorf("PhaseTotal = %v", c.PhaseTotal(Compute))
 	}
-	if c.Busy(0) != 1 || c.Busy(1) != 3 || c.Busy(2) != 2 {
+	if busy := c.State().Busy; busy[0] != 1 || busy[1] != 3 || busy[2] != 2 {
 		t.Error("per-proc busy wrong")
 	}
 }

@@ -287,9 +287,6 @@ func (a *AMR64) Kernels() []solver.Kernel {
 	}
 }
 
-// Centers exposes the cluster centres (for tests and traces).
-func (a *AMR64) Centers() [][3]float64 { return a.centers }
-
 // radius returns a cluster's refinement radius at time t for the
 // given level (finer levels capture the denser core).
 func (a *AMR64) radius(level int, t float64) float64 {

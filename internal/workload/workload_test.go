@@ -122,8 +122,8 @@ func TestShockPoolMetadata(t *testing.T) {
 
 func TestAMR64ClustersScattered(t *testing.T) {
 	a := NewAMR64(32, 2, 7)
-	if len(a.Centers()) != 8 {
-		t.Fatalf("centers = %d", len(a.Centers()))
+	if len(a.centers) != 8 {
+		t.Fatalf("centers = %d", len(a.centers))
 	}
 	f := cluster.NewFlagField(geom.UnitCube(32))
 	a.Flag(0, 0, f)
@@ -156,15 +156,15 @@ func TestAMR64RefinementGrows(t *testing.T) {
 func TestAMR64Determinism(t *testing.T) {
 	a1 := NewAMR64(32, 2, 11)
 	a2 := NewAMR64(32, 2, 11)
-	for i, c := range a1.Centers() {
-		if c != a2.Centers()[i] {
+	for i, c := range a1.centers {
+		if c != a2.centers[i] {
 			t.Fatal("same seed must give same centers")
 		}
 	}
 	b := NewAMR64(32, 2, 12)
 	diff := false
-	for i, c := range a1.Centers() {
-		if c != b.Centers()[i] {
+	for i, c := range a1.centers {
+		if c != b.centers[i] {
 			diff = true
 		}
 	}
@@ -182,7 +182,7 @@ func TestAMR64ParticlesNearCenters(t *testing.T) {
 	// Most particles start within 0.1 of some centre.
 	near := 0
 	for _, p := range ps.Particles {
-		for _, c := range a.Centers() {
+		for _, c := range a.centers {
 			if wrapDist2(p.Pos, c) < 0.1*0.1 {
 				near++
 				break
