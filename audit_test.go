@@ -491,6 +491,10 @@ var auditDeleted = []deletedRule{
 		"the supervisor builds worker argv from the spec (workerArgs), not from its own"},
 	{`Normalize\(`, "cmd/*/*.go",
 		"a command clamps nothing a human typed: Validate rejects it instead"},
+	{`recoverFallback|CheckpointFallbacks|CorruptGenerations|PristineRestarts`, "internal/*/*.go",
+		"the constructor refuses a shape amr.Load rejects, so the in-memory checkpoint always loads: no fallback chain to count"},
+	{`MsgKind`, "internal/amr/*.go",
+		"a message's kind is its grid relation (Src is Dst's parent or child), not a field"},
 }
 
 // codeRule pins how often pattern matches code, comments excluded: the

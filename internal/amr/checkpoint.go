@@ -86,29 +86,28 @@ const (
 	maxLoadExtent    = 1 << 31 // finest-level domain extent per dimension
 )
 
-// validateHeader rejects corrupt or absurd checkpoint headers before
-// any of New's panicking invariants can fire.
-func (hdr *checkpointHeader) validate() error {
-	if hdr.Domain.Empty() {
-		return fmt.Errorf("empty domain %v", hdr.Domain)
+// CheckShape reports why a hierarchy of this shape cannot be
+// checkpointed: Load refuses a header outside these bounds before any
+// of New's panicking invariants can fire, and a run's constructor
+// refuses the same shapes so every checkpoint it writes loads back.
+func CheckShape(domain geom.Box, refFactor, maxLevel, nGhost int, fields []string) error {
+	if domain.Empty() {
+		return fmt.Errorf("empty domain %v", domain)
 	}
-	if hdr.RefFactor < 2 || hdr.RefFactor > maxLoadRefFactor {
-		return fmt.Errorf("refinement factor %d outside [2,%d]", hdr.RefFactor, maxLoadRefFactor)
+	if refFactor < 2 || refFactor > maxLoadRefFactor {
+		return fmt.Errorf("refinement factor %d outside [2,%d]", refFactor, maxLoadRefFactor)
 	}
-	if hdr.MaxLevel < 0 || hdr.MaxLevel > maxLoadMaxLevel {
-		return fmt.Errorf("max level %d outside [0,%d]", hdr.MaxLevel, maxLoadMaxLevel)
+	if maxLevel < 0 || maxLevel > maxLoadMaxLevel {
+		return fmt.Errorf("max level %d outside [0,%d]", maxLevel, maxLoadMaxLevel)
 	}
-	if hdr.NGhost < 0 || hdr.NGhost > maxLoadNGhost {
-		return fmt.Errorf("ghost width %d outside [0,%d]", hdr.NGhost, maxLoadNGhost)
+	if nGhost < 0 || nGhost > maxLoadNGhost {
+		return fmt.Errorf("ghost width %d outside [0,%d]", nGhost, maxLoadNGhost)
 	}
-	if hdr.NumGrids < 0 || hdr.NumGrids > maxLoadGrids {
-		return fmt.Errorf("grid count %d outside [0,%d]", hdr.NumGrids, maxLoadGrids)
+	if len(fields) > maxLoadFields {
+		return fmt.Errorf("%d fields exceed the cap of %d", len(fields), maxLoadFields)
 	}
-	if len(hdr.Fields) > maxLoadFields {
-		return fmt.Errorf("%d fields exceed the cap of %d", len(hdr.Fields), maxLoadFields)
-	}
-	seen := make(map[string]bool, len(hdr.Fields))
-	for _, f := range hdr.Fields {
+	seen := make(map[string]bool, len(fields))
+	for _, f := range fields {
 		if f == "" {
 			return fmt.Errorf("empty field name")
 		}
@@ -118,15 +117,15 @@ func (hdr *checkpointHeader) validate() error {
 		seen[f] = true
 	}
 	// The finest-level domain extent must not overflow box arithmetic.
-	scale := math.Pow(float64(hdr.RefFactor), float64(hdr.MaxLevel))
+	scale := math.Pow(float64(refFactor), float64(maxLevel))
 	for d := 0; d < 3; d++ {
-		lo, hi := hdr.Domain.Lo[d], hdr.Domain.Hi[d]
+		lo, hi := domain.Lo[d], domain.Hi[d]
 		if lo < 0 || hi < lo {
-			return fmt.Errorf("malformed domain %v", hdr.Domain)
+			return fmt.Errorf("malformed domain %v", domain)
 		}
 		if float64(hi+1)*scale > maxLoadExtent {
 			return fmt.Errorf("domain %v at refinement %d^%d exceeds representable extent",
-				hdr.Domain, hdr.RefFactor, hdr.MaxLevel)
+				domain, refFactor, maxLevel)
 		}
 	}
 	return nil
@@ -195,8 +194,11 @@ func Load(r io.Reader) (*Hierarchy, error) {
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("amr.Load: header: %w", err)
 	}
-	if err := hdr.validate(); err != nil {
+	if err := CheckShape(hdr.Domain, hdr.RefFactor, hdr.MaxLevel, hdr.NGhost, hdr.Fields); err != nil {
 		return nil, fmt.Errorf("amr.Load: corrupt header: %w", err)
+	}
+	if hdr.NumGrids < 0 || hdr.NumGrids > maxLoadGrids {
+		return nil, fmt.Errorf("amr.Load: corrupt header: grid count %d outside [0,%d]", hdr.NumGrids, maxLoadGrids)
 	}
 	h := New(hdr.Domain, hdr.RefFactor, hdr.MaxLevel, hdr.NGhost, hdr.WithData, hdr.Fields...)
 	h.byID = make(map[GridID]*Grid, hdr.NumGrids)

@@ -8,37 +8,11 @@ import (
 	"samrdlb/internal/grid"
 )
 
-// MsgKind classifies an inter-grid transfer.
-type MsgKind int
-
-// Transfer kinds: sibling ghost exchange at one level, prolongation
-// from a parent into child ghost cells, and restriction of a child
-// solution onto its parent.
-const (
-	SiblingGhost MsgKind = iota
-	ParentProlong
-	ChildRestrict
-)
-
-func (k MsgKind) String() string {
-	switch k {
-	case SiblingGhost:
-		return "sibling-ghost"
-	case ParentProlong:
-		return "parent-prolong"
-	case ChildRestrict:
-		return "child-restrict"
-	default:
-		return "unknown"
-	}
-}
-
 // Message is one inter-grid transfer of the exchange plan. Src and
 // Dst identify grids; the engine maps them to processors and links.
 type Message struct {
 	Src, Dst GridID
 	Bytes    int64
-	Kind     MsgKind
 }
 
 // Transfer is one movement the cost model charges between two
@@ -409,7 +383,6 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 			out = append(out, Message{
 				Src: s.ID, Dst: g.ID,
 				Bytes: cells * bytesPerCell,
-				Kind:  SiblingGhost,
 			})
 		}
 	}
@@ -425,7 +398,6 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 			out = append(out, Message{
 				Src: p.ID, Dst: g.ID,
 				Bytes: coarseCells * bytesPerCell,
-				Kind:  ParentProlong,
 			})
 		}
 	}
@@ -482,7 +454,6 @@ func (h *Hierarchy) GhostPlanScan(l int) []Message {
 				out = append(out, Message{
 					Src: s.ID, Dst: g.ID,
 					Bytes: ov.NumCells() * bytesPerCell,
-					Kind:  SiblingGhost,
 				})
 			}
 		}
@@ -501,7 +472,6 @@ func (h *Hierarchy) GhostPlanScan(l int) []Message {
 				out = append(out, Message{
 					Src: p.ID, Dst: g.ID,
 					Bytes: coarseCells * bytesPerCell,
-					Kind:  ParentProlong,
 				})
 			}
 		}
@@ -526,7 +496,6 @@ func (h *Hierarchy) RestrictPlan(l int) []Message {
 		out = append(out, Message{
 			Src: g.ID, Dst: p.ID,
 			Bytes: g.NumCells() / r3 * bytesPerCell,
-			Kind:  ChildRestrict,
 		})
 	}
 	return out

@@ -20,6 +20,11 @@ func twoSlabHierarchy(t *testing.T, withData bool) (*Hierarchy, *Grid, *Grid) {
 	return h, a, b
 }
 
+// prolongs reports whether a ghost-plan message is a prolongation: its
+// source is its destination's parent. Any other ghost message comes
+// from a sibling.
+func prolongs(h *Hierarchy, m Message) bool { return h.Grid(m.Dst).Parent == m.Src }
+
 func TestGhostPlanSiblings(t *testing.T) {
 	h, a, b := twoSlabHierarchy(t, false)
 	plan := h.GhostPlan(0, false)
@@ -29,8 +34,8 @@ func TestGhostPlanSiblings(t *testing.T) {
 		t.Fatalf("expected 2 messages, got %d: %v", len(plan), plan)
 	}
 	for _, m := range plan {
-		if m.Kind != SiblingGhost {
-			t.Errorf("kind = %v", m.Kind)
+		if prolongs(h, m) {
+			t.Errorf("sibling message classed as prolongation: %v", m)
 		}
 		if m.Bytes != 64*8 {
 			t.Errorf("bytes = %d, want 512", m.Bytes)
@@ -63,7 +68,7 @@ func TestGhostPlanParentProlong(t *testing.T) {
 		t.Fatalf("expected 1 prolong message, got %v", plan)
 	}
 	m := plan[0]
-	if m.Kind != ParentProlong || m.Src != p.ID {
+	if m.Src != p.ID || !prolongs(h, m) {
 		t.Errorf("unexpected message %v", m)
 	}
 	// Ghost shell of a 4^3 box with width 1 = 6^3-4^3 = 152 cells ->
@@ -88,14 +93,13 @@ func TestGhostPlanSiblingBeatsParent(t *testing.T) {
 	plan := h.GhostPlan(1, false)
 	var sib, pro int
 	for _, m := range plan {
-		switch m.Kind {
-		case SiblingGhost:
-			sib++
-			if m.Bytes != 16*8 {
-				t.Errorf("sibling face bytes = %d, want 128", m.Bytes)
-			}
-		case ParentProlong:
+		if prolongs(h, m) {
 			pro++
+			continue
+		}
+		sib++
+		if m.Bytes != 16*8 {
+			t.Errorf("sibling face bytes = %d, want 128", m.Bytes)
 		}
 	}
 	if sib != 2 || pro != 2 {
@@ -192,16 +196,16 @@ func TestGhostPlanCountsMatchScan(t *testing.T) {
 	// The three-slab case, by hand: 6³ − 4³ = 152 shell cells, of which
 	// the sibling covers 1·1·4 + 1·1·4 + 4·1·4 = 24.
 	h := oneParentHierarchy(1, threeSlabs...)
-	var kinds []MsgKind
+	var fromParent []bool
 	var bytes []int64
 	for _, m := range h.GhostPlan(1, false) {
 		if m.Dst == h.Grids(1)[0].ID {
-			kinds, bytes = append(kinds, m.Kind), append(bytes, m.Bytes)
+			fromParent, bytes = append(fromParent, prolongs(h, m)), append(bytes, m.Bytes)
 		}
 	}
-	if !slices.Equal(kinds, []MsgKind{SiblingGhost, SiblingGhost, SiblingGhost, ParentProlong}) ||
+	if !slices.Equal(fromParent, []bool{false, false, false, true}) ||
 		!slices.Equal(bytes, []int64{4 * 16, 4 * 16, 16 * 16, (152 - 24) / 8 * 16}) {
-		t.Errorf("three-slab case: kinds %v bytes %v", kinds, bytes)
+		t.Errorf("three-slab case: from parent %v bytes %v", fromParent, bytes)
 	}
 
 	for trial := 0; trial < 200; trial++ {
@@ -239,7 +243,7 @@ func TestPlanCheckCatchesOverlappingLevel(t *testing.T) {
 	// shell cells left for the parent, 17 coarse cells of two fields.
 	dst := h.Grids(1)[0].ID
 	for _, m := range h.GhostPlanScan(1) {
-		if m.Dst == dst && m.Kind == ParentProlong && m.Bytes != 17*16 {
+		if m.Dst == dst && prolongs(h, m) && m.Bytes != 17*16 {
 			t.Fatalf("scan prolongation = %d bytes, want %d", m.Bytes, 17*16)
 		}
 	}
@@ -256,7 +260,7 @@ func TestRestrictPlan(t *testing.T) {
 		t.Fatalf("plan = %v", plan)
 	}
 	m := plan[0]
-	if m.Kind != ChildRestrict || m.Src != c.ID || m.Dst != p.ID {
+	if m.Src != c.ID || m.Dst != p.ID {
 		t.Errorf("message = %v", m)
 	}
 	// 512 fine cells -> 64 coarse cells * 8 bytes.
@@ -328,14 +332,5 @@ func TestPlanOnlyHierarchySkipsData(t *testing.T) {
 	h.RestrictData(1)
 	if a.Patch != nil {
 		t.Error("plan-only hierarchy must not allocate patches")
-	}
-}
-
-func TestMsgKindString(t *testing.T) {
-	if SiblingGhost.String() != "sibling-ghost" ||
-		ParentProlong.String() != "parent-prolong" ||
-		ChildRestrict.String() != "child-restrict" ||
-		MsgKind(9).String() != "unknown" {
-		t.Error("MsgKind names wrong")
 	}
 }

@@ -81,7 +81,7 @@ func TestFillPlanMatchesScan(t *testing.T) {
 // TestFillPlanWritesEachGhostCellOnce: on random regridded hierarchies,
 // every destination's ops are pairwise disjoint, miss its interior and
 // its outside-domain clamp boxes, and prolong no more cells than the
-// remainder the cost model's ParentProlong message counts (appendGhostDest:
+// remainder the cost model's prolongation message counts (appendGhostDest:
 // the in-domain shell less every sibling overlap). Fewer happens where
 // the coarse level does not cover the shell.
 func TestFillPlanWritesEachGhostCellOnce(t *testing.T) {
@@ -92,10 +92,10 @@ func TestFillPlanWritesEachGhostCellOnce(t *testing.T) {
 		bytesPerCell := int64(len(h.Fields)) * 8
 		for l := 0; l <= h.MaxLevel; l++ {
 			dom := h.DomainAt(l)
-			// The ParentProlong message of each destination, by grid.
+			// The prolongation message of each destination, by grid.
 			parentBytes := map[GridID]int64{}
 			for _, m := range h.GhostPlan(l, false) {
-				if m.Kind == ParentProlong {
+				if prolongs(h, m) {
 					parentBytes[m.Dst] = m.Bytes
 				}
 			}
@@ -128,7 +128,7 @@ func TestFillPlanWritesEachGhostCellOnce(t *testing.T) {
 					}
 				}
 				if want := (remaining + r3 - 1) / r3 * bytesPerCell; parentBytes[g.ID] != want {
-					t.Fatalf("seed %d level %d grid %d: ParentProlong carries %d bytes, the remainder of %d cells %d",
+					t.Fatalf("seed %d level %d grid %d: prolongation carries %d bytes, the remainder of %d cells %d",
 						seed, l, g.ID, parentBytes[g.ID], remaining, want)
 				}
 				var prolonged int64

@@ -41,7 +41,7 @@ func TestTransfersFollowOwnership(t *testing.T) {
 	// level-(l+1) grid.
 	var child *Grid
 	for _, m := range h.GhostPlanCached(l) {
-		if m.Kind == ParentProlong {
+		if prolongs(h, m) {
 			child = h.Grid(m.Dst)
 			break
 		}

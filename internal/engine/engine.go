@@ -305,7 +305,8 @@ func procScratch(buf *[]float64, n int) []float64 {
 // decomposition of GridsPerProc boxes per processor, assigned in
 // spatial order so each group owns a contiguous region (the paper's
 // group-boundary picture of Figure 6). Options the constructor rejects
-// and a wire that cannot be set up are an "engine: …" error.
+// (a hierarchy shape amr.Load could not read back among them) and a
+// wire that cannot be set up are an "engine: …" error.
 func Build(sys *machine.System, driver workload.Driver, opt Options) (*Runner, error) {
 	return newRunner(sys, driver, opt, nil, 0)
 }
@@ -329,6 +330,10 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	if err := opt.setDefaults(); err != nil {
 		return nil, err
 	}
+	dom, fields := geom.UnitCube(driver.DomainN()), driver.Fields()
+	if err := amr.CheckShape(dom, driver.RefFactor(), opt.MaxLevel, nGhost, fields); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	r := &Runner{
 		sys:          sys,
 		driver:       driver,
@@ -349,7 +354,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	}
 	h := restored
 	if h == nil {
-		h = r.newHierarchy()
+		h = amr.New(dom, r.refFactor, opt.MaxLevel, nGhost, opt.WithData, fields...)
 	}
 	// The ledger attaches before the initial decomposition so every
 	// grid creation flows through it as an event; for a restored
@@ -439,13 +444,6 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		r.initLevel0()
 	}
 	return r, nil
-}
-
-// newHierarchy builds the empty hierarchy of the run's shape (a fresh
-// start, or a pristine restart after every checkpoint proved unusable).
-func (r *Runner) newHierarchy() *amr.Hierarchy {
-	return amr.New(geom.UnitCube(r.driver.DomainN()), r.refFactor, r.opt.MaxLevel,
-		nGhost, r.opt.WithData, r.driver.Fields()...)
 }
 
 // attachHierarchy makes h the hierarchy the run executes on. The host
@@ -795,23 +793,19 @@ func (r *Runner) snapshotMeta(step int) *ckpt.Meta {
 // over the surviving processors, and charges the restore to the
 // Recovery phase. The wall time elapsed since the checkpoint — work
 // that is now lost and must be replayed — is recorded as recovery
-// time. An unusable in-memory checkpoint no longer kills the run: the
-// restore falls back to the durable store's generations and, as a last
-// resort, to a pristine rebuild of the initial state. Returns the
+// time. The checkpoint is bytes this process saved from a shape the
+// constructor checked (amr.CheckShape), so a failed Load is a bug and
+// panics like a failed Save in rememberCheckpoint. Returns the
 // restored step so the caller's loop replays from the step after it.
 func (r *Runner) recoverFromCheckpoint() int {
 	now := r.clock.Now()
-	step, simT, ckClock := r.ckptStep, r.ckptT, r.ckptClock
+	step := r.ckptStep
 	h, err := amr.Load(bytes.NewReader(r.ckpt))
-	pristine := false
 	if err != nil {
-		r.cnt.CheckpointFallbacks++
-		r.opt.Trace.Add(trace.Fault, 0, now,
-			fmt.Sprintf("in-memory checkpoint unusable (%v); falling back", err))
-		h, step, simT, ckClock, pristine = r.recoverFallback(now)
+		panic(fmt.Sprintf("engine: in-memory checkpoint does not load: %v", err))
 	}
-	lost := now - ckClock
-	r.t = simT
+	lost := now - r.ckptClock
+	r.t = r.ckptT
 	// The restored hierarchy needs a fresh ledger — the one unavoidable
 	// full recompute besides the initial build — attached before
 	// repartition so the ownership reshuffle flows through it as
@@ -819,9 +813,6 @@ func (r *Runner) recoverFromCheckpoint() int {
 	r.cnt.LedgerEvents += r.ledger.EventCount()
 	r.attachHierarchy(h)
 	r.cnt.LedgerRebuilds++
-	if pristine {
-		r.initLevel0()
-	}
 	// Outage windows that closed during the lost span: those processors
 	// are healthy again, and the repartition below must spread work
 	// over them too.
@@ -849,51 +840,12 @@ func (r *Runner) recoverFromCheckpoint() int {
 	// exists; start the next measurement interval clean.
 	r.rec.ResetInterval()
 	r.intervalStart = r.clock.Now()
-	if err != nil {
-		// The blob that just failed must not be retried on the next
-		// failure: the recovered state becomes the new recovery point
-		// (its restore cost was charged above).
-		r.rememberCheckpoint(step)
-		r.ckptClock = r.clock.Now()
-	}
 	r.opt.Trace.Add(trace.Recovery, 0, r.clock.Now(),
 		fmt.Sprintf("restored checkpoint step=%d lost=%.4fs survivors=%d",
 			step, lost, r.sys.NumAlive()))
 	r.curStep = step
 	r.fireInvariant(PhaseRestore, 0, nil, nil, false)
 	return step
-}
-
-// recoverFallback is the error path of recoverFromCheckpoint: the
-// in-memory blob was unusable, so try the durable store's generations
-// (newest first, skipping corrupt ones), and as a last resort rebuild
-// the pristine initial state. It never panics — a fault-injected run
-// always degrades to *some* valid state.
-func (r *Runner) recoverFallback(now float64) (h *amr.Hierarchy, step int, simT, ckClock float64, pristine bool) {
-	if r.store != nil {
-		var hier *amr.Hierarchy
-		meta, _, report, err := r.store.Restore(func(m *ckpt.Meta, payload []byte) error {
-			var e error
-			hier, e = amr.Load(bytes.NewReader(payload))
-			return e
-		})
-		if report != nil {
-			r.cnt.CorruptGenerations += len(report.Skipped)
-		}
-		if err == nil {
-			hier.SetNextID(amr.GridID(meta.NextGridID))
-			r.opt.Trace.Add(trace.Checkpoint, 0, now,
-				fmt.Sprintf("recovered from durable gen=%d step=%d", report.Gen, meta.Step))
-			return hier, meta.Step, meta.SimTime, meta.Clock.Now, false
-		}
-		r.opt.Trace.Add(trace.Checkpoint, 0, now,
-			fmt.Sprintf("durable restore failed: %v", err))
-	}
-	// Pristine restart: rebuild the initial hierarchy from scratch and
-	// replay the whole run on the surviving processors.
-	r.cnt.PristineRestarts++
-	r.opt.Trace.Add(trace.Fault, 0, now, "no usable checkpoint; pristine restart")
-	return r.newHierarchy(), -1, 0, 0, true
 }
 
 // repartition re-runs the initial level-0 partition over the surviving

@@ -25,8 +25,8 @@ const (
 	// (in-memory) or written (durable store).
 	PhaseCheckpoint
 	// PhaseRestore fires after state was restored: from the in-memory
-	// or durable checkpoint chain on processor failure, or from the
-	// durable store by engine.Resume.
+	// checkpoint on processor failure, or from the durable store by
+	// engine.Resume.
 	PhaseRestore
 )
 

@@ -42,6 +42,10 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 	}{
 		{"engine: negative MaxLevel", Options{},
 			func(o *Options) { o.MaxLevel = -1 }},
+		// A shape amr.Load would refuse: every checkpoint the run wrote
+		// would be unloadable.
+		{"engine: domain [(0,0,0)..(7,7,7)] at refinement 2^29 exceeds representable extent", Options{},
+			func(o *Options) { o.MaxLevel = 29 }},
 		{"engine: fault event 0 (proc-fail): proc 99 out of range for 2 processors", Options{Faults: procFail(t, 1)},
 			func(o *Options) { o.Faults = procFail(t, 99) }},
 		{`engine: UseMPX=true with Transport="": UseMPX is set exactly for tcp and worker`, Options{},

@@ -77,20 +77,11 @@ type Counters struct {
 	//
 	// DiskCheckpoints counts on-disk generations written;
 	// DiskCheckpointErrors counts writes that failed (injected disk
-	// faults or real I/O errors). CheckpointFallbacks counts restores
-	// that could not use their first candidate (a corrupt in-memory
-	// blob or on-disk generation) and fell back; CorruptGenerations
-	// counts on-disk generations skipped as corrupt during those
-	// restores. PristineRestarts counts recoveries that exhausted
-	// every checkpoint and rebuilt from initial conditions.
-	// DiskPruneErrors counts pruned-generation files whose deletion
-	// failed (the file is stranded on disk; the store no longer tracks
-	// it).
+	// faults or real I/O errors). DiskPruneErrors counts
+	// pruned-generation files whose deletion failed (the file is
+	// stranded on disk; the store no longer tracks it).
 	DiskCheckpoints      int
 	DiskCheckpointErrors int
-	CheckpointFallbacks  int
-	CorruptGenerations   int
-	PristineRestarts     int
 	DiskPruneErrors      int
 }
 
@@ -169,17 +160,13 @@ func (r *Result) FaultSummary() string {
 		fmt.Fprintf(&b, "membership:               %d suspected, %d presumed dead, %d rejoins (catch-ups %d), %d below-quorum steps\n",
 			r.SuspectTransitions, r.SuspectedDead, r.Rejoins, r.RejoinCatchups, r.QuorumDegradedSteps)
 	}
-	if r.CheckpointFallbacks > 0 || r.PristineRestarts > 0 {
-		fmt.Fprintf(&b, "checkpoint fallbacks:     %d (corrupt generations skipped %d, pristine restarts %d)\n",
-			r.CheckpointFallbacks, r.CorruptGenerations, r.PristineRestarts)
-	}
 	return b.String()
 }
 
 // CheckpointSummary renders the durable-checkpoint counters (empty
-// string when no store was configured and nothing fell back). Prune
-// failures are appended only when they happened, so fault-free runs
-// keep their historical output byte for byte.
+// string when no store was configured). Prune failures are appended
+// only when they happened, so fault-free runs keep their historical
+// output byte for byte.
 func (r *Result) CheckpointSummary() string {
 	if r.DiskCheckpoints == 0 && r.DiskCheckpointErrors == 0 {
 		return ""

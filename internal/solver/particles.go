@@ -2,14 +2,13 @@ package solver
 
 import "math"
 
-// Particle is a point mass with position and velocity in continuous
-// domain coordinates. The AMR64 dataset integrates "a set of ordinary
-// differential equations for the particle trajectories"; this leapfrog
-// integrator reproduces that workload component.
+// Particle is a unit point mass with position and velocity in
+// continuous domain coordinates. The AMR64 dataset integrates "a set
+// of ordinary differential equations for the particle trajectories";
+// this leapfrog integrator reproduces that workload component.
 type Particle struct {
-	Pos  [3]float64
-	Vel  [3]float64
-	Mass float64
+	Pos [3]float64
+	Vel [3]float64
 }
 
 // ParticleSet integrates particles under a smooth central-attractor

@@ -67,13 +67,14 @@ func residual(p *grid.Patch, dx float64) float64 {
 	return worst
 }
 
-// kineticEnergy is the total kinetic energy of the set: a sanity
-// measure of the integrator (bounded orbits under a central force).
+// kineticEnergy is the total kinetic energy of the set of unit
+// masses: a sanity measure of the integrator (bounded orbits under a
+// central force).
 func kineticEnergy(ps *ParticleSet) float64 {
 	var e float64
 	for _, p := range ps.Particles {
 		v2 := p.Vel[0]*p.Vel[0] + p.Vel[1]*p.Vel[1] + p.Vel[2]*p.Vel[2]
-		e += 0.5 * p.Mass * v2
+		e += 0.5 * v2
 	}
 	return e
 }
@@ -226,7 +227,7 @@ func TestKernelFieldCheckPanics(t *testing.T) {
 
 func TestParticleLeapfrogBoundedOrbit(t *testing.T) {
 	ps := &ParticleSet{
-		Particles: []Particle{{Pos: [3]float64{0.6, 0.5, 0.5}, Vel: [3]float64{0, 0.3, 0}, Mass: 1}},
+		Particles: []Particle{{Pos: [3]float64{0.6, 0.5, 0.5}, Vel: [3]float64{0, 0.3, 0}}},
 		Centers:   [][3]float64{{0.5, 0.5, 0.5}},
 		G:         0.01,
 		Domain:    1,
@@ -247,7 +248,7 @@ func TestParticleLeapfrogBoundedOrbit(t *testing.T) {
 
 func TestParticleFreeStreaming(t *testing.T) {
 	ps := &ParticleSet{
-		Particles: []Particle{{Pos: [3]float64{0.1, 0.1, 0.1}, Vel: [3]float64{0.1, 0, 0}, Mass: 1}},
+		Particles: []Particle{{Pos: [3]float64{0.1, 0.1, 0.1}, Vel: [3]float64{0.1, 0, 0}}},
 		Domain:    1,
 	}
 	for s := 0; s < 95; s++ {
@@ -266,7 +267,7 @@ func TestParticleStepPoolWidth(t *testing.T) {
 		ps := &ParticleSet{Centers: [][3]float64{{0.3, 0.4, 0.5}, {0.7, 0.2, 0.6}}, G: 0.005, Domain: 1}
 		for i := 0; i < 1000; i++ {
 			f := float64(i) / 1000
-			ps.Particles = append(ps.Particles, Particle{Pos: [3]float64{f, math.Mod(3*f, 1), math.Mod(7*f, 1)}, Vel: [3]float64{0.01, -0.02, f / 50}, Mass: 1})
+			ps.Particles = append(ps.Particles, Particle{Pos: [3]float64{f, math.Mod(3*f, 1), math.Mod(7*f, 1)}, Vel: [3]float64{0.01, -0.02, f / 50}})
 		}
 		return ps
 	}

@@ -265,7 +265,7 @@ func (a *AMR64) init() {
 				pos[d] = math.Mod(c[d]+0.08*(rng.Float64()-0.5)+1, 1)
 				vel[d] = 0.05 * (rng.Float64() - 0.5)
 			}
-			ps.Particles = append(ps.Particles, solver.Particle{Pos: pos, Vel: vel, Mass: 1})
+			ps.Particles = append(ps.Particles, solver.Particle{Pos: pos, Vel: vel})
 		}
 		a.particles = ps
 	}
