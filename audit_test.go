@@ -522,7 +522,9 @@ var auditCode = []codeRule{
 	{"internal/amr/fillplan.go", "buildFillPlanScan", `geom\.SubtractList`, 1,
 		"a fill plan prolongs only what no sibling covers; the -check=plan baseline subtracts the sibling overlaps itself"},
 	{"internal/amr/exchange.go", "FillGhostsScan", `subtractList|SubtractList|covered`, 0,
-		"the -check=data baseline prolongs everything, then overwrites, independent of the planner it checks"},
+		"the -check=data baseline prolongs every ghost cell, then overwrites, sharing no subtraction with the face-only plan it checks"},
+	{"internal/amr/exchange.go", "FillGhostsScan", `geom\.Subtract\(grown, g\.Box\)`, 1,
+		"the -check=data baseline fills the whole ghost shell, so it cannot drift to the face shape it checks"},
 	{"internal/amr/hierarchy.go", "CheckProperNesting", `overlapsOther`, 1,
 		"the nesting check asks the level index: overlap is a bucket scan per grid"},
 	{"internal/amr/hierarchy.go", "CheckProperNesting", `Boxes\(`, 0,

@@ -150,10 +150,10 @@ type planScratch struct {
 	cand, cand2    []*Grid
 	ghost, covered geom.BoxList
 	rem, tmp       geom.BoxList
-	// left is a fill destination's ghost cells no sibling covers, ops
-	// its work list.
-	left geom.BoxList
-	ops  []fillOp
+	// faces are a fill destination's face slabs, left its face cells
+	// no sibling covers, ops its work list.
+	faces, left geom.BoxList
+	ops         []fillOp
 	// blocks hold a ghost-plan chunk's messages in order; block is
 	// the one kept for the next chunk.
 	blocks [][]Message
@@ -502,7 +502,8 @@ func (h *Hierarchy) RestrictPlan(l int) []Message {
 }
 
 // FillGhostsData performs the actual data motion of GhostPlan on the
-// patches: copy sibling overlaps, prolong from the coarse level, and
+// patches' face slabs, the ghost cells a 7-point stencil reads: copy
+// sibling overlaps, prolong from the coarse level, and
 // clamp-extrapolate at the physical domain boundary. It executes the
 // cached data-motion plan (built once per hierarchy generation) in
 // parallel over the attached pool; with the datacheck oracle enabled
@@ -521,10 +522,11 @@ func (h *Hierarchy) FillGhostsData(l int) {
 }
 
 // FillGhostsScan is the original O(grids²) scan-based ghost fill,
-// kept as the datacheck baseline and for benchmarks. It prolongs every
-// coarse-covered ghost cell and then overwrites the sibling overlaps,
-// independent of the plan's cell-once subtraction, and produces
-// exactly the same data as FillGhostsData.
+// kept as the datacheck baseline and for benchmarks. It fills the whole
+// ghost shell: it prolongs every coarse-covered ghost cell and then
+// overwrites the sibling overlaps, independent of the plan's cell-once
+// subtraction, and produces exactly FillGhostsData's face cells, plus
+// the edges and corners the plan leaves alone.
 func (h *Hierarchy) FillGhostsScan(l int) {
 	if !h.WithData {
 		return

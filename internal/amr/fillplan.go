@@ -91,16 +91,17 @@ func (op *fillOp) rows(a rowsAt) grid.Rows {
 	}
 }
 
-// fillDest is the complete ghost-fill work list for one grid. It
-// writes each cell once: prolongations (coarse grid major, then the
-// ghost cells no sibling covers, slab by slab) fill only what the
-// sibling copies that follow leave, and the clamp regions only what
-// lies outside the physical domain. The ops are pairwise disjoint, so
-// their order changes no bit.
+// fillDest is the complete ghost-fill work list for one grid: its six
+// face slabs, the ghost cells a 7-point stencil reads. Edge and corner
+// ghosts are never written. It writes each face cell once:
+// prolongations (coarse grid major, then the face cells no sibling
+// covers, face by face) fill only what the sibling copies that follow
+// leave, and the clamp regions only what lies outside the physical
+// domain. The ops are pairwise disjoint, so their order changes no bit.
 type fillDest struct {
 	g      *Grid
 	ops    []fillOp
-	clamps geom.BoxList // grown-box cells outside the physical domain
+	clamps geom.BoxList // face cells outside the physical domain
 }
 
 // restrictDest groups the fine grids restricting into one parent, in
@@ -150,30 +151,44 @@ func (h *Hierarchy) buildFillPlan(l int) []fillDest {
 	return plan
 }
 
-// buildFillDest plans one destination grid's ghost-fill work list,
-// mirroring one iteration of buildFillPlanScan. The siblings come from
-// the level index in level-list order; their overlaps are subtracted
-// from each ghost slab, and what is left is prolonged from every
+// buildFillDest plans one destination grid's ghost fill over its six
+// face slabs (geom.AppendFaces), the only ghost cells a 7-point stencil
+// reads, mirroring one iteration of buildFillPlanScan. The siblings
+// come from the level index in level-list order; one disjoint from
+// g.Box meets at most one face slab (a box meeting two would hold a
+// cell of g.Box), so each yields at most one copy. Their overlaps are
+// subtracted from each face, and what is left is prolonged from every
 // coarse grid whose refined box meets it. The coarse query box
 // grown.Coarsen(r) overlaps exactly the coarse grids whose refined box
 // meets grown, in level-list order, so the op order matches the
-// scan's. The ops and clamp boxes grow in pooled scratch and are then
-// allocated once, at their exact length.
+// scan's. The faces, ops and clamp boxes grow in pooled scratch and
+// are then allocated once, at their exact length.
 func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.Box, scr *planScratch) fillDest {
 	grown := g.Box.Grow(h.NGhost)
-	ops := scr.ops[:0]
+	scr.faces = geom.AppendFaces(scr.faces[:0], g.Box, h.NGhost)
 	scr.cand2 = li.query(grown, scr.cand2[:0])
-	if l > 0 {
-		scr.covered = scr.covered[:0]
-		for _, s := range scr.cand2 {
-			if s.ID != g.ID {
-				scr.covered = append(scr.covered, grown.Intersect(s.Box))
+	// Keep, in place, the siblings that meet a face, with their
+	// overlaps in covered.
+	sibs := scr.cand2[:0]
+	scr.covered = scr.covered[:0]
+	for _, s := range scr.cand2 {
+		if s.ID == g.ID {
+			continue
+		}
+		ov := grown.Intersect(s.Box)
+		for d := range geom.Dims {
+			if c := ov.Intersect(g.Box.GrowDim(d, h.NGhost, h.NGhost)); !c.Empty() {
+				sibs = append(sibs, s)
+				scr.covered = append(scr.covered, c)
+				break
 			}
 		}
-		scr.ghost = geom.SubtractAppend(scr.ghost[:0], grown, g.Box)
+	}
+	ops := scr.ops[:0]
+	if l > 0 {
 		scr.left = scr.left[:0]
-		for _, gb := range scr.ghost {
-			scr.left = append(scr.left, subtractList(gb, scr.covered, scr)...)
+		for _, f := range scr.faces {
+			scr.left = append(scr.left, subtractList(f, scr.covered, scr)...)
 		}
 		if len(scr.left) > 0 {
 			scr.cand = cli.query(grown.Coarsen(h.RefFactor), scr.cand[:0])
@@ -187,34 +202,42 @@ func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.
 			}
 		}
 	}
-	for _, s := range scr.cand2 {
-		if s.ID != g.ID {
-			ops = append(ops, h.newFillOp(g, s, grown.Intersect(s.Box), false))
-		}
+	for i, s := range sibs {
+		ops = append(ops, h.newFillOp(g, s, scr.covered[i], false))
 	}
 	d := fillDest{g: g}
 	if len(ops) > 0 {
 		d.ops = slices.Clone(ops)
 	}
 	scr.ops = ops
-	if scr.ghost = geom.SubtractAppend(scr.ghost[:0], grown, dom); len(scr.ghost) > 0 {
+	scr.ghost = scr.ghost[:0]
+	for _, f := range scr.faces {
+		scr.ghost = geom.SubtractAppend(scr.ghost, f, dom)
+	}
+	if len(scr.ghost) > 0 {
 		d.clamps = slices.Clone(scr.ghost)
 	}
 	return d
 }
 
 // buildFillPlanScan is the original O(grids²) fill planner, kept as
-// the -plancheck baseline: per destination grid, the overlap of every
-// sibling, the ghost cells they leave (geom.SubtractList, which
-// assumes nothing of the overlaps) prolonged from every coarse grid
-// that covers them, the sibling copies, then the outside-domain clamp
-// boxes.
+// the -plancheck baseline: per destination grid, its face slabs (cut
+// from g.Box grown along one axis at a time), the overlap of every
+// sibling with each, the face cells they leave (geom.SubtractList,
+// which assumes nothing of the overlaps) prolonged from every coarse
+// grid that covers them, the sibling copies, then the outside-domain
+// clamp boxes. It assumes nothing of the level: a sibling that
+// overlaps g.Box can meet two faces and gives a copy for each, where
+// the indexed plan gives one, so -check=plan catches such a level.
 func (h *Hierarchy) buildFillPlanScan(l int) []fillDest {
 	dom := h.DomainAt(l)
 	grids := h.Grids(l)
 	plan := make([]fillDest, 0, len(grids))
 	for _, g := range grids {
-		grown := g.Box.Grow(h.NGhost)
+		var faces geom.BoxList
+		for d := range geom.Dims {
+			faces = append(faces, geom.Subtract(g.Box.GrowDim(d, h.NGhost, h.NGhost), g.Box)...)
+		}
 		d := fillDest{g: g}
 		var copies []fillOp
 		var covered geom.BoxList
@@ -222,17 +245,17 @@ func (h *Hierarchy) buildFillPlanScan(l int) []fillDest {
 			if s.ID == g.ID {
 				continue
 			}
-			ov := grown.Intersect(s.Box)
-			if ov.Empty() {
-				continue
+			for _, f := range faces {
+				if ov := f.Intersect(s.Box); !ov.Empty() {
+					covered = append(covered, ov)
+					copies = append(copies, h.newFillOp(g, s, ov, false))
+				}
 			}
-			covered = append(covered, ov)
-			copies = append(copies, h.newFillOp(g, s, ov, false))
 		}
 		if l > 0 {
 			var left geom.BoxList
-			for _, gb := range geom.Subtract(grown, g.Box) {
-				left = append(left, geom.SubtractList(gb, covered)...)
+			for _, f := range faces {
+				left = append(left, geom.SubtractList(f, covered)...)
 			}
 			for _, c := range h.Grids(l - 1) {
 				refined := c.Box.Refine(h.RefFactor)
@@ -244,7 +267,9 @@ func (h *Hierarchy) buildFillPlanScan(l int) []fillDest {
 			}
 		}
 		d.ops = append(d.ops, copies...)
-		d.clamps = geom.Subtract(grown, dom)
+		for _, f := range faces {
+			d.clamps = append(d.clamps, geom.Subtract(f, dom)...)
+		}
 		plan = append(plan, d)
 	}
 	return plan
@@ -376,17 +401,12 @@ func (h *Hierarchy) restrictChecked(l int, plan []restrictDest) {
 }
 
 // comparePatches panics with cell-level detail when the planned data
-// motion diverged from the scan baseline (want = scan, got = planned).
+// motion diverged from the scan baseline (want = scan, got = planned)
+// on a cell a kernel reads (grid.StencilDiff).
 func comparePatches(op string, l int, id GridID, want, got *grid.Patch) {
-	g := want.Grown()
-	for _, f := range want.FieldNames() {
-		wf, gf := want.Field(f), got.Field(f)
-		for k := range wf {
-			if wf[k] != gf[k] {
-				panic(fmt.Sprintf(
-					"amr: %s datacheck diverged: level %d grid %d field %q cell %v: planned %v, scan %v",
-					op, l, id, f, g.IndexAt(k), gf[k], wf[k]))
-			}
-		}
+	if f, k, ok := grid.StencilDiff(want, got); ok {
+		panic(fmt.Sprintf(
+			"amr: %s datacheck diverged: level %d grid %d field %q cell %v: planned %v, scan %v",
+			op, l, id, f, want.Grown().IndexAt(k), got.Field(f)[k], want.Field(f)[k]))
 	}
 }

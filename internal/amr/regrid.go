@@ -168,7 +168,10 @@ func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 // initChildData fills a new child grid, writing each cell once: the
 // old same-level grids that overlap its grown box copy their data (the
 // old solution is more accurate than prolonged data), and the coarse
-// grids that overlap it prolong into what the old grids leave.
+// grids that overlap it prolong into what the old grids leave. Its edge
+// and corner ghosts are then zeroed: no kernel reads them and no fill
+// writes them, and on an mpx worker an old grid may be a stale replica,
+// so a copied value would make the patch depend on the transport.
 func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
 	grown := child.Patch.Grown()
 	scr := getPlanScratch()
@@ -196,6 +199,7 @@ func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
 			grid.CopyRegion(child.Patch, og.Patch, f, region)
 		}
 	}
+	child.Patch.ZeroEdges()
 }
 
 // FlagWhereGradient flags every level-l cell whose solution gradient

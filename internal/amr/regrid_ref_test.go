@@ -81,7 +81,8 @@ func (h *Hierarchy) refRegridAll(base int, flag Flagger, p RegridParams, place P
 
 // refInitChildData fills a new child grid by prolongation from every
 // overlapping coarse grid, then copies old same-level data where it
-// exists (the old solution is more accurate than prolonged data).
+// exists (the old solution is more accurate than prolonged data), and
+// zeroes the edge and corner ghosts, cell by cell.
 // Safe to run concurrently for distinct children: it writes only the
 // child's own patch.
 func (h *Hierarchy) refInitChildData(child *Grid, oldSameLevel []*Grid) {
@@ -110,6 +111,19 @@ func (h *Hierarchy) refInitChildData(child *Grid, oldSameLevel []*Grid) {
 			grid.CopyRegion(child.Patch, og.Patch, f, region)
 		}
 	}
+	grown.ForEach(func(i geom.Index) {
+		out := 0
+		for d := range geom.Dims {
+			if i[d] < child.Box.Lo[d] || i[d] > child.Box.Hi[d] {
+				out++
+			}
+		}
+		if out >= 2 {
+			for _, f := range h.Fields {
+				child.Patch.Set(f, i, 0)
+			}
+		}
+	})
 }
 
 // copyStructure rebuilds h's grids (IDs, boxes, owners, parents, level

@@ -325,7 +325,7 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 // restored is a checkpointed hierarchy (amr.Load) to continue from at
 // simulated time simT, instead of a fresh decomposition; Resume has
 // already checked its domain, refinement factor and data against the
-// driver and options.
+// driver and options, and its depth is checked here.
 func newRunner(sys *machine.System, driver workload.Driver, opt Options, restored *amr.Hierarchy, simT float64) (*Runner, error) {
 	if err := opt.setDefaults(); err != nil {
 		return nil, err
@@ -333,6 +333,9 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	dom, fields := geom.UnitCube(driver.DomainN()), driver.Fields()
 	if err := amr.CheckShape(dom, driver.RefFactor(), opt.MaxLevel, nGhost, fields); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if restored != nil && restored.MaxLevel != opt.MaxLevel {
+		return nil, fmt.Errorf("engine: checkpoint has MaxLevel %d, options want %d", restored.MaxLevel, opt.MaxLevel)
 	}
 	r := &Runner{
 		sys:          sys,

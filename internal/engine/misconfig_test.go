@@ -28,7 +28,8 @@ func procFail(t *testing.T, proc int) *fault.Schedule {
 // the shared constructor rejects options with: New panics with the text,
 // Resume — handed a store a well-configured run of the same shape wrote
 // — returns it wrapped. A want ending in ": " is the prefix of an error
-// that wraps an operating-system cause. A checkpoint whose shape does
+// that wraps an operating-system cause. Options New builds but a store
+// contradicts are checked after the rows. A checkpoint whose shape does
 // not match the driver is not a misconfiguration of the options:
 // Resume skips each such generation with its own reason
 // (TestResumeRefusesAnotherDomain).
@@ -98,6 +99,17 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 		}
 	}
 
+	// Options New builds can still disagree with the store: one written
+	// at MaxLevel 1 does not resume under the default MaxLevel, 2.
+	opt := Options{Steps: 2, MaxLevel: 1, CheckpointInterval: 1, Checkpoints: ckpt.NewMemDir()}
+	New(sys(), driver(), opt).Run()
+	opt.MaxLevel = 0
+	New(sys(), driver(), opt)
+	const want = "engine.Resume: engine: checkpoint has MaxLevel 1, options want 2"
+	if r, _, err := Resume(sys(), driver(), opt); r != nil || err == nil || err.Error() != want {
+		t.Errorf("Resume built a runner: %t, error %v; want the error %q", r != nil, err, want)
+	}
+
 	// A store that cannot be opened: New's panic carries ckpt.Open's
 	// error; Resume opens the store itself before it builds a runner and
 	// reports the same cause under its own prefix.
@@ -105,7 +117,7 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Steps: 1, Checkpoints: ckpt.OSDir(filepath.Join(file, "store"))}
+	opt = Options{Steps: 1, Checkpoints: ckpt.OSDir(filepath.Join(file, "store"))}
 	func() {
 		defer func() {
 			if p, _ := recover().(string); !strings.HasPrefix(p, "engine: ckpt.Open: ") {

@@ -87,6 +87,20 @@ func SubtractAppend(dst BoxList, a, b Box) BoxList {
 	return dst
 }
 
+// AppendFaces appends the six face slabs of b grown by n to dst and
+// returns the extended list: the cells outside b that share all but
+// one coordinate with a cell of b, which are the ghost cells a 7-point
+// stencil reads. They come low then high along each dimension in turn.
+func AppendFaces(dst BoxList, b Box, n int) BoxList {
+	for d := range Dims {
+		lo, hi := b, b
+		lo.Lo[d], lo.Hi[d] = b.Lo[d]-n, b.Lo[d]-1
+		hi.Lo[d], hi.Hi[d] = b.Hi[d]+1, b.Hi[d]+n
+		dst = append(dst, lo, hi)
+	}
+	return dst
+}
+
 // SubtractList returns the region of a not covered by any box in bs,
 // as disjoint boxes.
 func SubtractList(a Box, bs BoxList) BoxList {

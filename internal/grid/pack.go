@@ -8,9 +8,9 @@ import (
 
 // PackRegion appends the named fields of p over region to buf (field-
 // major, then offset order within the region) and returns the extended
-// slice, moving whole x-rows with copy semantics. The region must lie
-// within the patch's grown box — both sides of a message must agree on
-// the exact cell set.
+// slice, moving whole x-rows with copy semantics, or element by element
+// when a row is one cell. The region must lie within the patch's grown
+// box — both sides of a message must agree on the exact cell set.
 func PackRegion(buf []float64, p *Patch, region geom.Box, fields []string) []float64 {
 	g := p.Grown()
 	if !g.ContainsBox(region) {
@@ -25,9 +25,16 @@ func PackRegion(buf []float64, p *Patch, region geom.Box, fields []string) []flo
 		zo := rw.Base
 		for z := 0; z < rw.NZ; z++ {
 			o := zo
-			for y := 0; y < rw.NY; y++ {
-				buf = append(buf, f[o:o+rw.N]...)
-				o += rw.SY
+			if rw.N == 1 {
+				for y := 0; y < rw.NY; y++ {
+					buf = append(buf, f[o])
+					o += rw.SY
+				}
+			} else {
+				for y := 0; y < rw.NY; y++ {
+					buf = append(buf, f[o:o+rw.N]...)
+					o += rw.SY
+				}
 			}
 			zo += rw.SZ
 		}

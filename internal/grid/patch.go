@@ -176,6 +176,34 @@ func (p *Patch) Clone() *Patch {
 	return q
 }
 
+// ZeroEdges sets every field's edge and corner ghosts, the ghost cells
+// with two or three coordinates outside the box, to zero. No ghost
+// fill writes them, so they keep what the patch was built with.
+func (p *Patch) ZeroEdges() {
+	g := p.Grown()
+	sy, sz := strides(g)
+	ng := p.NGhost
+	for z := g.Lo[2]; z <= g.Hi[2]; z++ {
+		zOut := z < p.Box.Lo[2] || z > p.Box.Hi[2]
+		for y := g.Lo[1]; y <= g.Hi[1]; y++ {
+			yOut := y < p.Box.Lo[1] || y > p.Box.Hi[1]
+			if !yOut && !zOut {
+				continue
+			}
+			o := (y-g.Lo[1])*sy + (z-g.Lo[2])*sz
+			for _, f := range p.data {
+				row := f[o : o+sy]
+				if yOut && zOut {
+					clear(row)
+				} else {
+					clear(row[:ng])
+					clear(row[sy-ng:])
+				}
+			}
+		}
+	}
+}
+
 // Rows describes how a region's x-rows lie in x-fastest storage over a
 // containing box: the first row starts at Base, consecutive y rows are
 // SY apart, consecutive z planes SZ apart, and the region spans N × NY
@@ -185,6 +213,33 @@ func (p *Patch) Clone() *Patch {
 type Rows struct {
 	Base, SY, SZ int
 	N, NY, NZ    int
+}
+
+// StencilDiff finds the first cell of a's interior or face slabs
+// (geom.AppendFaces: the cells a 7-point stencil reads) whose value
+// differs between a and b, two patches of one box and field list, and
+// returns its field and storage offset. Edge and corner ghosts are not
+// compared: the ghost fill leaves them as they were.
+func StencilDiff(a, b *Patch) (field string, k int, ok bool) {
+	g := a.Grown()
+	boxes := geom.AppendFaces(geom.BoxList{a.Box}, a.Box, a.NGhost)
+	for _, f := range a.FieldNames() {
+		af, bf := a.Field(f), b.Field(f)
+		for _, box := range boxes {
+			rw := RowsOf(g, box)
+			for z := range rw.NZ {
+				for y := range rw.NY {
+					o := rw.Base + y*rw.SY + z*rw.SZ
+					for x := o; x < o+rw.N; x++ {
+						if af[x] != bf[x] {
+							return f, x, true
+						}
+					}
+				}
+			}
+		}
+	}
+	return "", 0, false
 }
 
 // strides returns the y and z strides of x-fastest storage over b.
@@ -235,9 +290,24 @@ func CopyRegionFrom(dst *Patch, sf []float64, sbox geom.Box, name string, region
 
 // CopyRows copies one region between two layouts resolved in advance:
 // d lays it out over df, s over sf (the shapes agree). A planned ghost
-// fill computes both from boxes once and calls this per field.
+// fill computes both from boxes once and calls this per field. Rows of
+// one cell (an x-face slab of a one-cell halo) are moved by a strided
+// element loop instead of a copy call each.
 func CopyRows(df []float64, d Rows, sf []float64, s Rows) {
 	dz, sz := d.Base, s.Base
+	if d.N == 1 {
+		for z := 0; z < d.NZ; z++ {
+			do, so := dz, sz
+			for y := 0; y < d.NY; y++ {
+				df[do] = sf[so]
+				do += d.SY
+				so += s.SY
+			}
+			dz += d.SZ
+			sz += s.SZ
+		}
+		return
+	}
 	for z := 0; z < d.NZ; z++ {
 		do, so := dz, sz
 		for y := 0; y < d.NY; y++ {

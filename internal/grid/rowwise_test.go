@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"samrdlb/internal/geom"
@@ -128,6 +129,96 @@ func TestClampRegionMatchesPerCell(t *testing.T) {
 		refClamp(d, "q", cb, inner)
 	}
 	assertSameField(t, d, c, "ClampRegion interior")
+}
+
+// randLayout returns a storage box of random extent and place holding
+// a region of the given shape at a random offset, and that region.
+func randLayout(rng *rand.Rand, shape geom.Index) (store, region geom.Box) {
+	var lo, ext, at geom.Index
+	for d := range geom.Dims {
+		lo[d], ext[d] = rng.Intn(7)-3, shape[d]+rng.Intn(4)
+		at[d] = lo[d] + rng.Intn(ext[d]-shape[d]+1)
+	}
+	return geom.BoxFromShape(lo, ext), geom.BoxFromShape(at, shape)
+}
+
+func randValues(rng *rand.Rand, n int) []float64 {
+	f := make([]float64, n)
+	for k := range f {
+		f[k] = rng.Float64()
+	}
+	return f
+}
+
+// rowShape draws a region shape whose rows are n cells long.
+func rowShape(rng *rand.Rand, n int) geom.Index {
+	return geom.Index{n, 1 + rng.Intn(4), 1 + rng.Intn(4)}
+}
+
+// The generic paths of CopyRows and PackRegion: one copy per x-row.
+func rowCopyRows(df []float64, d Rows, sf []float64, s Rows) {
+	for z := 0; z < d.NZ; z++ {
+		for y := 0; y < d.NY; y++ {
+			do, so := d.Base+y*d.SY+z*d.SZ, s.Base+y*s.SY+z*s.SZ
+			copy(df[do:do+d.N], sf[so:so+d.N])
+		}
+	}
+}
+
+func rowPackRegion(buf []float64, p *Patch, region geom.Box, fields []string) []float64 {
+	rw := RowsOf(p.Grown(), region)
+	for _, name := range fields {
+		f := p.Field(name)
+		for z := 0; z < rw.NZ; z++ {
+			for y := 0; y < rw.NY; y++ {
+				o := rw.Base + y*rw.SY + z*rw.SZ
+				buf = append(buf, f[o:o+rw.N]...)
+			}
+		}
+	}
+	return buf
+}
+
+// TestCopyRowsMatchesRowCopy pins CopyRows, whose one-cell rows take a
+// strided element loop, against the row-copy path over random layouts
+// with rows of 1, 2 and 5 cells.
+func TestCopyRowsMatchesRowCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := range 300 {
+		shape := rowShape(rng, []int{1, 2, 5}[trial%3])
+		dbox, dreg := randLayout(rng, shape)
+		sbox, sreg := randLayout(rng, shape)
+		sf := randValues(rng, int(sbox.NumCells()))
+		got := randValues(rng, int(dbox.NumCells()))
+		want := slices.Clone(got)
+		CopyRows(got, RowsOf(dbox, dreg), sf, RowsOf(sbox, sreg))
+		rowCopyRows(want, RowsOf(dbox, dreg), sf, RowsOf(sbox, sreg))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %v in %v from %v in %v: CopyRows differs from the row copy", trial, dreg, dbox, sreg, sbox)
+		}
+	}
+}
+
+// TestPackRegionMatchesRowCopy does the same for PackRegion, appending
+// two fields to a buffer that already holds values.
+func TestPackRegionMatchesRowCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	fields := []string{"q", "rho"}
+	for trial := range 300 {
+		shape := rowShape(rng, []int{1, 2, 5}[trial%3])
+		grown, region := randLayout(rng, shape)
+		ng := (min(grown.Shape()[0], grown.Shape()[1], grown.Shape()[2]) - 1) / 2
+		p := NewPatch(grown.Grow(-ng), 0, ng, fields...)
+		for _, f := range fields {
+			copy(p.Field(f), randValues(rng, int(grown.NumCells())))
+		}
+		prefix := randValues(rng, rng.Intn(3))
+		got := PackRegion(slices.Clone(prefix), p, region, fields)
+		want := rowPackRegion(slices.Clone(prefix), p, region, fields)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: packing %v of %v differs from the row copy", trial, region, grown)
+		}
+	}
 }
 
 func TestFloorDiv(t *testing.T) {
