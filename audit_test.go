@@ -461,6 +461,8 @@ var auditDeleted = []deletedRule{
 		"FillFunc, Sum and MaxAbs are row loops in storage order, with no per-cell closure"},
 	{`ghostLen|sizeHint|ghostCap`, "internal/amr/*.go",
 		"a ghost plan is copied exact-size from its chunks' blocks, so no stale length sizes it"},
+	{`\bbuildFillPlan\b|\bcand2\b`, "internal/amr/*.go",
+		"one walk per destination builds the message and fill plans (buildPlans): one index query for its grown box, no second pass or candidate list"},
 	{`h\.Locate\(`, "internal/engine/*.go",
 		"the particle census takes the level-0 Locator once, not planMu per particle"},
 	{`(?i:manifest)|MkdirTemp`, "internal/ckpt/*.go internal/scenario/*.go",
@@ -515,8 +517,8 @@ var auditCode = []codeRule{
 		"the membership tracker exists exactly under fault injection: one guard, for the one caller reached without it"},
 	{"internal/engine/membership.go", "noteProbeEvidence", `r\.memb == nil`, 1,
 		"noteProbeEvidence is the one method fault-free runs reach, so it holds the guard"},
-	{"internal/amr/exchange.go", "appendGhostDest", `subtractList|SubtractList|covered`, 0,
-		"a ghost plan counts, never subtracts: the remainder is |grown| - |g.Box| - the sum of the overlaps"},
+	{"internal/amr/exchange.go", "planDest", `subtractList|SubtractList|covered`, 0,
+		"a ghost plan counts, never subtracts: the remainder is |grown| - |g.Box| - the sum of the overlaps; the fill's face subtraction is planFillDest's"},
 	{"internal/amr/exchange.go", "GhostPlanScan", `geom\.SubtractList`, 1,
 		"the -check=plan baseline subtracts boxes and shares no disjointness shortcut with the plan it checks"},
 	{"internal/amr/fillplan.go", "buildFillPlanScan", `geom\.SubtractList`, 1,

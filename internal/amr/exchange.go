@@ -45,7 +45,8 @@ const (
 // keyed by grid identity and boxes; the mpx execution resolves owners
 // when it routes the messages. Only the pair tables read owners, and
 // they carry the ownership generations they were built at as well. Each
-// kind is built lazily on first use, and a slice handed out is never
+// kind is built lazily on first use, the messages and the fill by one
+// walk over the level (buildPlans), and a slice handed out is never
 // written again.
 type planCache struct {
 	// gen and coarseGen are the generations of levels l and l−1 the
@@ -88,7 +89,8 @@ func (h *Hierarchy) releasePlans(l int) {
 
 // refreshPlans brings level l's cache entry up to date and returns it.
 // A stale entry is reset and the plans it held are rebuilt along with
-// the requested ones — all under this one critical section, so a
+// the requested ones, the messages and a data run's fill in one pass —
+// all under this one critical section, so a
 // caller reading several plan kinds from the entry always sees them
 // coherent with each other and with the current structure. The pair
 // tables are built only on request, and an entry whose structure is
@@ -110,10 +112,19 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 	if need&planXfer != 0 {
 		need |= planMsg
 	}
+	// One walk builds the messages and the fill: a fill request implies
+	// the messages, and with data a message request implies the fill,
+	// so each destination's neighbours are found once per generation.
+	if need&planFill != 0 || h.WithData && need&planMsg != 0 {
+		need |= planMsg | planFill
+	}
 	need &^= c.built
-	if need&planMsg != 0 {
-		c.ghost = h.buildGhostPlan(l)
-		c.restrict = h.RestrictPlan(l)
+	if need&(planMsg|planFill) != 0 {
+		ghost, fill := h.buildPlans(l, need&planFill != 0)
+		if need&planMsg != 0 {
+			c.ghost, c.restrict = ghost, h.RestrictPlan(l)
+		}
+		c.fill = fill
 	}
 	// The two tables are built apart: a local balance usually moves an
 	// owner between a level's ghost charge and its restrict charge.
@@ -126,9 +137,6 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 			c.restrictXfer = h.aggregate(c.restrict, n)
 		}
 		c.own, c.coarseOwn = own, coarseOwn
-	}
-	if need&planFill != 0 {
-		c.fill = h.buildFillPlan(l)
 	}
 	if need&planRestrict != 0 {
 		c.restrictData = h.buildRestrictDataPlan(l)
@@ -144,18 +152,23 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 }
 
 // planScratch holds the per-destination working storage of the plan
-// builders — candidate lists, box decompositions and a chunk's message
-// blocks — pooled so plan rebuilds stop allocating per grid.
+// walk and of the planners that query a level index — candidate lists,
+// box decompositions and a chunk's message blocks — pooled so plan
+// rebuilds stop allocating per grid.
 type planScratch struct {
-	cand, cand2    []*Grid
-	ghost, covered geom.BoxList
-	rem, tmp       geom.BoxList
+	// cand holds a level's candidates, coarse the next coarser level's.
+	cand, coarse []*Grid
+	// copies are a fill destination's sibling copy regions; covered is
+	// what the other callers of subtractList subtract.
+	copies, covered geom.BoxList
+	rem, tmp        geom.BoxList
 	// faces are a fill destination's face slabs, left its face cells
-	// no sibling covers, ops its work list.
-	faces, left geom.BoxList
-	ops         []fillOp
-	// blocks hold a ghost-plan chunk's messages in order; block is
-	// the one kept for the next chunk.
+	// no sibling covers, clamps those outside the domain and ops its
+	// work list.
+	faces, left, clamps geom.BoxList
+	ops                 []fillOp
+	// blocks hold a plan chunk's messages in order; block is the one
+	// kept for the next chunk.
 	blocks [][]Message
 	block  []Message
 }
@@ -165,10 +178,10 @@ type planScratch struct {
 // above what a task costs to start.
 const planChunk = 64
 
-// A ghost-plan chunk collects its messages in blocks of up to
-// maxMsgBlock messages (128 KiB), each twice the last, and closes a
-// block when fewer than destMsgs slots are left, about what one
-// destination sends. A pooled planScratch keeps its last block.
+// A plan chunk collects its messages in blocks of up to maxMsgBlock
+// messages (128 KiB), each twice the last, and closes a block when
+// fewer than destMsgs slots are left, more than one destination
+// usually sends. A pooled planScratch keeps its last block.
 const (
 	maxMsgBlock = 1 << 12
 	destMsgs    = 64
@@ -235,30 +248,25 @@ func (h *Hierarchy) aggregate(msgs []Message, n int) []Transfer {
 		h.pairSlot = make([]int32, n*n)
 	}
 	pairs := h.pairBuf[:0]
-	// A sibling seen through several ghost slabs, and the children of
-	// one parent, are consecutive in a plan: owners and the pair's slot
-	// are resolved once per run of equal Dst and of equal (Src, Dst).
-	// slot < 0 marks a run whose two grids share a processor.
-	dst, slot := 0, -1
+	// A destination's messages, and the children of one parent, are
+	// consecutive in a plan, so the destination's owner is resolved once
+	// per run of equal Dst. No (Src, Dst) pair repeats: a plan sends one
+	// message per neighbour and destination.
+	dst := 0
 	for i, m := range msgs {
-		newDst := i == 0 || m.Dst != msgs[i-1].Dst
-		if newDst {
+		if i == 0 || m.Dst != msgs[i-1].Dst {
 			dst = h.Grid(m.Dst).Owner
 		}
-		if newDst || m.Src != msgs[i-1].Src {
-			slot = -1
-			if src := h.Grid(m.Src).Owner; src != dst {
-				at := &h.pairSlot[src*n+dst]
-				if *at == 0 {
-					pairs = append(pairs, Transfer{Src: src, Dst: dst})
-					*at = int32(len(pairs))
-				}
-				slot = int(*at) - 1
-			}
+		src := h.Grid(m.Src).Owner
+		if src == dst {
+			continue
 		}
-		if slot >= 0 {
-			pairs[slot].Bytes += m.Bytes
+		at := &h.pairSlot[src*n+dst]
+		if *at == 0 {
+			pairs = append(pairs, Transfer{Src: src, Dst: dst})
+			*at = int32(len(pairs))
 		}
+		pairs[*at-1].Bytes += m.Bytes
 	}
 	for _, p := range pairs {
 		h.pairSlot[p.Src*n+p.Dst] = 0
@@ -279,10 +287,11 @@ func byPair(a, b Transfer) int {
 }
 
 // GhostPlan returns the transfers required to fill the ghost zones of
-// every level-l grid before a step: sibling overlaps at the same
-// level, plus prolongation from the coarse level for ghost cells no
-// sibling covers. Zero-byte and intra-grid entries are omitted; with
-// dropLocal, so are the messages dropSameOwner removes.
+// every level-l grid before a step: one message per sibling that
+// overlaps the grid's ghost shell, carrying the overlap, plus one
+// prolongation from the parent for the shell cells no sibling covers.
+// Zero-byte and intra-grid entries are omitted; with dropLocal, so are
+// the messages dropSameOwner removes.
 //
 // Sources are found through the level's spatial index — O(n·k) instead
 // of the O(n²) all-pairs scan — in level-list order, so the result is
@@ -290,7 +299,7 @@ func byPair(a, b Transfer) int {
 func (h *Hierarchy) GhostPlan(l int, dropLocal bool) []Message {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	plan := h.buildGhostPlan(l)
+	plan, _ := h.buildPlans(l, false)
 	if dropLocal {
 		plan = h.dropSameOwner(plan)
 	}
@@ -305,29 +314,43 @@ func (h *Hierarchy) dropSameOwner(plan []Message) []Message {
 	return slices.DeleteFunc(plan, func(m Message) bool { return h.Grid(m.Src).Owner == h.Grid(m.Dst).Owner })
 }
 
-// buildGhostPlan is GhostPlan for callers that hold planMu. The level's
-// grids are cut into contiguous chunks planned over the pool, each into
-// its own blocks, and the blocks are copied in chunk order into one
-// exact-size plan: the serial plan, whatever the pool's width.
+// buildPlans plans level l in one pass: the cost-model messages and,
+// with fill, the ghost-fill work lists, from one planDest walk per
+// grid. The grids are cut into contiguous chunks planned over the pool;
+// a chunk writes its own grids' fill slots and its messages into its
+// own blocks, which are copied in chunk order into one exact-size plan:
+// the serial plans, whatever the pool's width. Callers hold planMu.
 //
 // A block is never regrown. Growing one list by append would cost ~5x
 // its final length in garbage, and a level's first plan has no length
 // to size it by.
-func (h *Hierarchy) buildGhostPlan(l int) []Message {
+func (h *Hierarchy) buildPlans(l int, fill bool) ([]Message, []fillDest) {
+	grids := h.Grids(l)
 	li := h.indexFor(l)
+	var cli *levelIndex
+	var plan []fillDest
+	if fill {
+		plan = make([]fillDest, len(grids))
+		if l > 0 {
+			cli = h.indexFor(l - 1)
+		}
+	}
 	dom := h.DomainAt(l)
 	bytesPerCell := int64(len(h.Fields)) * 8
-	grids := h.Grids(l)
 	parts := make([]*planScratch, h.pool.Chunks(len(grids), planChunk))
 	h.pool.ForChunks(len(grids), planChunk, func(c, lo, hi int) {
 		scr := getPlanScratch()
 		cur := scr.block[:0]
-		for _, g := range grids[lo:hi] {
+		for i := lo; i < hi; i++ {
 			if cap(cur)-len(cur) < destMsgs {
 				scr.blocks = append(scr.blocks, cur)
 				cur = make([]Message, 0, min(max(2*cap(cur), destMsgs), maxMsgBlock))
 			}
-			cur = h.appendGhostDest(cur, g, l, li, dom, bytesPerCell, scr)
+			var d *fillDest
+			if fill {
+				d = &plan[i]
+			}
+			cur = h.planDest(cur, d, grids[i], l, li, cli, dom, bytesPerCell, scr)
 		}
 		scr.blocks = append(scr.blocks, cur)
 		parts[c] = scr
@@ -349,41 +372,52 @@ func (h *Hierarchy) buildGhostPlan(l int) []Message {
 		scr.blocks = scr.blocks[:0]
 		putPlanScratch(scr)
 	}
-	return out
+	return out, plan
 }
 
-// appendGhostDest plans one destination grid's ghost messages,
-// mirroring one iteration of the GhostPlanScan outer loop: the index
-// supplies the overlapping siblings in level-list order, so the
-// messages appear exactly as the scan emits them.
+// planDest walks destination g's neighbourhood once for both plans,
+// mirroring one iteration of the GhostPlanScan outer loop: one index
+// query for its grown box supplies the overlapping siblings in
+// level-list order. Each sibling sends one message of its overlap ov,
+// and with fill non-nil, a sibling whose ov meets a face slab is kept
+// with that clip as its copy region; a sibling disjoint from g.Box
+// meets at most one face slab (a box meeting two would hold a cell of
+// g.Box). The parent then sends the shell cells no sibling holds, and
+// planFillDest finishes the fill from the kept copies.
 //
-// The prolongation remainder is a count, not a box list. The slabs of
-// the ghost shell are disjoint by construction and the grids of a level
-// are disjoint (CheckProperNesting), so the sibling overlaps are
-// pairwise disjoint pieces of the shell and what no sibling covers is
-// the shell's cells minus theirs. GhostPlanScan subtracts the boxes and
-// assumes neither, which is what lets -check=plan catch a level that
-// overlaps.
-func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelIndex, dom geom.Box, bytesPerCell int64, scr *planScratch) []Message {
-	grown := g.Box.Grow(h.NGhost).Intersect(dom)
-	scr.ghost = geom.SubtractAppend(scr.ghost[:0], grown, g.Box)
-	remaining := grown.NumCells() - g.Box.NumCells()
+// The prolongation remainder is a count, not a box list. The grids of
+// a level are disjoint (CheckProperNesting), so the overlaps are
+// pairwise disjoint pieces of the in-domain shell and what no sibling
+// covers is the shell's cells minus theirs. GhostPlanScan subtracts the
+// boxes and assumes neither, which is what lets -check=plan catch a
+// level that overlaps.
+func (h *Hierarchy) planDest(out []Message, fill *fillDest, g *Grid, l int, li, cli *levelIndex, dom geom.Box, bytesPerCell int64, scr *planScratch) []Message {
+	grown := g.Box.Grow(h.NGhost)
+	remaining := grown.Intersect(dom).NumCells() - g.Box.NumCells()
 	scr.cand = li.query(grown, scr.cand[:0])
+	// Keep, in place, the siblings the fill copies from.
+	sibs := scr.cand[:0]
+	scr.copies = scr.copies[:0]
 	for _, s := range scr.cand {
 		if s.ID == g.ID {
 			continue
 		}
-		for _, gb := range scr.ghost {
-			ov := gb.Intersect(s.Box)
-			if ov.Empty() {
-				continue
+		ov := grown.Intersect(s.Box)
+		cells := ov.NumCells()
+		remaining -= cells
+		out = append(out, Message{
+			Src: s.ID, Dst: g.ID,
+			Bytes: cells * bytesPerCell,
+		})
+		if fill == nil {
+			continue
+		}
+		for d := range geom.Dims {
+			if c := ov.Intersect(g.Box.GrowDim(d, h.NGhost, h.NGhost)); !c.Empty() {
+				sibs = append(sibs, s)
+				scr.copies = append(scr.copies, c)
+				break
 			}
-			cells := ov.NumCells()
-			remaining -= cells
-			out = append(out, Message{
-				Src: s.ID, Dst: g.ID,
-				Bytes: cells * bytesPerCell,
-			})
 		}
 	}
 	// Ghost cells no sibling holds come from the coarse level
@@ -400,6 +434,9 @@ func (h *Hierarchy) appendGhostDest(out []Message, g *Grid, l int, li *levelInde
 				Bytes: coarseCells * bytesPerCell,
 			})
 		}
+	}
+	if fill != nil {
+		*fill = h.planFillDest(g, grown, sibs, l, cli, dom, scr)
 	}
 	return out
 }
@@ -430,8 +467,9 @@ func subtractList(a geom.Box, bs geom.BoxList, scr *planScratch) geom.BoxList {
 
 // GhostPlanScan is the original O(grids²) all-pairs ghost planner,
 // kept as the -plancheck baseline and for benchmarks. On a level whose
-// grids are disjoint it produces exactly the same messages as GhostPlan;
-// it subtracts the overlaps as boxes, so it is right on any level.
+// grids are disjoint it produces exactly the same messages as GhostPlan,
+// one per sibling that meets the shell; it subtracts g.Box and the
+// overlaps as boxes, so it is right on any level.
 func (h *Hierarchy) GhostPlanScan(l int) []Message {
 	var out []Message
 	bytesPerCell := int64(len(h.Fields)) * 8
@@ -439,31 +477,25 @@ func (h *Hierarchy) GhostPlanScan(l int) []Message {
 	grids := h.Grids(l)
 	for _, g := range grids {
 		grown := g.Box.Grow(h.NGhost).Intersect(dom)
-		ghost := geom.Subtract(grown, g.Box)
-		var covered geom.BoxList
+		covered := geom.BoxList{g.Box}
 		for _, s := range grids {
 			if s.ID == g.ID || !s.Box.Intersects(grown) {
 				continue
 			}
-			for _, gb := range ghost {
-				ov := gb.Intersect(s.Box)
-				if ov.Empty() {
-					continue
-				}
-				covered = append(covered, ov)
-				out = append(out, Message{
-					Src: s.ID, Dst: g.ID,
-					Bytes: ov.NumCells() * bytesPerCell,
-				})
+			ov := geom.Subtract(grown.Intersect(s.Box), g.Box)
+			if len(ov) == 0 {
+				continue
 			}
+			covered = append(covered, ov...)
+			out = append(out, Message{
+				Src: s.ID, Dst: g.ID,
+				Bytes: ov.NumCells() * bytesPerCell,
+			})
 		}
 		if l == 0 {
 			continue
 		}
-		var remaining int64
-		for _, gb := range ghost {
-			remaining += geom.SubtractList(gb, covered).NumCells()
-		}
+		remaining := geom.SubtractList(grown, covered).NumCells()
 		if remaining > 0 {
 			p := h.Grid(g.Parent)
 			if p != nil {

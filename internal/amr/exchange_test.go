@@ -2,6 +2,7 @@ package amr
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -153,7 +154,7 @@ func assertGhostPlansMatchScan(t *testing.T, name string, h *Hierarchy) {
 func TestGhostPlanCountsMatchScan(t *testing.T) {
 	g := fineBox{geom.Index{4, 4, 4}, geom.Index{4, 4, 4}, 1}
 	// The sibling sits above g in y and is wider in x: it meets g's
-	// low-x, high-x and high-y slabs, three messages in slab order.
+	// low-x, high-x and high-y slabs, and sends them in one message.
 	threeSlabs := []fineBox{g, {geom.Index{3, 8, 4}, geom.Index{6, 2, 4}, 2}}
 	cases := []struct {
 		name   string
@@ -194,7 +195,7 @@ func TestGhostPlanCountsMatchScan(t *testing.T) {
 		assertGhostPlansMatchScan(t, c.name, h)
 	}
 	// The three-slab case, by hand: 6³ − 4³ = 152 shell cells, of which
-	// the sibling covers 1·1·4 + 1·1·4 + 4·1·4 = 24.
+	// the sibling covers 1·1·4 + 1·1·4 + 4·1·4 = 24 in one message.
 	h := oneParentHierarchy(1, threeSlabs...)
 	var fromParent []bool
 	var bytes []int64
@@ -203,8 +204,8 @@ func TestGhostPlanCountsMatchScan(t *testing.T) {
 			fromParent, bytes = append(fromParent, prolongs(h, m)), append(bytes, m.Bytes)
 		}
 	}
-	if !slices.Equal(fromParent, []bool{false, false, false, true}) ||
-		!slices.Equal(bytes, []int64{4 * 16, 4 * 16, 16 * 16, (152 - 24) / 8 * 16}) {
+	if !slices.Equal(fromParent, []bool{false, true}) ||
+		!slices.Equal(bytes, []int64{24 * 16, (152 - 24) / 8 * 16}) {
 		t.Errorf("three-slab case: from parent %v bytes %v", fromParent, bytes)
 	}
 
@@ -223,6 +224,58 @@ func TestGhostPlanCountsMatchScan(t *testing.T) {
 				mutate(h, rng)
 			}
 		}
+	}
+}
+
+// TestGhostPlanOneMessagePerNeighbour pins the message shape on random
+// regridded data hierarchies, every level, as the cached pass builds
+// it alongside the fill: a sibling sends a destination one message, a
+// destination gets at most one prolongation, and the sibling bytes are
+// what a per-slab plan charges, from geom.Subtract(grown ∩ dom, g.Box).
+func TestGhostPlanOneMessagePerNeighbour(t *testing.T) {
+	type pair struct{ src, dst GridID }
+	var msgs, merged int
+	for seed := int64(0); seed < 40; seed++ {
+		h := regriddedHierarchy(seed, true)
+		bytesPerCell := int64(len(h.Fields)) * 8
+		for l := 0; l <= h.MaxLevel; l++ {
+			sent := map[pair]int64{}
+			prolonged := map[GridID]int{}
+			for _, m := range h.GhostPlanCached(l) {
+				if prolongs(h, m) {
+					if prolonged[m.Dst]++; prolonged[m.Dst] > 1 {
+						t.Fatalf("seed %d level %d: grid %d gets %d prolongations", seed, l, m.Dst, prolonged[m.Dst])
+					}
+					continue
+				}
+				p := pair{m.Src, m.Dst}
+				if _, ok := sent[p]; ok {
+					t.Fatalf("seed %d level %d: %d sends %d two messages", seed, l, m.Src, m.Dst)
+				}
+				sent[p] = m.Bytes
+				msgs++
+			}
+			dom := h.DomainAt(l)
+			want := map[pair]int64{}
+			for _, g := range h.Grids(l) {
+				slabs := geom.Subtract(g.Box.Grow(h.NGhost).Intersect(dom), g.Box)
+				for _, s := range h.Grids(l) {
+					for _, gb := range slabs {
+						if ov := gb.Intersect(s.Box); s != g && !ov.Empty() {
+							want[pair{s.ID, g.ID}] += ov.NumCells() * bytesPerCell
+							merged++
+						}
+					}
+				}
+			}
+			if !maps.Equal(sent, want) {
+				t.Fatalf("seed %d level %d: sibling bytes per (src, dst) differ from the per-slab sums:\n got %v\nwant %v", seed, l, sent, want)
+			}
+		}
+	}
+	t.Logf("%d sibling messages where a per-slab plan sends %d", msgs, merged)
+	if merged == msgs {
+		t.Fatal("fixture: no sibling meets two ghost slabs")
 	}
 }
 

@@ -128,71 +128,28 @@ func (h *Hierarchy) restrictDataPlan(l int) []restrictDest {
 	return h.refreshPlans(l, planRestrict).restrictData
 }
 
-// buildFillPlan plans level l's ghost fill, one work list per grid in
-// level-list order. The grids are cut into contiguous chunks planned
-// over the pool, each writing only its own grids' entries. Callers
-// hold planMu.
-func (h *Hierarchy) buildFillPlan(l int) []fillDest {
-	grids := h.Grids(l)
-	li := h.indexFor(l)
-	var cli *levelIndex
-	if l > 0 {
-		cli = h.indexFor(l - 1)
-	}
-	dom := h.DomainAt(l)
-	plan := make([]fillDest, len(grids))
-	h.pool.ForChunks(len(grids), planChunk, func(_, lo, hi int) {
-		scr := getPlanScratch()
-		for i := lo; i < hi; i++ {
-			plan[i] = h.buildFillDest(grids[i], l, li, cli, dom, scr)
-		}
-		putPlanScratch(scr)
-	})
-	return plan
-}
-
-// buildFillDest plans one destination grid's ghost fill over its six
+// planFillDest finishes destination g's fill work list from the
+// sibling copies planDest kept (sibs, their regions in scr.copies),
+// mirroring one iteration of buildFillPlanScan: the cells of its six
 // face slabs (geom.AppendFaces), the only ghost cells a 7-point stencil
-// reads, mirroring one iteration of buildFillPlanScan. The siblings
-// come from the level index in level-list order; one disjoint from
-// g.Box meets at most one face slab (a box meeting two would hold a
-// cell of g.Box), so each yields at most one copy. Their overlaps are
-// subtracted from each face, and what is left is prolonged from every
-// coarse grid whose refined box meets it. The coarse query box
-// grown.Coarsen(r) overlaps exactly the coarse grids whose refined box
-// meets grown, in level-list order, so the op order matches the
-// scan's. The faces, ops and clamp boxes grow in pooled scratch and
-// are then allocated once, at their exact length.
-func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.Box, scr *planScratch) fillDest {
-	grown := g.Box.Grow(h.NGhost)
+// reads, that no copy covers are prolonged from every coarse grid whose
+// refined box meets them, the copies follow, and the face cells outside
+// the domain are clamped. The coarse query box grown.Coarsen(r)
+// overlaps exactly the coarse grids whose refined box meets grown, in
+// level-list order, so the op order matches the scan's. The faces, ops
+// and clamp boxes grow in pooled scratch and are then allocated once,
+// at their exact length.
+func (h *Hierarchy) planFillDest(g *Grid, grown geom.Box, sibs []*Grid, l int, cli *levelIndex, dom geom.Box, scr *planScratch) fillDest {
 	scr.faces = geom.AppendFaces(scr.faces[:0], g.Box, h.NGhost)
-	scr.cand2 = li.query(grown, scr.cand2[:0])
-	// Keep, in place, the siblings that meet a face, with their
-	// overlaps in covered.
-	sibs := scr.cand2[:0]
-	scr.covered = scr.covered[:0]
-	for _, s := range scr.cand2 {
-		if s.ID == g.ID {
-			continue
-		}
-		ov := grown.Intersect(s.Box)
-		for d := range geom.Dims {
-			if c := ov.Intersect(g.Box.GrowDim(d, h.NGhost, h.NGhost)); !c.Empty() {
-				sibs = append(sibs, s)
-				scr.covered = append(scr.covered, c)
-				break
-			}
-		}
-	}
 	ops := scr.ops[:0]
 	if l > 0 {
 		scr.left = scr.left[:0]
 		for _, f := range scr.faces {
-			scr.left = append(scr.left, subtractList(f, scr.covered, scr)...)
+			scr.left = append(scr.left, subtractList(f, scr.copies, scr)...)
 		}
 		if len(scr.left) > 0 {
-			scr.cand = cli.query(grown.Coarsen(h.RefFactor), scr.cand[:0])
-			for _, c := range scr.cand {
+			scr.coarse = cli.query(grown.Coarsen(h.RefFactor), scr.coarse[:0])
+			for _, c := range scr.coarse {
 				refined := c.Box.Refine(h.RefFactor)
 				for _, b := range scr.left {
 					if region := b.Intersect(refined); !region.Empty() {
@@ -203,19 +160,19 @@ func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.
 		}
 	}
 	for i, s := range sibs {
-		ops = append(ops, h.newFillOp(g, s, scr.covered[i], false))
+		ops = append(ops, h.newFillOp(g, s, scr.copies[i], false))
 	}
 	d := fillDest{g: g}
 	if len(ops) > 0 {
 		d.ops = slices.Clone(ops)
 	}
 	scr.ops = ops
-	scr.ghost = scr.ghost[:0]
+	scr.clamps = scr.clamps[:0]
 	for _, f := range scr.faces {
-		scr.ghost = geom.SubtractAppend(scr.ghost, f, dom)
+		scr.clamps = geom.SubtractAppend(scr.clamps, f, dom)
 	}
-	if len(scr.ghost) > 0 {
-		d.clamps = slices.Clone(scr.ghost)
+	if len(scr.clamps) > 0 {
+		d.clamps = slices.Clone(scr.clamps)
 	}
 	return d
 }

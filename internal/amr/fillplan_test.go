@@ -85,8 +85,7 @@ func TestFillPlanMatchesScan(t *testing.T) {
 // boxes, and they prolong no more cells than the in-domain face cells
 // no sibling covers. Fewer happens where the coarse level does not
 // cover the faces. The cost model's prolongation message still counts
-// the whole in-domain shell less every sibling overlap
-// (appendGhostDest).
+// the whole in-domain shell less every sibling overlap (planDest).
 func TestFillPlanWritesEachGhostCellOnce(t *testing.T) {
 	var equal, below int
 	for seed := int64(0); seed < 40; seed++ {

@@ -35,9 +35,10 @@ func fillPlanIDs(plan []fillDest) []fillDestID {
 }
 
 // TestPoolWidthPin: the ghost and fill plans a hierarchy builds on a
-// pool of one, two or four workers are the same, level by level. Level
-// 0 holds 256 grids, which four workers plan in four chunks; the
-// regrid's fine levels hold more.
+// pool of one, two or four workers are the same, level by level, with
+// and without data: a data hierarchy builds both in one pass, a
+// plan-only one its messages alone. Level 0 holds 256 grids, which four
+// workers plan in four chunks; the regrid's fine levels hold more.
 func TestPoolWidthPin(t *testing.T) {
 	type plans struct {
 		boxes []geom.BoxList
@@ -45,8 +46,8 @@ func TestPoolWidthPin(t *testing.T) {
 		local [][]Message
 		fill  [][]fillDestID
 	}
-	build := func(workers int) plans {
-		h := New(geom.UnitCube(32), 2, 2, 1, false, "q")
+	build := func(workers int, withData bool) plans {
+		h := New(geom.UnitCube(32), 2, 2, 1, withData, "q")
 		h.SetPool(solver.NewPool(workers))
 		for i, b := range (geom.BoxList{h.Domain}).SplitEvenly(256) {
 			h.AddGrid(0, b, i%8, NoGrid)
@@ -63,23 +64,25 @@ func TestPoolWidthPin(t *testing.T) {
 		}
 		return p
 	}
-	want := build(1)
-	for l, b := range want.boxes {
-		if len(b) < 4*planChunk {
-			t.Fatalf("level %d holds %d grids, too few for four plan chunks", l, len(b))
+	for _, withData := range []bool{false, true} {
+		want := build(1, withData)
+		for l, b := range want.boxes {
+			if len(b) < 4*planChunk {
+				t.Fatalf("level %d holds %d grids, too few for four plan chunks", l, len(b))
+			}
 		}
-	}
-	for _, w := range []int{2, 4} {
-		got := build(w)
-		for l := range want.boxes {
-			if !reflect.DeepEqual(got.boxes[l], want.boxes[l]) {
-				t.Errorf("%d workers, level %d: box lists differ from one worker's", w, l)
-			}
-			if !reflect.DeepEqual(got.ghost[l], want.ghost[l]) || !reflect.DeepEqual(got.local[l], want.local[l]) {
-				t.Errorf("%d workers, level %d: ghost plans differ from one worker's", w, l)
-			}
-			if !reflect.DeepEqual(got.fill[l], want.fill[l]) {
-				t.Errorf("%d workers, level %d: fill plans differ from one worker's", w, l)
+		for _, w := range []int{2, 4} {
+			got := build(w, withData)
+			for l := range want.boxes {
+				if !reflect.DeepEqual(got.boxes[l], want.boxes[l]) {
+					t.Errorf("data %v, %d workers, level %d: box lists differ from one worker's", withData, w, l)
+				}
+				if !reflect.DeepEqual(got.ghost[l], want.ghost[l]) || !reflect.DeepEqual(got.local[l], want.local[l]) {
+					t.Errorf("data %v, %d workers, level %d: ghost plans differ from one worker's", withData, w, l)
+				}
+				if !reflect.DeepEqual(got.fill[l], want.fill[l]) {
+					t.Errorf("data %v, %d workers, level %d: fill plans differ from one worker's", withData, w, l)
+				}
 			}
 		}
 	}

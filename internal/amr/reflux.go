@@ -140,8 +140,8 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 		fineCand, coarseCand := p.fine, p.coarse
 		if li != nil {
 			scr.cand = li.query(near.Refine(r), scr.cand[:0])
-			scr.cand2 = cli.query(near, scr.cand2[:0])
-			fineCand, coarseCand = scr.cand, scr.cand2
+			scr.coarse = cli.query(near, scr.coarse[:0])
+			fineCand, coarseCand = scr.cand, scr.coarse
 		}
 		covered := scr.covered[:0]
 		for _, f := range fineCand {

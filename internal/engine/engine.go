@@ -689,7 +689,7 @@ func (r *Runner) takeCheckpoint(step int) {
 	r.ckptClock = r.clock.Now()
 	r.opt.Trace.Add(trace.Recovery, 0, r.ckptClock,
 		fmt.Sprintf("checkpoint step=%d cells=%d", step, cells))
-	r.fireInvariant(PhaseCheckpoint, 0, nil, nil, false)
+	r.fireInvariant(PhaseCheckpoint, 0, nil, nil)
 }
 
 // writeDurable serialises the full engine state — hierarchy plus the
@@ -729,7 +729,7 @@ func (r *Runner) writeDurable(step int) {
 		r.opt.Trace.Add(trace.Checkpoint, 0, now,
 			fmt.Sprintf("prune failures to date: %d (stranded generation files)", pe))
 	}
-	r.fireInvariant(PhaseCheckpoint, 0, nil, nil, false)
+	r.fireInvariant(PhaseCheckpoint, 0, nil, nil)
 }
 
 // counters returns the run's cumulative counters as of now: the live
@@ -847,7 +847,7 @@ func (r *Runner) recoverFromCheckpoint() int {
 		fmt.Sprintf("restored checkpoint step=%d lost=%.4fs survivors=%d",
 			step, lost, r.sys.NumAlive()))
 	r.curStep = step
-	r.fireInvariant(PhaseRestore, 0, nil, nil, false)
+	r.fireInvariant(PhaseRestore, 0, nil, nil)
 	return step
 }
 
@@ -1126,7 +1126,7 @@ func (r *Runner) localBalance(level int) {
 	}
 	// The hook fires even for an empty migration list: "already
 	// balanced" is itself a claim the oracle checks.
-	r.fireInvariant(PhaseLocalBalance, level, nil, migs, false)
+	r.fireInvariant(PhaseLocalBalance, level, nil, migs)
 }
 
 // globalBalance implements the left column of Fig. 4 after a level-0
@@ -1221,7 +1221,7 @@ func (r *Runner) globalBalance() {
 	}
 	// The oracle hook fires before the interval resets, so checkers
 	// still see the recorder state the decision read.
-	r.fireInvariant(PhaseGlobalBalance, 0, &d, d.Migrations, forced)
+	r.fireInvariant(PhaseGlobalBalance, 0, &d, d.Migrations)
 	r.rec.ResetInterval()
 	r.intervalStart = r.clock.Now()
 }
@@ -1253,7 +1253,7 @@ func (r *Runner) regrid(initial bool) {
 	cells := r.ledger.TotalCells()
 	r.clock.AddUniform(vclock.Regrid, float64(cells)*regridFlopsPerCell/r.sys.FlopsPerSecond)
 	r.opt.Trace.Add(trace.Regrid, 0, r.clock.Now(), fmt.Sprintf("cells=%d", cells))
-	r.fireInvariant(PhaseRegrid, 0, nil, nil, false)
+	r.fireInvariant(PhaseRegrid, 0, nil, nil)
 }
 
 // noteQuarantine tracks group reachability across level-0 boundaries:

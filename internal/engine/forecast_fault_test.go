@@ -61,8 +61,8 @@ func TestForecastCostSaneUnderTotalProbeLoss(t *testing.T) {
 // TestQuarantineCatchupWithinOneStep pins the recovery latency claim:
 // after an outage window closes, the forced catch-up gain/cost
 // evaluation fires at the first level-0 boundary past the recovery —
-// not a step later. The invariants hook's Forced flag is the
-// observable.
+// not a step later. The step whose AfterStep sees the run's
+// CatchupEvals counter grow is the observable.
 func TestQuarantineCatchupWithinOneStep(t *testing.T) {
 	bt := boundaryClocks(t, 8)
 	outStart := (bt[0] + bt[1]) / 2
@@ -74,14 +74,16 @@ func TestQuarantineCatchupWithinOneStep(t *testing.T) {
 	}
 	var forcedSteps []int
 	var clocks []float64
+	catchups := 0
 	res := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 8, MaxLevel: 1, Faults: sched,
-		Invariants: func(pi *PhaseInfo) {
-			if pi.Phase == PhaseGlobalBalance && pi.Forced {
-				forcedSteps = append(forcedSteps, pi.Step)
+		AfterStep: func(step int, rr *Runner) {
+			clocks = append(clocks, rr.Clock().Now())
+			if n := rr.counters().CatchupEvals; n > catchups {
+				forcedSteps = append(forcedSteps, step)
+				catchups = n
 			}
 		},
-		AfterStep: func(step int, rr *Runner) { clocks = append(clocks, rr.Clock().Now()) },
 	}).Run()
 
 	if res.QuarantinedSteps < 1 {
@@ -91,7 +93,7 @@ func TestQuarantineCatchupWithinOneStep(t *testing.T) {
 		t.Fatalf("lifting the outage must force a catch-up evaluation, got %d", res.CatchupEvals)
 	}
 	if len(forcedSteps) == 0 {
-		t.Fatal("no forced global evaluation surfaced through the invariants hook")
+		t.Fatal("no step's CatchupEvals grew")
 	}
 	sF := forcedSteps[0]
 	if clocks[sF] < outEnd {

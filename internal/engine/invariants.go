@@ -64,9 +64,6 @@ type PhaseInfo struct {
 	// Migrations are the local phase's moves (PhaseLocalBalance only;
 	// may be empty).
 	Migrations []dlb.Migration
-	// Forced reports that the global evaluation was a quarantine
-	// catch-up (PhaseGlobalBalance only).
-	Forced bool
 }
 
 // System exposes the machine the run executes on.
@@ -80,12 +77,12 @@ func (r *Runner) Context() *dlb.Context { return r.ctx }
 func (r *Runner) Membership() *machine.Membership { return r.memb }
 
 // fireInvariant invokes the Options.Invariants hook, if any.
-func (r *Runner) fireInvariant(ph Phase, level int, d *dlb.GlobalDecision, migs []dlb.Migration, forced bool) {
+func (r *Runner) fireInvariant(ph Phase, level int, d *dlb.GlobalDecision, migs []dlb.Migration) {
 	if r.opt.Invariants == nil {
 		return
 	}
 	r.opt.Invariants(&PhaseInfo{
 		Phase: ph, Step: r.curStep, Level: level,
-		Runner: r, Decision: d, Migrations: migs, Forced: forced,
+		Runner: r, Decision: d, Migrations: migs,
 	})
 }

@@ -78,7 +78,7 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 	// The restored state is a phase boundary like any other: let the
 	// invariant oracle inspect it before the run continues.
 	r.curStep = meta.Step
-	r.fireInvariant(PhaseRestore, 0, nil, nil, false)
+	r.fireInvariant(PhaseRestore, 0, nil, nil)
 	return r, report, nil
 }
 
