@@ -497,6 +497,8 @@ var auditDeleted = []deletedRule{
 		"the constructor refuses a shape amr.Load rejects, so the in-memory checkpoint always loads: no fallback chain to count"},
 	{`MsgKind`, "internal/amr/*.go",
 		"a message's kind is its grid relation (Src is Dst's parent or child), not a field"},
+	{`\bdedupeSorted\b`, "internal/amr/*.go",
+		"an index query orders and deduplicates its hits with a position bitmap, not a sort and a compaction"},
 }
 
 // codeRule pins how often pattern matches code, comments excluded: the
@@ -535,6 +537,10 @@ var auditCode = []codeRule{
 		"the nesting oracle keeps its pairwise overlap loop"},
 	{"internal/amr/nesting_ref_test.go", "refCheckProperNesting", `indexFor|currentIndex|overlapsOther`, 0,
 		"the nesting oracle stays independent of the level index it checks"},
+	{"internal/amr/spatialindex.go", "query", `slices\.Sort`, 0,
+		"an index query reads its hits in level-list order off the buckets or the position bitmap: no sort"},
+	{"internal/amr/exchange.go", "aggregate", `slices\.Sort`, 0,
+		"a pair table is read off the pair slots in slot order, which is (Src, Dst) order: no sort"},
 	{"internal/scenario/*.go", "", `engine\.Build\(`, 1,
 		"one front door: Scenario.Start is the one place that builds an engine"},
 	{"internal/scenario/*.go", "", `engine\.Resume\(`, 1,

@@ -156,8 +156,13 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 // box decompositions and a chunk's message blocks — pooled so plan
 // rebuilds stop allocating per grid.
 type planScratch struct {
-	// cand holds a level's candidates, coarse the next coarser level's.
+	// cand holds a level's candidates, coarse the next coarser level's;
+	// marks is levelIndex.query's position bitmap, on a pooled scratch
+	// backed by marks0 up to 1024 grids, so it costs no allocation of
+	// its own.
 	cand, coarse []*Grid
+	marks        []uint64
+	marks0       [16]uint64
 	// copies are a fill destination's sibling copy regions; covered is
 	// what the other callers of subtractList subtract.
 	copies, covered geom.BoxList
@@ -187,7 +192,11 @@ const (
 	destMsgs    = 64
 )
 
-var planScratchPool = sync.Pool{New: func() any { return new(planScratch) }}
+var planScratchPool = sync.Pool{New: func() any {
+	s := new(planScratch)
+	s.marks = s.marks0[:]
+	return s
+}}
 
 func getPlanScratch() *planScratch  { return planScratchPool.Get().(*planScratch) }
 func putPlanScratch(s *planScratch) { planScratchPool.Put(s) }
@@ -235,19 +244,20 @@ func (h *Hierarchy) ownerSpan(l int) int {
 
 // aggregate coalesces a message plan per (src proc, dst proc) pair —
 // one latency per pair, bytes summed, matching message coalescing in
-// real SAMR codes — into a new table in (src, dst) order. Messages
-// between grids of one processor move nothing. Every owner the plan
+// real SAMR codes — into a new table in (src, dst) order, which is
+// slot order, src·n+dst. Messages between grids of one processor move
+// nothing; zero-byte messages still make a pair. Every owner the plan
 // names is below n. Callers hold planMu.
 func (h *Hierarchy) aggregate(msgs []Message, n int) []Transfer {
 	if len(msgs) == 0 {
 		return nil
 	}
-	// pairSlot[src·n+dst] is one more than the pair's position in pairs,
-	// zero while unseen; the entries used are zeroed again below.
+	// pairSlot[src·n+dst] is one more than the pair's bytes, zero while
+	// unseen; the entries used are zeroed again below.
 	if len(h.pairSlot) < n*n {
-		h.pairSlot = make([]int32, n*n)
+		h.pairSlot = make([]int64, n*n)
 	}
-	pairs := h.pairBuf[:0]
+	pairs := 0
 	// A destination's messages, and the children of one parent, are
 	// consecutive in a plan, so the destination's owner is resolved once
 	// per run of equal Dst. No (Src, Dst) pair repeats: a plan sends one
@@ -263,27 +273,21 @@ func (h *Hierarchy) aggregate(msgs []Message, n int) []Transfer {
 		}
 		at := &h.pairSlot[src*n+dst]
 		if *at == 0 {
-			pairs = append(pairs, Transfer{Src: src, Dst: dst})
-			*at = int32(len(pairs))
+			pairs++
+			*at = 1
 		}
-		pairs[*at-1].Bytes += m.Bytes
+		*at += m.Bytes
 	}
-	for _, p := range pairs {
-		h.pairSlot[p.Src*n+p.Dst] = 0
-	}
-	h.pairBuf = pairs
-	// Deterministic accumulation order (the keys are unique): the
+	// Read the slots in order, up to the last pair, zeroing each: the
 	// per-processor float sums, and every DLB decision after, depend on it.
-	slices.SortFunc(pairs, byPair)
-	return slices.Clone(pairs)
-}
-
-// byPair orders transfers by (Src, Dst).
-func byPair(a, b Transfer) int {
-	if a.Src != b.Src {
-		return a.Src - b.Src
+	out := make([]Transfer, 0, pairs)
+	for s := 0; len(out) < pairs; s++ {
+		if v := h.pairSlot[s]; v != 0 {
+			out = append(out, Transfer{Src: s / n, Dst: s % n, Bytes: v - 1})
+			h.pairSlot[s] = 0
+		}
 	}
-	return a.Dst - b.Dst
+	return out
 }
 
 // GhostPlan returns the transfers required to fill the ghost zones of
@@ -394,7 +398,7 @@ func (h *Hierarchy) buildPlans(l int, fill bool) ([]Message, []fillDest) {
 func (h *Hierarchy) planDest(out []Message, fill *fillDest, g *Grid, l int, li, cli *levelIndex, dom geom.Box, bytesPerCell int64, scr *planScratch) []Message {
 	grown := g.Box.Grow(h.NGhost)
 	remaining := grown.Intersect(dom).NumCells() - g.Box.NumCells()
-	scr.cand = li.query(grown, scr.cand[:0])
+	scr.cand = li.query(grown, scr.cand[:0], scr)
 	// Keep, in place, the siblings the fill copies from.
 	sibs := scr.cand[:0]
 	scr.copies = scr.copies[:0]

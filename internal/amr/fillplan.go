@@ -148,7 +148,7 @@ func (h *Hierarchy) planFillDest(g *Grid, grown geom.Box, sibs []*Grid, l int, c
 			scr.left = append(scr.left, subtractList(f, scr.copies, scr)...)
 		}
 		if len(scr.left) > 0 {
-			scr.coarse = cli.query(grown.Coarsen(h.RefFactor), scr.coarse[:0])
+			scr.coarse = cli.query(grown.Coarsen(h.RefFactor), scr.coarse[:0], scr)
 			for _, c := range scr.coarse {
 				refined := c.Box.Refine(h.RefFactor)
 				for _, b := range scr.left {

@@ -46,7 +46,7 @@ type Grid struct {
 	Patch *grid.Patch
 
 	// pos is the grid's current position in its level list, maintained
-	// by the hierarchy. The spatial index sorts query results by it so
+	// by the hierarchy. The spatial index orders query results by it so
 	// plan builders visit candidates in level-list order — grid IDs
 	// cannot serve here because SortLevel reorders levels by box
 	// position, not ID.
@@ -119,10 +119,9 @@ type Hierarchy struct {
 	// scratch: mpx ranks build plans lazily from concurrent goroutines.
 	// Execution reads the immutable plan after the lock is released.
 	planMu sync.Mutex
-	// pairSlot and pairBuf are the aggregation scratch of the
-	// processor-pair tables (see aggregate), kept for their capacity.
-	pairSlot []int32
-	pairBuf  []Transfer
+	// pairSlot is the aggregation scratch of the processor-pair tables
+	// (see aggregate), kept for its capacity.
+	pairSlot []int64
 
 	// pool executes the cached fill/restrict/regrid data motion (safe
 	// in parallel: the plans partition writes by destination patch);

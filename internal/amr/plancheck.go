@@ -79,6 +79,14 @@ func naivePairs(h *Hierarchy, msgs []Message) []Transfer {
 	return out
 }
 
+// byPair orders transfers by (Src, Dst).
+func byPair(a, b Transfer) int {
+	if a.Src != b.Src {
+		return a.Src - b.Src
+	}
+	return a.Dst - b.Dst
+}
+
 // compareTransferTables panics when a cached processor-pair table
 // diverged from the naive aggregation of the scan plan under the
 // current owners.

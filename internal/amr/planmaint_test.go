@@ -29,8 +29,14 @@ func addUncovered(h *Hierarchy, l int, box geom.Box, owner int, parent GridID) {
 // tiling and random refined children, for plan-equivalence trials.
 func randomHierarchy(rng *rand.Rand) *Hierarchy {
 	dom := geom.UnitCube(32)
+	return hierarchyOver(rng, dom, (geom.BoxList{dom}).SplitEvenly(4+rng.Intn(16)))
+}
+
+// hierarchyOver builds a 2–3 level hierarchy over dom with level 0
+// made of boxes, in their order, and random refined children.
+func hierarchyOver(rng *rand.Rand, dom geom.Box, boxes geom.BoxList) *Hierarchy {
 	h := New(dom, 2, 2, 1, false, "q")
-	for _, b := range (geom.BoxList{dom}).SplitEvenly(4 + rng.Intn(16)) {
+	for _, b := range boxes {
 		h.AddGrid(0, b, rng.Intn(4), NoGrid)
 	}
 	for l := 0; l < h.MaxLevel; l++ {

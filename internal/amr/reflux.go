@@ -139,8 +139,8 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 		near := cb.Grow(1)
 		fineCand, coarseCand := p.fine, p.coarse
 		if li != nil {
-			scr.cand = li.query(near.Refine(r), scr.cand[:0])
-			scr.coarse = cli.query(near, scr.coarse[:0])
+			scr.cand = li.query(near.Refine(r), scr.cand[:0], scr)
+			scr.coarse = cli.query(near, scr.coarse[:0], scr)
 			fineCand, coarseCand = scr.cand, scr.coarse
 		}
 		covered := scr.covered[:0]

@@ -1,8 +1,6 @@
 package amr
 
 import (
-	"slices"
-
 	"samrdlb/internal/cluster"
 	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
@@ -105,31 +103,33 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 // overlaps and groups the pairs by parent: boxOf[offs[i]:offs[i+1]]
 // are the indices of the boxes overlapping parents[i], ascending —
 // parent-major, box-minor, the order of a scan of parents × boxes. The
-// grouping is levelIndex.build's count, prefix sum, fill.
+// grouping is levelIndex.build's count, prefix sum, backward fill.
 func (h *Hierarchy) parentBoxPairs(li *levelIndex, parents []*Grid, boxes geom.BoxList) (offs, boxOf []int32) {
 	hits := h.regridArena[:0] // each box's parents, box after box
+	scr := getPlanScratch()   // for the queries' bitmap
+	defer putPlanScratch(scr)
 	ends := make([]int32, len(boxes))
 	offs = make([]int32, len(parents)+1)
 	for b, box := range boxes {
 		start := len(hits)
-		hits = li.query(box, hits)
+		hits = li.query(box, hits, scr)
 		for _, g := range hits[start:] {
-			offs[g.pos+1]++
+			offs[g.pos]++
 		}
 		ends[b] = int32(len(hits))
 	}
-	for i := range parents {
-		offs[i+1] += offs[i]
+	for i := 1; i <= len(parents); i++ {
+		offs[i] += offs[i-1]
 	}
 	boxOf = make([]int32, len(hits))
-	next := slices.Clone(offs[:len(parents)])
-	start := int32(0)
-	for b, end := range ends {
-		for _, g := range hits[start:end] {
-			boxOf[next[g.pos]] = int32(b)
-			next[g.pos]++
+	b := len(boxes) - 1 // the box hits[i] belongs to
+	for i := len(hits) - 1; i >= 0; i-- {
+		for b > 0 && int32(i) < ends[b-1] {
+			b--
 		}
-		start = end
+		p := hits[i].pos
+		offs[p]--
+		boxOf[offs[p]] = int32(b)
 	}
 	clear(hits)
 	h.regridArena = hits
@@ -151,13 +151,15 @@ func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 	// Child i's coarse sources are srcs[cuts[2i]:cuts[2i+1]], its old
 	// ones srcs[cuts[2i+1]:cuts[2i+2]].
 	cuts := make([]int32, 2*len(children)+1)
+	scr := getPlanScratch() // for the queries' bitmap, back before the pool runs
 	for i, c := range children {
 		grown := c.Patch.Grown()
-		srcs = li.query(grown.Coarsen(h.RefFactor), srcs)
+		srcs = li.query(grown.Coarsen(h.RefFactor), srcs, scr)
 		cuts[2*i+1] = int32(len(srcs))
-		srcs = oli.query(grown, srcs)
+		srcs = oli.query(grown, srcs, scr)
 		cuts[2*i+2] = int32(len(srcs))
 	}
+	putPlanScratch(scr)
 	h.pool.ForEach(len(children), func(i int) {
 		h.initChildData(children[i], srcs[cuts[2*i]:cuts[2*i+1]], srcs[cuts[2*i+1]:cuts[2*i+2]])
 	})

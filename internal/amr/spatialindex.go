@@ -2,7 +2,7 @@ package amr
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 
 	"samrdlb/internal/geom"
 )
@@ -20,22 +20,27 @@ import (
 // The index is built on first query from the level list as it stands,
 // sized for that population, and is valid for the level's structure
 // generation. A query's answer is exact, ordered and unique: exactly
-// the grids whose box overlaps the query box, sorted by their
-// level-list position, each once. Callers therefore visit their
-// sources in exactly the order the O(n²) scans visit the level, which
-// is what keeps indexed plans and regrids byte-identical to the scan
-// baselines, and need no overlap test of their own.
+// the grids whose box overlaps the query box, in level-list order,
+// each once. Callers therefore visit their sources in exactly the
+// order the O(n²) scans visit the level, which is what keeps indexed
+// plans and regrids byte-identical to the scan baselines, and need no
+// overlap test of their own. No query sorts: build fills each bucket
+// in level-list order, and a bitmap of positions merges several.
 
 // maxIndexBuckets caps the bucket-array footprint per level.
 const maxIndexBuckets = 1 << 21
 
 // levelIndex is one level's uniform bucket grid.
 type levelIndex struct {
-	gen     uint64     // the level's structure generation it was built at
-	org     geom.Index // low corner of the bucketed region (level domain Lo)
-	cell    geom.Index // bucket extent in level cells, per dimension
-	dims    geom.Index // bucket count per dimension
-	buckets [][]*Grid
+	gen  uint64     // the level's structure generation it was built at
+	org  geom.Index // low corner of the bucketed region (level domain Lo)
+	cell geom.Index // bucket extent in level cells, per dimension
+	dims geom.Index // bucket count per dimension
+	// Bucket k holds arena[offs[k]:offs[k+1]] in level-list order; grids,
+	// the arena's tail, is the level list it was built from:
+	// grids[g.pos] == g.
+	offs         []int32
+	arena, grids []*Grid
 }
 
 // newLevelIndex sizes the bucket grid for a level expected to hold n
@@ -57,20 +62,20 @@ func newLevelIndex(dom geom.Box, n int) *levelIndex {
 			li.dims[d] = (shape[d] + li.cell[d] - 1) / li.cell[d]
 		}
 	}
-	li.buckets = make([][]*Grid, li.dims[0]*li.dims[1]*li.dims[2])
 	return li
 }
 
 // bucketRange returns the clamped bucket-coordinate range the box
 // touches. Boxes extending past the bucketed region (grown query
 // boxes) clamp to the border buckets, which only widens the set of
-// buckets a query filters.
+// buckets a query filters. Truncating division stands in for floor
+// division: the two differ only below zero, where both clamp to 0.
 func (li *levelIndex) bucketRange(b geom.Box) (lo, hi geom.Index) {
 	bl := b.Lo.Sub(li.org)
 	bh := b.Hi.Sub(li.org)
 	for d := 0; d < geom.Dims; d++ {
-		lo[d] = clampInt(floorDivInt(bl[d], li.cell[d]), 0, li.dims[d]-1)
-		hi[d] = clampInt(floorDivInt(bh[d], li.cell[d]), 0, li.dims[d]-1)
+		lo[d] = min(max(bl[d]/li.cell[d], 0), li.dims[d]-1)
+		hi[d] = min(max(bh[d]/li.cell[d], 0), li.dims[d]-1)
 	}
 	return lo, hi
 }
@@ -92,28 +97,42 @@ func (li *levelIndex) forBuckets(b geom.Box, fn func(int)) {
 // query appends to out exactly the indexed grids whose box overlaps b,
 // each once, in level-list order — what a scan of the whole level that
 // keeps the overlapping grids visits, so a plan builder needs no test
-// of its own. Buckets are filtered while gathering; only the survivors
-// are sorted by position and deduplicated, and what out held before
-// stays as it was, so successive queries can share one arena.
-func (li *levelIndex) query(b geom.Box, out []*Grid) []*Grid {
-	n := len(out)
+// of its own. A box inside one bucket takes its occupants as they
+// stand. A box over several sets each hit's position in the bitmap
+// scr.marks, once however many buckets hold it, and reads the hits back
+// over the words touched, zeroing each, so marks is all zero between
+// queries. What out held before stays, so queries can share one arena.
+func (li *levelIndex) query(b geom.Box, out []*Grid, scr *planScratch) []*Grid {
 	lo, hi := li.bucketRange(b)
+	if lo == hi {
+		k := (lo[2]*li.dims[1]+lo[1])*li.dims[0] + lo[0]
+		for _, g := range li.span(k, k) {
+			if g.Box.Intersects(b) {
+				out = append(out, g)
+			}
+		}
+		return out
+	}
+	if n := (len(li.grids) + 63) >> 6; len(scr.marks) < n {
+		scr.marks = make([]uint64, n)
+	}
+	marks, first, last := scr.marks, len(li.grids), -1
 	for z := lo[2]; z <= hi[2]; z++ {
 		for y := lo[1]; y <= hi[1]; y++ {
 			base := (z*li.dims[1] + y) * li.dims[0]
-			for x := lo[0]; x <= hi[0]; x++ {
-				for _, g := range li.buckets[base+x] {
-					if g.Box.Intersects(b) {
-						out = append(out, g)
-					}
+			for _, g := range li.span(base+lo[0], base+hi[0]) {
+				if g.Box.Intersects(b) {
+					marks[g.pos>>6] |= 1 << (g.pos & 63)
+					first, last = min(first, g.pos), max(last, g.pos)
 				}
 			}
 		}
 	}
-	found := out[n:]
-	slices.SortFunc(found, func(a, b *Grid) int { return a.pos - b.pos })
-	if lo != hi {
-		out = out[:n+len(dedupeSorted(found))]
+	for w := first >> 6; w <= last>>6; w++ {
+		for word := marks[w]; word != 0; word &= word - 1 {
+			out = append(out, li.grids[w<<6|bits.TrailingZeros64(word)])
+		}
+		marks[w] = 0
 	}
 	return out
 }
@@ -126,11 +145,9 @@ func (li *levelIndex) overlapsOther(g *Grid) bool {
 	for z := lo[2]; z <= hi[2]; z++ {
 		for y := lo[1]; y <= hi[1]; y++ {
 			base := (z*li.dims[1] + y) * li.dims[0]
-			for x := lo[0]; x <= hi[0]; x++ {
-				for _, o := range li.buckets[base+x] {
-					if o != g && o.Box.Intersects(g.Box) {
-						return true
-					}
+			for _, o := range li.span(base+lo[0], base+hi[0]) {
+				if o != g && o.Box.Intersects(g.Box) {
+					return true
 				}
 			}
 		}
@@ -138,47 +155,35 @@ func (li *levelIndex) overlapsOther(g *Grid) bool {
 	return false
 }
 
-// dedupeSorted compacts adjacent duplicates in a position-sorted list
-// (a grid straddling several buckets appears once per bucket).
-func dedupeSorted(gs []*Grid) []*Grid {
-	w := 0
-	for i, g := range gs {
-		if i > 0 && g == gs[w-1] {
-			continue
-		}
-		gs[w] = g
-		w++
-	}
-	return gs[:w]
-}
+// span returns the occupants of flat buckets a through b, bucket after
+// bucket: one slice, because buckets sit in the arena in flat order. A
+// grid in several of them appears once per bucket.
+func (li *levelIndex) span(a, b int) []*Grid { return li.arena[li.offs[a]:li.offs[b+1]] }
 
 // build populates the bucket grid: a per-bucket count pass, a prefix
-// sum, then a fill into one shared arena — a handful of allocations
-// whatever the level size.
+// sum to each bucket's end, then a fill backwards over the level list,
+// which leaves each offset at its bucket's start and each bucket in
+// level-list order. Two allocations whatever the level size: the
+// offsets, and one arena for the buckets and a copy of the list.
 func (li *levelIndex) build(grids []*Grid) {
-	if len(grids) == 0 {
-		return
-	}
-	nb := len(li.buckets)
+	nb := li.dims[0] * li.dims[1] * li.dims[2]
 	offs := make([]int32, nb+1)
 	for _, g := range grids {
-		li.forBuckets(g.Box, func(b int) { offs[b+1]++ })
+		li.forBuckets(g.Box, func(b int) { offs[b]++ })
 	}
-	for b := 0; b < nb; b++ {
-		offs[b+1] += offs[b]
+	for b := 1; b <= nb; b++ {
+		offs[b] += offs[b-1]
 	}
-	arena := make([]*Grid, offs[nb])
-	next := slices.Clone(offs[:nb])
-	for _, g := range grids {
+	arena := make([]*Grid, int(offs[nb])+len(grids))
+	for i := len(grids) - 1; i >= 0; i-- {
+		g := grids[i]
 		li.forBuckets(g.Box, func(b int) {
-			arena[next[b]] = g
-			next[b]++
+			offs[b]--
+			arena[offs[b]] = g
 		})
 	}
-	for b := 0; b < nb; b++ {
-		lo, hi := offs[b], offs[b+1]
-		li.buckets[b] = arena[lo:hi]
-	}
+	li.offs, li.arena, li.grids = offs, arena, arena[offs[nb]:]
+	copy(li.grids, grids)
 }
 
 // indexFor returns level l's spatial index, rebuilding it when the
@@ -217,28 +222,11 @@ func (h *Hierarchy) Locator(l int) Locator { return Locator{h.currentIndex(l)} }
 func (lc Locator) Locate(cell geom.Index) int {
 	li := lc.li
 	at, _ := li.bucketRange(geom.Box{Lo: cell, Hi: cell})
-	for _, g := range li.buckets[(at[2]*li.dims[1]+at[1])*li.dims[0]+at[0]] {
+	k := (at[2]*li.dims[1]+at[1])*li.dims[0] + at[0]
+	for _, g := range li.span(k, k) {
 		if g.Box.Contains(cell) {
 			return g.pos
 		}
 	}
 	return -1
-}
-
-func floorDivInt(a, b int) int {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -130,3 +130,30 @@ func TestTransfersFollowOwnership(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateKeepsZeroBytePairs pins the pair table of a hierarchy
+// with no fields, whose every message carries zero bytes: aggregate
+// still lists each processor pair a message joins, as naivePairs does.
+func TestAggregateKeepsZeroBytePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dom := geom.UnitCube(32)
+	h := New(dom, 2, 1, 1, false)
+	for _, b := range (geom.BoxList{dom}).SplitEvenly(27) {
+		p := h.AddGrid(0, b, rng.Intn(5), NoGrid)
+		addUncovered(h, 1, randomBoxIn(rng, p.Box), rng.Intn(5), p.ID)
+	}
+	for l := 0; l <= h.MaxLevel; l++ {
+		got, want := h.GhostTransfers(l), naivePairs(h, h.GhostPlanScan(l))
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("level %d: zero-byte ghost pairs\n got %v\nwant %v", l, got, want)
+		}
+		for _, p := range got {
+			if p.Bytes != 0 {
+				t.Errorf("level %d: pair %+v carries bytes on a hierarchy with no fields", l, p)
+			}
+		}
+	}
+	if got, want := h.RestrictTransfers(1), naivePairs(h, h.RestrictPlan(1)); len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("zero-byte restrict pairs\n got %v\nwant %v", got, want)
+	}
+}

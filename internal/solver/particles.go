@@ -50,7 +50,7 @@ func (ps *ParticleSet) stepRange(dt float64, lo, hi int) {
 			p.Vel[d] += 0.5 * dt * a[d]
 			p.Pos[d] += dt * p.Vel[d]
 			if ps.Domain > 0 {
-				p.Pos[d] = math.Mod(p.Pos[d]+ps.Domain, ps.Domain)
+				p.Pos[d] = wrap(p.Pos[d], ps.Domain)
 			}
 		}
 		a = ps.accel(p.Pos)
@@ -58,6 +58,18 @@ func (ps *ParticleSet) stepRange(dt float64, lo, hi int) {
 			p.Vel[d] += 0.5 * dt * a[d]
 		}
 	}
+}
+
+// wrap is math.Mod(x+edge, edge) for edge > 0, bit for bit. Where
+// y = x+edge lies in [edge, 2·edge), y−edge is exact by Sterbenz's
+// lemma and so equals the Mod; NaN, ±Inf and strays beyond one period
+// fail the test and take Mod itself.
+func wrap(x, edge float64) float64 {
+	y := x + edge
+	if edge <= y && y < 2*edge {
+		return y - edge
+	}
+	return math.Mod(y, edge)
 }
 
 func (ps *ParticleSet) accel(pos [3]float64) [3]float64 {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -257,6 +258,29 @@ func TestParticleFreeStreaming(t *testing.T) {
 	// No force: x = 0.1 + 95*0.1*0.1 = 1.05 -> wraps to 0.05.
 	if got := ps.Particles[0].Pos[0]; math.Abs(got-0.05) > 1e-12 {
 		t.Errorf("free streaming pos = %v", got)
+	}
+}
+
+// TestWrapIsModBitForBit pins the particle push's periodic wrap to the
+// math.Mod form it replaced, bit for bit, on random positions within
+// and beyond one period, the period's edges and the special values.
+func TestWrapIsModBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, edge := range []float64{1, 0.3, 64, 1e-300, 1e300, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		xs := []float64{0, math.Copysign(0, -1), edge, -edge, 2 * edge, -2 * edge,
+			math.Nextafter(edge, 0), math.Nextafter(-edge, 0), math.Nextafter(edge, math.Inf(1)),
+			math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+			math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+		for range 2000 {
+			xs = append(xs, (4*rng.Float64()-1.5)*edge, (rng.Float64()-0.5)*1e-3*edge)
+		}
+		for _, x := range xs {
+			got, want := wrap(x, edge), math.Mod(x+edge, edge)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("wrap(%v, %v) = %v (%#x), math.Mod form %v (%#x)",
+					x, edge, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }
 
