@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path"
@@ -24,11 +25,13 @@ import (
 )
 
 // auditAllow lists the internal/ declarations that stay although no
-// binary, example or benchmark reaches them, each with its reason. Keys
+// binary, example or benchmark reaches them, and the fields that stay
+// although nothing reads them by selector, each with its reason. Keys
 // are a declaration as rule 1 prints it ("geom.BoxFromShape",
 // "geom.BoxList.ContainsBox"), a bare method name (methods the standard
-// library calls through an interface it does not export), or a file or
-// directory exempting everything in it.
+// library calls through an interface it does not export), a field or
+// type as rule 3 prints it ("supervise.Report.Fingerprint",
+// "metrics.Result"), or a file or directory exempting everything in it.
 var auditAllow = map[string]string{
 	"Unwrap": "errors.Is/As walk the chain through it; nothing names it",
 
@@ -41,6 +44,9 @@ var auditAllow = map[string]string{
 	"internal/scenario/shrink.go": "test infrastructure: the scenario shrinker runs only when a soak fails",
 	"scenario.FromBytes":          "test infrastructure: the decoder FuzzScenario feeds",
 	"scenario.ReplayCommand":      "test infrastructure: prints the repro line of a failing scenario",
+
+	"metrics.Result":               "Identity() renders every field with %+v, and that string is what decides two runs are one run",
+	"supervise.Report.Fingerprint": "the agreed fingerprint the supervised chaos pins compare with the in-process run's",
 }
 
 // parseTree parses every .go file under each root for which keep
@@ -72,6 +78,12 @@ func parseTree(fset *token.FileSet, keep func(path string) bool, roots ...string
 
 func notTest(path string) bool { return !strings.HasSuffix(path, "_test.go") }
 
+// counted reports whether the audit counts a file's uses: every non-test
+// file, and bench/'s tests while bench/ is frozen.
+func counted(path string) bool {
+	return notTest(path) || strings.HasPrefix(filepath.ToSlash(path), "bench/")
+}
+
 // typedTree is Go source type-checked as one tree: each import path's
 // files are a package, the tree's own imports resolve to its packages,
 // and the standard library comes from the toolchain's export data.
@@ -96,6 +108,7 @@ func newTypedTree(fset *token.FileSet, files map[string][]*ast.File) (*typedTree
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
 		},
 		pkgs:  map[string]*types.Package{},
 		files: files,
@@ -168,10 +181,7 @@ func loadTree(t *testing.T) *typedTree {
 	t.Helper()
 	module.once.Do(func() {
 		fset := token.NewFileSet()
-		keep := func(path string) bool {
-			return notTest(path) || strings.HasPrefix(path, "bench"+string(filepath.Separator))
-		}
-		parsed, err := parseTree(fset, keep, "cmd", "examples", "internal", "bench")
+		parsed, err := parseTree(fset, counted, "cmd", "examples", "internal", "bench")
 		if err != nil {
 			module.err = err
 			return
@@ -377,12 +387,135 @@ func unreached(tt *typedTree, allow func(*auditDecl) string) (dead []*auditDecl,
 	return dead, exempted, reached
 }
 
-// allowKey returns the auditAllow key exempting d, or "".
-func allowKey(d *auditDecl) string {
-	keys := []string{d.name, d.file, path.Dir(d.file)}
-	if d.recv != nil {
-		keys = append(keys, d.defs[0].Name())
+// unread is rule 3 over a type-checked tree: the fields of struct
+// types declared under internal/ that counted code writes (an
+// assignment, ++ or --, a keyed or positional composite literal) and
+// no selector x.F or &x.F in counted code reads. An encoder reads every
+// field of what it is handed, so a type whose values counted code
+// passes to encoding/json or encoding/gob, and every type such a value
+// holds, is exempt; so is an embedded field, which each promoted
+// selector reads. allow gets a field's keys (pkg.T.F, pkg.T, its file
+// and directory) and returns the one exempting it, or "".
+func unread(tt *typedTree, allow func(keys ...string) string) (found []string, exempted map[string]bool, fields int) {
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	encoded := map[*types.TypeName]bool{}
+	var encode func(types.Type)
+	encode = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Pointer:
+			encode(t.Elem())
+		case *types.Slice:
+			encode(t.Elem())
+		case *types.Array:
+			encode(t.Elem())
+		case *types.Map:
+			encode(t.Key())
+			encode(t.Elem())
+		case *types.Named:
+			if !encoded[t.Origin().Obj()] {
+				encoded[t.Origin().Obj()] = true
+				encode(t.Underlying())
+			}
+		case *types.Struct:
+			for i := range t.NumFields() {
+				encode(t.Field(i).Type())
+			}
+		}
 	}
+	lhs := map[ast.Expr]bool{} // selectors an assignment or ++/-- writes
+	for _, files := range tt.files {
+		for _, f := range files {
+			if !counted(tt.fset.Position(f.Pos()).Filename) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						lhs[ast.Unparen(e)] = true
+					}
+				case *ast.IncDecStmt:
+					lhs[ast.Unparen(n.X)] = true
+				case *ast.SelectorExpr:
+					if v := tt.field(n); v != nil {
+						if lhs[n] {
+							written[v] = true
+						} else {
+							read[v] = true
+						}
+					}
+				case *ast.CompositeLit:
+					var st *types.Struct
+					if tv, ok := tt.info.Types[n]; ok {
+						st, _ = tv.Type.Underlying().(*types.Struct)
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if v := tt.field(kv.Key); v != nil {
+								written[v] = true
+							}
+						} else if st != nil {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.CallExpr:
+					if fn, ok := staticCallee(tt.info, n).(*types.Func); ok && fn.Pkg() != nil &&
+						(fn.Pkg().Path() == "encoding/json" || fn.Pkg().Path() == "encoding/gob") {
+						for _, arg := range n.Args {
+							encode(tt.info.Types[arg].Type)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	exempted = map[string]bool{}
+	for pkg, files := range tt.files {
+		if !strings.HasPrefix(pkg, "samrdlb/internal/") {
+			continue
+		}
+		for _, f := range files {
+			file := filepath.ToSlash(tt.fset.Position(f.Pos()).Filename)
+			if !counted(file) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				spec, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				owner := f.Name.Name + "." + spec.Name.Name
+				exempt := encoded[tt.info.Defs[spec.Name].(*types.TypeName)]
+				ast.Inspect(spec.Type, func(n ast.Node) bool {
+					if st, ok := n.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							for _, id := range fld.Names {
+								fields++
+								v := tt.info.Defs[id].(*types.Var)
+								if exempt || !written[v] || read[v] {
+									continue
+								}
+								if k := allow(owner+"."+id.Name, owner, file, path.Dir(file)); k != "" {
+									exempted[k] = true
+								} else {
+									found = append(found, file+": "+owner+"."+id.Name)
+								}
+							}
+						}
+					}
+					return true
+				})
+				return false
+			})
+		}
+	}
+	sort.Strings(found)
+	return found, exempted, fields
+}
+
+// allowed returns the first of keys that auditAllow lists, or "".
+func allowed(keys ...string) string {
 	for _, k := range keys {
 		if _, ok := auditAllow[k]; ok {
 			return k
@@ -391,11 +524,30 @@ func allowKey(d *auditDecl) string {
 	return ""
 }
 
-// TestAuditReachedOrRemoved is rule 1: a declaration in a non-test file
-// under internal/ stays only if cmd/, examples/ or bench/ (its tests
-// included, while bench/ is frozen) reaches it through a chain of uses.
+// allowKey returns the auditAllow key exempting d, or "".
+func allowKey(d *auditDecl) string {
+	keys := []string{d.name, d.file, path.Dir(d.file)}
+	if d.recv != nil {
+		keys = append(keys, d.defs[0].Name())
+	}
+	return allowed(keys...)
+}
+
+// TestAuditReachedOrRemoved is rules 1 and 3, which share auditAllow.
+// Rule 1: a declaration in a non-test file under internal/ stays only
+// if cmd/, examples/ or bench/ (its tests included, while bench/ is
+// frozen) reaches it through a chain of uses. Rule 3: a field of an
+// internal/ struct that such code writes is read there too.
 func TestAuditReachedOrRemoved(t *testing.T) {
-	dead, exempted, reached := unreached(loadTree(t), allowKey)
+	tt := loadTree(t)
+	dead, exempted, reached := unreached(tt, allowKey)
+	found, fieldsExempted, fields := unread(tt, allowed)
+	maps.Copy(exempted, fieldsExempted)
+	t.Logf("audit: %d struct fields under internal/, each written one read", fields)
+	if len(found) > 0 {
+		t.Errorf("%d struct fields that non-test code writes and never reads — delete them:\n  %s",
+			len(found), strings.Join(found, "\n  "))
+	}
 	var names []string
 	deadLines := 0
 	for _, d := range dead {
@@ -499,6 +651,8 @@ var auditDeleted = []deletedRule{
 		"a message's kind is its grid relation (Src is Dst's parent or child), not a field"},
 	{`\bdedupeSorted\b`, "internal/amr/*.go",
 		"an index query orders and deduplicates its hits with a position bitmap, not a sort and a compaction"},
+	{`CheckpointKeep|ckpt-keep|ckptKeep`, "internal/engine/*.go cmd/samrsim/*.go",
+		"a store keeps the newest checkpointKeep generations: one value was ever used, so it is a constant, not an option"},
 }
 
 // codeRule pins how often pattern matches code, comments excluded: the
@@ -659,7 +813,7 @@ func uncommented(fset *token.FileSet, f *ast.File, src []byte, n ast.Node) strin
 	return string(code)
 }
 
-// TestAuditStaysDeleted is rule 3: what was deleted on purpose stays
+// TestAuditStaysDeleted is rule 4: what was deleted on purpose stays
 // deleted, checked by tier-1 and not only by CI.
 func TestAuditStaysDeleted(t *testing.T) {
 	var globs []string
@@ -675,7 +829,7 @@ func TestAuditStaysDeleted(t *testing.T) {
 	}
 }
 
-// TestAuditCode is rule 4: the function bodies and counts of auditCode.
+// TestAuditCode is rule 5: the function bodies and counts of auditCode.
 func TestAuditCode(t *testing.T) {
 	var globs []string
 	for _, r := range auditCode {
@@ -1178,12 +1332,32 @@ func TestDocsNameRealCode(t *testing.T) {
 	}
 }
 
+// fixtureTree type-checks sources keyed by file path; a file's
+// directory is its package's import path.
+func fixtureTree(t *testing.T, sources map[string]string) *typedTree {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	for name, src := range sources {
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path.Dir(name)] = append(files[path.Dir(name)], f)
+	}
+	tt, err := newTypedTree(fset, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tt
+}
+
 // TestAuditRulesOnFixtures runs the rules on sources small enough to
 // read: each case is a way a rule could go blind.
 func TestAuditRulesOnFixtures(t *testing.T) {
 	t.Run("a dead method sharing a live method's name is reported", func(t *testing.T) {
-		sources := map[string]string{
-			"samrdlb/internal/p": `package p
+		tt := fixtureTree(t, map[string]string{
+			"samrdlb/internal/p/f.go": `package p
 
 type Live struct{}
 
@@ -1203,7 +1377,7 @@ func Kept() int { return kept() }
 
 func kept() int { return 3 }
 `,
-			"samrdlb/cmd/c": `package main
+			"samrdlb/cmd/c/main.go": `package main
 
 import "samrdlb/internal/p"
 
@@ -1211,20 +1385,7 @@ var _ p.Stringer
 
 func main() { var d p.Dead; _ = d; println(p.Live{}.Get()) }
 `,
-		}
-		fset := token.NewFileSet()
-		files := map[string][]*ast.File{}
-		for path, src := range sources {
-			f, err := parser.ParseFile(fset, path+"/f.go", src, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[path] = []*ast.File{f}
-		}
-		tt, err := newTypedTree(fset, files)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
 		allow := func(d *auditDecl) string {
 			if d.name == "p.Kept" {
 				return d.name
@@ -1238,6 +1399,70 @@ func main() { var d p.Dead; _ = d; println(p.Live{}.Get()) }
 		}
 		if !slices.Equal(names, []string{"p.Dead.Get"}) || !exempted["p.Kept"] {
 			t.Errorf("dead = %v, exempted = %v; want [p.Dead.Get], p.Kept exempted (and kept, which it calls, live)", names, exempted)
+		}
+	})
+
+	t.Run("a field written and never read is reported, unless an encoder or the allow-list reads it", func(t *testing.T) {
+		tt := fixtureTree(t, map[string]string{
+			"samrdlb/internal/p/f.go": `package p
+
+import "encoding/gob"
+
+// Row: Used is read; WriteOnly, pos and B are only written (keyed,
+// ++, positional); TestOnly is read by a test alone; Named is
+// allow-listed; Spare is never written at all.
+type Row struct {
+	Used, WriteOnly, TestOnly, Named, Spare int
+	pos                                     int
+}
+
+type Pair struct{ A, B int }
+
+func Make() Row {
+	r := Row{Used: 1, WriteOnly: 2, TestOnly: 3}
+	r.Named = 4
+	r.pos++
+	return r
+}
+
+func First() int { p := Pair{1, 2}; return p.A }
+
+// Saved is gob-encoded, so the encoder reads N and its Inner's M.
+type Saved struct {
+	N     int
+	Inner *Inner
+}
+
+type Inner struct{ M int }
+
+func Save(enc *gob.Encoder) error { return enc.Encode(Saved{N: 1, Inner: &Inner{M: 2}}) }
+`,
+			"samrdlb/internal/p/f_test.go": `package p
+
+func read(r Row) int { return r.TestOnly }
+`,
+			"samrdlb/cmd/c/main.go": `package main
+
+import "samrdlb/internal/p"
+
+func main() { println(p.Make().Used, p.First(), p.Save(nil)) }
+`,
+		})
+		allow := func(keys ...string) string {
+			if keys[0] == "p.Row.Named" {
+				return keys[0]
+			}
+			return ""
+		}
+		found, exempted, _ := unread(tt, allow)
+		want := []string{
+			"samrdlb/internal/p/f.go: p.Pair.B",
+			"samrdlb/internal/p/f.go: p.Row.TestOnly",
+			"samrdlb/internal/p/f.go: p.Row.WriteOnly",
+			"samrdlb/internal/p/f.go: p.Row.pos",
+		}
+		if !slices.Equal(found, want) || !exempted["p.Row.Named"] {
+			t.Errorf("found %q, exempted %v; want %q and p.Row.Named exempted", found, exempted, want)
 		}
 	})
 

@@ -58,7 +58,7 @@ import (
 // with the run, and what belongs to this process.
 type flags struct {
 	trace, series, resume, supervise, workerRestart                bool
-	ckptKeep, stopAfter, maxRestarts, workerShard                  int
+	stopAfter, maxRestarts, workerShard                            int
 	scenario, save, ckptDir, cpuProfile, memProfile, workerControl string
 	wireTimeout                                                    time.Duration
 	stdout, stderr                                                 io.Writer
@@ -73,7 +73,6 @@ func (f *flags) register(fs *flag.FlagSet) *scenario.Scenario {
 	fs.BoolVar(&f.series, "series", false, "print per-step time series")
 	fs.StringVar(&f.save, "save", "", "write a hierarchy checkpoint to this file after the run")
 	fs.StringVar(&f.ckptDir, "ckpt-dir", "", "durable checkpoint store directory: write an on-disk generation every checkpoint interval")
-	fs.IntVar(&f.ckptKeep, "ckpt-keep", 0, "on-disk generations to retain (0 = default 3)")
 	fs.BoolVar(&f.resume, "resume", false, "resume from the newest usable generation in -ckpt-dir instead of starting fresh")
 	fs.IntVar(&f.stopAfter, "stop-after", -1, "exit with status 3 after this level-0 step completes (simulated crash, for resume testing)")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -198,7 +197,7 @@ func (f *flags) attach(spec *scenario.Scenario, more func(*engine.Options)) (fun
 	}
 	return func(o *engine.Options) {
 		o.Pool = pool
-		o.CheckpointKeep, o.WireTimeout = f.ckptKeep, f.wireTimeout
+		o.WireTimeout = f.wireTimeout
 		if f.ckptDir != "" {
 			o.Checkpoints = ckpt.OSDir(f.ckptDir)
 		}

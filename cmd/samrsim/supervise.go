@@ -24,7 +24,7 @@ import (
 // listed means something in a single process only, and setting it next
 // to -supervise is refused — no flag is silently dropped.
 var forwardFlags = map[string]bool{
-	"ckpt-dir": true, "ckpt-keep": true, "wire-timeout": true,
+	"ckpt-dir": true, "wire-timeout": true,
 	"supervise": false, "scenario": false, "max-restarts": false,
 	"cpuprofile": false, "memprofile": false,
 }

@@ -45,22 +45,22 @@ import (
 
 // interfaceFace is one row of a fine level's face table: a coarse face
 // with a fine-covered cell on exactly one side, both cells inside the
-// domain.
+// domain. The row keeps only what feeding and applying read; the face
+// itself is fineOff's cell of the row's fine grid, coarsened.
 type interfaceFace struct {
-	// D, I name the face: the lower face of coarse cell I in dimension D.
-	D int
-	I geom.Index
-	// Cell is the uncovered coarse cell the correction applies to.
-	Cell geom.Index
-	// Sign is +1 when the face is Cell's lower face, −1 for upper.
-	Sign float64
-	// target is the coarse grid holding Cell (nil where the coarse level
-	// does not reach it) and off Cell's offset in its grown patch.
+	// target is the coarse grid holding the uncovered cell the
+	// correction applies to (nil where the coarse level does not reach
+	// it) and off that cell's offset in its grown patch.
 	target *Grid
 	off    int32
 	// fineOff is the offset, in the contributing fine grid's
 	// Fluxes.Faces(D), of the first of the r² fine faces tiling this one.
 	fineOff int32
+	// D is the dimension the face is normal to.
+	D int8
+	// Sign is +1 when the face is the uncovered cell's lower face, −1
+	// for upper.
+	Sign int8
 }
 
 // coarseRef is one entry of a coarse grid's work list: a table row the
@@ -155,12 +155,12 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 			fineFaces := g.Box.GrowDim(d, 0, 1)
 			for side := 0; side < 2; side++ {
 				// step leads from an uncovered cell across the face into cb.
-				slab, step, sign := cb, 1, -1.0
+				slab, step, sign := cb, 1, int8(-1)
 				if side == 0 {
 					slab.Lo[d], slab.Hi[d] = cb.Lo[d]-1, cb.Lo[d]-1
 				} else {
 					slab.Lo[d], slab.Hi[d] = cb.Hi[d]+1, cb.Hi[d]+1
-					step, sign = -1, +1.0
+					step, sign = -1, +1
 				}
 				if !dom.ContainsBox(slab) {
 					continue // a domain face: no cell on the other side
@@ -173,8 +173,7 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 						if side == 0 {
 							face = in
 						}
-						f := interfaceFace{D: d, I: face, Cell: cell, Sign: sign,
-							fineOff: int32(fineFaces.Offset(face.Scale(r)))}
+						f := interfaceFace{D: int8(d), Sign: sign, fineOff: int32(fineFaces.Offset(face.Scale(r)))}
 						target = gridHolding(coarseCand, cell, target)
 						inner = gridHolding(coarseCand, in, inner)
 						if target != nil {
@@ -355,6 +354,6 @@ func (fr *FluxRegister) Apply() {
 			target = f.target
 			q = target.Patch.Field(solver.FieldQ)
 		}
-		q[f.off] += f.Sign * (fr.fineSum[j] - fr.coarse[j])
+		q[f.off] += float64(f.Sign) * (fr.fineSum[j] - fr.coarse[j])
 	}
 }

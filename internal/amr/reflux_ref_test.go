@@ -1,6 +1,8 @@
 package amr
 
 import (
+	"sort"
+
 	"samrdlb/internal/geom"
 	"samrdlb/internal/solver"
 )
@@ -173,14 +175,30 @@ func (fr *refFluxRegister) apply(order []faceKey) {
 	}
 }
 
+// rowFace rebuilds the face row j names and the cell it corrects from
+// what the row keeps: fineOff is the first fine face tiling it on its
+// fine grid's Fluxes.Faces(D), the grid is the row's fine-grid run, and
+// Sign says on which side of the face the corrected cell lies.
+func (fr *FluxRegister) rowFace(j int) (faceKey, geom.Index) {
+	p, f := fr.plan, fr.plan.faces[j]
+	k := sort.Search(len(p.fine), func(k int) bool { return p.fineStart[k+1] > int32(j) })
+	d := int(f.D)
+	i := p.fine[k].Box.GrowDim(d, 0, 1).IndexAt(int(f.fineOff)).FloorDiv(fr.h.RefFactor)
+	cell := i
+	if f.Sign < 0 {
+		cell[d]--
+	}
+	return faceKey{D: d, I: i}, cell
+}
+
 // faceMap views the planned register's face table and accumulators in
 // the reference's shape, for face-by-face comparison.
 func (fr *FluxRegister) faceMap() map[faceKey]*faceEntry {
 	m := make(map[faceKey]*faceEntry, len(fr.plan.faces))
 	for j := range fr.plan.faces {
-		f := &fr.plan.faces[j]
-		m[faceKey{D: f.D, I: f.I}] = &faceEntry{
-			Cell: f.Cell, Sign: f.Sign,
+		key, cell := fr.rowFace(j)
+		m[key] = &faceEntry{
+			Cell: cell, Sign: float64(fr.plan.faces[j].Sign),
 			Coarse: fr.coarse[j], FineSum: fr.fineSum[j], seenCoarse: fr.seen[j],
 		}
 	}

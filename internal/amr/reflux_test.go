@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"samrdlb/internal/geom"
 	"samrdlb/internal/solver"
@@ -313,8 +314,9 @@ func TestFluxRegisterMatchesReference(t *testing.T) {
 			corrected := levelBits(h, fine-1)
 			restoreLevel(h, fine-1, before)
 			var order []faceKey
-			for _, f := range planned.plan.faces {
-				order = append(order, faceKey{D: f.D, I: f.I})
+			for j := range planned.plan.faces {
+				key, _ := planned.rowFace(j)
+				order = append(order, key)
 			}
 			ref.apply(order)
 			if !sameBits(corrected, levelBits(h, fine-1)) {
@@ -499,4 +501,15 @@ func TestPlanCheckDetectsStaleInterfacePlan(t *testing.T) {
 		}
 	}()
 	NewFluxRegister(h, 1)
+}
+
+// TestInterfaceFaceRowSize pins the face-table row at 32 bytes or
+// fewer: a run with refluxing builds tens of thousands of rows per
+// regrid, and a row keeps only what AddFine, AddCoarse and Apply read.
+// The face and its cell are rebuilt from it (rowFace) where a test
+// needs them.
+func TestInterfaceFaceRowSize(t *testing.T) {
+	if n := unsafe.Sizeof(interfaceFace{}); n > 32 {
+		t.Errorf("interfaceFace is %d bytes, want at most 32", n)
+	}
 }

@@ -35,9 +35,7 @@ func TestMortonSegmentsAreCompact(t *testing.T) {
 				bb.Hi = bb.Hi.Max(i)
 			}
 			// Boundary-shell cell count: the ghost-exchange volume proxy.
-			sh := bb.Shape()
-			inner := geom.Index{max(sh[0]-2, 0), max(sh[1]-2, 0), max(sh[2]-2, 0)}
-			total += sh.Product() - inner.Product()
+			total += bb.NumCells() - bb.Grow(-1).NumCells()
 		}
 		return total
 	}

@@ -141,9 +141,6 @@ type Options struct {
 	// ckpt.OSDir; an in-process resume cut uses ckpt.NewMemDir.
 	// In-memory behaviour is unchanged when unset.
 	Checkpoints ckpt.Dir
-	// CheckpointKeep bounds the retained generations (default 3; only
-	// used with Checkpoints).
-	CheckpointKeep int
 	// Spec, when non-empty, is the run's identity as space-separated
 	// key=value tokens (scenario.Scenario.Identity). Every durable
 	// generation carries it and Resume skips one whose identity differs;
@@ -197,9 +194,6 @@ func (o *Options) setDefaults() error {
 	if o.CheckpointInterval <= 0 {
 		o.CheckpointInterval = 4
 	}
-	if o.CheckpointKeep <= 0 {
-		o.CheckpointKeep = 3
-	}
 	return nil
 }
 
@@ -215,6 +209,9 @@ const evalFlops = 5e4
 // checkpointFlopsPerCell is the modelled cost of writing or restoring
 // one cell of recovery checkpoint state.
 const checkpointFlopsPerCell = 2.0
+
+// checkpointKeep is how many durable generations a store retains.
+const checkpointKeep = 3
 
 // nGhost is the ghost width of every patch the engine allocates.
 const nGhost = 1
@@ -388,7 +385,7 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		r.ctx.Admitted = r.memb.Admitted
 	}
 	if opt.Checkpoints != nil {
-		st, err := ckpt.OpenDir(opt.Checkpoints, opt.CheckpointKeep)
+		st, err := ckpt.OpenDir(opt.Checkpoints, checkpointKeep)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}

@@ -36,7 +36,7 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 	if opt.Checkpoints == nil {
 		return nil, nil, fmt.Errorf("engine.Resume: Options.Checkpoints is required")
 	}
-	store, err := ckpt.OpenDir(opt.Checkpoints, opt.CheckpointKeep)
+	store, err := ckpt.OpenDir(opt.Checkpoints, checkpointKeep)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine.Resume: %w", err)
 	}

@@ -345,7 +345,7 @@ func TestPruneErrorsSurfaceInResult(t *testing.T) {
 	}
 	r := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 6, MaxLevel: 1,
-		Checkpoints: ckpt.NewMemDir(), CheckpointInterval: 1, CheckpointKeep: 2,
+		Checkpoints: ckpt.NewMemDir(), CheckpointInterval: 1,
 		Faults: sched,
 	})
 	res := r.Run()

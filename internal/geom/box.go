@@ -31,12 +31,15 @@ func (b Box) Shape() Index {
 	return b.Hi.Sub(b.Lo).Add(Index{1, 1, 1})
 }
 
-// NumCells returns the number of cells in the box (0 if empty).
+// NumCells returns the number of cells in the box (0 if empty). It is
+// written out so that it inlines: the plan builders call it per
+// overlap.
 func (b Box) NumCells() int64 {
-	if b.Empty() {
+	x, y, z := b.Hi[0]-b.Lo[0]+1, b.Hi[1]-b.Lo[1]+1, b.Hi[2]-b.Lo[2]+1
+	if min(x, y, z) <= 0 {
 		return 0
 	}
-	return b.Shape().Product()
+	return int64(x) * int64(y) * int64(z)
 }
 
 // Contains reports whether the cell i lies inside the box.

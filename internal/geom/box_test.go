@@ -52,9 +52,6 @@ func TestIndexArithmetic(t *testing.T) {
 	if got := a.Max(b); got != (Index{4, 5, 3}) {
 		t.Errorf("Max = %v", got)
 	}
-	if a.Product() != 1*-2*3 {
-		t.Errorf("Product = %d", a.Product())
-	}
 }
 
 func TestFloorDiv(t *testing.T) {

@@ -165,7 +165,7 @@ func curveSpread(pts []Index, runs int, key func(Index) uint64) float64 {
 		for _, p := range sorted[start:end] {
 			lo, hi = lo.Min(p), hi.Max(p)
 		}
-		total += float64(hi.Sub(lo).Add(Index{1, 1, 1}).Product())
+		total += float64(Box{Lo: lo, Hi: hi}.NumCells())
 	}
 	return total
 }

@@ -53,12 +53,6 @@ func (a Index) AllLE(b Index) bool {
 	return a[0] <= b[0] && a[1] <= b[1] && a[2] <= b[2]
 }
 
-// Product returns a[0]*a[1]*a[2] as an int64, guarding against
-// overflow for large extents.
-func (a Index) Product() int64 {
-	return int64(a[0]) * int64(a[1]) * int64(a[2])
-}
-
 // MaxDim returns the dimension with the largest component, breaking
 // ties toward the lowest dimension.
 func (a Index) MaxDim() int {

@@ -12,10 +12,9 @@ import (
 	"samrdlb/internal/netsim"
 )
 
-// Processor is one CPU of the distributed system.
+// Processor is one CPU of the distributed system; its global index is
+// its place in System.Procs.
 type Processor struct {
-	// ID is the global processor index.
-	ID int
 	// Group is the index of the group the processor belongs to.
 	Group int
 	// Perf is the relative performance weight the DLB scheme assigns:
@@ -26,10 +25,8 @@ type Processor struct {
 }
 
 // Group is a homogeneous set of processors sharing an internal
-// network.
+// network; its index is its place in System.Groups.
 type Group struct {
-	// ID is the group index.
-	ID int
 	// Name labels the group in reports ("ANL", "NCSA", ...).
 	Name string
 	// Procs lists the global IDs of the group's processors.
@@ -78,9 +75,9 @@ func New(specs []GroupSpec, net *netsim.Fabric, flopsPerSecond float64) *System 
 		if perf <= 0 {
 			perf = 1
 		}
-		g := Group{ID: gi, Name: spec.Name}
+		g := Group{Name: spec.Name}
 		for p := 0; p < spec.Procs; p++ {
-			s.Procs = append(s.Procs, Processor{ID: id, Group: gi, Perf: perf})
+			s.Procs = append(s.Procs, Processor{Group: gi, Perf: perf})
 			g.Procs = append(g.Procs, id)
 			id++
 		}

@@ -12,11 +12,6 @@ func TestNewAssignsIDsAndGroups(t *testing.T) {
 	if s.NumProcs() != 8 || s.NumGroups() != 2 {
 		t.Fatalf("procs %d groups %d", s.NumProcs(), s.NumGroups())
 	}
-	for i, p := range s.Procs {
-		if p.ID != i {
-			t.Errorf("proc %d has ID %d", i, p.ID)
-		}
-	}
 	for _, p := range s.ProcsInGroup(0) {
 		if s.GroupOf(p) != 0 {
 			t.Errorf("proc %d should be in group 0", p)

@@ -2,6 +2,7 @@ package mpx
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -177,4 +178,30 @@ func TestMailboxRetentionHeapBound(t *testing.T) {
 		t.Errorf("heap after drain = %d bytes; consumed payloads appear retained (burst = %d bytes)",
 			ms.HeapAlloc, payload)
 	}
+}
+
+// failRankStep is the rank code TestRunPanicErrorPrintsPrimaryStack
+// expects to find named in the error.
+func failRankStep() { panic("boom") }
+
+// TestRunPanicErrorPrintsPrimaryStack: a rank panic that is not a wire
+// failure is re-raised until it crashes the process, which prints the
+// error's text; every rank's stack was captured but none was printed,
+// so the crash did not say where the rank failed.
+func TestRunPanicErrorPrintsPrimaryStack(t *testing.T) {
+	w := oneShard(2)
+	defer func() {
+		rpe, ok := recover().(*RunPanicError)
+		if !ok {
+			t.Fatal("want *RunPanicError")
+		}
+		if msg := rpe.Error(); !strings.Contains(msg, "mpx.failRankStep") || !strings.Contains(msg, "[rank 1: boom]") {
+			t.Errorf("error does not name the panicking function and its rank:\n%s", msg)
+		}
+	}()
+	w.Run(func(r *Rank) {
+		if r.ID() == 1 {
+			failRankStep()
+		}
+	})
 }

@@ -89,11 +89,17 @@ type RunPanicError struct {
 	Panics []RankPanic
 }
 
+// Error lists every rank's panic value, then the primary panic's
+// stack: a re-raised rank panic that crashes the process prints this,
+// and the stack is the only record of where the rank failed.
 func (e *RunPanicError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mpx: %d rank(s) panicked:", len(e.Panics))
 	for _, p := range e.Panics {
 		fmt.Fprintf(&b, " [rank %d: %v]", p.Rank, p.Value)
+	}
+	if p := e.Primary(); p != nil {
+		fmt.Fprintf(&b, "\nrank %d's stack:\n%s", p.Rank, p.Stack)
 	}
 	return b.String()
 }

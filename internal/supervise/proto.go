@@ -41,7 +41,7 @@ const maxControlLine = 64 << 10
 
 // Control message types.
 const (
-	// MsgHello is the worker's first message: shard id, pid, and (for
+	// MsgHello is the worker's first message: shard id and (for
 	// attached workers) its wire listen address.
 	MsgHello = "hello"
 	// MsgPeers is the supervisor's rendezvous broadcast: shard → wire
@@ -60,7 +60,6 @@ const (
 type Msg struct {
 	Type        string         `json:"type"`
 	Shard       int            `json:"shard"`
-	PID         int            `json:"pid,omitempty"`
 	Addr        string         `json:"addr,omitempty"`
 	Peers       map[int]string `json:"peers,omitempty"`
 	Step        int            `json:"step"`

@@ -51,7 +51,6 @@ func testRunOptions(ep *mpx.TCPEndpoint, dir ckpt.Dir) engine.Options {
 		Worker:             ep,
 		Checkpoints:        dir,
 		CheckpointInterval: 2,
-		CheckpointKeep:     3,
 	}
 }
 

@@ -3,7 +3,6 @@ package supervise
 import (
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"samrdlb/internal/mpx"
@@ -52,7 +51,7 @@ func RunWorker(cfg WorkerConfig) error {
 	cc := newControlConn(conn)
 
 	var ep *mpx.TCPEndpoint
-	hello := Msg{Type: MsgHello, Shard: cfg.Shard, PID: os.Getpid()}
+	hello := Msg{Type: MsgHello, Shard: cfg.Shard}
 	if !cfg.Detached {
 		ep, err = mpx.ListenTCP(cfg.Shard, "127.0.0.1:0", cfg.ShardOf)
 		if err != nil {
