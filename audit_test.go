@@ -653,6 +653,8 @@ var auditDeleted = []deletedRule{
 		"an index query orders and deduplicates its hits with a position bitmap, not a sort and a compaction"},
 	{`CheckpointKeep|ckpt-keep|ckptKeep`, "internal/engine/*.go cmd/samrsim/*.go",
 		"a store keeps the newest checkpointKeep generations: one value was ever used, so it is a constant, not an option"},
+	{`PackRegion|UnpackRegion|ProlongFrom|CopyRegionFrom|ZeroEdges`, "internal/grid/*.go internal/amr/*.go",
+		"a planned op's rows are the one layout: the wire packs and applies them, and child init writes no edge to clear"},
 }
 
 // codeRule pins how often pattern matches code, comments excluded: the
@@ -695,6 +697,10 @@ var auditCode = []codeRule{
 		"an index query reads its hits in level-list order off the buckets or the position bitmap: no sort"},
 	{"internal/amr/exchange.go", "aggregate", `slices\.Sort`, 0,
 		"a pair table is read off the pair slots in slot order, which is (Src, Dst) order: no sort"},
+	{"internal/amr/mpxdata.go", "fillPhaseMPX", `\.Field\(`, 0,
+		"the wire fill looks up no field by name: it packs and applies a planned op's rows through applyFillOp, field by FieldAt"},
+	{"internal/amr/regrid.go", "initChildData", `\.Field\(`, 0,
+		"child init runs planned fill ops through applyFillOp, field by FieldAt"},
 	{"internal/scenario/*.go", "", `engine\.Build\(`, 1,
 		"one front door: Scenario.Start is the one place that builds an engine"},
 	{"internal/scenario/*.go", "", `engine\.Resume\(`, 1,

@@ -550,11 +550,7 @@ func (h *Hierarchy) FillGhostsData(l int) {
 		return
 	}
 	plan := h.fillPlan(l)
-	if h.dataCheck {
-		h.fillGhostsChecked(l, plan)
-		return
-	}
-	h.execFillPlan(plan)
+	h.CheckFill(l, func() bool { h.execFillPlan(plan); return true })
 }
 
 // FillGhostsScan is the original O(grids²) scan-based ghost fill,
@@ -626,11 +622,7 @@ func (h *Hierarchy) RestrictData(l int) {
 		return
 	}
 	plan := h.restrictDataPlan(l)
-	if h.dataCheck {
-		h.restrictChecked(l, plan)
-		return
-	}
-	h.execRestrictPlan(plan)
+	h.CheckRestrict(l, func() bool { h.execRestrictPlan(plan); return true })
 }
 
 // RestrictDataScan is the original per-grid restriction walk, kept as

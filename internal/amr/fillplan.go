@@ -36,7 +36,7 @@ type fillOp struct {
 	// its coarse footprint for a prolongation. Both are computed from
 	// boxes when the plan is built, so running the op resolves nothing;
 	// the plan holds no patch storage, because the patches it names may
-	// be swapped (fillGhostsChecked) or absent (another shard's grids).
+	// be swapped (CheckFill) or absent (another shard's grids).
 	to, from rowsAt
 	// prolong: src is one level coarser and the region is injected
 	// piecewise-constant; otherwise src is a sibling and the region is
@@ -256,39 +256,47 @@ func (h *Hierarchy) buildRestrictDataPlan(l int) []restrictDest {
 	return plan
 }
 
-// runFillDest executes one destination's work list. The boundary
-// clamp copies the nearest interior cell; clamping first to the
-// domain and then to the grid box equals clamping to the grid box
-// alone because every grid box is inside the domain.
+// runFillDest executes one destination's work list.
 func (h *Hierarchy) runFillDest(d *fillDest) {
-	dst := d.g.Patch
 	for i := range d.ops {
-		h.runFillOp(dst, &d.ops[i])
+		h.runFillOp(d.g.Patch, &d.ops[i])
 	}
+	h.clampFaces(d)
+}
+
+// clampFaces writes d's face cells outside the physical domain: each
+// copies the nearest interior cell. Clamping first to the domain and
+// then to the grid box equals clamping to the grid box alone because
+// every grid box is inside the domain.
+func (h *Hierarchy) clampFaces(d *fillDest) {
 	for _, cb := range d.clamps {
 		for _, f := range h.Fields {
-			grid.ClampRegion(dst, f, cb, d.g.Box)
+			grid.ClampRegion(d.g.Patch, f, cb, d.g.Box)
 		}
 	}
 }
 
 // runFillOp executes one planned transfer into dst from the source
-// grid's patch, field by field over the op's layouts. Every patch of
-// the hierarchy carries the same fields, so the k-th field of one is
-// the k-th of the other.
+// grid's patch, field by field. Every patch of the hierarchy carries
+// the same fields, so the k-th field of one is the k-th of the other.
 func (h *Hierarchy) runFillOp(dst *grid.Patch, op *fillOp) {
-	src := op.src.Patch
-	to, from := op.rows(op.to), op.rows(op.from)
+	src, from := op.src.Patch, op.rows(op.from)
+	for k := range h.Fields {
+		h.applyFillOp(dst.FieldAt(k), op, src.FieldAt(k), from)
+	}
+}
+
+// applyFillOp writes one field of op's region into df, that field's
+// storage in the destination patch, at op.to, reading sf laid out by
+// from: the source patch's field at op.from, or a message's dense
+// copy of what the op reads. It is the one place a planned region is
+// written, on every data path and at child init.
+func (h *Hierarchy) applyFillOp(df []float64, op *fillOp, sf []float64, from grid.Rows) {
 	if op.prolong {
-		lo := op.region().Lo
-		for k := range h.Fields {
-			grid.ProlongRows(dst.FieldAt(k), to, src.FieldAt(k), from, h.RefFactor, lo)
-		}
+		grid.ProlongRows(df, op.rows(op.to), sf, from, h.RefFactor, op.region().Lo)
 		return
 	}
-	for k := range h.Fields {
-		grid.CopyRows(dst.FieldAt(k), to, src.FieldAt(k), from)
-	}
+	grid.CopyRows(df, op.rows(op.to), sf, from)
 }
 
 // execFillPlan runs every destination's work list over the pool
@@ -312,19 +320,27 @@ func (h *Hierarchy) execRestrictPlan(plan []restrictDest) {
 	h.pool.ForEach(len(plan), func(i int) { h.runRestrictDest(&plan[i]) })
 }
 
-// fillGhostsChecked is the -datacheck oracle: run the planned fill,
-// then re-run the scan-based fill from the same pre-state and demand
-// bitwise equality. Sources are never written by a fill, so swapping
-// each destination's patch for its pre-fill clone and re-running the
-// scan reproduces the baseline exactly. The planned result is kept
-// (the original patch objects stay installed).
-func (h *Hierarchy) fillGhostsChecked(l int, plan []fillDest) {
+// CheckFill runs exec, an executor of level l's planned ghost fill (the
+// shared-memory one, or the wire's), and returns whether it completed;
+// a wire phase that detached did not, and its caller falls back. With
+// the -datacheck oracle on, a completed fill is checked: the scan-based
+// fill re-runs from the same pre-state and must agree bitwise. Sources
+// are never written by a fill, so swapping each destination's patch for
+// its pre-fill clone and re-running the scan reproduces the baseline
+// exactly. The executed result is kept (the original patch objects stay
+// installed).
+func (h *Hierarchy) CheckFill(l int, exec func() bool) bool {
+	if !h.dataCheck {
+		return exec()
+	}
 	grids := h.Grids(l)
 	pre := make([]*grid.Patch, len(grids))
 	for i, g := range grids {
 		pre[i] = g.Patch.Clone()
 	}
-	h.execFillPlan(plan)
+	if !exec() {
+		return false
+	}
 	planned := make([]*grid.Patch, len(grids))
 	for i, g := range grids {
 		planned[i] = g.Patch
@@ -335,16 +351,23 @@ func (h *Hierarchy) fillGhostsChecked(l int, plan []fillDest) {
 		comparePatches("FillGhosts", l, g.ID, g.Patch, planned[i])
 		g.Patch = planned[i]
 	}
+	return true
 }
 
-// restrictChecked is the -datacheck oracle for restriction: planned
-// vs scan-based, compared bitwise on every written parent.
-func (h *Hierarchy) restrictChecked(l int, plan []restrictDest) {
+// CheckRestrict is CheckFill for level l's planned restriction, whose
+// check compares every written parent with the scan's.
+func (h *Hierarchy) CheckRestrict(l int, exec func() bool) bool {
+	if !h.dataCheck {
+		return exec()
+	}
+	plan := h.restrictDataPlan(l)
 	pre := make([]*grid.Patch, len(plan))
 	for i := range plan {
 		pre[i] = plan[i].parent.Patch.Clone()
 	}
-	h.execRestrictPlan(plan)
+	if !exec() {
+		return false
+	}
 	planned := make([]*grid.Patch, len(plan))
 	for i := range plan {
 		planned[i] = plan[i].parent.Patch
@@ -355,6 +378,7 @@ func (h *Hierarchy) restrictChecked(l int, plan []restrictDest) {
 		comparePatches("Restrict", l, plan[i].parent.ID, plan[i].parent.Patch, planned[i])
 		plan[i].parent.Patch = planned[i]
 	}
+	return true
 }
 
 // comparePatches panics with cell-level detail when the planned data

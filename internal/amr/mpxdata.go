@@ -2,9 +2,9 @@ package amr
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
-	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
 	"samrdlb/internal/mpx"
 )
@@ -124,17 +124,10 @@ func (h *Hierarchy) FillGhostsMPX(r *mpx.Rank, level int) {
 	// prolongations left (a plan writes each cell once).
 	h.fillPhaseMPX(r, x, plan, phaseSibling)
 
-	// Phase C: physical-boundary clamp, purely local to each owner,
-	// row-wise over the plan's precomputed outside-domain boxes.
+	// Phase C: physical-boundary clamp, purely local to each owner.
 	for i := range plan {
-		d := &plan[i]
-		if d.g.Owner != me {
-			continue
-		}
-		for _, cb := range d.clamps {
-			for _, f := range h.Fields {
-				grid.ClampRegion(d.g.Patch, f, cb, d.g.Box)
-			}
+		if d := &plan[i]; d.g.Owner == me {
+			h.clampFaces(d)
 		}
 	}
 	r.Barrier()
@@ -145,31 +138,33 @@ func (h *Hierarchy) FillGhostsMPX(r *mpx.Rank, level int) {
 // packs the source cells of every operation that reads one of the
 // rank's grids and writes another rank's, and posts the buffers; the
 // second applies every operation that writes one of the rank's own
-// grids in plan order, a local one directly and a remote one from the
-// source rank's message. Every send of the phase is posted before any
-// receive, so the pattern cannot deadlock; a sender and a receiver
-// meet the same plan entries in the same order, so position in the
-// message needs no header.
+// grids in plan order, a local one from the source patch and a remote
+// one from the source rank's message. Every send of the phase is posted
+// before any receive, so the pattern cannot deadlock; a sender and a
+// receiver meet the same plan entries in the same order, so position in
+// the message needs no header.
 func (h *Hierarchy) fillPhaseMPX(r *mpx.Rank, x *exchange, plan []fillDest, phase int) {
 	me, nf := r.ID(), len(h.Fields)
 	prolong := phase == phaseProlong
-	// The cells an operation reads: a prolongation ships the coarse
-	// cells under its region, a sibling copy the region itself.
-	source := func(op *fillOp) geom.Box {
-		if prolong {
-			return op.region().Coarsen(h.RefFactor)
-		}
-		return op.region()
-	}
 	for i := range plan {
 		d := &plan[i]
 		if d.g.Owner == me {
 			continue
 		}
 		for j := range d.ops {
-			if op := &d.ops[j]; op.prolong == prolong && op.src.Owner == me {
-				x.send[d.g.Owner] = grid.PackRegion(x.send[d.g.Owner], op.src.Patch, source(op), h.Fields)
+			op := &d.ops[j]
+			if op.prolong != prolong || op.src.Owner != me {
+				continue
 			}
+			dense, n := h.packed(op)
+			buf := slices.Grow(x.send[d.g.Owner], n*nf)
+			k := len(buf)
+			buf = buf[:k+n*nf]
+			from := op.rows(op.from)
+			for f := range nf {
+				grid.CopyRows(buf[k+f*n:], dense, op.src.Patch.FieldAt(f), from)
+			}
+			x.send[d.g.Owner] = buf
 		}
 	}
 	x.post(r, phase)
@@ -184,21 +179,30 @@ func (h *Hierarchy) fillPhaseMPX(r *mpx.Rank, x *exchange, plan []fillDest, phas
 			case op.prolong != prolong:
 			case op.src.Owner == me:
 				h.runFillOp(d.g.Patch, op)
-			case prolong:
-				coarse := source(op)
-				nc := int(coarse.NumCells())
-				data := x.next(r, phase, op.src.Owner, nc*nf)
-				for k, f := range h.Fields {
-					grid.ProlongFrom(d.g.Patch, data[k*nc:(k+1)*nc], coarse, f, h.RefFactor, op.region())
-				}
 			default:
-				n := int(op.region().NumCells()) * nf
-				grid.UnpackRegion(d.g.Patch, op.region(), h.Fields, x.next(r, phase, op.src.Owner, n))
+				dense, n := h.packed(op)
+				data := x.next(r, phase, op.src.Owner, n*nf)
+				for f := range nf {
+					h.applyFillOp(d.g.Patch.FieldAt(f), op, data[f*n:(f+1)*n], dense)
+				}
 			}
 		}
 	}
 	x.finish(r, phase)
 	r.Barrier()
+}
+
+// packed returns the dense layout in which a message carries, field
+// after field in Patch.FieldAt order, the cells op reads: the region
+// itself for a copy, its coarse footprint for a prolongation. n is its
+// number of cells.
+func (h *Hierarchy) packed(op *fillOp) (dense grid.Rows, n int) {
+	read := op.region()
+	if op.prolong {
+		read = read.Coarsen(h.RefFactor)
+	}
+	dense = grid.RowsOf(read, read)
+	return dense, dense.N * dense.NY * dense.NZ
 }
 
 // RestrictMPX performs RestrictData's motion through the world: each
@@ -229,10 +233,10 @@ func (h *Hierarchy) RestrictMPX(r *mpx.Rank, level int) {
 			}
 			coarse := g.Box.Coarsen(h.RefFactor)
 			nc := int(coarse.NumCells())
-			buf := x.send[to]
+			buf := slices.Grow(x.send[to], nc*nf)
 			for _, f := range h.Fields {
 				k := len(buf)
-				buf = append(buf, make([]float64, nc)...)
+				buf = buf[:k+nc]
 				grid.RestrictInto(buf[k:], coarse, coarse, g.Patch, f, h.RefFactor)
 			}
 			x.send[to] = buf
@@ -254,8 +258,13 @@ func (h *Hierarchy) RestrictMPX(r *mpx.Rank, level int) {
 			coarse := g.Box.Coarsen(h.RefFactor)
 			nc := int(coarse.NumCells())
 			data := x.next(r, phaseRestrict, g.Owner, nc*nf)
+			reg := coarse.Intersect(d.parent.Box)
+			if reg.Empty() {
+				continue
+			}
+			to, from := grid.RowsOf(d.parent.Patch.Grown(), reg), grid.RowsOf(coarse, reg)
 			for k, f := range h.Fields {
-				grid.CopyRegionFrom(d.parent.Patch, data[k*nc:(k+1)*nc], coarse, f, coarse.Intersect(d.parent.Box))
+				grid.CopyRows(d.parent.Patch.Field(f), to, data[k*nc:(k+1)*nc], from)
 			}
 		}
 	}

@@ -24,11 +24,28 @@ func localWorld(n int) *mpx.World {
 	return mpx.NewShardWorld(n, func(int) int { return 0 }, 0, noWire{})
 }
 
-// buildDataHierarchy makes a two-level hierarchy with random data,
-// grids spread over the given number of owners.
+// dataFixture is the field list and refinement factor of a data
+// fixture. The wire packs fields in Patch.FieldAt order, which is
+// sorted, and restricts them in h.Fields order, so the second fixture
+// lists its fields out of sorted order; it also refines by 3.
+type dataFixture struct {
+	fields []string
+	r      int
+}
+
+var dataFixtures = []dataFixture{{[]string{"q", "rho"}, 2}, {[]string{"rho", "q", "e"}, 3}}
+
+// buildDataHierarchy makes a two-level hierarchy of the first fixture.
 func buildDataHierarchy(t *testing.T, owners int) *Hierarchy {
 	t.Helper()
-	h := New(geom.UnitCube(16), 2, 1, 1, true, "q", "rho")
+	return buildFixtureHierarchy(t, owners, dataFixtures[0])
+}
+
+// buildFixtureHierarchy makes a two-level hierarchy of fixture fx with
+// random data, grids spread over the given number of owners.
+func buildFixtureHierarchy(t *testing.T, owners int, fx dataFixture) *Hierarchy {
+	t.Helper()
+	h := New(geom.UnitCube(16), fx.r, 1, 1, true, fx.fields...)
 	rng := rand.New(rand.NewSource(99))
 	boxes := geom.BoxList{h.Domain}.SplitEvenly(8)
 	boxes.SortByLo()
@@ -44,7 +61,7 @@ func buildDataHierarchy(t *testing.T, owners int) *Hierarchy {
 		if child.Empty() {
 			continue
 		}
-		c := h.AddGrid(1, child.Refine(2), (p.Owner+1)%owners, p.ID)
+		c := h.AddGrid(1, child.Refine(fx.r), (p.Owner+1)%owners, p.ID)
 		for _, f := range h.Fields {
 			c.Patch.FillFunc(f, func(geom.Index) float64 { return rng.Float64() })
 		}
@@ -91,13 +108,14 @@ func assertSameData(t *testing.T, a, b *Hierarchy, context string) {
 	}
 }
 
-// buildDeepDataHierarchy makes a three-level hierarchy (8 grids per
-// level, each fine grid inside one parent) with random data and owners
-// drawn at random from the given ranks — so a world larger than the
-// draw has ranks that own nothing and pairs that exchange nothing.
-func buildDeepDataHierarchy(t *testing.T, seed int64, ranks []int) *Hierarchy {
+// buildDeepDataHierarchy makes a three-level hierarchy of fixture fx
+// (8 grids per level, each fine grid inside one parent) with random
+// data and owners drawn at random from the given ranks — so a world
+// larger than the draw has ranks that own nothing and pairs that
+// exchange nothing.
+func buildDeepDataHierarchy(t *testing.T, seed int64, ranks []int, fx dataFixture) *Hierarchy {
 	t.Helper()
-	h := New(geom.UnitCube(16), 2, 2, 1, true, "q", "rho")
+	h := New(geom.UnitCube(16), fx.r, 2, 1, true, fx.fields...)
 	rng := rand.New(rand.NewSource(seed))
 	add := func(l int, b geom.Box, parent GridID) {
 		g := h.AddGrid(l, b, ranks[rng.Intn(len(ranks))], parent)
@@ -111,15 +129,12 @@ func buildDeepDataHierarchy(t *testing.T, seed int64, ranks []int) *Hierarchy {
 		add(0, b, NoGrid)
 	}
 	// Refined regions in the index space of the level they refine, each
-	// nested one coarse cell inside the level above.
-	regions := []geom.Box{
-		{Lo: geom.Index{3, 3, 3}, Hi: geom.Index{12, 12, 12}},
-		{Lo: geom.Index{10, 10, 10}, Hi: geom.Index{21, 21, 21}},
-	}
-	for l, region := range regions {
+	// nested inside the level above.
+	outer := geom.Box{Lo: geom.Index{3, 3, 3}, Hi: geom.Index{12, 12, 12}}
+	for l, region := range []geom.Box{outer, outer.Refine(fx.r).Grow(-4)} {
 		for _, p := range h.Grids(l) {
 			if child := p.Box.Intersect(region); !child.Empty() {
-				add(l+1, child.Refine(2), p.ID)
+				add(l+1, child.Refine(fx.r), p.ID)
 			}
 		}
 	}
@@ -141,57 +156,63 @@ var deepOwnerDraws = []struct {
 	{3, []int{1}},
 }
 
+// TestFillGhostsMPXMatchesSequential: the wire fill equals the
+// shared-memory one on both fixtures and every owner draw.
 func TestFillGhostsMPXMatchesSequential(t *testing.T) {
-	for _, owners := range []int{1, 2, 4} {
-		seq := buildDataHierarchy(t, owners)
-		par := cloneHierarchy(seq)
-		for l := 0; l <= 1; l++ {
-			seq.FillGhostsData(l)
-		}
-		w := localWorld(owners)
-		w.Run(func(r *mpx.Rank) {
+	for _, fx := range dataFixtures {
+		for _, owners := range []int{1, 2, 4} {
+			seq := buildFixtureHierarchy(t, owners, fx)
+			par := cloneHierarchy(seq)
 			for l := 0; l <= 1; l++ {
-				par.FillGhostsMPX(r, l)
+				seq.FillGhostsData(l)
 			}
-		})
-		assertSameData(t, seq, par, "ghosts")
-	}
-	for seed, c := range deepOwnerDraws {
-		seq := buildDeepDataHierarchy(t, int64(seed), c.ranks)
-		par := cloneHierarchy(seq)
-		for l := 0; l <= 2; l++ {
-			seq.FillGhostsData(l)
+			localWorld(owners).Run(func(r *mpx.Rank) {
+				for l := 0; l <= 1; l++ {
+					par.FillGhostsMPX(r, l)
+				}
+			})
+			assertSameData(t, seq, par, fmt.Sprintf("ghosts %v, %d owners", fx, owners))
 		}
-		localWorld(c.world).Run(func(r *mpx.Rank) {
+		for seed, c := range deepOwnerDraws {
+			seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
+			par := cloneHierarchy(seq)
 			for l := 0; l <= 2; l++ {
-				par.FillGhostsMPX(r, l)
+				seq.FillGhostsData(l)
 			}
-		})
-		assertSameData(t, seq, par, fmt.Sprintf("deep ghosts, owners %v of %d", c.ranks, c.world))
+			localWorld(c.world).Run(func(r *mpx.Rank) {
+				for l := 0; l <= 2; l++ {
+					par.FillGhostsMPX(r, l)
+				}
+			})
+			assertSameData(t, seq, par, fmt.Sprintf("deep ghosts %v, owners %v of %d", fx, c.ranks, c.world))
+		}
 	}
 }
 
+// TestRestrictMPXMatchesSequential: the wire restriction equals the
+// shared-memory one on both fixtures and every owner draw.
 func TestRestrictMPXMatchesSequential(t *testing.T) {
-	for _, owners := range []int{1, 3} {
-		seq := buildDataHierarchy(t, owners)
-		par := cloneHierarchy(seq)
-		seq.RestrictData(1)
-		w := localWorld(owners)
-		w.Run(func(r *mpx.Rank) {
-			par.RestrictMPX(r, 1)
-		})
-		assertSameData(t, seq, par, "restrict")
-	}
-	for seed, c := range deepOwnerDraws {
-		seq := buildDeepDataHierarchy(t, int64(seed), c.ranks)
-		par := cloneHierarchy(seq)
-		seq.RestrictData(2)
-		seq.RestrictData(1)
-		localWorld(c.world).Run(func(r *mpx.Rank) {
-			par.RestrictMPX(r, 2)
-			par.RestrictMPX(r, 1)
-		})
-		assertSameData(t, seq, par, fmt.Sprintf("deep restrict, owners %v of %d", c.ranks, c.world))
+	for _, fx := range dataFixtures {
+		for _, owners := range []int{1, 3} {
+			seq := buildFixtureHierarchy(t, owners, fx)
+			par := cloneHierarchy(seq)
+			seq.RestrictData(1)
+			localWorld(owners).Run(func(r *mpx.Rank) {
+				par.RestrictMPX(r, 1)
+			})
+			assertSameData(t, seq, par, fmt.Sprintf("restrict %v, %d owners", fx, owners))
+		}
+		for seed, c := range deepOwnerDraws {
+			seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
+			par := cloneHierarchy(seq)
+			seq.RestrictData(2)
+			seq.RestrictData(1)
+			localWorld(c.world).Run(func(r *mpx.Rank) {
+				par.RestrictMPX(r, 2)
+				par.RestrictMPX(r, 1)
+			})
+			assertSameData(t, seq, par, fmt.Sprintf("deep restrict %v, owners %v of %d", fx, c.ranks, c.world))
+		}
 	}
 }
 

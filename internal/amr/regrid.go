@@ -1,9 +1,10 @@
 package amr
 
 import (
+	"slices"
+
 	"samrdlb/internal/cluster"
 	"samrdlb/internal/geom"
-	"samrdlb/internal/grid"
 )
 
 // RegridParams controls hierarchy reconstruction.
@@ -34,10 +35,11 @@ type Placer func(childBox geom.Box, parent *Grid) int
 // RegridAll rebuilds every level deeper than base: flags are gathered
 // on each level in turn, clustered into boxes, intersected with the
 // existing level's grids (enforcing proper nesting), refined, and
-// instantiated as new child grids. Field data on new grids is copied
-// from any old same-level data that overlaps, so the solution survives
-// regridding, and prolonged from the coarse level everywhere else; no
-// cell is written twice. It returns the number of grids created.
+// instantiated as new child grids. A new grid's interior and face
+// slabs are copied from any old same-level data that overlaps, so the
+// solution survives regridding, and prolonged from the coarse level
+// everywhere else; no cell is written twice. It returns the number of
+// grids created.
 //
 // Every overlap is found through a level index (spatialindex.go), and
 // every answer comes in level-list order, so children are made, placed
@@ -167,41 +169,46 @@ func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 	h.regridArena = srcs
 }
 
-// initChildData fills a new child grid, writing each cell once: the
-// old same-level grids that overlap its grown box copy their data (the
-// old solution is more accurate than prolonged data), and the coarse
-// grids that overlap it prolong into what the old grids leave. Its edge
-// and corner ghosts are then zeroed: no kernel reads them and no fill
-// writes them, and on an mpx worker an old grid may be a stale replica,
-// so a copied value would make the patch depend on the transport.
+// initChildData fills a new child grid's interior and face slabs, the
+// cells a kernel reads, writing each cell once. It plans them as fill
+// ops: copies from the old same-level grids that overlap them (the old
+// solution is more accurate than prolonged data), then prolongations
+// from the coarse grids into what the old grids leave. Its edge and
+// corner ghosts keep the zeros NewPatch gave them: no kernel reads them
+// and no fill writes them, and on an mpx worker an old grid's ghosts may
+// be a stale replica's, so a copied value would make the patch depend
+// on the transport.
 func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
-	grown := child.Patch.Grown()
 	scr := getPlanScratch()
+	// The interior and its two x faces are one region of whole rows, so
+	// no op moves one-cell rows; the y and z faces follow.
+	b, ng := child.Box, h.NGhost
+	scr.faces = geom.AppendFaces(append(scr.faces[:0], b.GrowDim(0, ng, ng)), b, ng)
+	scr.faces = slices.Delete(scr.faces, 1, 3)
 	scr.covered = scr.covered[:0]
+	ops := scr.ops[:0]
 	for _, og := range old {
 		scr.covered = append(scr.covered, og.Box)
-	}
-	left := subtractList(grown, scr.covered, scr)
-	for _, c := range coarse {
-		refined := c.Box.Refine(h.RefFactor)
-		for _, b := range left {
-			region := b.Intersect(refined)
-			if region.Empty() {
-				continue
-			}
-			for _, f := range h.Fields {
-				grid.Prolong(child.Patch, c.Patch, f, h.RefFactor, region)
+		for _, f := range scr.faces {
+			if region := f.Intersect(og.Box); !region.Empty() {
+				ops = append(ops, h.newFillOp(child, og, region, false))
 			}
 		}
 	}
+	for _, f := range scr.faces {
+		for _, b := range subtractList(f, scr.covered, scr) {
+			for _, c := range coarse {
+				if region := b.Intersect(c.Box.Refine(h.RefFactor)); !region.Empty() {
+					ops = append(ops, h.newFillOp(child, c, region, true))
+				}
+			}
+		}
+	}
+	for i := range ops {
+		h.runFillOp(child.Patch, &ops[i])
+	}
+	scr.ops = ops
 	putPlanScratch(scr)
-	for _, og := range old {
-		region := grown.Intersect(og.Box)
-		for _, f := range h.Fields {
-			grid.CopyRegion(child.Patch, og.Patch, f, region)
-		}
-	}
-	child.Patch.ZeroEdges()
 }
 
 // FlagWhereGradient flags every level-l cell whose solution gradient

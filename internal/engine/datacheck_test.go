@@ -76,3 +76,24 @@ func TestDataCheckResumeFromCheckpoint(t *testing.T) {
 		o.Pool = solver.NewPool(2)
 	})
 }
+
+func TestDataCheckOverTCP(t *testing.T) {
+	// The wire's fill and restriction go through the oracle as well:
+	// ShockPool3D, and AMR64, whose three fields are not listed in
+	// sorted order, over tcp ranks with no fallback to the in-memory
+	// path, so every checked phase is a wire phase.
+	for _, d := range []workload.Driver{workload.NewShockPool3D(16, 2), workload.NewAMR64(16, 2, 9)} {
+		r := New(machine.WanPair(2, nil), d, Options{
+			Steps: 3, MaxLevel: 1, WithData: true, DataCheck: true,
+			UseMPX: true, Transport: TransportTCP,
+		})
+		res := r.Run()
+		if res.Steps != 3 {
+			t.Fatalf("%s: run did not complete: %d steps", d.Name(), res.Steps)
+		}
+		if res.TransportFrames == 0 || res.TransportFallbacks != 0 {
+			t.Fatalf("%s: %d wire frames, %d fallbacks: the phases did not all run on the wire",
+				d.Name(), res.TransportFrames, res.TransportFallbacks)
+		}
+	}
+}

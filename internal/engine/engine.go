@@ -924,8 +924,8 @@ func (r *Runner) advanceLevel(level int) {
 		// so a wire failure during the exchange can fall back to the
 		// in-memory fill (an idempotent full rewrite) without re-running
 		// any kernel.
-		if r.shards == nil || !r.runWirePhase("fill", level, func(rank *mpx.Rank) {
-			r.h.FillGhostsMPX(rank, level)
+		if r.shards == nil || !r.h.CheckFill(level, func() bool {
+			return r.runWirePhase("fill", level, func(rank *mpx.Rank) { r.h.FillGhostsMPX(rank, level) })
 		}) {
 			r.h.FillGhostsData(level)
 		}
@@ -1060,8 +1060,8 @@ func cellOf(pos, dx float64) int {
 func (r *Runner) restrict(level int) {
 	r.chargeTransfers(r.h.RestrictTransfers(level), vclock.LocalComm, vclock.RemoteComm)
 	if r.opt.WithData {
-		if r.shards == nil || !r.runWirePhase("restrict", level, func(rank *mpx.Rank) {
-			r.h.RestrictMPX(rank, level)
+		if r.shards == nil || !r.h.CheckRestrict(level, func() bool {
+			return r.runWirePhase("restrict", level, func(rank *mpx.Rank) { r.h.RestrictMPX(rank, level) })
 		}) {
 			r.h.RestrictData(level)
 		}

@@ -176,34 +176,6 @@ func (p *Patch) Clone() *Patch {
 	return q
 }
 
-// ZeroEdges sets every field's edge and corner ghosts, the ghost cells
-// with two or three coordinates outside the box, to zero. No ghost
-// fill writes them, so they keep what the patch was built with.
-func (p *Patch) ZeroEdges() {
-	g := p.Grown()
-	sy, sz := strides(g)
-	ng := p.NGhost
-	for z := g.Lo[2]; z <= g.Hi[2]; z++ {
-		zOut := z < p.Box.Lo[2] || z > p.Box.Hi[2]
-		for y := g.Lo[1]; y <= g.Hi[1]; y++ {
-			yOut := y < p.Box.Lo[1] || y > p.Box.Hi[1]
-			if !yOut && !zOut {
-				continue
-			}
-			o := (y-g.Lo[1])*sy + (z-g.Lo[2])*sz
-			for _, f := range p.data {
-				row := f[o : o+sy]
-				if yOut && zOut {
-					clear(row)
-				} else {
-					clear(row[:ng])
-					clear(row[sy-ng:])
-				}
-			}
-		}
-	}
-}
-
 // Rows describes how a region's x-rows lie in x-fastest storage over a
 // containing box: the first row starts at Base, consecutive y rows are
 // SY apart, consecutive z planes SZ apart, and the region spans N × NY
@@ -265,34 +237,25 @@ func RowsOf(store, region geom.Box) Rows {
 // CopyRegion copies the named field over region (in level index space)
 // from src to dst. The region is clipped to both patches' grown boxes,
 // so callers may pass the nominal overlap and let clipping handle
-// ghosts. Both patches must be on the same level. Rows are moved with
-// copy() — this is the hot operation of the ghost-exchange plan.
+// ghosts. Both patches must be on the same level.
 func CopyRegion(dst, src *Patch, name string, region geom.Box) {
 	if dst.Level != src.Level {
 		panic("grid.CopyRegion: level mismatch")
 	}
-	CopyRegionFrom(dst, src.Field(name), src.Grown(), name, region)
-}
-
-// CopyRegionFrom is CopyRegion reading raw x-fastest storage sf over
-// sbox instead of a source patch — a received message is copied in
-// straight from its buffer. The region is clipped to dst's grown box
-// and to sbox.
-func CopyRegionFrom(dst *Patch, sf []float64, sbox geom.Box, name string, region geom.Box) {
-	checkStorage("grid.CopyRegionFrom", sf, sbox)
-	dg := dst.Grown()
-	r := region.Intersect(dg).Intersect(sbox)
+	dg, sg := dst.Grown(), src.Grown()
+	r := region.Intersect(dg).Intersect(sg)
 	if r.Empty() {
 		return
 	}
-	CopyRows(dst.Field(name), RowsOf(dg, r), sf, RowsOf(sbox, r))
+	CopyRows(dst.Field(name), RowsOf(dg, r), src.Field(name), RowsOf(sg, r))
 }
 
 // CopyRows copies one region between two layouts resolved in advance:
-// d lays it out over df, s over sf (the shapes agree). A planned ghost
-// fill computes both from boxes once and calls this per field. Rows of
-// one cell (an x-face slab of a one-cell halo) are moved by a strided
-// element loop instead of a copy call each.
+// d lays it out over df, s's start and strides over sf (s's extents
+// are not read). A planned fill computes both once and calls this per
+// field, into a patch or a message's dense layout of the region. Rows
+// of one cell (an x-face slab of a one-cell halo) are moved by a
+// strided element loop instead of a copy call each.
 func CopyRows(df []float64, d Rows, sf []float64, s Rows) {
 	dz, sz := d.Base, s.Base
 	if d.N == 1 {
@@ -317,15 +280,6 @@ func CopyRows(df []float64, d Rows, sf []float64, s Rows) {
 		}
 		dz += d.SZ
 		sz += s.SZ
-	}
-}
-
-// checkStorage panics unless f is exactly the storage of box: a raw
-// slice that disagrees with its box is a mis-cut message, and reading
-// it would silently move the wrong cells.
-func checkStorage(op string, f []float64, box geom.Box) {
-	if int64(len(f)) != box.NumCells() {
-		panic(fmt.Sprintf("%s: %d values for storage box %v (%d cells)", op, len(f), box, box.NumCells()))
 	}
 }
 
@@ -407,7 +361,10 @@ func Restrict(coarse, fine *Patch, name string, r int) {
 // are explicit but accumulate in exactly the closure-based original's
 // order, so results are bit-identical to it.
 func RestrictInto(cf []float64, cbox, region geom.Box, fine *Patch, name string, r int) {
-	checkStorage("grid.RestrictInto", cf, cbox)
+	if int64(len(cf)) != cbox.NumCells() {
+		// A mis-cut message: reading it would move the wrong cells.
+		panic(fmt.Sprintf("grid.RestrictInto: %d values for storage box %v (%d cells)", len(cf), cbox, cbox.NumCells()))
+	}
 	fb := fine.Box
 	overlap := region.Intersect(cbox).Intersect(fb.Coarsen(r))
 	if overlap.Empty() {
@@ -453,32 +410,23 @@ func RestrictInto(cf []float64, cbox, region geom.Box, fine *Patch, name string,
 }
 
 // Prolong fills the fine patch's field over region (fine index space)
-// by piecewise-constant injection from the coarse patch. Used to
-// initialise newly created fine grids and to fill fine ghost cells
-// that have no same-level neighbour. Fine cells whose coarse parent
-// falls outside the coarse patch's grown box are left untouched
-// (handled by clipping the region to the coarse footprint up front,
-// so the row loops need no per-cell containment check).
+// by piecewise-constant injection from the coarse patch. Fine cells
+// whose coarse parent falls outside the coarse patch's grown box are
+// left untouched (handled by clipping the region to the coarse
+// footprint up front, so the row loops need no per-cell containment
+// check).
 func Prolong(fine, coarse *Patch, name string, r int, region geom.Box) {
 	if fine.Level != coarse.Level+1 {
 		panic("grid.Prolong: fine must be exactly one level finer")
 	}
-	ProlongFrom(fine, coarse.Field(name), coarse.Grown(), name, r, region)
-}
-
-// ProlongFrom is Prolong reading raw x-fastest coarse storage cf over
-// cbox instead of a coarse patch — a received coarse region is
-// injected straight from its message buffer.
-func ProlongFrom(fine *Patch, cf []float64, cbox geom.Box, name string, r int, region geom.Box) {
-	checkStorage("grid.ProlongFrom", cf, cbox)
-	fg := fine.Grown()
-	// f.FloorDiv(r) ∈ cbox  ⟺  f ∈ cbox.Refine(r), so the clip below is
-	// exactly the original per-cell cbox.Contains test.
-	reg := region.Intersect(fg).Intersect(cbox.Refine(r))
+	fg, cg := fine.Grown(), coarse.Grown()
+	// f.FloorDiv(r) ∈ cg  ⟺  f ∈ cg.Refine(r), so the clip below is
+	// exactly the per-cell containment test.
+	reg := region.Intersect(fg).Intersect(cg.Refine(r))
 	if reg.Empty() {
 		return
 	}
-	ProlongRows(fine.Field(name), RowsOf(fg, reg), cf, RowsOf(cbox, reg.Coarsen(r)), r, reg.Lo)
+	ProlongRows(fine.Field(name), RowsOf(fg, reg), coarse.Field(name), RowsOf(cg, reg.Coarsen(r)), r, reg.Lo)
 }
 
 // ProlongRows is the injection kernel over layouts resolved in

@@ -102,41 +102,6 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-// TestZeroEdges: over boxes of several shapes and ghost widths 1 and 2,
-// ZeroEdges zeroes exactly the cells with two or three coordinates
-// outside the box, in every field, and leaves interiors and face slabs.
-func TestZeroEdges(t *testing.T) {
-	for _, c := range []struct {
-		lo, shape geom.Index
-		ng        int
-	}{
-		{geom.Index{0, 0, 0}, geom.Index{1, 1, 1}, 1},
-		{geom.Index{-3, 2, 5}, geom.Index{4, 2, 3}, 1},
-		{geom.Index{1, 1, 1}, geom.Index{2, 5, 3}, 2},
-	} {
-		p := NewPatch(geom.BoxFromShape(c.lo, c.shape), 0, c.ng, "q", "rho")
-		p.FillConstant("q", 1)
-		p.FillConstant("rho", 2)
-		p.ZeroEdges()
-		p.Grown().ForEach(func(i geom.Index) {
-			out := 0
-			for d := range geom.Dims {
-				if i[d] < p.Box.Lo[d] || i[d] > p.Box.Hi[d] {
-					out++
-				}
-			}
-			for f, v := range map[string]float64{"q": 1, "rho": 2} {
-				if out >= 2 {
-					v = 0
-				}
-				if got := p.At(f, i); got != v {
-					t.Fatalf("box %v ng %d: %s at %v = %v, want %v", p.Box, c.ng, f, i, got, v)
-				}
-			}
-		})
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	p := NewPatch(geom.UnitCube(2), 1, 1, "q")
 	p.FillConstant("q", 7)

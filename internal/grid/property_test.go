@@ -28,6 +28,8 @@ func randomRegionIn(rng *rand.Rand, b geom.Box) geom.Box {
 	return geom.Box{Lo: lo, Hi: hi}
 }
 
+// TestPackUnpackRoundTripProperty: unpacking a packed region restores
+// it and writes nothing else.
 func TestPackUnpackRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -35,9 +37,9 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 		p.FillFunc("a", func(geom.Index) float64 { return rng.Float64() })
 		p.FillFunc("b", func(geom.Index) float64 { return rng.Float64() })
 		region := randomRegionIn(rng, p.Grown())
-		data := PackRegion(nil, p, region, []string{"a", "b"})
+		data := pack(p, region, []string{"a", "b"})
 		q := NewPatch(p.Box, 0, 1, "a", "b")
-		UnpackRegion(q, region, []string{"a", "b"}, data)
+		unpack(q, region, []string{"a", "b"}, data)
 		ok := true
 		region.ForEach(func(i geom.Index) {
 			if q.At("a", i) != p.At("a", i) || q.At("b", i) != p.At("b", i) {
@@ -55,26 +57,6 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, quickCfg(11)); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestPackRegionEscapePanics(t *testing.T) {
-	p := NewPatch(geom.UnitCube(4), 0, 0, "q")
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	PackRegion(nil, p, geom.UnitCube(10), []string{"q"})
-}
-
-func TestUnpackSizeMismatchPanics(t *testing.T) {
-	p := NewPatch(geom.UnitCube(4), 0, 0, "q")
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	UnpackRegion(p, geom.UnitCube(2), []string{"q"}, make([]float64, 3))
 }
 
 func TestRestrictConservationProperty(t *testing.T) {

@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"samrdlb/internal/geom"
 )
@@ -155,7 +157,7 @@ func rowShape(rng *rand.Rand, n int) geom.Index {
 	return geom.Index{n, 1 + rng.Intn(4), 1 + rng.Intn(4)}
 }
 
-// The generic paths of CopyRows and PackRegion: one copy per x-row.
+// The generic path of CopyRows: one copy per x-row.
 func rowCopyRows(df []float64, d Rows, sf []float64, s Rows) {
 	for z := 0; z < d.NZ; z++ {
 		for y := 0; y < d.NY; y++ {
@@ -163,20 +165,6 @@ func rowCopyRows(df []float64, d Rows, sf []float64, s Rows) {
 			copy(df[do:do+d.N], sf[so:so+d.N])
 		}
 	}
-}
-
-func rowPackRegion(buf []float64, p *Patch, region geom.Box, fields []string) []float64 {
-	rw := RowsOf(p.Grown(), region)
-	for _, name := range fields {
-		f := p.Field(name)
-		for z := 0; z < rw.NZ; z++ {
-			for y := 0; y < rw.NY; y++ {
-				o := rw.Base + y*rw.SY + z*rw.SZ
-				buf = append(buf, f[o:o+rw.N]...)
-			}
-		}
-	}
-	return buf
 }
 
 // TestCopyRowsMatchesRowCopy pins CopyRows, whose one-cell rows take a
@@ -199,28 +187,6 @@ func TestCopyRowsMatchesRowCopy(t *testing.T) {
 	}
 }
 
-// TestPackRegionMatchesRowCopy does the same for PackRegion, appending
-// two fields to a buffer that already holds values.
-func TestPackRegionMatchesRowCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	fields := []string{"q", "rho"}
-	for trial := range 300 {
-		shape := rowShape(rng, []int{1, 2, 5}[trial%3])
-		grown, region := randLayout(rng, shape)
-		ng := (min(grown.Shape()[0], grown.Shape()[1], grown.Shape()[2]) - 1) / 2
-		p := NewPatch(grown.Grow(-ng), 0, ng, fields...)
-		for _, f := range fields {
-			copy(p.Field(f), randValues(rng, int(grown.NumCells())))
-		}
-		prefix := randValues(rng, rng.Intn(3))
-		got := PackRegion(slices.Clone(prefix), p, region, fields)
-		want := rowPackRegion(slices.Clone(prefix), p, region, fields)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: packing %v of %v differs from the row copy", trial, region, grown)
-		}
-	}
-}
-
 func TestFloorDiv(t *testing.T) {
 	cases := []struct{ a, r, want int }{
 		{0, 2, 0}, {1, 2, 0}, {2, 2, 1}, {3, 2, 1},
@@ -232,4 +198,164 @@ func TestFloorDiv(t *testing.T) {
 			t.Errorf("floorDiv(%d,%d) = %d, want %d", c.a, c.r, got, c.want)
 		}
 	}
+}
+
+// pack copies the named fields of p over region into a dense buffer,
+// field-major, with CopyRows: the layout in which a wire message
+// carries a planned op's cells. unpack is its inverse.
+func pack(p *Patch, region geom.Box, fields []string) []float64 {
+	n := int(region.NumCells())
+	out := make([]float64, n*len(fields))
+	for k, name := range fields {
+		CopyRows(out[k*n:], RowsOf(region, region), p.Field(name), RowsOf(p.Grown(), region))
+	}
+	return out
+}
+
+func unpack(p *Patch, region geom.Box, fields []string, data []float64) {
+	n := int(region.NumCells())
+	for k, name := range fields {
+		CopyRows(p.Field(name), RowsOf(p.Grown(), region), data[k*n:], RowsOf(region, region))
+	}
+}
+
+// refPackRegion and refUnpackRegion are per-cell closures, the
+// element-order reference of a message: field-major, then Box.ForEach
+// order within the region.
+func refPackRegion(p *Patch, region geom.Box, fields []string) []float64 {
+	g := p.Grown()
+	var out []float64
+	for _, name := range fields {
+		f := p.Field(name)
+		region.ForEach(func(i geom.Index) {
+			out = append(out, f[g.Offset(i)])
+		})
+	}
+	return out
+}
+
+func refUnpackRegion(p *Patch, region geom.Box, fields []string, data []float64) {
+	g := p.Grown()
+	k := 0
+	for _, name := range fields {
+		f := p.Field(name)
+		region.ForEach(func(i geom.Index) {
+			f[g.Offset(i)] = data[k]
+			k++
+		})
+	}
+}
+
+var packFieldNames = []string{"a", "b", "c"}
+
+// randomPackPatch draws a patch with a negative-index box, ghost width
+// 0–2 and 1–3 random-valued fields.
+func randomPackPatch(rng *rand.Rand, level int) (*Patch, []string) {
+	lo := geom.Index{rng.Intn(9) - 6, rng.Intn(9) - 6, rng.Intn(9) - 6}
+	shape := geom.Index{1 + rng.Intn(6), 1 + rng.Intn(6), 1 + rng.Intn(6)}
+	fields := packFieldNames[:1+rng.Intn(3)]
+	p := NewPatch(geom.BoxFromShape(lo, shape), level, rng.Intn(3), fields...)
+	for _, f := range fields {
+		p.FillFunc(f, func(geom.Index) float64 { return rng.NormFloat64() })
+	}
+	return p, fields
+}
+
+// randomPackRegion draws a sub-box of b that, one time in three each,
+// touches b's boundary on every side or is one cell wide in x.
+func randomPackRegion(rng *rand.Rand, b geom.Box) geom.Box {
+	region := randomRegionIn(rng, b)
+	switch rng.Intn(3) {
+	case 0:
+		d := rng.Intn(3)
+		region.Lo[d], region.Hi[d] = b.Lo[d], b.Hi[d]
+	case 1:
+		region.Hi[0] = region.Lo[0]
+	}
+	return region
+}
+
+func samePatchData(a, b *Patch) error {
+	for _, name := range a.FieldNames() {
+		fa, fb := a.Field(name), b.Field(name)
+		for k := range fa {
+			if fa[k] != fb[k] {
+				return fmt.Errorf("field %q differs at flat index %d: %v vs %v", name, k, fa[k], fb[k])
+			}
+		}
+	}
+	return nil
+}
+
+// TestPackRowWiseMatchesPerCellProperty pins a dense CopyRows layout,
+// the one a message carries, element for element to the per-cell
+// order, both ways.
+func TestPackRowWiseMatchesPerCellProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p, fields := randomPackPatch(rng, 0)
+		region := randomPackRegion(rng, p.Grown())
+
+		want := refPackRegion(p, region, fields)
+		if got := pack(p, region, fields); !slices.Equal(got, want) {
+			t.Logf("seed %d: region %v in %v: packed %v, per-cell order has %v", seed, region, p.Grown(), got, want)
+			return false
+		}
+
+		a := NewPatch(p.Box, 0, p.NGhost, fields...)
+		b := a.Clone()
+		unpack(a, region, fields, want)
+		refUnpackRegion(b, region, fields, want)
+		if err := samePatchData(a, b); err != nil {
+			t.Logf("seed %d: unpack of region %v: %v", seed, region, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg(21)); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRawStorageOperatorsMatchPatchFormsProperty checks the raw form a
+// restriction headed for another rank is averaged with: restricting
+// into a slice equals restricting into a temporary patch over the same
+// box, whose storage it then is.
+func TestRawStorageOperatorsMatchPatchFormsProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for _, r := range []int{2, 3} {
+			// The fine patch's coarsened box as the storage, fine boxes
+			// not aligned to r included.
+			fine, fields := randomPackPatch(rng, 1)
+			coarse := fine.Box.Coarsen(r)
+			rtmp := NewPatch(coarse, 0, 0, fields...)
+			for _, name := range fields {
+				Restrict(rtmp, fine, name, r)
+				got := make([]float64, coarse.NumCells())
+				RestrictInto(got, coarse, coarse, fine, name, r)
+				if want := rtmp.Field(name); !slices.Equal(got, want) {
+					t.Logf("seed %d r=%d: RestrictInto of %v field %s = %v, want %v", seed, r, fine.Box, name, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg(22)); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRawStorageLengthPanics: a slice that is not exactly its box's
+// storage is a mis-cut message and must not be written.
+func TestRawStorageLengthPanics(t *testing.T) {
+	box := geom.UnitCube(2)
+	fine := NewPatch(geom.UnitCube(4), 1, 1, "q")
+	defer func() {
+		if recover() == nil {
+			t.Error("RestrictInto accepted a slice of the wrong length")
+		}
+	}()
+	RestrictInto(make([]float64, 7), box, box, fine, "q", 2)
 }

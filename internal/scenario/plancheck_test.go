@@ -35,15 +35,35 @@ func planMsgsEqual(a, b []amr.Message) bool {
 // scan planners, across every regrid, migration, fault and recovery
 // the scenario throws at it — plus a per-phase hook that compares the
 // indexed scratch GhostPlan against GhostPlanScan for all levels
-// (dropLocal filters the built plan, which the amr tests pin). Failures
-// shrink to a minimal replayable
-// reproducer, dropped into $SAMR_REPRO_DIR when set.
+// (dropLocal filters the built plan, which the amr tests pin). A
+// scenario that carries data also runs the data oracle, and runs again
+// over tcp ranks, so the oracle checks the wire's fill and restriction
+// too. Failures shrink to a minimal replayable reproducer, dropped into
+// $SAMR_REPRO_DIR when set.
 func runPlanScenario(t *testing.T, sc Scenario) {
 	t.Helper()
 	sc.Check |= CheckPlan
 	// Single leg: resume determinism has its own soak, and the oracle
 	// re-arms on recovery anyway.
 	sc.ResumeCut = -1
+	if !sc.WithData {
+		runPlanLeg(t, sc)
+		return
+	}
+	sc.Check |= CheckData
+	runPlanLeg(t, sc)
+	if tcp := sc; tcp.Transport == "" {
+		tcp.Transport = engine.TransportTCP
+		if tcp.Validate() == nil {
+			runPlanLeg(t, tcp)
+		}
+	}
+}
+
+// runPlanLeg runs sc once under its armed oracles and the plan hook,
+// and fails t with the shrunk reproducer if any of them objects.
+func runPlanLeg(t *testing.T, sc Scenario) {
+	t.Helper()
 	hookFail := ""
 	hook := func(pi *engine.PhaseInfo) {
 		if hookFail != "" || pi.Runner == nil {
@@ -76,10 +96,7 @@ func runPlanScenario(t *testing.T, sc Scenario) {
 	if panicked == "" && hookFail == "" {
 		return
 	}
-	shrunk := Shrink(sc, func(c Scenario) bool {
-		c.Check |= CheckPlan
-		return c.ExecuteWithHistory(nil).Failed()
-	}, 0)
+	shrunk := Shrink(sc, func(c Scenario) bool { return c.ExecuteWithHistory(nil).Failed() }, 0)
 	reason := panicked
 	if reason == "" {
 		reason = hookFail
