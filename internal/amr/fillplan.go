@@ -323,7 +323,7 @@ func (h *Hierarchy) execRestrictPlan(plan []restrictDest) {
 // CheckFill runs exec, an executor of level l's planned ghost fill (the
 // shared-memory one, or the wire's), and returns whether it completed;
 // a wire phase that detached did not, and its caller falls back. With
-// the -datacheck oracle on, a completed fill is checked: the scan-based
+// the -check=data oracle on, a completed fill is checked: the scan-based
 // fill re-runs from the same pre-state and must agree bitwise. Sources
 // are never written by a fill, so swapping each destination's patch for
 // its pre-fill clone and re-running the scan reproduces the baseline

@@ -149,8 +149,9 @@ type Hierarchy struct {
 func (h *Hierarchy) SetPool(p *solver.Pool) { h.pool = p }
 
 // SetDataCheck toggles the planned-vs-scan byte-identity oracle.
-// Every FillGhostsData and RestrictData then does the data motion
-// twice and compares — for tests and -datacheck runs only.
+// Every fill and restriction run through CheckFill or CheckRestrict,
+// in memory or on the tcp wire, then does the data motion twice and
+// compares — for tests and -check=data runs only.
 func (h *Hierarchy) SetDataCheck(on bool) { h.dataCheck = on }
 
 // SetPlanCheck toggles the indexed-vs-scan plan oracle. Every served
