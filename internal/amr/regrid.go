@@ -196,9 +196,9 @@ func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
 		}
 	}
 	for _, f := range scr.faces {
-		for _, b := range subtractList(f, scr.covered, scr) {
+		for _, rest := range subtractList(f, scr.covered, scr) {
 			for _, c := range coarse {
-				if region := b.Intersect(c.Box.Refine(h.RefFactor)); !region.Empty() {
+				if region := rest.Intersect(c.Box.Refine(h.RefFactor)); !region.Empty() {
 					ops = append(ops, h.newFillOp(child, c, region, true))
 				}
 			}
