@@ -701,6 +701,12 @@ var auditCode = []codeRule{
 		"the wire fill looks up no field by name: it packs and applies a planned op's rows through applyFillOp, field by FieldAt"},
 	{"internal/amr/regrid.go", "initChildData", `\.Field\(`, 0,
 		"child init runs planned fill ops through applyFillOp, field by FieldAt"},
+	{"internal/amr/regrid.go", "initChildData", `AppendFaces|GrowDim|Grown\(`, 0,
+		"child init plans over the child's box; the fill owns every ghost"},
+	{"internal/amr/regrid.go", "initChildren", `Grown\(`, 0,
+		"a new child's sources are the grids that overlap its box, not its ghost shell"},
+	{"internal/amr/regrid.go", "FlagWhereGradient", `FillGhostsData`, 1,
+		"gradient flagging reads face ghosts, so it fills the level first, through CheckFill"},
 	{"internal/scenario/*.go", "", `engine\.Build\(`, 1,
 		"one front door: Scenario.Start is the one place that builds an engine"},
 	{"internal/scenario/*.go", "", `engine\.Resume\(`, 1,

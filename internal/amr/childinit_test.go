@@ -8,8 +8,8 @@ import (
 )
 
 // childInitFixture is what initChildren reads, built by hand: a level 0
-// of 8 grids, an old level 1 over the centre, both holding 1 in every
-// cell, ghosts included, and n new children that tile level 1 in 8³
+// of 8 grids holding 1 in every cell, ghosts included, an old level 1
+// over the centre holding 2, and n new children that tile level 1 in 8³
 // cubes, outside the hierarchy as RegridAll's are before they are
 // placed.
 func childInitFixture(t *testing.T, n int) (h *Hierarchy, li, oli *levelIndex, children []*Grid) {
@@ -25,7 +25,7 @@ func childInitFixture(t *testing.T, n int) (h *Hierarchy, li, oli *levelIndex, c
 	for l := range 2 {
 		for _, g := range h.Grids(l) {
 			for _, f := range h.Fields {
-				g.Patch.FillConstant(f, 1)
+				g.Patch.FillConstant(f, float64(l+1))
 			}
 		}
 	}
@@ -35,25 +35,24 @@ func childInitFixture(t *testing.T, n int) (h *Hierarchy, li, oli *levelIndex, c
 	return h, h.currentIndex(0), h.currentIndex(1), children
 }
 
-// TestChildInitKeepsEdgesZero: child init writes every interior and
-// face cell and leaves each edge and corner ghost, a cell with two or
-// three coordinates outside the box, at NewPatch's zero, although every
-// source holds 1 there.
-func TestChildInitKeepsEdgesZero(t *testing.T) {
+// TestChildInitWritesInteriorOnly: child init writes every interior
+// cell from its source, the old level 1 (2) where it existed and level
+// 0 (1) elsewhere, and leaves every ghost, face, edge and corner, at
+// NewPatch's zero, although every source holds a value there: the fill
+// owns every ghost.
+func TestChildInitWritesInteriorOnly(t *testing.T) {
 	h, li, oli, children := childInitFixture(t, 64)
 	h.initChildren(children, li, oli)
-	dom := h.DomainAt(1)
+	old := geom.Box{Lo: geom.Index{8, 8, 8}, Hi: geom.Index{23, 23, 23}} // the fixture's centre, refined
 	for _, c := range children {
 		c.Patch.Grown().ForEach(func(i geom.Index) {
-			out := 0
-			for d := range geom.Dims {
-				if i[d] < c.Box.Lo[d] || i[d] > c.Box.Hi[d] {
-					out++
-				}
-			}
-			want := 1.0
-			if out >= 2 || !dom.Contains(i) {
-				want = 0
+			want := 0.0
+			switch {
+			case !c.Box.Contains(i):
+			case old.Contains(i):
+				want = 2
+			default:
+				want = 1
 			}
 			for _, f := range h.Fields {
 				if got := c.Patch.At(f, i); got != want {

@@ -470,7 +470,7 @@ func subtractList(a geom.Box, bs geom.BoxList, scr *planScratch) geom.BoxList {
 }
 
 // GhostPlanScan is the original O(grids²) all-pairs ghost planner,
-// kept as the -plancheck baseline and for benchmarks. On a level whose
+// kept as the -check=plan baseline and for benchmarks. On a level whose
 // grids are disjoint it produces exactly the same messages as GhostPlan,
 // one per sibling that meets the shell; it subtracts g.Box and the
 // overlaps as boxes, so it is right on any level.

@@ -178,7 +178,7 @@ func (h *Hierarchy) planFillDest(g *Grid, grown geom.Box, sibs []*Grid, l int, c
 }
 
 // buildFillPlanScan is the original O(grids²) fill planner, kept as
-// the -plancheck baseline: per destination grid, its face slabs (cut
+// the -check=plan baseline: per destination grid, its face slabs (cut
 // from g.Box grown along one axis at a time), the overlap of every
 // sibling with each, the face cells they leave (geom.SubtractList,
 // which assumes nothing of the overlaps) prolonged from every coarse

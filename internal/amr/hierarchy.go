@@ -129,10 +129,10 @@ type Hierarchy struct {
 	pool *solver.Pool
 	// dataCheck re-runs every planned fill/restrict against the
 	// scan-based baseline and panics on bitwise divergence (the
-	// -datacheck oracle).
+	// -check=data oracle).
 	dataCheck bool
 	// planCheck re-derives every served plan with the O(n²) scan
-	// planners and panics on bitwise divergence (the -plancheck
+	// planners and panics on bitwise divergence (the -check=plan
 	// oracle).
 	planCheck bool
 
@@ -156,7 +156,7 @@ func (h *Hierarchy) SetDataCheck(on bool) { h.dataCheck = on }
 
 // SetPlanCheck toggles the indexed-vs-scan plan oracle. Every served
 // plan is then re-derived with the retained O(n²) scan planners and
-// compared bitwise — for tests and -plancheck runs only.
+// compared bitwise — for tests and -check=plan runs only.
 func (h *Hierarchy) SetPlanCheck(on bool) { h.planCheck = on }
 
 // SetListener subscribes l to the hierarchy's mutation events (nil

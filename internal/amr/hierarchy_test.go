@@ -1,6 +1,7 @@
 package amr
 
 import (
+	"reflect"
 	"testing"
 
 	"samrdlb/internal/cluster"
@@ -437,6 +438,69 @@ func TestFlagWhereGradientMatchesPerCell(t *testing.T) {
 		})
 		if threshold > 0.3 && threshold < 0.7 && (want.Count() == 0 || want.Count() == int(h.Domain.NumCells())) {
 			t.Errorf("threshold %g flags %d cells; the comparison decides nothing", threshold, want.Count())
+		}
+	}
+}
+
+// TestFlagWhereGradientFillsFirst: gradient flagging differences a
+// box's edge cells against its face ghosts, which are stale outside a
+// fill, so it fills the level before it reads. A flagger that poisons
+// every face ghost of the level first must then give the same flags on
+// every level and the same hierarchy, every cell of every patch, as
+// one that does not.
+func TestFlagWhereGradientFillsFirst(t *testing.T) {
+	run := func(poison bool) (*Hierarchy, [][]geom.Index) {
+		h := newH(t, 8, 2, true)
+		for _, b := range (geom.BoxList{h.Domain}).SplitEvenly(8) {
+			g := h.AddGrid(0, b, 0, NoGrid)
+			g.Patch.FillFunc("q", func(i geom.Index) float64 {
+				r2 := 0
+				for d := range geom.Dims {
+					r2 += (i[d] - 4) * (i[d] - 4)
+				}
+				if r2 < 7 {
+					return 1
+				}
+				return 0
+			})
+		}
+		var flags [][]geom.Index
+		h.RegridAll(0, func(l int, f *cluster.FlagField) {
+			if poison {
+				for _, g := range h.Grids(l) {
+					for _, face := range geom.AppendFaces(nil, g.Box, h.NGhost) {
+						face.ForEach(func(i geom.Index) { g.Patch.Set("q", i, 1e300) })
+					}
+				}
+			}
+			h.FlagWhereGradient(l, "q", 0.5, f)
+			var set []geom.Index
+			f.Box.ForEach(func(i geom.Index) {
+				if flagged(f, i) {
+					set = append(set, i)
+				}
+			})
+			flags = append(flags, set)
+		}, DefaultRegridParams(), nil)
+		return h, flags
+	}
+	want, wantFlags := run(false)
+	got, gotFlags := run(true)
+	if len(wantFlags) != 2 || len(want.Grids(2)) == 0 {
+		t.Fatalf("flagged %d levels and made %d level-2 grids: the fixture should reach level 2", len(wantFlags), len(want.Grids(2)))
+	}
+	if !reflect.DeepEqual(gotFlags, wantFlags) {
+		t.Fatalf("poisoned face ghosts changed the flags")
+	}
+	for l := 0; l <= want.MaxLevel; l++ {
+		wg, gg := want.Grids(l), got.Grids(l)
+		if len(wg) != len(gg) {
+			t.Fatalf("level %d: %d grids, %d with poisoned faces", l, len(wg), len(gg))
+		}
+		for i := range wg {
+			if wg[i].Box != gg[i].Box || !reflect.DeepEqual(wg[i].Patch.Field("q"), gg[i].Patch.Field("q")) {
+				t.Fatalf("level %d grid %d (%v) differs with poisoned faces", l, i, wg[i].Box)
+			}
 		}
 	}
 }

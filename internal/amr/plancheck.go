@@ -5,17 +5,17 @@ import (
 	"slices"
 )
 
-// The -plancheck oracle, in the -ledgercheck/-datacheck idiom: every
-// time a cached plan is served, re-derive the same plan with the
-// retained O(n²) scan planners from the current structure and demand
-// bitwise equality. This catches both indexed-query bugs (a bucket
-// query missing a neighbor the scan would have found) and a structural
-// mutation that forgot to bump its level's generation (the stale entry
-// is served again and diverges from the fresh scan). A processor-pair
-// table is re-derived from the scan plan and the current owners by
-// naivePairs, which catches an owner change the table missed.
-// Structure-only and deterministic, so unlike -datacheck it is safe on
-// multi-process worker shards.
+// The -check=plan oracle, in the idiom of -check=ledger and
+// -check=data: every time a cached plan is served, re-derive the same
+// plan with the retained O(n²) scan planners from the current
+// structure and demand bitwise equality. This catches both
+// indexed-query bugs (a bucket query missing a neighbor the scan would
+// have found) and a structural mutation that forgot to bump its level's
+// generation (the stale entry is served again and diverges from the
+// fresh scan). A processor-pair table is re-derived from the scan plan
+// and the current owners by naivePairs, which catches an owner change
+// the table missed. Structure-only and deterministic, so unlike
+// -check=data it is safe on multi-process worker shards.
 
 // verifyPlans checks every built plan kind of level l against its scan
 // baseline, panicking with entry-level detail on divergence. Callers

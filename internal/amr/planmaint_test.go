@@ -58,7 +58,7 @@ func (h *Hierarchy) RestrictPlanCached(l int) []Message {
 }
 
 // servePlans pulls every cached plan kind at every level, so the
-// -plancheck oracle (when armed) verifies each against its scan
+// -check=plan oracle (when armed) verifies each against its scan
 // baseline.
 func servePlans(h *Hierarchy) {
 	for l := 0; l <= h.MaxLevel; l++ {
@@ -160,7 +160,7 @@ func mutate(h *Hierarchy, rng *rand.Rand) {
 // over randomized hierarchies and mutation histories, every cached
 // plan of every kind served after the mutations and the indexed
 // scratch plans must be bitwise equal to the O(n²) scan baselines —
-// the -plancheck oracle panics on the first divergence, and the
+// the -check=plan oracle panics on the first divergence, and the
 // scratch builders are compared directly for both dropLocal variants.
 // TestChildrenMatchesScan compares Children, read from the child
 // tables, with a scan of the next level for the parent link, on every
@@ -391,7 +391,7 @@ func TestCachedPlansConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPlanCheckOracleDetectsCorruption pins that the -plancheck
+// TestPlanCheckOracleDetectsCorruption pins that the -check=plan
 // oracle actually fires: corrupt one cached message and the next
 // serve must panic.
 func TestPlanCheckOracleDetectsCorruption(t *testing.T) {

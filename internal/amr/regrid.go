@@ -1,8 +1,6 @@
 package amr
 
 import (
-	"slices"
-
 	"samrdlb/internal/cluster"
 	"samrdlb/internal/geom"
 )
@@ -35,11 +33,12 @@ type Placer func(childBox geom.Box, parent *Grid) int
 // RegridAll rebuilds every level deeper than base: flags are gathered
 // on each level in turn, clustered into boxes, intersected with the
 // existing level's grids (enforcing proper nesting), refined, and
-// instantiated as new child grids. A new grid's interior and face
-// slabs are copied from any old same-level data that overlaps, so the
-// solution survives regridding, and prolonged from the coarse level
-// everywhere else; no cell is written twice. It returns the number of
-// grids created.
+// instantiated as new child grids. A new grid's interior is copied from
+// any old same-level data that overlaps, so the solution survives
+// regridding, and prolonged from the coarse level everywhere else; no
+// cell is written twice. Its ghosts stay zero until the level's next
+// fill, the one writer of ghost cells. It returns the number of grids
+// created.
 //
 // Every overlap is found through a level index (spatialindex.go), and
 // every answer comes in level-list order, so children are made, placed
@@ -142,8 +141,8 @@ func (h *Hierarchy) parentBoxPairs(li *levelIndex, parents []*Grid, boxes geom.B
 // batch. Their sources are gathered first, serially, into one arena
 // (h.regridArena): for each child, the grids of the coarse level (index
 // li) and of the old same level (index oli, built over the level before
-// it was cleared) that overlap its grown box, in level-list order. A
-// pool task then only reads the arena, and writes only its own child's
+// it was cleared) that overlap its box, in level-list order. A pool
+// task then only reads the arena, and writes only its own child's
 // patch, which no other task reads.
 func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 	if len(children) == 0 {
@@ -155,10 +154,9 @@ func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 	cuts := make([]int32, 2*len(children)+1)
 	scr := getPlanScratch() // for the queries' bitmap, back before the pool runs
 	for i, c := range children {
-		grown := c.Patch.Grown()
-		srcs = li.query(grown.Coarsen(h.RefFactor), srcs, scr)
+		srcs = li.query(c.Box.Coarsen(h.RefFactor), srcs, scr)
 		cuts[2*i+1] = int32(len(srcs))
-		srcs = oli.query(grown, srcs, scr)
+		srcs = oli.query(c.Box, srcs, scr)
 		cuts[2*i+2] = int32(len(srcs))
 	}
 	putPlanScratch(scr)
@@ -169,38 +167,26 @@ func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 	h.regridArena = srcs
 }
 
-// initChildData fills a new child grid's interior and face slabs, the
-// cells a kernel reads, writing each cell once. It plans them as fill
-// ops: copies from the old same-level grids that overlap them (the old
-// solution is more accurate than prolonged data), then prolongations
-// from the coarse grids into what the old grids leave. Its edge and
-// corner ghosts keep the zeros NewPatch gave them: no kernel reads them
-// and no fill writes them, and on an mpx worker an old grid's ghosts may
-// be a stale replica's, so a copied value would make the patch depend
-// on the transport.
+// initChildData fills a new child grid's interior, writing each cell
+// once. It plans it as fill ops: copies from the old same-level grids
+// that overlap it (the old solution is more accurate than prolonged
+// data), then prolongations from the coarse grids into what the old
+// grids leave. Every ghost keeps the zero NewPatch gave it until the
+// level's next fill: the fill owns every ghost, and on an mpx worker an
+// old grid's ghosts may be a stale replica's, so a copied value would
+// make the patch depend on the transport.
 func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
 	scr := getPlanScratch()
-	// The interior and its two x faces are one region of whole rows, so
-	// no op moves one-cell rows; the y and z faces follow.
-	b, ng := child.Box, h.NGhost
-	scr.faces = geom.AppendFaces(append(scr.faces[:0], b.GrowDim(0, ng, ng)), b, ng)
-	scr.faces = slices.Delete(scr.faces, 1, 3)
 	scr.covered = scr.covered[:0]
 	ops := scr.ops[:0]
 	for _, og := range old {
 		scr.covered = append(scr.covered, og.Box)
-		for _, f := range scr.faces {
-			if region := f.Intersect(og.Box); !region.Empty() {
-				ops = append(ops, h.newFillOp(child, og, region, false))
-			}
-		}
+		ops = append(ops, h.newFillOp(child, og, child.Box.Intersect(og.Box), false))
 	}
-	for _, f := range scr.faces {
-		for _, rest := range subtractList(f, scr.covered, scr) {
-			for _, c := range coarse {
-				if region := rest.Intersect(c.Box.Refine(h.RefFactor)); !region.Empty() {
-					ops = append(ops, h.newFillOp(child, c, region, true))
-				}
+	for _, rest := range subtractList(child.Box, scr.covered, scr) {
+		for _, c := range coarse {
+			if region := rest.Intersect(c.Box.Refine(h.RefFactor)); !region.Empty() {
+				ops = append(ops, h.newFillOp(child, c, region, true))
 			}
 		}
 	}
@@ -215,12 +201,16 @@ func (h *Hierarchy) initChildData(child *Grid, coarse, old []*Grid) {
 // (max absolute one-sided difference of the named field over the
 // three dimensions) exceeds the threshold — data-driven refinement,
 // the criterion production SAMR codes use, as an alternative to the
-// geometric schedules of the workload drivers. Only data-carrying
-// hierarchies can use it.
+// geometric schedules of the workload drivers. The differences at a
+// box's edge read its face ghosts, which are stale outside a fill (a
+// step's kernel and restriction ran after its fill; a new level's are
+// zero), so it fills the level first. Only data-carrying hierarchies
+// can use it.
 func (h *Hierarchy) FlagWhereGradient(level int, field string, threshold float64, f *cluster.FlagField) {
 	if !h.WithData {
 		panic("amr.FlagWhereGradient: needs field data")
 	}
+	h.FillGhostsData(level)
 	for _, g := range h.Grids(level) {
 		q := g.Patch.Field(field)
 		gb := g.Patch.Grown()

@@ -79,19 +79,18 @@ func (h *Hierarchy) refRegridAll(base int, flag Flagger, p RegridParams, place P
 	return created
 }
 
-// refInitChildData fills a new child grid by prolongation from every
-// overlapping coarse grid, then copies old same-level data where it
-// exists (the old solution is more accurate than prolonged data), and
-// zeroes the edge and corner ghosts, cell by cell.
+// refInitChildData fills a new child grid's interior by prolongation
+// from every overlapping coarse grid, then copies old same-level data
+// where it exists (the old solution is more accurate than prolonged
+// data). Its ghosts keep NewPatch's zero.
 // Safe to run concurrently for distinct children: it writes only the
 // child's own patch.
 func (h *Hierarchy) refInitChildData(child *Grid, oldSameLevel []*Grid) {
-	grown := child.Patch.Grown()
 	for _, coarse := range h.Grids(child.Level - 1) {
 		if coarse.Patch == nil {
 			continue
 		}
-		region := grown.Intersect(coarse.Box.Refine(h.RefFactor))
+		region := child.Box.Intersect(coarse.Box.Refine(h.RefFactor))
 		if region.Empty() {
 			continue
 		}
@@ -103,7 +102,7 @@ func (h *Hierarchy) refInitChildData(child *Grid, oldSameLevel []*Grid) {
 		if og.Patch == nil {
 			continue
 		}
-		region := grown.Intersect(og.Box)
+		region := child.Box.Intersect(og.Box)
 		if region.Empty() {
 			continue
 		}
@@ -111,19 +110,6 @@ func (h *Hierarchy) refInitChildData(child *Grid, oldSameLevel []*Grid) {
 			grid.CopyRegion(child.Patch, og.Patch, f, region)
 		}
 	}
-	grown.ForEach(func(i geom.Index) {
-		out := 0
-		for d := range geom.Dims {
-			if i[d] < child.Box.Lo[d] || i[d] > child.Box.Hi[d] {
-				out++
-			}
-		}
-		if out >= 2 {
-			for _, f := range h.Fields {
-				child.Patch.Set(f, i, 0)
-			}
-		}
-	})
 }
 
 // copyStructure rebuilds h's grids (IDs, boxes, owners, parents, level

@@ -161,14 +161,14 @@ type Options struct {
 	// DataCheck enables the data-motion debug oracle: every planned
 	// ghost fill and restriction is re-run through the scan-based
 	// baseline and compared bitwise (panic on divergence). Roughly
-	// doubles the data-path cost — for tests and -datacheck runs only.
+	// doubles the data-path cost — for tests and -check=data runs only.
 	DataCheck bool
 	// PlanCheck enables the exchange-plan debug oracle: every served
 	// (indexed, cached) plan is re-derived through the
 	// retained O(n²) scan planners and compared bitwise (panic on
 	// divergence). Structure-only and deterministic, so unlike
 	// DataCheck it is safe on multi-process worker shards — for tests
-	// and -plancheck runs only.
+	// and -check=plan runs only.
 	PlanCheck bool
 }
 

@@ -13,26 +13,29 @@ import (
 	"samrdlb/internal/workload"
 )
 
-// poison is written into edge and corner ghosts. It is finite, so a
-// read through a comparison (a flag test, a limiter branch) flips its
-// outcome, where NaN compares false; a read through arithmetic
-// overflows or swamps the cell it reaches.
+// poison is written into edge and corner ghosts, and at regrid into
+// the face ghosts the fill writes too. It is finite, so a read through
+// a comparison (a flag test, a limiter branch) flips its outcome, where
+// NaN compares false; a read through arithmetic overflows or swamps the
+// cell it reaches.
 const poison = 1e300
 
 // edgePoison writes poison into the edge and corner ghosts of every
 // patch (the ghost cells with two or three coordinates outside the
 // patch's box) at each structural phase, and checks, at the next phase
 // and after every level-0 step, that each cell it poisoned still holds
-// it.
+// it. At regrid it poisons every face ghost the fill writes as well,
+// which the next fill must overwrite before anything reads one.
 type edgePoison struct {
 	poisoned map[*grid.Patch]bool
 	checked  int    // edge and corner cells found still poisoned
 	failure  string // the first poisoned cell found rewritten
 }
 
-// forEdges calls fn with the storage and offset of every edge and
-// corner ghost of every field of p.
-func forEdges(p *grid.Patch, fn func(f []float64, k int)) {
+// forGhosts calls fn with every ghost i of p, how many of its
+// coordinates lie outside the patch's box (1 for a face ghost, 2 or 3
+// for an edge or corner one), and its storage and offset in every field.
+func forGhosts(p *grid.Patch, fn func(i geom.Index, out int, f []float64, k int)) {
 	g := p.Grown()
 	g.ForEach(func(i geom.Index) {
 		out := 0
@@ -41,12 +44,34 @@ func forEdges(p *grid.Patch, fn func(f []float64, k int)) {
 				out++
 			}
 		}
-		if out >= 2 {
+		if out > 0 {
 			for _, name := range p.FieldNames() {
-				fn(p.Field(name), g.Offset(i))
+				fn(i, out, p.Field(name), g.Offset(i))
 			}
 		}
 	})
+}
+
+// filled reports whether the ghost fill writes face ghost i of a
+// level-l grid: the domain boundary, a sibling or the coarser level
+// covers it. A fine grid at the edge of the coarser level's union has
+// face ghosts that none covers; nothing writes them, child init
+// included, so they keep NewPatch's zero.
+func filled(h *amr.Hierarchy, l int, i geom.Index) bool {
+	if !h.DomainAt(l).Contains(i) {
+		return true
+	}
+	for _, g := range h.Grids(l) {
+		if g.Box.Contains(i) {
+			return true
+		}
+	}
+	for _, c := range h.Grids(l - 1) {
+		if c.Box.Refine(h.RefFactor).Contains(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // verify checks every live patch poisoned at the last phase.
@@ -56,8 +81,9 @@ func (e *edgePoison) verify(h *amr.Hierarchy, when string) {
 			if !e.poisoned[g.Patch] {
 				continue
 			}
-			forEdges(g.Patch, func(f []float64, k int) {
+			forGhosts(g.Patch, func(_ geom.Index, out int, f []float64, k int) {
 				switch {
+				case out < 2:
 				case f[k] == poison:
 					e.checked++
 				case e.failure == "":
@@ -76,7 +102,11 @@ func (e *edgePoison) phase(pi *PhaseInfo) {
 	e.poisoned = map[*grid.Patch]bool{}
 	for l := 0; l <= h.MaxLevel; l++ {
 		for _, g := range h.Grids(l) {
-			forEdges(g.Patch, func(f []float64, k int) { f[k] = poison })
+			forGhosts(g.Patch, func(i geom.Index, out int, f []float64, k int) {
+				if out >= 2 || out == 1 && pi.Phase == PhaseRegrid && filled(h, l, i) {
+					f[k] = poison
+				}
+			})
 			e.poisoned[g.Patch] = true
 		}
 	}
@@ -88,7 +118,9 @@ func (e *edgePoison) phase(pi *PhaseInfo) {
 // and the particle push give a bit-identical Result and bit-identical
 // interiors and face ghosts, so none of them reads such a cell; and
 // the poison survives every fill, on shared memory and over the tcp
-// wire, so no fill writes one.
+// wire, so no fill writes one. Every face ghost the fill writes is
+// poisoned at regrid too, so nothing reads one between child init and
+// the next fill: the fill owns every ghost.
 func TestNoKernelReadsEdgeOrCornerGhosts(t *testing.T) {
 	shock := func() workload.Driver { return workload.NewShockPool3D(16, 2) }
 	rows := []struct {

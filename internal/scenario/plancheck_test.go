@@ -12,7 +12,7 @@ import (
 )
 
 // -plan-scenarios=N turns on the plan-equivalence soak: N generated
-// scenarios executed with the -plancheck oracle armed (CI runs 200
+// scenarios executed with the -check=plan oracle armed (CI runs 200
 // under -race). 0 — the default — keeps ordinary `go test` fast; the
 // always-on sweep below still covers a fixed dozen.
 var planScenarios = flag.Int("plan-scenarios", 0, "number of generated scenarios for TestPlanEquivalenceSoak (0 = skip)")
