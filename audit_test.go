@@ -655,6 +655,9 @@ var auditDeleted = []deletedRule{
 		"a store keeps the newest checkpointKeep generations: one value was ever used, so it is a constant, not an option"},
 	{`PackRegion|UnpackRegion|ProlongFrom|CopyRegionFrom|ZeroEdges`, "internal/grid/*.go internal/amr/*.go",
 		"a planned op's rows are the one layout: the wire packs and applies them, and child init writes no edge to clear"},
+	{`\b(Fig3|GammaSweep|EpsSweep|GranularitySweep|RegridIntervalSweep|ForecastAblation|SchemeSweep|MultiSiteSweep|(Fig3|Gamma|Eps|Granularity|Regrid|Forecast|Scheme|MultiSite)Row)\b`,
+		"internal/exp/*.go",
+		"a study is its runs: each report fills its metrics.Table straight from its jobs' Results, with no row struct or wrapper between"},
 }
 
 // codeRule pins how often pattern matches code, comments excluded: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"samrdlb/internal/amr"
@@ -57,9 +58,8 @@ func BenchmarkFig2ExecutionOrder(b *testing.B) {
 func BenchmarkFig3ParallelVsDistributed(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		rows := exp.Fig3(o)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
+		if txt := exp.Fig3Report(o, exp.Text); !strings.Contains(txt, "\n4+4 ") {
+			b.Fatalf("no 4+4 row:\n%s", txt)
 		}
 	}
 }
@@ -133,9 +133,8 @@ func BenchmarkFig8Efficiency(b *testing.B) {
 func BenchmarkGammaSweep(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		rows := exp.GammaSweep([]float64{0.5, 2, 8}, o)
-		if len(rows) != 3 {
-			b.Fatal("bad sweep")
+		if txt := exp.GammaReport(o, exp.Text); !strings.Contains(txt, "\n8.0 ") {
+			b.Fatalf("no γ = 8 row:\n%s", txt)
 		}
 	}
 }

@@ -247,10 +247,12 @@ func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 		fill := func() { w.Run(func(r *mpx.Rank) { h.FillGhostsMPX(r, 0) }) }
 		fill() // warm the plan cache, the scratch pool and the mailboxes
 		allocs := testing.AllocsPerRun(20, fill)
-		// The per-rank term leaves room for the race detector's sync.Pool,
-		// which drops a quarter of its puts.
+		// The per-rank term covers the world's goroutine starts with room
+		// to spare. The race detector's sync.Pool drops puts at random, so
+		// there the bound is not applied; the fill and the fixture guard
+		// still run.
 		bound := float64(24*ranks + 4*len(pairs))
-		if allocs > bound {
+		if allocs > bound && !raceEnabled {
 			t.Errorf("%d grids: a fill of %d cross-rank ops over %d rank pairs allocated %.0f times, want ≤ %.0f",
 				grids, ops, len(pairs), allocs, bound)
 		}

@@ -134,6 +134,13 @@ func sweep[T any](vals []T, o Options, set func(*scenario.Scenario, T)) []*metri
 	return runJobs(jobs)
 }
 
+// The setters of the sweeps: each applies one value to a sweep's spec.
+func setGamma(s *scenario.Scenario, g float64)      { s.Gamma = g }
+func setEps(s *scenario.Scenario, e float64)        { s.Eps = e }
+func setGridsPerProc(s *scenario.Scenario, g int)   { s.GridsPerProc = g }
+func setRegridInterval(s *scenario.Scenario, i int) { s.RegridInterval = i }
+func setScheme(s *scenario.Scenario, v string)      { s.Scheme = v }
+
 // sequentialJob runs the dataset on a single dedicated processor — the
 // E(1) of the paper's efficiency definition.
 func sequentialJob(dataset string, o Options) job {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"samrdlb/internal/golden"
+	"samrdlb/internal/metrics"
 )
 
 // fastOpts keeps test sweeps quick while preserving the dynamics.
@@ -16,22 +17,26 @@ func fastOpts() Options {
 }
 
 func TestFig3Shape(t *testing.T) {
-	rows := Fig3(fastOpts())
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	o := fastOpts()
+	res := runJobs(fig3Jobs(o))
+	if len(res) != 2*len(o.Configs) {
+		t.Fatalf("runs = %d", len(res))
 	}
-	for _, r := range rows {
+	// Communication counts the DLB overhead, as Figure 3's bars do.
+	comm := func(r *metrics.Result) float64 { return r.Comm() + r.Overhead() }
+	for i, n := range o.Configs {
+		par, dist := res[2*i], res[2*i+1]
 		// Computation must be (nearly) identical: same processors.
-		if relDiff(r.ParCompute, r.DistCompute) > 0.05 {
-			t.Errorf("%s: compute differs: par %v dist %v", r.Config, r.ParCompute, r.DistCompute)
+		if relDiff(par.Compute(), dist.Compute()) > 0.05 {
+			t.Errorf("%s: compute differs: par %v dist %v", ConfigName(n), par.Compute(), dist.Compute())
 		}
 		// Distributed communication must be much larger than parallel.
-		if r.DistComm < 3*r.ParComm {
-			t.Errorf("%s: distributed comm %v not ≫ parallel comm %v", r.Config, r.DistComm, r.ParComm)
+		if comm(dist) < 3*comm(par) {
+			t.Errorf("%s: distributed comm %v not ≫ parallel comm %v", ConfigName(n), comm(dist), comm(par))
 		}
 		// And the distributed total larger overall.
-		if r.DistTotal <= r.ParTotal {
-			t.Errorf("%s: distributed total %v should exceed parallel %v", r.Config, r.DistTotal, r.ParTotal)
+		if dist.Total <= par.Total {
+			t.Errorf("%s: distributed total %v should exceed parallel %v", ConfigName(n), dist.Total, par.Total)
 		}
 	}
 }
@@ -106,11 +111,10 @@ func TestEfficiencyDecreasesWithScale(t *testing.T) {
 }
 
 func TestGammaSweepMonotoneRedistributions(t *testing.T) {
-	o := fastOpts()
-	rows := GammaSweep([]float64{0.5, 8}, o)
-	if rows[0].GlobalRedists < rows[1].GlobalRedists {
+	res := sweep([]float64{0.5, 8}, fastOpts(), setGamma)
+	if res[0].GlobalRedists < res[1].GlobalRedists {
 		t.Errorf("low gamma should redistribute at least as often: %d vs %d",
-			rows[0].GlobalRedists, rows[1].GlobalRedists)
+			res[0].GlobalRedists, res[1].GlobalRedists)
 	}
 }
 
@@ -125,40 +129,34 @@ func TestRunsAreReproducible(t *testing.T) {
 	}
 }
 
-// sweepRows is what every sweep returns at one core count.
-type sweepRows struct {
-	Fig3               []Fig3Row
-	Fig7AMR, Fig7Shock []Fig7Row
-	Fig8               []Fig8Row
-	Gamma              []GammaRow
-	Eps                []EpsRow
-	Granularity        []GranularityRow
-	Regrid             []RegridRow
-	Forecast           []ForecastRow
-	Scheme             []SchemeRow
-	MultiSite          []MultiSiteRow
-	Tournament         string
+// study is one study's runs, in job order.
+type study struct {
+	name string
+	res  []*metrics.Result
 }
 
-// sweepsAt runs the sweeps at GOMAXPROCS procs: all of them, or under
-// -short Figure 7 on ShockPool3D and a smaller tournament.
-func sweepsAt(t *testing.T, procs int) sweepRows {
+// studiesAt runs the studies at GOMAXPROCS procs: all of them, or under
+// -short Figure 7 on ShockPool3D and a smaller tournament, whose
+// artifact it returns.
+func studiesAt(t *testing.T, procs int) ([]study, string) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	o := fastOpts()
-	s := sweepRows{Fig7Shock: Fig7("ShockPool3D", o)}
+	studies := []study{{"fig7 ShockPool3D", runJobs(fig7Jobs("ShockPool3D", o))}}
 	scenarios := 2
 	if !testing.Short() {
 		scenarios = 5
-		s.Fig3 = Fig3(o)
-		s.Fig7AMR = Fig7("AMR64", o)
-		s.Fig8 = Fig8("ShockPool3D", o)
-		s.Gamma = GammaSweep([]float64{0.5, 2, 8}, o)
-		s.Eps = EpsSweep([]float64{0.01, 0.5}, o)
-		s.Granularity = GranularitySweep([]int{1, 8}, o)
-		s.Regrid = RegridIntervalSweep([]int{1, 4}, o)
-		s.Forecast = ForecastAblation(o)
-		s.Scheme = SchemeSweep(o)
-		s.MultiSite = MultiSiteSweep(o)
+		studies = append(studies,
+			study{"fig3", runJobs(fig3Jobs(o))},
+			study{"fig7 AMR64", runJobs(fig7Jobs("AMR64", o))},
+			study{"fig8 ShockPool3D", runJobs(append(fig7Jobs("ShockPool3D", o), sequentialJob("ShockPool3D", o)))},
+			study{"gamma", sweep([]float64{0.5, 2, 8}, o, setGamma)},
+			study{"eps", sweep([]float64{0.01, 0.5}, o, setEps)},
+			study{"granularity", sweep([]int{1, 8}, o, setGridsPerProc)},
+			study{"regrid interval", sweep([]int{1, 4}, o, setRegridInterval)},
+			study{"forecast", runJobs(forecastJobs(o))},
+			study{"scheme", sweep([]string{"parallel", "distributed", "sfc"}, o, setScheme)},
+			study{"multi-site", runJobs(multiSiteJobs(o))},
+		)
 	}
 	tour, err := RunTournament(TournamentOptions{Scenarios: scenarios})
 	if err != nil {
@@ -168,19 +166,30 @@ func sweepsAt(t *testing.T, procs int) sweepRows {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Tournament = string(js)
-	return s
+	return studies, string(js)
 }
 
 // TestSweepsIdenticalAcrossGOMAXPROCS pins the sweeps' serial-order
-// contract: runs execute on the solver pool in any order, but every row
-// (and every Result behind it) and the tournament's artifact are the
+// contract: runs execute on the solver pool in any order, but every run
+// of every study, in job order, and the tournament's artifact are the
 // same at 1, 2 and 4 cores.
 func TestSweepsIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	want := sweepsAt(t, 1)
+	want, wantTour := studiesAt(t, 1)
 	for _, procs := range []int{2, 4} {
-		if got := sweepsAt(t, procs); !reflect.DeepEqual(got, want) {
-			t.Errorf("GOMAXPROCS=%d: sweeps differ from GOMAXPROCS=1:\n%+v\n---\n%+v", procs, got, want)
+		got, tour := studiesAt(t, procs)
+		for i, st := range want {
+			if len(got[i].res) != len(st.res) {
+				t.Errorf("GOMAXPROCS=%d: %s has %d runs, want %d", procs, st.name, len(got[i].res), len(st.res))
+				continue
+			}
+			for j, r := range st.res {
+				if g, w := got[i].res[j].Identity(), r.Identity(); g != w {
+					t.Errorf("GOMAXPROCS=%d: %s job %d differs from GOMAXPROCS=1:\n%s\n---\n%s", procs, st.name, j, g, w)
+				}
+			}
+		}
+		if tour != wantTour {
+			t.Errorf("GOMAXPROCS=%d: tournament differs from GOMAXPROCS=1:\n%s\n---\n%s", procs, tour, wantTour)
 		}
 	}
 }
@@ -231,48 +240,49 @@ func relDiff(a, b float64) float64 {
 }
 
 func TestEpsSweepMoreEvalsAtLowerEps(t *testing.T) {
-	rows := EpsSweep([]float64{0.01, 0.5}, fastOpts())
-	if rows[0].GlobalEvals < rows[1].GlobalEvals {
+	res := sweep([]float64{0.01, 0.5}, fastOpts(), setEps)
+	if res[0].GlobalEvals < res[1].GlobalEvals {
 		t.Errorf("lower eps should evaluate at least as often: %d vs %d",
-			rows[0].GlobalEvals, rows[1].GlobalEvals)
+			res[0].GlobalEvals, res[1].GlobalEvals)
 	}
 }
 
 func TestGranularitySweepUtilisation(t *testing.T) {
-	rows := GranularitySweep([]int{1, 8}, fastOpts())
-	for _, r := range rows {
+	gpps := []int{1, 8}
+	for i, r := range sweep(gpps, fastOpts(), setGridsPerProc) {
 		if r.Total <= 0 || r.Utilisation <= 0 {
-			t.Errorf("bad granularity row: %+v", r)
+			t.Errorf("%d grids/proc: total %v, utilisation %v", gpps[i], r.Total, r.Utilisation)
 		}
 	}
 }
 
 func TestRegridIntervalSweep(t *testing.T) {
-	rows := RegridIntervalSweep([]int{1, 4}, fastOpts())
-	for _, r := range rows {
+	intervals := []int{1, 4}
+	for i, r := range sweep(intervals, fastOpts(), setRegridInterval) {
 		if r.Total <= 0 || r.MaxCells <= 0 {
-			t.Errorf("bad regrid row: %+v", r)
+			t.Errorf("interval %d: total %v, peak cells %d", intervals[i], r.Total, r.MaxCells)
 		}
 	}
 }
 
 func TestForecastAblationRuns(t *testing.T) {
-	rows := ForecastAblation(fastOpts())
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	res := runJobs(forecastJobs(fastOpts()))
+	if len(forecastTraffic) != 3 || len(res) != 2*len(forecastTraffic) {
+		t.Fatalf("%d traffic conditions, %d runs: want 3 and 6", len(forecastTraffic), len(res))
 	}
-	for _, r := range rows {
-		if r.RawTotal <= 0 || r.FcTotal <= 0 {
-			t.Errorf("bad forecast row: %+v", r)
+	for i, c := range forecastTraffic {
+		if raw, fc := res[2*i], res[2*i+1]; raw.Total <= 0 || fc.Total <= 0 {
+			t.Errorf("%s: raw total %v, forecast total %v", c.name, raw.Total, fc.Total)
 		}
 	}
 }
 
 func TestMultiSiteDistributedWins(t *testing.T) {
-	rows := MultiSiteSweep(fastOpts())
-	for _, r := range rows {
-		if r.ImprovementPct <= 0 {
-			t.Errorf("distributed DLB must win on %s: %+v", r.Sites, r)
+	res := runJobs(multiSiteJobs(fastOpts()))
+	for i, ns := range multiSiteLayouts {
+		par, dist := res[2*i].Total, res[2*i+1].Total
+		if imp := metrics.Improvement(par, dist); imp <= 0 {
+			t.Errorf("distributed DLB must win on %v: parallel %v, distributed %v (%.1f%%)", ns, par, dist, imp)
 		}
 	}
 }
@@ -287,13 +297,13 @@ func TestAblationReportRenders(t *testing.T) {
 }
 
 func TestSchemeSweep(t *testing.T) {
-	rows := SchemeSweep(fastOpts())
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]SchemeRow{}
-	for _, r := range rows {
+	res := sweep([]string{"parallel", "distributed", "sfc"}, fastOpts(), setScheme)
+	byName := map[string]*metrics.Result{}
+	for _, r := range res {
 		byName[r.Scheme] = r
+	}
+	if len(byName) != 3 {
+		t.Fatalf("%d distinct schemes ran, want 3", len(byName))
 	}
 	// Both group-aware schemes must beat the baseline.
 	for _, s := range []string{"distributed-dlb", "sfc-dlb"} {

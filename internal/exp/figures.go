@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"samrdlb/internal/metrics"
-	"samrdlb/internal/scenario"
-)
+import "samrdlb/internal/metrics"
 
 // Band records a range the paper reports, for paper-vs-measured
 // comparison in EXPERIMENTS.md and the sanity tests.
@@ -24,41 +21,16 @@ var Fig8Bands = map[string]Band{
 	"ShockPool3D": {MinPct: 2.6, MaxPct: 79.4},
 }
 
-// Fig3Row is one configuration of Figure 3: ENZO with the parallel
-// DLB on a parallel machine versus on a WAN-connected distributed
-// system, decomposed into computation and communication time.
-type Fig3Row struct {
-	Config                string
-	ParCompute, ParComm   float64
-	DistCompute, DistComm float64
-	ParTotal, DistTotal   float64
-}
-
-// Fig3 reproduces Figure 3 (ShockPool3D, parallel DLB on both
-// systems).
-func Fig3(o Options) []Fig3Row {
-	o.setDefaults()
+// fig3Jobs is Figure 3's job list: per configuration, the parallel DLB
+// on a 2n-processor Origin2000 then on the n+n WAN system.
+func fig3Jobs(o Options) []job {
 	var jobs []job
 	for _, n := range o.Configs {
 		par := o.spec("ShockPool3D", "parallel", 2*n)
 		par.Testbed = "origin"
 		jobs = append(jobs, job{s: par, size: n}, job{s: o.spec("ShockPool3D", "parallel", n), size: n})
 	}
-	res := runJobs(jobs)
-	var rows []Fig3Row
-	for i, n := range o.Configs {
-		par, dist := res[2*i], res[2*i+1]
-		rows = append(rows, Fig3Row{
-			Config:      ConfigName(n),
-			ParCompute:  par.Compute(),
-			ParComm:     par.Comm() + par.Overhead(),
-			DistCompute: dist.Compute(),
-			DistComm:    dist.Comm() + dist.Overhead(),
-			ParTotal:    par.Total,
-			DistTotal:   dist.Total,
-		})
-	}
-	return rows
+	return jobs
 }
 
 // Fig7Row is one configuration of Figure 7: total execution time
@@ -155,30 +127,6 @@ func fig8Rows(e1 float64, fig7 []Fig7Row) []Fig8Row {
 			DistEfficiency:     ed,
 			// The paper reports the relative efficiency increase.
 			ImprovementPct: 100 * (ed - ep) / ep,
-		})
-	}
-	return rows
-}
-
-// GammaRow is one point of the γ-sensitivity ablation (the parameter
-// study Section 6 lists as future work).
-type GammaRow struct {
-	Gamma         float64
-	Total         float64
-	GlobalRedists int
-	GlobalEvals   int
-}
-
-// GammaSweep runs ShockPool3D on the 4+4 WAN system across γ values.
-func GammaSweep(gammas []float64, o Options) []GammaRow {
-	o.setDefaults()
-	var rows []GammaRow
-	for i, r := range sweep(gammas, o, func(s *scenario.Scenario, g float64) { s.Gamma = g }) {
-		rows = append(rows, GammaRow{
-			Gamma:         gammas[i],
-			Total:         r.Total,
-			GlobalRedists: r.GlobalRedists,
-			GlobalEvals:   r.GlobalEvals,
 		})
 	}
 	return rows

@@ -53,13 +53,18 @@ func Report(o Options, f Format) string {
 	}, "\n")
 }
 
-// Fig3Report renders Figure 3.
+// Fig3Report renders Figure 3 (ShockPool3D, parallel DLB on both
+// systems): communication counts the DLB overhead.
 func Fig3Report(o Options, f Format) string {
+	o.setDefaults()
 	t := metrics.NewTable(
 		"Figure 3 — parallel vs distributed execution (ShockPool3D, parallel DLB on both systems; seconds)",
 		"config", "par-compute", "par-comm", "par-total", "dist-compute", "dist-comm", "dist-total")
-	for _, r := range Fig3(o) {
-		t.AddRow(r.Config, r.ParCompute, r.ParComm, r.ParTotal, r.DistCompute, r.DistComm, r.DistTotal)
+	res := runJobs(fig3Jobs(o))
+	for i, n := range o.Configs {
+		par, dist := res[2*i], res[2*i+1]
+		t.AddRow(ConfigName(n), par.Compute(), par.Comm()+par.Overhead(), par.Total,
+			dist.Compute(), dist.Comm()+dist.Overhead(), dist.Total)
 	}
 	return f.section(t,
 		"paper: computation similar on both systems; distributed communication much larger (shared WAN).\n")
@@ -108,13 +113,16 @@ func fig8Section(dataset string, rows []Fig8Row, f Format) string {
 		avg, band.MinPct, band.MaxPct))
 }
 
-// GammaReport renders the γ-sensitivity ablation.
+// GammaReport renders the γ-sensitivity ablation (the parameter study
+// Section 6 lists as future work).
 func GammaReport(o Options, f Format) string {
+	o.setDefaults()
 	t := metrics.NewTable(
 		"Ablation — γ sensitivity (ShockPool3D, 4+4 WAN; paper defers this to future work)",
 		"gamma", "total-time", "global-redists", "global-evals")
-	for _, r := range GammaSweep([]float64{0.5, 1, 2, 4, 8}, o) {
-		t.AddRow(fmt.Sprintf("%.1f", r.Gamma), r.Total, r.GlobalRedists, r.GlobalEvals)
+	gammas := []float64{0.5, 1, 2, 4, 8}
+	for i, r := range sweep(gammas, o, setGamma) {
+		t.AddRow(fmt.Sprintf("%.1f", gammas[i]), r.Total, r.GlobalRedists, r.GlobalEvals)
 	}
 	return f.section(t,
 		"expectation: higher γ vetoes more redistributions; γ≈2 (the paper's default) balances overhead vs imbalance.\n")
