@@ -124,7 +124,8 @@ func runJobs(jobs []job) []*metrics.Result {
 
 // sweep runs a parameter sweep: per value, the paper's scheme on
 // ShockPool3D and the 4+4 WAN system with set applying the value to
-// the spec. Results are indexed like vals.
+// the spec (setScheme replaces the scheme). Results are indexed like
+// vals.
 func sweep[T any](vals []T, o Options, set func(*scenario.Scenario, T)) []*metrics.Result {
 	jobs := make([]job, len(vals))
 	for i, v := range vals {
