@@ -584,6 +584,8 @@ var auditDeleted = []deletedRule{
 		"regrid works on rows of words: FlagField.SetRows, Dilate and the one-scan signatures, no walk by geom.Index"},
 	{`SetWhere\(`, "internal/workload/*.go",
 		"a driver's Flag sets cells with Row.Set inside FlagField.SetRows, not through a per-cell predicate"},
+	{`FillFunc\(|cellCenter|\.distance\(`, "internal/workload/*.go",
+		"a driver's InitialCondition writes rows with Patch.FillRows: coordinates from the dx it is handed, per-row terms hoisted"},
 	{`dilateLine|countRow|\[\]bool`, "internal/cluster/*.go",
 		"a flag is a bit of a uint64 row word: Dilate shift-ORs words and every count is a popcount or byte-lane sum"},
 	{`\bgw\b|VerifyGroups`, "internal/load/*.go",
@@ -710,6 +712,10 @@ var auditCode = []codeRule{
 		"a new child's sources are the grids that overlap its box, not its ghost shell"},
 	{"internal/amr/regrid.go", "FlagWhereGradient", `FillGhostsData`, 1,
 		"gradient flagging reads face ghosts, so it fills the level first, through CheckFill"},
+	{"internal/engine/*.go", "", `InitialCondition\(`, 1,
+		"initLevel0 and regrid write the initial condition only through initialCondition, inside Pool.ForEach"},
+	{"internal/engine/engine.go", "initialCondition", `Pool\.ForEach\(len\(grids\), func\(i int\) \{ r\.driver\.InitialCondition\(grids\[i\]\.Patch, dx\) \}\)`, 1,
+		"the initial condition is written one grid per pool task"},
 	{"internal/scenario/*.go", "", `engine\.Build\(`, 1,
 		"one front door: Scenario.Start is the one place that builds an engine"},
 	{"internal/scenario/*.go", "", `engine\.Resume\(`, 1,

@@ -486,12 +486,19 @@ func (r *Runner) initLevel0() {
 		shares[p] = r.sys.Perf(p)
 	}
 	for i, proc := range dlb.DealByShare(weights, shares) {
-		g := r.h.AddGrid(0, boxes[i], proc, amr.NoGrid)
-		if r.opt.WithData {
-			r.driver.InitialCondition(g.Patch, r.dx(0))
-		}
+		r.h.AddGrid(0, boxes[i], proc, amr.NoGrid)
 	}
 	r.h.SortLevel(0)
+	if r.opt.WithData {
+		r.initialCondition(0)
+	}
+}
+
+// initialCondition writes the driver's initial condition into every
+// grid of level l, one grid per pool task.
+func (r *Runner) initialCondition(l int) {
+	grids, dx := r.h.Grids(l), r.dx(l)
+	r.opt.Pool.ForEach(len(grids), func(i int) { r.driver.InitialCondition(grids[i].Patch, dx) })
 }
 
 func (r *Runner) dx(level int) float64 {
@@ -1240,9 +1247,7 @@ func (r *Runner) regrid(initial bool) {
 	if initial && r.opt.WithData {
 		// At t=0 the exact initial condition beats prolonged data.
 		for l := 1; l <= r.h.MaxLevel; l++ {
-			for _, g := range r.h.Grids(l) {
-				r.driver.InitialCondition(g.Patch, r.dx(l))
-			}
+			r.initialCondition(l)
 		}
 	}
 	// Charge the regrid cost: flag evaluation, clustering and

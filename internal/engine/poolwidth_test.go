@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
@@ -16,19 +19,48 @@ import (
 // run on a one-core machine too.
 var poolWidths = []int{1, 2, 4}
 
-// widthRun is what the pin compares between two pool widths.
+// widthRun is what the pin compares between two pool widths: built and
+// ran digest the field data after Build and after the run.
 type widthRun struct {
-	identity string
-	ghost    [][]amr.Message
-	boxes    []geom.BoxList
+	identity   string
+	ghost      [][]amr.Message
+	boxes      []geom.BoxList
+	built, ran uint64
+}
+
+// fieldDigest hashes every patch's box and the bits of every field over
+// its grown box, level by level in grid order: ghosts included, so a
+// pooled write to the wrong patch or an unwritten one changes it.
+func fieldDigest(h *amr.Hierarchy) uint64 {
+	d := fnv.New64a()
+	var buf []byte
+	for l := 0; l < h.NumLevels(); l++ {
+		for _, g := range h.Grids(l) {
+			if g.Patch == nil {
+				continue
+			}
+			buf = buf[:0]
+			for _, v := range append(g.Box.Lo[:], g.Box.Hi[:]...) {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			}
+			for k := range g.Patch.FieldNames() {
+				for _, v := range g.Patch.FieldAt(k) {
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+				}
+			}
+			d.Write(buf)
+		}
+	}
+	return d.Sum64()
 }
 
 func runAtWidth(t *testing.T, w int, build func(pool *solver.Pool) *Runner) widthRun {
 	t.Helper()
 	r := build(solver.NewPool(w))
+	built := fieldDigest(r.Hierarchy())
 	res := r.Run()
 	h := r.Hierarchy()
-	out := widthRun{identity: res.Identity()}
+	out := widthRun{identity: res.Identity(), built: built, ran: fieldDigest(h)}
 	for l := 0; l < h.NumLevels(); l++ {
 		out.ghost = append(out.ghost, h.GhostPlanCached(l))
 		out.boxes = append(out.boxes, h.Boxes(l))
@@ -45,7 +77,9 @@ func runAtWidth(t *testing.T, w int, build func(pool *solver.Pool) *Runner) widt
 // particles, pushed in four chunks. The ShockPool3D run carries field
 // data under -check=plan,data, which compares every fill plan it
 // serves with the serial scan planner's and every fill with the scan
-// fill's.
+// fill's; it and the refluxed SedovBlast run also compare every
+// patch's field bits after Build, where the pooled initial condition
+// has written them, and after the run.
 func TestPoolWidthPin(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -60,6 +94,11 @@ func TestPoolWidthPin(t *testing.T) {
 			return New(machine.WanPair(2, nil), workload.NewShockPool3D(24, 2), Options{
 				Steps: 4, MaxLevel: 2, GridsPerProc: 64, WithData: true,
 				PlanCheck: true, DataCheck: true, Pool: pool,
+			})
+		}},
+		{"SedovBlast-reflux", func(pool *solver.Pool) *Runner {
+			return New(machine.WanPair(2, nil), workload.NewSedovBlast(24, 2), Options{
+				Steps: 3, MaxLevel: 2, GridsPerProc: 64, WithData: true, Reflux: true, Pool: pool,
 			})
 		}},
 	}
@@ -79,6 +118,10 @@ func TestPoolWidthPin(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.ghost, want.ghost) {
 					t.Errorf("%d workers: ghost plans differ from one worker's", w)
+				}
+				if got.built != want.built || got.ran != want.ran {
+					t.Errorf("%d workers: field data differs from one worker's (digest after Build %#x, want %#x; after the run %#x, want %#x)",
+						w, got.built, want.built, got.ran, want.ran)
 				}
 			}
 		})

@@ -109,21 +109,31 @@ func (p *Patch) FillConstant(name string, v float64) {
 	}
 }
 
-// FillFunc evaluates fn at every cell of the grown box, in
-// geom.Box.ForEach order, and stores the result in the named field.
-// That order is the storage order, so the offset is a running count.
-func (p *Patch) FillFunc(name string, fn func(geom.Index) float64) {
+// FillRows calls fn once per x-row of the grown box, in storage order,
+// with the row's storage of the named field: row[k] is cell
+// (x0+k, y, z). It is the write side of cluster.FlagField.SetRows, and
+// the way a driver writes its initial condition.
+func (p *Patch) FillRows(name string, fn func(row []float64, x0, y, z int)) {
 	f := p.Field(name)
 	g := p.Grown()
+	n := g.Hi[0] - g.Lo[0] + 1
 	o := 0
 	for z := g.Lo[2]; z <= g.Hi[2]; z++ {
 		for y := g.Lo[1]; y <= g.Hi[1]; y++ {
-			for x := g.Lo[0]; x <= g.Hi[0]; x++ {
-				f[o] = fn(geom.Index{x, y, z})
-				o++
-			}
+			fn(f[o:o+n:o+n], g.Lo[0], y, z)
+			o += n
 		}
 	}
+}
+
+// FillFunc evaluates fn at every cell of the grown box, in
+// geom.Box.ForEach order, and stores the result in the named field.
+func (p *Patch) FillFunc(name string, fn func(geom.Index) float64) {
+	p.FillRows(name, func(row []float64, x0, y, z int) {
+		for k := range row {
+			row[k] = fn(geom.Index{x0 + k, y, z})
+		}
+	})
 }
 
 // interiorRows calls fn with each interior row of the named field, in

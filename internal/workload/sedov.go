@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"samrdlb/internal/cluster"
-	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
 	"samrdlb/internal/solver"
 )
@@ -59,16 +58,20 @@ func (s *SedovBlast) Radius(t float64) float64 {
 	if t < 0 {
 		t = 0
 	}
-	return s.R0 + s.Rate*math.Pow(t, 0.4)
+	return s.R0 + float64(s.Rate*math.Pow(t, 0.4))
 }
 
-// InitialCondition implements Driver: a Gaussian pulse at the centre.
+// InitialCondition implements Driver: a Gaussian pulse at the centre,
+// its squared distance summed as in Flag.
 func (s *SedovBlast) InitialCondition(p *grid.Patch, dx float64) {
-	level := p.Level
-	w2 := s.R0 * s.R0
-	p.FillFunc(solver.FieldQ, func(i geom.Index) float64 {
-		x := cellCenter(i, level, s.N0, s.Ref)
-		return s.Amplitude * math.Exp(-dist2c(x, s.Center)/(2*w2))
+	den := 2 * float64(s.R0*s.R0)
+	p.FillRows(solver.FieldQ, func(row []float64, x0, y, z int) {
+		vy, vz := center(y, dx)-s.Center[1], center(z, dx)-s.Center[2]
+		vy2, vz2 := float64(vy*vy), float64(vz*vz)
+		for k := range row {
+			vx := center(x0+k, dx) - s.Center[0]
+			row[k] = s.Amplitude * math.Exp(-(float64(vx*vx)+vy2+vz2)/den)
+		}
 	})
 }
 
@@ -103,14 +106,3 @@ func (s *SedovBlast) RefFactor() int { return s.Ref }
 
 // Particles implements Driver.
 func (s *SedovBlast) Particles() *solver.ParticleSet { return nil }
-
-// dist2c is the plain (non-periodic) squared distance, summed like
-// wrapDist2: x term first, each product rounded before it is added.
-func dist2c(a, b [3]float64) float64 {
-	var s float64
-	for d := 0; d < 3; d++ {
-		v := a[d] - b[d]
-		s += float64(v * v)
-	}
-	return s
-}

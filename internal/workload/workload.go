@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"samrdlb/internal/cluster"
-	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
 	"samrdlb/internal/solver"
 )
@@ -37,7 +36,11 @@ type Driver interface {
 	Fields() []string
 	// Kernels are applied in order on every patch each time step.
 	Kernels() []solver.Kernel
-	// InitialCondition fills a freshly created patch.
+	// InitialCondition writes the t = 0 state into every field of p's
+	// grown box, ghosts included, for mesh spacing dx on p's level.
+	// The engine calls it concurrently for distinct patches, so it must
+	// not mutate the driver. Edge and corner ghosts keep what it wrote
+	// (no fill writes them), so those values reach checkpoint bytes.
 	InitialCondition(p *grid.Patch, dx float64)
 	// Flag marks the level-l cells (level index space) that need
 	// refinement at simulated time t.
@@ -97,17 +100,15 @@ func FlopsPerCell(d Driver) float64 {
 	return sum
 }
 
-// cellCenter returns the physical coordinates (domain [0,1)^3) of the
-// centre of cell i on the given level, for a level-0 domain of n0
-// cells per side refined by factor ref.
-func cellCenter(i geom.Index, level, n0, ref int) [3]float64 {
-	dx := 1.0 / (float64(n0) * math.Pow(float64(ref), float64(level)))
-	return [3]float64{center(i[0], dx), center(i[1], dx), center(i[2], dx)}
-}
-
-// center is the physical coordinate of the centre of cell i along one
-// axis at mesh spacing dx.
-func center(i int, dx float64) float64 { return (float64(i) + 0.5) * dx }
+// center is the physical coordinate (domain [0,1)) of the centre of
+// cell i along one axis at mesh spacing dx.
+//
+// Every product in this package that is then added or subtracted is
+// rounded by an explicit float64(…) conversion, here and at each sum:
+// the Go spec lets a compiler fuse x*y + z into one multiply-add,
+// whose single rounding differs in the last bit (arm64 fuses, amd64
+// never does), and a run must compute the same bits on every GOARCH.
+func center(i int, dx float64) float64 { return float64((float64(i) + 0.5) * dx) }
 
 // ShockPool3D drives refinement along a slightly tilted plane that
 // sweeps through the domain.
@@ -155,28 +156,26 @@ func (s *ShockPool3D) velocity() [3]float64 {
 }
 
 func (s *ShockPool3D) unitNormal() [3]float64 {
-	m := math.Sqrt(s.Normal[0]*s.Normal[0] + s.Normal[1]*s.Normal[1] + s.Normal[2]*s.Normal[2])
+	m := math.Sqrt(float64(s.Normal[0]*s.Normal[0]) + float64(s.Normal[1]*s.Normal[1]) + float64(s.Normal[2]*s.Normal[2]))
 	return [3]float64{s.Normal[0] / m, s.Normal[1] / m, s.Normal[2] / m}
 }
 
 // planePos returns the plane offset at time t.
-func (s *ShockPool3D) planePos(t float64) float64 { return s.Start + s.Speed*t }
-
-// distance returns the signed distance of a physical point from the
-// shock plane at time t.
-func (s *ShockPool3D) distance(x [3]float64, t float64) float64 {
-	n := s.unitNormal()
-	return x[0]*n[0] + x[1]*n[1] + x[2]*n[2] - s.planePos(t)
-}
+func (s *ShockPool3D) planePos(t float64) float64 { return s.Start + float64(s.Speed*t) }
 
 // InitialCondition implements Driver: q = 1 behind the shock, 0 ahead.
+// A cell's signed distance from the plane is Flag's sum at t = 0.
 func (s *ShockPool3D) InitialCondition(p *grid.Patch, dx float64) {
-	level := p.Level
-	p.FillFunc(solver.FieldQ, func(i geom.Index) float64 {
-		if s.distance(cellCenter(i, level, s.N0, s.Ref), 0) < 0 {
-			return 1
+	n := s.unitNormal()
+	pos := s.planePos(0)
+	p.FillRows(solver.FieldQ, func(row []float64, x0, y, z int) {
+		clear(row)
+		ty, tz := float64(center(y, dx)*n[1]), float64(center(z, dx)*n[2])
+		for k := range row {
+			if float64(center(x0+k, dx)*n[0])+ty+tz-pos < 0 {
+				row[k] = 1
+			}
 		}
-		return 0
 	})
 }
 
@@ -262,8 +261,8 @@ func (a *AMR64) init() {
 			c := a.centers[i%len(a.centers)]
 			var pos, vel [3]float64
 			for d := 0; d < 3; d++ {
-				pos[d] = math.Mod(c[d]+0.08*(rng.Float64()-0.5)+1, 1)
-				vel[d] = 0.05 * (rng.Float64() - 0.5)
+				pos[d] = math.Mod(c[d]+float64(0.08*(float64(rng.Float64())-0.5))+1, 1)
+				vel[d] = 0.05 * (float64(rng.Float64()) - 0.5)
 			}
 			ps.Particles = append(ps.Particles, solver.Particle{Pos: pos, Vel: vel})
 		}
@@ -290,7 +289,7 @@ func (a *AMR64) Kernels() []solver.Kernel {
 // radius returns a cluster's refinement radius at time t for the
 // given level (finer levels capture the denser core).
 func (a *AMR64) radius(level int, t float64) float64 {
-	r := a.BaseRadius * (1 + a.GrowthRate*t)
+	r := a.BaseRadius * (1 + float64(a.GrowthRate*t))
 	if r > a.MaxRadius {
 		r = a.MaxRadius
 	}
@@ -298,17 +297,21 @@ func (a *AMR64) radius(level int, t float64) float64 {
 }
 
 // InitialCondition implements Driver: density blobs at the centres,
-// zero potential, uniform tracer.
+// zero potential, uniform tracer. A cell's density adds the centres'
+// Gaussians in centre order, so a row takes one centre at a time.
 func (a *AMR64) InitialCondition(p *grid.Patch, dx float64) {
-	level := p.Level
-	p.FillFunc(solver.FieldRho, func(i geom.Index) float64 {
-		x := cellCenter(i, level, a.N0, a.Ref)
-		var rho float64
+	den := 2 * a.BaseRadius * a.BaseRadius
+	p.FillRows(solver.FieldRho, func(row []float64, x0, y, z int) {
+		clear(row)
+		yc, zc := center(y, dx), center(z, dx)
 		for _, c := range a.centers {
-			d2 := wrapDist2(x, c)
-			rho += math.Exp(-d2 / (2 * a.BaseRadius * a.BaseRadius))
+			vy, vz := wrap1(yc, c[1]), wrap1(zc, c[2])
+			vy2, vz2 := float64(vy*vy), float64(vz*vz)
+			for k := range row {
+				vx := wrap1(center(x0+k, dx), c[0])
+				row[k] += math.Exp(-(float64(vx*vx) + vy2 + vz2) / den)
+			}
 		}
-		return rho
 	})
 	p.FillConstant(solver.FieldPhi, 0)
 	p.FillConstant(solver.FieldQ, 1)
@@ -319,10 +322,10 @@ func (a *AMR64) Flag(level int, t float64, f *cluster.FlagField) {
 	r := a.radius(level, t)
 	r2 := r * r
 	dx := 1.0 / (float64(a.N0) * math.Pow(float64(a.Ref), float64(level)))
-	// A row keeps the centres it can reach at all: wrapDist2 adds the x
-	// term first, so its sum is never below vy²+vz² (rounding is
-	// monotone and vx² ≥ 0) and a centre with vy²+vz² ≥ r² flags nothing
-	// on the row.
+	// A row keeps the centres it can reach at all: the squared distance
+	// adds the x term first, so its sum is never below vy²+vz² (rounding
+	// is monotone and vx² ≥ 0) and a centre with vy²+vz² ≥ r² flags
+	// nothing on the row.
 	type reachable struct{ x, vy2, vz2 float64 }
 	near := make([]reachable, 0, len(a.centers))
 	f.SetRows(f.Box, func(row cluster.Row, x0, y, z int) {
@@ -364,19 +367,6 @@ func (a *AMR64) RefFactor() int { return a.Ref }
 
 // Particles implements Driver.
 func (a *AMR64) Particles() *solver.ParticleSet { return a.particles }
-
-// wrapDist2 is the squared distance on the unit periodic torus. The
-// drivers' Flag methods take the same sum a row at a time — x term
-// first, then y, then z, each product rounded before it is added — so
-// a hoisted row compares the bits this function would.
-func wrapDist2(a, b [3]float64) float64 {
-	var s float64
-	for d := 0; d < 3; d++ {
-		v := wrap1(a[d], b[d])
-		s += float64(v * v)
-	}
-	return s
-}
 
 // wrap1 is the distance between two coordinates on the unit circle.
 func wrap1(a, b float64) float64 {
@@ -448,15 +438,18 @@ func (b *StaticBlob) Kernels() []solver.Kernel {
 	return []solver.Kernel{solver.Advection3D{Vel: [3]float64{0.1, 0.1, 0}}}
 }
 
-// InitialCondition implements Driver.
+// InitialCondition implements Driver: q = 1 inside the level-0 ball.
 func (b *StaticBlob) InitialCondition(p *grid.Patch, dx float64) {
-	level := p.Level
-	p.FillFunc(solver.FieldQ, func(i geom.Index) float64 {
-		x := cellCenter(i, level, b.N0, b.Ref)
-		if wrapDist2(x, b.Center) < b.Radius*b.Radius {
-			return 1
+	r2 := b.Radius * b.Radius
+	p.FillRows(solver.FieldQ, func(row []float64, x0, y, z int) {
+		clear(row)
+		vy, vz := wrap1(center(y, dx), b.Center[1]), wrap1(center(z, dx), b.Center[2])
+		vy2, vz2 := float64(vy*vy), float64(vz*vz)
+		for k := range row {
+			if vx := wrap1(center(x0+k, dx), b.Center[0]); float64(vx*vx)+vy2+vz2 < r2 {
+				row[k] = 1
+			}
 		}
-		return 0
 	})
 }
 
