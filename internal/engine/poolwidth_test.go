@@ -40,8 +40,10 @@ func fieldDigest(h *amr.Hierarchy) uint64 {
 				continue
 			}
 			buf = buf[:0]
-			for _, v := range append(g.Box.Lo[:], g.Box.Hi[:]...) {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			for _, corner := range [2]geom.Index{g.Box.Lo, g.Box.Hi} {
+				for _, v := range corner {
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+				}
 			}
 			for k := range g.Patch.FieldNames() {
 				for _, v := range g.Patch.FieldAt(k) {
