@@ -52,8 +52,11 @@ func getExchange(n int) *exchange {
 }
 
 // post sends every non-empty buffer as the phase's one message to its
-// destination rank. Send copies or serialises before it returns, so
-// the buffers are free for the next phase.
+// destination rank. Only buffers for ranks in other shards are ever
+// filled — a same-shard destination reads its sources directly — so
+// every message posted goes to the transport, which copies or
+// serialises it before Send returns: the buffers are free for the next
+// phase.
 func (x *exchange) post(r *mpx.Rank, phase int) {
 	for dst, buf := range x.send {
 		if len(buf) > 0 {
@@ -98,10 +101,13 @@ func (x *exchange) finish(r *mpx.Rank, phase int) {
 
 // FillGhostsMPX performs exactly FillGhostsData's data motion, but
 // through a message-passing world: everything one rank's grids supply
-// to another rank's grids travels as one message per phase between
-// the two. Each rank reads and writes only the patches its processor
-// owns (plus its message buffers), so the exchange is genuinely
-// parallel. Grid owners are interpreted as rank IDs.
+// to the grids of a rank in another shard travels as one message per
+// phase between the two, while a rank copies from the grids of ranks
+// in its own shard directly, as FillGhostsData does. Each rank writes
+// only the ghost cells of the grids its processor owns, and reads only
+// its own grids and the interiors of its shard's, which no rank writes
+// during a fill, so the exchange is genuinely parallel. Grid owners
+// are interpreted as rank IDs.
 //
 // Every rank walks the same cached data-motion plan in place — built
 // lazily under the hierarchy's plan mutex and shared by all.
@@ -136,10 +142,11 @@ func (h *Hierarchy) FillGhostsMPX(r *mpx.Rank, level int) {
 // fillPhaseMPX runs the plan's prolongations (phaseProlong) or its
 // sibling copies (phaseSibling) for one rank, in two walks: the first
 // packs the source cells of every operation that reads one of the
-// rank's grids and writes another rank's, and posts the buffers; the
-// second applies every operation that writes one of the rank's own
-// grids in plan order, a local one from the source patch and a remote
-// one from the source rank's message. Every send of the phase is posted
+// rank's grids and writes the grid of a rank in another shard, and
+// posts the buffers; the second applies every operation that writes
+// one of the rank's own grids in plan order, one whose source is in
+// the rank's shard from the source patch and any other from the source
+// rank's message. Every send of the phase is posted
 // before any receive, so the pattern cannot deadlock; a sender and a
 // receiver meet the same plan entries in the same order, so position in
 // the message needs no header.
@@ -148,7 +155,7 @@ func (h *Hierarchy) fillPhaseMPX(r *mpx.Rank, x *exchange, plan []fillDest, phas
 	prolong := phase == phaseProlong
 	for i := range plan {
 		d := &plan[i]
-		if d.g.Owner == me {
+		if r.SameShard(d.g.Owner) {
 			continue
 		}
 		for j := range d.ops {
@@ -177,7 +184,7 @@ func (h *Hierarchy) fillPhaseMPX(r *mpx.Rank, x *exchange, plan []fillDest, phas
 			op := &d.ops[j]
 			switch {
 			case op.prolong != prolong:
-			case op.src.Owner == me:
+			case r.SameShard(op.src.Owner):
 				h.runFillOp(d.g.Patch, op)
 			default:
 				dense, n := h.packed(op)
@@ -205,12 +212,15 @@ func (h *Hierarchy) packed(op *fillOp) (dense grid.Rows, n int) {
 	return dense, dense.N * dense.NY * dense.NZ
 }
 
-// RestrictMPX performs RestrictData's motion through the world: each
-// fine grid's owner restricts over the fine grid's coarsened box
-// straight into the message for the parent's owner, which copies the
-// part inside the parent's interior out of the message — the cells
-// grid.Restrict's overlap computation writes. Both walk the cached
-// restriction plan in place.
+// RestrictMPX performs RestrictData's motion through the world: when
+// the parent's owner is in another shard, each fine grid's owner
+// restricts over the fine grid's coarsened box straight into the
+// message for it, which copies the part inside the parent's interior
+// out of the message — the cells grid.Restrict's overlap computation
+// writes. A parent's owner restricts a fine grid of its own shard
+// directly: it writes only its parents' interiors, and nothing writes
+// the fine level in this phase. Both walk the cached restriction plan
+// in place.
 func (h *Hierarchy) RestrictMPX(r *mpx.Rank, level int) {
 	if !h.WithData || level <= 0 || len(h.Fields) == 0 {
 		return
@@ -224,7 +234,7 @@ func (h *Hierarchy) RestrictMPX(r *mpx.Rank, level int) {
 	for i := range plan {
 		d := &plan[i]
 		to := d.parent.Owner
-		if to == me {
+		if r.SameShard(to) {
 			continue
 		}
 		for _, g := range d.fines {
@@ -249,7 +259,7 @@ func (h *Hierarchy) RestrictMPX(r *mpx.Rank, level int) {
 			continue
 		}
 		for _, g := range d.fines {
-			if g.Owner == me {
+			if r.SameShard(g.Owner) {
 				for _, f := range h.Fields {
 					grid.Restrict(d.parent.Patch, g.Patch, f, h.RefFactor)
 				}

@@ -2,8 +2,12 @@ package amr
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"samrdlb/internal/geom"
@@ -11,17 +15,157 @@ import (
 	"samrdlb/internal/mpx"
 )
 
-// noWire is the transport of a world whose ranks all live in one shard:
-// no message ever crosses it.
-type noWire struct{}
+// fabric joins the shard worlds of one test world in this process, as
+// the tcp transport does over sockets: a Send is recorded, copied and
+// delivered into the world of the destination's shard. shards[rank] is
+// the rank's shard; shards number from 0 and none is empty.
+type fabric struct {
+	shards []int
+	worlds []*mpx.World
 
-func (noWire) Send(src, dst, tag int, data []float64) error { panic("amr: noWire carries nothing") }
-func (noWire) Abort(string)                                 {}
-func (noWire) Close() error                                 { return nil }
+	mu   sync.Mutex
+	sent []wireSend // the last run's sends, in the order they were made
+}
 
-// localWorld is an n-rank world hosted whole in this process.
-func localWorld(n int) *mpx.World {
-	return mpx.NewShardWorld(n, func(int) int { return 0 }, 0, noWire{})
+// wireSend is one message the transport carried.
+type wireSend struct{ src, dst, tag int }
+
+func newFabric(shards []int) *fabric {
+	f := &fabric{shards: shards}
+	for s := range slices.Max(shards) + 1 {
+		f.worlds = append(f.worlds, mpx.NewShardWorld(len(shards), func(r int) int { return shards[r] }, s, fabricEnd{f, s}))
+	}
+	return f
+}
+
+// fabricEnd is one shard's view of the fabric.
+type fabricEnd struct {
+	f     *fabric
+	shard int
+}
+
+func (e fabricEnd) Send(src, dst, tag int, data []float64) error {
+	f := e.f
+	f.mu.Lock()
+	f.sent = append(f.sent, wireSend{src, dst, tag})
+	f.mu.Unlock()
+	f.worlds[f.shards[dst]].Deliver(src, dst, tag, slices.Clone(data))
+	return nil
+}
+
+// Abort wakes the other shards' blocked ranks, as the tcp abort frame
+// does.
+func (e fabricEnd) Abort(cause string) {
+	for s, w := range e.f.worlds {
+		if s != e.shard {
+			w.AbortFromWire(cause)
+		}
+	}
+}
+
+func (fabricEnd) Close() error { return nil }
+
+// run runs body on every rank, the shards' worlds concurrently, and
+// joins them, as the engine's shard set does: a rank panic anywhere is
+// re-raised as one *mpx.RunPanicError over every shard's panics.
+func (f *fabric) run(body func(r *mpx.Rank)) {
+	f.sent = f.sent[:0]
+	var wg sync.WaitGroup
+	panics := make([]any, len(f.worlds))
+	for s, w := range f.worlds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[s] = recover() }()
+			w.Run(body)
+		}()
+	}
+	wg.Wait()
+	var merged mpx.RunPanicError
+	for _, p := range panics {
+		switch v := p.(type) {
+		case nil:
+		case *mpx.RunPanicError:
+			merged.Panics = append(merged.Panics, v.Panics...)
+		default:
+			panic(v)
+		}
+	}
+	if len(merged.Panics) > 0 {
+		panic(&merged)
+	}
+}
+
+// layout splits a world's ranks into shards.
+type layout struct {
+	name    string
+	shardOf func(rank int) int
+}
+
+// layouts: every rank in one shard, so all data moves directly; each
+// rank in its own, so every exchange is a message; and even ranks apart
+// from odd ones, so both kinds meet in one phase.
+var layouts = []layout{
+	{"one shard", func(int) int { return 0 }},
+	{"shard per rank", func(r int) int { return r }},
+	{"even/odd shards", func(r int) int { return r % 2 }},
+}
+
+// split returns the shard of each of n ranks.
+func (l layout) split(n int) []int {
+	shards := make([]int, n)
+	for r := range shards {
+		shards[r] = l.shardOf(r)
+	}
+	return shards
+}
+
+// shardViews gives each shard its own copy of h in which every grid
+// another shard owns is NaN, as a worker process holds current data
+// only for its own group's grids: whatever a shard learns of another
+// shard's grid has come over the wire.
+func shardViews(h *Hierarchy, shards []int) []*Hierarchy {
+	views := make([]*Hierarchy, slices.Max(shards)+1)
+	for s := range views {
+		views[s] = cloneHierarchy(h)
+		for l := 0; l <= h.MaxLevel; l++ {
+			for _, g := range views[s].Grids(l) {
+				if shards[g.Owner] == s {
+					continue
+				}
+				for _, f := range h.Fields {
+					vals := g.Patch.Field(f)
+					for k := range vals {
+						vals[k] = math.NaN()
+					}
+				}
+			}
+		}
+	}
+	return views
+}
+
+// gather returns what the shards computed together: each grid as the
+// view of the shard that owns it holds it.
+func gather(views []*Hierarchy, shards []int) *Hierarchy {
+	out := cloneHierarchy(views[0])
+	for l := 0; l <= out.MaxLevel; l++ {
+		for i, g := range out.Grids(l) {
+			src := views[shards[g.Owner]].Grids(l)[i]
+			for _, f := range out.Fields {
+				copy(g.Patch.Field(f), src.Patch.Field(f))
+			}
+		}
+	}
+	return out
+}
+
+// runShards runs body on every rank of the split, each against its
+// shard's view of h, and gathers the result. h is not changed.
+func runShards(h *Hierarchy, shards []int, body func(v *Hierarchy, r *mpx.Rank)) *Hierarchy {
+	views := shardViews(h, shards)
+	newFabric(shards).run(func(r *mpx.Rank) { body(views[shards[r.ID()]], r) })
+	return gather(views, shards)
 }
 
 // dataFixture is the field list and refinement factor of a data
@@ -157,70 +301,177 @@ var deepOwnerDraws = []struct {
 }
 
 // TestFillGhostsMPXMatchesSequential: the wire fill equals the
-// shared-memory one on both fixtures and every owner draw.
+// shared-memory one on both fixtures, every owner draw and every
+// layout.
 func TestFillGhostsMPXMatchesSequential(t *testing.T) {
-	for _, fx := range dataFixtures {
-		for _, owners := range []int{1, 2, 4} {
-			seq := buildFixtureHierarchy(t, owners, fx)
-			par := cloneHierarchy(seq)
-			for l := 0; l <= 1; l++ {
-				seq.FillGhostsData(l)
+	fill := func(levels int) func(v *Hierarchy, r *mpx.Rank) {
+		return func(v *Hierarchy, r *mpx.Rank) {
+			for l := 0; l < levels; l++ {
+				v.FillGhostsMPX(r, l)
 			}
-			localWorld(owners).Run(func(r *mpx.Rank) {
-				for l := 0; l <= 1; l++ {
-					par.FillGhostsMPX(r, l)
-				}
-			})
-			assertSameData(t, seq, par, fmt.Sprintf("ghosts %v, %d owners", fx, owners))
 		}
-		for seed, c := range deepOwnerDraws {
-			seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
-			par := cloneHierarchy(seq)
-			for l := 0; l <= 2; l++ {
-				seq.FillGhostsData(l)
-			}
-			localWorld(c.world).Run(func(r *mpx.Rank) {
-				for l := 0; l <= 2; l++ {
-					par.FillGhostsMPX(r, l)
+	}
+	for _, fx := range dataFixtures {
+		for _, lay := range layouts {
+			for _, owners := range []int{1, 2, 4} {
+				seq := buildFixtureHierarchy(t, owners, fx)
+				par := runShards(seq, lay.split(owners), fill(2))
+				for l := 0; l <= 1; l++ {
+					seq.FillGhostsData(l)
 				}
-			})
-			assertSameData(t, seq, par, fmt.Sprintf("deep ghosts %v, owners %v of %d", fx, c.ranks, c.world))
+				assertSameData(t, seq, par, fmt.Sprintf("ghosts %v, %d owners, %s", fx, owners, lay.name))
+			}
+			for seed, c := range deepOwnerDraws {
+				seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
+				par := runShards(seq, lay.split(c.world), fill(3))
+				for l := 0; l <= 2; l++ {
+					seq.FillGhostsData(l)
+				}
+				assertSameData(t, seq, par, fmt.Sprintf("deep ghosts %v, owners %v of %d, %s", fx, c.ranks, c.world, lay.name))
+			}
 		}
 	}
 }
 
 // TestRestrictMPXMatchesSequential: the wire restriction equals the
-// shared-memory one on both fixtures and every owner draw.
+// shared-memory one on both fixtures, every owner draw and every
+// layout.
 func TestRestrictMPXMatchesSequential(t *testing.T) {
 	for _, fx := range dataFixtures {
-		for _, owners := range []int{1, 3} {
-			seq := buildFixtureHierarchy(t, owners, fx)
-			par := cloneHierarchy(seq)
-			seq.RestrictData(1)
-			localWorld(owners).Run(func(r *mpx.Rank) {
-				par.RestrictMPX(r, 1)
-			})
-			assertSameData(t, seq, par, fmt.Sprintf("restrict %v, %d owners", fx, owners))
-		}
-		for seed, c := range deepOwnerDraws {
-			seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
-			par := cloneHierarchy(seq)
-			seq.RestrictData(2)
-			seq.RestrictData(1)
-			localWorld(c.world).Run(func(r *mpx.Rank) {
-				par.RestrictMPX(r, 2)
-				par.RestrictMPX(r, 1)
-			})
-			assertSameData(t, seq, par, fmt.Sprintf("deep restrict %v, owners %v of %d", fx, c.ranks, c.world))
+		for _, lay := range layouts {
+			for _, owners := range []int{1, 3} {
+				seq := buildFixtureHierarchy(t, owners, fx)
+				par := runShards(seq, lay.split(owners), func(v *Hierarchy, r *mpx.Rank) {
+					v.RestrictMPX(r, 1)
+				})
+				seq.RestrictData(1)
+				assertSameData(t, seq, par, fmt.Sprintf("restrict %v, %d owners, %s", fx, owners, lay.name))
+			}
+			for seed, c := range deepOwnerDraws {
+				seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
+				par := runShards(seq, lay.split(c.world), func(v *Hierarchy, r *mpx.Rank) {
+					v.RestrictMPX(r, 2)
+					v.RestrictMPX(r, 1)
+				})
+				seq.RestrictData(2)
+				seq.RestrictData(1)
+				assertSameData(t, seq, par, fmt.Sprintf("deep restrict %v, owners %v of %d, %s", fx, c.ranks, c.world, lay.name))
+			}
 		}
 	}
 }
 
+// TestMPXWireCarriesOnlyCrossShard pins what the transport sees through
+// a fill of every level and a restriction of every level, on the
+// even/odd split of a fixture whose ranks exchange data both within
+// and across shards: every message crosses shards, each cross-shard
+// rank pair exchanges one message in each phase it has data in, and no
+// rank sends a rank of its own shard anything. The last is probed in
+// the mailboxes themselves: before the phases every rank queues a
+// marker to each rank of its shard under every phase tag, after them a
+// second, and each must then receive the two back to back — a phase
+// that received a same-shard message would have consumed the first,
+// and one that sent one would have put it between the two.
+func TestMPXWireCarriesOnlyCrossShard(t *testing.T) {
+	seq := buildDeepDataHierarchy(t, 0, []int{0, 1, 2, 3}, dataFixtures[0])
+	shards := layouts[2].split(4)
+	cross := func(a, b int) bool { return shards[a] != shards[b] }
+
+	// want counts, per (source, destination, phase), the levels whose
+	// plans move data between two ranks of different shards.
+	want := map[wireSend]int{}
+	sameShardOps := 0
+	for l := 0; l <= 2; l++ {
+		pairs := map[wireSend]bool{}
+		for _, d := range seq.fillPlan(l) {
+			for _, op := range d.ops {
+				switch {
+				case cross(op.src.Owner, d.g.Owner) && op.prolong:
+					pairs[wireSend{op.src.Owner, d.g.Owner, phaseProlong}] = true
+				case cross(op.src.Owner, d.g.Owner):
+					pairs[wireSend{op.src.Owner, d.g.Owner, phaseSibling}] = true
+				case op.src.Owner != d.g.Owner:
+					sameShardOps++
+				}
+			}
+		}
+		if l > 0 {
+			for _, d := range seq.restrictDataPlan(l) {
+				for _, g := range d.fines {
+					if cross(g.Owner, d.parent.Owner) {
+						pairs[wireSend{g.Owner, d.parent.Owner, phaseRestrict}] = true
+					}
+				}
+			}
+		}
+		for p := range pairs {
+			want[p]++
+		}
+	}
+	if len(want) == 0 || sameShardOps == 0 {
+		t.Fatalf("fixture has %d cross-shard messages and %d same-shard cross-rank ops; it needs both", len(want), sameShardOps)
+	}
+
+	before, after := []float64{-1}, []float64{-2}
+	mark := func(r *mpx.Rank, m []float64) {
+		for peer := range r.Size() {
+			if r.SameShard(peer) {
+				for tag := range phaseNames {
+					r.Send(peer, tag, m)
+				}
+			}
+		}
+	}
+	views := shardViews(seq, shards)
+	f := newFabric(shards)
+	f.run(func(r *mpx.Rank) {
+		v := views[shards[r.ID()]]
+		mark(r, before)
+		r.Barrier() // every first marker is queued before any phase starts
+		for l := 0; l <= 2; l++ {
+			v.FillGhostsMPX(r, l)
+		}
+		v.RestrictMPX(r, 2)
+		v.RestrictMPX(r, 1)
+		mark(r, after)
+		for peer := range r.Size() {
+			if !r.SameShard(peer) {
+				continue
+			}
+			for tag := range phaseNames {
+				if a, b := r.Recv(peer, tag), r.Recv(peer, tag); !slices.Equal(a, before) || !slices.Equal(b, after) {
+					t.Errorf("rank %d's %s mailbox from rank %d of its shard held %d then %d values, want only the markers %v and %v",
+						r.ID(), phaseNames[tag], peer, len(a), len(b), before, after)
+				}
+			}
+		}
+	})
+
+	got := map[wireSend]int{}
+	for _, m := range f.sent {
+		if !cross(m.src, m.dst) {
+			t.Errorf("rank %d sent rank %d of its own shard a %s message over the wire", m.src, m.dst, phaseNames[m.tag])
+		}
+		got[m]++
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("the wire carried %v (source, destination, phase): count, want %v", got, want)
+	}
+	for l := 0; l <= 2; l++ {
+		seq.FillGhostsData(l)
+	}
+	seq.RestrictData(2)
+	seq.RestrictData(1)
+	assertSameData(t, seq, gather(views, shards), "even/odd shards")
+}
+
 // TestMPXExchangeSteadyStateAllocs pins the coalesced exchange's
-// allocation profile on a warmed in-process world: a fill costs the
-// world's per-rank goroutine start plus a few allocations per
-// communicating rank pair (the mailbox's copy of the one message),
-// however many plan operations the pair's message carries.
+// allocation profile on warmed worlds: a fill costs the worlds'
+// per-rank goroutine start plus, with each rank its own shard, a few
+// allocations per communicating rank pair (the transport's copy of the
+// one message), however many plan operations the pair's message
+// carries. With every rank in one shard nothing is sent, so the
+// per-rank term alone bounds it.
 func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 	const ranks = 4
 	for _, grids := range []int{64, 512} {
@@ -243,22 +494,28 @@ func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		}
-		w := localWorld(ranks)
-		fill := func() { w.Run(func(r *mpx.Rank) { h.FillGhostsMPX(r, 0) }) }
-		fill() // warm the plan cache, the scratch pool and the mailboxes
-		allocs := testing.AllocsPerRun(20, fill)
-		// The per-rank term covers the world's goroutine starts with room
+		// The per-rank term covers the worlds' goroutine starts with room
 		// to spare. The race detector's sync.Pool drops puts at random, so
-		// there the bound is not applied; the fill and the fixture guard
-		// still run.
-		bound := float64(24*ranks + 4*len(pairs))
-		if allocs > bound && !raceEnabled {
-			t.Errorf("%d grids: a fill of %d cross-rank ops over %d rank pairs allocated %.0f times, want ≤ %.0f",
-				grids, ops, len(pairs), allocs, bound)
-		}
-		if float64(ops) < 2*bound {
+		// there the bounds are not applied; the fills and the fixture
+		// guard still run.
+		perRank := float64(24 * ranks)
+		perPair := perRank + float64(4*len(pairs))
+		if float64(ops) < 2*perPair {
 			t.Fatalf("%d grids: fixture has only %d cross-rank ops; the bound %.0f no longer separates per-pair from per-op cost",
-				grids, ops, bound)
+				grids, ops, perPair)
+		}
+		for _, c := range []struct {
+			lay   layout
+			bound float64
+		}{{layouts[1], perPair}, {layouts[0], perRank}} {
+			f := newFabric(c.lay.split(ranks))
+			fill := func() { f.run(func(r *mpx.Rank) { h.FillGhostsMPX(r, 0) }) }
+			fill() // warm the plan cache, the scratch pool and the mailboxes
+			allocs := testing.AllocsPerRun(20, fill)
+			if allocs > c.bound && !raceEnabled {
+				t.Errorf("%d grids, %s: a fill of %d cross-rank ops over %d rank pairs allocated %.0f times, want ≤ %.0f",
+					grids, c.lay.name, ops, len(pairs), allocs, c.bound)
+			}
 		}
 	}
 }
@@ -267,7 +524,9 @@ func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 // (here: different ghost widths, so rank 1 ships and expects wider
 // overlaps than rank 0) must fail the phase at once on the message
 // length — as a computation panic, which the engine re-raises, not as
-// a transport failure it would paper over with the fallback path.
+// a transport failure it would paper over with the fallback path. The
+// ranks are in different shards, since ranks of one shard read each
+// other's grids without a message.
 func TestMPXPlanDisagreementPanics(t *testing.T) {
 	build := func(nghost int) *Hierarchy {
 		h := New(geom.UnitCube(8), 2, 0, nghost, true, "q")
@@ -295,31 +554,32 @@ func TestMPXPlanDisagreementPanics(t *testing.T) {
 			t.Errorf("want the overrun on rank 1 and the leftover on rank 0 reported, got %v", agg)
 		}
 	}()
-	localWorld(2).Run(func(r *mpx.Rank) { views[r.ID()].FillGhostsMPX(r, 0) })
+	newFabric(layouts[1].split(2)).run(func(r *mpx.Rank) { views[r.ID()].FillGhostsMPX(r, 0) })
 }
 
 func TestMPXDeterministicAcrossRuns(t *testing.T) {
-	a := buildDataHierarchy(t, 4)
-	b := cloneHierarchy(a)
-	run := func(h *Hierarchy) {
-		w := localWorld(4)
-		w.Run(func(r *mpx.Rank) {
-			h.FillGhostsMPX(r, 0)
-			h.FillGhostsMPX(r, 1)
-			h.RestrictMPX(r, 1)
-		})
+	h := buildDataHierarchy(t, 4)
+	for _, lay := range layouts {
+		run := func() *Hierarchy {
+			return runShards(h, lay.split(4), func(v *Hierarchy, r *mpx.Rank) {
+				v.FillGhostsMPX(r, 0)
+				v.FillGhostsMPX(r, 1)
+				v.RestrictMPX(r, 1)
+			})
+		}
+		assertSameData(t, run(), run(), "determinism, "+lay.name)
 	}
-	run(a)
-	run(b)
-	assertSameData(t, a, b, "determinism")
 }
 
 func TestMPXPlanOnlyIsNoop(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, false, "q")
 	h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
-	w := localWorld(2)
-	w.Run(func(r *mpx.Rank) {
+	f := newFabric(layouts[1].split(2))
+	f.run(func(r *mpx.Rank) {
 		h.FillGhostsMPX(r, 0) // must not panic on nil patches
 		h.RestrictMPX(r, 1)
 	})
+	if len(f.sent) > 0 {
+		t.Errorf("a plan-only hierarchy sent %v", f.sent)
+	}
 }

@@ -326,10 +326,15 @@ func (fr *FluxRegister) AddFine(g *Grid, fl *solver.Fluxes) {
 		f := &p.faces[j]
 		data, sa, sb := faces[f.D], strideA[f.D], strideB[f.D]
 		sum := fr.fineSum[j]
+		// float64(…) rounds each product before the add, here and in
+		// Apply: the Go spec lets a compiler fuse x*y + z into one
+		// multiply-add, whose single rounding differs in the last bit
+		// (arm64 fuses, amd64 never does), and a run must compute the
+		// same bits on every GOARCH.
 		for a := 0; a < r; a++ {
 			row := int(f.fineOff) + a*sa
 			for b := 0; b < r; b++ {
-				sum += inv * data[row+b*sb]
+				sum += float64(inv * data[row+b*sb])
 			}
 		}
 		fr.fineSum[j] = sum
@@ -354,6 +359,6 @@ func (fr *FluxRegister) Apply() {
 			target = f.target
 			q = target.Patch.Field(solver.FieldQ)
 		}
-		q[f.off] += float64(f.Sign) * (fr.fineSum[j] - fr.coarse[j])
+		q[f.off] += float64(float64(f.Sign) * (fr.fineSum[j] - fr.coarse[j]))
 	}
 }

@@ -243,6 +243,11 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.world.n }
 
+// SameShard reports whether rank is hosted by this rank's world, so a
+// message to it would never reach the transport: what the two share in
+// this process they can exchange without one.
+func (r *Rank) SameShard(rank int) bool { return r.world.shardOf[rank] == r.world.self }
+
 // Send delivers data to rank `to` under the given tag. The slice is
 // copied (or serialised) before Send returns; Send never blocks.
 // Sending to oneself is allowed. Tags must be >= 0.
