@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"samrdlb/internal/amr"
@@ -306,21 +308,49 @@ func newContext(sys *machine.System, h *amr.Hierarchy) *dlb.Context {
 		Now: func() float64 { return 0 }}
 }
 
-// noWire is the transport of a world whose ranks all live in one shard:
-// no message ever crosses it.
-type noWire struct{}
+// rankShards is an n-rank world with each rank its own shard, joined in
+// this process: a Send is copied into the destination's world. Ranks of
+// one shard read each other's grids directly, so only here does every
+// cross-rank region of an exchange travel as a message.
+type rankShards []*mpx.World
 
-func (noWire) Send(src, dst, tag int, data []float64) error { panic("noWire carries nothing") }
-func (noWire) Abort(string)                                 {}
-func (noWire) Close() error                                 { return nil }
+func newRankShards(n int) rankShards {
+	p := make(rankShards, n)
+	for s := range p {
+		p[s] = mpx.NewShardWorld(n, func(r int) int { return r }, s, p)
+	}
+	return p
+}
 
-// localWorld is an n-rank world hosted whole in this process.
-func localWorld(n int) *mpx.World {
-	return mpx.NewShardWorld(n, func(int) int { return 0 }, 0, noWire{})
+func (p rankShards) Send(src, dst, tag int, data []float64) error {
+	p[dst].Deliver(src, dst, tag, slices.Clone(data))
+	return nil
+}
+
+func (p rankShards) Abort(cause string) {
+	for _, w := range p {
+		w.AbortFromWire(cause)
+	}
+}
+
+func (rankShards) Close() error { return nil }
+
+// run runs body on every rank concurrently and joins them.
+func (p rankShards) run(body func(r *mpx.Rank)) {
+	var wg sync.WaitGroup
+	for _, w := range p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(body)
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkMPXGhostExchange measures one full message-passing ghost
-// exchange over 4 ranks against the shared-memory equivalent.
+// exchange over 4 ranks, each its own shard, against the shared-memory
+// equivalent.
 func BenchmarkMPXGhostExchange(b *testing.B) {
 	h := amr.New(geom.UnitCube(32), 2, 0, 1, true, "q")
 	boxes := geom.BoxList{h.Domain}.SplitEvenly(16)
@@ -328,19 +358,20 @@ func BenchmarkMPXGhostExchange(b *testing.B) {
 	for i, bx := range boxes {
 		h.AddGrid(0, bx, i%4, amr.NoGrid)
 	}
-	w := localWorld(4)
+	w := newRankShards(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(func(r *mpx.Rank) {
+		w.run(func(r *mpx.Rank) {
 			h.FillGhostsMPX(r, 0)
 		})
 	}
 }
 
 // BenchmarkMPXRestrict measures one message-passing restriction over 4
-// ranks: 16 level-1 grids, each owned by a different rank than its
-// parent, so every fine grid's average crosses ranks.
+// ranks, each its own shard: 16 level-1 grids, each owned by a
+// different rank than its parent, so every fine grid's average is a
+// message.
 func BenchmarkMPXRestrict(b *testing.B) {
 	h := amr.New(geom.UnitCube(32), 2, 1, 1, true, "q")
 	boxes := geom.BoxList{h.Domain}.SplitEvenly(16)
@@ -349,11 +380,11 @@ func BenchmarkMPXRestrict(b *testing.B) {
 		p := h.AddGrid(0, bx, i%4, amr.NoGrid)
 		h.AddGrid(1, bx.Grow(-1).Refine(2), (i+1)%4, p.ID)
 	}
-	w := localWorld(4)
+	w := newRankShards(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(func(r *mpx.Rank) {
+		w.run(func(r *mpx.Rank) {
 			h.RestrictMPX(r, 1)
 		})
 	}
