@@ -624,7 +624,9 @@ var auditDeleted = []deletedRule{
 	{`TransportLoopback|"loopback"`, "internal/engine/*.go internal/scenario/*.go",
 		"two data paths, not three: shared memory is the in-process reference, tcp and worker the wire"},
 	{`func NewWorld\(`, "internal/mpx/*.go",
-		"NewShardWorld is the one constructor; a test without sockets builds a one-shard world"},
+		"NewShardWorld is the one constructor; a test without sockets joins one-rank worlds in process"},
+	{`Barrier\(|SameShard|type barrier`, "internal/mpx/*.go internal/amr/*.go",
+		"a world hosts one rank, a processor group: nothing local to synchronise, and no rank shares a world with another"},
 	{`WorkerWire|BeforeCheckpointWrite`, "internal/engine/*.go",
 		"Options.Worker is the endpoint itself; a chaos test kills a worker through its ckpt.Dir"},
 	{`Disjoint\(`, "internal/geom/*.go internal/amr/*.go",
@@ -702,7 +704,7 @@ var auditCode = []codeRule{
 		"an index query reads its hits in level-list order off the buckets or the position bitmap: no sort"},
 	{"internal/amr/exchange.go", "aggregate", `slices\.Sort`, 0,
 		"a pair table is read off the pair slots in slot order, which is (Src, Dst) order: no sort"},
-	{"internal/amr/mpxdata.go", "fillPhaseMPX", `\.Field\(`, 0,
+	{"internal/amr/mpxdata.go", "FillGhostsMPX", `\.Field\(`, 0,
 		"the wire fill looks up no field by name: it packs and applies a planned op's rows through applyFillOp, field by FieldAt"},
 	{"internal/amr/regrid.go", "initChildData", `\.Field\(`, 0,
 		"child init runs planned fill ops through applyFillOp, field by FieldAt"},

@@ -308,16 +308,17 @@ func newContext(sys *machine.System, h *amr.Hierarchy) *dlb.Context {
 		Now: func() float64 { return 0 }}
 }
 
-// rankShards is an n-rank world with each rank its own shard, joined in
-// this process: a Send is copied into the destination's world. Ranks of
-// one shard read each other's grids directly, so only here does every
-// cross-rank region of an exchange travel as a message.
+// rankShards is an n-shard world joined in this process, each shard
+// hosting one processor: a Send is copied into the destination's world.
+// Processors of one shard read each other's grids directly, so only
+// here does every cross-processor region of an exchange travel as a
+// message.
 type rankShards []*mpx.World
 
 func newRankShards(n int) rankShards {
 	p := make(rankShards, n)
 	for s := range p {
-		p[s] = mpx.NewShardWorld(n, func(r int) int { return r }, s, p)
+		p[s] = mpx.NewShardWorld(n, ownShard, s, p)
 	}
 	return p
 }
@@ -335,7 +336,10 @@ func (p rankShards) Abort(cause string) {
 
 func (rankShards) Close() error { return nil }
 
-// run runs body on every rank concurrently and joins them.
+// ownShard maps each processor to the shard of its own number.
+func ownShard(p int) int { return p }
+
+// run runs body on every shard concurrently and joins them.
 func (p rankShards) run(body func(r *mpx.Rank)) {
 	var wg sync.WaitGroup
 	for _, w := range p {
@@ -363,7 +367,7 @@ func BenchmarkMPXGhostExchange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.run(func(r *mpx.Rank) {
-			h.FillGhostsMPX(r, 0)
+			h.FillGhostsMPX(r, 0, ownShard)
 		})
 	}
 }
@@ -385,7 +389,7 @@ func BenchmarkMPXRestrict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.run(func(r *mpx.Rank) {
-			h.RestrictMPX(r, 1)
+			h.RestrictMPX(r, 1, ownShard)
 		})
 	}
 }

@@ -69,7 +69,6 @@ func runWorker(f *flags, spec *scenario.Scenario) int {
 	err := supervise.RunWorker(supervise.WorkerConfig{
 		Shard:       shard,
 		ControlAddr: f.workerControl,
-		ShardOf:     sys.GroupOf,
 		WireTimeout: f.wireTimeout,
 		Detached:    f.workerRestart,
 		Build: func(ep *mpx.TCPEndpoint) (func(func(int)) (string, string, error), error) {

@@ -15,12 +15,11 @@ import (
 	"samrdlb/internal/mpx"
 )
 
-// fabric joins the shard worlds of one test world in this process, as
-// the tcp transport does over sockets: a Send is recorded, copied and
-// delivered into the world of the destination's shard. shards[rank] is
-// the rank's shard; shards number from 0 and none is empty.
+// fabric joins the worlds of one test communicator in this process, as
+// the tcp transport does over sockets: a world hosts one rank, a shard,
+// and a Send is recorded, copied and delivered into the world of its
+// destination.
 type fabric struct {
-	shards []int
 	worlds []*mpx.World
 
 	mu   sync.Mutex
@@ -30,10 +29,11 @@ type fabric struct {
 // wireSend is one message the transport carried.
 type wireSend struct{ src, dst, tag int }
 
-func newFabric(shards []int) *fabric {
-	f := &fabric{shards: shards}
-	for s := range slices.Max(shards) + 1 {
-		f.worlds = append(f.worlds, mpx.NewShardWorld(len(shards), func(r int) int { return shards[r] }, s, fabricEnd{f, s}))
+// newFabric joins n shards.
+func newFabric(n int) *fabric {
+	f := &fabric{}
+	for s := range n {
+		f.worlds = append(f.worlds, mpx.NewShardWorld(n, func(r int) int { return r }, s, fabricEnd{f, s}))
 	}
 	return f
 }
@@ -49,7 +49,7 @@ func (e fabricEnd) Send(src, dst, tag int, data []float64) error {
 	f.mu.Lock()
 	f.sent = append(f.sent, wireSend{src, dst, tag})
 	f.mu.Unlock()
-	f.worlds[f.shards[dst]].Deliver(src, dst, tag, slices.Clone(data))
+	f.worlds[dst].Deliver(src, dst, tag, slices.Clone(data))
 	return nil
 }
 
@@ -65,9 +65,9 @@ func (e fabricEnd) Abort(cause string) {
 
 func (fabricEnd) Close() error { return nil }
 
-// run runs body on every rank, the shards' worlds concurrently, and
-// joins them, as the engine's shard set does: a rank panic anywhere is
-// re-raised as one *mpx.RunPanicError over every shard's panics.
+// run runs body on every shard's world concurrently and joins them, as
+// the engine's shard set does: a panic anywhere is re-raised as one
+// *mpx.RunPanicError over every shard's panics.
 func (f *fabric) run(body func(r *mpx.Rank)) {
 	f.sent = f.sent[:0]
 	var wg sync.WaitGroup
@@ -96,26 +96,27 @@ func (f *fabric) run(body func(r *mpx.Rank)) {
 	}
 }
 
-// layout splits a world's ranks into shards.
+// layout splits grid owners (processors) into shards.
 type layout struct {
 	name    string
-	shardOf func(rank int) int
+	shardOf func(owner int) int
 }
 
-// layouts: every rank in one shard, so all data moves directly; each
-// rank in its own, so every exchange is a message; and even ranks apart
-// from odd ones, so both kinds meet in one phase.
+// layouts: every owner in one shard, so all data moves directly; each
+// owner its own shard, so every exchange between owners is a message;
+// and even owners apart from odd ones, so both kinds meet in one
+// exchange.
 var layouts = []layout{
 	{"one shard", func(int) int { return 0 }},
-	{"shard per rank", func(r int) int { return r }},
-	{"even/odd shards", func(r int) int { return r % 2 }},
+	{"shard per owner", func(o int) int { return o }},
+	{"even/odd shards", func(o int) int { return o % 2 }},
 }
 
-// split returns the shard of each of n ranks.
+// split returns the shard of each of n owners.
 func (l layout) split(n int) []int {
 	shards := make([]int, n)
-	for r := range shards {
-		shards[r] = l.shardOf(r)
+	for o := range shards {
+		shards[o] = l.shardOf(o)
 	}
 	return shards
 }
@@ -160,11 +161,13 @@ func gather(views []*Hierarchy, shards []int) *Hierarchy {
 	return out
 }
 
-// runShards runs body on every rank of the split, each against its
-// shard's view of h, and gathers the result. h is not changed.
-func runShards(h *Hierarchy, shards []int, body func(v *Hierarchy, r *mpx.Rank)) *Hierarchy {
+// runShards runs body on every shard of the split, each against its
+// view of h and with the owner-to-shard map, and gathers the result.
+// h is not changed.
+func runShards(h *Hierarchy, shards []int, body func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int)) *Hierarchy {
 	views := shardViews(h, shards)
-	newFabric(shards).run(func(r *mpx.Rank) { body(views[shards[r.ID()]], r) })
+	shardOf := func(o int) int { return shards[o] }
+	newFabric(len(views)).run(func(r *mpx.Rank) { body(views[r.ID()], r, shardOf) })
 	return gather(views, shards)
 }
 
@@ -254,15 +257,15 @@ func assertSameData(t *testing.T, a, b *Hierarchy, context string) {
 
 // buildDeepDataHierarchy makes a three-level hierarchy of fixture fx
 // (8 grids per level, each fine grid inside one parent) with random
-// data and owners drawn at random from the given ranks — so a world
-// larger than the draw has ranks that own nothing and pairs that
-// exchange nothing.
-func buildDeepDataHierarchy(t *testing.T, seed int64, ranks []int, fx dataFixture) *Hierarchy {
+// data and owners drawn at random from the given processors — so a
+// machine larger than the draw has processors, and under some layouts
+// shards, that own nothing and pairs that exchange nothing.
+func buildDeepDataHierarchy(t *testing.T, seed int64, owners []int, fx dataFixture) *Hierarchy {
 	t.Helper()
 	h := New(geom.UnitCube(16), fx.r, 2, 1, true, fx.fields...)
 	rng := rand.New(rand.NewSource(seed))
 	add := func(l int, b geom.Box, parent GridID) {
-		g := h.AddGrid(l, b, ranks[rng.Intn(len(ranks))], parent)
+		g := h.AddGrid(l, b, owners[rng.Intn(len(owners))], parent)
 		for _, f := range h.Fields {
 			g.Patch.FillFunc(f, func(geom.Index) float64 { return rng.Float64() })
 		}
@@ -288,12 +291,13 @@ func buildDeepDataHierarchy(t *testing.T, seed int64, ranks []int, fx dataFixtur
 	return h
 }
 
-// deepOwnerDraws are (world size, ranks that own grids) cases for the
-// three-level fixture: everyone owns something; ranks 3 and 5 own
-// nothing; one rank owns everything while the others idle.
+// deepOwnerDraws are (processors, processors that own grids) cases
+// for the three-level fixture: everyone owns something; processors 3
+// and 5 own nothing; one processor owns everything while the others
+// idle.
 var deepOwnerDraws = []struct {
-	world int
-	ranks []int
+	procs  int
+	owners []int
 }{
 	{4, []int{0, 1, 2, 3}},
 	{6, []int{0, 1, 2, 4}},
@@ -304,10 +308,10 @@ var deepOwnerDraws = []struct {
 // shared-memory one on both fixtures, every owner draw and every
 // layout.
 func TestFillGhostsMPXMatchesSequential(t *testing.T) {
-	fill := func(levels int) func(v *Hierarchy, r *mpx.Rank) {
-		return func(v *Hierarchy, r *mpx.Rank) {
+	fill := func(levels int) func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
+		return func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
 			for l := 0; l < levels; l++ {
-				v.FillGhostsMPX(r, l)
+				v.FillGhostsMPX(r, l, shardOf)
 			}
 		}
 	}
@@ -322,12 +326,12 @@ func TestFillGhostsMPXMatchesSequential(t *testing.T) {
 				assertSameData(t, seq, par, fmt.Sprintf("ghosts %v, %d owners, %s", fx, owners, lay.name))
 			}
 			for seed, c := range deepOwnerDraws {
-				seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
-				par := runShards(seq, lay.split(c.world), fill(3))
+				seq := buildDeepDataHierarchy(t, int64(seed), c.owners, fx)
+				par := runShards(seq, lay.split(c.procs), fill(3))
 				for l := 0; l <= 2; l++ {
 					seq.FillGhostsData(l)
 				}
-				assertSameData(t, seq, par, fmt.Sprintf("deep ghosts %v, owners %v of %d, %s", fx, c.ranks, c.world, lay.name))
+				assertSameData(t, seq, par, fmt.Sprintf("deep ghosts %v, owners %v of %d, %s", fx, c.owners, c.procs, lay.name))
 			}
 		}
 	}
@@ -341,21 +345,21 @@ func TestRestrictMPXMatchesSequential(t *testing.T) {
 		for _, lay := range layouts {
 			for _, owners := range []int{1, 3} {
 				seq := buildFixtureHierarchy(t, owners, fx)
-				par := runShards(seq, lay.split(owners), func(v *Hierarchy, r *mpx.Rank) {
-					v.RestrictMPX(r, 1)
+				par := runShards(seq, lay.split(owners), func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
+					v.RestrictMPX(r, 1, shardOf)
 				})
 				seq.RestrictData(1)
 				assertSameData(t, seq, par, fmt.Sprintf("restrict %v, %d owners, %s", fx, owners, lay.name))
 			}
 			for seed, c := range deepOwnerDraws {
-				seq := buildDeepDataHierarchy(t, int64(seed), c.ranks, fx)
-				par := runShards(seq, lay.split(c.world), func(v *Hierarchy, r *mpx.Rank) {
-					v.RestrictMPX(r, 2)
-					v.RestrictMPX(r, 1)
+				seq := buildDeepDataHierarchy(t, int64(seed), c.owners, fx)
+				par := runShards(seq, lay.split(c.procs), func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
+					v.RestrictMPX(r, 2, shardOf)
+					v.RestrictMPX(r, 1, shardOf)
 				})
 				seq.RestrictData(2)
 				seq.RestrictData(1)
-				assertSameData(t, seq, par, fmt.Sprintf("deep restrict %v, owners %v of %d, %s", fx, c.ranks, c.world, lay.name))
+				assertSameData(t, seq, par, fmt.Sprintf("deep restrict %v, owners %v of %d, %s", fx, c.owners, c.procs, lay.name))
 			}
 		}
 	}
@@ -363,99 +367,76 @@ func TestRestrictMPXMatchesSequential(t *testing.T) {
 
 // TestMPXWireCarriesOnlyCrossShard pins what the transport sees through
 // a fill of every level and a restriction of every level, on the
-// even/odd split of a fixture whose ranks exchange data both within
-// and across shards: every message crosses shards, each cross-shard
-// rank pair exchanges one message in each phase it has data in, and no
-// rank sends a rank of its own shard anything. The last is probed in
-// the mailboxes themselves: before the phases every rank queues a
-// marker to each rank of its shard under every phase tag, after them a
-// second, and each must then receive the two back to back — a phase
-// that received a same-shard message would have consumed the first,
-// and one that sent one would have put it between the two.
+// even/odd split of a fixture whose processors exchange data both
+// within and across shards: each ordered shard pair exchanges one
+// message in each exchange it has data in — prolongations and sibling
+// copies travel together — and what owners of one shard move among
+// themselves never reaches the wire.
 func TestMPXWireCarriesOnlyCrossShard(t *testing.T) {
 	seq := buildDeepDataHierarchy(t, 0, []int{0, 1, 2, 3}, dataFixtures[0])
 	shards := layouts[2].split(4)
-	cross := func(a, b int) bool { return shards[a] != shards[b] }
+	shardOf := func(o int) int { return shards[o] }
 
-	// want counts, per (source, destination, phase), the levels whose
-	// plans move data between two ranks of different shards.
+	// want counts, per (source shard, destination shard, tag), the
+	// exchanges that move data between the two.
 	want := map[wireSend]int{}
-	sameShardOps := 0
+	sameShardOps, prolongs := 0, 0
+	add := func(pairs map[wireSend]bool) {
+		for p := range pairs {
+			want[p]++
+		}
+	}
 	for l := 0; l <= 2; l++ {
 		pairs := map[wireSend]bool{}
 		for _, d := range seq.fillPlan(l) {
 			for _, op := range d.ops {
+				from, to := shardOf(op.src.Owner), shardOf(d.g.Owner)
 				switch {
-				case cross(op.src.Owner, d.g.Owner) && op.prolong:
-					pairs[wireSend{op.src.Owner, d.g.Owner, phaseProlong}] = true
-				case cross(op.src.Owner, d.g.Owner):
-					pairs[wireSend{op.src.Owner, d.g.Owner, phaseSibling}] = true
+				case from != to:
+					pairs[wireSend{from, to, tagFill}] = true
+					if op.prolong {
+						prolongs++
+					}
 				case op.src.Owner != d.g.Owner:
 					sameShardOps++
 				}
 			}
 		}
-		if l > 0 {
-			for _, d := range seq.restrictDataPlan(l) {
-				for _, g := range d.fines {
-					if cross(g.Owner, d.parent.Owner) {
-						pairs[wireSend{g.Owner, d.parent.Owner, phaseRestrict}] = true
-					}
+		add(pairs)
+	}
+	for l := 2; l > 0; l-- {
+		pairs := map[wireSend]bool{}
+		for _, d := range seq.restrictDataPlan(l) {
+			for _, g := range d.fines {
+				if from, to := shardOf(g.Owner), shardOf(d.parent.Owner); from != to {
+					pairs[wireSend{from, to, tagRestrict}] = true
 				}
 			}
 		}
-		for p := range pairs {
-			want[p]++
-		}
+		add(pairs)
 	}
-	if len(want) == 0 || sameShardOps == 0 {
-		t.Fatalf("fixture has %d cross-shard messages and %d same-shard cross-rank ops; it needs both", len(want), sameShardOps)
+	if len(want) == 0 || sameShardOps == 0 || prolongs == 0 {
+		t.Fatalf("fixture has %d cross-shard messages, %d of whose ops prolong, and %d same-shard cross-owner ops; it needs all three",
+			len(want), prolongs, sameShardOps)
 	}
 
-	before, after := []float64{-1}, []float64{-2}
-	mark := func(r *mpx.Rank, m []float64) {
-		for peer := range r.Size() {
-			if r.SameShard(peer) {
-				for tag := range phaseNames {
-					r.Send(peer, tag, m)
-				}
-			}
-		}
-	}
 	views := shardViews(seq, shards)
-	f := newFabric(shards)
+	f := newFabric(len(views))
 	f.run(func(r *mpx.Rank) {
-		v := views[shards[r.ID()]]
-		mark(r, before)
-		r.Barrier() // every first marker is queued before any phase starts
+		v := views[r.ID()]
 		for l := 0; l <= 2; l++ {
-			v.FillGhostsMPX(r, l)
+			v.FillGhostsMPX(r, l, shardOf)
 		}
-		v.RestrictMPX(r, 2)
-		v.RestrictMPX(r, 1)
-		mark(r, after)
-		for peer := range r.Size() {
-			if !r.SameShard(peer) {
-				continue
-			}
-			for tag := range phaseNames {
-				if a, b := r.Recv(peer, tag), r.Recv(peer, tag); !slices.Equal(a, before) || !slices.Equal(b, after) {
-					t.Errorf("rank %d's %s mailbox from rank %d of its shard held %d then %d values, want only the markers %v and %v",
-						r.ID(), phaseNames[tag], peer, len(a), len(b), before, after)
-				}
-			}
-		}
+		v.RestrictMPX(r, 2, shardOf)
+		v.RestrictMPX(r, 1, shardOf)
 	})
 
 	got := map[wireSend]int{}
 	for _, m := range f.sent {
-		if !cross(m.src, m.dst) {
-			t.Errorf("rank %d sent rank %d of its own shard a %s message over the wire", m.src, m.dst, phaseNames[m.tag])
-		}
 		got[m]++
 	}
 	if !maps.Equal(got, want) {
-		t.Errorf("the wire carried %v (source, destination, phase): count, want %v", got, want)
+		t.Errorf("the wire carried %v (source shard, destination shard, tag): count, want %v", got, want)
 	}
 	for l := 0; l <= 2; l++ {
 		seq.FillGhostsData(l)
@@ -466,23 +447,23 @@ func TestMPXWireCarriesOnlyCrossShard(t *testing.T) {
 }
 
 // TestMPXExchangeSteadyStateAllocs pins the coalesced exchange's
-// allocation profile on warmed worlds: a fill costs the worlds'
-// per-rank goroutine start plus, with each rank its own shard, a few
-// allocations per communicating rank pair (the transport's copy of the
-// one message), however many plan operations the pair's message
-// carries. With every rank in one shard nothing is sent, so the
-// per-rank term alone bounds it.
+// allocation profile on warmed worlds: a fill costs a fixed amount per
+// shard (its goroutine, the host pool's workers) plus, with each owner
+// its own shard, a few allocations per communicating shard pair (the
+// transport's copy of the one message), however many plan operations
+// the pair's message carries. With every owner in one shard nothing is
+// sent, so the per-shard term alone bounds it.
 func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
-	const ranks = 4
+	const owners = 4
 	for _, grids := range []int{64, 512} {
 		h := New(geom.UnitCube(32), 2, 0, 1, true, "q", "rho")
 		boxes := geom.BoxList{h.Domain}.SplitEvenly(grids)
 		boxes.SortByLo()
 		// The boxes are equal cubes; owners step along every axis, so
-		// each face neighbour is on another rank.
+		// each face neighbour has another owner.
 		side := boxes[0].Shape()[0]
 		for _, b := range boxes {
-			h.AddGrid(0, b, (b.Lo[0]+b.Lo[1]+b.Lo[2])/side%ranks, NoGrid)
+			h.AddGrid(0, b, (b.Lo[0]+b.Lo[1]+b.Lo[2])/side%owners, NoGrid)
 		}
 		ops := 0
 		pairs := map[[2]int]bool{}
@@ -494,26 +475,29 @@ func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		}
-		// The per-rank term covers the worlds' goroutine starts with room
-		// to spare. The race detector's sync.Pool drops puts at random, so
+		// The per-shard term covers a world's goroutine and scratch with
+		// room to spare (the hierarchy has no pool, so the fill's local
+		// ops run inline). The race detector's sync.Pool drops puts at random, so
 		// there the bounds are not applied; the fills and the fixture
 		// guard still run.
-		perRank := float64(24 * ranks)
-		perPair := perRank + float64(4*len(pairs))
+		perShard := func(n int) float64 { return float64(12 * n) }
+		perPair := perShard(owners) + float64(4*len(pairs))
 		if float64(ops) < 2*perPair {
-			t.Fatalf("%d grids: fixture has only %d cross-rank ops; the bound %.0f no longer separates per-pair from per-op cost",
+			t.Fatalf("%d grids: fixture has only %d cross-owner ops; the bound %.0f no longer separates per-pair from per-op cost",
 				grids, ops, perPair)
 		}
 		for _, c := range []struct {
 			lay   layout
 			bound float64
-		}{{layouts[1], perPair}, {layouts[0], perRank}} {
-			f := newFabric(c.lay.split(ranks))
-			fill := func() { f.run(func(r *mpx.Rank) { h.FillGhostsMPX(r, 0) }) }
+		}{{layouts[1], perPair}, {layouts[0], perShard(1)}} {
+			shards := c.lay.split(owners)
+			shardOf := func(o int) int { return shards[o] }
+			f := newFabric(slices.Max(shards) + 1)
+			fill := func() { f.run(func(r *mpx.Rank) { h.FillGhostsMPX(r, 0, shardOf) }) }
 			fill() // warm the plan cache, the scratch pool and the mailboxes
 			allocs := testing.AllocsPerRun(20, fill)
 			if allocs > c.bound && !raceEnabled {
-				t.Errorf("%d grids, %s: a fill of %d cross-rank ops over %d rank pairs allocated %.0f times, want ≤ %.0f",
+				t.Errorf("%d grids, %s: a fill of %d cross-owner ops over %d owner pairs allocated %.0f times, want ≤ %.0f",
 					grids, c.lay.name, ops, len(pairs), allocs, c.bound)
 			}
 		}
@@ -521,11 +505,11 @@ func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMPXPlanDisagreementPanics: two ranks walking different plans
-// (here: different ghost widths, so rank 1 ships and expects wider
-// overlaps than rank 0) must fail the phase at once on the message
+// (here: different ghost widths, so shard 1 ships and expects wider
+// overlaps than shard 0) must fail the phase at once on the message
 // length — as a computation panic, which the engine re-raises, not as
 // a transport failure it would paper over with the fallback path. The
-// ranks are in different shards, since ranks of one shard read each
+// owners are in different shards, since owners of one shard read each
 // other's grids without a message.
 func TestMPXPlanDisagreementPanics(t *testing.T) {
 	build := func(nghost int) *Hierarchy {
@@ -547,24 +531,24 @@ func TestMPXPlanDisagreementPanics(t *testing.T) {
 		short, long := false, false
 		for _, p := range agg.Panics {
 			msg := fmt.Sprint(p.Value)
-			short = short || strings.Contains(msg, "rank 1 needs values 0..128 of rank 0's message, which has 64")
-			long = long || strings.Contains(msg, "rank 0 consumed 64/128 values of rank 1's message")
+			short = short || strings.Contains(msg, "shard 1 needs values 0..128 of shard 0's message, which has 64")
+			long = long || strings.Contains(msg, "shard 0 consumed 64/128 values of shard 1's message")
 		}
 		if !short || !long {
 			t.Errorf("want the overrun on rank 1 and the leftover on rank 0 reported, got %v", agg)
 		}
 	}()
-	newFabric(layouts[1].split(2)).run(func(r *mpx.Rank) { views[r.ID()].FillGhostsMPX(r, 0) })
+	newFabric(2).run(func(r *mpx.Rank) { views[r.ID()].FillGhostsMPX(r, 0, layouts[1].shardOf) })
 }
 
 func TestMPXDeterministicAcrossRuns(t *testing.T) {
 	h := buildDataHierarchy(t, 4)
 	for _, lay := range layouts {
 		run := func() *Hierarchy {
-			return runShards(h, lay.split(4), func(v *Hierarchy, r *mpx.Rank) {
-				v.FillGhostsMPX(r, 0)
-				v.FillGhostsMPX(r, 1)
-				v.RestrictMPX(r, 1)
+			return runShards(h, lay.split(4), func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
+				v.FillGhostsMPX(r, 0, shardOf)
+				v.FillGhostsMPX(r, 1, shardOf)
+				v.RestrictMPX(r, 1, shardOf)
 			})
 		}
 		assertSameData(t, run(), run(), "determinism, "+lay.name)
@@ -574,10 +558,10 @@ func TestMPXDeterministicAcrossRuns(t *testing.T) {
 func TestMPXPlanOnlyIsNoop(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, false, "q")
 	h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
-	f := newFabric(layouts[1].split(2))
+	f := newFabric(2)
 	f.run(func(r *mpx.Rank) {
-		h.FillGhostsMPX(r, 0) // must not panic on nil patches
-		h.RestrictMPX(r, 1)
+		h.FillGhostsMPX(r, 0, layouts[1].shardOf) // must not panic on nil patches
+		h.RestrictMPX(r, 1, layouts[1].shardOf)
 	})
 	if len(f.sent) > 0 {
 		t.Errorf("a plan-only hierarchy sent %v", f.sent)

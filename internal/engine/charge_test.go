@@ -30,14 +30,14 @@ func TestPlanCheckThroughRecovery(t *testing.T) {
 	bt := boundaryClocks(t, 8)
 	for _, c := range []struct {
 		name string
-		run  func(planCheck bool) *metrics.Result
+		run  func(checks Checks) *metrics.Result
 	}{
-		{"elastic", func(planCheck bool) *metrics.Result {
+		{"elastic", func(checks Checks) *metrics.Result {
 			return New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
-				Steps: 8, MaxLevel: 1, Faults: rejoinSchedule(t, bt), PlanCheck: planCheck,
+				Steps: 8, MaxLevel: 1, Faults: rejoinSchedule(t, bt), Checks: checks,
 			}).Run()
 		}},
-		{"faults.txt", func(planCheck bool) *metrics.Result {
+		{"faults.txt", func(checks Checks) *metrics.Result {
 			sched, err := fault.NewSchedule(9, script...)
 			if err != nil {
 				t.Fatal(err)
@@ -47,12 +47,12 @@ func TestPlanCheckThroughRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			return New(machine.WanPair(4, nil), driver, Options{
-				Steps: 4, MaxLevel: 2, Faults: sched, CheckpointInterval: 2, GroupQuorum: 2, PlanCheck: planCheck,
+				Steps: 4, MaxLevel: 2, Faults: sched, CheckpointInterval: 2, GroupQuorum: 2, Checks: checks,
 			}).Run()
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			armed, plain := c.run(true), c.run(false)
+			armed, plain := c.run(CheckPlan), c.run(0)
 			if armed.Recoveries == 0 {
 				t.Fatal("the configuration restored no checkpoint")
 			}

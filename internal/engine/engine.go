@@ -72,12 +72,14 @@ type Options struct {
 	GradientField     string
 	GradientThreshold float64
 	// UseMPX routes the ghost and restriction exchanges through mpx
-	// ranks, one per simulated processor, as ENZO does over MPI
-	// (requires WithData); kernels run on the host pool either way. It
+	// ranks, one per processor group, as the paper's MPICH-G2 runs
+	// moved data between its two machines (requires WithData): a
+	// group's processors share its memory, and only what crosses two
+	// groups is a message. Kernels run on the host pool either way. It
 	// is set exactly when Transport is.
 	UseMPX bool
 	// Transport selects the data path: "" is shared memory; "tcp" runs
-	// each processor group as its own shard world behind a real
+	// each processor group as its own rank behind a real
 	// localhost socket (CRC32-framed wire messages), and "worker" is
 	// one group's shard of a multi-process run. The netsim link model
 	// remains the sole timing authority, so every path produces the
@@ -97,7 +99,7 @@ type Options struct {
 	WireTimeout time.Duration
 	// Worker is a worker-process shard's endpoint (Transport=worker),
 	// already connected to its peer workers: this process hosts the
-	// ranks of group Worker.Shard() behind it, while replicating the
+	// rank of group Worker.Shard() behind it, while replicating the
 	// deterministic control plane so every worker computes the same
 	// Result. nil runs the worker detached, without a wire — the
 	// restart path after a crash, when the surviving peers have
@@ -152,25 +154,31 @@ type Options struct {
 	// path (0 = default 1, i.e. a group degrades only when every
 	// member is dead or rejoining). Only meaningful with Faults.
 	GroupQuorum int
-	// LedgerCheck enables the load-ledger debug oracle: after every
-	// hierarchy mutation event the ledger's incremental tables are
-	// verified against a full recomputation (panic on divergence) —
-	// nothing else. Turns O(changes) bookkeeping into O(grids) per
-	// event — for tests and -check=ledger runs only.
-	LedgerCheck bool
-	// DataCheck enables the data-motion debug oracle: every planned
-	// ghost fill and restriction is re-run through the scan-based
-	// baseline and compared bitwise (panic on divergence). Roughly
-	// doubles the data-path cost — for tests and -check=data runs only.
-	DataCheck bool
-	// PlanCheck enables the exchange-plan debug oracle: every served
-	// (indexed, cached) plan is re-derived through the
-	// retained O(n²) scan planners and compared bitwise (panic on
-	// divergence). Structure-only and deterministic, so unlike
-	// DataCheck it is safe on multi-process worker shards — for tests
-	// and -check=plan runs only.
-	PlanCheck bool
+	// Checks arms debug oracles (none by default), for tests and
+	// samrsim -check runs only.
+	Checks Checks
 }
+
+// Checks is a set of debug oracles. Each compares an incremental or
+// planned structure against a full recomputation and panics on
+// divergence.
+type Checks uint8
+
+const (
+	// CheckLedger verifies the load ledger's incremental tables against
+	// a full recomputation after every hierarchy mutation event, which
+	// turns O(changes) bookkeeping into O(grids) per event.
+	CheckLedger Checks = 1 << iota
+	// CheckData re-runs every planned ghost fill and restriction through
+	// the scan-based baseline and compares bitwise: roughly double the
+	// data-path cost.
+	CheckData
+	// CheckPlan re-derives every served (indexed, cached) exchange plan
+	// through the retained O(n²) scan planners and compares bitwise.
+	// Structure-only and deterministic, so unlike CheckData it is safe
+	// on multi-process worker shards.
+	CheckPlan
+)
 
 func (o *Options) setDefaults() error {
 	if o.Steps <= 0 {
@@ -235,9 +243,9 @@ type Runner struct {
 	dt0          float64
 	t            float64
 
-	// shards is the rank execution of a UseMPX run: one shard world per
-	// group behind localhost sockets (tcp), or this process's single
-	// shard (worker). nil runs the shared-memory data path.
+	// shards is the rank execution of a UseMPX run: one world per group
+	// behind localhost sockets (tcp), or this process's single group
+	// (worker). nil runs the shared-memory data path.
 	shards   *shardSet
 	fluxRegs []*amr.FluxRegister
 
@@ -397,11 +405,11 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 	switch opt.Transport {
 	case "", TransportTCP:
 	case TransportWorker:
-		if opt.GradientField != "" || opt.DataCheck {
+		if opt.GradientField != "" || opt.Checks&CheckData != 0 {
 			// Worker replicas may hold stale copies of remote-owned
 			// grids; any control decision or oracle that reads field
 			// values would diverge across processes.
-			return nil, errors.New("engine: Transport=worker forbids data-dependent control (GradientField/DataCheck)")
+			return nil, errors.New("engine: Transport=worker forbids data-dependent control (GradientField/CheckData)")
 		}
 	default:
 		return nil, errors.New("engine: unknown Transport " + opt.Transport)
@@ -451,11 +459,11 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 // one full O(grids) build — listens to its mutations from here on.
 func (r *Runner) attachHierarchy(h *amr.Hierarchy) {
 	h.SetPool(r.opt.Pool)
-	h.SetDataCheck(r.opt.DataCheck)
-	h.SetPlanCheck(r.opt.PlanCheck)
+	h.SetDataCheck(r.opt.Checks&CheckData != 0)
+	h.SetPlanCheck(r.opt.Checks&CheckPlan != 0)
 	r.h = h
 	r.ledger = load.NewLedger(r.sys, h)
-	r.ledger.SetSelfCheck(r.opt.LedgerCheck)
+	r.ledger.SetSelfCheck(r.opt.Checks&CheckLedger != 0)
 	h.SetListener(r.ledger)
 	r.ctx.H, r.ctx.Ledger = h, r.ledger
 }
@@ -932,7 +940,7 @@ func (r *Runner) advanceLevel(level int) {
 		// in-memory fill (an idempotent full rewrite) without re-running
 		// any kernel.
 		if r.shards == nil || !r.h.CheckFill(level, func() bool {
-			return r.runWirePhase("fill", level, func(rank *mpx.Rank) { r.h.FillGhostsMPX(rank, level) })
+			return r.runWirePhase("fill", level, func(rank *mpx.Rank) { r.h.FillGhostsMPX(rank, level, r.sys.GroupOf) })
 		}) {
 			r.h.FillGhostsData(level)
 		}
@@ -1023,8 +1031,13 @@ func (r *Runner) particleWork(work []float64) {
 	}
 	ps.Step(r.dt0, r.opt.Pool)
 	grids := r.h.Grids(0)
+	// float64(…) rounds each product before the add, here and in the
+	// link model's TransferTime, which chargeTransfers inlines: the Go
+	// spec lets a compiler fuse x*y + z into one multiply-add, whose
+	// single rounding differs in the last bit (arm64 fuses, amd64 never
+	// does), and a run must compute the same bits on every GOARCH.
 	for at, n := range r.particlesPerGrid(ps) {
-		work[grids[at].Owner] += float64(n) * solver.FlopsPerParticle
+		work[grids[at].Owner] += float64(float64(n) * solver.FlopsPerParticle)
 	}
 }
 
@@ -1068,7 +1081,7 @@ func (r *Runner) restrict(level int) {
 	r.chargeTransfers(r.h.RestrictTransfers(level), vclock.LocalComm, vclock.RemoteComm)
 	if r.opt.WithData {
 		if r.shards == nil || !r.h.CheckRestrict(level, func() bool {
-			return r.runWirePhase("restrict", level, func(rank *mpx.Rank) { r.h.RestrictMPX(rank, level) })
+			return r.runWirePhase("restrict", level, func(rank *mpx.Rank) { r.h.RestrictMPX(rank, level, r.sys.GroupOf) })
 		}) {
 			r.h.RestrictData(level)
 		}

@@ -20,7 +20,7 @@ func TestLedgerOracleQuickstartConfig(t *testing.T) {
 	}
 	sys := machine.WanPair(4, nil)
 	r := New(sys, workload.NewShockPool3D(32, 2), Options{
-		Steps: 10, MaxLevel: 2, LedgerCheck: true,
+		Steps: 10, MaxLevel: 2, Checks: CheckLedger,
 	})
 	res := r.Run()
 	if res.LedgerEvents == 0 {
@@ -41,7 +41,7 @@ func TestLedgerOracleFaultConfig(t *testing.T) {
 	// through the repartition and the rest of the run.
 	bt := boundaryClocks(t, 8)
 	r := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 8, MaxLevel: 1, Faults: wanScenario(t, bt), LedgerCheck: true,
+		Steps: 8, MaxLevel: 1, Faults: wanScenario(t, bt), Checks: CheckLedger,
 	})
 	res := r.Run()
 	if res.Recoveries != 1 {
@@ -84,7 +84,7 @@ func TestSingleGroupRedistributionChargedWithDelta(t *testing.T) {
 		h.AddGrid(0, geom.BoxFromShape(geom.Index{x, 0, 0}, geom.Index{4, 16, 16}), 0, amr.NoGrid)
 	}
 	r, err := newRunner(machine.Origin2000("ANL", 4), workload.NewShockPool3D(16, 2), Options{
-		Steps: 2, MaxLevel: 1, LedgerCheck: true,
+		Steps: 2, MaxLevel: 1, Checks: CheckLedger,
 	}, h, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestLedgerSurvivesRegridAndSplitStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(machine.WanPair(3, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 6, MaxLevel: 2, Faults: sched, LedgerCheck: true,
+		Steps: 6, MaxLevel: 2, Faults: sched, Checks: CheckLedger,
 		AfterStep: func(step int, rr *Runner) {
 			if err := rr.Ledger().Verify(); err != nil {
 				t.Fatalf("step %d: %v", step, err)

@@ -51,8 +51,8 @@ func TestMisconfigurationPanicsInNewErrorsInResume(t *testing.T) {
 			func(o *Options) { o.Faults = procFail(t, 99) }},
 		{`engine: UseMPX=true with Transport="": UseMPX is set exactly for tcp and worker`, Options{},
 			func(o *Options) { o.UseMPX = true }},
-		{"engine: Transport=worker forbids data-dependent control (GradientField/DataCheck)", Options{},
-			func(o *Options) { o.UseMPX, o.Transport, o.DataCheck = true, TransportWorker, true }},
+		{"engine: Transport=worker forbids data-dependent control (GradientField/CheckData)", Options{},
+			func(o *Options) { o.UseMPX, o.Transport, o.Checks = true, TransportWorker, CheckData }},
 		{"engine: unknown Transport carrier-pigeon", Options{},
 			func(o *Options) { o.Transport = "carrier-pigeon" }},
 		{"engine: UseMPX requires WithData", Options{},

@@ -95,7 +95,7 @@ func TestPoolWidthPin(t *testing.T) {
 		{"ShockPool3D-data", func(pool *solver.Pool) *Runner {
 			return New(machine.WanPair(2, nil), workload.NewShockPool3D(24, 2), Options{
 				Steps: 4, MaxLevel: 2, GridsPerProc: 64, WithData: true,
-				PlanCheck: true, DataCheck: true, Pool: pool,
+				Checks: CheckPlan | CheckData, Pool: pool,
 			})
 		}},
 		{"SedovBlast-reflux", func(pool *solver.Pool) *Runner {

@@ -57,7 +57,7 @@ func assertSameFields(t *testing.T, got, want *amr.Hierarchy) {
 // it cached) and after the global phase's SplitGrid — is compared with
 // a from-scratch whole-level build, and a divergence panics.
 func TestRefluxPlanCheckThroughStructureChanges(t *testing.T) {
-	r, grids0 := refluxRun(t, func(o *Options) { o.PlanCheck = true })
+	r, grids0 := refluxRun(t, func(o *Options) { o.Checks |= CheckPlan })
 	res := r.Run()
 	if res.Steps != 8 {
 		t.Fatalf("run did not complete: %d steps", res.Steps)

@@ -22,7 +22,7 @@ const (
 	// first wire failure detaches the run, as it does a worker.
 	TransportTCP = "tcp"
 	// TransportWorker is one shard of a supervised multi-process run:
-	// this OS process hosts a single group's ranks behind an endpoint
+	// this OS process hosts a single group's rank behind an endpoint
 	// connected to the peer worker processes, while replicating the
 	// deterministic control plane (every worker computes the same
 	// decisions, clock and Result). A wire failure — a crashed or
@@ -31,25 +31,29 @@ const (
 	TransportWorker = "worker"
 )
 
-// shardSet is the engine's view of a rank execution. Over tcp it is
-// one shard World plus one TCPEndpoint per processor group, fully
-// connected with the lower-dials-higher convention; a worker process
-// holds its own group's world and endpoint. Every wire failure policy
-// is the same: the first one detaches the set for good.
+// shardSet is the engine's view of a rank execution, in which a rank
+// is a processor group (a shard). Over tcp it is one World plus one
+// TCPEndpoint per group, fully connected with the lower-dials-higher
+// convention; a worker process holds its own group's world and
+// endpoint. Every wire failure policy is the same: the first one
+// detaches the set for good.
 type shardSet struct {
 	worlds   []*mpx.World
 	eps      []*mpx.TCPEndpoint
 	detached atomic.Bool
 }
 
+// shardRank maps a rank to the shard hosting it: a world hosts one
+// rank, so every endpoint routes by the group's own id.
+func shardRank(rank int) int { return rank }
+
 // newTCPShards brings up one endpoint per group on an ephemeral
-// localhost port, connects every pair, and builds the shard worlds.
+// localhost port, connects every pair, and builds the worlds.
 func newTCPShards(sys *machine.System, wf mpx.WireFault, wireTimeout time.Duration) (*shardSet, error) {
 	ng := sys.NumGroups()
-	shardOf := func(rank int) int { return sys.GroupOf(rank) }
 	s := &shardSet{}
 	for g := 0; g < ng; g++ {
-		ep, err := mpx.ListenTCP(g, "127.0.0.1:0", shardOf)
+		ep, err := mpx.ListenTCP(g, "127.0.0.1:0", shardRank)
 		if err != nil {
 			s.close()
 			return nil, err
@@ -69,7 +73,7 @@ func newTCPShards(sys *machine.System, wf mpx.WireFault, wireTimeout time.Durati
 		}
 	}
 	for g := 0; g < ng; g++ {
-		w := mpx.NewShardWorld(sys.NumProcs(), shardOf, g, s.eps[g])
+		w := mpx.NewShardWorld(ng, shardRank, g, s.eps[g])
 		s.eps[g].Bind(w)
 		s.worlds = append(s.worlds, w)
 	}
@@ -77,11 +81,10 @@ func newTCPShards(sys *machine.System, wf mpx.WireFault, wireTimeout time.Durati
 }
 
 // newWorkerShard wraps one worker process's already-connected endpoint
-// in a single-world shard set: the endpoint's group's ranks live here,
-// the peer groups' ranks live in other OS processes behind the wire.
+// in a single-world shard set: the endpoint's group is the rank hosted
+// here, the peer groups live in other OS processes behind the wire.
 func newWorkerShard(sys *machine.System, ep *mpx.TCPEndpoint) *shardSet {
-	shardOf := func(rank int) int { return sys.GroupOf(rank) }
-	w := mpx.NewShardWorld(sys.NumProcs(), shardOf, ep.Shard(), ep)
+	w := mpx.NewShardWorld(sys.NumGroups(), shardRank, ep.Shard(), ep)
 	ep.Bind(w)
 	return &shardSet{
 		worlds: []*mpx.World{w},
@@ -120,13 +123,13 @@ func (s *shardSet) detach(cause string) {
 // the computation never misbehaved, the wire did.
 type wireFailure struct {
 	cause  string
-	faults int // TransportError panics across all shards
+	faults int // TransportError panics across all worlds
 }
 
-// run executes body across every shard world concurrently and joins
-// them — the join is the global barrier between phases. A transport-
-// only failure is returned for the caller's fallback path; any other
-// rank panic is re-raised unchanged.
+// run executes body across every world concurrently and joins them —
+// the join is the global barrier between phases. A transport-only
+// failure is returned for the caller's fallback path; any other rank
+// panic is re-raised unchanged.
 func (s *shardSet) run(body func(r *mpx.Rank)) *wireFailure {
 	var wg sync.WaitGroup
 	panics := make([]interface{}, len(s.worlds))
@@ -191,7 +194,7 @@ func (s *shardSet) close() {
 	}
 }
 
-// runWirePhase executes one data-motion phase over the shard worlds,
+// runWirePhase executes one data-motion phase over the worlds,
 // returning false without trying once the set has detached. The first
 // wire failure — a transport-only phase failure, or one an endpoint
 // recorded between phases — is counted, traced and detaches the set,

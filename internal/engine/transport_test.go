@@ -268,12 +268,13 @@ func TestTCPTransportLeaksNoFDs(t *testing.T) {
 	})
 }
 
-// TestTCPFramesBoundedByRankPairsAndPhases pins the coalescing: a
-// fault-free run puts at most one frame per ordered cross-group rank
-// pair on the wire per phase — sibling on every level step, prolong on
-// the fine ones, one restrict per step of a level that has a finer one
-// — however many overlap boxes the pair's grids share. (Heartbeats are
-// not counted as frames.)
+// TestTCPFramesBoundedByRankPairsAndPhases pins the coalescing: a rank
+// is a processor group, and a fault-free run puts at most one frame per
+// ordered group pair on the wire per exchange — one fill on every level
+// step, prolongations and sibling copies together, and one restrict per
+// step of a level that has a finer one — however many grids and
+// overlap boxes the two groups share. (Heartbeats are not counted as
+// frames.)
 func TestTCPFramesBoundedByRankPairsAndPhases(t *testing.T) {
 	const maxLevel = 1
 	sys := machine.WanPair(2, nil)
@@ -283,30 +284,20 @@ func TestTCPFramesBoundedByRankPairsAndPhases(t *testing.T) {
 		Transport: TransportTCP, Trace: tr,
 	})
 	res := r.Run()
-	phases := 0
+	exchanges := 0
 	for _, level := range tr.StepLevels() {
-		phases++ // sibling
-		if level > 0 {
-			phases++ // prolong
-		}
+		exchanges++ // fill
 		if level < maxLevel {
-			phases++ // restrict of the finer level, when it has grids
+			exchanges++ // restrict of the finer level, when it has grids
 		}
 	}
-	pairs := 0
-	for a := 0; a < sys.NumProcs(); a++ {
-		for b := 0; b < sys.NumProcs(); b++ {
-			if sys.GroupOf(a) != sys.GroupOf(b) {
-				pairs++
-			}
-		}
-	}
+	pairs := sys.NumGroups() * (sys.NumGroups() - 1)
 	if res.TransportFrames == 0 {
 		t.Fatal("tcp run moved no wire frames")
 	}
-	if limit := int64(pairs * phases); res.TransportFrames > limit {
-		t.Errorf("%d frames for %d wire phases over %d cross-group rank pairs, want ≤ %d",
-			res.TransportFrames, phases, pairs, limit)
+	if limit := int64(pairs * exchanges); res.TransportFrames > limit {
+		t.Errorf("%d frames for %d exchanges over %d ordered group pairs, want ≤ %d",
+			res.TransportFrames, exchanges, pairs, limit)
 	}
 }
 

@@ -17,10 +17,9 @@ import (
 // wire timeouts (and therefore heartbeats) armed before any dial.
 func connectedWorkerEndpoints(t *testing.T, ngroups int, wireTimeout time.Duration) []*mpx.TCPEndpoint {
 	t.Helper()
-	sys := machine.WanPair(2, nil)
 	eps := make([]*mpx.TCPEndpoint, ngroups)
 	for g := range eps {
-		ep, err := mpx.ListenTCP(g, "127.0.0.1:0", sys.GroupOf)
+		ep, err := mpx.ListenTCP(g, "127.0.0.1:0", shardRank)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +179,8 @@ func TestWorkerTransportValidation(t *testing.T) {
 		New(machine.WanPair(1, nil), workload.NewShockPool3D(16, 2), opt)
 	}
 	mustPanic("worker without UseMPX", Options{Steps: 1, Transport: TransportWorker})
-	mustPanic("worker with DataCheck", Options{
-		Steps: 1, WithData: true, UseMPX: true, DataCheck: true,
+	mustPanic("worker with CheckData", Options{
+		Steps: 1, WithData: true, UseMPX: true, Checks: CheckData,
 		Transport: TransportWorker,
 	})
 }

@@ -141,7 +141,7 @@ func (l *Ledger) GridAdded(h *amr.Hierarchy, g *amr.Grid) {
 	l.total += g.NumCells()
 	l.owned[g.Level][g.Owner] = append(l.owned[g.Level][g.Owner], g)
 
-	own := cells * l.iterWeight(g.Level)
+	own := float64(cells * l.iterWeight(g.Level))
 	l.sub[g.ID] = own
 	l.addToChain(g.Parent, own)
 	l.event()

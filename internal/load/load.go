@@ -140,10 +140,17 @@ func (r *Recorder) LevelGroupWork(group, level int) float64 {
 // GroupWork returns W_group(t) (Eq. 3): the group's per-level loads
 // weighted by the number of iterations each level runs within one
 // level-0 step.
+//
+// Every product in this package that is then added is rounded by an
+// explicit float64(…) conversion, here, in Cost and in
+// Ledger.GridAdded: the Go spec lets a compiler fuse x*y + z into one
+// multiply-add, whose single rounding differs in the last bit (arm64
+// fuses, amd64 never does), and a run must compute the same bits on
+// every GOARCH.
 func (r *Recorder) GroupWork(group int) float64 {
 	var sum float64
 	for l := 0; l <= r.maxLevel; l++ {
-		sum += r.LevelGroupWork(group, l) * float64(max(r.nIter[l], 1))
+		sum += float64(r.LevelGroupWork(group, l) * float64(max(r.nIter[l], 1)))
 	}
 	return sum
 }
@@ -215,5 +222,5 @@ func Cost(alpha, beta, bytes, delta float64) float64 {
 	if bytes < 0 {
 		panic("load.Cost: negative size")
 	}
-	return alpha + beta*bytes + delta
+	return alpha + float64(beta*bytes) + delta
 }

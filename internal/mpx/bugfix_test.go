@@ -7,82 +7,79 @@ import (
 )
 
 // TestRunAggregatesAllPanicValues pins the panic-propagation fix: Run
-// must re-raise a *RunPanicError carrying every rank's ORIGINAL panic
-// value, not a flattened string of the first one it happened to see.
-// (Pre-fix, Run raised fmt.Sprintf("rank %d: %v", ...) of one panic,
-// losing the typed values and all but one failure.)
+// must re-raise a *RunPanicError carrying its rank's ORIGINAL panic
+// value and stack, not a flattened string, so that a caller merging
+// the panics of several worlds keeps every typed value. The worlds are
+// joined by no transport, so no abort turns a later one's own panic
+// into a secondary failure.
 func TestRunAggregatesAllPanicValues(t *testing.T) {
 	type rankFault struct{ code int }
-	w := oneShard(4)
-	defer func() {
-		p := recover()
-		rpe, ok := p.(*RunPanicError)
+	worlds := make([]*World, 4)
+	for r := range worlds {
+		worlds[r] = NewShardWorld(len(worlds), identity, r, newLocalFabric().Endpoint(r))
+	}
+	rpe := runShards(worlds, func(r *Rank) { panic(rankFault{code: r.ID()}) })
+	if rpe == nil {
+		t.Fatal("no panic was re-raised")
+	}
+	if len(rpe.Panics) != 4 {
+		t.Fatalf("aggregated %d panics, want all 4: %v", len(rpe.Panics), rpe)
+	}
+	seen := make(map[int]bool)
+	for _, rp := range rpe.Panics {
+		v, ok := rp.Value.(rankFault)
 		if !ok {
-			t.Fatalf("Run re-raised %T (%v), want *RunPanicError", p, p)
+			t.Fatalf("rank %d's value arrived as %T, want the original rankFault", rp.Rank, rp.Value)
 		}
-		if len(rpe.Panics) != 4 {
-			t.Fatalf("aggregated %d panics, want all 4: %v", len(rpe.Panics), rpe)
+		if v.code != rp.Rank {
+			t.Errorf("rank %d carries code %d", rp.Rank, v.code)
 		}
-		seen := make(map[int]bool)
-		for _, rp := range rpe.Panics {
-			v, ok := rp.Value.(rankFault)
-			if !ok {
-				t.Fatalf("rank %d's value arrived as %T, want the original rankFault", rp.Rank, rp.Value)
-			}
-			if v.code != rp.Rank {
-				t.Errorf("rank %d carries code %d", rp.Rank, v.code)
-			}
-			if len(rp.Stack) == 0 {
-				t.Errorf("rank %d has no captured stack", rp.Rank)
-			}
-			seen[rp.Rank] = true
+		if len(rp.Stack) == 0 {
+			t.Errorf("rank %d has no captured stack", rp.Rank)
 		}
-		if len(seen) != 4 {
-			t.Errorf("panics cover ranks %v, want all 4", seen)
-		}
-	}()
-	w.Run(func(r *Rank) { panic(rankFault{code: r.ID()}) })
+		seen[rp.Rank] = true
+	}
+	if len(seen) != 4 {
+		t.Errorf("panics cover ranks %v, want all 4", seen)
+	}
 }
 
 // TestRunPrimaryCauseUnderAbort: one rank fails while the rest block
 // in Recv; the blocked ranks surface as secondary AbortErrors and
 // Primary() identifies the real culprit.
 func TestRunPrimaryCauseUnderAbort(t *testing.T) {
-	w := oneShard(3)
-	defer func() {
-		rpe, ok := recover().(*RunPanicError)
-		if !ok {
-			t.Fatal("want *RunPanicError")
-		}
-		prim := rpe.Primary()
-		if prim == nil || prim.Rank != 0 {
-			t.Fatalf("Primary = %+v, want rank 0's failure", prim)
-		}
-		if s, ok := prim.Value.(string); !ok || s != "boom" {
-			t.Fatalf("primary value = %v, want the original \"boom\"", prim.Value)
-		}
-		for _, rp := range rpe.Panics {
-			if rp.Rank == 0 {
-				continue
-			}
-			if _, ok := rp.Value.(*AbortError); !ok {
-				t.Errorf("blocked rank %d panicked %T, want *AbortError", rp.Rank, rp.Value)
-			}
-		}
-	}()
-	w.Run(func(r *Rank) {
+	worlds, _ := newWorlds(3)
+	rpe := runShards(worlds, func(r *Rank) {
 		if r.ID() == 0 {
 			panic("boom")
 		}
 		r.Recv(0, 7) // never sent; must be woken by the abort
 	})
+	if rpe == nil {
+		t.Fatal("want *RunPanicError")
+	}
+	prim := rpe.Primary()
+	if prim == nil || prim.Rank != 0 {
+		t.Fatalf("Primary = %+v, want rank 0's failure", prim)
+	}
+	if s, ok := prim.Value.(string); !ok || s != "boom" {
+		t.Fatalf("primary value = %v, want the original \"boom\"", prim.Value)
+	}
+	for _, rp := range rpe.Panics {
+		if rp.Rank == 0 {
+			continue
+		}
+		if _, ok := rp.Value.(*AbortError); !ok {
+			t.Errorf("blocked rank %d panicked %T, want *AbortError", rp.Rank, rp.Value)
+		}
+	}
 }
 
 // TestNegativeUserTagsRejected pins the tag validation: Send and Recv
 // reject negative tags loudly.
 func TestNegativeUserTagsRejected(t *testing.T) {
-	w := oneShard(2)
-	r := &Rank{world: w, id: 0}
+	worlds, _ := newWorlds(2)
+	r := &Rank{world: worlds[0], id: 0}
 	for _, op := range []struct {
 		name string
 		call func()
@@ -101,7 +98,7 @@ func TestNegativeUserTagsRejected(t *testing.T) {
 		}()
 	}
 	// Tag 0 stays valid.
-	w.Run(func(r *Rank) {
+	runRanks(t, 2, func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 0, []float64{42})
 		} else if got := r.Recv(0, 0); got[0] != 42 {
@@ -122,8 +119,8 @@ func (m *mailbox) queueState() (length, capacity int) {
 // reachable through a stale tail slot, and a drained queue that grew
 // beyond smallQueueCap must release its backing array.
 func TestMailboxCompactsAndReleases(t *testing.T) {
-	w := oneShard(2)
-	box := w.boxes[1][0]
+	worlds, _ := newWorlds(2)
+	box := worlds[1].boxes[0]
 	const burst = 64
 	for i := 0; i < burst; i++ {
 		box.put(message{tag: i, data: make([]float64, 8)})
@@ -155,9 +152,9 @@ func TestMailboxRetentionHeapBound(t *testing.T) {
 		words   = 1 << 15 // 256 KiB per payload
 		payload = msgs * words * 8
 	)
-	w := oneShard(2)
+	worlds, _ := newWorlds(2)
 	for round := 0; round < rounds; round++ {
-		w.Run(func(r *Rank) {
+		err := runShards(worlds, func(r *Rank) {
 			if r.ID() == 0 {
 				for i := 0; i < msgs; i++ {
 					r.Send(1, i, make([]float64, words))
@@ -168,6 +165,9 @@ func TestMailboxRetentionHeapBound(t *testing.T) {
 				}
 			}
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.GC()
 	var ms runtime.MemStats
@@ -189,19 +189,16 @@ func failRankStep() { panic("boom") }
 // error's text; every rank's stack was captured but none was printed,
 // so the crash did not say where the rank failed.
 func TestRunPanicErrorPrintsPrimaryStack(t *testing.T) {
-	w := oneShard(2)
-	defer func() {
-		rpe, ok := recover().(*RunPanicError)
-		if !ok {
-			t.Fatal("want *RunPanicError")
-		}
-		if msg := rpe.Error(); !strings.Contains(msg, "mpx.failRankStep") || !strings.Contains(msg, "[rank 1: boom]") {
-			t.Errorf("error does not name the panicking function and its rank:\n%s", msg)
-		}
-	}()
-	w.Run(func(r *Rank) {
+	worlds, _ := newWorlds(2)
+	rpe := runShards(worlds, func(r *Rank) {
 		if r.ID() == 1 {
 			failRankStep()
 		}
 	})
+	if rpe == nil {
+		t.Fatal("want *RunPanicError")
+	}
+	if msg := rpe.Error(); !strings.Contains(msg, "mpx.failRankStep") || !strings.Contains(msg, "[rank 1: boom]") {
+		t.Errorf("error does not name the panicking function and its rank:\n%s", msg)
+	}
 }

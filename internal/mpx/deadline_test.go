@@ -34,12 +34,11 @@ func (r *recordSink) count() int {
 // timeouts and stub sinks, returning them plus a cleanup.
 func pairEndpoints(t *testing.T, to0, to1 time.Duration) (*TCPEndpoint, *TCPEndpoint, *recordSink, *recordSink) {
 	t.Helper()
-	shardOf := func(rank int) int { return rank % 2 }
-	a, err := ListenTCP(0, "127.0.0.1:0", shardOf)
+	a, err := ListenTCP(0, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ListenTCP(1, "127.0.0.1:0", shardOf)
+	b, err := ListenTCP(1, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +148,7 @@ func TestPeerLossPoisonsWithoutDeadline(t *testing.T) {
 // endpoint comes up only after a delay, and DialRetry must connect
 // anyway — shard startup order must not matter.
 func TestDialRetryWaitsForLateListener(t *testing.T) {
-	shardOf := func(rank int) int { return rank % 2 }
-	a, err := ListenTCP(0, "127.0.0.1:0", shardOf)
+	a, err := ListenTCP(0, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +165,7 @@ func TestDialRetryWaitsForLateListener(t *testing.T) {
 	var b *TCPEndpoint
 	go func() {
 		time.Sleep(300 * time.Millisecond)
-		ep, err := ListenTCP(1, addr, shardOf)
+		ep, err := ListenTCP(1, addr, identity)
 		if err != nil {
 			return // port raced away; DialRetry will fail the test below
 		}
@@ -191,8 +189,7 @@ func TestDialRetryWaitsForLateListener(t *testing.T) {
 // TestDialRetryGivesUp pins the bounded budget: a peer that never
 // appears must produce an error, not an infinite loop.
 func TestDialRetryGivesUp(t *testing.T) {
-	shardOf := func(rank int) int { return rank % 2 }
-	a, err := ListenTCP(0, "127.0.0.1:0", shardOf)
+	a, err := ListenTCP(0, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +216,11 @@ func TestDialRetryGivesUp(t *testing.T) {
 // peer that dials meanwhile is admitted at once.
 func TestSilentDialerBlocksNobody(t *testing.T) {
 	const d = 300 * time.Millisecond
-	shardOf := func(rank int) int { return rank % 2 }
-	a, err := ListenTCP(0, "127.0.0.1:0", shardOf)
+	a, err := ListenTCP(0, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ListenTCP(1, "127.0.0.1:0", shardOf)
+	b, err := ListenTCP(1, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +258,7 @@ func TestDialHandshakeHasDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	a, err := ListenTCP(0, "127.0.0.1:0", func(rank int) int { return rank % 2 })
+	a, err := ListenTCP(0, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,32 +3,27 @@ package mpx
 import (
 	"fmt"
 	"sync"
+	"testing"
 )
 
-// localFabric connects shard worlds in-process without sockets: an
-// order-preserving, error-free Transport that exercises the shard seam
-// deterministically. SetFault can force sends to fail, to test the
-// abort/fallback path.
+// localFabric connects worlds in-process without sockets: an
+// order-preserving, error-free Transport that routes each message to
+// the world hosting its destination rank. SetFault can force sends to
+// fail, to test the abort/fallback path.
 type localFabric struct {
-	shardOf func(rank int) int
-
 	mu    sync.Mutex
 	sinks map[int]Sink
 	fault func(src, dst, tag int) error
 }
 
-// newLocalFabric creates a fabric routing rank r to shard shardOf(r).
-func newLocalFabric(shardOf func(rank int) int) *localFabric {
-	if shardOf == nil {
-		panic("mpx.newLocalFabric: shardOf is required")
-	}
-	return &localFabric{shardOf: shardOf, sinks: make(map[int]Sink)}
+func newLocalFabric() *localFabric {
+	return &localFabric{sinks: make(map[int]Sink)}
 }
 
-// Bind attaches shard's sink (its world).
-func (f *localFabric) Bind(shard int, s Sink) {
+// Bind attaches the sink (the world) hosting rank.
+func (f *localFabric) Bind(rank int, s Sink) {
 	f.mu.Lock()
-	f.sinks[shard] = s
+	f.sinks[rank] = s
 	f.mu.Unlock()
 }
 
@@ -39,20 +34,20 @@ func (f *localFabric) SetFault(fn func(src, dst, tag int) error) {
 	f.mu.Unlock()
 }
 
-// Endpoint returns the Transport view one shard uses.
-func (f *localFabric) Endpoint(shard int) Transport {
-	return &fabricEndpoint{f: f, shard: shard}
+// Endpoint returns the Transport view one rank's world uses.
+func (f *localFabric) Endpoint(rank int) Transport {
+	return &fabricEndpoint{f: f, rank: rank}
 }
 
 type fabricEndpoint struct {
-	f     *localFabric
-	shard int
+	f    *localFabric
+	rank int
 }
 
 func (e *fabricEndpoint) Send(src, dst, tag int, data []float64) error {
 	e.f.mu.Lock()
 	fault := e.f.fault
-	sink := e.f.sinks[e.f.shardOf(dst)]
+	sink := e.f.sinks[dst]
 	e.f.mu.Unlock()
 	if fault != nil {
 		if err := fault(src, dst, tag); err != nil {
@@ -60,7 +55,7 @@ func (e *fabricEndpoint) Send(src, dst, tag int, data []float64) error {
 		}
 	}
 	if sink == nil {
-		return fmt.Errorf("mpx: no sink bound for shard %d", e.f.shardOf(dst))
+		return fmt.Errorf("mpx: no sink bound for rank %d", dst)
 	}
 	cp := make([]float64, len(data))
 	copy(cp, data)
@@ -71,8 +66,8 @@ func (e *fabricEndpoint) Send(src, dst, tag int, data []float64) error {
 func (e *fabricEndpoint) Abort(cause string) {
 	e.f.mu.Lock()
 	sinks := make([]Sink, 0, len(e.f.sinks))
-	for shard, s := range e.f.sinks {
-		if shard != e.shard {
+	for rank, s := range e.f.sinks {
+		if rank != e.rank {
 			sinks = append(sinks, s)
 		}
 	}
@@ -84,9 +79,27 @@ func (e *fabricEndpoint) Abort(cause string) {
 
 func (e *fabricEndpoint) Close() error { return nil }
 
-// oneShard builds an n-rank world whose ranks all live in shard 0, so
-// its fabric never carries a message: the in-process world the
-// point-to-point tests run on.
-func oneShard(n int) *World {
-	return NewShardWorld(n, func(int) int { return 0 }, 0, newLocalFabric(func(int) int { return 0 }).Endpoint(0))
+// identity is the one rank-to-shard mapping a world accepts.
+func identity(rank int) int { return rank }
+
+// newWorlds builds a communicator of n ranks in this process: one world
+// per rank, joined by a localFabric.
+func newWorlds(n int) ([]*World, *localFabric) {
+	f := newLocalFabric()
+	worlds := make([]*World, n)
+	for r := range worlds {
+		worlds[r] = NewShardWorld(n, identity, r, f.Endpoint(r))
+		f.Bind(r, worlds[r])
+	}
+	return worlds, f
+}
+
+// runRanks runs body on every rank of a fresh n-rank communicator and
+// fails the test if any rank panicked.
+func runRanks(t *testing.T, n int, body func(r *Rank)) {
+	t.Helper()
+	worlds, _ := newWorlds(n)
+	if err := runShards(worlds, body); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,18 +1,19 @@
 // Package mpx is a minimal message-passing runtime in the style of
 // MPI, the substrate ENZO uses for inter-processor communication. A
-// World is one shard of a communicator over n ranks: it hosts the
-// ranks its shard owns, each on its own goroutine with point-to-point
-// tagged sends and receives and barriers, and reaches the others
-// through a Transport (TCPEndpoint carries it over real sockets).
+// World hosts one rank of a communicator over n ranks, with
+// point-to-point tagged sends and receives, and reaches the other
+// ranks through a Transport (TCPEndpoint carries it over real
+// sockets). A rank is a processor group: the paper's processors share
+// memory inside a group and exchange messages only between groups, so
+// what one group's processors move among themselves never becomes a
+// message.
 //
 // Sends are buffered and never block (mailboxes grow as needed), so
 // bulk-synchronous exchange patterns — every rank posting all its
 // sends, then draining its receives — cannot deadlock. Receives match
-// (source, tag) pairs and tolerate out-of-order arrival: a remote
-// message is delivered into the same mailbox a local one is put into,
-// and the transport preserves per-connection order, so where a rank
-// lives never changes what it receives. Barriers synchronise the local
-// ranks only.
+// (source, tag) pairs and tolerate out-of-order arrival; the transport
+// preserves per-connection order, so messages of one tag from one
+// source arrive in the order they were sent.
 package mpx
 
 import (
@@ -23,29 +24,23 @@ import (
 	"sync/atomic"
 )
 
-// World is one shard of a communicator over n ranks.
+// World hosts one rank of a communicator over n ranks.
 type World struct {
 	n     int
-	boxes [][]*mailbox // boxes[dst][src]
-	bar   *barrier
-
-	// A world hosts only the ranks with shardOf[rank] == self and
-	// routes sends to the rest through tr.
-	local   []int
-	shardOf []int
-	self    int
-	tr      Transport
+	self  int
+	boxes []*mailbox // boxes[src]: what rank src sent this one
+	tr    Transport
 
 	aborted atomic.Bool
 	cause   atomic.Value // string; first abort cause wins
 }
 
-// NewShardWorld creates a communicator over n ranks of which only the
-// ranks with shardOf(rank) == self run locally; sends to the others
-// travel over tr, and their sends arrive via Deliver (the transport
-// calls it from its receive path). Barriers synchronise the local
-// ranks only — cross-shard phases rely on tag matching, and the
-// caller joins the shards between phases.
+// NewShardWorld creates the world hosting rank self of a communicator
+// over n ranks; sends to the others travel over tr, and their sends
+// arrive via Deliver (the transport calls it from its receive path).
+// A world hosts exactly one rank, so shardOf — which rank hosts which —
+// must be the identity; any other mapping panics. The caller joins the
+// worlds between phases.
 func NewShardWorld(n int, shardOf func(rank int) int, self int, tr Transport) *World {
 	if n <= 0 {
 		panic("mpx.NewShardWorld: need at least one rank")
@@ -53,24 +48,18 @@ func NewShardWorld(n int, shardOf func(rank int) int, self int, tr Transport) *W
 	if shardOf == nil || tr == nil {
 		panic("mpx.NewShardWorld: shardOf and transport are required")
 	}
-	w := &World{n: n, shardOf: make([]int, n), self: self, tr: tr}
-	w.boxes = make([][]*mailbox, n)
-	for dst := 0; dst < n; dst++ {
-		w.boxes[dst] = make([]*mailbox, n)
-		for src := 0; src < n; src++ {
-			w.boxes[dst][src] = newMailbox(w)
+	if self < 0 || self >= n {
+		panic(fmt.Sprintf("mpx.NewShardWorld: rank %d outside a world of %d", self, n))
+	}
+	for r := range n {
+		if s := shardOf(r); s != r {
+			panic(fmt.Sprintf("mpx.NewShardWorld: rank %d maps to shard %d; a world hosts one rank, so shardOf must be the identity", r, s))
 		}
 	}
-	for r := 0; r < n; r++ {
-		w.shardOf[r] = shardOf(r)
-		if w.shardOf[r] == self {
-			w.local = append(w.local, r)
-		}
+	w := &World{n: n, self: self, tr: tr, boxes: make([]*mailbox, n)}
+	for src := range w.boxes {
+		w.boxes[src] = newMailbox(w)
 	}
-	if len(w.local) == 0 {
-		panic(fmt.Sprintf("mpx.NewShardWorld: shard %d hosts no ranks", self))
-	}
-	w.bar = newBarrier(w, len(w.local))
 	return w
 }
 
@@ -82,9 +71,10 @@ type RankPanic struct {
 	Stack []byte
 }
 
-// RunPanicError aggregates every rank panic of one Run call. Run
-// re-raises it as the panic value, so callers recover the original
-// per-rank values instead of a flattened string.
+// RunPanicError aggregates rank panics: Run re-raises its rank's as
+// one, so callers recover the original value instead of a flattened
+// string, and a caller that runs a phase over several worlds merges
+// theirs into one.
 type RunPanicError struct {
 	Panics []RankPanic
 }
@@ -136,91 +126,60 @@ func (e *RunPanicError) TransportOnly() bool {
 	return true
 }
 
-// Run executes body once per locally hosted rank, each on its own
-// goroutine, and waits for all of them. If any rank panics the world
-// aborts: blocked ranks are woken with an AbortError, the transport
-// propagates the abort to peer shards, and Run re-raises a
-// *RunPanicError aggregating every rank's original panic value.
+// Run executes body on the hosted rank, on the caller's goroutine. If
+// it panics the world aborts: the transport propagates the abort to
+// peer worlds, whose blocked ranks wake with an AbortError, and Run
+// re-raises a *RunPanicError carrying the original panic value and
+// the stack it unwound.
 //
 // A world that is already aborted when Run is called fails immediately
-// with a secondary AbortError per local rank: a peer shard can fail
-// the current phase (and propagate its abort over the wire) before
-// this shard's Run has even started, and that race must surface as
-// the same transport-only failure the caller's fallback path already
-// handles. Nothing clears the abort: the caller leaves the wire for
-// good after its first failure.
+// with a secondary AbortError: a peer can fail the current phase (and
+// propagate its abort over the wire) before this world's Run has even
+// started, and that race must surface as the same transport-only
+// failure the caller's fallback path already handles. Nothing clears
+// the abort: the caller leaves the wire for good after its first
+// failure.
 func (w *World) Run(body func(r *Rank)) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.abort(fmt.Sprintf("rank %d panicked: %v", w.self, p), false)
+			panic(&RunPanicError{Panics: []RankPanic{{Rank: w.self, Value: p, Stack: debug.Stack()}}})
+		}
+	}()
 	if w.aborted.Load() {
-		var agg RunPanicError
-		for _, id := range w.local {
-			agg.Panics = append(agg.Panics, RankPanic{
-				Rank:  id,
-				Value: &AbortError{Cause: w.abortCause()},
-				Stack: debug.Stack(),
-			})
-		}
-		panic(&agg)
+		panic(&AbortError{Cause: w.abortCause()})
 	}
-	var wg sync.WaitGroup
-	panics := make([]*RankPanic, len(w.local))
-	wg.Add(len(w.local))
-	for i, id := range w.local {
-		go func(slot, id int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[slot] = &RankPanic{Rank: id, Value: p, Stack: debug.Stack()}
-					// Wake ranks blocked on this one so the Run joins
-					// instead of deadlocking.
-					w.abort(fmt.Sprintf("rank %d panicked: %v", id, p), false)
-				}
-			}()
-			body(&Rank{world: w, id: id})
-		}(i, id)
-	}
-	wg.Wait()
-	var agg RunPanicError
-	for _, p := range panics {
-		if p != nil {
-			agg.Panics = append(agg.Panics, *p)
-		}
-	}
-	if len(agg.Panics) > 0 {
-		panic(&agg)
-	}
+	body(&Rank{world: w, id: w.self})
 }
 
-// abort wakes every blocked local rank (they panic with AbortError)
+// abort wakes the rank if it is blocked (it panics with AbortError)
 // and, unless the abort itself arrived over the wire, asks the
-// transport to propagate it to peer shards. First cause wins.
+// transport to propagate it to the peer worlds. First cause wins.
 func (w *World) abort(cause string, fromWire bool) {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
 	}
 	w.cause.Store(cause)
-	for _, dst := range w.local {
-		for _, box := range w.boxes[dst] {
-			box.wake()
-		}
+	for _, box := range w.boxes {
+		box.wake()
 	}
-	w.bar.wake()
 	if !fromWire {
 		w.tr.Abort(cause)
 	}
 }
 
-// AbortFromWire aborts the world on behalf of a remote shard (called
+// AbortFromWire aborts the world on behalf of a remote one (called
 // by transports from their receive path).
 func (w *World) AbortFromWire(cause string) { w.abort(cause, true) }
 
-// Deliver places a transported message into the destination rank's
-// mailbox; the transport's receive path calls it. The payload's
-// ownership passes to the mailbox.
+// Deliver places a transported message into the mailbox of its
+// source; the transport's receive path calls it, and dst must be the
+// hosted rank. The payload's ownership passes to the mailbox.
 func (w *World) Deliver(src, dst, tag int, data []float64) {
-	if src < 0 || src >= w.n || dst < 0 || dst >= w.n {
-		panic(fmt.Sprintf("mpx.Deliver: bad endpoints %d -> %d", src, dst))
+	if src < 0 || src >= w.n || dst != w.self {
+		panic(fmt.Sprintf("mpx.Deliver: bad endpoints %d -> %d on rank %d", src, dst, w.self))
 	}
-	w.boxes[dst][src].put(message{tag: tag, data: data})
+	w.boxes[src].put(message{tag: tag, data: data})
 }
 
 // abortCause returns the recorded cause ("" when not aborted).
@@ -243,31 +202,20 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.world.n }
 
-// SameShard reports whether rank is hosted by this rank's world, so a
-// message to it would never reach the transport: what the two share in
-// this process they can exchange without one.
-func (r *Rank) SameShard(rank int) bool { return r.world.shardOf[rank] == r.world.self }
-
-// Send delivers data to rank `to` under the given tag. The slice is
-// copied (or serialised) before Send returns; Send never blocks.
-// Sending to oneself is allowed. Tags must be >= 0.
+// Send delivers data to another rank `to` under the given tag through
+// the transport, which copies or serialises the slice before Send
+// returns; Send never blocks. Tags must be >= 0.
 func (r *Rank) Send(to, tag int, data []float64) {
 	if tag < 0 {
 		panic(fmt.Sprintf("mpx.Send: negative tag %d", tag))
 	}
 	w := r.world
-	if to < 0 || to >= w.n {
-		panic(fmt.Sprintf("mpx.Send: bad destination %d", to))
+	if to < 0 || to >= w.n || to == r.id {
+		panic(fmt.Sprintf("mpx.Send: bad destination %d from rank %d", to, r.id))
 	}
-	if w.shardOf[to] != w.self {
-		if err := w.tr.Send(r.id, to, tag, data); err != nil {
-			panic(&TransportError{Src: r.id, Dst: to, Tag: tag, Err: err})
-		}
-		return
+	if err := w.tr.Send(r.id, to, tag, data); err != nil {
+		panic(&TransportError{Src: r.id, Dst: to, Tag: tag, Err: err})
 	}
-	cp := make([]float64, len(data))
-	copy(cp, data)
-	w.boxes[to][r.id].put(message{tag: tag, data: cp})
 }
 
 // Recv blocks until a message with the given tag arrives from rank
@@ -280,11 +228,8 @@ func (r *Rank) Recv(from, tag int) []float64 {
 	if from < 0 || from >= r.world.n {
 		panic(fmt.Sprintf("mpx.Recv: bad source %d", from))
 	}
-	return r.world.boxes[r.id][from].take(tag)
+	return r.world.boxes[from].take(tag)
 }
-
-// Barrier blocks until every locally hosted rank has entered it.
-func (r *Rank) Barrier() { r.world.bar.await() }
 
 // message is one queued transfer.
 type message struct {
@@ -297,7 +242,7 @@ type message struct {
 // drains, so long soak runs stop pinning burst-sized buffers.
 const smallQueueCap = 8
 
-// mailbox is an unbounded (src → dst) queue with tag matching.
+// mailbox is an unbounded queue from one source, with tag matching.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -352,45 +297,4 @@ func (m *mailbox) wake() {
 	m.mu.Lock()
 	m.cond.Broadcast()
 	m.mu.Unlock()
-}
-
-// barrier is a reusable counting barrier over the world's local ranks.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	w     *World
-	n     int
-	count int
-	gen   int
-}
-
-func newBarrier(w *World, n int) *barrier {
-	b := &barrier{w: w, n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		if b.w.aborted.Load() {
-			panic(&AbortError{Cause: b.w.abortCause()})
-		}
-		b.cond.Wait()
-	}
-}
-
-func (b *barrier) wake() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

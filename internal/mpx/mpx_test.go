@@ -2,13 +2,11 @@ package mpx
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
 func TestPingPong(t *testing.T) {
-	w := oneShard(2)
-	w.Run(func(r *Rank) {
+	runRanks(t, 2, func(r *Rank) {
 		switch r.ID() {
 		case 0:
 			r.Send(1, 7, []float64{1, 2, 3})
@@ -28,8 +26,7 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestSendCopiesData(t *testing.T) {
-	w := oneShard(2)
-	w.Run(func(r *Rank) {
+	runRanks(t, 2, func(r *Rank) {
 		if r.ID() == 0 {
 			buf := []float64{1}
 			r.Send(1, 0, buf)
@@ -43,8 +40,7 @@ func TestSendCopiesData(t *testing.T) {
 }
 
 func TestOutOfOrderTags(t *testing.T) {
-	w := oneShard(2)
-	w.Run(func(r *Rank) {
+	runRanks(t, 2, func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 1, []float64{10})
 			r.Send(1, 2, []float64{20})
@@ -66,8 +62,7 @@ func TestOutOfOrderTags(t *testing.T) {
 }
 
 func TestSameTagFIFO(t *testing.T) {
-	w := oneShard(2)
-	w.Run(func(r *Rank) {
+	runRanks(t, 2, func(r *Rank) {
 		if r.ID() == 0 {
 			for i := 0; i < 10; i++ {
 				r.Send(1, 0, []float64{float64(i)})
@@ -78,47 +73,6 @@ func TestSameTagFIFO(t *testing.T) {
 					t.Errorf("message %d out of order: %v", i, got)
 				}
 			}
-		}
-	})
-}
-
-func TestSelfSend(t *testing.T) {
-	w := oneShard(1)
-	w.Run(func(r *Rank) {
-		r.Send(0, 5, []float64{42})
-		if got := r.Recv(0, 5); got[0] != 42 {
-			t.Errorf("self-send = %v", got)
-		}
-	})
-}
-
-func TestBarrierSeparatesPhases(t *testing.T) {
-	const n = 8
-	w := oneShard(n)
-	var phase1 int32
-	w.Run(func(r *Rank) {
-		atomic.AddInt32(&phase1, 1)
-		r.Barrier()
-		// After the barrier every rank must observe all n increments.
-		if got := atomic.LoadInt32(&phase1); got != n {
-			t.Errorf("rank %d saw %d after barrier", r.ID(), got)
-		}
-	})
-}
-
-func TestBarrierReusable(t *testing.T) {
-	const n, rounds = 4, 50
-	w := oneShard(n)
-	var counter int32
-	w.Run(func(r *Rank) {
-		for round := 0; round < rounds; round++ {
-			atomic.AddInt32(&counter, 1)
-			r.Barrier()
-			want := int32((round + 1) * n)
-			if got := atomic.LoadInt32(&counter); got != want {
-				t.Errorf("round %d: counter %d want %d", round, got, want)
-			}
-			r.Barrier()
 		}
 	})
 }
@@ -156,8 +110,7 @@ func allReduceSum(r *Rank, x float64) float64 {
 
 func TestAllReduceSum(t *testing.T) {
 	const n = 6
-	w := oneShard(n)
-	w.Run(func(r *Rank) {
+	runRanks(t, n, func(r *Rank) {
 		got := allReduceSum(r, float64(r.ID()+1))
 		if got != n*(n+1)/2 {
 			t.Errorf("rank %d: sum = %v", r.ID(), got)
@@ -167,8 +120,7 @@ func TestAllReduceSum(t *testing.T) {
 
 func TestAllGather(t *testing.T) {
 	const n = 5
-	w := oneShard(n)
-	w.Run(func(r *Rank) {
+	runRanks(t, n, func(r *Rank) {
 		vals := allGather(r, float64(r.ID()*10))
 		if len(vals) != n {
 			t.Fatalf("len = %d", len(vals))
@@ -184,8 +136,7 @@ func TestAllGather(t *testing.T) {
 func TestCollectivesRepeatedly(t *testing.T) {
 	// Back-to-back gathers under one tag must not cross-talk.
 	const n = 4
-	w := oneShard(n)
-	w.Run(func(r *Rank) {
+	runRanks(t, n, func(r *Rank) {
 		for i := 0; i < 20; i++ {
 			s := allReduceSum(r, float64(i))
 			if s != float64(i*n) {
@@ -199,9 +150,8 @@ func TestAllToAllNoDeadlock(t *testing.T) {
 	// Every rank sends a large message to every other rank before
 	// receiving anything: buffered sends must prevent deadlock.
 	const n = 8
-	w := oneShard(n)
 	payload := make([]float64, 4096)
-	w.Run(func(r *Rank) {
+	runRanks(t, n, func(r *Rank) {
 		for dst := 0; dst < n; dst++ {
 			if dst != r.ID() {
 				r.Send(dst, r.ID(), payload)
@@ -223,25 +173,29 @@ func TestRunPropagatesPanic(t *testing.T) {
 			t.Error("expected panic to propagate")
 		}
 	}()
-	oneShard(3).Run(func(r *Rank) {
-		if r.ID() == 1 {
-			panic("boom")
-		}
-	})
+	worlds, _ := newWorlds(3)
+	worlds[1].Run(func(r *Rank) { panic("boom") })
 }
 
 func TestValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for bad world size")
-		}
-	}()
-	oneShard(0)
+	for name, build := range map[string]func(){
+		"empty world":   func() { NewShardWorld(0, identity, 0, newLocalFabric().Endpoint(0)) },
+		"two per shard": func() { NewShardWorld(4, func(r int) int { return r / 2 }, 0, newLocalFabric().Endpoint(0)) },
+		"rank outside":  func() { NewShardWorld(2, identity, 2, newLocalFabric().Endpoint(2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewShardWorld must panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 func TestBadEndpointsPanic(t *testing.T) {
-	w := oneShard(2)
-	w.Run(func(r *Rank) {
+	runRanks(t, 2, func(r *Rank) {
 		if r.ID() != 0 {
 			return
 		}
@@ -256,6 +210,14 @@ func TestBadEndpointsPanic(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
+					t.Error("Send to oneself must panic: a rank's own data needs no message")
+				}
+			}()
+			r.Send(0, 0, nil)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
 					t.Error("Recv from bad rank must panic")
 				}
 			}()
@@ -266,8 +228,7 @@ func TestBadEndpointsPanic(t *testing.T) {
 
 func TestReduceMatchesSequential(t *testing.T) {
 	const n = 7
-	w := oneShard(n)
-	w.Run(func(r *Rank) {
+	runRanks(t, n, func(r *Rank) {
 		x := math.Sqrt(float64(r.ID() + 1))
 		got := allReduceSum(r, x)
 		var want float64

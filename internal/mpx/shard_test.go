@@ -3,13 +3,14 @@ package mpx
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// runShards drives the same body over every shard world concurrently
-// and returns the merged panic (nil when clean), mimicking how the
-// engine joins shard phases.
+// runShards drives the same body over every world concurrently and
+// returns the merged panic (nil when clean), as the engine joins a
+// phase's worlds.
 func runShards(worlds []*World, body func(r *Rank)) *RunPanicError {
 	var wg sync.WaitGroup
 	panics := make([]interface{}, len(worlds))
@@ -59,73 +60,39 @@ func exchangeBody(t *testing.T, results [][]float64) func(r *Rank) {
 			}
 			sum += got[0]
 		}
-		r.Barrier()
 		results[r.ID()] = []float64{sum, allReduceSum(r, float64(r.ID()))}
 	}
 }
 
-// TestShardWorldsMatchSingleWorld: the same exchange over (a) a
-// one-shard world and (b) two shard worlds joined by a localFabric
-// must produce identical per-rank results — including a gather and
-// fan-out that cross the shard boundary through rank 0.
+// TestShardWorldsMatchSingleWorld: the same exchange over worlds
+// joined in this process, the in-memory reference, and over real
+// sockets must produce identical per-rank results — including a
+// gather and fan-out that cross every world through rank 0.
 func TestShardWorldsMatchSingleWorld(t *testing.T) {
-	const n = 6
-	shardOf := func(rank int) int { return rank * 2 / n } // 0,0,0,1,1,1
+	const n = 4
+	mem := make([][]float64, n)
+	runRanks(t, n, exchangeBody(t, mem))
 
-	single := make([][]float64, n)
-	oneShard(n).Run(exchangeBody(t, single))
-
-	fab := newLocalFabric(shardOf)
-	worlds := make([]*World, 2)
-	for s := 0; s < 2; s++ {
-		worlds[s] = NewShardWorld(n, shardOf, s, fab.Endpoint(s))
-		fab.Bind(s, worlds[s])
-	}
-	sharded := make([][]float64, n)
-	if err := runShards(worlds, exchangeBody(t, sharded)); err != nil {
-		t.Fatalf("sharded run failed: %v", err)
+	worlds, _ := newTCPWorlds(t, n)
+	wire := make([][]float64, n)
+	if err := runShards(worlds, exchangeBody(t, wire)); err != nil {
+		t.Fatalf("tcp run failed: %v", err)
 	}
 
 	for rank := 0; rank < n; rank++ {
-		if len(single[rank]) != len(sharded[rank]) {
-			t.Fatalf("rank %d: result shapes differ", rank)
-		}
-		for i := range single[rank] {
-			if single[rank][i] != sharded[rank][i] {
-				t.Errorf("rank %d result %d: single %v, sharded %v", rank, i, single[rank][i], sharded[rank][i])
-			}
-		}
-	}
-}
-
-// TestShardWorldLocalRanks checks the shard partition bookkeeping: a
-// shard world runs exactly the ranks its shard hosts.
-func TestShardWorldLocalRanks(t *testing.T) {
-	shardOf := func(r int) int { return r % 2 }
-	fab := newLocalFabric(shardOf)
-	w := NewShardWorld(5, shardOf, 1, fab.Endpoint(1))
-	ran := make([]bool, w.n)
-	w.Run(func(r *Rank) { ran[r.ID()] = true })
-	for rank, got := range ran {
-		if want := shardOf(rank) == 1; got != want {
-			t.Errorf("rank %d ran = %v, want %v", rank, got, want)
+		if !slices.Equal(mem[rank], wire[rank]) {
+			t.Errorf("rank %d: in memory %v, over tcp %v", rank, mem[rank], wire[rank])
 		}
 	}
 }
 
 // TestFabricFaultAbortsAllShards: an injected send failure must panic
 // the sending rank with the *TransportError, wake everything else with
-// secondary aborts (local and across the fabric), and leave the merged
-// failure TransportOnly so the engine knows it can fall back.
+// secondary aborts across the fabric, and leave the merged failure
+// TransportOnly so the engine knows it can fall back.
 func TestFabricFaultAbortsAllShards(t *testing.T) {
 	const n = 4
-	shardOf := func(r int) int { return r / 2 }
-	fab := newLocalFabric(shardOf)
-	worlds := make([]*World, 2)
-	for s := 0; s < 2; s++ {
-		worlds[s] = NewShardWorld(n, shardOf, s, fab.Endpoint(s))
-		fab.Bind(s, worlds[s])
-	}
+	worlds, fab := newWorlds(n)
 	wireDown := errors.New("wire down")
 	fab.SetFault(func(src, dst, tag int) error {
 		if src == 0 && dst == 3 {
@@ -176,27 +143,29 @@ func (d dropOnce) DropSend(src, dst int, n uint64) bool {
 	return src == d.src && dst == d.dst && n == d.offer
 }
 
-// newTCPPair builds two fully connected shard worlds over real
-// localhost sockets: ranks 0..1 on shard 0, ranks 2..3 on shard 1.
-func newTCPPair(t *testing.T) ([]*World, []*TCPEndpoint) {
+// newTCPWorlds builds n fully connected worlds over real localhost
+// sockets, one rank each.
+func newTCPWorlds(t *testing.T, n int) ([]*World, []*TCPEndpoint) {
 	t.Helper()
-	const n = 4
-	shardOf := func(r int) int { return r / 2 }
-	eps := make([]*TCPEndpoint, 2)
-	for s := 0; s < 2; s++ {
-		ep, err := ListenTCP(s, "127.0.0.1:0", shardOf)
+	eps := make([]*TCPEndpoint, n)
+	for s := range eps {
+		ep, err := ListenTCP(s, "127.0.0.1:0", identity)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ep.Close() })
 		eps[s] = ep
 	}
-	if err := eps[0].Dial(1, eps[1].Addr()); err != nil {
-		t.Fatal(err)
+	for a := range eps {
+		for b := a + 1; b < n; b++ {
+			if err := eps[a].Dial(b, eps[b].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	worlds := make([]*World, 2)
-	for s := 0; s < 2; s++ {
-		worlds[s] = NewShardWorld(n, shardOf, s, eps[s])
+	worlds := make([]*World, n)
+	for s := range worlds {
+		worlds[s] = NewShardWorld(n, identity, s, eps[s])
 		eps[s].Bind(worlds[s])
 	}
 	return worlds, eps
@@ -205,7 +174,7 @@ func newTCPPair(t *testing.T) ([]*World, []*TCPEndpoint) {
 // TestTCPShardExchange runs a real-socket exchange with a reduction
 // and checks the wire accounting moved actual frames.
 func TestTCPShardExchange(t *testing.T) {
-	worlds, eps := newTCPPair(t)
+	worlds, eps := newTCPWorlds(t, 4)
 	results := make([][]float64, 4)
 	if err := runShards(worlds, exchangeBody(t, results)); err != nil {
 		t.Fatalf("tcp exchange failed: %v", err)
@@ -232,7 +201,7 @@ func TestTCPShardExchange(t *testing.T) {
 // the phase fails transport-only, its primary failure names the dropped
 // send, and every world is aborted — the caller's cue to leave the wire.
 func TestTCPFaultIsTransportOnly(t *testing.T) {
-	worlds, eps := newTCPPair(t)
+	worlds, eps := newTCPWorlds(t, 4)
 	for _, ep := range eps {
 		ep.SetFault(dropOnce{src: 1, dst: 2, offer: 0})
 	}
@@ -270,13 +239,12 @@ func TestTCPFaultIsTransportOnly(t *testing.T) {
 
 // TestTCPDialValidation covers the handshake checks.
 func TestTCPDialValidation(t *testing.T) {
-	shardOf := func(r int) int { return r }
-	a, err := ListenTCP(0, "127.0.0.1:0", shardOf)
+	a, err := ListenTCP(0, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenTCP(1, "127.0.0.1:0", shardOf)
+	b, err := ListenTCP(1, "127.0.0.1:0", identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,5 +257,8 @@ func TestTCPDialValidation(t *testing.T) {
 	}
 	if err := a.Dial(1, b.Addr()); err == nil {
 		t.Error("duplicate dial must be rejected")
+	}
+	if _, err := ListenTCP(1, "127.0.0.1:0", func(r int) int { return r / 2 }); err == nil {
+		t.Error("an endpoint must refuse a shard that hosts another shard's rank")
 	}
 }

@@ -27,15 +27,15 @@ const connWait = 10 * time.Second
 // TCPEndpoint carries one shard's traffic over real sockets: it
 // listens for peer shards, dials others (convention: the lower shard
 // id dials the higher), and exchanges CRC32-framed messages tagged by
-// (src, dst, tag, seq). The receive path verifies every checksum and
+// (src, dst, tag, seq). A shard is the one rank its World hosts, so a
+// message goes to the shard its destination rank names. The receive path verifies every checksum and
 // per-(src, dst) sequence continuity, delivers into the bound sink
 // (the shard's World), and propagates aborts. An endpoint is not
 // rearmed after a failure: its first recorded error poisons it for
 // good, and the caller detaches from the wire.
 type TCPEndpoint struct {
-	shard   int
-	shardOf func(rank int) int
-	ln      net.Listener
+	shard int
+	ln    net.Listener
 
 	mu       sync.Mutex
 	sink     Sink
@@ -79,9 +79,12 @@ var errEndpointClosed = errors.New("mpx: endpoint closed")
 
 // ListenTCP opens a shard endpoint on addr (use "127.0.0.1:0" for an
 // ephemeral localhost port) and starts accepting peer connections.
+// The endpoint routes every message to the shard its destination rank
+// names, so shardOf must be the identity: it is checked at the
+// endpoint's own shard, and NewShardWorld checks every rank.
 func ListenTCP(shard int, addr string, shardOf func(rank int) int) (*TCPEndpoint, error) {
-	if shardOf == nil {
-		return nil, fmt.Errorf("mpx.ListenTCP: shardOf is required")
+	if shardOf == nil || shardOf(shard) != shard {
+		return nil, fmt.Errorf("mpx.ListenTCP: shardOf must be the identity: a shard hosts one rank")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -89,7 +92,6 @@ func ListenTCP(shard int, addr string, shardOf func(rank int) int) (*TCPEndpoint
 	}
 	e := &TCPEndpoint{
 		shard:    shard,
-		shardOf:  shardOf,
 		ln:       ln,
 		conns:    make(map[int]*wireConn),
 		connCh:   make(chan struct{}),
@@ -321,7 +323,7 @@ func (e *TCPEndpoint) conn(peer int) (*wireConn, error) {
 	}
 }
 
-// Send frames and writes one message to the shard hosting dst. The
+// Send frames and writes one message to shard dst. The
 // fault injector is consulted first (against the offer index, which
 // advances even for dropped messages, keeping fates deterministic);
 // the wire sequence number advances only for frames actually written,
@@ -333,29 +335,16 @@ func (e *TCPEndpoint) Send(src, dst, tag int, data []float64) error {
 	if e.closed.Load() {
 		return errEndpointClosed
 	}
-	peer := e.shardOf(dst)
 	key := [2]int{src, dst}
 	e.mu.Lock()
 	offer := e.offerSeq[key]
 	e.offerSeq[key] = offer + 1
 	fault := e.fault
-	sink := e.sink
 	e.mu.Unlock()
 	if fault != nil && fault.DropSend(src, dst, offer) {
 		return fmt.Errorf("mpx: injected wire fault dropped %d -> %d (offer %d)", src, dst, offer)
 	}
-	if peer == e.shard {
-		// Self-shard delivery (the World normally short-circuits this,
-		// but be correct for direct users).
-		if sink == nil {
-			return fmt.Errorf("mpx: no sink bound on shard %d", e.shard)
-		}
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		sink.Deliver(src, dst, tag, cp)
-		return nil
-	}
-	c, err := e.conn(peer)
+	c, err := e.conn(dst)
 	if err != nil {
 		return err
 	}
@@ -369,7 +358,7 @@ func (e *TCPEndpoint) Send(src, dst, tag int, data []float64) error {
 	werr := e.writeLocked(c, c.wbuf)
 	c.mu.Unlock()
 	if werr != nil {
-		return fmt.Errorf("mpx: write to shard %d: %w", peer, werr)
+		return fmt.Errorf("mpx: write to shard %d: %w", dst, werr)
 	}
 	e.framesSent.Add(1)
 	e.bytesSent.Add(int64(n))

@@ -2,14 +2,13 @@ package mpx
 
 import "fmt"
 
-// Transport carries messages between shard worlds. Send must copy or
-// serialise data before returning (the caller reuses the slice) and
-// must preserve per-(src, dst) order — mailbox matching is FIFO per
-// (source, tag), so an order-preserving transport delivers exactly
-// what a local send would. Abort propagates a
-// failure to peer shards so their blocked ranks wake instead of
-// deadlocking; it is best-effort (an unreachable peer is already
-// failing). Close releases the transport's resources.
+// Transport carries messages between worlds, each hosting one rank.
+// Send must copy or serialise data before returning (the caller reuses
+// the slice) and must preserve per-(src, dst) order, since mailbox
+// matching is FIFO per (source, tag). Abort propagates a failure to
+// the peer worlds so their blocked ranks wake instead of deadlocking;
+// it is best-effort (an unreachable peer is already failing). Close
+// releases the transport's resources.
 type Transport interface {
 	Send(src, dst, tag int, data []float64) error
 	Abort(cause string)

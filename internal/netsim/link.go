@@ -79,7 +79,10 @@ func (l *Link) TransferTime(now, bytes float64) float64 {
 	if bytes < 0 {
 		panic("netsim.TransferTime: negative size")
 	}
-	return l.Alpha + l.EffectiveBeta(now)*bytes
+	// float64(…) rounds the product before the add: a fused
+	// multiply-add (arm64 fuses, amd64 never does) would round once and
+	// differ in the last bit.
+	return l.Alpha + float64(l.EffectiveBeta(now)*bytes)
 }
 
 // Probe implements the paper's runtime network measurement: "the

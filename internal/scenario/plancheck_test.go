@@ -30,7 +30,7 @@ func planMsgsEqual(a, b []amr.Message) bool {
 }
 
 // runPlanScenario executes one generated scenario as a plan-
-// equivalence property trial: the engine runs with PlanCheck armed —
+// equivalence property trial: the engine runs with CheckPlan armed —
 // every cached plan it serves is verified bitwise against the O(n²)
 // scan planners, across every regrid, migration, fault and recovery
 // the scenario throws at it — plus a per-phase hook that compares the

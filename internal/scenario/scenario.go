@@ -212,9 +212,7 @@ func (s *Scenario) EngineOptions(check func(*engine.PhaseInfo)) (engine.Options,
 		Faults:             sched,
 		CheckpointInterval: s.CkptInterval,
 		GroupQuorum:        s.Quorum,
-		LedgerCheck:        s.Check&CheckLedger != 0,
-		DataCheck:          s.Check&CheckData != 0,
-		PlanCheck:          s.Check&CheckPlan != 0,
+		Checks:             engine.Checks(s.Check &^ CheckInvariants),
 		Invariants:         check,
 		Spec:               s.Identity(),
 	}, err

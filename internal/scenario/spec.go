@@ -22,11 +22,13 @@ import (
 // panic on divergence; invariants is the paper-invariant oracle.
 type Check uint8
 
+// The low three bits are the engine's oracles (engine.CheckLedger,
+// CheckData and CheckPlan), bit for bit, in checkNames order;
+// invariants is the scenario's own.
 const (
-	CheckLedger Check = 1 << iota
-	CheckData
-	CheckPlan
-	CheckInvariants
+	CheckData       = Check(engine.CheckData)
+	CheckPlan       = Check(engine.CheckPlan)
+	CheckInvariants = CheckPlan << 1
 )
 
 var checkNames = []string{"ledger", "data", "plan", "invariants"}

@@ -98,7 +98,6 @@ func workerMain() int {
 	err := RunWorker(WorkerConfig{
 		Shard:       shard,
 		ControlAddr: os.Getenv(envControl),
-		ShardOf:     sys.GroupOf,
 		WireTimeout: wt,
 		Detached:    restart,
 		Build: func(ep *mpx.TCPEndpoint) (func(func(int)) (string, string, error), error) {

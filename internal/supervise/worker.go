@@ -15,8 +15,6 @@ type WorkerConfig struct {
 	Shard int
 	// ControlAddr is the supervisor's rendezvous socket.
 	ControlAddr string
-	// ShardOf maps a rank to its hosting shard.
-	ShardOf func(rank int) int
 	// WireTimeout bounds wire reads/writes and paces heartbeats
 	// (0 disables deadlines; control heartbeats then default to 1s).
 	WireTimeout time.Duration
@@ -40,8 +38,8 @@ type WorkerConfig struct {
 // engine, and deliver the result. It returns once the result has been
 // sent (or with the first fatal setup error).
 func RunWorker(cfg WorkerConfig) error {
-	if cfg.Build == nil || cfg.ShardOf == nil {
-		return fmt.Errorf("supervise: WorkerConfig needs Build and ShardOf")
+	if cfg.Build == nil {
+		return fmt.Errorf("supervise: WorkerConfig needs Build")
 	}
 	conn, err := net.Dial("tcp", cfg.ControlAddr)
 	if err != nil {
@@ -53,7 +51,7 @@ func RunWorker(cfg WorkerConfig) error {
 	var ep *mpx.TCPEndpoint
 	hello := Msg{Type: MsgHello, Shard: cfg.Shard}
 	if !cfg.Detached {
-		ep, err = mpx.ListenTCP(cfg.Shard, "127.0.0.1:0", cfg.ShardOf)
+		ep, err = mpx.ListenTCP(cfg.Shard, "127.0.0.1:0", func(rank int) int { return rank })
 		if err != nil {
 			return fmt.Errorf("supervise: worker %d: %w", cfg.Shard, err)
 		}
