@@ -627,6 +627,8 @@ var auditDeleted = []deletedRule{
 		"NewShardWorld is the one constructor; a test without sockets joins one-rank worlds in process"},
 	{`Barrier\(|SameShard|type barrier`, "internal/mpx/*.go internal/amr/*.go",
 		"a world hosts one rank, a processor group: nothing local to synchronise, and no rank shares a world with another"},
+	{`\brememberCheckpoint\b|\btakeCheckpoint\b|\bwriteDurable\b|\bckptBuf\b`, "internal/engine/*.go",
+		"a checkpoint boundary saves the hierarchy once: the recovery point is the durable generation's payload"},
 	{`WorkerWire|BeforeCheckpointWrite`, "internal/engine/*.go",
 		"Options.Worker is the endpoint itself; a chaos test kills a worker through its ckpt.Dir"},
 	{`Disjoint\(`, "internal/geom/*.go internal/amr/*.go",

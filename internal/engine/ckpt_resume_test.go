@@ -111,20 +111,28 @@ func TestResumeByteIdenticalWithSlowdownFaults(t *testing.T) {
 // first cut and is revived after it, before the later ones. A
 // generation records who has failed only in the membership tracker's
 // state, so the resumed run must take both its health vector and its
-// failed-processor count from there.
+// failed-processor count from there. In the second schedule the crash
+// strikes after the cuts, so the resumed run rewinds to the recovery
+// point its restored generation installed, which must be the one the
+// uninterrupted run took at that boundary.
 func TestResumeByteIdenticalAcrossCrash(t *testing.T) {
 	bt := boundaryClocks(t, resumeSteps)
-	withCrash := func(o *Options) {
-		sched, err := fault.NewSchedule(7,
-			fault.Event{Kind: fault.ProcFailure, Proc: 5, Start: (bt[0] + bt[1]) / 2},
-			fault.Event{Kind: fault.ProcRecovery, Proc: 5, Start: (bt[5] + bt[6]) / 2})
-		if err != nil {
-			t.Fatal(err)
+	schedule := func(events ...fault.Event) func(*Options) {
+		return func(o *Options) {
+			sched, err := fault.NewSchedule(7, events...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Faults = sched
 		}
-		o.Faults = sched
 	}
+	withCrash := schedule(
+		fault.Event{Kind: fault.ProcFailure, Proc: 5, Start: (bt[0] + bt[1]) / 2},
+		fault.Event{Kind: fault.ProcRecovery, Proc: 5, Start: (bt[5] + bt[6]) / 2})
 	mkDriver := func() workload.Driver { return workload.NewShockPool3D(16, 2) }
 	testResumeIdentity(t, osDir, []int{4, 6, 7}, mkDriver, withCrash)
+	testResumeIdentity(t, memDir, []int{4, 5, 6, 7}, mkDriver,
+		schedule(fault.Event{Kind: fault.ProcFailure, Proc: 5, Start: (bt[4] + bt[5]) / 2}))
 
 	// The first cut really is inside the outage: the runner resumed
 	// from it holds processor 5 failed and dead.

@@ -131,8 +131,10 @@ type Options struct {
 	// from the last checkpoint when a processor fails.
 	Faults *fault.Schedule
 	// CheckpointInterval is the number of level-0 steps between
-	// periodic recovery checkpoints (default 4; used when Faults is
-	// set and for the durable store when Checkpoints is set).
+	// checkpoints (default 4). A run with Faults or Checkpoints set
+	// saves its hierarchy once at the end of every such step, after the
+	// global phase: the one snapshot is both the recovery point and the
+	// durable generation's payload.
 	CheckpointInterval int
 	// Checkpoints, when non-nil, enables the durable generational
 	// checkpoint store (internal/ckpt) in that directory: every
@@ -264,14 +266,17 @@ type Runner struct {
 	intervalStart float64
 	curStep       int // level-0 step the loop is executing (for hooks)
 
+	// The last checkpoint: the recovery point a processor failure
+	// rewinds to, whose bytes are also the newest generation's payload.
+	ckpt          bytes.Buffer      // amr.Save stream
+	ckptStep      int               // level-0 step it covers (-1 = pristine)
+	ckptT         float64           // simulated time at the checkpoint
+	ckptClock     float64           // virtual wall time at the checkpoint
+	ckptParticles []solver.Particle // the driver's particles at the checkpoint
+
 	// Fault-tolerance state (active only when opt.Faults is set).
-	ckpt          []byte       // last checkpoint (gob stream)
-	ckptBuf       bytes.Buffer // reused serialisation scratch
-	ckptStep      int          // level-0 step it covers (-1 = pristine)
-	ckptT         float64      // simulated time at the checkpoint
-	ckptClock     float64      // virtual wall time at the checkpoint
-	lastFailCheck float64      // end of the last failure-scan window
-	wasQuar       bool         // a group was quarantined at the last boundary
+	lastFailCheck float64 // end of the last failure-scan window
+	wasQuar       bool    // a group was quarantined at the last boundary
 	// memb is the one record of processor liveness: a processor has
 	// failed (its grids lost, awaiting recovery or a rejoin) exactly
 	// while the tracker holds it dead of a crash.
@@ -280,9 +285,8 @@ type Runner struct {
 	// Durable checkpoint state (active only when opt.Checkpoints is
 	// set).
 	store        *ckpt.Store
-	startStep    int  // first level-0 step of this process (> 0 on resume)
-	resumed      bool // this runner continues an interrupted run
-	ckptAttempts int  // durable write attempts; keys disk-fault decisions
+	startStep    int // first level-0 step of this process (> 0 on resume)
+	ckptAttempts int // durable write attempts; keys disk-fault decisions
 
 	// Per-step scratch, reused across calls so the hot loop makes no
 	// allocations: advanceLevel's per-processor accumulators, the
@@ -386,7 +390,6 @@ func newRunner(sys *machine.System, driver workload.Driver, opt Options, restore
 		if r.ctx.Forecast == nil {
 			r.ctx.Forecast = netsim.NewForecastSet()
 		}
-		r.ckptStep = -1
 		// Default suspicion thresholds: suspect after 2 consecutive probe
 		// failures against a group, presume dead after 4.
 		r.memb = machine.NewMembership(sys, opt.GroupQuorum)
@@ -526,17 +529,9 @@ func (r *Runner) dt(level int) float64 {
 func (r *Runner) Run() *metrics.Result {
 	defer r.Close()
 	r.curStep = r.startStep
-	if r.opt.Faults != nil {
-		if r.resumed {
-			// The resume point doubles as the in-memory recovery point;
-			// its write cost was charged by the run that produced the
-			// durable generation, so remember it without charging again.
-			r.rememberCheckpoint(r.startStep - 1)
-			r.ckptClock = r.clock.Now()
-		} else {
-			r.lastFailCheck = -1
-			r.takeCheckpoint(-1)
-		}
+	if r.opt.Faults != nil && r.startStep == 0 {
+		r.lastFailCheck = -1
+		r.checkpoint(-1)
 	}
 	for s := r.startStep; s < r.opt.Steps; s++ {
 		r.curStep = s
@@ -548,18 +543,13 @@ func (r *Runner) Run() *metrics.Result {
 		}
 		r.step(0)
 		r.t += r.dt0
-		if r.opt.Faults != nil {
-			if r.detectFailures() {
-				s = r.recoverFromCheckpoint()
-				continue
-			}
-			if (s+1)%r.opt.CheckpointInterval == 0 {
-				r.takeCheckpoint(s)
-			}
+		if r.opt.Faults != nil && r.detectFailures() {
+			s = r.recoverFromCheckpoint()
+			continue
 		}
 		r.globalBalance()
-		if r.store != nil && (s+1)%r.opt.CheckpointInterval == 0 {
-			r.writeDurable(s)
+		if (r.opt.Faults != nil || r.store != nil) && (s+1)%r.opt.CheckpointInterval == 0 {
+			r.checkpoint(s)
 		}
 		if r.opt.AfterStep != nil {
 			r.opt.AfterStep(s, r)
@@ -668,21 +658,6 @@ func (r *Runner) detectFailures() bool {
 	return hit
 }
 
-// rememberCheckpoint serialises the hierarchy into the reused scratch
-// buffer and records it as the in-memory recovery point, without
-// charging the virtual clock (the caller charges, or the cost was
-// already paid — by the original run, when resuming).
-func (r *Runner) rememberCheckpoint(step int) {
-	r.ckptBuf.Reset()
-	if err := r.h.Save(&r.ckptBuf); err != nil {
-		panic(fmt.Sprintf("engine: checkpoint failed: %v", err))
-	}
-	// Copy out of the scratch buffer: the durable write path resets it.
-	r.ckpt = append(r.ckpt[:0], r.ckptBuf.Bytes()...)
-	r.ckptStep = step
-	r.ckptT = r.t
-}
-
 // chargeCheckpoint charges writing or restoring a checkpoint of cells
 // cells to the Recovery phase, and returns the charge.
 func (r *Runner) chargeCheckpoint(cells int64) float64 {
@@ -691,57 +666,61 @@ func (r *Runner) chargeCheckpoint(cells int64) float64 {
 	return cost
 }
 
-// takeCheckpoint serialises the hierarchy for recovery, charging the
-// write cost to the Recovery phase. step is the last completed level-0
-// step the checkpoint covers (-1 for the pristine pre-run state).
-func (r *Runner) takeCheckpoint(step int) {
-	r.rememberCheckpoint(step)
+// checkpoint saves the hierarchy once at the end of level-0 step step
+// (-1 for the pristine pre-run state) and charges the write to the
+// Recovery phase. The bytes are the recovery point a processor failure
+// rewinds to and, when a store is open and step >= 0, the payload of a
+// new durable generation, whose Meta snapshots the clock after the
+// charge: a resumed run holds the recovery point the uninterrupted run
+// held. A failed durable write (injected disk fault or real I/O error)
+// is counted and traced but never aborts the run: the older
+// generations are untouched.
+func (r *Runner) checkpoint(step int) {
+	r.ckpt.Reset()
+	if err := r.h.Save(&r.ckpt); err != nil {
+		panic(fmt.Sprintf("engine: checkpoint failed: %v", err))
+	}
 	cells := r.ledger.TotalCells()
 	r.chargeCheckpoint(cells)
-	r.ckptClock = r.clock.Now()
-	r.opt.Trace.Add(trace.Recovery, 0, r.ckptClock,
-		fmt.Sprintf("checkpoint step=%d cells=%d", step, cells))
+	r.markRecoveryPoint(step)
+	now := r.clock.Now()
+	if r.opt.Faults != nil {
+		r.opt.Trace.Add(trace.Recovery, 0, now, fmt.Sprintf("checkpoint step=%d cells=%d", step, cells))
+	}
+	if r.store != nil && step >= 0 {
+		seq := r.ckptAttempts
+		r.ckptAttempts++
+		meta := r.snapshotMeta(step)
+		// The prune count, like DiskCheckpoints, describes the world in
+		// which this generation landed on disk — including the prune its
+		// own write triggers, whose outcome under injected faults is a pure
+		// function of (seq, now) and therefore predictable.
+		meta.DiskPruneErrors += r.store.PredictPruneErrors(seq, now)
+		if gen, err := r.store.Write(meta, r.ckpt.Bytes(), seq, now); err != nil {
+			r.cnt.DiskCheckpointErrors++
+			r.opt.Trace.Add(trace.Checkpoint, 0, now,
+				fmt.Sprintf("write failed step=%d: %v", step, err))
+		} else {
+			r.cnt.DiskCheckpoints++
+			r.opt.Trace.Add(trace.Checkpoint, 0, now,
+				fmt.Sprintf("gen=%d step=%d cells=%d bytes=%d", gen, step, cells, r.ckpt.Len()))
+			if pe := r.cnt.DiskPruneErrors + r.store.PruneErrors(); pe > 0 {
+				r.opt.Trace.Add(trace.Checkpoint, 0, now,
+					fmt.Sprintf("prune failures to date: %d (stranded generation files)", pe))
+			}
+		}
+	}
 	r.fireInvariant(PhaseCheckpoint, 0, nil, nil)
 }
 
-// writeDurable serialises the full engine state — hierarchy plus the
-// Meta header Resume needs — into a new generation of the durable
-// store. The write cost is charged to the Recovery phase before the
-// clock is snapshotted, so a resumed run reproduces the charge
-// exactly. A failed write (injected disk fault or real I/O error) is
-// counted and traced but never aborts the run: the older generations
-// are untouched.
-func (r *Runner) writeDurable(step int) {
-	r.ckptBuf.Reset()
-	if err := r.h.Save(&r.ckptBuf); err != nil {
-		panic(fmt.Sprintf("engine: durable checkpoint failed: %v", err))
+// markRecoveryPoint makes the bytes in r.ckpt the recovery point of
+// level-0 step step, taken at the current simulated time, clock and
+// particle positions.
+func (r *Runner) markRecoveryPoint(step int) {
+	r.ckptStep, r.ckptT, r.ckptClock = step, r.t, r.clock.Now()
+	if ps := r.driver.Particles(); ps != nil {
+		r.ckptParticles = append(r.ckptParticles[:0], ps.Particles...)
 	}
-	cells := r.ledger.TotalCells()
-	r.chargeCheckpoint(cells)
-	seq := r.ckptAttempts
-	r.ckptAttempts++
-	now := r.clock.Now()
-	meta := r.snapshotMeta(step)
-	// The prune count, like DiskCheckpoints, describes the world in
-	// which this generation landed on disk — including the prune its
-	// own write triggers, whose outcome under injected faults is a pure
-	// function of (seq, now) and therefore predictable.
-	meta.DiskPruneErrors += r.store.PredictPruneErrors(seq, now)
-	gen, err := r.store.Write(meta, r.ckptBuf.Bytes(), seq, now)
-	if err != nil {
-		r.cnt.DiskCheckpointErrors++
-		r.opt.Trace.Add(trace.Checkpoint, 0, now,
-			fmt.Sprintf("write failed step=%d: %v", step, err))
-		return
-	}
-	r.cnt.DiskCheckpoints++
-	r.opt.Trace.Add(trace.Checkpoint, 0, now,
-		fmt.Sprintf("gen=%d step=%d cells=%d bytes=%d", gen, step, cells, r.ckptBuf.Len()))
-	if pe := r.cnt.DiskPruneErrors + r.store.PruneErrors(); pe > 0 {
-		r.opt.Trace.Add(trace.Checkpoint, 0, now,
-			fmt.Sprintf("prune failures to date: %d (stranded generation files)", pe))
-	}
-	r.fireInvariant(PhaseCheckpoint, 0, nil, nil)
 }
 
 // counters returns the run's cumulative counters as of now: the live
@@ -809,18 +788,22 @@ func (r *Runner) snapshotMeta(step int) *ckpt.Meta {
 // Recovery phase. The wall time elapsed since the checkpoint — work
 // that is now lost and must be replayed — is recorded as recovery
 // time. The checkpoint is bytes this process saved from a shape the
-// constructor checked (amr.CheckShape), so a failed Load is a bug and
-// panics like a failed Save in rememberCheckpoint. Returns the
+// constructor checked (amr.CheckShape), or a generation Resume already
+// loaded, so a failed Load is a bug and panics like a failed Save in
+// checkpoint. Particles rewind with the hierarchy. Returns the
 // restored step so the caller's loop replays from the step after it.
 func (r *Runner) recoverFromCheckpoint() int {
 	now := r.clock.Now()
 	step := r.ckptStep
-	h, err := amr.Load(bytes.NewReader(r.ckpt))
+	h, err := amr.Load(bytes.NewReader(r.ckpt.Bytes()))
 	if err != nil {
 		panic(fmt.Sprintf("engine: in-memory checkpoint does not load: %v", err))
 	}
 	lost := now - r.ckptClock
 	r.t = r.ckptT
+	if ps := r.driver.Particles(); ps != nil {
+		copy(ps.Particles, r.ckptParticles)
+	}
 	// The restored hierarchy needs a fresh ledger — the one unavoidable
 	// full recompute besides the initial build — attached before
 	// repartition so the ownership reshuffle flows through it as

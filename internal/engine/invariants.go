@@ -21,8 +21,8 @@ const (
 	// any redistribution, before the measurement interval resets — so
 	// the recorder still holds the state the decision read.
 	PhaseGlobalBalance
-	// PhaseCheckpoint fires after a recovery checkpoint was recorded
-	// (in-memory) or written (durable store).
+	// PhaseCheckpoint fires after a checkpoint: the recovery point
+	// recorded and, with a store, its generation written or refused.
 	PhaseCheckpoint
 	// PhaseRestore fires after state was restored: from the in-memory
 	// checkpoint on processor failure, or from the durable store by

@@ -24,11 +24,10 @@ import (
 // identity of the run that wrote it (Options.Spec), and one written by
 // a different run is skipped like a damaged one.
 //
-// Known resume limitations, accepted by design: the NWS forecast
-// history restarts empty (runs whose decisions consult the forecast
-// may diverge), and a processor failure after the resume point rewinds
-// to the resume point rather than the original run's in-memory
-// checkpoint.
+// The restored generation is also the resumed run's recovery point,
+// as its bytes were the uninterrupted run's. Known resume limitation,
+// accepted by design: the NWS forecast history restarts empty (runs
+// whose decisions consult the forecast may diverge).
 func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, *ckpt.RestoreReport, error) {
 	if err := opt.setDefaults(); err != nil {
 		return nil, nil, fmt.Errorf("engine.Resume: %w", err)
@@ -41,7 +40,7 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 		return nil, nil, fmt.Errorf("engine.Resume: %w", err)
 	}
 	var h *amr.Hierarchy
-	meta, _, report, err := store.Restore(func(m *ckpt.Meta, payload []byte) error {
+	meta, payload, report, err := store.Restore(func(m *ckpt.Meta, payload []byte) error {
 		if e := validateMeta(m, sys, &opt); e != nil {
 			return e
 		}
@@ -75,6 +74,10 @@ func Resume(sys *machine.System, driver workload.Driver, opt Options) (*Runner, 
 		r.Close()
 		return nil, report, fmt.Errorf("engine.Resume: %w", err)
 	}
+	// The generation's bytes, step, time and clock are the recovery
+	// point the uninterrupted run took at the same boundary.
+	r.ckpt.Write(payload)
+	r.markRecoveryPoint(meta.Step)
 	// The restored state is a phase boundary like any other: let the
 	// invariant oracle inspect it before the run continues.
 	r.curStep = meta.Step
@@ -122,7 +125,6 @@ func (r *Runner) restoreFromMeta(m *ckpt.Meta) error {
 		return err
 	}
 	r.startStep = m.Step + 1
-	r.resumed = true
 	r.intervalStart = m.IntervalStart
 	r.rec.SetIntervalTime(m.IntervalTime)
 	r.rec.SetDelta(m.Delta)
