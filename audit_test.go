@@ -716,6 +716,10 @@ var auditCode = []codeRule{
 		"a new child's sources are the grids that overlap its box, not its ghost shell"},
 	{"internal/amr/regrid.go", "FlagWhereGradient", `FillGhostsData`, 1,
 		"gradient flagging reads face ghosts, so it fills the level first, through CheckFill"},
+	{"internal/amr/hierarchy.go", "AddGrid", `grid\.NewPatch\(`, 0,
+		"hierarchy patches get storage one way: a retired grid's of the same length, or fresh, through grid.PatchOver"},
+	{"internal/amr/reflux.go", "buildInterfacePlan", `p\.(faces|coarseRefs) = append`, 0,
+		"the interface plan grows its face table and work lists in the pooled scratch and copies them out at their exact size"},
 	{"internal/engine/*.go", "", `InitialCondition\(`, 1,
 		"initLevel0 and regrid write the initial condition only through initialCondition, inside Pool.ForEach"},
 	{"internal/engine/engine.go", "initialCondition", `Pool\.ForEach\(len\(grids\), func\(i int\) \{ r\.driver\.InitialCondition\(grids\[i\]\.Patch, dx\) \}\)`, 1,

@@ -172,6 +172,11 @@ type planScratch struct {
 	// work list.
 	faces, left, clamps geom.BoxList
 	ops                 []fillOp
+	// iface, refs and writers are an interface plan's face table, its
+	// coarse work lists and each list entry's writer while they grow.
+	iface   []interfaceFace
+	refs    []coarseRef
+	writers []int32
 	// blocks hold a plan chunk's messages in order; block is the one
 	// kept for the next chunk.
 	blocks [][]Message

@@ -42,7 +42,8 @@ type Grid struct {
 	// Parent is the grid one level coarser whose region contains this
 	// grid (NoGrid at level 0).
 	Parent GridID
-	// Patch holds the field data (nil in plan-only hierarchies).
+	// Patch holds the field data (nil in plan-only hierarchies, and
+	// once a regrid has retired the grid).
 	Patch *grid.Patch
 
 	// pos is the grid's current position in its level list, maintained
@@ -142,6 +143,14 @@ type Hierarchy struct {
 	// parents, then each new child's sources). It is cleared after every
 	// use, so it keeps no grid alive, and kept for its capacity.
 	regridArena []*Grid
+
+	// names are Fields sorted, the field list every patch shares.
+	names []string
+	// spares is the field storage of the grids regrids retired, by
+	// grown-cell count, for AddGrid to give to new grids: spares[0]
+	// what the running regrid released, spares[1] what the last one
+	// did (see RegridAll).
+	spares [2]map[int][][][]float64
 }
 
 // SetPool attaches a worker pool for parallel execution of the data
@@ -213,6 +222,7 @@ func New(domain geom.Box, refFactor, maxLevel, nghost int, withData bool, fields
 		MaxLevel:  maxLevel,
 		NGhost:    nghost,
 		Fields:    append([]string(nil), fields...),
+		names:     slices.Clone(fields),
 		WithData:  withData,
 		levels:    make([][]*Grid, maxLevel+1),
 		byID:      make(map[GridID]*Grid),
@@ -222,6 +232,7 @@ func New(domain geom.Box, refFactor, maxLevel, nghost int, withData bool, fields
 		index:     make([]*levelIndex, maxLevel+1),
 		kids:      make([]*childTable, maxLevel),
 	}
+	slices.Sort(h.names)
 	return h
 }
 
@@ -280,8 +291,10 @@ func (h *Hierarchy) SetNextID(n GridID) {
 }
 
 // AddGrid creates a grid at the given level. The box must be non-empty
-// and within the level's domain. The patch is allocated (zeroed) when
-// the hierarchy carries data.
+// and within the level's domain. When the hierarchy carries data the
+// grid gets a zeroed patch: spare storage of its exact length when a
+// regrid left some (its ghosts must read zero until the next fill,
+// and Save writes them), fresh storage otherwise.
 func (h *Hierarchy) AddGrid(level int, box geom.Box, owner int, parent GridID) *Grid {
 	if level < 0 || level > h.MaxLevel {
 		panic(fmt.Sprintf("amr.AddGrid: level %d out of range", level))
@@ -298,7 +311,15 @@ func (h *Hierarchy) AddGrid(level int, box geom.Box, owner int, parent GridID) *
 	g := &Grid{ID: h.nextID, Level: level, Box: box, Owner: owner, Parent: parent}
 	h.nextID++
 	if h.WithData {
-		g.Patch = grid.NewPatch(box, level, h.NGhost, h.Fields...)
+		n := int(box.Grow(h.NGhost).NumCells())
+		data := h.takeSpare(n)
+		if data == nil {
+			data = make([][]float64, len(h.names))
+			for k := range data {
+				data[k] = make([]float64, n)
+			}
+		}
+		g.Patch = grid.PatchOver(box, level, h.NGhost, h.names, data)
 	}
 	g.pos = len(h.levels[level])
 	h.levels[level] = append(h.levels[level], g)
@@ -308,6 +329,67 @@ func (h *Hierarchy) AddGrid(level int, box geom.Box, owner int, parent GridID) *
 		h.listener.GridAdded(h, g)
 	}
 	return g
+}
+
+// takeSpare returns zeroed spare storage of n cells per field, the
+// older generation's first, or nil when there is none.
+func (h *Hierarchy) takeSpare(n int) [][]float64 {
+	for i := len(h.spares) - 1; i >= 0; i-- {
+		if s := h.spares[i][n]; len(s) > 0 {
+			data := s[len(s)-1]
+			s[len(s)-1] = nil
+			h.spares[i][n] = s[:len(s)-1]
+			for _, f := range data {
+				clear(f)
+			}
+			return data
+		}
+	}
+	return nil
+}
+
+// retire hands the storage of an old level's grids (oli, the index
+// built over the level before it was cleared; nil retires nothing) to
+// the spares of the running regrid, and drops each grid's Patch, so a
+// stale reader fails instead of reading a new grid's cells.
+func (h *Hierarchy) retire(oli *levelIndex) {
+	if oli == nil {
+		return
+	}
+	if h.spares[0] == nil {
+		h.spares[0] = make(map[int][][][]float64)
+	}
+	for _, g := range oli.grids {
+		n := int(g.Patch.Grown().NumCells())
+		h.spares[0][n] = append(h.spares[0][n], g.Patch.Storage())
+		g.Patch = nil
+	}
+}
+
+// ageSpares ends a regrid's use of the spares: what the last regrid
+// released goes, and what this one released is trimmed, per length, to
+// the number of grids of that length on levels base+1 and deeper, the
+// most the next regrid can ask for if it rebuilds the same shapes. It
+// becomes the older generation.
+func (h *Hierarchy) ageSpares(base int) {
+	clear(h.spares[1])
+	fresh := h.spares[0]
+	h.spares[0], h.spares[1] = h.spares[1], fresh
+	if len(fresh) == 0 {
+		return
+	}
+	want := make(map[int]int, len(fresh))
+	for l := base + 1; l <= h.MaxLevel; l++ {
+		for _, g := range h.levels[l] {
+			want[int(g.Patch.Grown().NumCells())]++
+		}
+	}
+	for n, s := range fresh {
+		if k := want[n]; k < len(s) {
+			clear(s[k:])
+			fresh[n] = s[:k]
+		}
+	}
 }
 
 // RemoveGrid deletes a grid (its children must already be gone).

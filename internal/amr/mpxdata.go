@@ -103,7 +103,8 @@ func (x *exchange) next(r *mpx.Rank, tag, src, n int) []float64 {
 }
 
 // finish checks that every message received this exchange was consumed
-// to its exact length and drops it.
+// to its exact length and hands it back to the world for the
+// transport's next decode.
 func (x *exchange) finish(r *mpx.Rank, tag int) {
 	for src, msg := range x.recv {
 		if msg == nil {
@@ -113,6 +114,7 @@ func (x *exchange) finish(r *mpx.Rank, tag int) {
 			panic(fmt.Sprintf("amr: %s exchange: shard %d consumed %d/%d values of shard %d's message — the shards disagree on the plan",
 				tagNames[tag], r.ID(), x.cur[src], len(msg), src))
 		}
+		r.Release(msg)
 		x.recv[src] = nil
 	}
 }

@@ -49,7 +49,10 @@ func (e fabricEnd) Send(src, dst, tag int, data []float64) error {
 	f.mu.Lock()
 	f.sent = append(f.sent, wireSend{src, dst, tag})
 	f.mu.Unlock()
-	f.worlds[dst].Deliver(src, dst, tag, slices.Clone(data))
+	// Into a payload the receiver released, as the tcp decode does.
+	buf := f.worlds[dst].Buffer(len(data))
+	copy(buf, data)
+	f.worlds[dst].Deliver(src, dst, tag, buf)
 	return nil
 }
 
@@ -448,11 +451,10 @@ func TestMPXWireCarriesOnlyCrossShard(t *testing.T) {
 
 // TestMPXExchangeSteadyStateAllocs pins the coalesced exchange's
 // allocation profile on warmed worlds: a fill costs a fixed amount per
-// shard (its goroutine, the host pool's workers) plus, with each owner
-// its own shard, a few allocations per communicating shard pair (the
-// transport's copy of the one message), however many plan operations
-// the pair's message carries. With every owner in one shard nothing is
-// sent, so the per-shard term alone bounds it.
+// shard (its goroutine, the host pool's workers), however many shard
+// pairs communicate and however many plan operations a pair's message
+// carries. The transport copies each message into the payload its
+// receiver released the exchange before, so a pair costs nothing.
 func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 	const owners = 4
 	for _, grids := range []int{64, 512} {
@@ -481,15 +483,14 @@ func TestMPXExchangeSteadyStateAllocs(t *testing.T) {
 		// there the bounds are not applied; the fills and the fixture
 		// guard still run.
 		perShard := func(n int) float64 { return float64(12 * n) }
-		perPair := perShard(owners) + float64(4*len(pairs))
-		if float64(ops) < 2*perPair {
-			t.Fatalf("%d grids: fixture has only %d cross-owner ops; the bound %.0f no longer separates per-pair from per-op cost",
-				grids, ops, perPair)
+		if float64(ops) < 2*perShard(owners) {
+			t.Fatalf("%d grids: fixture has only %d cross-owner ops; the bound %.0f no longer separates per-shard from per-op cost",
+				grids, ops, perShard(owners))
 		}
 		for _, c := range []struct {
 			lay   layout
 			bound float64
-		}{{layouts[1], perPair}, {layouts[0], perShard(1)}} {
+		}{{layouts[1], perShard(owners)}, {layouts[0], perShard(1)}} {
 			shards := c.lay.split(owners)
 			shardOf := func(o int) int { return shards[o] }
 			f := newFabric(slices.Max(shards) + 1)

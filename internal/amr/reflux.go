@@ -127,8 +127,10 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 	p.coarseStart = make([]int32, len(p.coarse)+1)
 	dom := h.DomainAt(l - 1)
 	scr := getPlanScratch()
-	defer putPlanScratch(scr)
-	var writers []int32 // per coarseRef, its writer's level-list position
+	// The table and the refs grow in the scratch and are copied out at
+	// their exact size; writers[i] is refs[i]'s writer's level-list
+	// position.
+	faces, refs, writers := scr.iface[:0], scr.refs[:0], scr.writers[:0]
 	for k, g := range p.fine {
 		cb := g.Box.Coarsen(r)
 		if cb.Refine(r) != g.Box {
@@ -185,19 +187,21 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 							w = target
 						}
 						if w != nil {
-							p.coarseRefs = append(p.coarseRefs, coarseRef{
-								face: int32(len(p.faces)),
+							refs = append(refs, coarseRef{
+								face: int32(len(faces)),
 								off:  int32(w.Box.GrowDim(d, 0, 1).Offset(face)),
 							})
 							writers = append(writers, int32(w.pos))
 						}
-						p.faces = append(p.faces, f)
+						faces = append(faces, f)
 					})
 				}
 			}
 		}
-		p.fineStart[k+1] = int32(len(p.faces))
+		p.fineStart[k+1] = int32(len(faces))
 	}
+	p.faces = make([]interfaceFace, len(faces))
+	copy(p.faces, faces)
 	// Group the refs by writer, keeping table order within a writer.
 	for _, w := range writers {
 		p.coarseStart[w+1]++
@@ -205,13 +209,19 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 	for k := range p.coarse {
 		p.coarseStart[k+1] += p.coarseStart[k]
 	}
-	sorted := make([]coarseRef, len(p.coarseRefs))
+	p.coarseRefs = make([]coarseRef, len(refs))
 	next := slices.Clone(p.coarseStart[:len(p.coarse)])
 	for i, w := range writers {
-		sorted[next[w]] = p.coarseRefs[i]
+		p.coarseRefs[next[w]] = refs[i]
 		next[w]++
 	}
-	p.coarseRefs = sorted
+	// The face rows and the query answers point at grids: the pooled
+	// scratch keeps none alive.
+	clear(faces)
+	clear(scr.cand)
+	clear(scr.coarse)
+	scr.iface, scr.refs, scr.writers = faces, refs, writers
+	putPlanScratch(scr)
 	return p
 }
 

@@ -40,6 +40,14 @@ type Placer func(childBox geom.Box, parent *Grid) int
 // fill, the one writer of ghost cells. It returns the number of grids
 // created.
 //
+// The old fine levels' field storage is recycled: each old level's
+// grids hand theirs to the hierarchy's spares once its successor is
+// initialised (their Patch becomes nil), and AddGrid gives it to later
+// children of the same grown-cell count. What a regrid releases serves
+// it and the next one; at its end the last regrid's leftovers go and
+// its own are trimmed to the rebuilt levels' counts, so the spares
+// never hold more than one regrid's retired levels.
+//
 // Every overlap is found through a level index (spatialindex.go), and
 // every answer comes in level-list order, so children are made, placed
 // and initialised in the order of a scan of parents × boxes.
@@ -91,12 +99,17 @@ func (h *Hierarchy) RegridAll(base int, flag Flagger, p RegridParams, place Plac
 		}
 		created += len(boxOf)
 		h.initChildren(pending, li, old[l+1])
-		old[l+1] = nil // the old level's grids are garbage from here
+		h.retire(old[l+1]) // the old level's grids are garbage from here
+		old[l+1] = nil
 		if len(boxOf) == 0 {
 			break
 		}
 		h.SortLevel(l + 1)
 	}
+	for _, oli := range old { // the levels the loop stopped short of
+		h.retire(oli)
+	}
+	h.ageSpares(base)
 	return created
 }
 
@@ -171,7 +184,7 @@ func (h *Hierarchy) initChildren(children []*Grid, li, oli *levelIndex) {
 // once. It plans it as fill ops: copies from the old same-level grids
 // that overlap it (the old solution is more accurate than prolonged
 // data), then prolongations from the coarse grids into what the old
-// grids leave. Every ghost keeps the zero NewPatch gave it until the
+// grids leave. Every ghost keeps the zero AddGrid gave it until the
 // level's next fill: the fill owns every ghost, and on an mpx worker an
 // old grid's ghosts may be a stale replica's, so a copied value would
 // make the patch depend on the transport.

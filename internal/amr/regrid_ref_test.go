@@ -82,7 +82,7 @@ func (h *Hierarchy) refRegridAll(base int, flag Flagger, p RegridParams, place P
 // refInitChildData fills a new child grid's interior by prolongation
 // from every overlapping coarse grid, then copies old same-level data
 // where it exists (the old solution is more accurate than prolonged
-// data). Its ghosts keep NewPatch's zero.
+// data). Its ghosts keep AddGrid's zero.
 // Safe to run concurrently for distinct children: it writes only the
 // child's own patch.
 func (h *Hierarchy) refInitChildData(child *Grid, oldSameLevel []*Grid) {

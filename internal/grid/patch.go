@@ -46,18 +46,46 @@ func NewPatch(box geom.Box, level, nghost int, fieldNames ...string) *Patch {
 	}
 	names := slices.Clone(fieldNames)
 	slices.Sort(names)
-	for k := 1; k < len(names); k++ {
-		if names[k] == names[k-1] {
-			panic("grid.NewPatch: duplicate field " + names[k])
-		}
-	}
 	n := int(box.Grow(nghost).NumCells())
 	data := make([][]float64, len(names))
 	for k := range data {
 		data[k] = make([]float64, n)
 	}
+	return PatchOver(box, level, nghost, names, data)
+}
+
+// PatchOver returns a patch whose k-th field, names[k], is stored in
+// data[k], one value per cell of the grown box; names must be sorted
+// and distinct. The patch keeps both slices and writes neither's
+// header, so patches of one field list may share names, and data may
+// be the Storage of a patch no longer in use.
+func PatchOver(box geom.Box, level, nghost int, names []string, data [][]float64) *Patch {
+	if box.Empty() {
+		panic(fmt.Sprintf("grid.PatchOver: empty box %v", box))
+	}
+	if nghost < 0 {
+		panic("grid.PatchOver: negative ghost width")
+	}
+	for k := 1; k < len(names); k++ {
+		if names[k] <= names[k-1] {
+			panic("grid.PatchOver: field names not sorted and distinct at " + names[k])
+		}
+	}
+	if len(data) != len(names) {
+		panic(fmt.Sprintf("grid.PatchOver: %d fields, %d stores", len(names), len(data)))
+	}
+	n := int(box.Grow(nghost).NumCells())
+	for k, f := range data {
+		if len(f) != n {
+			panic(fmt.Sprintf("grid.PatchOver: field %s holds %d values, the grown box %d", names[k], len(f), n))
+		}
+	}
 	return &Patch{Box: box, Level: level, NGhost: nghost, names: names, data: data}
 }
+
+// Storage returns the patch's field storage in FieldNames order, for a
+// later PatchOver to reuse once nothing reads this patch any more.
+func (p *Patch) Storage() [][]float64 { return p.data }
 
 // Grown returns the interior box expanded by the ghost width — the
 // region actually backed by storage.

@@ -18,6 +18,8 @@ type recordSink struct {
 
 func (r *recordSink) Deliver(src, dst, tag int, data []float64) {}
 
+func (r *recordSink) Buffer(n int) []float64 { return make([]float64, n) }
+
 func (r *recordSink) AbortFromWire(cause string) {
 	r.mu.Lock()
 	r.aborts = append(r.aborts, cause)

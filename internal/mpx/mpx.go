@@ -33,6 +33,12 @@ type World struct {
 
 	aborted atomic.Bool
 	cause   atomic.Value // string; first abort cause wins
+
+	// spares are payloads the rank released, for the transport to
+	// decode later messages into: at most n, the most one exchange
+	// receives.
+	spareMu sync.Mutex
+	spares  [][]float64
 }
 
 // NewShardWorld creates the world hosting rank self of a communicator
@@ -182,6 +188,48 @@ func (w *World) Deliver(src, dst, tag int, data []float64) {
 	w.boxes[src].put(message{tag: tag, data: data})
 }
 
+// Buffer returns n values of storage for a payload the transport is
+// about to deliver: the smallest released payload that holds n, or a
+// new one.
+func (w *World) Buffer(n int) []float64 {
+	w.spareMu.Lock()
+	defer w.spareMu.Unlock()
+	best := -1
+	for i, s := range w.spares {
+		if cap(s) >= n && (best < 0 || cap(s) < cap(w.spares[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]float64, n)
+	}
+	s := w.spares[best]
+	last := len(w.spares) - 1
+	w.spares[best], w.spares[last] = w.spares[last], nil
+	w.spares = w.spares[:last]
+	return s[:n]
+}
+
+// release keeps a delivered payload for Buffer, evicting the smallest
+// spare when n are kept already.
+func (w *World) release(data []float64) {
+	w.spareMu.Lock()
+	defer w.spareMu.Unlock()
+	if len(w.spares) < w.n {
+		w.spares = append(w.spares, data)
+		return
+	}
+	small := 0
+	for i, s := range w.spares {
+		if cap(s) < cap(w.spares[small]) {
+			small = i
+		}
+	}
+	if cap(data) > cap(w.spares[small]) {
+		w.spares[small] = data
+	}
+}
+
 // abortCause returns the recorded cause ("" when not aborted).
 func (w *World) abortCause() string {
 	if c, ok := w.cause.Load().(string); ok {
@@ -230,6 +278,12 @@ func (r *Rank) Recv(from, tag int) []float64 {
 	}
 	return r.world.boxes[from].take(tag)
 }
+
+// Release hands back a payload Recv returned, once the rank has
+// applied it, so the transport can decode a later message into its
+// storage. The rank must not touch data afterwards. A payload never
+// released is simply collected.
+func (r *Rank) Release(data []float64) { r.world.release(data) }
 
 // message is one queued transfer.
 type message struct {

@@ -197,6 +197,54 @@ func TestTCPShardExchange(t *testing.T) {
 	}
 }
 
+// TestTCPDecodesIntoReleasedPayloads: a payload the receiver released
+// is the storage the next message of a size it holds decodes into, so
+// a steady exchange allocates no payloads; a larger message gets new
+// storage, and the world keeps at most one spare per rank.
+func TestTCPDecodesIntoReleasedPayloads(t *testing.T) {
+	worlds, _ := newTCPWorlds(t, 2)
+	var got [][]float64
+	round := func(n int, release bool) {
+		msg := make([]float64, n)
+		for i := range msg {
+			msg[i] = float64(len(got)*1000 + i)
+		}
+		if err := runShards(worlds, func(r *Rank) {
+			if r.ID() == 0 {
+				r.Send(1, 3, msg)
+				return
+			}
+			data := r.Recv(0, 3)
+			if !slices.Equal(data, msg) {
+				t.Errorf("round %d: received %v, want %v", len(got), data, msg)
+			}
+			got = append(got, data)
+			if release {
+				r.Release(data)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(64, true)
+	round(48, true) // fits the 64-value spare
+	round(96, true) // fits none: new storage
+	round(32, false)
+	same := func(a, b []float64) bool { return &a[:1][0] == &b[:1][0] }
+	if !same(got[1], got[0]) {
+		t.Error("a 48-value message did not reuse the released 64-value payload")
+	}
+	if same(got[2], got[1]) {
+		t.Error("a 96-value message was decoded into a 64-value payload")
+	}
+	if !same(got[3], got[0]) {
+		t.Error("a 32-value message did not go into the 64-value spare, the smallest that holds it")
+	}
+	if n := len(worlds[1].spares); n > 2 {
+		t.Errorf("world keeps %d spares, want at most one per rank (2)", n)
+	}
+}
+
 // TestTCPFaultIsTransportOnly injects one wire drop over real sockets:
 // the phase fails transport-only, its primary failure names the dropped
 // send, and every world is aborted — the caller's cue to leave the wire.

@@ -464,7 +464,14 @@ func (e *TCPEndpoint) readLoop(wc *wireConn) {
 			}
 			return
 		}
-		msg, err := decodeFrame(payload)
+		e.mu.Lock()
+		sink := e.sink
+		e.mu.Unlock()
+		var buffer func(int) []float64
+		if sink != nil {
+			buffer = sink.Buffer
+		}
+		msg, err := decodeFrame(payload, buffer)
 		if err != nil {
 			e.poison(err)
 			return
@@ -474,9 +481,6 @@ func (e *TCPEndpoint) readLoop(wc *wireConn) {
 			// deliver, and liveness beacons stay out of the frame counts.
 			continue
 		}
-		e.mu.Lock()
-		sink := e.sink
-		e.mu.Unlock()
 		if sink == nil {
 			e.poison(fmt.Errorf("mpx: frame arrived on shard %d before Bind", e.shard))
 			return

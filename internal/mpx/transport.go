@@ -16,10 +16,12 @@ type Transport interface {
 }
 
 // Sink receives messages arriving from a Transport's receive path.
-// *World implements it.
+// *World implements it. Buffer returns storage of n values for a
+// payload about to be delivered: one a rank released, or a new one.
 type Sink interface {
 	Deliver(src, dst, tag int, data []float64)
 	AbortFromWire(cause string)
+	Buffer(n int) []float64
 }
 
 // TransportError is the panic value a rank raises when its send could

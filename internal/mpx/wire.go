@@ -105,8 +105,10 @@ func sealFrame(buf []byte) {
 }
 
 // decodeFrame parses and validates one payload (the bytes after the
-// length + CRC prefix, already checksum-verified by readWireFrame).
-func decodeFrame(payload []byte) (wireMsg, error) {
+// length + CRC prefix, already checksum-verified by readWireFrame). A
+// data frame's values go into buffer(count) (a new slice when buffer
+// is nil), so the message keeps none of the payload's bytes.
+func decodeFrame(payload []byte, buffer func(n int) []float64) (wireMsg, error) {
 	if len(payload) < 1 {
 		return wireMsg{}, fmt.Errorf("mpx: empty frame payload")
 	}
@@ -124,7 +126,11 @@ func decodeFrame(payload []byte) (wireMsg, error) {
 		m.tag = int(int32(binary.BigEndian.Uint32(payload[9:13])))
 		m.seq = binary.BigEndian.Uint64(payload[13:21])
 		count := (len(payload) - dataHdr) / 8
-		m.data = make([]float64, count)
+		if buffer != nil {
+			m.data = buffer(count)
+		} else {
+			m.data = make([]float64, count)
+		}
 		off := dataHdr
 		for i := range m.data {
 			m.data[i] = math.Float64frombits(binary.BigEndian.Uint64(payload[off : off+8]))

@@ -90,7 +90,7 @@ func FuzzReadWireFrame(f *testing.F) {
 		if err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("reading into the previous buffer: err %v, equal %v", err, bytes.Equal(again, payload))
 		}
-		decodeFrame(payload) // may reject, may not panic
+		decodeFrame(payload, nil) // may reject, may not panic
 	})
 }
 
@@ -104,11 +104,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{frameData, 0, 0, 0, 1, 0xff}, int32(-1), int32(1<<30), int32(math.MinInt32), uint64(math.MaxUint64))
 	f.Add(bytes.Repeat([]byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1}, 3), int32(1), int32(2), int32(3), uint64(4)) // NaN payloads
 	f.Fuzz(func(t *testing.T, raw []byte, src, dst, tag int32, seq uint64) {
-		decodeFrame(raw) // may reject, may not panic
+		decodeFrame(raw, nil) // may reject, may not panic
 
 		data := make([]float64, len(raw)/8)
 		for i := range data {
 			data[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+		}
+		// A released payload comes back holding its last message: the
+		// decode must overwrite every value of it.
+		dirty := func(n int) []float64 {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = math.Float64frombits(0x7ff8_dead_beef_0001)
+			}
+			return b
 		}
 		open := func(frame []byte) wireMsg {
 			t.Helper()
@@ -116,7 +125,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("own frame rejected: %v", err)
 			}
-			m, err := decodeFrame(payload)
+			m, err := decodeFrame(payload, dirty)
 			if err != nil {
 				t.Fatalf("own frame rejected: %v", err)
 			}

@@ -26,7 +26,7 @@ func TestWireDataFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := decodeFrame(payload)
+			m, err := decodeFrame(payload, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestWireAbortFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := decodeFrame(payload)
+	m, err := decodeFrame(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWireFrameCorruptionDetected(t *testing.T) {
 		// A flipped length byte can shorten the declared frame; the CRC
 		// over the shorter payload must then fail. Reaching here with a
 		// successfully verified payload means corruption went unnoticed.
-		if m, derr := decodeFrame(payload); derr == nil {
+		if m, derr := decodeFrame(payload, nil); derr == nil {
 			if reflect.DeepEqual(m.data, []float64{1, 2, 3}) && m.src == 1 && m.dst == 2 {
 				continue // the flip hit redundant padding that round-tripped identically (impossible for this format)
 			}
