@@ -664,6 +664,8 @@ var auditDeleted = []deletedRule{
 	{`\b(Fig3|GammaSweep|EpsSweep|GranularitySweep|RegridIntervalSweep|ForecastAblation|SchemeSweep|MultiSiteSweep|(Fig3|Gamma|Eps|Granularity|Regrid|Forecast|Scheme|MultiSite)Row)\b`,
 		"internal/exp/*.go",
 		"a study is its runs: each report fills its metrics.Table straight from its jobs' Results, with no row struct or wrapper between"},
+	{`\bRestrictPlan\b|\brestrictDest\b|\bbuildRestrictDataPlan\b|\bexecFillPlan\b|\bexecRestrictPlan\b|\brunFillDest\b|\brunRestrictDest\b`, "internal/amr/*.go",
+		"one executor per exchange: shared memory is the wire run with a nil rank, and the restriction's one plan is the child table"},
 }
 
 // codeRule pins how often pattern matches code, comments excluded: the

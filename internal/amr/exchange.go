@@ -29,7 +29,6 @@ type planKind uint8
 const (
 	planMsg planKind = 1 << iota
 	planFill
-	planRestrict
 	planInterface
 	planGhostXfer
 	planRestrictXfer
@@ -38,16 +37,17 @@ const (
 	planXfer = planGhostXfer | planRestrictXfer
 )
 
-// planCache is a level's plan-cache entry — the cost-model message
-// lists and their processor-pair tables, the concrete data-motion plans
-// and the coarse–fine interface plan — valid for the structure
-// generations it is stamped with (see Hierarchy.gen). The plans are
-// keyed by grid identity and boxes; the mpx execution resolves owners
-// when it routes the messages. Only the pair tables read owners, and
-// they carry the ownership generations they were built at as well. Each
-// kind is built lazily on first use, the messages and the fill by one
-// walk over the level (buildPlans), and a slice handed out is never
-// written again.
+// planCache is a level's plan-cache entry — the ghost messages, the
+// processor-pair tables of the ghost exchange and the restriction, the
+// fill plan and the coarse–fine interface plan — valid for the
+// structure generations it is stamped with (see Hierarchy.gen). The
+// plans are keyed by grid identity and boxes; the mpx execution resolves
+// owners when it routes the messages. Only the pair tables read owners,
+// and they carry the ownership generations they were built at as well.
+// The restriction's plan is level l−1's child table (childTableFor),
+// which follows level l's generation alone. Each kind is built lazily
+// on first use, the messages and the fill by one walk over the level
+// (buildPlans), and a slice handed out is never written again.
 type planCache struct {
 	// gen and coarseGen are the generations of levels l and l−1 the
 	// entry was built at, own and coarseOwn their ownership generations
@@ -57,13 +57,11 @@ type planCache struct {
 	// built is the set of kinds built so far.
 	built planKind
 
-	ghost, restrict []Message
-	// ghostXfer and restrictXfer are ghost and restrict coalesced per
-	// processor pair (see aggregate).
+	ghost []Message
+	// ghostXfer is ghost coalesced per processor pair (see aggregate),
+	// restrictXfer the restriction (see restrictTransfers).
 	ghostXfer, restrictXfer []Transfer
 	fill                    []fillDest
-	// restrictData is the grouped-by-parent restriction plan.
-	restrictData []restrictDest
 	// iface is the interface plan between this level and the next
 	// coarser one (see reflux.go).
 	iface *interfacePlan
@@ -109,7 +107,7 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 		c.built &^= planXfer
 		c.ghostXfer, c.restrictXfer = nil, nil
 	}
-	if need&planXfer != 0 {
+	if need&planGhostXfer != 0 {
 		need |= planMsg
 	}
 	// One walk builds the messages and the fill: a fill request implies
@@ -122,7 +120,7 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 	if need&(planMsg|planFill) != 0 {
 		ghost, fill := h.buildPlans(l, need&planFill != 0)
 		if need&planMsg != 0 {
-			c.ghost, c.restrict = ghost, h.RestrictPlan(l)
+			c.ghost = ghost
 		}
 		c.fill = fill
 	}
@@ -134,12 +132,9 @@ func (h *Hierarchy) refreshPlans(l int, need planKind) *planCache {
 			c.ghostXfer = h.aggregate(c.ghost, n)
 		}
 		if need&planRestrictXfer != 0 {
-			c.restrictXfer = h.aggregate(c.restrict, n)
+			c.restrictXfer = h.restrictTransfers(l, n)
 		}
 		c.own, c.coarseOwn = own, coarseOwn
-	}
-	if need&planRestrict != 0 {
-		c.restrictData = h.buildRestrictDataPlan(l)
 	}
 	if need&planInterface != 0 {
 		c.iface = h.buildInterfacePlan(l, h.indexFor(l), h.indexFor(l-1))
@@ -203,8 +198,18 @@ var planScratchPool = sync.Pool{New: func() any {
 	return s
 }}
 
-func getPlanScratch() *planScratch  { return planScratchPool.Get().(*planScratch) }
-func putPlanScratch(s *planScratch) { planScratchPool.Put(s) }
+func getPlanScratch() *planScratch { return planScratchPool.Get().(*planScratch) }
+
+// putPlanScratch returns s to the pool with every grid pointer it holds,
+// up to each slice's capacity, cleared: a pooled scratch keeps no
+// retired grid alive.
+func putPlanScratch(s *planScratch) {
+	clear(s.cand[:cap(s.cand)])
+	clear(s.coarse[:cap(s.coarse)])
+	clear(s.ops[:cap(s.ops)])
+	clear(s.iface[:cap(s.iface)])
+	planScratchPool.Put(s)
+}
 
 // GhostPlanCached returns GhostPlan(l, false), memoised until the
 // structure of level l or l−1 changes. Callers must not mutate the
@@ -224,11 +229,9 @@ func (h *Hierarchy) GhostTransfers(l int) []Transfer {
 	return h.refreshPlans(l, planGhostXfer).ghostXfer
 }
 
-// RestrictTransfers returns RestrictPlan(l) coalesced per
-// processor pair, memoised like GhostTransfers. The restrict plan is
-// built alongside the ghost plan under the same critical section, so a
-// structural mutation between the two calls can never surface a stale
-// or missing restrict table.
+// RestrictTransfers returns level l's restriction — one message per
+// fine grid, its coarsened cells, to its parent — coalesced per
+// processor pair, memoised like GhostTransfers.
 func (h *Hierarchy) RestrictTransfers(l int) []Transfer {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
@@ -247,52 +250,93 @@ func (h *Hierarchy) ownerSpan(l int) int {
 	return n
 }
 
-// aggregate coalesces a message plan per (src proc, dst proc) pair —
-// one latency per pair, bytes summed, matching message coalescing in
-// real SAMR codes — into a new table in (src, dst) order, which is
-// slot order, src·n+dst. Messages between grids of one processor move
-// nothing; zero-byte messages still make a pair. Every owner the plan
-// names is below n. Callers hold planMu.
-func (h *Hierarchy) aggregate(msgs []Message, n int) []Transfer {
-	if len(msgs) == 0 {
+// pairTable coalesces transfers per (src proc, dst proc) pair — one
+// latency per pair, bytes summed, matching message coalescing in real
+// SAMR codes — into a table in (src, dst) order, which is slot order,
+// src·n+dst. A transfer between grids of one processor moves nothing;
+// zero-byte transfers still make a pair. Every owner is below n. It is
+// the hierarchy's scratch, kept for its capacity; callers hold planMu.
+type pairTable struct {
+	// slot[src·n+dst] is one more than the pair's bytes, zero while
+	// unseen; take zeroes the slots used again.
+	slot     []int64
+	n, pairs int
+}
+
+// start begins a table over n processors.
+func (t *pairTable) start(n int) {
+	if len(t.slot) < n*n {
+		t.slot = make([]int64, n*n)
+	}
+	t.n, t.pairs = n, 0
+}
+
+// add adds a transfer of bytes from processor src to dst.
+func (t *pairTable) add(src, dst int, bytes int64) {
+	if src == dst {
+		return
+	}
+	at := &t.slot[src*t.n+dst]
+	if *at == 0 {
+		t.pairs++
+		*at = 1
+	}
+	*at += bytes
+}
+
+// take returns the table, reading the slots in order, up to the last
+// pair, zeroing each: the per-processor float sums, and every DLB
+// decision after, depend on the order.
+func (t *pairTable) take() []Transfer {
+	if t.pairs == 0 {
 		return nil
 	}
-	// pairSlot[src·n+dst] is one more than the pair's bytes, zero while
-	// unseen; the entries used are zeroed again below.
-	if len(h.pairSlot) < n*n {
-		h.pairSlot = make([]int64, n*n)
+	out := make([]Transfer, 0, t.pairs)
+	for s := 0; len(out) < t.pairs; s++ {
+		if v := t.slot[s]; v != 0 {
+			out = append(out, Transfer{Src: s / t.n, Dst: s % t.n, Bytes: v - 1})
+			t.slot[s] = 0
+		}
 	}
-	pairs := 0
-	// A destination's messages, and the children of one parent, are
-	// consecutive in a plan, so the destination's owner is resolved once
-	// per run of equal Dst. No (Src, Dst) pair repeats: a plan sends one
-	// message per neighbour and destination.
+	return out
+}
+
+// aggregate coalesces a message plan per processor pair (see
+// pairTable). A destination's messages are consecutive in a plan, so
+// its owner is resolved once per run of equal Dst. No (Src, Dst) pair
+// repeats: a plan sends one message per neighbour and destination.
+// Callers hold planMu.
+func (h *Hierarchy) aggregate(msgs []Message, n int) []Transfer {
+	t := &h.pairs
+	t.start(n)
 	dst := 0
 	for i, m := range msgs {
 		if i == 0 || m.Dst != msgs[i-1].Dst {
 			dst = h.Grid(m.Dst).Owner
 		}
-		src := h.Grid(m.Src).Owner
-		if src == dst {
-			continue
-		}
-		at := &h.pairSlot[src*n+dst]
-		if *at == 0 {
-			pairs++
-			*at = 1
-		}
-		*at += m.Bytes
+		t.add(h.Grid(m.Src).Owner, dst, m.Bytes)
 	}
-	// Read the slots in order, up to the last pair, zeroing each: the
-	// per-processor float sums, and every DLB decision after, depend on it.
-	out := make([]Transfer, 0, pairs)
-	for s := 0; len(out) < pairs; s++ {
-		if v := h.pairSlot[s]; v != 0 {
-			out = append(out, Transfer{Src: s / n, Dst: s % n, Bytes: v - 1})
-			h.pairSlot[s] = 0
-		}
+	return t.take()
+}
+
+// restrictTransfers coalesces level l's restriction per processor pair
+// (see pairTable) straight from the child table, one parent's run at a
+// time. Callers hold planMu.
+func (h *Hierarchy) restrictTransfers(l, n int) []Transfer {
+	if l <= 0 {
+		return nil
 	}
-	return out
+	bytesPerCell := int64(len(h.Fields)) * 8
+	r3 := int64(h.RefFactor * h.RefFactor * h.RefFactor)
+	kids := h.childTableFor(l - 1).kids
+	t := &h.pairs
+	t.start(n)
+	h.parentRuns(kids, func(p *Grid, lo, hi int) {
+		for _, g := range kids[lo:hi] {
+			t.add(g.Owner, p.Owner, g.NumCells()/r3*bytesPerCell)
+		}
+	})
+	return t.take()
 }
 
 // GhostPlan returns the transfers required to fill the ghost zones of
@@ -520,42 +564,19 @@ func (h *Hierarchy) GhostPlanScan(l int) []Message {
 	return out
 }
 
-// RestrictPlan returns the transfers that project every level-l grid
-// onto its parent after the level reaches its parent's physical time.
-func (h *Hierarchy) RestrictPlan(l int) []Message {
-	if l <= 0 {
-		return nil
-	}
-	var out []Message
-	bytesPerCell := int64(len(h.Fields)) * 8
-	r3 := int64(h.RefFactor * h.RefFactor * h.RefFactor)
-	for _, g := range h.Grids(l) {
-		p := h.Grid(g.Parent)
-		if p == nil {
-			continue
-		}
-		out = append(out, Message{
-			Src: g.ID, Dst: p.ID,
-			Bytes: g.NumCells() / r3 * bytesPerCell,
-		})
-	}
-	return out
-}
-
 // FillGhostsData performs the actual data motion of GhostPlan on the
 // patches' face slabs, the ghost cells a 7-point stencil reads: copy
 // sibling overlaps, prolong from the coarse level, and
-// clamp-extrapolate at the physical domain boundary. It executes the
-// cached data-motion plan (built once per hierarchy generation) in
-// parallel over the attached pool; with the datacheck oracle enabled
+// clamp-extrapolate at the physical domain boundary. It is the wire
+// fill with a nil rank, one shard that holds every grid, running the
+// cached plan over the attached pool; with the datacheck oracle enabled
 // it additionally re-runs the scan-based baseline and panics on any
 // bitwise divergence.
 func (h *Hierarchy) FillGhostsData(l int) {
 	if !h.WithData {
 		return
 	}
-	plan := h.fillPlan(l)
-	h.CheckFill(l, func() bool { h.execFillPlan(plan); return true })
+	h.CheckFill(l, func() bool { h.FillGhostsMPX(nil, l, nil); return true })
 }
 
 // FillGhostsScan is the original O(grids²) scan-based ghost fill,
@@ -618,16 +639,14 @@ func (h *Hierarchy) FillGhostsScan(l int) {
 }
 
 // RestrictData projects every level-l grid's solution onto its parent
-// patch (the data motion of RestrictPlan), executing the cached
-// restriction plan grouped by parent — in parallel over the attached
-// pool — and verifying against the scan baseline when the datacheck
-// oracle is on.
+// patch (the data motion RestrictTransfers charges). It is the wire
+// restriction with a nil rank, one pool task per parent, and is
+// verified against the scan baseline when the datacheck oracle is on.
 func (h *Hierarchy) RestrictData(l int) {
 	if !h.WithData || l <= 0 {
 		return
 	}
-	plan := h.restrictDataPlan(l)
-	h.CheckRestrict(l, func() bool { h.execRestrictPlan(plan); return true })
+	h.CheckRestrict(l, func() bool { h.RestrictMPX(nil, l, nil); return true })
 }
 
 // RestrictDataScan is the original per-grid restriction walk, kept as

@@ -304,28 +304,23 @@ func TestPlanCheckCatchesOverlappingLevel(t *testing.T) {
 	assertPanics(t, "serving an overlapping level's ghost plan under plancheck", func() { h.GhostPlanCached(1) })
 }
 
+// TestRestrictPlan: one fine grid restricts onto a parent on another
+// processor as one transfer of its coarsened cells, and onto a parent
+// on its own processor as none.
 func TestRestrictPlan(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, false, "q")
 	p := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
 	c := h.AddGrid(1, geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{8, 8, 8}), 1, p.ID)
-	plan := h.RestrictPlan(1)
-	if len(plan) != 1 {
-		t.Fatalf("plan = %v", plan)
-	}
-	m := plan[0]
-	if m.Src != c.ID || m.Dst != p.ID {
-		t.Errorf("message = %v", m)
-	}
 	// 512 fine cells -> 64 coarse cells * 8 bytes.
-	if m.Bytes != 64*8 {
-		t.Errorf("bytes = %d", m.Bytes)
+	if got, want := h.RestrictTransfers(1), []Transfer{{Src: 1, Dst: 0, Bytes: 64 * 8}}; !slices.Equal(got, want) {
+		t.Errorf("transfers = %v, want %v", got, want)
 	}
-	if h.RestrictPlan(0) != nil {
+	if h.RestrictTransfers(0) != nil {
 		t.Error("level 0 has no restrict plan")
 	}
-	c.Owner = 0
-	if plan := h.dropSameOwner(h.RestrictPlan(1)); len(plan) != 0 {
-		t.Error("local restrict must be dropped")
+	h.SetOwner(c, 0)
+	if got := h.RestrictTransfers(1); len(got) != 0 {
+		t.Errorf("local restrict must be dropped, got %v", got)
 	}
 }
 

@@ -104,14 +104,6 @@ type fillDest struct {
 	clamps geom.BoxList // face cells outside the physical domain
 }
 
-// restrictDest groups the fine grids restricting into one parent, in
-// level traversal order, so the parent is written by exactly one
-// worker and partially-covered coarse cells keep their last writer.
-type restrictDest struct {
-	parent *Grid
-	fines  []*Grid
-}
-
 // fillPlan returns the cached ghost-fill plan for level l, rebuilt if
 // the hierarchy's structure changed. Safe for concurrent callers (mpx
 // ranks build lazily through the same mutex).
@@ -121,11 +113,28 @@ func (h *Hierarchy) fillPlan(l int) []fillDest {
 	return h.refreshPlans(l, planFill).fill
 }
 
-// restrictDataPlan returns the cached restriction plan for level l.
-func (h *Hierarchy) restrictDataPlan(l int) []restrictDest {
+// restrictPlan returns level l's restriction plan, level l−1's child
+// table: level l's grids by parent ID, then in level order.
+func (h *Hierarchy) restrictPlan(l int) []*Grid {
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	return h.refreshPlans(l, planRestrict).restrictData
+	return h.childTableFor(l - 1).kids
+}
+
+// parentRuns calls visit for each run of one parent in kids, a
+// restriction plan: the parent, resolved once per run, and the plan
+// entries lo..hi−1 under it. A run whose parent is gone is skipped.
+func (h *Hierarchy) parentRuns(kids []*Grid, visit func(p *Grid, lo, hi int)) {
+	for lo := 0; lo < len(kids); {
+		hi := lo + 1
+		for hi < len(kids) && kids[hi].Parent == kids[lo].Parent {
+			hi++
+		}
+		if p := h.Grid(kids[lo].Parent); p != nil {
+			visit(p, lo, hi)
+		}
+		lo = hi
+	}
 }
 
 // planFillDest finishes destination g's fill work list from the
@@ -232,38 +241,6 @@ func (h *Hierarchy) buildFillPlanScan(l int) []fillDest {
 	return plan
 }
 
-// buildRestrictDataPlan groups level-l grids by parent, preserving
-// the level's traversal order within each group.
-func (h *Hierarchy) buildRestrictDataPlan(l int) []restrictDest {
-	if l <= 0 {
-		return nil
-	}
-	var plan []restrictDest
-	idx := make(map[GridID]int)
-	for _, g := range h.Grids(l) {
-		p := h.Grid(g.Parent)
-		if p == nil || p.Patch == nil {
-			continue
-		}
-		j, ok := idx[p.ID]
-		if !ok {
-			j = len(plan)
-			idx[p.ID] = j
-			plan = append(plan, restrictDest{parent: p})
-		}
-		plan[j].fines = append(plan[j].fines, g)
-	}
-	return plan
-}
-
-// runFillDest executes one destination's work list.
-func (h *Hierarchy) runFillDest(d *fillDest) {
-	for i := range d.ops {
-		h.runFillOp(d.g.Patch, &d.ops[i])
-	}
-	h.clampFaces(d)
-}
-
 // clampFaces writes d's face cells outside the physical domain: each
 // copies the nearest interior cell. Clamping first to the domain and
 // then to the grid box equals clamping to the grid box alone because
@@ -299,41 +276,33 @@ func (h *Hierarchy) applyFillOp(df []float64, op *fillOp, sf []float64, from gri
 	grid.CopyRows(df, op.rows(op.to), sf, from)
 }
 
-// execFillPlan runs every destination's work list over the pool
-// (destinations never alias).
-func (h *Hierarchy) execFillPlan(plan []fillDest) {
-	h.pool.ForEach(len(plan), func(i int) { h.runFillDest(&plan[i]) })
-}
-
-// runRestrictDest restricts every fine grid of one parent group.
-func (h *Hierarchy) runRestrictDest(d *restrictDest) {
-	for _, g := range d.fines {
-		for _, f := range h.Fields {
-			grid.Restrict(d.parent.Patch, g.Patch, f, h.RefFactor)
-		}
-	}
-}
-
-// execRestrictPlan runs the restriction groups over the pool (each
-// parent belongs to one group).
-func (h *Hierarchy) execRestrictPlan(plan []restrictDest) {
-	h.pool.ForEach(len(plan), func(i int) { h.runRestrictDest(&plan[i]) })
-}
-
 // CheckFill runs exec, an executor of level l's planned ghost fill (the
 // shared-memory one, or the wire's), and returns whether it completed;
 // a wire phase that detached did not, and its caller falls back. With
-// the -check=data oracle on, a completed fill is checked: the scan-based
-// fill re-runs from the same pre-state and must agree bitwise. Sources
-// are never written by a fill, so swapping each destination's patch for
-// its pre-fill clone and re-running the scan reproduces the baseline
-// exactly. The executed result is kept (the original patch objects stay
-// installed).
+// the -check=data oracle on, a completed fill is checked against
+// FillGhostsScan (see checkData).
 func (h *Hierarchy) CheckFill(l int, exec func() bool) bool {
+	return h.checkData("FillGhosts", l, exec, func() { h.FillGhostsScan(l) })
+}
+
+// CheckRestrict is CheckFill for level l's planned restriction, checked
+// against RestrictDataScan on every grid of level l−1.
+func (h *Hierarchy) CheckRestrict(l int, exec func() bool) bool {
+	return h.checkData("Restrict", l-1, exec, func() { h.RestrictDataScan(l) })
+}
+
+// checkData runs exec, an exchange that writes the patches of level w,
+// and with the -check=data oracle on checks a completed one: scan
+// re-runs the exchange from the same pre-state and must agree bitwise.
+// An exchange reads only what it does not write, so swapping each
+// level-w patch for its pre-exchange clone and running scan reproduces
+// the baseline exactly. The executed result is kept (the original patch
+// objects stay installed).
+func (h *Hierarchy) checkData(op string, w int, exec func() bool, scan func()) bool {
 	if !h.dataCheck {
 		return exec()
 	}
-	grids := h.Grids(l)
+	grids := h.Grids(w)
 	pre := make([]*grid.Patch, len(grids))
 	for i, g := range grids {
 		pre[i] = g.Patch.Clone()
@@ -346,37 +315,10 @@ func (h *Hierarchy) CheckFill(l int, exec func() bool) bool {
 		planned[i] = g.Patch
 		g.Patch = pre[i]
 	}
-	h.FillGhostsScan(l)
+	scan()
 	for i, g := range grids {
-		comparePatches("FillGhosts", l, g.ID, g.Patch, planned[i])
+		comparePatches(op, w, g.ID, g.Patch, planned[i])
 		g.Patch = planned[i]
-	}
-	return true
-}
-
-// CheckRestrict is CheckFill for level l's planned restriction, whose
-// check compares every written parent with the scan's.
-func (h *Hierarchy) CheckRestrict(l int, exec func() bool) bool {
-	if !h.dataCheck {
-		return exec()
-	}
-	plan := h.restrictDataPlan(l)
-	pre := make([]*grid.Patch, len(plan))
-	for i := range plan {
-		pre[i] = plan[i].parent.Patch.Clone()
-	}
-	if !exec() {
-		return false
-	}
-	planned := make([]*grid.Patch, len(plan))
-	for i := range plan {
-		planned[i] = plan[i].parent.Patch
-		plan[i].parent.Patch = pre[i]
-	}
-	h.RestrictDataScan(l)
-	for i := range plan {
-		comparePatches("Restrict", l, plan[i].parent.ID, plan[i].parent.Patch, planned[i])
-		plan[i].parent.Patch = planned[i]
 	}
 	return true
 }

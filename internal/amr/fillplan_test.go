@@ -3,6 +3,7 @@ package amr
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"samrdlb/internal/cluster"
@@ -273,4 +274,56 @@ func TestRegridPoolMatchesSequential(t *testing.T) {
 	seq := build(nil)
 	par := build(solver.NewPool(4))
 	assertSameData(t, seq, par, "regrid")
+}
+
+// TestPooledScratchHoldsNoGrid: a plan scratch handed back to the pool
+// holds no grid pointer in any backing array, up to capacity, whatever
+// field it sits in — the pool would otherwise keep retired grids alive.
+// The scratch is left as a fill-plan walk over a level with siblings
+// and prolongations leaves it (candidates, coarse candidates, ops), plus
+// interface rows seeded by hand.
+func TestPooledScratchHoldsNoGrid(t *testing.T) {
+	h := buildDataHierarchy(t, 2)
+	h.planMu.Lock()
+	li, cli := h.indexFor(1), h.indexFor(0)
+	h.planMu.Unlock()
+	s := new(planScratch)
+	s.marks = s.marks0[:]
+	var d fillDest
+	for _, g := range h.Grids(1) {
+		h.planDest(nil, &d, g, 1, li, cli, h.DomainAt(1), 8, s)
+	}
+	s.iface = append(s.iface, interfaceFace{target: h.Grids(0)[0]})[:0]
+	if !holdsGrid(reflect.ValueOf(s).Elem()) {
+		t.Fatal("fixture: the used scratch holds no grid")
+	}
+	putPlanScratch(s)
+	if holdsGrid(reflect.ValueOf(s).Elem()) {
+		t.Error("a scratch handed to putPlanScratch still holds a grid")
+	}
+}
+
+// holdsGrid reports whether v holds a non-nil *Grid anywhere, reading
+// every slice up to its capacity.
+func holdsGrid(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		return v.Type() == reflect.TypeFor[*Grid]() && !v.IsNil()
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if holdsGrid(v.Field(i)) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if v.Kind() == reflect.Slice {
+			v = v.Slice3(0, v.Cap(), v.Cap())
+		}
+		for i := range v.Len() {
+			if holdsGrid(v.Index(i)) {
+				return true
+			}
+		}
+	}
+	return false
 }

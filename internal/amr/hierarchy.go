@@ -120,9 +120,8 @@ type Hierarchy struct {
 	// scratch: mpx ranks build plans lazily from concurrent goroutines.
 	// Execution reads the immutable plan after the lock is released.
 	planMu sync.Mutex
-	// pairSlot is the aggregation scratch of the processor-pair tables
-	// (see aggregate), kept for its capacity.
-	pairSlot []int64
+	// pairs is the aggregation scratch of the processor-pair tables.
+	pairs pairTable
 
 	// pool executes the cached fill/restrict/regrid data motion (safe
 	// in parallel: the plans partition writes by destination patch);

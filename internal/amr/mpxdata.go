@@ -32,9 +32,25 @@ type exchange struct {
 	send [][]float64
 	recv [][]float64
 	cur  []int
+	// heads and in are a restriction's: the plan entry that starts each
+	// run of one of this shard's parents (see parentRuns), and per plan
+	// entry the slice of a received message that holds its fine grid.
+	heads []int
+	in    [][]float64
 }
 
 var exchangePool = sync.Pool{New: func() any { return new(exchange) }}
+
+// openExchange returns the scratch of one exchange of rank r, r's shard
+// and the owner→shard map. A nil rank is shared memory: one shard that
+// holds every grid, so nothing is packed, posted or received, and the
+// exchange is its local half alone.
+func openExchange(r *mpx.Rank, shardOf func(owner int) int) (x *exchange, me int, _ func(owner int) int) {
+	if r == nil {
+		return getExchange(1), 0, func(int) int { return 0 }
+	}
+	return getExchange(r.Size()), r.ID(), shardOf
+}
 
 // getExchange returns scratch sized for n shards with every send
 // buffer truncated and every receive dropped: an exchange aborted
@@ -119,30 +135,31 @@ func (x *exchange) finish(r *mpx.Rank, tag int) {
 	}
 }
 
-// FillGhostsMPX performs exactly FillGhostsData's data motion through
-// a message-passing world whose ranks are shards: shardOf maps a grid's
+// FillGhostsMPX performs FillGhostsData's data motion through a
+// message-passing world whose ranks are shards: shardOf maps a grid's
 // owner to the shard hosting it, and r.ID() is this shard. One fill is
 // one exchange. The shard packs the source cells of every op that reads
 // one of its grids and writes another shard's, one buffer per peer in
 // plan order, and posts them; it runs the ops and clamps that stay in
-// the shard over the host pool, as FillGhostsData does; then it applies
-// each peer's message in plan order. A fill writes each face cell once
+// the shard over the host pool; then it applies each peer's message in
+// plan order. A fill writes each face cell once
 // and reads only interiors, which no fill writes (see fillDest), so the
 // ops' order changes no bit and the shards run genuinely in parallel. A
 // sender and a receiver meet the same plan entries in the same order,
 // so position in the message needs no header.
 //
 // Every shard walks the same cached plan in place — built lazily under
-// the hierarchy's plan mutex and shared by all.
+// the hierarchy's plan mutex and shared by all. With a nil rank it is
+// FillGhostsData's executor (see openExchange).
 func (h *Hierarchy) FillGhostsMPX(r *mpx.Rank, level int, shardOf func(owner int) int) {
 	// A pair's message is sent only when it is non-empty, so without
 	// fields there is nothing to send and nothing to wait for.
 	if !h.WithData || len(h.Fields) == 0 {
 		return
 	}
-	me, nf := r.ID(), len(h.Fields)
+	nf := len(h.Fields)
 	plan := h.fillPlan(level)
-	x := getExchange(r.Size())
+	x, me, shardOf := openExchange(r, shardOf)
 	defer exchangePool.Put(x)
 
 	// pack visits every op that reads this shard's grids for another's.
@@ -218,36 +235,38 @@ func (h *Hierarchy) packed(op *fillOp) (dense grid.Rows, n int) {
 }
 
 // RestrictMPX performs RestrictData's motion through the world of
-// shards FillGhostsMPX describes. When a parent's owner is in another
-// shard, this shard restricts each of its fine grids over the fine
-// grid's coarsened box straight into the message for that shard, which
-// copies the part inside the parent's interior out of the message —
-// the cells grid.Restrict's overlap computation writes. A parent of
-// this shard takes each fine grid in plan order, restricting one of
-// its own shard directly, so a partially covered coarse cell keeps its
-// last writer. It writes only its parents' interiors, and nothing
-// writes the fine level in this exchange.
+// shards FillGhostsMPX describes; with a nil rank it is RestrictData's
+// executor. Its plan is level l−1's child table: level l's grids by
+// parent, then in level order. A fine grid of this shard under another
+// shard's parent is restricted over its coarsened box straight into the
+// message for that shard, which copies the part inside the parent's
+// interior out of the message — the cells grid.Restrict's overlap
+// computation writes. Each parent of this shard is then one pool task,
+// which takes its fine grids in plan order, restricting one of this
+// shard directly and copying a remote one's slice of the message, so a
+// partly covered coarse cell keeps its last writer. A task writes only
+// its parent's interior, and nothing writes the fine level in this
+// exchange.
 func (h *Hierarchy) RestrictMPX(r *mpx.Rank, level int, shardOf func(owner int) int) {
 	if !h.WithData || level <= 0 || len(h.Fields) == 0 {
 		return
 	}
-	me, nf := r.ID(), len(h.Fields)
-	plan := h.restrictDataPlan(level)
-	x := getExchange(r.Size())
+	nf := len(h.Fields)
+	kids := h.restrictPlan(level)
+	x, me, shardOf := openExchange(r, shardOf)
 	defer exchangePool.Put(x)
 
 	// pack visits every fine grid of this shard under another's parent.
 	pack := func(visit func(to int, g *Grid)) {
-		for i := range plan {
-			d := &plan[i]
-			if to := shardOf(d.parent.Owner); to != me {
-				for _, g := range d.fines {
+		h.parentRuns(kids, func(p *Grid, lo, hi int) {
+			if to := shardOf(p.Owner); to != me {
+				for _, g := range kids[lo:hi] {
 					if shardOf(g.Owner) == me {
 						visit(to, g)
 					}
 				}
 			}
-		}
+		})
 	}
 	pack(func(to int, g *Grid) { x.cur[to] += int(g.Box.Coarsen(h.RefFactor).NumCells()) * nf })
 	x.reserve()
@@ -261,31 +280,44 @@ func (h *Hierarchy) RestrictMPX(r *mpx.Rank, level int, shardOf func(owner int) 
 	})
 	x.post(r, tagRestrict)
 
-	for i := range plan {
-		d := &plan[i]
-		if shardOf(d.parent.Owner) != me {
-			continue
+	// Find where each run of this shard's parents starts and each remote
+	// fine grid's slice of its message, in plan order.
+	x.heads = x.heads[:0]
+	x.in = slices.Grow(x.in[:0], len(kids))[:len(kids)]
+	h.parentRuns(kids, func(p *Grid, lo, hi int) {
+		if shardOf(p.Owner) != me {
+			return
 		}
-		for _, g := range d.fines {
-			from := shardOf(g.Owner)
-			if from == me {
+		x.heads = append(x.heads, lo)
+		for i, g := range kids[lo:hi] {
+			if from := shardOf(g.Owner); from != me {
+				x.in[lo+i] = x.next(r, tagRestrict, from, int(g.Box.Coarsen(h.RefFactor).NumCells())*nf)
+			}
+		}
+	})
+	h.pool.ForEach(len(x.heads), func(k int) {
+		lo := x.heads[k]
+		p := h.Grid(kids[lo].Parent)
+		for i := lo; i < len(kids) && kids[i].Parent == p.ID; i++ {
+			g := kids[i]
+			if shardOf(g.Owner) == me {
 				for _, f := range h.Fields {
-					grid.Restrict(d.parent.Patch, g.Patch, f, h.RefFactor)
+					grid.Restrict(p.Patch, g.Patch, f, h.RefFactor)
 				}
 				continue
 			}
 			coarse := g.Box.Coarsen(h.RefFactor)
-			nc := int(coarse.NumCells())
-			data := x.next(r, tagRestrict, from, nc*nf)
-			reg := coarse.Intersect(d.parent.Box)
+			reg := coarse.Intersect(p.Box)
 			if reg.Empty() {
 				continue
 			}
-			to, src := grid.RowsOf(d.parent.Patch.Grown(), reg), grid.RowsOf(coarse, reg)
+			nc := int(coarse.NumCells())
+			to, src := grid.RowsOf(p.Patch.Grown(), reg), grid.RowsOf(coarse, reg)
 			for k, f := range h.Fields {
-				grid.CopyRows(d.parent.Patch.Field(f), to, data[k*nc:(k+1)*nc], src)
+				grid.CopyRows(p.Patch.Field(f), to, x.in[i][k*nc:(k+1)*nc], src)
 			}
 		}
-	}
+	})
+	clear(x.in)
 	x.finish(r, tagRestrict)
 }

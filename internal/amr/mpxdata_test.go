@@ -13,6 +13,7 @@ import (
 	"samrdlb/internal/geom"
 	"samrdlb/internal/grid"
 	"samrdlb/internal/mpx"
+	"samrdlb/internal/solver"
 )
 
 // fabric joins the worlds of one test communicator in this process, as
@@ -307,9 +308,10 @@ var deepOwnerDraws = []struct {
 	{3, []int{1}},
 }
 
-// TestFillGhostsMPXMatchesSequential: the wire fill equals the
-// shared-memory one on both fixtures, every owner draw and every
-// layout.
+// TestFillGhostsMPXMatchesSequential: the wire fill equals the scan
+// baseline, FillGhostsScan, on every cell a kernel reads, on both
+// fixtures, every owner draw and every layout. The shared-memory fill
+// is the same executor with a nil rank, so it is no reference.
 func TestFillGhostsMPXMatchesSequential(t *testing.T) {
 	fill := func(levels int) func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
 		return func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
@@ -324,7 +326,7 @@ func TestFillGhostsMPXMatchesSequential(t *testing.T) {
 				seq := buildFixtureHierarchy(t, owners, fx)
 				par := runShards(seq, lay.split(owners), fill(2))
 				for l := 0; l <= 1; l++ {
-					seq.FillGhostsData(l)
+					seq.FillGhostsScan(l)
 				}
 				assertSameData(t, seq, par, fmt.Sprintf("ghosts %v, %d owners, %s", fx, owners, lay.name))
 			}
@@ -332,7 +334,7 @@ func TestFillGhostsMPXMatchesSequential(t *testing.T) {
 				seq := buildDeepDataHierarchy(t, int64(seed), c.owners, fx)
 				par := runShards(seq, lay.split(c.procs), fill(3))
 				for l := 0; l <= 2; l++ {
-					seq.FillGhostsData(l)
+					seq.FillGhostsScan(l)
 				}
 				assertSameData(t, seq, par, fmt.Sprintf("deep ghosts %v, owners %v of %d, %s", fx, c.owners, c.procs, lay.name))
 			}
@@ -341,8 +343,8 @@ func TestFillGhostsMPXMatchesSequential(t *testing.T) {
 }
 
 // TestRestrictMPXMatchesSequential: the wire restriction equals the
-// shared-memory one on both fixtures, every owner draw and every
-// layout.
+// scan baseline, RestrictDataScan, on both fixtures, every owner draw
+// and every layout.
 func TestRestrictMPXMatchesSequential(t *testing.T) {
 	for _, fx := range dataFixtures {
 		for _, lay := range layouts {
@@ -351,7 +353,7 @@ func TestRestrictMPXMatchesSequential(t *testing.T) {
 				par := runShards(seq, lay.split(owners), func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
 					v.RestrictMPX(r, 1, shardOf)
 				})
-				seq.RestrictData(1)
+				seq.RestrictDataScan(1)
 				assertSameData(t, seq, par, fmt.Sprintf("restrict %v, %d owners, %s", fx, owners, lay.name))
 			}
 			for seed, c := range deepOwnerDraws {
@@ -360,9 +362,73 @@ func TestRestrictMPXMatchesSequential(t *testing.T) {
 					v.RestrictMPX(r, 2, shardOf)
 					v.RestrictMPX(r, 1, shardOf)
 				})
-				seq.RestrictData(2)
-				seq.RestrictData(1)
+				seq.RestrictDataScan(2)
+				seq.RestrictDataScan(1)
 				assertSameData(t, seq, par, fmt.Sprintf("deep restrict %v, owners %v of %d, %s", fx, c.owners, c.procs, lay.name))
+			}
+		}
+	}
+}
+
+// TestRestrictMPXSharedCoarseCell: one parent's fine grids on two
+// shards that share a coarse cell — a fine grid split at an odd fine
+// plane — restrict, on every layout and at pool widths 1 and 4, to
+// exactly RestrictDataScan's bits: each parent's task takes its fine
+// grids in plan order, a remote one's from its message, so the shared
+// cell keeps the level-order last writer. The shared-memory run, a nil
+// rank, is checked the same way.
+func TestRestrictMPXSharedCoarseCell(t *testing.T) {
+	build := func() *Hierarchy {
+		h := New(geom.UnitCube(8), 2, 1, 1, true, "q", "rho")
+		rng := rand.New(rand.NewSource(5))
+		fill := func(g *Grid) {
+			for _, f := range h.Fields {
+				g.Patch.FillFunc(f, func(geom.Index) float64 { return rng.Float64() })
+			}
+		}
+		for i, b := range (geom.BoxList{h.Domain}).SplitEvenly(4) {
+			p := h.AddGrid(0, b, i%3, NoGrid)
+			fill(p)
+			c := h.AddGrid(1, p.Box.Refine(2), p.Owner, p.ID)
+			fill(c)
+			// Cut at an odd fine plane: the coarse cell across it is
+			// covered by both halves, which land on two owners, the
+			// later one in plan order the other owner or the parent's.
+			lo, hi := h.SplitGrid(c, 0, c.Box.Lo[0]+3)
+			h.SetOwner([]*Grid{hi, lo}[i%2], (p.Owner+1)%3)
+		}
+		return h
+	}
+	bits := func(h *Hierarchy) [][]uint64 {
+		var out [][]uint64
+		for _, g := range h.Grids(0) {
+			for _, f := range h.Fields {
+				v := make([]uint64, 0, len(g.Patch.Field(f)))
+				for _, x := range g.Patch.Field(f) {
+					v = append(v, math.Float64bits(x))
+				}
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	ref := build()
+	ref.RestrictDataScan(1)
+	want := bits(ref)
+	for _, workers := range []int{1, 4} {
+		h := build()
+		h.SetPool(solver.NewPool(workers))
+		h.RestrictData(1)
+		if !slices.EqualFunc(bits(h), want, slices.Equal) {
+			t.Errorf("shared memory, %d workers: the restriction differs from RestrictDataScan", workers)
+		}
+		for _, lay := range layouts {
+			par := runShards(build(), lay.split(3), func(v *Hierarchy, r *mpx.Rank, shardOf func(int) int) {
+				v.SetPool(solver.NewPool(workers))
+				v.RestrictMPX(r, 1, shardOf)
+			})
+			if !slices.EqualFunc(bits(par), want, slices.Equal) {
+				t.Errorf("%s, %d workers: the restriction differs from RestrictDataScan", lay.name, workers)
 			}
 		}
 	}
@@ -409,11 +475,9 @@ func TestMPXWireCarriesOnlyCrossShard(t *testing.T) {
 	}
 	for l := 2; l > 0; l-- {
 		pairs := map[wireSend]bool{}
-		for _, d := range seq.restrictDataPlan(l) {
-			for _, g := range d.fines {
-				if from, to := shardOf(g.Owner), shardOf(d.parent.Owner); from != to {
-					pairs[wireSend{from, to, tagRestrict}] = true
-				}
+		for _, g := range seq.Grids(l) {
+			if from, to := shardOf(g.Owner), shardOf(seq.Grid(g.Parent).Owner); from != to {
+				pairs[wireSend{from, to, tagRestrict}] = true
 			}
 		}
 		add(pairs)
@@ -442,10 +506,10 @@ func TestMPXWireCarriesOnlyCrossShard(t *testing.T) {
 		t.Errorf("the wire carried %v (source shard, destination shard, tag): count, want %v", got, want)
 	}
 	for l := 0; l <= 2; l++ {
-		seq.FillGhostsData(l)
+		seq.FillGhostsScan(l)
 	}
-	seq.RestrictData(2)
-	seq.RestrictData(1)
+	seq.RestrictDataScan(2)
+	seq.RestrictDataScan(1)
 	assertSameData(t, seq, gather(views, shards), "even/odd shards")
 }
 

@@ -22,21 +22,17 @@ import (
 // hold planMu.
 func (h *Hierarchy) verifyPlans(l int, c *planCache) {
 	if c.built&planMsg != 0 {
-		ghost, restrict := h.GhostPlanScan(l), h.RestrictPlan(l)
+		ghost := h.GhostPlanScan(l)
 		comparePlanMessages("GhostPlan", l, ghost, c.ghost)
-		comparePlanMessages("RestrictPlan", l, restrict, c.restrict)
 		if c.built&planGhostXfer != 0 {
 			compareTransferTables("GhostTransfers", l, naivePairs(h, ghost), c.ghostXfer)
 		}
-		if c.built&planRestrictXfer != 0 {
-			compareTransferTables("RestrictTransfers", l, naivePairs(h, restrict), c.restrictXfer)
-		}
+	}
+	if c.built&planRestrictXfer != 0 {
+		compareTransferTables("RestrictTransfers", l, naivePairs(h, h.restrictScan(l)), c.restrictXfer)
 	}
 	if c.built&planFill != 0 {
 		compareFillPlans(l, h.buildFillPlanScan(l), c.fill)
-	}
-	if c.built&planRestrict != 0 {
-		compareRestrictPlans(l, h.buildRestrictDataPlan(l), c.restrictData)
 	}
 	if c.built&planInterface != 0 {
 		compareInterfacePlans(l, h.buildInterfacePlan(l, nil, nil), c.iface)
@@ -58,6 +54,24 @@ func comparePlanMessages(op string, l int, want, got []Message) {
 				op, l, i, got[i], want[i]))
 		}
 	}
+}
+
+// restrictScan is the level-list walk RestrictTransfers is checked
+// against: one message per level-l grid to its parent, carrying its
+// coarsened cells.
+func (h *Hierarchy) restrictScan(l int) []Message {
+	if l <= 0 {
+		return nil
+	}
+	var out []Message
+	bytesPerCell := int64(len(h.Fields)) * 8
+	r3 := int64(h.RefFactor * h.RefFactor * h.RefFactor)
+	for _, g := range h.Grids(l) {
+		if p := h.Grid(g.Parent); p != nil {
+			out = append(out, Message{Src: g.ID, Dst: p.ID, Bytes: g.NumCells() / r3 * bytesPerCell})
+		}
+	}
+	return out
 }
 
 // naivePairs is the per-message form of aggregate: two grid lookups and
@@ -142,36 +156,6 @@ func compareFillPlans(l int, want, got []fillDest) {
 				panic(fmt.Sprintf(
 					"amr: FillPlan plancheck diverged: level %d grid %d clamp %d: cached %v, scan %v",
 					l, w.g.ID, j, g.clamps[j], w.clamps[j]))
-			}
-		}
-	}
-}
-
-// compareRestrictPlans panics when the cached grouped restriction plan
-// diverged from a fresh build.
-func compareRestrictPlans(l int, want, got []restrictDest) {
-	if len(want) != len(got) {
-		panic(fmt.Sprintf(
-			"amr: RestrictDataPlan plancheck diverged: level %d: cached %d groups, scan %d",
-			l, len(got), len(want)))
-	}
-	for i := range want {
-		w, g := &want[i], &got[i]
-		if w.parent != g.parent {
-			panic(fmt.Sprintf(
-				"amr: RestrictDataPlan plancheck diverged: level %d group %d: cached parent %d, scan parent %d",
-				l, i, g.parent.ID, w.parent.ID))
-		}
-		if len(w.fines) != len(g.fines) {
-			panic(fmt.Sprintf(
-				"amr: RestrictDataPlan plancheck diverged: level %d parent %d: cached %d fines, scan %d",
-				l, w.parent.ID, len(g.fines), len(w.fines)))
-		}
-		for j := range w.fines {
-			if w.fines[j] != g.fines[j] {
-				panic(fmt.Sprintf(
-					"amr: RestrictDataPlan plancheck diverged: level %d parent %d fine %d: cached grid %d, scan grid %d",
-					l, w.parent.ID, j, g.fines[j].ID, w.fines[j].ID))
 			}
 		}
 	}

@@ -49,26 +49,17 @@ func hierarchyOver(rng *rand.Rand, dom geom.Box, boxes geom.BoxList) *Hierarchy 
 	return h
 }
 
-// RestrictPlanCached returns RestrictPlan(l) from the cache
-// entry RestrictTransfers aggregates.
-func (h *Hierarchy) RestrictPlanCached(l int) []Message {
-	h.planMu.Lock()
-	defer h.planMu.Unlock()
-	return h.refreshPlans(l, planMsg).restrict
-}
-
 // servePlans pulls every cached plan kind at every level, so the
 // -check=plan oracle (when armed) verifies each against its scan
 // baseline.
 func servePlans(h *Hierarchy) {
 	for l := 0; l <= h.MaxLevel; l++ {
 		h.GhostPlanCached(l)
-		h.RestrictPlanCached(l)
 		h.GhostTransfers(l)
 		h.RestrictTransfers(l)
 		h.fillPlan(l)
-		h.restrictDataPlan(l)
 		if l > 0 {
+			h.restrictPlan(l)
 			h.interfacePlan(l)
 		}
 	}
@@ -241,8 +232,9 @@ func TestPlanPatchingMatchesScan(t *testing.T) {
 // TestPlanInvalidationRule pins the rule itself: level l's plans are
 // served from the same backing arrays until the structure of level l
 // or l−1 changes. Ownership churn and mutations at l+1 or l−2 keep
-// them; each of the five structural mutations at l or l−1 replaces
-// them.
+// them; each of the five structural mutations at l replaces them, and
+// each at l−1 replaces all but the restriction's, the child table,
+// which reads level l alone and names parents by ID.
 func TestPlanInvalidationRule(t *testing.T) {
 	dom := geom.UnitCube(8)
 	h := New(dom, 2, 3, 1, false, "q")
@@ -258,12 +250,13 @@ func TestPlanInvalidationRule(t *testing.T) {
 	}
 	const l = 2
 	type served struct {
-		ghost, restrict *Message
-		fill            *fillDest
-		iface           *interfacePlan
+		ghost    *Message
+		restrict **Grid
+		fill     *fillDest
+		iface    *interfacePlan
 	}
 	serve := func() served {
-		return served{&h.GhostPlanCached(l)[0], &h.RestrictPlanCached(l)[0], &h.fillPlan(l)[0], h.interfacePlan(l)}
+		return served{&h.GhostPlanCached(l)[0], &h.restrictPlan(l)[0], &h.fillPlan(l)[0], h.interfacePlan(l)}
 	}
 	spare := func(lv int) *Grid { return h.Grids(lv)[len(h.Grids(lv))-1] }
 	addRemove := func(lv int) {
@@ -301,65 +294,54 @@ func TestPlanInvalidationRule(t *testing.T) {
 			t.Errorf("%s rebuilt level %d's plans", m.name, l)
 		}
 	}
-	for _, m := range []step{
-		{"add/remove at l", func() { addRemove(l) }},
-		{"add/remove at l-1", func() { addRemove(l - 1) }},
-		{"re-link at l", func() { relink(l) }},
-		{"re-link at l-1", func() { relink(l - 1) }},
-		{"SortLevel(l)", func() { h.SortLevel(l) }},
-		{"SortLevel(l-1)", func() { h.SortLevel(l - 1) }},
-		{"ClearLevelsFrom(l) and re-adding its grids", func() {
+	for _, m := range []struct {
+		step
+		restrictStays bool
+	}{
+		{step{"add/remove at l", func() { addRemove(l) }}, false},
+		{step{"add/remove at l-1", func() { addRemove(l - 1) }}, true},
+		{step{"re-link at l", func() { relink(l) }}, false},
+		{step{"re-link at l-1", func() { relink(l - 1) }}, true},
+		{step{"SortLevel(l)", func() { h.SortLevel(l) }}, false},
+		{step{"SortLevel(l-1)", func() { h.SortLevel(l - 1) }}, true},
+		{step{"ClearLevelsFrom(l) and re-adding its grids", func() {
 			gs := slices.Clone(h.Grids(l))
 			h.ClearLevelsFrom(l)
 			for _, g := range gs {
 				h.AddGrid(l, g.Box, g.Owner, g.Parent)
 			}
-		}},
+		}}, false},
 	} {
 		before := serve()
 		m.do()
 		after := serve()
-		if after.ghost == before.ghost || after.restrict == before.restrict ||
-			after.fill == before.fill || after.iface == before.iface {
+		if after.ghost == before.ghost || after.fill == before.fill || after.iface == before.iface {
 			t.Errorf("%s left a plan of level %d cached", m.name, l)
+		}
+		if stayed := after.restrict == before.restrict; stayed != m.restrictStays {
+			t.Errorf("%s: level %d's restriction plan stayed cached: %v, want %v", m.name, l, stayed, m.restrictStays)
 		}
 	}
 }
 
-// TestRestrictPlanCachedMutationBetweenPhases is the regression test
-// for the plan-cache race: RestrictPlanCached used to run as two
-// critical sections — a GhostPlanCached call, then a re-lock to read
-// the restrict plan — so a structural mutation plus a concurrent
-// plan build landing in the window left it returning a nil (or
-// stale) restrict plan. Both plans are now built under one critical
-// section on a stable cache entry; replaying the old interleaving
-// must yield a fresh, coherent restrict plan.
-func TestRestrictPlanCachedMutationBetweenPhases(t *testing.T) {
+// TestRestrictTransfersMutationBetweenPhases replays the interleaving
+// that once left a stale restrict plan: a ghost plan served, a
+// structural mutation, another phase's plan build, then the
+// restriction's pair table. It must follow the mutation.
+func TestRestrictTransfersMutationBetweenPhases(t *testing.T) {
 	h := New(geom.UnitCube(8), 2, 1, 1, false, "q")
 	p := h.AddGrid(0, geom.UnitCube(8), 0, NoGrid)
 	h.AddGrid(1, geom.BoxFromShape(geom.Index{0, 0, 0}, geom.Index{8, 8, 8}), 1, p.ID)
-
-	_ = h.GhostPlanCached(1) // phase one of the old two-phase protocol
-	// A mutation lands in the window between the phases...
-	h.AddGrid(1, geom.BoxFromShape(geom.Index{8, 8, 8}, geom.Index{8, 8, 8}), 0, p.ID)
-	// ...and so does another phase's plan build (the old code replaced
-	// the cache entry here, wiping the restrict plan).
+	_ = h.RestrictTransfers(1)
+	_ = h.GhostPlanCached(1)
+	h.AddGrid(1, geom.BoxFromShape(geom.Index{8, 8, 8}, geom.Index{8, 8, 8}), 2, p.ID)
 	_ = h.fillPlan(1)
-
-	// The old phase-two read: the raw cache entry must already hold a
-	// restrict plan coherent with the post-mutation structure.
-	h.planMu.Lock()
-	got := h.plans[1].restrict
-	h.planMu.Unlock()
-	want := h.RestrictPlan(1)
-	if got == nil {
-		t.Fatal("cache entry lost its restrict plan across the mutation window")
+	want := naivePairs(h, h.restrictScan(1))
+	if len(want) != 2 {
+		t.Fatalf("fixture: want two restriction pairs, got %v", want)
 	}
-	if !msgsEqual(got, want) {
-		t.Fatalf("stale restrict plan survived the mutation: got %v, want %v", got, want)
-	}
-	if !msgsEqual(h.RestrictPlanCached(1), want) {
-		t.Fatal("RestrictPlanCached diverged from a fresh RestrictPlan")
+	if got := h.RestrictTransfers(1); !slices.Equal(got, want) {
+		t.Fatalf("stale restriction pairs survived the mutation: got %v, want %v", got, want)
 	}
 }
 
@@ -375,13 +357,11 @@ func TestCachedPlansConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				for l := 0; l <= h.MaxLevel; l++ {
-					g := h.GhostPlanCached(l)
-					r := h.RestrictPlanCached(l)
-					_, _ = g, r
+					_ = h.GhostPlanCached(l)
 					_, _ = h.GhostTransfers(l), h.RestrictTransfers(l)
 					_ = h.fillPlan(l)
-					_ = h.restrictDataPlan(l)
 					if l > 0 {
+						_ = h.restrictPlan(l)
 						_ = h.interfacePlan(l)
 					}
 				}

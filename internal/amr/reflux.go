@@ -215,11 +215,6 @@ func (h *Hierarchy) buildInterfacePlan(l int, li, cli *levelIndex) *interfacePla
 		p.coarseRefs[next[w]] = refs[i]
 		next[w]++
 	}
-	// The face rows and the query answers point at grids: the pooled
-	// scratch keeps none alive.
-	clear(faces)
-	clear(scr.cand)
-	clear(scr.coarse)
 	scr.iface, scr.refs, scr.writers = faces, refs, writers
 	putPlanScratch(scr)
 	return p

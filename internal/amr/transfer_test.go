@@ -31,7 +31,7 @@ func TestTransfersFollowOwnership(t *testing.T) {
 		if want := naivePairs(h, h.GhostPlanScan(l)); !slices.Equal(ghost, want) {
 			t.Errorf("%s: ghost table\n got %v\nwant %v", step, ghost, want)
 		}
-		if want := naivePairs(h, h.RestrictPlan(l)); !slices.Equal(restrict, want) {
+		if want := naivePairs(h, h.restrictScan(l)); !slices.Equal(restrict, want) {
 			t.Errorf("%s: restrict table\n got %v\nwant %v", step, restrict, want)
 		}
 		return ghost, restrict
@@ -153,7 +153,7 @@ func TestAggregateKeepsZeroBytePairs(t *testing.T) {
 			}
 		}
 	}
-	if got, want := h.RestrictTransfers(1), naivePairs(h, h.RestrictPlan(1)); len(want) == 0 || !slices.Equal(got, want) {
+	if got, want := h.RestrictTransfers(1), naivePairs(h, h.restrictScan(1)); len(want) == 0 || !slices.Equal(got, want) {
 		t.Errorf("zero-byte restrict pairs\n got %v\nwant %v", got, want)
 	}
 }
